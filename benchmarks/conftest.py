@@ -125,8 +125,7 @@ class ChurnBenchConfig:
     One disk index holds a steady ``|D| = database_size`` while
     ``rounds`` rounds each delete ``churn_batch`` graphs and append
     ``churn_batch`` fresh ones, every batch under one group commit.
-    The gates pin ``ctree.disk.rebuilds == 0`` over the whole run,
-    require the churned index to answer queries within
+    The gates require the churned index to answer queries within
     ``max_query_ratio`` of a fresh bulk load over the same surviving
     set (min-of-``query_repeats`` sweeps damps timing noise; the
     ``--quick`` floor is relaxed because smoke-scale timings are
@@ -357,11 +356,10 @@ def validate_server_payload(payload: dict) -> str:
 
 
 def validate_churn_payload(payload: dict) -> str:
-    """Gate BENCH_churn.json: zero rebuilds, compaction fired and
-    restored occupancy, final fsck clean."""
+    """Gate BENCH_churn.json: compaction fired and restored occupancy,
+    final fsck clean."""
     _require(bool(payload["rounds_detail"]), "no churn rounds recorded")
     gate = payload["gate"]
-    _require(gate["rebuilds"] == 0, "churn fell back to a rebuild")
     _require(gate["deletes"] > 0 and gate["group_commits"] > 0,
              "no deletes or no group commits recorded")
     _require(gate["compactions"] >= 1, "no compaction fired")
@@ -371,7 +369,7 @@ def validate_churn_payload(payload: dict) -> str:
              compaction["degraded_occupancy"],
              "compaction failed to restore occupancy")
     return (f"BENCH_churn.json OK: {len(payload['rounds_detail'])} "
-            f"rounds, {gate['deletes']} deletes, 0 rebuilds, "
+            f"rounds, {gate['deletes']} deletes, "
             f"query ratio {gate['query_ratio']:.2f}, occupancy "
             f"{compaction['degraded_occupancy']:.2f} -> "
             f"{compaction['restored_occupancy']:.2f}")

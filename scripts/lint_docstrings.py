@@ -8,7 +8,8 @@ summary line.  CI runs it (plus ``ruff``'s pydocstyle ``D1`` rules,
 which this mirrors) over the serving layer (``src/repro/server/``,
 ``src/repro/ctree/parallel.py``) and the durable-storage/insert surface
 (``src/repro/storage/``, ``src/repro/ctree/diskindex.py``,
-``src/repro/ctree/policies.py``) so the API references in
+``src/repro/ctree/store.py``, ``src/repro/ctree/policies.py``) so the
+API references in
 ``docs/SERVING.md`` and ``docs/DURABILITY.md`` cannot silently rot;
 ``tests/test_docstrings.py`` enforces the same contract inside tier-1.
 
@@ -31,8 +32,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: The documented serving surface (see ISSUE/PR 6) — the whole HTTP
 #: layer, the batched engine, the Prometheus exporter — plus the
 #: durable-storage/insert surface (PR 8): page file, WAL, buffer pool,
-#: record store, the disk index with its incremental append path, and
-#: the insert/split policies.
+#: record store, the disk index, the node stores under the one C-tree,
+#: and the insert/split policies.
 DEFAULT_PATHS = (
     "src/repro/server",
     "src/repro/ctree/parallel.py",
@@ -40,6 +41,7 @@ DEFAULT_PATHS = (
     "src/repro/storage",
     "src/repro/ctree/diskindex.py",
     "src/repro/ctree/policies.py",
+    "src/repro/ctree/store.py",
     "src/repro/ctree/shards.py",
     "src/repro/ctree/shardcache.py",
 )

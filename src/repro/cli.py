@@ -45,6 +45,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -98,14 +99,21 @@ def _is_shard_dir(path: str) -> bool:
     return p.is_dir() and (p / MANIFEST_NAME).is_file()
 
 
-def _open_index(path: str, cache_pages: int):
-    """A saved index is a JSON snapshot, a ``.ctp`` page file, or a
-    shard directory."""
+@contextmanager
+def _open_index(path: str, cache_pages: int = 128):
+    """A saved index — a JSON snapshot, a ``.ctp`` page file, or a shard
+    directory — open for one command (a disk handle is closed after)."""
     if _is_shard_dir(path):
-        return ShardSet.open(path)
-    if path.endswith(".ctp"):
-        return DiskCTree.open(path, cache_pages=cache_pages)
-    return load_tree(path)
+        index = ShardSet.open(path)
+    elif path.endswith(".ctp"):
+        index = DiskCTree.open(path, cache_pages=cache_pages)
+    else:
+        index = load_tree(path)
+    try:
+        yield index
+    finally:
+        if isinstance(index, DiskCTree):
+            index.close()
 
 
 def _maybe_shard(index, args):
@@ -129,8 +137,6 @@ def _query_once(index, query, level, verify: bool, cache_pages: int):
         with ShardedEngine(index, cache_pages=cache_pages) as engine:
             return engine.query_many([query], level=level,
                                      verify=verify)[0]
-    if isinstance(index, DiskCTree):
-        return index.subgraph_query(query, level=level, verify=verify)
     return subgraph_query(index, query, level=level, verify=verify)
 
 
@@ -156,20 +162,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_append(args: argparse.Namespace) -> int:
-    """Append a JSONL database to a ``.ctp`` disk index incrementally
-    (``--rebuild`` forces the legacy full rebuild)."""
+    """Append a JSONL database to a ``.ctp`` disk index incrementally."""
     graphs = load_graph_database(args.input)
     if not args.index.endswith(".ctp"):
         raise SystemExit("error: append requires a .ctp disk index")
     with DiskCTree.open(args.index, cache_pages=args.cache_pages) as disk:
         start = time.perf_counter()
-        ids = disk.extend(graphs, seed=args.seed, rebuild=args.rebuild)
+        ids = disk.extend(graphs, seed=args.seed)
         seconds = time.perf_counter() - start
-        mode = "rebuild" if args.rebuild else \
-            "incremental, one group commit"
         if ids:
-            print(f"appended {len(ids)} graph(s) ({mode}) "
-                  f"in {seconds:.2f}s: ids {ids[0]}..{ids[-1]}")
+            print(f"appended {len(ids)} graph(s) (incremental, one group "
+                  f"commit) in {seconds:.2f}s: ids {ids[0]}..{ids[-1]}")
         else:
             print("nothing to append")
         print(f"index now holds {len(disk)} graphs at generation "
@@ -260,8 +263,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     if bool(args.query) == bool(args.batch):
         raise SystemExit("error: provide exactly one of -q/--query "
                          "or --batch")
-    base = _open_index(args.tree, args.cache_pages)
-    try:
+    with _open_index(args.tree, args.cache_pages) as base:
         index = _maybe_shard(base, args)
         if args.batch:
             return _run_query_batch(args, index)
@@ -269,9 +271,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         answers, stats = _query_once(
             index, query, args.level, not args.no_verify, args.cache_pages
         )
-    finally:
-        if isinstance(base, DiskCTree):
-            base.close()
     label = "candidates" if args.no_verify else "answers"
     print(f"{label}: {sorted(answers)}")
     print(
@@ -319,13 +318,8 @@ def _sharded_serial_baseline(shardset: ShardSet, queries, level):
     try:
         serial = []
         for q in queries:
-            per_shard = []
-            for handle in handles:
-                if isinstance(handle, DiskCTree):
-                    answers, _ = handle.subgraph_query(q, level=level)
-                else:
-                    answers, _ = subgraph_query(handle, q, level=level)
-                per_shard.append(answers)
+            per_shard = [subgraph_query(handle, q, level=level)[0]
+                         for handle in handles]
             serial.append(merge_subgraph(per_shard, shardset))
         return serial
     finally:
@@ -345,17 +339,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         workers_list = [int(w) for w in args.workers.split(",")]
     except ValueError:
         raise SystemExit(f"error: bad --workers list: {args.workers!r}")
-    base = _open_index(args.tree, args.cache_pages)
     rows = []
-    try:
+    with _open_index(args.tree, args.cache_pages) as base:
         index = _maybe_shard(base, args)
         sharded = isinstance(index, ShardSet)
         start = time.perf_counter()
         if isinstance(base, ShardSet):
             baseline = _sharded_serial_baseline(base, queries, args.level)
-        elif isinstance(base, DiskCTree):
-            baseline = [base.subgraph_query(q, level=args.level)[0]
-                        for q in queries]
         else:
             baseline = [subgraph_query(base, q, level=args.level)[0]
                         for q in queries]
@@ -410,9 +400,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                       f"{speedup:.2f}x serial) "
                       f"hit_rate={report.cache_hit_rate:.0%} "
                       f"identical={'yes' if identical else 'NO'}")
-    finally:
-        if isinstance(base, DiskCTree):
-            base.close()
     if args.json:
         payload = {
             "queries": len(queries),
@@ -435,36 +422,32 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_knn(args: argparse.Namespace) -> int:
     query = _load_query_graph(args.query)
-    index = _open_index(args.tree, args.cache_pages)
-    try:
+    with _open_index(args.tree, args.cache_pages) as index:
         if isinstance(index, ShardSet):
             with ShardedEngine(index,
                                cache_pages=args.cache_pages) as engine:
                 results, stats = engine.knn_many([query], args.k)[0]
             name_of = lambda gid: f"graph-{gid}"
-        elif isinstance(index, DiskCTree):
-            results, stats = index.knn_query(query, args.k)
-            names = dict(index.iter_graphs())
-            name_of = lambda gid: names[gid].name or f"graph-{gid}"
         else:
             results, stats = knn_query(index, query, args.k)
-            name_of = lambda gid: index.get(gid).name or f"graph-{gid}"
+            names = dict(index.iter_graphs())
+            name_of = lambda gid: names[gid].name or f"graph-{gid}"
         for rank, (gid, similarity) in enumerate(results, start=1):
             print(f"{rank:3d}. #{gid} {name_of(gid)} sim={similarity:.1f}")
         print(f"accessed {stats.access_ratio:.0%} of the database "
               f"in {stats.seconds:.3f}s")
-    finally:
-        if isinstance(index, DiskCTree):
-            index.close()
     return 0
 
 
 def cmd_range(args: argparse.Namespace) -> int:
     query = _load_query_graph(args.query)
-    tree = load_tree(args.tree)
-    results, stats = range_query(tree, query, args.radius)
+    with _open_index(args.tree) as index:
+        if isinstance(index, ShardSet):
+            raise SystemExit("error: range queries need a single-tree index")
+        results, stats = range_query(index, query, args.radius)
+        names = dict(index.iter_graphs())
     for gid, distance in results:
-        name = tree.get(gid).name or f"graph-{gid}"
+        name = names[gid].name or f"graph-{gid}"
         print(f"#{gid} {name} distance={distance:.1f}")
     print(f"{len(results)} graphs within distance {args.radius} "
           f"({stats.pruned_by_bound} subtrees pruned, {stats.seconds:.3f}s)")
@@ -474,14 +457,10 @@ def cmd_range(args: argparse.Namespace) -> int:
 def _run_subgraph_query(args: argparse.Namespace):
     """Shared query runner for ``query``/``trace``/``metrics``."""
     query = _load_query_graph(args.query)
-    index = _open_index(args.tree, args.cache_pages)
-    try:
+    with _open_index(args.tree, args.cache_pages) as index:
         return _query_once(
             index, query, args.level, not args.no_verify, args.cache_pages
         )
-    finally:
-        if isinstance(index, DiskCTree):
-            index.close()
 
 
 def _write_chrome_trace(records, path: str) -> int:
@@ -601,15 +580,12 @@ def _format_explain(profile: dict) -> str:
 def cmd_explain(args: argparse.Namespace) -> int:
     """``repro explain``: run one query and print its descent profile."""
     query = _load_query_graph(args.query)
-    index = _open_index(args.tree, args.cache_pages)
-    try:
+    with _open_index(args.tree, args.cache_pages) as index:
         if args.knn:
             if isinstance(index, ShardSet):
                 with ShardedEngine(
                         index, cache_pages=args.cache_pages) as engine:
                     answers, stats = engine.knn_many([query], args.k)[0]
-            elif isinstance(index, DiskCTree):
-                answers, stats = index.knn_query(query, args.k)
             else:
                 answers, stats = knn_query(index, query, args.k)
         else:
@@ -617,9 +593,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 index, query, args.level, not args.no_verify,
                 args.cache_pages,
             )
-    finally:
-        if isinstance(index, DiskCTree):
-            index.close()
     profile = stats.explain()
     if args.json:
         print(json.dumps(profile, indent=2, sort_keys=True))
@@ -864,9 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-t", "--index", required=True, help="*.ctp disk index")
     p.add_argument("--seed", type=int, default=0,
                    help="policy RNG seed for this batch")
-    p.add_argument("--rebuild", action="store_true",
-                   help="force the legacy full rebuild instead of the "
-                        "incremental insert path")
     p.add_argument("--cache-pages", type=int, default=128)
     p.set_defaults(func=cmd_append)
 
@@ -970,7 +940,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_knn)
 
     p = sub.add_parser("range", help="graphs within an edit-distance radius")
-    p.add_argument("-t", "--tree", required=True, help="*.json snapshot")
+    p.add_argument("-t", "--tree", required=True,
+                   help="*.json snapshot or *.ctp disk index")
     p.add_argument("-q", "--query", required=True)
     p.add_argument("-r", "--radius", type=float, required=True)
     p.set_defaults(func=cmd_range)

@@ -69,7 +69,6 @@ def bulk_load(
             only = level[0]
             assert isinstance(only, CTreeNode)
             tree.root = only
-            only.parent = None
             break
         if len(level) <= tree.max_fanout:
             tree.root = _make_node(tree, level, is_leaf)
@@ -79,7 +78,6 @@ def bulk_load(
         level = [_make_node(tree, chunk, is_leaf) for chunk in chunks]
         is_leaf = False
 
-    _index_leaves(tree)
     return tree
 
 
@@ -89,20 +87,6 @@ def _make_node(tree: CTree, children: Sequence[Child], is_leaf: bool) -> CTreeNo
         node.add_child(child)
     node.rebuild_summary(tree.mapper)
     return node
-
-
-def _index_leaves(tree: CTree) -> None:
-    def walk(node: CTreeNode) -> None:
-        if node.is_leaf:
-            for child in node.children:
-                assert isinstance(child, LeafEntry)
-                tree._leaf_of[child.graph_id] = node
-        else:
-            for child in node.children:
-                assert isinstance(child, CTreeNode)
-                walk(child)
-
-    walk(tree.root)
 
 
 def _similarity_order(

@@ -2,38 +2,33 @@
 
 "Dynamic insertion/deletion and disk-based access of graphs can be done
 efficiently" — this module materializes a built C-tree into a page file
-(one record per node, one per graph) and answers subgraph queries by
-reading nodes on demand through an LRU buffer pool.  The interesting
-quantity is page I/O per query as a function of cache capacity, which
+(one record per node, one per graph) and answers queries by reading
+nodes on demand through an LRU buffer pool.  The interesting quantity is
+page I/O per query as a function of cache capacity, which
 ``benchmarks/bench_ablation_diskio.py`` sweeps.
 
+:class:`DiskCTree` is the one C-tree (:class:`~repro.ctree.tree.CTreeCore`)
+over a :class:`~repro.ctree.store.PagedNodeStore`: Section 5 insertion,
+splitting and deletion and the Alg. 3 / Alg. 4 traversals are the very
+code the in-memory tree runs.  What lives here is what only a page file
+needs: the index metadata and its generations, group commit,
+compaction, and recovery / ``fsck``.
+
 The index is crash-safe by default: a sidecar write-ahead log
-(``index.ctp.wal``) makes :meth:`DiskCTree.create` and
-:meth:`DiskCTree.append` atomic — after a crash,
-:meth:`DiskCTree.recover` (or opening with ``auto_recover=True``)
-replays the log to the last committed generation and
-:meth:`DiskCTree.fsck` validates the result (checksums, page
-accounting, closure containment).  See ``docs/DURABILITY.md``.
+(``index.ctp.wal``) makes :meth:`DiskCTree.create`, :meth:`extend` and
+:meth:`delete_many` atomic — after a crash, :meth:`DiskCTree.recover`
+(or opening with ``auto_recover=True``) replays the log to the last
+committed generation and :meth:`DiskCTree.fsck` validates the result
+(checksums, page accounting, closure containment).  See
+``docs/DURABILITY.md``.
 
-Appends are **incremental** (the paper's Section 5 dynamic insertion,
-run directly against the stored records): each new graph descends the
-tree via the configured insert policy, enlarges the closures on its
-root-to-leaf path in place, and splits overflowing nodes with the
-configured split policy — dirtying only that path plus any split
-siblings, never the rest of the tree.  A whole :meth:`extend` batch is
-**group-committed**: one WAL flush and one fsync close the batch, so
-append cost stays flat as the database grows (``ctree.disk.rebuilds``
-stays 0; the old full rebuild survives behind ``rebuild=True``).
-
-Deletes are incremental too (Section 5.4 against the stored records):
-:meth:`delete` / :meth:`delete_many` remove the leaf entry, shrink or
-keep each ancestor closure (recomputing only where the removed graph
-was load-bearing), and resolve underflow bottom-up by merging into or
-redistributing with a policy-chosen sibling — again one group commit
-per batch, freed pages returned to the free list.  A tree that churn
-has hollowed out is repacked by :meth:`compact`, which fires
-automatically when leaf occupancy or height degrades past the
-configured thresholds (``ctree.disk.compactions``).
+Appends and deletes are **incremental**: each graph dirties only its
+root-to-leaf path plus any split siblings or merge partners, never the
+rest of the tree, and a whole batch is **group-committed** — one WAL
+flush and one fsync close it, so write cost stays flat as the database
+grows.  A tree that churn has hollowed out is repacked by
+:meth:`compact`, which fires automatically when leaf occupancy or height
+degrades past the configured thresholds (``ctree.disk.compactions``).
 
 Usage::
 
@@ -51,39 +46,30 @@ from __future__ import annotations
 import json
 import random
 import struct
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.exceptions import ChecksumError, IndexError_, PersistenceError
-from repro.graphs.closure import GraphClosure, as_closure
+from repro.graphs.closure import GraphClosure
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
-from repro.graphs.labelspace import target_context
-from repro.matching import kernels
-from repro.matching.bounds import SimilarityQueryContext
-from repro.matching.edit_distance import MAPPING_METHODS
 from repro.matching.pseudo_iso import (
     Level,
     global_semi_perfect,
     pseudo_compatibility_domains,
 )
-from repro.matching.ullmann import subgraph_isomorphic
 from repro.obs import trace
 from repro.obs.metrics import global_registry
-from repro.ctree.node import (
-    CTreeNode,
-    LeafEntry,
-    fold_closure,
-    fold_closure_set,
+from repro.ctree.node import CTreeNode
+from repro.ctree.similarity_query import knn_query
+from repro.ctree.store import (
+    DiskKnnStats,
+    DiskQueryStats,
+    PagedNodeStore,
+    dump_record,
 )
-from repro.ctree.policies import (
-    choose_merge_sibling,
-    resolve_closure_split_policy,
-    resolve_fold_choice_policy,
-)
-from repro.ctree.stats import CounterField, KnnStats, QueryStats
-from repro.ctree.tree import CTree
+from repro.ctree.subgraph_query import subgraph_query
+from repro.ctree.tree import CTree, CTreeCore
 from repro.storage.bufferpool import BufferPool
 from repro.storage.pagefile import NO_PAGE, PageFile, PathLike
 from repro.storage.recordstore import RecordStore
@@ -106,56 +92,6 @@ DEFAULT_MIN_OCCUPANCY = 0.4
 #: ... or when the tree stands more than this many levels above the
 #: height a fresh bulk load of the same graph count would reach.
 DEFAULT_HEIGHT_SLACK = 1
-
-
-class DiskQueryStats(QueryStats):
-    """Query counters plus buffer-pool I/O deltas."""
-
-    page_hits = CounterField("ctree.query.page_hits")
-    page_misses = CounterField("ctree.query.page_misses")
-
-    _COUNTER_FIELDS = QueryStats._COUNTER_FIELDS + ("page_hits",
-                                                    "page_misses")
-    # Page I/O depends on buffer-pool temperature, which depends on the
-    # execution schedule — excluded from determinism comparisons.
-    _NONDETERMINISTIC_KEYS = QueryStats._NONDETERMINISTIC_KEYS + (
-        "page_hits", "page_misses")
-
-    def __init__(self, page_hits: int = 0, page_misses: int = 0,
-                 **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.page_hits = page_hits
-        self.page_misses = page_misses
-
-    @property
-    def page_hit_ratio(self) -> float:
-        """Fraction of page reads served from the buffer pool."""
-        total = self.page_hits + self.page_misses
-        return self.page_hits / total if total else 0.0
-
-
-class DiskKnnStats(KnnStats):
-    """K-NN counters plus buffer-pool I/O deltas."""
-
-    page_hits = CounterField("ctree.knn.page_hits")
-    page_misses = CounterField("ctree.knn.page_misses")
-
-    _COUNTER_FIELDS = KnnStats._COUNTER_FIELDS + ("page_hits",
-                                                  "page_misses")
-    _NONDETERMINISTIC_KEYS = KnnStats._NONDETERMINISTIC_KEYS + (
-        "page_hits", "page_misses")
-
-    def __init__(self, page_hits: int = 0, page_misses: int = 0,
-                 **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.page_hits = page_hits
-        self.page_misses = page_misses
-
-    @property
-    def page_hit_ratio(self) -> float:
-        """Fraction of page reads served from the buffer pool."""
-        total = self.page_hits + self.page_misses
-        return self.page_hits / total if total else 0.0
 
 
 @dataclass
@@ -226,14 +162,17 @@ class DiskRecovery:
         return "\n".join(lines)
 
 
-class DiskCTree:
+class DiskCTree(CTreeCore):
     """A page-resident C-tree: queries read records on demand, and
-    (when WAL-backed) batches of graphs can be appended crash-safely."""
+    (when WAL-backed) batches of graphs can be appended and deleted
+    crash-safely."""
 
-    def __init__(self, store: RecordStore, meta: dict,
+    _METRICS = "ctree.disk"
+
+    def __init__(self, records: RecordStore, meta: dict,
                  path: Optional[PathLike] = None) -> None:
-        self._store = store
-        self._meta = meta
+        super().__init__(PagedNodeStore(records, meta),
+                         **meta.get("config", {}))
         self._path = path
         self._closed = False
         #: Compaction-trigger knobs (see :meth:`compaction_needed`),
@@ -265,18 +204,24 @@ class DiskCTree:
         write-back (faster, throwaway indexes only).
         """
         pagefile = PageFile.create(path, page_size=page_size, opener=opener)
-        log = None
-        if wal:
-            log = WriteAheadLog.create(
-                wal_path(path), page_size,
-                start_lsn=pagefile.last_lsn + 1, opener=opener,
-            )
-        pool = BufferPool(pagefile, capacity=cache_pages, wal=log)
-        store = RecordStore(pool)
-        meta, meta_record = cls._write_tree(store, tree, generation=1)
+        records = cls._records(pagefile, path, cache_pages, opener,
+                               WriteAheadLog.create if wal else None)
+        meta, meta_record = cls._write_tree(records, tree, generation=1)
         pagefile.user_root = meta_record
-        pool.flush()
-        return cls(store, meta, path=path)
+        records.pool.flush()
+        return cls(records, meta, path=path)
+
+    @staticmethod
+    def _records(pagefile: PageFile, path: PathLike, cache_pages: int,
+                 opener, open_wal) -> RecordStore:
+        """The storage stack over an open page file: (optional) sidecar
+        WAL → buffer pool → record store."""
+        log = None
+        if open_wal is not None:
+            log = open_wal(wal_path(path), pagefile.page_size,
+                           start_lsn=pagefile.last_lsn + 1, opener=opener)
+        return RecordStore(BufferPool(pagefile, capacity=cache_pages,
+                                      wal=log))
 
     @classmethod
     def open(
@@ -302,20 +247,16 @@ class DiskCTree:
                 )
             storage_recover(path, opener=opener)
         pagefile = PageFile.open(path, opener=opener)
-        log = None
-        if wal:
-            log = WriteAheadLog.open_or_create(
-                wal_path(path), pagefile.page_size,
-                start_lsn=pagefile.last_lsn + 1, opener=opener,
-            )
-        pool = BufferPool(pagefile, capacity=cache_pages, wal=log)
-        store = RecordStore(pool)
+        records = cls._records(
+            pagefile, path, cache_pages, opener,
+            WriteAheadLog.open_or_create if wal else None)
+        pool = records.pool
         meta_record = pagefile.user_root
         if meta_record == 0:
             pool.close()
             raise PersistenceError(f"{path}: no index metadata")
         try:
-            meta = json.loads(store.load(meta_record).decode("utf-8"))
+            meta = json.loads(records.load(meta_record).decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError,
                 PersistenceError) as exc:
             pool.close()
@@ -325,43 +266,28 @@ class DiskCTree:
             raise PersistenceError(
                 f"{path}: unsupported format {meta.get('format')!r}"
             )
-        return cls(store, meta, path=path)
+        return cls(records, meta, path=path)
 
     @staticmethod
-    def _write_tree(store: RecordStore, tree: CTree, generation: int,
+    def _write_tree(records: RecordStore, tree: CTree, generation: int,
                     next_id: Optional[int] = None) -> tuple[dict, int]:
         """Write every node and graph of ``tree`` as records; returns
         ``(meta, meta_record_id)``.  Nothing is durable until the
         enclosing checkpoint.  ``next_id`` overrides the id watermark
         recorded in the metadata (a compaction preserves the old
         watermark so freed ids are never reissued)."""
-        leaves = 0
+        shape: dict = {}  # the store counts leaves as it allocates them
+        store = PagedNodeStore(records, shape)
 
         def write_node(node: CTreeNode) -> int:
-            nonlocal leaves
-            record: dict = {"leaf": node.is_leaf}
-            if node.closure is not None:
-                record["closure"] = node.closure.to_dict()
             if node.is_leaf:
-                leaves += 1
-                graphs = []
-                for child in node.children:
-                    assert isinstance(child, LeafEntry)
-                    graph_record = store.store(
-                        json.dumps(child.graph.to_dict(),
-                                   separators=(",", ":")).encode("utf-8")
-                    )
-                    graphs.append([child.graph_id, graph_record])
-                record["graphs"] = graphs
+                children = [store.alloc_graph(entry.graph_id, entry.graph)
+                            for entry in node.children]
             else:
-                record["children"] = [
-                    write_node(child)
-                    for child in node.children
-                    if isinstance(child, CTreeNode)
-                ]
-            return store.store(
-                json.dumps(record, separators=(",", ":")).encode("utf-8")
-            )
+                children = [write_node(child) for child in node.children]
+            stored = CTreeNode(node.is_leaf, children)
+            stored.closure = node.closure
+            return store.alloc_node(stored)
 
         root_record = write_node(tree.root)
         if next_id is None:
@@ -375,277 +301,59 @@ class DiskCTree:
             "graph_count": len(tree),
             "next_id": next_id,
             "height": tree.height(),
-            "leaf_count": leaves,
+            "leaf_count": shape["leaf_count"],
             "generation": generation,
-            "config": {
-                "min_fanout": tree.min_fanout,
-                "max_fanout": tree.max_fanout,
-                "mapping_method": tree.mapping_method,
-                "insert_policy": tree.insert_policy_name,
-                "split_policy": tree.split_policy_name,
-            },
+            "config": tree.config(),
         }
-        meta_record = store.store(
-            json.dumps(meta, separators=(",", ":")).encode("utf-8")
-        )
-        return meta, meta_record
+        return meta, records.store(dump_record(meta))
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def append(self, graphs: Iterable[Graph], seed: int = 0,
-               rebuild: bool = False) -> list[int]:
+    def append(self, graphs: Iterable[Graph], seed: int = 0) -> list[int]:
         """Add graphs one logical batch at a time (alias of
-        :meth:`extend`, kept for the historical API).
+        :meth:`extend`, kept for the historical API)."""
+        return self.extend(graphs, seed=seed)
 
-        Historically every call rebuilt the whole index, so an append
-        loop paid one rebuild per graph; appends are now incremental
-        and an append loop costs one root-to-leaf path per graph.  The
-        deprecated rebuild behavior survives behind ``rebuild=True``.
-        """
-        return self.extend(graphs, seed=seed, rebuild=rebuild)
-
-    def extend(self, graphs: Iterable[Graph], seed: int = 0,
-               rebuild: bool = False) -> list[int]:
+    def extend(self, graphs: Iterable[Graph], seed: int = 0) -> list[int]:
         """Add a batch of graphs incrementally under **one** group
         commit; returns their new graph ids.
 
-        Each graph descends the stored tree via the configured insert
-        policy (Section 5.2), its root-to-leaf path closures are
-        enlarged in place, and overflowing nodes are split with the
-        configured split policy (Section 5.3) — splits dirty only the
-        path and the new sibling records, and split pages come from the
-        free list before the file grows.  The whole batch then becomes
-        durable at a single closing checkpoint (one WAL commit + one
-        fsync — the *group commit*): a crash at any earlier point
-        recovers to the previous generation intact.
+        Each graph is one Section 5.2/5.3 insert
+        (:meth:`~repro.ctree.tree.CTreeCore._insert_one`) — it dirties
+        only its root-to-leaf path and any split siblings, and split
+        pages come from the free list before the file grows.  The whole
+        batch then becomes durable at a single closing checkpoint (one
+        WAL commit + one fsync — the *group commit*): a crash at any
+        earlier point recovers to the previous generation intact.
 
         Counters: each graph bumps ``ctree.disk.incremental_inserts``,
         each node split ``ctree.disk.splits``, each committed batch
-        ``ctree.disk.group_commits``.  ``ctree.disk.rebuilds`` stays 0
-        on this path; ``rebuild=True`` forces the legacy full rebuild
-        (re-bulk-load of every stored graph — kept as an escape hatch
-        for re-packing a degraded tree) which is what that counter
-        tracks.
+        ``ctree.disk.group_commits``.  (Re-packing a degraded tree is
+        :meth:`compact`'s job, not an append mode.)
         """
         self._check_open()
         new_graphs = list(graphs)
         if not new_graphs:
             return []
-        if rebuild:
-            return self._extend_rebuild(new_graphs, seed)
-        reg = global_registry()
-        config = self._meta.get("config", {})
-        mapper = MAPPING_METHODS[config.get("mapping_method", "nbm")]
-        choose = resolve_fold_choice_policy(
-            config.get("insert_policy", "min_volume"))
-        partition = resolve_closure_split_policy(
-            config.get("split_policy", "linear"))
-        min_fanout = config.get("min_fanout", 20)
-        max_fanout = config.get("max_fanout") or 2 * min_fanout - 1
         rng = random.Random(seed)
         # New ids come from the monotone watermark, not the live count:
         # after deletes the live ids are sparse and the count would
         # collide with a surviving graph.
         first_new = self._next_id_watermark()
         self._ensure_leaf_count()
-        inserts = reg.counter("ctree.disk.incremental_inserts")
-        generation = self._meta.get("generation", 1) + 1
+        inserts = self._counter("incremental_inserts")
+        generation = self.generation + 1
         with trace.span("ctree.disk.extend", graphs=len(new_graphs),
                         generation=generation):
             for offset, graph in enumerate(new_graphs):
-                self._insert_one(first_new + offset, graph, mapper, choose,
-                                 partition, min_fanout, max_fanout, rng)
+                self._insert_one(first_new + offset, graph, rng)
                 inserts.value += 1
-            self._meta["graph_count"] = \
-                self._meta.get("graph_count", 0) + len(new_graphs)
+            self._meta["graph_count"] = len(self) + len(new_graphs)
             self._meta["next_id"] = first_new + len(new_graphs)
-            self._meta["generation"] = generation
-            self._write_meta()
-            note = (f"extend gen={generation} "
-                    f"graphs={len(new_graphs)}").encode("ascii")
-            self.checkpoint(note=note)
-        reg.counter("ctree.disk.group_commits").inc()
+            self._commit("extend", generation, len(new_graphs))
         return list(range(first_new, first_new + len(new_graphs)))
 
-    def _extend_rebuild(self, new_graphs: list[Graph],
-                        seed: int) -> list[int]:
-        """The legacy append: re-bulk-load everything (live ids
-        preserved), free the old records, write the new generation."""
-        global_registry().counter("ctree.disk.rebuilds").inc()
-        items = sorted(self.iter_graphs(), key=lambda item: item[0])
-        first_new = self._next_id_watermark()
-        new_ids = list(range(first_new, first_new + len(new_graphs)))
-        items.extend(zip(new_ids, new_graphs))
-        self._rebuild_records(items, seed, next_id=first_new
-                              + len(new_graphs), note_kind="rebuild")
-        return new_ids
-
-    def _rebuild_records(self, items: list[tuple[int, Graph]], seed: int,
-                         next_id: int, note_kind: str) -> None:
-        """Replace every stored record with a fresh bulk load of
-        ``items`` (``(graph_id, graph)`` pairs, ids preserved) under one
-        commit — the shared engine behind ``rebuild=True`` and
-        :meth:`compact`."""
-        from repro.ctree.bulkload import bulk_load
-
-        config = self._meta.get("config", {})
-        tree = bulk_load(
-            [graph for _, graph in items],
-            min_fanout=config.get("min_fanout", 20),
-            max_fanout=config.get("max_fanout"),
-            mapping_method=config.get("mapping_method", "nbm"),
-            insert_policy=config.get("insert_policy", "min_volume"),
-            split_policy=config.get("split_policy", "linear"),
-            seed=seed,
-        )
-        # bulk_load numbers graphs by input position; remap each leaf
-        # entry back to the id the graph already holds on disk.
-        for entry in tree.root.iter_leaf_entries():
-            entry.graph_id = items[entry.graph_id][0]
-        old_records = self._collect_record_ids()
-        generation = self._meta.get("generation", 1) + 1
-        for record_id in old_records:
-            self._store.delete(record_id)
-        meta, meta_record = self._write_tree(self._store, tree, generation,
-                                             next_id=next_id)
-        self._store.pool.pagefile.user_root = meta_record
-        self._meta = meta
-        self.checkpoint(note=f"{note_kind} gen={generation}".encode("ascii"))
-
-    # -- incremental insertion (Section 5 against stored records) ------
-    @staticmethod
-    def _dump_record(record: dict) -> bytes:
-        return json.dumps(record, separators=(",", ":")).encode("utf-8")
-
-    def _record_closure(self, record_id: int) -> GraphClosure:
-        """The stored closure summarizing one child record."""
-        record = self._load_record(record_id)
-        return GraphClosure.from_dict(record["closure"])
-
-    def _insert_one(self, graph_id: int, graph: Graph, mapper, choose,
-                    partition, min_fanout: int, max_fanout: int,
-                    rng: random.Random) -> None:
-        """One Section-5 insert against the stored tree: descend via the
-        insert policy, extend every closure on the path, split
-        bottom-up on overflow.  Only the root-to-leaf path records (and
-        any split siblings) are written.
-
-        Two economies keep this flat as the database grows: children are
-        deserialized lazily so a short-circuiting policy never loads the
-        siblings it skipped, and the policy's enlarged closure for the
-        chosen child is reused as that level's fold instead of mapping
-        the graph in a second time.
-        """
-        store = self._store
-        path_ids = [self._meta["root"]]
-        path_recs = [self._load_record(path_ids[0])]
-        # graph already folded into the record's closure, per path level
-        path_folds: list[Optional[GraphClosure]] = [None]
-        while not path_recs[-1]["leaf"]:
-            child_ids = path_recs[-1]["children"]
-            closures = _LazyClosures(self, child_ids)
-            index, enlarged = choose(closures, graph, mapper, rng)
-            path_ids.append(child_ids[index])
-            path_recs.append(self._load_record(child_ids[index]))
-            path_folds.append(enlarged)
-
-        graph_record = store.store(self._dump_record(graph.to_dict()))
-        path_recs[-1].setdefault("graphs", []).append(
-            [graph_id, graph_record])
-        dirty = [False] * len(path_recs)
-        dirty[-1] = True
-        for i, rec in enumerate(path_recs):
-            folded = path_folds[i]
-            if folded is None:
-                closure = GraphClosure.from_dict(rec["closure"]) \
-                    if "closure" in rec else None
-                folded = fold_closure(closure, graph, mapper)
-            folded_dict = folded.to_dict()
-            if folded_dict != rec.get("closure"):
-                rec["closure"] = folded_dict
-                dirty[i] = True
-
-        splits = global_registry().counter("ctree.disk.splits")
-        sibling_id: Optional[int] = None
-        for i in range(len(path_recs) - 1, -1, -1):
-            rec = path_recs[i]
-            if sibling_id is not None:
-                rec["children"].append(sibling_id)
-                sibling_id = None
-                dirty[i] = True
-            entries = rec["graphs"] if rec["leaf"] else rec["children"]
-            if len(entries) > max_fanout:
-                sibling_id = self._split_record(rec, mapper, partition,
-                                                min_fanout, rng)
-                splits.value += 1
-                dirty[i] = True
-                if rec["leaf"]:
-                    self._meta["leaf_count"] = \
-                        self._meta.get("leaf_count", 0) + 1
-            # Persist before the parent is processed: a parent split
-            # reads child closures back from the store.  Ancestors whose
-            # closure already absorbed the graph are left untouched, so
-            # a saturated insert dirties only the leaf end of the path.
-            if dirty[i]:
-                store.update(path_ids[i], self._dump_record(rec))
-            if sibling_id is not None and i == 0:
-                self._grow_root(path_ids[0], rec, sibling_id, mapper)
-                sibling_id = None
-
-    def _split_record(self, rec: dict, mapper, partition, min_fanout: int,
-                      rng: random.Random) -> int:
-        """Split an overflowing record in place (Section 5.3): the first
-        partition group stays in ``rec``, the second moves to a freshly
-        stored sibling; both summaries are re-folded from their
-        entries, mirroring the in-memory split exactly.  Returns the
-        sibling's record id."""
-        key = "graphs" if rec["leaf"] else "children"
-        entries = rec[key]
-        if rec["leaf"]:
-            closures = [as_closure(self._load_graph(graph_record))
-                        for _, graph_record in entries]
-        else:
-            closures = [self._record_closure(cid) for cid in entries]
-        with trace.span("ctree.disk.split", fanout=len(entries),
-                        leaf=rec["leaf"]):
-            group1, group2 = partition(closures, mapper, rng, min_fanout)
-            if not group1 or not group2:
-                raise PersistenceError("split policy produced an empty group")
-
-            def fold_group(indices: list[int]) -> GraphClosure:
-                closure = fold_closure_set(
-                    (closures[index] for index in indices), mapper)
-                assert closure is not None
-                return closure
-
-            sibling = {
-                "leaf": rec["leaf"],
-                "closure": fold_group(group2).to_dict(),
-                key: [entries[i] for i in group2],
-            }
-            rec[key] = [entries[i] for i in group1]
-            rec["closure"] = fold_group(group1).to_dict()
-            return self._store.store(self._dump_record(sibling))
-
-    def _grow_root(self, old_root_id: int, old_root: dict, sibling_id: int,
-                   mapper) -> None:
-        """A root split reached the top: push a new root above the two
-        halves and grow the tree by one level."""
-        closure = fold_closure(
-            GraphClosure.from_dict(old_root["closure"]),
-            self._record_closure(sibling_id),
-            mapper,
-        )
-        new_root = {
-            "leaf": False,
-            "closure": closure.to_dict(),
-            "children": [old_root_id, sibling_id],
-        }
-        self._meta["root"] = self._store.store(self._dump_record(new_root))
-        self._meta["height"] = self._meta.get("height", 0) + 1
-
-    # -- incremental deletion (Section 5.4 against stored records) -----
     def delete(self, graph_id: int, seed: int = 0,
                auto_compact: bool = True) -> Graph:
         """Remove one graph by id; returns it (single-graph form of
@@ -659,26 +367,21 @@ class DiskCTree:
         """Remove a batch of graphs incrementally under **one** group
         commit; returns them in request order.
 
-        Each id's leaf entry is located, removed, and its graph record's
-        pages freed.  Ancestor closures on the root-to-leaf path shrink
-        or stay: a recompute-from-children runs only where the removed
-        graph was load-bearing for a closure bound (a vertex/edge-count
-        or label-histogram bound it attained) — keeping a slightly loose
-        closure is always sound, Lemma 1 only needs containment of the
-        surviving graphs.  A node underflowing below ``min_fanout``
-        merges into (or redistributes with) the sibling the
-        ``min_volume`` primitive picks, bottom-up, exactly mirroring the
-        split machinery; a root left with one child collapses.  The
-        batch then commits at a single closing checkpoint carrying a
-        ``delete gen=N graphs=M`` note — a crash at any earlier point
-        recovers the previous generation intact.
+        Each id is one Section 5.4 delete
+        (:meth:`~repro.ctree.tree.CTreeCore._delete_one`): the leaf entry
+        is removed and its graph record's pages freed, ancestor closures
+        shrink only where the removed graph was load-bearing (a loose
+        closure stays sound), and underflow merges into or redistributes
+        with a sibling; a root left with one child collapses.  The batch
+        then commits at a single closing checkpoint carrying a ``delete
+        gen=N graphs=M`` note — a crash at any earlier point recovers
+        the previous generation intact.
 
         Counters: each graph bumps ``ctree.disk.deletes``, each
         underflow merge ``ctree.disk.underflow_merges``, each
         redistribution ``ctree.disk.underflow_redistributes``, each
         recomputed closure ``ctree.disk.closure_shrinks``, each batch
-        ``ctree.disk.group_commits``.  ``ctree.disk.rebuilds`` stays 0
-        on this path.
+        ``ctree.disk.group_commits``.
 
         With ``auto_compact=True`` (default) the commit is followed by
         :meth:`compact`, which repacks the tree **only** when the
@@ -695,255 +398,34 @@ class DiskCTree:
             return []
         if len(set(ids)) != len(ids):
             raise IndexError_("duplicate graph ids in delete batch")
-        live = self._live_ids()
+        live = set(self.graph_ids())
         missing = [gid for gid in ids if gid not in live]
         if missing:
             raise IndexError_(f"no graph with id {missing[0]}")
-        reg = global_registry()
-        config = self._meta.get("config", {})
-        mapper = MAPPING_METHODS[config.get("mapping_method", "nbm")]
-        partition = resolve_closure_split_policy(
-            config.get("split_policy", "linear"))
-        min_fanout = config.get("min_fanout", 20)
-        max_fanout = config.get("max_fanout") or 2 * min_fanout - 1
         rng = random.Random(seed)
         self._ensure_leaf_count()
-        deletes = reg.counter("ctree.disk.deletes")
-        generation = self._meta.get("generation", 1) + 1
+        deletes = self._counter("deletes")
+        generation = self.generation + 1
         removed: list[Graph] = []
         with trace.span("ctree.disk.delete", graphs=len(ids),
                         generation=generation):
             for gid in ids:
-                removed.append(self._delete_one(gid, mapper, partition,
-                                                min_fanout, max_fanout, rng))
+                removed.append(self._delete_one(gid, rng))
                 deletes.value += 1
-            self._meta["graph_count"] = \
-                self._meta.get("graph_count", 0) - len(ids)
-            self._meta["generation"] = generation
-            self._write_meta()
-            note = (f"delete gen={generation} "
-                    f"graphs={len(ids)}").encode("ascii")
-            self.checkpoint(note=note)
-        reg.counter("ctree.disk.group_commits").inc()
+            self._meta["graph_count"] = len(self) - len(ids)
+            self._commit("delete", generation, len(ids))
         if auto_compact:
             self.compact(seed=seed)
         return removed
 
-    def _live_ids(self) -> set:
-        """Every stored graph id, from a node-only walk (graph payloads
-        are never loaded — membership checks stay cheap)."""
-        ids: set[int] = set()
-        stack = [self._meta["root"]]
-        while stack:
-            record = self._load_record(stack.pop())
-            if record["leaf"]:
-                ids.update(gid for gid, _ in record.get("graphs", []))
-            else:
-                stack.extend(record.get("children", []))
-        return ids
-
-    def _find_path(self, graph_id: int) -> list[tuple[int, dict]]:
-        """The root-to-leaf path of ``(record_id, record)`` pairs ending
-        at the leaf holding ``graph_id``.
-
-        Deletion cannot descend by closure pruning (an id says nothing
-        about content), so this is a depth-first scan — worst case one
-        node-level pass, no graph payloads loaded.
-        """
-        stack: list[tuple[int, list]] = [(self._meta["root"], [])]
-        while stack:
-            record_id, ancestors = stack.pop()
-            record = self._load_record(record_id)
-            path = ancestors + [(record_id, record)]
-            if record["leaf"]:
-                if any(gid == graph_id
-                       for gid, _ in record.get("graphs", [])):
-                    return path
-            else:
-                for child_id in record.get("children", []):
-                    stack.append((child_id, path))
-        raise IndexError_(f"no graph with id {graph_id}")
-
-    def _delete_one(self, graph_id: int, mapper, partition,
-                    min_fanout: int, max_fanout: int,
-                    rng: random.Random) -> Graph:
-        """One Section-5.4 delete against the stored tree: drop the leaf
-        entry, free the graph record, shrink-or-keep the path closures,
-        resolve underflow bottom-up, collapse a trivial root."""
-        path = self._find_path(graph_id)
-        leaf = path[-1][1]
-        entries = leaf["graphs"]
-        index = next(i for i, (gid, _) in enumerate(entries)
-                     if gid == graph_id)
-        _, graph_record = entries[index]
-        graph = self._load_graph(graph_record)
-        self._store.delete(graph_record)
-        del entries[index]
-        self._shrink_path(path, graph, mapper, partition, min_fanout,
-                          max_fanout, rng)
-        self._collapse_root_records()
-        return graph
-
-    def _shrink_path(self, path: list, graph: Graph, mapper, partition,
-                     min_fanout: int, max_fanout: int,
-                     rng: random.Random) -> None:
-        """Walk the delete path bottom-up: remove dead children, handle
-        underflow via merge-or-redistribute, and shrink each closure the
-        removed graph was load-bearing for.  Every modified record is
-        persisted before its parent is processed (a parent refold reads
-        child closures back from the store), mirroring the insert path.
-        """
-        reg = global_registry()
-        shrinks = reg.counter("ctree.disk.closure_shrinks")
-        graph_hist = LabelHistogram.of(graph)
-        drop: Optional[int] = None  # freed child to unlink at this level
-        for i in range(len(path) - 1, -1, -1):
-            record_id, rec = path[i]
-            dirty = i == len(path) - 1  # the leaf already lost its entry
-            if drop is not None:
-                rec["children"].remove(drop)
-                drop = None
-                dirty = True
-            key = "graphs" if rec["leaf"] else "children"
-            entries = rec[key]
-            if i > 0 and not entries:
-                # The node died: free it and unlink it from the parent.
-                self._free_node(record_id, rec)
-                drop = record_id
-                continue
-            if not entries:
-                # Empty root leaf (delete-to-empty): no members, no
-                # closure.
-                if rec.pop("closure", None) is not None:
-                    dirty = True
-            elif "closure" in rec and self._may_shrink(
-                    graph, graph_hist, rec["closure"]):
-                refolded = self._refold_closure(rec, mapper)
-                assert refolded is not None
-                refolded_dict = refolded.to_dict()
-                if refolded_dict != rec["closure"]:
-                    rec["closure"] = refolded_dict
-                    shrinks.value += 1
-                    dirty = True
-            if i > 0 and len(entries) < min_fanout and \
-                    len(path[i - 1][1]["children"]) > 1:
-                # Shrink ran first, so a merge folds the *tightened*
-                # closure into its sibling.  The helper persists every
-                # record it leaves alive; an unpersisted `dirty` state
-                # is either freed (merge) or rewritten (redistribute).
-                if self._merge_or_redistribute(
-                        path, i, mapper, partition, min_fanout, max_fanout,
-                        rng):
-                    drop = record_id
-                continue
-            if dirty:
-                self._store.update(record_id, self._dump_record(rec))
-
-    @staticmethod
-    def _may_shrink(graph: Graph, graph_hist: LabelHistogram,
-                    closure_dict: dict) -> bool:
-        """Whether the removed graph could have been load-bearing for
-        this closure: it reached the closure's vertex or edge count, or
-        attained one of its histogram bounds.  A ``False`` proves a
-        recompute from the surviving children cannot tighten anything,
-        so the ancestor is skipped (keeping the closure is always sound
-        — Lemma 1 only needs containment of the surviving graphs)."""
-        closure = GraphClosure.from_dict(closure_dict)
-        if graph.num_vertices >= closure.num_vertices:
-            return True
-        if graph.num_edges >= closure.num_edges:
-            return True
-        return graph_hist.attains(LabelHistogram.of(closure))
-
-    def _refold_closure(self, rec: dict, mapper) -> Optional[GraphClosure]:
-        """Recompute one record's closure from its current members
-        (graphs for a leaf, child closures for an inner node)."""
-        if rec["leaf"]:
-            items = (self._load_graph(graph_record)
-                     for _, graph_record in rec.get("graphs", []))
-        else:
-            items = (self._record_closure(child_id)
-                     for child_id in rec.get("children", []))
-        return fold_closure_set(items, mapper)
-
-    def _merge_or_redistribute(self, path: list, i: int, mapper, partition,
-                               min_fanout: int, max_fanout: int,
-                               rng: random.Random) -> bool:
-        """Resolve one underflowing node against a policy-chosen sibling.
-
-        The sibling is the one absorbing the underflowing closure at
-        minimum volume growth (:func:`choose_merge_sibling`).  If the
-        union fits one node the underflowing record merges into the
-        sibling (returns True — the caller unlinks and this method frees
-        the record); otherwise the union is repartitioned with the
-        configured split policy, leaving both halves within bounds.
-        """
-        reg = global_registry()
-        record_id, rec = path[i]
-        parent = path[i - 1][1]
-        siblings = [cid for cid in parent["children"] if cid != record_id]
-        closure = GraphClosure.from_dict(rec["closure"])
-        choice, merged = choose_merge_sibling(
-            _LazyClosures(self, siblings), closure, mapper, rng)
-        sibling_id = siblings[choice]
-        sibling = self._load_record(sibling_id)
-        key = "graphs" if rec["leaf"] else "children"
-        if len(sibling[key]) + len(rec[key]) <= max_fanout:
-            sibling[key] = sibling[key] + rec[key]
-            sibling["closure"] = merged.to_dict()
-            self._store.update(sibling_id, self._dump_record(sibling))
-            self._free_node(record_id, rec)
-            reg.counter("ctree.disk.underflow_merges").inc()
-            return True
-        # The union overflows one node: repartition it instead.  The
-        # combined size is >= 2*min_fanout here (the sibling alone held
-        # > max_fanout - min_fanout >= min_fanout entries), so every
-        # split policy's halves respect the minimum.
-        entries = sibling[key] + rec[key]
-        if rec["leaf"]:
-            closures = [as_closure(self._load_graph(graph_record))
-                        for _, graph_record in entries]
-        else:
-            closures = [self._record_closure(child_id)
-                        for child_id in entries]
-        group1, group2 = partition(closures, mapper, rng, min_fanout)
-        if not group1 or not group2:
-            raise PersistenceError("split policy produced an empty group")
-        for target_id, target, group in ((sibling_id, sibling, group1),
-                                         (record_id, rec, group2)):
-            target[key] = [entries[j] for j in group]
-            folded = fold_closure_set((closures[j] for j in group), mapper)
-            assert folded is not None
-            target["closure"] = folded.to_dict()
-            self._store.update(target_id, self._dump_record(target))
-        reg.counter("ctree.disk.underflow_redistributes").inc()
-        return False
-
-    def _free_node(self, record_id: int, rec: dict) -> None:
-        """Return one node record's pages to the free list, keeping the
-        leaf count current."""
-        self._store.delete(record_id)
-        if rec["leaf"]:
-            self._meta["leaf_count"] = self._meta.get("leaf_count", 1) - 1
-
-    def _collapse_root_records(self) -> None:
-        """Shed trivial roots after a delete: an internal root with one
-        child hands the root to that child (height shrinks); an internal
-        root whose children all died becomes an empty leaf."""
-        root_id = self._meta["root"]
-        rec = self._load_record(root_id)
-        while not rec["leaf"] and len(rec["children"]) == 1:
-            child = rec["children"][0]
-            self._store.delete(root_id)
-            self._meta["root"] = child
-            self._meta["height"] = self._meta.get("height", 1) - 1
-            root_id, rec = child, self._load_record(child)
-        if not rec["leaf"] and not rec["children"]:
-            self._store.delete(root_id)
-            self._meta["root"] = self._store.store(
-                self._dump_record({"leaf": True, "graphs": []}))
-            self._meta["height"] = 0
-            self._meta["leaf_count"] = 1
+    def _commit(self, kind: str, generation: int, graphs: int) -> None:
+        """Close one write batch: stamp the new generation, rewrite the
+        metadata record and checkpoint — the group commit."""
+        self._meta["generation"] = generation
+        self._write_meta()
+        self.checkpoint(
+            note=f"{kind} gen={generation} graphs={graphs}".encode("ascii"))
+        self._counter("group_commits").inc()
 
     # -- compaction ----------------------------------------------------
     def _next_id_watermark(self) -> int:
@@ -957,14 +439,7 @@ class DiskCTree:
         cached back into the metadata."""
         count = self._meta.get("leaf_count")
         if count is None:
-            count = 0
-            stack = [self._meta["root"]]
-            while stack:
-                record = self._load_record(stack.pop())
-                if record["leaf"]:
-                    count += 1
-                else:
-                    stack.extend(record.get("children", []))
+            count = sum(node.is_leaf for _, node in self.nodes())
             self._meta["leaf_count"] = count
         return count
 
@@ -973,24 +448,17 @@ class DiskCTree:
         """Live entries as a fraction of the leaf level's capacity
         (``graph_count / (leaf_count * max_fanout)``) — the quantity the
         automatic compaction trigger watches."""
-        config = self._meta.get("config", {})
-        min_fanout = config.get("min_fanout", 20)
-        max_fanout = config.get("max_fanout") or 2 * min_fanout - 1
         leaves = max(self._ensure_leaf_count(), 1)
-        return len(self) / (leaves * max_fanout)
+        return len(self) / (leaves * self.max_fanout)
 
     def _bulk_load_height(self, count: int) -> int:
         """The height a fresh, fully packed bulk load of ``count``
         graphs could reach (every level at ``max_fanout``) — the
         baseline the height-degradation trigger compares against, with
         ``height_slack`` levels of tolerance on top."""
-        config = self._meta.get("config", {})
-        min_fanout = config.get("min_fanout", 20)
-        max_fanout = max(config.get("max_fanout")
-                         or 2 * min_fanout - 1, 2)
         height = 0
-        while count > max_fanout:
-            count = -(-count // max_fanout)
+        while count > self.max_fanout:
+            count = -(-count // self.max_fanout)
             height += 1
         return height
 
@@ -1041,9 +509,10 @@ class DiskCTree:
         (``force=True`` overrides), so calling it after every delete
         batch — which ``auto_compact=True`` does — is cheap.  Each run
         bumps ``ctree.disk.compactions`` and commits with a ``compact
-        gen=N`` note; ``ctree.disk.rebuilds`` is **not** touched — that
-        counter tracks the manual ``rebuild=True`` escape hatch only.
+        gen=N`` note.
         """
+        from repro.ctree.bulkload import bulk_load
+
         self._check_open()
         if len(self) == 0:
             return None
@@ -1054,17 +523,29 @@ class DiskCTree:
         with trace.span("ctree.disk.compact", reason=reason,
                         graphs=len(self)):
             items = sorted(self.iter_graphs(), key=lambda item: item[0])
-            self._rebuild_records(items, seed,
-                                  next_id=self._next_id_watermark(),
-                                  note_kind="compact")
-        global_registry().counter("ctree.disk.compactions").inc()
+            tree = bulk_load([graph for _, graph in items], seed=seed,
+                             **self.config())
+            # bulk_load numbers graphs by input position; remap each leaf
+            # entry back to the id the graph already holds on disk.
+            for entry in tree.root.iter_leaf_entries():
+                entry.graph_id = items[entry.graph_id][0]
+            generation = self.generation + 1
+            for record_id in self._collect_record_ids():
+                self.store.records.delete(record_id)
+            meta, meta_record = self._write_tree(
+                self.store.records, tree, generation,
+                next_id=self._next_id_watermark())
+            self.pool.pagefile.user_root = meta_record
+            self.store.meta = meta
+            self.checkpoint(note=f"compact gen={generation}".encode("ascii"))
+        self._counter("compactions").inc()
         return reason
 
     def _write_meta(self) -> None:
         """Rewrite the metadata record in place (its id — the page
         file's user root — is stable across incremental appends)."""
-        meta_record = self._store.pool.pagefile.user_root
-        self._store.update(meta_record, self._dump_record(self._meta))
+        self.store.records.update(self.pool.pagefile.user_root,
+                                  dump_record(self._meta))
 
     def checkpoint(self, note: bytes = b"") -> None:
         """Make every buffered change durable (in WAL mode: log, commit,
@@ -1072,29 +553,30 @@ class DiskCTree:
         diagnostic tag carried on the WAL COMMIT record — a group
         commit stamps its whole batch with one note."""
         self._check_open()
-        self._store.pool.flush(note)
+        self.pool.flush(note)
 
     def _collect_record_ids(self) -> list[int]:
         """Every live record id: the metadata record plus all node and
         graph records, discovered by walking the tree."""
         records: list[int] = []
-        meta_record = self._store.pool.pagefile.user_root
+        meta_record = self.pool.pagefile.user_root
         if meta_record != NO_PAGE:
             records.append(meta_record)
-        stack = [self._meta["root"]]
-        while stack:
-            record_id = stack.pop()
-            records.append(record_id)
-            record = self._load_record(record_id)
-            if record["leaf"]:
-                records.extend(gr for _, gr in record.get("graphs", []))
-            else:
-                stack.extend(record.get("children", []))
+        for ref, node in self.nodes():
+            records.append(ref)
+            if node.is_leaf:
+                records.extend(entry.record for entry in node.children)
         return records
 
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
+    @property
+    def _meta(self) -> dict:
+        """The index metadata (shared with the node store, which keeps
+        its root / height / leaf count current)."""
+        return self.store.meta
+
     def __len__(self) -> int:
         return self._meta["graph_count"]
 
@@ -1105,7 +587,7 @@ class DiskCTree:
 
     @property
     def generation(self) -> int:
-        """Monotone counter bumped by every committed :meth:`extend`."""
+        """Monotone counter bumped by every committed write batch."""
         return self._meta.get("generation", 1)
 
     @property
@@ -1117,27 +599,10 @@ class DiskCTree:
     @property
     def pool(self) -> BufferPool:
         """The index's buffer pool (for I/O stats and flushing)."""
-        return self._store.pool
-
-    def _load_record(self, record_id: int) -> dict:
-        return json.loads(self._store.load(record_id).decode("utf-8"))
-
-    def _load_graph(self, record_id: int) -> Graph:
-        return Graph.from_dict(self._load_record(record_id))
-
-    def iter_graphs(self):
-        """Yield ``(graph_id, graph)`` for every stored graph (full scan)."""
-        stack = [self._meta["root"]]
-        while stack:
-            record = self._load_record(stack.pop())
-            if record["leaf"]:
-                for graph_id, graph_record in record.get("graphs", []):
-                    yield (graph_id, self._load_graph(graph_record))
-            else:
-                stack.extend(record.get("children", []))
+        return self.store.records.pool
 
     # ------------------------------------------------------------------
-    # Query processing (Alg. 3 over disk-resident nodes)
+    # Query processing — thin delegates to the shared traversals
     # ------------------------------------------------------------------
     def subgraph_query(
         self,
@@ -1145,199 +610,11 @@ class DiskCTree:
         level: Level = 1,
         verify: bool = True,
     ) -> tuple[list[int], DiskQueryStats]:
-        """Subgraph query reading nodes and graphs on demand."""
+        """:func:`~repro.ctree.subgraph_query.subgraph_query` on this
+        index (Alg. 3, reading nodes and graphs on demand)."""
         self._check_open()
-        pool = self._store.pool
-        hits0, misses0 = pool.hits, pool.misses
+        return subgraph_query(self, query, level=level, verify=verify)
 
-        stats = DiskQueryStats(database_size=len(self))
-        query_hist = LabelHistogram.of(query)
-        # One compiled query context per query (kernel mode); disk-loaded
-        # targets are fresh objects, but the query side never recompiles.
-        qc = kernels.compile_query(query, level) if kernels.kernels_enabled() \
-            else None
-        candidates: list[tuple[int, int]] = []  # (graph_id, graph record)
-
-        with trace.span(
-            "ctree.subgraph_query",
-            query_vertices=query.num_vertices,
-            level=str(level),
-            database_size=len(self),
-            disk=True,
-        ) as root_span:
-            with trace.span("ctree.search"):
-                start = time.perf_counter()
-                if len(self):
-                    self._visit(
-                        self._meta["root"], 0, query, query_hist, qc, level,
-                        candidates, stats,
-                    )
-                stats.search_seconds = time.perf_counter() - start
-            stats.candidates = len(candidates)
-            root_span.set(candidates=stats.candidates)
-
-            answers: list[int] = []
-            if verify:
-                with trace.span("ctree.verify", candidates=len(candidates)):
-                    start = time.perf_counter()
-                    for graph_id, graph_record in candidates:
-                        graph = self._load_graph(graph_record)
-                        if qc is not None:
-                            domains = qc.domains(graph, level)
-                        else:
-                            domains = pseudo_compatibility_domains(
-                                query, graph, level
-                            )
-                        stats.isomorphism_tests += 1
-                        if subgraph_isomorphic(query, graph, domains):
-                            answers.append(graph_id)
-                    stats.verify_seconds = time.perf_counter() - start
-                stats.answers = len(answers)
-                root_span.set(answers=stats.answers)
-
-            stats.page_hits = pool.hits - hits0
-            stats.page_misses = pool.misses - misses0
-            root_span.set(page_hits=stats.page_hits,
-                          page_misses=stats.page_misses)
-        stats.publish()
-        return (answers if verify else [gid for gid, _ in candidates], stats)
-
-    def query_many(
-        self,
-        queries: Iterable[Graph],
-        level: Level = 1,
-        verify: bool = True,
-        workers: int = 1,
-        cache_size: int = 256,
-    ) -> list[tuple[list[int], DiskQueryStats]]:
-        """Batch subgraph queries through the batched engine
-        (:class:`~repro.ctree.parallel.QueryEngine`); each worker opens
-        its own read-only handle over this page file.  Answers are
-        bit-identical to a serial :meth:`subgraph_query` loop.
-
-        This convenience spins an engine up per call; a serving process
-        should hold one long-lived :class:`QueryEngine` (or run
-        ``repro serve``) instead.
-
-        Examples
-        --------
-        ::
-
-            with DiskCTree.open("index.ctp") as disk:
-                results = disk.query_many(queries, workers=4)
-                answer_sets = [answers for answers, _ in results]
-        """
-        from repro.ctree.parallel import QueryEngine
-
-        self._check_open()
-        with QueryEngine(self, workers=workers,
-                         cache_size=cache_size) as engine:
-            return engine.query_many(list(queries), level=level,
-                                     verify=verify)
-
-    def knn_many(
-        self,
-        queries: Iterable[Graph],
-        k: int,
-        mapping_method: str = "nbm",
-        workers: int = 1,
-        cache_size: int = 256,
-    ) -> list[tuple[list[tuple[int, float]], "DiskKnnStats"]]:
-        """Batch K-NN queries through the batched engine (same
-        guarantees as :meth:`query_many`).
-
-        Examples
-        --------
-        ::
-
-            with DiskCTree.open("index.ctp") as disk:
-                (neighbors, stats), = disk.knn_many([probe], k=5)
-        """
-        from repro.ctree.parallel import QueryEngine
-
-        self._check_open()
-        with QueryEngine(self, workers=workers,
-                         cache_size=cache_size) as engine:
-            return engine.knn_many(list(queries), k,
-                                   mapping_method=mapping_method)
-
-    def _pseudo_survives(self, query, qc, target, level) -> bool:
-        """One histogram-free pseudo test of ``target`` (kernel or
-        reference engine, matching the in-memory Alg. 3 exactly)."""
-        if qc is not None:
-            tctx = target_context(target)
-            masks = kernels.pseudo_domain_masks(qc.ctx, tctx, level)
-            return kernels.global_semi_perfect_masks(masks)
-        domains = pseudo_compatibility_domains(query, target, level)
-        return global_semi_perfect(domains, target.num_vertices)
-
-    def _histogram_dominates(self, qc, query_hist, target) -> bool:
-        if qc is not None:
-            return kernels.histogram_dominates(target_context(target), qc)
-        return LabelHistogram.of(target).dominates(query_hist)
-
-    def _visit(
-        self,
-        record_id: int,
-        depth: int,
-        query: Graph,
-        query_hist: LabelHistogram,
-        qc,
-        level: Level,
-        candidates: list,
-        stats: DiskQueryStats,
-    ) -> None:
-        with trace.span("ctree.expand", depth=depth, record=record_id) as sp:
-            record = self._load_record(record_id)
-            stats.nodes_expanded += 1
-            closure = GraphClosure.from_dict(record["closure"])
-            # On disk, the parent does not cache child histograms: the node's
-            # own histogram gates the whole subtree, then children are tested
-            # after being read — one histogram test + one pseudo test per
-            # child, like the in-memory Alg. 3 but at record granularity.
-            survivors_x = survivors_y = 0
-            if record["leaf"]:
-                for graph_id, graph_record in record.get("graphs", []):
-                    stats.histogram_tests += 1
-                    graph = self._load_graph(graph_record)
-                    if not self._histogram_dominates(qc, query_hist, graph):
-                        continue
-                    survivors_x += 1
-                    stats.pseudo_tests += 1
-                    if self._pseudo_survives(query, qc, graph, level):
-                        survivors_y += 1
-                        stats.pseudo_survivors += 1
-                        candidates.append((graph_id, graph_record))
-                stats.record_level(depth, survivors_x, survivors_y,
-                                   tested=len(record.get("graphs", [])))
-                sp.set(leaf=True, x=survivors_x, y=survivors_y)
-                return
-            descend = []
-            for child_record in record.get("children", []):
-                child = self._load_record(child_record)
-                child_closure = GraphClosure.from_dict(child["closure"])
-                stats.histogram_tests += 1
-                if not self._histogram_dominates(qc, query_hist,
-                                                 child_closure):
-                    continue
-                survivors_x += 1
-                stats.pseudo_tests += 1
-                if self._pseudo_survives(query, qc, child_closure, level):
-                    survivors_y += 1
-                    stats.pseudo_survivors += 1
-                    descend.append(child_record)
-            stats.record_level(depth, survivors_x, survivors_y,
-                               tested=len(record.get("children", [])))
-            sp.set(leaf=False, x=survivors_x, y=survivors_y)
-            for child_record in descend:
-                self._visit(
-                    child_record, depth + 1, query, query_hist, qc, level,
-                    candidates, stats,
-                )
-
-    # ------------------------------------------------------------------
-    # K-NN over disk-resident nodes (Alg. 4 with deferred exact scoring)
-    # ------------------------------------------------------------------
     def knn_query(
         self,
         query: Graph,
@@ -1345,137 +622,12 @@ class DiskCTree:
         mapping_method: str = "nbm",
         canonical: bool = False,
         bound: float = float("-inf"),
-    ) -> tuple[list[tuple[int, float]], "DiskKnnStats"]:
-        """The K most similar stored graphs, reading records on demand.
-
-        Same incremental-ranking scheme as the in-memory
-        :func:`~repro.ctree.similarity_query.knn_query`, with page I/O
-        deltas reported in the stats.  ``canonical`` and ``bound`` carry
-        the same semantics as there: tie-stable ``(-sim, id)`` ordering
-        for the sharded merge layer, and an external kth-best floor the
-        coordinator pushes down so shards prune early.
-        """
-        import heapq
-        import itertools
-
-        from repro.matching.edit_distance import graph_similarity
-
+    ) -> tuple[list[tuple[int, float]], DiskKnnStats]:
+        """:func:`~repro.ctree.similarity_query.knn_query` on this index
+        (Alg. 4, reading records on demand)."""
         self._check_open()
-        pool = self._store.pool
-        hits0, misses0 = pool.hits, pool.misses
-        stats = DiskKnnStats(database_size=len(self))
-        if k <= 0 or len(self) == 0:
-            return ([], stats)
-        # Query-side label sets and matching indexes, extracted once and
-        # reused for every Eqn. (7) bound along the traversal.
-        sqc = SimilarityQueryContext(query)
-
-        with trace.span("ctree.knn_query", k=k, database_size=len(self),
-                        disk=True) as root_span:
-            start = time.perf_counter()
-            counter = itertools.count()
-            _NODE, _GRAPH_BOUND, _GRAPH_EXACT = 0, 1, 2
-            heap: list[tuple[float, int, int, object]] = []
-            # Infinite key: no external ``bound`` may prune the root.
-            heapq.heappush(
-                heap,
-                (float("-inf"), next(counter), _NODE, self._meta["root"]),
-            )
-
-            best_k: list[float] = []
-            floor = bound
-            lower_bound = floor
-
-            def note_similarity(sim: float) -> None:
-                nonlocal lower_bound
-                if len(best_k) < k:
-                    heapq.heappush(best_k, sim)
-                else:
-                    heapq.heappushpop(best_k, sim)
-                if len(best_k) >= k:
-                    lower_bound = max(best_k[0], floor)
-
-            results: list[tuple[int, float]] = []
-            while heap:
-                if len(results) >= k:
-                    if not canonical:
-                        break
-                    # Canonical mode drains boundary ties before cutting:
-                    # the heap pops in decreasing key order, so the first
-                    # key strictly below the kth-best similarity is final.
-                    if -heap[0][0] < results[k - 1][1]:
-                        break
-                neg_key, _, kind, payload = heapq.heappop(heap)
-                if -neg_key < lower_bound:
-                    stats.pruned_by_bound += 1
-                    continue
-                if kind == _GRAPH_EXACT:
-                    results.append(payload)  # type: ignore[arg-type]
-                    stats.results += 1
-                elif kind == _GRAPH_BOUND:
-                    graph_id, graph_record = payload  # type: ignore[misc]
-                    graph = self._load_graph(graph_record)
-                    stats.graphs_scored += 1
-                    with trace.span("ctree.knn.score", graph_id=graph_id):
-                        sim = graph_similarity(query, graph,
-                                               method=mapping_method)
-                    note_similarity(sim)
-                    if sim >= lower_bound:
-                        heapq.heappush(
-                            heap,
-                            (-sim, next(counter), _GRAPH_EXACT,
-                             (graph_id, sim)),
-                        )
-                    else:
-                        stats.pruned_by_bound += 1
-                else:
-                    with trace.span("ctree.knn.expand") as sp:
-                        record = self._load_record(payload)  # type: ignore[arg-type]
-                        stats.nodes_expanded += 1
-                        if record["leaf"]:
-                            for graph_id, graph_record in record.get(
-                                    "graphs", []):
-                                stats.children_scored += 1
-                                graph = self._load_graph(graph_record)
-                                bound = sqc.sim_upper_bound(graph)
-                                if bound < lower_bound:
-                                    stats.pruned_by_bound += 1
-                                    continue
-                                heapq.heappush(
-                                    heap,
-                                    (-bound, next(counter), _GRAPH_BOUND,
-                                     (graph_id, graph_record)),
-                                )
-                        else:
-                            for child_record in record.get("children", []):
-                                stats.children_scored += 1
-                                child = self._load_record(child_record)
-                                closure = GraphClosure.from_dict(
-                                    child["closure"])
-                                bound = sqc.sim_upper_bound(closure)
-                                if bound < lower_bound:
-                                    stats.pruned_by_bound += 1
-                                    continue
-                                heapq.heappush(
-                                    heap,
-                                    (-bound, next(counter), _NODE,
-                                     child_record),
-                                )
-                        sp.set(leaf=record["leaf"])
-
-            if canonical:
-                # Total order (sim desc, id asc), independent of
-                # traversal order — see the in-memory counterpart.
-                results.sort(key=lambda t: (-t[1], t[0]))
-                del results[k:]
-                stats.results = len(results)
-            stats.seconds = time.perf_counter() - start
-            stats.page_hits = pool.hits - hits0
-            stats.page_misses = pool.misses - misses0
-            root_span.set(results=len(results), page_hits=stats.page_hits,
-                          page_misses=stats.page_misses)
-        stats.publish()
-        return (results, stats)
+        return knn_query(self, query, k, mapping_method=mapping_method,
+                         canonical=canonical, bound=bound)
 
     # ------------------------------------------------------------------
     # Recovery / integrity checking
@@ -1804,12 +956,12 @@ class DiskCTree:
     # ------------------------------------------------------------------
     def flush(self) -> None:
         """Checkpoint all dirty state to disk (one WAL commit)."""
-        self._store.pool.flush()
+        self.pool.flush()
 
     def close(self) -> None:
         """Flush and release the underlying storage stack."""
         if not self._closed:
-            self._store.pool.close()
+            self.pool.close()
             self._closed = True
 
     def __enter__(self) -> "DiskCTree":
@@ -1824,34 +976,4 @@ class DiskCTree:
 
     def __repr__(self) -> str:
         return (f"<DiskCTree |D|={len(self)} height={self.height} "
-                f"pages={self._store.pool.pagefile.page_count}>")
-
-
-class _LazyClosures:
-    """Child closures of one record, deserialized on first access.
-
-    Handed to insert policies during descent so a short-circuiting
-    policy (``min_volume`` returns at the first zero volume increase)
-    never pays to parse the siblings it skipped.  Accesses are cached:
-    a policy that does examine every child (``min_overlap``) parses
-    each one exactly once.
-    """
-
-    def __init__(self, index: DiskCTree, child_ids: list):
-        self._index = index
-        self._ids = child_ids
-        self._cache: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __getitem__(self, i: int) -> GraphClosure:
-        closure = self._cache.get(i)
-        if closure is None:
-            closure = self._index._record_closure(self._ids[i])
-            self._cache[i] = closure
-        return closure
-
-    def __iter__(self):
-        for i in range(len(self._ids)):
-            yield self[i]
+                f"pages={self.pool.pagefile.page_count}>")

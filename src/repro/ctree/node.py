@@ -4,6 +4,11 @@ A node is a graph closure of its children.  Leaf nodes hold database graphs
 (wrapped in :class:`LeafEntry` so each carries its database id); internal
 nodes hold child nodes.  Every node caches its closure and the closure's
 label histogram — the two summaries the query processors prune with.
+
+The same node class serves both node stores (:mod:`repro.ctree.store`):
+in memory ``children`` are the live child objects; a node loaded from a
+page file holds child *references* (record ids, stored leaf entries) and
+its closure still in serialized form, decoded on first use.
 """
 
 from __future__ import annotations
@@ -27,9 +32,8 @@ def fold_closure(
 
     Returns a *new* closure covering both ``base`` and ``addition``
     (``base is None`` starts a fresh closure).  This is the single
-    summary-maintenance primitive shared by the in-memory tree
-    (:meth:`CTreeNode.extend_summary`) and the disk index's incremental
-    insert path, so both enlarge closures identically.
+    summary-maintenance primitive behind bulk loading
+    (:meth:`CTreeNode.extend_summary`) and the Section 5 insert path.
     """
     added = as_closure(addition)
     if base is None:
@@ -43,11 +47,11 @@ def fold_closure_set(
     """Fold a whole sequence of graph-like objects into one closure
     (``None`` for an empty sequence).
 
-    This is the recompute-from-members primitive the delete paths share:
-    after a removal, a node's summary is re-derived by folding the
-    surviving children in order, exactly as a split re-folds its two
-    groups — so shrink-after-delete and split produce identical
-    closures for identical member lists.
+    This is the recompute-from-members primitive: after a removal, a
+    node's summary is re-derived by folding the surviving children in
+    order, exactly as a split re-folds its two groups — so
+    shrink-after-delete and split produce identical closures for
+    identical member lists.
     """
     closure: Optional[GraphClosure] = None
     for item in items:
@@ -55,23 +59,35 @@ def fold_closure_set(
     return closure
 
 
+def same_encoding(a: Optional[GraphClosure], b: Optional[GraphClosure]) -> bool:
+    """Whether two closures serialize identically (same vertex label sets
+    and the same edges *in the same order*) — stricter than ``==``, which
+    ignores edge order.  Insert and delete rewrite a node exactly when
+    this says its closure changed."""
+    if a is None or b is None:
+        return a is b
+    return (
+        a.num_vertices == b.num_vertices
+        and all(a.label_set(v) == b.label_set(v) for v in a.vertices())
+        and list(a.edges()) == list(b.edges())
+    )
+
+
+def as_stored(closure: GraphClosure) -> GraphClosure:
+    """``closure`` as a record round trip yields it (each vertex's
+    neighbours re-ordered by the serialized edge list).  The heuristic
+    mappers break ties by neighbour order, so a summary that is folded
+    again within the operation that produced it is first brought to the
+    form any later operation will load."""
+    return GraphClosure.from_dict(closure.to_dict())
+
+
 @dataclass
 class LeafEntry:
-    """A database graph stored at a leaf.
-
-    The graph's label histogram is cached on first use — Alg. 3 tests it
-    on every query that reaches the leaf.
-    """
+    """A database graph stored at a leaf."""
 
     graph_id: int
     graph: Graph
-    _histogram: Optional[LabelHistogram] = None
-
-    @property
-    def histogram(self) -> LabelHistogram:
-        if self._histogram is None:
-            self._histogram = LabelHistogram.of(self.graph)
-        return self._histogram
 
     def __repr__(self) -> str:
         return f"<LeafEntry #{self.graph_id} {self.graph!r}>"
@@ -83,25 +99,56 @@ Child = Union["CTreeNode", LeafEntry]
 class CTreeNode:
     """One node of a C-tree."""
 
-    __slots__ = ("is_leaf", "children", "closure", "histogram", "parent")
+    __slots__ = ("is_leaf", "children", "_closure", "_stored", "_histogram")
 
-    def __init__(self, is_leaf: bool) -> None:
+    def __init__(self, is_leaf: bool, children: Optional[list] = None,
+                 stored_closure: Optional[dict] = None) -> None:
         self.is_leaf = is_leaf
-        self.children: list[Child] = []
-        self.closure: Optional[GraphClosure] = None
-        self.histogram: Optional[LabelHistogram] = None
-        self.parent: Optional["CTreeNode"] = None
+        self.children: list = [] if children is None else children
+        self._closure: Optional[GraphClosure] = None
+        #: the closure as serialized in its record, until it is replaced
+        self._stored = stored_closure
+        self._histogram: Optional[LabelHistogram] = None
 
     # ------------------------------------------------------------------
+    @property
+    def closure(self) -> Optional[GraphClosure]:
+        """The closure of the node's children (None for an empty node)."""
+        closure = self._closure
+        if closure is None and self._stored is not None:
+            closure = self._closure = GraphClosure.from_dict(self._stored)
+        return closure
+
+    @closure.setter
+    def closure(self, value: Optional[GraphClosure]) -> None:
+        self._closure = value
+        self._stored = None
+        self._histogram = None
+
+    def stored_closure(self) -> Optional[dict]:
+        """The closure in record form — the loaded dict itself while the
+        closure is unchanged, so an untouched summary rewrites
+        byte-identically."""
+        if self._stored is None and self._closure is not None:
+            return self._closure.to_dict()
+        return self._stored
+
+    @property
+    def histogram(self) -> Optional[LabelHistogram]:
+        """Label histogram of :attr:`closure`, computed once per closure."""
+        if self._histogram is None and self.closure is not None:
+            self._histogram = LabelHistogram.of(self.closure)
+        return self._histogram
+
     @property
     def fanout(self) -> int:
         return len(self.children)
 
     def height(self) -> int:
-        """0 for leaves, 1 + child height otherwise."""
+        """0 for leaves, 1 + child height otherwise (live nodes only)."""
         node, h = self, 0
         while not node.is_leaf:
-            node = node.children[0]  # type: ignore[assignment]
+            node = node.children[0]
             h += 1
         return h
 
@@ -114,68 +161,38 @@ class CTreeNode:
         assert child.closure is not None, "inner node without closure"
         return child.closure
 
-    @staticmethod
-    def child_graph_like(child: Child) -> GraphLike:
-        """The graph-like object tested during queries: the raw graph for
-        leaf entries (cheaper than its closure view), the closure for
-        nodes."""
-        if isinstance(child, LeafEntry):
-            return child.graph
-        assert child.closure is not None
-        return child.closure
-
-    @staticmethod
-    def child_histogram(child: Child) -> LabelHistogram:
-        assert child.histogram is not None
-        return child.histogram
-
     # ------------------------------------------------------------------
     def add_child(self, child: Child) -> None:
         self.children.append(child)
-        if isinstance(child, CTreeNode):
-            child.parent = self
 
     def remove_child(self, child: Child) -> None:
         self.children.remove(child)
-        if isinstance(child, CTreeNode):
-            child.parent = None
 
     # ------------------------------------------------------------------
     def extend_summary(self, addition: GraphLike, mapper: Mapper) -> None:
-        """Enlarge this node's closure/histogram to cover ``addition``
-        (incremental closure, Section 3)."""
+        """Enlarge this node's closure to cover ``addition`` (incremental
+        closure, Section 3)."""
         self.closure = fold_closure(self.closure, addition, mapper)
-        self.histogram = LabelHistogram.of(self.closure)
 
     def rebuild_summary(self, mapper: Mapper) -> None:
-        """Recompute closure/histogram from scratch over all children
-        (used after deletions, when closures must shrink)."""
-        self.closure = None
-        self.histogram = None
-        for child in self.children:
-            self.extend_summary(self.child_closure(child), mapper)
+        """Recompute the closure from scratch over all (live) children."""
+        self.closure = fold_closure_set(
+            (self.child_closure(child) for child in self.children), mapper)
 
     # ------------------------------------------------------------------
     def iter_leaf_entries(self) -> Iterator[LeafEntry]:
-        """All database graphs below this node."""
+        """All database graphs below this (live) node."""
         if self.is_leaf:
-            for child in self.children:
-                assert isinstance(child, LeafEntry)
-                yield child
+            yield from self.children
         else:
             for child in self.children:
-                assert isinstance(child, CTreeNode)
                 yield from child.iter_leaf_entries()
 
     def count_nodes(self) -> int:
-        """Number of tree nodes in this subtree (including self)."""
+        """Number of tree nodes in this (live) subtree, including self."""
         if self.is_leaf:
             return 1
-        return 1 + sum(
-            child.count_nodes()
-            for child in self.children
-            if isinstance(child, CTreeNode)
-        )
+        return 1 + sum(child.count_nodes() for child in self.children)
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else "node"

@@ -132,12 +132,8 @@ def _execute(index: Index, kind: str, query: Graph, params: tuple):
     serial API uses, so results are bit-identical by construction."""
     if kind == _KIND_SUBGRAPH:
         level, verify = params
-        if isinstance(index, DiskCTree):
-            return index.subgraph_query(query, level=level, verify=verify)
         return subgraph_query(index, query, level=level, verify=verify)
     k, mapping_method = params
-    if isinstance(index, DiskCTree):
-        return index.knn_query(query, k, mapping_method=mapping_method)
     return knn_query(index, query, k, mapping_method=mapping_method)
 
 

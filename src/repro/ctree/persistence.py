@@ -53,13 +53,7 @@ def tree_to_dict(tree: CTree) -> dict:
 
     return {
         "format": FORMAT_VERSION,
-        "config": {
-            "min_fanout": tree.min_fanout,
-            "max_fanout": tree.max_fanout,
-            "mapping_method": tree.mapping_method,
-            "insert_policy": tree.insert_policy_name,
-            "split_policy": tree.split_policy_name,
-        },
+        "config": tree.config(),
         "graphs": {str(gid): g.to_dict() for gid, g in tree.graphs()},
         "root": node_to_dict(tree.root),
     }
@@ -91,12 +85,9 @@ def tree_from_dict(data: dict) -> CTree:
             node = CTreeNode(is_leaf=node_data["leaf"])
             if "closure" in node_data:
                 node.closure = GraphClosure.from_dict(node_data["closure"])
-                node.histogram = LabelHistogram.of(node.closure)
             if node.is_leaf:
                 for gid in node_data.get("graph_ids", []):
-                    entry = LeafEntry(gid, graphs[gid])
-                    node.add_child(entry)
-                    tree._leaf_of[gid] = node
+                    node.add_child(LeafEntry(gid, graphs[gid]))
             else:
                 for child_data in node_data.get("children", []):
                     node.add_child(build(child_data))

@@ -7,32 +7,26 @@ insertion and *linear pivot-based partitioning* for splits as the
 quality/time trade-off; both defaults are implemented here alongside the
 alternatives, which the ablation benchmarks exercise.
 
-Each policy exists at two levels:
-
-- **closure-level** primitives (``choose_closure_*`` /
-  ``partition_closures_*``) operate on a plain list of
-  :class:`~repro.graphs.closure.GraphClosure` summaries — the form the
-  disk index's incremental insert works in, where children are records
-  read on demand rather than live node objects;
-- **node-level** wrappers (``choose_child_*`` / ``split_*``) adapt a
-  :class:`~repro.ctree.node.CTreeNode`'s children for the in-memory
-  tree.
-
-Both levels consume the policy RNG identically, so an in-memory insert
-and a disk insert with the same seed make the same choices.
+Every policy operates on a plain sequence of
+:class:`~repro.graphs.closure.GraphClosure` summaries (one per child), so
+the tree can hand it children that are loaded from a node store on demand
+rather than live node objects.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.exceptions import ConfigError
 from repro.graphs.closure import GraphClosure, GraphLike
-from repro.ctree.node import Child, CTreeNode, Mapper
+from repro.ctree.node import Mapper
 
-InsertPolicy = Callable[..., int]
+#: ``(closures, graph, mapper, rng) -> (index, enlarged)``: the chosen
+#: child, plus that child's closure already enlarged by the graph when the
+#: policy computed it anyway (else ``None`` and the caller folds itself).
+InsertPolicy = Callable[..., tuple[int, Optional[GraphClosure]]]
 SplitPolicy = Callable[..., tuple[list[int], list[int]]]
 
 
@@ -42,18 +36,19 @@ SplitPolicy = Callable[..., tuple[list[int], list[int]]]
 def choose_closure_random(
     closures: Sequence[GraphClosure], graph: GraphLike, mapper: Mapper,
     rng: random.Random,
-) -> int:
+) -> tuple[int, None]:
     """Uniformly random child."""
-    return rng.randrange(len(closures))
+    return rng.randrange(len(closures)), None
 
 
-def fold_choice_min_volume(
+def choose_closure_min_volume(
     closures: Sequence[GraphClosure], graph: GraphLike, mapper: Mapper,
     rng: random.Random,
 ) -> tuple[int, GraphClosure]:
-    """:func:`choose_closure_min_volume`, additionally returning the
-    chosen child's enlarged closure so a caller that descends the tree
-    can reuse the mapping instead of folding the graph a second time.
+    """The child whose closure grows the least in (log-)volume when the
+    graph is added — the paper's default (linear in the fanout) — and
+    that child's enlarged closure, so a caller that descends the tree
+    reuses the mapping instead of folding the graph a second time.
 
     Folding a graph into a closure can only grow it, so a zero volume
     increase is a global minimum; scanning in order and returning the
@@ -75,34 +70,16 @@ def fold_choice_min_volume(
     return best_index, best_enlarged
 
 
-def choose_merge_sibling(
-    closures: Sequence[GraphClosure], orphan: GraphLike, mapper: Mapper,
-    rng: random.Random,
-) -> tuple[int, GraphClosure]:
-    """Pick the sibling absorbing an underflowing node's closure at the
-    least volume growth (the delete path's merge-partner choice).
-
-    This is :func:`fold_choice_min_volume` with an orphaned *closure*
-    in the graph seat: the returned enlarged closure is exactly the
-    merged node's summary, so the disk delete path reuses it instead of
-    folding the orphan in a second time.
-    """
-    return fold_choice_min_volume(closures, orphan, mapper, rng)
-
-
-def choose_closure_min_volume(
-    closures: Sequence[GraphClosure], graph: GraphLike, mapper: Mapper,
-    rng: random.Random,
-) -> int:
-    """The child whose closure grows the least in (log-)volume when the
-    graph is added — the paper's default (linear in the fanout)."""
-    return fold_choice_min_volume(closures, graph, mapper, rng)[0]
+#: The delete path's merge-partner choice: the sibling absorbing an
+#: underflowing node's closure (in the graph seat) at the least volume
+#: growth; the enlarged closure returned is exactly the merged summary.
+choose_merge_sibling = choose_closure_min_volume
 
 
 def choose_closure_min_overlap(
     closures: Sequence[GraphClosure], graph: GraphLike, mapper: Mapper,
     rng: random.Random,
-) -> int:
+) -> tuple[int, None]:
     """The child whose enlargement least increases its similarity overlap
     with its siblings (quadratic in the fanout)."""
     best_index, best_increase = 0, float("inf")
@@ -117,41 +94,9 @@ def choose_closure_min_overlap(
             increase += after - before
         if increase < best_increase:
             best_index, best_increase = i, increase
-    return best_index
+    return best_index, None
 
 
-def choose_child_random(
-    node: CTreeNode, graph: GraphLike, mapper: Mapper, rng: random.Random
-) -> int:
-    """Uniformly random child."""
-    return rng.randrange(node.fanout)
-
-
-def choose_child_min_volume(
-    node: CTreeNode, graph: GraphLike, mapper: Mapper, rng: random.Random
-) -> int:
-    """The child whose closure grows the least in (log-)volume when the
-    graph is added — the paper's default (linear in the fanout)."""
-    closures = [CTreeNode.child_closure(c) for c in node.children]
-    return choose_closure_min_volume(closures, graph, mapper, rng)
-
-
-def choose_child_min_overlap(
-    node: CTreeNode, graph: GraphLike, mapper: Mapper, rng: random.Random
-) -> int:
-    """The child whose enlargement least increases its similarity overlap
-    with its siblings (quadratic in the fanout)."""
-    closures = [CTreeNode.child_closure(c) for c in node.children]
-    return choose_closure_min_overlap(closures, graph, mapper, rng)
-
-
-INSERT_POLICIES: dict[str, InsertPolicy] = {
-    "random": choose_child_random,
-    "min_volume": choose_child_min_volume,
-    "min_overlap": choose_child_min_overlap,
-}
-
-#: the same policies over bare closure lists (the disk insert path)
 CLOSURE_INSERT_POLICIES: dict[str, InsertPolicy] = {
     "random": choose_closure_random,
     "min_volume": choose_closure_min_volume,
@@ -248,48 +193,6 @@ def partition_closures_optimal(
     return best
 
 
-def split_random(
-    children: Sequence[Child],
-    mapper: Mapper,
-    rng: random.Random,
-    min_fanout: int,
-) -> tuple[list[int], list[int]]:
-    """Random even partition."""
-    closures = [CTreeNode.child_closure(c) for c in children]
-    return partition_closures_random(closures, mapper, rng, min_fanout)
-
-
-def split_linear(
-    children: Sequence[Child],
-    mapper: Mapper,
-    rng: random.Random,
-    min_fanout: int,
-) -> tuple[list[int], list[int]]:
-    """Linear pivot partitioning over a node's children (see
-    :func:`partition_closures_linear`)."""
-    closures = [CTreeNode.child_closure(c) for c in children]
-    return partition_closures_linear(closures, mapper, rng, min_fanout)
-
-
-def split_optimal(
-    children: Sequence[Child],
-    mapper: Mapper,
-    rng: random.Random,
-    min_fanout: int,
-) -> tuple[list[int], list[int]]:
-    """Exhaustive volume-minimizing partition over a node's children
-    (see :func:`partition_closures_optimal`)."""
-    closures = [CTreeNode.child_closure(c) for c in children]
-    return partition_closures_optimal(closures, mapper, rng, min_fanout)
-
-
-SPLIT_POLICIES: dict[str, SplitPolicy] = {
-    "random": split_random,
-    "linear": split_linear,
-    "optimal": split_optimal,
-}
-
-#: the same policies over bare closure lists (the disk insert path)
 CLOSURE_SPLIT_POLICIES: dict[str, SplitPolicy] = {
     "random": partition_closures_random,
     "linear": partition_closures_linear,
@@ -297,62 +200,20 @@ CLOSURE_SPLIT_POLICIES: dict[str, SplitPolicy] = {
 }
 
 
-def resolve_insert_policy(name: str) -> InsertPolicy:
-    """Look up a node-level insert policy by name."""
+def _resolve(registry: dict, kind: str, name: str):
     try:
-        return INSERT_POLICIES[name]
+        return registry[name]
     except KeyError:
         raise ConfigError(
-            f"unknown insert policy {name!r}; choose from {sorted(INSERT_POLICIES)}"
-        ) from None
-
-
-def resolve_split_policy(name: str) -> SplitPolicy:
-    """Look up a node-level split policy by name."""
-    try:
-        return SPLIT_POLICIES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown split policy {name!r}; choose from {sorted(SPLIT_POLICIES)}"
+            f"unknown {kind} policy {name!r}; choose from {sorted(registry)}"
         ) from None
 
 
 def resolve_closure_insert_policy(name: str) -> InsertPolicy:
-    """Look up a closure-level insert policy by name (disk insert path)."""
-    try:
-        return CLOSURE_INSERT_POLICIES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown insert policy {name!r}; choose from "
-            f"{sorted(CLOSURE_INSERT_POLICIES)}"
-        ) from None
-
-
-def resolve_fold_choice_policy(name: str) -> Callable:
-    """Resolve an insert policy to its fold-reusing closure-level form:
-    ``(closures, graph, mapper, rng) -> (index, enlarged_or_None)``.
-
-    Policies with a native fold-returning variant (currently
-    ``min_volume``) hand back the chosen child's enlarged closure so
-    the caller skips one mapping per descent level; the rest fall back
-    to the plain choice with ``None``, and the caller folds itself.
-    """
-    if name == "min_volume":
-        return fold_choice_min_volume
-    choose = resolve_closure_insert_policy(name)
-
-    def fallback(closures, graph, mapper, rng):
-        return choose(closures, graph, mapper, rng), None
-
-    return fallback
+    """Look up an insert policy by name."""
+    return _resolve(CLOSURE_INSERT_POLICIES, "insert", name)
 
 
 def resolve_closure_split_policy(name: str) -> SplitPolicy:
-    """Look up a closure-level split policy by name (disk insert path)."""
-    try:
-        return CLOSURE_SPLIT_POLICIES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown split policy {name!r}; choose from "
-            f"{sorted(CLOSURE_SPLIT_POLICIES)}"
-        ) from None
+    """Look up a split policy by name."""
+    return _resolve(CLOSURE_SPLIT_POLICIES, "split", name)

@@ -353,10 +353,7 @@ class ShardSet:
         *stored* (round-tripped) graphs, keeping similarity values
         consistent with what the single disk tree itself would compute.
         """
-        if isinstance(index, DiskCTree):
-            stored = sorted(index.iter_graphs())
-        else:
-            stored = sorted(index.graphs())
+        stored = sorted(index.iter_graphs())
         if not stored:
             raise ConfigError("cannot shard an empty index")
         gids = [gid for gid, _ in stored]
@@ -549,13 +546,8 @@ def _shard_execute(index: Union[CTree, DiskCTree], kind: str, query: Graph,
     API uses, with K-NN in canonical (tie-stable) mode."""
     if kind == _KIND_SUBGRAPH:
         level, verify = params
-        if isinstance(index, DiskCTree):
-            return index.subgraph_query(query, level=level, verify=verify)
         return subgraph_query(index, query, level=level, verify=verify)
     k, mapping_method, bound = params
-    if isinstance(index, DiskCTree):
-        return index.knn_query(query, k, mapping_method=mapping_method,
-                               canonical=True, bound=bound)
     return knn_query(index, query, k, mapping_method=mapping_method,
                      canonical=True, bound=bound)
 

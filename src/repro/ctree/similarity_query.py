@@ -26,13 +26,13 @@ from repro.graphs.graph import Graph
 from repro.matching.bounds import SimilarityQueryContext
 from repro.matching.edit_distance import graph_distance, graph_similarity
 from repro.obs import trace
-from repro.ctree.node import CTreeNode, LeafEntry
+from repro.ctree.node import CTreeNode
 from repro.ctree.stats import KnnStats
-from repro.ctree.tree import CTree
+from repro.ctree.tree import CTreeCore
 
 
 def knn_query(
-    tree: CTree,
+    tree: CTreeCore,
     query: Graph,
     k: int,
     mapping_method: str = "nbm",
@@ -44,6 +44,8 @@ def knn_query(
     Returns ``([(graph_id, similarity)...], stats)`` in decreasing
     similarity order (length ``min(k, |D|)``).  Similarities are computed
     with the configured heuristic mapping, exactly as in the paper.
+    ``tree`` is any C-tree over a node store; on a disk index the stats
+    additionally carry the page I/O the query caused.
 
     ``canonical=True`` switches boundary ties from traversal order to the
     total order ``(-similarity, graph_id)``: the heap loop keeps running
@@ -58,22 +60,22 @@ def knn_query(
     similarity ``>= bound`` (the sharded coordinator's global kth-best
     pushdown); ties at ``bound`` are never pruned.
     """
-    stats = KnnStats(database_size=len(tree))
-    if k <= 0 or len(tree) == 0:
-        return ([], stats)
     with trace.span("ctree.knn_query", k=k, database_size=len(tree),
-                    mapping=mapping_method) as root_span:
-        start = time.perf_counter()
-        results = _knn_search(tree, query, k, mapping_method, stats,
-                              canonical=canonical, bound=bound)
-        stats.seconds = time.perf_counter() - start
+                    mapping=mapping_method) as root_span, \
+            tree.store.metered(KnnStats, len(tree), root_span) as stats:
+        results: list[tuple[int, float]] = []
+        if k > 0 and len(tree):
+            start = time.perf_counter()
+            results = _knn_search(tree.store, query, k, mapping_method,
+                                  stats, canonical=canonical, bound=bound)
+            stats.seconds = time.perf_counter() - start
         root_span.set(results=len(results))
     stats.publish()
     return (results, stats)
 
 
 def _knn_search(
-    tree: CTree,
+    store,
     query: Graph,
     k: int,
     mapping_method: str,
@@ -92,16 +94,18 @@ def _knn_search(
     # for every Eqn. (7) bound along the traversal.
     sqc = SimilarityQueryContext(query)
     # Max-heap via negated keys.  Entries: (-key, tiebreak, kind, payload)
-    # with kind one of _NODE (key = closure similarity bound), _GRAPH_BOUND
-    # (key = Eqn. 7 bound, exact similarity not yet computed) or
-    # _GRAPH_EXACT (key = heuristic similarity).  Deferring the expensive
-    # exact similarity until a graph's *bound* reaches the top of the queue
-    # is the optimal multi-step scheme of [24] the paper builds on.
+    # with kind one of _NODE (key = closure similarity bound, payload = the
+    # loaded node), _GRAPH_BOUND (key = Eqn. 7 bound, exact similarity not
+    # yet computed, payload = (id, loaded graph)) or _GRAPH_EXACT (key =
+    # heuristic similarity).  Deferring the expensive exact similarity
+    # until a graph's *bound* reaches the top of the queue is the optimal
+    # multi-step scheme of [24] the paper builds on.
     _NODE, _GRAPH_BOUND, _GRAPH_EXACT = 0, 1, 2
     heap: list[tuple[float, int, int, object]] = []
     # The root is seeded with an infinite key so no external ``bound``
     # can prune it before expansion.
-    heapq.heappush(heap, (float("-inf"), next(counter), _NODE, tree.root))
+    heapq.heappush(heap, (float("-inf"), next(counter), _NODE,
+                          store.load_node(store.root)))
 
     # Min-heap of the current k best exact similarities (top = lower bound).
     # An external ``bound`` (the coordinator's global kth-best) is a floor
@@ -133,21 +137,17 @@ def _knn_search(
             stats.pruned_by_bound += 1
             continue
         if kind == _GRAPH_EXACT:
-            graph_id, sim = payload  # type: ignore[misc]
-            results.append((graph_id, sim))
+            results.append(payload)  # type: ignore[arg-type]
             stats.results += 1
         elif kind == _GRAPH_BOUND:
-            entry = payload
-            assert isinstance(entry, LeafEntry)
+            graph_id, graph = payload  # type: ignore[misc]
             stats.graphs_scored += 1
-            with trace.span("ctree.knn.score", graph_id=entry.graph_id):
-                sim = graph_similarity(query, entry.graph,
-                                       method=mapping_method)
+            with trace.span("ctree.knn.score", graph_id=graph_id):
+                sim = graph_similarity(query, graph, method=mapping_method)
             note_similarity(sim)
             if sim >= lower_bound:
                 heapq.heappush(
-                    heap,
-                    (-sim, next(counter), _GRAPH_EXACT, (entry.graph_id, sim)),
+                    heap, (-sim, next(counter), _GRAPH_EXACT, (graph_id, sim))
                 )
             else:
                 stats.pruned_by_bound += 1
@@ -156,23 +156,21 @@ def _knn_search(
             assert isinstance(node, CTreeNode)
             stats.nodes_expanded += 1
             with trace.span("ctree.knn.expand") as sp:
-                for child in node.children:
+                for ref in node.children:
                     stats.children_scored += 1
-                    child_bound = sqc.sim_upper_bound(
-                        CTreeNode.child_graph_like(child)
-                    )
+                    if node.is_leaf:
+                        graph = store.load_graph(ref)
+                        child_bound = sqc.sim_upper_bound(graph)
+                        item = (_GRAPH_BOUND, (ref.graph_id, graph))
+                    else:
+                        child = store.load_node(ref)
+                        child_bound = sqc.sim_upper_bound(child.closure)
+                        item = (_NODE, child)
                     if child_bound < lower_bound:
                         stats.pruned_by_bound += 1
                         continue
-                    if isinstance(child, LeafEntry):
-                        heapq.heappush(
-                            heap,
-                            (-child_bound, next(counter), _GRAPH_BOUND, child),
-                        )
-                    else:
-                        heapq.heappush(
-                            heap, (-child_bound, next(counter), _NODE, child)
-                        )
+                    heapq.heappush(
+                        heap, (-child_bound, next(counter), *item))
                 sp.set(fanout=len(node.children))
 
     if canonical:
@@ -186,7 +184,7 @@ def _knn_search(
 
 
 def knn_query_many(
-    tree: CTree,
+    tree: CTreeCore,
     queries: list[Graph],
     k: int,
     mapping_method: str = "nbm",
@@ -206,7 +204,7 @@ def knn_query_many(
 
 
 def range_query(
-    tree: CTree,
+    tree: CTreeCore,
     query: Graph,
     radius: float,
     mapping_method: str = "nbm",
@@ -218,33 +216,30 @@ def range_query(
     graph distances themselves are heuristic upper bounds, borderline
     graphs may be missed, mirroring the paper's approximate semantics.
     """
-    stats = KnnStats(database_size=len(tree))
+    store = tree.store
     results: list[tuple[int, float]] = []
     start = time.perf_counter()
-    if len(tree) == 0:
-        stats.seconds = time.perf_counter() - start
-        return (results, stats)
-
     with trace.span("ctree.range_query", radius=radius,
-                    database_size=len(tree)) as root_span:
+                    database_size=len(tree)) as root_span, \
+            store.metered(KnnStats, len(tree), root_span) as stats:
         sqc = SimilarityQueryContext(query)
-        stack = [tree.root]
+        stack = [store.load_node(store.root)] if len(tree) else []
         while stack:
             node = stack.pop()
             stats.nodes_expanded += 1
-            for child in node.children:
+            for ref in node.children:
                 stats.children_scored += 1
-                if isinstance(child, LeafEntry):
+                if node.is_leaf:
                     stats.graphs_scored += 1
-                    dist = graph_distance(query, child.graph,
+                    dist = graph_distance(query, store.load_graph(ref),
                                           method=mapping_method)
                     if dist <= radius:
-                        results.append((child.graph_id, dist))
+                        results.append((ref.graph_id, dist))
                         stats.results += 1
                 else:
-                    assert child.closure is not None
-                    bound = sqc.closure_distance_lower_bound(child.closure)
-                    if bound > radius:
+                    child = store.load_node(ref)
+                    if sqc.closure_distance_lower_bound(child.closure) \
+                            > radius:
                         stats.pruned_by_bound += 1
                         continue
                     stack.append(child)

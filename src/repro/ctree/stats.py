@@ -287,22 +287,7 @@ class QueryStats:
             "access_ratio": self.access_ratio,
             "search_seconds": self.search_seconds,
         }
-        self._add_page_io(out)
         return out
-
-    def _add_page_io(self, out: dict) -> None:
-        """Attach a ``page_io`` block when this stats object tracks
-        buffer-pool counters (the disk-backed subclasses do)."""
-        if "page_hits" not in self._COUNTER_FIELDS:
-            return
-        hits = self.page_hits
-        misses = self.page_misses
-        total = hits + misses
-        out["page_io"] = {
-            "hits": hits,
-            "misses": misses,
-            "hit_ratio": (hits / total) if total else 1.0,
-        }
 
     def publish(self, registry: Optional[MetricsRegistry] = None) -> None:
         """Fold this query's counters into ``registry`` (default: the
@@ -426,12 +411,10 @@ class KnnStats:
             "access_ratio": self.access_ratio,
             "seconds": self.seconds,
         }
-        self._add_page_io(out)
         return out
 
     deterministic_dict = QueryStats.deterministic_dict
     publish = QueryStats.publish
-    _add_page_io = QueryStats._add_page_io
 
     def __repr__(self) -> str:
         parts = ", ".join(

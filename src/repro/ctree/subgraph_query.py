@@ -36,24 +36,28 @@ from repro.matching.pseudo_iso import (
 )
 from repro.matching.ullmann import subgraph_isomorphic
 from repro.obs import trace
-from repro.ctree.node import CTreeNode, LeafEntry
+from repro.ctree.node import CTreeNode
 from repro.ctree.stats import QueryStats
-from repro.ctree.tree import CTree
+from repro.ctree.tree import CTreeCore
 
 
 def subgraph_query(
-    tree: CTree,
+    tree: CTreeCore,
     query: Graph,
     level: Level = 1,
     verify: bool = True,
 ) -> tuple[list[int], QueryStats]:
     """Find the ids of all database graphs containing ``query``.
 
-    ``level`` is the pseudo subgraph isomorphism level (1 or ``"max"`` in
-    the paper's experiments).  With ``verify=False`` the candidate set is
-    returned unverified (useful for measuring filter power alone).
+    ``tree`` is any C-tree over a node store — an in-memory
+    :class:`~repro.ctree.tree.CTree` or a
+    :class:`~repro.ctree.diskindex.DiskCTree`, whose stats additionally
+    carry the page I/O the query caused.  ``level`` is the pseudo
+    subgraph isomorphism level (1 or ``"max"`` in the paper's
+    experiments).  With ``verify=False`` the candidate set is returned
+    unverified (useful for measuring filter power alone).
     """
-    stats = QueryStats(database_size=len(tree))
+    store = tree.store
     query_hist = LabelHistogram.of(query)
     # One immutable compiled context per query (kernel mode): label masks,
     # neighbor tuples and the sparse histogram are reused across the whole
@@ -61,41 +65,45 @@ def subgraph_query(
     qc = kernels.compile_query(query, level) if kernels.kernels_enabled() \
         else None
 
-    candidates: list[tuple[int, Graph, list[set[int]]]] = []
+    #: (graph id, graph, pseudo-compatibility domains — as bit masks in
+    #: kernel mode, expanded to sets only when verification reaches them)
+    candidates: list[tuple[int, Graph, list]] = []
     with trace.span(
         "ctree.subgraph_query",
         query_vertices=query.num_vertices,
         level=str(level),
         database_size=len(tree),
-    ) as root_span:
+    ) as root_span, store.metered(QueryStats, len(tree), root_span) as stats:
         with trace.span("ctree.search"):
             start = time.perf_counter()
             if len(tree):
-                _visit(tree.root, 0, query, query_hist, qc, level,
-                       candidates, stats)
+                _visit(store, store.load_node(store.root), 0, query,
+                       query_hist, qc, level, candidates, stats)
             stats.search_seconds = time.perf_counter() - start
         stats.candidates = len(candidates)
         root_span.set(candidates=stats.candidates)
 
         if not verify:
-            stats.publish()
-            return ([graph_id for graph_id, _, _ in candidates], stats)
-
-        answers: list[int] = []
-        with trace.span("ctree.verify", candidates=len(candidates)):
-            start = time.perf_counter()
-            for graph_id, graph, domains in candidates:
-                stats.isomorphism_tests += 1
-                if subgraph_isomorphic(query, graph, domains):
-                    answers.append(graph_id)
-            stats.verify_seconds = time.perf_counter() - start
-        stats.answers = len(answers)
-        root_span.set(answers=stats.answers)
+            answers = [graph_id for graph_id, _, _ in candidates]
+        else:
+            answers = []
+            with trace.span("ctree.verify", candidates=len(candidates)):
+                start = time.perf_counter()
+                for graph_id, graph, domains in candidates:
+                    stats.isomorphism_tests += 1
+                    if qc is not None:
+                        domains = kernels.masks_to_domains(domains)
+                    if subgraph_isomorphic(query, graph, domains):
+                        answers.append(graph_id)
+                stats.verify_seconds = time.perf_counter() - start
+            stats.answers = len(answers)
+            root_span.set(answers=stats.answers)
     stats.publish()
     return (answers, stats)
 
 
 def _visit(
+    store,
     node: CTreeNode,
     depth: int,
     query: Graph,
@@ -105,18 +113,27 @@ def _visit(
     candidates: list,
     stats: QueryStats,
 ) -> None:
+    """Expand one node: screen every child (a graph under a leaf, a child
+    node's closure otherwise) by histogram then pseudo sub-isomorphism.
+    A surviving graph becomes a candidate, carrying the graph and its
+    pseudo-compatibility domains into verification; a surviving child
+    node, already loaded, is expanded at once — so only one root-to-leaf
+    path of loaded nodes is alive at a time, and candidates still come
+    out in left-to-right leaf order."""
     with trace.span("ctree.expand", depth=depth) as sp:
         stats.nodes_expanded += 1
         survivors_x = 0
         survivors_y = 0
-        descend: list[CTreeNode] = []
-        for child in node.children:
+        leaf = node.is_leaf
+        load = store.load_graph if leaf else store.load_node
+        for ref in node.children:
             stats.histogram_tests += 1
+            child = load(ref)
+            target = child if leaf else child.closure
             if qc is not None:
                 # Kernel path: compiled contexts + bitset kernels.  The
-                # target context is memoized on the child's graph/closure,
-                # so repeated queries pay the encoding cost once.
-                target = CTreeNode.child_graph_like(child)
+                # target context is memoized on the graph/closure, so a
+                # store that keeps them live pays the encoding cost once.
                 tctx = target_context(target)
                 if not kernels.histogram_dominates(tctx, qc):
                     continue
@@ -125,39 +142,31 @@ def _visit(
                 masks = kernels.pseudo_domain_masks(qc.ctx, tctx, level)
                 if not kernels.global_semi_perfect_masks(masks):
                     continue
-                survivors_y += 1
-                stats.pseudo_survivors += 1
-                if isinstance(child, LeafEntry):
-                    candidates.append((child.graph_id, child.graph,
-                                       kernels.masks_to_domains(masks)))
-                else:
-                    descend.append(child)
-                continue
-            # Reference (set-based) path.
-            if not CTreeNode.child_histogram(child).dominates(query_hist):
-                continue
-            survivors_x += 1
-            stats.pseudo_tests += 1
-            target = CTreeNode.child_graph_like(child)
-            domains = pseudo_compatibility_domains(query, target, level)
-            if not global_semi_perfect(domains, target.num_vertices):
-                continue
+            else:
+                # Reference (set-based) path.
+                hist = LabelHistogram.of(target) if leaf else child.histogram
+                if not hist.dominates(query_hist):
+                    continue
+                survivors_x += 1
+                stats.pseudo_tests += 1
+                domains = pseudo_compatibility_domains(query, target, level)
+                if not global_semi_perfect(domains, target.num_vertices):
+                    continue
             survivors_y += 1
             stats.pseudo_survivors += 1
-            if isinstance(child, LeafEntry):
-                candidates.append((child.graph_id, child.graph, domains))
+            if not leaf:
+                _visit(store, child, depth + 1, query, query_hist, qc, level,
+                       candidates, stats)
             else:
-                descend.append(child)
+                candidates.append((ref.graph_id, target,
+                                   masks if qc is not None else domains))
         stats.record_level(depth, survivors_x, survivors_y,
                            tested=len(node.children))
         sp.set(fanout=len(node.children), x=survivors_x, y=survivors_y)
-        for child_node in descend:
-            _visit(child_node, depth + 1, query, query_hist, qc, level,
-                   candidates, stats)
 
 
 def subgraph_query_many(
-    tree: CTree,
+    tree: CTreeCore,
     queries: list[Graph],
     level: Level = 1,
     verify: bool = True,

@@ -5,7 +5,14 @@ graphs, every node is summarized by the graph closure of its children, and
 nodes have between ``min_fanout`` and ``max_fanout`` children (except the
 root).  Insertion descends by a child-selection policy, enlarging closures
 along the path; overflowing nodes split by a partitioning policy; deletion
-shrinks closures and reinserts the entries of underflowing nodes.
+shrinks (or soundly keeps) closures and resolves underflow by merging into
+or redistributing with a sibling.
+
+:class:`CTreeCore` is the one implementation of that maintenance logic.
+It runs over a *node store* (:mod:`repro.ctree.store`) and never asks
+which: :class:`CTree` is the core over live objects,
+:class:`~repro.ctree.diskindex.DiskCTree` the core over a page file plus
+commit / compaction / recovery.
 
 All operations take polynomial time — the expensive primitive is the
 heuristic graph mapping (NBM by default) used to union closures and to
@@ -18,29 +25,476 @@ import random
 from typing import Iterator, Optional
 
 from repro.exceptions import ConfigError, IndexError_
-from repro.graphs.closure import GraphLike
+from repro.graphs.closure import GraphClosure, as_closure
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
 from repro.matching.edit_distance import MAPPING_METHODS
 from repro.obs import trace
 from repro.obs.metrics import global_registry
-from repro.ctree.node import Child, CTreeNode, LeafEntry, Mapper
-from repro.ctree.policies import (
-    resolve_insert_policy,
-    resolve_split_policy,
+from repro.ctree.node import (
+    CTreeNode,
+    Mapper,
+    as_stored,
+    fold_closure,
+    fold_closure_set,
+    same_encoding,
 )
+from repro.ctree.policies import (
+    choose_merge_sibling,
+    resolve_closure_insert_policy,
+    resolve_closure_split_policy,
+)
+from repro.ctree.store import MemoryNodeStore
 
 #: Paper default: m = 20, M = 2m - 1.
 DEFAULT_MIN_FANOUT = 20
 
+
+class _LazyClosures:
+    """Child closures of one node, loaded on first access.
+
+    Handed to insert policies during descent so a short-circuiting
+    policy (``min_volume`` returns at the first zero volume increase)
+    never pays to load the siblings it skipped.  Accesses are cached: a
+    policy that does examine every child (``min_overlap``) loads each
+    one exactly once, and the descent reuses the chosen child's node.
+    """
+
+    def __init__(self, store, refs: list):
+        self._store = store
+        self._refs = refs
+        self._nodes: dict = {}
+
+    def node(self, i: int) -> CTreeNode:
+        node = self._nodes.get(i)
+        if node is None:
+            node = self._nodes[i] = self._store.load_node(self._refs[i])
+        return node
+
+    def __len__(self) -> int:
+        return len(self._refs)
+
+    def __getitem__(self, i: int) -> GraphClosure:
+        return self.node(i).closure  # IndexError past the end ends iteration
+
+
+class CTreeCore:
+    """Section 5 over a node store: configuration, the insert / split /
+    delete-with-underflow algorithms, and store-agnostic walks.
+
+    Subclasses own graph ids and batching: they call :meth:`_insert_one`
+    / :meth:`_delete_one` and define ``__len__``.  ``_METRICS`` prefixes
+    the maintenance counters (``<prefix>.splits``, ``.closure_shrinks``,
+    ``.underflow_merges``, ``.underflow_redistributes``) and the
+    ``<prefix>.split`` span.
+    """
+
+    _METRICS = "ctree"
+
+    def __init__(
+        self,
+        store,
+        min_fanout: int = DEFAULT_MIN_FANOUT,
+        max_fanout: Optional[int] = None,
+        mapping_method: str = "nbm",
+        insert_policy: str = "min_volume",
+        split_policy: str = "linear",
+    ) -> None:
+        if min_fanout < 2:
+            raise ConfigError(f"min_fanout must be >= 2, got {min_fanout}")
+        if max_fanout is None:
+            max_fanout = 2 * min_fanout - 1
+        if (max_fanout + 1) // 2 < min_fanout:
+            raise ConfigError(
+                f"(max_fanout + 1) // 2 must be >= min_fanout "
+                f"(got m={min_fanout}, M={max_fanout})"
+            )
+        if mapping_method not in MAPPING_METHODS:
+            raise ConfigError(f"unknown mapping method {mapping_method!r}")
+        self.store = store
+        self.min_fanout = min_fanout
+        self.max_fanout = max_fanout
+        self.mapping_method = mapping_method
+        self.mapper: Mapper = MAPPING_METHODS[mapping_method]
+        self._choose = resolve_closure_insert_policy(insert_policy)
+        self._partition = resolve_closure_split_policy(split_policy)
+        self.insert_policy_name = insert_policy
+        self.split_policy_name = split_policy
+
+    def config(self) -> dict:
+        """The constructor arguments, as saved indexes record them."""
+        return {
+            "min_fanout": self.min_fanout,
+            "max_fanout": self.max_fanout,
+            "mapping_method": self.mapping_method,
+            "insert_policy": self.insert_policy_name,
+            "split_policy": self.split_policy_name,
+        }
+
+    # ------------------------------------------------------------------
+    # Walks
+    # ------------------------------------------------------------------
+    def nodes(self) -> Iterator[tuple[object, CTreeNode]]:
+        """Every ``(ref, node)`` of the tree (graph payloads are never
+        loaded — membership and shape checks stay cheap)."""
+        stack = [self.store.root]
+        while stack:
+            ref = stack.pop()
+            node = self.store.load_node(ref)
+            yield ref, node
+            if not node.is_leaf:
+                stack.extend(node.children)
+
+    def graph_ids(self) -> Iterator[int]:
+        """Every stored graph id, from a node-only walk."""
+        for _, node in self.nodes():
+            if node.is_leaf:
+                for entry in node.children:
+                    yield entry.graph_id
+
+    def iter_graphs(self) -> Iterator[tuple[int, Graph]]:
+        """Yield ``(graph_id, graph)`` for every stored graph (full scan)."""
+        for _, node in self.nodes():
+            if node.is_leaf:
+                for entry in node.children:
+                    yield (entry.graph_id, self.store.load_graph(entry))
+
+    def _member_closures(self, is_leaf: bool, entries: list) -> list:
+        """The closures summarizing a node's members (graphs of a leaf,
+        children of an inner node), read back from the store."""
+        if is_leaf:
+            return [as_closure(self.store.load_graph(e)) for e in entries]
+        return [self.store.load_node(ref).closure for ref in entries]
+
+    def _counter(self, name: str):
+        return global_registry().counter(f"{self._METRICS}.{name}")
+
+    # ------------------------------------------------------------------
+    # Insertion (Section 5.2) and splitting (Section 5.3)
+    # ------------------------------------------------------------------
+    def _insert_one(self, graph_id: int, graph: Graph,
+                    rng: random.Random) -> None:
+        """One Section-5 insert: descend via the insert policy, extend
+        every closure on the path, split bottom-up on overflow.  Only
+        the root-to-leaf path nodes (and any split siblings) are written.
+
+        Two economies keep this flat as the database grows: children are
+        loaded lazily so a short-circuiting policy never loads the
+        siblings it skipped, and the policy's enlarged closure for the
+        chosen child is reused as that level's fold instead of mapping
+        the graph in a second time.
+        """
+        store, mapper = self.store, self.mapper
+        path = [(store.root, store.load_node(store.root))]
+        # graph already folded into the node's closure, per path level
+        folds: list[Optional[GraphClosure]] = [None]
+        while not path[-1][1].is_leaf:
+            refs = path[-1][1].children
+            closures = _LazyClosures(store, refs)
+            index, enlarged = self._choose(closures, graph, mapper, rng)
+            path.append((refs[index], closures.node(index)))
+            folds.append(enlarged)
+
+        path[-1][1].children.append(store.alloc_graph(graph_id, graph))
+        dirty = [False] * len(path)
+        dirty[-1] = True
+        for i, (_, node) in enumerate(path):
+            folded = folds[i]
+            if folded is None:
+                folded = fold_closure(node.closure, graph, mapper)
+            if not same_encoding(folded, node.closure):
+                node.closure = folded
+                dirty[i] = True
+
+        sibling = None
+        for i in range(len(path) - 1, -1, -1):
+            ref, node = path[i]
+            if sibling is not None:
+                node.children.append(sibling)
+                sibling = None
+                dirty[i] = True
+            if len(node.children) > self.max_fanout:
+                sibling = self._split_node(node, rng)
+                dirty[i] = True
+            # Write before the parent is processed: a parent split reads
+            # child closures back from the store.  Ancestors whose
+            # closure already absorbed the graph are left untouched, so
+            # a saturated insert dirties only the leaf end of the path.
+            if dirty[i]:
+                store.write_node(ref, node)
+            if sibling is not None and i == 0:
+                self._grow_root(ref, node, sibling, height=len(path))
+                sibling = None
+
+    def _split_node(self, node: CTreeNode, rng: random.Random):
+        """Split an overflowing node in place (Section 5.3): the first
+        partition group stays in ``node``, the second moves to a freshly
+        allocated sibling; both summaries are re-folded from their
+        members.  Returns the sibling's reference."""
+        entries = node.children
+        closures = self._member_closures(node.is_leaf, entries)
+        with trace.span(f"{self._METRICS}.split", fanout=len(entries),
+                        leaf=node.is_leaf):
+            group1, group2 = self._partition(closures, self.mapper, rng,
+                                             self.min_fanout)
+            if not group1 or not group2:
+                raise IndexError_("split policy produced an empty group")
+            sibling = CTreeNode(node.is_leaf, [entries[i] for i in group2])
+            sibling.closure = fold_closure_set(
+                (closures[i] for i in group2), self.mapper)
+            node.children = [entries[i] for i in group1]
+            node.closure = fold_closure_set(
+                (closures[i] for i in group1), self.mapper)
+            self._counter("splits").value += 1
+            return self.store.alloc_node(sibling)
+
+    def _grow_root(self, old_ref, old_root: CTreeNode, sibling_ref,
+                   height: int) -> None:
+        """A root split reached the top: push a new root above the two
+        halves and grow the tree by one level."""
+        new_root = CTreeNode(False, [old_ref, sibling_ref])
+        new_root.closure = fold_closure(
+            as_stored(old_root.closure),
+            self.store.load_node(sibling_ref).closure, self.mapper)
+        self.store.set_root(self.store.alloc_node(new_root), height)
+
+    # ------------------------------------------------------------------
+    # Deletion (Section 5.4)
+    # ------------------------------------------------------------------
+    def _find_path(self, graph_id: int) -> list[tuple[object, CTreeNode]]:
+        """The root-to-leaf path of ``(ref, node)`` pairs ending at the
+        leaf holding ``graph_id``.
+
+        Deletion cannot descend by closure pruning (an id says nothing
+        about content), so this is a depth-first scan — worst case one
+        node-level pass, no graph payloads loaded.
+        """
+        stack: list[tuple[object, list]] = [(self.store.root, [])]
+        while stack:
+            ref, ancestors = stack.pop()
+            node = self.store.load_node(ref)
+            path = ancestors + [(ref, node)]
+            if not node.is_leaf:
+                stack.extend((child, path) for child in node.children)
+            elif any(e.graph_id == graph_id for e in node.children):
+                return path
+        raise IndexError_(f"no graph with id {graph_id}")
+
+    def _delete_one(self, graph_id: int, rng: random.Random) -> Graph:
+        """One Section-5.4 delete: drop the leaf entry, free the graph,
+        shrink-or-keep the path closures, resolve underflow bottom-up,
+        collapse a trivial root."""
+        path = self._find_path(graph_id)
+        entries = path[-1][1].children
+        index = next(i for i, e in enumerate(entries)
+                     if e.graph_id == graph_id)
+        graph = self.store.load_graph(entries[index])
+        self.store.free_graph(entries.pop(index))
+        self._shrink_path(path, graph, rng)
+        self._collapse_root(len(path) - 1)
+        return graph
+
+    def _shrink_path(self, path: list, graph: Graph,
+                     rng: random.Random) -> None:
+        """Walk the delete path bottom-up: remove dead children, handle
+        underflow via merge-or-redistribute, and shrink each closure the
+        removed graph was load-bearing for.  Every modified node is
+        written before its parent is processed (a parent refold reads
+        child closures back from the store), mirroring the insert path.
+        """
+        store = self.store
+        graph_hist = LabelHistogram.of(graph)
+        drop = None  # freed child to unlink at this level
+        for i in range(len(path) - 1, -1, -1):
+            ref, node = path[i]
+            dirty = i == len(path) - 1  # the leaf already lost its entry
+            if drop is not None:
+                node.children.remove(drop)
+                drop = None
+                dirty = True
+            entries = node.children
+            if i > 0 and not entries:
+                # The node died: free it and unlink it from the parent.
+                store.free_node(ref, node)
+                drop = ref
+                continue
+            if not entries:
+                # Empty root leaf (delete-to-empty): no members, no
+                # closure.
+                if node.closure is not None:
+                    node.closure = None
+                    dirty = True
+            elif node.closure is not None and self._may_shrink(
+                    graph, graph_hist, node):
+                refolded = fold_closure_set(
+                    self._member_closures(node.is_leaf, entries),
+                    self.mapper)
+                if not same_encoding(refolded, node.closure):
+                    node.closure = refolded
+                    self._counter("closure_shrinks").value += 1
+                    dirty = True
+            if i > 0 and len(entries) < self.min_fanout and \
+                    len(path[i - 1][1].children) > 1:
+                # Shrink ran first, so a merge folds the *tightened*
+                # closure into its sibling.  The helper writes every
+                # node it leaves alive; an unwritten `dirty` state is
+                # either freed (merge) or rewritten (redistribute).
+                if self._merge_or_redistribute(path, i, rng):
+                    drop = ref
+                continue
+            if dirty:
+                store.write_node(ref, node)
+
+    @staticmethod
+    def _may_shrink(graph: Graph, graph_hist: LabelHistogram,
+                    node: CTreeNode) -> bool:
+        """Whether the removed graph could have been load-bearing for
+        this node's closure: it reached the closure's vertex or edge
+        count, or attained one of its histogram bounds.  A ``False``
+        proves a recompute from the surviving children cannot tighten
+        anything, so the ancestor is skipped (keeping the closure is
+        always sound — Lemma 1 only needs containment of the surviving
+        graphs)."""
+        closure = node.closure
+        if graph.num_vertices >= closure.num_vertices:
+            return True
+        if graph.num_edges >= closure.num_edges:
+            return True
+        return graph_hist.attains(node.histogram)
+
+    def _merge_or_redistribute(self, path: list, i: int,
+                               rng: random.Random) -> bool:
+        """Resolve one underflowing node against a policy-chosen sibling.
+
+        The sibling is the one absorbing the underflowing closure at
+        minimum volume growth (:func:`choose_merge_sibling`).  If the
+        union fits one node the underflowing node merges into the
+        sibling (returns True — the caller unlinks and this method frees
+        the node); otherwise the union is repartitioned with the
+        configured split policy, leaving both halves within bounds.
+        """
+        store, mapper = self.store, self.mapper
+        ref, node = path[i]
+        siblings = [c for c in path[i - 1][1].children if c != ref]
+        lazy = _LazyClosures(store, siblings)
+        choice, merged = choose_merge_sibling(
+            lazy, as_stored(node.closure), mapper, rng)
+        sibling_ref, sibling = siblings[choice], lazy.node(choice)
+        entries = sibling.children + node.children
+        if len(entries) <= self.max_fanout:
+            sibling.children = entries
+            sibling.closure = merged
+            store.write_node(sibling_ref, sibling)
+            store.free_node(ref, node)
+            self._counter("underflow_merges").inc()
+            return True
+        # The union overflows one node: repartition it instead.  The
+        # combined size is >= 2*min_fanout here (the sibling alone held
+        # > max_fanout - min_fanout >= min_fanout entries), so every
+        # split policy's halves respect the minimum.
+        closures = self._member_closures(node.is_leaf, entries)
+        group1, group2 = self._partition(closures, mapper, rng,
+                                         self.min_fanout)
+        if not group1 or not group2:
+            raise IndexError_("split policy produced an empty group")
+        for target_ref, target, group in ((sibling_ref, sibling, group1),
+                                          (ref, node, group2)):
+            target.children = [entries[j] for j in group]
+            target.closure = fold_closure_set(
+                (closures[j] for j in group), mapper)
+            store.write_node(target_ref, target)
+        self._counter("underflow_redistributes").inc()
+        return False
+
+    def _collapse_root(self, height: int) -> None:
+        """Shed trivial roots after a delete: an internal root with one
+        child hands the root to that child (height shrinks); an internal
+        root whose children all died becomes an empty leaf."""
+        store = self.store
+        ref = store.root
+        node = store.load_node(ref)
+        while not node.is_leaf and len(node.children) == 1:
+            store.free_node(ref, node)
+            ref, height = node.children[0], height - 1
+            store.set_root(ref, height)
+            node = store.load_node(ref)
+        if not node.is_leaf and not node.children:
+            store.free_node(ref, node)
+            store.set_root(store.alloc_node(CTreeNode(is_leaf=True)), 0)
+
+    # ------------------------------------------------------------------
+    # Validation
+    # ------------------------------------------------------------------
+    def validate(self, deep: bool = False) -> None:
+        """Check all structural invariants; raises ``AssertionError`` on
+        violation.
+
+        The soundness invariant for query pruning is that every *database
+        graph's* histogram is dominated by the histogram of each of its
+        ancestors (a node's closure may legitimately count more label
+        occurrences than its parent's, and may stay looser than its
+        members after a delete, so neither parent-vs-child-closure
+        dominance nor tightness is required).  ``deep=True`` additionally
+        checks that every database graph is pseudo sub-isomorphic (at the
+        convergence level) to every ancestor closure: a correctly built
+        closure admits a real embedding of each member, which always
+        passes this polynomial test, so a failure proves a broken closure.
+        (Exact Ullmann verification is intentionally avoided here —
+        against large ε-rich closures its backtracking can blow up
+        combinatorially.)
+        """
+        from repro.matching.pseudo_iso import pseudo_subgraph_isomorphic
+
+        store = self.store
+        leaf_depths: set[int] = set()
+        seen_ids: list[int] = []
+        stack: list = [(store.root, 0, [])]
+        while stack:
+            ref, depth, ancestors = stack.pop()
+            node = store.load_node(ref)
+            fanout = len(node.children)
+            if depth == 0:
+                assert node.is_leaf or fanout >= 2, \
+                    "internal root needs >= 2 children"
+            else:
+                assert self.min_fanout <= fanout <= self.max_fanout, (
+                    f"fanout {fanout} outside "
+                    f"[{self.min_fanout}, {self.max_fanout}]"
+                )
+            assert not fanout or node.closure is not None, \
+                "non-empty node lacks a closure"
+            lineage = ancestors + [node]
+            if not node.is_leaf:
+                stack.extend((child, depth + 1, lineage)
+                             for child in node.children)
+                continue
+            leaf_depths.add(depth)
+            for entry in node.children:
+                seen_ids.append(entry.graph_id)
+                graph = store.load_graph(entry)
+                graph_hist = LabelHistogram.of(graph)
+                for ancestor in lineage:
+                    assert ancestor.histogram.dominates(graph_hist), (
+                        f"ancestor histogram does not dominate graph "
+                        f"{entry.graph_id}"
+                    )
+                    assert not deep or pseudo_subgraph_isomorphic(
+                            graph, ancestor.closure, level="max"), (
+                        f"graph {entry.graph_id} fails pseudo "
+                        f"sub-isomorphism against an ancestor closure"
+                    )
+        assert len(leaf_depths) <= 1, f"leaves at multiple depths: {leaf_depths}"
+        assert len(seen_ids) == len(set(seen_ids)) == len(self), \
+            "leaf entries != graph catalog"
+
+
 #: maintenance counters, resolved once at import time
 _C_INSERTS = global_registry().counter("ctree.inserts")
 _C_DELETES = global_registry().counter("ctree.deletes")
-_C_SPLITS = global_registry().counter("ctree.splits")
 
 
-class CTree:
-    """A Closure-tree over a dynamic set of labeled graphs.
+class CTree(CTreeCore):
+    """A Closure-tree over a dynamic set of labeled graphs, in memory.
 
     Parameters
     ----------
@@ -68,30 +522,20 @@ class CTree:
         split_policy: str = "linear",
         seed: int = 0,
     ) -> None:
-        if min_fanout < 2:
-            raise ConfigError(f"min_fanout must be >= 2, got {min_fanout}")
-        if max_fanout is None:
-            max_fanout = 2 * min_fanout - 1
-        if (max_fanout + 1) // 2 < min_fanout:
-            raise ConfigError(
-                f"(max_fanout + 1) // 2 must be >= min_fanout "
-                f"(got m={min_fanout}, M={max_fanout})"
-            )
-        if mapping_method not in MAPPING_METHODS:
-            raise ConfigError(f"unknown mapping method {mapping_method!r}")
-        self.min_fanout = min_fanout
-        self.max_fanout = max_fanout
-        self.mapping_method = mapping_method
-        self.mapper: Mapper = MAPPING_METHODS[mapping_method]
-        self._choose_child = resolve_insert_policy(insert_policy)
-        self._partition = resolve_split_policy(split_policy)
-        self.insert_policy_name = insert_policy
-        self.split_policy_name = split_policy
+        super().__init__(MemoryNodeStore(), min_fanout, max_fanout,
+                         mapping_method, insert_policy, split_policy)
         self._rng = random.Random(seed)
-        self.root = CTreeNode(is_leaf=True)
-        self._leaf_of: dict[int, CTreeNode] = {}
         self._graphs: dict[int, Graph] = {}
         self._next_id = 0
+
+    @property
+    def root(self) -> CTreeNode:
+        """The live root node."""
+        return self.store.root
+
+    @root.setter
+    def root(self, node: CTreeNode) -> None:
+        self.store.root = node
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -121,281 +565,27 @@ class CTree:
         return self.root.count_nodes()
 
     # ------------------------------------------------------------------
-    # Insertion (Section 5.2)
-    # ------------------------------------------------------------------
     def insert(self, graph: Graph, graph_id: Optional[int] = None) -> int:
-        """Insert a graph; returns its database id."""
+        """Insert a graph (Section 5.2); returns its database id."""
         if graph_id is None:
             graph_id = self._next_id
         if graph_id in self._graphs:
             raise IndexError_(f"graph id {graph_id} already present")
         self._next_id = max(self._next_id, graph_id + 1)
         self._graphs[graph_id] = graph
-
         with trace.span("ctree.insert", graph_id=graph_id):
-            leaf = self._descend_and_extend(graph)
-            entry = LeafEntry(graph_id, graph)
-            leaf.add_child(entry)
-            self._leaf_of[graph_id] = leaf
-            self._handle_overflow(leaf)
+            self._insert_one(graph_id, graph, self._rng)
         _C_INSERTS.value += 1
         return graph_id
 
-    def _descend_and_extend(self, graph: GraphLike) -> CTreeNode:
-        """Walk from the root to a leaf via the insert policy, enlarging
-        every closure on the path to cover ``graph``."""
-        node = self.root
-        node.extend_summary(graph, self.mapper)
-        while not node.is_leaf:
-            index = self._choose_child(node, graph, self.mapper, self._rng)
-            child = node.children[index]
-            assert isinstance(child, CTreeNode)
-            node = child
-            node.extend_summary(graph, self.mapper)
-        return node
-
-    def _handle_overflow(self, node: CTreeNode) -> None:
-        while node.fanout > self.max_fanout:
-            sibling = self._split(node)
-            parent = node.parent
-            if parent is None:
-                new_root = CTreeNode(is_leaf=False)
-                new_root.add_child(node)
-                new_root.add_child(sibling)
-                new_root.rebuild_summary(self.mapper)
-                self.root = new_root
-                return
-            parent.add_child(sibling)
-            node = parent
-
-    def _split(self, node: CTreeNode) -> CTreeNode:
-        """Split ``node`` in place; returns the new sibling (Section 5.3)."""
-        _C_SPLITS.value += 1
-        with trace.span("ctree.split", fanout=node.fanout):
-            return self._split_inner(node)
-
-    def _split_inner(self, node: CTreeNode) -> CTreeNode:
-        group1, group2 = self._partition(
-            node.children, self.mapper, self._rng, self.min_fanout
-        )
-        if not group1 or not group2:
-            raise IndexError_("split policy produced an empty group")
-        children = node.children
-        sibling = CTreeNode(is_leaf=node.is_leaf)
-        keep = [children[i] for i in group1]
-        move = [children[i] for i in group2]
-        node.children = []
-        for child in keep:
-            node.add_child(child)
-        for child in move:
-            sibling.add_child(child)
-            if isinstance(child, LeafEntry):
-                self._leaf_of[child.graph_id] = sibling
-        node.rebuild_summary(self.mapper)
-        sibling.rebuild_summary(self.mapper)
-        return sibling
-
-    # ------------------------------------------------------------------
-    # Deletion (Section 5.4)
-    # ------------------------------------------------------------------
     def delete(self, graph_id: int) -> Graph:
-        """Remove a graph by id; returns it.  Underflowing nodes are
-        dissolved and their entries reinserted (non-leaf entries at their
-        original height)."""
-        with trace.span("ctree.delete", graph_id=graph_id):
-            graph = self._delete_inner(graph_id)
-        _C_DELETES.value += 1
-        return graph
-
-    def _delete_inner(self, graph_id: int) -> Graph:
-        leaf = self._leaf_of.pop(graph_id, None)
-        if leaf is None:
+        """Remove a graph by id (Section 5.4); returns it."""
+        if graph_id not in self._graphs:
             raise IndexError_(f"no graph with id {graph_id}")
-        graph = self._graphs.pop(graph_id)
-        entry = next(
-            c for c in leaf.children
-            if isinstance(c, LeafEntry) and c.graph_id == graph_id
-        )
-        leaf.remove_child(entry)
-
-        orphans: list[tuple[int, Child]] = []  # (height of child, child)
-        node: Optional[CTreeNode] = leaf
-        height = 0  # height of *node* (leaf = 0); its children sit below
-        while (
-            node is not None
-            and node.parent is not None
-            and node.fanout < self.min_fanout
-        ):
-            parent = node.parent
-            parent.remove_child(node)
-            for child in node.children:
-                if isinstance(child, LeafEntry):
-                    self._leaf_of.pop(child.graph_id, None)
-                    orphans.append((-1, child))
-                else:
-                    orphans.append((height - 1, child))
-            node = parent
-            height += 1
-
-        # Shrink closures from the surviving node up to the root.
-        survivor = node if node is not None else self.root
-        self._rebuild_upward(survivor)
-        self._collapse_root()
-
-        # Reinsert orphans, deepest first so heights remain consistent.
-        for child_height, child in sorted(orphans, key=lambda t: t[0]):
-            if isinstance(child, LeafEntry):
-                leaf2 = self._descend_and_extend(child.graph)
-                leaf2.add_child(child)
-                self._leaf_of[child.graph_id] = leaf2
-                self._handle_overflow(leaf2)
-            else:
-                self._reinsert_node(child, child_height)
-        return graph
-
-    def _rebuild_upward(self, node: Optional[CTreeNode]) -> None:
-        while node is not None:
-            node.rebuild_summary(self.mapper)
-            node = node.parent
-
-    def _collapse_root(self) -> None:
-        while not self.root.is_leaf and self.root.fanout == 1:
-            only = self.root.children[0]
-            assert isinstance(only, CTreeNode)
-            only.parent = None
-            self.root = only
-        if not self.root.is_leaf and self.root.fanout == 0:
-            self.root = CTreeNode(is_leaf=True)
-
-    def _reinsert_node(self, node: CTreeNode, height: int) -> None:
-        """Reattach an orphaned subtree whose leaves must end up at the same
-        depth as the tree's other leaves."""
-        root_height = self.height()
-        if root_height == height:
-            # The tree shrank to the orphan's height: splice a new root.
-            new_root = CTreeNode(is_leaf=False)
-            new_root.add_child(self.root)
-            new_root.add_child(node)
-            new_root.rebuild_summary(self.mapper)
-            self.root = new_root
-            self._restore_leaf_index(node)
-            return
-        if root_height < height:
-            # The tree shrank below the orphan: dissolve the orphan one
-            # level and reinsert its children, keeping leaves level.
-            for child in list(node.children):
-                if isinstance(child, LeafEntry):
-                    leaf = self._descend_and_extend(child.graph)
-                    leaf.add_child(child)
-                    self._leaf_of[child.graph_id] = leaf
-                    self._handle_overflow(leaf)
-                else:
-                    self._reinsert_node(child, height - 1)
-            return
-        closure = node.closure
-        assert closure is not None
-        target = self.root
-        target.extend_summary(closure, self.mapper)
-        while target.height() > height + 1:
-            index = self._choose_child(target, closure, self.mapper, self._rng)
-            child = target.children[index]
-            assert isinstance(child, CTreeNode)
-            target = child
-            target.extend_summary(closure, self.mapper)
-        target.add_child(node)
-        self._restore_leaf_index(node)
-        self._handle_overflow(target)
-
-    def _restore_leaf_index(self, node: CTreeNode) -> None:
-        for entry in node.iter_leaf_entries():
-            leaf = self._find_leaf_containing(node, entry)
-            self._leaf_of[entry.graph_id] = leaf
-
-    @staticmethod
-    def _find_leaf_containing(node: CTreeNode, entry: LeafEntry) -> CTreeNode:
-        if node.is_leaf:
-            return node
-        for child in node.children:
-            if isinstance(child, CTreeNode):
-                for e in child.iter_leaf_entries():
-                    if e is entry:
-                        return CTree._find_leaf_containing(child, entry)
-        raise IndexError_("leaf entry vanished during reinsertion")
-
-    # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
-    def validate(self, deep: bool = False) -> None:
-        """Check all structural invariants; raises ``AssertionError`` on
-        violation.
-
-        The soundness invariant for query pruning is that every *database
-        graph's* histogram is dominated by the histogram of each of its
-        ancestors (a node's closure may legitimately count more label
-        occurrences than its parent's, so parent-vs-child-closure dominance
-        is *not* required).  ``deep=True`` additionally checks that every
-        database graph is pseudo sub-isomorphic (at the convergence level)
-        to every ancestor closure: a correctly built closure admits a real
-        embedding of each member, which always passes this polynomial test,
-        so a failure proves a broken closure.  (Exact Ullmann verification
-        is intentionally avoided here — against large ε-rich closures its
-        backtracking can blow up combinatorially.)
-        """
-        leaf_depths: set[int] = set()
-        seen_ids: set[int] = set()
-
-        def check(
-            node: CTreeNode, depth: int, is_root: bool, ancestors: list[CTreeNode]
-        ) -> None:
-            if is_root:
-                assert node.parent is None, "root has a parent"
-                if not node.is_leaf:
-                    assert node.fanout >= 2, "internal root needs >= 2 children"
-            else:
-                assert self.min_fanout <= node.fanout <= self.max_fanout, (
-                    f"fanout {node.fanout} outside "
-                    f"[{self.min_fanout}, {self.max_fanout}]"
-                )
-            if node.fanout and node.closure is None:
-                raise AssertionError("non-empty node lacks a closure")
-            lineage = ancestors + [node]
-            if node.is_leaf:
-                leaf_depths.add(depth)
-                for child in node.children:
-                    assert isinstance(child, LeafEntry), "leaf holds a node"
-                    assert self._leaf_of.get(child.graph_id) is node, (
-                        f"leaf index stale for graph {child.graph_id}"
-                    )
-                    seen_ids.add(child.graph_id)
-                    self._check_graph_covered(child, lineage, deep)
-            else:
-                for child in node.children:
-                    assert isinstance(child, CTreeNode), "inner node holds a graph"
-                    assert child.parent is node, "broken parent pointer"
-                    check(child, depth + 1, False, lineage)
-
-        check(self.root, 0, True, [])
-        assert len(leaf_depths) <= 1, f"leaves at multiple depths: {leaf_depths}"
-        assert seen_ids == set(self._graphs), "leaf entries != graph catalog"
-
-    def _check_graph_covered(
-        self, entry: LeafEntry, lineage: list[CTreeNode], deep: bool
-    ) -> None:
-        graph_hist = LabelHistogram.of(entry.graph)
-        for node in lineage:
-            assert node.histogram is not None and node.closure is not None
-            assert node.histogram.dominates(graph_hist), (
-                f"ancestor histogram does not dominate graph {entry.graph_id}"
-            )
-            if deep:
-                from repro.matching.pseudo_iso import pseudo_subgraph_isomorphic
-
-                assert pseudo_subgraph_isomorphic(
-                    entry.graph, node.closure, level="max"
-                ), (
-                    f"graph {entry.graph_id} fails pseudo sub-isomorphism "
-                    f"against an ancestor closure"
-                )
+        with trace.span("ctree.delete", graph_id=graph_id):
+            self._delete_one(graph_id, self._rng)
+        _C_DELETES.value += 1
+        return self._graphs.pop(graph_id)
 
     def __repr__(self) -> str:
         return (

@@ -148,6 +148,23 @@ class TestSimilarityCommands:
                      "-r", "100"]) == 0
         assert "within distance" in capsys.readouterr().out
 
+    def test_range_on_disk_index(self, workspace, capsys):
+        """``repro range`` opens its index like ``repro knn`` does: a
+        ``.ctp`` disk index reports the snapshot's graphs."""
+        _, _, tree, disk = workspace
+        main(["range", "-t", str(tree), "-q", self.QUERY, "-r", "100"])
+        snapshot_out = capsys.readouterr().out
+        assert main(["range", "-t", str(disk), "-q", self.QUERY,
+                     "-r", "100"]) == 0
+        disk_out = capsys.readouterr().out
+        ids = lambda text: sorted(line.split()[0] for line in
+                                  text.splitlines() if line.startswith("#"))
+        assert ids(disk_out) == ids(snapshot_out) != []
+
+    def test_append_has_no_rebuild_mode(self, workspace):
+        with pytest.raises(SystemExit):
+            main(["append", "-i", "db.jsonl", "-t", "x.ctp", "--rebuild"])
+
 
 class TestDeleteCompactCommands:
     @pytest.fixture()

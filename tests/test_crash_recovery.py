@@ -156,19 +156,18 @@ class TestWorkloadCoverage:
             self, tmp_path):
         """The swept workload really drives the delete-era paths:
         generation 4 forces underflow merges, generation 5 is exactly
-        one compaction, and nothing ever falls back to a rebuild."""
+        one compaction."""
         from repro.obs.metrics import global_registry
 
         registry = global_registry()
         names = ("ctree.disk.deletes", "ctree.disk.underflow_merges",
-                 "ctree.disk.compactions", "ctree.disk.rebuilds")
+                 "ctree.disk.compactions")
         before = {n: registry.counter(n).value for n in names}
         _build(tmp_path / "coverage.ctp")
         delta = {n: registry.counter(n).value - before[n] for n in names}
         assert delta["ctree.disk.deletes"] == len(_VICTIMS)
         assert delta["ctree.disk.underflow_merges"] > 0
         assert delta["ctree.disk.compactions"] == 1
-        assert delta["ctree.disk.rebuilds"] == 0
 
 
 class TestCrashReplayDeterminism:

@@ -52,13 +52,18 @@ class TestBulkLoad:
         assert len(tree) == count
 
     def test_leaves_indexed(self, rng):
+        """Every catalogued graph sits in exactly one leaf, and the
+        delete path's root-to-leaf search finds that leaf."""
         graphs = [random_labeled_graph(rng, 4) for _ in range(30)]
         tree = bulk_load(graphs, min_fanout=2, max_fanout=4)
+        assert sorted(e.graph_id for e in tree.root.iter_leaf_entries()) \
+            == sorted(tree.graph_ids())
         for gid in tree.graph_ids():
-            leaf = tree._leaf_of[gid]
+            path = tree._find_path(gid)
+            assert path[0][1] is tree.root
             assert any(
                 isinstance(c, LeafEntry) and c.graph_id == gid
-                for c in leaf.children
+                for c in path[-1][1].children
             )
 
     def test_queries_match_linear_scan(self, chem_db_small):

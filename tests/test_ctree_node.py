@@ -3,7 +3,12 @@
 from repro.graphs.closure import GraphClosure
 from repro.graphs.histogram import LabelHistogram
 from repro.matching.nbm import nbm_mapping
-from repro.ctree.node import CTreeNode, LeafEntry
+from repro.ctree.node import (
+    CTreeNode,
+    LeafEntry,
+    as_stored,
+    same_encoding,
+)
 
 from conftest import path_graph, triangle
 
@@ -17,14 +22,13 @@ class TestLeafEntry:
 
 
 class TestNodeStructure:
-    def test_add_remove_child_parent_pointers(self):
+    def test_add_remove_child(self):
         parent = CTreeNode(is_leaf=False)
         child = CTreeNode(is_leaf=True)
         parent.add_child(child)
-        assert child.parent is parent
+        assert parent.children == [child]
         assert parent.fanout == 1
         parent.remove_child(child)
-        assert child.parent is None
         assert parent.fanout == 0
 
     def test_height(self):
@@ -40,9 +44,28 @@ class TestNodeStructure:
         entry = LeafEntry(0, triangle())
         closure = CTreeNode.child_closure(entry)
         assert isinstance(closure, GraphClosure)
-        assert CTreeNode.child_graph_like(entry) is entry.graph
-        hist = CTreeNode.child_histogram(entry)
-        assert hist == LabelHistogram.of(entry.graph)
+        assert LabelHistogram.of(closure) == LabelHistogram.of(entry.graph)
+        node = CTreeNode(is_leaf=True)
+        node.add_child(entry)
+        node.rebuild_summary(nbm_mapping)
+        assert CTreeNode.child_closure(node) is node.closure
+
+    def test_stored_closure_decodes_lazily_and_rewrites_verbatim(self):
+        """A node loaded from a record keeps its closure serialized until
+        first use, hands the same dict back while unchanged, and drops it
+        (and the cached histogram) once the closure is replaced."""
+        stored = GraphClosure.from_graph(triangle()).to_dict()
+        node = CTreeNode(True, [], stored_closure=stored)
+        assert node.stored_closure() is stored
+        assert node.closure == GraphClosure.from_graph(triangle())
+        assert node.histogram == LabelHistogram.of(triangle())
+        assert node.stored_closure() is stored
+        other = GraphClosure.from_graph(path_graph(["A", "B"]))
+        node.closure = other
+        assert node.stored_closure() == other.to_dict()
+        assert node.histogram == LabelHistogram.of(other)
+        assert same_encoding(node.closure, as_stored(other))
+        assert not same_encoding(node.closure, None)
 
     def test_iter_leaf_entries(self):
         leaf1 = CTreeNode(is_leaf=True)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import ConfigError, IndexError_
 from repro.graphs.graph import Graph
+from repro.obs.metrics import global_registry
 from repro.ctree.tree import CTree
 
 from conftest import path_graph, random_labeled_graph, triangle
@@ -113,17 +114,23 @@ class TestDelete:
         tree.delete(1)
         assert tree.root.histogram[(0, "X")] == 0
 
-    def test_delete_with_underflow_reinserts(self, rng):
+    def test_delete_with_underflow_merges(self, rng):
         tree = make_tree(min_fanout=2, max_fanout=3)
         graphs = [random_labeled_graph(rng, rng.randrange(3, 7)) for _ in range(20)]
         for g in graphs:
             tree.insert(g)
         ids = list(tree.graph_ids())
         rng.shuffle(ids)
+        merges = global_registry().counter("ctree.underflow_merges")
+        redistributes = global_registry().counter(
+            "ctree.underflow_redistributes")
+        before = merges.value + redistributes.value
         for gid in ids[:12]:
             tree.delete(gid)
-            tree.validate()
+            tree.validate(deep=True)
         assert len(tree) == 8
+        # Underflow was resolved against a sibling, not by reinsertion.
+        assert merges.value + redistributes.value > before
 
     def test_delete_everything(self, rng):
         tree = make_tree(min_fanout=2, max_fanout=3)
@@ -131,8 +138,9 @@ class TestDelete:
             tree.insert(random_labeled_graph(rng, 4))
         for gid in list(tree.graph_ids()):
             tree.delete(gid)
+            tree.validate(deep=True)
         assert len(tree) == 0
-        tree.validate()
+        assert tree.root.is_leaf and tree.root.closure is None
 
     def test_interleaved_insert_delete(self, rng):
         tree = make_tree(min_fanout=2, max_fanout=3)
@@ -147,8 +155,10 @@ class TestDelete:
                             graph_id=next_id)
                 alive.append(next_id)
                 next_id += 1
-        tree.validate(deep=True)
-        assert sorted(tree.graph_ids()) == sorted(alive)
+            tree.validate(deep=True)
+            assert sorted(tree.graph_ids()) == sorted(alive)
+            assert sorted(gid for gid, _ in tree.iter_graphs()) \
+                == sorted(alive)
 
 
 class TestStructureAccessors:

@@ -83,7 +83,8 @@ class TestDeterminism:
     def test_disk_subgraph(self, golden_disk_path, golden_queries, workers):
         with DiskCTree.open(golden_disk_path, cache_pages=32) as disk:
             serial = [disk.subgraph_query(q) for q in golden_queries]
-            batch = disk.query_many(golden_queries, workers=workers)
+            batch = subgraph_query_many(disk, golden_queries,
+                                        workers=workers)
         assert [a for a, _ in batch] == [a for a, _ in serial]
         # deterministic_dict drops page_hits/page_misses: buffer-pool
         # temperature legitimately varies with the schedule.
@@ -104,7 +105,7 @@ class TestDeterminism:
         queries = golden_db[:3]
         with DiskCTree.open(golden_disk_path, cache_pages=32) as disk:
             serial = [disk.knn_query(q, 3) for q in queries]
-            batch = disk.knn_many(queries, 3, workers=workers)
+            batch = knn_query_many(disk, queries, 3, workers=workers)
         assert [r for r, _ in batch] == [r for r, _ in serial]
 
     def test_no_verify_and_level_max(self, golden_tree, golden_queries):
@@ -256,25 +257,22 @@ class TestRegistryMerge:
 
 
 # ----------------------------------------------------------------------
-# DiskCTree.extend: incremental inserts, zero rebuilds, one group commit
+# DiskCTree.extend: incremental inserts, one group commit
 # ----------------------------------------------------------------------
 class TestExtendIncremental:
     def _counter(self, name: str) -> float:
         return global_registry().counter(name).value
 
     def test_extend_never_rebuilds(self, golden_db, tmp_path):
-        """The append path is incremental: rebuilds stay pinned at 0, each
-        graph counts one incremental insert, and each batch counts one
-        group commit."""
+        """The append path is incremental: each graph counts one
+        incremental insert, and each batch counts one group commit."""
         tree = bulk_load(golden_db[:6], min_fanout=3)
         with DiskCTree.create(tree, tmp_path / "x.ctp",
                               page_size=512) as disk:
             gen0 = disk.generation
-            rebuilds = self._counter("ctree.disk.rebuilds")
             inserts = self._counter("ctree.disk.incremental_inserts")
             commits = self._counter("ctree.disk.group_commits")
             disk.extend(golden_db[6:9])
-            assert self._counter("ctree.disk.rebuilds") == rebuilds
             assert self._counter("ctree.disk.incremental_inserts") \
                 - inserts == 3
             assert self._counter("ctree.disk.group_commits") - commits == 1
@@ -284,7 +282,6 @@ class TestExtendIncremental:
             commits = self._counter("ctree.disk.group_commits")
             for g in golden_db[9:12]:
                 disk.append([g])
-            assert self._counter("ctree.disk.rebuilds") == rebuilds
             assert self._counter("ctree.disk.group_commits") - commits == 3
             assert len(disk) == 12
             stored = dict(disk.iter_graphs())
@@ -311,16 +308,22 @@ class TestExtendIncremental:
                 )
                 assert sorted(answers) == expected
 
-    def test_rebuild_escape_hatch(self, golden_db, tmp_path):
-        """``rebuild=True`` still runs (and counts) the legacy full
-        rebuild."""
+    def test_forced_compaction_repacks(self, golden_db, tmp_path):
+        """``compact(force=True)`` re-bulk-loads every stored graph under
+        one commit — the repack that the removed ``rebuild=True`` append
+        mode used to offer."""
         tree = bulk_load(golden_db[:6], min_fanout=3)
         with DiskCTree.create(tree, tmp_path / "r.ctp",
                               page_size=512) as disk:
-            rebuilds = self._counter("ctree.disk.rebuilds")
-            disk.extend(golden_db[6:9], rebuild=True)
-            assert self._counter("ctree.disk.rebuilds") - rebuilds == 1
+            disk.extend(golden_db[6:9])
+            compactions = self._counter("ctree.disk.compactions")
+            generation = disk.generation
+            assert disk.compact(force=True) == "forced"
+            assert self._counter("ctree.disk.compactions") \
+                - compactions == 1
+            assert disk.generation == generation + 1
             assert len(disk) == 9
+            assert sorted(dict(disk.iter_graphs())) == list(range(9))
         report = DiskCTree.fsck(tmp_path / "r.ctp", deep=True)
         assert report.clean, report.errors
 
@@ -337,10 +340,8 @@ class TestExtendIncremental:
         with DiskCTree.create(tree, tmp_path / "y.ctp",
                               page_size=512) as disk:
             commits = self._counter("ctree.disk.group_commits")
-            rebuilds = self._counter("ctree.disk.rebuilds")
             assert disk.extend([]) == []
             assert self._counter("ctree.disk.group_commits") == commits
-            assert self._counter("ctree.disk.rebuilds") == rebuilds
 
 
 # ----------------------------------------------------------------------

