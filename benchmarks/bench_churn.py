@@ -53,18 +53,11 @@ def _hollow_victims(disk):
     """Graph ids whose deletion trims every leaf to exactly
     ``min_fanout`` entries: no leaf underflows, so no merge repacks
     behind our back, and occupancy sinks to the m/M floor (walks the
-    node records directly — the point is to build a worst case the
-    public API's merges would otherwise smooth away)."""
-    min_fanout = disk._meta["config"]["min_fanout"]
-    victims = []
-    stack = [disk._meta["root"]]
-    while stack:
-        record = disk.store.load_record(stack.pop())
-        if record["leaf"]:
-            victims += [gid for gid, _ in record["graphs"][min_fanout:]]
-        else:
-            stack.extend(record["children"])
-    return sorted(victims)
+    nodes — the point is to build a worst case the public API's merges
+    would otherwise smooth away)."""
+    return sorted(entry.graph_id
+                  for _, node in disk.nodes() if node.is_leaf
+                  for entry in node.children[disk.min_fanout:])
 
 
 def _query_sweep_seconds(disk, queries, repeats):

@@ -24,7 +24,6 @@ from repro.ctree.persistence import (
     save_tree,
     tree_from_dict,
     tree_to_dict,
-    validate_tree,
 )
 from repro.ctree.similarity_query import (
     closure_distance_lower_bound,
@@ -74,5 +73,4 @@ __all__ = [
     "subgraph_query_many",
     "tree_from_dict",
     "tree_to_dict",
-    "validate_tree",
 ]

@@ -53,20 +53,20 @@ from repro.exceptions import ChecksumError, IndexError_, PersistenceError
 from repro.graphs.closure import GraphClosure
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
-from repro.matching.pseudo_iso import (
-    Level,
-    global_semi_perfect,
-    pseudo_compatibility_domains,
-)
+from repro.matching.pseudo_iso import Level, pseudo_subgraph_isomorphic
 from repro.obs import trace
 from repro.obs.metrics import global_registry
 from repro.ctree.node import CTreeNode
 from repro.ctree.similarity_query import knn_query
 from repro.ctree.store import (
+    BAD_RECORD,
     DiskKnnStats,
     DiskQueryStats,
     PagedNodeStore,
+    decode_graph,
+    decode_node,
     dump_record,
+    record_histograms,
 )
 from repro.ctree.subgraph_query import subgraph_query
 from repro.ctree.tree import CTree, CTreeCore
@@ -81,7 +81,8 @@ from repro.storage.wal import (
     wal_path,
 )
 
-_FORMAT = 2
+#: Record format version (see :mod:`repro.ctree.store`).
+_FORMAT = 3
 
 _U64 = struct.Struct("<Q")
 
@@ -256,7 +257,7 @@ class DiskCTree(CTreeCore):
             pool.close()
             raise PersistenceError(f"{path}: no index metadata")
         try:
-            meta = json.loads(records.load(meta_record).decode("utf-8"))
+            meta = json.loads(records.load(meta_record))
         except (json.JSONDecodeError, UnicodeDecodeError,
                 PersistenceError) as exc:
             pool.close()
@@ -264,7 +265,9 @@ class DiskCTree(CTreeCore):
         if meta.get("format") != _FORMAT:
             pool.close()
             raise PersistenceError(
-                f"{path}: unsupported format {meta.get('format')!r}"
+                f"{path}: index format {meta.get('format')!r}, this "
+                f"version reads format {_FORMAT} only; re-create the "
+                f"index from its graphs (`repro build`)"
             )
         return cls(records, meta, path=path)
 
@@ -796,7 +799,7 @@ class DiskCTree(CTreeCore):
             return None
         reachable.update(chain)
         try:
-            return json.loads(store.load(record_id).decode("utf-8"))
+            return json.loads(store.load(record_id))
         except (PersistenceError, json.JSONDecodeError,
                 UnicodeDecodeError) as exc:
             report.issue(f"{what} record {record_id}: unreadable: {exc}")
@@ -835,22 +838,22 @@ class DiskCTree(CTreeCore):
             if record is None:
                 continue
             report.nodes += 1
+            try:
+                node = decode_node(record)
+            except BAD_RECORD as exc:
+                report.issue(f"node record {record_id}: bad record: {exc!r}")
+                continue
             closure = None
-            if "closure" in record:
-                try:
-                    closure = GraphClosure.from_dict(record["closure"])
-                except (KeyError, TypeError, ValueError,
-                        IndexError) as exc:
-                    report.issue(
-                        f"node record {record_id}: bad closure: {exc}"
-                    )
-            elif record.get("graphs") or record.get("children"):
+            try:
+                closure = node.closure
+            except BAD_RECORD as exc:
+                report.issue(f"node record {record_id}: bad closure: {exc!r}")
+            entries = node.children
+            if node.stored_closure() is None and entries:
                 report.issue(
                     f"node record {record_id}: non-empty node without a "
                     f"closure"
                 )
-            entries = record.get("graphs", []) if record.get("leaf") \
-                else record.get("children", [])
             if len(entries) > max_fanout:
                 report.issue(
                     f"node record {record_id}: fanout {len(entries)} "
@@ -861,39 +864,42 @@ class DiskCTree(CTreeCore):
                     f"node record {record_id}: fanout {len(entries)} "
                     f"below the configured minimum {min_fanout}"
                 )
-            hist = LabelHistogram.of(closure) if closure is not None \
-                else None
-            line = lineage + [(hist, closure)] \
-                if hist is not None and closure is not None else lineage
-            if record.get("leaf"):
-                report.leaves += 1
-                if depth != height:
+            line = lineage + [(LabelHistogram.of(closure), closure)] \
+                if closure is not None else lineage
+            if not node.is_leaf:
+                stack.extend((child, depth + 1, line) for child in entries)
+                continue
+            report.leaves += 1
+            if depth != height:
+                report.issue(
+                    f"node record {record_id}: leaf at depth {depth}, "
+                    f"metadata says height {height}"
+                )
+            for entry in entries:
+                gid = entry.graph_id
+                if gid in graph_ids:
                     report.issue(
-                        f"node record {record_id}: leaf at depth {depth}, "
-                        f"metadata says height {height}"
+                        f"graph id {gid} appears in more than one leaf"
                     )
-                for entry in record.get("graphs", []):
-                    gid, graph_record = entry
-                    if gid in graph_ids:
-                        report.issue(
-                            f"graph id {gid} appears in more than one leaf"
-                        )
-                    graph_ids.add(gid)
-                    gdata = cls._fsck_record(store, graph_record,
-                                             f"graph {gid}", reachable,
-                                             report)
-                    if gdata is None:
-                        continue
-                    try:
-                        graph = Graph.from_dict(gdata)
-                    except (KeyError, TypeError, ValueError,
-                            IndexError) as exc:
-                        report.issue(f"graph {gid}: unparseable: {exc}")
-                        continue
-                    cls._fsck_graph_lineage(gid, graph, line, deep, report)
-            else:
-                for child_record in record.get("children", []):
-                    stack.append((child_record, depth + 1, line))
+                graph_ids.add(gid)
+                gdata = cls._fsck_record(store, entry.record,
+                                         f"graph {gid}", reachable, report)
+                if gdata is None:
+                    continue
+                try:
+                    graph = decode_graph(gdata)
+                    histograms = record_histograms(gdata)
+                except BAD_RECORD as exc:
+                    report.issue(f"graph {gid}: unparseable: {exc!r}")
+                    continue
+                # A stale histogram beside the pointer would prune the
+                # graph from answers it belongs to, silently.
+                if histograms != (entry.vhist, entry.ehist):
+                    report.issue(
+                        f"graph {gid}: leaf entry histogram differs from "
+                        f"its graph record's"
+                    )
+                cls._fsck_graph_lineage(gid, graph, line, deep, report)
         return graph_ids
 
     @staticmethod
@@ -945,13 +951,11 @@ class DiskCTree(CTreeCore):
                     f"its label histogram"
                 )
                 continue
-            if deep:
-                domains = pseudo_compatibility_domains(graph, closure, 1)
-                if not global_semi_perfect(domains, closure.num_vertices):
-                    report.issue(
-                        f"graph {gid}: not pseudo-contained in the "
-                        f"{where} closure"
-                    )
+            if deep and not pseudo_subgraph_isomorphic(graph, closure, 1):
+                report.issue(
+                    f"graph {gid}: not pseudo-contained in the "
+                    f"{where} closure"
+                )
 
     # ------------------------------------------------------------------
     def flush(self) -> None:

@@ -8,7 +8,8 @@ label histogram — the two summaries the query processors prune with.
 The same node class serves both node stores (:mod:`repro.ctree.store`):
 in memory ``children`` are the live child objects; a node loaded from a
 page file holds child *references* (record ids, stored leaf entries) and
-its closure still in serialized form, decoded on first use.
+its closure still in record form, decoded by the store's codec on first
+use.
 """
 
 from __future__ import annotations
@@ -99,15 +100,19 @@ Child = Union["CTreeNode", LeafEntry]
 class CTreeNode:
     """One node of a C-tree."""
 
-    __slots__ = ("is_leaf", "children", "_closure", "_stored", "_histogram")
+    __slots__ = ("is_leaf", "children", "_closure", "_stored", "_decode",
+                 "_histogram")
 
     def __init__(self, is_leaf: bool, children: Optional[list] = None,
-                 stored_closure: Optional[dict] = None) -> None:
+                 stored_closure: Optional[dict] = None,
+                 decode: Optional[Callable[[dict], GraphClosure]] = None):
         self.is_leaf = is_leaf
         self.children: list = [] if children is None else children
         self._closure: Optional[GraphClosure] = None
-        #: the closure as serialized in its record, until it is replaced
+        #: the closure as its record holds it (``decode`` reads that
+        #: form), until it is replaced
         self._stored = stored_closure
+        self._decode = decode
         self._histogram: Optional[LabelHistogram] = None
 
     # ------------------------------------------------------------------
@@ -116,7 +121,7 @@ class CTreeNode:
         """The closure of the node's children (None for an empty node)."""
         closure = self._closure
         if closure is None and self._stored is not None:
-            closure = self._closure = GraphClosure.from_dict(self._stored)
+            closure = self._closure = self._decode(self._stored)
         return closure
 
     @closure.setter
@@ -126,11 +131,9 @@ class CTreeNode:
         self._histogram = None
 
     def stored_closure(self) -> Optional[dict]:
-        """The closure in record form — the loaded dict itself while the
-        closure is unchanged, so an untouched summary rewrites
-        byte-identically."""
-        if self._stored is None and self._closure is not None:
-            return self._closure.to_dict()
+        """The closure in the record form it was loaded in, while it is
+        unchanged (so an untouched summary rewrites byte-identically);
+        None once it was replaced, or for a node that was never stored."""
         return self._stored
 
     @property

@@ -17,11 +17,6 @@ from typing import Union
 from repro.exceptions import PersistenceError
 from repro.graphs.closure import GraphClosure
 from repro.graphs.graph import Graph
-from repro.graphs.histogram import LabelHistogram
-from repro.matching.pseudo_iso import (
-    global_semi_perfect,
-    pseudo_compatibility_domains,
-)
 from repro.ctree.node import CTreeNode, LeafEntry
 from repro.ctree.tree import CTree
 
@@ -97,74 +92,6 @@ def tree_from_dict(data: dict) -> CTree:
         return tree
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistenceError(f"malformed C-tree snapshot: {exc}") from exc
-
-
-def validate_tree(tree: CTree, deep: bool = False) -> list[str]:
-    """Check a C-tree's structural invariants; returns the violations
-    (empty list = valid).
-
-    Always checked: every leaf entry's graph id is unique and registered
-    with the tree, every indexed graph is reachable from the root, every
-    non-empty node carries a closure, and each parent closure's label
-    histogram dominates its children's (the containment property queries
-    prune on).  ``deep=True`` additionally requires each leaf graph to be
-    level-1 pseudo-subgraph-isomorphic into its leaf closure (sound by
-    Lemma 1).  Recovery and ``fsck`` run the same checks against the
-    disk representation; this is the in-memory counterpart.
-    """
-    issues: list[str] = []
-    seen: set[int] = set()
-
-    def visit(node: CTreeNode, parent_hist) -> None:
-        if node.closure is None and node.children:
-            issues.append("non-empty node without a closure")
-        hist = LabelHistogram.of(node.closure) \
-            if node.closure is not None else None
-        if parent_hist is not None and hist is not None \
-                and not parent_hist.dominates(hist):
-            issues.append("parent closure does not contain child closure")
-        if node.is_leaf:
-            for child in node.children:
-                if not isinstance(child, LeafEntry):
-                    issues.append("leaf node holds a non-leaf child")
-                    continue
-                gid = child.graph_id
-                if gid in seen:
-                    issues.append(f"graph id {gid} appears twice")
-                seen.add(gid)
-                if gid not in tree:
-                    issues.append(f"graph id {gid} not registered")
-                if hist is not None \
-                        and not hist.dominates(LabelHistogram.of(child.graph)):
-                    issues.append(
-                        f"leaf closure does not dominate graph {gid}"
-                    )
-                    continue
-                if deep and node.closure is not None:
-                    domains = pseudo_compatibility_domains(
-                        child.graph, node.closure, 1
-                    )
-                    if not global_semi_perfect(
-                            domains, node.closure.num_vertices):
-                        issues.append(
-                            f"graph {gid} not pseudo-contained in its "
-                            f"leaf closure"
-                        )
-        else:
-            for child in node.children:
-                if not isinstance(child, CTreeNode):
-                    issues.append("inner node holds a leaf entry")
-                    continue
-                visit(child, hist)
-
-    visit(tree.root, None)
-    missing = set(tree.graph_ids()) - seen
-    if missing:
-        issues.append(
-            f"{len(missing)} indexed graph(s) unreachable from the root "
-            f"(e.g. id {min(missing)})"
-        )
-    return issues
 
 
 def save_tree(tree: CTree, path: PathLike) -> int:

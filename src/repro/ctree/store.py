@@ -11,23 +11,45 @@ traversal serve both representations:
   objects, loads return them unchanged and writes are no-ops, so kernel
   contexts memoized on closures and graphs survive across queries;
 - :class:`PagedNodeStore` — references are record ids in a
-  :class:`~repro.storage.recordstore.RecordStore`; it owns the JSON record
-  format (one record per node, one per graph) and keeps the root, height
-  and leaf count of the index metadata current.
+  :class:`~repro.storage.recordstore.RecordStore`; it keeps the root,
+  height and leaf count of the index metadata current.  This module owns
+  the record format (one JSON record per node, one per graph) and its
+  only codec: ``encode_*`` / ``decode_*`` below.
 
 A node reference is opaque to the shared code.  A leaf's ``children`` are
-*entries* exposing ``graph_id``; :meth:`load_graph` turns one into its
-graph.  :meth:`metered` is the single hook through which a query learns
-its page I/O.
+*entries* exposing ``graph_id``; :meth:`graph_summary` gives the label
+histogram Alg. 3 screens an entry with — held by the entry itself on
+disk, so a rejected graph is never read — and :meth:`load_graph` turns an
+entry into its graph.  :meth:`metered` is the single hook through which a
+query learns its page I/O.
+
+**Record format 3** (layout and rationale: ``docs/DURABILITY.md``).  A
+graph is ``{"vl": [labels], "v": [index into vl], "el": [labels], "e": [u,
+v, index into el, ...], "name"?}``; a closure the same with bitmasks over
+the record's own tables as codes; a node ``{"leaf", "closure"?, "graphs":
+[[graph id, record id, vhist, ehist], ...] | "children": [record ids]}``.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
+from repro.exceptions import GraphError
+from repro.graphs.closure import (
+    _EPSILON_JSON,
+    _WILDCARD_JSON,
+    EPSILON,
+    WILDCARD,
+    GraphClosure,
+)
 from repro.graphs.graph import Graph
+from repro.graphs.labelspace import (
+    LabelSummary,
+    global_labelspace,
+    target_context,
+)
 from repro.ctree.node import CTreeNode, LeafEntry
 from repro.ctree.stats import CounterField, KnnStats, QueryStats
 from repro.storage.recordstore import RecordStore
@@ -46,6 +68,10 @@ class MemoryNodeStore:
     def load_node(self, ref: CTreeNode) -> CTreeNode:
         """A reference is the node."""
         return ref
+
+    def graph_summary(self, entry: LeafEntry) -> LabelSummary:
+        """The label histogram Alg. 3 screens the entry's graph with."""
+        return target_context(entry.graph)
 
     def load_graph(self, entry: LeafEntry) -> Graph:
         """The graph a leaf entry holds."""
@@ -75,10 +101,15 @@ class MemoryNodeStore:
 
 
 class StoredEntry(NamedTuple):
-    """A leaf entry of a paged node: graph id + the graph's record id."""
+    """A leaf entry of a paged node: graph id, the graph's record id, and
+    the graph's label histograms as flat ``[label, count, ...]`` lists
+    (a graph never changes, so they are written once, at
+    :meth:`PagedNodeStore.alloc_graph`; ``fsck`` checks them)."""
 
     graph_id: int
     record: int
+    vhist: list
+    ehist: list
 
 
 class _PageIO:
@@ -98,11 +129,10 @@ class _PageIO:
 
     def explain(self) -> dict:
         """The base EXPLAIN profile plus a ``page_io`` block."""
-        total = self.page_hits + self.page_misses
         return {**super().explain(), "page_io": {
             "hits": self.page_hits,
             "misses": self.page_misses,
-            "hit_ratio": self.page_hits / total if total else 1.0,
+            "hit_ratio": self.page_hit_ratio,
         }}
 
 
@@ -140,8 +170,154 @@ def dump_record(record: dict) -> bytes:
     return json.dumps(record, separators=(",", ":")).encode("utf-8")
 
 
+# ----------------------------------------------------------------------
+# The record codec
+# ----------------------------------------------------------------------
+#: record label -> in-process label where the two differ (the markers
+#: of the ``to_dict`` forms), and back
+_GRAPH_LABELS = {_WILDCARD_JSON: WILDCARD}
+_CLOSURE_LABELS = {_WILDCARD_JSON: WILDCARD, _EPSILON_JSON: EPSILON}
+_RECORD_LABELS = {label: name for name, label in _CLOSURE_LABELS.items()}
+#: what the ``decode_*`` functions raise on a record that parsed as JSON
+#: but is not a valid record
+BAD_RECORD = (GraphError, KeyError, IndexError, TypeError, ValueError)
+
+
+def encode_graph(graph: Graph) -> dict:
+    """``graph`` as a record; edges in ``edges()`` order, which fixes the
+    adjacency order every later decode rebuilds."""
+    vtable: dict = {}
+    etable: dict = {}
+    codes = [vtable.setdefault(graph.label(v), len(vtable))
+             for v in graph.vertices()]
+    edges: list = []
+    for u, v, label in graph.edges():
+        edges += (u, v, etable.setdefault(label, len(etable)))
+    record = {"vl": [_RECORD_LABELS.get(x, x) for x in vtable], "v": codes,
+              "el": [_RECORD_LABELS.get(x, x) for x in etable], "e": edges}
+    if graph.name is not None:
+        record["name"] = graph.name
+    return record
+
+
+def record_histograms(record: dict) -> tuple[list, list]:
+    """The flat ``[label, count, ...]`` vertex and edge histograms of a
+    graph record (table order; a wildcard never counts) — what the leaf
+    entry pointing at it must carry."""
+    def flat(table: list, codes: list) -> list:
+        out: list = []
+        for i, label in enumerate(table):
+            if label != _WILDCARD_JSON:
+                out += (label, codes.count(i))
+        return out
+
+    return (flat(record["vl"], record["v"]),
+            flat(record["el"], record["e"][2::3]))
+
+
+def encode_closure(closure: GraphClosure) -> dict:
+    """``closure`` as a record: label sets as bitmasks over the record's
+    sorted label tables (sorting keeps the bytes independent of set
+    iteration order, i.e. of ``PYTHONHASHSEED``)."""
+    def table_and_masks(sets: list) -> tuple[list, list]:
+        table = sorted({_RECORD_LABELS.get(x, x) for s in sets for x in s},
+                       key=repr)
+        bit = {_CLOSURE_LABELS.get(x, x): 1 << i for i, x in enumerate(table)}
+        mask = {s: sum(bit[x] for x in s) for s in set(sets)}
+        return table, [mask[s] for s in sets]
+
+    vtable, vmasks = table_and_masks(
+        [closure.label_set(v) for v in closure.vertices()])
+    triples = list(closure.edges())
+    etable, emasks = table_and_masks([s for _, _, s in triples])
+    edges: list = []
+    for (u, v, _), m in zip(triples, emasks):
+        edges += (u, v, m)
+    return {"vl": vtable, "v": vmasks, "el": etable, "e": edges}
+
+
+def _lookup(table: list, marks: dict,
+            masks: Optional[Iterable[int]] = None) -> dict:
+    """``code -> label(s)`` for one label table of a record: a graph's
+    codes index the table; a closure's (pass the ``masks`` it uses) are
+    bitmasks over it and map to ``frozenset``s, each distinct mask
+    expanded once per record."""
+    labels = [marks.get(x, x) for x in table]
+    if masks is None:
+        return dict(enumerate(labels))
+    lut: dict = {}
+    for m in masks:
+        if not 0 < m < 1 << len(table):
+            raise GraphError(f"label mask {m} outside its {len(table)}-label "
+                             f"table")
+        lut[m] = frozenset(label for i, label in enumerate(labels)
+                           if m >> i & 1)
+    return lut
+
+
+def _decode(record: dict, cls, marks: dict, sets: bool, *state):
+    """One pass over a graph or closure record to the object, with
+    ``add_edge``'s range / self-loop / duplicate checks."""
+    codes, edges = record["v"], record["e"]
+    vlut = _lookup(record["vl"], marks, set(codes) if sets else None)
+    elut = _lookup(record["el"], marks, set(edges[2::3]) if sets else None)
+    if len(edges) % 3:
+        raise GraphError("edge array is not (u, v, label) triples")
+    n = len(codes)
+    adj: list[dict] = [{} for _ in range(n)]
+    it = iter(edges)
+    for u, v, code in zip(it, it, it):
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) out of range")
+        if u == v:
+            raise GraphError(f"self-loop on vertex {u} not supported")
+        row = adj[u]
+        if v in row:
+            raise GraphError(f"duplicate edge ({u}, {v})")
+        row[v] = adj[v][u] = elut[code]
+    obj = cls.__new__(cls)
+    obj.__setstate__(([vlut[code] for code in codes], adj, len(edges) // 3,
+                      *state))
+    return obj
+
+
+def decode_graph(record: dict) -> Graph:
+    """The graph of a record."""
+    return _decode(record, Graph, _GRAPH_LABELS, False, record.get("name"))
+
+
+def decode_closure(record: dict) -> GraphClosure:
+    """The closure of a record."""
+    return _decode(record, GraphClosure, _CLOSURE_LABELS, True)
+
+
+def encode_node(node: CTreeNode) -> dict:
+    """``node`` as a record (a closure loaded and left unchanged goes
+    back in the form it came in, so the node rewrites byte-identically)."""
+    record: dict = {"leaf": node.is_leaf}
+    closure = node.stored_closure()
+    if closure is None and node.closure is not None:
+        closure = encode_closure(node.closure)
+    if closure is not None:
+        record["closure"] = closure
+    record["graphs" if node.is_leaf else "children"] = node.children
+    return record
+
+
+def decode_node(record: dict) -> CTreeNode:
+    """The node of a record; its closure stays in record form until
+    first use."""
+    if record["leaf"]:
+        children = [StoredEntry(*entry) for entry in record["graphs"]]
+    else:
+        children = record["children"]
+    return CTreeNode(record["leaf"], children, record.get("closure"),
+                     decode_closure)
+
+
 class PagedNodeStore:
-    """Nodes and graphs as JSON records behind a buffer pool.
+    """Nodes and graphs as records (see the module docstring) behind a
+    buffer pool.
 
     ``meta`` is the index metadata dict of the owning
     :class:`~repro.ctree.diskindex.DiskCTree`; the store keeps its
@@ -165,30 +341,24 @@ class PagedNodeStore:
 
     def load_record(self, record_id: int) -> dict:
         """One record, JSON-parsed (node, graph or metadata)."""
-        return json.loads(self.records.load(record_id).decode("utf-8"))
+        return json.loads(self.records.load(record_id))
 
     def load_node(self, ref: int) -> CTreeNode:
-        """Decode one node record (its closure stays serialized)."""
-        record = self.load_record(ref)
-        if record["leaf"]:
-            children = [StoredEntry(*pair)
-                        for pair in record.get("graphs", [])]
-        else:
-            children = record.get("children", [])
-        return CTreeNode(record["leaf"], children, record.get("closure"))
+        """Decode one node record (its closure stays in record form)."""
+        return decode_node(self.load_record(ref))
+
+    def graph_summary(self, entry: StoredEntry) -> LabelSummary:
+        """The entry's stored histograms in the process label space —
+        no page is read."""
+        space = global_labelspace()
+        vhist, ehist = entry.vhist, entry.ehist
+        return LabelSummary(
+            dict(zip(map(space.vertex_id, vhist[::2]), vhist[1::2])),
+            dict(zip(map(space.edge_id, ehist[::2]), ehist[1::2])))
 
     def load_graph(self, entry: StoredEntry) -> Graph:
         """Decode the graph record a leaf entry points at."""
-        return Graph.from_dict(self.load_record(entry.record))
-
-    @staticmethod
-    def _encode(node: CTreeNode) -> bytes:
-        record: dict = {"leaf": node.is_leaf}
-        closure = node.stored_closure()
-        if closure is not None:
-            record["closure"] = closure
-        record["graphs" if node.is_leaf else "children"] = node.children
-        return dump_record(record)
+        return decode_graph(self.load_record(entry.record))
 
     def _count_leaf(self, node: CTreeNode, delta: int) -> None:
         if node.is_leaf:
@@ -197,11 +367,11 @@ class PagedNodeStore:
     def alloc_node(self, node: CTreeNode) -> int:
         """Store a new node record; returns its id."""
         self._count_leaf(node, +1)
-        return self.records.store(self._encode(node))
+        return self.records.store(dump_record(encode_node(node)))
 
     def write_node(self, ref: int, node: CTreeNode) -> None:
         """Rewrite a node record in place (its id is stable)."""
-        self.records.update(ref, self._encode(node))
+        self.records.update(ref, dump_record(encode_node(node)))
 
     def free_node(self, ref: int, node: CTreeNode) -> None:
         """Return a node record's pages to the free list."""
@@ -209,9 +379,11 @@ class PagedNodeStore:
         self._count_leaf(node, -1)
 
     def alloc_graph(self, graph_id: int, graph: Graph) -> StoredEntry:
-        """Store a graph record; returns the leaf entry pointing at it."""
-        return StoredEntry(graph_id,
-                           self.records.store(dump_record(graph.to_dict())))
+        """Store a graph record; returns the leaf entry pointing at it,
+        histograms beside the pointer."""
+        record = encode_graph(graph)
+        return StoredEntry(graph_id, self.records.store(dump_record(record)),
+                           *record_histograms(record))
 
     def free_graph(self, entry: StoredEntry) -> None:
         """Return a graph record's pages to the free list."""

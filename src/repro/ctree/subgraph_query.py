@@ -5,8 +5,10 @@ Two phases:
 1. **Search** — traverse the tree; at each node, test every child first with
    the cheap histogram dominance condition, then with pseudo subgraph
    isomorphism at the configured level.  Children failing either test are
-   pruned (soundly: both are necessary conditions by Lemma 1).  Surviving
-   database graphs form the candidate set.
+   pruned (soundly: both are necessary conditions by Lemma 1).  A leaf's
+   graphs are histogram-tested on the summaries the leaf holds for them,
+   so a disk index reads only the graphs that pass.  Surviving database
+   graphs form the candidate set.
 2. **Verification** — run Ullmann's exact algorithm on each candidate,
    seeded with the pseudo-compatibility matrix computed during the search
    (the acceleration noted in the paper).
@@ -115,6 +117,8 @@ def _visit(
 ) -> None:
     """Expand one node: screen every child (a graph under a leaf, a child
     node's closure otherwise) by histogram then pseudo sub-isomorphism.
+    A graph is screened on the summary its leaf entry holds and loaded
+    only if it passes; a child node is loaded, then screened.
     A surviving graph becomes a candidate, carrying the graph and its
     pseudo-compatibility domains into verification; a surviving child
     node, already loaded, is expanded at once — so only one root-to-leaf
@@ -125,21 +129,29 @@ def _visit(
         survivors_x = 0
         survivors_y = 0
         leaf = node.is_leaf
-        load = store.load_graph if leaf else store.load_node
         for ref in node.children:
             stats.histogram_tests += 1
-            child = load(ref)
-            target = child if leaf else child.closure
+            if leaf:
+                # The histogram beside the pointer: a graph it rejects is
+                # never read.  (The set-based reference path reads first;
+                # it is the test oracle.)
+                if qc is not None and not kernels.histogram_dominates(
+                        store.graph_summary(ref), qc):
+                    continue
+                target = store.load_graph(ref)
+            else:
+                child = store.load_node(ref)
+                target = child.closure
             if qc is not None:
                 # Kernel path: compiled contexts + bitset kernels.  The
                 # target context is memoized on the graph/closure, so a
                 # store that keeps them live pays the encoding cost once.
                 tctx = target_context(target)
-                if not kernels.histogram_dominates(tctx, qc):
+                if not leaf and not kernels.histogram_dominates(tctx, qc):
                     continue
                 survivors_x += 1
                 stats.pseudo_tests += 1
-                masks = kernels.pseudo_domain_masks(qc.ctx, tctx, level)
+                masks = kernels.pseudo_domain_masks(qc, tctx, level)
                 if not kernels.global_semi_perfect_masks(masks):
                     continue
             else:

@@ -11,11 +11,12 @@ module compiles both away:
   becomes two machine-word operations (:func:`masks_match`).
 - :class:`TargetContext` is the compiled, immutable view of one
   :class:`~repro.graphs.graph.Graph` or
-  :class:`~repro.graphs.closure.GraphClosure`: label bitmasks per vertex,
-  neighbor tuples, adjacency bitmasks, per-vertex edge-label groups, and a
-  dense int-array label histogram.  It is built once per object by
-  :func:`target_context` and memoized on the graph itself (slot
-  ``_kernel_ctx``), invalidated whenever the graph mutates.
+  :class:`~repro.graphs.closure.GraphClosure` as the *target* of a match:
+  vertices and per-vertex neighbors grouped by label mask, degrees, and
+  (its :class:`LabelSummary` base) a sparse label histogram.  It is built
+  once per object by :func:`target_context` and memoized on the graph
+  itself (slot ``_kernel_ctx``), invalidated whenever the graph mutates.  The query side of a match is compiled
+  per query by :func:`repro.matching.kernels.compile_query`.
 
 Bit layout: bit 0 is reserved for the query wildcard and bit 1 for the
 dummy label ε, so the wildcard test is a constant-mask AND.  Interning is
@@ -30,7 +31,7 @@ encoding must preserve that semantics exactly.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Union
+from typing import Hashable, Iterable
 
 from repro.graphs.closure import EPSILON, WILDCARD, GraphClosure, GraphLike
 from repro.graphs.graph import Graph
@@ -39,7 +40,9 @@ __all__ = [
     "WILDCARD_BIT",
     "EPSILON_BIT",
     "LabelSpace",
+    "LabelSummary",
     "TargetContext",
+    "mask_functions",
     "global_labelspace",
     "reset_labelspace",
     "masks_match",
@@ -151,168 +154,121 @@ def reset_labelspace() -> LabelSpace:
     return _GLOBAL_SPACE
 
 
-class TargetContext:
-    """The compiled bitset view of one graph or closure.
+class LabelSummary:
+    """The label histogram of one graph or closure in the process label
+    space — all that Alg. 3's histogram screen reads from a target (a
+    disk leaf entry carries exactly this beside its graph pointer).
 
-    Everything the matching kernels touch per vertex is a flat tuple/list
-    indexed by vertex id; nothing here aliases the source graph's mutable
-    structures.  Instances are immutable by convention and shared freely.
+    ``vhist`` / ``ehist`` map an interned label id to its count (the
+    wildcard, and in a closure ε, never count); ``vbits`` / ``ebits``
+    are their presence masks.
     """
 
-    __slots__ = (
-        "n",
-        "vertex_masks",
-        "neighbors",
-        "adj_masks",
-        "degrees",
-        "edge_masks",
-        "edge_groups",
-        "vertex_groups",
-        "vhist",
-        "ehist",
-        "vbits",
-        "ebits",
-    )
+    __slots__ = ("vhist", "ehist", "vbits", "ebits")
+
+    def __init__(self, vhist: dict[int, int], ehist: dict[int, int]) -> None:
+        self.vhist = vhist
+        self.ehist = ehist
+        self.vbits = sum(1 << i for i in vhist)
+        self.ebits = sum(1 << i for i in ehist)
+
+
+class TargetContext(LabelSummary):
+    """The compiled bitset view of one graph or closure *as a target*:
+    what the matching kernels read from the target side of a (query,
+    target) pair (the query side is a
+    :class:`~repro.matching.kernels.QueryContext`).  Nothing here aliases
+    the source graph's mutable structures; instances are immutable by
+    convention and shared freely.
+    """
+
+    __slots__ = ("n", "degrees", "edge_groups", "vertex_groups")
 
     def __init__(
         self,
         n: int,
-        vertex_masks: list[int],
-        neighbors: list[tuple[int, ...]],
-        adj_masks: list[int],
-        edge_masks: list[dict[int, int]],
+        degrees: list[int],
         edge_groups: list[tuple[tuple[int, int], ...]],
         vertex_groups: tuple[tuple[int, int], ...],
-        vhist: list[int],
-        ehist: list[int],
+        vhist: dict[int, int],
+        ehist: dict[int, int],
     ) -> None:
+        super().__init__(vhist, ehist)
         self.n = n
-        self.vertex_masks = vertex_masks
-        self.neighbors = neighbors
-        self.adj_masks = adj_masks
-        self.degrees = [len(nbrs) for nbrs in neighbors]
-        self.edge_masks = edge_masks
+        #: neighbor count per vertex
+        self.degrees = degrees
+        #: per vertex: (edge label mask, bitset of neighbors over it) pairs
         self.edge_groups = edge_groups
+        #: (vertex label mask, bitset of vertices carrying it) pairs
         self.vertex_groups = vertex_groups
-        self.vhist = vhist
-        self.ehist = ehist
-        vbits = 0
-        for i, c in enumerate(vhist):
-            if c:
-                vbits |= 1 << i
-        ebits = 0
-        for i, c in enumerate(ehist):
-            if c:
-                ebits |= 1 << i
-        self.vbits = vbits
-        self.ebits = ebits
-
-    def hist_items(self) -> tuple[tuple[tuple[int, int], ...],
-                                  tuple[tuple[int, int], ...]]:
-        """Sparse ``(id, count)`` views of the two histogram arrays."""
-        return (
-            tuple((i, c) for i, c in enumerate(self.vhist) if c),
-            tuple((i, c) for i, c in enumerate(self.ehist) if c),
-        )
 
     def __repr__(self) -> str:
         return f"<TargetContext |V|={self.n}>"
 
 
-def _build_graph_context(g: Graph, space: LabelSpace) -> TargetContext:
-    vertex_bit = space.vertex_bit
-    edge_bit = space.edge_bit
-    n = g.num_vertices
-    vertex_masks = [vertex_bit(g.label(v)) for v in range(n)]
-
-    neighbors: list[tuple[int, ...]] = []
-    adj_masks: list[int] = []
-    edge_masks: list[dict[int, int]] = []
-    edge_groups: list[tuple[tuple[int, int], ...]] = []
-    for v in range(n):
-        adj = g.adjacency(v)
-        neighbors.append(tuple(adj))
-        mask = 0
-        row: dict[int, int] = {}
-        groups: dict[int, int] = {}
-        for w, label in adj.items():
-            bit = 1 << w
-            mask |= bit
-            em = edge_bit(label)
-            row[w] = em
-            groups[em] = groups.get(em, 0) | bit
-        adj_masks.append(mask)
-        edge_masks.append(row)
-        edge_groups.append(tuple(groups.items()))
-
-    # Histograms mirror LabelHistogram.of(Graph): wildcard never counts.
-    vhist = [0] * space.num_vertex_labels
-    for v, m in enumerate(vertex_masks):
-        if m != WILDCARD_BIT:
-            vhist[m.bit_length() - 1] += 1
-    ehist = [0] * space.num_edge_labels
-    for _, _, label in g.edges():
-        if label is not WILDCARD:
-            ehist[space.edge_id(label)] += 1
-
-    vgroups: dict[int, int] = {}
-    for v, m in enumerate(vertex_masks):
-        vgroups[m] = vgroups.get(m, 0) | (1 << v)
-
-    return TargetContext(n, vertex_masks, neighbors, adj_masks, edge_masks,
-                         edge_groups, tuple(vgroups.items()), vhist, ehist)
-
-
-def _build_closure_context(c: GraphClosure, space: LabelSpace) -> TargetContext:
-    n = c.num_vertices
-    vertex_masks = [space.vertex_mask(c.label_set(v)) for v in range(n)]
-
-    neighbors: list[tuple[int, ...]] = []
-    adj_masks: list[int] = []
-    edge_masks: list[dict[int, int]] = []
-    edge_groups: list[tuple[tuple[int, int], ...]] = []
-    for v in range(n):
-        adj = c.adjacency(v)
-        neighbors.append(tuple(adj))
-        mask = 0
-        row: dict[int, int] = {}
-        groups: dict[int, int] = {}
-        for w, label_set in adj.items():
-            bit = 1 << w
-            mask |= bit
-            em = space.edge_mask(label_set)
-            row[w] = em
-            groups[em] = groups.get(em, 0) | bit
-        adj_masks.append(mask)
-        edge_masks.append(row)
-        edge_groups.append(tuple(groups.items()))
-
-    # Histograms mirror LabelHistogram.of(GraphClosure): ε and wildcard
-    # are skipped, every other member of a label set counts once.
-    vhist = [0] * space.num_vertex_labels
-    for v in range(n):
-        m = vertex_masks[v] & ~(WILDCARD_BIT | EPSILON_BIT)
+def mask_histogram(counts: Iterable[tuple[int, int]], skip: int) -> dict[int, int]:
+    """``(label mask, occurrences)`` pairs to an id → count histogram:
+    every member of a mask counts once per occurrence, members in
+    ``skip`` (wildcard, and ε for closures) never — the
+    ``LabelHistogram.of`` convention."""
+    hist: dict[int, int] = {}
+    for m, c in counts:
+        m &= ~skip
         while m:
             b = m & -m
             m ^= b
-            vhist[b.bit_length() - 1] += 1
-    ehist = [0] * space.num_edge_labels
-    for u in range(n):
-        row = edge_masks[u]
-        for w, em in row.items():
-            if u < w:
-                m = em & ~(WILDCARD_BIT | EPSILON_BIT)
-                while m:
-                    b = m & -m
-                    m ^= b
-                    ehist[b.bit_length() - 1] += 1
+            i = b.bit_length() - 1
+            hist[i] = hist.get(i, 0) + c
+    return hist
 
+
+def mask_functions(g: GraphLike, space: LabelSpace):
+    """``(vertex -> label(s), label(s) -> vertex mask, label(s) -> edge
+    mask, histogram skip mask)`` for a graph's single labels or a
+    closure's label sets."""
+    if isinstance(g, Graph):
+        return g.label, space.vertex_bit, space.edge_bit, WILDCARD_BIT
+    if isinstance(g, GraphClosure):
+        return (g.label_set, space.vertex_mask, space.edge_mask,
+                WILDCARD_BIT | EPSILON_BIT)
+    raise TypeError(f"cannot compile {type(g).__name__} to a context")
+
+
+def _build_context(g: GraphLike, space: LabelSpace) -> TargetContext:
+    label_of, vertex_mask, edge_mask, skip = mask_functions(g, space)
+    n = g.num_vertices
+    # Distinct labels / label sets are few: translate each to its mask once.
+    vmasks: dict = {}
     vgroups: dict[int, int] = {}
-    for v, m in enumerate(vertex_masks):
+    for v in range(n):
+        label = label_of(v)
+        m = vmasks.get(label)
+        if m is None:
+            m = vmasks[label] = vertex_mask(label)
         vgroups[m] = vgroups.get(m, 0) | (1 << v)
 
-    return TargetContext(n, vertex_masks, neighbors, adj_masks, edge_masks,
-                         edge_groups, tuple(vgroups.items()), vhist, ehist)
+    emasks: dict = {}
+    degrees: list[int] = []
+    edge_groups: list[tuple[tuple[int, int], ...]] = []
+    ecounts: dict[int, int] = {}
+    for v in range(n):
+        adj = g.adjacency(v)
+        groups: dict[int, int] = {}
+        for w, label in adj.items():
+            em = emasks.get(label)
+            if em is None:
+                em = emasks[label] = edge_mask(label)
+            groups[em] = groups.get(em, 0) | (1 << w)
+            if v < w:
+                ecounts[em] = ecounts.get(em, 0) + 1
+        degrees.append(len(adj))
+        edge_groups.append(tuple(groups.items()))
+
+    return TargetContext(
+        n, degrees, edge_groups, tuple(vgroups.items()),
+        mask_histogram([(m, members.bit_count())
+                        for m, members in vgroups.items()], skip),
+        mask_histogram(ecounts.items(), skip))
 
 
 def target_context(g: GraphLike) -> TargetContext:
@@ -332,11 +288,6 @@ def target_context(g: GraphLike) -> TargetContext:
         ) from None
     if cached is not None and cached[0] is space:
         return cached[1]
-    if isinstance(g, Graph):
-        ctx = _build_graph_context(g, space)
-    elif isinstance(g, GraphClosure):
-        ctx = _build_closure_context(g, space)
-    else:
-        raise TypeError(f"cannot compile {type(g).__name__} to a context")
+    ctx = _build_context(g, space)
     g._kernel_ctx = (space, ctx)
     return ctx

@@ -15,11 +15,12 @@ as the differential-testing reference: every kernel here must produce
 **bit-identical** domains and verdicts (``tests/test_kernels.py`` fuzzes
 that equivalence, including ε and wildcard labels and edge-labeled graphs).
 
-The kernels operate on compiled contexts
-(:class:`~repro.graphs.labelspace.TargetContext`, memoized per graph or
-closure) so repeated node visits during a C-tree descent pay the encoding
-cost once.  :class:`QueryContext` bundles the query's compiled context with
-its sparse histogram for the Alg. 3 dominance pre-filter.
+The kernels operate on compiled contexts: the target side of a pair is a
+:class:`~repro.graphs.labelspace.TargetContext` (memoized per graph or
+closure, so repeated node visits during a C-tree descent pay the encoding
+cost once), the query side a :class:`QueryContext` — the label masks,
+neighbor tuples and edge-mask rows only a query is asked for, plus its
+sparse histogram for the Alg. 3 dominance pre-filter.
 
 Kernels are used by default; set ``REPRO_PSEUDO_KERNELS=0`` (or call
 :func:`set_kernels_enabled`) to force the set-based reference everywhere —
@@ -37,7 +38,10 @@ from repro.exceptions import ConfigError
 from repro.graphs.closure import GraphLike
 from repro.graphs.labelspace import (
     WILDCARD_BIT,
+    LabelSummary,
     TargetContext,
+    global_labelspace,
+    mask_functions,
     target_context,
 )
 from repro.obs.metrics import global_registry
@@ -191,7 +195,7 @@ def global_semi_perfect_masks(domains: Sequence[int]) -> bool:
 # ----------------------------------------------------------------------
 # Level-0 seeding and RefineBipartite over masks
 # ----------------------------------------------------------------------
-def level0_domain_masks(q: TargetContext, t: TargetContext) -> list[int]:
+def level0_domain_masks(q: "QueryContext", t: TargetContext) -> list[int]:
     """Alg. 2 init: ``attr(u) ∩ attr(v) != ∅`` as bitmask domains.
 
     Target vertices are pre-grouped by label mask, so the work per
@@ -213,7 +217,7 @@ def level0_domain_masks(q: TargetContext, t: TargetContext) -> list[int]:
 
 
 def refine_bipartite_masks(
-    q: TargetContext,
+    q: "QueryContext",
     t: TargetContext,
     domains: list[int],
     level: Level,
@@ -281,7 +285,7 @@ def refine_bipartite_masks(
 
 
 def pseudo_domain_masks(
-    q: TargetContext,
+    q: "QueryContext",
     t: TargetContext,
     level: Level,
 ) -> list[int]:
@@ -298,24 +302,36 @@ def pseudo_domain_masks(
 # Compiled query contexts
 # ----------------------------------------------------------------------
 class QueryContext:
-    """Everything target-independent about one query, compiled once.
+    """Everything target-independent about one query, compiled once: the
+    query side of every kernel call.
 
-    Holds the query's :class:`TargetContext` (label masks, neighbor tuples,
-    edge-mask rows) plus its sparse histogram for the Alg. 3 dominance
-    pre-filter.  Build with :func:`compile_query`; instances are immutable
-    and reusable across an entire tree descent (and across queries against
-    multiple trees).
+    ``vertex_masks`` (label mask per vertex), ``neighbors`` (tuple per
+    vertex) and ``edge_masks`` (per vertex, edge label mask towards each
+    neighbor), plus the sparse histogram of ``ctx``, the query's own
+    :class:`TargetContext`, for the Alg. 3 dominance pre-filter.  Build
+    with :func:`compile_query`; instances are immutable and reusable
+    across an entire tree descent (and across trees).
     """
 
-    __slots__ = ("query", "ctx", "level", "vhist_items", "ehist_items",
-                 "vbits", "ebits")
+    __slots__ = ("query", "ctx", "level", "n", "vertex_masks", "neighbors",
+                 "edge_masks", "vhist_items", "ehist_items", "vbits",
+                 "ebits")
 
     def __init__(self, query: GraphLike, ctx: TargetContext,
                  level: Level) -> None:
         self.query = query
         self.ctx = ctx
         self.level = level
-        self.vhist_items, self.ehist_items = ctx.hist_items()
+        self.n = ctx.n
+        label_of, vertex_mask, edge_mask, _ = mask_functions(
+            query, global_labelspace())
+        adjacency = [query.adjacency(v) for v in range(ctx.n)]
+        self.vertex_masks = [vertex_mask(label_of(v)) for v in range(ctx.n)]
+        self.neighbors = [tuple(adj) for adj in adjacency]
+        self.edge_masks = [{w: edge_mask(label) for w, label in adj.items()}
+                           for adj in adjacency]
+        self.vhist_items = tuple(ctx.vhist.items())
+        self.ehist_items = tuple(ctx.ehist.items())
         self.vbits = ctx.vbits
         self.ebits = ctx.ebits
 
@@ -323,7 +339,7 @@ class QueryContext:
     def domain_masks(self, target: GraphLike, level: Level = None) -> list[int]:
         """Pseudo-compatibility domains against ``target`` as bitmasks."""
         return pseudo_domain_masks(
-            self.ctx, target_context(target),
+            self, target_context(target),
             self.level if level is None else level,
         )
 
@@ -332,7 +348,7 @@ class QueryContext:
         return masks_to_domains(self.domain_masks(target, level))
 
     def __repr__(self) -> str:
-        return f"<QueryContext |V|={self.ctx.n} level={self.level!r}>"
+        return f"<QueryContext |V|={self.n} level={self.level!r}>"
 
 
 def compile_query(query: GraphLike, level: Level = 1) -> QueryContext:
@@ -341,13 +357,13 @@ def compile_query(query: GraphLike, level: Level = 1) -> QueryContext:
     return QueryContext(query, target_context(query), level)
 
 
-def histogram_dominates(t: TargetContext, q: QueryContext) -> bool:
+def histogram_dominates(t: LabelSummary, q: QueryContext) -> bool:
     """Does the target's label histogram dominate the query's?
 
     Bit-identical to ``LabelHistogram.dominates`` on histograms of the same
     objects: a one-word presence-mask reject first, then per-label count
     comparisons over the query's sparse entries.  (The presence check also
-    guarantees every query label id indexes inside the target's arrays.)
+    guarantees every query label id is a key of the target's maps.)
     """
     if (q.vbits & ~t.vbits) or (q.ebits & ~t.ebits):
         return False

@@ -157,7 +157,8 @@ def pseudo_compatibility_domains(
     if kernels.kernels_enabled():
         return kernels.masks_to_domains(
             kernels.pseudo_domain_masks(
-                target_context(query), target_context(target), level
+                kernels.compile_query(query, level), target_context(target),
+                level
             )
         )
     _C_DOMAIN_CALLS.value += 1

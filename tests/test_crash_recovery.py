@@ -49,9 +49,11 @@ def _build(path, opener=None, upto=5):
 
     A tiny page size and cache force WAL spills, free-list churn and
     multi-page record chains — the paths a crash must not corrupt.
+    (144-byte pages: record format 3 shrank node records to a third, and
+    at the former 256 most of them fitted one page.)
     """
     tree = bulk_load(_BASE, min_fanout=2, max_fanout=4)
-    disk = DiskCTree.create(tree, path, page_size=256, cache_pages=6,
+    disk = DiskCTree.create(tree, path, page_size=144, cache_pages=6,
                             opener=opener)
     if upto >= 2:
         disk.extend(_EXTRA[:5])

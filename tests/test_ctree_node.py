@@ -55,14 +55,15 @@ class TestNodeStructure:
         first use, hands the same dict back while unchanged, and drops it
         (and the cached histogram) once the closure is replaced."""
         stored = GraphClosure.from_graph(triangle()).to_dict()
-        node = CTreeNode(True, [], stored_closure=stored)
+        node = CTreeNode(True, [], stored_closure=stored,
+                         decode=GraphClosure.from_dict)
         assert node.stored_closure() is stored
         assert node.closure == GraphClosure.from_graph(triangle())
         assert node.histogram == LabelHistogram.of(triangle())
         assert node.stored_closure() is stored
         other = GraphClosure.from_graph(path_graph(["A", "B"]))
         node.closure = other
-        assert node.stored_closure() == other.to_dict()
+        assert node.stored_closure() is None
         assert node.histogram == LabelHistogram.of(other)
         assert same_encoding(node.closure, as_stored(other))
         assert not same_encoding(node.closure, None)

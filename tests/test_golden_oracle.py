@@ -10,9 +10,20 @@ drift that differential tests cannot see.
 If a change is *intended* to alter answers (it should not be: subgraph
 answers are exact by definition), regenerate the JSON and justify it in
 the commit.
+
+``golden_stats.json`` pins the *work* the same queries do — every
+deterministic counter of their stats, as measured before the disk record
+format made leaf entries carry their graph's histogram (format 3) — so a
+change that removes or adds a test, not only one that changes an answer,
+fails here; and the leaf-level count test pins the mechanism format 3
+exists for: a graph record is read only if its entry's histogram passed.
 """
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,7 +91,89 @@ class TestGoldenKnn:
                 [s for _, s in frozen])
 
 
+class TestGoldenWork:
+    """Counts, not times: what each golden query tests, reads and finds."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return json.loads((_DATA / "golden_stats.json").read_text())
+
+    @pytest.mark.parametrize("kernels_on", [True, False],
+                             ids=["kernels", "reference"])
+    def test_subgraph_reads_only_histogram_survivors(
+            self, golden, golden_tree, golden_disk, pinned, kernels_on,
+            monkeypatch):
+        """Per query: stats equal the pinned ones and the in-memory
+        tree's, every leaf entry is histogram-screened, and the graph
+        records decoded are exactly the leaf-level histogram survivors
+        (the set-based reference path loads before it tests)."""
+        _, expected = golden
+        disk, _ = golden_disk
+        loads = []
+        load_graph = disk.store.load_graph
+        monkeypatch.setattr(
+            disk.store, "load_graph",
+            lambda entry: loads.append(entry.graph_id) or load_graph(entry))
+        skipped = 0
+        with kernels.use_kernels(kernels_on):
+            for case, frozen in zip(expected["subgraph"],
+                                    pinned["subgraph"]):
+                query = Graph.from_dict(case["query"])
+                del loads[:]
+                _, stats = disk.subgraph_query(query)
+                _, mem_stats = subgraph_query(golden_tree, query)
+                assert stats.deterministic_dict() == frozen
+                assert mem_stats.deterministic_dict() == frozen
+                assert stats.histogram_tests == sum(stats.tested_by_level)
+                screened = stats.tested_by_level[disk.height]
+                survivors = stats.x_by_level[disk.height] if kernels_on \
+                    else screened
+                assert len(loads) == len(set(loads)) == survivors
+                skipped += screened - survivors
+        assert skipped > 0 or not kernels_on, "the screen rejected nothing"
+
+    def test_knn_stats_frozen(self, golden, golden_disk, pinned):
+        db, expected = golden
+        disk, _ = golden_disk
+        for case, frozen in zip(expected["knn"], pinned["knn"]):
+            _, stats = disk.knn_query(db[case["query_id"]], case["k"])
+            assert stats.deterministic_dict() == frozen
+
+
+#: sha256 of ``DiskCTree.create(golden tree, page_size=512)`` — record
+#: format 3.  Re-pin only with a format change, and say so in the commit.
+_PAGE_FILE_SHA256 = \
+    "88069a351987697d2b501316341bf3dfd87ba86c07c7e06f690aa113ee688670"
+
+_HASH_PAGE_FILE = """
+import hashlib, sys, tempfile
+from pathlib import Path
+from repro.graphs.io import load_graph_database
+from repro.ctree.bulkload import bulk_load
+from repro.ctree.diskindex import DiskCTree
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "golden.ctp"
+    tree = bulk_load(load_graph_database(sys.argv[1]), min_fanout=3)
+    DiskCTree.create(tree, path, page_size=512).close()
+    print(hashlib.sha256(path.read_bytes()).hexdigest())
+"""
+
+
 class TestGoldenIndexIntegrity:
+    @pytest.mark.parametrize("hash_seed", ["0", "4242"])
+    def test_page_file_bytes_pinned(self, hash_seed):
+        """The index file is a pure function of the graphs: the same
+        bytes on every run and under every string-hash seed (label sets
+        iterate in hash order; the encoder must not let that through)."""
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_PAGE_FILE,
+             str(_DATA / "golden_chem.jsonl")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == _PAGE_FILE_SHA256
+
     def test_fsck_clean(self, golden_disk):
         disk, path = golden_disk
         disk.checkpoint()
@@ -91,8 +184,6 @@ class TestGoldenIndexIntegrity:
     def test_dataset_unchanged(self, golden):
         """The frozen database itself must never drift (24 graphs whose
         serialization hashes to a fixed value)."""
-        import hashlib
-
         digest = hashlib.sha256(
             (_DATA / "golden_chem.jsonl").read_bytes()
         ).hexdigest()

@@ -49,20 +49,39 @@ def _make_index(path, count=8, min_fanout=2, max_fanout=4):
 
 
 #: (op selector, operand) — 0: append, 1/2: delete 1 or a batch,
-#: 3: query, 4: fsck
+#: 3: query, 4: fsck, 5: forced compaction
 _MODEL_OPS = st.lists(
-    st.tuples(st.integers(0, 4), st.integers(0, 10 ** 6)),
+    st.tuples(st.integers(0, 5), st.integers(0, 10 ** 6)),
     min_size=1, max_size=12,
 )
+
+
+def _assert_entry_histograms(disk) -> None:
+    """Every leaf entry carries the label histogram of the graph it
+    points at — Alg. 3 prunes on it without reading the graph, so a
+    stale one would be a silent false negative."""
+    for _, node in disk.nodes():
+        if not node.is_leaf:
+            continue
+        for entry in node.children:
+            graph = disk.store.load_graph(entry)
+            vhist, ehist = entry.vhist, entry.ehist
+            assert dict(zip(vhist[::2], vhist[1::2])) == \
+                graph.vertex_label_counts(), entry.graph_id
+            assert dict(zip(ehist[::2], ehist[1::2])) == \
+                graph.edge_label_counts(), entry.graph_id
 
 
 class TestIncrementalDeleteModel:
     @given(_MODEL_OPS)
     @settings(max_examples=12, deadline=None)
     def test_interleaved_churn_matches_oracle(self, ops):
-        """Interleave deletes with appends and queries; at every point
-        the disk index answers exactly like the in-memory oracle over
-        the surviving set, and the on-disk structure stays fsck-clean."""
+        """Interleave deletes with appends, compactions and queries; at
+        every point the disk index answers exactly like the in-memory
+        oracle over the surviving set, every leaf entry's stored
+        histogram is its graph's (through splits, merges,
+        redistributes, root collapse and repacking), and the on-disk
+        structure stays fsck-clean."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.ctp"
             disk, oracle = _make_index(path)
@@ -95,11 +114,14 @@ class TestIncrementalDeleteModel:
                         answers, _ = disk.subgraph_query(query)
                         assert sorted(answers) == \
                             _linear_answers(oracle, query)
+                    elif selector == 5:
+                        disk.compact(seed=operand, force=True)
                     else:
                         disk.flush()
                         report = DiskCTree.fsck(path, deep=False)
                         assert report.clean, report.errors
                     assert len(disk) == len(oracle)
+                    _assert_entry_histograms(disk)
                 # Final state: every query agrees, ids match exactly.
                 for query in _QUERIES:
                     answers, _ = disk.subgraph_query(query)
@@ -164,10 +186,8 @@ class TestDeleteEdgeCases:
                     disk.delete(gid, auto_compact=False)
                     report = DiskCTree.fsck(path, deep=False)
                     assert report.clean, report.errors
-                    for record in _iter_node_records(disk):
-                        entries = record["graphs"] if record["leaf"] \
-                            else record["children"]
-                        assert entries or len(disk) == 0, \
+                    for _, node in disk.nodes():
+                        assert node.children or len(disk) == 0, \
                             "empty node left in the tree"
 
     def test_missing_and_duplicate_ids_rejected_before_mutation(self):
@@ -186,16 +206,6 @@ class TestDeleteEdgeCases:
                 assert disk.generation == generation
                 assert len(disk) == len(oracle)
                 assert sorted(dict(disk.iter_graphs())) == sorted(oracle)
-
-
-def _iter_node_records(disk):
-    """Every node record of an open disk index (test helper)."""
-    stack = [disk._meta["root"]]
-    while stack:
-        record = disk.store.load_record(stack.pop())
-        yield record
-        if not record["leaf"]:
-            stack.extend(record.get("children", []))
 
 
 class TestDeleteCounters:
@@ -356,10 +366,10 @@ class TestFsckDeleteInvariants:
                 # underflows, so nothing merges, and occupancy sinks to
                 # m/M = 0.25 — well under the 0.40 advisory line.
                 victims = []
-                for record in _iter_node_records(disk):
-                    if record["leaf"]:
-                        victims += [gid for gid, _
-                                    in record["graphs"][2:]]
+                for _, node in disk.nodes():
+                    if node.is_leaf:
+                        victims += [entry.graph_id
+                                    for entry in node.children[2:]]
                 disk.delete_many(sorted(victims), auto_compact=False)
             report = DiskCTree.fsck(path, deep=True)
             assert report.clean, report.errors

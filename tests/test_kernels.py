@@ -100,7 +100,7 @@ class TestKernelEquivalence:
             query = random_graph(rng, 6)
             target = random_graph_like(rng, 8)
             level = rng.choice([0, 1, 2, "max"])
-            qc, tc = target_context(query), target_context(target)
+            qc, tc = compile_query(query), target_context(target)
 
             ref0 = level0_domains(query, target)
             assert masks_to_domains(level0_domain_masks(qc, tc)) == ref0
@@ -126,7 +126,7 @@ class TestKernelEquivalence:
             target = random_graph_like(rng, 8)
             level = rng.choice([1, "max"])
             masks = pseudo_domain_masks(
-                target_context(query), target_context(target), level)
+                compile_query(query), target_context(target), level)
             assert masks_to_domains(masks) == reference_domains(
                 query, target, level)
 
@@ -148,7 +148,7 @@ class TestKernelEquivalence:
         target = Graph(["A", "A", "B", "C"], [(0, 1), (2, 3)])
         ref = reference_domains(query, target, "max")
         masks = pseudo_domain_masks(
-            target_context(query), target_context(target), "max")
+            compile_query(query), target_context(target), "max")
         assert masks_to_domains(masks) == ref
         assert any(not d for d in ref)  # the exit actually triggered
 
@@ -196,7 +196,7 @@ class TestKernelProperties:
     @settings(max_examples=60, deadline=None)
     def test_domains_bit_identical(self, query, target, level):
         masks = pseudo_domain_masks(
-            target_context(query), target_context(target), level)
+            compile_query(query), target_context(target), level)
         assert masks_to_domains(masks) == reference_domains(
             query, target, level)
 
@@ -208,10 +208,10 @@ class TestKernelProperties:
             return  # reference never refines an already-failed seeding
         with use_kernels(False):
             ref = refine_bipartite(query, target, ref, "max")
+        qc = compile_query(query)
         masks = kernels.refine_bipartite_masks(
-            target_context(query), target_context(target),
-            level0_domain_masks(target_context(query),
-                                target_context(target)), "max")
+            qc, target_context(target),
+            level0_domain_masks(qc, target_context(target)), "max")
         assert masks_to_domains(masks) == ref
 
     @given(labeled_graphs(), labeled_graphs(max_vertices=8))

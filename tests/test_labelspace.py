@@ -29,6 +29,7 @@ from repro.graphs.labelspace import (
     masks_match,
     target_context,
 )
+from repro.matching.kernels import compile_query
 
 from conftest import random_labeled_graph, triangle
 
@@ -113,17 +114,18 @@ class TestContextCaching:
         g.add_edge(0, 3)
         ctx3 = target_context(g)
         assert ctx3 is not ctx2
-        assert 3 in ctx3.neighbors[0]
+        assert ctx3.degrees[0] == 3
 
         g.set_label(3, "E")
         ctx4 = target_context(g)
         assert ctx4 is not ctx3
-        assert ctx4.vertex_masks[3] == global_labelspace().vertex_bit("E")
+        assert (global_labelspace().vertex_bit("E"), 1 << 3) \
+            in ctx4.vertex_groups
 
         g.remove_edge(0, 3)
         ctx5 = target_context(g)
         assert ctx5 is not ctx4
-        assert 3 not in ctx5.neighbors[0]
+        assert ctx5.degrees[0] == 2
 
     def test_closure_mutators_invalidate(self):
         c = GraphClosure([{"A"}, {"B"}])
@@ -167,19 +169,30 @@ class TestContextContents:
         rng = random.Random(3)
         g = random_labeled_graph(rng, 9)
         ctx = target_context(g)
+        qc = compile_query(g)
+        vertex_masks, neighbors, edge_masks = \
+            qc.vertex_masks, qc.neighbors, qc.edge_masks
         space = global_labelspace()
         assert ctx.n == g.num_vertices
         for v in g.vertices():
-            assert ctx.vertex_masks[v] == space.vertex_bit(g.label(v))
-            assert set(ctx.neighbors[v]) == set(g.neighbors(v))
-            assert ctx.degrees[v] == len(list(g.neighbors(v)))
-            for w in g.neighbors(v):
-                assert ctx.adj_masks[v] & (1 << w)
+            assert vertex_masks[v] == space.vertex_bit(g.label(v))
+            assert neighbors[v] == tuple(g.neighbors(v))
+            assert ctx.degrees[v] == len(neighbors[v])
+            members = 0
+            for mask, group in ctx.edge_groups[v]:
+                assert members & group == 0  # disjoint
+                members |= group
+                for w in g.neighbors(v):
+                    if group >> w & 1:
+                        assert edge_masks[v][w] == mask == \
+                            space.edge_bit(g.edge_label(v, w))
+            assert members == sum(1 << w for w in neighbors[v])
 
     def test_vertex_groups_partition_vertices(self):
         rng = random.Random(4)
         g = random_labeled_graph(rng, 8, num_labels=2)
         ctx = target_context(g)
+        vertex_masks = compile_query(g).vertex_masks
         union = 0
         for mask, members in ctx.vertex_groups:
             assert union & members == 0  # disjoint
@@ -188,11 +201,11 @@ class TestContextContents:
             while m:
                 b = m & -m
                 m ^= b
-                assert ctx.vertex_masks[b.bit_length() - 1] == mask
+                assert vertex_masks[b.bit_length() - 1] == mask
         assert union == (1 << g.num_vertices) - 1
 
     def _hist_as_counts(self, ctx, space):
-        vitems, eitems = ctx.hist_items()
+        vitems, eitems = ctx.vhist.items(), ctx.ehist.items()
         inv_v = {i: lab for lab, i in space._vertex_ids.items()}
         inv_e = {i: lab for lab, i in space._edge_ids.items()}
         counts = {}

@@ -1,0 +1,233 @@
+"""The disk record format (format 3) and its one codec in
+``repro.ctree.store``.
+
+A record decodes in one pass over its edge array, without going through
+``from_dict`` — so three things must hold exactly: the decoded object is
+what ``from_dict(to_dict(x))`` gives, including adjacency order, which
+every heuristic mapper's tie-breaks see; the kernels compile it to the
+same target context; and a record that parses as JSON but is not a valid
+record is *reported* by ``fsck``, never crashed on.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.ctree.bulkload import bulk_load
+from repro.ctree.diskindex import DiskCTree
+from repro.ctree.store import (
+    decode_closure,
+    decode_graph,
+    dump_record,
+    encode_closure,
+    encode_graph,
+    encode_node,
+    record_histograms,
+)
+from repro.datasets.chemical import ChemicalConfig, generate_chemical_database
+from repro.exceptions import PersistenceError
+from repro.graphs.closure import EPSILON, WILDCARD, GraphClosure
+from repro.graphs.graph import Graph
+from repro.graphs.histogram import LabelHistogram
+from repro.graphs.labelspace import target_context
+
+_VERTEX_LABELS = ["C", "N", "O", 1, 2, WILDCARD]
+_EDGE_LABELS = [None, None, "x", 1, 2, WILDCARD]
+_CONTEXT_FIELDS = ("n", "degrees", "edge_groups", "vertex_groups", "vhist",
+                   "ehist", "vbits", "ebits")
+
+
+def _through_json(record: dict) -> dict:
+    return json.loads(dump_record(record))
+
+
+def _adjacency(g) -> list:
+    return [list(g.adjacency(v).items()) for v in g.vertices()]
+
+
+def _assert_same_context(decoded, reference) -> None:
+    """The kernels see the decoded object exactly as they see the
+    ``from_dict`` round trip, field for field."""
+    ours, theirs = target_context(decoded), target_context(reference)
+    for field in _CONTEXT_FIELDS:
+        assert getattr(ours, field) == getattr(theirs, field), field
+
+
+@st.composite
+def graphs(draw):
+    """Small graphs with string / int / wildcard vertex labels, ``None``
+    / string / int / wildcard edge labels, isolated vertices, and the
+    empty graph; edges in scrambled insertion order."""
+    n = draw(st.integers(0, 7))
+    g = Graph([draw(st.sampled_from(_VERTEX_LABELS)) for _ in range(n)],
+              name=draw(st.sampled_from([None, "g"])))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for u, v in draw(st.permutations(pairs)):
+        if draw(st.booleans()):
+            g.add_edge(*draw(st.permutations([u, v])),
+                       draw(st.sampled_from(_EDGE_LABELS)))
+    return g
+
+
+@st.composite
+def closures(draw):
+    """Small closures whose label sets mix real labels, ε and the
+    wildcard."""
+    def label_set(pool):
+        return draw(st.sets(st.sampled_from(pool + [EPSILON]), min_size=1,
+                            max_size=3))
+
+    n = draw(st.integers(0, 6))
+    c = GraphClosure([label_set(_VERTEX_LABELS) for _ in range(n)])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for u, v in draw(st.permutations(pairs)):
+        if draw(st.booleans()):
+            c.add_edge(*draw(st.permutations([u, v])),
+                       label_set(_EDGE_LABELS))
+    return c
+
+
+class TestCodecRoundTrip:
+    @given(graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_graph(self, g):
+        decoded = decode_graph(_through_json(encode_graph(g)))
+        reference = Graph.from_dict(json.loads(json.dumps(g.to_dict())))
+        assert decoded == reference == g
+        assert decoded.name == reference.name
+        assert decoded.num_edges == reference.num_edges
+        assert _adjacency(decoded) == _adjacency(reference)
+        _assert_same_context(decoded, reference)
+
+    @given(closures())
+    @settings(max_examples=150, deadline=None)
+    def test_closure(self, c):
+        decoded = decode_closure(_through_json(encode_closure(c)))
+        reference = GraphClosure.from_dict(
+            json.loads(json.dumps(c.to_dict())))
+        assert decoded == reference == c
+        assert decoded.num_edges == reference.num_edges
+        assert _adjacency(decoded) == _adjacency(reference)
+        _assert_same_context(decoded, reference)
+
+    @given(graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_record_histograms_are_the_label_histogram(self, g):
+        """What a leaf entry carries for a graph is ``LabelHistogram.of``
+        it (wildcards never count), label by label."""
+        vhist, ehist = record_histograms(_through_json(encode_graph(g)))
+        counts = {(0, label): n for label, n in zip(vhist[::2], vhist[1::2])}
+        counts.update(
+            {(1, label): n for label, n in zip(ehist[::2], ehist[1::2])})
+        assert counts == dict(LabelHistogram.of(g)._counts)
+
+
+# ----------------------------------------------------------------------
+# Format versioning and fsck on malformed records
+# ----------------------------------------------------------------------
+_POOL = generate_chemical_database(
+    12, seed=11, config=ChemicalConfig(mean_vertices=8, large_fraction=0.0))
+
+
+@pytest.fixture
+def index(tmp_path):
+    """A committed three-level index and its path."""
+    path = tmp_path / "index.ctp"
+    tree = bulk_load(_POOL, min_fanout=2, max_fanout=4)
+    DiskCTree.create(tree, path, page_size=256, cache_pages=16).close()
+    return path
+
+
+def _rewrite(path, pick, change) -> None:
+    """Overwrite, and commit, the record ``pick(disk)`` names with
+    ``change`` applied to its parsed form."""
+    with DiskCTree.open(path) as disk:
+        record_id = pick(disk)
+        record = disk.store.load_record(record_id)
+        change(record)
+        disk.store.records.update(record_id, dump_record(record))
+        disk.checkpoint()
+
+
+def _first_entry(disk):
+    return next(node.children[0] for _, node in disk.nodes() if node.is_leaf)
+
+
+def _graph_record(disk) -> int:
+    return _first_entry(disk).record
+
+
+def _leaf_record(disk) -> int:
+    return next(ref for ref, node in disk.nodes() if node.is_leaf)
+
+
+def _errors(path, deep=False) -> list:
+    report = DiskCTree.fsck(path, deep=deep)   # must not raise
+    return report.errors
+
+
+class TestFormatVersion:
+    def test_older_format_is_refused_with_the_way_out(self, index):
+        with DiskCTree.open(index) as disk:
+            disk._meta["format"] = 2
+            disk._write_meta()
+            disk.checkpoint()
+        with pytest.raises(PersistenceError, match="repro build"):
+            DiskCTree.open(index)
+        assert any("format" in e for e in _errors(index))
+
+
+class TestFsckOnMalformedRecords:
+    def test_clean_index_is_clean(self, index):
+        assert _errors(index, deep=True) == []
+
+    def test_out_of_range_endpoint(self, index):
+        def change(record):
+            record["e"][0] = len(record["v"])
+        _rewrite(index, _graph_record, change)
+        assert any("out of range" in e for e in _errors(index))
+
+    def test_duplicate_edge(self, index):
+        def change(record):
+            record["e"] += record["e"][:3]
+        _rewrite(index, _graph_record, change)
+        assert any("duplicate edge" in e for e in _errors(index))
+
+    def test_label_code_outside_table(self, index):
+        def change(record):
+            record["v"][0] = len(record["vl"])
+        _rewrite(index, _graph_record, change)
+        assert any("unparseable" in e for e in _errors(index))
+
+    def test_closure_mask_beyond_label_table(self, index):
+        def change(record):
+            record["closure"]["v"][0] = 1 << len(record["closure"]["vl"])
+        _rewrite(index, _leaf_record, change)
+        assert any("bad closure" in e and "label mask" in e
+                   for e in _errors(index))
+
+    def test_stale_entry_histogram(self, index):
+        """A wrong histogram beside the pointer is a silent false
+        negative; the plain (not only the deep) check reports it."""
+        def change(record):
+            entry = record["graphs"][0]
+            entry[2] = [entry[2][0], entry[2][1] + 1] + entry[2][2:]
+        _rewrite(index, _leaf_record, change)
+        assert any("histogram differs" in e for e in _errors(index))
+
+    def test_entry_of_wrong_shape(self, index):
+        def change(record):
+            record["graphs"][0] = record["graphs"][0][:2]
+        _rewrite(index, _leaf_record, change)
+        assert any("bad record" in e for e in _errors(index))
+
+
+class TestUnchangedClosureRewritesVerbatim:
+    def test_loaded_node_reencodes_to_its_own_bytes(self, index):
+        with DiskCTree.open(index) as disk:
+            for ref, node in disk.nodes():
+                stored = disk.store.records.load(ref)
+                assert node.closure is not None   # decoding must not dirty it
+                assert dump_record(encode_node(node)) == stored

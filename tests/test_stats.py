@@ -176,6 +176,16 @@ class TestDiskQueryStats:
         assert stats.page_hit_ratio == 0.75
         assert DiskQueryStats().page_hit_ratio == 0.0
 
+    @pytest.mark.parametrize("stats_cls", [DiskQueryStats, DiskKnnStats])
+    def test_explain_reports_the_same_hit_ratio(self, stats_cls):
+        """EXPLAIN's ``page_io`` block is the property, so a query that
+        touched no page reads 0.0 in both (as ``BufferPool.hit_ratio``
+        does), not 1.0 in one of them."""
+        assert stats_cls().explain()["page_io"]["hit_ratio"] == 0.0
+        stats = stats_cls(page_hits=3, page_misses=1)
+        assert stats.explain()["page_io"] == {
+            "hits": 3, "misses": 1, "hit_ratio": stats.page_hit_ratio}
+
     def test_merge_includes_page_counters(self):
         a = DiskQueryStats(page_hits=3, page_misses=1, candidates=2)
         b = DiskQueryStats(page_hits=1, page_misses=2, candidates=4)
