@@ -1,9 +1,12 @@
-"""Kernel microbenchmark: bitset matching engine vs set-based reference.
+"""Kernel microbenchmark: compiled matching kernels vs their references.
 
 Times the pseudo-isomorphism hot path (`pseudo_compatibility_domains` over
 the chemical workload) and a full C-tree subgraph query with the kernels
-toggled on and off, asserting (a) bit-identical candidate and answer sets
-and (b) the measured speedup that justifies the kernels' existence.
+toggled on and off, and the NBM scoring kernel (Alg. 1) against the
+reference loop — pair by pair and under a K-NN traversal — asserting
+(a) bit-identical domains, candidate and answer sets, mappings and K-NN
+answers and (b) the measured speedup that justifies the kernels'
+existence.
 
 Writes ``benchmarks/results/kernel_microbench.json`` (uploaded as a CI
 artifact by the bench-smoke job) in addition to the usual
@@ -14,15 +17,22 @@ from __future__ import annotations
 
 import json
 import time
+from unittest import mock
 
 import conftest
 from conftest import CHEM_SWEEP, RESULTS_DIR, record_figure
 
 from repro.graphs.labelspace import target_context
+from repro.matching import edit_distance
 from repro.matching.kernels import use_kernels
+from repro.matching.nbm import nbm_mapping, nbm_mapping_reference, nbm_score
 from repro.matching.pseudo_iso import pseudo_compatibility_domains
+from repro.ctree.similarity_query import knn_query
 from repro.ctree.subgraph_query import subgraph_query
-from repro.datasets.queries import generate_subgraph_queries
+from repro.datasets.queries import (
+    generate_subgraph_queries,
+    select_similarity_queries,
+)
 
 #: Required kernel-vs-reference speedup on the domain microbenchmark at
 #: full scale.  ``--quick`` shrinks the workload until constant overheads
@@ -30,6 +40,9 @@ from repro.datasets.queries import generate_subgraph_queries
 #: there only guards against outright regressions.
 MIN_SPEEDUP = 2.0
 MIN_SPEEDUP_QUICK = 1.2
+#: The same for the NBM kernel against the reference loop, pair by pair.
+MIN_NBM_SPEEDUP = 1.5
+MIN_NBM_SPEEDUP_QUICK = 1.1
 REPEATS = 3
 
 
@@ -41,6 +54,18 @@ def _time(fn) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _write_microbench(rows: dict) -> None:
+    """Merge ``rows`` into ``kernel_microbench.json`` (each test of this
+    module owns some of its keys)."""
+    RESULTS_DIR.mkdir(exist_ok=True)
+    path = RESULTS_DIR / "kernel_microbench.json"
+    merged = json.loads(path.read_text()) if path.exists() else {}
+    if merged.get("quick") != conftest._QUICK:
+        merged = {}  # left over from a run at the other scale
+    merged.update(rows)
+    path.write_text(json.dumps(merged, indent=2) + "\n")
 
 
 def test_kernel_microbench(chem_database, chem_tree, benchmark):
@@ -97,20 +122,13 @@ def test_kernel_microbench(chem_database, chem_tree, benchmark):
         },
         float_format="{:.4f}",
     )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "kernel_microbench.json").write_text(
-        json.dumps(
-            {
-                "quick": conftest._QUICK,
-                "query_sizes": list(sizes),
-                "reference_seconds": ref_times,
-                "kernel_seconds": kernel_times,
-                "speedups": speedups,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    _write_microbench({
+        "quick": conftest._QUICK,
+        "query_sizes": list(sizes),
+        "reference_seconds": ref_times,
+        "kernel_seconds": kernel_times,
+        "speedups": speedups,
+    })
 
     floor = MIN_SPEEDUP_QUICK if conftest._QUICK else MIN_SPEEDUP
     overall = sum(ref_times) / sum(kernel_times)
@@ -161,3 +179,71 @@ def test_full_query_speedup(chem_database, chem_tree, benchmark):
     # Verification (Ullmann) is shared between modes, so the end-to-end
     # floor is lower than the domain-kernel floor.
     assert speedup >= (1.0 if conftest._QUICK else 1.3)
+
+
+def _reference_score(g1, g2):
+    mapping = nbm_mapping_reference(g1, g2)
+    return mapping.similarity(), mapping.edit_cost()
+
+
+def test_nbm_kernel_microbench(chem_database, chem_tree, benchmark):
+    """Alg. 1 on (probe, database graph) pairs of the chemical sweep —
+    what a K-NN query scores — kernel vs reference loop: identical
+    mappings and scores, and the pair-level speedup gate; then the same
+    K-NN queries with the traversal scoring through either, identical
+    answers and counters."""
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    probes = select_similarity_queries(
+        chem_database, max(2, CHEM_SWEEP.queries_per_size // 2), seed=55)
+    pairs = [(q, g) for q in probes for g in chem_database]
+
+    for q, g in pairs:
+        reference = nbm_mapping_reference(q, g)
+        assert nbm_mapping(q, g).pairs == reference.pairs
+        assert nbm_score(q, g) == (reference.similarity(),
+                                   reference.edit_cost())
+    t_ref = _time(lambda: [_reference_score(q, g) for q, g in pairs])
+    t_kernel = _time(lambda: [nbm_score(q, g) for q, g in pairs])
+
+    k = 5
+
+    def run() -> list:
+        return [knn_query(chem_tree, q, k) for q in probes]
+
+    with mock.patch.object(edit_distance, "nbm_score", _reference_score):
+        t_knn_ref = _time(run)
+        expected = run()
+    t_knn_kernel = _time(run)
+    for (got, got_stats), (want, want_stats) in zip(run(), expected):
+        assert got == want
+        assert got_stats.deterministic_dict() == want_stats.deterministic_dict()
+
+    speedup, knn_speedup = t_ref / t_kernel, t_knn_ref / t_knn_kernel
+    record_figure(
+        "kernel_microbench_nbm",
+        "Kernel microbench: NBM (Alg. 1), reference loop vs compiled "
+        "kernel (chemical)",
+        "row",
+        ["ms per pair", f"ms per {k}-NN query"],
+        {
+            "reference": [1000 * t_ref / len(pairs),
+                          1000 * t_knn_ref / len(probes)],
+            "kernel": [1000 * t_kernel / len(pairs),
+                       1000 * t_knn_kernel / len(probes)],
+            "speedup": [speedup, knn_speedup],
+        },
+        float_format="{:.3f}",
+    )
+    _write_microbench({
+        "quick": conftest._QUICK,
+        "nbm": {"pairs": len(pairs), "reference_seconds": t_ref,
+                "kernel_seconds": t_kernel, "speedup": speedup},
+        "knn": {"queries": len(probes), "k": k,
+                "reference_seconds": t_knn_ref,
+                "kernel_seconds": t_knn_kernel, "speedup": knn_speedup},
+    })
+
+    floor = MIN_NBM_SPEEDUP_QUICK if conftest._QUICK else MIN_NBM_SPEEDUP
+    assert speedup >= floor, (
+        f"NBM kernel speedup {speedup:.2f}x below the {floor}x floor "
+        f"(K-NN: {knn_speedup:.2f}x)")

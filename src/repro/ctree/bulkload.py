@@ -98,7 +98,9 @@ def _similarity_order(
     order = list(range(len(items)))
     rng.shuffle(order)
 
-    summaries = [CTreeNode.child_closure(item) for item in items]
+    # Eqn. (7) reads a graph as its singleton closure; a graph keeps the memo.
+    summaries = [item.graph if isinstance(item, LeafEntry) else item.closure
+                 for item in items]
     norms = [max(norm(s), 1.0) for s in summaries]
 
     leaders: list[int] = []

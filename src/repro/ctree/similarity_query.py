@@ -95,11 +95,12 @@ def _knn_search(
     sqc = SimilarityQueryContext(query)
     # Max-heap via negated keys.  Entries: (-key, tiebreak, kind, payload)
     # with kind one of _NODE (key = closure similarity bound, payload = the
-    # loaded node), _GRAPH_BOUND (key = Eqn. 7 bound, exact similarity not
-    # yet computed, payload = (id, loaded graph)) or _GRAPH_EXACT (key =
-    # heuristic similarity).  Deferring the expensive exact similarity
-    # until a graph's *bound* reaches the top of the queue is the optimal
-    # multi-step scheme of [24] the paper builds on.
+    # loaded node), _GRAPH_BOUND (key = Eqn. 7 bound read off the leaf
+    # entry's label summary, payload = the entry: neither loaded nor
+    # scored yet) or _GRAPH_EXACT (key = heuristic similarity).  Deferring
+    # the load and the expensive exact similarity until a graph's *bound*
+    # reaches the top of the queue is the optimal multi-step scheme of
+    # [24] the paper builds on.
     _NODE, _GRAPH_BOUND, _GRAPH_EXACT = 0, 1, 2
     heap: list[tuple[float, int, int, object]] = []
     # The root is seeded with an infinite key so no external ``bound``
@@ -140,10 +141,11 @@ def _knn_search(
             results.append(payload)  # type: ignore[arg-type]
             stats.results += 1
         elif kind == _GRAPH_BOUND:
-            graph_id, graph = payload  # type: ignore[misc]
+            graph_id = payload.graph_id  # type: ignore[attr-defined]
             stats.graphs_scored += 1
             with trace.span("ctree.knn.score", graph_id=graph_id):
-                sim = graph_similarity(query, graph, method=mapping_method)
+                sim = graph_similarity(query, store.load_graph(payload),
+                                       method=mapping_method)
             note_similarity(sim)
             if sim >= lower_bound:
                 heapq.heappush(
@@ -159,9 +161,9 @@ def _knn_search(
                 for ref in node.children:
                     stats.children_scored += 1
                     if node.is_leaf:
-                        graph = store.load_graph(ref)
-                        child_bound = sqc.sim_upper_bound(graph)
-                        item = (_GRAPH_BOUND, (ref.graph_id, graph))
+                        child_bound = sqc.sim_upper_bound(
+                            store.graph_summary(ref))
+                        item = (_GRAPH_BOUND, ref)
                     else:
                         child = store.load_node(ref)
                         child_bound = sqc.sim_upper_bound(child.closure)
@@ -212,9 +214,11 @@ def range_query(
     """All graphs within (approximate) edit distance ``radius`` of ``query``.
 
     Nodes are pruned when :func:`closure_distance_lower_bound` exceeds the
-    radius; that bound is sound, so no true answer is pruned — but since
-    graph distances themselves are heuristic upper bounds, borderline
-    graphs may be missed, mirroring the paper's approximate semantics.
+    radius, a leaf entry is skipped unloaded when the Eqn. (7) distance
+    bound of its label summary does; both bounds are sound, so no true
+    answer is pruned — but since graph distances themselves are heuristic
+    upper bounds, borderline graphs may be missed, mirroring the paper's
+    approximate semantics.
     """
     store = tree.store
     results: list[tuple[int, float]] = []
@@ -230,6 +234,10 @@ def range_query(
             for ref in node.children:
                 stats.children_scored += 1
                 if node.is_leaf:
+                    if sqc.distance_lower_bound(store.graph_summary(ref)) \
+                            > radius:
+                        stats.pruned_by_bound += 1
+                        continue
                     stats.graphs_scored += 1
                     dist = graph_distance(query, store.load_graph(ref),
                                           method=mapping_method)

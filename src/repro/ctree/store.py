@@ -48,7 +48,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.labelspace import (
     LabelSummary,
     global_labelspace,
-    target_context,
+    label_context,
 )
 from repro.ctree.node import CTreeNode, LeafEntry
 from repro.ctree.stats import CounterField, KnnStats, QueryStats
@@ -71,7 +71,7 @@ class MemoryNodeStore:
 
     def graph_summary(self, entry: LeafEntry) -> LabelSummary:
         """The label histogram Alg. 3 screens the entry's graph with."""
-        return target_context(entry.graph)
+        return label_context(entry.graph)
 
     def load_graph(self, entry: LeafEntry) -> Graph:
         """The graph a leaf entry holds."""

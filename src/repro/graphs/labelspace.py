@@ -15,8 +15,11 @@ module compiles both away:
   vertices and per-vertex neighbors grouped by label mask, degrees, and
   (its :class:`LabelSummary` base) a sparse label histogram.  It is built
   once per object by :func:`target_context` and memoized on the graph
-  itself (slot ``_kernel_ctx``), invalidated whenever the graph mutates.  The query side of a match is compiled
-  per query by :func:`repro.matching.kernels.compile_query`.
+  itself (slot ``_kernel_ctx``), invalidated whenever the graph mutates.
+  Alg. 2's per-vertex edge groups and Alg. 1's neighbour-label profiles
+  are two halves filled in on first use (:func:`nbm_context`).  The query
+  side of a match is compiled per query by
+  :func:`repro.matching.kernels.compile_query`.
 
 Bit layout: bit 0 is reserved for the query wildcard and bit 1 for the
 dummy label ε, so the wildcard test is a constant-mask AND.  Interning is
@@ -46,7 +49,9 @@ __all__ = [
     "global_labelspace",
     "reset_labelspace",
     "masks_match",
+    "label_context",
     "target_context",
+    "nbm_context",
 ]
 
 #: Bitmask of the reserved wildcard label (always id 0).
@@ -70,14 +75,18 @@ class LabelSpace:
 
     Vertex labels and edge labels are interned in separate namespaces so
     each side's bitmasks stay dense.  Ids 0 (wildcard) and 1 (ε) are
-    reserved in both namespaces.
+    reserved in both namespaces.  Neighbour-label multisets (Alg. 1's
+    "profiles") are interned too, as unary-coded masks — one bit per
+    (label, k-th occurrence) — so two profiles overlap in popcount(AND).
     """
 
-    __slots__ = ("_vertex_ids", "_edge_ids")
+    __slots__ = ("_vertex_ids", "_edge_ids", "_profiles", "_occurrence_bits")
 
     def __init__(self) -> None:
         self._vertex_ids: dict = {WILDCARD: 0, EPSILON: 1}
         self._edge_ids: dict = {WILDCARD: 0, EPSILON: 1}
+        self._profiles: dict[int, int] = {}
+        self._occurrence_bits: dict[tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
     def vertex_id(self, label: Hashable) -> int:
@@ -114,6 +123,18 @@ class LabelSpace:
             m |= 1 << self.edge_id(label)
         return m
 
+    def profile(self, label_ids: Iterable[int], share: bool) -> int:
+        """The unary-coded mask of a multiset of vertex label ids (given
+        with repetition).  With ``share`` equal masks are one interned int:
+        a database's few atom neighbourhoods recur, a closure's hardly do."""
+        bits = self._occurrence_bits
+        seen: dict[int, int] = {}
+        mask = 0
+        for i in label_ids:
+            nth = seen[i] = seen.get(i, 0) + 1
+            mask |= 1 << bits.setdefault((i, nth), len(bits))
+        return self._profiles.setdefault(mask, mask) if share else mask
+
     # ------------------------------------------------------------------
     @property
     def num_vertex_labels(self) -> int:
@@ -128,6 +149,7 @@ class LabelSpace:
         return {
             "vertex_labels": len(self._vertex_ids),
             "edge_labels": len(self._edge_ids),
+            "profiles": len(self._profiles),
         }
 
     def __repr__(self) -> str:
@@ -182,28 +204,52 @@ class TargetContext(LabelSummary):
     convention and shared freely.
     """
 
-    __slots__ = ("n", "degrees", "edge_groups", "vertex_groups")
+    __slots__ = ("n", "degrees", "edge_groups", "vertex_groups",
+                 "edge_counts", "edge_masks", "vmasks", "profiles")
 
     def __init__(
         self,
         n: int,
         degrees: list[int],
-        edge_groups: list[tuple[tuple[int, int], ...]],
+        vmasks: list[int],
         vertex_groups: tuple[tuple[int, int], ...],
-        vhist: dict[int, int],
-        ehist: dict[int, int],
+        edge_counts: tuple[tuple[int, int], ...],
+        edge_masks: dict,
+        skip: int,
     ) -> None:
-        super().__init__(vhist, ehist)
+        super().__init__(
+            mask_histogram([(m, members.bit_count())
+                            for m, members in vertex_groups], skip),
+            mask_histogram(edge_counts, skip))
         self.n = n
         #: neighbor count per vertex
         self.degrees = degrees
-        #: per vertex: (edge label mask, bitset of neighbors over it) pairs
-        self.edge_groups = edge_groups
+        #: label mask per vertex
+        self.vmasks = vmasks
         #: (vertex label mask, bitset of vertices carrying it) pairs
         self.vertex_groups = vertex_groups
+        #: (edge label mask, number of edges carrying it) pairs
+        self.edge_counts = edge_counts
+        #: edge label (a closure's: label set), as adjacency holds it -> mask
+        self.edge_masks = edge_masks
+        #: Alg. 2's half, built by :func:`target_context` — per vertex:
+        #: (edge label mask, bitset of neighbors over it) pairs
+        self.edge_groups: list[tuple[tuple[int, int], ...]] | None = None
+        #: Alg. 1's half (:func:`nbm_context`): a neighbour-label profile each
+        self.profiles: list[int] | None = None
 
     def __repr__(self) -> str:
         return f"<TargetContext |V|={self.n}>"
+
+
+def mask_ids(m: int) -> list[int]:
+    """The label ids whose bits are set in ``m``."""
+    ids = []
+    while m:
+        b = m & -m
+        m ^= b
+        ids.append(b.bit_length() - 1)
+    return ids
 
 
 def mask_histogram(counts: Iterable[tuple[int, int]], skip: int) -> dict[int, int]:
@@ -213,11 +259,7 @@ def mask_histogram(counts: Iterable[tuple[int, int]], skip: int) -> dict[int, in
     ``LabelHistogram.of`` convention."""
     hist: dict[int, int] = {}
     for m, c in counts:
-        m &= ~skip
-        while m:
-            b = m & -m
-            m ^= b
-            i = b.bit_length() - 1
+        for i in mask_ids(m & ~skip):
             hist[i] = hist.get(i, 0) + c
     return hist
 
@@ -238,41 +280,34 @@ def _build_context(g: GraphLike, space: LabelSpace) -> TargetContext:
     label_of, vertex_mask, edge_mask, skip = mask_functions(g, space)
     n = g.num_vertices
     # Distinct labels / label sets are few: translate each to its mask once.
-    vmasks: dict = {}
+    masks: dict = {}
+    vmasks: list[int] = []
     vgroups: dict[int, int] = {}
     for v in range(n):
         label = label_of(v)
-        m = vmasks.get(label)
+        m = masks.get(label)
         if m is None:
-            m = vmasks[label] = vertex_mask(label)
+            m = masks[label] = vertex_mask(label)
+        vmasks.append(m)
         vgroups[m] = vgroups.get(m, 0) | (1 << v)
 
     emasks: dict = {}
-    degrees: list[int] = []
-    edge_groups: list[tuple[tuple[int, int], ...]] = []
     ecounts: dict[int, int] = {}
-    for v in range(n):
-        adj = g.adjacency(v)
-        groups: dict[int, int] = {}
-        for w, label in adj.items():
-            em = emasks.get(label)
-            if em is None:
-                em = emasks[label] = edge_mask(label)
-            groups[em] = groups.get(em, 0) | (1 << w)
-            if v < w:
-                ecounts[em] = ecounts.get(em, 0) + 1
-        degrees.append(len(adj))
-        edge_groups.append(tuple(groups.items()))
+    for _, _, label in g.edges():
+        em = emasks.get(label)
+        if em is None:
+            em = emasks[label] = edge_mask(label)
+        ecounts[em] = ecounts.get(em, 0) + 1
+    degrees = [g.degree(v) for v in range(n)]
 
-    return TargetContext(
-        n, degrees, edge_groups, tuple(vgroups.items()),
-        mask_histogram([(m, members.bit_count())
-                        for m, members in vgroups.items()], skip),
-        mask_histogram(ecounts.items(), skip))
+    return TargetContext(n, degrees, vmasks, tuple(vgroups.items()),
+                         tuple(ecounts.items()), emasks, skip)
 
 
-def target_context(g: GraphLike) -> TargetContext:
-    """The compiled context of ``g``, memoized on the object.
+def label_context(g: GraphLike) -> TargetContext:
+    """The compiled context of ``g``, memoized on the object: the part
+    every reader shares; :func:`target_context` and :func:`nbm_context`
+    add Alg. 2's and Alg. 1's half on first use.
 
     The cache key is the identity of the global :class:`LabelSpace`;
     mutation of ``g`` clears the cache (see ``Graph``/``GraphClosure``
@@ -280,14 +315,40 @@ def target_context(g: GraphLike) -> TargetContext:
     stale merely because other graphs introduced new labels.
     """
     space = _GLOBAL_SPACE
-    try:
-        cached = g._kernel_ctx
-    except AttributeError:
-        raise TypeError(
-            f"cannot compile {type(g).__name__} to a context"
-        ) from None
+    cached = getattr(g, "_kernel_ctx", None)
     if cached is not None and cached[0] is space:
         return cached[1]
-    ctx = _build_context(g, space)
+    ctx = _build_context(g, space)  # TypeError unless a graph or closure
     g._kernel_ctx = (space, ctx)
+    return ctx
+
+
+def target_context(g: GraphLike) -> TargetContext:
+    """:func:`label_context` with what the Alg. 2 kernels read of a
+    target filled in: per vertex its neighbours grouped by edge mask."""
+    ctx = label_context(g)
+    if ctx.edge_groups is None:
+        emasks, edge_groups = ctx.edge_masks, []
+        for v in range(ctx.n):
+            groups: dict[int, int] = {}
+            for w, label in g.adjacency(v).items():
+                em = emasks[label]
+                groups[em] = groups.get(em, 0) | (1 << w)
+            edge_groups.append(tuple(groups.items()))
+        ctx.edge_groups = edge_groups
+    return ctx
+
+
+def nbm_context(g: GraphLike) -> TargetContext:
+    """:func:`label_context` with what only Alg. 1 reads filled in: per
+    vertex the interned profile of its neighbours' labels (a closure
+    neighbour counts once toward each label of its set)."""
+    ctx = label_context(g)
+    if ctx.profiles is None:
+        ids = {m: mask_ids(m) for m, _ in ctx.vertex_groups}
+        vmasks, profile = ctx.vmasks, _GLOBAL_SPACE.profile
+        share = isinstance(g, Graph)
+        ctx.profiles = [
+            profile([i for w in g.adjacency(v) for i in ids[vmasks[w]]], share)
+            for v in range(ctx.n)]
     return ctx

@@ -11,16 +11,21 @@ achievable similarity.  The bound is used
 
 With the uniform 0/1 measure the set similarities reduce to
 maximum-cardinality matchings, computed here without building an explicit
-matching: group by label and count (plain labels), or run Hopcroft-Karp
+matching: intersect label histograms (plain labels), or run Hopcroft-Karp
 (label sets).  Arbitrary measures fall back to the Hungarian algorithm.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable, Optional, Sequence
 
 from repro.graphs.closure import GraphLike
+from repro.graphs.labelspace import (
+    WILDCARD_BIT,
+    LabelSummary,
+    label_context,
+    mask_ids,
+)
 from repro.matching.bipartite import hopcroft_karp
 from repro.matching.hungarian import max_weight_matching_value
 from repro.matching.measures import (
@@ -38,12 +43,6 @@ def set_similarity_upper_bound(
     where elements may be paired iff their sets intersect."""
     if not sets1 or not sets2:
         return 0.0
-    if all(len(s) == 1 for s in sets1) and all(len(s) == 1 for s in sets2):
-        # Singleton fast path: max matching = multiset intersection size.
-        c1 = Counter(next(iter(s)) for s in sets1)
-        c2 = Counter(next(iter(s)) for s in sets2)
-        return float(sum((c1 & c2).values()))
-    # General 0/1 case: bipartite matching on set intersection.
     label_to_right: dict = {}
     for j, s in enumerate(sets2):
         for label in s:
@@ -68,81 +67,75 @@ def sim_upper_bound(
     Default (``None``) measures use the uniform 0/1 fast paths; custom
     measures use maximum-weight matching via the Hungarian algorithm.
     """
-    v1, v2 = vertex_label_sets(g1), vertex_label_sets(g2)
-    e1, e2 = edge_label_sets(g1), edge_label_sets(g2)
-
-    if vertex_similarity is None:
-        vertex_part = set_similarity_upper_bound(v1, v2)
-    else:
-        vertex_part = _weighted_part(v1, v2, vertex_similarity)
-    if edge_similarity is None:
-        edge_part = set_similarity_upper_bound(e1, e2)
-    else:
-        edge_part = _weighted_part(e1, e2, edge_similarity)
-    return vertex_part + edge_part
+    if vertex_similarity is None and edge_similarity is None:
+        return SimilarityQueryContext(g1).sim_upper_bound(g2)
+    return (_set_part(vertex_label_sets(g1), vertex_label_sets(g2),
+                      vertex_similarity)
+            + _set_part(edge_label_sets(g1), edge_label_sets(g2),
+                        edge_similarity))
 
 
-def _weighted_part(
-    sets1: Sequence[frozenset],
-    sets2: Sequence[frozenset],
-    similarity: Callable,
-) -> float:
+def _set_part(sets1: Sequence[frozenset], sets2: Sequence[frozenset],
+              similarity: Optional[Callable]) -> float:
+    if similarity is None:
+        return set_similarity_upper_bound(sets1, sets2)
     if not sets1 or not sets2:
         return 0.0
     weights = [[similarity(s1, s2) for s2 in sets2] for s1 in sets1]
     return max_weight_matching_value(weights)
 
 
-class _SetFamily:
-    """One side of the Eqn. (7) set matching, preprocessed once.
+def _mask_counts(g: GraphLike) -> tuple[Sequence, Sequence]:
+    """A graph or closure as the two multisets Eqn. (7) matches:
+    ``(label mask, occurrences)`` pairs for vertices and for edges."""
+    ctx = label_context(g)
+    return ([(m, members.bit_count()) for m, members in ctx.vertex_groups],
+            ctx.edge_counts)
 
-    Caches what :func:`set_similarity_upper_bound` recomputes per call for
-    the query side: the singleton-label multiset (fast path) and the
-    label -> positions index used to build bipartite adjacency (general
-    path).  Matching cardinality is symmetric, so the index side may serve
-    as either partition.
-    """
 
-    __slots__ = ("sets", "size", "singleton", "counts", "label_index")
+def _matching_value(counts1: Sequence[tuple[int, int]],
+                    counts2: Sequence[tuple[int, int]]) -> int:
+    """:func:`set_similarity_upper_bound` on compiled sides: the maximum
+    matching between two multisets of (distinct) label masks, elements
+    pairable iff their masks share a bit."""
+    if all(m & (m - 1) == 0 for m, _ in (*counts1, *counts2)):
+        # Plain labels: the size of the multiset intersection.
+        there = dict(counts2)
+        return sum(min(count, there.get(m, 0)) for m, count in counts1)
+    by_label: dict[int, list[int]] = {}
+    size = 0
+    for m, count in counts2:
+        for i in mask_ids(m):
+            by_label.setdefault(i, []).extend(range(size, size + count))
+        size += count
+    adjacency: list[list[int]] = []
+    for m, count in counts1:
+        nbrs = sorted({j for i in mask_ids(m) for j in by_label.get(i, ())})
+        adjacency += [nbrs] * count
+    return len(hopcroft_karp(len(adjacency), size, adjacency))
 
-    def __init__(self, sets: Sequence[frozenset]) -> None:
-        self.sets = sets
-        self.size = len(sets)
-        self.singleton = all(len(s) == 1 for s in sets)
-        self.counts = (
-            Counter(next(iter(s)) for s in sets) if self.singleton else None
-        )
-        label_index: dict = {}
-        for j, s in enumerate(sets):
-            for label in s:
-                label_index.setdefault(label, []).append(j)
-        self.label_index = label_index
 
-    def matching_value(self, sets2: Sequence[frozenset]) -> float:
-        """``set_similarity_upper_bound(self.sets, sets2)``, reusing the
-        preprocessed side (bit-identical result)."""
-        if not self.sets or not sets2:
-            return 0.0
-        if self.singleton and all(len(s) == 1 for s in sets2):
-            c2 = Counter(next(iter(s)) for s in sets2)
-            return float(sum((self.counts & c2).values()))
-        adjacency: list[list[int]] = []
-        for s in sets2:
-            nbrs: set[int] = set()
-            for label in s:
-                nbrs.update(self.label_index.get(label, ()))
-            adjacency.append(sorted(nbrs))
-        return float(len(hopcroft_karp(len(sets2), self.size, adjacency)))
+def _against_histogram(counts: Sequence[tuple[int, int]],
+                       hist: dict[int, int]) -> tuple[int, int]:
+    """``(matched, size)`` of a mask multiset against a plain graph's
+    label histogram.  That leaves wildcard-labelled elements out: the
+    graph's go uncounted, each of ``counts`` is taken as matched — sound
+    for both bounds, and exact when neither side has any."""
+    matched = _matching_value(counts, [(1 << i, c) for i, c in hist.items()])
+    wild = sum(count for m, count in counts if m & WILDCARD_BIT)
+    return matched + wild, sum(hist.values())
 
 
 class SimilarityQueryContext:
     """Query-side precomputation for similarity/distance bounds.
 
     The K-NN and range traversals evaluate Eqn. (7) bounds against every
-    child of every expanded node; the query's label sets (and their
-    matching indexes) never change, so they are extracted once here instead
-    of per child.  All methods are bit-identical to the corresponding
-    module-level functions.
+    child of every expanded node; what they read of the query — its
+    label masks as two multisets — never changes, so it is extracted
+    once here.  A *target* is a graph, a closure, or the ``LabelSummary``
+    of a plain graph: a leaf entry, bounded before its graph is loaded.
+    Every value is the one :func:`set_similarity_upper_bound` gives on the
+    label-set lists (between plain graphs, the histogram intersection).
     """
 
     __slots__ = ("query", "num_vertices", "num_edges", "_v", "_e")
@@ -151,33 +144,36 @@ class SimilarityQueryContext:
         self.query = query
         self.num_vertices = query.num_vertices
         self.num_edges = query.num_edges
-        self._v = _SetFamily(vertex_label_sets(query))
-        self._e = _SetFamily(edge_label_sets(query))
+        self._v, self._e = _mask_counts(query)
 
-    def sim_upper_bound(self, target: GraphLike) -> float:
+    def _matched(self, target) -> tuple[int, int, int, int]:
+        """``(Sim(V, V'), Sim(E, E'), |V'|, |E'|)`` against ``target``."""
+        if not isinstance(target, LabelSummary):
+            v, e = _mask_counts(target)
+            return (_matching_value(self._v, v), _matching_value(self._e, e),
+                    target.num_vertices, target.num_edges)
+        v, nv = _against_histogram(self._v, target.vhist)
+        e, ne = _against_histogram(self._e, target.ehist)
+        return v, e, nv, ne
+
+    def sim_upper_bound(self, target) -> float:
         """Eqn. (7) against ``target`` (uniform measures)."""
-        return (
-            self._v.matching_value(vertex_label_sets(target))
-            + self._e.matching_value(edge_label_sets(target))
-        )
+        v, e, _, _ = self._matched(target)
+        return float(v + e)
 
-    def distance_lower_bound(self, target: GraphLike) -> float:
+    def distance_lower_bound(self, target) -> float:
         """:func:`distance_lower_bound` against ``target``."""
-        v2 = vertex_label_sets(target)
-        e2 = edge_label_sets(target)
-        vertex_cost = max(self.num_vertices, len(v2)) - \
-            self._v.matching_value(v2)
-        edge_cost = max(self.num_edges, len(e2)) - self._e.matching_value(e2)
-        return float(vertex_cost + edge_cost)
+        v, e, nv, ne = self._matched(target)
+        return float(max(self.num_vertices, nv) - v
+                     + max(self.num_edges, ne) - e)
 
     def closure_distance_lower_bound(self, closure) -> float:
         """Lower bound on the query's distance to any graph contained in
         ``closure`` (the range-query pruning bound)."""
-        v_match = self._v.matching_value(vertex_label_sets(closure))
-        e_match = self._e.matching_value(edge_label_sets(closure))
-        v_cost = max(self.num_vertices, closure.min_num_vertices()) - v_match
-        e_cost = max(self.num_edges, closure.min_num_edges()) - e_match
-        return max(0.0, v_cost) + max(0.0, e_cost)
+        v, e, _, _ = self._matched(closure)
+        v_cost = max(self.num_vertices, closure.min_num_vertices()) - v
+        e_cost = max(self.num_edges, closure.min_num_edges()) - e
+        return float(max(0, v_cost) + max(0, e_cost))
 
     def __repr__(self) -> str:
         return (f"<SimilarityQueryContext |V|={self.num_vertices} "
@@ -197,13 +193,7 @@ def distance_lower_bound(g1: GraphLike, g2: GraphLike) -> float:
     ``max(|V1|,|V2|) - Sim(V1,V2)`` on vertices and analogously on edges
     (unmatched or mismatched elements cost at least 1 each).
     """
-    v1, v2 = vertex_label_sets(g1), vertex_label_sets(g2)
-    e1, e2 = edge_label_sets(g1), edge_label_sets(g2)
-    vertex_match = set_similarity_upper_bound(v1, v2)
-    edge_match = set_similarity_upper_bound(e1, e2)
-    vertex_cost = max(len(v1), len(v2)) - vertex_match
-    edge_cost = max(len(e1), len(e2)) - edge_match
-    return float(vertex_cost + edge_cost)
+    return SimilarityQueryContext(g1).distance_lower_bound(g2)
 
 
 __all__ = [

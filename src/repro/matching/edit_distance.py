@@ -20,7 +20,7 @@ from repro.matching.bipartite_mapping import (
     bipartite_mapping,
     bipartite_mapping_unweighted,
 )
-from repro.matching.nbm import nbm_mapping
+from repro.matching.nbm import nbm_mapping, nbm_score
 from repro.matching.state_search import state_search_mapping
 from repro.obs.metrics import global_registry
 
@@ -42,15 +42,8 @@ _C_BY_METHOD = {
 }
 
 
-def graph_mapping(
-    g1: GraphLike, g2: GraphLike, method: str = DEFAULT_METHOD, **kwargs
-) -> GraphMapping:
-    """Find a mapping between two graph-like objects.
-
-    ``method`` is one of ``"nbm"`` (default, Alg. 1), ``"bipartite"``
-    (weighted, Sec. 4.2), ``"bipartite_unweighted"``, or ``"state"``
-    (exact branch-and-bound, small graphs only).
-    """
+def _select(method: str) -> Callable[..., GraphMapping]:
+    """The mapper called ``method``, counted as one mapping call."""
     try:
         mapper = MAPPING_METHODS[method]
     except KeyError:
@@ -60,7 +53,19 @@ def graph_mapping(
         ) from None
     _C_MAPPING_CALLS.value += 1
     _C_BY_METHOD[method].value += 1
-    return mapper(g1, g2, **kwargs)
+    return mapper
+
+
+def graph_mapping(
+    g1: GraphLike, g2: GraphLike, method: str = DEFAULT_METHOD, **kwargs
+) -> GraphMapping:
+    """Find a mapping between two graph-like objects.
+
+    ``method`` is one of ``"nbm"`` (default, Alg. 1), ``"bipartite"``
+    (weighted, Sec. 4.2), ``"bipartite_unweighted"``, or ``"state"``
+    (exact branch-and-bound, small graphs only).
+    """
+    return _select(method)(g1, g2, **kwargs)
 
 
 def graph_distance(
@@ -75,7 +80,10 @@ def graph_distance(
     :func:`repro.matching.state_search.optimal_distance` for the exact
     value on tiny graphs).
     """
-    return graph_mapping(g1, g2, method, **kwargs).edit_cost()
+    mapper = _select(method)
+    if mapper is nbm_mapping and not kwargs:
+        return nbm_score(g1, g2)[1]
+    return mapper(g1, g2, **kwargs).edit_cost()
 
 
 def graph_similarity(
@@ -83,7 +91,10 @@ def graph_similarity(
 ) -> float:
     """Approximate similarity (Def. 6): similarity under a heuristic
     mapping.  Always a lower bound on the true similarity."""
-    return graph_mapping(g1, g2, method, **kwargs).similarity()
+    mapper = _select(method)
+    if mapper is nbm_mapping and not kwargs:
+        return nbm_score(g1, g2)[0]
+    return mapper(g1, g2, **kwargs).similarity()
 
 
 def subgraph_distance(

@@ -40,8 +40,7 @@ from repro.graphs.labelspace import (
     WILDCARD_BIT,
     LabelSummary,
     TargetContext,
-    global_labelspace,
-    mask_functions,
+    mask_ids,
     target_context,
 )
 from repro.obs.metrics import global_registry
@@ -116,26 +115,12 @@ def resolve_level(level: Level, n1: int, n2: int) -> int:
 # ----------------------------------------------------------------------
 def masks_to_domains(masks: Sequence[int]) -> list[set[int]]:
     """Bitmask domains -> the set-of-ints representation of pseudo_iso."""
-    out: list[set[int]] = []
-    for m in masks:
-        s: set[int] = set()
-        while m:
-            b = m & -m
-            m ^= b
-            s.add(b.bit_length() - 1)
-        out.append(s)
-    return out
+    return [set(mask_ids(m)) for m in masks]
 
 
 def domains_to_masks(domains: Sequence[set[int]]) -> list[int]:
     """Set-of-ints domains -> bitmasks."""
-    out: list[int] = []
-    for d in domains:
-        m = 0
-        for v in d:
-            m |= 1 << v
-        out.append(m)
-    return out
+    return [sum(1 << v for v in d) for d in domains]
 
 
 # ----------------------------------------------------------------------
@@ -323,13 +308,11 @@ class QueryContext:
         self.ctx = ctx
         self.level = level
         self.n = ctx.n
-        label_of, vertex_mask, edge_mask, _ = mask_functions(
-            query, global_labelspace())
         adjacency = [query.adjacency(v) for v in range(ctx.n)]
-        self.vertex_masks = [vertex_mask(label_of(v)) for v in range(ctx.n)]
+        self.vertex_masks = ctx.vmasks
         self.neighbors = [tuple(adj) for adj in adjacency]
-        self.edge_masks = [{w: edge_mask(label) for w, label in adj.items()}
-                           for adj in adjacency]
+        self.edge_masks = [{w: ctx.edge_masks[label]
+                            for w, label in adj.items()} for adj in adjacency]
         self.vhist_items = tuple(ctx.vhist.items())
         self.ehist_items = tuple(ctx.ehist.items())
         self.vbits = ctx.vbits

@@ -9,6 +9,12 @@ estimates (Fig. 10).
 
 Complexity: O(n^2) initialization plus O(n · d^2 · log n) queue work, as
 analyzed in the paper.
+
+Under the paper's uniform measures (every caller in the library) the
+algorithm runs as a compiled kernel, :func:`nbm_match`, over the contexts
+memoized on graphs and closures (:func:`~repro.graphs.labelspace.nbm_context`).
+The generic loop, :func:`nbm_mapping_reference`, serves custom measures and
+is the oracle the kernel must equal bit for bit (``tests/test_nbm.py``).
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import itertools
 from typing import Callable
 
 from repro.graphs.closure import GraphLike
+from repro.graphs.labelspace import EPSILON_BIT, nbm_context
 from repro.graphs.mapping import GraphMapping, uniform_set_similarity
 
 
@@ -57,6 +64,149 @@ def nbm_mapping(
     -------
     A :class:`~repro.graphs.mapping.GraphMapping` covering both graphs.
     """
+    uniform = uniform_set_similarity
+    if vertex_similarity is edge_similarity is uniform and neighbor_bonus == 1.0:
+        return GraphMapping.from_partial(
+            g1, g2, nbm_match(g1, g2, neighborhood_init))
+    return nbm_mapping_reference(g1, g2, vertex_similarity, edge_similarity,
+                                 neighbor_bonus, neighborhood_init)
+
+
+def nbm_match(
+    g1: GraphLike, g2: GraphLike, neighborhood_init: float = 0.5
+) -> dict[int, int]:
+    """The pairs Alg. 1 matches under the uniform measures, ``u -> v``.
+
+    Two label sets are similar iff their masks share a bit, so initial
+    weights are filled per group of label-compatible targets (``1 +
+    init·common/d`` in one step, the profile overlap ``common`` a
+    popcount) and a boost is ``+1`` per mask-compatible edge pair.  The
+    tiebreak counter is drawn exactly where the reference draws it, so
+    both pop the same sequence of heap entries.
+    """
+    c1, c2 = nbm_context(g1), nbm_context(g2)
+    n1, n2 = c1.n, c2.n
+    if n1 == 0 or n2 == 0:
+        return {}
+    scale = max(neighborhood_init, 0.0)
+    by_label: dict[int, list[tuple[int, int, int]]] = {}
+    for v, (m, p, d) in enumerate(zip(c2.vmasks, c2.profiles, c2.degrees)):
+        by_label.setdefault(m, []).append((v, p, d))
+
+    # Weight matrix W[u][v]; vertices alike in label, profile and degree
+    # start from the same row.
+    rows: dict[tuple, list[float]] = {}
+    weight: list[list[float]] = []
+    for key in zip(c1.vmasks, c1.profiles, c1.degrees):
+        row = rows.get(key)
+        if row is None:
+            m1, p1, d1 = key
+            row = rows[key] = [0.0] * n2
+            for m2, members in by_label.items():
+                if m1 & m2:
+                    for v, p2, d2 in members:
+                        row[v] = 1.0 + scale * (p1 & p2).bit_count() / (
+                            d1 if d1 > d2 else d2 or 1)
+        weight.append(row[:])
+
+    matched1 = [False] * n1
+    matched2 = [False] * n2
+    best_wt = [max(row) for row in weight]
+    # Min-heap over (-weight, tiebreak, u, v): the tiebreak makes entries
+    # totally ordered, so pop order does not depend on heap layout.
+    heap = [(-best_wt[u], u, u, weight[u].index(best_wt[u]))
+            for u in range(n1)]
+    heapq.heapify(heap)
+    counter = itertools.count(n1)
+    adj1, adj2 = g1.adjacency, g2.adjacency
+    emask1, emask2 = c1.edge_masks, c2.edge_masks
+    push, pop = heapq.heappush, heapq.heappop
+
+    result: dict[int, int] = {}
+    while heap:
+        neg_w, _, u, v = pop(heap)
+        if matched1[u]:
+            continue
+        if matched2[v] or -neg_w < best_wt[u]:
+            # Stale entry: v was taken, or u's weight has been boosted
+            # since.  Re-key u on its best unmatched candidate (the first
+            # of equals); with g2 exhausted u stays unmatched, a dummy.
+            row = weight[u]
+            best = max(row)
+            if best >= 0.0:
+                best_wt[u] = best
+                push(heap, (-best, next(counter), u, row.index(best)))
+            continue
+
+        matched1[u] = True
+        matched2[v] = True
+        result[u] = v
+        for row in weight:
+            row[v] = -1.0  # below every weight: out of all later re-keys
+
+        # Boost unmatched neighbor pairs (the "neighbor bias").
+        targets = [(v2, emask2[label]) for v2, label in adj2(v).items()
+                   if not matched2[v2]]
+        for u2, label in adj1(u).items():
+            if matched1[u2]:
+                continue
+            e1 = emask1[label]
+            row = weight[u2]
+            mate, best = -1, best_wt[u2]
+            for v2, e2 in targets:
+                if e1 & e2:
+                    w = row[v2] = row[v2] + 1.0
+                    if w > best:
+                        mate, best = v2, w
+            if mate >= 0:
+                best_wt[u2] = best
+                push(heap, (-best, next(counter), u2, mate))
+    return result
+
+
+def nbm_score(g1: GraphLike, g2: GraphLike) -> tuple[float, float]:
+    """``(similarity, edit cost)`` of ``nbm_mapping(g1, g2)`` under the
+    uniform measures, read off the match without building the mapping.
+    A dummy is the label set {ε}, so an unmatched element is free exactly
+    when its mask has the ε bit.
+    """
+    match = nbm_match(g1, g2)
+    c1, c2 = nbm_context(g1), nbm_context(g2)
+    adj1, adj2 = g1.adjacency, g2.adjacency
+    emask1, emask2 = c1.edge_masks, c2.edge_masks
+    # (mask, mask of its image or 0) for every vertex and edge of g1.
+    pairs: list[tuple[int, int]] = []
+    for a, m1 in enumerate(c1.vmasks):
+        va = match.get(a)
+        image = {} if va is None else adj2(va)
+        pairs.append((m1, 0 if va is None else c2.vmasks[va]))
+        for b, label in adj1(a).items():
+            if a < b:
+                vb = match.get(b)
+                pairs.append((emask1[label],
+                              emask2[image[vb]] if vb in image else 0))
+    # Every element of g2 starts out paired with a dummy ...
+    similarity = 0
+    cost = (sum(not m & EPSILON_BIT for m in c2.vmasks)
+            + sum(n for m, n in c2.edge_counts if not m & EPSILON_BIT))
+    for m1, m2 in pairs:
+        if m2 and not m2 & EPSILON_BIT:
+            cost -= 1  # ... until an element of g1 is mapped onto it.
+        if m1 & m2:
+            similarity += 1
+        elif not m1 & (m2 or EPSILON_BIT):
+            cost += 1
+    return float(similarity), float(cost)
+
+
+def nbm_mapping_reference(
+    g1: GraphLike, g2: GraphLike,
+    vertex_similarity: Callable = uniform_set_similarity,
+    edge_similarity: Callable = uniform_set_similarity,
+    neighbor_bonus: float = 1.0, neighborhood_init: float = 0.5,
+) -> GraphMapping:
+    """:func:`nbm_mapping` over label sets and arbitrary measures: the
+    path of custom measures, and the oracle the kernel is tested against."""
     n1, n2 = g1.num_vertices, g2.num_vertices
     if n1 == 0 or n2 == 0:
         return GraphMapping.from_partial(g1, g2, {})
@@ -117,13 +267,14 @@ def nbm_mapping(
         for u2 in g1.neighbors(u):
             if matched1[u2]:
                 continue
-            e1 = _edge_set(g1, u, u2)
+            e1 = g1.edge_label_set(u, u2)
             row = weight[u2]
             improved = False
             for v2 in g2.neighbors(v):
                 if matched2[v2]:
                     continue
-                bonus = neighbor_bonus * edge_similarity(e1, _edge_set(g2, v, v2))
+                bonus = neighbor_bonus * edge_similarity(
+                    e1, g2.edge_label_set(v, v2))
                 if bonus <= 0.0:
                     continue
                 row[v2] += bonus
@@ -172,10 +323,3 @@ def _neighbor_label_counts(g: GraphLike, u: int) -> dict:
         for label in g.label_set(w):
             counts[label] = counts.get(label, 0) + 1
     return counts
-
-
-def _edge_set(g: GraphLike, u: int, v: int) -> frozenset:
-    s = g.edge_label_set(u, v)
-    if isinstance(s, frozenset):
-        return s
-    return frozenset(s)

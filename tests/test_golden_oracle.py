@@ -15,8 +15,10 @@ the commit.
 deterministic counter of their stats, as measured before the disk record
 format made leaf entries carry their graph's histogram (format 3) — so a
 change that removes or adds a test, not only one that changes an answer,
-fails here; and the leaf-level count test pins the mechanism format 3
-exists for: a graph record is read only if its entry's histogram passed.
+fails here; and the leaf-level count tests pin the mechanism format 3
+exists for: a graph record is read only if its entry's histogram passed
+(subgraph), only when its entry's Eqn. (7) bound is popped for scoring
+(K-NN).
 """
 
 import hashlib
@@ -32,6 +34,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.io import load_graph_database
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DiskCTree
+from repro.ctree.similarity_query import knn_query
 from repro.ctree.subgraph_query import subgraph_query
 from repro.matching import kernels
 
@@ -132,12 +135,30 @@ class TestGoldenWork:
                 skipped += screened - survivors
         assert skipped > 0 or not kernels_on, "the screen rejected nothing"
 
-    def test_knn_stats_frozen(self, golden, golden_disk, pinned):
+    def test_knn_stats_frozen(
+            self, golden, golden_tree, golden_disk, pinned, monkeypatch):
+        """Per K-NN case: stats equal the pinned ones and the in-memory
+        tree's, and a graph record is decoded exactly when Alg. 4 scores
+        it — its Eqn. (7) bound, read off the leaf entry, reached the top
+        of the heap above the threshold — never to compute that bound."""
         db, expected = golden
         disk, _ = golden_disk
+        loads = []
+        load_graph = disk.store.load_graph
+        monkeypatch.setattr(
+            disk.store, "load_graph",
+            lambda entry: loads.append(entry.graph_id) or load_graph(entry))
+        unread = 0
         for case, frozen in zip(expected["knn"], pinned["knn"]):
-            _, stats = disk.knn_query(db[case["query_id"]], case["k"])
+            query = db[case["query_id"]]
+            del loads[:]
+            _, stats = disk.knn_query(query, case["k"])
+            _, mem_stats = knn_query(golden_tree, query, case["k"])
             assert stats.deterministic_dict() == frozen
+            assert mem_stats.deterministic_dict() == frozen
+            assert len(loads) == len(set(loads)) == stats.graphs_scored
+            unread += len(db) - len(loads)
+        assert unread > 0, "every graph was read by every query"
 
 
 #: sha256 of ``DiskCTree.create(golden tree, page_size=512)`` — record

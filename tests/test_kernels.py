@@ -22,12 +22,13 @@ from repro.exceptions import ConfigError
 from repro.graphs.closure import EPSILON, WILDCARD, closure_under_mapping
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
-from repro.graphs.labelspace import target_context
+from repro.graphs.labelspace import LabelSummary, target_context
 from repro.matching import kernels
 from repro.matching.bipartite import has_semi_perfect_matching
 from repro.matching.bounds import (
     SimilarityQueryContext,
     distance_lower_bound,
+    set_similarity_upper_bound,
     sim_upper_bound,
 )
 from repro.matching.kernels import (
@@ -42,6 +43,7 @@ from repro.matching.kernels import (
     semi_perfect_masks,
     use_kernels,
 )
+from repro.matching.measures import edge_label_sets, vertex_label_sets
 from repro.matching.pseudo_iso import (
     global_semi_perfect,
     level0_domains,
@@ -151,6 +153,94 @@ class TestKernelEquivalence:
             compile_query(query), target_context(target), "max")
         assert masks_to_domains(masks) == ref
         assert any(not d for d in ref)  # the exit actually triggered
+
+
+def set_based_bounds(g1, g2):
+    """Eqn. (7) and the distance bound from the label-set lists — what
+    the histogram / mask paths of ``bounds`` must equal."""
+    v1, v2 = vertex_label_sets(g1), vertex_label_sets(g2)
+    e1, e2 = edge_label_sets(g1), edge_label_sets(g2)
+    v = set_similarity_upper_bound(v1, v2)
+    e = set_similarity_upper_bound(e1, e2)
+    return v + e, float(max(len(v1), len(v2)) - v + max(len(e1), len(e2)) - e)
+
+
+def bare_summary(g):
+    """What a disk leaf entry knows of its graph: the two histograms."""
+    ctx = target_context(g)
+    return LabelSummary(dict(ctx.vhist), dict(ctx.ehist))
+
+
+class TestBoundsEquivalence:
+    """Histogram / mask bounds vs the set-based ones, same pairs."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_graphs_and_closures(self, seed):
+        rng = random.Random(3000 + seed)
+        for _ in range(60):
+            a, b = random_graph_like(rng, 7), random_graph_like(rng, 7)
+            sim, dist = set_based_bounds(a, b)
+            sqc = SimilarityQueryContext(a)
+            assert sim_upper_bound(a, b) == sqc.sim_upper_bound(b) == sim
+            assert distance_lower_bound(a, b) == dist
+            assert sqc.distance_lower_bound(b) == dist
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_leaf_summaries(self, seed):
+        rng = random.Random(4000 + seed)
+        exact = 0
+        for _ in range(80):
+            q, g = random_graph(rng, 7), random_graph(rng, 7)
+            sim, dist = set_based_bounds(q, g)
+            sqc = SimilarityQueryContext(q)
+            got_sim = sqc.sim_upper_bound(bare_summary(g))
+            got_dist = sqc.distance_lower_bound(bare_summary(g))
+            # Wildcards are outside a histogram: still sound, and exact
+            # as soon as one side has none.
+            assert got_sim >= sim and got_dist <= dist
+            if WILDCARD not in [q.label(v) for v in q.vertices()] \
+                    + [g.label(v) for v in g.vertices()]:
+                assert (got_sim, got_dist) == (sim, dist)
+                exact += 1
+        assert exact > 5
+
+    def test_closure_distance_bound(self):
+        rng = random.Random(5000)
+        for _ in range(60):
+            q, c = random_graph(rng, 6), random_graph_like(rng, 7)
+            if isinstance(c, Graph):
+                continue
+            v = set_similarity_upper_bound(vertex_label_sets(q),
+                                           vertex_label_sets(c))
+            e = set_similarity_upper_bound(edge_label_sets(q),
+                                           edge_label_sets(c))
+            expected = (
+                max(0.0, max(q.num_vertices, c.min_num_vertices()) - v)
+                + max(0.0, max(q.num_edges, c.min_num_edges()) - e))
+            got = SimilarityQueryContext(q).closure_distance_lower_bound(c)
+            assert got == expected and isinstance(got, float)
+
+    def test_stored_summary_is_the_memory_summary(self, tmp_path):
+        from repro.ctree.bulkload import bulk_load
+        from repro.ctree.diskindex import DiskCTree
+        from repro.datasets.chemical import generate_chemical_database
+
+        db = generate_chemical_database(25, seed=4)
+        tree = bulk_load(db, min_fanout=3)
+        with DiskCTree.create(tree, tmp_path / "s.ctp") as disk:
+            stack, seen = [disk.store.load_node(disk.store.root)], 0
+            while stack:
+                node = stack.pop()
+                for ref in node.children:
+                    if not node.is_leaf:
+                        stack.append(disk.store.load_node(ref))
+                        continue
+                    stored = disk.store.graph_summary(ref)
+                    memo = target_context(db[ref.graph_id])
+                    assert stored.vhist == memo.vhist
+                    assert stored.ehist == memo.ehist
+                    seen += 1
+            assert seen == len(db)
 
 
 class TestSemiPerfectMasks:

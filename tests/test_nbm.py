@@ -1,12 +1,32 @@
 """Unit tests for Neighbor Biased Mapping (Alg. 1)."""
 
-import random
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from repro.graphs.closure import GraphClosure
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.graphs.closure import (
+    EPSILON,
+    WILDCARD,
+    GraphClosure,
+    closure_under_mapping,
+)
 from repro.graphs.graph import Graph
 from repro.graphs.operations import vertex_permuted
 from repro.matching.bounds import sim_upper_bound
-from repro.matching.nbm import nbm_mapping
+from repro.matching.edit_distance import graph_distance, graph_similarity
+from repro.matching.measures import jaccard_set_similarity
+from repro.matching.nbm import (
+    nbm_mapping,
+    nbm_mapping_reference,
+    nbm_match,
+    nbm_score,
+)
 
 from conftest import path_graph, random_labeled_graph, star, triangle
 
@@ -102,3 +122,214 @@ class TestDeterminism:
         m1 = nbm_mapping(g1, g2)
         m2 = nbm_mapping(g1, g2)
         assert m1.pairs == m2.pairs
+
+
+# ----------------------------------------------------------------------
+# The compiled kernel against the reference loop
+# ----------------------------------------------------------------------
+VLABELS = ["A", "B", "C", WILDCARD]
+ELABELS = [None, "x", 1, 2]
+
+
+@st.composite
+def graphs(draw, max_vertices=7):
+    """Graphs over the full label surface: wildcard vertices, ``None`` /
+    string / integer edge labels, isolated vertices, the empty graph."""
+    n = draw(st.integers(0, max_vertices))
+    g = Graph([draw(st.sampled_from(VLABELS)) for _ in range(n)])
+    density = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.floats(0, 1)) < density:
+                g.add_edge(u, v, draw(st.sampled_from(ELABELS)))
+    return g
+
+
+@st.composite
+def closures(draw, max_vertices=6):
+    """The closure of two graphs under a random partial mapping: label
+    sets of size 1-2, ε on unmatched vertices and one-sided edges."""
+    g1, g2 = draw(graphs(max_vertices)), draw(graphs(max_vertices))
+    n1, n2 = g1.num_vertices, g2.num_vertices
+    k = draw(st.integers(0, min(n1, n2)))
+    us = draw(st.permutations(range(n1)))[:k]
+    vs = draw(st.permutations(range(n2)))[:k]
+    pairs = list(zip(us, vs))
+    pairs += [(u, None) for u in range(n1) if u not in us]
+    pairs += [(None, v) for v in range(n2) if v not in vs]
+    return closure_under_mapping(g1, g2, pairs)
+
+
+graph_likes = st.one_of(graphs(), closures())
+
+
+def assert_kernel_equals_reference(g1, g2, init=0.5):
+    got = nbm_mapping(g1, g2, neighborhood_init=init)
+    ref = nbm_mapping_reference(g1, g2, neighborhood_init=init)
+    assert got.pairs == ref.pairs
+    assert nbm_match(g1, g2, init) == ref.matched_pairs()
+    assert got.similarity() == ref.similarity()
+    assert got.edit_cost() == ref.edit_cost()
+    assert got.subgraph_cost() == ref.subgraph_cost()
+    assert got.closure().to_dict() == ref.closure().to_dict()
+    if init == 0.5:
+        assert nbm_score(g1, g2) == (ref.similarity(), ref.edit_cost())
+        assert graph_similarity(g1, g2) == ref.similarity()
+        assert graph_distance(g1, g2) == ref.edit_cost()
+
+
+class TestKernelDifferential:
+    @given(graph_likes, graph_likes, st.sampled_from([0.5, 0.0, 0.25]))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_reference(self, g1, g2, init):
+        assert_kernel_equals_reference(g1, g2, init)
+
+    @given(graphs(max_vertices=9), graphs(max_vertices=4))
+    @settings(max_examples=60, deadline=None)
+    def test_dummy_leftovers(self, big, small):
+        # n1 > n2: the heap outlives g2, leftovers pair with dummies.
+        assert_kernel_equals_reference(big, small)
+        assert_kernel_equals_reference(small, big)
+
+    def test_empty_sides(self):
+        for g1, g2 in [(Graph(), Graph()), (Graph(), triangle()),
+                       (triangle(), Graph()),
+                       (GraphClosure(), Graph(["A"]))]:
+            assert_kernel_equals_reference(g1, g2)
+            assert nbm_match(g1, g2) == {}
+
+    def test_chemical_graphs_and_tree_closures(self, chem_db_small):
+        from repro.ctree.bulkload import bulk_load
+
+        db = chem_db_small[:30]
+        tree = bulk_load(db, min_fanout=3)
+        nodes = [tree.root] + [c for c in tree.root.children
+                               if not tree.root.is_leaf]
+        closures = [node.closure for node in nodes]
+        for i, g in enumerate(db):
+            assert_kernel_equals_reference(g, db[(7 * i + 3) % len(db)])
+            assert_kernel_equals_reference(closures[i % len(closures)], g)
+        for c1 in closures:
+            for c2 in closures:
+                assert_kernel_equals_reference(c1, c2)
+
+    def test_custom_measures_take_the_reference_loop(self):
+        g1, g2 = path_graph("ABC"), path_graph("ACB")
+        jaccard = nbm_mapping(g1, g2, vertex_similarity=jaccard_set_similarity)
+        assert jaccard.pairs == nbm_mapping_reference(
+            g1, g2, vertex_similarity=jaccard_set_similarity).pairs
+        biased = nbm_mapping(g1, g2, neighbor_bonus=3.0)
+        assert biased.pairs == nbm_mapping_reference(
+            g1, g2, neighbor_bonus=3.0).pairs
+
+
+class TestKernelMemo:
+    """The kernel reads per-graph memos; every mutator must drop them."""
+
+    @pytest.mark.parametrize("mutate", [
+        lambda g: g.add_vertex("B"),
+        lambda g: g.add_edge(0, 3, "x"),
+        lambda g: g.remove_edge(0, 1),
+        lambda g: g.set_label(2, "A"),
+    ], ids=["add_vertex", "add_edge", "remove_edge", "set_label"])
+    def test_graph_mutation_invalidates(self, mutate):
+        g = Graph(["A", "B", "C", "A"], [(0, 1), (1, 2), (2, 3)])
+        other = Graph(["A", "A", "B", "C", "B"],
+                      [(0, 2), (2, 3), (3, 1), (1, 4)])
+        nbm_score(g, other), nbm_score(other, g)  # memoize both sides
+        mutate(g)
+        fresh = Graph.from_dict(g.to_dict())
+        assert nbm_match(g, other) == nbm_match(fresh, other)
+        assert nbm_score(g, other) == nbm_score(fresh, other)
+        assert nbm_score(other, g) == nbm_score(other, fresh)
+        assert_kernel_equals_reference(g, other)
+        assert_kernel_equals_reference(other, g)
+
+    def test_closure_mutation_invalidates(self):
+        c = GraphClosure([{"A", "B"}, {"C"}, {"A", EPSILON}])
+        c.add_edge(0, 1, {None})
+        g = Graph(["A", "C", "A", "B"], [(0, 1), (1, 2), (2, 3)])
+        nbm_score(c, g)
+        c.add_edge(1, 2, {None, EPSILON})
+        v = c.add_vertex({"B"})
+        c.add_edge(2, v, {"x"})
+        fresh = GraphClosure.from_dict(c.to_dict())
+        assert nbm_match(c, g) == nbm_match(fresh, g)
+        assert_kernel_equals_reference(c, g)
+
+    def test_copy_and_pickle_start_clean(self):
+        import pickle
+
+        g = triangle()
+        nbm_score(g, g)
+        for clone in (g.copy(), pickle.loads(pickle.dumps(g))):
+            assert clone._kernel_ctx is None
+            assert nbm_score(clone, g) == nbm_score(g, g)
+
+    def test_one_context_two_lazy_halves(self):
+        from repro.graphs.labelspace import label_context, target_context
+
+        g, h = triangle(), path_graph("ABCA")
+        nbm_score(g, h)
+        ctx = label_context(g)
+        assert ctx.profiles is not None and ctx.edge_groups is None
+        assert target_context(g) is ctx and ctx.edge_groups is not None
+        assert label_context(h).edge_groups is None
+
+    def test_memo_is_small(self, chem_db_small):
+        """Two lists of shared ints per graph: what the kernel adds to
+        the compiled context stays under 1 KB on a spine-sized molecule."""
+        from repro.graphs.labelspace import nbm_context
+
+        for g in chem_db_small:
+            ctx = nbm_context(g)
+            added = (sys.getsizeof(ctx.vmasks) + sys.getsizeof(ctx.profiles)
+                     + sys.getsizeof(ctx.edge_masks))
+            assert added < 1024, (g, added)
+        # equal profiles are one object, not one per vertex
+        ids = {id(p) for g in chem_db_small for p in nbm_context(g).profiles}
+        assert 4 * len(ids) < sum(g.num_vertices for g in chem_db_small)
+
+
+_HASH_SEED_SCRIPT = """
+import json, sys
+from repro.graphs.io import load_graph_database
+from repro.ctree.bulkload import bulk_load
+from repro.matching.nbm import nbm_match, nbm_score
+db = load_graph_database(sys.argv[1])
+tree = bulk_load(db, min_fanout=3)
+closures = [child.closure for child in tree.root.children]
+out = []
+for c in closures:
+    for g in db[::3]:
+        out.append([sorted(nbm_match(c, g).items()), nbm_score(g, c)])
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_kernel_independent_of_hash_seed(hash_seed):
+    """Closure label sets iterate in hash order; neither the interned
+    masks nor the matches may depend on it — the reference loop in this
+    process is the expectation for both seeds."""
+    from repro.ctree.bulkload import bulk_load
+    from repro.graphs.io import load_graph_database
+
+    data = Path(__file__).parent / "data" / "golden_chem.jsonl"
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_SCRIPT, str(data)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    db = load_graph_database(data)
+    tree = bulk_load(db, min_fanout=3)
+    expected = []
+    for child in tree.root.children:
+        for g in db[::3]:
+            ref = nbm_mapping_reference(child.closure, g)
+            back = nbm_mapping_reference(g, child.closure)
+            expected.append([
+                [list(p) for p in sorted(ref.matched_pairs().items())],
+                [back.similarity(), back.edit_cost()]])
+    assert json.loads(done.stdout) == expected

@@ -285,6 +285,58 @@ class TestDiskQueryTrace:
         assert len({r["trace_id"] for r in records}) == 1
 
 
+class TestKnnScoreAccounting:
+    """The kernel path skips the mapping object, not the bookkeeping."""
+
+    def test_one_mapping_call_and_one_span_per_scored_graph(self, tmp_path):
+        from repro.ctree.bulkload import bulk_load
+        from repro.ctree.diskindex import DiskCTree
+        from repro.ctree.similarity_query import knn_query, range_query
+        from repro.datasets.chemical import (
+            ChemicalConfig,
+            generate_chemical_database,
+        )
+
+        db = generate_chemical_database(
+            30, seed=5,
+            config=ChemicalConfig(mean_vertices=10, large_fraction=0.0))
+        tree = bulk_load(db, min_fanout=3)
+        calls = global_registry().counter("matching.mapping.calls")
+        nbm_calls = global_registry().counter("matching.mapping.calls.nbm")
+        with DiskCTree.create(tree, tmp_path / "knn.ctp", page_size=512,
+                              cache_pages=4) as disk:
+            for index in (tree, disk):
+                before = calls.value, nbm_calls.value
+                sink = trace.ListSink()
+                with trace.tracing(sink):
+                    _, stats = knn_query(index, db[3], 4)
+                assert 0 < stats.graphs_scored < len(db)
+                assert calls.value - before[0] == stats.graphs_scored
+                assert nbm_calls.value - before[1] == stats.graphs_scored
+                scores = [r for r in sink.records
+                          if r["name"] == "ctree.knn.score"]
+                assert len(scores) == stats.graphs_scored
+                assert len({r["attrs"]["graph_id"] for r in scores}) \
+                    == len(scores)
+                if index is disk:
+                    # the span covers the graph's load, not only its NBM
+                    ids = {r["span_id"] for r in scores}
+                    by_id = {r["span_id"]: r for r in sink.records}
+                    reads = [r for r in sink.records
+                             if r["name"] == "bufferpool.read_through"]
+                    under_score = 0
+                    for r in reads:
+                        while r["parent_id"] is not None:
+                            r = by_id[r["parent_id"]]
+                            if r["span_id"] in ids:
+                                under_score += 1
+                                break
+                    assert under_score > 0
+            before = calls.value
+            _, stats = range_query(disk, db[3], 6.0)
+            assert calls.value - before == stats.graphs_scored
+
+
 # ----------------------------------------------------------------------
 # Overhead: disabled tracing must be nearly free
 # ----------------------------------------------------------------------

@@ -107,6 +107,53 @@ class TestRange:
         results, _ = range_query(CTree(min_fanout=2), triangle(), 5.0)
         assert results == []
 
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+    def test_leaf_entries_screened_before_load(
+            self, chem_tree_and_db, on_disk, tmp_path, monkeypatch):
+        """A leaf entry whose Eqn. (7) distance bound exceeds the radius
+        is neither loaded nor scored, and the answers are those of the
+        scan that scores every graph of every surviving leaf."""
+        from repro.ctree.diskindex import DiskCTree
+
+        tree, db = chem_tree_and_db
+        index = DiskCTree.create(tree, tmp_path / "range.ctp",
+                                 cache_pages=16) if on_disk else tree
+        store = index.store
+        loads = []
+        load_graph = store.load_graph
+        monkeypatch.setattr(
+            store, "load_graph",
+            lambda entry: loads.append(entry.graph_id) or load_graph(entry))
+        skipped = 0
+        try:
+            for query, radius in [(db[4], 8.0), (db[11], 5.0), (db[30], 12.0)]:
+                del loads[:]
+                results, stats = range_query(index, query, radius)
+                assert len(loads) == len(set(loads)) == stats.graphs_scored
+                # The unscreened scan over the same surviving leaves.
+                in_leaves, expected = 0, []
+                stack = [store.load_node(store.root)]
+                while stack:
+                    node = stack.pop()
+                    for ref in node.children:
+                        if node.is_leaf:
+                            in_leaves += 1
+                            dist = graph_distance(query, load_graph(ref))
+                            if dist <= radius:
+                                expected.append((ref.graph_id, dist))
+                        else:
+                            child = store.load_node(ref)
+                            if closure_distance_lower_bound(
+                                    query, child.closure) <= radius:
+                                stack.append(child)
+                assert results == sorted(expected, key=lambda t: (t[1], t[0]))
+                assert stats.graphs_scored <= in_leaves
+                skipped += in_leaves - stats.graphs_scored
+        finally:
+            if on_disk:
+                index.close()
+        assert skipped > 0, "the leaf screen rejected nothing"
+
 
 class TestClosureDistanceLowerBound:
     def test_bounds_member_distance(self, chem_tree_and_db):
