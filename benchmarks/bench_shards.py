@@ -1,10 +1,10 @@
-"""Sharded scatter-gather benchmark: S C-trees vs the single tree.
+"""Sharding benchmark: S C-trees vs the single tree.
 
 Partitions a |D| = 10,000 chemical database (paper scale; small
 molecules keep pure Python affordable — see
 :class:`conftest.ShardsBenchConfig`) into S independent C-trees under
 closure-clustering placement and serves the same subgraph + K-NN
-workload through :class:`~repro.ctree.shards.ShardedEngine` at every
+workload through :class:`~repro.ctree.parallel.QueryEngine` at every
 configured S, gating on
 
 (a) **bit-identical answers** at every shard count: subgraph answers
@@ -13,14 +13,10 @@ configured S, gating on
 (b) **balance**: per-shard candidate work under closure placement
     within ``max_skew`` (1.5x full scale) of perfectly balanced —
     ``max_s work_s <= max_skew * total_work / S`` — with the hash
-    placement measured alongside for comparison;
-(c) **cross-process cache**: a forked second engine process attaching
-    to the same :class:`~repro.ctree.shardcache.SharedMemoryAnswerCache`
-    slab answers a warm batch entirely from cache — >= 1 hit, zero
-    dispatched tasks, and no shard worker pools ever forked.
+    placement measured alongside for comparison.
 
 Writes ``BENCH_shards.json`` at the repo root (schema
-``shards-bench-v1``, validated by :func:`conftest.validate_shards_payload`
+``shards-bench-v2``, validated by :func:`conftest.validate_shards_payload`
 and uploaded as a CI artifact by the bench-smoke job) in addition to
 the usual ``record_figure`` table + ``BENCH_ctree.json`` entry.
 """
@@ -29,9 +25,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import time
-import uuid
 
 import pytest
 
@@ -45,8 +39,8 @@ from conftest import (
 )
 
 from repro.ctree.bulkload import bulk_load
-from repro.ctree.shardcache import SharedMemoryAnswerCache, cache_segment_name
-from repro.ctree.shards import ShardSet, ShardedEngine
+from repro.ctree.parallel import QueryEngine
+from repro.ctree.shards import ShardSet
 from repro.ctree.similarity_query import knn_query
 from repro.ctree.subgraph_query import subgraph_query
 from repro.datasets.chemical import ChemicalConfig, generate_chemical_database
@@ -99,7 +93,7 @@ def _run_sharded(database, queries, shards, placement):
     registry = global_registry()
     before = registry.snapshot()
     start = time.perf_counter()
-    with ShardedEngine(shardset, cache_size=0) as engine:
+    with QueryEngine(shardset, cache_size=0) as engine:
         subgraph = [a for a, _ in engine.query_many(queries, level=1,
                                                     verify=True)]
         knn = [a for a, _ in
@@ -115,57 +109,6 @@ def _run_sharded(database, queries, shards, placement):
         "candidate_work": work,
     }
     return run, subgraph, knn
-
-
-def _cross_process_cache_check(database):
-    """First engine fills a shared-memory slab; a *forked second
-    process* must answer the same batch purely from it: >= 1 hit, zero
-    dispatched shard tasks, and no worker pools forked at all."""
-    sub = database[:SHARDS.cache_database_size]
-    queries = generate_subgraph_queries(sub, SHARDS.query_size, 4,
-                                        seed=SHARDS.seed + 2)
-    shardset = ShardSet.build_memory(sub, SHARDS.cache_shards,
-                                     placement="hash",
-                                     min_fanout=SHARDS.min_fanout)
-    name = cache_segment_name(f"bench-{os.getpid()}-{uuid.uuid4().hex[:8]}")
-    cache = SharedMemoryAnswerCache(name, slots=SHARDS.cache_slots,
-                                    slot_size=SHARDS.cache_slot_size)
-    try:
-        with ShardedEngine(shardset, cache=cache) as first:
-            expected = [a for a, _ in first.query_many(queries)]
-
-        ctx = multiprocessing.get_context("fork")
-        conn_r, conn_w = ctx.Pipe(duplex=False)
-
-        def child(segment, conn):
-            peer = SharedMemoryAnswerCache(segment, create=False)
-            try:
-                with ShardedEngine(shardset, cache=peer) as second:
-                    answers = [a for a, _ in second.query_many(queries)]
-                    report = second.last_batch
-                    conn.send({
-                        "answers": answers,
-                        "cache_hits": report.cache_hits,
-                        "dispatched": report.dispatched,
-                        "pools_forked": second._pools is not None,
-                    })
-            finally:
-                peer.close()
-
-        proc = ctx.Process(target=child, args=(name, conn_w))
-        proc.start()
-        proc.join(timeout=120)
-        assert proc.exitcode == 0, "cross-process cache child failed"
-        got = conn_r.recv()
-    finally:
-        cache.destroy()
-    return {
-        "queries": len(queries),
-        "cache_hits": got["cache_hits"],
-        "dispatched": got["dispatched"],
-        "pools_forked": got["pools_forked"],
-        "identical": got["answers"] == expected,
-    }
 
 
 def test_sharded_scatter_gather(shard_database, shard_queries, benchmark):
@@ -208,8 +151,6 @@ def test_sharded_scatter_gather(shard_database, shard_queries, benchmark):
     balance_skew = skew(closure_run["candidate_work"])
     max_skew = SHARDS.max_skew_quick if conftest._QUICK else SHARDS.max_skew
 
-    cross = _cross_process_cache_check(shard_database)
-
     record_figure(
         "sharded_scatter_gather",
         f"Sharded scatter-gather vs single tree (chemical, "
@@ -244,15 +185,11 @@ def test_sharded_scatter_gather(shard_database, shard_queries, benchmark):
         },
         "serial_seconds": serial_seconds,
         "runs": runs,
-        "cross_process_cache": cross,
         "gate": {
             "identical_all": all(run["identical"] for run in runs),
             "balance_skew": balance_skew,
             "max_skew": max_skew,
             "hash_skew": skew(hash_run["candidate_work"]),
-            "cross_process_hit": cross["cache_hits"] >= 1,
-            "second_engine_touched_shards": (cross["pools_forked"]
-                                             or cross["dispatched"] > 0),
         },
     }
     SHARDS_BENCH_JSON.write_text(

@@ -167,10 +167,9 @@ class ShardsBenchConfig:
     smaller |D| instead).  Placement quality, candidate balance and
     merge correctness depend on the partition, not the vertex count,
     so the gates are meaningful at this shape.  ``--quick`` shrinks
-    |D| to CI smoke scale; the identity and cross-process-cache gates
-    are scale-free, while the balance gate relaxes to
-    ``max_skew_quick`` (tens of candidates per shard are
-    noise-dominated).
+    |D| to CI smoke scale; the identity gate is scale-free, while the
+    balance gate relaxes to ``max_skew_quick`` (tens of candidates per
+    shard are noise-dominated).
     """
 
     database_size: int = 10_000
@@ -187,19 +186,13 @@ class ShardsBenchConfig:
     #: balance gate: max per-shard candidate work / (total / S)
     max_skew: float = 1.5
     max_skew_quick: float = 2.5
-    #: cross-process cache slab geometry
-    cache_slots: int = 256
-    cache_slot_size: int = 8192
-    #: database subset + shard count for the cross-process cache check
-    cache_database_size: int = 400
-    cache_shards: int = 2
     seed: int = 7
 
 
 #: Sharded scatter-gather workload (bench_shards.py -> BENCH_shards.json).
 SHARDS = ShardsBenchConfig()
 SHARDS_BENCH_JSON = REPO_ROOT / "BENCH_shards.json"
-SHARDS_BENCH_SCHEMA = "shards-bench-v1"
+SHARDS_BENCH_SCHEMA = "shards-bench-v2"
 
 _QUICK = False
 #: figure name -> JSON-able series dict, flushed to BENCH_ctree.json
@@ -250,7 +243,6 @@ def pytest_configure(config):
     )
     SHARDS = replace(
         SHARDS, database_size=200, subgraph_queries=6, knn_queries=2,
-        cache_database_size=120,
     )
 
 
@@ -377,8 +369,7 @@ def validate_churn_payload(payload: dict) -> str:
 
 def validate_shards_payload(payload: dict) -> str:
     """Gate BENCH_shards.json: bit-identical answers at every shard
-    count, balanced candidate work under closure placement, and a
-    cross-process cache hit that touched no shard."""
+    count and balanced candidate work under closure placement."""
     _require(bool(payload["runs"]), "no sharded runs recorded")
     _require(all(run["identical"] for run in payload["runs"]),
              "sharded answers diverged from the single-tree serial loop")
@@ -387,20 +378,9 @@ def validate_shards_payload(payload: dict) -> str:
     _require(gate["balance_skew"] <= gate["max_skew"],
              f"closure-placement candidate work skew "
              f"{gate['balance_skew']:.3f}x exceeds {gate['max_skew']}x")
-    cross = payload["cross_process_cache"]
-    _require(gate["cross_process_hit"] is True
-             and cross["cache_hits"] >= 1,
-             "second engine process saw no cross-process cache hit")
-    _require(gate["second_engine_touched_shards"] is False
-             and cross["pools_forked"] is False
-             and cross["dispatched"] == 0,
-             "second engine process touched a shard on a warm batch")
-    _require(cross["identical"] is True,
-             "cross-process cached answers diverged")
     return (f"BENCH_shards.json OK: S={[r['shards'] for r in payload['runs']]} "
             f"identical, closure skew {gate['balance_skew']:.3f}x "
-            f"(cap {gate['max_skew']}x), {cross['cache_hits']} "
-            f"cross-process hits with 0 shard tasks")
+            f"(cap {gate['max_skew']}x)")
 
 
 #: BENCH file name -> (expected schema, gate validator).  One table

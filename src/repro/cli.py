@@ -7,8 +7,8 @@ Gives the library's main workflows a shell-level surface:
   or a page-file disk index);
 - ``query``    — run a subgraph query (or a JSONL batch of them, with
   ``--batch``/``--workers``) against a saved index; ``--shards S`` (or
-  a shard directory as the index) answers through the scatter-gather
-  engine;
+  a shard directory as the index) answers from S partitions, one
+  process each;
 - ``shard``    — partition a database into a directory of per-shard
   ``.ctp`` indexes plus a placement manifest (``--create``), or
   summarize one (``--stats``);
@@ -64,11 +64,10 @@ from repro.ctree.shards import (
     MANIFEST_NAME,
     PLACEMENTS,
     ShardSet,
-    ShardedEngine,
     fsck_shards,
     merge_subgraph,
 )
-from repro.ctree.similarity_query import knn_query, range_query
+from repro.ctree.similarity_query import range_query
 from repro.ctree.subgraph_query import subgraph_query
 from repro.datasets.chemical import generate_chemical_database
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_database
@@ -133,11 +132,14 @@ def _maybe_shard(index, args):
 
 def _query_once(index, query, level, verify: bool, cache_pages: int):
     """One subgraph query against any index kind (tree/disk/sharded)."""
-    if isinstance(index, ShardSet):
-        with ShardedEngine(index, cache_pages=cache_pages) as engine:
-            return engine.query_many([query], level=level,
-                                     verify=verify)[0]
-    return subgraph_query(index, query, level=level, verify=verify)
+    with QueryEngine(index, cache_pages=cache_pages) as engine:
+        return engine.query_many([query], level=level, verify=verify)[0]
+
+
+def _knn_once(index, query, k: int, cache_pages: int):
+    """One K-NN query against any index kind (tree/disk/sharded)."""
+    with QueryEngine(index, cache_pages=cache_pages) as engine:
+        return engine.knn_many([query], k)[0]
 
 
 # ----------------------------------------------------------------------
@@ -288,14 +290,9 @@ def _run_query_batch(args: argparse.Namespace, index) -> int:
     if not queries:
         print("empty batch")
         return 0
-    if isinstance(index, ShardSet):
-        engine_cm = ShardedEngine(index, cache_size=args.cache_size,
-                                  cache_pages=args.cache_pages)
-    else:
-        engine_cm = QueryEngine(index, workers=args.workers,
-                                cache_size=args.cache_size,
-                                cache_pages=args.cache_pages)
-    with engine_cm as engine:
+    with QueryEngine(index, workers=args.workers,
+                     cache_size=args.cache_size,
+                     cache_pages=args.cache_pages) as engine:
         results = engine.query_many(
             queries, level=args.level, verify=not args.no_verify
         )
@@ -311,10 +308,11 @@ def _run_query_batch(args: argparse.Namespace, index) -> int:
     return 0
 
 
-def _sharded_serial_baseline(shardset: ShardSet, queries, level):
+def _sharded_serial_baseline(shardset: ShardSet, queries, level,
+                             cache_pages: int):
     """The serial reference for a shard directory: every shard queried
     in-process, answers merged to the canonical (sorted) form."""
-    handles = shardset.open_local()
+    handles = shardset.open_local(cache_pages)
     try:
         serial = []
         for q in queries:
@@ -323,15 +321,14 @@ def _sharded_serial_baseline(shardset: ShardSet, queries, level):
             serial.append(merge_subgraph(per_shard, shardset))
         return serial
     finally:
-        for handle, shard in zip(handles, shardset.shards):
-            if shard.tree is None:
-                handle.close()
+        shardset.close_local(handles)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """Serve one query batch serially and through the engine at each
-    requested worker count (or across all shards with ``--shards`` /
-    a shard directory); gate on identical answers."""
+    requested worker count (a shard set runs once: its pool is one
+    process per shard whatever ``--workers`` says); gate on identical
+    answers."""
     queries = load_graph_database(args.queries)
     if not queries:
         raise SystemExit("error: empty query batch")
@@ -345,7 +342,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         sharded = isinstance(index, ShardSet)
         start = time.perf_counter()
         if isinstance(base, ShardSet):
-            baseline = _sharded_serial_baseline(base, queries, args.level)
+            baseline = _sharded_serial_baseline(base, queries, args.level,
+                                                args.cache_pages)
         else:
             baseline = [subgraph_query(base, q, level=args.level)[0]
                         for q in queries]
@@ -358,48 +356,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"serial loop: {len(queries)} queries in "
               f"{serial_seconds:.3f}s "
               f"({len(queries) / serial_seconds:.1f} q/s)")
-        if sharded:
-            with ShardedEngine(index, cache_size=args.cache_size,
-                               cache_pages=args.cache_pages) as engine:
+        benched: set[int] = set()
+        for w in workers_list:
+            with QueryEngine(index, workers=w, cache_size=args.cache_size,
+                             cache_pages=args.cache_pages) as engine:
+                if engine.workers in benched:
+                    continue  # same pool as an earlier run
+                benched.add(engine.workers)
                 results = engine.query_many(queries, level=args.level)
                 report = engine.last_batch
             identical = [answers for answers, _ in results] == baseline
             speedup = (serial_seconds / report.wall_seconds
                        if report.wall_seconds else 0.0)
             rows.append({
-                "workers": report.workers, "shards": index.shard_count,
-                "seconds": report.wall_seconds,
+                "workers": engine.workers, "seconds": report.wall_seconds,
                 "throughput": report.throughput, "speedup": speedup,
                 "cache_hit_rate": report.cache_hit_rate,
                 "dispatched": report.dispatched, "identical": identical,
             })
-            print(f"shards={index.shard_count}: "
-                  f"{report.wall_seconds:.3f}s "
+            print(f"workers={engine.workers}: {report.wall_seconds:.3f}s "
                   f"({report.throughput:.1f} q/s, {speedup:.2f}x serial) "
                   f"hit_rate={report.cache_hit_rate:.0%} "
                   f"identical={'yes' if identical else 'NO'}")
-        else:
-            for w in workers_list:
-                with QueryEngine(index, workers=w,
-                                 cache_size=args.cache_size,
-                                 cache_pages=args.cache_pages) as engine:
-                    results = engine.query_many(queries, level=args.level)
-                    report = engine.last_batch
-                identical = [answers for answers, _ in results] == baseline
-                speedup = (serial_seconds / report.wall_seconds
-                           if report.wall_seconds else 0.0)
-                rows.append({
-                    "workers": w, "seconds": report.wall_seconds,
-                    "throughput": report.throughput, "speedup": speedup,
-                    "cache_hit_rate": report.cache_hit_rate,
-                    "dispatched": report.dispatched,
-                    "identical": identical,
-                })
-                print(f"workers={w}: {report.wall_seconds:.3f}s "
-                      f"({report.throughput:.1f} q/s, "
-                      f"{speedup:.2f}x serial) "
-                      f"hit_rate={report.cache_hit_rate:.0%} "
-                      f"identical={'yes' if identical else 'NO'}")
     if args.json:
         payload = {
             "queries": len(queries),
@@ -423,17 +401,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_knn(args: argparse.Namespace) -> int:
     query = _load_query_graph(args.query)
     with _open_index(args.tree, args.cache_pages) as index:
-        if isinstance(index, ShardSet):
-            with ShardedEngine(index,
-                               cache_pages=args.cache_pages) as engine:
-                results, stats = engine.knn_many([query], args.k)[0]
-            name_of = lambda gid: f"graph-{gid}"
-        else:
-            results, stats = knn_query(index, query, args.k)
-            names = dict(index.iter_graphs())
-            name_of = lambda gid: names[gid].name or f"graph-{gid}"
+        results, stats = _knn_once(index, query, args.k, args.cache_pages)
+        # A shard set holds no graph names, only the id placement.
+        names = {} if isinstance(index, ShardSet) \
+            else dict(index.iter_graphs())
         for rank, (gid, similarity) in enumerate(results, start=1):
-            print(f"{rank:3d}. #{gid} {name_of(gid)} sim={similarity:.1f}")
+            graph = names.get(gid)
+            name = graph.name if graph is not None and graph.name \
+                else f"graph-{gid}"
+            print(f"{rank:3d}. #{gid} {name} sim={similarity:.1f}")
         print(f"accessed {stats.access_ratio:.0%} of the database "
               f"in {stats.seconds:.3f}s")
     return 0
@@ -582,12 +558,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     query = _load_query_graph(args.query)
     with _open_index(args.tree, args.cache_pages) as index:
         if args.knn:
-            if isinstance(index, ShardSet):
-                with ShardedEngine(
-                        index, cache_pages=args.cache_pages) as engine:
-                    answers, stats = engine.knn_many([query], args.k)[0]
-            else:
-                answers, stats = knn_query(index, query, args.k)
+            answers, stats = _knn_once(index, query, args.k,
+                                       args.cache_pages)
         else:
             answers, stats = _query_once(
                 index, query, args.level, not args.no_verify,
@@ -893,9 +865,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-verify", action="store_true",
                    help="return unverified candidates")
     p.add_argument("--shards", type=int, default=1,
-                   help="re-partition the index into S in-memory shards "
-                        "and answer through the scatter-gather engine "
-                        "(a shard directory as -t implies this)")
+                   help="re-partition the index into S in-memory shards, "
+                        "one engine process each (a shard directory as "
+                        "-t implies this)")
     p.add_argument("--placement", choices=list(PLACEMENTS),
                    default="closure",
                    help="--shards placement strategy (default closure)")
@@ -914,14 +886,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSONL file of query graphs")
     p.add_argument("--workers", default="1,2,4",
                    help="comma-separated worker counts (default 1,2,4; "
-                        "ignored in sharded mode, where the worker "
-                        "count is the shard count)")
+                        "S > 1 shards run once, one process per shard)")
     p.add_argument("--cache-size", type=int, default=256)
     p.add_argument("--level", type=_parse_level, default=1)
     p.add_argument("--shards", type=int, default=1,
                    help="re-partition the index into S in-memory shards "
-                        "and bench the scatter-gather engine against "
-                        "the single-tree serial loop")
+                        "and bench the engine over them against the "
+                        "single-tree serial loop")
     p.add_argument("--placement", choices=list(PLACEMENTS),
                    default="closure",
                    help="--shards placement strategy (default closure)")
@@ -1021,12 +992,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8744,
                    help="TCP port (0 binds an ephemeral port)")
     p.add_argument("--workers", type=int, default=1,
-                   help="engine worker processes (default 1; ignored "
-                        "when serving shards — one worker per shard)")
+                   help="engine worker processes (default 1; unused "
+                        "over S > 1 shards — one process per shard)")
     p.add_argument("--shards", type=int, default=1,
-                   help="serve through the sharded engine over S "
-                        "in-memory shards (a shard directory as -t "
-                        "implies sharded serving)")
+                   help="serve from S in-memory shards (a shard "
+                        "directory as -t implies sharded serving)")
     p.add_argument("--placement", choices=list(PLACEMENTS),
                    default="closure",
                    help="--shards placement strategy (default closure)")

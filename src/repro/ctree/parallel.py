@@ -1,50 +1,63 @@
-"""Parallel batched query engine over a shared read-only C-tree.
+"""The batched query engine: Alg. 3 / Alg. 4 in batches over S >= 1
+partitions of a read-only C-tree index.
 
-The paper (and PRs 1-4) optimize one query at a time; the serving metric
-that matters at scale is *batch throughput* over a shared immutable index
-(cf. the reachability-index survey and MSQ-Index evaluations).
-:class:`QueryEngine` answers batches of subgraph and K-NN queries using
+The paper optimizes one query at a time; the serving metric that
+matters at scale is *batch throughput* over a shared immutable index.
+:class:`QueryEngine` takes a :class:`~repro.ctree.tree.CTree`, a
+:class:`~repro.ctree.diskindex.DiskCTree` or a
+:class:`~repro.ctree.shards.ShardSet`, views all three as a list of
+partitions (a plain index is one partition with no id translation) and
+runs every batch through one pipeline:
 
-- a persistent :mod:`multiprocessing` worker pool (fork start method).
-  An in-memory :class:`~repro.ctree.tree.CTree` is inherited by the
-  workers copy-on-write — including its memoized
-  :class:`~repro.graphs.labelspace.TargetContext` caches, so forked
-  workers start warm.  A :class:`~repro.ctree.diskindex.DiskCTree` is
-  reopened per worker as an independent read-only handle over the same
-  page file (``wal=False`` — workers never write);
-- an LRU **answer cache** keyed by :meth:`Graph.signature()
-  <repro.graphs.graph.Graph.signature>` (buckets verified by exact
-  structural equality, so an incomplete-invariant collision can never
-  return a wrong answer);
-- **batch deduplication**: structurally identical queries in one batch
-  execute once and fan out to every position.
+1. **deduplicate** — structurally identical queries in one batch
+   execute once and fan out to every position;
+2. **probe the LRU answer cache**, keyed by :meth:`Graph.signature()
+   <repro.graphs.graph.Graph.signature>` with buckets verified by exact
+   structural equality (an incomplete-invariant collision can never
+   return a wrong answer);
+3. **dispatch** every (task, partition) pair to that partition's
+   long-lived fork pool.  An in-memory tree is inherited copy-on-write
+   — memoized :class:`~repro.graphs.labelspace.TargetContext` caches
+   included, so workers start warm; a page file is reopened per worker
+   as an independent read-only handle (``wal=False`` — workers never
+   write);
+4. **merge** each task's per-partition answers, **cache** the result,
+   and fold the workers' registry deltas and span records home
+   (:meth:`~repro.obs.metrics.MetricsRegistry.merge`,
+   :func:`~repro.obs.trace.fold_worker_records`), so a parallel run
+   reports the same process-wide totals and one coherent trace tree.
 
-**Determinism.**  ``query_many(queries, workers=W)`` returns answers
-bit-identical to the serial loop ``[subgraph_query(tree, q) for q in
-queries]`` for every ``W``, in input order.  Per-query stats are
-logically identical too (:meth:`QueryStats.deterministic_dict
+**Pool shape.**  One rule: a single partition gets one pool of
+``workers`` processes; S > 1 partitions get one single-process pool
+each (S queries' worth of descent, pseudo-iso filtering and similarity
+scoring run with no shared state).  :attr:`QueryEngine.workers` is the
+resulting process count.  A batch that deduplicates to one task on one
+partition — and every batch when ``fork`` is unavailable — runs
+in-process; answers are identical either way.
+
+**Determinism.**  What varies is read off the input, never set by the
+caller.  A *plain index* returns answers bit-identical to the serial
+loop ``[subgraph_query(tree, q) for q in queries]`` (traversal order,
+historical K-NN tie order) at every worker count, in input order, with
+logically identical per-query stats
+(:meth:`QueryStats.deterministic_dict
 <repro.ctree.stats.QueryStats.deterministic_dict>`); only wall-clock
-timings and disk page-I/O temperatures vary with the execution schedule.
-Worker-side metrics are shipped home as registry snapshot deltas and
-folded into the parent's global registry
-(:meth:`~repro.obs.metrics.MetricsRegistry.merge`), so a parallel run
-reports the same process-wide totals as a serial one.
+timings and page-I/O temperatures vary with the schedule.  A *shard
+set* (any S, including 1) translates local ids to global ones and
+returns the canonical forms: subgraph answers **sorted by global graph
+id** (``sorted()`` of the single-tree answer), and K-NN evaluated per
+shard with ``knn_query(..., canonical=True)`` and merged under
+``(-similarity, graph_id)`` — the canonical top-k of the whole
+database at every S and under any schedule
+(:func:`~repro.ctree.shards.merge_knn` carries the argument).
 
-**Read-only contract.**  Workers fork (or reopen) the index as it exists
-at pool creation.  Mutating the index mid-flight is not supported; call
-:meth:`QueryEngine.refresh` after a mutation to drop the answer cache
-and expose the new state.  For a disk index the long-lived pool
-survives the refresh: the engine bumps an *index epoch* that rides on
-every task, and each worker lazily swaps its read-only handle the
-first time it sees a task from a newer epoch — no respawn, so
-incremental appends, deletes, and compactions become visible to
-pre-forked workers at the cost of one reopen per worker.  In-memory
-trees are shared by fork-time copy-on-write and still require a
-respawn.
-
-On platforms without the ``fork`` start method the engine degrades to
-serial in-process execution (caching still applies); answers are
-identical either way.
+**Read-only contract.**  Workers fork (or reopen) the index as it
+exists at pool creation.  Call :meth:`QueryEngine.refresh` after a
+mutation: it drops the answer cache and bumps an *index epoch* that
+rides on every task.  Disk workers — over one page file or one per
+shard — lazily swap their read-only handle the first time they see a
+task from a newer epoch (no respawn); in-memory partitions are shared
+by fork-time copy-on-write, so their pools are respawned.
 """
 
 from __future__ import annotations
@@ -53,6 +66,7 @@ import multiprocessing
 import os
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -62,6 +76,7 @@ from repro.obs.metrics import global_registry
 from repro.ctree.diskindex import DiskCTree
 from repro.ctree.shardcache import LRUAnswerCache
 from repro.ctree.shardcache import structure_key as _structure_key
+from repro.ctree.shards import ShardSet, merge_knn, merge_subgraph
 from repro.ctree.similarity_query import knn_query
 from repro.ctree.stats import KnnStats, QueryStats
 from repro.ctree.subgraph_query import subgraph_query
@@ -74,33 +89,36 @@ Index = Union[CTree, DiskCTree]
 _KIND_SUBGRAPH = "subgraph"
 _KIND_KNN = "knn"
 
-#: worker-process globals: the index handle queries run against, the
-#: index epoch that handle reflects, and how to reopen it (disk only)
+#: worker-process globals: the partition handle queries run against,
+#: its shard id (None over a plain index), the index epoch the handle
+#: reflects, and how to reopen it (disk only)
 _WORKER_INDEX: Optional[Index] = None
+_WORKER_SHARD: Optional[int] = None
 _WORKER_EPOCH: int = 0
 _WORKER_DISK_PATH = None
 _WORKER_CACHE_PAGES: int = 128
 
 
-def _worker_init(index: Optional[Index], disk_path, cache_pages: int,
-                 epoch: int = 0) -> None:
+def _worker_init(shard: Optional[int], tree: Optional[CTree], disk_path,
+                 cache_pages: int, epoch: int) -> None:
     """Pool initializer: adopt the fork-inherited in-memory tree, or open
-    an independent read-only handle on the shared page file."""
-    global _WORKER_INDEX, _WORKER_EPOCH, _WORKER_DISK_PATH, \
-        _WORKER_CACHE_PAGES
+    an independent read-only handle on the partition's page file."""
+    global _WORKER_INDEX, _WORKER_SHARD, _WORKER_EPOCH, \
+        _WORKER_DISK_PATH, _WORKER_CACHE_PAGES
     # An inherited tracing sink would interleave span writes from every
     # worker into the parent's file; workers instead capture spans into
     # a scratch tracer per traced task and ship them home (_worker_run).
     trace.disable()
+    _WORKER_SHARD = shard
     _WORKER_EPOCH = epoch
     _WORKER_DISK_PATH = disk_path
     _WORKER_CACHE_PAGES = cache_pages
-    if disk_path is not None:
-        _WORKER_INDEX = DiskCTree.open(
-            disk_path, cache_pages=cache_pages, wal=False, auto_recover=False
-        )
-    else:
-        _WORKER_INDEX = index
+    _WORKER_INDEX = tree if disk_path is None else _worker_open()
+
+
+def _worker_open() -> DiskCTree:
+    return DiskCTree.open(_WORKER_DISK_PATH, cache_pages=_WORKER_CACHE_PAGES,
+                          wal=False, auto_recover=False)
 
 
 def _worker_sync_epoch(epoch: int) -> None:
@@ -109,63 +127,72 @@ def _worker_sync_epoch(epoch: int) -> None:
 
     The stale handle is closed with header writes suppressed — a
     read-only worker must never clobber the writer's live header — and
-    the index is reopened cold at the same path.  In-memory indexes
-    have no path to reopen; they are refreshed by pool respawn instead.
+    the page file is reopened cold at the same path.  In-memory
+    partitions have no path to reopen; they are refreshed by pool
+    respawn instead.
     """
     global _WORKER_INDEX, _WORKER_EPOCH
     if epoch == _WORKER_EPOCH or _WORKER_DISK_PATH is None:
         return
-    stale = _WORKER_INDEX
-    if stale is not None:
-        stale.pool.pagefile.defer_header = True
-        stale.close()
-    _WORKER_INDEX = DiskCTree.open(
-        _WORKER_DISK_PATH, cache_pages=_WORKER_CACHE_PAGES,
-        wal=False, auto_recover=False,
-    )
+    _WORKER_INDEX.pool.pagefile.defer_header = True
+    _WORKER_INDEX.close()
+    _WORKER_INDEX = _worker_open()
     _WORKER_EPOCH = epoch
     global_registry().counter("engine.worker_reopens").inc()
 
 
-def _execute(index: Index, kind: str, query: Graph, params: tuple):
-    """Run one query against ``index`` — the exact same code path the
-    serial API uses, so results are bit-identical by construction."""
-    if kind == _KIND_SUBGRAPH:
-        level, verify = params
-        return subgraph_query(index, query, level=level, verify=verify)
-    k, mapping_method = params
-    return knn_query(index, query, k, mapping_method=mapping_method)
+def _execute(index: Index, shard: Optional[int], task):
+    """Run one task against one partition — the exact code path the
+    serial API uses, so results are bit-identical by construction.
+    Returns ``(answers, stats, busy_seconds)``."""
+    task_id, kind, query, params, _ctx, _epoch = task
+    attrs = {} if shard is None else {"shard": shard}
+    start = time.perf_counter()
+    with trace.span("engine.task", task_id=task_id, kind=kind,
+                    pid=os.getpid(), **attrs):
+        if kind == _KIND_SUBGRAPH:
+            level, verify = params
+            answers, stats = subgraph_query(index, query, level=level,
+                                            verify=verify)
+        else:
+            k, mapping_method = params
+            # A shard's top-k must be canonical for merge_knn to be exact.
+            answers, stats = knn_query(index, query, k,
+                                       mapping_method=mapping_method,
+                                       canonical=shard is not None)
+    return answers, stats, time.perf_counter() - start
 
 
 def _worker_run(task):
-    """Execute one deduplicated query in a worker; returns the result
-    plus the registry delta it caused, its busy time, and — when the
-    parent shipped a trace context — the span records it produced.
+    """Execute one task in a pool worker; returns :func:`_execute`'s
+    result plus the registry delta it caused and — when the parent
+    shipped a trace context — the span records it produced.
 
     Tracing is disabled in workers (see :func:`_worker_init`), so for a
     traced batch the worker records into a scratch tracer
-    (:func:`repro.obs.trace.capture`) under an ``engine.task`` root and
-    ships the serialized records home with the result; the parent
-    splices them into its own trace via
-    :func:`~repro.obs.trace.fold_worker_records` — exactly how worker
-    metrics ride home as registry deltas.
+    (:func:`repro.obs.trace.capture`) and ships the serialized records
+    home with the result; the parent splices them into its own trace
+    via :func:`~repro.obs.trace.fold_worker_records` — exactly how
+    worker metrics ride home as registry deltas.
     """
-    task_id, kind, query, params, ctx, epoch = task
+    *_, ctx, epoch = task
     registry = global_registry()
     before = registry.snapshot()
     # After the snapshot, so a handle swap's counter rides the delta.
     _worker_sync_epoch(epoch)
-    spans: list = []
-    start = time.perf_counter()
-    if ctx is not None:
-        with trace.capture() as spans:
-            with trace.span("engine.task", task_id=task_id, kind=kind,
-                            pid=os.getpid()):
-                answers, stats = _execute(_WORKER_INDEX, kind, query, params)
-    else:
-        answers, stats = _execute(_WORKER_INDEX, kind, query, params)
-    busy = time.perf_counter() - start
-    return (task_id, answers, stats, registry.diff(before), busy, spans)
+    with trace.capture() if ctx is not None else nullcontext([]) as spans:
+        result = _execute(_WORKER_INDEX, _WORKER_SHARD, task)
+    return (*result, registry.diff(before), spans)
+
+
+def _merge_stats(per_shard: list, total_size: int):
+    """Fold per-shard stats objects into one (counters summed;
+    ``database_size`` is the whole database, not the max shard)."""
+    merged = per_shard[0].copy()
+    for stats in per_shard[1:]:
+        merged.merge(stats)
+    merged.database_size = total_size
+    return merged
 
 
 @dataclass
@@ -178,11 +205,12 @@ class BatchReport:
     #: structurally distinct queries after cache hits were removed
     dispatched: int
     cache_hits: int
+    #: processes that executed the batch (1: in-process)
     workers: int
-    #: True when a worker pool executed the batch (False: in-process)
+    #: True when the worker pools executed the batch (False: in-process)
     parallel: bool
     wall_seconds: float
-    #: summed per-query execution time across workers
+    #: summed per-task execution time across workers and partitions
     busy_seconds: float
 
     @property
@@ -197,7 +225,7 @@ class BatchReport:
 
     @property
     def utilization(self) -> float:
-        """Fraction of the pool's capacity spent executing queries."""
+        """Fraction of the pools' capacity spent executing queries."""
         capacity = self.workers * self.wall_seconds
         return self.busy_seconds / capacity if capacity else 0.0
 
@@ -208,36 +236,26 @@ class QueryEngine:
     Parameters
     ----------
     index:
-        A built :class:`~repro.ctree.tree.CTree` or an open
-        :class:`~repro.ctree.diskindex.DiskCTree`.
+        A built :class:`~repro.ctree.tree.CTree`, an open
+        :class:`~repro.ctree.diskindex.DiskCTree`, or a
+        :class:`~repro.ctree.shards.ShardSet` (build one over an open
+        index with :meth:`ShardSet.from_index
+        <repro.ctree.shards.ShardSet.from_index>`).  A shard set
+        answers in the canonical forms of the module docstring.
     workers:
-        Default pool size for batches (overridable per call).  ``1``
-        executes in-process.
+        Processes in the pool of a single-partition index; ``1``
+        executes in-process.  Unused over S > 1 shards, which get one
+        process each — :attr:`workers` reports the real count.
     cache_size:
         Maximum number of cached answers (LRU).  ``0`` disables both the
         answer cache and batch deduplication — every query executes.
     cache_pages:
-        Buffer-pool capacity of each per-worker disk handle.
-    cache:
-        An injected answer-cache object (anything with the
-        :mod:`repro.ctree.shardcache` interface — ``get``/``put``/
-        ``clear``/``entries``/``enabled``).  Overrides ``cache_size``;
-        pass a :class:`~repro.ctree.shardcache.SharedMemoryAnswerCache`
-        to share answers across engine processes.  The default is the
-        historical in-process :class:`~repro.ctree.shardcache.\
-LRUAnswerCache` — behavior unchanged.
-    shards:
-        With ``shards > 1`` the engine re-partitions the index into S
-        in-memory C-trees and delegates every batch to a
-        :class:`~repro.ctree.shards.ShardedEngine` (one worker process
-        per shard, scatter-gather merge).  Answers then follow the
-        sharded canonical forms: subgraph answer lists sorted by graph
-        id, K-NN in ``(-similarity, id)`` tie order.  ``workers`` is
-        ignored on this path — fan-out is per shard.
+        Buffer-pool capacity of every disk handle the engine opens
+        (per-worker handles, and in-process handles on disk shards).
 
-    Use as a context manager, or call :meth:`close` to reap the pool.
+    Use as a context manager, or call :meth:`close` to reap the pools.
 
-    The worker pool is **long-lived**: it is spawned once (lazily on the
+    The worker pools are **long-lived**: spawned once (lazily on the
     first parallel batch, or eagerly via :meth:`start`) and reused by
     every subsequent batch, so steady-state serving pays no fork or
     copy-on-write cost per batch.  The HTTP serving layer
@@ -256,44 +274,58 @@ LRUAnswerCache` — behavior unchanged.
             results = engine.query_many(queries)       # [(answers, stats)]
             report = engine.last_batch
             print(report.throughput, report.cache_hit_rate)
+
+    The same engine over a shard directory (one process per shard)::
+
+        ShardSet.create(graphs, "idx.shards", shards=4)
+        with QueryEngine(ShardSet.open("idx.shards")) as engine:
+            results = engine.query_many(queries)   # answers sorted by id
     """
 
     def __init__(
         self,
-        index: Index,
+        index: Union[Index, ShardSet],
         workers: int = 1,
         cache_size: int = 256,
         cache_pages: int = 128,
-        cache=None,
-        shards: int = 1,
     ) -> None:
         self._index = index
-        self.workers = max(1, int(workers))
         self._cache_pages = cache_pages
-        #: the answer cache — injected, or the historical in-process LRU
-        self._cache = cache if cache is not None \
-            else LRUAnswerCache(cache_size)
-        self._sharded = None
-        if shards > 1:
-            # Lazy import: shards.py composes this module's BatchReport.
-            from repro.ctree.shards import ShardSet, ShardedEngine
-
-            self._sharded = ShardedEngine(
-                ShardSet.from_index(index, shards),
-                cache=self._cache, cache_pages=cache_pages,
-            )
-        self._pool = None
-        self._pool_workers = 0
+        self._cache = LRUAnswerCache(cache_size)
+        #: per partition: (shard id | None, fork-inherited tree | None,
+        #: page-file path | None)
+        if isinstance(index, ShardSet):
+            self._shardset: Optional[ShardSet] = index
+            self._disk = index.is_disk
+            self._parts = [(s, shard.tree, shard.path)
+                           for s, shard in enumerate(index.shards)]
+            #: in-process handles, opened on first inline use
+            self._local: Optional[list] = None
+        else:
+            self._shardset = None
+            self._disk = isinstance(index, DiskCTree)
+            self._parts = [(None, None, index.path) if self._disk
+                           else (None, index, None)]
+            self._local = [index]
+        # The pool-shape rule, stated once.
+        self._pool_procs = max(1, int(workers)) if len(self._parts) == 1 else 1
+        self._pools: Optional[list] = None
         #: bumped by refresh(); rides on every task so pre-forked disk
         #: workers know when to swap their read-only handle
         self._epoch = 0
         self._refresh_hooks: list = []
         self.last_batch: Optional[BatchReport] = None
-        disk = isinstance(index, DiskCTree)
         self._fork_ok = (
             "fork" in multiprocessing.get_all_start_methods()
-            and (not disk or index.path is not None)
+            and all(tree is not None or path is not None
+                    for _, tree, path in self._parts)
         )
+
+    @property
+    def workers(self) -> int:
+        """Processes that execute a parallel batch: ``workers`` over one
+        partition, one per shard over a shard set, 1 without ``fork``."""
+        return self._pool_procs * len(self._parts) if self._fork_ok else 1
 
     # ------------------------------------------------------------------
     # Public API
@@ -303,15 +335,15 @@ LRUAnswerCache` — behavior unchanged.
         queries: Sequence[Graph],
         level=1,
         verify: bool = True,
-        workers: Optional[int] = None,
     ) -> list[tuple[list[int], QueryStats]]:
         """Answer a batch of subgraph queries.
 
-        Returns ``[(answers, stats), ...]`` in input order,
-        bit-identical to the serial per-query loop at every worker
-        count.  ``level`` and ``verify`` mean exactly what they mean on
-        :func:`~repro.ctree.subgraph_query.subgraph_query`; ``workers``
-        overrides the engine default for this batch only.
+        Returns ``[(answers, stats), ...]`` in input order.  Over a
+        plain index each entry is bit-identical to the serial per-query
+        loop at every worker count; over a shard set each ``answers``
+        is ``sorted()`` of that, in global ids, at every shard count.
+        ``level`` and ``verify`` mean exactly what they mean on
+        :func:`~repro.ctree.subgraph_query.subgraph_query`.
 
         Examples
         --------
@@ -322,28 +354,23 @@ LRUAnswerCache` — behavior unchanged.
                     print(sorted(answers), stats.candidates)
             # identical to: [subgraph_query(tree, q) for q in queries]
         """
-        if self._sharded is not None:
-            results = self._sharded.query_many(queries, level=level,
-                                               verify=verify)
-            self.last_batch = self._sharded.last_batch
-            return results
-        return self._run_batch(
-            _KIND_SUBGRAPH, queries, (level, verify), workers
-        )
+        return self._run_batch(_KIND_SUBGRAPH, queries, (level, verify))
 
     def knn_many(
         self,
         queries: Sequence[Graph],
         k: int,
         mapping_method: str = "nbm",
-        workers: Optional[int] = None,
     ) -> list[tuple[list[tuple[int, float]], KnnStats]]:
         """Answer a batch of K-NN queries (same guarantees as
         :meth:`query_many`).
 
         Returns ``[(results, stats), ...]`` in input order, where each
         ``results`` is the ``[(graph_id, similarity), ...]`` list that
-        :func:`~repro.ctree.similarity_query.knn_query` returns.
+        :func:`~repro.ctree.similarity_query.knn_query` returns — over
+        a shard set, the canonical global top-k, identical to a
+        single-tree ``knn_query(..., canonical=True)`` over the whole
+        database.
 
         Examples
         --------
@@ -353,23 +380,16 @@ LRUAnswerCache` — behavior unchanged.
                 (neighbors, stats), = engine.knn_many([probe], k=5)
                 best_id, best_sim = neighbors[0]
         """
-        if self._sharded is not None:
-            results = self._sharded.knn_many(queries, k,
-                                             mapping_method=mapping_method)
-            self.last_batch = self._sharded.last_batch
-            return results
-        return self._run_batch(_KIND_KNN, queries, (k, mapping_method),
-                               workers)
+        return self._run_batch(_KIND_KNN, queries, (k, mapping_method))
 
-    def start(self, workers: Optional[int] = None) -> "QueryEngine":
-        """Eagerly spawn the long-lived worker pool; returns ``self``.
+    def start(self) -> "QueryEngine":
+        """Eagerly spawn the long-lived worker pools; returns ``self``.
 
-        Without this, the pool forks lazily on the first parallel batch
+        Without this, the pools fork lazily on the first parallel batch
         — fine for scripts, but a serving process wants the fork (and
         its copy-on-write page sharing) to happen once at startup,
-        before traffic and before the process grows threads.  Calling
-        :meth:`start` when the pool already exists at the right size is
-        a no-op.
+        before traffic and before the process grows threads.  A no-op
+        when the pools already exist or the engine runs in-process.
 
         Examples
         --------
@@ -378,42 +398,33 @@ LRUAnswerCache` — behavior unchanged.
             engine = QueryEngine(tree, workers=4).start()  # forks now
             engine.query_many(batch)                       # no fork here
         """
-        if self._sharded is not None:
-            self._sharded.start()
-            return self
-        if workers is not None:
-            self.workers = max(1, int(workers))
-        if self.workers > 1 and self._fork_ok:
-            self._ensure_pool(self.workers)
+        if self.workers > 1:
+            self._ensure_pools()
         return self
 
     def refresh(self) -> None:
         """Drop the answer cache and expose the mutated index to the
         workers — call after every index mutation.
 
-        For a **disk index** the long-lived pool is kept: the engine
+        Over **page files** the long-lived pools are kept: the engine
         bumps its index epoch, and each worker swaps its read-only
         handle the first time a task from the new epoch reaches it
         (``engine.worker_reopens`` counts the swaps).  An incremental
         append therefore becomes visible to pre-forked workers without
-        a pool restart.  An **in-memory** tree is shared by fork-time
-        copy-on-write, so its pool is respawned immediately (the new
-        workers re-inherit the tree as it now exists) and the next
-        query never pays the fork.  Hooks registered via
-        :meth:`on_refresh` run last — the HTTP server uses this to
-        invalidate anything it derived from the old index generation.
+        a pool restart.  **In-memory** partitions are shared by
+        fork-time copy-on-write, so their pools are respawned
+        immediately (the new workers re-inherit the trees as they now
+        exist) and the next query never pays the fork.  Hooks
+        registered via :meth:`on_refresh` run last — the HTTP server
+        uses this to invalidate anything it derived from the old index
+        generation.
         """
         self._cache.clear()
         self._epoch += 1
-        if isinstance(self._index, DiskCTree) and self._pool is not None:
-            # Workers reopen lazily on the next task from this epoch.
-            for hook in self._refresh_hooks:
-                hook(self)
-            return
-        had_pool = self._pool_workers
-        self._close_pool()
-        if had_pool > 1:
-            self._ensure_pool(had_pool)
+        self._close_local()
+        if self._pools is not None and not self._disk:
+            self._close_pools()
+            self._ensure_pools()
         for hook in self._refresh_hooks:
             hook(self)
 
@@ -422,10 +433,10 @@ LRUAnswerCache` — behavior unchanged.
         self._refresh_hooks.append(hook)
 
     def close(self) -> None:
-        """Reap the worker pool (idempotent)."""
-        if self._sharded is not None:
-            self._sharded.close()
-        self._close_pool()
+        """Reap the worker pools and the in-process handles the engine
+        opened (idempotent)."""
+        self._close_pools()
+        self._close_local()
 
     def __enter__(self) -> "QueryEngine":
         return self
@@ -436,24 +447,27 @@ LRUAnswerCache` — behavior unchanged.
     # ------------------------------------------------------------------
     # Batch execution
     # ------------------------------------------------------------------
-    def _run_batch(self, kind, queries, params, workers):
+    def _run_batch(self, kind, queries, params):
         queries = list(queries)
         n = len(queries)
         if n == 0:
             return []
-        effective = self.workers if workers is None else max(1, int(workers))
         registry = global_registry()
         start = time.perf_counter()
         results: list = [None] * n
         hits = 0
+        # The marker keeps canonical-order sharded answers apart from a
+        # plain index's traversal-order answers for the same query.
+        cache_params = params if self._shardset is None \
+            else (*params, "sharded")
         # Deduplicated execution plan: exact structural key -> (query,
         # positions).  Insertion order fixes the dispatch order, so the
         # plan is deterministic for a given batch at every worker count.
         pending: "OrderedDict[tuple, tuple]" = OrderedDict()
         with trace.span("engine.batch", kind=kind, queries=n,
-                        workers=effective) as sp:
+                        workers=self.workers) as sp:
             for pos, query in enumerate(queries):
-                cached = self._cache.get(kind, params, query)
+                cached = self._cache.get(kind, cache_params, query)
                 if cached is not None:
                     answers, stats = cached
                     results[pos] = (list(answers), stats.copy())
@@ -475,22 +489,29 @@ LRUAnswerCache` — behavior unchanged.
                 (task_id, kind, query, params, ctx, self._epoch)
                 for task_id, (query, _) in enumerate(pending.values())
             ]
-            parallel = (effective > 1 and self._fork_ok and len(tasks) > 1)
+            # One task on one partition is not worth a pool round trip;
+            # an all-hits batch forks nothing.
+            parallel = (self.workers > 1
+                        and len(tasks) * len(self._parts) > 1)
             if parallel:
-                executed, busy = self._run_pool(tasks, effective, registry)
+                executed = self._run_pools(tasks, registry)
             else:
-                executed, busy = self._run_inline(tasks)
+                executed = self._run_inline(tasks)
 
-            for task_id, (query, positions) in enumerate(pending.values()):
-                answers, stats = executed[task_id]
-                self._cache.put(kind, params, query, answers, stats)
+            busy = 0.0
+            for per_part, (query, positions) in zip(executed,
+                                                    pending.values()):
+                busy += sum(task_busy for _, _, task_busy in per_part)
+                answers, stats = self._merge(kind, params, per_part,
+                                             registry)
+                self._cache.put(kind, cache_params, query, answers, stats)
                 for pos in positions:
                     results[pos] = (list(answers), stats.copy())
 
             wall = time.perf_counter() - start
             report = BatchReport(
                 kind=kind, queries=n, dispatched=len(tasks),
-                cache_hits=hits, workers=effective if parallel else 1,
+                cache_hits=hits, workers=self.workers if parallel else 1,
                 parallel=parallel, wall_seconds=wall, busy_seconds=busy,
             )
             self.last_batch = report
@@ -500,69 +521,101 @@ LRUAnswerCache` — behavior unchanged.
         return results
 
     def _run_inline(self, tasks):
-        """Serial in-process execution (workers <= 1, no fork, or a
-        single task)."""
-        executed = {}
-        busy = 0.0
-        for task_id, kind, query, params, _ctx, _epoch in tasks:
-            start = time.perf_counter()
-            with trace.span("engine.task", task_id=task_id, kind=kind,
-                            pid=os.getpid()):
-                executed[task_id] = _execute(self._index, kind, query,
-                                             params)
-            busy += time.perf_counter() - start
-        return executed, busy
+        """Serial in-process execution (one process, no fork, or a
+        single task on a single partition): per task, one
+        :func:`_execute` result per partition."""
+        if self._local is None:
+            self._local = self._shardset.open_local(self._cache_pages)
+        return [
+            [_execute(handle, shard, task)
+             for (shard, _, _), handle in zip(self._parts, self._local)]
+            for task in tasks
+        ]
 
-    def _run_pool(self, tasks, workers, registry):
-        """Fan tasks out to the persistent worker pool; merge each
-        worker's metrics delta (and fold its shipped span records into
-        the active trace) so totals and traces match a serial run."""
-        pool = self._ensure_pool(workers)
-        chunksize = max(1, len(tasks) // (workers * 4))
+    def _run_pools(self, tasks, registry):
+        """Stream every task through every partition's pool and gather
+        in (task, partition) order; merge each worker's metrics delta
+        (and fold its shipped span records into the active trace) so
+        totals and traces match a serial run."""
+        pools = self._ensure_pools()
+        # The whole batch is submitted up front, so every pool stays
+        # busy across the batch, not just within one query.
+        chunksize = max(1, len(tasks) // (self._pool_procs * 4))
+        streams = [pool.imap(_worker_run, tasks, chunksize)
+                   for pool in pools]
         depth = registry.gauge("engine.queue_depth")
-        depth.set(len(tasks))
-        ctx = tasks[0][4] if tasks else None
-        executed = {}
-        busy = 0.0
+        depth.set(len(tasks) * len(pools))
+        ctx = tasks[0][4]
+        executed = []
         try:
-            for task_id, answers, stats, delta, task_busy, spans in \
-                    pool.imap_unordered(_worker_run, tasks,
-                                        chunksize=chunksize):
-                executed[task_id] = (answers, stats)
-                registry.merge(delta)
-                trace.fold_worker_records(spans, ctx)
-                busy += task_busy
-                depth.dec()
+            for _ in tasks:
+                per_part = []
+                for stream in streams:
+                    answers, stats, task_busy, delta, spans = next(stream)
+                    registry.merge(delta)
+                    trace.fold_worker_records(spans, ctx)
+                    depth.dec()
+                    per_part.append((answers, stats, task_busy))
+                executed.append(per_part)
         finally:
             depth.set(0)
-        return executed, busy
+        return executed
 
-    # ------------------------------------------------------------------
-    # Worker pool lifecycle
-    # ------------------------------------------------------------------
-    def _ensure_pool(self, workers: int):
-        if self._pool is not None and self._pool_workers == workers:
-            return self._pool
-        self._close_pool()
-        ctx = multiprocessing.get_context("fork")
-        if isinstance(self._index, DiskCTree):
-            initargs = (None, os.fspath(self._index.path),
-                        self._cache_pages, self._epoch)
+    def _merge(self, kind, params, per_part, registry):
+        """One task's answer: the lone partition's result as is, or the
+        shards' results in global ids and canonical order."""
+        if self._shardset is None:
+            answers, stats, _ = per_part[0]
+            return answers, stats
+        for s, (_, stats, task_busy) in enumerate(per_part):
+            prefix = f"shard.s{s}"
+            registry.counter(f"{prefix}.tasks").inc()
+            registry.counter(f"{prefix}.busy_seconds").inc(task_busy)
+            # "Candidate work": what the balance gate measures — graphs
+            # this shard actually scored (K-NN) or verified (subgraph).
+            registry.counter(f"{prefix}.candidate_work").inc(
+                stats.graphs_scored if kind == _KIND_KNN
+                else stats.candidates
+            )
+        per_shard = [answers for answers, _, _ in per_part]
+        if kind == _KIND_SUBGRAPH:
+            answers = merge_subgraph(per_shard, self._shardset)
         else:
-            # Under fork, initargs are inherited by reference — the tree
-            # (and its memoized kernel contexts) is never pickled.
-            initargs = (self._index, None, self._cache_pages, self._epoch)
-        self._pool = ctx.Pool(processes=workers, initializer=_worker_init,
-                              initargs=initargs)
-        self._pool_workers = workers
-        return self._pool
+            answers = merge_knn(per_shard, self._shardset, params[0])
+        return answers, _merge_stats([stats for _, stats, _ in per_part],
+                                     len(self._shardset))
 
-    def _close_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-            self._pool_workers = 0
+    # ------------------------------------------------------------------
+    # Worker pool and local handle lifecycle
+    # ------------------------------------------------------------------
+    def _ensure_pools(self):
+        if self._pools is None:
+            ctx = multiprocessing.get_context("fork")
+            # Under fork, initargs are inherited by reference — a tree
+            # (and its memoized kernel contexts) is never pickled.
+            self._pools = [
+                ctx.Pool(processes=self._pool_procs,
+                         initializer=_worker_init,
+                         initargs=(shard, tree, path, self._cache_pages,
+                                   self._epoch))
+                for shard, tree, path in self._parts
+            ]
+        return self._pools
+
+    def _close_pools(self) -> None:
+        if self._pools is not None:
+            for pool in self._pools:
+                pool.close()
+            for pool in self._pools:
+                pool.join()
+            self._pools = None
+
+    def _close_local(self) -> None:
+        """Close the handles ``_run_inline`` opened on disk shards (they
+        reopen on demand); a caller's own index is never closed."""
+        if self._shardset is not None and self._local is not None:
+            self._shardset.close_local(self._local)
+            self._local = None
 
     @property
     def cache_entries(self) -> int:
@@ -591,8 +644,11 @@ LRUAnswerCache` — behavior unchanged.
         registry.histogram("engine.per_batch.queries").observe(
             report.queries
         )
+        if self._shardset is not None:
+            registry.gauge("shard.count").set(len(self._parts))
 
     def __repr__(self) -> str:
-        kind = "disk" if isinstance(self._index, DiskCTree) else "memory"
-        return (f"<QueryEngine {kind} |D|={len(self._index)} "
-                f"workers={self.workers} cached={self.cache_entries}>")
+        backend = "disk" if self._disk else "memory"
+        return (f"<QueryEngine {backend} |D|={len(self._index)} "
+                f"partitions={len(self._parts)} workers={self.workers} "
+                f"cached={self.cache_entries}>")

@@ -1,86 +1,19 @@
-"""Answer caches for the query engines: in-process LRU and a
-cross-process shared-memory slab.
+"""The engine's answer cache: an in-process LRU keyed by graph
+signature, and the exact structure key it verifies hits with.
 
-Both caches speak one duck-typed interface, so
-:class:`~repro.ctree.parallel.QueryEngine` and
-:class:`~repro.ctree.shards.ShardedEngine` take either via their
-``cache=`` parameter:
-
-- ``get(kind, params, query) -> (answers, stats) | None``
-- ``put(kind, params, query, answers, stats) -> None``
-- ``clear() -> None``
-- ``entries`` (int property) and ``enabled`` (bool property)
-
-:class:`LRUAnswerCache` is PR 5's per-engine cache factored out of
-``QueryEngine``: signature-keyed buckets verified by exact structural
-equality, entry-level LRU eviction.  It dies with its process.
-
-:class:`SharedMemoryAnswerCache` is the cross-process cache the sharded
-engine puts in front of its shards: a fixed-size slab of slots in one
-:mod:`multiprocessing.shared_memory` segment shared by every engine
-process on the host.  A hot query served from it touches **no shard
-worker at all**, and because the segment outlives any single engine
-process, a restarted engine starts warm.
-
-**Slab anatomy.**  The segment holds a versioned header followed by
-``slots`` fixed-size entries, direct-mapped by a stable 64-bit hash of
-the exact query structure::
-
-    header:  magic | version | slots | slot_size | generation
-    slot:    seq | generation | key_hash | length | crc32 | payload
-
-Each slot is a *reader seqlock*: a writer bumps ``seq`` to an odd value,
-copies the payload, then bumps it even; a reader snapshots ``seq``,
-copies, and re-reads — a torn read (``seq`` odd or changed) is retried
-and then treated as a miss.  Concurrent writers to one slot are not
-mutually excluded (last writer wins); the payload CRC makes an
-interleaved write a detectable miss, never a wrong answer.  The payload
-stores the **exact structure key** of the cached query plus its kind and
-parameters, and a hit requires them to match exactly — a 64-bit hash
-collision (or a signature collision) is therefore a miss, preserving
-the engines' never-wrong-answer contract.
-
-``clear()`` bumps the header *generation*; slots written under an older
-generation stop matching, so invalidation is O(1) and visible to every
-attached process at once.
-
-**Lifetime.**  The segment is created by the first engine that asks for
-the name and re-attached by everyone else; it is never removed by a
-process exiting (the stdlib resource tracker is told to leave it alone)
-— call :meth:`SharedMemoryAnswerCache.destroy` to unlink it, e.g. from
-``repro shard --drop-cache`` or test teardown.
+:class:`LRUAnswerCache` sits in front of
+:class:`~repro.ctree.parallel.QueryEngine`'s partitions:
+signature-keyed buckets verified by exact structural equality,
+entry-level LRU eviction.  It dies with its engine.
 """
 
 from __future__ import annotations
 
-import hashlib
-import pickle
-import struct
-import zlib
 from collections import OrderedDict
-from typing import Optional
 
-from repro.exceptions import ConfigError
 from repro.graphs.graph import Graph
-from repro.obs.metrics import global_registry
 
-__all__ = [
-    "LRUAnswerCache",
-    "SharedMemoryAnswerCache",
-    "structure_key",
-    "cache_segment_name",
-]
-
-#: slab format version; bumped on any layout change
-_VERSION = 1
-_MAGIC = b"RCTSHMC\x01"
-#: magic(8) | version(u32) | slots(u32) | slot_size(u32) | pad(u32) |
-#: generation(u64)
-_HEADER = struct.Struct("<8sIIIIQ")
-#: seq(u64) | generation(u64) | key_hash(u64) | length(u32) | crc(u32)
-_SLOT = struct.Struct("<QQQII")
-#: how many times a reader retries a torn (odd/changed seq) slot
-_READ_RETRIES = 8
+__all__ = ["LRUAnswerCache", "structure_key"]
 
 
 def structure_key(graph: Graph) -> tuple:
@@ -89,8 +22,7 @@ def structure_key(graph: Graph) -> tuple:
 
     Two graphs compare equal under this key iff
     :meth:`Graph.structure_equal <repro.graphs.graph.Graph.structure_equal>`
-    holds — it is the batch-dedup identity of the engines and the
-    verification key of both answer caches.
+    holds — it is the engine's batch-dedup identity.
     """
     return (
         tuple(repr(graph.label(v)) for v in graph.vertices()),
@@ -98,85 +30,15 @@ def structure_key(graph: Graph) -> tuple:
     )
 
 
-def _key_hash(kind: str, params: tuple, skey: tuple) -> int:
-    """A stable (process-independent) 64-bit hash of one cache identity.
-
-    ``repr`` of the key tuple is deterministic for the str/int/float
-    values queries are made of, and :func:`hashlib.blake2b` does not
-    vary with :envvar:`PYTHONHASHSEED` — the same query hashes to the
-    same slot in every engine process on the host.
-    """
-    digest = hashlib.blake2b(
-        repr((kind, params, skey)).encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "little")
-
-
-def cache_segment_name(token: str) -> str:
-    """The shared-memory segment name for a cache scope ``token``.
-
-    Engines that should share answers (e.g. every process serving one
-    shard directory) must derive the name from the same token —
-    conventionally the resolved shard-directory path.
-    """
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=6)
-    return f"repro-anscache-{digest.hexdigest()}"
-
-
 # ----------------------------------------------------------------------
-# Stats (de)serialization
-# ----------------------------------------------------------------------
-def _stats_classes() -> dict:
-    """Name -> class map of every stats type a cache may hold (resolved
-    lazily; :mod:`repro.ctree.diskindex` imports the storage stack)."""
-    from repro.ctree.diskindex import DiskKnnStats, DiskQueryStats
-    from repro.ctree.stats import KnnStats, QueryStats
-
-    return {
-        "QueryStats": QueryStats,
-        "KnnStats": KnnStats,
-        "DiskQueryStats": DiskQueryStats,
-        "DiskKnnStats": DiskKnnStats,
-    }
-
-
-def stats_to_payload(stats) -> tuple:
-    """Flatten a stats object to ``(class_name, kwargs)`` for pickling.
-
-    Only counter values (and, for subgraph stats, the per-level series)
-    ride along — the registry view is rebuilt on load, so a cached stats
-    object never aliases the registry of the process that stored it.
-    """
-    kwargs = {name: getattr(stats, name)
-              for name in type(stats)._COUNTER_FIELDS}
-    for series in ("x_by_level", "y_by_level", "nodes_by_level",
-                   "tested_by_level"):
-        if hasattr(stats, series):
-            kwargs[series] = list(getattr(stats, series))
-    return (type(stats).__name__, kwargs)
-
-
-def stats_from_payload(payload: tuple):
-    """Rebuild the stats object flattened by :func:`stats_to_payload`."""
-    class_name, kwargs = payload
-    try:
-        cls = _stats_classes()[class_name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown stats class {class_name!r} in cached answer"
-        ) from None
-    return cls(**kwargs)
-
-
-# ----------------------------------------------------------------------
-# In-process LRU (PR 5's per-engine cache, factored out)
+# In-process LRU
 # ----------------------------------------------------------------------
 class LRUAnswerCache:
     """Signature-keyed LRU answer cache with exact-structure buckets.
 
     ``capacity`` bounds the number of cached *entries* across all
     signature buckets; ``0`` disables the cache (every :meth:`get`
-    misses, every :meth:`put` is dropped), which the engines also take
+    misses, every :meth:`put` is dropped), which the engine also takes
     as the signal to skip batch deduplication.
 
     A bucket key is ``(kind, params, query.signature())``; because the
@@ -243,245 +105,3 @@ class LRUAnswerCache:
         """Drop every cached answer."""
         self._buckets.clear()
         self._entries = 0
-
-
-# ----------------------------------------------------------------------
-# Cross-process shared-memory cache
-# ----------------------------------------------------------------------
-class SharedMemoryAnswerCache:
-    """A signature-keyed answer cache in one shared-memory segment.
-
-    Parameters
-    ----------
-    name:
-        Segment name.  Engines sharing a name share the cache; derive it
-        with :func:`cache_segment_name` from the index path so every
-        process serving the same shard directory attaches to the same
-        slab.
-    slots:
-        Number of direct-mapped entry slots (only read when the segment
-        is created; attaching validates it against the header).
-    slot_size:
-        Bytes per slot, including the slot header.  Answers whose
-        pickled payload does not fit are simply not cached (counted in
-        ``shard.cache.oversize``).
-    create:
-        ``True`` creates the segment, failing if it exists; ``False``
-        attaches, failing if it does not; ``None`` (default) attaches if
-        present, else creates — the fleet-friendly mode.
-
-    See the module docstring for the slab layout and concurrency rules.
-    """
-
-    def __init__(self, name: str, slots: int = 512, slot_size: int = 8192,
-                 create: Optional[bool] = None) -> None:
-        from multiprocessing import shared_memory
-
-        if slots < 1:
-            raise ConfigError(f"cache needs >= 1 slot, got {slots}")
-        if slot_size <= _SLOT.size + 16:
-            raise ConfigError(f"slot_size {slot_size} too small")
-        self.name = name
-        self._registry = global_registry()
-        self.created = False
-        size = _HEADER.size + slots * slot_size
-        if create is None or create is False:
-            try:
-                self._shm = shared_memory.SharedMemory(name=name)
-            except FileNotFoundError:
-                if create is False:
-                    raise
-                self._shm = None
-        else:
-            self._shm = None
-        if self._shm is None:
-            self._shm = shared_memory.SharedMemory(
-                name=name, create=True, size=size
-            )
-            self.created = True
-        self._keep_segment_on_exit()
-        buf = self._shm.buf
-        if self.created:
-            self.slots = slots
-            self.slot_size = slot_size
-            _HEADER.pack_into(buf, 0, _MAGIC, _VERSION, slots, slot_size,
-                              0, 0)
-        else:
-            magic, version, got_slots, got_size, _, _ = _HEADER.unpack_from(
-                buf, 0
-            )
-            if magic != _MAGIC or version != _VERSION:
-                raise ConfigError(
-                    f"shared cache {name!r} has foreign layout "
-                    f"(magic={magic!r} version={version})"
-                )
-            self.slots = got_slots
-            self.slot_size = got_size
-
-    # -- lifecycle -----------------------------------------------------
-    def _keep_segment_on_exit(self) -> None:
-        """Stop the stdlib resource tracker from unlinking the segment
-        when *this* process exits — the slab must outlive any one
-        engine (that is its whole point); removal is explicit via
-        :meth:`destroy`.
-        """
-        try:  # pragma: no cover - platform-dependent bookkeeping
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(self._shm._name, "shared_memory")
-        except Exception:
-            pass
-
-    def close(self) -> None:
-        """Detach from the segment (it stays alive for other engines)."""
-        try:
-            self._shm.close()
-        except (BufferError, OSError):  # pragma: no cover - teardown race
-            pass
-
-    def destroy(self) -> None:
-        """Detach and unlink the segment for every process (explicit,
-        final)."""
-        try:  # re-balance the tracker: unlink() unregisters internally
-            from multiprocessing import resource_tracker
-
-            resource_tracker.register(self._shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - bookkeeping only
-            pass
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-        self.close()
-
-    # -- header helpers ------------------------------------------------
-    @property
-    def generation(self) -> int:
-        """Current invalidation generation (bumped by :meth:`clear`)."""
-        return _HEADER.unpack_from(self._shm.buf, 0)[5]
-
-    def _set_generation(self, gen: int) -> None:
-        buf = self._shm.buf
-        magic, version, slots, slot_size, pad, _ = _HEADER.unpack_from(
-            buf, 0
-        )
-        _HEADER.pack_into(buf, 0, magic, version, slots, slot_size, pad,
-                          gen)
-
-    @property
-    def enabled(self) -> bool:
-        """Always true: a shared cache cannot be capacity-disabled."""
-        return True
-
-    @property
-    def entries(self) -> int:
-        """Slots currently holding a valid current-generation answer
-        (O(slots) scan; meant for tests and ``--stats``, not hot
-        paths)."""
-        gen = self.generation
-        count = 0
-        for index in range(self.slots):
-            seq, slot_gen, _, length, crc = _SLOT.unpack_from(
-                self._shm.buf, self._slot_offset(index)
-            )
-            if seq and seq % 2 == 0 and slot_gen == gen and length:
-                payload = self._payload(index, length)
-                if payload is not None and zlib.crc32(payload) == crc:
-                    count += 1
-        return count
-
-    def clear(self) -> None:
-        """Invalidate every cached answer for all attached processes by
-        bumping the slab generation (O(1))."""
-        self._set_generation(self.generation + 1)
-
-    # -- slot access ---------------------------------------------------
-    def _slot_offset(self, index: int) -> int:
-        return _HEADER.size + index * self.slot_size
-
-    def _payload(self, index: int, length: int) -> Optional[bytes]:
-        if length > self.slot_size - _SLOT.size:
-            return None
-        start = self._slot_offset(index) + _SLOT.size
-        return bytes(self._shm.buf[start:start + length])
-
-    def get(self, kind: str, params: tuple, query: Graph):
-        """The cached ``(answers, stats)`` for an identical query, or
-        ``None`` (torn reads, stale generations, hash collisions and
-        non-identical structures are all misses)."""
-        skey = structure_key(query)
-        khash = _key_hash(kind, params, skey)
-        index = khash % self.slots
-        offset = self._slot_offset(index)
-        buf = self._shm.buf
-        gen = self.generation
-        for _ in range(_READ_RETRIES):
-            seq1, slot_gen, stored_hash, length, crc = _SLOT.unpack_from(
-                buf, offset
-            )
-            if seq1 == 0 or seq1 % 2 == 1:
-                # Empty, or a writer is mid-copy; one retry round is
-                # enough for the common case, then give up as a miss.
-                if seq1 == 0:
-                    break
-                continue
-            if slot_gen != gen or stored_hash != khash:
-                break
-            payload = self._payload(index, length)
-            seq2 = _SLOT.unpack_from(buf, offset)[0]
-            if payload is None or seq2 != seq1:
-                self._registry.counter("shard.cache.torn_reads").inc()
-                continue
-            if zlib.crc32(payload) != crc:
-                self._registry.counter("shard.cache.torn_reads").inc()
-                break
-            try:
-                stored = pickle.loads(payload)
-            except Exception:  # pragma: no cover - hostile/corrupt slab
-                break
-            s_kind, s_params, s_skey, answers, stats_payload = stored
-            if (s_kind, s_params, s_skey) != (kind, params, skey):
-                # 64-bit hash collision between distinct queries: the
-                # exact identity check turns it into a miss.
-                self._registry.counter("shard.cache.collisions").inc()
-                break
-            self._registry.counter("shard.cache.hits").inc()
-            return (list(answers), stats_from_payload(stats_payload))
-        self._registry.counter("shard.cache.misses").inc()
-        return None
-
-    def put(self, kind: str, params: tuple, query: Graph, answers,
-            stats) -> None:
-        """Store one answered query in its direct-mapped slot (seqlock
-        write; oversized payloads are skipped, occupied slots of other
-        queries are overwritten last-writer-wins)."""
-        skey = structure_key(query)
-        khash = _key_hash(kind, params, skey)
-        payload = pickle.dumps(
-            (kind, params, skey, list(answers), stats_to_payload(stats)),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        if len(payload) > self.slot_size - _SLOT.size:
-            self._registry.counter("shard.cache.oversize").inc()
-            return
-        index = khash % self.slots
-        offset = self._slot_offset(index)
-        buf = self._shm.buf
-        seq, old_gen, old_hash, old_len, _ = _SLOT.unpack_from(buf, offset)
-        if seq % 2 == 1:  # recover from a writer that died mid-copy
-            seq += 1
-        gen = self.generation
-        if old_len and old_hash != khash and old_gen == gen:
-            self._registry.counter("shard.cache.overwrites").inc()
-        # Seqlock write: odd seq marks the slot in-flux for readers.
-        _SLOT.pack_into(buf, offset, seq + 1, gen, khash, len(payload), 0)
-        start = offset + _SLOT.size
-        buf[start:start + len(payload)] = payload
-        _SLOT.pack_into(buf, offset, seq + 2, gen, khash, len(payload),
-                        zlib.crc32(payload))
-        self._registry.counter("shard.cache.stores").inc()
-
-    def __repr__(self) -> str:
-        return (f"<SharedMemoryAnswerCache {self.name!r} "
-                f"slots={self.slots} slot_size={self.slot_size} "
-                f"gen={self.generation}>")

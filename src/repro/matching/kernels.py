@@ -22,15 +22,14 @@ cost once), the query side a :class:`QueryContext` — the label masks,
 neighbor tuples and edge-mask rows only a query is asked for, plus its
 sparse histogram for the Alg. 3 dominance pre-filter.
 
-Kernels are used by default; set ``REPRO_PSEUDO_KERNELS=0`` (or call
-:func:`set_kernels_enabled`) to force the set-based reference everywhere —
-the benchmark regression job runs both and asserts identical candidate and
-answer sets.
+Kernels are always on in production; :func:`use_kernels` /
+:func:`set_kernels_enabled` switch to the set-based reference only so the
+differential tests and ``bench_kernels.py`` can assert identical candidate
+and answer sets.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator, Sequence, Union
 
@@ -73,7 +72,7 @@ _C_REFINE_ROUNDS = global_registry().counter(
     "matching.pseudo_iso.refine_rounds"
 )
 
-_USE_KERNELS = os.environ.get("REPRO_PSEUDO_KERNELS", "1") != "0"
+_USE_KERNELS = True
 
 
 def kernels_enabled() -> bool:

@@ -152,7 +152,7 @@ def pseudo_compatibility_domains(
 
     Dispatches to the bitset kernels when they are enabled (the default);
     the set-based code below is the reference path
-    (``REPRO_PSEUDO_KERNELS=0`` or :func:`repro.matching.kernels.use_kernels`).
+    (the test oracle: :func:`repro.matching.kernels.use_kernels`).
     """
     if kernels.kernels_enabled():
         return kernels.masks_to_domains(

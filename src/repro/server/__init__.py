@@ -13,10 +13,8 @@ HTTP/1.1 server:
   ``/metrics`` (Prometheus text) and ``/healthz`` (``fsck`` probe).
 
 A :class:`~repro.ctree.shards.ShardSet` is accepted wherever a tree
-is: :class:`QueryServer` then serves through the scatter-gather
-:class:`~repro.ctree.shards.ShardedEngine` (one worker process per
-shard) and ``/healthz`` probes every shard plus the placement
-manifest.
+is: the engine then runs one worker process per shard and
+``/healthz`` probes every shard plus the placement manifest.
 
 The API reference, streaming format, error codes and the ops runbook
 live in ``docs/SERVING.md``.

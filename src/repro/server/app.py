@@ -60,7 +60,7 @@ from typing import IO, Optional, Union
 
 from repro.ctree.diskindex import DiskCTree
 from repro.ctree.parallel import Index, QueryEngine
-from repro.ctree.shards import ShardSet, ShardedEngine, fsck_shards
+from repro.ctree.shards import ShardSet, fsck_shards
 from repro.exceptions import GraphError, ReproError
 from repro.graphs.graph import Graph
 from repro.obs import trace
@@ -124,7 +124,8 @@ class ServerConfig:
     host: str = "127.0.0.1"
     #: TCP port; 0 binds an ephemeral port (tests/benchmarks).
     port: int = 8744
-    #: Engine worker processes (1 = in-process execution).
+    #: Engine worker processes over a single-tree index (1 = in-process
+    #: execution); S > 1 shards get one process each instead.
     workers: int = 1
     #: LRU answer-cache capacity of the engine (0 disables caching).
     cache_size: int = 256
@@ -473,10 +474,9 @@ class QueryServer:
     index:
         A built :class:`~repro.ctree.tree.CTree`, an open
         :class:`~repro.ctree.diskindex.DiskCTree`, or a
-        :class:`~repro.ctree.shards.ShardSet` (queries are then served
-        by a scatter-gather
-        :class:`~repro.ctree.shards.ShardedEngine` with one worker
-        process per shard, and ``/healthz`` probes every shard).
+        :class:`~repro.ctree.shards.ShardSet` (the engine then gives
+        each shard its own worker process, and ``/healthz`` probes
+        every shard).
     config:
         A :class:`ServerConfig` (defaults serve localhost:8744 with an
         in-process engine).
@@ -494,19 +494,12 @@ class QueryServer:
                  config: Optional[ServerConfig] = None) -> None:
         self.index = index
         self.config = config or ServerConfig()
-        if isinstance(index, ShardSet):
-            self.engine = ShardedEngine(
-                index,
-                cache_size=self.config.cache_size,
-                cache_pages=self.config.cache_pages,
-            )
-        else:
-            self.engine = QueryEngine(
-                index,
-                workers=self.config.workers,
-                cache_size=self.config.cache_size,
-                cache_pages=self.config.cache_pages,
-            )
+        self.engine = QueryEngine(
+            index,
+            workers=self.config.workers,
+            cache_size=self.config.cache_size,
+            cache_pages=self.config.cache_pages,
+        )
         self._registry = global_registry()
         self.coalescer = BatchCoalescer(
             self.engine,
@@ -576,8 +569,7 @@ class QueryServer:
         async def _run():
             await self.start()
             print(f"repro serve: http://{self.config.host}:{self.port} "
-                  f"({self._describe_index()}, "
-                  f"workers={self.engine.workers})",
+                  f"({self._describe_index()}, {self._describe_workers()})",
                   flush=True)
             try:
                 await asyncio.Event().wait()
@@ -629,6 +621,14 @@ class QueryServer:
                     f"S={self.index.shard_count}, |D|={len(self.index)}")
         kind = "disk" if isinstance(self.index, DiskCTree) else "memory"
         return f"{kind} index, |D|={len(self.index)}"
+
+    def _describe_workers(self) -> str:
+        """The engine's real process count, and whether the configured
+        ``workers`` went unused (S > 1 shards get one process each)."""
+        text = f"workers={self.engine.workers}"
+        if self.config.workers not in (1, self.engine.workers):
+            text += f", --workers {self.config.workers} unused"
+        return text
 
     # ------------------------------------------------------------------
     # Connection handling

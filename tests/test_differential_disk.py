@@ -1,6 +1,6 @@
 """Differential tests: the disk index must answer exactly like the
 in-memory C-tree, for seeded corpora, with the matching kernels both on
-and off (``REPRO_PSEUDO_KERNELS``)."""
+and off (``kernels.use_kernels``)."""
 
 import random
 

@@ -1,16 +1,19 @@
 """Batched query engine: determinism, caching, and aggregation.
 
-The engine's contract is that ``query_many(queries, workers=W)`` is
+The engine's contract is that ``QueryEngine(index, workers=W)`` is
 observably identical to the serial per-query loop for every ``W`` —
-answers bit-identical, stats logically identical
+answers bit-identical (a plain index) or their canonical form (a shard
+set), stats logically identical
 (:meth:`~repro.ctree.stats.QueryStats.deterministic_dict`), and global
 metrics totals equal once worker deltas are merged home.  These tests
 pin that contract over the frozen golden workload, with the bitset
-kernels both on and off, against both the in-memory tree and the disk
-index.
+kernels both on and off, for every index kind the engine accepts
+(:class:`TestEngineContract`), on the fork pools and in-process.
 """
 
 import json
+import multiprocessing
+import re
 from pathlib import Path
 
 import pytest
@@ -20,10 +23,12 @@ from repro.graphs.io import load_graph_database
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DiskCTree
 from repro.ctree.parallel import QueryEngine
+from repro.ctree.shards import ShardSet
 from repro.ctree.similarity_query import knn_query, knn_query_many
 from repro.ctree.stats import QueryStats
 from repro.ctree.subgraph_query import subgraph_query, subgraph_query_many
 from repro.matching import kernels
+from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry, global_registry
 
 _DATA = Path(__file__).parent / "data"
@@ -120,6 +125,228 @@ class TestDeterminism:
 
     def test_empty_batch(self, golden_tree):
         assert subgraph_query_many(golden_tree, []) == []
+
+
+# ----------------------------------------------------------------------
+# One engine, every index kind: the contract
+# ----------------------------------------------------------------------
+#: index kind -> (backend, shard count; 0 = a plain single-tree index)
+_KINDS = {
+    "tree": ("memory", 0), "disk": ("disk", 0),
+    "mem-s1": ("memory", 1), "mem-s2": ("memory", 2),
+    "mem-s3": ("memory", 3), "disk-s2": ("disk", 2),
+}
+
+
+def _summed(per_part_stats, database_size):
+    """What the engine must report for one query: the partitions' serial
+    stats summed, over the whole database."""
+    total = per_part_stats[0].copy()
+    for stats in per_part_stats[1:]:
+        total.merge(stats)
+    total.database_size = database_size
+    return total.deterministic_dict()
+
+
+@pytest.mark.parametrize("kernels_on", [True, False],
+                         ids=["kernels", "reference"])
+@pytest.mark.parametrize("mode", ["pool", "inline"])
+@pytest.mark.parametrize("kind", list(_KINDS))
+class TestEngineContract:
+    """What holds for ``QueryEngine(index)`` whatever ``index`` is."""
+
+    K = 4
+
+    @pytest.fixture
+    def case(self, kind, mode, kernels_on, golden_db, golden_tree,
+             golden_disk_path, tmp_path):
+        """``(make_engine, parts, sharded)``: an engine factory over the
+        index of this kind, the partitions' own handles for the serial
+        reference runs, and whether answers come in canonical form."""
+        backend, shards = _KINDS[kind]
+        if mode == "pool" and \
+                "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        if not shards:
+            index = golden_tree if backend == "memory" else \
+                DiskCTree.open(golden_disk_path, cache_pages=32)
+            parts = [index]
+        elif backend == "memory":
+            index = ShardSet.build_memory(golden_db, shards, "hash",
+                                          min_fanout=3)
+            parts = index.open_local()
+        else:
+            ShardSet.create(golden_db, tmp_path / "idx.shards",
+                            shards=shards, placement="hash", min_fanout=3,
+                            page_size=512)
+            index = ShardSet.open(tmp_path / "idx.shards")
+            parts = index.open_local(cache_pages=32)
+
+        def make_engine(**kwargs):
+            engine = QueryEngine(index, workers=2, cache_pages=32, **kwargs)
+            if mode == "inline":
+                engine._fork_ok = False
+            return engine
+
+        with kernels.use_kernels(kernels_on):
+            yield make_engine, parts, bool(shards)
+        for part in parts:
+            if isinstance(part, DiskCTree):
+                part.close()
+
+    def test_answers_stats_and_registry_totals(self, case, golden_tree,
+                                               golden_queries):
+        make_engine, parts, sharded = case
+        registry = global_registry()
+        before = registry.snapshot()
+        serial_sub = [[subgraph_query(p, q) for p in parts]
+                      for q in golden_queries]
+        serial_delta = registry.diff(before)
+        serial_knn = [[knn_query(p, q, self.K, canonical=sharded)
+                       for p in parts] for q in golden_queries]
+
+        with make_engine(cache_size=0) as engine:
+            before = registry.snapshot()
+            sub = engine.query_many(golden_queries)
+            engine_delta = registry.diff(before)
+            knn = engine.knn_many(golden_queries, self.K)
+
+        if sharded:
+            # Canonical forms of the single tree's answers.
+            want_sub = [sorted(subgraph_query(golden_tree, q)[0])
+                        for q in golden_queries]
+            want_knn = [knn_query(golden_tree, q, self.K, canonical=True)[0]
+                        for q in golden_queries]
+        else:
+            # Bit-identical to the serial loop, traversal order included.
+            want_sub = [per_part[0][0] for per_part in serial_sub]
+            want_knn = [per_part[0][0] for per_part in serial_knn]
+        assert [a for a, _ in sub] == want_sub
+        assert [r for r, _ in knn] == want_knn
+
+        size = len(golden_tree)
+        assert [s.deterministic_dict() for _, s in sub] == \
+            [_summed([s for _, s in per_part], size)
+             for per_part in serial_sub]
+        assert [s.deterministic_dict() for _, s in knn] == \
+            [_summed([s for _, s in per_part], size)
+             for per_part in serial_knn]
+        for name in _EXACT_COUNTERS:
+            assert engine_delta.get(name) == serial_delta.get(name), name
+
+    def test_dedup_and_cache_accounting(self, case, mode, golden_queries):
+        make_engine, parts, _ = case
+        q0, q1 = golden_queries[:2]
+        engine = make_engine()
+        try:
+            first = engine.query_many([q0, q0.copy(), q1, q0])
+            report = engine.last_batch
+            assert (report.queries, report.dispatched,
+                    report.cache_hits) == (4, 2, 0)
+            pooled = mode == "pool"
+            assert report.parallel == pooled
+            assert report.workers == (engine.workers if pooled else 1)
+            assert first[0][0] == first[1][0] == first[3][0]
+            assert engine.cache_entries == 2
+        finally:
+            engine.close()
+
+        # A fresh engine (no pools yet): prime it in-process, then an
+        # all-hits batch must not fork anything.
+        with make_engine() as engine:
+            engine._fork_ok = False
+            engine.query_many([q0, q1])
+            engine._fork_ok = mode == "pool"
+            again = engine.query_many([q0, q1, q0])
+            report = engine.last_batch
+            assert (report.dispatched, report.cache_hits) == (0, 3)
+            assert report.cache_hit_rate == 1.0
+            assert not report.parallel
+            assert engine._pools is None
+        assert [a for a, _ in again] == \
+            [first[0][0], first[2][0], first[0][0]]
+
+    def test_one_span_tree(self, case, mode, golden_queries):
+        make_engine, parts, sharded = case
+        queries = golden_queries[:3]
+        sink = trace.ListSink()
+        with make_engine() as engine, trace.tracing(sink):
+            engine.query_many(queries)
+        records = sink.records
+        batches = [r for r in records if r["name"] == "engine.batch"]
+        tasks = [r for r in records if r["name"] == "engine.task"]
+        assert len(batches) == 1
+        assert batches[0]["attrs"]["dispatched"] == len(queries)
+        assert len(tasks) == len(queries) * len(parts)
+        for task in tasks:
+            parent = trace.ancestry(task, records)[0]
+            assert parent["span_id"] == batches[0]["span_id"]
+        if sharded:
+            assert sorted(t["attrs"]["shard"] for t in tasks) == \
+                sorted(list(range(len(parts))) * len(queries))
+        else:
+            assert all("shard" not in t["attrs"] for t in tasks)
+        # The tree work hangs under the tasks, wherever they ran.
+        task_ids = {t["span_id"] for t in tasks}
+        roots = [r for r in records if r["name"] == "ctree.subgraph_query"]
+        assert len(roots) == len(tasks)
+        assert all(r["parent_id"] in task_ids for r in roots)
+
+
+def test_disk_shard_handles_get_engine_cache_pages(golden_db, golden_queries,
+                                                   tmp_path):
+    """The in-process path opens disk shards with the engine's
+    ``cache_pages``, not the buffer pool's default."""
+    ShardSet.create(golden_db, tmp_path / "idx.shards", shards=2,
+                    min_fanout=3, page_size=512)
+    with QueryEngine(ShardSet.open(tmp_path / "idx.shards"),
+                     cache_pages=7) as engine:
+        engine._fork_ok = False
+        engine.query_many(golden_queries[:1])
+        assert [h.pool.capacity for h in engine._local] == [7, 7]
+
+
+def test_workers_is_the_real_process_count(golden_db, golden_tree):
+    """Pool size is W over one partition and S over S > 1 shards."""
+    sset = ShardSet.build_memory(golden_db, 3, "hash", min_fanout=3)
+    assert QueryEngine(golden_tree, workers=4).workers == 4
+    assert QueryEngine(sset, workers=4).workers == 3
+    no_fork = QueryEngine(golden_tree, workers=4)
+    no_fork._fork_ok = False
+    assert no_fork.workers == 1
+
+
+# ----------------------------------------------------------------------
+# docs/OBSERVABILITY.md's engine and shard tables are the metric contract
+# ----------------------------------------------------------------------
+def test_documented_metric_names(golden_db, golden_queries,
+                                 golden_disk_path):
+    doc = (Path(__file__).parent.parent / "docs"
+           / "OBSERVABILITY.md").read_text()
+    tables = doc[doc.index("### Engine metrics"):
+                 doc.index("### Server metrics")]
+    documented = {
+        name
+        for line in tables.splitlines() if line.startswith("| `")
+        for name in re.findall(r"`([^`]+)`", line.split("|")[1])
+    }
+
+    # One pool batch on a plain index (a disk one, refreshed, so the
+    # worker-side names exist too) and one on a 2-shard set.
+    with DiskCTree.open(golden_disk_path, cache_pages=32) as disk, \
+            QueryEngine(disk, workers=2, cache_size=0) as engine:
+        engine.query_many(golden_queries[:2])
+        engine.refresh()
+        engine.query_many(golden_queries[:2])
+    with QueryEngine(ShardSet.build_memory(golden_db, 2, "hash",
+                                           min_fanout=3)) as engine:
+        engine.knn_many(golden_queries[:2], 3)
+    registered = {
+        re.sub(r"^shard\.s\d+\.", "shard.s{s}.", name)
+        for name in global_registry().names()
+        if name.startswith(("engine.", "shard."))
+    }
+    assert registered == documented
 
 
 # ----------------------------------------------------------------------
@@ -359,13 +586,13 @@ class TestDiskRefresh:
                               cache_pages=32) as disk:
             with QueryEngine(disk, workers=2, cache_size=0).start() \
                     as engine:
-                if engine._pool is None:
+                if engine._pools is None:
                     pytest.skip("no fork start method on this platform")
                 engine.query_many(golden_queries)
-                pool = engine._pool
+                pool = engine._pools
                 disk.extend(extra)
                 engine.refresh()
-                assert engine._pool is pool, "disk refresh must not respawn"
+                assert engine._pools is pool, "disk refresh must not respawn"
                 batch = engine.query_many(golden_queries + extra)
                 with DiskCTree.open(path, wal=False,
                                     auto_recover=False) as fresh:
@@ -387,14 +614,14 @@ class TestDiskRefresh:
                               cache_pages=32) as disk:
             with QueryEngine(disk, workers=2, cache_size=0).start() \
                     as engine:
-                if engine._pool is None:
+                if engine._pools is None:
                     pytest.skip("no fork start method on this platform")
                 engine.query_many(golden_queries)
-                pool = engine._pool
+                pool = engine._pools
                 disk.delete_many(victims)
                 disk.compact(force=True)
                 engine.refresh()
-                assert engine._pool is pool, "disk refresh must not respawn"
+                assert engine._pools is pool, "disk refresh must not respawn"
                 batch = engine.query_many(golden_queries)
                 with DiskCTree.open(path, wal=False,
                                     auto_recover=False) as fresh:

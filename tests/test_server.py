@@ -23,6 +23,7 @@ import pytest
 
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DiskCTree
+from repro.ctree.shards import ShardSet
 from repro.ctree.similarity_query import knn_query
 from repro.ctree.subgraph_query import subgraph_query
 from repro.graphs.graph import Graph
@@ -176,6 +177,28 @@ class TestGoldenRoundTrip:
                 _, payload = _post_json(handle.port, "/query",
                                         {"query": case["query"]})
                 assert payload["answers"] == serial
+
+
+    def test_shard_set_served_by_the_same_engine(self, golden, golden_tree):
+        """One process per shard whatever ``workers`` says — and the
+        server says so — with answers in canonical (sorted) form."""
+        db, expected = golden
+        sset = ShardSet.build_memory(db, 2, "hash", min_fanout=3)
+        srv = QueryServer(sset, ServerConfig(port=0, workers=4))
+        if not srv.engine._fork_ok:
+            pytest.skip("fork start method unavailable")
+        assert srv._describe_workers() == "workers=2, --workers 4 unused"
+        with srv.run_in_thread() as handle:
+            _, _, body = _request(handle.port, "GET", "/")
+            info = json.loads(body)
+            assert info["workers"] == 2
+            assert info["index"]["kind"] == "sharded"
+            for case in expected["subgraph"]:
+                query = Graph.from_dict(case["query"])
+                serial, _ = subgraph_query(golden_tree, query)
+                _, payload = _post_json(handle.port, "/query",
+                                        {"query": case["query"]})
+                assert payload["answers"] == sorted(serial)
 
 
 # ----------------------------------------------------------------------

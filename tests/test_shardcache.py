@@ -1,32 +1,13 @@
-"""Answer-cache tests: the in-process LRU and the cross-process slab.
+"""Answer-cache tests: the engine's in-process LRU.
 
-The caches back the never-wrong-answer contract of both engines: a hit
-must be byte-equivalent to re-running the query, and anything
-uncertain — torn slot, stale generation, hash collision, structurally
-different query — must be a miss.  The shared-memory tests also pin the
-cross-process story: a second process attaching to the same segment
-sees the first process's answers, and ``clear()`` invalidates for
-everyone at once.
+The cache backs the engine's never-wrong-answer contract: a hit must be
+byte-equivalent to re-running the query, and a structurally different
+query — same signature or not — must be a miss.
 """
 
-import multiprocessing
-import os
-import uuid
-
-import pytest
-
 from repro.graphs.graph import Graph
-from repro.ctree.shardcache import (
-    LRUAnswerCache,
-    SharedMemoryAnswerCache,
-    cache_segment_name,
-    stats_from_payload,
-    stats_to_payload,
-    structure_key,
-)
-from repro.ctree.stats import KnnStats, QueryStats
-
-_FORK = "fork" in multiprocessing.get_all_start_methods()
+from repro.ctree.shardcache import LRUAnswerCache, structure_key
+from repro.ctree.stats import QueryStats
 
 
 def _graph(n: int) -> Graph:
@@ -38,10 +19,6 @@ def _graph(n: int) -> Graph:
 
 def _stats(**kwargs) -> QueryStats:
     return QueryStats(database_size=10, candidates=3, answers=2, **kwargs)
-
-
-def _fresh_name() -> str:
-    return cache_segment_name(f"test-{os.getpid()}-{uuid.uuid4().hex}")
 
 
 # ----------------------------------------------------------------------
@@ -105,175 +82,6 @@ class TestLRUAnswerCache:
         answers.append(99)
         got, _ = cache.get("subgraph", (1, True), _graph(1))
         assert got == [1, 2]
-
-
-# ----------------------------------------------------------------------
-# Stats payload round-trip
-# ----------------------------------------------------------------------
-def test_stats_payload_roundtrip_query():
-    stats = _stats(histogram_tests=7)
-    stats.x_by_level.extend([1, 2])
-    rebuilt = stats_from_payload(stats_to_payload(stats))
-    assert isinstance(rebuilt, QueryStats)
-    assert rebuilt.candidates == 3
-    assert rebuilt.histogram_tests == 7
-    assert list(rebuilt.x_by_level) == [1, 2]
-
-
-def test_stats_payload_roundtrip_knn():
-    stats = KnnStats(database_size=5, graphs_scored=4, results=2)
-    rebuilt = stats_from_payload(stats_to_payload(stats))
-    assert isinstance(rebuilt, KnnStats)
-    assert rebuilt.graphs_scored == 4
-    assert rebuilt.results == 2
-
-
-# ----------------------------------------------------------------------
-# SharedMemoryAnswerCache
-# ----------------------------------------------------------------------
-class TestSharedMemoryAnswerCache:
-    def _make(self, **kwargs):
-        cache = SharedMemoryAnswerCache(_fresh_name(), slots=8,
-                                        slot_size=4096, **kwargs)
-        assert cache.created
-        return cache
-
-    def test_roundtrip_and_entries(self):
-        cache = self._make()
-        try:
-            query = _graph(1)
-            assert cache.get("subgraph", (1, True), query) is None
-            cache.put("subgraph", (1, True), query, [3, 5], _stats())
-            answers, stats = cache.get("subgraph", (1, True), query.copy())
-            assert answers == [3, 5]
-            assert stats.answers == 2
-            assert cache.entries == 1
-        finally:
-            cache.destroy()
-
-    def test_attach_sees_existing_answers(self):
-        cache = self._make()
-        try:
-            query = _graph(2)
-            cache.put("knn", (4, "nbm"), query, [(1, 2.0)],
-                      KnnStats(database_size=3))
-            other = SharedMemoryAnswerCache(cache.name, create=False)
-            try:
-                hit = other.get("knn", (4, "nbm"), query)
-                assert hit is not None
-                assert hit[0] == [(1, 2.0)]
-            finally:
-                other.close()
-        finally:
-            cache.destroy()
-
-    def test_attach_missing_raises(self):
-        with pytest.raises(FileNotFoundError):
-            SharedMemoryAnswerCache(_fresh_name(), create=False)
-
-    def test_generation_clear_invalidates_all_attached(self):
-        cache = self._make()
-        try:
-            query = _graph(1)
-            cache.put("subgraph", (1, True), query, [1], _stats())
-            other = SharedMemoryAnswerCache(cache.name, create=False)
-            try:
-                assert other.get("subgraph", (1, True), query) is not None
-                other.clear()
-                # The *first* handle sees the invalidation too.
-                assert cache.get("subgraph", (1, True), query) is None
-                assert cache.entries == 0
-            finally:
-                other.close()
-        finally:
-            cache.destroy()
-
-    def test_torn_write_detected_as_miss(self):
-        cache = self._make()
-        try:
-            query = _graph(1)
-            cache.put("subgraph", (1, True), query, [1], _stats())
-            # Corrupt one payload byte without fixing the CRC: the read
-            # must reject the slot rather than return a wrong answer.
-            khash_slot = None
-            for index in range(cache.slots):
-                offset = cache._slot_offset(index)
-                seq = int.from_bytes(
-                    bytes(cache._shm.buf[offset:offset + 8]), "little"
-                )
-                if seq:
-                    khash_slot = index
-                    break
-            assert khash_slot is not None
-            start = cache._slot_offset(khash_slot) + 28
-            cache._shm.buf[start + 4] ^= 0xFF
-            assert cache.get("subgraph", (1, True), query) is None
-        finally:
-            cache.destroy()
-
-    def test_hash_collision_is_a_miss(self, monkeypatch):
-        cache = self._make()
-        try:
-            import repro.ctree.shardcache as mod
-
-            monkeypatch.setattr(mod, "_key_hash", lambda *a: 42)
-            g1, g2 = _graph(1), _graph(2)
-            cache.put("subgraph", (1, True), g1, [1], _stats())
-            # Same forced hash, different structure: must miss, never
-            # serve g1's answers for g2.
-            assert cache.get("subgraph", (1, True), g2) is None
-            assert cache.get("subgraph", (1, True), g1) is not None
-        finally:
-            cache.destroy()
-
-    def test_oversize_payload_not_cached(self):
-        name = _fresh_name()
-        cache = SharedMemoryAnswerCache(name, slots=2, slot_size=128)
-        try:
-            query = _graph(1)
-            cache.put("subgraph", (1, True), query,
-                      list(range(1000)), _stats())
-            assert cache.get("subgraph", (1, True), query) is None
-        finally:
-            cache.destroy()
-
-    def test_direct_mapped_overwrite_last_writer_wins(self):
-        name = _fresh_name()
-        cache = SharedMemoryAnswerCache(name, slots=1, slot_size=4096)
-        try:
-            g1, g2 = _graph(1), _graph(2)
-            cache.put("subgraph", (1, True), g1, [1], _stats())
-            cache.put("subgraph", (1, True), g2, [2], _stats())
-            assert cache.get("subgraph", (1, True), g1) is None
-            hit = cache.get("subgraph", (1, True), g2)
-            assert hit is not None and hit[0] == [2]
-        finally:
-            cache.destroy()
-
-    @pytest.mark.skipif(not _FORK, reason="needs fork start method")
-    def test_cross_process_hit(self):
-        cache = self._make()
-        try:
-            query = _graph(3)
-            cache.put("subgraph", (1, True), query, [7, 9], _stats())
-            ctx = multiprocessing.get_context("fork")
-            conn_r, conn_w = ctx.Pipe(duplex=False)
-
-            def child(name, conn):
-                peer = SharedMemoryAnswerCache(name, create=False)
-                try:
-                    hit = peer.get("subgraph", (1, True), _graph(3))
-                    conn.send(hit[0] if hit else None)
-                finally:
-                    peer.close()
-
-            proc = ctx.Process(target=child, args=(cache.name, conn_w))
-            proc.start()
-            proc.join(timeout=30)
-            assert proc.exitcode == 0
-            assert conn_r.recv() == [7, 9]
-        finally:
-            cache.destroy()
 
 
 def test_structure_key_matches_structure_equal():

@@ -1,15 +1,15 @@
-"""Sharded scatter-gather engine: placement, persistence, determinism.
+"""Shard sets: placement, persistence, and answers through the engine.
 
-The tentpole contract: a :class:`~repro.ctree.shards.ShardedEngine`
-over any partition of the database answers **bit-identically** to the
-single-tree reference at every shard count S, every placement, both
+The contract: a :class:`~repro.ctree.parallel.QueryEngine` over any
+:class:`~repro.ctree.shards.ShardSet` answers **bit-identically** to
+the single-tree reference at every shard count S, every placement, both
 backends, with the bitset kernels on and off — subgraph answers equal
 ``sorted()`` of the serial loop (and the frozen golden oracle), K-NN
 equals the canonical single-tree ``knn_query(..., canonical=True)``.
 Also covered here: the placement functions' partition invariants, the
-manifest round-trip, ``fsck_shards``, the bound-pushdown mode, and the
-``QueryEngine`` satellite features (injected cache object, ``shards=S``
-delegation).
+manifest round-trip, ``fsck_shards``, and the tree-level canonical /
+``bound=`` K-NN modes.  The engine contract common to every index kind
+is in ``tests/test_engine.py``.
 """
 
 import json
@@ -24,11 +24,9 @@ from repro.graphs.io import load_graph_database
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DiskCTree
 from repro.ctree.parallel import QueryEngine
-from repro.ctree.shardcache import LRUAnswerCache
 from repro.ctree.shards import (
     Shard,
     ShardSet,
-    ShardedEngine,
     fsck_shards,
     place_graphs,
 )
@@ -190,7 +188,7 @@ class TestShardedEngineDeterminism:
             )
             sset = ShardSet.build_memory(db, shards, placement,
                                          min_fanout=3)
-            with ShardedEngine(sset) as engine:
+            with QueryEngine(sset) as engine:
                 sub_results = engine.query_many(golden_queries)
                 knn_results = engine.knn_many(golden_queries, 4)
         assert [a for a, _ in sub_results] == ref_subgraph
@@ -216,7 +214,7 @@ class TestShardedEngineDeterminism:
                             for q in golden_queries]
             ref_knn = [disk.knn_query(q, 4, canonical=True)[0]
                        for q in golden_queries]
-        with ShardedEngine(ShardSet.open(directory)) as engine:
+        with QueryEngine(ShardSet.open(directory)) as engine:
             sub_results = engine.query_many(golden_queries)
             knn_results = engine.knn_many(golden_queries, 4)
         assert [a for a, _ in sub_results] == ref_subgraph
@@ -228,10 +226,10 @@ class TestShardedEngineDeterminism:
         the answers must not change."""
         db, _ = golden
         sset = ShardSet.build_memory(db, 3, "closure", min_fanout=3)
-        with ShardedEngine(sset) as forked:
+        with QueryEngine(sset) as forked:
             want_sub = forked.query_many(golden_queries)
             want_knn = forked.knn_many(golden_queries, 4)
-        inline = ShardedEngine(sset)
+        inline = QueryEngine(sset)
         inline._fork_ok = False
         with inline:
             got_sub = inline.query_many(golden_queries)
@@ -240,20 +238,11 @@ class TestShardedEngineDeterminism:
         assert [a for a, _ in got_sub] == [a for a, _ in want_sub]
         assert [r for r, _ in got_knn] == [r for r, _ in want_knn]
 
-    def test_pushdown_identical_answers(self, golden, golden_queries):
-        db, _ = golden
-        sset = ShardSet.build_memory(db, 4, "closure", min_fanout=3)
-        with ShardedEngine(sset) as scatter:
-            want = scatter.knn_many(golden_queries, 4)
-        with ShardedEngine(sset, pushdown=True) as pushed:
-            got = pushed.knn_many(golden_queries, 4)
-        assert [r for r, _ in got] == [r for r, _ in want]
-
     def test_merged_stats_cover_whole_database(self, golden,
                                                golden_queries):
         db, _ = golden
         sset = ShardSet.build_memory(db, 2, "hash", min_fanout=3)
-        with ShardedEngine(sset) as engine:
+        with QueryEngine(sset) as engine:
             _, stats = engine.query_many(golden_queries[:1])[0]
         assert stats.database_size == len(db)
 
@@ -262,48 +251,20 @@ class TestShardedEngineDeterminism:
 # Engine cache behavior
 # ----------------------------------------------------------------------
 class TestShardedEngineCache:
-    def test_second_engine_hits_shared_cache_without_shards(self, golden,
-                                                            golden_queries):
-        """A second engine given the same cache object serves the whole
-        batch from it: no pools are ever created."""
-        db, _ = golden
-        cache = LRUAnswerCache(256)
-        sset = ShardSet.build_memory(db, 2, "hash", min_fanout=3)
-        with ShardedEngine(sset, cache=cache) as first:
-            want = first.query_many(golden_queries)
-            assert first.last_batch.cache_hits == 0
-        second = ShardedEngine(sset, cache=cache)
-        got = second.query_many(golden_queries)
-        assert second._pools is None
-        assert second.last_batch.cache_hits == len(golden_queries)
-        assert [a for a, _ in got] == [a for a, _ in want]
-
     def test_refresh_clears_cache(self, golden, golden_queries):
         db, _ = golden
-        cache = LRUAnswerCache(256)
         sset = ShardSet.build_memory(db, 2, "hash", min_fanout=3)
-        with ShardedEngine(sset, cache=cache) as engine:
+        with QueryEngine(sset) as engine:
             engine.query_many(golden_queries[:2])
-            assert cache.entries > 0
+            assert engine.cache_entries > 0
             engine.refresh()
-            assert cache.entries == 0
+            assert engine.cache_entries == 0
 
 
 # ----------------------------------------------------------------------
-# QueryEngine satellites: injected cache, shards delegation
+# QueryEngine over a re-partitioned open index (``--shards S``)
 # ----------------------------------------------------------------------
 class TestQueryEngineSatellites:
-    def test_injected_cache_is_used(self, golden, golden_queries,
-                                    golden_tree):
-        cache = LRUAnswerCache(256)
-        with QueryEngine(golden_tree, cache=cache) as engine:
-            engine.query_many(golden_queries)
-        assert cache.entries > 0
-        # A fresh engine sharing the object starts warm.
-        with QueryEngine(golden_tree, cache=cache) as warm:
-            warm.query_many(golden_queries)
-            assert warm.last_batch.cache_hits == len(golden_queries)
-
     def test_default_cache_unchanged(self, golden_tree, golden_queries):
         with QueryEngine(golden_tree, cache_size=256) as engine:
             engine.query_many(golden_queries)
@@ -320,7 +281,8 @@ class TestQueryEngineSatellites:
                    for q in golden_queries]
         ref_knn = [knn_query(golden_tree, q, 4, canonical=True)[0]
                    for q in golden_queries]
-        with QueryEngine(golden_tree, shards=shards) as engine:
+        sset = ShardSet.from_index(golden_tree, shards)
+        with QueryEngine(sset) as engine:
             sub = engine.query_many(golden_queries)
             assert engine.last_batch.workers == shards
             knn = engine.knn_many(golden_queries, 4)
