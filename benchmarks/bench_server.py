@@ -7,9 +7,12 @@ core promises:
 
 (a) **identical answers** — every HTTP response matches a serial
     in-process ``subgraph_query`` loop over the same log, bit for bit;
-(b) **coalescing** — concurrent requests demonstrably share engine
-    batches: the number of dispatched batches stays well below the
-    number of requests served;
+(b) **no request waits for nothing, none is lost** — every request is
+    either answered from the cache before admission or admitted into a
+    batch (``queries + bypassed == requests``), and with the cache off
+    (so every request must be admitted) the backlog behind each running
+    engine call demonstrably rides in shared batches: fewer batches
+    than requests, with no timer holding anyone back;
 (c) **tracing is free when off** — the per-request cost of the
     disabled instrumentation (request-id mint + nested no-op spans),
     microbenched in-process, stays under ``TRACING_OVERHEAD_CAP`` of
@@ -87,6 +90,32 @@ def _post_query(port: int, query_dict: dict) -> list[int]:
         conn.close()
 
 
+_COUNTERS = ("server.coalesce.batches", "server.coalesce.queries",
+             "server.coalesce.coalesced", "server.coalesce.bypassed")
+
+
+def _replay(tree, payloads: list[dict], cache_size: int):
+    """Serve ``payloads`` from ``SERVER.clients`` concurrent clients;
+    returns ``(answers, wall seconds, server.coalesce.* deltas)``."""
+    srv = QueryServer(tree, ServerConfig(
+        port=0,
+        max_batch=SERVER.max_batch,
+        cache_size=cache_size,
+        client_cap=SERVER.requests,  # benchmark measures coalescing, not 429s
+    ))
+    reg = srv._registry
+    before = {name: reg.counter(name).value for name in _COUNTERS}
+    with srv.run_in_thread() as handle:
+        start = time.perf_counter()
+        with concurrent.futures.ThreadPoolExecutor(SERVER.clients) as pool:
+            answers = list(pool.map(
+                lambda p: _post_query(handle.port, p), payloads))
+        seconds = time.perf_counter() - start
+    delta = {name.rsplit(".", 1)[1]: reg.counter(name).value - value
+             for name, value in before.items()}
+    return answers, seconds, delta
+
+
 def test_server_throughput(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     db = generate_chemical_database(SERVER.database_size, seed=SERVER.seed)
@@ -95,48 +124,32 @@ def test_server_throughput(benchmark):
         db, SERVER.query_size, SERVER.unique_queries, seed=SERVER.seed
     )
     log = skewed_query_log(unique, SERVER.requests, SERVER.seed)
+    payloads = [q.to_dict() for q in log]
 
     serial_start = time.perf_counter()
     serial = [subgraph_query(tree, q)[0] for q in log]
     serial_seconds = time.perf_counter() - serial_start
 
-    srv = QueryServer(tree, ServerConfig(
-        port=0,
-        batch_window=SERVER.batch_window,
-        max_batch=SERVER.max_batch,
-        cache_size=SERVER.cache_size,
-        client_cap=SERVER.requests,  # benchmark measures coalescing, not 429s
-    ))
-    reg = srv._registry
-    before = {
-        name: reg.counter(name).value
-        for name in ("server.coalesce.batches", "server.coalesce.queries",
-                     "server.coalesce.coalesced", "server.http.requests")
-    }
-    with srv.run_in_thread() as handle:
-        payloads = [q.to_dict() for q in log]
-        http_start = time.perf_counter()
-        with concurrent.futures.ThreadPoolExecutor(SERVER.clients) as pool:
-            answers = list(pool.map(
-                lambda p: _post_query(handle.port, p), payloads))
-        http_seconds = time.perf_counter() - http_start
-    delta = {
-        name: reg.counter(name).value - start
-        for name, start in before.items()
-    }
+    answers, http_seconds, delta = _replay(tree, payloads,
+                                           SERVER.cache_size)
+    # The same log with the answer cache off: nothing can bypass, so
+    # this is the run that shows what the backlog does to batching.
+    uncached, backlog_seconds, backlog = _replay(tree, payloads, 0)
 
     # Gate (a): bit-identical to the serial loop, in request order.
-    identical = answers == serial
+    identical = answers == serial and uncached == serial
     assert identical, "HTTP answers diverged from the serial loop"
 
-    # Gate (b): coalescing actually happened — far fewer engine batches
-    # than requests (the skewed log + admission window guarantee it).
-    batches = delta["server.coalesce.batches"]
+    # Gate (b): a request is answered before admission or admitted —
+    # never both, never neither — and under backlog requests share
+    # batches without any timer to wait on.
     requests = SERVER.requests
-    assert delta["server.coalesce.queries"] == requests
-    assert batches >= 1
-    assert batches < requests, (
-        f"no coalescing: {batches} batches for {requests} requests"
+    batches = delta["batches"]
+    assert delta["queries"] + delta["bypassed"] == requests
+    assert backlog["bypassed"] == 0 and backlog["queries"] == requests
+    assert 1 <= backlog["batches"] < requests, (
+        f"no coalescing: {backlog['batches']} batches for {requests} "
+        f"requests"
     )
 
     # Gate (c): disabled tracing is effectively free.  Compare the
@@ -160,14 +173,15 @@ def test_server_throughput(benchmark):
         "server_throughput",
         f"HTTP serving: {SERVER.clients} concurrent clients, "
         f"{SERVER.unique_queries} distinct queries x {requests} requests "
-        f"(chemical, |D|={SERVER.database_size}, "
-        f"window={SERVER.batch_window * 1000:.0f}ms)",
+        f"(chemical, |D|={SERVER.database_size})",
         "path",
-        ["serial loop", "http server"],
+        ["serial loop", "http server", "http server, cache off"],
         {
-            "wall (s)": [serial_seconds, http_seconds],
-            "throughput (q/s)": [serial_throughput, throughput],
-            "engine batches": [requests, batches],
+            "wall (s)": [serial_seconds, http_seconds, backlog_seconds],
+            "throughput (q/s)": [serial_throughput, throughput,
+                                 requests / backlog_seconds],
+            "answered before admission": [0, delta["bypassed"], 0],
+            "engine batches": [requests, batches, backlog["batches"]],
         },
         float_format="{:.3f}",
     )
@@ -182,7 +196,6 @@ def test_server_throughput(benchmark):
             "requests": requests,
             "query_size": SERVER.query_size,
             "clients": SERVER.clients,
-            "batch_window": SERVER.batch_window,
             "max_batch": SERVER.max_batch,
             "cache_size": SERVER.cache_size,
             "seed": SERVER.seed,
@@ -192,9 +205,19 @@ def test_server_throughput(benchmark):
         "throughput": throughput,
         "coalescing": {
             "requests": requests,
+            "bypassed": delta["bypassed"],
+            "admitted": delta["queries"],
             "batches": batches,
-            "coalesced": delta["server.coalesce.coalesced"],
-            "mean_batch_size": requests / batches,
+            "coalesced": delta["coalesced"],
+        },
+        "backlog": {
+            "cache_size": 0,
+            "requests": requests,
+            "admitted": backlog["queries"],
+            "batches": backlog["batches"],
+            "coalesced": backlog["coalesced"],
+            "mean_batch_size": requests / backlog["batches"],
+            "http_seconds": backlog_seconds,
         },
         "tracing_overhead": {
             "per_request_seconds": overhead_seconds,
@@ -204,7 +227,7 @@ def test_server_throughput(benchmark):
         },
         "gate": {
             "identical_answers": identical,
-            "coalesced": batches < requests,
+            "coalesced": backlog["batches"] < requests,
             "tracing_overhead_under_cap":
                 overhead_fraction < TRACING_OVERHEAD_CAP,
         },

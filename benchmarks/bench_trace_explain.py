@@ -68,7 +68,6 @@ def test_traced_explain_capture(benchmark):
         srv = QueryServer(tree, ServerConfig(
             port=0,
             workers=2,
-            batch_window=SERVER.batch_window,
             max_batch=SERVER.max_batch,
             cache_size=0,  # cached answers skip the tree: no descent spans
         ))

@@ -106,7 +106,6 @@ class ServerBenchConfig:
     query_size: int = 8
     min_fanout: int = 10
     clients: int = 8
-    batch_window: float = 0.05
     max_batch: int = 64
     cache_size: int = 256
     seed: int = 7
@@ -327,22 +326,32 @@ def validate_engine_payload(payload: dict) -> str:
 
 
 def validate_server_payload(payload: dict) -> str:
-    """Gate BENCH_server.json: identical answers, coalescing, tracing
-    overhead under its cap."""
+    """Gate BENCH_server.json: identical answers, every request either
+    admitted or answered from the cache before admission, batching under
+    backlog (measured with the cache off), tracing overhead under its
+    cap."""
     _require(payload["gate"]["identical_answers"] is True,
              "HTTP answers diverged from the serial loop")
     _require(payload["gate"]["coalesced"] is True, "no coalescing")
     coalescing = payload["coalescing"]
-    _require(coalescing["batches"] < coalescing["requests"],
+    _require(coalescing["admitted"] + coalescing["bypassed"]
+             == coalescing["requests"],
+             "admitted + bypassed != requests")
+    backlog = payload["backlog"]
+    _require(backlog["admitted"] == backlog["requests"],
+             "cache-off run did not admit every request")
+    _require(backlog["batches"] < backlog["requests"],
              "batches not fewer than requests")
     overhead = payload["tracing_overhead"]
     _require(payload["gate"]["tracing_overhead_under_cap"] is True,
              "tracing overhead gate not set")
     _require(overhead["fraction_of_latency"] < overhead["cap"],
              "tracing overhead above cap")
-    return (f"BENCH_server.json OK: {coalescing['requests']} requests "
-            f"in {coalescing['batches']} batches "
-            f"(mean size {coalescing['mean_batch_size']:.1f}), "
+    return (f"BENCH_server.json OK: {coalescing['requests']} requests, "
+            f"{coalescing['bypassed']} answered before admission, "
+            f"{coalescing['admitted']} in {coalescing['batches']} batches; "
+            f"cache off: {backlog['batches']} batches "
+            f"(mean size {backlog['mean_batch_size']:.1f}), "
             f"disabled tracing at "
             f"{overhead['fraction_of_latency']:.4%} of mean latency")
 

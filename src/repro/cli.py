@@ -636,7 +636,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_size=args.cache_size,
         cache_pages=args.cache_pages,
-        batch_window=args.window_ms / 1000.0,
         max_batch=args.max_batch,
         client_cap=args.client_cap,
         stream_threshold=args.stream_threshold,
@@ -1002,8 +1001,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="--shards placement strategy (default closure)")
     p.add_argument("--cache-size", type=int, default=256,
                    help="LRU answer-cache capacity (0 disables)")
-    p.add_argument("--window-ms", type=float, default=10.0,
-                   help="batch-coalescing admission window (default 10ms)")
     p.add_argument("--max-batch", type=int, default=64,
                    help="max queries coalesced per engine batch")
     p.add_argument("--client-cap", type=int, default=8,

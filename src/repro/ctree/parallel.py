@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 from collections import OrderedDict
 from contextlib import nullcontext
@@ -182,7 +183,11 @@ def _worker_run(task):
     _worker_sync_epoch(epoch)
     with trace.capture() if ctx is not None else nullcontext([]) as spans:
         result = _execute(_WORKER_INDEX, _WORKER_SHARD, task)
-    return (*result, registry.diff(before), spans)
+    # Workers set no gauge: their fork-time copies must not overwrite
+    # the parent's live ones (server.inflight, engine.queue_depth).
+    delta = {name: snap for name, snap in registry.diff(before).items()
+             if snap["type"] != "gauge"}
+    return (*result, delta, spans)
 
 
 def _merge_stats(per_shard: list, total_size: int):
@@ -292,6 +297,8 @@ class QueryEngine:
         self._index = index
         self._cache_pages = cache_pages
         self._cache = LRUAnswerCache(cache_size)
+        #: probe() may run on another thread than batches and refresh()
+        self._cache_lock = threading.Lock()
         #: per partition: (shard id | None, fork-inherited tree | None,
         #: page-file path | None)
         if isinstance(index, ShardSet):
@@ -307,6 +314,9 @@ class QueryEngine:
             self._parts = [(None, None, index.path) if self._disk
                            else (None, index, None)]
             self._local = [index]
+        #: keeps canonical-order sharded answers apart in the cache from
+        #: a plain index's traversal-order answers for the same query
+        self._cache_tag = () if self._shardset is None else ("sharded",)
         # The pool-shape rule, stated once.
         self._pool_procs = max(1, int(workers)) if len(self._parts) == 1 else 1
         self._pools: Optional[list] = None
@@ -382,6 +392,24 @@ class QueryEngine:
         """
         return self._run_batch(_KIND_KNN, queries, (k, mapping_method))
 
+    def probe(self, kind: str, params: tuple, query: Graph):
+        """The cached ``(answers, stats)`` a batch would return for one
+        query — ``("subgraph", (level, verify))`` or ``("knn", (k,
+        mapping_method))`` — or ``None``.  A hit counts in
+        ``engine.queries`` / ``engine.cache_hits``; a miss counts
+        nothing, the batch that executes it will.  Unlike the batch
+        calls, safe from a second thread: the HTTP server probes on its
+        event loop while batches run on the engine thread."""
+        with self._cache_lock:
+            cached = self._cache.get(kind, (*params, *self._cache_tag), query)
+        if cached is None:
+            return None
+        registry = global_registry()
+        registry.counter("engine.queries").inc()
+        registry.counter("engine.cache_hits").inc()
+        answers, stats = cached
+        return list(answers), stats.copy()
+
     def start(self) -> "QueryEngine":
         """Eagerly spawn the long-lived worker pools; returns ``self``.
 
@@ -419,7 +447,8 @@ class QueryEngine:
         uses this to invalidate anything it derived from the old index
         generation.
         """
-        self._cache.clear()
+        with self._cache_lock:
+            self._cache.clear()
         self._epoch += 1
         self._close_local()
         if self._pools is not None and not self._disk:
@@ -456,10 +485,7 @@ class QueryEngine:
         start = time.perf_counter()
         results: list = [None] * n
         hits = 0
-        # The marker keeps canonical-order sharded answers apart from a
-        # plain index's traversal-order answers for the same query.
-        cache_params = params if self._shardset is None \
-            else (*params, "sharded")
+        cache_params = (*params, *self._cache_tag)
         # Deduplicated execution plan: exact structural key -> (query,
         # positions).  Insertion order fixes the dispatch order, so the
         # plan is deterministic for a given batch at every worker count.
@@ -467,7 +493,8 @@ class QueryEngine:
         with trace.span("engine.batch", kind=kind, queries=n,
                         workers=self.workers) as sp:
             for pos, query in enumerate(queries):
-                cached = self._cache.get(kind, cache_params, query)
+                with self._cache_lock:
+                    cached = self._cache.get(kind, cache_params, query)
                 if cached is not None:
                     answers, stats = cached
                     results[pos] = (list(answers), stats.copy())
@@ -504,7 +531,8 @@ class QueryEngine:
                 busy += sum(task_busy for _, _, task_busy in per_part)
                 answers, stats = self._merge(kind, params, per_part,
                                              registry)
-                self._cache.put(kind, cache_params, query, answers, stats)
+                with self._cache_lock:
+                    self._cache.put(kind, cache_params, query, answers, stats)
                 for pos in positions:
                     results[pos] = (list(answers), stats.copy())
 

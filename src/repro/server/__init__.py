@@ -6,9 +6,9 @@ HTTP/1.1 server:
 
 - :mod:`repro.server.protocol` — request/response framing, typed
   protocol errors, chunked NDJSON streaming;
-- :mod:`repro.server.coalescer` — time/size-windowed coalescing of
-  concurrent requests into ``query_many``/``knn_many`` batches, with
-  per-client backpressure (HTTP 429);
+- :mod:`repro.server.coalescer` — cache hits answered before admission,
+  the backlog behind a running engine call coalesced into the next
+  ``query_many``/``knn_many`` batch, per-client backpressure (HTTP 429);
 - :mod:`repro.server.app` — routing, strict graph-JSON validation,
   ``/metrics`` (Prometheus text) and ``/healthz`` (``fsck`` probe).
 

@@ -5,8 +5,9 @@
 
 - ``POST /query`` / ``POST /knn`` parse strict graph JSON into
   :class:`~repro.graphs.graph.Graph` and answer through the
-  :class:`~repro.server.coalescer.BatchCoalescer`, so concurrent
-  clients share deduplicated, cached, parallel engine batches;
+  :class:`~repro.server.coalescer.BatchCoalescer`: a cached answer
+  returns at once, and concurrent misses share deduplicated, parallel
+  engine batches;
 - large answer sets stream back as chunked NDJSON
   (``"stream": true`` or automatically past
   ``ServerConfig.stream_threshold``);
@@ -56,7 +57,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass
-from typing import IO, Optional, Union
+from typing import IO, ClassVar, Optional, Union
 
 from repro.ctree.diskindex import DiskCTree
 from repro.ctree.parallel import Index, QueryEngine
@@ -131,9 +132,9 @@ class ServerConfig:
     cache_size: int = 256
     #: Buffer-pool pages per worker disk handle.
     cache_pages: int = 128
-    #: Seconds the batch admission window stays open after the first
-    #: request (coalescing window).
-    batch_window: float = 0.010
+    #: Not a setting: the true wait of an admission timer that is gone.
+    #: Goes with benchmarks/spine/workloads.py's read (ROADMAP item 6).
+    batch_window: ClassVar[float] = 0.0
     #: Hard cap on queries coalesced into one engine batch.
     max_batch: int = 64
     #: Per-client in-flight request cap before 429.
@@ -503,7 +504,6 @@ class QueryServer:
         self._registry = global_registry()
         self.coalescer = BatchCoalescer(
             self.engine,
-            window=self.config.batch_window,
             max_batch=self.config.max_batch,
             client_cap=self.config.client_cap,
             registry=self._registry,
@@ -790,9 +790,6 @@ class QueryServer:
                             extra_headers={"X-Request-Id":
                                            request.request_id})
 
-    def _client_id(self, request: HTTPRequest, peer_id: str) -> str:
-        return request.headers.get("x-client-id", peer_id)
-
     @staticmethod
     def _wants_explain(request: HTTPRequest) -> bool:
         """True when the request asked for an EXPLAIN profile
@@ -863,7 +860,7 @@ class QueryServer:
         try:
             return await self.coalescer.submit(
                 kind, params, query,
-                client=self._client_id(request, peer_id),
+                client=request.headers.get("x-client-id", peer_id),
                 request_id=request.request_id,
             )
         except BackpressureError as exc:

@@ -1,15 +1,16 @@
 """Admission control and batch coalescing for the query server.
 
 The :class:`~repro.ctree.parallel.QueryEngine` earns its throughput on
-*batches* (deduplication, answer cache, multiprocess fan-out) — but HTTP
-clients send one query per request.  :class:`BatchCoalescer` closes that
-gap: concurrent in-flight requests with the same execution parameters
-are collected into one ``query_many``/``knn_many`` call using a
-time/size admission window (wait at most ``window`` seconds after the
-first request, never batch more than ``max_batch``), and each caller
-gets exactly the ``(answers, stats)`` pair the serial API would have
-returned — the engine's determinism contract makes coalescing invisible
-to clients.
+*batches* (deduplication, multiprocess fan-out) — but HTTP clients send
+one query per request.  :class:`BatchCoalescer` closes that gap without
+making anyone wait for company: an idle server dispatches a request at
+once, and whatever queues up while that engine call runs *is* the next
+batch (same execution parameters, at most ``max_batch``).  A cached
+answer never enters a batch: :meth:`BatchCoalescer.submit` returns it
+from :meth:`QueryEngine.probe <repro.ctree.parallel.QueryEngine.probe>`
+on the event loop, so a hit is never queued behind a running K-NN.
+Each caller gets exactly the ``(answers, stats)`` pair the serial API
+would have returned.
 
 Backpressure is per client: a client (identified by ``X-Client-Id`` or
 its peer address) may have at most ``client_cap`` requests in flight;
@@ -17,8 +18,8 @@ beyond that :meth:`BatchCoalescer.submit` raises
 :class:`BackpressureError`, which the app layer answers with ``429
 Too Many Requests`` + ``Retry-After``.
 
-The engine itself is not thread-safe and forks worker processes, so all
-engine calls run on one dedicated executor thread; the pool is spawned
+The engine's batch calls are not thread-safe and fork worker processes,
+so they all run on one dedicated executor thread; the pool is spawned
 once at server startup (:meth:`QueryEngine.start
 <repro.ctree.parallel.QueryEngine.start>`), so steady-state batches pay
 neither fork nor thread startup.
@@ -27,7 +28,7 @@ Examples
 --------
 Inside the asyncio app::
 
-    coalescer = BatchCoalescer(engine, window=0.01, max_batch=64)
+    coalescer = BatchCoalescer(engine, max_batch=64)
     await coalescer.start()
     answers, stats = await coalescer.submit(
         "subgraph", (1, True), query, client="10.0.0.7")
@@ -48,7 +49,7 @@ from repro.obs.metrics import MetricsRegistry, global_registry
 
 __all__ = ["BackpressureError", "BatchCoalescer"]
 
-#: Admission-window histogram buckets (batch sizes 1..max_batch).
+#: ``server.coalesce.batch_size`` histogram buckets (1..max_batch).
 _BATCH_SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
@@ -94,10 +95,6 @@ class BatchCoalescer:
         The (already constructed) :class:`QueryEngine`; call its
         :meth:`~repro.ctree.parallel.QueryEngine.start` before serving
         so the worker pool exists before the first request.
-    window:
-        Seconds to keep the admission window open after the first
-        request of a batch (0 disables time-based coalescing; requests
-        already queued still batch together).
     max_batch:
         Hard cap on queries per engine call.
     client_cap:
@@ -111,23 +108,19 @@ class BatchCoalescer:
     def __init__(
         self,
         engine: QueryEngine,
-        window: float = 0.010,
         max_batch: int = 64,
         client_cap: int = 8,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.engine = engine
-        self.window = max(0.0, float(window))
         self.max_batch = max(1, int(max_batch))
         self.client_cap = max(1, int(client_cap))
         self._registry = registry if registry is not None \
             else global_registry()
         self._queue: Optional[asyncio.Queue] = None
-        self._carry: Optional[_Pending] = None
         self._inflight: dict[str, int] = {}
         self._dispatcher: Optional[asyncio.Task] = None
         self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
-        self._closed = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -144,7 +137,6 @@ class BatchCoalescer:
 
     async def stop(self) -> None:
         """Cancel the dispatcher and fail any still-pending requests."""
-        self._closed = True
         if self._dispatcher is not None:
             self._dispatcher.cancel()
             try:
@@ -152,14 +144,8 @@ class BatchCoalescer:
             except asyncio.CancelledError:
                 pass
             self._dispatcher = None
-        pending = []
-        if self._carry is not None:
-            pending.append(self._carry)
-            self._carry = None
-        if self._queue is not None:
-            while not self._queue.empty():
-                pending.append(self._queue.get_nowait())
-        for item in pending:
+        while self._queue is not None and not self._queue.empty():
+            item = self._queue.get_nowait()
             if not item.future.done():
                 item.future.set_exception(
                     ReproError("server shutting down")
@@ -177,11 +163,13 @@ class BatchCoalescer:
 
     async def submit(self, kind: str, params: tuple, query: Graph,
                      client: str = "", request_id: str = "") -> tuple:
-        """Admit one query and await its batched result.
+        """Answer one query: from the cache if it is there, else admit
+        it and await its batched result.
 
         Returns the ``(answers, stats)`` pair of the underlying engine
         call, bit-identical to what the serial API would return.  Raises
-        :class:`BackpressureError` when ``client`` is over its cap.
+        :class:`BackpressureError` when ``client`` is over its cap —
+        checked first, so the cap holds for would-be hits too.
         ``request_id`` tags the entry in spans and logs; the current
         trace context (if any) is captured here so the batch executing
         on the engine thread re-parents under the caller's span.
@@ -192,6 +180,11 @@ class BatchCoalescer:
         if count >= self.client_cap:
             self._registry.counter("server.backpressure.rejections").inc()
             raise BackpressureError(client, self.client_cap)
+        hit = self.engine.probe(kind, params, query)
+        if hit is not None:
+            self._registry.counter("server.coalesce.bypassed").inc()
+            trace.current_span().set(cache="hit")
+            return hit
         self._inflight[client] = count + 1
         self._registry.gauge("server.inflight").inc()
         future = asyncio.get_running_loop().create_future()
@@ -202,45 +195,29 @@ class BatchCoalescer:
             self._queue.put_nowait(item)
             return await future
         finally:
-            remaining = self._inflight.get(client, 1) - 1
-            if remaining:
-                self._inflight[client] = remaining
-            else:
-                self._inflight.pop(client, None)
+            self._inflight[client] -= 1
+            if not self._inflight[client]:
+                del self._inflight[client]
             self._registry.gauge("server.inflight").dec()
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
     async def _collect_batch(self) -> list[_Pending]:
-        """One admission window: the first pending query plus every
-        same-group query that arrives before the window closes."""
+        """The first pending query plus every same-group query already
+        queued (up to ``max_batch``); the rest keep their arrival order.
+        Groups never mix inside one engine call."""
         assert self._queue is not None
-        if self._carry is not None:
-            first, self._carry = self._carry, None
-        else:
-            first = await self._queue.get()
-        batch = [first]
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.window
-        while len(batch) < self.max_batch:
-            if not self._queue.empty():
-                nxt = self._queue.get_nowait()
+        batch = [await self._queue.get()]
+        others = []
+        while not self._queue.empty():
+            item = self._queue.get_nowait()
+            if item.group == batch[0].group and len(batch) < self.max_batch:
+                batch.append(item)
             else:
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    break
-                try:
-                    nxt = await asyncio.wait_for(self._queue.get(), timeout)
-                except asyncio.TimeoutError:
-                    break
-            if nxt.group == first.group:
-                batch.append(nxt)
-            else:
-                # A different (kind, params) group starts the next batch
-                # — groups never mix inside one engine call.
-                self._carry = nxt
-                break
+                others.append(item)
+        for item in others:
+            self._queue.put_nowait(item)
         return batch
 
     async def _dispatch_loop(self) -> None:
@@ -255,10 +232,8 @@ class BatchCoalescer:
         queries = [item.query for item in batch]
         self._registry.counter("server.coalesce.batches").inc()
         self._registry.counter("server.coalesce.queries").inc(len(batch))
-        if len(batch) > 1:
-            self._registry.counter("server.coalesce.coalesced").inc(
-                len(batch) - 1
-            )
+        self._registry.counter("server.coalesce.coalesced") \
+            .inc(len(batch) - 1)
         self._registry.histogram(
             "server.coalesce.batch_size", bounds=_BATCH_SIZE_BOUNDS
         ).observe(len(batch))

@@ -11,9 +11,12 @@ kernels both on and off, for every index kind the engine accepts
 (:class:`TestEngineContract`), on the fork pools and in-process.
 """
 
+import asyncio
 import json
 import multiprocessing
 import re
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,7 @@ from repro.ctree.subgraph_query import subgraph_query, subgraph_query_many
 from repro.matching import kernels
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry, global_registry
+from repro.server import BackpressureError, BatchCoalescer
 
 _DATA = Path(__file__).parent / "data"
 WORKER_COUNTS = (1, 2, 4)
@@ -319,16 +323,31 @@ def test_workers_is_the_real_process_count(golden_db, golden_tree):
 # ----------------------------------------------------------------------
 # docs/OBSERVABILITY.md's engine and shard tables are the metric contract
 # ----------------------------------------------------------------------
-def test_documented_metric_names(golden_db, golden_queries,
+_ADMISSION_FAMILY = ("server.coalesce.", "server.backpressure.",
+                     "server.inflight")
+
+
+def _documented_names(doc: str, start: str, end: str) -> set:
+    """Every back-quoted name in the first column of the metric tables
+    between two headings of docs/OBSERVABILITY.md."""
+    return {
+        name
+        for line in doc[doc.index(start):doc.index(end)].splitlines()
+        if line.startswith("| `")
+        for name in re.findall(r"`([^`]+)`", line.split("|")[1])
+    }
+
+
+def test_documented_metric_names(golden_db, golden_tree, golden_queries,
                                  golden_disk_path):
     doc = (Path(__file__).parent.parent / "docs"
            / "OBSERVABILITY.md").read_text()
-    tables = doc[doc.index("### Engine metrics"):
-                 doc.index("### Server metrics")]
-    documented = {
-        name
-        for line in tables.splitlines() if line.startswith("| `")
-        for name in re.findall(r"`([^`]+)`", line.split("|")[1])
+    documented = _documented_names(doc, "### Engine metrics",
+                                   "### Server metrics")
+    admission = {
+        name for name in _documented_names(doc, "### Server metrics",
+                                           "## Tracing & EXPLAIN")
+        if name.startswith(_ADMISSION_FAMILY)
     }
 
     # One pool batch on a plain index (a disk one, refreshed, so the
@@ -341,12 +360,35 @@ def test_documented_metric_names(golden_db, golden_queries,
     with QueryEngine(ShardSet.build_memory(golden_db, 2, "hash",
                                            min_fanout=3)) as engine:
         engine.knn_many(golden_queries[:2], 3)
+
+    # The admission layer: one admitted miss, one refusal over the cap,
+    # one pre-admission hit.
+    async def serve(engine):
+        coalescer = BatchCoalescer(engine, client_cap=1)
+        await coalescer.start()
+        try:
+            args = ("subgraph", (1, True), golden_queries[0], "client")
+            miss = asyncio.ensure_future(coalescer.submit(*args))
+            await asyncio.sleep(0)      # admitted, not yet answered
+            with pytest.raises(BackpressureError):
+                await coalescer.submit(*args)
+            answers, _ = await miss
+            hit, _ = await coalescer.submit(*args)
+            assert hit == answers
+        finally:
+            await coalescer.stop()
+
+    with QueryEngine(golden_tree) as engine:
+        asyncio.run(serve(engine))
+
+    names = global_registry().names()
     registered = {
         re.sub(r"^shard\.s\d+\.", "shard.s{s}.", name)
-        for name in global_registry().names()
-        if name.startswith(("engine.", "shard."))
+        for name in names if name.startswith(("engine.", "shard."))
     }
     assert registered == documented
+    assert {name for name in names
+            if name.startswith(_ADMISSION_FAMILY)} == admission
 
 
 # ----------------------------------------------------------------------
@@ -429,6 +471,111 @@ class TestCache:
 
 
 # ----------------------------------------------------------------------
+# probe(): the one-query cache lookup the HTTP server runs before
+# admission, from its own thread
+# ----------------------------------------------------------------------
+class TestProbe:
+    def _engines(self, golden_db, golden_tree, golden_disk_path):
+        yield "memory", lambda: QueryEngine(golden_tree)
+        yield "disk", lambda: QueryEngine(
+            DiskCTree.open(golden_disk_path, cache_pages=32))
+        yield "sharded", lambda: QueryEngine(
+            ShardSet.build_memory(golden_db, 2, "hash", min_fanout=3))
+
+    def test_hit_is_the_batch_result_and_is_counted(
+            self, golden_db, golden_tree, golden_disk_path, golden_queries):
+        registry = global_registry()
+        q = golden_queries[0]
+        for label, make in self._engines(golden_db, golden_tree,
+                                         golden_disk_path):
+            with make() as engine:
+                before = registry.snapshot()
+                assert engine.probe("subgraph", (1, True), q) is None
+                assert "engine.queries" not in {
+                    n for n, snap in registry.diff(before).items()
+                    if snap.get("value")}, label
+                (answers, stats), = engine.query_many([q])
+                (neighbors, knn_stats), = engine.knn_many([q], 3)
+                before = registry.snapshot()
+                got = engine.probe("subgraph", (1, True), q.copy())
+                got_knn = engine.probe("knn", (3, "nbm"), q)
+                delta = registry.diff(before)
+                assert engine.probe("subgraph", ("max", True), q) is None
+                assert engine.probe("knn", (4, "nbm"), q) is None
+                if label == "disk":
+                    engine._index.close()
+            assert got[0] == answers, label
+            assert got[1].to_dict() == stats.to_dict(), label
+            assert got_knn[0] == neighbors, label
+            assert got_knn[1].to_dict() == knn_stats.to_dict(), label
+            assert delta["engine.queries"]["value"] == 2
+            assert delta["engine.cache_hits"]["value"] == 2
+            assert delta["engine.cache_misses"]["value"] == 0
+            assert delta["engine.batches"]["value"] == 0
+
+    def test_hits_are_independent_copies(self, golden_tree,
+                                         golden_queries):
+        q = golden_queries[0]
+        with QueryEngine(golden_tree) as engine:
+            (answers, _), = engine.query_many([q])
+            got, stats = engine.probe("subgraph", (1, True), q)
+            got.append(10 ** 9)
+            stats.answers = 10 ** 9
+            again, stats2 = engine.probe("subgraph", (1, True), q)
+        assert again == answers
+        assert stats2.answers == len(answers)
+
+    def test_cache_off_never_hits(self, golden_tree, golden_queries):
+        q = golden_queries[0]
+        with QueryEngine(golden_tree, cache_size=0) as engine:
+            engine.query_many([q])
+            assert engine.probe("subgraph", (1, True), q) is None
+
+    def test_probe_races_batches_and_refresh(self, golden_tree,
+                                             golden_queries):
+        """One thread runs batches and refreshes over a capacity-2
+        cache (every put evicts); another probes throughout.  Without
+        the engine's cache lock a probe can die in ``move_to_end`` on a
+        bucket evicted under it (the short switch interval makes the
+        interleaving likely, not the test timing-dependent)."""
+        serial = [subgraph_query(golden_tree, q)[0]
+                  for q in golden_queries]
+        failures: list = []
+        probes = [0, 0]
+        stop = threading.Event()
+
+        def prober(engine):
+            try:
+                while not stop.is_set():
+                    for q, want in zip(golden_queries, serial):
+                        got = engine.probe("subgraph", (1, True), q)
+                        probes[got is not None] += 1
+                        if got is not None and got[0] != want:
+                            failures.append((q, got[0], want))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        with QueryEngine(golden_tree, cache_size=2) as engine:
+            thread = threading.Thread(target=prober, args=(engine,))
+            sys.setswitchinterval(1e-5)
+            thread.start()
+            try:
+                for round_ in range(60):
+                    for (answers, _), want in zip(
+                            engine.query_many(golden_queries), serial):
+                        assert answers == want
+                    if round_ % 3 == 0:
+                        engine.refresh()
+            finally:
+                stop.set()
+                thread.join(30)
+                sys.setswitchinterval(interval)
+        assert not failures, failures[:3]
+        assert probes[0] and probes[1]      # it saw misses and hits
+
+
+# ----------------------------------------------------------------------
 # Metrics aggregation across workers (registry merge)
 # ----------------------------------------------------------------------
 class TestRegistryMerge:
@@ -472,6 +619,24 @@ class TestRegistryMerge:
 
         for name in _EXACT_COUNTERS:
             assert parallel_delta.get(name) == serial_delta.get(name), name
+
+    def test_worker_deltas_leave_parent_gauges_alone(self, golden_tree,
+                                                      golden_queries):
+        """Workers fork with a copy of every gauge; that stale copy must
+        not ride home and overwrite the parent's live value."""
+        gauge = global_registry().gauge("server.inflight")
+        was = gauge.value
+        try:
+            with QueryEngine(golden_tree, workers=2,
+                             cache_size=0).start() as engine:
+                if engine.workers == 1:
+                    pytest.skip("fork start method unavailable")
+                gauge.set(was + 5)      # after the fork
+                engine.query_many(golden_queries)
+                assert engine.last_batch.parallel
+            assert gauge.value == was + 5
+        finally:
+            gauge.set(was)
 
     def test_engine_metrics_emitted(self, golden_tree, golden_queries):
         registry = global_registry()

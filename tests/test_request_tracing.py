@@ -39,7 +39,7 @@ from repro.server import (
     sanitize_request_id,
 )
 
-from test_server import _DATA, _post_json, _request
+from test_server import _DATA, GatedEngine, _post_json, _request
 
 
 @pytest.fixture(autouse=True)
@@ -99,27 +99,33 @@ class TestCrossProcessSpanTree:
         return out
 
     def _serve_traced(self, index, workers: int, queries: list[dict]):
-        """Run ``queries`` concurrently against a traced server; returns
-        the span records."""
+        """Run ``queries`` against a traced server — the first alone,
+        the rest piled up behind it so they run as one coalesced batch
+        across the worker processes; returns the span records."""
         sink = trace.enable()
         try:
             srv = QueryServer(index, ServerConfig(
                 port=0, workers=workers, cache_size=0,
-                batch_window=0.3, max_batch=64, client_cap=64,
+                max_batch=64, client_cap=64,
             ))
             with srv.run_in_thread() as handle:
+                gate = GatedEngine(srv)
                 with concurrent.futures.ThreadPoolExecutor(
                         max_workers=len(queries)) as pool:
-                    futures = [
-                        pool.submit(
+                    futures = []
+                    for i, q in enumerate(queries):
+                        futures.append(pool.submit(
                             _post_json, handle.port, "/query",
                             {"query": q},
                             {"X-Request-Id": f"req-{i:03d}",
                              "X-Client-Id": f"client-{i:03d}"},
-                        )
-                        for i, q in enumerate(queries)
-                    ]
+                        ))
+                        if i == 0:
+                            gate.wait_running()
+                    gate.wait_inflight(len(queries))
+                    gate.open()
                     outcomes = [f.result() for f in futures]
+            assert [size for _, size in gate.calls] == [1, len(queries) - 1]
             assert all(status == 200 for status, _ in outcomes)
             for i, (_, payload) in enumerate(outcomes):
                 assert payload["request_id"] == f"req-{i:03d}"
@@ -190,6 +196,29 @@ class TestCrossProcessSpanTree:
         assert len({r["trace_id"] for r in tree}) == 1
         ids = [r["span_id"] for r in tree]
         assert len(ids) == len(set(ids))
+
+    def test_cache_hit_is_marked_and_enters_no_batch(self, golden,
+                                                     golden_tree):
+        db, _ = golden
+        sink = trace.enable()
+        try:
+            srv = QueryServer(golden_tree, ServerConfig(port=0))
+            with srv.run_in_thread() as handle:
+                for rid in ("miss-1", "hit-1"):
+                    status, _ = _post_json(
+                        handle.port, "/query", {"query": db[0].to_dict()},
+                        {"X-Request-Id": rid})
+                    assert status == 200
+        finally:
+            trace.disable()
+        roots = {r["attrs"]["request_id"]: r for r in sink.records
+                 if r["name"] == "server.request"}
+        assert roots["hit-1"]["attrs"]["cache"] == "hit"
+        assert "cache" not in roots["miss-1"]["attrs"]
+        assert self._subtree(roots["hit-1"], sink.records) \
+            == [roots["hit-1"]]
+        assert "coalescer.batch" in {
+            r["name"] for r in self._subtree(roots["miss-1"], sink.records)}
 
     def test_untraced_requests_emit_nothing(self, golden, golden_tree):
         db, _ = golden

@@ -4,7 +4,8 @@ The contract under test is the one ``docs/SERVING.md`` documents:
 
 - answers over HTTP are **bit-identical** to a serial in-process loop
   over the golden oracle — kernels on and off, memory and disk indexes;
-- concurrent clients coalesce into shared engine batches;
+- requests that queue behind a running engine batch coalesce into the
+  next one; a cached answer returns before admission and waits for none;
 - a client over its in-flight cap gets ``429`` (and nothing queues);
 - malformed input gets typed 400-family errors, never a stack trace;
 - ``GET /metrics`` parses with a minimal Prometheus text parser;
@@ -17,6 +18,7 @@ import concurrent.futures
 import http.client
 import json
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -202,95 +204,263 @@ class TestGoldenRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Coalescing and backpressure
+# Coalescing, the pre-admission cache probe, and backpressure
 # ----------------------------------------------------------------------
+def _wait_until(condition, what: str, timeout: float = 30.0) -> None:
+    """Block until ``condition()`` holds — a synchronization point, not
+    a latency threshold."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.002)
+
+
+class GatedEngine:
+    """Holds every ``query_many`` call of a server's engine on its
+    executor thread until the test calls :meth:`open`, so requests can
+    be piled up behind a running batch deterministically.  ``calls``
+    records ``(level, batch size)`` per engine call, in dispatch order.
+    """
+
+    def __init__(self, srv: QueryServer) -> None:
+        self.srv = srv
+        self.calls: list[tuple] = []
+        self._gate = threading.Event()
+        inner = srv.engine.query_many
+
+        def held(queries, level=1, verify=True):
+            self.calls.append((level, len(queries)))
+            assert self._gate.wait(30), "gate never opened"
+            return inner(queries, level=level, verify=verify)
+
+        srv.engine.query_many = held
+
+    def open(self) -> None:
+        self._gate.set()
+
+    def wait_running(self, batches: int = 1) -> None:
+        _wait_until(lambda: len(self.calls) >= batches,
+                    f"engine batch {batches} to start")
+
+    def wait_inflight(self, n: int) -> None:
+        gauge = self.srv._registry.gauge("server.inflight")
+        _wait_until(lambda: gauge.value >= n, f"{n} admitted requests")
+
+
+def _counters(srv, *names):
+    return {name: srv._registry.counter(name).value for name in names}
+
+
 class TestCoalescing:
     def test_concurrent_clients_share_batches(self, golden, golden_tree):
-        db, expected = golden
-        srv = QueryServer(
-            golden_tree,
-            ServerConfig(port=0, batch_window=0.25, max_batch=64),
-        )
-        reg = srv._registry
-        with srv.run_in_thread() as handle:
-            batches_before = reg.counter("server.coalesce.batches").value
-            cases = expected["subgraph"]
-            barrier = threading.Barrier(len(cases))
+        """Requests 2..N pile up behind a running batch and come out as
+        exactly one second batch."""
+        _, expected = golden
+        cases = expected["subgraph"]
+        srv = QueryServer(golden_tree, ServerConfig(port=0, max_batch=64))
+        names = ("server.coalesce.batches", "server.coalesce.queries",
+                 "server.coalesce.coalesced")
+        with srv.run_in_thread() as handle, \
+                concurrent.futures.ThreadPoolExecutor(len(cases)) as pool:
+            gate = GatedEngine(srv)
+            before = _counters(srv, *names)
 
             def fire(case):
-                barrier.wait()
                 return _post_json(handle.port, "/query",
                                   {"query": case["query"]})
 
-            with concurrent.futures.ThreadPoolExecutor(len(cases)) as pool:
-                results = list(pool.map(fire, cases))
-            for case, (status, payload) in zip(cases, results):
-                assert status == 200
-                assert sorted(payload["answers"]) == case["answers"]
-            batches = (reg.counter("server.coalesce.batches").value
-                       - batches_before)
-            # All concurrent same-parameter requests coalesced into far
-            # fewer engine batches than requests (1 in the common case;
-            # allow slack for scheduler timing).
-            assert 1 <= batches <= 2
-            assert reg.counter("server.coalesce.coalesced").value >= \
-                len(cases) - batches
+            first = pool.submit(fire, cases[0])
+            gate.wait_running()
+            rest = [pool.submit(fire, case) for case in cases[1:]]
+            gate.wait_inflight(len(cases))
+            gate.open()
+            results = [f.result() for f in [first, *rest]]
+            after = _counters(srv, *names)
+        for case, (status, payload) in zip(cases, results):
+            assert status == 200
+            assert sorted(payload["answers"]) == case["answers"]
+        assert gate.calls == [(1, 1), (1, len(cases) - 1)]
+        assert {n: after[n] - before[n] for n in names} == {
+            "server.coalesce.batches": 2,
+            "server.coalesce.queries": len(cases),
+            "server.coalesce.coalesced": len(cases) - 2,
+        }
 
     def test_mixed_parameter_groups_split_batches(self, golden,
                                                   golden_tree):
+        """A backlog [L1, L2, L1, L1] runs as one L1 batch of 3 and one
+        L2 batch of 1 — a foreign group does not end the batch."""
         _, expected = golden
-        srv = QueryServer(golden_tree,
-                          ServerConfig(port=0, batch_window=0.2))
-        with srv.run_in_thread() as handle:
-            case = expected["subgraph"][0]
-            barrier = threading.Barrier(2)
+        cases = expected["subgraph"]
+        srv = QueryServer(golden_tree, ServerConfig(port=0))
+        with srv.run_in_thread() as handle, \
+                concurrent.futures.ThreadPoolExecutor(5) as pool:
+            gate = GatedEngine(srv)
 
-            def fire(level):
-                barrier.wait()
+            def fire(case, level):
                 return _post_json(
                     handle.port, "/query",
                     {"query": case["query"], "level": level})
 
-            with concurrent.futures.ThreadPoolExecutor(2) as pool:
-                results = list(pool.map(fire, [1, 2]))
-            for status, payload in results:
-                assert status == 200
-                assert sorted(payload["answers"]) == case["answers"]
+            futures = [pool.submit(fire, cases[0], 1)]
+            gate.wait_running()
+            for n, (case, level) in enumerate(
+                    zip(cases[1:5], (1, 2, 1, 1)), start=2):
+                futures.append(pool.submit(fire, case, level))
+                gate.wait_inflight(n)   # fixes the arrival order
+            gate.open()
+            results = [f.result() for f in futures]
+        for case, (status, payload) in zip(cases, results):
+            assert status == 200
+            assert sorted(payload["answers"]) == case["answers"]
+        assert gate.calls == [(1, 1), (1, 3), (2, 1)]
+
+    def test_max_batch_caps_the_backlog(self, golden, golden_tree):
+        _, expected = golden
+        cases = expected["subgraph"][:6]
+        srv = QueryServer(golden_tree, ServerConfig(port=0, max_batch=2))
+        with srv.run_in_thread() as handle, \
+                concurrent.futures.ThreadPoolExecutor(len(cases)) as pool:
+            gate = GatedEngine(srv)
+            futures = []
+            for n, case in enumerate(cases, start=1):
+                futures.append(pool.submit(
+                    _post_json, handle.port, "/query",
+                    {"query": case["query"]}))
+                gate.wait_running() if n == 1 else gate.wait_inflight(n)
+            gate.open()
+            assert all(f.result()[0] == 200 for f in futures)
+        assert gate.calls == [(1, 1), (1, 2), (1, 2), (1, 1)]
 
     def test_backpressure_returns_429(self, golden, golden_tree):
+        """A capped client's second request is refused while its first
+        is still held; other clients are unaffected."""
         _, expected = golden
-        srv = QueryServer(
-            golden_tree,
-            ServerConfig(port=0, batch_window=0.5, client_cap=1),
-        )
-        with srv.run_in_thread() as handle:
-            case = expected["subgraph"][0]
-            headers = {"X-Client-Id": "tester"}
-            barrier = threading.Barrier(4)
-
-            def fire(_):
-                barrier.wait()
-                return _request(
-                    handle.port, "POST", "/query",
-                    body={"query": case["query"]}, headers=headers)
-
-            with concurrent.futures.ThreadPoolExecutor(4) as pool:
-                results = list(pool.map(fire, range(4)))
-            statuses = sorted(status for status, _, _ in results)
-            assert statuses.count(200) >= 1
-            assert statuses.count(429) >= 1
-            for status, hdrs, data in results:
-                if status == 429:
-                    assert hdrs.get("Retry-After") == "1"
-                    assert json.loads(data)["error"]["code"] \
-                        == "backpressure"
+        first, second = expected["subgraph"][:2]
+        srv = QueryServer(golden_tree, ServerConfig(port=0, client_cap=1))
+        headers = {"X-Client-Id": "tester"}
+        with srv.run_in_thread() as handle, \
+                concurrent.futures.ThreadPoolExecutor(2) as pool:
+            gate = GatedEngine(srv)
+            held = pool.submit(_post_json, handle.port, "/query",
+                               {"query": first["query"]}, headers)
+            gate.wait_running()
+            status, hdrs, data = _request(
+                handle.port, "POST", "/query",
+                body={"query": second["query"]}, headers=headers)
+            assert status == 429
+            assert hdrs.get("Retry-After") == "1"
+            assert json.loads(data)["error"]["code"] == "backpressure"
+            assert srv.coalescer.inflight("tester") == 1
             # Distinct clients are unaffected by one client's cap.
-            status, payload = _post_json(
-                handle.port, "/query", {"query": case["query"]},
-                headers={"X-Client-Id": "other"})
+            other = pool.submit(_post_json, handle.port, "/query",
+                                {"query": second["query"]},
+                                {"X-Client-Id": "other"})
+            gate.wait_inflight(2)
+            gate.open()
+            assert held.result()[0] == 200
+            assert other.result()[0] == 200
+            # ...and the cap is per in-flight request, not per lifetime.
+            status, _ = _post_json(handle.port, "/query",
+                                   {"query": second["query"]}, headers)
             assert status == 200
-            assert srv._registry.counter(
-                "server.backpressure.rejections").value >= 1
+        assert srv._registry.counter(
+            "server.backpressure.rejections").value >= 1
+
+
+class TestCacheProbe:
+    """A cached answer is returned before admission: it never enters a
+    batch and never waits for one."""
+
+    def test_hit_answered_while_a_batch_is_running(self, golden,
+                                                   golden_tree):
+        _, expected = golden
+        warm, slow = expected["subgraph"][:2]
+        srv = QueryServer(golden_tree, ServerConfig(port=0))
+        names = ("server.coalesce.queries", "server.coalesce.batches",
+                 "server.coalesce.bypassed", "engine.queries",
+                 "engine.cache_hits", "engine.cache_misses")
+        with srv.run_in_thread() as handle, \
+                concurrent.futures.ThreadPoolExecutor(1) as pool:
+            _, miss = _post_json(handle.port, "/query",
+                                 {"query": warm["query"]})
+            gate = GatedEngine(srv)
+            held = pool.submit(_post_json, handle.port, "/query",
+                               {"query": slow["query"]})
+            gate.wait_running()
+            before = _counters(srv, *names)
+            status, hit = _post_json(handle.port, "/query",
+                                     {"query": warm["query"]})
+            moved = {n: v - before[n]
+                     for n, v in _counters(srv, *names).items()}
+            assert not held.done()      # ...the batch is still running
+            gate.open()
+            assert held.result()[0] == 200
+        assert status == 200
+        assert hit["answers"] == miss["answers"]
+        assert hit["stats"] == miss["stats"]
+        assert moved == {
+            "server.coalesce.queries": 0, "server.coalesce.batches": 0,
+            "server.coalesce.bypassed": 1, "engine.queries": 1,
+            "engine.cache_hits": 1, "engine.cache_misses": 0,
+        }
+
+    @pytest.mark.parametrize("backend", ["memory", "disk", "sharded"])
+    def test_hit_equals_the_miss_that_filled_the_cache(
+            self, golden, golden_tree, tmp_path, backend):
+        db, expected = golden
+        if backend == "disk":
+            index = DiskCTree.create(golden_tree, tmp_path / "golden.ctp")
+        elif backend == "sharded":
+            index = ShardSet.build_memory(db, 2, "hash", min_fanout=3)
+        else:
+            index = golden_tree
+        try:
+            srv = QueryServer(index, ServerConfig(port=0))
+            bypassed = srv._registry.counter("server.coalesce.bypassed")
+            with srv.run_in_thread() as handle:
+                for path, body in [
+                    ("/query", {"query": expected["subgraph"][0]["query"]}),
+                    ("/query", {"query": expected["subgraph"][1]["query"],
+                                "level": "max", "verify": False}),
+                    ("/knn", {"query": db[3].to_dict(), "k": 4}),
+                ]:
+                    before = bypassed.value
+                    _, miss = _post_json(handle.port, path, body)
+                    assert bypassed.value == before
+                    _, hit = _post_json(handle.port, path, body)
+                    assert bypassed.value == before + 1
+                    miss.pop("request_id"), hit.pop("request_id")
+                    assert hit == miss
+        finally:
+            if backend == "disk":
+                index.close()
+
+    def test_capped_client_gets_429_even_for_a_hit(self, golden,
+                                                   golden_tree):
+        _, expected = golden
+        warm, slow = expected["subgraph"][:2]
+        srv = QueryServer(golden_tree, ServerConfig(port=0, client_cap=1))
+        headers = {"X-Client-Id": "tester"}
+        with srv.run_in_thread() as handle, \
+                concurrent.futures.ThreadPoolExecutor(1) as pool:
+            _post_json(handle.port, "/query", {"query": warm["query"]})
+            gate = GatedEngine(srv)
+            held = pool.submit(_post_json, handle.port, "/query",
+                               {"query": slow["query"]}, headers)
+            gate.wait_running()
+            capped, _ = _post_json(handle.port, "/query",
+                                   {"query": warm["query"]}, headers)
+            free, _ = _post_json(handle.port, "/query",
+                                 {"query": warm["query"]})
+            gate.open()
+            assert held.result()[0] == 200
+        assert (capped, free) == (429, 200)
+
+    def test_batch_window_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            ServerConfig(batch_window=0.01)
+        assert ServerConfig().batch_window == 0.0
 
 
 # ----------------------------------------------------------------------
