@@ -2,21 +2,20 @@
 
 Partitions a |D| = 10,000 chemical database (paper scale; small
 molecules keep pure Python affordable — see
-:class:`conftest.ShardsBenchConfig`) into S independent C-trees under
-closure-clustering placement and serves the same subgraph + K-NN
-workload through :class:`~repro.ctree.parallel.QueryEngine` at every
-configured S, gating on
+:class:`conftest.ShardsBenchConfig`) into S independent C-trees,
+round-robin by id, and serves the same subgraph + K-NN workload through
+:class:`~repro.ctree.parallel.QueryEngine` at every configured S,
+gating on
 
 (a) **bit-identical answers** at every shard count: subgraph answers
     equal ``sorted()`` of the single-tree serial loop, K-NN equals the
     single tree's canonical ``(-sim, id)`` top-k;
-(b) **balance**: per-shard candidate work under closure placement
-    within ``max_skew`` (1.5x full scale) of perfectly balanced —
-    ``max_s work_s <= max_skew * total_work / S`` — with the hash
-    placement measured alongside for comparison.
+(b) **balance**: per-shard candidate work at the largest S within
+    ``max_skew`` (1.5x full scale) of perfectly balanced —
+    ``max_s work_s <= max_skew * total_work / S``.
 
 Writes ``BENCH_shards.json`` at the repo root (schema
-``shards-bench-v2``, validated by :func:`conftest.validate_shards_payload`
+``shards-bench-v3``, validated by :func:`conftest.validate_shards_payload`
 and uploaded as a CI artifact by the bench-smoke job) in addition to
 the usual ``record_figure`` table + ``BENCH_ctree.json`` entry.
 """
@@ -84,10 +83,10 @@ def _candidate_work(registry, before, shards):
             for s in range(shards)]
 
 
-def _run_sharded(database, queries, shards, placement):
+def _run_sharded(database, queries, shards):
     """Build a shard set, serve the workload, return (run dict, work)."""
     build_start = time.perf_counter()
-    shardset = ShardSet.build_memory(database, shards, placement=placement,
+    shardset = ShardSet.build_memory(database, shards,
                                      min_fanout=SHARDS.min_fanout)
     build_seconds = time.perf_counter() - build_start
     registry = global_registry()
@@ -102,7 +101,6 @@ def _run_sharded(database, queries, shards, placement):
     work = _candidate_work(registry, before, shards)
     run = {
         "shards": shards,
-        "placement": placement,
         "build_seconds": build_seconds,
         "query_seconds": seconds,
         "shard_sizes": shardset.shard_sizes(),
@@ -124,7 +122,7 @@ def test_sharded_scatter_gather(shard_database, shard_queries, benchmark):
     runs = []
     for shards in SHARDS.shard_counts:
         run, subgraph, knn = _run_sharded(shard_database, shard_queries,
-                                          shards, "closure")
+                                          shards)
         run["identical"] = (subgraph == serial_sub and knn == serial_knn)
         runs.append(run)
 
@@ -133,39 +131,27 @@ def test_sharded_scatter_gather(shard_database, shard_queries, benchmark):
         f"{[r['shards'] for r in runs if not r['identical']]}"
     )
 
-    # Balance: closure placement at the largest configured S, with the
-    # structure-blind hash placement measured alongside for contrast.
-    closure_run = next(r for r in runs
-                       if r["shards"] == SHARDS.balance_shards)
-    hash_run, hash_sub, hash_knn = _run_sharded(
-        shard_database, shard_queries, SHARDS.balance_shards, "hash"
-    )
-    hash_run["identical"] = (hash_sub == serial_sub
-                             and hash_knn == serial_knn)
-    runs.append(hash_run)
-
     def skew(work):
         total = sum(work)
         return (max(work) / (total / len(work))) if total else 1.0
 
-    balance_skew = skew(closure_run["candidate_work"])
+    balance_skew = skew(next(r["candidate_work"] for r in runs
+                             if r["shards"] == SHARDS.balance_shards))
     max_skew = SHARDS.max_skew_quick if conftest._QUICK else SHARDS.max_skew
 
     record_figure(
         "sharded_scatter_gather",
         f"Sharded scatter-gather vs single tree (chemical, "
         f"|D|={SHARDS.database_size}, {SHARDS.subgraph_queries} subgraph "
-        f"+ {SHARDS.knn_queries} K-NN queries, closure placement)",
+        f"+ {SHARDS.knn_queries} K-NN queries)",
         "shards",
-        [r["shards"] for r in runs if r["placement"] == "closure"],
+        [r["shards"] for r in runs],
         {
-            "query time (s)": [r["query_seconds"] for r in runs
-                               if r["placement"] == "closure"],
+            "build time (s)": [r["build_seconds"] for r in runs],
+            "query time (s)": [r["query_seconds"] for r in runs],
             "speedup vs serial": [serial_seconds / r["query_seconds"]
-                                  for r in runs
-                                  if r["placement"] == "closure"],
-            "work skew": [skew(r["candidate_work"]) for r in runs
-                          if r["placement"] == "closure"],
+                                  for r in runs],
+            "work skew": [skew(r["candidate_work"]) for r in runs],
         },
         float_format="{:.3f}",
     )
@@ -189,7 +175,6 @@ def test_sharded_scatter_gather(shard_database, shard_queries, benchmark):
             "identical_all": all(run["identical"] for run in runs),
             "balance_skew": balance_skew,
             "max_skew": max_skew,
-            "hash_skew": skew(hash_run["candidate_work"]),
         },
     }
     SHARDS_BENCH_JSON.write_text(

@@ -178,7 +178,7 @@ class ShardsBenchConfig:
     knn_k: int = 5
     #: shard counts swept by the bit-identity gate
     shard_counts: tuple[int, ...] = (1, 2, 4)
-    #: shard count used for the closure-vs-hash balance comparison
+    #: shard count the balance gate is read at
     balance_shards: int = 4
     min_fanout: int = 10
     mean_vertices: float = 6.0
@@ -191,7 +191,7 @@ class ShardsBenchConfig:
 #: Sharded scatter-gather workload (bench_shards.py -> BENCH_shards.json).
 SHARDS = ShardsBenchConfig()
 SHARDS_BENCH_JSON = REPO_ROOT / "BENCH_shards.json"
-SHARDS_BENCH_SCHEMA = "shards-bench-v2"
+SHARDS_BENCH_SCHEMA = "shards-bench-v3"
 
 _QUICK = False
 #: figure name -> JSON-able series dict, flushed to BENCH_ctree.json
@@ -378,17 +378,17 @@ def validate_churn_payload(payload: dict) -> str:
 
 def validate_shards_payload(payload: dict) -> str:
     """Gate BENCH_shards.json: bit-identical answers at every shard
-    count and balanced candidate work under closure placement."""
+    count and balanced per-shard candidate work."""
     _require(bool(payload["runs"]), "no sharded runs recorded")
     _require(all(run["identical"] for run in payload["runs"]),
              "sharded answers diverged from the single-tree serial loop")
     gate = payload["gate"]
     _require(gate["identical_all"] is True, "identical_all gate not set")
     _require(gate["balance_skew"] <= gate["max_skew"],
-             f"closure-placement candidate work skew "
+             f"per-shard candidate work skew "
              f"{gate['balance_skew']:.3f}x exceeds {gate['max_skew']}x")
     return (f"BENCH_shards.json OK: S={[r['shards'] for r in payload['runs']]} "
-            f"identical, closure skew {gate['balance_skew']:.3f}x "
+            f"identical, work skew {gate['balance_skew']:.3f}x "
             f"(cap {gate['max_skew']}x)")
 
 

@@ -44,6 +44,7 @@ DEFAULT_PATHS = (
     "src/repro/ctree/store.py",
     "src/repro/ctree/shards.py",
     "src/repro/ctree/shardcache.py",
+    "src/repro/ctree/saved.py",
 )
 
 

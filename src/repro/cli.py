@@ -9,13 +9,10 @@ Gives the library's main workflows a shell-level surface:
   ``--batch``/``--workers``) against a saved index; ``--shards S`` (or
   a shard directory as the index) answers from S partitions, one
   process each;
-- ``shard``    — partition a database into a directory of per-shard
-  ``.ctp`` indexes plus a placement manifest (``--create``), or
-  summarize one (``--stats``);
+- ``shard``    — partition a database round-robin into a directory of
+  per-shard ``.ctp`` indexes plus a placement manifest (``--create``),
+  or summarize one (``--stats``);
 - ``knn`` / ``range`` — similarity queries against a saved index;
-- ``bench``    — serve a JSONL query batch serially and through the
-  batched engine at several worker counts, verify the answers are
-  identical, and print a throughput table;
 - ``serve``    — HTTP server over a saved index: batched ``/query`` and
   ``/knn`` endpoints with request coalescing, Prometheus ``/metrics``,
   and an fsck-backed ``/healthz`` (full reference in docs/SERVING.md);
@@ -34,6 +31,14 @@ Gives the library's main workflows a shell-level surface:
 - ``metrics``  — run a subgraph query and show the metrics-registry
   delta it caused (sorted table, or JSON with ``--json``).
 
+Every command that reads an index takes it as ``-t`` — a ``*.json``
+snapshot, a ``*.ctp`` disk index or a shard directory — and opens it
+through :func:`repro.ctree.saved.open_index`; which kind it is matters
+only to the commands that write (``append`` / ``delete`` / ``compact``
+need a ``.ctp``) and to ``range`` (a single tree).  Flags several
+commands share are declared once, as argparse parent parsers, in
+:func:`build_parser`.
+
 Graphs on the command line are JSON, either inline or ``@file``:
 
     python -m repro query -t tree.json -q '{"labels": ["C", "O"], "edges": [[0, 1]]}'
@@ -45,7 +50,8 @@ import argparse
 import json
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -54,21 +60,16 @@ from repro.graphs.graph import Graph
 from repro.graphs.io import load_graph_database, save_graph_database
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import (
+    DEFAULT_CACHE_PAGES,
     DEFAULT_HEIGHT_SLACK,
     DEFAULT_MIN_OCCUPANCY,
     DiskCTree,
 )
-from repro.ctree.parallel import QueryEngine
-from repro.ctree.persistence import index_size_bytes, load_tree, save_tree
-from repro.ctree.shards import (
-    MANIFEST_NAME,
-    PLACEMENTS,
-    ShardSet,
-    fsck_shards,
-    merge_subgraph,
-)
+from repro.ctree.parallel import DEFAULT_CACHE_SIZE, QueryEngine
+from repro.ctree.persistence import index_size_bytes, save_tree
+from repro.ctree.saved import fsck_index, index_kind, open_index
+from repro.ctree.shards import ShardSet
 from repro.ctree.similarity_query import range_query
-from repro.ctree.subgraph_query import subgraph_query
 from repro.datasets.chemical import generate_chemical_database
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_database
 from repro.obs import trace as obs_trace
@@ -91,55 +92,53 @@ def _load_query_graph(spec: str) -> Graph:
         raise SystemExit(f"error: malformed query graph: {exc}")
 
 
-def _is_shard_dir(path: str) -> bool:
-    """True when ``path`` is a shard directory (``manifest.json``
-    written by ``repro shard --create``)."""
-    p = Path(path)
-    return p.is_dir() and (p / MANIFEST_NAME).is_file()
+def _opened(args, read_only: bool = False):
+    """The saved index ``-t`` names, whatever its kind, open for one
+    command (closed after)."""
+    return closing(open_index(args.tree, args.cache_pages,
+                              read_only=read_only))
 
 
 @contextmanager
-def _open_index(path: str, cache_pages: int = 128):
-    """A saved index — a JSON snapshot, a ``.ctp`` page file, or a shard
-    directory — open for one command (a disk handle is closed after)."""
-    if _is_shard_dir(path):
-        index = ShardSet.open(path)
-    elif path.endswith(".ctp"):
-        index = DiskCTree.open(path, cache_pages=cache_pages)
-    else:
-        index = load_tree(path)
-    try:
-        yield index
-    finally:
-        if isinstance(index, DiskCTree):
-            index.close()
+def _opened_for_write(args):
+    """``-t`` as a writable disk index — the only kind ``append`` /
+    ``delete`` / ``compact`` can change."""
+    if index_kind(args.tree) != "disk":
+        raise SystemExit(f"error: {args.command} requires a .ctp disk index")
+    with _opened(args) as disk:
+        yield disk
 
 
-def _maybe_shard(index, args):
+def _maybe_shard(index, shards: int):
     """Re-partition a single-tree index when ``--shards S`` asks for it.
 
-    A shard directory is already a :class:`ShardSet`; otherwise
-    ``S > 1`` builds an in-memory partition over the open index (the
-    original handle stays owned by — and is closed by — the caller).
+    A shard directory is already partitioned; otherwise ``S > 1``
+    builds an in-memory partition over the open index (the original
+    handle stays owned by — and is closed by — the caller).
     """
-    shards = getattr(args, "shards", 1)
-    if isinstance(index, ShardSet) or shards <= 1:
+    if shards <= 1 or index.kind == "sharded":
         return index
-    return ShardSet.from_index(index, shards,
-                               placement=getattr(args, "placement",
-                                                 "closure"))
+    return ShardSet.from_index(index, shards)
 
 
-def _query_once(index, query, level, verify: bool, cache_pages: int):
-    """One subgraph query against any index kind (tree/disk/sharded)."""
-    with QueryEngine(index, cache_pages=cache_pages) as engine:
-        return engine.query_many([query], level=level, verify=verify)[0]
+def _answer(args, index, knn: bool = False):
+    """The ``-q`` query — subgraph, or K-NN with ``-k`` — against an open
+    index of any kind, through the engine: ``(answers, stats)``."""
+    query = _load_query_graph(args.query)
+    with QueryEngine(index, cache_pages=args.cache_pages) as engine:
+        if knn:
+            return engine.knn_many([query], args.k)[0]
+        return engine.query_many([query], level=args.level,
+                                 verify=not args.no_verify)[0]
 
 
-def _knn_once(index, query, k: int, cache_pages: int):
-    """One K-NN query against any index kind (tree/disk/sharded)."""
-    with QueryEngine(index, cache_pages=cache_pages) as engine:
-        return engine.knn_many([query], k)[0]
+def _names(index, graph_ids) -> dict[int, str]:
+    """Display names of the given graphs, loading those graphs only:
+    ``graph-<id>`` for an unnamed one — and for all of them over a shard
+    set, which holds the id placement but no graphs."""
+    found = {} if index.kind == "sharded" else index.find_graphs(graph_ids)
+    return {gid: (found[gid].name if gid in found else None)
+            or f"graph-{gid}" for gid in graph_ids}
 
 
 # ----------------------------------------------------------------------
@@ -166,9 +165,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_append(args: argparse.Namespace) -> int:
     """Append a JSONL database to a ``.ctp`` disk index incrementally."""
     graphs = load_graph_database(args.input)
-    if not args.index.endswith(".ctp"):
-        raise SystemExit("error: append requires a .ctp disk index")
-    with DiskCTree.open(args.index, cache_pages=args.cache_pages) as disk:
+    with _opened_for_write(args) as disk:
         start = time.perf_counter()
         ids = disk.extend(graphs, seed=args.seed)
         seconds = time.perf_counter() - start
@@ -186,15 +183,13 @@ def cmd_delete(args: argparse.Namespace) -> int:
     """Delete graphs from a ``.ctp`` disk index by id, incrementally,
     under one group commit (with automatic compaction unless
     ``--no-compact``)."""
-    if not args.index.endswith(".ctp"):
-        raise SystemExit("error: delete requires a .ctp disk index")
     try:
         ids = [int(token) for token in args.ids.replace(",", " ").split()]
     except ValueError:
         raise SystemExit(f"error: malformed id list {args.ids!r}") from None
     if not ids:
         raise SystemExit("error: no graph ids given")
-    with DiskCTree.open(args.index, cache_pages=args.cache_pages) as disk:
+    with _opened_for_write(args) as disk:
         start = time.perf_counter()
         try:
             disk.delete_many(ids, seed=args.seed,
@@ -213,9 +208,7 @@ def cmd_delete(args: argparse.Namespace) -> int:
 def cmd_compact(args: argparse.Namespace) -> int:
     """Repack a degraded ``.ctp`` disk index (no-op while the
     occupancy/height triggers are healthy; ``--force`` overrides)."""
-    if not args.index.endswith(".ctp"):
-        raise SystemExit("error: compact requires a .ctp disk index")
-    with DiskCTree.open(args.index, cache_pages=args.cache_pages) as disk:
+    with _opened_for_write(args) as disk:
         start = time.perf_counter()
         reason = disk.compact(
             seed=args.seed,
@@ -265,14 +258,11 @@ def cmd_query(args: argparse.Namespace) -> int:
     if bool(args.query) == bool(args.batch):
         raise SystemExit("error: provide exactly one of -q/--query "
                          "or --batch")
-    with _open_index(args.tree, args.cache_pages) as base:
-        index = _maybe_shard(base, args)
+    with _opened(args) as base:
+        index = _maybe_shard(base, args.shards)
         if args.batch:
             return _run_query_batch(args, index)
-        query = _load_query_graph(args.query)
-        answers, stats = _query_once(
-            index, query, args.level, not args.no_verify, args.cache_pages
-        )
+        answers, stats = _answer(args, index)
     label = "candidates" if args.no_verify else "answers"
     print(f"{label}: {sorted(answers)}")
     print(
@@ -308,135 +298,35 @@ def _run_query_batch(args: argparse.Namespace, index) -> int:
     return 0
 
 
-def _sharded_serial_baseline(shardset: ShardSet, queries, level,
-                             cache_pages: int):
-    """The serial reference for a shard directory: every shard queried
-    in-process, answers merged to the canonical (sorted) form."""
-    handles = shardset.open_local(cache_pages)
-    try:
-        serial = []
-        for q in queries:
-            per_shard = [subgraph_query(handle, q, level=level)[0]
-                         for handle in handles]
-            serial.append(merge_subgraph(per_shard, shardset))
-        return serial
-    finally:
-        shardset.close_local(handles)
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Serve one query batch serially and through the engine at each
-    requested worker count (a shard set runs once: its pool is one
-    process per shard whatever ``--workers`` says); gate on identical
-    answers."""
-    queries = load_graph_database(args.queries)
-    if not queries:
-        raise SystemExit("error: empty query batch")
-    try:
-        workers_list = [int(w) for w in args.workers.split(",")]
-    except ValueError:
-        raise SystemExit(f"error: bad --workers list: {args.workers!r}")
-    rows = []
-    with _open_index(args.tree, args.cache_pages) as base:
-        index = _maybe_shard(base, args)
-        sharded = isinstance(index, ShardSet)
-        start = time.perf_counter()
-        if isinstance(base, ShardSet):
-            baseline = _sharded_serial_baseline(base, queries, args.level,
-                                                args.cache_pages)
-        else:
-            baseline = [subgraph_query(base, q, level=args.level)[0]
-                        for q in queries]
-        serial_seconds = time.perf_counter() - start
-        if sharded:
-            # Sharded answers come back in canonical sorted form; the
-            # identical-answers gate compares set content, not the
-            # single tree's traversal order.
-            baseline = [sorted(answers) for answers in baseline]
-        print(f"serial loop: {len(queries)} queries in "
-              f"{serial_seconds:.3f}s "
-              f"({len(queries) / serial_seconds:.1f} q/s)")
-        benched: set[int] = set()
-        for w in workers_list:
-            with QueryEngine(index, workers=w, cache_size=args.cache_size,
-                             cache_pages=args.cache_pages) as engine:
-                if engine.workers in benched:
-                    continue  # same pool as an earlier run
-                benched.add(engine.workers)
-                results = engine.query_many(queries, level=args.level)
-                report = engine.last_batch
-            identical = [answers for answers, _ in results] == baseline
-            speedup = (serial_seconds / report.wall_seconds
-                       if report.wall_seconds else 0.0)
-            rows.append({
-                "workers": engine.workers, "seconds": report.wall_seconds,
-                "throughput": report.throughput, "speedup": speedup,
-                "cache_hit_rate": report.cache_hit_rate,
-                "dispatched": report.dispatched, "identical": identical,
-            })
-            print(f"workers={engine.workers}: {report.wall_seconds:.3f}s "
-                  f"({report.throughput:.1f} q/s, {speedup:.2f}x serial) "
-                  f"hit_rate={report.cache_hit_rate:.0%} "
-                  f"identical={'yes' if identical else 'NO'}")
-    if args.json:
-        payload = {
-            "queries": len(queries),
-            "level": str(args.level),
-            "cache_size": args.cache_size,
-            "shards": index.shard_count if sharded else 1,
-            "serial_seconds": serial_seconds,
-            "runs": rows,
-        }
-        Path(args.json).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {args.json}")
-    if not all(row["identical"] for row in rows):
-        print("error: engine answers differ from the serial loop",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_knn(args: argparse.Namespace) -> int:
-    query = _load_query_graph(args.query)
-    with _open_index(args.tree, args.cache_pages) as index:
-        results, stats = _knn_once(index, query, args.k, args.cache_pages)
-        # A shard set holds no graph names, only the id placement.
-        names = {} if isinstance(index, ShardSet) \
-            else dict(index.iter_graphs())
-        for rank, (gid, similarity) in enumerate(results, start=1):
-            graph = names.get(gid)
-            name = graph.name if graph is not None and graph.name \
-                else f"graph-{gid}"
-            print(f"{rank:3d}. #{gid} {name} sim={similarity:.1f}")
-        print(f"accessed {stats.access_ratio:.0%} of the database "
-              f"in {stats.seconds:.3f}s")
+    with _opened(args) as index:
+        results, stats = _answer(args, index, knn=True)
+        names = _names(index, [gid for gid, _ in results])
+    for rank, (gid, similarity) in enumerate(results, start=1):
+        print(f"{rank:3d}. #{gid} {names[gid]} sim={similarity:.1f}")
+    print(f"accessed {stats.access_ratio:.0%} of the database "
+          f"in {stats.seconds:.3f}s")
     return 0
 
 
 def cmd_range(args: argparse.Namespace) -> int:
     query = _load_query_graph(args.query)
-    with _open_index(args.tree) as index:
-        if isinstance(index, ShardSet):
+    with _opened(args) as index:
+        if index.kind == "sharded":
             raise SystemExit("error: range queries need a single-tree index")
         results, stats = range_query(index, query, args.radius)
-        names = dict(index.iter_graphs())
+        names = _names(index, [gid for gid, _ in results])
     for gid, distance in results:
-        name = names[gid].name or f"graph-{gid}"
-        print(f"#{gid} {name} distance={distance:.1f}")
+        print(f"#{gid} {names[gid]} distance={distance:.1f}")
     print(f"{len(results)} graphs within distance {args.radius} "
           f"({stats.pruned_by_bound} subtrees pruned, {stats.seconds:.3f}s)")
     return 0
 
 
 def _run_subgraph_query(args: argparse.Namespace):
-    """Shared query runner for ``query``/``trace``/``metrics``."""
-    query = _load_query_graph(args.query)
-    with _open_index(args.tree, args.cache_pages) as index:
-        return _query_once(
-            index, query, args.level, not args.no_verify, args.cache_pages
-        )
+    """Shared query runner for ``trace``/``metrics``."""
+    with _opened(args) as index:
+        return _answer(args, index)
 
 
 def _write_chrome_trace(records, path: str) -> int:
@@ -555,16 +445,8 @@ def _format_explain(profile: dict) -> str:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     """``repro explain``: run one query and print its descent profile."""
-    query = _load_query_graph(args.query)
-    with _open_index(args.tree, args.cache_pages) as index:
-        if args.knn:
-            answers, stats = _knn_once(index, query, args.k,
-                                       args.cache_pages)
-        else:
-            answers, stats = _query_once(
-                index, query, args.level, not args.no_verify,
-                args.cache_pages,
-            )
+    with _opened(args) as index:
+        _, stats = _answer(args, index, knn=args.knn)
     profile = stats.explain()
     if args.json:
         print(json.dumps(profile, indent=2, sort_keys=True))
@@ -615,64 +497,32 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+def _server_config(args: argparse.Namespace):
+    """The flags ``repro serve`` was given, by the ``ServerConfig``
+    field each one names; the rest keep that field's default."""
+    from repro.server import ServerConfig
+
+    return ServerConfig(**{f.name: getattr(args, f.name)
+                           for f in fields(ServerConfig)
+                           if hasattr(args, f.name)})
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: HTTP serving layer over a saved index."""
-    from repro.server import QueryServer, ServerConfig
+    from repro.server import QueryServer
 
-    if _is_shard_dir(args.tree):
-        base = ShardSet.open(args.tree)
-    elif args.tree.endswith(".ctp"):
-        # The server never writes: open without a WAL handle, and make a
-        # crashed index an explicit operator action rather than a silent
-        # auto-recovery at serve time.
-        base = DiskCTree.open(args.tree, cache_pages=args.cache_pages,
-                              wal=False, auto_recover=False)
-    else:
-        base = load_tree(args.tree)
-    index = _maybe_shard(base, args)
-    config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        cache_size=args.cache_size,
-        cache_pages=args.cache_pages,
-        max_batch=args.max_batch,
-        client_cap=args.client_cap,
-        stream_threshold=args.stream_threshold,
-        healthz_ttl=args.healthz_ttl,
-        slow_query_seconds=args.slow_query_seconds,
-        slow_query_rate=args.slow_query_rate,
-        slow_query_path=args.slow_query_log,
-    )
-    server = QueryServer(index, config)
-    try:
-        server.serve_forever()
-    finally:
-        if isinstance(base, DiskCTree):
-            base.close()
+    # The server never writes, hence read_only.
+    with _opened(args, read_only=True) as base:
+        QueryServer(_maybe_shard(base, args.shards),
+                    _server_config(args)).serve_forever()
     return 0
 
 
 def cmd_info(args: argparse.Namespace) -> int:
     path = args.input
-    if _is_shard_dir(path):
-        sset = ShardSet.open(path)
-        desc = sset.describe()
-        print(f"sharded {desc['backend']} index: |D|={desc['total_graphs']} "
-              f"shards={desc['shards']} placement={desc['placement']}")
-        print(f"shard sizes: {desc['shard_sizes']}")
-        return 0
-    if path.endswith(".ctp"):
-        with DiskCTree.open(path) as disk:
-            print(f"disk C-tree index: |D|={len(disk)} height={disk.height} "
-                  f"pages={disk.pool.pagefile.page_count} "
-                  f"page_size={disk.pool.pagefile.page_size}")
-        return 0
-    if path.endswith(".json"):
-        tree = load_tree(path)
-        print(f"C-tree snapshot: {tree}")
-        print(f"index size: {index_size_bytes(tree)} bytes "
-              f"({index_size_bytes(tree, include_graphs=False)} without graphs)")
+    if not path.endswith(".jsonl"):
+        with closing(open_index(path)) as index:
+            print(index.info())
         return 0
     graphs = load_graph_database(path)
     if not graphs:
@@ -700,24 +550,8 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
 
 def cmd_fsck(args: argparse.Namespace) -> int:
-    if _is_shard_dir(args.input):
-        report = fsck_shards(args.input, deep=args.deep)
-        print(report.summary())
-        for shard_report in report.reports:
-            print(f"  {shard_report.summary()}")
-            for note in shard_report.notes:
-                print(f"  note: {note}")
-            for error in shard_report.errors:
-                print(f"  error: {error}")
-        for error in report.errors:
-            print(f"error: {error}")
-        return 0 if report.clean else 1
-    report = DiskCTree.fsck(args.input, deep=args.deep)
-    print(report.summary())
-    for note in report.notes:
-        print(f"note: {note}")
-    for error in report.errors:
-        print(f"error: {error}")
+    report = fsck_index(args.input, deep=args.deep)
+    print("\n".join(report.lines()))
     return 0 if report.clean else 1
 
 
@@ -734,15 +568,13 @@ def cmd_shard(args: argparse.Namespace) -> int:
         sset = ShardSet.create(
             graphs, args.directory,
             shards=args.shards,
-            placement=args.placement,
             min_fanout=args.min_fanout,
             mapping_method=args.mapping,
             page_size=args.page_size,
         )
         seconds = time.perf_counter() - start
         print(f"wrote {sset.shard_count} shards over {len(sset)} graphs "
-              f"({args.placement} placement) in {seconds:.2f}s "
-              f"-> {args.directory}")
+              f"in {seconds:.2f}s -> {args.directory}")
         print(f"shard sizes: {sset.shard_sizes()}")
         return 0
     sset = ShardSet.open(args.directory)
@@ -752,7 +584,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
         return 0
     print(f"shard directory {args.directory}: "
           f"{desc['total_graphs']} graphs over {desc['shards']} shards "
-          f"({desc['placement']} placement, {desc['backend']} backend)")
+          f"({desc['backend']} backend)")
     sizes = desc["shard_sizes"]
     mean = sum(sizes) / len(sizes)
     for s, size in enumerate(sizes):
@@ -764,6 +596,12 @@ def cmd_shard(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """An option group to declare once and hand to every subcommand
+    that takes it (argparse ``parents=``)."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -771,11 +609,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="generate a graph database (JSONL)")
+    def command(name, func, *parents, **kwargs):
+        p = sub.add_parser(name, parents=list(parents), **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    # Flags more than one subcommand takes, each declared here and
+    # nowhere else; defaults come from the code the value is handed to.
+    cache = _flags()
+    cache.add_argument("--cache-pages", type=int,
+                       default=DEFAULT_CACHE_PAGES,
+                       help="buffer-pool pages of a disk index handle "
+                            "(default %(default)s)")
+    index = _flags(cache)
+    index.add_argument("-t", "--tree", "--index", dest="tree", required=True,
+                       help="the saved index: *.json snapshot, *.ctp disk "
+                            "index, or shard directory")
+    query_opts = _flags()
+    query_opts.add_argument("--level", type=_parse_level, default=1,
+                            help="pseudo-iso level (int or 'max')")
+    query_opts.add_argument("--no-verify", action="store_true",
+                            help="return unverified candidates")
+    shards = _flags()
+    shards.add_argument("--shards", type=int, default=1,
+                        help="re-partition the index into S in-memory "
+                             "shards, one engine process each (a shard "
+                             "directory as -t implies this)")
+    seed = _flags()
+    seed.add_argument("--seed", type=int, default=0,
+                      help="RNG seed (default 0)")
+    build_opts = _flags()
+    build_opts.add_argument("--min-fanout", type=int, default=10)
+    build_opts.add_argument("--mapping", default="nbm",
+                            choices=["nbm", "bipartite",
+                                     "bipartite_unweighted"])
+    build_opts.add_argument("--page-size", type=int, default=4096)
+    one_query = _flags()
+    one_query.add_argument("-q", "--query", required=True,
+                           help="query graph as JSON, or @file.json")
+    check = _flags()
+    check.add_argument("-i", "--input", required=True,
+                       help="*.ctp disk index (fsck: or a shard directory "
+                            "— per-shard fsck plus placement-manifest "
+                            "verification)")
+    check.add_argument("--deep", action="store_true",
+                       help="also pseudo-match leaf graphs into their "
+                            "closures")
+
+    p = command("generate", cmd_generate, seed,
+                help="generate a graph database (JSONL)")
     p.add_argument("kind", choices=["chemical", "synthetic"])
     p.add_argument("-n", "--count", type=int, default=100)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=100,
                    help="synthetic: seed pool size S")
     p.add_argument("--seed-size", type=float, default=10.0,
@@ -784,55 +669,37 @@ def build_parser() -> argparse.ArgumentParser:
                    help="synthetic: mean graph size T")
     p.add_argument("--labels", type=int, default=10,
                    help="synthetic: distinct labels L")
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("build", help="build a C-tree index")
+    p = command("build", cmd_build, cache, seed, build_opts,
+                help="build a C-tree index")
     p.add_argument("-i", "--input", required=True, help="JSONL database")
     p.add_argument("-o", "--output", required=True,
                    help="*.json snapshot or *.ctp disk index")
-    p.add_argument("--min-fanout", type=int, default=10)
-    p.add_argument("--mapping", default="nbm",
-                   choices=["nbm", "bipartite", "bipartite_unweighted"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--page-size", type=int, default=4096)
-    p.add_argument("--cache-pages", type=int, default=128)
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser(
-        "append",
+    p = command(
+        "append", cmd_append, index, seed,
         help="append graphs to a .ctp disk index incrementally "
              "(one group commit per call)",
     )
     p.add_argument("-i", "--input", required=True,
                    help="JSONL database of graphs to append")
-    p.add_argument("-t", "--index", required=True, help="*.ctp disk index")
-    p.add_argument("--seed", type=int, default=0,
-                   help="policy RNG seed for this batch")
-    p.add_argument("--cache-pages", type=int, default=128)
-    p.set_defaults(func=cmd_append)
 
-    p = sub.add_parser(
-        "delete",
+    p = command(
+        "delete", cmd_delete, index, seed,
         help="delete graphs from a .ctp disk index by id "
              "(one group commit per call)",
     )
-    p.add_argument("-t", "--index", required=True, help="*.ctp disk index")
     p.add_argument("--ids", required=True,
                    help="graph ids to delete (comma or space separated)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="policy RNG seed for merge/redistribute choices")
     p.add_argument("--no-compact", action="store_true",
                    help="skip the automatic compaction check after the "
                         "delete commits")
-    p.add_argument("--cache-pages", type=int, default=128)
-    p.set_defaults(func=cmd_delete)
 
-    p = sub.add_parser(
-        "compact",
+    p = command(
+        "compact", cmd_compact, index, seed,
         help="repack a degraded .ctp disk index "
              "(no-op while occupancy and height are healthy)",
     )
-    p.add_argument("-t", "--index", required=True, help="*.ctp disk index")
     p.add_argument("--force", action="store_true",
                    help="repack even if no degradation trigger fires")
     p.add_argument("--min-occupancy", type=float, default=None,
@@ -841,88 +708,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height-slack", type=int, default=None,
                    help="height trigger tolerance above the bulk-load "
                         f"height (default {DEFAULT_HEIGHT_SLACK})")
-    p.add_argument("--seed", type=int, default=0,
-                   help="bulk-load RNG seed for the repack")
-    p.add_argument("--cache-pages", type=int, default=128)
-    p.set_defaults(func=cmd_compact)
 
-    p = sub.add_parser("query", help="subgraph query against a saved index")
-    p.add_argument("-t", "--tree", required=True,
-                   help="*.json snapshot, *.ctp disk index, or shard "
-                        "directory")
+    p = command("query", cmd_query, index, query_opts, shards,
+                help="subgraph query against a saved index")
     p.add_argument("-q", "--query",
                    help="query graph as JSON, or @file.json")
     p.add_argument("--batch",
                    help="JSONL file of query graphs to serve as a batch")
     p.add_argument("--workers", type=int, default=1,
                    help="batch mode: worker processes (default 1)")
-    p.add_argument("--cache-size", type=int, default=256,
+    p.add_argument("--cache-size", type=int, default=DEFAULT_CACHE_SIZE,
                    help="batch mode: LRU answer-cache capacity "
                         "(0 disables caching and deduplication)")
-    p.add_argument("--level", type=_parse_level, default=1,
-                   help="pseudo-iso level (int or 'max')")
-    p.add_argument("--no-verify", action="store_true",
-                   help="return unverified candidates")
-    p.add_argument("--shards", type=int, default=1,
-                   help="re-partition the index into S in-memory shards, "
-                        "one engine process each (a shard directory as "
-                        "-t implies this)")
-    p.add_argument("--placement", choices=list(PLACEMENTS),
-                   default="closure",
-                   help="--shards placement strategy (default closure)")
-    p.add_argument("--cache-pages", type=int, default=128)
-    p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser(
-        "bench",
-        help="batched-engine throughput vs the serial loop, with an "
-             "identical-answers gate",
-    )
-    p.add_argument("-t", "--tree", required=True,
-                   help="*.json snapshot, *.ctp disk index, or shard "
-                        "directory")
-    p.add_argument("-i", "--queries", required=True,
-                   help="JSONL file of query graphs")
-    p.add_argument("--workers", default="1,2,4",
-                   help="comma-separated worker counts (default 1,2,4; "
-                        "S > 1 shards run once, one process per shard)")
-    p.add_argument("--cache-size", type=int, default=256)
-    p.add_argument("--level", type=_parse_level, default=1)
-    p.add_argument("--shards", type=int, default=1,
-                   help="re-partition the index into S in-memory shards "
-                        "and bench the engine over them against the "
-                        "single-tree serial loop")
-    p.add_argument("--placement", choices=list(PLACEMENTS),
-                   default="closure",
-                   help="--shards placement strategy (default closure)")
-    p.add_argument("--json", help="write the results table here as JSON")
-    p.add_argument("--cache-pages", type=int, default=128)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("knn", help="K nearest neighbors of a query graph")
-    p.add_argument("-t", "--tree", required=True,
-                   help="*.json snapshot, *.ctp disk index, or shard "
-                        "directory (shards answer in canonical "
-                        "(-similarity, id) tie order)")
-    p.add_argument("-q", "--query", required=True)
+    p = command("knn", cmd_knn, index, one_query,
+                help="K nearest neighbors of a query graph (shards answer "
+                     "in canonical (-similarity, id) tie order)")
     p.add_argument("-k", type=int, default=5)
-    p.add_argument("--cache-pages", type=int, default=128)
-    p.set_defaults(func=cmd_knn)
 
-    p = sub.add_parser("range", help="graphs within an edit-distance radius")
-    p.add_argument("-t", "--tree", required=True,
-                   help="*.json snapshot or *.ctp disk index")
-    p.add_argument("-q", "--query", required=True)
+    p = command("range", cmd_range, index, one_query,
+                help="graphs within an edit-distance radius "
+                     "(single-tree indexes only)")
     p.add_argument("-r", "--radius", type=float, required=True)
-    p.set_defaults(func=cmd_range)
 
-    p = sub.add_parser(
-        "trace",
+    p = command(
+        "trace", cmd_trace, cache, query_opts,
         help="run a subgraph query with span tracing "
              "(JSONL or Chrome trace-event output)",
     )
+    # Optional here, unlike everywhere else: -i works without an index.
     p.add_argument("-t", "--tree",
-                   help="*.json snapshot or *.ctp disk index")
+                   help="the saved index: *.json snapshot, *.ctp disk "
+                        "index, or shard directory")
     p.add_argument("-q", "--query",
                    help="query graph as JSON, or @file.json")
     p.add_argument("-i", "--input",
@@ -936,93 +753,59 @@ def build_parser() -> argparse.ArgumentParser:
                         "and Perfetto")
     p.add_argument("--summary", action="store_true",
                    help="print the flame-style per-phase summary")
-    p.add_argument("--level", type=_parse_level, default=1)
-    p.add_argument("--no-verify", action="store_true")
-    p.add_argument("--cache-pages", type=int, default=128)
-    p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser(
-        "explain",
+    p = command(
+        "explain", cmd_explain, index, query_opts, one_query,
         help="run one query and print its EXPLAIN profile "
              "(per-level pruning, verification cost, page I/O)",
     )
-    p.add_argument("-t", "--tree", required=True,
-                   help="*.json snapshot or *.ctp disk index")
-    p.add_argument("-q", "--query", required=True,
-                   help="query graph as JSON, or @file.json")
     p.add_argument("--knn", action="store_true",
                    help="profile a k-NN query instead of a subgraph query")
     p.add_argument("-k", type=int, default=5,
                    help="neighbors for --knn (default 5)")
     p.add_argument("--json", action="store_true",
                    help="print the raw profile as JSON")
-    p.add_argument("--level", type=_parse_level, default=1)
-    p.add_argument("--no-verify", action="store_true")
-    p.add_argument("--cache-pages", type=int, default=128)
-    p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser(
-        "metrics",
-        help="run a subgraph query and show the metrics delta",
-    )
-    p.add_argument("-t", "--tree", required=True,
-                   help="*.json snapshot or *.ctp disk index")
-    p.add_argument("-q", "--query", required=True,
-                   help="query graph as JSON, or @file.json")
+    p = command("metrics", cmd_metrics, index, query_opts, one_query,
+                help="run a subgraph query and show the metrics delta")
     p.add_argument("-o", "--output",
                    help="write JSON here instead of stdout")
     p.add_argument("--json", action="store_true",
                    help="print JSON instead of the sorted table")
     p.add_argument("--cumulative", action="store_true",
                    help="dump the full registry instead of the query delta")
-    p.add_argument("--level", type=_parse_level, default=1)
-    p.add_argument("--no-verify", action="store_true")
-    p.add_argument("--cache-pages", type=int, default=128)
-    p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser(
-        "serve",
-        help="HTTP server over a saved index (see docs/SERVING.md)",
-    )
-    p.add_argument("-t", "--tree", required=True,
-                   help="*.json snapshot, *.ctp disk index, or shard "
-                        "directory")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8744,
+    # Each flag's dest is the ServerConfig field it sets, and none has a
+    # default here: one left out is left to ServerConfig (_server_config).
+    p = command("serve", cmd_serve, index, shards,
+                argument_default=argparse.SUPPRESS,
+                help="HTTP server over a saved index (see docs/SERVING.md)")
+    p.add_argument("--host", help="bind address")
+    p.add_argument("--port", type=int,
                    help="TCP port (0 binds an ephemeral port)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="engine worker processes (default 1; unused "
-                        "over S > 1 shards — one process per shard)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="serve from S in-memory shards (a shard "
-                        "directory as -t implies sharded serving)")
-    p.add_argument("--placement", choices=list(PLACEMENTS),
-                   default="closure",
-                   help="--shards placement strategy (default closure)")
-    p.add_argument("--cache-size", type=int, default=256,
+    p.add_argument("--workers", type=int,
+                   help="engine worker processes (unused over S > 1 "
+                        "shards — one process per shard)")
+    p.add_argument("--cache-size", type=int,
                    help="LRU answer-cache capacity (0 disables)")
-    p.add_argument("--max-batch", type=int, default=64,
+    p.add_argument("--max-batch", type=int,
                    help="max queries coalesced per engine batch")
-    p.add_argument("--client-cap", type=int, default=8,
+    p.add_argument("--client-cap", type=int,
                    help="per-client in-flight cap before 429")
-    p.add_argument("--stream-threshold", type=int, default=1000,
+    p.add_argument("--stream-threshold", type=int,
                    help="answer count that forces NDJSON streaming")
-    p.add_argument("--healthz-ttl", type=float, default=5.0,
+    p.add_argument("--healthz-ttl", type=float,
                    help="seconds a /healthz probe result is cached")
-    p.add_argument("--slow-query-log",
+    p.add_argument("--slow-query-log", dest="slow_query_path",
                    help="append requests over the slow-query threshold "
                         "to this NDJSON file")
-    p.add_argument("--slow-query-seconds", type=float, default=1.0,
-                   help="latency threshold for the slow-query log "
-                        "(default 1.0s)")
-    p.add_argument("--slow-query-rate", type=float, default=1.0,
-                   help="fraction of slow queries logged, 0..1 "
-                        "(default 1.0 = all)")
-    p.add_argument("--cache-pages", type=int, default=128)
-    p.set_defaults(func=cmd_serve)
+    p.add_argument("--slow-query-seconds", type=float,
+                   help="latency threshold for the slow-query log, seconds")
+    p.add_argument("--slow-query-rate", type=float,
+                   help="fraction of slow queries logged, 0..1")
 
-    p = sub.add_parser(
-        "shard",
+    p = command(
+        "shard", cmd_shard, build_opts,
         help="partition a database into a shard directory of per-shard "
              ".ctp indexes, or summarize one (see docs/PERFORMANCE.md)",
     )
@@ -1030,53 +813,29 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--create", action="store_true",
                       help="build the shard directory from -i/--input")
     mode.add_argument("--stats", action="store_true",
-                      help="print placement and balance of an existing "
+                      help="print shard sizes and balance of an existing "
                            "shard directory")
     p.add_argument("-d", "--directory", required=True,
                    help="the shard directory (created by --create)")
     p.add_argument("-i", "--input",
                    help="JSONL database to partition (--create)")
+    # Not the on-the-fly --shards above: how many page files to write.
     p.add_argument("--shards", type=int, default=4,
-                   help="number of shards S (default 4)")
-    p.add_argument("--placement", choices=list(PLACEMENTS),
-                   default="closure",
-                   help="placement strategy: 'closure' clusters similar "
-                        "graphs onto the same shard, 'hash' round-robins "
-                        "by id (default closure)")
-    p.add_argument("--min-fanout", type=int, default=10)
-    p.add_argument("--mapping", default="nbm",
-                   choices=["nbm", "bipartite", "bipartite_unweighted"])
-    p.add_argument("--page-size", type=int, default=4096)
+                   help="number of shards S (default 4); graphs are "
+                        "placed round-robin by id")
     p.add_argument("--json", action="store_true",
                    help="--stats: print the summary as JSON")
-    p.set_defaults(func=cmd_shard)
 
-    p = sub.add_parser("info", help="statistics of a database or index")
+    p = command("info", cmd_info, help="statistics of a database or index")
     p.add_argument("-i", "--input", required=True,
-                   help="*.jsonl database, *.json snapshot, *.ctp index "
-                        "or shard directory")
-    p.set_defaults(func=cmd_info)
+                   help="*.jsonl database, or a saved index (*.json "
+                        "snapshot, *.ctp index, shard directory)")
 
-    p = sub.add_parser(
-        "recover",
-        help="replay a crashed disk index's WAL and validate the result",
-    )
-    p.add_argument("-i", "--input", required=True, help="*.ctp disk index")
-    p.add_argument("--deep", action="store_true",
-                   help="also pseudo-match leaf graphs into their closures")
-    p.set_defaults(func=cmd_recover)
-
-    p = sub.add_parser(
-        "fsck",
-        help="integrity-check a disk index or shard directory without "
-             "modifying it",
-    )
-    p.add_argument("-i", "--input", required=True,
-                   help="*.ctp disk index or shard directory (per-shard "
-                        "fsck plus placement-manifest verification)")
-    p.add_argument("--deep", action="store_true",
-                   help="also pseudo-match leaf graphs into their closures")
-    p.set_defaults(func=cmd_fsck)
+    command("recover", cmd_recover, check,
+            help="replay a crashed disk index's WAL and validate the result")
+    command("fsck", cmd_fsck, check,
+            help="integrity-check a disk index or shard directory without "
+                 "modifying it")
 
     return parser
 

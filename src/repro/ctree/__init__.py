@@ -25,6 +25,7 @@ from repro.ctree.persistence import (
     tree_from_dict,
     tree_to_dict,
 )
+from repro.ctree.saved import fsck_index, index_kind, open_index
 from repro.ctree.similarity_query import (
     closure_distance_lower_bound,
     knn_query,
@@ -59,6 +60,8 @@ __all__ = [
     "direct_estimate_r0",
     "fit_cost_model",
     "fit_from_stats",
+    "fsck_index",
+    "index_kind",
     "index_size_bytes",
     "knn_query",
     "knn_query_many",
@@ -66,6 +69,7 @@ __all__ = [
     "linear_scan_subgraph_query",
     "load_tree",
     "mean_fanout",
+    "open_index",
     "per_level_averages",
     "range_query",
     "save_tree",

@@ -49,7 +49,12 @@ import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.exceptions import ChecksumError, IndexError_, PersistenceError
+from repro.exceptions import (
+    ChecksumError,
+    IndexError_,
+    PersistenceError,
+    ReproError,
+)
 from repro.graphs.closure import GraphClosure
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
@@ -83,6 +88,11 @@ from repro.storage.wal import (
 
 #: Record format version (see :mod:`repro.ctree.store`).
 _FORMAT = 3
+
+#: Buffer-pool pages of a disk handle unless the caller says otherwise —
+#: the one default behind ``--cache-pages``, the engine's per-worker
+#: handles and ``ServerConfig.cache_pages``.
+DEFAULT_CACHE_PAGES = 128
 
 _U64 = struct.Struct("<Q")
 
@@ -137,6 +147,13 @@ class FsckReport:
             parts.append("deep closure checks on")
         return ", ".join(parts)
 
+    def lines(self) -> list[str]:
+        """The full report as ``repro fsck`` prints it: the summary,
+        then every note and error."""
+        return [self.summary(),
+                *(f"note: {note}" for note in self.notes),
+                *(f"error: {error}" for error in self.errors)]
+
 
 @dataclass
 class DiskRecovery:
@@ -169,6 +186,8 @@ class DiskCTree(CTreeCore):
     crash-safely."""
 
     _METRICS = "ctree.disk"
+    #: what :func:`~repro.ctree.saved.index_kind` calls a ``.ctp`` file
+    kind = "disk"
 
     def __init__(self, records: RecordStore, meta: dict,
                  path: Optional[PathLike] = None) -> None:
@@ -191,7 +210,7 @@ class DiskCTree(CTreeCore):
         tree: CTree,
         path: PathLike,
         page_size: int = 4096,
-        cache_pages: int = 128,
+        cache_pages: int = DEFAULT_CACHE_PAGES,
         wal: bool = True,
         opener=None,
     ) -> "DiskCTree":
@@ -228,7 +247,7 @@ class DiskCTree(CTreeCore):
     def open(
         cls,
         path: PathLike,
-        cache_pages: int = 128,
+        cache_pages: int = DEFAULT_CACHE_PAGES,
         wal: bool = True,
         opener=None,
         auto_recover: bool = True,
@@ -270,6 +289,17 @@ class DiskCTree(CTreeCore):
                 f"index from its graphs (`repro build`)"
             )
         return cls(records, meta, path=path)
+
+    @classmethod
+    def open_read_only(cls, path: PathLike,
+                       cache_pages: int = DEFAULT_CACHE_PAGES) -> "DiskCTree":
+        """Open an index that will only be queried — what the server and
+        every engine worker hold.  No WAL handle is attached, and a
+        crashed index is refused rather than silently recovered at serve
+        time: recovery is an explicit operator action (``repro
+        recover``)."""
+        return cls.open(path, cache_pages=cache_pages, wal=False,
+                        auto_recover=False)
 
     @staticmethod
     def _write_tree(records: RecordStore, tree: CTree, generation: int,
@@ -603,6 +633,44 @@ class DiskCTree(CTreeCore):
     def pool(self) -> BufferPool:
         """The index's buffer pool (for I/O stats and flushing)."""
         return self.store.records.pool
+
+    def describe(self) -> dict:
+        """A JSON-friendly summary (the server's ``GET /`` index block)."""
+        return {"graphs": len(self), "generation": self.generation,
+                "height": self.height}
+
+    def summary(self) -> str:
+        """One line for the serve banner and ``/healthz``."""
+        return f"disk index, |D|={len(self)}"
+
+    def info(self) -> str:
+        """What ``repro info`` prints for a ``.ctp`` file."""
+        pagefile = self.pool.pagefile
+        return (f"disk C-tree index: |D|={len(self)} height={self.height} "
+                f"pages={pagefile.page_count} "
+                f"page_size={pagefile.page_size}")
+
+    def health(self) -> tuple[bool, dict]:
+        """The ``/healthz`` probe: a non-deep :meth:`fsck` of the page
+        file this handle reads (checksums, free list, reachability,
+        closure containment)."""
+        if self.path is None:
+            return True, {"probe": "none",
+                          "note": "disk index has no stable path"}
+        try:
+            report = self.fsck(self.path)
+        except ReproError as exc:
+            return False, {"probe": "fsck", "errors": [str(exc)]}
+        payload = {
+            "probe": "fsck",
+            "clean": report.clean,
+            "pages": report.pages,
+            "graphs": report.graphs,
+            "generation": report.generation,
+        }
+        if report.errors:
+            payload["errors"] = list(report.errors)
+        return report.clean, payload
 
     # ------------------------------------------------------------------
     # Query processing — thin delegates to the shared traversals

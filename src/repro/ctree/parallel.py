@@ -74,7 +74,7 @@ from typing import Optional, Sequence, Union
 from repro.graphs.graph import Graph
 from repro.obs import trace
 from repro.obs.metrics import global_registry
-from repro.ctree.diskindex import DiskCTree
+from repro.ctree.diskindex import DEFAULT_CACHE_PAGES, DiskCTree
 from repro.ctree.shardcache import LRUAnswerCache
 from repro.ctree.shardcache import structure_key as _structure_key
 from repro.ctree.shards import ShardSet, merge_knn, merge_subgraph
@@ -83,9 +83,13 @@ from repro.ctree.stats import KnnStats, QueryStats
 from repro.ctree.subgraph_query import subgraph_query
 from repro.ctree.tree import CTree
 
-__all__ = ["BatchReport", "QueryEngine"]
+__all__ = ["BatchReport", "DEFAULT_CACHE_SIZE", "QueryEngine"]
 
 Index = Union[CTree, DiskCTree]
+
+#: Answers the LRU cache holds unless the caller says otherwise — the
+#: one default behind ``--cache-size`` and ``ServerConfig.cache_size``.
+DEFAULT_CACHE_SIZE = 256
 
 _KIND_SUBGRAPH = "subgraph"
 _KIND_KNN = "knn"
@@ -97,7 +101,7 @@ _WORKER_INDEX: Optional[Index] = None
 _WORKER_SHARD: Optional[int] = None
 _WORKER_EPOCH: int = 0
 _WORKER_DISK_PATH = None
-_WORKER_CACHE_PAGES: int = 128
+_WORKER_CACHE_PAGES: int = DEFAULT_CACHE_PAGES
 
 
 def _worker_init(shard: Optional[int], tree: Optional[CTree], disk_path,
@@ -118,8 +122,7 @@ def _worker_init(shard: Optional[int], tree: Optional[CTree], disk_path,
 
 
 def _worker_open() -> DiskCTree:
-    return DiskCTree.open(_WORKER_DISK_PATH, cache_pages=_WORKER_CACHE_PAGES,
-                          wal=False, auto_recover=False)
+    return DiskCTree.open_read_only(_WORKER_DISK_PATH, _WORKER_CACHE_PAGES)
 
 
 def _worker_sync_epoch(epoch: int) -> None:
@@ -291,8 +294,8 @@ class QueryEngine:
         self,
         index: Union[Index, ShardSet],
         workers: int = 1,
-        cache_size: int = 256,
-        cache_pages: int = 128,
+        cache_size: int = DEFAULT_CACHE_SIZE,
+        cache_pages: int = DEFAULT_CACHE_PAGES,
     ) -> None:
         self._index = index
         self._cache_pages = cache_pages

@@ -3,8 +3,8 @@
 :class:`~repro.ctree.parallel.QueryEngine` over one tree parallelizes
 *within* a batch; its speedup is capped by the single index every
 worker shares.  This module partitions the database itself into **S
-independent C-trees** — hash placement or closure-clustering placement
-(:func:`place_graphs`) — so S queries' worth of tree descent, pseudo-iso
+independent C-trees** — round-robin by graph id (:func:`place_graphs`)
+— so S queries' worth of tree descent, pseudo-iso
 filtering and similarity scoring run concurrently with no shared state
 at all (the multicore partitioned-closure-evaluation recipe of the
 recursive-query literature, applied to the paper's index):
@@ -27,21 +27,18 @@ every S) is stated in that module's docstring.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from repro.exceptions import ConfigError, ReproError
 from repro.graphs.graph import Graph
-from repro.matching.edit_distance import MAPPING_METHODS
 from repro.ctree.bulkload import bulk_load
-from repro.ctree.diskindex import DiskCTree, FsckReport
+from repro.ctree.diskindex import DEFAULT_CACHE_PAGES, DiskCTree, FsckReport
 from repro.ctree.tree import CTree
 
 __all__ = [
     "MANIFEST_NAME",
-    "PLACEMENTS",
     "Shard",
     "ShardSet",
     "ShardSetReport",
@@ -53,106 +50,40 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 _MANIFEST_SCHEMA = "ctree-shards-v1"
-#: recognized placement strategies (see :func:`place_graphs`)
-PLACEMENTS = ("hash", "closure")
 
 
 # ----------------------------------------------------------------------
 # Placement
 # ----------------------------------------------------------------------
-def _place_hash(n: int, shards: int) -> list[list[int]]:
-    """Round-robin by id: graph ``g`` lands on shard ``g % shards``.
+def place_graphs(graphs: Sequence[Graph], shards: int) -> list[list[int]]:
+    """Partition ``graphs`` into ``shards`` ascending-id lists, round-
+    robin by id: graph ``g`` lands on shard ``g % shards``.
 
-    Placement-oblivious baseline: perfectly balanced in *count*, blind
-    to structure, so similar graphs spread across shards and every
-    query pays full fan-out.
-    """
-    out: list[list[int]] = [[] for _ in range(shards)]
-    for gid in range(n):
-        out[gid % shards].append(gid)
-    return out
-
-
-def _place_closure(
-    graphs: Sequence[Graph],
-    shards: int,
-    mapping_method: str,
-) -> list[list[int]]:
-    """Greedy closure-clustering placement.
-
-    Farthest-point selection picks ``shards`` medoid graphs (the same
-    pivot idea as
-    :func:`~repro.ctree.policies.partition_closures_linear`, and the
-    same distance primitive: ``mapper(a, b).edit_cost()``).  Every
-    graph then goes to the nearest medoid's shard, in ascending-id
-    order, under a capacity cap of ``ceil(n / shards)`` so no shard can
-    absorb the whole database — capped shards overflow to the next-
-    nearest medoid.  Similar graphs cluster on the same shard, whose
-    C-tree then builds tighter closures: the per-shard candidate work
-    a query induces stays near ``1/S`` of the single-tree work (the
-    bench's balance gate).
-    """
-    def distance(a: Graph, b: Graph) -> float:
-        return mapper(a, b).edit_cost()
-
-    mapper = MAPPING_METHODS[mapping_method]
-    n = len(graphs)
-    # Farthest-point medoids: start from graph 0, repeatedly take the
-    # graph farthest from every medoid chosen so far (min-distance
-    # maximization; ties to the lowest id keep placement deterministic).
-    medoids = [0]
-    min_dist = [distance(g, graphs[0]) for g in graphs]
-    while len(medoids) < shards:
-        far = max(range(n), key=lambda i: (min_dist[i], -i))
-        medoids.append(far)
-        for i, g in enumerate(graphs):
-            d = distance(g, graphs[far])
-            if d < min_dist[i]:
-                min_dist[i] = d
-
-    capacity = math.ceil(n / shards)
-    out: list[list[int]] = [[] for _ in range(shards)]
-    for gid in range(n):
-        ranked = sorted(
-            range(shards),
-            key=lambda s: (distance(graphs[gid], graphs[medoids[s]]), s),
-        )
-        for s in ranked:
-            if len(out[s]) < capacity:
-                out[s].append(gid)
-                break
-    return out
-
-
-def place_graphs(
-    graphs: Sequence[Graph],
-    shards: int,
-    placement: str = "closure",
-    mapping_method: str = "nbm",
-) -> list[list[int]]:
-    """Partition ``graphs`` into ``shards`` ascending-id lists.
-
-    ``placement`` is ``"hash"`` (round-robin by id) or ``"closure"``
-    (greedy medoid clustering by closure distance, capacity-capped).
-    Every id appears in exactly one list; lists are ascending, which
-    makes each shard's local ids (assigned 0..m-1 in input order by
+    Balanced in count to within one graph, and blind to structure — on
+    the measured corpus that also balances per-shard candidate work
+    (docs/PERFORMANCE.md, "Sharding").  Every id appears in exactly one
+    list; lists are ascending, which makes each shard's local ids
+    (assigned 0..m-1 in input order by
     :func:`~repro.ctree.bulkload.bulk_load`) order-isomorphic to its
     global ids — the property the canonical K-NN merge relies on.
     """
     if shards < 1:
         raise ConfigError(f"need >= 1 shard, got {shards}")
-    if placement not in PLACEMENTS:
-        raise ConfigError(
-            f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
-        )
     n = len(graphs)
     if shards > max(1, n):
         raise ConfigError(
             f"cannot spread {n} graphs over {shards} shards"
         )
-    if placement == "hash" or shards == 1:
-        return _place_hash(n, shards)
-    return _place_closure(graphs, shards, mapping_method)
+    return [list(range(s, n, shards)) for s in range(shards)]
+
+
+def _bulk_load_parts(graphs: Sequence[Graph], shards: int, min_fanout: int,
+                     mapping_method: str):
+    """``(global ids, bulk-loaded tree)`` per shard, one at a time."""
+    for gids in place_graphs(graphs, shards):
+        yield gids, bulk_load([graphs[g] for g in gids],
+                              min_fanout=min_fanout,
+                              mapping_method=mapping_method)
 
 
 # ----------------------------------------------------------------------
@@ -189,13 +120,14 @@ class ShardSet:
     :func:`fsck_shards` verifies it.
     """
 
-    def __init__(self, shards: list[Shard], placement: str,
-                 mapping_method: str = "nbm",
+    #: what :func:`~repro.ctree.saved.index_kind` calls a shard directory
+    kind = "sharded"
+
+    def __init__(self, shards: list[Shard], mapping_method: str = "nbm",
                  directory: Optional[str] = None) -> None:
         if not shards:
             raise ConfigError("a ShardSet needs at least one shard")
         self.shards = shards
-        self.placement = placement
         self.mapping_method = mapping_method
         self.directory = directory
         seen: set[int] = set()
@@ -213,23 +145,26 @@ class ShardSet:
         cls,
         graphs: Sequence[Graph],
         shards: int,
-        placement: str = "closure",
+        placement: str = "hash",
         min_fanout: int = 20,
         mapping_method: str = "nbm",
     ) -> "ShardSet":
         """Partition ``graphs`` and bulk-load one in-memory C-tree per
-        shard."""
-        gid_lists = place_graphs(graphs, shards, placement, mapping_method)
-        built = [
-            Shard(
-                gids=list(gids),
-                tree=bulk_load([graphs[g] for g in gids],
-                               min_fanout=min_fanout,
-                               mapping_method=mapping_method),
+        shard.
+
+        ``placement`` is not a setting: benchmarks/spine/layers.py
+        passes ``"hash"``, the name round-robin placement had while
+        there was a second one, and nothing else is accepted.  Goes when
+        the spine next changes (ROADMAP item 6).
+        """
+        if placement != "hash":
+            raise ConfigError(
+                f"unknown placement {placement!r}; graphs are placed "
+                f"round-robin by id ('hash')"
             )
-            for gids in gid_lists
-        ]
-        return cls(built, placement, mapping_method)
+        return cls([Shard(gids=gids, tree=tree) for gids, tree in
+                    _bulk_load_parts(graphs, shards, min_fanout,
+                                     mapping_method)], mapping_method)
 
     @classmethod
     def create(
@@ -237,7 +172,6 @@ class ShardSet:
         graphs: Sequence[Graph],
         directory: Union[str, os.PathLike],
         shards: int,
-        placement: str = "closure",
         min_fanout: int = 20,
         mapping_method: str = "nbm",
         page_size: int = 4096,
@@ -253,21 +187,17 @@ class ShardSet:
         """
         directory = os.fspath(directory)
         os.makedirs(directory, exist_ok=True)
-        gid_lists = place_graphs(graphs, shards, placement, mapping_method)
         entries = []
         built: list[Shard] = []
-        for s, gids in enumerate(gid_lists):
+        for s, (gids, tree) in enumerate(_bulk_load_parts(
+                graphs, shards, min_fanout, mapping_method)):
             filename = f"shard-{s:03d}.ctp"
-            tree = bulk_load([graphs[g] for g in gids],
-                             min_fanout=min_fanout,
-                             mapping_method=mapping_method)
             path = os.path.join(directory, filename)
             DiskCTree.create(tree, path, page_size=page_size).close()
-            entries.append({"file": filename, "graphs": list(gids)})
-            built.append(Shard(gids=list(gids), path=path))
+            entries.append({"file": filename, "graphs": gids})
+            built.append(Shard(gids=gids, path=path))
         manifest = {
             "schema": _MANIFEST_SCHEMA,
-            "placement": placement,
             "mapping_method": mapping_method,
             "min_fanout": min_fanout,
             "total_graphs": len(graphs),
@@ -276,11 +206,16 @@ class ShardSet:
         with open(os.path.join(directory, MANIFEST_NAME), "w",
                   encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=1)
-        return cls(built, placement, mapping_method, directory=directory)
+        return cls(built, mapping_method, directory=directory)
 
     @classmethod
     def open(cls, directory: Union[str, os.PathLike]) -> "ShardSet":
-        """Reattach to a shard directory written by :meth:`create`."""
+        """Reattach to a shard directory written by :meth:`create`.
+
+        Only the per-shard id lists are read, so a manifest from before
+        round-robin became the one placement (it carries a
+        ``"placement"`` key, possibly ``"closure"``) opens unchanged.
+        """
         directory = os.fspath(directory)
         manifest = cls._read_manifest(directory)
         built = [
@@ -288,8 +223,7 @@ class ShardSet:
                   path=os.path.join(directory, entry["file"]))
             for entry in manifest["shards"]
         ]
-        return cls(built, manifest["placement"],
-                   manifest.get("mapping_method", "nbm"),
+        return cls(built, manifest.get("mapping_method", "nbm"),
                    directory=directory)
 
     @classmethod
@@ -297,7 +231,6 @@ class ShardSet:
         cls,
         index: Union[CTree, DiskCTree],
         shards: int,
-        placement: str = "closure",
         min_fanout: int = 20,
         mapping_method: str = "nbm",
     ) -> "ShardSet":
@@ -319,7 +252,7 @@ class ShardSet:
                 "(compact the index first)"
             )
         return cls.build_memory([g for _, g in stored], shards,
-                                placement=placement, min_fanout=min_fanout,
+                                min_fanout=min_fanout,
                                 mapping_method=mapping_method)
 
     # -- introspection -------------------------------------------------
@@ -330,7 +263,8 @@ class ShardSet:
             with open(path, encoding="utf-8") as fh:
                 manifest = json.load(fh)
         except FileNotFoundError:
-            raise ConfigError(f"no shard manifest at {path}") from None
+            raise ConfigError(f"{directory}: not a shard directory: "
+                              f"no {MANIFEST_NAME}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"corrupt shard manifest {path}: {exc}") \
                 from None
@@ -347,6 +281,11 @@ class ShardSet:
         return self.shards[0].path is not None
 
     @property
+    def backend(self) -> str:
+        """``"disk"`` or ``"memory"``: where the shards live."""
+        return "disk" if self.is_disk else "memory"
+
+    @property
     def shard_count(self) -> int:
         """Number of shards S."""
         return len(self.shards)
@@ -360,26 +299,70 @@ class ShardSet:
 
     def describe(self) -> dict:
         """A JSON-friendly summary (the ``repro shard --stats``
-        payload)."""
+        payload and the server's ``GET /`` index block)."""
         return {
             "shards": self.shard_count,
-            "placement": self.placement,
             "mapping_method": self.mapping_method,
-            "backend": "disk" if self.is_disk else "memory",
+            "backend": self.backend,
             "directory": self.directory,
             "total_graphs": len(self),
             "shard_sizes": self.shard_sizes(),
         }
 
-    def open_local(self, cache_pages: int = 128) \
+    def summary(self) -> str:
+        """One line for the serve banner and ``/healthz``."""
+        return (f"sharded {self.backend} index, S={self.shard_count}, "
+                f"|D|={len(self)}")
+
+    def info(self) -> str:
+        """What ``repro info`` prints for a shard directory."""
+        return (f"sharded {self.backend} index: |D|={len(self)} "
+                f"shards={self.shard_count}\n"
+                f"shard sizes: {self.shard_sizes()}")
+
+    def health(self) -> tuple[bool, dict]:
+        """The ``/healthz`` probe: the full :func:`fsck_shards` sweep
+        (manifest placement plus one fsck per shard) for a shard
+        directory, each tree's own shape check for in-memory shards."""
+        if self.is_disk and self.directory is not None:
+            try:
+                report = fsck_shards(self.directory)
+            except ReproError as exc:
+                return False, {"probe": "fsck_shards", "errors": [str(exc)]}
+            payload = {
+                "probe": "fsck_shards",
+                "clean": report.clean,
+                "shards": report.shard_count,
+                "graphs": report.total_graphs,
+                "shard_clean": [r.clean for r in report.reports],
+            }
+            errors = list(report.errors)
+            for shard_report in report.reports:
+                errors.extend(shard_report.errors)
+            if errors:
+                payload["errors"] = errors
+            return report.clean, payload
+        healthy = all(shard.tree is not None and shard.tree.health()[0]
+                      for shard in self.shards)
+        return healthy, {
+            "probe": "memory",
+            "shards": self.shard_count,
+            "graphs": len(self),
+            "shard_sizes": self.shard_sizes(),
+        }
+
+    def close(self) -> None:
+        """Nothing to release: a set holds placement, not handles (those
+        belong to whoever called :meth:`open_local`)."""
+
+    def open_local(self, cache_pages: int = DEFAULT_CACHE_PAGES) \
             -> list[Union[CTree, DiskCTree]]:
         """Open (or return) one read-only handle per shard in this
-        process — the engine's in-process path and the CLI's serial
-        baseline.  Pair with :meth:`close_local`."""
+        process — the engine's in-process path.  Pair with
+        :meth:`close_local`."""
         return [
             shard.tree if shard.tree is not None
-            else DiskCTree.open(shard.path, cache_pages=cache_pages,
-                                wal=False, auto_recover=False)
+            else DiskCTree.open_read_only(shard.path, cache_pages)
             for shard in self.shards
         ]
 
@@ -419,6 +402,14 @@ class ShardSetReport:
         )
         return (f"{self.directory}: {status}, {self.shard_count} shards, "
                 f"{self.total_graphs} graphs")
+
+    def lines(self) -> list[str]:
+        """The full report as ``repro fsck`` prints it: the summary,
+        each shard's own report indented beneath it, then the placement
+        errors."""
+        return [self.summary(),
+                *(f"  {line}" for r in self.reports for line in r.lines()),
+                *(f"error: {error}" for error in self.errors)]
 
 
 def fsck_shards(directory: Union[str, os.PathLike],

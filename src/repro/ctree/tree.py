@@ -159,6 +159,16 @@ class CTreeCore:
                 for entry in node.children:
                     yield (entry.graph_id, self.store.load_graph(entry))
 
+    def find_graphs(self, graph_ids) -> dict[int, Graph]:
+        """The stored graphs with the given ids: one node-only walk, and
+        only the matching entries' payloads are loaded."""
+        wanted = set(graph_ids)
+        return {
+            entry.graph_id: self.store.load_graph(entry)
+            for _, node in self.nodes() if node.is_leaf
+            for entry in node.children if entry.graph_id in wanted
+        }
+
     def _member_closures(self, is_leaf: bool, entries: list) -> list:
         """The closures summarizing a node's members (graphs of a leaf,
         children of an inner node), read back from the store."""
@@ -563,6 +573,38 @@ class CTree(CTreeCore):
 
     def node_count(self) -> int:
         return self.root.count_nodes()
+
+    # ------------------------------------------------------------------
+    # The surface every saved-index kind shares (repro.ctree.saved)
+    # ------------------------------------------------------------------
+    #: what :func:`~repro.ctree.saved.index_kind` calls a JSON snapshot
+    kind = "memory"
+
+    def describe(self) -> dict:
+        """A JSON-friendly summary (the server's ``GET /`` index block)."""
+        return {"graphs": len(self)}
+
+    def summary(self) -> str:
+        """One line for the serve banner and ``/healthz``."""
+        return f"memory index, |D|={len(self)}"
+
+    def info(self) -> str:
+        """What ``repro info`` prints for a JSON snapshot."""
+        from repro.ctree.persistence import index_size_bytes
+
+        return (f"C-tree snapshot: {self!r}\n"
+                f"index size: {index_size_bytes(self)} bytes "
+                f"({index_size_bytes(self, include_graphs=False)} "
+                f"without graphs)")
+
+    def health(self) -> tuple[bool, dict]:
+        """The ``/healthz`` probe: a non-empty tree stands at least one
+        level high."""
+        return (len(self) == 0 or self.height() >= 1,
+                {"probe": "memory", "graphs": len(self)})
+
+    def close(self) -> None:
+        """Nothing to release: the tree lives in this process."""
 
     # ------------------------------------------------------------------
     def insert(self, graph: Graph, graph_id: Optional[int] = None) -> int:

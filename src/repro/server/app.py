@@ -13,11 +13,11 @@
   ``ServerConfig.stream_threshold``);
 - ``GET /metrics`` exports the process-wide
   :class:`~repro.obs.metrics.MetricsRegistry` in Prometheus text
-  format; ``GET /healthz`` reports index health, running a cheap
-  :meth:`DiskCTree.fsck <repro.ctree.diskindex.DiskCTree.fsck>` probe
-  for disk-backed indexes and a full
-  :func:`~repro.ctree.shards.fsck_shards` sweep (manifest placement +
-  per-shard fsck) for shard directories (TTL-cached);
+  format; ``GET /healthz`` reports the index's own ``health()`` probe
+  — a cheap :meth:`DiskCTree.fsck
+  <repro.ctree.diskindex.DiskCTree.fsck>` for a disk-backed index, a
+  full :func:`~repro.ctree.shards.fsck_shards` sweep (manifest
+  placement + per-shard fsck) for a shard directory — TTL-cached;
 - every error is a typed JSON envelope
   ``{"request_id": ..., "error": {"code": ..., "message": ...}}`` with
   the matching HTTP status (400/404/405/413/429/431/500/501/503);
@@ -57,11 +57,13 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass
-from typing import IO, ClassVar, Optional, Union
+from typing import IO, ClassVar, Optional
 
-from repro.ctree.diskindex import DiskCTree
-from repro.ctree.parallel import Index, QueryEngine
-from repro.ctree.shards import ShardSet, fsck_shards
+from repro.ctree.diskindex import DEFAULT_CACHE_PAGES
+from repro.ctree.parallel import DEFAULT_CACHE_SIZE, QueryEngine
+# Anything the server can put behind a socket: a single tree (memory or
+# disk) or a sharded partition of one database.
+from repro.ctree.saved import SavedIndex as ServableIndex
 from repro.exceptions import GraphError, ReproError
 from repro.graphs.graph import Graph
 from repro.obs import trace
@@ -81,10 +83,6 @@ from repro.server.protocol import (
 
 __all__ = ["QueryServer", "ServableIndex", "ServerConfig", "ServerThread",
            "SlowQueryLog", "new_request_id", "sanitize_request_id"]
-
-#: Anything the server can put behind a socket: a single tree (memory
-#: or disk) or a sharded partition of one database.
-ServableIndex = Union[Index, ShardSet]
 
 #: Valid K-NN mapping methods (mirrors the CLI's choices).
 _MAPPING_METHODS = ("nbm", "bipartite", "bipartite_unweighted")
@@ -129,9 +127,9 @@ class ServerConfig:
     #: execution); S > 1 shards get one process each instead.
     workers: int = 1
     #: LRU answer-cache capacity of the engine (0 disables caching).
-    cache_size: int = 256
+    cache_size: int = DEFAULT_CACHE_SIZE
     #: Buffer-pool pages per worker disk handle.
-    cache_pages: int = 128
+    cache_pages: int = DEFAULT_CACHE_PAGES
     #: Not a setting: the true wait of an admission timer that is gone.
     #: Goes with benchmarks/spine/workloads.py's read (ROADMAP item 6).
     batch_window: ClassVar[float] = 0.0
@@ -327,19 +325,16 @@ class SlowQueryLog:
 # Health probing
 # ----------------------------------------------------------------------
 class HealthProbe:
-    """The ``/healthz`` backend: a cheap integrity probe, TTL-cached.
+    """The ``/healthz`` backend: the index's own integrity probe,
+    TTL-cached.
 
-    For a disk-backed index the probe runs a non-deep
-    :meth:`DiskCTree.fsck <repro.ctree.diskindex.DiskCTree.fsck>`
-    against the page file (checksums, free list, reachability, closure
-    containment) on its own executor thread, so a slow probe never
-    blocks query serving.  For a :class:`~repro.ctree.shards.ShardSet`
-    backed by a shard directory it runs
-    :func:`~repro.ctree.shards.fsck_shards` — the placement manifest
-    check plus one fsck per shard — and reports per-shard cleanliness.
-    For an in-memory tree (or in-memory shard set) it verifies the
-    basic shape invariants (non-negative size, positive height on
-    non-empty trees).  The result is cached for ``ttl`` seconds.
+    What is checked belongs to the index kind (``index.health()``): a
+    non-deep :meth:`DiskCTree.fsck
+    <repro.ctree.diskindex.DiskCTree.fsck>` of the page file, the full
+    :func:`~repro.ctree.shards.fsck_shards` sweep of a shard directory,
+    the shape invariants of an in-memory tree.  The probe runs on its
+    own executor thread, so a slow one never blocks query serving, and
+    its result is cached for ``ttl`` seconds.
     """
 
     def __init__(self, index: ServableIndex, ttl: float = 5.0,
@@ -354,65 +349,7 @@ class HealthProbe:
     def _probe(self) -> tuple[bool, dict]:
         """Run the actual check (blocking; called on an executor)."""
         self._registry.counter("server.healthz.probes").inc()
-        if isinstance(self.index, ShardSet):
-            return self._probe_shards()
-        if isinstance(self.index, DiskCTree):
-            if self.index.path is None:
-                return True, {"probe": "none",
-                              "note": "disk index has no stable path"}
-            try:
-                report = DiskCTree.fsck(self.index.path)
-            except ReproError as exc:
-                return False, {"probe": "fsck", "errors": [str(exc)]}
-            payload = {
-                "probe": "fsck",
-                "clean": report.clean,
-                "pages": report.pages,
-                "graphs": report.graphs,
-                "generation": report.generation,
-            }
-            if report.errors:
-                payload["errors"] = list(report.errors)
-            return report.clean, payload
-        healthy = (len(self.index) >= 0
-                   and (len(self.index) == 0 or self.index.height() >= 1))
-        return healthy, {"probe": "memory", "graphs": len(self.index)}
-
-    def _probe_shards(self) -> tuple[bool, dict]:
-        """Health of a :class:`~repro.ctree.shards.ShardSet`: the full
-        :func:`~repro.ctree.shards.fsck_shards` sweep for a shard
-        directory, a per-shard shape check for in-memory shards."""
-        sset = self.index
-        if sset.is_disk and sset.directory is not None:
-            try:
-                report = fsck_shards(sset.directory)
-            except ReproError as exc:
-                return False, {"probe": "fsck_shards",
-                               "errors": [str(exc)]}
-            payload = {
-                "probe": "fsck_shards",
-                "clean": report.clean,
-                "shards": report.shard_count,
-                "graphs": report.total_graphs,
-                "shard_clean": [r.clean for r in report.reports],
-            }
-            errors = list(report.errors)
-            for shard_report in report.reports:
-                errors.extend(shard_report.errors)
-            if errors:
-                payload["errors"] = errors
-            return report.clean, payload
-        healthy = all(
-            shard.tree is not None
-            and (len(shard.tree) == 0 or shard.tree.height() >= 1)
-            for shard in sset.shards
-        )
-        return healthy, {
-            "probe": "memory",
-            "shards": sset.shard_count,
-            "graphs": len(sset),
-            "shard_sizes": sset.shard_sizes(),
-        }
+        return self.index.health()
 
     async def check(self, executor) -> tuple[bool, dict]:
         """The (possibly cached) health verdict and its detail payload."""
@@ -569,7 +506,7 @@ class QueryServer:
         async def _run():
             await self.start()
             print(f"repro serve: http://{self.config.host}:{self.port} "
-                  f"({self._describe_index()}, {self._describe_workers()})",
+                  f"({self.index.summary()}, {self._describe_workers()})",
                   flush=True)
             try:
                 await asyncio.Event().wait()
@@ -613,14 +550,6 @@ class QueryServer:
         if not ready.wait(timeout=30):
             raise ReproError("server failed to start within 30s")
         return ServerThread(self, thread, box["loop"], box["stop"])
-
-    def _describe_index(self) -> str:
-        if isinstance(self.index, ShardSet):
-            backend = "disk" if self.index.is_disk else "memory"
-            return (f"sharded {backend} index, "
-                    f"S={self.index.shard_count}, |D|={len(self.index)}")
-        kind = "disk" if isinstance(self.index, DiskCTree) else "memory"
-        return f"{kind} index, |D|={len(self.index)}"
 
     def _describe_workers(self) -> str:
         """The engine's real process count, and whether the configured
@@ -752,20 +681,9 @@ class QueryServer:
     # Endpoints
     # ------------------------------------------------------------------
     async def _handle_info(self, request, writer, peer_id) -> None:
-        if isinstance(self.index, ShardSet):
-            index_info = {"kind": "sharded", **self.index.describe()}
-        else:
-            index_info = {
-                "kind": "disk" if isinstance(self.index, DiskCTree)
-                        else "memory",
-                "graphs": len(self.index),
-            }
-        if isinstance(self.index, DiskCTree):
-            index_info["generation"] = self.index.generation
-            index_info["height"] = self.index.height
         await self._respond(writer, 200, {
             "service": "repro-ctree",
-            "index": index_info,
+            "index": {"kind": self.index.kind, **self.index.describe()},
             "workers": self.engine.workers,
             "endpoints": ["/", "/healthz", "/metrics", "/query", "/knn"],
         }, keep_alive=request.keep_alive, request_id=request.request_id)
@@ -774,7 +692,7 @@ class QueryServer:
         healthy, detail = await self.health.check(None)
         payload = {
             "status": "ok" if healthy else "unhealthy",
-            "index": self._describe_index(),
+            "index": self.index.summary(),
             **detail,
         }
         await self._respond(writer, 200 if healthy else 503, payload,

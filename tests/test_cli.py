@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -377,3 +379,229 @@ class TestObservabilityCommands:
         payload = json.loads(capsys.readouterr().out)
         # cumulative counts cover both runs (and any earlier in-process ones)
         assert payload["ctree.query.count"]["value"] >= 2
+
+
+# ----------------------------------------------------------------------
+# One way in: every index kind behind -t, shared flags declared once
+# ----------------------------------------------------------------------
+_DATA = Path(__file__).parent / "data"
+
+
+def _first_line(capsys) -> str:
+    return capsys.readouterr().out.splitlines()[0]
+
+
+class TestShardedCli:
+    """The sharded surface answers what the single tree answers."""
+
+    @pytest.fixture(scope="class")
+    def golden(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cli-shards")
+        db = _DATA / "golden_chem.jsonl"
+        single, shards = root / "single.ctp", root / "idx.shards"
+        assert main(["build", "-i", str(db), "-o", str(single),
+                     "--min-fanout", "3"]) == 0
+        assert main(["shard", "--create", "-d", str(shards), "-i", str(db),
+                     "--shards", "3", "--min-fanout", "3"]) == 0
+        cases = json.loads((_DATA / "golden_answers.json").read_text())
+        return single, shards, len(load_graph_database(db)), cases["subgraph"]
+
+    def test_create_reports_and_stats(self, golden, tmp_path, capsys):
+        _, shards, n, _ = golden
+        out = tmp_path / "again.shards"
+        assert main(["shard", "--create", "-d", str(out),
+                     "-i", str(_DATA / "golden_chem.jsonl"),
+                     "--shards", "2", "--min-fanout", "3"]) == 0
+        assert f"wrote 2 shards over {n} graphs in" in capsys.readouterr().out
+        assert main(["shard", "--stats", "-d", str(shards)]) == 0
+        text = capsys.readouterr().out
+        assert f"{n} graphs over 3 shards (disk backend)" in text
+        assert text.count("x the even share") == 3
+        assert main(["shard", "--stats", "-d", str(shards), "--json"]) == 0
+        desc = json.loads(capsys.readouterr().out)
+        assert desc["shards"] == 3 and sum(desc["shard_sizes"]) == n
+        assert "placement" not in desc
+
+    def test_query_equals_single_tree(self, golden, capsys):
+        single, shards, _, cases = golden
+        for case in cases:
+            query = json.dumps(case["query"])
+            want = f"answers: {sorted(case['answers'])}"
+            for argv in (["-t", str(single)], ["-t", str(shards)],
+                         ["-t", str(single), "--shards", "2"]):
+                assert main(["query", *argv, "-q", query]) == 0
+                assert _first_line(capsys) == want
+
+    def test_knn_equals_single_tree_similarities(self, golden, capsys):
+        single, shards, _, cases = golden
+        query = json.dumps(cases[0]["query"])
+        sims = []
+        for index in (single, shards):
+            assert main(["knn", "-t", str(index), "-q", query,
+                         "-k", "4"]) == 0
+            sims.append([line.split("sim=")[1] for line in
+                         capsys.readouterr().out.splitlines()
+                         if "sim=" in line])
+        assert sims[0] == sims[1] and len(sims[0]) == 4
+
+    def test_explain_info_fsck(self, golden, capsys):
+        _, shards, n, cases = golden
+        assert main(["explain", "-t", str(shards),
+                     "-q", json.dumps(cases[0]["query"])]) == 0
+        assert f"subgraph query over {n} graphs" in capsys.readouterr().out
+        assert main(["info", "-i", str(shards)]) == 0
+        assert _first_line(capsys) == \
+            f"sharded disk index: |D|={n} shards=3"
+        assert main(["fsck", "-i", str(shards)]) == 0
+        assert f"clean, 3 shards, {n} graphs" in capsys.readouterr().out
+
+    def test_range_needs_a_single_tree(self, golden):
+        _, shards, _, cases = golden
+        with pytest.raises(SystemExit, match="need a single-tree index"):
+            main(["range", "-t", str(shards), "--cache-pages", "16",
+                  "-q", json.dumps(cases[0]["query"]), "-r", "5"])
+
+    def test_manifest_naming_closure_placement_still_opens(
+            self, golden, tmp_path, capsys):
+        """A directory from before round-robin became the one placement:
+        its manifest says "closure" and its id lists are not round-
+        robin.  Only the lists are read."""
+        from repro.ctree.bulkload import bulk_load
+        from repro.ctree.diskindex import DiskCTree
+
+        _, _, n, cases = golden
+        db = load_graph_database(_DATA / "golden_chem.jsonl")
+        old = tmp_path / "old.shards"
+        old.mkdir()
+        lists = [list(range(n // 2)), list(range(n // 2, n))]
+        for s, gids in enumerate(lists):
+            DiskCTree.create(bulk_load([db[g] for g in gids], min_fanout=3),
+                             old / f"shard-{s:03d}.ctp").close()
+        (old / "manifest.json").write_text(json.dumps({
+            "schema": "ctree-shards-v1", "placement": "closure",
+            "mapping_method": "nbm", "min_fanout": 3, "total_graphs": n,
+            "shards": [{"file": f"shard-{s:03d}.ctp", "graphs": gids}
+                       for s, gids in enumerate(lists)],
+        }))
+        case = cases[0]
+        assert main(["query", "-t", str(old),
+                     "-q", json.dumps(case["query"])]) == 0
+        assert _first_line(capsys) == f"answers: {sorted(case['answers'])}"
+        assert main(["fsck", "-i", str(old)]) == 0
+        assert "clean, 2 shards" in capsys.readouterr().out
+
+
+class TestDirectoryWithoutManifest:
+    """A directory that is not a shard directory is a one-line error,
+    not an ``IsADirectoryError`` traceback."""
+
+    QUERY = json.dumps({"labels": ["C", "C"], "edges": [[0, 1]]})
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "-q", QUERY, "-t"],
+        ["info", "-i"],
+        ["fsck", "-i"],
+        ["serve", "--port", "0", "-t"],
+    ], ids=["query", "info", "fsck", "serve"])
+    def test_one_line_error(self, argv, tmp_path, capsys):
+        assert main([*argv, str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "not a shard directory: no manifest.json" in \
+            captured.out + captured.err
+
+
+class TestNamesLoadOnlyAnswers:
+    """Counts, not times (cf. ``TestGoldenWork``): printing the names of
+    the returned graphs loads those graph records, not the database."""
+
+    @pytest.fixture()
+    def graph_loads(self, monkeypatch):
+        from repro.ctree.store import PagedNodeStore
+
+        loads = []
+        load_graph = PagedNodeStore.load_graph
+        monkeypatch.setattr(
+            PagedNodeStore, "load_graph",
+            lambda self, entry: loads.append(entry.graph_id)
+            or load_graph(self, entry))
+        return loads
+
+    def test_knn_and_range(self, workspace, graph_loads, capsys):
+        from repro.ctree import DiskCTree, knn_query, range_query
+
+        _, db, _, disk = workspace
+        graphs = load_graph_database(db)
+        probe = json.dumps(graphs[0].to_dict())
+        with DiskCTree.open(disk) as index:
+            _, knn_stats = knn_query(index, graphs[0], 3)
+            in_range, range_stats = range_query(index, graphs[0], 30.0)
+        assert 0 < len(in_range) < len(graphs)
+
+        del graph_loads[:]
+        assert main(["knn", "-t", str(disk), "-q", probe, "-k", "3"]) == 0
+        assert len(graph_loads) <= knn_stats.graphs_scored + 3
+        del graph_loads[:]
+        assert main(["range", "-t", str(disk), "-q", probe,
+                     "-r", "30"]) == 0
+        assert len(graph_loads) <= range_stats.graphs_scored + len(in_range)
+        assert capsys.readouterr().out.count("compound-") >= len(in_range)
+
+
+class TestParser:
+    INDEX_COMMANDS = ("append", "delete", "compact", "query", "knn",
+                      "range", "explain", "metrics", "serve")
+
+    def _subparsers(self):
+        from repro.cli import build_parser
+
+        action = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_index_flags_are_shared(self):
+        """Every subcommand that opens an index takes -t and
+        --cache-pages, with one default (trace's -t is optional)."""
+        from repro.ctree.diskindex import DEFAULT_CACHE_PAGES
+
+        choices = self._subparsers()
+        for name in self.INDEX_COMMANDS + ("trace",):
+            by_flag = {flag: a for a in choices[name]._actions
+                       for flag in a.option_strings}
+            assert by_flag["-t"].dest == "tree", name
+            assert by_flag["-t"].required == (name != "trace"), name
+            assert by_flag["--cache-pages"].default == DEFAULT_CACHE_PAGES
+
+    def test_serve_defaults_are_server_config(self):
+        """The parser re-types no default: flags left out fall through
+        to ``ServerConfig``, flags given land on the field they name."""
+        from repro.cli import _server_config
+        from repro.server import ServerConfig
+
+        serve = self._subparsers()["serve"]
+        assert _server_config(serve.parse_args(["-t", "x.ctp"])) == \
+            ServerConfig()
+        given = _server_config(serve.parse_args([
+            "-t", "x.ctp", "--host", "0.0.0.0", "--port", "0",
+            "--workers", "2", "--cache-size", "3", "--cache-pages", "4",
+            "--max-batch", "5", "--client-cap", "6",
+            "--stream-threshold", "7", "--healthz-ttl", "8",
+            "--slow-query-log", "slow.ndjson",
+            "--slow-query-seconds", "9", "--slow-query-rate", "0.5"]))
+        assert given == ServerConfig(
+            host="0.0.0.0", port=0, workers=2, cache_size=3, cache_pages=4,
+            max_batch=5, client_cap=6, stream_threshold=7, healthz_ttl=8.0,
+            slow_query_path="slow.ndjson", slow_query_seconds=9.0,
+            slow_query_rate=0.5)
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "-t", "x.ctp", "-i", "q.jsonl"],
+        ["query", "-t", "x.ctp", "-q", "{}", "--placement", "hash"],
+        ["serve", "-t", "x.ctp", "--placement", "closure"],
+        ["shard", "--create", "-d", "d", "-i", "db.jsonl",
+         "--placement", "closure"],
+    ], ids=["bench", "query", "serve", "shard"])
+    def test_deleted_surface_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err

@@ -176,13 +176,11 @@ class TestEngineContract:
                 DiskCTree.open(golden_disk_path, cache_pages=32)
             parts = [index]
         elif backend == "memory":
-            index = ShardSet.build_memory(golden_db, shards, "hash",
-                                          min_fanout=3)
+            index = ShardSet.build_memory(golden_db, shards, min_fanout=3)
             parts = index.open_local()
         else:
             ShardSet.create(golden_db, tmp_path / "idx.shards",
-                            shards=shards, placement="hash", min_fanout=3,
-                            page_size=512)
+                            shards=shards, min_fanout=3, page_size=512)
             index = ShardSet.open(tmp_path / "idx.shards")
             parts = index.open_local(cache_pages=32)
 

@@ -18,13 +18,12 @@ from repro.ctree.shards import Shard, ShardSet, merge_knn, merge_subgraph
 
 def _make_shardset(assignment):
     """A ShardSet whose shard ``s`` holds the global ids assigned to it
-    (ascending, as the placement functions guarantee)."""
+    (ascending, as the placement function guarantees)."""
     shard_count = max(assignment) + 1
     gid_lists = [[] for _ in range(shard_count)]
     for gid, s in enumerate(assignment):
         gid_lists[s].append(gid)
-    return ShardSet([Shard(gids=gids) for gids in gid_lists],
-                    placement="hash")
+    return ShardSet([Shard(gids=gids) for gids in gid_lists])
 
 
 # Similarities drawn from a tiny integer set force many boundary ties —
