@@ -1,7 +1,8 @@
 """HTTP serving benchmark: concurrent clients through the coalescer.
 
-Replays a skewed query log (the same workload shape as
-``bench_engine.py``) against a live :class:`~repro.server.QueryServer`
+Replays a skewed query log (Zipf-repeated queries,
+:func:`~repro.experiments.subgraph_experiments.skewed_query_log`)
+against a live :class:`~repro.server.QueryServer`
 from N concurrent HTTP clients and gates on the serving layer's two
 core promises:
 

@@ -30,7 +30,6 @@ from repro.experiments.config import (
     KnnExperimentConfig,
     MappingQualityConfig,
     SubgraphExperimentConfig,
-    ThroughputExperimentConfig,
 )
 from repro.experiments.reporting import format_series_table, series_to_dict
 from repro.experiments.subgraph_experiments import run_query_sweep
@@ -80,20 +79,6 @@ KNN = KnnExperimentConfig(
     database_size=150, ks=(1, 2, 5, 10, 25, 50), queries=8, min_fanout=10,
     seed=13,
 )
-
-#: Batched-serving workload (bench_engine.py -> BENCH_engine.json).
-ENGINE = ThroughputExperimentConfig(
-    database_size=150,
-    unique_queries=20,
-    batch_size=150,
-    query_size=8,
-    min_fanout=10,
-    workers=(1, 2, 4),
-    cache_size=256,
-    seed=7,
-)
-ENGINE_BENCH_JSON = REPO_ROOT / "BENCH_engine.json"
-ENGINE_BENCH_SCHEMA = "engine-bench-v1"
 
 
 @dataclass(frozen=True)
@@ -209,7 +194,7 @@ def pytest_addoption(parser):
 
 def pytest_configure(config):
     global _QUICK, CHEM_SWEEP, SYNTH_SWEEP, INDEX_SIZE, MAPPING_QUALITY, KNN
-    global ENGINE, SERVER, CHURN, SHARDS
+    global SERVER, CHURN, SHARDS
     if not config.getoption("--quick", default=False):
         return
     _QUICK = True
@@ -229,10 +214,6 @@ def pytest_configure(config):
         MAPPING_QUALITY, group_size=10, database_size=60
     )
     KNN = replace(KNN, database_size=60, ks=(1, 2, 5, 10), queries=3)
-    ENGINE = replace(
-        ENGINE, database_size=60, unique_queries=6, batch_size=30,
-        workers=(1, 2),
-    )
     SERVER = replace(
         SERVER, database_size=60, unique_queries=6, requests=30,
         clients=4,
@@ -312,19 +293,6 @@ def validate_figures_payload(payload: dict) -> str:
     return f"BENCH_ctree.json OK: {sorted(figures)}"
 
 
-def validate_engine_payload(payload: dict) -> str:
-    """Gate BENCH_engine.json: identical answers at every worker
-    count."""
-    _require(bool(payload["runs"]), "no engine runs recorded")
-    _require(all(run["identical"] for run in payload["runs"]),
-             "engine answers diverged from the serial loop")
-    _require(payload["gate"]["identical_all"] is True,
-             "identical_all gate not set")
-    return (f"BENCH_engine.json OK: "
-            f"{[run['workers'] for run in payload['runs']]} workers, "
-            f"best speedup {payload['gate']['achieved_speedup']:.2f}x")
-
-
 def validate_server_payload(payload: dict) -> str:
     """Gate BENCH_server.json: identical answers, every request either
     admitted or answered from the cache before admission, batching under
@@ -397,7 +365,6 @@ def validate_shards_payload(payload: dict) -> str:
 #: the single source of truth for what each telemetry file must prove.
 BENCH_VALIDATORS = {
     BENCH_JSON.name: (BENCH_SCHEMA, validate_figures_payload),
-    ENGINE_BENCH_JSON.name: (ENGINE_BENCH_SCHEMA, validate_engine_payload),
     SERVER_BENCH_JSON.name: (SERVER_BENCH_SCHEMA, validate_server_payload),
     CHURN_BENCH_JSON.name: (CHURN_BENCH_SCHEMA, validate_churn_payload),
     SHARDS_BENCH_JSON.name: (SHARDS_BENCH_SCHEMA, validate_shards_payload),

@@ -6,9 +6,8 @@ Gives the library's main workflows a shell-level surface:
 - ``build``    — build a C-tree over a database and save it (JSON snapshot
   or a page-file disk index);
 - ``query``    — run a subgraph query (or a JSONL batch of them, with
-  ``--batch``/``--workers``) against a saved index; ``--shards S`` (or
-  a shard directory as the index) answers from S partitions, one
-  process each;
+  ``--batch``/``--workers``) against a saved index; a shard directory
+  as the index answers from its S partitions, one process each;
 - ``shard``    — partition a database round-robin into a directory of
   per-shard ``.ctp`` indexes plus a placement manifest (``--create``),
   or summarize one (``--stats``);
@@ -80,6 +79,14 @@ def _parse_level(text: str):
     return text if text == "max" else int(text)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of ``-k``: what ``POST /knn`` accepts as ``k``."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _load_query_graph(spec: str) -> Graph:
     """Parse a query graph: inline JSON or ``@path/to/file.json``."""
     if spec.startswith("@"):
@@ -109,18 +116,6 @@ def _opened_for_write(args):
         yield disk
 
 
-def _maybe_shard(index, shards: int):
-    """Re-partition a single-tree index when ``--shards S`` asks for it.
-
-    A shard directory is already partitioned; otherwise ``S > 1``
-    builds an in-memory partition over the open index (the original
-    handle stays owned by — and is closed by — the caller).
-    """
-    if shards <= 1 or index.kind == "sharded":
-        return index
-    return ShardSet.from_index(index, shards)
-
-
 def _answer(args, index, knn: bool = False):
     """The ``-q`` query — subgraph, or K-NN with ``-k`` — against an open
     index of any kind, through the engine: ``(answers, stats)``."""
@@ -133,10 +128,9 @@ def _answer(args, index, knn: bool = False):
 
 
 def _names(index, graph_ids) -> dict[int, str]:
-    """Display names of the given graphs, loading those graphs only:
-    ``graph-<id>`` for an unnamed one — and for all of them over a shard
-    set, which holds the id placement but no graphs."""
-    found = {} if index.kind == "sharded" else index.find_graphs(graph_ids)
+    """Display names of the given graphs, loading those graphs only;
+    ``graph-<id>`` for an unnamed one."""
+    found = index.find_graphs(graph_ids)
     return {gid: (found[gid].name if gid in found else None)
             or f"graph-{gid}" for gid in graph_ids}
 
@@ -258,8 +252,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     if bool(args.query) == bool(args.batch):
         raise SystemExit("error: provide exactly one of -q/--query "
                          "or --batch")
-    with _opened(args) as base:
-        index = _maybe_shard(base, args.shards)
+    with _opened(args) as index:
         if args.batch:
             return _run_query_batch(args, index)
         answers, stats = _answer(args, index)
@@ -512,9 +505,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.server import QueryServer
 
     # The server never writes, hence read_only.
-    with _opened(args, read_only=True) as base:
-        QueryServer(_maybe_shard(base, args.shards),
-                    _server_config(args)).serve_forever()
+    with _opened(args, read_only=True) as index:
+        QueryServer(index, _server_config(args)).serve_forever()
     return 0
 
 
@@ -630,11 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="pseudo-iso level (int or 'max')")
     query_opts.add_argument("--no-verify", action="store_true",
                             help="return unverified candidates")
-    shards = _flags()
-    shards.add_argument("--shards", type=int, default=1,
-                        help="re-partition the index into S in-memory "
-                             "shards, one engine process each (a shard "
-                             "directory as -t implies this)")
     seed = _flags()
     seed.add_argument("--seed", type=int, default=0,
                       help="RNG seed (default 0)")
@@ -647,6 +634,9 @@ def build_parser() -> argparse.ArgumentParser:
     one_query = _flags()
     one_query.add_argument("-q", "--query", required=True,
                            help="query graph as JSON, or @file.json")
+    neighbors = _flags()
+    neighbors.add_argument("-k", type=_positive_int, default=5,
+                           help="neighbors K (default %(default)s)")
     check = _flags()
     check.add_argument("-i", "--input", required=True,
                        help="*.ctp disk index (fsck: or a shard directory "
@@ -709,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="height trigger tolerance above the bulk-load "
                         f"height (default {DEFAULT_HEIGHT_SLACK})")
 
-    p = command("query", cmd_query, index, query_opts, shards,
+    p = command("query", cmd_query, index, query_opts,
                 help="subgraph query against a saved index")
     p.add_argument("-q", "--query",
                    help="query graph as JSON, or @file.json")
@@ -721,10 +711,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="batch mode: LRU answer-cache capacity "
                         "(0 disables caching and deduplication)")
 
-    p = command("knn", cmd_knn, index, one_query,
-                help="K nearest neighbors of a query graph (shards answer "
-                     "in canonical (-similarity, id) tie order)")
-    p.add_argument("-k", type=int, default=5)
+    command("knn", cmd_knn, index, one_query, neighbors,
+            help="K nearest neighbors of a query graph (shards answer "
+                 "in canonical (-similarity, id) tie order)")
 
     p = command("range", cmd_range, index, one_query,
                 help="graphs within an edit-distance radius "
@@ -755,14 +744,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the flame-style per-phase summary")
 
     p = command(
-        "explain", cmd_explain, index, query_opts, one_query,
+        "explain", cmd_explain, index, query_opts, one_query, neighbors,
         help="run one query and print its EXPLAIN profile "
              "(per-level pruning, verification cost, page I/O)",
     )
     p.add_argument("--knn", action="store_true",
                    help="profile a k-NN query instead of a subgraph query")
-    p.add_argument("-k", type=int, default=5,
-                   help="neighbors for --knn (default 5)")
     p.add_argument("--json", action="store_true",
                    help="print the raw profile as JSON")
 
@@ -777,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Each flag's dest is the ServerConfig field it sets, and none has a
     # default here: one left out is left to ServerConfig (_server_config).
-    p = command("serve", cmd_serve, index, shards,
+    p = command("serve", cmd_serve, index,
                 argument_default=argparse.SUPPRESS,
                 help="HTTP server over a saved index (see docs/SERVING.md)")
     p.add_argument("--host", help="bind address")
@@ -819,7 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the shard directory (created by --create)")
     p.add_argument("-i", "--input",
                    help="JSONL database to partition (--create)")
-    # Not the on-the-fly --shards above: how many page files to write.
     p.add_argument("--shards", type=int, default=4,
                    help="number of shards S (default 4); graphs are "
                         "placed round-robin by id")

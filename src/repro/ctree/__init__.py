@@ -29,7 +29,6 @@ from repro.ctree.saved import fsck_index, index_kind, open_index
 from repro.ctree.similarity_query import (
     closure_distance_lower_bound,
     knn_query,
-    knn_query_many,
     linear_scan_knn,
     range_query,
 )
@@ -37,7 +36,6 @@ from repro.ctree.stats import KnnStats, QueryStats
 from repro.ctree.subgraph_query import (
     linear_scan_subgraph_query,
     subgraph_query,
-    subgraph_query_many,
 )
 from repro.ctree.tree import CTree
 
@@ -64,7 +62,6 @@ __all__ = [
     "index_kind",
     "index_size_bytes",
     "knn_query",
-    "knn_query_many",
     "linear_scan_knn",
     "linear_scan_subgraph_query",
     "load_tree",
@@ -74,7 +71,6 @@ __all__ = [
     "range_query",
     "save_tree",
     "subgraph_query",
-    "subgraph_query_many",
     "tree_from_dict",
     "tree_to_dict",
 ]

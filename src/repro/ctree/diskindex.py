@@ -63,10 +63,9 @@ from repro.obs import trace
 from repro.obs.metrics import global_registry
 from repro.ctree.node import CTreeNode
 from repro.ctree.similarity_query import knn_query
+from repro.ctree.stats import DiskKnnStats, DiskQueryStats
 from repro.ctree.store import (
     BAD_RECORD,
-    DiskKnnStats,
-    DiskQueryStats,
     PagedNodeStore,
     decode_graph,
     decode_node,

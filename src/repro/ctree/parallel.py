@@ -246,10 +246,8 @@ class QueryEngine:
     index:
         A built :class:`~repro.ctree.tree.CTree`, an open
         :class:`~repro.ctree.diskindex.DiskCTree`, or a
-        :class:`~repro.ctree.shards.ShardSet` (build one over an open
-        index with :meth:`ShardSet.from_index
-        <repro.ctree.shards.ShardSet.from_index>`).  A shard set
-        answers in the canonical forms of the module docstring.
+        :class:`~repro.ctree.shards.ShardSet`, which answers in the
+        canonical forms of the module docstring.
     workers:
         Processes in the pool of a single-partition index; ``1``
         executes in-process.  Unused over S > 1 shards, which get one
@@ -326,7 +324,6 @@ class QueryEngine:
         #: bumped by refresh(); rides on every task so pre-forked disk
         #: workers know when to swap their read-only handle
         self._epoch = 0
-        self._refresh_hooks: list = []
         self.last_batch: Optional[BatchReport] = None
         self._fork_ok = (
             "fork" in multiprocessing.get_all_start_methods()
@@ -445,10 +442,7 @@ class QueryEngine:
         a pool restart.  **In-memory** partitions are shared by
         fork-time copy-on-write, so their pools are respawned
         immediately (the new workers re-inherit the trees as they now
-        exist) and the next query never pays the fork.  Hooks
-        registered via :meth:`on_refresh` run last — the HTTP server
-        uses this to invalidate anything it derived from the old index
-        generation.
+        exist) and the next query never pays the fork.
         """
         with self._cache_lock:
             self._cache.clear()
@@ -457,12 +451,6 @@ class QueryEngine:
         if self._pools is not None and not self._disk:
             self._close_pools()
             self._ensure_pools()
-        for hook in self._refresh_hooks:
-            hook(self)
-
-    def on_refresh(self, hook) -> None:
-        """Register ``hook(engine)`` to run after every :meth:`refresh`."""
-        self._refresh_hooks.append(hook)
 
     def close(self) -> None:
         """Reap the worker pools and the in-process handles the engine

@@ -108,11 +108,9 @@ class ShardSet:
     every global graph id to exactly one of them.
 
     Build one with :meth:`build_memory` (per-shard in-memory trees),
-    :meth:`from_index` (the same, over an already-open index — what
-    ``--shards S`` does), :meth:`create` (a directory of per-shard
-    ``.ctp`` page files plus ``manifest.json`` — the persistent form
-    ``repro shard --create`` writes), or :meth:`open` (reattach to such
-    a directory).
+    :meth:`create` (a directory of per-shard ``.ctp`` page files plus
+    ``manifest.json`` — the persistent form ``repro shard --create``
+    writes), or :meth:`open` (reattach to such a directory).
 
     A ``ShardSet`` is accepted anywhere the serving stack accepts an
     index: :class:`~repro.ctree.parallel.QueryEngine` queries it,
@@ -226,35 +224,6 @@ class ShardSet:
         return cls(built, manifest.get("mapping_method", "nbm"),
                    directory=directory)
 
-    @classmethod
-    def from_index(
-        cls,
-        index: Union[CTree, DiskCTree],
-        shards: int,
-        min_fanout: int = 20,
-        mapping_method: str = "nbm",
-    ) -> "ShardSet":
-        """Re-partition an already-open single-tree index into an
-        in-memory shard set (the CLI's ``--shards S``).
-
-        Graphs are taken from the index in id order, so global ids are
-        preserved; for a disk index the partition is built over the
-        *stored* (round-tripped) graphs, keeping similarity values
-        consistent with what the single disk tree itself would compute.
-        """
-        stored = sorted(index.iter_graphs())
-        if not stored:
-            raise ConfigError("cannot shard an empty index")
-        gids = [gid for gid, _ in stored]
-        if gids != list(range(len(gids))):
-            raise ConfigError(
-                "sharding requires dense graph ids 0..n-1 "
-                "(compact the index first)"
-            )
-        return cls.build_memory([g for _, g in stored], shards,
-                                min_fanout=min_fanout,
-                                mapping_method=mapping_method)
-
     # -- introspection -------------------------------------------------
     @staticmethod
     def _read_manifest(directory: str) -> dict:
@@ -350,6 +319,24 @@ class ShardSet:
             "graphs": len(self),
             "shard_sizes": self.shard_sizes(),
         }
+
+    def find_graphs(self, graph_ids) -> dict[int, Graph]:
+        """The stored graphs with the given global ids; only the shards
+        the manifest places one of them on are read."""
+        wanted = set(graph_ids)
+        found: dict[int, Graph] = {}
+        for shard in self.shards:
+            held = {local: gid for local, gid in enumerate(shard.gids)
+                    if gid in wanted}
+            if not held:
+                continue
+            if shard.tree is not None:
+                graphs = shard.tree.find_graphs(held)
+            else:
+                with DiskCTree.open_read_only(shard.path) as tree:
+                    graphs = tree.find_graphs(held)
+            found.update((held[local], g) for local, g in graphs.items())
+        return found
 
     def close(self) -> None:
         """Nothing to release: a set holds placement, not handles (those

@@ -185,26 +185,6 @@ def _knn_search(
     return results
 
 
-def knn_query_many(
-    tree: CTreeCore,
-    queries: list[Graph],
-    k: int,
-    mapping_method: str = "nbm",
-    workers: int = 1,
-    cache_size: int = 256,
-) -> list[tuple[list[tuple[int, float]], KnnStats]]:
-    """Answer a batch of K-NN queries through the batched engine.
-
-    One-shot convenience wrapper over
-    :class:`~repro.ctree.parallel.QueryEngine`; results are identical
-    to the serial per-query loop at every ``workers``.
-    """
-    from repro.ctree.parallel import QueryEngine
-
-    with QueryEngine(tree, workers=workers, cache_size=cache_size) as engine:
-        return engine.knn_many(queries, k, mapping_method=mapping_method)
-
-
 def range_query(
     tree: CTreeCore,
     query: Graph,

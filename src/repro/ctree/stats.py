@@ -1,19 +1,25 @@
-"""Query statistics counters (Table 1 notation).
+"""Query statistics records (Table 1 notation).
 
-Every query processor fills a :class:`QueryStats`; the experiment harness
-aggregates them into the paper's reported quantities: candidate set size
-``|CS|``, answer set size ``|Ans|``, accuracy ``|Ans|/|CS|``, access ratio
-``γ = R / |D|``, and search/verification time split.  The per-level
-``x(i)``/``y(i)`` counts feed the Section 6.3 cost model.
+Every query processor fills a :class:`QueryStats` (or, for K-NN and range
+queries, a :class:`KnnStats`); the experiment harness aggregates them into
+the paper's reported quantities: candidate set size ``|CS|``, answer set
+size ``|Ans|``, accuracy ``|Ans|/|CS|``, access ratio ``γ = R / |D|``, and
+search/verification time split.  The per-level ``x(i)``/``y(i)`` counts
+feed the Section 6.3 cost model.
 
-Stats objects are thin attribute views over a per-instance
-:class:`~repro.obs.metrics.MetricsRegistry`: reading ``stats.pseudo_tests``
-reads the registry counter ``ctree.query.pseudo_tests`` and ``+=`` writes
-it back, so the same numbers are available both as plain attributes (the
-historical API, unchanged) and as a metrics snapshot
-(``stats.registry.snapshot()`` / ``stats.to_dict()``).  Query processors
-call :meth:`publish` on completion to fold a query's counters into the
-process-wide registry that ``repro metrics`` reports.
+A stats object is one plain slotted record: its counters are ordinary
+attributes declared once, in the class's ``_FIELDS`` tuple, so
+``stats.pseudo_tests += 1`` in Alg. 3 is an attribute store and a record
+pickles across the engine's fork pools as its values.  Page I/O is two
+optional fields (``page_hits`` / ``page_misses``): ``None`` on a record
+from an in-memory index, filled in by the paged node store's
+:meth:`~repro.ctree.store.PagedNodeStore.metered` on one from a disk
+index, and present in :meth:`to_dict <QueryStats.to_dict>` /
+:meth:`explain <QueryStats.explain>` only then.  Query processors call
+:meth:`publish <QueryStats.publish>` on completion to fold the record into
+the one process-wide registry (:func:`repro.obs.metrics.global_registry`)
+that ``repro metrics`` and ``GET /metrics`` report, under the metric names
+``ctree.query.<field>`` / ``ctree.knn.<field>``.
 
 .. _gamma-accounting:
 
@@ -38,111 +44,166 @@ from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry, global_registry
 
-
-class CounterField:
-    """A descriptor exposing a registry counter as a plain attribute.
-
-    ``obj.field`` reads ``obj.registry.counter(metric).value``;
-    assignment (including ``+=``) writes it back.  This is what makes a
-    stats object a *view* over its registry rather than a copy.
-    """
-
-    __slots__ = ("metric",)
-
-    def __init__(self, metric: str) -> None:
-        self.metric = metric
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        return obj.registry.counter(self.metric).value
-
-    def __set__(self, obj, value) -> None:
-        obj.registry.counter(self.metric).value = value
+#: buffer-pool hits and misses a query caused
+_PAGE_IO = ("page_hits", "page_misses")
 
 
-class QueryStats:
-    """Counters for one subgraph-query execution.
+class _StatsRecord:
+    """What the two records share: construction by keyword, merging,
+    the dict / EXPLAIN / registry views, copying and equality, all driven
+    by the class-level field declarations."""
 
-    Constructor keywords mirror the attribute names (the historical
-    dataclass signature); all counter attributes are registry-backed
-    views (see module docstring).
-    """
+    __slots__ = _PAGE_IO
+    #: metric family the record publishes under
+    _PREFIX = ""
+    #: the counters, in ``to_dict`` order; ``database_size`` merges by max
+    #: (and is not published: |D| is a property of the index, not a cost)
+    _FIELDS: tuple = ()
+    #: the counters that are wall-clock seconds (floats; like page I/O,
+    #: they vary with the schedule and not with query logic)
+    _SECONDS: tuple = ()
+    #: properties ``to_dict`` reports after the counters
+    _DERIVED: tuple = ()
+    #: per-depth list fields
+    _LEVELS: tuple = ()
+    #: counters also published as a per-query histogram
+    _HISTOGRAMS: tuple = ()
+    #: what the page I/O fields hold unless given: not counted
+    _PAGE_IO_DEFAULT: Optional[int] = None
 
-    #: total database size |D|
-    database_size = CounterField("ctree.query.database_size")
-    #: children tested against the query histogram
-    histogram_tests = CounterField("ctree.query.histogram_tests")
-    #: children surviving the histogram test (= pseudo-iso tests run); the
-    #: paper's R counts these "visited and tested" nodes and graphs — see
-    #: the γ accounting convention in the module docstring
-    pseudo_tests = CounterField("ctree.query.pseudo_tests")
-    #: children surviving the pseudo test (descended into, or candidates)
-    pseudo_survivors = CounterField("ctree.query.pseudo_survivors")
-    #: internal nodes whose children were scanned
-    nodes_expanded = CounterField("ctree.query.nodes_expanded")
-    candidates = CounterField("ctree.query.candidates")
-    answers = CounterField("ctree.query.answers")
-    #: exact isomorphism tests run in the verification phase
-    isomorphism_tests = CounterField("ctree.query.isomorphism_tests")
-    search_seconds = CounterField("ctree.query.search_seconds")
-    verify_seconds = CounterField("ctree.query.verify_seconds")
+    def __init__(self, **values) -> None:
+        for name in self._FIELDS:
+            setattr(self, name,
+                    values.pop(name, 0.0 if name in self._SECONDS else 0))
+        for name in self._LEVELS:
+            setattr(self, name, list(values.pop(name, None) or ()))
+        for name in _PAGE_IO:
+            setattr(self, name, values.pop(name, self._PAGE_IO_DEFAULT))
+        if values:
+            raise TypeError(f"{type(self).__name__}() got an unexpected "
+                            f"keyword argument {next(iter(values))!r}")
 
-    #: the counter attributes above, in declaration order
-    _COUNTER_FIELDS = (
-        "database_size", "histogram_tests", "pseudo_tests",
-        "pseudo_survivors", "nodes_expanded", "candidates", "answers",
-        "isomorphism_tests", "search_seconds", "verify_seconds",
+    @property
+    def page_hit_ratio(self) -> float:
+        """Fraction of page reads served from the buffer pool."""
+        hits = self.page_hits or 0
+        total = hits + (self.page_misses or 0)
+        return hits / total if total else 0.0
+
+    def merge(self, other) -> None:
+        """Accumulate another query's counters into this one (for
+        averaging across a workload).  Page I/O adds up where both
+        records count it."""
+        for name in self._FIELDS + _PAGE_IO:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine is None or theirs is None:
+                continue
+            setattr(self, name, max(mine, theirs)
+                    if name == "database_size" else mine + theirs)
+
+    def _counters(self) -> dict:
+        """The counters, page I/O after them where it is counted."""
+        out = {name: getattr(self, name) for name in self._FIELDS}
+        if self.page_hits is not None:
+            out.update(page_hits=self.page_hits, page_misses=self.page_misses)
+        return out
+
+    def to_dict(self) -> dict:
+        """All counters, derived ratios, and per-level series as a
+        JSON-able dict."""
+        out = self._counters()
+        for name in self._DERIVED:
+            out[name] = getattr(self, name)
+        for name in self._LEVELS:
+            out[name] = list(getattr(self, name))
+        return out
+
+    def deterministic_dict(self) -> dict:
+        """:meth:`to_dict` minus timing and page-I/O keys — the part of
+        the stats the batched query engine guarantees identical to a
+        serial run at every worker count (page I/O depends on buffer-pool
+        temperature, which depends on the execution schedule)."""
+        out = self.to_dict()
+        for key in (*self._SECONDS, "total_seconds", *_PAGE_IO):
+            out.pop(key, None)
+        return out
+
+    def copy(self):
+        """An independent record with the same values (per-level series
+        copied)."""
+        return type(self)(**{
+            name: getattr(self, name)
+            for name in self._FIELDS + self._LEVELS + _PAGE_IO})
+
+    def _with_page_io(self, profile: dict) -> dict:
+        """``profile`` plus the ``page_io`` block of a disk-backed
+        record."""
+        if self.page_hits is not None:
+            profile["page_io"] = {
+                "hits": self.page_hits,
+                "misses": self.page_misses,
+                "hit_ratio": self.page_hit_ratio,
+            }
+        return profile
+
+    def publish(self, registry: Optional[MetricsRegistry] = None) -> None:
+        """Fold this query's counters into ``registry`` (default: the
+        process-wide one) and observe per-query histograms."""
+        target = registry if registry is not None else global_registry()
+        for name, value in self._counters().items():
+            if name != "database_size":
+                target.counter(f"{self._PREFIX}.{name}").inc(value)
+        target.counter(f"{self._PREFIX}.count").inc()
+        for name in self._HISTOGRAMS:
+            target.histogram(f"{self._PREFIX}.per_query.{name}").observe(
+                getattr(self, name)
+            )
+
+    def __repr__(self) -> str:
+        parts = ", ".join(f"{name}={value!r}"
+                          for name, value in self._counters().items())
+        return f"{type(self).__name__}({parts})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _StatsRecord) \
+                or other._PREFIX != self._PREFIX:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+
+class QueryStats(_StatsRecord):
+    """Counters for one subgraph-query execution (constructor keywords
+    are the field names)."""
+
+    _PREFIX = "ctree.query"
+    _FIELDS = (
+        "database_size",      # total database size |D|
+        "histogram_tests",    # children tested against the query histogram
+        # children surviving the histogram test (= pseudo-iso tests run);
+        # the paper's R counts these "visited and tested" nodes and graphs
+        # — see the γ accounting convention in the module docstring
+        "pseudo_tests",
+        # children surviving the pseudo test (descended into, or candidates)
+        "pseudo_survivors",
+        "nodes_expanded",     # internal nodes whose children were scanned
+        "candidates",
+        "answers",
+        "isomorphism_tests",  # exact tests run in the verification phase
+        "search_seconds",
+        "verify_seconds",
     )
-    #: counters merged by max instead of sum (workload-level aggregation)
-    _MAX_FIELDS = ("database_size",)
-    #: published to the global registry as a per-query histogram
-    _HISTOGRAM_FIELDS = ("candidates", "search_seconds", "verify_seconds")
-    #: to_dict keys whose values depend on wall time or cache temperature,
-    #: not on query logic — excluded from determinism comparisons (the
-    #: batched engine guarantees everything else bit-identical per query
-    #: at every worker count)
-    _NONDETERMINISTIC_KEYS = ("search_seconds", "verify_seconds",
-                              "total_seconds")
-
-    def __init__(
-        self,
-        database_size: int = 0,
-        histogram_tests: int = 0,
-        pseudo_tests: int = 0,
-        pseudo_survivors: int = 0,
-        nodes_expanded: int = 0,
-        candidates: int = 0,
-        answers: int = 0,
-        isomorphism_tests: int = 0,
-        search_seconds: float = 0.0,
-        verify_seconds: float = 0.0,
-        x_by_level: Optional[list[int]] = None,
-        y_by_level: Optional[list[int]] = None,
-        nodes_by_level: Optional[list[int]] = None,
-        tested_by_level: Optional[list[int]] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.database_size = database_size
-        self.histogram_tests = histogram_tests
-        self.pseudo_tests = pseudo_tests
-        self.pseudo_survivors = pseudo_survivors
-        self.nodes_expanded = nodes_expanded
-        self.candidates = candidates
-        self.answers = answers
-        self.isomorphism_tests = isomorphism_tests
-        self.search_seconds = search_seconds
-        self.verify_seconds = verify_seconds
-        #: per-depth sums: x_by_level[i] = children surviving histogram at i
-        self.x_by_level: list[int] = list(x_by_level or [])
-        #: per-depth sums: y_by_level[i] = children surviving pseudo at i
-        self.y_by_level: list[int] = list(y_by_level or [])
-        #: per-depth count of expanded nodes (to average x, y per node)
-        self.nodes_by_level: list[int] = list(nodes_by_level or [])
-        #: per-depth sums: children histogram-screened at i (the EXPLAIN
-        #: denominator: tested - x = pruned by the closure histogram)
-        self.tested_by_level: list[int] = list(tested_by_level or [])
+    _SECONDS = ("search_seconds", "verify_seconds")
+    _DERIVED = ("access_ratio", "accuracy", "total_seconds")
+    _LEVELS = (
+        "x_by_level",       # [i] = children surviving histogram at depth i
+        "y_by_level",       # [i] = children surviving pseudo at depth i
+        "nodes_by_level",   # [i] = expanded nodes (to average x, y per node)
+        # [i] = children histogram-screened (the EXPLAIN denominator:
+        # tested - x = pruned by the closure histogram)
+        "tested_by_level",
+    )
+    _HISTOGRAMS = ("candidates", "search_seconds", "verify_seconds")
+    __slots__ = _FIELDS + _LEVELS
 
     # ------------------------------------------------------------------
     def record_level(self, depth: int, x: int, y: int, nodes: int = 1,
@@ -150,12 +211,9 @@ class QueryStats:
         """Record ``nodes`` expanded node(s) at ``depth`` that screened
         ``tested`` children, of which ``x`` survived the histogram test
         and ``y`` survived the pseudo-iso test, in total."""
-        while len(self.x_by_level) <= depth:
-            self.x_by_level.append(0)
-            self.y_by_level.append(0)
-            self.nodes_by_level.append(0)
-        while len(self.tested_by_level) <= depth:
-            self.tested_by_level.append(0)
+        for name in self._LEVELS:
+            series = getattr(self, name)
+            series.extend([0] * (depth + 1 - len(series)))
         self.x_by_level[depth] += x
         self.y_by_level[depth] += y
         self.nodes_by_level[depth] += nodes
@@ -181,59 +239,13 @@ class QueryStats:
         return self.search_seconds + self.verify_seconds
 
     def merge(self, other: "QueryStats") -> None:
-        """Accumulate another query's counters into this one (for
-        averaging across a workload)."""
-        for name in self._COUNTER_FIELDS:
-            if name in self._MAX_FIELDS:
-                setattr(self, name, max(getattr(self, name),
-                                        getattr(other, name)))
-            else:
-                setattr(self, name, getattr(self, name) + getattr(other, name))
-        for depth in range(len(other.x_by_level)):
-            self.record_level(
-                depth,
-                other.x_by_level[depth],
-                other.y_by_level[depth],
-                nodes=other.nodes_by_level[depth],
-                tested=(other.tested_by_level[depth]
-                        if depth < len(other.tested_by_level) else 0),
-            )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """All counters, derived ratios, and per-level series as a
-        JSON-able dict."""
-        out = {name: getattr(self, name) for name in self._COUNTER_FIELDS}
-        out["access_ratio"] = self.access_ratio
-        out["accuracy"] = self.accuracy
-        out["total_seconds"] = self.total_seconds
-        out["x_by_level"] = list(self.x_by_level)
-        out["y_by_level"] = list(self.y_by_level)
-        out["nodes_by_level"] = list(self.nodes_by_level)
-        out["tested_by_level"] = list(self.tested_by_level)
-        return out
-
-    def deterministic_dict(self) -> dict:
-        """:meth:`to_dict` minus timing (and, on disk stats, page-I/O)
-        keys — the part of the stats the batched query engine guarantees
-        identical to a serial run at every worker count."""
-        out = self.to_dict()
-        for key in self._NONDETERMINISTIC_KEYS:
-            out.pop(key, None)
-        return out
-
-    def copy(self):
-        """An independent stats object with the same counter values
-        (own registry; per-level series copied)."""
-        kwargs = {name: getattr(self, name)
-                  for name in self._COUNTER_FIELDS}
-        kwargs.update(
-            x_by_level=self.x_by_level,
-            y_by_level=self.y_by_level,
-            nodes_by_level=self.nodes_by_level,
-            tested_by_level=self.tested_by_level,
-        )
-        return type(self)(**kwargs)
+        """Accumulate another query's counters and per-level series into
+        this one (for averaging across a workload)."""
+        super().merge(other)
+        for depth, row in enumerate(zip(
+                other.x_by_level, other.y_by_level, other.nodes_by_level,
+                other.tested_by_level)):
+            self.record_level(depth, *row)
 
     def explain(self) -> dict:
         """The per-query EXPLAIN profile: the descent as per-level
@@ -250,22 +262,18 @@ class QueryStats:
         with the ``ctree.query.*`` metrics.  Disk-backed stats add a
         ``page_io`` block.
         """
-        levels = []
-        for depth in range(len(self.nodes_by_level)):
-            tested = (self.tested_by_level[depth]
-                      if depth < len(self.tested_by_level) else 0)
-            x = self.x_by_level[depth]
-            y = self.y_by_level[depth]
-            levels.append({
-                "level": depth,
-                "nodes": self.nodes_by_level[depth],
-                "tested": tested,
-                "histogram_survivors": x,
-                "pseudo_survivors": y,
-                "pruned_by_closure": tested - x,
-                "pruned_by_pseudo_iso": x - y,
-            })
-        out = {
+        levels = [{
+            "level": depth,
+            "nodes": nodes,
+            "tested": tested,
+            "histogram_survivors": x,
+            "pseudo_survivors": y,
+            "pruned_by_closure": tested - x,
+            "pruned_by_pseudo_iso": x - y,
+        } for depth, (x, y, nodes, tested) in enumerate(zip(
+            self.x_by_level, self.y_by_level, self.nodes_by_level,
+            self.tested_by_level))]
+        return self._with_page_io({
             "kind": "subgraph",
             "database_size": self.database_size,
             "levels": levels,
@@ -286,81 +294,27 @@ class QueryStats:
             },
             "access_ratio": self.access_ratio,
             "search_seconds": self.search_seconds,
-        }
-        return out
-
-    def publish(self, registry: Optional[MetricsRegistry] = None) -> None:
-        """Fold this query's counters into ``registry`` (default: the
-        process-wide one) and observe per-query histograms."""
-        target = registry if registry is not None else global_registry()
-        for metric in self.registry:
-            if metric.name.endswith(".database_size"):
-                continue  # |D| is a property of the index, not a cost
-            target.counter(metric.name).inc(metric.value)
-        cls = type(self).__mro__[-2]  # prefix owner: QueryStats or KnnStats
-        prefix = cls._COUNT_METRIC.rsplit(".", 1)[0]
-        target.counter(cls._COUNT_METRIC).inc()
-        for name in self._HISTOGRAM_FIELDS:
-            target.histogram(f"{prefix}.per_query.{name}").observe(
-                getattr(self, name)
-            )
-
-    _COUNT_METRIC = "ctree.query.count"
-
-    def __repr__(self) -> str:
-        parts = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self._COUNTER_FIELDS
-        )
-        return f"{type(self).__name__}({parts})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QueryStats):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
+        })
 
 
-class KnnStats:
-    """Counters for one K-NN or range query (same registry-view design
-    as :class:`QueryStats`; γ convention in the module docstring)."""
+class KnnStats(_StatsRecord):
+    """Counters for one K-NN or range query (γ convention in the module
+    docstring)."""
 
-    database_size = CounterField("ctree.knn.database_size")
-    nodes_expanded = CounterField("ctree.knn.nodes_expanded")
-    #: children whose similarity bound / distance was evaluated
-    children_scored = CounterField("ctree.knn.children_scored")
-    #: database graphs whose (approximate) similarity was computed
-    graphs_scored = CounterField("ctree.knn.graphs_scored")
-    pruned_by_bound = CounterField("ctree.knn.pruned_by_bound")
-    results = CounterField("ctree.knn.results")
-    seconds = CounterField("ctree.knn.seconds")
-
-    _COUNTER_FIELDS = (
-        "database_size", "nodes_expanded", "children_scored",
-        "graphs_scored", "pruned_by_bound", "results", "seconds",
+    _PREFIX = "ctree.knn"
+    _FIELDS = (
+        "database_size",
+        "nodes_expanded",
+        "children_scored",  # children whose bound / distance was evaluated
+        "graphs_scored",    # graphs whose (approximate) similarity was computed
+        "pruned_by_bound",
+        "results",
+        "seconds",
     )
-    _MAX_FIELDS = ("database_size",)
-    _HISTOGRAM_FIELDS = ("graphs_scored", "seconds")
-    _COUNT_METRIC = "ctree.knn.count"
-    _NONDETERMINISTIC_KEYS = ("seconds",)
-
-    def __init__(
-        self,
-        database_size: int = 0,
-        nodes_expanded: int = 0,
-        children_scored: int = 0,
-        graphs_scored: int = 0,
-        pruned_by_bound: int = 0,
-        results: int = 0,
-        seconds: float = 0.0,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.database_size = database_size
-        self.nodes_expanded = nodes_expanded
-        self.children_scored = children_scored
-        self.graphs_scored = graphs_scored
-        self.pruned_by_bound = pruned_by_bound
-        self.results = results
-        self.seconds = seconds
+    _SECONDS = ("seconds",)
+    _DERIVED = ("access_ratio",)
+    _HISTOGRAMS = ("graphs_scored", "seconds")
+    __slots__ = _FIELDS
 
     @property
     def access_ratio(self) -> float:
@@ -371,25 +325,6 @@ class KnnStats:
             return 0.0
         return (self.nodes_expanded + self.graphs_scored) / self.database_size
 
-    def merge(self, other: "KnnStats") -> None:
-        """Accumulate another query's counters (for workload averages)."""
-        for name in self._COUNTER_FIELDS:
-            if name in self._MAX_FIELDS:
-                setattr(self, name, max(getattr(self, name),
-                                        getattr(other, name)))
-            else:
-                setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def to_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in self._COUNTER_FIELDS}
-        out["access_ratio"] = self.access_ratio
-        return out
-
-    def copy(self):
-        """An independent stats object with the same counter values."""
-        return type(self)(**{name: getattr(self, name)
-                             for name in self._COUNTER_FIELDS})
-
     def explain(self) -> dict:
         """The per-query EXPLAIN profile for a K-NN/range query.
 
@@ -398,7 +333,7 @@ class KnnStats:
         reports the expansion/scoring/bound-pruning counters and, for
         disk-backed stats, a ``page_io`` block.
         """
-        out = {
+        return self._with_page_io({
             "kind": "knn",
             "database_size": self.database_size,
             "expansion": {
@@ -410,19 +345,20 @@ class KnnStats:
             },
             "access_ratio": self.access_ratio,
             "seconds": self.seconds,
-        }
-        return out
+        })
 
-    deterministic_dict = QueryStats.deterministic_dict
-    publish = QueryStats.publish
 
-    def __repr__(self) -> str:
-        parts = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self._COUNTER_FIELDS
-        )
-        return f"{type(self).__name__}({parts})"
+class DiskQueryStats(QueryStats):
+    """The :class:`QueryStats` of a query on a paged store: page I/O is
+    counted, from zero."""
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KnnStats):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
+    __slots__ = ()
+    _PAGE_IO_DEFAULT = 0
+
+
+class DiskKnnStats(KnnStats):
+    """The :class:`KnnStats` of a query on a paged store: page I/O is
+    counted, from zero."""
+
+    __slots__ = ()
+    _PAGE_IO_DEFAULT = 0

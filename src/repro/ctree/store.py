@@ -21,7 +21,8 @@ A node reference is opaque to the shared code.  A leaf's ``children`` are
 histogram Alg. 3 screens an entry with — held by the entry itself on
 disk, so a rejected graph is never read — and :meth:`load_graph` turns an
 entry into its graph.  :meth:`metered` is the single hook through which a
-query learns its page I/O.
+query learns its page I/O: it hands the query its stats record, and the
+paged store fills in the record's ``page_hits`` / ``page_misses``.
 
 **Record format 3** (layout and rationale: ``docs/DURABILITY.md``).  A
 graph is ``{"vl": [labels], "v": [index into vl], "el": [labels], "e": [u,
@@ -51,7 +52,7 @@ from repro.graphs.labelspace import (
     label_context,
 )
 from repro.ctree.node import CTreeNode, LeafEntry
-from repro.ctree.stats import CounterField, KnnStats, QueryStats
+from repro.ctree.stats import DiskKnnStats, DiskQueryStats, KnnStats
 from repro.storage.recordstore import RecordStore
 
 
@@ -96,7 +97,7 @@ class MemoryNodeStore:
 
     @contextmanager
     def metered(self, stats_cls, database_size: int, span):
-        """Yield one query's stats object (no I/O to account for)."""
+        """Yield one query's stats record (no page I/O to count)."""
         yield stats_cls(database_size=database_size)
 
 
@@ -110,59 +111,6 @@ class StoredEntry(NamedTuple):
     record: int
     vhist: list
     ehist: list
-
-
-class _PageIO:
-    """Buffer-pool I/O deltas on top of a query's counters."""
-
-    def __init__(self, page_hits: int = 0, page_misses: int = 0,
-                 **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.page_hits = page_hits
-        self.page_misses = page_misses
-
-    @property
-    def page_hit_ratio(self) -> float:
-        """Fraction of page reads served from the buffer pool."""
-        total = self.page_hits + self.page_misses
-        return self.page_hits / total if total else 0.0
-
-    def explain(self) -> dict:
-        """The base EXPLAIN profile plus a ``page_io`` block."""
-        return {**super().explain(), "page_io": {
-            "hits": self.page_hits,
-            "misses": self.page_misses,
-            "hit_ratio": self.page_hit_ratio,
-        }}
-
-
-class DiskQueryStats(_PageIO, QueryStats):
-    """Query counters plus buffer-pool I/O deltas."""
-
-    page_hits = CounterField("ctree.query.page_hits")
-    page_misses = CounterField("ctree.query.page_misses")
-
-    _COUNTER_FIELDS = QueryStats._COUNTER_FIELDS + ("page_hits",
-                                                    "page_misses")
-    # Page I/O depends on buffer-pool temperature, which depends on the
-    # execution schedule — excluded from determinism comparisons.
-    _NONDETERMINISTIC_KEYS = QueryStats._NONDETERMINISTIC_KEYS + (
-        "page_hits", "page_misses")
-
-
-class DiskKnnStats(_PageIO, KnnStats):
-    """K-NN counters plus buffer-pool I/O deltas."""
-
-    page_hits = CounterField("ctree.knn.page_hits")
-    page_misses = CounterField("ctree.knn.page_misses")
-
-    _COUNTER_FIELDS = KnnStats._COUNTER_FIELDS + ("page_hits",
-                                                  "page_misses")
-    _NONDETERMINISTIC_KEYS = KnnStats._NONDETERMINISTIC_KEYS + (
-        "page_hits", "page_misses")
-
-
-_DISK_STATS = {QueryStats: DiskQueryStats, KnnStats: DiskKnnStats}
 
 
 def dump_record(record: dict) -> bytes:
@@ -391,11 +339,13 @@ class PagedNodeStore:
 
     @contextmanager
     def metered(self, stats_cls, database_size: int, span):
-        """Yield one query's stats object; on exit record the buffer-pool
-        hits and misses the query caused (stats and span)."""
+        """Yield one query's stats record, of the class that counts page
+        I/O; on exit fill in the buffer-pool hits and misses the query
+        caused (record and span)."""
         pool = self.records.pool
         hits, misses = pool.hits, pool.misses
-        stats = _DISK_STATS[stats_cls](database_size=database_size)
+        disk_cls = DiskKnnStats if stats_cls is KnnStats else DiskQueryStats
+        stats = disk_cls(database_size=database_size)
         span.set(disk=True)
         yield stats
         stats.page_hits = pool.hits - hits

@@ -177,28 +177,6 @@ def _visit(
         sp.set(fanout=len(node.children), x=survivors_x, y=survivors_y)
 
 
-def subgraph_query_many(
-    tree: CTreeCore,
-    queries: list[Graph],
-    level: Level = 1,
-    verify: bool = True,
-    workers: int = 1,
-    cache_size: int = 256,
-) -> list[tuple[list[int], QueryStats]]:
-    """Answer a batch of subgraph queries through the batched engine.
-
-    One-shot convenience wrapper over
-    :class:`~repro.ctree.parallel.QueryEngine` (which amortizes its
-    worker pool across batches when kept alive).  Answers are
-    bit-identical to the serial per-query loop at every ``workers``;
-    ``cache_size=0`` disables answer caching and deduplication.
-    """
-    from repro.ctree.parallel import QueryEngine
-
-    with QueryEngine(tree, workers=workers, cache_size=cache_size) as engine:
-        return engine.query_many(queries, level=level, verify=verify)
-
-
 def linear_scan_subgraph_query(
     graphs: dict[int, Graph] | list[Graph],
     query: Graph,

@@ -5,7 +5,6 @@ from repro.experiments.config import (
     KnnExperimentConfig,
     MappingQualityConfig,
     SubgraphExperimentConfig,
-    ThroughputExperimentConfig,
     scaled_synthetic_config,
 )
 from repro.experiments.reporting import format_bytes, format_series_table, ratio
@@ -19,10 +18,8 @@ from repro.experiments.subgraph_experiments import (
     DATASETS,
     IndexSizeResult,
     QuerySweepResult,
-    ThroughputResult,
     run_index_size_experiment,
     run_query_sweep,
-    run_throughput_experiment,
     skewed_query_log,
 )
 
@@ -36,8 +33,6 @@ __all__ = [
     "MappingQualityResult",
     "QuerySweepResult",
     "SubgraphExperimentConfig",
-    "ThroughputExperimentConfig",
-    "ThroughputResult",
     "format_bytes",
     "format_series_table",
     "ratio",
@@ -45,7 +40,6 @@ __all__ = [
     "run_knn_sweep",
     "run_mapping_quality",
     "run_query_sweep",
-    "run_throughput_experiment",
     "scaled_synthetic_config",
     "skewed_query_log",
 ]

@@ -31,32 +31,11 @@ class SubgraphExperimentConfig:
     graphgrep_fp: int = 256
     #: pseudo subgraph isomorphism levels compared in Fig. 7
     levels: tuple = (1, "max")
-    #: worker processes for the query workload (1 = the serial loop the
-    #: paper times; >1 fans out through the batched engine, answers
-    #: identical, caching off so per-query timings stay honest)
-    workers: int = 1
     seed: int = 7
 
     @property
     def max_fanout(self) -> int:
         return 2 * self.min_fanout - 1
-
-
-@dataclass(frozen=True)
-class ThroughputExperimentConfig:
-    """Batched-serving throughput: the engine vs the serial loop on a
-    query-log-like workload (repeated queries, Zipf-ish skew)."""
-
-    database_size: int = 150
-    #: structurally distinct queries in the log
-    unique_queries: int = 20
-    #: total served batch size (repeats drawn with Zipf-like weights)
-    batch_size: int = 150
-    query_size: int = 8
-    min_fanout: int = 10
-    workers: tuple[int, ...] = (1, 2, 4)
-    cache_size: int = 256
-    seed: int = 7
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,7 @@ same rows/curves the paper plots.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 
 def format_series_table(
@@ -59,17 +57,6 @@ def series_to_dict(
         "x": list(xs),
         "series": {name: list(values) for name, values in series.items()},
     }
-
-
-def write_json(path: Union[str, Path], payload) -> Path:
-    """Write a payload as pretty, diff-stable JSON (sorted keys, trailing
-    newline); returns the path."""
-    path = Path(path)
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",
-        encoding="utf-8",
-    )
-    return path
 
 
 def format_bytes(n: float) -> str:

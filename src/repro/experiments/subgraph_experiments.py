@@ -16,9 +16,8 @@ from repro.graphs.graph import Graph
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.cost_model import fit_from_stats, mean_fanout
 from repro.ctree.persistence import index_size_bytes
-from repro.ctree.parallel import QueryEngine
 from repro.ctree.stats import QueryStats
-from repro.ctree.subgraph_query import subgraph_query, subgraph_query_many
+from repro.ctree.subgraph_query import subgraph_query
 from repro.graphgrep.index import GraphGrepIndex
 from repro.datasets.chemical import generate_chemical_database
 from repro.datasets.queries import generate_subgraph_queries
@@ -26,7 +25,6 @@ from repro.datasets.synthetic import generate_synthetic_database
 from repro.experiments.config import (
     IndexSizeExperimentConfig,
     SubgraphExperimentConfig,
-    ThroughputExperimentConfig,
     scaled_synthetic_config,
 )
 
@@ -148,19 +146,9 @@ def run_query_sweep(
         level_stats: dict = {}
         for level in config.levels:
             merged = QueryStats()
-            if config.workers != 1:
-                # Batched engine, caching off: identical answers and
-                # counters, only the wall-clock schedule changes.
-                outcomes = subgraph_query_many(
-                    tree, queries, level=level,
-                    workers=config.workers, cache_size=0,
-                )
-                for _, stats in outcomes:
-                    merged.merge(stats)
-            else:
-                for query in queries:
-                    _, stats = subgraph_query(tree, query, level=level)
-                    merged.merge(stats)
+            for query in queries:
+                _, stats = subgraph_query(tree, query, level=level)
+                merged.merge(stats)
             level_stats[level] = merged
 
         primary = level_stats[config.levels[0]]
@@ -193,36 +181,6 @@ def run_query_sweep(
     return result
 
 
-# ----------------------------------------------------------------------
-# Batched serving throughput: engine vs serial loop
-# ----------------------------------------------------------------------
-@dataclass
-class ThroughputResult:
-    """Engine-vs-serial serving throughput on a skewed query log."""
-
-    dataset: str
-    database_size: int
-    batch_size: int
-    unique_queries: int
-    serial_seconds: float
-    workers: list[int] = field(default_factory=list)
-    engine_seconds: list[float] = field(default_factory=list)
-    #: queries per second of batch wall time
-    throughput: list[float] = field(default_factory=list)
-    #: serial_seconds / engine_seconds
-    speedup: list[float] = field(default_factory=list)
-    cache_hit_rate: list[float] = field(default_factory=list)
-    #: distinct queries actually executed per run
-    dispatched: list[int] = field(default_factory=list)
-    #: answers bit-identical to the serial loop, per run
-    identical: list[bool] = field(default_factory=list)
-
-    @property
-    def serial_throughput(self) -> float:
-        return (self.batch_size / self.serial_seconds
-                if self.serial_seconds else 0.0)
-
-
 def skewed_query_log(
     unique: list[Graph], batch_size: int, seed: int
 ) -> list[Graph]:
@@ -233,49 +191,3 @@ def skewed_query_log(
     rng = random.Random(seed)
     weights = [1.0 / (rank + 1) for rank in range(len(unique))]
     return rng.choices(unique, weights=weights, k=batch_size)
-
-
-def run_throughput_experiment(
-    config: ThroughputExperimentConfig = ThroughputExperimentConfig(),
-    dataset: str = "chemical",
-) -> ThroughputResult:
-    """Serve one skewed batch serially, then through the engine at every
-    configured worker count, gating on identical answers."""
-    graphs = DATASETS[dataset](config.database_size, config.seed)
-    tree = bulk_load(graphs, min_fanout=config.min_fanout, seed=config.seed)
-    unique = generate_subgraph_queries(
-        graphs, config.query_size, config.unique_queries, seed=config.seed
-    )
-    batch = skewed_query_log(unique, config.batch_size, config.seed)
-
-    start = time.perf_counter()
-    serial = [subgraph_query(tree, q) for q in batch]
-    serial_seconds = time.perf_counter() - start
-    baseline = [answers for answers, _ in serial]
-
-    result = ThroughputResult(
-        dataset=dataset,
-        database_size=config.database_size,
-        batch_size=config.batch_size,
-        unique_queries=config.unique_queries,
-        serial_seconds=serial_seconds,
-    )
-    for workers in config.workers:
-        with QueryEngine(tree, workers=workers,
-                         cache_size=config.cache_size) as engine:
-            outcomes = engine.query_many(batch)
-            report = engine.last_batch
-        result.workers.append(workers)
-        result.engine_seconds.append(report.wall_seconds)
-        result.throughput.append(report.throughput)
-        result.speedup.append(
-            serial_seconds / report.wall_seconds
-            if report.wall_seconds else 0.0
-        )
-        result.cache_hit_rate.append(report.cache_hit_rate)
-        result.dispatched.append(report.dispatched)
-        result.identical.append(
-            [answers for answers, _ in outcomes] == baseline
-        )
-    return result
-

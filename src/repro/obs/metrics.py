@@ -6,19 +6,17 @@ cheap enough to leave enabled unconditionally (no locks: CPython's GIL
 makes ``+=`` on an instance attribute safe for our purposes, and the
 query paths are single-threaded anyway).
 
-Two usage patterns:
-
-- **Process-wide accounting** via the module-level :func:`global_registry`
-  — the storage layer, matchers, and query processors bump counters like
-  ``bufferpool.hits`` or ``ctree.query.pseudo_tests`` there, and
-  ``repro metrics`` dumps a snapshot (or a before/after diff) as JSON.
-- **Per-operation accounting** via a private :class:`MetricsRegistry`
-  owned by each :class:`~repro.ctree.stats.QueryStats` — the stats
-  objects are thin attribute views over their registry's counters.
+One registry matters: the module-level :func:`global_registry`.  The
+storage layer, the matchers and the engine bump counters like
+``bufferpool.hits`` there, every query folds its
+:class:`~repro.ctree.stats.QueryStats` record into it on completion
+(``ctree.query.pseudo_tests``, ...), and ``repro metrics`` dumps a
+snapshot (or a before/after diff) as JSON.  A private
+:class:`MetricsRegistry` is for tests and for folding worker deltas.
 
 Snapshots are plain JSON-able dicts, so diffing two snapshots gives the
-exact cost of the work between them (the pattern the disk index uses for
-per-query page I/O deltas).
+exact cost of the work between them (how an engine worker ships home what
+one task counted).
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ __all__ = [
     "MetricsRegistry",
     "diff_snapshots",
     "global_registry",
-    "merge_snapshots",
 ]
 
 
@@ -355,20 +352,6 @@ def diff_snapshots(
                 "buckets": buckets,
             }
     return out
-
-
-def merge_snapshots(
-    *snapshots: dict[str, dict]
-) -> dict[str, dict]:
-    """Elementwise sum of registry snapshots, as a snapshot.
-
-    Convenience wrapper over :meth:`MetricsRegistry.merge` for
-    aggregating worker deltas without touching a live registry.
-    """
-    merged = MetricsRegistry()
-    for snapshot in snapshots:
-        merged.merge(snapshot)
-    return merged.snapshot()
 
 
 #: The process-wide registry every instrumented subsystem reports into.

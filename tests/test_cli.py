@@ -427,9 +427,8 @@ class TestShardedCli:
         for case in cases:
             query = json.dumps(case["query"])
             want = f"answers: {sorted(case['answers'])}"
-            for argv in (["-t", str(single)], ["-t", str(shards)],
-                         ["-t", str(single), "--shards", "2"]):
-                assert main(["query", *argv, "-q", query]) == 0
+            for index in (single, shards):
+                assert main(["query", "-t", str(index), "-q", query]) == 0
                 assert _first_line(capsys) == want
 
     def test_knn_equals_single_tree_similarities(self, golden, capsys):
@@ -443,6 +442,27 @@ class TestShardedCli:
                          capsys.readouterr().out.splitlines()
                          if "sim=" in line])
         assert sims[0] == sims[1] and len(sims[0]) == 4
+
+    def test_knn_prints_the_same_names(self, golden, tmp_path, capsys):
+        """A shard directory knows its graphs' names like the other two
+        kinds of saved index do."""
+        single, shards, _, cases = golden
+        snapshot = tmp_path / "single.json"
+        assert main(["build", "-i", str(_DATA / "golden_chem.jsonl"),
+                     "-o", str(snapshot), "--min-fanout", "3"]) == 0
+        capsys.readouterr()
+        query = json.dumps(cases[0]["query"])
+        named = []
+        for index in (snapshot, single, shards):
+            assert main(["knn", "-t", str(index), "-q", query,
+                         "-k", "24"]) == 0
+            named.append(sorted(
+                line.split(". ")[1].split(" sim=")[0] for line in
+                capsys.readouterr().out.splitlines() if "sim=" in line))
+        # All 24 graphs: tie order differs by kind, the (id, name) pairs
+        # cannot.
+        assert named[0] == named[1] == named[2]
+        assert named[0][0] == "#0 compound-0" and len(named[0]) == 24
 
     def test_explain_info_fsck(self, golden, capsys):
         _, shards, n, cases = golden
@@ -599,7 +619,15 @@ class TestParser:
         ["serve", "-t", "x.ctp", "--placement", "closure"],
         ["shard", "--create", "-d", "d", "-i", "db.jsonl",
          "--placement", "closure"],
-    ], ids=["bench", "query", "serve", "shard"])
+        # --shards means one thing: shard --create's page-file count.
+        ["query", "-t", "x.ctp", "-q", "{}", "--shards", "2"],
+        ["serve", "-t", "x.ctp", "--shards", "2"],
+        # k is a positive integer here as it is on POST /knn.
+        ["knn", "-t", "x.ctp", "-q", "{}", "-k", "0"],
+        ["knn", "-t", "x.ctp", "-q", "{}", "-k", "-1"],
+        ["explain", "-t", "x.ctp", "-q", "{}", "--knn", "-k", "0"],
+    ], ids=["bench", "query", "serve", "shard", "query-shards",
+            "serve-shards", "knn-k0", "knn-k-1", "explain-k0"])
     def test_deleted_surface_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

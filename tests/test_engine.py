@@ -27,9 +27,9 @@ from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DiskCTree
 from repro.ctree.parallel import QueryEngine
 from repro.ctree.shards import ShardSet
-from repro.ctree.similarity_query import knn_query, knn_query_many
-from repro.ctree.stats import QueryStats
-from repro.ctree.subgraph_query import subgraph_query, subgraph_query_many
+from repro.ctree.similarity_query import knn_query
+from repro.ctree.stats import KnnStats, QueryStats
+from repro.ctree.subgraph_query import subgraph_query
 from repro.matching import kernels
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry, global_registry
@@ -82,8 +82,8 @@ class TestDeterminism:
         with kernels.use_kernels(kernels_on):
             serial = [subgraph_query(golden_tree, q)
                       for q in golden_queries]
-            batch = subgraph_query_many(golden_tree, golden_queries,
-                                        workers=workers)
+            with QueryEngine(golden_tree, workers=workers) as engine:
+                batch = engine.query_many(golden_queries)
         assert [a for a, _ in batch] == [a for a, _ in serial]
         assert ([s.deterministic_dict() for _, s in batch]
                 == [s.deterministic_dict() for _, s in serial])
@@ -92,8 +92,8 @@ class TestDeterminism:
     def test_disk_subgraph(self, golden_disk_path, golden_queries, workers):
         with DiskCTree.open(golden_disk_path, cache_pages=32) as disk:
             serial = [disk.subgraph_query(q) for q in golden_queries]
-            batch = subgraph_query_many(disk, golden_queries,
-                                        workers=workers)
+            with QueryEngine(disk, workers=workers) as engine:
+                batch = engine.query_many(golden_queries)
         assert [a for a, _ in batch] == [a for a, _ in serial]
         # deterministic_dict drops page_hits/page_misses: buffer-pool
         # temperature legitimately varies with the schedule.
@@ -104,7 +104,8 @@ class TestDeterminism:
     def test_memory_knn(self, golden_tree, golden_db, workers):
         queries = golden_db[:4]
         serial = [knn_query(golden_tree, q, 3) for q in queries]
-        batch = knn_query_many(golden_tree, queries, 3, workers=workers)
+        with QueryEngine(golden_tree, workers=workers) as engine:
+            batch = engine.knn_many(queries, 3)
         assert [r for r, _ in batch] == [r for r, _ in serial]
         assert ([s.deterministic_dict() for _, s in batch]
                 == [s.deterministic_dict() for _, s in serial])
@@ -114,21 +115,23 @@ class TestDeterminism:
         queries = golden_db[:3]
         with DiskCTree.open(golden_disk_path, cache_pages=32) as disk:
             serial = [disk.knn_query(q, 3) for q in queries]
-            batch = knn_query_many(disk, queries, 3, workers=workers)
+            with QueryEngine(disk, workers=workers) as engine:
+                batch = engine.knn_many(queries, 3)
         assert [r for r, _ in batch] == [r for r, _ in serial]
 
     def test_no_verify_and_level_max(self, golden_tree, golden_queries):
-        for level in (1, "max"):
-            serial = [subgraph_query(golden_tree, q, level=level,
-                                     verify=False)
-                      for q in golden_queries]
-            batch = subgraph_query_many(golden_tree, golden_queries,
-                                        level=level, verify=False,
-                                        workers=2)
-            assert [a for a, _ in batch] == [a for a, _ in serial]
+        with QueryEngine(golden_tree, workers=2) as engine:
+            for level in (1, "max"):
+                serial = [subgraph_query(golden_tree, q, level=level,
+                                         verify=False)
+                          for q in golden_queries]
+                batch = engine.query_many(golden_queries, level=level,
+                                          verify=False)
+                assert [a for a, _ in batch] == [a for a, _ in serial]
 
     def test_empty_batch(self, golden_tree):
-        assert subgraph_query_many(golden_tree, []) == []
+        with QueryEngine(golden_tree) as engine:
+            assert engine.query_many([]) == []
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +322,8 @@ def test_workers_is_the_real_process_count(golden_db, golden_tree):
 
 
 # ----------------------------------------------------------------------
-# docs/OBSERVABILITY.md's engine and shard tables are the metric contract
+# docs/OBSERVABILITY.md's query, engine and shard tables are the metric
+# contract
 # ----------------------------------------------------------------------
 _ADMISSION_FAMILY = ("server.coalesce.", "server.backpressure.",
                      "server.inflight")
@@ -347,6 +351,16 @@ def test_documented_metric_names(golden_db, golden_tree, golden_queries,
                                            "## Tracing & EXPLAIN")
         if name.startswith(_ADMISSION_FAMILY)
     }
+    per_query = _documented_names(doc, "### Query metrics",
+                                  "### Disk-index maintenance metrics")
+    # The query rows are the records' declarations, nothing retyped.
+    assert per_query == {
+        f"{cls._PREFIX}.{name}"
+        for cls in (QueryStats, KnnStats)
+        for name in (*cls._FIELDS, "page_hits", "page_misses", "count",
+                     *(f"per_query.{h}" for h in cls._HISTOGRAMS))
+        if name != "database_size"
+    }
 
     # One pool batch on a plain index (a disk one, refreshed, so the
     # worker-side names exist too) and one on a 2-shard set.
@@ -355,6 +369,7 @@ def test_documented_metric_names(golden_db, golden_tree, golden_queries,
         engine.query_many(golden_queries[:2])
         engine.refresh()
         engine.query_many(golden_queries[:2])
+        engine.knn_many(golden_queries[:1], 3)
     with QueryEngine(ShardSet.build_memory(golden_db, 2, "hash",
                                            min_fanout=3)) as engine:
         engine.knn_many(golden_queries[:2], 3)
@@ -385,6 +400,8 @@ def test_documented_metric_names(golden_db, golden_tree, golden_queries,
         for name in names if name.startswith(("engine.", "shard."))
     }
     assert registered == documented
+    assert {name for name in names
+            if name.startswith(("ctree.query.", "ctree.knn."))} == per_query
     assert {name for name in names
             if name.startswith(_ADMISSION_FAMILY)} == admission
 
@@ -611,8 +628,8 @@ class TestRegistryMerge:
         serial_delta = registry.diff(before)
 
         before = registry.snapshot()
-        subgraph_query_many(golden_tree, golden_queries, workers=2,
-                            cache_size=0)
+        with QueryEngine(golden_tree, workers=2, cache_size=0) as engine:
+            engine.query_many(golden_queries)
         parallel_delta = registry.diff(before)
 
         for name in _EXACT_COUNTERS:
@@ -639,7 +656,8 @@ class TestRegistryMerge:
     def test_engine_metrics_emitted(self, golden_tree, golden_queries):
         registry = global_registry()
         before = registry.snapshot()
-        subgraph_query_many(golden_tree, golden_queries, workers=2)
+        with QueryEngine(golden_tree, workers=2) as engine:
+            engine.query_many(golden_queries)
         delta = registry.diff(before)
         assert delta["engine.batches"]["value"] == 1
         assert delta["engine.queries"]["value"] == len(golden_queries)

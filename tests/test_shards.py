@@ -117,6 +117,30 @@ class TestShardDirectory:
         assert [s.gids for s in reopened.shards] == \
             [s.gids for s in created.shards]
 
+    @pytest.mark.parametrize("backend", ["memory", "disk"])
+    def test_find_graphs_reads_only_the_holding_shards(
+            self, golden, tmp_path, monkeypatch, backend):
+        db, _ = golden
+        if backend == "disk":
+            sset = ShardSet.create(db, tmp_path / "idx.shards", shards=3,
+                                   min_fanout=3)
+        else:
+            sset = ShardSet.build_memory(db, 3, min_fanout=3)
+        opened = []
+        open_read_only = DiskCTree.open_read_only
+        monkeypatch.setattr(
+            DiskCTree, "open_read_only",
+            lambda path, *args: opened.append(Path(path).name)
+            or open_read_only(path, *args))
+        # Round-robin: ids 1, 4, 10 live on shard 1; 5 on shard 2.
+        found = sset.find_graphs([10, 4, 1, 5, 999])
+        assert sorted(found) == [1, 4, 5, 10]
+        assert all(found[gid].name == db[gid].name
+                   and found[gid] == db[gid] for gid in found)
+        assert opened == (["shard-001.ctp", "shard-002.ctp"]
+                          if backend == "disk" else [])
+        assert sset.find_graphs([]) == {} and opened[2:] == []
+
     def test_fsck_clean(self, golden, tmp_path):
         db, _ = golden
         directory = tmp_path / "idx.shards"
@@ -255,7 +279,7 @@ class TestShardedEngineCache:
 
 
 # ----------------------------------------------------------------------
-# QueryEngine over a re-partitioned open index (``--shards S``)
+# The default answer cache
 # ----------------------------------------------------------------------
 class TestQueryEngineSatellites:
     def test_default_cache_unchanged(self, golden_tree, golden_queries):
@@ -266,21 +290,6 @@ class TestQueryEngineSatellites:
             second = engine.last_batch
         assert first.cache_hits == 0
         assert second.cache_hits == len(golden_queries)
-
-    @pytest.mark.parametrize("shards", (2, 3))
-    def test_shards_delegation(self, golden, golden_queries, golden_tree,
-                               shards):
-        ref_sub = [sorted(subgraph_query(golden_tree, q)[0])
-                   for q in golden_queries]
-        ref_knn = [knn_query(golden_tree, q, 4, canonical=True)[0]
-                   for q in golden_queries]
-        sset = ShardSet.from_index(golden_tree, shards)
-        with QueryEngine(sset) as engine:
-            sub = engine.query_many(golden_queries)
-            assert engine.last_batch.workers == shards
-            knn = engine.knn_many(golden_queries, 4)
-        assert [a for a, _ in sub] == ref_sub
-        assert [r for r, _ in knn] == ref_knn
 
 
 # ----------------------------------------------------------------------

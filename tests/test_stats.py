@@ -1,10 +1,121 @@
-"""Unit tests for the query statistics containers."""
+"""Unit tests for the query statistics records."""
+
+import pickle
 
 import pytest
 
+from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DiskKnnStats, DiskQueryStats
 from repro.ctree.stats import KnnStats, QueryStats
+from repro.ctree.subgraph_query import subgraph_query
+from repro.datasets.chemical import generate_chemical_database
+from repro.datasets.queries import generate_subgraph_queries
 from repro.obs.metrics import MetricsRegistry
+
+ALL_STATS = [QueryStats, KnnStats, DiskQueryStats, DiskKnnStats]
+
+#: what ``publish()`` registers — zero-valued counters included — and
+#: what docs/OBSERVABILITY.md documents
+QUERY_METRICS = [
+    "ctree.query.histogram_tests", "ctree.query.pseudo_tests",
+    "ctree.query.pseudo_survivors", "ctree.query.nodes_expanded",
+    "ctree.query.candidates", "ctree.query.answers",
+    "ctree.query.isomorphism_tests", "ctree.query.search_seconds",
+    "ctree.query.verify_seconds", "ctree.query.count",
+    "ctree.query.per_query.candidates",
+    "ctree.query.per_query.search_seconds",
+    "ctree.query.per_query.verify_seconds",
+]
+KNN_METRICS = [
+    "ctree.knn.nodes_expanded", "ctree.knn.children_scored",
+    "ctree.knn.graphs_scored", "ctree.knn.pruned_by_bound",
+    "ctree.knn.results", "ctree.knn.seconds", "ctree.knn.count",
+    "ctree.knn.per_query.graphs_scored", "ctree.knn.per_query.seconds",
+]
+
+
+class TestRecords:
+    """What every stats class is: a plain slotted record."""
+
+    @pytest.mark.parametrize("stats_cls", ALL_STATS)
+    def test_no_instance_dict(self, stats_cls):
+        stats = stats_cls()
+        assert not hasattr(stats, "__dict__")
+        with pytest.raises(AttributeError):
+            stats.no_such_counter = 1
+
+    @pytest.mark.parametrize("stats_cls", ALL_STATS)
+    def test_unknown_keyword_is_a_type_error(self, stats_cls):
+        with pytest.raises(TypeError, match="no_such_counter"):
+            stats_cls(no_such_counter=1)
+
+    @pytest.mark.parametrize("stats_cls", [DiskQueryStats, DiskKnnStats])
+    def test_disk_classes_declare_no_method(self, stats_cls):
+        assert not [name for name, value in vars(stats_cls).items()
+                    if callable(value) or isinstance(value, property)]
+
+    def test_copy_shares_no_level_list(self):
+        stats = QueryStats(candidates=2)
+        stats.record_level(1, 4, 3, tested=6)
+        clone = stats.copy()
+        assert clone == stats and type(clone) is QueryStats
+        clone.record_level(0, 1, 1)
+        clone.candidates += 1
+        assert stats.x_by_level == [0, 4] and stats.candidates == 2
+        assert stats.tested_by_level == [0, 6]
+        disk = DiskKnnStats(graphs_scored=2, page_hits=5).copy()
+        assert type(disk) is DiskKnnStats and disk.page_hits == 5
+
+    def test_pickle_round_trip_is_equal_and_small(self):
+        """Every pool task ships one home; the registry-backed record of
+        the same height-2 query pickled to 763 bytes."""
+        db = generate_chemical_database(40, seed=3)
+        tree = bulk_load(db, min_fanout=3)
+        assert tree.height() == 2
+        query, = generate_subgraph_queries(db, 4, 1, seed=3)
+        _, stats = subgraph_query(tree, query)
+        blob = pickle.dumps(stats)
+        assert pickle.loads(blob) == stats
+        assert pickle.loads(blob).to_dict() == stats.to_dict()
+        assert len(blob) < 763
+        knn = DiskKnnStats(database_size=40, graphs_scored=7, page_misses=3)
+        assert pickle.loads(pickle.dumps(knn)) == knn
+
+    @pytest.mark.parametrize("mem_cls,disk_cls", [
+        (QueryStats, DiskQueryStats), (KnnStats, DiskKnnStats)])
+    def test_page_io_only_on_disk_stats(self, mem_cls, disk_cls):
+        mem, disk = mem_cls(), disk_cls(page_hits=3, page_misses=1)
+        assert mem.page_hits is None and mem.page_misses is None
+        assert "page_hits" not in mem.to_dict()
+        assert "page_misses" not in mem.to_dict()
+        assert "page_io" not in mem.explain()
+        assert "page_hits" not in repr(mem)
+        assert disk.to_dict()["page_hits"] == 3
+        assert disk.to_dict()["page_misses"] == 1
+        assert disk.explain()["page_io"]["misses"] == 1
+        assert "page_hits=3" in repr(disk)
+        assert "page_hits" not in disk.deterministic_dict()
+        assert mem != disk_cls()  # one counts page I/O, the other cannot
+        # derived keys follow the counters, page I/O included
+        keys = list(disk.to_dict())
+        assert keys.index("page_misses") + 1 == keys.index("access_ratio")
+
+    @pytest.mark.parametrize("stats_cls,expected", [
+        (QueryStats, QUERY_METRICS),
+        (DiskQueryStats, QUERY_METRICS[:9] + [
+            "ctree.query.page_hits", "ctree.query.page_misses"]
+         + QUERY_METRICS[9:]),
+        (KnnStats, KNN_METRICS),
+        (DiskKnnStats, KNN_METRICS[:6] + [
+            "ctree.knn.page_hits", "ctree.knn.page_misses"]
+         + KNN_METRICS[6:]),
+    ])
+    def test_publish_registers_exactly_these_names(self, stats_cls,
+                                                   expected):
+        """All-zero records: a counter is registered whatever it holds."""
+        target = MetricsRegistry()
+        stats_cls(database_size=9).publish(target)
+        assert [metric.name for metric in target] == expected
 
 
 class TestQueryStats:
@@ -105,15 +216,6 @@ class TestQueryStats:
         stats = QueryStats(answers=0)
         stats.candidates = -1
         assert stats.accuracy == 1.0
-
-    def test_attributes_are_registry_views(self):
-        stats = QueryStats(pseudo_tests=2)
-        assert stats.registry.counter("ctree.query.pseudo_tests").value == 2
-        stats.pseudo_tests += 3
-        assert stats.registry.counter("ctree.query.pseudo_tests").value == 5
-        # writing through the registry is visible on the attribute too
-        stats.registry.counter("ctree.query.pseudo_tests").value = 9
-        assert stats.pseudo_tests == 9
 
     def test_publish_folds_into_registry(self):
         target = MetricsRegistry()
