@@ -2,11 +2,13 @@
 
 Times the pseudo-isomorphism hot path (`pseudo_compatibility_domains` over
 the chemical workload) and a full C-tree subgraph query with the kernels
-toggled on and off, and the NBM scoring kernel (Alg. 1) against the
-reference loop — pair by pair and under a K-NN traversal — asserting
-(a) bit-identical domains, candidate and answer sets, mappings and K-NN
-answers and (b) the measured speedup that justifies the kernels'
-existence.
+toggled on and off, the two halves of the verification path on the pairs
+the chemical tree produces — `RefineBipartite` on (query, node closure)
+and Ullmann on (query, candidate graph, Alg. 2 seeds) — and the NBM
+scoring kernel (Alg. 1) against the reference loop — pair by pair and
+under a K-NN traversal — asserting (a) bit-identical domains, embeddings,
+candidate and answer sets, mappings and K-NN answers and (b) the measured
+speedup that justifies the kernels' existence.
 
 Writes ``benchmarks/results/kernel_microbench.json`` (uploaded as a CI
 artifact by the bench-smoke job) in addition to the usual
@@ -20,13 +22,32 @@ import time
 from unittest import mock
 
 import conftest
-from conftest import CHEM_SWEEP, RESULTS_DIR, record_figure
+from conftest import (
+    CHEM_SWEEP,
+    KERNEL_ROW_FLOORS,
+    RESULTS_DIR,
+    VERIFY_FIGURE,
+    VERIFY_ROWS,
+    record_figure,
+)
 
 from repro.graphs.labelspace import target_context
 from repro.matching import edit_distance
-from repro.matching.kernels import use_kernels
+from repro.matching.kernels import (
+    compile_query,
+    domains_to_masks,
+    level0_domain_masks,
+    masks_to_domains,
+    refine_bipartite_masks,
+    use_kernels,
+)
 from repro.matching.nbm import nbm_mapping, nbm_mapping_reference, nbm_score
-from repro.matching.pseudo_iso import pseudo_compatibility_domains
+from repro.matching.pseudo_iso import (
+    level0_domains,
+    pseudo_compatibility_domains,
+    refine_bipartite,
+)
+from repro.matching.ullmann import enumerate_embeddings, find_embedding
 from repro.ctree.similarity_query import knn_query
 from repro.ctree.subgraph_query import subgraph_query
 from repro.datasets.queries import (
@@ -38,8 +59,8 @@ from repro.datasets.queries import (
 #: full scale.  ``--quick`` shrinks the workload until constant overheads
 #: (context compilation over a handful of graphs) matter, so the gate
 #: there only guards against outright regressions.
-MIN_SPEEDUP = 2.0
-MIN_SPEEDUP_QUICK = 1.2
+#: The refine and Ullmann rows are held to the same pair of floors.
+MIN_SPEEDUP, MIN_SPEEDUP_QUICK = KERNEL_ROW_FLOORS
 #: The same for the NBM kernel against the reference loop, pair by pair.
 MIN_NBM_SPEEDUP = 1.5
 MIN_NBM_SPEEDUP_QUICK = 1.1
@@ -179,6 +200,97 @@ def test_full_query_speedup(chem_database, chem_tree, benchmark):
     # Verification (Ullmann) is shared between modes, so the end-to-end
     # floor is lower than the domain-kernel floor.
     assert speedup >= (1.0 if conftest._QUICK else 1.3)
+
+
+def test_verification_kernels_microbench(chem_database, chem_tree, benchmark):
+    """The verification path's two kernels on the pairs the chemical tree
+    produces.  Refine: `RefineBipartite` from the level-0 seeds on every
+    (query, node closure) the descent would refine.  Ullmann: the first
+    embedding of every (query, candidate) the descent hands to
+    verification, seeded with its Alg. 2 domains.  Identical domains and
+    identical embedding sequences first, then the speedup gate."""
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    level = 1
+    queries = [
+        q for size in CHEM_SWEEP.query_sizes
+        for q in generate_subgraph_queries(
+            chem_database, size, max(2, CHEM_SWEEP.queries_per_size // 2),
+            seed=66)
+    ]
+    compiled = {id(q): compile_query(q, level) for q in queries}
+
+    closures = [node.closure for _, node in chem_tree.nodes()
+                if node.closure is not None]
+    refine_pairs = []  # (query, closure, level-0 sets, level-0 masks)
+    for q in queries:
+        for c in closures:
+            seeds = level0_domains(q, c)
+            if all(seeds):
+                refine_pairs.append((q, c, seeds, level0_domain_masks(
+                    compiled[id(q)], target_context(c))))
+
+    def refine_reference() -> list:
+        return [refine_bipartite(q, c, [set(d) for d in seeds], level)
+                for q, c, seeds, _ in refine_pairs]
+
+    def refine_kernel() -> list:
+        return [refine_bipartite_masks(compiled[id(q)], target_context(c),
+                                       list(masks), level)
+                for q, c, _, masks in refine_pairs]
+
+    assert [masks_to_domains(m) for m in refine_kernel()] \
+        == refine_reference()
+
+    verify_pairs = []  # (query, candidate graph, Alg. 2 sets, masks)
+    for q in queries:
+        for gid in subgraph_query(chem_tree, q, level=level, verify=False)[0]:
+            g = chem_database[gid]
+            with use_kernels(False):
+                seeds = pseudo_compatibility_domains(q, g, level)
+            verify_pairs.append((q, g, seeds, domains_to_masks(seeds)))
+    for q, g, seeds, masks in verify_pairs:
+        with use_kernels(False):
+            expected = list(enumerate_embeddings(q, g, seeds, limit=3))
+        assert list(enumerate_embeddings(q, g, masks, limit=3)) == expected
+
+    with use_kernels(False):
+        t_refine_ref = _time(refine_reference)
+        t_ullmann_ref = _time(lambda: [find_embedding(q, g, seeds)
+                                       for q, g, seeds, _ in verify_pairs])
+    t_refine = _time(refine_kernel)
+    t_ullmann = _time(lambda: [find_embedding(q, g, masks)
+                               for q, g, _, masks in verify_pairs])
+
+    rows = {
+        "refine": (len(refine_pairs), t_refine_ref, t_refine),
+        "ullmann": (len(verify_pairs), t_ullmann_ref, t_ullmann),
+    }
+    assert list(rows) == VERIFY_ROWS
+    record_figure(
+        VERIFY_FIGURE,
+        "Kernel microbench: verification path, set-based reference vs "
+        "mask kernel (chemical; us per pair)",
+        "row",
+        VERIFY_ROWS,
+        {
+            "reference": [1e6 * ref / n for n, ref, _ in rows.values()],
+            "kernel": [1e6 * new / n for n, _, new in rows.values()],
+            "speedup": [ref / new for _, ref, new in rows.values()],
+        },
+        float_format="{:.2f}",
+    )
+    _write_microbench({
+        "quick": conftest._QUICK,
+        **{name: {"pairs": n, "reference_seconds": ref,
+                  "kernel_seconds": new, "speedup": ref / new}
+           for name, (n, ref, new) in rows.items()},
+    })
+
+    floor = MIN_SPEEDUP_QUICK if conftest._QUICK else MIN_SPEEDUP
+    for name, (n, ref, new) in rows.items():
+        assert n > 0 and ref / new >= floor, (
+            f"{name} kernel speedup {ref / new:.2f}x over {n} pairs below "
+            f"the {floor}x floor")
 
 
 def _reference_score(g1, g2):

@@ -280,8 +280,17 @@ def _require(condition, message: str) -> None:
         raise AssertionError(message)
 
 
+#: bench_kernels.py's verification-path figure: its rows, and the
+#: kernel-vs-reference speedup floor each must reach (full scale, --quick)
+VERIFY_FIGURE = "kernel_microbench_verify"
+VERIFY_ROWS = ["refine", "ullmann"]
+KERNEL_ROW_FLOORS = (2.0, 1.2)
+
+
 def validate_figures_payload(payload: dict) -> str:
-    """Gate BENCH_ctree.json: every figure carries aligned series."""
+    """Gate BENCH_ctree.json: every figure carries aligned series, and
+    where bench_kernels.py ran, its refine and Ullmann rows are there and
+    at their speedup floor."""
     figures = payload["figures"]
     _require(bool(figures), "no figures recorded")
     for name, fig in figures.items():
@@ -290,6 +299,15 @@ def validate_figures_payload(payload: dict) -> str:
         for series_name, values in fig["series"].items():
             _require(len(values) == len(fig["x"]),
                      f"{name}/{series_name}: series length mismatch")
+    if "kernel_microbench" in figures:
+        _require(VERIFY_FIGURE in figures, f"{VERIFY_FIGURE} missing")
+        verify = figures[VERIFY_FIGURE]
+        _require(verify["x"] == VERIFY_ROWS,
+                 f"{VERIFY_FIGURE}: rows {verify['x']}, expected {VERIFY_ROWS}")
+        floor = KERNEL_ROW_FLOORS[bool(payload["quick"])]
+        for row, speedup in zip(VERIFY_ROWS, verify["series"]["speedup"]):
+            _require(speedup >= floor, f"{VERIFY_FIGURE}/{row}: speedup "
+                                       f"{speedup:.2f}x below {floor}x")
     return f"BENCH_ctree.json OK: {sorted(figures)}"
 
 

@@ -67,8 +67,8 @@ def subgraph_query(
     qc = kernels.compile_query(query, level) if kernels.kernels_enabled() \
         else None
 
-    #: (graph id, graph, pseudo-compatibility domains — as bit masks in
-    #: kernel mode, expanded to sets only when verification reaches them)
+    #: (graph id, graph, pseudo-compatibility domains — bit masks in
+    #: kernel mode, sets on the reference path)
     candidates: list[tuple[int, Graph, list]] = []
     with trace.span(
         "ctree.subgraph_query",
@@ -93,9 +93,13 @@ def subgraph_query(
                 start = time.perf_counter()
                 for graph_id, graph, domains in candidates:
                     stats.isomorphism_tests += 1
-                    if qc is not None:
-                        domains = kernels.masks_to_domains(domains)
-                    if subgraph_isomorphic(query, graph, domains):
+                    if qc is None:
+                        found = subgraph_isomorphic(query, graph, domains)
+                    else:  # the descent's masks seed Ullmann as they are
+                        found = next(kernels.embeddings_masks(
+                            qc, target_context(graph), domains, 1),
+                            None) is not None
+                    if found:
                         answers.append(graph_id)
                 stats.verify_seconds = time.perf_counter() - start
             stats.answers = len(answers)

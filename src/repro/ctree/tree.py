@@ -598,9 +598,9 @@ class CTree(CTreeCore):
                 f"without graphs)")
 
     def health(self) -> tuple[bool, dict]:
-        """The ``/healthz`` probe: a non-empty tree stands at least one
-        level high."""
-        return (len(self) == 0 or self.height() >= 1,
+        """The ``/healthz`` probe: a non-empty tree's root has children
+        (a tree of at most M graphs is one leaf root, of height 0)."""
+        return (len(self) == 0 or bool(self.root.children),
                 {"probe": "memory", "graphs": len(self)})
 
     def close(self) -> None:

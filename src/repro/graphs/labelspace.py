@@ -205,7 +205,7 @@ class TargetContext(LabelSummary):
     """
 
     __slots__ = ("n", "degrees", "edge_groups", "vertex_groups",
-                 "edge_counts", "edge_masks", "vmasks", "profiles")
+                 "edge_counts", "edge_masks", "vmasks", "profiles", "nbr_rows")
 
     def __init__(
         self,
@@ -237,6 +237,8 @@ class TargetContext(LabelSummary):
         self.edge_groups: list[tuple[tuple[int, int], ...]] | None = None
         #: Alg. 1's half (:func:`nbm_context`): a neighbour-label profile each
         self.profiles: list[int] | None = None
+        #: ``kernels.neighbor_rows`` memo: query edge mask -> row per vertex
+        self.nbr_rows: dict[int, list[int]] = {}
 
     def __repr__(self) -> str:
         return f"<TargetContext |V|={self.n}>"

@@ -1,7 +1,7 @@
 """Bitset matching kernels for the C-tree hot path.
 
 This module reimplements the inner loops of pseudo subgraph isomorphism
-(Alg. 2) over int bitmasks instead of Python sets:
+(Alg. 2) and of its verifier (Ullmann) over int bitmasks, not Python sets:
 
 - a *domain* (the candidate targets of one query vertex) is a single int
   with bit ``v`` set for each compatible target vertex,
@@ -10,10 +10,11 @@ This module reimplements the inner loops of pseudo subgraph isomorphism
 - label compatibility is the two-word test of
   :func:`repro.graphs.labelspace.masks_match`.
 
-The set-based implementations in :mod:`repro.matching.pseudo_iso` are kept
-as the differential-testing reference: every kernel here must produce
-**bit-identical** domains and verdicts (``tests/test_kernels.py`` fuzzes
-that equivalence, including ε and wildcard labels and edge-labeled graphs).
+The set-based implementations in :mod:`repro.matching.pseudo_iso` and
+:mod:`repro.matching.ullmann` are kept as the differential-testing reference:
+every kernel here must produce **bit-identical** domains, verdicts and
+embeddings (``tests/test_kernels.py`` / ``test_ullmann.py`` fuzz that
+equivalence, including ε and wildcard labels and edge-labeled graphs).
 
 The kernels operate on compiled contexts: the target side of a pair is a
 :class:`~repro.graphs.labelspace.TargetContext` (memoized per graph or
@@ -31,7 +32,7 @@ and answer sets.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.exceptions import ConfigError
 from repro.graphs.closure import GraphLike
@@ -56,6 +57,8 @@ __all__ = [
     "pseudo_domain_masks",
     "semi_perfect_masks",
     "global_semi_perfect_masks",
+    "neighbor_rows",
+    "embeddings_masks",
     "histogram_dominates",
     "masks_to_domains",
     "domains_to_masks",
@@ -71,12 +74,14 @@ _C_DOMAIN_CALLS = global_registry().counter("matching.pseudo_iso.domain_calls")
 _C_REFINE_ROUNDS = global_registry().counter(
     "matching.pseudo_iso.refine_rounds"
 )
+_C_ULLMANN_CALLS = global_registry().counter("matching.ullmann.calls")
+_C_ULLMANN_NODES = global_registry().counter("matching.ullmann.search_nodes")
 
 _USE_KERNELS = True
 
 
 def kernels_enabled() -> bool:
-    """Are the bitset kernels the active pseudo-isomorphism engine?"""
+    """Are the bitset kernels the active pseudo-iso / Ullmann engine?"""
     return _USE_KERNELS
 
 
@@ -200,6 +205,35 @@ def level0_domain_masks(q: "QueryContext", t: TargetContext) -> list[int]:
     return out
 
 
+def neighbor_rows(q: "QueryContext", t: TargetContext) -> list[list[tuple]]:
+    """Per query vertex ``u``, a ``(u2, rows)`` pair per neighbour ``u2``:
+    ``rows[v]`` is the bitset of ``v``'s neighbours over an edge compatible
+    with ``(u, u2)``'s label, so Alg. 2's local test and Ullmann's support
+    and consistency tests are all ``rows[v] & domain``.  Rows are memoised
+    on the target under the query edge mask cut to the bits that can matter
+    there — as many entries as the target has edge labels, not the query."""
+    memo = t.nbr_rows
+    live = WILDCARD_BIT
+    for em, _ in t.edge_counts:
+        live |= em
+    out = []
+    for erow in q.edge_masks:
+        pairs = []
+        for u2, qe in erow.items():
+            qe &= live
+            rows = memo.get(qe)
+            if rows is None:
+                rows = [0] * t.n
+                for v, groups in enumerate(t.edge_groups):
+                    for em, members in groups:
+                        if (qe & em) | ((qe | em) & WILDCARD_BIT):
+                            rows[v] |= members
+                memo[qe] = rows  # published complete: readers never wait
+            pairs.append((u2, rows))
+        out.append(pairs)
+    return out
+
+
 def refine_bipartite_masks(
     q: "QueryContext",
     t: TargetContext,
@@ -212,51 +246,51 @@ def refine_bipartite_masks(
     snapshots (Theorem 1's level semantics) and an immediate return as soon
     as any domain empties — the query is already proven incompatible, so
     finishing the round buys nothing.  Mutates and returns ``domains``.
+
+    Theorem 1's local test (N(u) matched into N(v) over the previous
+    round's domains) is Hall's condition where that is a comparison: one row
+    non-empty; two non-empty and not the same single bit.  Else a matching.
     """
     rounds = resolve_level(level, q.n, t.n)
-    q_neighbors = q.neighbors
-    q_edge_masks = q.edge_masks
-    t_groups = t.edge_groups
+    nrows = neighbor_rows(q, t) if rounds else ()
     t_degrees = t.degrees
 
     for _ in range(rounds):
         previous = domains[:]  # masks are immutable ints: snapshot is a copy
         _C_REFINE_ROUNDS.value += 1
         changed = False
-        for u in range(q.n):
-            unbrs = q_neighbors[u]
-            if not unbrs:
+        for u, pairs in enumerate(nrows):
+            if not pairs:
                 continue  # isolated query vertex: no local constraint
-            deg_u = len(unbrs)
-            erow = q_edge_masks[u]
-            cand = domains[u]
-            new = cand
-            m = cand
-            while m:
-                b = m & -m
-                m ^= b
-                v = b.bit_length() - 1
-                if deg_u > t_degrees[v]:
-                    new ^= b
-                    continue
-                # Theorem 1's local test: rows of the N(u) x N(v) bipartite
-                # graph, restricted to the previous round's domains and to
-                # edge-label-compatible pairs.
-                groups = t_groups[v]
-                rows: list[int] = []
-                ok = True
-                for u2 in unbrs:
-                    qe = erow[u2]
-                    row = 0
-                    for em, members in groups:
-                        if (qe & em) | ((qe | em) & WILDCARD_BIT):
-                            row |= members
-                    row &= previous[u2]
-                    if not row:
-                        ok = False
-                        break
-                    rows.append(row)
-                if not ok or not semi_perfect_masks(rows):
+            cand = new = m = domains[u]
+            if len(pairs) == 1:
+                (u2, ra), = pairs
+                pa = previous[u2]
+                while m:
+                    b = m & -m
+                    m ^= b
+                    if not ra[b.bit_length() - 1] & pa:
+                        new ^= b
+            elif len(pairs) == 2:
+                (u2, ra), (u3, rb) = pairs
+                pa, pb = previous[u2], previous[u3]
+                while m:
+                    b = m & -m
+                    m ^= b
+                    v = b.bit_length() - 1
+                    x = ra[v] & pa
+                    y = rb[v] & pb
+                    if not x or not y or (x == y and not x & (x - 1)):
+                        new ^= b
+            else:
+                while m:
+                    b = m & -m
+                    m ^= b
+                    v = b.bit_length() - 1
+                    if len(pairs) <= t_degrees[v]:
+                        rows = [r[v] & previous[u2] for u2, r in pairs]
+                        if all(rows) and semi_perfect_masks(rows):
+                            continue
                     new ^= b
             if new != cand:
                 domains[u] = new
@@ -280,6 +314,106 @@ def pseudo_domain_masks(
     if not all(domains):
         return domains
     return refine_bipartite_masks(q, t, domains, level)
+
+
+# ----------------------------------------------------------------------
+# Ullmann on the compiled contexts
+# ----------------------------------------------------------------------
+def embeddings_masks(
+    q: "QueryContext",
+    t: TargetContext,
+    domains: Optional[Sequence[int]] = None,
+    limit: Optional[int] = None,
+) -> Iterator[dict[int, int]]:
+    """Ullmann's algorithm over bitmask domains: the embeddings of the
+    set-based ``ullmann.enumerate_embeddings`` in the same order.  The
+    refinement fixpoint is unique; ``select_next`` reads only which vertices
+    are assigned and the refined domain sizes, so its order is fixed before
+    the search; consistency with assigned neighbours is folded into the
+    candidate mask, so each bit popped is an assignment the reference makes.
+    """
+    _C_ULLMANN_CALLS.value += 1
+    n1 = q.n
+    if n1 == 0:
+        yield {}
+        return
+    if n1 > t.n:
+        return
+    if domains is None:  # label-compatible targets of sufficient degree
+        at_least = {d: sum(1 << v for v, dv in enumerate(t.degrees) if dv >= d)
+                    for d in set(q.ctx.degrees)}
+        domains = [m & at_least[d] for m, d in
+                   zip(level0_domain_masks(q, t), q.ctx.degrees)]
+    else:
+        domains = list(domains)
+    if not all(domains):
+        return
+    nrows = neighbor_rows(q, t)
+    changed = True
+    while changed:
+        changed = False
+        for u, pairs in enumerate(nrows):
+            new = m = domains[u]
+            while m:
+                b = m & -m
+                m ^= b
+                v = b.bit_length() - 1
+                for u2, rows in pairs:
+                    if not rows[v] & domains[u2]:
+                        new ^= b
+                        break
+            if new != domains[u]:
+                domains[u] = new
+                changed = True
+                if not new:
+                    return
+
+    # select_next: adjacent to the assigned, fewest candidates, lowest index
+    sizes = [d.bit_count() for d in domains]
+    order: list[int] = []
+    free, near = set(range(n1)), set()
+    while free:
+        order.append(min(free, key=lambda u: (u not in near, sizes[u], u)))
+        free.discard(order[-1])
+        near.update(q.neighbors[order[-1]])
+    position = {u: i for i, u in enumerate(order)}
+    #: per search depth: (depth of an earlier-assigned neighbour, its rows)
+    back = [[(position[u2], rows) for u2, rows in nrows[u]
+             if position[u2] < i] for i, u in enumerate(order)]
+
+    last = n1 - 1
+    cands = [domains[order[0]]] + [0] * last
+    image = [0] * n1
+    used = found = depth = 0
+    nodes = 1
+    try:
+        while True:
+            m = cands[depth]
+            if m:
+                b = m & -m  # candidates in ascending vertex order
+                cands[depth] = m ^ b
+                nodes += 1
+                image[depth] = b.bit_length() - 1
+                if depth < last:
+                    used |= b
+                    depth += 1
+                    m = domains[order[depth]] & ~used
+                    for i, rows in back[depth]:
+                        m &= rows[image[i]]
+                    cands[depth] = m
+                    continue
+                found += 1
+                yield dict(zip(order, image))
+            elif depth == 0:
+                return
+            else:
+                depth -= 1
+                used ^= 1 << image[depth]
+            # a candidate's subtree is done: the reference's limit check
+            if limit is not None and found >= limit:
+                return
+    finally:
+        _C_ULLMANN_NODES.value += nodes
 
 
 # ----------------------------------------------------------------------

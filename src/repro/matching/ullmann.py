@@ -15,6 +15,13 @@ passed in to skip the initial work — the acceleration noted in Section 6.2.
 
 Targets may be plain graphs or closures; label compatibility is set
 intersection via the shared ``label_set`` protocol.
+
+Two engines, as for pseudo subgraph isomorphism: the set-based code here
+(the reference and differential-testing oracle, ``use_kernels(False)``)
+and :func:`repro.matching.kernels.embeddings_masks` (the default: the same
+fixpoint and search over the bitsets and contexts Alg. 2 already built).
+:func:`enumerate_embeddings` dispatches on ``kernels_enabled()``; both
+yield the identical sequence of embeddings.
 """
 
 from __future__ import annotations
@@ -23,6 +30,13 @@ from typing import Iterator, Optional, Sequence
 
 from repro.graphs.closure import GraphLike, labels_match
 from repro.graphs.graph import Graph
+from repro.graphs.labelspace import target_context
+from repro.matching import kernels
+from repro.obs.metrics import global_registry
+
+#: verifier work, counted once per call (shared with the mask kernel)
+_C_CALLS = global_registry().counter("matching.ullmann.calls")
+_C_SEARCH_NODES = global_registry().counter("matching.ullmann.search_nodes")
 
 
 def compatibility_domains(query: GraphLike, target: GraphLike) -> list[set[int]]:
@@ -91,14 +105,26 @@ def _neighbors_supported(
 def enumerate_embeddings(
     query: GraphLike,
     target: GraphLike,
-    domains: Optional[list[set[int]]] = None,
+    domains: Optional[list] = None,
     limit: Optional[int] = None,
 ) -> Iterator[dict[int, int]]:
     """Yield subgraph-monomorphism embeddings (query vertex -> target vertex).
 
     ``domains`` may carry a precomputed compatibility matrix (e.g. from
-    pseudo subgraph isomorphism); it is refined and consumed.
+    pseudo subgraph isomorphism), as sets of target vertices or as
+    bitmasks; it is copied, then refined.
     """
+    as_masks = bool(domains) and isinstance(domains[0], int)
+    if kernels.kernels_enabled():
+        if domains is not None and not as_masks:
+            domains = kernels.domains_to_masks(domains)
+        yield from kernels.embeddings_masks(
+            kernels.compile_query(query), target_context(target), domains,
+            limit)
+        return
+    _C_CALLS.value += 1
+    if as_masks:
+        domains = kernels.masks_to_domains(domains)
     n1 = query.num_vertices
     if n1 == 0:
         yield {}
@@ -115,7 +141,7 @@ def enumerate_embeddings(
 
     assignment: dict[int, int] = {}
     used: set[int] = set()
-    found = 0
+    found = nodes = 0
 
     def select_next() -> int:
         """Most-constrained unassigned query vertex, preferring vertices
@@ -144,7 +170,8 @@ def enumerate_embeddings(
         return True
 
     def search() -> Iterator[dict[int, int]]:
-        nonlocal found
+        nonlocal found, nodes
+        nodes += 1
         if len(assignment) == n1:
             found += 1
             yield dict(assignment)
@@ -161,13 +188,16 @@ def enumerate_embeddings(
             if limit is not None and found >= limit:
                 return
 
-    yield from search()
+    try:
+        yield from search()
+    finally:
+        _C_SEARCH_NODES.value += nodes
 
 
 def find_embedding(
     query: GraphLike,
     target: GraphLike,
-    domains: Optional[list[set[int]]] = None,
+    domains: Optional[list] = None,
 ) -> Optional[dict[int, int]]:
     """The first embedding found, or ``None``."""
     for embedding in enumerate_embeddings(query, target, domains, limit=1):
@@ -178,7 +208,7 @@ def find_embedding(
 def subgraph_isomorphic(
     query: GraphLike,
     target: GraphLike,
-    domains: Optional[list[set[int]]] = None,
+    domains: Optional[list] = None,
 ) -> bool:
     """True iff ``query`` is subgraph-isomorphic (monomorphic) to ``target``."""
     return find_embedding(query, target, domains) is not None

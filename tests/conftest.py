@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
+from repro.graphs.closure import closure_under_mapping
 from repro.graphs.graph import Graph
 from repro.datasets.chemical import ChemicalConfig, generate_chemical_database
 
@@ -25,6 +27,20 @@ def star(center_label, leaf_labels) -> Graph:
     """A star: vertex 0 is the center."""
     labels = [center_label] + list(leaf_labels)
     return Graph(labels, [(0, i) for i in range(1, len(labels))])
+
+
+def drawn_closure(draw, g1: Graph, g2: Graph):
+    """Inside a hypothesis ``@st.composite``: the closure of two graphs
+    under a drawn partial mapping, every unmatched vertex paired with the
+    dummy — label sets and ε on vertices and edges."""
+    n1, n2 = g1.num_vertices, g2.num_vertices
+    k = draw(st.integers(0, min(n1, n2)))
+    us = draw(st.permutations(range(n1)))[:k]
+    vs = draw(st.permutations(range(n2)))[:k]
+    pairs = list(zip(us, vs))
+    pairs += [(u, None) for u in range(n1) if u not in us]
+    pairs += [(None, v) for v in range(n2) if v not in vs]
+    return closure_under_mapping(g1, g2, pairs)
 
 
 def random_labeled_graph(

@@ -322,8 +322,8 @@ def test_workers_is_the_real_process_count(golden_db, golden_tree):
 
 
 # ----------------------------------------------------------------------
-# docs/OBSERVABILITY.md's query, engine and shard tables are the metric
-# contract
+# docs/OBSERVABILITY.md's query, matching, engine and shard tables are the
+# metric contract
 # ----------------------------------------------------------------------
 _ADMISSION_FAMILY = ("server.coalesce.", "server.backpressure.",
                      "server.inflight")
@@ -353,6 +353,8 @@ def test_documented_metric_names(golden_db, golden_tree, golden_queries,
     }
     per_query = _documented_names(doc, "### Query metrics",
                                   "### Disk-index maintenance metrics")
+    matching = _documented_names(doc, "### Matching metrics",
+                                 "### Engine metrics")
     # The query rows are the records' declarations, nothing retyped.
     assert per_query == {
         f"{cls._PREFIX}.{name}"
@@ -404,6 +406,9 @@ def test_documented_metric_names(golden_db, golden_tree, golden_queries,
             if name.startswith(("ctree.query.", "ctree.knn."))} == per_query
     assert {name for name in names
             if name.startswith(_ADMISSION_FAMILY)} == admission
+    assert {name for name in names
+            if name.startswith(("matching.pseudo_iso.",
+                                "matching.ullmann."))} == matching
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import drawn_closure
+
 from repro.exceptions import ConfigError
 from repro.graphs.closure import EPSILON, WILDCARD, closure_under_mapping
 from repro.graphs.graph import Graph
@@ -44,6 +46,7 @@ from repro.matching.kernels import (
     use_kernels,
 )
 from repro.matching.measures import edge_label_sets, vertex_label_sets
+from repro.obs.metrics import global_registry
 from repro.matching.pseudo_iso import (
     global_semi_perfect,
     level0_domains,
@@ -54,6 +57,8 @@ from repro.matching.pseudo_iso import (
 
 VLABELS = ["A", "B", "C", WILDCARD]
 ELABELS = [None, "x", "y"]
+
+_REFINE_ROUNDS = global_registry().counter("matching.pseudo_iso.refine_rounds")
 
 
 def random_graph(rng: random.Random, max_vertices: int = 8) -> Graph:
@@ -310,6 +315,111 @@ class TestKernelProperties:
         sqc = SimilarityQueryContext(g1)
         assert sqc.sim_upper_bound(g2) == sim_upper_bound(g1, g2)
         assert sqc.distance_lower_bound(g2) == distance_lower_bound(g1, g2)
+
+
+def refine_both(query, target, level):
+    """``RefineBipartite`` from the level-0 seeds by the set-based
+    reference and by the kernel: ``(domains, rounds run)`` of each."""
+    out = []
+    for kernel in (False, True):
+        before = _REFINE_ROUNDS.value
+        if kernel:
+            qc, tc = compile_query(query), target_context(target)
+            domains = masks_to_domains(kernels.refine_bipartite_masks(
+                qc, tc, level0_domain_masks(qc, tc), level))
+        else:
+            domains = refine_bipartite(
+                query, target, level0_domains(query, target), level)
+        out.append((domains, _REFINE_ROUNDS.value - before))
+    return out
+
+
+@st.composite
+def star_queries(draw, degree):
+    """A centre of exactly ``degree`` neighbours (the local test's one-row,
+    two-row and matching branches), leaves of degree 1 to 3: drawn labels,
+    drawn edge labels, sometimes an edge between two leaves or a tail."""
+    g = Graph([draw(st.sampled_from(VLABELS)) for _ in range(degree + 2)])
+    for leaf in range(1, degree + 1):
+        g.add_edge(0, leaf, draw(st.sampled_from(ELABELS)))
+    if degree > 1 and draw(st.booleans()):
+        g.add_edge(1, 2, draw(st.sampled_from(ELABELS)))
+    if draw(st.booleans()):
+        g.add_edge(degree, degree + 1, draw(st.sampled_from(ELABELS)))
+    return g
+
+
+@st.composite
+def dense_targets(draw, max_vertices=8):
+    """Graphs and closures dense enough that refinement has work to do."""
+    def graph():
+        n = draw(st.integers(1, max_vertices))
+        g = Graph([draw(st.sampled_from(VLABELS[:3])) for _ in range(n)])
+        for u in range(n):
+            for v in range(u + 1, n):
+                if draw(st.integers(0, 2)):
+                    g.add_edge(u, v, draw(st.sampled_from(ELABELS)))
+        return g
+
+    g1 = graph()
+    if draw(st.booleans()):
+        return g1
+    return drawn_closure(draw, g1, graph())
+
+
+class TestRefineKernel:
+    """The refine kernel's three local-test branches against
+    ``pseudo_iso.refine_bipartite``: same domains, same early return, same
+    ``refine_rounds``."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("level", [1, "max"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_forced_degree_bit_identical(self, degree, level, data):
+        query = data.draw(star_queries(degree))
+        target = data.draw(dense_targets())
+        assert query.degree(0) == degree
+        if any(not d for d in level0_domains(query, target)):
+            return  # neither engine refines an already-failed seeding
+        (ref, ref_rounds), (got, got_rounds) = refine_both(
+            query, target, level)
+        assert got == ref
+        assert got_rounds == ref_rounds
+
+    def test_hall_shortcut_cases(self):
+        # Two query neighbours that can only share one target vertex: the
+        # two-row test must fail where each row alone is non-empty.
+        query = Graph(["B", "A", "A"], [(0, 1), (0, 2)])
+        one_a = Graph(["B", "A", "C"], [(0, 1), (0, 2)])
+        two_a = Graph(["B", "A", "A"], [(0, 1), (0, 2)])
+        for target, centre in ((one_a, set()), (two_a, {0})):
+            (ref, _), (got, _) = refine_both(query, target, 1)
+            assert got == ref and got[0] == centre
+        # One row: a leaf needs one compatible neighbour over a
+        # compatible *edge*.
+        leaf = Graph(["A", "B"], [(0, 1, "x")])
+        for label, survivors in (("x", {0}), ("y", set())):
+            target = Graph(["A", "B"], [(0, 1, label)])
+            (ref, _), (got, _) = refine_both(leaf, target, 1)
+            assert got == ref and got[0] == survivors
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_emptied_domain_returns_at_the_same_point(self, degree):
+        # The centre's only candidate has too few matching neighbours:
+        # both engines stop mid-round, leaving later domains unrefined.
+        query = Graph(["X"] + ["A"] * degree + ["A", "Z"],
+                      [(0, leaf) for leaf in range(1, degree + 1)]
+                      + [(degree + 1, degree + 2)])
+        target = Graph(["X"] + ["A"] * degree + ["A", "Z"],
+                       [(0, leaf) for leaf in range(1, degree)]
+                       + [(degree, degree + 1)])
+        (ref, ref_rounds), (got, got_rounds) = refine_both(
+            query, target, "max")
+        assert got == ref and ref[0] == set()
+        assert got_rounds == ref_rounds == 1
+        # vertices after the emptied one were never visited
+        assert ref[degree + 2] == level0_domains(query, target)[degree + 2]
 
 
 class TestRoundTrips:

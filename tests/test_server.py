@@ -638,6 +638,30 @@ class TestIntrospection:
         assert payload["status"] == "ok"
         assert payload["probe"] == "memory"
 
+    def test_healthz_small_index_is_healthy(self, golden, tmp_path):
+        """An index of at most M graphs is one leaf root of height 0 —
+        non-empty and healthy, in memory and as the shards of a shard
+        set (in memory and in a directory)."""
+        db, _ = golden
+        small = bulk_load(db[:5], min_fanout=3)
+        assert small.height() == 0 and small.root.is_leaf
+        indexes = [
+            small,
+            ShardSet.build_memory(db[:6], 2, min_fanout=3),
+            ShardSet.create(db[:6], tmp_path / "leafy.shards", 2,
+                            min_fanout=3),
+        ]
+        assert all(s.tree.height() == 0 for s in indexes[1].shards)
+        for index in indexes:
+            srv = QueryServer(index, ServerConfig(port=0, healthz_ttl=0.0))
+            with srv.run_in_thread() as handle:
+                status, _, data = _request(handle.port, "GET", "/healthz")
+                assert status == 200, data
+                assert json.loads(data)["status"] == "ok"
+        empty = bulk_load(db[:1], min_fanout=3)
+        empty.delete(0)
+        assert empty.health()[0]  # empty is still healthy
+
     def test_healthz_disk_fsck_and_corruption_flip(self, golden_tree,
                                                    tmp_path):
         """/healthz is fsck-backed: clean 200 → corrupt the page file

@@ -1,15 +1,23 @@
 """Unit tests for Ullmann subgraph isomorphism, cross-validated against
-networkx monomorphism."""
+networkx monomorphism (on the default, mask-kernel engine) and — the two
+engines against each other — embedding for embedding."""
 
 import random
+from unittest import mock
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.graphs.closure import GraphClosure, closure_under_mapping
+from repro.graphs.closure import WILDCARD, GraphClosure, closure_under_mapping
 from repro.graphs.graph import Graph
 from repro.graphs.interop import to_networkx
 from repro.graphs.operations import random_connected_subgraph, vertex_permuted
+from repro.obs.metrics import global_registry
+from repro.matching import kernels
+from repro.matching.kernels import domains_to_masks, use_kernels
+from repro.matching.pseudo_iso import pseudo_compatibility_domains
 from repro.matching.ullmann import (
     compatibility_domains,
     enumerate_embeddings,
@@ -19,7 +27,13 @@ from repro.matching.ullmann import (
     subgraph_isomorphic,
 )
 
-from conftest import path_graph, random_labeled_graph, star, triangle
+from conftest import (
+    drawn_closure,
+    path_graph,
+    random_labeled_graph,
+    star,
+    triangle,
+)
 
 
 def nx_monomorphic(query: Graph, target: Graph) -> bool:
@@ -124,6 +138,8 @@ class TestRefinement:
 class TestAgainstNetworkx:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_pairs(self, seed):
+        # networkx is the independent oracle of the engine that serves.
+        assert kernels.kernels_enabled()
         rng = random.Random(seed)
         q = random_labeled_graph(rng, rng.randrange(2, 6), num_labels=2)
         t = random_labeled_graph(rng, rng.randrange(2, 9), num_labels=2)
@@ -156,3 +172,113 @@ class TestClosureTargets:
         c = GraphClosure([{"A"}, {"B"}])
         c.add_edge(0, 1, {None})
         assert not subgraph_isomorphic(Graph(["Z"]), c)
+
+
+# ----------------------------------------------------------------------
+# Mask kernel vs the set-based engine
+# ----------------------------------------------------------------------
+_VLABELS = ["A", "B", WILDCARD]
+_ELABELS = [None, None, 1, 2, WILDCARD]
+_COUNTERS = [global_registry().counter(f"matching.ullmann.{name}")
+             for name in ("calls", "search_nodes")]
+
+
+@st.composite
+def graphs(draw, max_vertices):
+    """Possibly empty, possibly with isolated vertices; ``None``, int and
+    wildcard edge labels."""
+    n = draw(st.integers(0, max_vertices))
+    g = Graph([draw(st.sampled_from(_VLABELS)) for _ in range(n)])
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                g.add_edge(u, v, draw(st.sampled_from(_ELABELS)))
+    return g
+
+
+@st.composite
+def graph_likes(draw, max_vertices):
+    """A graph, or the closure of two under a drawn partial mapping
+    (label sets and ε on vertices and edges)."""
+    g1 = draw(graphs(max_vertices))
+    if draw(st.booleans()):
+        return g1
+    return drawn_closure(draw, g1, draw(graphs(max_vertices)))
+
+
+def run_engine(kernel, query, target, domains, limit):
+    """``(embeddings with their key order, calls, search nodes)``."""
+    before = [c.value for c in _COUNTERS]
+    with use_kernels(kernel):
+        found = [list(e.items())
+                 for e in enumerate_embeddings(query, target, domains, limit)]
+    return [found] + [c.value - b for c, b in zip(_COUNTERS, before)]
+
+
+class TestMaskKernelAgainstReference:
+    @given(query=graph_likes(4), target=graph_likes(6),
+           limit=st.sampled_from([None, 1, 2, 5]),
+           seeds=st.sampled_from(["absent", "sets", "masks"]))
+    @settings(max_examples=300, deadline=None)
+    def test_identical_sequence_verdict_and_counts(self, query, target,
+                                                   limit, seeds):
+        domains = None
+        if seeds != "absent":
+            with use_kernels(False):
+                domains = pseudo_compatibility_domains(query, target, 1)
+            if seeds == "masks":
+                domains = domains_to_masks(domains)
+        want = run_engine(False, query, target, domains, limit)
+        got = run_engine(True, query, target, domains, limit)
+        assert got == want
+        assert want[1] == 1  # one call each, however far the search went
+        if limit is not None:
+            assert len(want[0]) <= limit
+        with use_kernels(True):
+            verdict = subgraph_isomorphic(query, target, domains)
+            first = find_embedding(query, target, domains)
+        assert verdict == bool(want[0])
+        assert first == (dict(want[0][0]) if want[0] else None)
+
+    def test_seeds_are_not_consumed(self):
+        q, t = path_graph(["A", "B"]), triangle()
+        for kernel in (True, False):
+            for seeds in ([{0, 1, 2}, {0, 1, 2}], [0b111, 0b111]):
+                kept = list(seeds)
+                with use_kernels(kernel):
+                    assert subgraph_isomorphic(q, t, seeds)
+                assert seeds == kept
+
+    def test_edge_cases_on_both_engines(self):
+        lonely = Graph(["A", "A", "B"], [(0, 1)])  # an isolated query vertex
+        cases = [
+            (Graph(), triangle(), [[]]),                  # empty query
+            (triangle(), Graph(["A"]), []),               # n1 > n2
+            (lonely, Graph(["A", "A", "B"], [(0, 1)]),
+             [[(0, 0), (1, 1), (2, 2)], [(0, 1), (1, 0), (2, 2)]]),
+            (Graph(["Z"]), triangle(), []),               # an empty domain
+        ]
+        for query, target, expected in cases:
+            for kernel in (True, False):
+                found = run_engine(kernel, query, target, None, None)[0]
+                assert sorted(sorted(e) for e in found) == expected
+
+    def test_search_nodes_count_assignments(self):
+        # A-A-A in a triangle of A's: 1 root + 3 + 3*2 + 3*2*1 assignments.
+        g = Graph(["A", "A", "A"], [(0, 1), (1, 2), (0, 2)])
+        for kernel in (True, False):
+            found, calls, nodes = run_engine(kernel, g, g, None, None)
+            assert (len(found), calls, nodes) == (6, 1, 16)
+            # ... and an abandoned generator still reports what it searched
+            before = _COUNTERS[1].value
+            with use_kernels(kernel):
+                assert find_embedding(g, g) is not None
+            assert _COUNTERS[1].value - before == 4
+
+    def test_default_engine_is_the_mask_kernel(self):
+        with mock.patch.object(kernels, "embeddings_masks",
+                               return_value=iter([{0: 7}])) as kernel:
+            assert find_embedding(Graph(["A"]), triangle()) == {0: 7}
+            with use_kernels(False):
+                assert find_embedding(Graph(["A"]), triangle()) == {0: 0}
+        assert kernel.call_count == 1
