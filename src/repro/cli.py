@@ -80,7 +80,8 @@ def _parse_level(text: str):
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of ``-k``: what ``POST /knn`` accepts as ``k``."""
+    """argparse type of ``-k`` (what ``POST /knn`` accepts as ``k``) and
+    of ``--cache-pages`` (a buffer pool has at least one frame)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
@@ -609,10 +610,11 @@ def build_parser() -> argparse.ArgumentParser:
     # Flags more than one subcommand takes, each declared here and
     # nowhere else; defaults come from the code the value is handed to.
     cache = _flags()
-    cache.add_argument("--cache-pages", type=int,
+    cache.add_argument("--cache-pages", type=_positive_int,
                        default=DEFAULT_CACHE_PAGES,
-                       help="buffer-pool pages of a disk index handle "
-                            "(default %(default)s)")
+                       help="memory of a disk index handle: buffer-pool "
+                            "pages, and as many decoded tree nodes kept "
+                            "resident (default %(default)s)")
     index = _flags(cache)
     index.add_argument("-t", "--tree", "--index", dest="tree", required=True,
                        help="the saved index: *.json snapshot, *.ctp disk "

@@ -88,9 +88,10 @@ from repro.storage.wal import (
 #: Record format version (see :mod:`repro.ctree.store`).
 _FORMAT = 3
 
-#: Buffer-pool pages of a disk handle unless the caller says otherwise —
-#: the one default behind ``--cache-pages``, the engine's per-worker
-#: handles and ``ServerConfig.cache_pages``.
+#: Buffer-pool pages of a disk handle — and the most decoded nodes its
+#: store keeps resident — unless the caller says otherwise: the one
+#: default behind ``--cache-pages``, the engine's per-worker handles and
+#: ``ServerConfig.cache_pages``.
 DEFAULT_CACHE_PAGES = 128
 
 _U64 = struct.Struct("<Q")
@@ -377,7 +378,7 @@ class DiskCTree(CTreeCore):
         inserts = self._counter("incremental_inserts")
         generation = self.generation + 1
         with trace.span("ctree.disk.extend", graphs=len(new_graphs),
-                        generation=generation):
+                        generation=generation), self.store.writing():
             for offset, graph in enumerate(new_graphs):
                 self._insert_one(first_new + offset, graph, rng)
                 inserts.value += 1
@@ -440,7 +441,7 @@ class DiskCTree(CTreeCore):
         generation = self.generation + 1
         removed: list[Graph] = []
         with trace.span("ctree.disk.delete", graphs=len(ids),
-                        generation=generation):
+                        generation=generation), self.store.writing():
             for gid in ids:
                 removed.append(self._delete_one(gid, rng))
                 deletes.value += 1
@@ -553,7 +554,7 @@ class DiskCTree(CTreeCore):
         if reason is None:
             return None
         with trace.span("ctree.disk.compact", reason=reason,
-                        graphs=len(self)):
+                        graphs=len(self)), self.store.writing():
             items = sorted(self.iter_graphs(), key=lambda item: item[0])
             tree = bulk_load([graph for _, graph in items], seed=seed,
                              **self.config())

@@ -136,6 +136,13 @@ class CTreeNode:
         None once it was replaced, or for a node that was never stored."""
         return self._stored
 
+    def drop_stored(self) -> None:
+        """Let go of the record form once the closure is decoded: a node
+        nobody will rewrite (a paged store's resident snapshot) has no
+        use for both."""
+        if self._closure is not None:
+            self._stored = None
+
     @property
     def histogram(self) -> Optional[LabelHistogram]:
         """Label histogram of :attr:`closure`, computed once per closure."""

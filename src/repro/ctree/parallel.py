@@ -256,8 +256,9 @@ class QueryEngine:
         Maximum number of cached answers (LRU).  ``0`` disables both the
         answer cache and batch deduplication — every query executes.
     cache_pages:
-        Buffer-pool capacity of every disk handle the engine opens
-        (per-worker handles, and in-process handles on disk shards).
+        Buffer-pool capacity — and resident-node cap — of every disk
+        handle the engine opens (per-worker handles, and in-process
+        handles on disk shards).
 
     Use as a context manager, or call :meth:`close` to reap the pools.
 

@@ -50,9 +50,9 @@ def open_index(path: PathLike, cache_pages: int = DEFAULT_CACHE_PAGES,
     """Open the saved index at ``path``, whatever its kind; ``close()``
     the result when done.
 
-    ``cache_pages`` sizes a disk handle's buffer pool.  ``read_only``
-    opens a page file the way a server must
-    (:meth:`DiskCTree.open_read_only
+    ``cache_pages`` sizes a disk handle's buffer pool and its resident
+    set of decoded nodes.  ``read_only`` opens a page file the way a
+    server must (:meth:`DiskCTree.open_read_only
     <repro.ctree.diskindex.DiskCTree.open_read_only>`: no WAL handle,
     no silent crash recovery); the other kinds are never written
     through their handle.  A directory without a manifest is a

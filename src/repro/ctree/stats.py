@@ -10,9 +10,10 @@ feed the Section 6.3 cost model.
 A stats object is one plain slotted record: its counters are ordinary
 attributes declared once, in the class's ``_FIELDS`` tuple, so
 ``stats.pseudo_tests += 1`` in Alg. 3 is an attribute store and a record
-pickles across the engine's fork pools as its values.  Page I/O is two
-optional fields (``page_hits`` / ``page_misses``): ``None`` on a record
-from an in-memory index, filled in by the paged node store's
+pickles across the engine's fork pools as its values.  Page I/O is four
+optional fields (``page_hits`` / ``page_misses``, ``node_hits`` /
+``node_loads``): ``None`` on a record from an in-memory index, filled in
+by the paged node store's
 :meth:`~repro.ctree.store.PagedNodeStore.metered` on one from a disk
 index, and present in :meth:`to_dict <QueryStats.to_dict>` /
 :meth:`explain <QueryStats.explain>` only then.  Query processors call
@@ -44,8 +45,10 @@ from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry, global_registry
 
-#: buffer-pool hits and misses a query caused
-_PAGE_IO = ("page_hits", "page_misses")
+#: what a query cost the storage under a paged node store: buffer-pool
+#: hits and misses, and node loads answered from the store's resident set
+#: / by decoding a node record
+PAGE_IO = ("page_hits", "page_misses", "node_hits", "node_loads")
 
 
 class _StatsRecord:
@@ -53,7 +56,7 @@ class _StatsRecord:
     the dict / EXPLAIN / registry views, copying and equality, all driven
     by the class-level field declarations."""
 
-    __slots__ = _PAGE_IO
+    __slots__ = PAGE_IO
     #: metric family the record publishes under
     _PREFIX = ""
     #: the counters, in ``to_dict`` order; ``database_size`` merges by max
@@ -77,7 +80,7 @@ class _StatsRecord:
                     values.pop(name, 0.0 if name in self._SECONDS else 0))
         for name in self._LEVELS:
             setattr(self, name, list(values.pop(name, None) or ()))
-        for name in _PAGE_IO:
+        for name in PAGE_IO:
             setattr(self, name, values.pop(name, self._PAGE_IO_DEFAULT))
         if values:
             raise TypeError(f"{type(self).__name__}() got an unexpected "
@@ -94,7 +97,7 @@ class _StatsRecord:
         """Accumulate another query's counters into this one (for
         averaging across a workload).  Page I/O adds up where both
         records count it."""
-        for name in self._FIELDS + _PAGE_IO:
+        for name in self._FIELDS + PAGE_IO:
             mine, theirs = getattr(self, name), getattr(other, name)
             if mine is None or theirs is None:
                 continue
@@ -105,7 +108,7 @@ class _StatsRecord:
         """The counters, page I/O after them where it is counted."""
         out = {name: getattr(self, name) for name in self._FIELDS}
         if self.page_hits is not None:
-            out.update(page_hits=self.page_hits, page_misses=self.page_misses)
+            out.update((name, getattr(self, name)) for name in PAGE_IO)
         return out
 
     def to_dict(self) -> dict:
@@ -124,7 +127,7 @@ class _StatsRecord:
         serial run at every worker count (page I/O depends on buffer-pool
         temperature, which depends on the execution schedule)."""
         out = self.to_dict()
-        for key in (*self._SECONDS, "total_seconds", *_PAGE_IO):
+        for key in (*self._SECONDS, "total_seconds", *PAGE_IO):
             out.pop(key, None)
         return out
 
@@ -133,7 +136,7 @@ class _StatsRecord:
         copied)."""
         return type(self)(**{
             name: getattr(self, name)
-            for name in self._FIELDS + self._LEVELS + _PAGE_IO})
+            for name in self._FIELDS + self._LEVELS + PAGE_IO})
 
     def _with_page_io(self, profile: dict) -> dict:
         """``profile`` plus the ``page_io`` block of a disk-backed
@@ -143,6 +146,8 @@ class _StatsRecord:
                 "hits": self.page_hits,
                 "misses": self.page_misses,
                 "hit_ratio": self.page_hit_ratio,
+                "node_hits": self.node_hits,
+                "node_loads": self.node_loads,
             }
         return profile
 

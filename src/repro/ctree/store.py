@@ -22,7 +22,14 @@ histogram Alg. 3 screens an entry with — held by the entry itself on
 disk, so a rejected graph is never read — and :meth:`load_graph` turns an
 entry into its graph.  :meth:`metered` is the single hook through which a
 query learns its page I/O: it hands the query its stats record, and the
-paged store fills in the record's ``page_hits`` / ``page_misses``.
+paged store fills in the record's ``page_hits`` / ``page_misses`` and
+``node_hits`` / ``node_loads``.
+
+A paged store keeps the nodes it decoded **resident** (at most as many
+as its buffer pool has frames, leaves evicted first), so a handle that
+only reads decodes each node once, not once per query; a write batch
+(:meth:`PagedNodeStore.writing`) works on private copies and leaves the
+set empty.
 
 **Record format 3** (layout and rationale: ``docs/DURABILITY.md``).  A
 graph is ``{"vl": [labels], "v": [index into vl], "el": [labels], "e": [u,
@@ -34,8 +41,9 @@ the record's own tables as codes; a node ``{"leaf", "closure"?, "graphs":
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.exceptions import GraphError
 from repro.graphs.closure import (
@@ -52,7 +60,13 @@ from repro.graphs.labelspace import (
     label_context,
 )
 from repro.ctree.node import CTreeNode, LeafEntry
-from repro.ctree.stats import DiskKnnStats, DiskQueryStats, KnnStats
+from repro.ctree.stats import (
+    PAGE_IO,
+    DiskKnnStats,
+    DiskQueryStats,
+    KnnStats,
+)
+from repro.obs.metrics import global_registry
 from repro.storage.recordstore import RecordStore
 
 
@@ -101,16 +115,23 @@ class MemoryNodeStore:
         yield stats_cls(database_size=database_size)
 
 
-class StoredEntry(NamedTuple):
+class StoredEntry:
     """A leaf entry of a paged node: graph id, the graph's record id, and
     the graph's label histograms as flat ``[label, count, ...]`` lists
     (a graph never changes, so they are written once, at
-    :meth:`PagedNodeStore.alloc_graph`; ``fsck`` checks them)."""
+    :meth:`PagedNodeStore.alloc_graph`; ``fsck`` checks them).
+    ``summary`` is :meth:`PagedNodeStore.graph_summary`'s memo and lives
+    as long as the node holding the entry does."""
 
-    graph_id: int
-    record: int
-    vhist: list
-    ehist: list
+    __slots__ = ("graph_id", "record", "vhist", "ehist", "summary")
+
+    def __init__(self, graph_id: int, record: int, vhist: list,
+                 ehist: list) -> None:
+        self.graph_id = graph_id
+        self.record = record
+        self.vhist = vhist
+        self.ehist = ehist
+        self.summary: Optional[tuple] = None
 
 
 def dump_record(record: dict) -> bytes:
@@ -248,7 +269,11 @@ def encode_node(node: CTreeNode) -> dict:
         closure = encode_closure(node.closure)
     if closure is not None:
         record["closure"] = closure
-    record["graphs" if node.is_leaf else "children"] = node.children
+    if node.is_leaf:
+        record["graphs"] = [[e.graph_id, e.record, e.vhist, e.ehist]
+                            for e in node.children]
+    else:
+        record["children"] = node.children
     return record
 
 
@@ -271,11 +296,36 @@ class PagedNodeStore:
     :class:`~repro.ctree.diskindex.DiskCTree`; the store keeps its
     ``root`` / ``height`` / ``leaf_count`` entries current as the tree
     changes shape, the owner decides when it is written and committed.
+
+    **Resident nodes.**  :meth:`load_node` keeps the node it decoded,
+    keyed by record id, and returns that same node while it is held: its
+    closure is decoded once, and the kernel contexts memoised on the
+    closure and the label summaries memoised on its leaf entries are
+    built once per handle, not once per query.  The set holds at most as
+    many nodes as the buffer pool has frames (``cache_pages``); a leaf is
+    evicted before any internal node, least recently used first, so a
+    descent wider than the cap cycles through the leaf slots and still
+    finds the root and the levels under it.  Resident nodes are read-only
+    snapshots: whoever calls :meth:`alloc_node` / :meth:`write_node` /
+    :meth:`free_node` does so inside :meth:`writing`.
     """
 
     def __init__(self, records: RecordStore, meta: dict) -> None:
         self.records = records
         self.meta = meta
+        #: record id -> resident node, oldest first: (internal, leaves)
+        self._resident: tuple[OrderedDict, OrderedDict] = (
+            OrderedDict(), OrderedDict())
+        self._writing = False
+        #: :meth:`load_node` calls answered from the resident set / by
+        #: decoding a record, over the handle's life (the registry's
+        #: ``ctree.disk.node_*`` add up every handle of the process)
+        self.node_hits = 0
+        self.node_loads = 0
+        registry = global_registry()
+        self._c_node_hits = registry.counter("ctree.disk.node_hits")
+        self._c_node_loads = registry.counter("ctree.disk.node_loads")
+        self._g_resident = registry.gauge("ctree.disk.nodes_resident")
 
     @property
     def root(self) -> int:
@@ -292,17 +342,54 @@ class PagedNodeStore:
         return json.loads(self.records.load(record_id))
 
     def load_node(self, ref: int) -> CTreeNode:
-        """Decode one node record (its closure stays in record form)."""
-        return decode_node(self.load_record(ref))
+        """The node of record ``ref``: the resident one while it is held,
+        otherwise decoded now (its closure stays in record form until
+        first use) and, outside a write batch, kept."""
+        for held in self._resident:
+            node = held.get(ref)
+            if node is not None:
+                held.move_to_end(ref)
+                node.drop_stored()
+                self.node_hits += 1
+                self._c_node_hits.value += 1
+                return node
+        node = decode_node(self.load_record(ref))
+        self.node_loads += 1
+        self._c_node_loads.value += 1
+        if not self._writing:
+            inner, leaves = self._resident
+            (leaves if node.is_leaf else inner)[ref] = node
+            if len(inner) + len(leaves) > self.records.pool.capacity:
+                (leaves or inner).popitem(last=False)
+            self._g_resident.set(len(inner) + len(leaves))
+        return node
+
+    @contextmanager
+    def writing(self) -> Iterator[None]:
+        """A write batch: inside it every :meth:`load_node` is a private
+        copy the writer may change and rewrite, and none is kept — so
+        neither a commit nor an exception part-way through leaves a
+        resident node the records no longer back."""
+        for held in self._resident:
+            held.clear()
+        self._g_resident.set(0)
+        self._writing = True
+        try:
+            yield
+        finally:
+            self._writing = False
 
     def graph_summary(self, entry: StoredEntry) -> LabelSummary:
         """The entry's stored histograms in the process label space —
-        no page is read."""
+        no page is read; built once per entry and label space."""
         space = global_labelspace()
-        vhist, ehist = entry.vhist, entry.ehist
-        return LabelSummary(
-            dict(zip(map(space.vertex_id, vhist[::2]), vhist[1::2])),
-            dict(zip(map(space.edge_id, ehist[::2]), ehist[1::2])))
+        memo = entry.summary
+        if memo is None or memo[0] is not space:
+            vhist, ehist = entry.vhist, entry.ehist
+            memo = entry.summary = (space, LabelSummary(
+                dict(zip(map(space.vertex_id, vhist[::2]), vhist[1::2])),
+                dict(zip(map(space.edge_id, ehist[::2]), ehist[1::2]))))
+        return memo[1]
 
     def load_graph(self, entry: StoredEntry) -> Graph:
         """Decode the graph record a leaf entry points at."""
@@ -341,13 +428,15 @@ class PagedNodeStore:
     def metered(self, stats_cls, database_size: int, span):
         """Yield one query's stats record, of the class that counts page
         I/O; on exit fill in the buffer-pool hits and misses the query
-        caused (record and span)."""
+        caused and the node loads it had answered from the resident set
+        or by decoding (record and span)."""
         pool = self.records.pool
-        hits, misses = pool.hits, pool.misses
+        before = (pool.hits, pool.misses, self.node_hits, self.node_loads)
         disk_cls = DiskKnnStats if stats_cls is KnnStats else DiskQueryStats
         stats = disk_cls(database_size=database_size)
         span.set(disk=True)
         yield stats
-        stats.page_hits = pool.hits - hits
-        stats.page_misses = pool.misses - misses
-        span.set(page_hits=stats.page_hits, page_misses=stats.page_misses)
+        after = (pool.hits, pool.misses, self.node_hits, self.node_loads)
+        for name, start, end in zip(PAGE_IO, before, after):
+            setattr(stats, name, end - start)
+        span.set(**{name: getattr(stats, name) for name in PAGE_IO})

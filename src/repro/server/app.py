@@ -128,7 +128,7 @@ class ServerConfig:
     workers: int = 1
     #: LRU answer-cache capacity of the engine (0 disables caching).
     cache_size: int = DEFAULT_CACHE_SIZE
-    #: Buffer-pool pages per worker disk handle.
+    #: Buffer-pool pages (and resident decoded nodes) per disk handle.
     cache_pages: int = DEFAULT_CACHE_PAGES
     #: Not a setting: the true wait of an admission timer that is gone.
     #: Goes with benchmarks/spine/workloads.py's read (ROADMAP item 6).

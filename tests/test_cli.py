@@ -633,3 +633,18 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "-t", "x.ctp", "-q", "{}", "--cache-pages", "0"],
+        ["knn", "-t", "x.ctp", "-q", "{}", "--cache-pages", "-4"],
+        ["serve", "-t", "x.ctp", "--cache-pages", "0"],
+    ], ids=["query", "knn", "serve"])
+    def test_cache_pages_below_one_is_refused_by_name(self, argv, capsys):
+        """At parse time, naming the flag that was typed — not the
+        ``BufferPool`` argument it would have become."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --cache-pages" in err
+        assert "capacity" not in err

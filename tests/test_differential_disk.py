@@ -1,6 +1,8 @@
 """Differential tests: the disk index must answer exactly like the
 in-memory C-tree, for seeded corpora, with the matching kernels both on
-and off (``kernels.use_kernels``)."""
+and off (``kernels.use_kernels``) — and a handle that keeps decoded nodes
+resident exactly like one that has just been opened, whatever reads and
+write batches it has been through."""
 
 import random
 
@@ -22,6 +24,8 @@ from repro.datasets.chemical import ChemicalConfig, generate_chemical_database
 from repro.datasets.queries import generate_subgraph_queries
 from repro.graphs.graph import Graph
 from repro.matching import kernels
+from repro.obs.metrics import global_registry
+from repro.storage.faultfs import FaultInjector, FaultPlan, SimulatedCrash
 
 SEEDS = [11, 23, 47]
 _CONFIG = ChemicalConfig(mean_vertices=11, large_fraction=0.0)
@@ -287,3 +291,86 @@ class TestOneTraversalTwoStores:
             for q in generate_subgraph_queries(db + extra, 6, 4, seed=seed):
                 assert sorted(disk.subgraph_query(q)[0]) \
                     == sorted(subgraph_query(tree, q)[0])
+
+
+def _fingerprint(disk, queries, probes):
+    """Answers (in traversal order) and deterministic stats of every
+    query and K-NN probe on ``disk``."""
+    runs = [disk.subgraph_query(q) for q in queries] \
+        + [disk.knn_query(g, 3) for g in probes]
+    return [(answers, stats.deterministic_dict()) for answers, stats in runs]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+class TestWritersLeaveNoStaleNode:
+    """Resident nodes are read-only snapshots of committed records: no
+    write batch — committed, or dead part-way — may leave one behind."""
+
+    def test_interleaving_on_one_handle_reads_like_a_fresh_one(
+            self, tmp_path, seed):
+        """A seeded interleaving of reads (which fill the resident set)
+        and write batches on ONE handle; after every step it answers,
+        counter for counter, like a handle just opened on the file."""
+        rng = random.Random(seed)
+        base = generate_chemical_database(24, seed=seed, config=_CONFIG)
+        pending = generate_chemical_database(60, seed=seed + 100,
+                                             config=_CONFIG)
+        queries = generate_subgraph_queries(base, 6, 4, seed=seed)
+        probes = base[:2]
+        path = tmp_path / "one-handle.ctp"
+        live = list(range(len(base)))
+        done = set()
+        with DiskCTree.create(bulk_load(base, min_fanout=2, max_fanout=4),
+                              path, page_size=512, cache_pages=16) as disk:
+            for _ in range(30):
+                step = rng.choice(
+                    ("subgraph", "knn", "extend", "delete", "compact"))
+                if step == "subgraph":
+                    disk.subgraph_query(rng.choice(queries))
+                elif step == "knn":
+                    disk.knn_query(rng.choice(base), 3)
+                elif step == "extend":
+                    batch = [pending.pop() for _ in range(rng.randint(1, 4))]
+                    live += disk.extend(batch, seed=seed)
+                elif step == "delete":
+                    victims = rng.sample(live, rng.randint(1, 4))
+                    disk.delete_many(victims, seed=seed)
+                    live = [gid for gid in live if gid not in victims]
+                else:
+                    disk.compact(seed=seed, force=True)
+                done.add(step)
+                with DiskCTree.open_read_only(path, cache_pages=16) as fresh:
+                    assert sorted(fresh.graph_ids()) == sorted(live)
+                    assert _fingerprint(disk, queries, probes) \
+                        == _fingerprint(fresh, queries, probes), step
+        assert len(done) == 5
+
+    def test_batch_dying_part_way_leaves_no_node_behind(self, tmp_path,
+                                                        seed):
+        """A write batch whose first page write kills the process (the
+        pool is tiny, so it spills to the log mid-batch): the dead
+        handle holds no resident node, and the recovered index answers
+        as the generation committed before the batch."""
+        base = generate_chemical_database(24, seed=seed, config=_CONFIG)
+        batch = generate_chemical_database(8, seed=seed + 100,
+                                           config=_CONFIG)
+        queries = generate_subgraph_queries(base, 6, 4, seed=seed)
+        path = tmp_path / "dying.ctp"
+        DiskCTree.create(bulk_load(base, min_fanout=2, max_fanout=4), path,
+                         page_size=512, cache_pages=4).close()
+        injector = FaultInjector.counting()
+        disk = DiskCTree.open(path, cache_pages=4, opener=injector.opener)
+        committed = _fingerprint(disk, queries, base[:2])
+        resident = global_registry().gauge("ctree.disk.nodes_resident")
+        assert resident.value > 0
+        injector.plan = FaultPlan(crash_at_op=injector.ops + 1, seed=seed)
+        with pytest.raises(SimulatedCrash):
+            disk.extend(batch)
+        assert disk.generation == 1     # died before the group commit
+        assert resident.value == 0
+        with pytest.raises(SimulatedCrash):     # the process is dead:
+            disk.subgraph_query(queries[0])     # nothing to read through
+        assert DiskCTree.recover(path, deep=True).ok
+        with DiskCTree.open(path, cache_pages=4) as recovered:
+            assert recovered.generation == 1
+            assert _fingerprint(recovered, queries, base[:2]) == committed

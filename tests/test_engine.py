@@ -15,6 +15,7 @@ import asyncio
 import json
 import multiprocessing
 import re
+import shutil
 import sys
 import threading
 from pathlib import Path
@@ -28,7 +29,7 @@ from repro.ctree.diskindex import DiskCTree
 from repro.ctree.parallel import QueryEngine
 from repro.ctree.shards import ShardSet
 from repro.ctree.similarity_query import knn_query
-from repro.ctree.stats import KnnStats, QueryStats
+from repro.ctree.stats import PAGE_IO, KnnStats, QueryStats
 from repro.ctree.subgraph_query import subgraph_query
 from repro.matching import kernels
 from repro.obs import trace
@@ -322,8 +323,8 @@ def test_workers_is_the_real_process_count(golden_db, golden_tree):
 
 
 # ----------------------------------------------------------------------
-# docs/OBSERVABILITY.md's query, matching, engine and shard tables are the
-# metric contract
+# docs/OBSERVABILITY.md's query, disk-index, matching, engine and shard
+# tables are the metric contract
 # ----------------------------------------------------------------------
 _ADMISSION_FAMILY = ("server.coalesce.", "server.backpressure.",
                      "server.inflight")
@@ -341,7 +342,7 @@ def _documented_names(doc: str, start: str, end: str) -> set:
 
 
 def test_documented_metric_names(golden_db, golden_tree, golden_queries,
-                                 golden_disk_path):
+                                 golden_disk_path, tmp_path):
     doc = (Path(__file__).parent.parent / "docs"
            / "OBSERVABILITY.md").read_text()
     documented = _documented_names(doc, "### Engine metrics",
@@ -353,13 +354,15 @@ def test_documented_metric_names(golden_db, golden_tree, golden_queries,
     }
     per_query = _documented_names(doc, "### Query metrics",
                                   "### Disk-index maintenance metrics")
+    disk_index = _documented_names(doc, "### Disk-index maintenance metrics",
+                                   "### Matching metrics")
     matching = _documented_names(doc, "### Matching metrics",
                                  "### Engine metrics")
     # The query rows are the records' declarations, nothing retyped.
     assert per_query == {
         f"{cls._PREFIX}.{name}"
         for cls in (QueryStats, KnnStats)
-        for name in (*cls._FIELDS, "page_hits", "page_misses", "count",
+        for name in (*cls._FIELDS, *PAGE_IO, "count",
                      *(f"per_query.{h}" for h in cls._HISTOGRAMS))
         if name != "database_size"
     }
@@ -375,6 +378,14 @@ def test_documented_metric_names(golden_db, golden_tree, golden_queries,
     with QueryEngine(ShardSet.build_memory(golden_db, 2, "hash",
                                            min_fanout=3)) as engine:
         engine.knn_many(golden_queries[:2], 3)
+
+    # Churn on a copy of the disk index: splits, then underflow merges,
+    # redistributions and closure shrinks, then a repack.
+    churned = shutil.copy(golden_disk_path, tmp_path / "churned.ctp")
+    with DiskCTree.open(churned, cache_pages=32) as disk:
+        disk.extend(golden_db[:12])
+        disk.delete_many(range(30), auto_compact=False)
+        disk.compact(force=True)
 
     # The admission layer: one admitted miss, one refusal over the cap,
     # one pre-admission hit.
@@ -404,6 +415,8 @@ def test_documented_metric_names(golden_db, golden_tree, golden_queries,
     assert registered == documented
     assert {name for name in names
             if name.startswith(("ctree.query.", "ctree.knn."))} == per_query
+    assert {name for name in names
+            if name.startswith("ctree.disk.")} == disk_index
     assert {name for name in names
             if name.startswith(_ADMISSION_FAMILY)} == admission
     assert {name for name in names

@@ -18,7 +18,8 @@ change that removes or adds a test, not only one that changes an answer,
 fails here; and the leaf-level count tests pin the mechanism format 3
 exists for: a graph record is read only if its entry's histogram passed
 (subgraph), only when its entry's Eqn. (7) bound is popped for scoring
-(K-NN).
+(K-NN) — and the node-level one pins what the store's resident set exists
+for: a handle decodes a node record once, not once per query.
 """
 
 import hashlib
@@ -159,6 +160,66 @@ class TestGoldenWork:
             assert len(loads) == len(set(loads)) == stats.graphs_scored
             unread += len(db) - len(loads)
         assert unread > 0, "every graph was read by every query"
+
+    @staticmethod
+    def _golden_pass(handle, golden, pinned):
+        """Every golden query once, each checked against its pinned
+        stats: ``(stats records, record ids read)``."""
+        db, expected = golden
+        reads = []
+        load_record = handle.store.load_record
+        handle.store.load_record = \
+            lambda record_id: reads.append(record_id) or load_record(record_id)
+        try:
+            runs = [(handle.subgraph_query(Graph.from_dict(case["query"])),
+                     frozen) for case, frozen in zip(expected["subgraph"],
+                                                     pinned["subgraph"])]
+            runs += [(handle.knn_query(db[case["query_id"]], case["k"]),
+                      frozen) for case, frozen in zip(expected["knn"],
+                                                      pinned["knn"])]
+        finally:
+            del handle.store.load_record
+        for (_, stats), frozen in runs:
+            assert stats.deterministic_dict() == frozen
+        return [stats for (_, stats), _ in runs], reads
+
+    def test_second_pass_decodes_no_node_record(
+            self, golden, golden_disk, pinned):
+        """Decode-per-query guard: a cold handle reads each node record
+        at most once over a whole pass, a second pass reads none — every
+        node load is answered by the resident node — and exactly the
+        graph records of the first; the stats are the pinned ones both
+        times."""
+        disk, path = golden_disk
+        disk.checkpoint()
+        node_refs = {ref for ref, _ in disk.nodes()}
+        with DiskCTree.open_read_only(path, cache_pages=32) as handle:
+            cold, cold_reads = self._golden_pass(handle, golden, pinned)
+            warm, warm_reads = self._golden_pass(handle, golden, pinned)
+        cold_nodes = [r for r in cold_reads if r in node_refs]
+        assert len(cold_nodes) == len(set(cold_nodes)) == len(node_refs) \
+            == sum(stats.node_loads for stats in cold)
+        assert not node_refs.intersection(warm_reads)
+        assert warm_reads == [r for r in cold_reads if r not in node_refs]
+        for first, second in zip(cold, warm):
+            assert second.node_loads == 0
+            assert second.node_hits == first.node_hits + first.node_loads > 0
+
+    def test_internal_nodes_outlive_a_pass_wider_than_the_cap(
+            self, golden, golden_disk, pinned):
+        """Nine nodes through five slots: the six leaves take turns in
+        the two slots the three internal nodes leave, so a second pass
+        re-reads leaves and never an internal node (an LRU over all nine
+        would have flushed the root)."""
+        disk, path = golden_disk
+        disk.checkpoint()
+        internal = {ref for ref, node in disk.nodes() if not node.is_leaf}
+        assert len(internal) == 3
+        with DiskCTree.open_read_only(path, cache_pages=5) as handle:
+            self._golden_pass(handle, golden, pinned)
+            warm, warm_reads = self._golden_pass(handle, golden, pinned)
+        assert not internal.intersection(warm_reads)
+        assert sum(stats.node_loads for stats in warm) > 0
 
 
 #: sha256 of ``DiskCTree.create(golden tree, page_size=512)`` — record

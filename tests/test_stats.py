@@ -84,30 +84,37 @@ class TestRecords:
     @pytest.mark.parametrize("mem_cls,disk_cls", [
         (QueryStats, DiskQueryStats), (KnnStats, DiskKnnStats)])
     def test_page_io_only_on_disk_stats(self, mem_cls, disk_cls):
-        mem, disk = mem_cls(), disk_cls(page_hits=3, page_misses=1)
+        mem, disk = mem_cls(), disk_cls(page_hits=3, page_misses=1,
+                                        node_hits=5)
         assert mem.page_hits is None and mem.page_misses is None
-        assert "page_hits" not in mem.to_dict()
-        assert "page_misses" not in mem.to_dict()
+        assert mem.node_hits is None and mem.node_loads is None
+        assert not {"page_hits", "page_misses", "node_hits",
+                    "node_loads"} & set(mem.to_dict())
         assert "page_io" not in mem.explain()
         assert "page_hits" not in repr(mem)
         assert disk.to_dict()["page_hits"] == 3
         assert disk.to_dict()["page_misses"] == 1
+        assert (disk.to_dict()["node_hits"], disk.to_dict()["node_loads"]) \
+            == (5, 0)
         assert disk.explain()["page_io"]["misses"] == 1
         assert "page_hits=3" in repr(disk)
-        assert "page_hits" not in disk.deterministic_dict()
+        assert not {"page_hits", "node_hits", "node_loads"} \
+            & set(disk.deterministic_dict())
         assert mem != disk_cls()  # one counts page I/O, the other cannot
         # derived keys follow the counters, page I/O included
         keys = list(disk.to_dict())
-        assert keys.index("page_misses") + 1 == keys.index("access_ratio")
+        assert keys.index("node_loads") + 1 == keys.index("access_ratio")
 
     @pytest.mark.parametrize("stats_cls,expected", [
         (QueryStats, QUERY_METRICS),
         (DiskQueryStats, QUERY_METRICS[:9] + [
-            "ctree.query.page_hits", "ctree.query.page_misses"]
+            "ctree.query.page_hits", "ctree.query.page_misses",
+            "ctree.query.node_hits", "ctree.query.node_loads"]
          + QUERY_METRICS[9:]),
         (KnnStats, KNN_METRICS),
         (DiskKnnStats, KNN_METRICS[:6] + [
-            "ctree.knn.page_hits", "ctree.knn.page_misses"]
+            "ctree.knn.page_hits", "ctree.knn.page_misses",
+            "ctree.knn.node_hits", "ctree.knn.node_loads"]
          + KNN_METRICS[6:]),
     ])
     def test_publish_registers_exactly_these_names(self, stats_cls,
@@ -284,9 +291,10 @@ class TestDiskQueryStats:
         touched no page reads 0.0 in both (as ``BufferPool.hit_ratio``
         does), not 1.0 in one of them."""
         assert stats_cls().explain()["page_io"]["hit_ratio"] == 0.0
-        stats = stats_cls(page_hits=3, page_misses=1)
+        stats = stats_cls(page_hits=3, page_misses=1, node_hits=5)
         assert stats.explain()["page_io"] == {
-            "hits": 3, "misses": 1, "hit_ratio": stats.page_hit_ratio}
+            "hits": 3, "misses": 1, "hit_ratio": stats.page_hit_ratio,
+            "node_hits": 5, "node_loads": 0}
 
     def test_merge_includes_page_counters(self):
         a = DiskQueryStats(page_hits=3, page_misses=1, candidates=2)
