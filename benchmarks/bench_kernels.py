@@ -4,11 +4,13 @@ Times the pseudo-isomorphism hot path (`pseudo_compatibility_domains` over
 the chemical workload) and a full C-tree subgraph query with the kernels
 toggled on and off, the two halves of the verification path on the pairs
 the chemical tree produces — `RefineBipartite` on (query, node closure)
-and Ullmann on (query, candidate graph, Alg. 2 seeds) — and the NBM
-scoring kernel (Alg. 1) against the reference loop — pair by pair and
-under a K-NN traversal — asserting (a) bit-identical domains, embeddings,
-candidate and answer sets, mappings and K-NN answers and (b) the measured
-speedup that justifies the kernels' existence.
+and Ullmann on (query, candidate graph, Alg. 2 seeds) — the Eqn. (7)
+bound as a flow between label classes against Hopcroft-Karp on the
+expanded label-set lists, and the NBM scoring kernel (Alg. 1) against the
+reference loop — one scorer over many targets and under a K-NN traversal
+— asserting (a) bit-identical domains, embeddings, candidate and answer
+sets, bounds, mappings and K-NN answers and (b) the measured speedup that
+justifies the kernels' existence.
 
 Writes ``benchmarks/results/kernel_microbench.json`` (uploaded as a CI
 artifact by the bench-smoke job) in addition to the usual
@@ -23,6 +25,9 @@ from unittest import mock
 
 import conftest
 from conftest import (
+    BOUNDS_FIGURE,
+    BOUNDS_FLOOR,
+    BOUNDS_ROWS,
     CHEM_SWEEP,
     KERNEL_ROW_FLOORS,
     RESULTS_DIR,
@@ -31,8 +36,12 @@ from conftest import (
     record_figure,
 )
 
-from repro.graphs.labelspace import target_context
+from repro.graphs.labelspace import label_context, target_context
 from repro.matching import edit_distance
+from repro.matching.bounds import (
+    SimilarityQueryContext,
+    set_similarity_upper_bound,
+)
 from repro.matching.kernels import (
     compile_query,
     domains_to_masks,
@@ -41,7 +50,13 @@ from repro.matching.kernels import (
     refine_bipartite_masks,
     use_kernels,
 )
-from repro.matching.nbm import nbm_mapping, nbm_mapping_reference, nbm_score
+from repro.matching.measures import edge_label_sets, vertex_label_sets
+from repro.matching.nbm import (
+    NbmScorer,
+    nbm_mapping,
+    nbm_mapping_reference,
+    nbm_score,
+)
 from repro.matching.pseudo_iso import (
     level0_domains,
     pseudo_compatibility_domains,
@@ -293,36 +308,119 @@ def test_verification_kernels_microbench(chem_database, chem_tree, benchmark):
             f"the {floor}x floor")
 
 
-def _reference_score(g1, g2):
-    mapping = nbm_mapping_reference(g1, g2)
-    return mapping.similarity(), mapping.edit_cost()
+def test_bounds_microbench(chem_database, chem_tree, benchmark):
+    """Eqn. (7) on every (probe, node closure) and (probe, leaf summary)
+    pair a K-NN over the chemical tree bounds: the compiled sides (a flow
+    between label classes; two histogram walks for a summary) against
+    Hopcroft-Karp on the expanded label-set lists — identical values,
+    then the speedup gate."""
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    probes = select_similarity_queries(
+        chem_database, max(2, CHEM_SWEEP.queries_per_size // 2), seed=55)
+    contexts = [SimilarityQueryContext(q) for q in probes]
+    closures = [node.closure for _, node in chem_tree.nodes()
+                if node.closure is not None]
+    targets = {"closures": closures,
+               "summaries": [label_context(g) for g in chem_database]}
+    assert list(targets) == BOUNDS_ROWS
+
+    def label_sets(g):
+        return vertex_label_sets(g), edge_label_sets(g)
+
+    expanded = {"closures": [label_sets(c) for c in closures],
+                "summaries": [label_sets(g) for g in chem_database]}
+    probe_sets = [label_sets(q) for q in probes]
+
+    def reference(row: str) -> list:
+        return [set_similarity_upper_bound(v1, v2)
+                + set_similarity_upper_bound(e1, e2)
+                for v1, e1 in probe_sets for v2, e2 in expanded[row]]
+
+    def kernel(row: str) -> list:
+        return [sqc.sim_upper_bound(t)
+                for sqc in contexts for t in targets[row]]
+
+    rows = {}
+    for row in BOUNDS_ROWS:
+        assert kernel(row) == reference(row)
+        rows[row] = (len(probes) * len(targets[row]),
+                     _time(lambda: reference(row)), _time(lambda: kernel(row)))
+    record_figure(
+        BOUNDS_FIGURE,
+        "Kernel microbench: Eqn. (7), Hopcroft-Karp on expanded label-set "
+        "lists vs compiled sides (chemical; us per pair)",
+        "row",
+        BOUNDS_ROWS,
+        {
+            "reference": [1e6 * ref / n for n, ref, _ in rows.values()],
+            "kernel": [1e6 * new / n for n, _, new in rows.values()],
+            "speedup": [ref / new for _, ref, new in rows.values()],
+        },
+        float_format="{:.2f}",
+    )
+    _write_microbench({
+        "quick": conftest._QUICK,
+        **{f"bounds_{name}": {"pairs": n, "reference_seconds": ref,
+                              "kernel_seconds": new, "speedup": ref / new}
+           for name, (n, ref, new) in rows.items()},
+    })
+    for name, (n, ref, new) in rows.items():
+        assert n > 0 and ref / new >= BOUNDS_FLOOR, (
+            f"Eqn. (7) {name}: {ref / new:.2f}x over {n} pairs below the "
+            f"{BOUNDS_FLOOR}x floor")
+
+
+class _ReferenceScorer:
+    """``NbmScorer``'s surface over the reference loop."""
+
+    def __init__(self, query) -> None:
+        self.query = query
+
+    def mapping(self, target):
+        return nbm_mapping_reference(self.query, target)
+
+    def similarity(self, target) -> float:
+        return self.mapping(target).similarity()
+
+    def score(self, target) -> tuple[float, float]:
+        mapping = self.mapping(target)
+        return mapping.similarity(), mapping.edit_cost()
 
 
 def test_nbm_kernel_microbench(chem_database, chem_tree, benchmark):
     """Alg. 1 on (probe, database graph) pairs of the chemical sweep —
-    what a K-NN query scores — kernel vs reference loop: identical
-    mappings and scores, and the pair-level speedup gate; then the same
-    K-NN queries with the traversal scoring through either, identical
-    answers and counters."""
+    what a K-NN query scores — one compiled scorer per probe vs the
+    reference loop: identical mappings and scores, and the pair-level
+    speedup gate; then the same K-NN queries with the traversal scoring
+    through either, identical answers and counters."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     probes = select_similarity_queries(
         chem_database, max(2, CHEM_SWEEP.queries_per_size // 2), seed=55)
-    pairs = [(q, g) for q in probes for g in chem_database]
 
-    for q, g in pairs:
-        reference = nbm_mapping_reference(q, g)
-        assert nbm_mapping(q, g).pairs == reference.pairs
-        assert nbm_score(q, g) == (reference.similarity(),
-                                   reference.edit_cost())
-    t_ref = _time(lambda: [_reference_score(q, g) for q, g in pairs])
-    t_kernel = _time(lambda: [nbm_score(q, g) for q, g in pairs])
+    for q in probes:
+        scorer = NbmScorer(q)
+        for g in chem_database:
+            reference = nbm_mapping_reference(q, g)
+            assert nbm_mapping(q, g).pairs == reference.pairs
+            assert nbm_score(q, g) == scorer.score(g) == (
+                reference.similarity(), reference.edit_cost())
+            assert scorer.similarity(g) == reference.similarity()
+
+    def score_all(scorer_of) -> list:
+        return [scorer.score(g) for scorer in map(scorer_of, probes)
+                for g in chem_database]
+
+    pairs = len(probes) * len(chem_database)
+    t_ref = _time(lambda: score_all(_ReferenceScorer))
+    t_kernel = _time(lambda: score_all(NbmScorer))
 
     k = 5
 
     def run() -> list:
         return [knn_query(chem_tree, q, k) for q in probes]
 
-    with mock.patch.object(edit_distance, "nbm_score", _reference_score):
+    # The seam every traversal scores through.
+    with mock.patch.object(edit_distance, "NbmScorer", _ReferenceScorer):
         t_knn_ref = _time(run)
         expected = run()
     t_knn_kernel = _time(run)
@@ -333,14 +431,14 @@ def test_nbm_kernel_microbench(chem_database, chem_tree, benchmark):
     speedup, knn_speedup = t_ref / t_kernel, t_knn_ref / t_knn_kernel
     record_figure(
         "kernel_microbench_nbm",
-        "Kernel microbench: NBM (Alg. 1), reference loop vs compiled "
-        "kernel (chemical)",
+        "Kernel microbench: NBM (Alg. 1), reference loop vs one compiled "
+        "scorer per probe (chemical)",
         "row",
         ["ms per pair", f"ms per {k}-NN query"],
         {
-            "reference": [1000 * t_ref / len(pairs),
+            "reference": [1000 * t_ref / pairs,
                           1000 * t_knn_ref / len(probes)],
-            "kernel": [1000 * t_kernel / len(pairs),
+            "kernel": [1000 * t_kernel / pairs,
                        1000 * t_knn_kernel / len(probes)],
             "speedup": [speedup, knn_speedup],
         },
@@ -348,7 +446,7 @@ def test_nbm_kernel_microbench(chem_database, chem_tree, benchmark):
     )
     _write_microbench({
         "quick": conftest._QUICK,
-        "nbm": {"pairs": len(pairs), "reference_seconds": t_ref,
+        "nbm": {"pairs": pairs, "reference_seconds": t_ref,
                 "kernel_seconds": t_kernel, "speedup": speedup},
         "knn": {"queries": len(probes), "k": k,
                 "reference_seconds": t_knn_ref,

@@ -285,12 +285,17 @@ def _require(condition, message: str) -> None:
 VERIFY_FIGURE = "kernel_microbench_verify"
 VERIFY_ROWS = ["refine", "ullmann"]
 KERNEL_ROW_FLOORS = (2.0, 1.2)
+#: ... and its Eqn. (7) figure: compiled sides vs Hopcroft-Karp on the
+#: expanded label-set lists, one floor at either scale
+BOUNDS_FIGURE = "kernel_microbench_bounds"
+BOUNDS_ROWS = ["closures", "summaries"]
+BOUNDS_FLOOR = 2.0
 
 
 def validate_figures_payload(payload: dict) -> str:
     """Gate BENCH_ctree.json: every figure carries aligned series, and
-    where bench_kernels.py ran, its refine and Ullmann rows are there and
-    at their speedup floor."""
+    where bench_kernels.py ran, its refine / Ullmann and its Eqn. (7)
+    rows are there and at their speedup floors."""
     figures = payload["figures"]
     _require(bool(figures), "no figures recorded")
     for name, fig in figures.items():
@@ -300,14 +305,16 @@ def validate_figures_payload(payload: dict) -> str:
             _require(len(values) == len(fig["x"]),
                      f"{name}/{series_name}: series length mismatch")
     if "kernel_microbench" in figures:
-        _require(VERIFY_FIGURE in figures, f"{VERIFY_FIGURE} missing")
-        verify = figures[VERIFY_FIGURE]
-        _require(verify["x"] == VERIFY_ROWS,
-                 f"{VERIFY_FIGURE}: rows {verify['x']}, expected {VERIFY_ROWS}")
-        floor = KERNEL_ROW_FLOORS[bool(payload["quick"])]
-        for row, speedup in zip(VERIFY_ROWS, verify["series"]["speedup"]):
-            _require(speedup >= floor, f"{VERIFY_FIGURE}/{row}: speedup "
-                                       f"{speedup:.2f}x below {floor}x")
+        for name, rows, floor in (
+                (VERIFY_FIGURE, VERIFY_ROWS,
+                 KERNEL_ROW_FLOORS[bool(payload["quick"])]),
+                (BOUNDS_FIGURE, BOUNDS_ROWS, BOUNDS_FLOOR)):
+            _require(name in figures, f"{name} missing")
+            _require(figures[name]["x"] == rows,
+                     f"{name}: rows {figures[name]['x']}, expected {rows}")
+            for row, speedup in zip(rows, figures[name]["series"]["speedup"]):
+                _require(speedup >= floor, f"{name}/{row}: speedup "
+                                           f"{speedup:.2f}x below {floor}x")
     return f"BENCH_ctree.json OK: {sorted(figures)}"
 
 

@@ -57,6 +57,7 @@ from typing import Optional, Sequence
 from repro.exceptions import IndexError_, ReproError
 from repro.graphs.graph import Graph
 from repro.graphs.io import load_graph_database, save_graph_database
+from repro.graphs.labelspace import global_labelspace
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import (
     DEFAULT_CACHE_PAGES,
@@ -479,6 +480,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     registry = global_registry()
     before = registry.snapshot()
     _run_subgraph_query(args)
+    global_labelspace().publish(registry)
     payload = registry.snapshot() if args.cumulative else registry.diff(before)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.output:

@@ -24,7 +24,7 @@ import time
 from repro.graphs.closure import GraphClosure
 from repro.graphs.graph import Graph
 from repro.matching.bounds import SimilarityQueryContext
-from repro.matching.edit_distance import graph_distance, graph_similarity
+from repro.matching.edit_distance import MappingScorer
 from repro.obs import trace
 from repro.ctree.node import CTreeNode
 from repro.ctree.stats import KnnStats
@@ -64,10 +64,13 @@ def knn_query(
                     mapping=mapping_method) as root_span, \
             tree.store.metered(KnnStats, len(tree), root_span) as stats:
         results: list[tuple[int, float]] = []
+        start = time.perf_counter()
+        # Built before the traversal: an unknown method is refused on an
+        # empty index too.
+        scorer = MappingScorer(query, mapping_method)
         if k > 0 and len(tree):
-            start = time.perf_counter()
-            results = _knn_search(tree.store, query, k, mapping_method,
-                                  stats, canonical=canonical, bound=bound)
+            results = _knn_search(tree.store, scorer, k, stats,
+                                  canonical=canonical, bound=bound)
             stats.seconds = time.perf_counter() - start
         root_span.set(results=len(results))
     stats.publish()
@@ -76,9 +79,8 @@ def knn_query(
 
 def _knn_search(
     store,
-    query: Graph,
+    scorer: MappingScorer,
     k: int,
-    mapping_method: str,
     stats: KnnStats,
     canonical: bool = False,
     bound: float = float("-inf"),
@@ -90,9 +92,9 @@ def _knn_search(
     to the paper-faithful behavior.
     """
     counter = itertools.count()
-    # Query-side label sets and matching indexes, extracted once and reused
-    # for every Eqn. (7) bound along the traversal.
-    sqc = SimilarityQueryContext(query)
+    # The query's side of every Eqn. (7) bound along the traversal,
+    # extracted once like ``scorer``'s side of every pair it scores.
+    sqc = SimilarityQueryContext(scorer.g1)
     # Max-heap via negated keys.  Entries: (-key, tiebreak, kind, payload)
     # with kind one of _NODE (key = closure similarity bound, payload = the
     # loaded node), _GRAPH_BOUND (key = Eqn. 7 bound read off the leaf
@@ -144,8 +146,7 @@ def _knn_search(
             graph_id = payload.graph_id  # type: ignore[attr-defined]
             stats.graphs_scored += 1
             with trace.span("ctree.knn.score", graph_id=graph_id):
-                sim = graph_similarity(query, store.load_graph(payload),
-                                       method=mapping_method)
+                sim = scorer.similarity(store.load_graph(payload))
             note_similarity(sim)
             if sim >= lower_bound:
                 heapq.heappush(
@@ -207,6 +208,7 @@ def range_query(
                     database_size=len(tree)) as root_span, \
             store.metered(KnnStats, len(tree), root_span) as stats:
         sqc = SimilarityQueryContext(query)
+        scorer = MappingScorer(query, mapping_method)
         stack = [store.load_node(store.root)] if len(tree) else []
         while stack:
             node = stack.pop()
@@ -219,8 +221,7 @@ def range_query(
                         stats.pruned_by_bound += 1
                         continue
                     stats.graphs_scored += 1
-                    dist = graph_distance(query, store.load_graph(ref),
-                                          method=mapping_method)
+                    dist = scorer.distance(store.load_graph(ref))
                     if dist <= radius:
                         results.append((ref.graph_id, dist))
                         stats.results += 1
@@ -263,9 +264,7 @@ def linear_scan_knn(
 ) -> list[tuple[int, float]]:
     """Reference K-NN: score every database graph.  Ground truth for the
     index (up to ties and heuristic-mapping noise)."""
-    scored = [
-        (gid, graph_similarity(query, g, method=mapping_method))
-        for gid, g in graphs.items()
-    ]
+    scorer = MappingScorer(query, mapping_method)
+    scored = [(gid, scorer.similarity(g)) for gid, g in graphs.items()]
     scored.sort(key=lambda t: (-t[1], t[0]))
     return scored[:k]

@@ -77,16 +77,22 @@ class LabelSpace:
     each side's bitmasks stay dense.  Ids 0 (wildcard) and 1 (ε) are
     reserved in both namespaces.  Neighbour-label multisets (Alg. 1's
     "profiles") are interned too, as unary-coded masks — one bit per
-    (label, k-th occurrence) — so two profiles overlap in popcount(AND).
+    (label, k-th occurrence) — so two profiles overlap in popcount(AND);
+    and so is what Alg. 1 reads of a whole database-graph vertex, its
+    ``(mask, profile, degree)`` key, as a small int (:meth:`vertex_key`).
     """
 
-    __slots__ = ("_vertex_ids", "_edge_ids", "_profiles", "_occurrence_bits")
+    __slots__ = ("_vertex_ids", "_edge_ids", "_profiles", "_occurrence_bits",
+                 "_vertex_key_ids", "vertex_keys")
 
     def __init__(self) -> None:
         self._vertex_ids: dict = {WILDCARD: 0, EPSILON: 1}
         self._edge_ids: dict = {WILDCARD: 0, EPSILON: 1}
         self._profiles: dict[int, int] = {}
         self._occurrence_bits: dict[tuple[int, int], int] = {}
+        self._vertex_key_ids: dict[tuple[int, ...], int] = {}
+        #: vertex key id -> ``(label mask, profile, degree)``
+        self.vertex_keys: list[tuple[int, int, int]] = []
 
     # ------------------------------------------------------------------
     def vertex_id(self, label: Hashable) -> int:
@@ -123,17 +129,30 @@ class LabelSpace:
             m |= 1 << self.edge_id(label)
         return m
 
-    def profile(self, label_ids: Iterable[int], share: bool) -> int:
+    def profile(self, label_ids: Iterable[int]) -> int:
         """The unary-coded mask of a multiset of vertex label ids (given
-        with repetition).  With ``share`` equal masks are one interned int:
-        a database's few atom neighbourhoods recur, a closure's hardly do."""
+        with repetition)."""
         bits = self._occurrence_bits
         seen: dict[int, int] = {}
         mask = 0
         for i in label_ids:
             nth = seen[i] = seen.get(i, 0) + 1
             mask |= 1 << bits.setdefault((i, nth), len(bits))
-        return self._profiles.setdefault(mask, mask) if share else mask
+        return mask
+
+    def vertex_key(self, key: tuple[int, ...]) -> int:
+        """The id of a database-graph vertex as Alg. 1 sees it, ``key`` its
+        label mask followed by its neighbours' label ids, sorted.  Atoms
+        alike in both recur across a database, so the lookup is all a
+        loaded graph pays; :attr:`vertex_keys` maps the id back to
+        ``(mask, profile, degree)``, equal profiles one shared int."""
+        k = self._vertex_key_ids.get(key)
+        if k is None:
+            k = self._vertex_key_ids[key] = len(self.vertex_keys)
+            p = self.profile(key[1:])
+            self.vertex_keys.append(
+                (key[0], self._profiles.setdefault(p, p), len(key) - 1))
+        return k
 
     # ------------------------------------------------------------------
     @property
@@ -145,12 +164,19 @@ class LabelSpace:
         return len(self._edge_ids)
 
     def snapshot(self) -> dict:
-        """JSON-able summary (for ``repro metrics`` style introspection)."""
+        """JSON-able summary: the size of each append-only table."""
         return {
             "vertex_labels": len(self._vertex_ids),
             "edge_labels": len(self._edge_ids),
             "profiles": len(self._profiles),
+            "vertex_keys": len(self.vertex_keys),
         }
+
+    def publish(self, registry) -> None:
+        """Set one ``labelspace.<table>`` gauge per :meth:`snapshot` row
+        (``repro metrics`` does, after its query)."""
+        for table, size in self.snapshot().items():
+            registry.gauge(f"labelspace.{table}").set(size)
 
     def __repr__(self) -> str:
         return (f"<LabelSpace |V-labels|={len(self._vertex_ids)} "
@@ -204,8 +230,8 @@ class TargetContext(LabelSummary):
     convention and shared freely.
     """
 
-    __slots__ = ("n", "degrees", "edge_groups", "vertex_groups",
-                 "edge_counts", "edge_masks", "vmasks", "profiles", "nbr_rows")
+    __slots__ = ("n", "degrees", "edge_groups", "vertex_groups", "edge_counts",
+                 "edge_masks", "vmasks", "profiles", "vkeys", "nbr_rows")
 
     def __init__(
         self,
@@ -237,6 +263,8 @@ class TargetContext(LabelSummary):
         self.edge_groups: list[tuple[tuple[int, int], ...]] | None = None
         #: Alg. 1's half (:func:`nbm_context`): a neighbour-label profile each
         self.profiles: list[int] | None = None
+        #: ... and, of a graph only, each vertex's ``LabelSpace.vertex_key``
+        self.vkeys: list[int] | None = None
         #: ``kernels.neighbor_rows`` memo: query edge mask -> row per vertex
         self.nbr_rows: dict[int, list[int]] = {}
 
@@ -343,14 +371,24 @@ def target_context(g: GraphLike) -> TargetContext:
 
 def nbm_context(g: GraphLike) -> TargetContext:
     """:func:`label_context` with what only Alg. 1 reads filled in: per
-    vertex the interned profile of its neighbours' labels (a closure
-    neighbour counts once toward each label of its set)."""
+    vertex the profile of its neighbours' labels (a closure neighbour
+    counts once toward each label of its set).  A graph's vertices are
+    interned whole — key ids in ``vkeys``, profiles shared through them;
+    a closure's hardly recur and are not."""
     ctx = label_context(g)
     if ctx.profiles is None:
-        ids = {m: mask_ids(m) for m, _ in ctx.vertex_groups}
-        vmasks, profile = ctx.vmasks, _GLOBAL_SPACE.profile
-        share = isinstance(g, Graph)
-        ctx.profiles = [
-            profile([i for w in g.adjacency(v) for i in ids[vmasks[w]]], share)
-            for v in range(ctx.n)]
+        space, vmasks = _GLOBAL_SPACE, ctx.vmasks
+        if isinstance(g, Graph):
+            ids = [m.bit_length() - 1 for m in vmasks]
+            vertex_key, keys = space.vertex_key, space.vertex_keys
+            ctx.vkeys = [
+                vertex_key((m, *sorted([ids[w] for w in g.adjacency(v)])))
+                for v, m in enumerate(vmasks)]
+            ctx.profiles = [keys[k][1] for k in ctx.vkeys]
+        else:
+            ids = {m: mask_ids(m) for m, _ in ctx.vertex_groups}
+            ctx.profiles = [
+                space.profile(
+                    [i for w in g.adjacency(v) for i in ids[vmasks[w]]])
+                for v in range(ctx.n)]
     return ctx

@@ -11,8 +11,9 @@ achievable similarity.  The bound is used
 
 With the uniform 0/1 measure the set similarities reduce to
 maximum-cardinality matchings, computed here without building an explicit
-matching: intersect label histograms (plain labels), or run Hopcroft-Karp
-(label sets).  Arbitrary measures fall back to the Hungarian algorithm.
+matching: intersect label histograms (plain labels), or push a maximum
+flow between the classes of equal label sets.  Arbitrary measures fall
+back to the Hungarian algorithm.
 """
 
 from __future__ import annotations
@@ -20,12 +21,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from repro.graphs.closure import GraphLike
-from repro.graphs.labelspace import (
-    WILDCARD_BIT,
-    LabelSummary,
-    label_context,
-    mask_ids,
-)
+from repro.graphs.labelspace import WILDCARD_BIT, LabelSummary, label_context
 from repro.matching.bipartite import hopcroft_karp
 from repro.matching.hungarian import max_weight_matching_value
 from repro.matching.measures import (
@@ -102,28 +98,87 @@ def _matching_value(counts1: Sequence[tuple[int, int]],
         # Plain labels: the size of the multiset intersection.
         there = dict(counts2)
         return sum(min(count, there.get(m, 0)) for m, count in counts1)
-    by_label: dict[int, list[int]] = {}
-    size = 0
-    for m, count in counts2:
-        for i in mask_ids(m):
-            by_label.setdefault(i, []).extend(range(size, size + count))
-        size += count
-    adjacency: list[list[int]] = []
-    for m, count in counts1:
-        nbrs = sorted({j for i in mask_ids(m) for j in by_label.get(i, ())})
-        adjacency += [nbrs] * count
-    return len(hopcroft_karp(len(adjacency), size, adjacency))
+    # Elements of one class are interchangeable, so the matching is a
+    # maximum flow between the *classes*: ``supply[i]`` units leave class
+    # i of side 1, ``room[j]`` fit into class j of side 2, any number
+    # cross between two classes whose masks share a bit.
+    supply = [count for _, count in counts1]
+    room = [count for _, count in counts2]
+    pairable = [[j for j, (m2, _) in enumerate(counts2) if m1 & m2]
+                for m1, _ in counts1]
+    into: list[dict[int, int]] = [{} for _ in counts2]  # j -> {i: units}
+
+    def push(i: int, limit: int, seen: set[int]) -> int:
+        """Send up to ``limit`` units from class i along one augmenting
+        path; returns the units sent."""
+        for j in pairable[i]:
+            sent = min(limit, room[j])
+            if sent:
+                room[j] -= sent
+                into[j][i] = into[j].get(i, 0) + sent
+                return sent
+        for j in pairable[i]:
+            if j in seen:
+                continue
+            seen.add(j)
+            held = into[j]
+            # A full class takes i's units if another class it holds
+            # units of can send them elsewhere.
+            for other, units in held.items():
+                sent = (units and other != i
+                        and push(other, min(limit, units), seen))
+                if sent:
+                    held[other] -= sent
+                    held[i] = held.get(i, 0) + sent
+                    return sent
+        return 0
+
+    matched = 0
+    for i in range(len(supply)):
+        while supply[i]:
+            sent = push(i, supply[i], set())
+            if not sent:
+                break
+            supply[i] -= sent
+            matched += sent
+    return matched
 
 
-def _against_histogram(counts: Sequence[tuple[int, int]],
-                       hist: dict[int, int]) -> tuple[int, int]:
-    """``(matched, size)`` of a mask multiset against a plain graph's
-    label histogram.  That leaves wildcard-labelled elements out: the
-    graph's go uncounted, each of ``counts`` is taken as matched — sound
-    for both bounds, and exact when neither side has any."""
-    matched = _matching_value(counts, [(1 << i, c) for i, c in hist.items()])
-    wild = sum(count for m, count in counts if m & WILDCARD_BIT)
-    return matched + wild, sum(hist.values())
+class _QuerySide:
+    """One of a query's two label multisets, as Eqn. (7) reads it against
+    a histogram."""
+
+    __slots__ = ("counts", "plain", "wild")
+
+    def __init__(self, counts: Sequence[tuple[int, int]]) -> None:
+        #: (label mask, occurrences) pairs
+        self.counts = counts
+        #: elements carrying the wildcard, which no histogram counts
+        self.wild = 0
+        #: with plain labels only: (label id, occurrences) of the others
+        self.plain = plain = []
+        for m, count in counts:
+            if m & WILDCARD_BIT:
+                self.wild += count
+            if m & (m - 1):
+                self.plain = None
+            elif m != WILDCARD_BIT:
+                plain.append((m.bit_length() - 1, count))
+
+    def matched_histogram(self, hist: dict[int, int]) -> int:
+        """The matching against a plain graph's label histogram.  That
+        leaves wildcard-labelled elements out: the graph's go uncounted,
+        each of the query's is taken as matched — sound for both bounds,
+        and exact when neither side has any."""
+        matched = self.wild
+        if self.plain is None:
+            return matched + _matching_value(
+                self.counts, [(1 << i, c) for i, c in hist.items()])
+        for i, count in self.plain:
+            there = hist.get(i)
+            if there:
+                matched += count if count < there else there
+        return matched
 
 
 class SimilarityQueryContext:
@@ -138,39 +193,45 @@ class SimilarityQueryContext:
     label-set lists (between plain graphs, the histogram intersection).
     """
 
-    __slots__ = ("query", "num_vertices", "num_edges", "_v", "_e")
+    __slots__ = ("query", "num_vertices", "num_edges", "_v", "_e", "_sides")
 
     def __init__(self, query: GraphLike) -> None:
         self.query = query
         self.num_vertices = query.num_vertices
         self.num_edges = query.num_edges
         self._v, self._e = _mask_counts(query)
+        self._sides = None  # built when the first summary is met
 
-    def _matched(self, target) -> tuple[int, int, int, int]:
-        """``(Sim(V, V'), Sim(E, E'), |V'|, |E'|)`` against ``target``."""
-        if not isinstance(target, LabelSummary):
-            v, e = _mask_counts(target)
-            return (_matching_value(self._v, v), _matching_value(self._e, e),
-                    target.num_vertices, target.num_edges)
-        v, nv = _against_histogram(self._v, target.vhist)
-        e, ne = _against_histogram(self._e, target.ehist)
-        return v, e, nv, ne
+    def _matched(self, target) -> tuple[int, int]:
+        """``(Sim(V, V'), Sim(E, E'))`` against ``target``."""
+        if isinstance(target, LabelSummary):
+            sides = self._sides
+            if sides is None:
+                sides = self._sides = _QuerySide(self._v), _QuerySide(self._e)
+            return (sides[0].matched_histogram(target.vhist),
+                    sides[1].matched_histogram(target.ehist))
+        v, e = _mask_counts(target)
+        return _matching_value(self._v, v), _matching_value(self._e, e)
 
     def sim_upper_bound(self, target) -> float:
         """Eqn. (7) against ``target`` (uniform measures)."""
-        v, e, _, _ = self._matched(target)
+        v, e = self._matched(target)
         return float(v + e)
 
     def distance_lower_bound(self, target) -> float:
         """:func:`distance_lower_bound` against ``target``."""
-        v, e, nv, ne = self._matched(target)
+        v, e = self._matched(target)
+        if isinstance(target, LabelSummary):
+            nv, ne = sum(target.vhist.values()), sum(target.ehist.values())
+        else:
+            nv, ne = target.num_vertices, target.num_edges
         return float(max(self.num_vertices, nv) - v
                      + max(self.num_edges, ne) - e)
 
     def closure_distance_lower_bound(self, closure) -> float:
         """Lower bound on the query's distance to any graph contained in
         ``closure`` (the range-query pruning bound)."""
-        v, e, _, _ = self._matched(closure)
+        v, e = self._matched(closure)
         v_cost = max(self.num_vertices, closure.min_num_vertices()) - v
         e_cost = max(self.num_edges, closure.min_num_edges()) - e
         return float(max(0, v_cost) + max(0, e_cost))

@@ -20,7 +20,7 @@ from repro.matching.bipartite_mapping import (
     bipartite_mapping,
     bipartite_mapping_unweighted,
 )
-from repro.matching.nbm import nbm_mapping, nbm_score
+from repro.matching.nbm import NbmScorer, nbm_mapping
 from repro.matching.state_search import state_search_mapping
 from repro.obs.metrics import global_registry
 
@@ -43,17 +43,56 @@ _C_BY_METHOD = {
 
 
 def _select(method: str) -> Callable[..., GraphMapping]:
-    """The mapper called ``method``, counted as one mapping call."""
+    """The mapper called ``method``."""
     try:
-        mapper = MAPPING_METHODS[method]
+        return MAPPING_METHODS[method]
     except KeyError:
         raise ConfigError(
             f"unknown mapping method {method!r}; "
             f"choose from {sorted(MAPPING_METHODS)}"
         ) from None
-    _C_MAPPING_CALLS.value += 1
-    _C_BY_METHOD[method].value += 1
-    return mapper
+
+
+class MappingScorer:
+    """Similarity and distance from one graph to many under one mapping
+    method: what :func:`graph_similarity` / :func:`graph_distance` compute,
+    with the method resolved (an unknown one is a ``ConfigError`` here,
+    before anything is scored) and, for plain NBM, the first graph's side
+    of Alg. 1 compiled once.  Every graph scored counts as one mapping
+    call."""
+
+    __slots__ = ("g1", "_mapper", "_kwargs", "_nbm", "_calls")
+
+    def __init__(self, g1: GraphLike, method: str = DEFAULT_METHOD,
+                 **kwargs) -> None:
+        self.g1 = g1
+        self._mapper = _select(method)
+        self._kwargs = kwargs
+        self._nbm = (NbmScorer(g1)
+                     if self._mapper is nbm_mapping and not kwargs else None)
+        self._calls = (_C_MAPPING_CALLS, _C_BY_METHOD[method])
+
+    def _count(self) -> None:
+        for counter in self._calls:
+            counter.value += 1
+
+    def mapping(self, g2: GraphLike) -> GraphMapping:
+        self._count()
+        if self._nbm is not None:
+            return self._nbm.mapping(g2)
+        return self._mapper(self.g1, g2, **self._kwargs)
+
+    def similarity(self, g2: GraphLike) -> float:
+        if self._nbm is None:
+            return self.mapping(g2).similarity()
+        self._count()
+        return self._nbm.similarity(g2)
+
+    def distance(self, g2: GraphLike) -> float:
+        if self._nbm is None:
+            return self.mapping(g2).edit_cost()
+        self._count()
+        return self._nbm.score(g2)[1]
 
 
 def graph_mapping(
@@ -65,7 +104,7 @@ def graph_mapping(
     (weighted, Sec. 4.2), ``"bipartite_unweighted"``, or ``"state"``
     (exact branch-and-bound, small graphs only).
     """
-    return _select(method)(g1, g2, **kwargs)
+    return MappingScorer(g1, method, **kwargs).mapping(g2)
 
 
 def graph_distance(
@@ -80,10 +119,7 @@ def graph_distance(
     :func:`repro.matching.state_search.optimal_distance` for the exact
     value on tiny graphs).
     """
-    mapper = _select(method)
-    if mapper is nbm_mapping and not kwargs:
-        return nbm_score(g1, g2)[1]
-    return mapper(g1, g2, **kwargs).edit_cost()
+    return MappingScorer(g1, method, **kwargs).distance(g2)
 
 
 def graph_similarity(
@@ -91,10 +127,7 @@ def graph_similarity(
 ) -> float:
     """Approximate similarity (Def. 6): similarity under a heuristic
     mapping.  Always a lower bound on the true similarity."""
-    mapper = _select(method)
-    if mapper is nbm_mapping and not kwargs:
-        return nbm_score(g1, g2)[0]
-    return mapper(g1, g2, **kwargs).similarity()
+    return MappingScorer(g1, method, **kwargs).similarity(g2)
 
 
 def subgraph_distance(

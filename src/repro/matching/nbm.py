@@ -11,8 +11,10 @@ Complexity: O(n^2) initialization plus O(n · d^2 · log n) queue work, as
 analyzed in the paper.
 
 Under the paper's uniform measures (every caller in the library) the
-algorithm runs as a compiled kernel, :func:`nbm_match`, over the contexts
-memoized on graphs and closures (:func:`~repro.graphs.labelspace.nbm_context`).
+algorithm runs as a compiled kernel, :class:`NbmScorer`, over the contexts
+memoized on graphs and closures (:func:`~repro.graphs.labelspace.nbm_context`):
+a traversal that scores one query against many graphs builds one scorer,
+:func:`nbm_mapping` / :func:`nbm_match` / :func:`nbm_score` use one once.
 The generic loop, :func:`nbm_mapping_reference`, serves custom measures and
 is the oracle the kernel must equal bit for bit (``tests/test_nbm.py``).
 """
@@ -21,10 +23,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from operator import and_
 from typing import Callable
 
 from repro.graphs.closure import GraphLike
-from repro.graphs.labelspace import EPSILON_BIT, nbm_context
+from repro.graphs.labelspace import (
+    EPSILON_BIT,
+    global_labelspace,
+    nbm_context,
+)
 from repro.graphs.mapping import GraphMapping, uniform_set_similarity
 
 
@@ -66,8 +73,7 @@ def nbm_mapping(
     """
     uniform = uniform_set_similarity
     if vertex_similarity is edge_similarity is uniform and neighbor_bonus == 1.0:
-        return GraphMapping.from_partial(
-            g1, g2, nbm_match(g1, g2, neighborhood_init))
+        return NbmScorer(g1, neighborhood_init).mapping(g2)
     return nbm_mapping_reference(g1, g2, vertex_similarity, edge_similarity,
                                  neighbor_bonus, neighborhood_init)
 
@@ -75,128 +81,210 @@ def nbm_mapping(
 def nbm_match(
     g1: GraphLike, g2: GraphLike, neighborhood_init: float = 0.5
 ) -> dict[int, int]:
-    """The pairs Alg. 1 matches under the uniform measures, ``u -> v``.
-
-    Two label sets are similar iff their masks share a bit, so initial
-    weights are filled per group of label-compatible targets (``1 +
-    init·common/d`` in one step, the profile overlap ``common`` a
-    popcount) and a boost is ``+1`` per mask-compatible edge pair.  The
-    tiebreak counter is drawn exactly where the reference draws it, so
-    both pop the same sequence of heap entries.
-    """
-    c1, c2 = nbm_context(g1), nbm_context(g2)
-    n1, n2 = c1.n, c2.n
-    if n1 == 0 or n2 == 0:
-        return {}
-    scale = max(neighborhood_init, 0.0)
-    by_label: dict[int, list[tuple[int, int, int]]] = {}
-    for v, (m, p, d) in enumerate(zip(c2.vmasks, c2.profiles, c2.degrees)):
-        by_label.setdefault(m, []).append((v, p, d))
-
-    # Weight matrix W[u][v]; vertices alike in label, profile and degree
-    # start from the same row.
-    rows: dict[tuple, list[float]] = {}
-    weight: list[list[float]] = []
-    for key in zip(c1.vmasks, c1.profiles, c1.degrees):
-        row = rows.get(key)
-        if row is None:
-            m1, p1, d1 = key
-            row = rows[key] = [0.0] * n2
-            for m2, members in by_label.items():
-                if m1 & m2:
-                    for v, p2, d2 in members:
-                        row[v] = 1.0 + scale * (p1 & p2).bit_count() / (
-                            d1 if d1 > d2 else d2 or 1)
-        weight.append(row[:])
-
-    matched1 = [False] * n1
-    matched2 = [False] * n2
-    best_wt = [max(row) for row in weight]
-    # Min-heap over (-weight, tiebreak, u, v): the tiebreak makes entries
-    # totally ordered, so pop order does not depend on heap layout.
-    heap = [(-best_wt[u], u, u, weight[u].index(best_wt[u]))
-            for u in range(n1)]
-    heapq.heapify(heap)
-    counter = itertools.count(n1)
-    adj1, adj2 = g1.adjacency, g2.adjacency
-    emask1, emask2 = c1.edge_masks, c2.edge_masks
-    push, pop = heapq.heappush, heapq.heappop
-
-    result: dict[int, int] = {}
-    while heap:
-        neg_w, _, u, v = pop(heap)
-        if matched1[u]:
-            continue
-        if matched2[v] or -neg_w < best_wt[u]:
-            # Stale entry: v was taken, or u's weight has been boosted
-            # since.  Re-key u on its best unmatched candidate (the first
-            # of equals); with g2 exhausted u stays unmatched, a dummy.
-            row = weight[u]
-            best = max(row)
-            if best >= 0.0:
-                best_wt[u] = best
-                push(heap, (-best, next(counter), u, row.index(best)))
-            continue
-
-        matched1[u] = True
-        matched2[v] = True
-        result[u] = v
-        for row in weight:
-            row[v] = -1.0  # below every weight: out of all later re-keys
-
-        # Boost unmatched neighbor pairs (the "neighbor bias").
-        targets = [(v2, emask2[label]) for v2, label in adj2(v).items()
-                   if not matched2[v2]]
-        for u2, label in adj1(u).items():
-            if matched1[u2]:
-                continue
-            e1 = emask1[label]
-            row = weight[u2]
-            mate, best = -1, best_wt[u2]
-            for v2, e2 in targets:
-                if e1 & e2:
-                    w = row[v2] = row[v2] + 1.0
-                    if w > best:
-                        mate, best = v2, w
-            if mate >= 0:
-                best_wt[u2] = best
-                push(heap, (-best, next(counter), u2, mate))
-    return result
+    """The pairs Alg. 1 matches under the uniform measures, ``u -> v``."""
+    return NbmScorer(g1, neighborhood_init).match(g2)
 
 
 def nbm_score(g1: GraphLike, g2: GraphLike) -> tuple[float, float]:
     """``(similarity, edit cost)`` of ``nbm_mapping(g1, g2)`` under the
-    uniform measures, read off the match without building the mapping.
-    A dummy is the label set {ε}, so an unmatched element is free exactly
-    when its mask has the ε bit.
+    uniform measures, read off the match without building the mapping."""
+    return NbmScorer(g1).score(g2)
+
+
+class _Columns(dict):
+    """The initial weight matrix of one query, by column: ``column(key)``
+    weighs a target vertex ``(mask, profile, degree)`` against every
+    distinct query key, and ``self[k]`` is the column of the interned
+    ``LabelSpace.vertex_key`` k, filled per miss — a query meets a few
+    hundred distinct keys over a traversal."""
+
+    __slots__ = ("keys", "scale", "targets")
+
+    def __init__(self, keys: list[tuple[int, int, int]], scale: float,
+                 targets: list[tuple[int, int, int]]) -> None:
+        self.keys = keys
+        self.scale = scale
+        self.targets = targets
+
+    def column(self, key: tuple[int, int, int]) -> list[float]:
+        """0 unless the labels are compatible."""
+        m2, p2, d2 = key
+        scale = self.scale
+        return [1.0 + scale * (p1 & p2).bit_count() / (
+                    d1 if d1 > d2 else d2 or 1) if m1 & m2 else 0.0
+                for m1, p1, d1 in self.keys]
+
+    def __missing__(self, k: int) -> list[float]:
+        col = self[k] = self.column(self.targets[k])
+        return col
+
+
+class NbmScorer:
+    """Alg. 1 under the uniform measures from one first graph, ``query``,
+    to many seconds — the compiled kernel behind :func:`nbm_mapping`.
+
+    Two label sets are similar iff their masks share a bit, so an initial
+    weight is ``1 + init·common/d`` in one step (the profile overlap
+    ``common`` a popcount) and a boost is ``+1`` per mask-compatible edge
+    pair.  What depends on the query alone is kept: its distinct vertex
+    keys ``(mask, profile, degree)``, and the weights of those against
+    every interned vertex key a database graph has brought so far — a
+    pure memo, so any number of targets in any order score as one would.
+    The tiebreak counter is drawn exactly where the reference draws it,
+    so both pop the same sequence of heap entries.
     """
-    match = nbm_match(g1, g2)
-    c1, c2 = nbm_context(g1), nbm_context(g2)
-    adj1, adj2 = g1.adjacency, g2.adjacency
-    emask1, emask2 = c1.edge_masks, c2.edge_masks
-    # (mask, mask of its image or 0) for every vertex and edge of g1.
-    pairs: list[tuple[int, int]] = []
-    for a, m1 in enumerate(c1.vmasks):
-        va = match.get(a)
-        image = {} if va is None else adj2(va)
-        pairs.append((m1, 0 if va is None else c2.vmasks[va]))
-        for b, label in adj1(a).items():
-            if a < b:
-                vb = match.get(b)
-                pairs.append((emask1[label],
-                              emask2[image[vb]] if vb in image else 0))
-    # Every element of g2 starts out paired with a dummy ...
-    similarity = 0
-    cost = (sum(not m & EPSILON_BIT for m in c2.vmasks)
-            + sum(n for m, n in c2.edge_counts if not m & EPSILON_BIT))
-    for m1, m2 in pairs:
-        if m2 and not m2 & EPSILON_BIT:
-            cost -= 1  # ... until an element of g1 is mapped onto it.
-        if m1 & m2:
-            similarity += 1
-        elif not m1 & (m2 or EPSILON_BIT):
-            cost += 1
-    return float(similarity), float(cost)
+
+    __slots__ = ("query", "_scale", "_ctx", "_row_of", "_columns", "_elements")
+
+    def __init__(self, query: GraphLike, neighborhood_init: float = 0.5) -> None:
+        self.query = query
+        self._scale = max(neighborhood_init, 0.0)
+        self._ctx = None
+        self._compiled()
+
+    def _compiled(self):
+        """The query's context; what is derived from it is rebuilt when
+        the query was mutated or the label space replaced."""
+        c1 = nbm_context(self.query)
+        if c1 is not self._ctx:
+            self._ctx = c1
+            # Vertices alike in label, profile and degree share a row.
+            index: dict[tuple, int] = {}
+            self._row_of = [
+                index.setdefault(key, len(index))
+                for key in zip(c1.vmasks, c1.profiles, c1.degrees)]
+            self._columns = _Columns(list(index), self._scale,
+                                     global_labelspace().vertex_keys)
+            self._elements = None
+        return c1
+
+    def match(self, target: GraphLike) -> dict[int, int]:
+        """The pairs Alg. 1 matches, ``u -> v``."""
+        g1 = self.query
+        c1, c2 = self._compiled(), nbm_context(target)
+        n1, n2 = c1.n, c2.n
+        if n1 == 0 or n2 == 0:
+            return {}
+        # The weight matrix W[u][v] starts from one row per distinct query
+        # key; a closure's vertices hardly recur and are weighed afresh.
+        if c2.vkeys is not None:
+            columns = map(self._columns.__getitem__, c2.vkeys)
+        else:
+            columns = map(self._columns.column,
+                          zip(c2.vmasks, c2.profiles, c2.degrees))
+        rows = list(zip(*columns))
+        bests = [max(row) for row in rows]
+        firsts = [row.index(best) for row, best in zip(rows, bests)]
+        row_of = self._row_of
+        weight = [list(rows[r]) for r in row_of]
+        best_wt = [bests[r] for r in row_of]
+
+        matched1 = [False] * n1
+        matched2 = [False] * n2
+        # Min-heap over (-weight, tiebreak, u, v): the tiebreak makes entries
+        # totally ordered, so pop order does not depend on heap layout.
+        heap = [(-bests[r], u, u, firsts[r]) for u, r in enumerate(row_of)]
+        heapq.heapify(heap)
+        counter = itertools.count(n1)
+        adj1, adj2 = g1.adjacency, target.adjacency
+        emask1, emask2 = c1.edge_masks, c2.edge_masks
+        push, pop = heapq.heappush, heapq.heappop
+
+        result: dict[int, int] = {}
+        while heap:
+            neg_w, _, u, v = pop(heap)
+            if matched1[u]:
+                continue
+            if matched2[v] or -neg_w < best_wt[u]:
+                # Stale entry: v was taken, or u's weight has been boosted
+                # since.  Re-key u on its best unmatched candidate (the
+                # first of equals); with g2 exhausted u stays unmatched, a
+                # dummy.
+                row = weight[u]
+                best = max(row)
+                if best >= 0.0:
+                    best_wt[u] = best
+                    push(heap, (-best, next(counter), u, row.index(best)))
+                continue
+
+            matched1[u] = True
+            matched2[v] = True
+            result[u] = v
+            for row in weight:
+                row[v] = -1.0  # below every weight: out of all later re-keys
+
+            # Boost unmatched neighbor pairs (the "neighbor bias").
+            targets = [(v2, emask2[label]) for v2, label in adj2(v).items()
+                       if not matched2[v2]]
+            for u2, label in adj1(u).items():
+                if matched1[u2]:
+                    continue
+                e1 = emask1[label]
+                row = weight[u2]
+                mate, best = -1, best_wt[u2]
+                for v2, e2 in targets:
+                    if e1 & e2:
+                        w = row[v2] = row[v2] + 1.0
+                        if w > best:
+                            mate, best = v2, w
+                if mate >= 0:
+                    best_wt[u2] = best
+                    push(heap, (-best, next(counter), u2, mate))
+        return result
+
+    def mapping(self, target: GraphLike) -> GraphMapping:
+        """``nbm_mapping(query, target)``."""
+        return GraphMapping.from_partial(self.query, target,
+                                         self.match(target))
+
+    def _images(self, target: GraphLike) -> tuple[list[int], list[int]]:
+        """``(masks, images)``: the label mask of every vertex, then every
+        edge, of the query, and beside each the mask of the element of
+        ``target`` the match maps it onto (0: onto a dummy)."""
+        match = self.match(target)
+        c1, c2 = self._ctx, nbm_context(target)
+        if self._elements is None:
+            emask1 = c1.edge_masks
+            edges = [(a, b, emask1[label])
+                     for a in range(c1.n)
+                     for b, label in self.query.adjacency(a).items() if a < b]
+            self._elements = (c1.vmasks + [e for _, _, e in edges], edges)
+        masks, edges = self._elements
+        get, vmasks2 = match.get, c2.vmasks
+        images = [0 if v is None else vmasks2[v]
+                  for v in map(get, range(c1.n))]
+        adj2, emask2 = target.adjacency, c2.edge_masks
+        for a, b, _ in edges:
+            va, vb = get(a), get(b)
+            if va is None or vb is None:
+                images.append(0)
+            else:
+                image = adj2(va)
+                images.append(emask2[image[vb]] if vb in image else 0)
+        return masks, images
+
+    def similarity(self, target: GraphLike) -> float:
+        """Similarity of ``nbm_mapping(query, target)`` (Def. 6): the
+        elements mapped onto one whose labels they share."""
+        return float(sum(map(bool, map(and_, *self._images(target)))))
+
+    def score(self, target: GraphLike) -> tuple[float, float]:
+        """``(similarity, edit cost)`` of ``nbm_mapping(query, target)``.
+        A dummy is the label set {ε}, so an unmatched element is free
+        exactly when its mask has the ε bit."""
+        c2 = nbm_context(target)
+        # Every element of the target starts out paired with a dummy ...
+        similarity = 0
+        cost = (sum(not m & EPSILON_BIT for m in c2.vmasks)
+                + sum(n for m, n in c2.edge_counts if not m & EPSILON_BIT))
+        for m1, m2 in zip(*self._images(target)):
+            if m2 and not m2 & EPSILON_BIT:
+                cost -= 1  # ... until a query element is mapped onto it.
+            if m1 & m2:
+                similarity += 1
+            elif not m1 & (m2 or EPSILON_BIT):
+                cost += 1
+        return float(similarity), float(cost)
 
 
 def nbm_mapping_reference(

@@ -83,6 +83,8 @@ _HELP_PREFIXES: tuple[tuple[str, str], ...] = (
     ("recovery.", "Crash recovery of the disk index."),
     ("faultfs.", "Deterministic fault-injection test layer."),
     ("graphgrep.", "The GraphGrep baseline."),
+    ("labelspace.", "Sizes of the process-wide label interner's "
+                    "append-only tables."),
 )
 
 

@@ -360,6 +360,11 @@ class TestObservabilityCommands:
         assert payload["ctree.query.count"]["value"] == 1
         assert payload["ctree.query.candidates"]["type"] == "counter"
         assert payload["matching.mapping.calls"]["value"] >= 0
+        # the label interner's tables, sized after the query
+        assert payload["labelspace.vertex_labels"]["type"] == "gauge"
+        assert payload["labelspace.vertex_labels"]["value"] > 2
+        assert {"labelspace.edge_labels", "labelspace.profiles",
+                "labelspace.vertex_keys"} <= set(payload)
 
     def test_metrics_to_file(self, workspace, tmp_path, capsys):
         _, _, _, disk = workspace

@@ -22,13 +22,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.exceptions import ConfigError
 from repro.graphs.graph import Graph
 from repro.graphs.io import load_graph_database
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DiskCTree
 from repro.ctree.parallel import QueryEngine
 from repro.ctree.shards import ShardSet
-from repro.ctree.similarity_query import knn_query
+from repro.ctree.similarity_query import knn_query, range_query
 from repro.ctree.stats import PAGE_IO, KnnStats, QueryStats
 from repro.ctree.subgraph_query import subgraph_query
 from repro.matching import kernels
@@ -239,6 +240,33 @@ class TestEngineContract:
              for per_part in serial_knn]
         for name in _EXACT_COUNTERS:
             assert engine_delta.get(name) == serial_delta.get(name), name
+
+    def test_mapping_method_checked_before_anything_is_scored(
+            self, case, golden_queries):
+        """An unknown method is refused on every path — also where no
+        graph would be scored; a known one counts one mapping call per
+        graph scored, wherever the task ran."""
+        make_engine, parts, sharded = case
+        registry = global_registry()
+        with make_engine(cache_size=0) as engine:
+            with pytest.raises(ConfigError, match="bogus"):
+                engine.knn_many(golden_queries[:2], self.K,
+                                mapping_method="bogus")
+            before = registry.snapshot()
+            knn = engine.knn_many(golden_queries[:3], self.K)
+            delta = registry.diff(before)
+        scored = sum(stats.graphs_scored for _, stats in knn)
+        assert scored > 0
+        assert delta["matching.mapping.calls"]["value"] == scored
+        assert delta["matching.mapping.calls.nbm"]["value"] == scored
+        for part in parts:
+            with pytest.raises(ConfigError, match="bogus"):
+                knn_query(part, golden_queries[0], self.K,
+                          mapping_method="bogus", canonical=sharded)
+            with pytest.raises(ConfigError, match="bogus"):
+                # radius -1: nothing is in range, nothing is scored
+                range_query(part, golden_queries[0], -1.0,
+                            mapping_method="bogus")
 
     def test_dedup_and_cache_accounting(self, case, mode, golden_queries):
         make_engine, parts, _ = case

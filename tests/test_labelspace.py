@@ -68,6 +68,31 @@ class TestLabelSpace:
         assert m == space.vertex_bit("A") | space.vertex_bit("B")
         assert space.snapshot()["vertex_labels"] == 4  # wildcard, ε, A, B
 
+    def test_vertex_keys_are_interned_with_their_profiles(self):
+        """A database vertex is its label mask then its neighbours' sorted
+        label ids; equal ones are one small int, equal neighbourhoods one
+        profile object, and both tables are in the snapshot."""
+        from repro.obs.metrics import MetricsRegistry
+
+        space = LabelSpace()
+        a, b = space.vertex_bit("A"), space.vertex_bit("B")
+        k0 = space.vertex_key((a, 2, 2, 3))
+        k1 = space.vertex_key((b, 2, 2, 3))
+        k2 = space.vertex_key((a,))
+        assert (k0, k1, k2) == (0, 1, 2)
+        assert space.vertex_key((a, 2, 2, 3)) == k0
+        (m0, p0, d0), (m1, p1, d1) = space.vertex_keys[k0], space.vertex_keys[k1]
+        assert (m0, d0, m1, d1) == (a, 3, b, 3)
+        assert p0 is p1 and p0.bit_count() == 3
+        assert space.vertex_keys[k2] == (a, 0, 0)
+        assert (p0 & space.profile([2, 3, 3])).bit_count() == 2
+        assert space.snapshot() == {"vertex_labels": 4, "edge_labels": 2,
+                                    "profiles": 2, "vertex_keys": 3}
+        registry = MetricsRegistry()
+        space.publish(registry)
+        assert registry.snapshot()["labelspace.vertex_keys"]["value"] == 3
+        assert registry.snapshot()["labelspace.profiles"]["value"] == 2
+
 
 class TestMasksMatch:
     def test_matches_labels_match_exhaustively(self):

@@ -22,6 +22,7 @@ from repro.matching.bounds import sim_upper_bound
 from repro.matching.edit_distance import graph_distance, graph_similarity
 from repro.matching.measures import jaccard_set_similarity
 from repro.matching.nbm import (
+    NbmScorer,
     nbm_mapping,
     nbm_mapping_reference,
     nbm_match,
@@ -223,6 +224,77 @@ class TestKernelDifferential:
             g1, g2, neighbor_bonus=3.0).pairs
 
 
+def assert_scorer_equals_reference(scorer, target):
+    ref = nbm_mapping_reference(scorer.query, target)
+    assert scorer.mapping(target).pairs == ref.pairs
+    assert scorer.match(target) == ref.matched_pairs()
+    assert scorer.similarity(target) == ref.similarity()
+    assert scorer.score(target) == (ref.similarity(), ref.edit_cost())
+
+
+class TestScorerReuse:
+    """One scorer, many targets: its weight columns are a pure memo, so
+    order and repetition change nothing."""
+
+    @given(graph_likes, st.lists(graph_likes, min_size=1, max_size=6),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=120, deadline=None)
+    def test_any_order_any_repetition(self, query, targets, rnd):
+        scorer = NbmScorer(query)
+        order = targets + targets + [Graph()]
+        rnd.shuffle(order)
+        for target in order:
+            assert_scorer_equals_reference(scorer, target)
+
+    def test_chemical_targets_shuffled(self, chem_db_small, rng):
+        from repro.ctree.bulkload import bulk_load
+
+        db = chem_db_small[:40]
+        tree = bulk_load(db, min_fanout=3)
+        closures = [tree.root.closure] + [c.closure for c in tree.root.children]
+        epsilon = GraphClosure([{"C", EPSILON}, {"O"}, {EPSILON, "N"}])
+        epsilon.add_edge(0, 1, {None, EPSILON})
+        small = min(db, key=lambda g: g.num_vertices)
+        assert any(g.num_vertices > small.num_vertices for g in db)
+        for query in (small, db[0], closures[1]):
+            scorer = NbmScorer(query)
+            targets = db + closures + [epsilon, Graph(), query]
+            rng.shuffle(targets)
+            for target in targets + targets[:10]:
+                assert_scorer_equals_reference(scorer, target)
+
+    def test_copies_of_a_graph_share_its_columns(self, chem_db_small):
+        g, q = chem_db_small[0], chem_db_small[1]
+        scorer = NbmScorer(q)
+        want = scorer.score(g)
+        held = len(scorer._columns)
+        assert scorer.score(g.copy()) == want
+        assert len(scorer._columns) == held
+
+    def test_built_after_a_labelspace_reset(self, chem_db_small):
+        from repro.graphs.labelspace import reset_labelspace
+
+        q, targets = chem_db_small[2], chem_db_small[:8]
+        stale = NbmScorer(q)
+        stale.score(targets[0])
+        reset_labelspace()
+        fresh = NbmScorer(q)
+        for target in targets:
+            assert_scorer_equals_reference(fresh, target)
+            # ... and the one built before follows the new space.
+            assert_scorer_equals_reference(stale, target)
+
+    def test_query_mutation_recompiles(self):
+        q = Graph(["A", "B", "C", "A"], [(0, 1), (1, 2), (2, 3)])
+        other = Graph(["A", "A", "B", "C", "B"],
+                      [(0, 2), (2, 3), (3, 1), (1, 4)])
+        scorer = NbmScorer(q)
+        scorer.score(other)
+        q.add_edge(0, 3, "x")
+        q.set_label(1, "C")
+        assert_scorer_equals_reference(scorer, other)
+
+
 class TestKernelMemo:
     """The kernel reads per-graph memos; every mutator must drop them."""
 
@@ -277,18 +349,29 @@ class TestKernelMemo:
         assert label_context(h).edge_groups is None
 
     def test_memo_is_small(self, chem_db_small):
-        """Two lists of shared ints per graph: what the kernel adds to
+        """Three lists of shared ints per graph: what the kernel adds to
         the compiled context stays under 1 KB on a spine-sized molecule."""
         from repro.graphs.labelspace import nbm_context
 
         for g in chem_db_small:
             ctx = nbm_context(g)
             added = (sys.getsizeof(ctx.vmasks) + sys.getsizeof(ctx.profiles)
+                     + sys.getsizeof(ctx.vkeys)
                      + sys.getsizeof(ctx.edge_masks))
             assert added < 1024, (g, added)
-        # equal profiles are one object, not one per vertex
+        # equal profiles are one object, not one per vertex ...
         ids = {id(p) for g in chem_db_small for p in nbm_context(g).profiles}
-        assert 4 * len(ids) < sum(g.num_vertices for g in chem_db_small)
+        vertices = sum(g.num_vertices for g in chem_db_small)
+        assert 4 * len(ids) < vertices
+        # ... and so are the keys: atoms alike in label and neighbours recur
+        keys = {k for g in chem_db_small for k in nbm_context(g).vkeys}
+        assert 2 * len(keys) < vertices
+        closure = closure_under_mapping(
+            chem_db_small[0], chem_db_small[1],
+            [(0, 0)] + [(u, None) for u in range(
+                1, chem_db_small[0].num_vertices)]
+            + [(None, v) for v in range(1, chem_db_small[1].num_vertices)])
+        assert nbm_context(closure).vkeys is None  # closures are not interned
 
 
 _HASH_SEED_SCRIPT = """

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.exceptions import ConfigError
 from repro.graphs.graph import Graph
 from repro.matching.edit_distance import graph_distance, graph_similarity
+from repro.matching.nbm import nbm_mapping_reference
+from repro.obs.metrics import global_registry
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.similarity_query import (
     closure_distance_lower_bound,
@@ -31,6 +34,27 @@ class TestKnn:
         results, stats = knn_query(CTree(min_fanout=2), triangle(), 3)
         assert results == []
         assert stats.results == 0
+
+    def test_unknown_mapping_method_refused_on_an_empty_tree(self):
+        with pytest.raises(ConfigError, match="bogus"):
+            knn_query(CTree(min_fanout=2), triangle(), 3,
+                      mapping_method="bogus")
+        with pytest.raises(ConfigError, match="bogus"):
+            range_query(CTree(min_fanout=2), triangle(), 5.0,
+                        mapping_method="bogus")
+
+    def test_one_mapping_call_per_graph_scored(self, chem_tree_and_db):
+        tree, db = chem_tree_and_db
+        registry = global_registry()
+        for method in ("nbm", "bipartite"):
+            before = registry.snapshot()
+            _, knn_stats = knn_query(tree, db[7], 4, mapping_method=method)
+            _, range_stats = range_query(tree, db[7], 9.0,
+                                         mapping_method=method)
+            delta = registry.diff(before)
+            scored = knn_stats.graphs_scored + range_stats.graphs_scored
+            assert delta["matching.mapping.calls"]["value"] == scored > 0
+            assert delta[f"matching.mapping.calls.{method}"]["value"] == scored
 
     def test_k_zero(self, chem_tree_and_db):
         tree, db = chem_tree_and_db
@@ -106,6 +130,31 @@ class TestRange:
     def test_empty_tree(self):
         results, _ = range_query(CTree(min_fanout=2), triangle(), 5.0)
         assert results == []
+
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+    def test_distances_are_the_reference_mappings(
+            self, chem_tree_and_db, on_disk, tmp_path):
+        """What the traversal's one scorer reports per graph is the edit
+        cost of Alg. 1's reference loop on that pair."""
+        from repro.ctree.diskindex import DiskCTree
+
+        tree, db = chem_tree_and_db
+        index = DiskCTree.create(tree, tmp_path / "range.ctp",
+                                 cache_pages=16) if on_disk else tree
+        try:
+            for qid, radius in [(4, 8.0), (30, 12.0)]:
+                results, _ = range_query(index, db[qid], radius)
+                assert results
+                for gid, dist in results:
+                    assert dist == nbm_mapping_reference(
+                        db[qid], db[gid]).edit_cost()
+                knn, _ = knn_query(index, db[qid], 6)
+                for gid, sim in knn:
+                    assert sim == nbm_mapping_reference(
+                        db[qid], db[gid]).similarity()
+        finally:
+            if on_disk:
+                index.close()
 
     @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
     def test_leaf_entries_screened_before_load(
