@@ -3,8 +3,9 @@
 Times the pseudo-isomorphism hot path (`pseudo_compatibility_domains` over
 the chemical workload) and a full C-tree subgraph query with the kernels
 toggled on and off, the two halves of the verification path on the pairs
-the chemical tree produces — `RefineBipartite` on (query, node closure)
-and Ullmann on (query, candidate graph, Alg. 2 seeds) — the Eqn. (7)
+the chemical tree produces — `RefineBipartite` on the (query, child
+closure) and (query, leaf graph) pairs of a descent, and Ullmann on
+(query, candidate graph, Alg. 2 seeds) — the Eqn. (7)
 bound as a flow between label classes against Hopcroft-Karp on the
 expanded label-set lists, and the NBM scoring kernel (Alg. 1) against the
 reference loop — one scorer over many targets and under a K-NN traversal
@@ -37,7 +38,7 @@ from conftest import (
 )
 
 from repro.graphs.labelspace import label_context, target_context
-from repro.matching import edit_distance
+from repro.matching import edit_distance, kernels
 from repro.matching.bounds import (
     SimilarityQueryContext,
     set_similarity_upper_bound,
@@ -47,6 +48,7 @@ from repro.matching.kernels import (
     domains_to_masks,
     level0_domain_masks,
     masks_to_domains,
+    pseudo_domain_masks,
     refine_bipartite_masks,
     use_kernels,
 )
@@ -80,6 +82,8 @@ MIN_SPEEDUP, MIN_SPEEDUP_QUICK = KERNEL_ROW_FLOORS
 MIN_NBM_SPEEDUP = 1.5
 MIN_NBM_SPEEDUP_QUICK = 1.1
 REPEATS = 3
+#: the two kinds of target Alg. 3 runs Alg. 2 against, timed apart
+REFINE_KINDS = ("closure", "leaf graph")
 
 
 def _time(fn) -> float:
@@ -220,7 +224,8 @@ def test_full_query_speedup(chem_database, chem_tree, benchmark):
 def test_verification_kernels_microbench(chem_database, chem_tree, benchmark):
     """The verification path's two kernels on the pairs the chemical tree
     produces.  Refine: `RefineBipartite` from the level-0 seeds on every
-    (query, node closure) the descent would refine.  Ullmann: the first
+    (query, child closure) and (query, leaf graph) a descent refines, timed
+    and printed by kind, gated together.  Ullmann: the first
     embedding of every (query, candidate) the descent hands to
     verification, seeded with its Alg. 2 domains.  Identical domains and
     identical embedding sequences first, then the speedup gate."""
@@ -234,27 +239,41 @@ def test_verification_kernels_microbench(chem_database, chem_tree, benchmark):
     ]
     compiled = {id(q): compile_query(q, level) for q in queries}
 
-    closures = [node.closure for _, node in chem_tree.nodes()
-                if node.closure is not None]
-    refine_pairs = []  # (query, closure, level-0 sets, level-0 masks)
-    for q in queries:
-        for c in closures:
-            seeds = level0_domains(q, c)
-            if all(seeds):
-                refine_pairs.append((q, c, seeds, level0_domain_masks(
-                    compiled[id(q)], target_context(c))))
+    # Every pair a descent refines, by kind of target: the child closures it
+    # tests and — five times as many, a sixth of the cost each — the leaf
+    # graphs that pass the histogram screen.
+    kind_of = {id(target_context(c)): ("closure", c)
+               for _, node in chem_tree.nodes()
+               if (c := node.closure) is not None}
+    kind_of.update((id(target_context(g)), ("leaf graph", g))
+                   for g in chem_database)
+    refine_pairs = {kind: [] for kind in REFINE_KINDS}
+    tested = []  # (compiled query, target context) of every pseudo test
+    with mock.patch.object(
+            kernels, "pseudo_domain_masks",
+            lambda qc, tc, level: tested.append((qc, tc))
+            or pseudo_domain_masks(qc, tc, level)):
+        for q in queries:
+            subgraph_query(chem_tree, q, level=level, verify=False)
+    for qc, tc in tested:
+        kind, target = kind_of[id(tc)]
+        seeds = level0_domains(qc.query, target)
+        if all(seeds):  # else Alg. 2 stops at the seeding: nothing to refine
+            refine_pairs[kind].append(
+                (qc.query, target, seeds, level0_domain_masks(qc, tc)))
 
-    def refine_reference() -> list:
-        return [refine_bipartite(q, c, [set(d) for d in seeds], level)
-                for q, c, seeds, _ in refine_pairs]
+    def refine_reference(kind: str) -> list:
+        return [refine_bipartite(q, t, [set(d) for d in seeds], level)
+                for q, t, seeds, _ in refine_pairs[kind]]
 
-    def refine_kernel() -> list:
-        return [refine_bipartite_masks(compiled[id(q)], target_context(c),
+    def refine_kernel(kind: str) -> list:
+        return [refine_bipartite_masks(compiled[id(q)], target_context(t),
                                        list(masks), level)
-                for q, c, _, masks in refine_pairs]
+                for q, t, _, masks in refine_pairs[kind]]
 
-    assert [masks_to_domains(m) for m in refine_kernel()] \
-        == refine_reference()
+    for kind in REFINE_KINDS:
+        assert [masks_to_domains(m) for m in refine_kernel(kind)] \
+            == refine_reference(kind)
 
     verify_pairs = []  # (query, candidate graph, Alg. 2 sets, masks)
     for q in queries:
@@ -269,15 +288,27 @@ def test_verification_kernels_microbench(chem_database, chem_tree, benchmark):
         assert list(enumerate_embeddings(q, g, masks, limit=3)) == expected
 
     with use_kernels(False):
-        t_refine_ref = _time(refine_reference)
+        t_refine_ref = {kind: _time(lambda: refine_reference(kind))
+                        for kind in REFINE_KINDS}
         t_ullmann_ref = _time(lambda: [find_embedding(q, g, seeds)
                                        for q, g, seeds, _ in verify_pairs])
-    t_refine = _time(refine_kernel)
+    t_refine = {kind: _time(lambda: refine_kernel(kind))
+                for kind in REFINE_KINDS}
     t_ullmann = _time(lambda: [find_embedding(q, g, masks)
                                for q, g, _, masks in verify_pairs])
+    by_kind = {kind: {"pairs": n,
+                      "reference_us": 1e6 * t_refine_ref[kind] / max(1, n),
+                      "kernel_us": 1e6 * t_refine[kind] / max(1, n)}
+               for kind in REFINE_KINDS
+               for n in [len(refine_pairs[kind])]}
+    for kind, row in by_kind.items():
+        print(f"refine, {kind}: {row['pairs']} tests, reference "
+              f"{row['reference_us']:.1f} us, kernel {row['kernel_us']:.1f} "
+              "us per test")
 
     rows = {
-        "refine": (len(refine_pairs), t_refine_ref, t_refine),
+        "refine": (sum(map(len, refine_pairs.values())),
+                   sum(t_refine_ref.values()), sum(t_refine.values())),
         "ullmann": (len(verify_pairs), t_ullmann_ref, t_ullmann),
     }
     assert list(rows) == VERIFY_ROWS
@@ -299,6 +330,7 @@ def test_verification_kernels_microbench(chem_database, chem_tree, benchmark):
         **{name: {"pairs": n, "reference_seconds": ref,
                   "kernel_seconds": new, "speedup": ref / new}
            for name, (n, ref, new) in rows.items()},
+        "refine_by_kind": by_kind,
     })
 
     floor = MIN_SPEEDUP_QUICK if conftest._QUICK else MIN_SPEEDUP

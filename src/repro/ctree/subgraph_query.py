@@ -60,12 +60,15 @@ def subgraph_query(
     unverified (useful for measuring filter power alone).
     """
     store = tree.store
-    query_hist = LabelHistogram.of(query)
     # One immutable compiled context per query (kernel mode): label masks,
     # neighbor tuples and the sparse histogram are reused across the whole
-    # descent instead of being rebuilt per child.
-    qc = kernels.compile_query(query, level) if kernels.kernels_enabled() \
-        else None
+    # descent instead of being rebuilt per child.  The set-based reference
+    # path screens on a ``LabelHistogram`` instead.
+    qc = query_hist = None
+    if kernels.kernels_enabled():
+        qc = kernels.compile_query(query, level)
+    else:
+        query_hist = LabelHistogram.of(query)
 
     #: (graph id, graph, pseudo-compatibility domains — bit masks in
     #: kernel mode, sets on the reference path)
@@ -113,7 +116,7 @@ def _visit(
     node: CTreeNode,
     depth: int,
     query: Graph,
-    query_hist: LabelHistogram,
+    query_hist: Optional[LabelHistogram],
     qc: Optional[QueryContext],
     level: Level,
     candidates: list,

@@ -231,7 +231,8 @@ class TargetContext(LabelSummary):
     """
 
     __slots__ = ("n", "degrees", "edge_groups", "vertex_groups", "edge_counts",
-                 "edge_masks", "vmasks", "profiles", "vkeys", "nbr_rows")
+                 "edge_masks", "vmasks", "profiles", "vkeys", "nbr_rows",
+                 "_at_least")
 
     def __init__(
         self,
@@ -267,6 +268,16 @@ class TargetContext(LabelSummary):
         self.vkeys: list[int] | None = None
         #: ``kernels.neighbor_rows`` memo: query edge mask -> row per vertex
         self.nbr_rows: dict[int, list[int]] = {}
+        #: :meth:`at_least` memo: degree -> bitset of vertices at least that
+        self._at_least: dict[int, int] = {}
+
+    def at_least(self, d: int) -> int:
+        """Bitset of the vertices with at least ``d`` neighbours (memoised)."""
+        m = self._at_least.get(d)
+        if m is None:
+            m = self._at_least[d] = sum(
+                1 << v for v, dv in enumerate(self.degrees) if dv >= d)
+        return m
 
     def __repr__(self) -> str:
         return f"<TargetContext |V|={self.n}>"

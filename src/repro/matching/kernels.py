@@ -6,6 +6,9 @@ This module reimplements the inner loops of pseudo subgraph isomorphism
 - a *domain* (the candidate targets of one query vertex) is a single int
   with bit ``v`` set for each compatible target vertex,
 - adjacency rows of the local/global bipartite graphs are masks,
+- Theorem 1's local test runs on whole neighbour sets — one pass per
+  distinct (compatible-edge rows, neighbour domain), not one test per
+  (query vertex, candidate) pair,
 - iteration uses ``b = m & -m`` / ``m ^= b`` lowest-set-bit peeling, and
 - label compatibility is the two-word test of
   :func:`repro.graphs.labelspace.masks_match`.
@@ -74,6 +77,11 @@ _C_DOMAIN_CALLS = global_registry().counter("matching.pseudo_iso.domain_calls")
 _C_REFINE_ROUNDS = global_registry().counter(
     "matching.pseudo_iso.refine_rounds"
 )
+#: kernel-only: candidate bits decided one at a time (a comparison or a Kuhn
+#: matching), and reach passes run, by ``refine_bipartite_masks``
+_C_LOCAL_TESTS = global_registry().counter("matching.pseudo_iso.local_tests")
+_C_REACH_PASSES = global_registry().counter(
+    "matching.pseudo_iso.reach_passes")
 _C_ULLMANN_CALLS = global_registry().counter("matching.ullmann.calls")
 _C_ULLMANN_NODES = global_registry().counter("matching.ullmann.search_nodes")
 
@@ -130,6 +138,25 @@ def domains_to_masks(domains: Sequence[set[int]]) -> list[int]:
 # ----------------------------------------------------------------------
 # Semi-perfect matching over bitmask rows (Kuhn augmenting paths)
 # ----------------------------------------------------------------------
+def _augment(i: int, rows: Sequence[int], owner: dict[int, int],
+             seen: list[int]) -> int:
+    """Kuhn's augmenting path from left vertex ``i`` (``seen[0]``: the right
+    bits already visited): the right bit it newly matches, 0 if none.  A
+    module-level function, not a closure: a closure that calls itself is a
+    reference cycle, and this runs hundreds of times per query."""
+    m = rows[i] & ~seen[0]
+    while m:
+        b = m & -m
+        seen[0] |= b
+        j = owner.get(b)
+        end = b if j is None else _augment(j, rows, owner, seen)
+        if end:
+            owner[b] = i
+            return end
+        m = rows[i] & ~seen[0]
+    return 0
+
+
 def semi_perfect_masks(rows: Sequence[int]) -> bool:
     """True iff a matching saturates every row.
 
@@ -140,32 +167,16 @@ def semi_perfect_masks(rows: Sequence[int]) -> bool:
     """
     owner: dict[int, int] = {}  # right bit -> matched left index
     taken = 0
-    visited = 0
-
-    def augment(i: int) -> bool:
-        nonlocal taken, visited
-        m = rows[i] & ~visited
-        while m:
-            b = m & -m
-            visited |= b
-            j = owner.get(b)
-            if j is None or augment(j):
-                owner[b] = i
-                taken |= b
-                return True
-            m = rows[i] & ~visited
-        return False
-
     for i, row in enumerate(rows):
         free = row & ~taken
         if free:
             b = free & -free
             owner[b] = i
-            taken |= b
-            continue
-        visited = 0
-        if not augment(i):
-            return False
+        else:
+            b = _augment(i, rows, owner, [0])
+            if not b:
+                return False
+        taken |= b
     return True
 
 
@@ -206,12 +217,13 @@ def level0_domain_masks(q: "QueryContext", t: TargetContext) -> list[int]:
 
 
 def neighbor_rows(q: "QueryContext", t: TargetContext) -> list[list[tuple]]:
-    """Per query vertex ``u``, a ``(u2, rows)`` pair per neighbour ``u2``:
-    ``rows[v]`` is the bitset of ``v``'s neighbours over an edge compatible
-    with ``(u, u2)``'s label, so Alg. 2's local test and Ullmann's support
-    and consistency tests are all ``rows[v] & domain``.  Rows are memoised
-    on the target under the query edge mask cut to the bits that can matter
-    there — as many entries as the target has edge labels, not the query."""
+    """Per query vertex ``u``, a ``(u2, key, rows)`` triple per neighbour
+    ``u2``: ``rows[v]`` is the bitset of ``v``'s neighbours over an edge
+    compatible with ``(u, u2)``'s label, so Alg. 2's local test and Ullmann's
+    support and consistency tests all read ``rows`` against a domain.  Rows
+    are memoised on the target under ``key``, the query edge mask cut to the
+    bits that can matter there — as many entries as the target has edge
+    labels, not the query."""
     memo = t.nbr_rows
     live = WILDCARD_BIT
     for em, _ in t.edge_counts:
@@ -229,9 +241,89 @@ def neighbor_rows(q: "QueryContext", t: TargetContext) -> list[list[tuple]]:
                         if (qe & em) | ((qe | em) & WILDCARD_BIT):
                             rows[v] |= members
                 memo[qe] = rows  # published complete: readers never wait
-            pairs.append((u2, rows))
+            pairs.append((u2, qe, rows))
         out.append(pairs)
     return out
+
+
+class _Reach(dict):
+    """``self[key, d] -> (one, two, three)``: the target vertices with at
+    least one / two / three neighbours over ``nbr_rows[key]`` inside domain
+    ``d``, found in one pass over the bits of ``d``: every row list is
+    symmetric (an undirected edge carries one label and compatibility is
+    symmetric), so ``{v : rows[v] & d} = OR of rows[w] for w in d``.  A pure
+    function of ``(key, d)`` on one target, memoised for one kernel call: it
+    serves every round of Alg. 2 and every sweep of Ullmann's fixpoint."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, t: TargetContext) -> None:
+        self.rows = t.nbr_rows
+
+    def __missing__(self, at: tuple[int, int]) -> tuple[int, int, int]:
+        key, d = at
+        rows = self.rows[key]
+        one = two = three = 0
+        while d:
+            b = d & -d
+            d ^= b
+            row = rows[b.bit_length() - 1]
+            three |= two & row
+            two |= one & row
+            one |= row
+        self[at] = found = (one, two, three)
+        return found
+
+
+def _local_test(cand: int, constraints: list[tuple[int, int]],
+                reach: _Reach, t: TargetContext) -> tuple[int, int]:
+    """Theorem 1's local test for every bit of ``cand`` at once: the bits
+    ``v`` whose neighbourhood takes a matching of the query vertex's
+    ``constraints`` — a ``(row key, previous domain)`` per query neighbour —
+    and how many of them had to be decided one at a time.
+
+    Hall's condition on the reach sets wherever it is a set operation: one
+    constraint needs one neighbour; two need one each and, where neither has
+    two, not the same one; three sets of sorted sizes >= 1, 2, 3 are
+    saturated greedily.  A Kuhn matching for what is left, after the ones
+    and the degree mask have thinned it."""
+    k = len(constraints)
+    hits = [reach[c] for c in constraints]
+    new = cand
+    for one, _, _ in hits:
+        new &= one
+    if k == 1:
+        return new, 0
+    rows = reach.rows
+    tests = 0
+    if k == 2:
+        (_, a2, _), (_, b2, _) = hits
+        (ka, pa), (kb, pb) = constraints
+        if ka == kb and pa == pb:
+            return new & a2, 0
+        ra, rb = rows[ka], rows[kb]
+        m = new & ~(a2 | b2)  # one neighbour each: is it the same one?
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            tests += 1
+            if ra[v] & pa == rb[v] & pb:
+                new ^= b
+        return new, tests
+    m = new = new & t.at_least(k)
+    if k == 3:
+        (_, a2, a3), (_, b2, b3), (_, c2, c3) = hits
+        m &= ~((a3 | b3 | c3) & (a2 & b2 | a2 & c2 | b2 & c2))
+    while m:
+        b = m & -m
+        m ^= b
+        v = b.bit_length() - 1
+        tests += 1
+        if not semi_perfect_masks([rows[key][v] & d
+                                   for key, d in constraints]):
+            new ^= b
+    return new, tests
 
 
 def refine_bipartite_masks(
@@ -247,59 +339,43 @@ def refine_bipartite_masks(
     as any domain empties — the query is already proven incompatible, so
     finishing the round buys nothing.  Mutates and returns ``domains``.
 
-    Theorem 1's local test (N(u) matched into N(v) over the previous
-    round's domains) is Hall's condition where that is a comparison: one row
-    non-empty; two non-empty and not the same single bit.  Else a matching.
+    A query vertex's refined domain depends only on its own domain and its
+    neighbours' ``(row key, previous domain)`` constraints, so it is decided
+    by :func:`_local_test` once per distinct such class per call.
     """
     rounds = resolve_level(level, q.n, t.n)
     nrows = neighbor_rows(q, t) if rounds else ()
-    t_degrees = t.degrees
-
-    for _ in range(rounds):
-        previous = domains[:]  # masks are immutable ints: snapshot is a copy
-        _C_REFINE_ROUNDS.value += 1
-        changed = False
-        for u, pairs in enumerate(nrows):
-            if not pairs:
-                continue  # isolated query vertex: no local constraint
-            cand = new = m = domains[u]
-            if len(pairs) == 1:
-                (u2, ra), = pairs
-                pa = previous[u2]
-                while m:
-                    b = m & -m
-                    m ^= b
-                    if not ra[b.bit_length() - 1] & pa:
-                        new ^= b
-            elif len(pairs) == 2:
-                (u2, ra), (u3, rb) = pairs
-                pa, pb = previous[u2], previous[u3]
-                while m:
-                    b = m & -m
-                    m ^= b
-                    v = b.bit_length() - 1
-                    x = ra[v] & pa
-                    y = rb[v] & pb
-                    if not x or not y or (x == y and not x & (x - 1)):
-                        new ^= b
-            else:
-                while m:
-                    b = m & -m
-                    m ^= b
-                    v = b.bit_length() - 1
-                    if len(pairs) <= t_degrees[v]:
-                        rows = [r[v] & previous[u2] for u2, r in pairs]
-                        if all(rows) and semi_perfect_masks(rows):
-                            continue
-                    new ^= b
-            if new != cand:
-                domains[u] = new
-                changed = True
-                if not new:
-                    return domains  # provably failed: stop refining
-        if not changed:
-            break
-    return domains
+    reach = _Reach(t)
+    decided: dict[tuple, int] = {}
+    tests = 0
+    try:
+        for _ in range(rounds):
+            previous = domains[:]  # masks are immutable ints: a copy
+            _C_REFINE_ROUNDS.value += 1
+            changed = False
+            for u, pairs in enumerate(nrows):
+                if not pairs:
+                    continue  # isolated query vertex: no local constraint
+                cand = domains[u]
+                constraints = sorted(
+                    [(key, previous[u2]) for u2, key, _ in pairs])
+                case = (cand, *constraints)
+                new = decided.get(case)
+                if new is None:
+                    new, n = _local_test(cand, constraints, reach, t)
+                    decided[case] = new
+                    tests += n
+                if new != cand:
+                    domains[u] = new
+                    changed = True
+                    if not new:
+                        return domains  # provably failed: stop refining
+            if not changed:
+                break
+        return domains
+    finally:
+        _C_LOCAL_TESTS.value += tests
+        _C_REACH_PASSES.value += len(reach)
 
 
 def pseudo_domain_masks(
@@ -340,28 +416,21 @@ def embeddings_masks(
     if n1 > t.n:
         return
     if domains is None:  # label-compatible targets of sufficient degree
-        at_least = {d: sum(1 << v for v, dv in enumerate(t.degrees) if dv >= d)
-                    for d in set(q.ctx.degrees)}
-        domains = [m & at_least[d] for m, d in
+        domains = [m & t.at_least(d) for m, d in
                    zip(level0_domain_masks(q, t), q.ctx.degrees)]
     else:
         domains = list(domains)
     if not all(domains):
         return
     nrows = neighbor_rows(q, t)
+    reach = _Reach(t)
     changed = True
     while changed:
         changed = False
         for u, pairs in enumerate(nrows):
-            new = m = domains[u]
-            while m:
-                b = m & -m
-                m ^= b
-                v = b.bit_length() - 1
-                for u2, rows in pairs:
-                    if not rows[v] & domains[u2]:
-                        new ^= b
-                        break
+            new = domains[u]
+            for u2, key, _ in pairs:  # supported by every neighbour's domain
+                new &= reach[key, domains[u2]][0]
             if new != domains[u]:
                 domains[u] = new
                 changed = True
@@ -378,7 +447,7 @@ def embeddings_masks(
         near.update(q.neighbors[order[-1]])
     position = {u: i for i, u in enumerate(order)}
     #: per search depth: (depth of an earlier-assigned neighbour, its rows)
-    back = [[(position[u2], rows) for u2, rows in nrows[u]
+    back = [[(position[u2], rows) for u2, _, rows in nrows[u]
              if position[u2] < i] for i, u in enumerate(order)]
 
     last = n1 - 1

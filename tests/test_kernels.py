@@ -59,6 +59,7 @@ VLABELS = ["A", "B", "C", WILDCARD]
 ELABELS = [None, "x", "y"]
 
 _REFINE_ROUNDS = global_registry().counter("matching.pseudo_iso.refine_rounds")
+_LOCAL_TESTS = global_registry().counter("matching.pseudo_iso.local_tests")
 
 
 def random_graph(rng: random.Random, max_vertices: int = 8) -> Graph:
@@ -367,13 +368,118 @@ def dense_targets(draw, max_vertices=8):
     return drawn_closure(draw, g1, graph())
 
 
+def forced_targets(graph):
+    """``graph`` as a graph, as the closure of itself (singleton label sets)
+    and as its closure with a copy grown by one pendant vertex (an ε vertex
+    and an ε edge, inert for every query) — the same local tests on each."""
+    grown = graph.copy()
+    grown.add_edge(graph.num_vertices - 1, grown.add_vertex("C"), "y")
+    same = [(v, v) for v in range(graph.num_vertices)]
+    return [graph, closure_under_mapping(graph, graph, same),
+            closure_under_mapping(graph, grown,
+                                  same + [(None, graph.num_vertices)])]
+
+
+#: One forced case per branch of ``kernels._local_test``: (query, target,
+#: the centre's level-1 domain, candidate bits decided one at a time at
+#: level 1).  Vertex 0 of every query is the centre under test.
+FORCED = {
+    # both neighbours bring the same constraint: ``cand & two``
+    "degree 2, one constraint twice": (
+        Graph(["B", "A", "A"], [(0, 1, "x"), (0, 2, "x")]),
+        Graph(["B", "A", WILDCARD, "B", "A", "B", "A", "A"],
+              [(0, 1, "x"), (0, 2, "x"), (3, 4, "x"),
+               (5, 6, "x"), (5, 7, "y")]),
+        {0}, 0),
+    # two constraints, one neighbour each: dropped where it is the same one
+    "degree 2, two constraints on one bit": (
+        Graph(["B", "A", "C"], [(0, 1, "x"), (0, 2, "x")]),
+        Graph(["B", WILDCARD, "B", WILDCARD, WILDCARD, "B", "A", "C", "B",
+               "A", "C"],
+              [(0, 1, "x"), (2, 3, "x"), (2, 4, "x"), (5, 6, "x"),
+               (5, 7, "x"), (8, 9, "x"), (8, 10, "y")]),
+        {2, 5}, 2),
+    # sizes (1, 3, 3): greedy saturates, no matching run
+    "degree 3, accepted by the masks": (
+        Graph(["B", "A", "A", "C"], [(0, 1, "x"), (0, 2, "x"), (0, 3, "y")]),
+        Graph(["B", "A", "A", WILDCARD, "C", "B", "A", "A", "A"],
+              [(0, 1, "x"), (0, 2, "x"), (0, 3, "x"), (0, 4, "y"),
+               (5, 6, "x"), (5, 7, "x"), (5, 8, "x")]),
+        {0}, 0),
+    # sizes (1, 2, 2) over three neighbours match; over two (the wildcard is
+    # both an A and the C), as (1, 1, 2) or as (1, 1, 3) they do not: Kuhn
+    # decides all four
+    "degree 3, left to Kuhn": (
+        Graph(["B", "A", "A", "C"], [(0, 1, "x"), (0, 2, "x"), (0, 3, "x")]),
+        Graph(["B", "A", "A", "C", "B", "A", WILDCARD, "C", "B", "A", "C",
+               "C", "B", "A", "C", "C", "C"],
+              [(0, 1, "x"), (0, 2, "x"), (0, 3, "x"),
+               (4, 5, "x"), (4, 6, "x"), (4, 7, "y"),
+               (8, 9, "x"), (8, 10, "x"), (8, 11, "x"),
+               (12, 13, "x"), (12, 14, "x"), (12, 15, "x"), (12, 16, "x")]),
+        {0}, 4),
+    "degree 4, left to Kuhn": (
+        Graph(["B", "A", "A", "C", "C"],
+              [(0, 1, "x"), (0, 2, "x"), (0, 3, "y"), (0, 4, "y")]),
+        Graph(["B", "A", "A", "C", WILDCARD, "B", "A", "C", "C", "C", "B",
+               "A", "A", "C"],
+              [(0, 1, "x"), (0, 2, "x"), (0, 3, "y"), (0, 4, "y"),
+               (5, 6, "x"), (5, 7, "y"), (5, 8, "y"), (5, 9, "y"),
+               (10, 11, "x"), (10, 12, "x"), (10, 13, "y")]),
+        {0}, 2),  # vertex 10 falls to the degree mask, not to a matching
+    "degree 5, left to Kuhn": (
+        Graph(["B", "A", "A", "C", "C", WILDCARD],
+              [(0, 1, "x"), (0, 2, "x"), (0, 3, "y"), (0, 4, "y"), (0, 5)]),
+        Graph(["B", "A", "A", "C", "C", "A", "B", "A", "C", "C", "C", "A"],
+              [(0, 1, "x"), (0, 2, "x"), (0, 3, "y"), (0, 4, "y"), (0, 5),
+               (6, 7, "x"), (6, 8, "y"), (6, 9, "y"), (6, 10, "y"),
+               (6, 11)]),
+        {0}, 2),
+    # the two B vertices of the ring are one class: decided once, not twice
+    "two alike vertices, one decision": (
+        Graph(["B", "A", "B", "C"],
+              [(0, 1, "x"), (1, 2, "x"), (2, 3, "x"), (3, 0, "x")]),
+        Graph(["B", WILDCARD, "B", "A", "C", "B"],
+              [(0, 1, "x"), (2, 3, "x"), (2, 4, "x"), (3, 5, "x"),
+               (4, 5, "x")]),
+        {2, 5}, 3),  # bits 0, 2 and 5 of the class; the A and C: none
+}
+
+
 class TestRefineKernel:
-    """The refine kernel's three local-test branches against
+    """The refine kernel's local-test branches against
     ``pseudo_iso.refine_bipartite``: same domains, same early return, same
     ``refine_rounds``."""
 
-    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
-    @pytest.mark.parametrize("level", [1, "max"])
+    @pytest.mark.parametrize("case", FORCED)
+    def test_forced_branch(self, case):
+        query, graph, centre, decided = FORCED[case]
+        for target in forced_targets(graph):
+            for level in (1, 2, "max"):
+                before = _LOCAL_TESTS.value
+                (ref, ref_rounds), (got, got_rounds) = refine_both(
+                    query, target, level)
+                assert got == ref, (target, level)
+                assert got_rounds == ref_rounds
+                if level == 1:
+                    assert got[0] == centre
+                    assert _LOCAL_TESTS.value - before == decided
+
+    @given(star_queries(2), dense_targets())
+    @settings(max_examples=60, deadline=None)
+    def test_neighbour_rows_are_symmetric(self, query, target):
+        # what lets one pass over a domain's bits stand for a test per bit
+        tc = target_context(target)
+        kernels.neighbor_rows(compile_query(query), tc)
+        assert tc.nbr_rows
+        for rows in tc.nbr_rows.values():
+            for v, row in enumerate(rows):
+                assert not row >> v & 1
+                for w in range(tc.n):
+                    assert row >> w & 1 == rows[w] >> v & 1
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("level", [1, 2, "max"])
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_forced_degree_bit_identical(self, degree, level, data):
@@ -404,7 +510,7 @@ class TestRefineKernel:
             (ref, _), (got, _) = refine_both(leaf, target, 1)
             assert got == ref and got[0] == survivors
 
-    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
     def test_emptied_domain_returns_at_the_same_point(self, degree):
         # The centre's only candidate has too few matching neighbours:
         # both engines stop mid-round, leaving later domains unrefined.

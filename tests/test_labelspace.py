@@ -213,6 +213,14 @@ class TestContextContents:
                             space.edge_bit(g.edge_label(v, w))
             assert members == sum(1 << w for w in neighbors[v])
 
+    def test_degree_masks_are_built_once_per_context(self):
+        g = random_labeled_graph(random.Random(5), 9)
+        ctx = target_context(g)
+        for d in range(6):
+            assert ctx.at_least(d) == sum(
+                1 << v for v in g.vertices() if g.degree(v) >= d)
+        assert sorted(ctx._at_least) == list(range(6))
+
     def test_vertex_groups_partition_vertices(self):
         rng = random.Random(4)
         g = random_labeled_graph(rng, 8, num_labels=2)

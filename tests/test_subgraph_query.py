@@ -120,6 +120,24 @@ class TestStats:
         assert sum(merged.nodes_by_level) == merged.nodes_expanded
 
 
+class TestQuerySideIsBuiltWhereItIsRead:
+    def test_label_histogram_only_on_the_reference_path(self, chem_tree_and_db):
+        from unittest import mock
+
+        from repro.graphs.histogram import LabelHistogram
+        from repro.matching.kernels import use_kernels
+
+        tree, db = chem_tree_and_db
+        q = generate_subgraph_queries(db, 6, 1, seed=9)[0]
+        with mock.patch.object(LabelHistogram, "of",
+                               wraps=LabelHistogram.of) as of:
+            answers, _ = subgraph_query(tree, q)
+            assert of.call_count == 0
+            with use_kernels(False):
+                assert subgraph_query(tree, q)[0] == answers
+            assert of.call_args_list[0] == mock.call(q)
+
+
 class TestLinearScan:
     def test_accepts_list_or_dict(self):
         graphs = [triangle(), path_graph(["A", "B"])]

@@ -216,7 +216,7 @@ def run_engine(kernel, query, target, domains, limit):
 
 
 class TestMaskKernelAgainstReference:
-    @given(query=graph_likes(4), target=graph_likes(6),
+    @given(query=graph_likes(6), target=graph_likes(7),  # query degree <= 5
            limit=st.sampled_from([None, 1, 2, 5]),
            seeds=st.sampled_from(["absent", "sets", "masks"]))
     @settings(max_examples=300, deadline=None)
