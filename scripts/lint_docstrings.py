@@ -5,13 +5,11 @@ A dependency-free, ``pydocstyle``-style checker (AST-based, stdlib only)
 that fails when any *public* module, class, function, or method in the
 audited paths lacks a docstring, or when a docstring has an empty
 summary line.  CI runs it (plus ``ruff``'s pydocstyle ``D1`` rules,
-which this mirrors) over the serving layer (``src/repro/server/``,
-``src/repro/ctree/parallel.py``) and the durable-storage/insert surface
-(``src/repro/storage/``, ``src/repro/ctree/diskindex.py``,
-``src/repro/ctree/store.py``, ``src/repro/ctree/policies.py``) so the
-API references in
-``docs/SERVING.md`` and ``docs/DURABILITY.md`` cannot silently rot;
-``tests/test_docstrings.py`` enforces the same contract inside tier-1.
+which this mirrors) over :data:`DEFAULT_PATHS` — the one list of the
+audited serving and storage surface, which the CI ruff step reads too —
+so the API references in ``docs/SERVING.md`` and ``docs/DURABILITY.md``
+cannot silently rot; ``tests/test_docstrings.py`` enforces the same
+contract inside tier-1.
 
 Usage::
 

@@ -51,14 +51,13 @@ from typing import Iterable, Optional
 
 from repro.exceptions import (
     ChecksumError,
+    ConfigError,
     IndexError_,
     PersistenceError,
     ReproError,
 )
-from repro.graphs.closure import GraphClosure
 from repro.graphs.graph import Graph
-from repro.graphs.histogram import LabelHistogram
-from repro.matching.pseudo_iso import Level, pseudo_subgraph_isomorphic
+from repro.matching.pseudo_iso import Level
 from repro.obs import trace
 from repro.obs.metrics import global_registry
 from repro.ctree.node import CTreeNode
@@ -67,10 +66,10 @@ from repro.ctree.stats import DiskKnnStats, DiskQueryStats
 from repro.ctree.store import (
     BAD_RECORD,
     PagedNodeStore,
+    StoredEntry,
     decode_graph,
     decode_node,
     dump_record,
-    record_histograms,
 )
 from repro.ctree.subgraph_query import subgraph_query
 from repro.ctree.tree import CTree, CTreeCore
@@ -87,6 +86,10 @@ from repro.storage.wal import (
 
 #: Record format version (see :mod:`repro.ctree.store`).
 _FORMAT = 3
+
+#: The metadata keys every create and compaction writes (fsck checks).
+_META_KEYS = ("root", "graph_count", "next_id", "height", "leaf_count",
+              "generation", "config")
 
 #: Buffer-pool pages of a disk handle — and the most decoded nodes its
 #: store keeps resident — unless the caller says otherwise: the one
@@ -119,7 +122,6 @@ class FsckReport:
     reachable_pages: int = 0
     free_pages: int = 0
     nodes: int = 0
-    leaves: int = 0
     graphs: int = 0
     generation: int = 0
 
@@ -180,19 +182,68 @@ class DiskRecovery:
         return "\n".join(lines)
 
 
+class _CheckedStore(PagedNodeStore):
+    """What :meth:`DiskCTree.fsck` walks the tree through: nothing kept
+    resident, each record's chain resolved (its pages counted reachable)
+    before the read, and a record that cannot be read back raised as a
+    ``PersistenceError`` naming it; node records, leaves and ids counted."""
+
+    def __init__(self, records: RecordStore) -> None:
+        super().__init__(records, {})
+        self.reachable: set[int] = set()
+        self.nodes_read = self.leaves = 0
+        self.graph_ids: set[int] = set()
+
+    def read(self, record_id: int, what: str) -> dict:
+        """Record ``record_id`` (``what`` names it in a finding), parsed."""
+        try:
+            chain = self.records.chain_pages(record_id)
+        except (PersistenceError, struct.error) as exc:
+            raise PersistenceError(
+                f"{what} record {record_id}: broken chain: {exc}") from exc
+        self.reachable.update(chain)
+        try:
+            return self.load_record(record_id)
+        except (PersistenceError, ValueError) as exc:
+            raise PersistenceError(
+                f"{what} record {record_id}: unreadable: {exc}") from exc
+
+    def load_node(self, ref: int) -> CTreeNode:
+        """The node of record ``ref``, decoded afresh."""
+        record = self.read(ref, "node")
+        self.nodes_read += 1
+        try:
+            node = decode_node(record)
+        except BAD_RECORD as exc:
+            raise PersistenceError(
+                f"node record {ref}: bad record: {exc!r}") from exc
+        self.leaves += node.is_leaf
+        return node
+
+    def load_graph(self, entry: StoredEntry) -> Graph:
+        """The graph a leaf entry points at."""
+        self.graph_ids.add(entry.graph_id)
+        record = self.read(entry.record, f"graph {entry.graph_id}")
+        try:
+            return decode_graph(record)
+        except BAD_RECORD as exc:
+            raise PersistenceError(
+                f"graph {entry.graph_id}: unparseable: {exc!r}") from exc
+
+
 class DiskCTree(CTreeCore):
     """A page-resident C-tree: queries read records on demand, and
     (when WAL-backed) batches of graphs can be appended and deleted
     crash-safely."""
 
     _METRICS = "ctree.disk"
+    _META = "metadata"
     #: what :func:`~repro.ctree.saved.index_kind` calls a ``.ctp`` file
     kind = "disk"
 
     def __init__(self, records: RecordStore, meta: dict,
                  path: Optional[PathLike] = None) -> None:
-        super().__init__(PagedNodeStore(records, meta),
-                         **meta.get("config", {}))
+        super().__init__(PagedNodeStore(records, meta), **meta["config"])
         self._path = path
         self._closed = False
         #: Compaction-trigger knobs (see :meth:`compaction_needed`),
@@ -309,7 +360,7 @@ class DiskCTree(CTreeCore):
         enclosing checkpoint.  ``next_id`` overrides the id watermark
         recorded in the metadata (a compaction preserves the old
         watermark so freed ids are never reissued)."""
-        shape: dict = {}  # the store counts leaves as it allocates them
+        shape = {"leaf_count": 0}  # the store counts leaves as it allocates
         store = PagedNodeStore(records, shape)
 
         def write_node(node: CTreeNode) -> int:
@@ -373,8 +424,7 @@ class DiskCTree(CTreeCore):
         # New ids come from the monotone watermark, not the live count:
         # after deletes the live ids are sparse and the count would
         # collide with a surviving graph.
-        first_new = self._next_id_watermark()
-        self._ensure_leaf_count()
+        first_new = self._meta["next_id"]
         inserts = self._counter("incremental_inserts")
         generation = self.generation + 1
         with trace.span("ctree.disk.extend", graphs=len(new_graphs),
@@ -436,7 +486,6 @@ class DiskCTree(CTreeCore):
         if missing:
             raise IndexError_(f"no graph with id {missing[0]}")
         rng = random.Random(seed)
-        self._ensure_leaf_count()
         deletes = self._counter("deletes")
         generation = self.generation + 1
         removed: list[Graph] = []
@@ -461,27 +510,12 @@ class DiskCTree(CTreeCore):
         self._counter("group_commits").inc()
 
     # -- compaction ----------------------------------------------------
-    def _next_id_watermark(self) -> int:
-        """The next graph id to issue — monotone across deletes, so a
-        removed id is never reused for a different graph."""
-        return self._meta.get("next_id", self._meta.get("graph_count", 0))
-
-    def _ensure_leaf_count(self) -> int:
-        """The number of leaf records, from the metadata or (for an
-        index written before the counter existed) one node-only walk,
-        cached back into the metadata."""
-        count = self._meta.get("leaf_count")
-        if count is None:
-            count = sum(node.is_leaf for _, node in self.nodes())
-            self._meta["leaf_count"] = count
-        return count
-
     @property
     def occupancy(self) -> float:
         """Live entries as a fraction of the leaf level's capacity
         (``graph_count / (leaf_count * max_fanout)``) — the quantity the
         automatic compaction trigger watches."""
-        leaves = max(self._ensure_leaf_count(), 1)
+        leaves = max(self._meta["leaf_count"], 1)
         return len(self) / (leaves * self.max_fanout)
 
     def _bulk_load_height(self, count: int) -> int:
@@ -502,7 +536,7 @@ class DiskCTree(CTreeCore):
     ) -> Optional[str]:
         """Why the tree should be repacked, or None if it is healthy.
 
-        Two degradation signals, both maintained in the v2 metadata:
+        Two degradation signals, both read from the metadata counters:
         leaf occupancy below ``min_occupancy``, or a height more than
         ``height_slack`` levels above what a fully packed bulk load of
         the same graph count would build.  The thresholds default to
@@ -517,11 +551,11 @@ class DiskCTree(CTreeCore):
             min_occupancy = self.min_occupancy
         if height_slack is None:
             height_slack = self.height_slack
-        if self._ensure_leaf_count() > 1 and self.occupancy < min_occupancy:
+        if self._meta["leaf_count"] > 1 and self.occupancy < min_occupancy:
             return (f"occupancy {self.occupancy:.2f} below "
                     f"{min_occupancy:.2f}")
         target = self._bulk_load_height(len(self))
-        height = self._meta.get("height", 0)
+        height = self.height
         if height > target + height_slack:
             return (f"height {height} above bulk-load height {target} "
                     f"+ slack {height_slack}")
@@ -567,7 +601,7 @@ class DiskCTree(CTreeCore):
                 self.store.records.delete(record_id)
             meta, meta_record = self._write_tree(
                 self.store.records, tree, generation,
-                next_id=self._next_id_watermark())
+                next_id=self._meta["next_id"])
             self.pool.pagefile.user_root = meta_record
             self.store.meta = meta
             self.checkpoint(note=f"compact gen={generation}".encode("ascii"))
@@ -591,10 +625,7 @@ class DiskCTree(CTreeCore):
     def _collect_record_ids(self) -> list[int]:
         """Every live record id: the metadata record plus all node and
         graph records, discovered by walking the tree."""
-        records: list[int] = []
-        meta_record = self.pool.pagefile.user_root
-        if meta_record != NO_PAGE:
-            records.append(meta_record)
+        records = [self.pool.pagefile.user_root]
         for ref, node in self.nodes():
             records.append(ref)
             if node.is_leaf:
@@ -621,7 +652,7 @@ class DiskCTree(CTreeCore):
     @property
     def generation(self) -> int:
         """Monotone counter bumped by every committed write batch."""
-        return self._meta.get("generation", 1)
+        return self._meta["generation"]
 
     @property
     def path(self) -> Optional[PathLike]:
@@ -692,13 +723,12 @@ class DiskCTree(CTreeCore):
         k: int,
         mapping_method: str = "nbm",
         canonical: bool = False,
-        bound: float = float("-inf"),
     ) -> tuple[list[tuple[int, float]], DiskKnnStats]:
         """:func:`~repro.ctree.similarity_query.knn_query` on this index
         (Alg. 4, reading records on demand)."""
         self._check_open()
         return knn_query(self, query, k, mapping_method=mapping_method,
-                         canonical=canonical, bound=bound)
+                         canonical=canonical)
 
     # ------------------------------------------------------------------
     # Recovery / integrity checking
@@ -738,16 +768,15 @@ class DiskCTree(CTreeCore):
              cache_pages: int = 256, opener=None) -> FsckReport:
         """Integrity-check a disk index without modifying it.
 
-        Verifies page checksums, free-list sanity, record-chain
-        resolution, tree reachability (live pages and free pages must
-        tile the file exactly — so a split's free-list pages are
-        reachable or free exactly once), graph-id uniqueness, uniform
-        leaf depth, fanout bounds, and closure containment of every
-        graph along its whole root-to-leaf lineage.  ``deep=True`` adds
-        a level-1 pseudo-subgraph-isomorphism test of every graph into
-        each closure on that lineage (sound by the paper's Lemma 1: a
-        closure contains each member graph as a
-        subgraph-with-wildcards).
+        The tree is checked by the walk :meth:`validate` runs
+        (:meth:`~repro.ctree.tree.CTreeCore.check`: shape, closure
+        containment along every lineage, leaf-entry histograms), with
+        ``deep=True`` adding its pseudo-isomorphism test at level 1.
+        Around it, what a page file adds: page checksums, a free list in
+        range and acyclic, record chains that resolve, every format-3
+        metadata key and counter, and live and free pages tiling the file
+        exactly (so a split's free-list pages are reachable or free
+        exactly once).
 
         The report is machine-readable and read-only to produce — the
         query server's ``/healthz`` endpoint runs exactly this
@@ -775,18 +804,19 @@ class DiskCTree(CTreeCore):
         # fsck is strictly read-only: suppress the header rewrite that a
         # normal close performs.
         pagefile.defer_header = True
-        pool = BufferPool(pagefile, capacity=cache_pages)
-        store = RecordStore(pool)
         try:
-            cls._fsck_body(pagefile, pool, store, report, deep)
+            cls._fsck_body(
+                RecordStore(BufferPool(pagefile, capacity=cache_pages)),
+                report, deep)
         finally:
             pagefile.close()
         return report
 
     @classmethod
-    def _fsck_body(cls, pagefile: PageFile, pool: BufferPool,
-                   store: RecordStore, report: FsckReport,
+    def _fsck_body(cls, records: RecordStore, report: FsckReport,
                    deep: bool) -> None:
+        pool = records.pool
+        pagefile = pool.pagefile
         report.pages = max(pagefile.page_count - 1, 0)
         # 1. Every allocated page must pass its checksum.
         bad: set[int] = set()
@@ -812,35 +842,22 @@ class DiskCTree(CTreeCore):
                 break
             (head,) = _U64.unpack_from(pool.get(head), 0)
         report.free_pages = len(free)
-        # 3. Walk the tree: record chains must resolve, closures must
-        # contain their children.
-        reachable: set[int] = set()
+        # 3. The metadata, then the tree — every record read resolves its
+        # chain and counts its pages reachable.
+        store = _CheckedStore(records)
         meta = None
-        meta_record = pagefile.user_root
-        if meta_record == NO_PAGE:
+        if pagefile.user_root == NO_PAGE:
             report.notes.append("empty page file: no index metadata")
         else:
-            meta = cls._fsck_record(store, meta_record, "meta",
-                                    reachable, report)
+            try:
+                meta = store.read(pagefile.user_root, "meta")
+            except PersistenceError as exc:
+                report.issue(str(exc))
         if meta is not None:
-            if meta.get("format") != _FORMAT:
-                report.issue(
-                    f"unsupported index format {meta.get('format')!r}"
-                )
-            else:
-                report.generation = meta.get("generation", 1)
-                graph_ids = cls._fsck_tree(store, meta, reachable,
-                                           report, deep)
-                report.graphs = len(graph_ids)
-                if len(graph_ids) != meta.get("graph_count"):
-                    report.issue(
-                        f"metadata says {meta.get('graph_count')} graphs, "
-                        f"tree holds {len(graph_ids)}"
-                    )
-                cls._fsck_meta_counters(meta, graph_ids, report)
-        report.reachable_pages = len(reachable)
+            cls._fsck_walk(store, meta, report, deep)
+        report.reachable_pages = len(store.reachable)
         # 4. Page accounting: live and free pages must tile the file.
-        overlap = reachable & free
+        overlap = store.reachable & free
         if overlap:
             report.issue(
                 f"{len(overlap)} page(s) both reachable and free "
@@ -848,182 +865,53 @@ class DiskCTree(CTreeCore):
             )
         if meta is not None:
             leaked = (set(range(1, pagefile.page_count))
-                      - reachable - free - bad)
+                      - store.reachable - free - bad)
             if leaked:
                 report.issue(
                     f"{len(leaked)} page(s) leaked "
                     f"(e.g. page {min(leaked)})"
                 )
 
-    @staticmethod
-    def _fsck_record(store: RecordStore, record_id: int, what: str,
-                     reachable: set, report: FsckReport) -> Optional[dict]:
-        """Resolve one record chain and parse its JSON; report and
-        return None on any failure."""
-        try:
-            chain = store.chain_pages(record_id)
-        except (PersistenceError, struct.error) as exc:
-            report.issue(f"{what} record {record_id}: broken chain: {exc}")
-            return None
-        reachable.update(chain)
-        try:
-            return json.loads(store.load(record_id))
-        except (PersistenceError, json.JSONDecodeError,
-                UnicodeDecodeError) as exc:
-            report.issue(f"{what} record {record_id}: unreadable: {exc}")
-            return None
-
     @classmethod
-    def _fsck_tree(cls, store: RecordStore, meta: dict, reachable: set,
-                   report: FsckReport, deep: bool) -> set:
-        """Walk the tree checking the invariants incremental inserts
-        must preserve.
-
-        The pruning-soundness invariant (the paper's Lemma 1) is that
-        every database graph is contained in **each closure on its
-        root-to-leaf path** — checked here as histogram dominance along
-        the whole lineage, and under ``deep`` as a level-1
-        pseudo-isomorphism of the graph into every ancestor closure.
-        (Parent-closure-dominates-child-closure is deliberately *not*
-        required: incremental closure extension only guarantees
-        containment of member graphs, exactly like the in-memory
-        ``CTree.validate``.)  Structural checks: leaves all sit at the
-        metadata height, and no node overflows the configured maximum
-        fanout.
-        """
-        graph_ids: set[int] = set()
-        config = meta.get("config", {})
-        min_fanout = config.get("min_fanout", 20)
-        max_fanout = config.get("max_fanout") or 2 * min_fanout - 1
-        height = meta.get("height", 0)
-        #: (record id, depth, [(ancestor hist, ancestor closure), ...])
-        Lineage = list[tuple[LabelHistogram, GraphClosure]]
-        stack: list[tuple[int, int, Lineage]] = [(meta["root"], 0, [])]
-        while stack:
-            record_id, depth, lineage = stack.pop()
-            record = cls._fsck_record(store, record_id, "node",
-                                      reachable, report)
-            if record is None:
-                continue
-            report.nodes += 1
-            try:
-                node = decode_node(record)
-            except BAD_RECORD as exc:
-                report.issue(f"node record {record_id}: bad record: {exc!r}")
-                continue
-            closure = None
-            try:
-                closure = node.closure
-            except BAD_RECORD as exc:
-                report.issue(f"node record {record_id}: bad closure: {exc!r}")
-            entries = node.children
-            if node.stored_closure() is None and entries:
-                report.issue(
-                    f"node record {record_id}: non-empty node without a "
-                    f"closure"
-                )
-            if len(entries) > max_fanout:
-                report.issue(
-                    f"node record {record_id}: fanout {len(entries)} "
-                    f"exceeds the configured maximum {max_fanout}"
-                )
-            if depth > 0 and len(entries) < min_fanout:
-                report.notes.append(
-                    f"node record {record_id}: fanout {len(entries)} "
-                    f"below the configured minimum {min_fanout}"
-                )
-            line = lineage + [(LabelHistogram.of(closure), closure)] \
-                if closure is not None else lineage
-            if not node.is_leaf:
-                stack.extend((child, depth + 1, line) for child in entries)
-                continue
-            report.leaves += 1
-            if depth != height:
-                report.issue(
-                    f"node record {record_id}: leaf at depth {depth}, "
-                    f"metadata says height {height}"
-                )
-            for entry in entries:
-                gid = entry.graph_id
-                if gid in graph_ids:
-                    report.issue(
-                        f"graph id {gid} appears in more than one leaf"
-                    )
-                graph_ids.add(gid)
-                gdata = cls._fsck_record(store, entry.record,
-                                         f"graph {gid}", reachable, report)
-                if gdata is None:
-                    continue
-                try:
-                    graph = decode_graph(gdata)
-                    histograms = record_histograms(gdata)
-                except BAD_RECORD as exc:
-                    report.issue(f"graph {gid}: unparseable: {exc!r}")
-                    continue
-                # A stale histogram beside the pointer would prune the
-                # graph from answers it belongs to, silently.
-                if histograms != (entry.vhist, entry.ehist):
-                    report.issue(
-                        f"graph {gid}: leaf entry histogram differs from "
-                        f"its graph record's"
-                    )
-                cls._fsck_graph_lineage(gid, graph, line, deep, report)
-        return graph_ids
-
-    @staticmethod
-    def _fsck_meta_counters(meta: dict, graph_ids: set,
-                            report: FsckReport) -> None:
-        """Check the delete-era metadata counters against the live-entry
-        walk: the leaf count must match the leaves actually visited, no
-        live id may sit at or above the id watermark, and a degraded
-        leaf occupancy is surfaced (as a note — the automatic compaction
-        trigger, not an integrity rule, decides when to repack)."""
-        if "leaf_count" in meta and meta["leaf_count"] != report.leaves:
+    def _fsck_walk(cls, store: _CheckedStore, meta: dict,
+                   report: FsckReport, deep: bool) -> None:
+        """Run the walk over the index ``meta`` describes, then check the
+        metadata counters against it (a low leaf occupancy is only a note:
+        the compaction trigger decides when to repack)."""
+        if meta.get("format") != _FORMAT:
+            report.issue(f"unsupported index format {meta.get('format')!r}")
+            return
+        missing = [f"metadata has no {key!r}" for key in _META_KEYS
+                   if key not in meta]
+        if missing:
+            report.errors += missing
+            return
+        report.generation = meta["generation"]
+        try:
+            tree = cls(store.records, meta)
+        except (ConfigError, TypeError) as exc:
+            report.issue(f"metadata config unusable: {exc}")
+            return
+        store.meta = meta
+        tree.store = store
+        report.errors += tree.check(1 if deep else None)
+        report.nodes = store.nodes_read
+        report.graphs = len(store.graph_ids)
+        if meta["leaf_count"] != store.leaves:
             report.issue(
                 f"metadata says {meta['leaf_count']} leaves, tree holds "
-                f"{report.leaves}"
+                f"{store.leaves}"
             )
-        if "next_id" in meta and graph_ids:
-            top = max(graph_ids)
-            if top >= meta["next_id"]:
-                report.issue(
-                    f"graph id {top} at or above the metadata id "
-                    f"watermark {meta['next_id']}"
-                )
-        config = meta.get("config", {})
-        min_fanout = config.get("min_fanout", 20)
-        max_fanout = config.get("max_fanout") or 2 * min_fanout - 1
-        if report.leaves > 1:
-            occupancy = len(graph_ids) / (report.leaves * max_fanout)
-            if occupancy < DEFAULT_MIN_OCCUPANCY:
-                report.notes.append(
-                    f"leaf occupancy {occupancy:.2f} below the "
-                    f"compaction threshold {DEFAULT_MIN_OCCUPANCY:.2f}"
-                )
-
-    @staticmethod
-    def _fsck_graph_lineage(gid: int, graph: Graph,
-                            lineage: list, deep: bool,
-                            report: FsckReport) -> None:
-        """Lemma-1 containment of one graph along its whole root-to-leaf
-        path: every ancestor histogram must dominate the graph's, and
-        (``deep``) the graph must be pseudo-isomorphic into every
-        ancestor closure — the exact path incremental inserts enlarge."""
-        graph_hist = LabelHistogram.of(graph)
-        for level, (hist, closure) in enumerate(lineage):
-            where = "leaf" if level == len(lineage) - 1 \
-                else f"ancestor at depth {level}"
-            if not hist.dominates(graph_hist):
-                report.issue(
-                    f"graph {gid}: {where} closure does not dominate "
-                    f"its label histogram"
-                )
-                continue
-            if deep and not pseudo_subgraph_isomorphic(graph, closure, 1):
-                report.issue(
-                    f"graph {gid}: not pseudo-contained in the "
-                    f"{where} closure"
-                )
+        if store.graph_ids and max(store.graph_ids) >= meta["next_id"]:
+            report.issue(
+                f"graph id {max(store.graph_ids)} at or above the metadata "
+                f"id watermark {meta['next_id']}"
+            )
+        if store.leaves > 1 and tree.occupancy < DEFAULT_MIN_OCCUPANCY:
+            report.notes.append(
+                f"leaf occupancy {tree.occupancy:.2f} below the "
+                f"compaction threshold {DEFAULT_MIN_OCCUPANCY:.2f}"
+            )
 
     # ------------------------------------------------------------------
     def flush(self) -> None:

@@ -37,7 +37,6 @@ def knn_query(
     k: int,
     mapping_method: str = "nbm",
     canonical: bool = False,
-    bound: float = float("-inf"),
 ) -> tuple[list[tuple[int, float]], KnnStats]:
     """The K nearest (most similar) graphs to ``query`` (Algorithm 4).
 
@@ -53,12 +52,6 @@ def knn_query(
     result is a deterministic function of the database alone — the
     contract :mod:`repro.ctree.shards` needs to merge per-shard top-k
     lists.  The default preserves the historical (golden-pinned) order.
-
-    ``bound`` is an external lower bound on useful similarity: subtrees
-    and graphs strictly below it are pruned even before ``k`` results
-    exist.  Sound whenever the caller already holds ``k`` answers with
-    similarity ``>= bound`` (the sharded coordinator's global kth-best
-    pushdown); ties at ``bound`` are never pruned.
     """
     with trace.span("ctree.knn_query", k=k, database_size=len(tree),
                     mapping=mapping_method) as root_span, \
@@ -70,7 +63,7 @@ def knn_query(
         scorer = MappingScorer(query, mapping_method)
         if k > 0 and len(tree):
             results = _knn_search(tree.store, scorer, k, stats,
-                                  canonical=canonical, bound=bound)
+                                  canonical=canonical)
             stats.seconds = time.perf_counter() - start
         root_span.set(results=len(results))
     stats.publish()
@@ -83,13 +76,11 @@ def _knn_search(
     k: int,
     stats: KnnStats,
     canonical: bool = False,
-    bound: float = float("-inf"),
 ) -> list[tuple[int, float]]:
     """The incremental-ranking heap loop of Algorithm 4.
 
     See :func:`knn_query` for the ``canonical`` (tie-stable total order)
-    and ``bound`` (external kth-best pushdown) extensions; both default
-    to the paper-faithful behavior.
+    extension; it defaults to the paper-faithful behavior.
     """
     counter = itertools.count()
     # The query's side of every Eqn. (7) bound along the traversal,
@@ -105,16 +96,12 @@ def _knn_search(
     # [24] the paper builds on.
     _NODE, _GRAPH_BOUND, _GRAPH_EXACT = 0, 1, 2
     heap: list[tuple[float, int, int, object]] = []
-    # The root is seeded with an infinite key so no external ``bound``
-    # can prune it before expansion.
     heapq.heappush(heap, (float("-inf"), next(counter), _NODE,
                           store.load_node(store.root)))
 
     # Min-heap of the current k best exact similarities (top = lower bound).
-    # An external ``bound`` (the coordinator's global kth-best) is a floor
-    # the running threshold never drops below.
     best_k: list[float] = []
-    lower_bound = bound
+    lower_bound = float("-inf")
 
     def note_similarity(sim: float) -> None:
         nonlocal lower_bound
@@ -123,7 +110,7 @@ def _knn_search(
         else:
             heapq.heappushpop(best_k, sim)
         if len(best_k) >= k:
-            lower_bound = max(best_k[0], bound)
+            lower_bound = best_k[0]
 
     results: list[tuple[int, float]] = []
     while heap:

@@ -54,6 +54,7 @@ from repro.graphs.closure import (
     GraphClosure,
 )
 from repro.graphs.graph import Graph
+from repro.graphs.histogram import LabelHistogram
 from repro.graphs.labelspace import (
     LabelSummary,
     global_labelspace,
@@ -73,12 +74,17 @@ from repro.storage.recordstore import RecordStore
 class MemoryNodeStore:
     """Nodes and graphs as live objects."""
 
+    #: how a check finding names a node (a live one has no address)
+    NODE_NAME = "node {!r}"
+
     def __init__(self) -> None:
         self.root = CTreeNode(is_leaf=True)
+        self.height = 0
 
     def set_root(self, ref: CTreeNode, height: int) -> None:
-        """Install a new root (a live tree measures its own height)."""
+        """Install a new root standing ``height`` levels above the leaves."""
         self.root = ref
+        self.height = height
 
     def load_node(self, ref: CTreeNode) -> CTreeNode:
         """A reference is the node."""
@@ -87,6 +93,11 @@ class MemoryNodeStore:
     def graph_summary(self, entry: LeafEntry) -> LabelSummary:
         """The label histogram Alg. 3 screens the entry's graph with."""
         return label_context(entry.graph)
+
+    @staticmethod
+    def entry_matches(entry: LeafEntry, histogram: LabelHistogram) -> bool:
+        """Always: a live entry's summary is built from its graph."""
+        return True
 
     def load_graph(self, entry: LeafEntry) -> Graph:
         """The graph a leaf entry holds."""
@@ -310,6 +321,9 @@ class PagedNodeStore:
     :meth:`free_node` does so inside :meth:`writing`.
     """
 
+    #: how a check finding names a node: by its record
+    NODE_NAME = "node record {}"
+
     def __init__(self, records: RecordStore, meta: dict) -> None:
         self.records = records
         self.meta = meta
@@ -336,6 +350,11 @@ class PagedNodeStore:
         """Install a new root standing ``height`` levels above the leaves."""
         self.meta["root"] = ref
         self.meta["height"] = height
+
+    @property
+    def height(self) -> int:
+        """Levels above the leaves, as the metadata records them."""
+        return self.meta["height"]
 
     def load_record(self, record_id: int) -> dict:
         """One record, JSON-parsed (node, graph or metadata)."""
@@ -391,13 +410,25 @@ class PagedNodeStore:
                 dict(zip(map(space.edge_id, ehist[::2]), ehist[1::2]))))
         return memo[1]
 
+    @staticmethod
+    def entry_matches(entry: StoredEntry, histogram: LabelHistogram) -> bool:
+        """Whether the histograms beside the entry's pointer — what
+        :meth:`graph_summary` screens with — are ``histogram``."""
+        try:  # a plain dict: Counter equality is a Python-level loop
+            stored = {(kind, label): count
+                      for kind, flat in enumerate((entry.vhist, entry.ehist))
+                      for label, count in zip(flat[::2], flat[1::2])}
+        except TypeError:  # not two flat [label, count, ...] lists
+            return False
+        return histogram == LabelHistogram(stored)
+
     def load_graph(self, entry: StoredEntry) -> Graph:
         """Decode the graph record a leaf entry points at."""
         return decode_graph(self.load_record(entry.record))
 
     def _count_leaf(self, node: CTreeNode, delta: int) -> None:
         if node.is_leaf:
-            self.meta["leaf_count"] = self.meta.get("leaf_count", 0) + delta
+            self.meta["leaf_count"] += delta
 
     def alloc_node(self, node: CTreeNode) -> int:
         """Store a new node record; returns its id."""

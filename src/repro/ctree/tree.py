@@ -24,11 +24,12 @@ from __future__ import annotations
 import random
 from typing import Iterator, Optional
 
-from repro.exceptions import ConfigError, IndexError_
+from repro.exceptions import ConfigError, IndexError_, PersistenceError
 from repro.graphs.closure import GraphClosure, as_closure
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
 from repro.matching.edit_distance import MAPPING_METHODS
+from repro.matching.pseudo_iso import Level, pseudo_subgraph_isomorphic
 from repro.obs import trace
 from repro.obs.metrics import global_registry
 from repro.ctree.node import (
@@ -44,7 +45,7 @@ from repro.ctree.policies import (
     resolve_closure_insert_policy,
     resolve_closure_split_policy,
 )
-from repro.ctree.store import MemoryNodeStore
+from repro.ctree.store import BAD_RECORD, MemoryNodeStore
 
 #: Paper default: m = 20, M = 2m - 1.
 DEFAULT_MIN_FANOUT = 20
@@ -433,69 +434,101 @@ class CTreeCore:
             store.set_root(store.alloc_node(CTreeNode(is_leaf=True)), 0)
 
     # ------------------------------------------------------------------
-    # Validation
+    # Soundness: the one walk validate() and fsck run
     # ------------------------------------------------------------------
-    def validate(self, deep: bool = False) -> None:
-        """Check all structural invariants; raises ``AssertionError`` on
-        violation.
+    #: where the findings say ``len(self)`` and the height are recorded
+    _META = "catalog"
 
-        The soundness invariant for query pruning is that every *database
-        graph's* histogram is dominated by the histogram of each of its
-        ancestors (a node's closure may legitimately count more label
-        occurrences than its parent's, and may stay looser than its
-        members after a delete, so neither parent-vs-child-closure
-        dominance nor tightness is required).  ``deep=True`` additionally
-        checks that every database graph is pseudo sub-isomorphic (at the
-        convergence level) to every ancestor closure: a correctly built
-        closure admits a real embedding of each member, which always
-        passes this polynomial test, so a failure proves a broken closure.
-        (Exact Ullmann verification is intentionally avoided here —
-        against large ε-rich closures its backtracking can blow up
-        combinatorially.)
+    def check(self, level: Optional[Level] = None) -> list[str]:
+        """Walk the tree once and list every violation of the invariants
+        queries and maintenance rely on (:meth:`validate` raises on them,
+        ``DiskCTree.fsck`` reports them).
+
+        Shape: at most ``max_fanout`` children per node, at least
+        ``min_fanout`` below the root, two under an internal root, a
+        closure on every non-empty node, every leaf at the recorded
+        height, each graph id once and ``len(self)`` of them.  Lemma 1:
+        each closure on a graph's root-to-leaf path dominates its label
+        histogram (closures need not dominate each other, nor be tight)
+        and, with ``level`` set, admits it pseudo sub-isomorphically at
+        that level — a polynomial test any real embedding passes, where
+        Ullmann could blow up on ε-rich closures.  The histogram a leaf
+        entry carries for Alg. 3's screen is its graph's own.  A node or
+        graph the store cannot read back is a finding.
         """
-        from repro.matching.pseudo_iso import pseudo_subgraph_isomorphic
-
         store = self.store
-        leaf_depths: set[int] = set()
-        seen_ids: list[int] = []
+        errors: list[str] = []
+        issue = errors.append
+        ids: set[int] = set()
         stack: list = [(store.root, 0, [])]
         while stack:
-            ref, depth, ancestors = stack.pop()
-            node = store.load_node(ref)
+            ref, depth, lineage = stack.pop()
+            try:
+                node = store.load_node(ref)
+            except PersistenceError as exc:
+                issue(str(exc))
+                continue
+            name = store.NODE_NAME.format(ref)
             fanout = len(node.children)
-            if depth == 0:
-                assert node.is_leaf or fanout >= 2, \
-                    "internal root needs >= 2 children"
-            else:
-                assert self.min_fanout <= fanout <= self.max_fanout, (
-                    f"fanout {fanout} outside "
-                    f"[{self.min_fanout}, {self.max_fanout}]"
-                )
-            assert not fanout or node.closure is not None, \
-                "non-empty node lacks a closure"
-            lineage = ancestors + [node]
+            try:
+                if node.closure is not None:
+                    lineage = lineage + [node]
+                elif fanout:
+                    issue(f"{name}: non-empty node without a closure")
+            except BAD_RECORD as exc:
+                issue(f"{name}: bad closure: {exc!r}")
+            if fanout > self.max_fanout:
+                issue(f"{name}: fanout {fanout} exceeds the configured "
+                      f"maximum {self.max_fanout}")
+            if depth and fanout < self.min_fanout:
+                issue(f"{name}: fanout {fanout} below the configured "
+                      f"minimum {self.min_fanout}")
+            elif not depth and not node.is_leaf and fanout < 2:
+                issue(f"{name}: internal root with {fanout} child(ren)")
             if not node.is_leaf:
                 stack.extend((child, depth + 1, lineage)
                              for child in node.children)
                 continue
-            leaf_depths.add(depth)
+            if depth != store.height:
+                issue(f"{name}: leaf at depth {depth}, {self._META} says "
+                      f"height {store.height}")
+            wheres = [f"ancestor at depth {i}"
+                      for i in range(len(lineage) - 1)] + ["leaf"]
             for entry in node.children:
-                seen_ids.append(entry.graph_id)
-                graph = store.load_graph(entry)
-                graph_hist = LabelHistogram.of(graph)
-                for ancestor in lineage:
-                    assert ancestor.histogram.dominates(graph_hist), (
-                        f"ancestor histogram does not dominate graph "
-                        f"{entry.graph_id}"
-                    )
-                    assert not deep or pseudo_subgraph_isomorphic(
-                            graph, ancestor.closure, level="max"), (
-                        f"graph {entry.graph_id} fails pseudo "
-                        f"sub-isomorphism against an ancestor closure"
-                    )
-        assert len(leaf_depths) <= 1, f"leaves at multiple depths: {leaf_depths}"
-        assert len(seen_ids) == len(set(seen_ids)) == len(self), \
-            "leaf entries != graph catalog"
+                gid = entry.graph_id
+                if gid in ids:
+                    issue(f"graph id {gid} appears in more than one leaf")
+                ids.add(gid)
+                try:
+                    graph = store.load_graph(entry)
+                except PersistenceError as exc:
+                    issue(str(exc))
+                    continue
+                histogram = LabelHistogram.of(graph)
+                if not store.entry_matches(entry, histogram):
+                    issue(f"graph {gid}: leaf entry histogram differs from "
+                          f"its graph record's")
+                for ancestor, where in zip(lineage, wheres):
+                    if not ancestor.histogram.dominates(histogram):
+                        issue(f"graph {gid}: {where} closure does not "
+                              f"dominate its label histogram")
+                    elif level is not None and not pseudo_subgraph_isomorphic(
+                            graph, ancestor.closure, level):
+                        issue(f"graph {gid}: not pseudo-contained in the "
+                              f"{where} closure")
+        if len(ids) != len(self):
+            issue(f"{self._META} says {len(self)} graphs, tree holds "
+                  f"{len(ids)}")
+        return errors
+
+    def validate(self, deep: bool = False) -> None:
+        """Raise ``AssertionError`` listing every violation :meth:`check`
+        finds; ``deep=True`` adds the pseudo-containment test at the
+        convergence level.  The raise is explicit, so ``python -O``
+        checks as much as a plain run."""
+        errors = self.check("max" if deep else None)
+        if errors:
+            raise AssertionError("\n".join(errors))
 
 
 #: maintenance counters, resolved once at import time
@@ -545,7 +578,7 @@ class CTree(CTreeCore):
 
     @root.setter
     def root(self, node: CTreeNode) -> None:
-        self.store.root = node
+        self.store.set_root(node, node.height())
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -569,7 +602,7 @@ class CTree(CTreeCore):
         return iter(self._graphs.items())
 
     def height(self) -> int:
-        return self.root.height()
+        return self.store.height
 
     def node_count(self) -> int:
         return self.root.count_nodes()

@@ -15,6 +15,7 @@ from repro.ctree.similarity_query import (
     linear_scan_knn,
     range_query,
 )
+from repro.ctree.store import dump_record, encode_closure
 from repro.ctree.subgraph_query import (
     linear_scan_subgraph_query,
     subgraph_query,
@@ -22,6 +23,7 @@ from repro.ctree.subgraph_query import (
 from repro.ctree.tree import CTree
 from repro.datasets.chemical import ChemicalConfig, generate_chemical_database
 from repro.datasets.queries import generate_subgraph_queries
+from repro.graphs.closure import GraphClosure
 from repro.graphs.graph import Graph
 from repro.matching import kernels
 from repro.obs.metrics import global_registry
@@ -291,6 +293,50 @@ class TestOneTraversalTwoStores:
             for q in generate_subgraph_queries(db + extra, 6, 4, seed=seed):
                 assert sorted(disk.subgraph_query(q)[0]) \
                     == sorted(subgraph_query(tree, q)[0])
+
+    def test_one_walk_two_stores(self, tmp_path, seed):
+        """One soundness check: the walk ``validate`` runs on memory and
+        on disk is the one ``fsck`` runs, so the three report the same
+        findings — none on the trees the maintenance above leaves, and
+        the same ones once one leaf closure is broken in both stores."""
+        db, tree, disk = _stored_world(tmp_path, seed)
+        path = disk.path
+        extra = [Graph.from_dict(g.to_dict()) for g in
+                 generate_chemical_database(8, seed=seed + 1,
+                                            config=_CONFIG)]
+        victims = random.Random(seed).sample(range(len(db)), 14)
+        with disk:
+            disk.delete_many(victims, auto_compact=False)
+            disk.extend(extra)
+            for gid in victims:
+                tree.delete(gid)
+            for g in extra:
+                tree.insert(g)
+            assert tree.check(1) == disk.check(1) == []
+        assert DiskCTree.fsck(path, deep=True).errors == []
+
+        (tmp_path / "broken").mkdir()
+        db, tree, disk = _stored_world(tmp_path / "broken", seed)
+        path = disk.path
+        point = GraphClosure([{"C"}])
+
+        def holds_first(node):
+            return node.is_leaf and any(entry.graph_id == 0
+                                        for entry in node.children)
+
+        next(node for _, node in tree.nodes() if holds_first(node)) \
+            .closure = point
+        with disk:
+            ref = next(ref for ref, node in disk.nodes() if holds_first(node))
+            record = disk.store.load_record(ref)
+            record["closure"] = encode_closure(point)
+            disk.store.records.update(ref, dump_record(record))
+            disk.checkpoint()
+        with DiskCTree.open_read_only(path) as reopened:
+            on_disk = reopened.check(1)
+        in_memory = tree.check(1)
+        assert in_memory and all(e.startswith("graph ") for e in in_memory)
+        assert in_memory == on_disk == DiskCTree.fsck(path, deep=True).errors
 
 
 def _fingerprint(disk, queries, probes):

@@ -311,12 +311,3 @@ class TestCanonicalKnn:
             canonical, _ = knn_query(golden_tree, q, 4, canonical=True)
             assert sorted(s for _, s in default) == \
                 sorted(s for _, s in canonical)
-
-    def test_bound_pushdown_prunes_not_answers(self, golden_tree,
-                                               golden_queries):
-        for q in golden_queries:
-            full, _ = knn_query(golden_tree, q, 4, canonical=True)
-            kth = full[-1][1] if len(full) == 4 else float("-inf")
-            bounded, stats = knn_query(golden_tree, q, 4,
-                                       canonical=True, bound=kth)
-            assert bounded == full
