@@ -3,8 +3,8 @@
 Times the pseudo-isomorphism hot path (`pseudo_compatibility_domains` over
 the chemical workload) and a full C-tree subgraph query with the kernels
 toggled on and off, the two halves of the verification path on the pairs
-the chemical tree produces — `RefineBipartite` on the (query, child
-closure) and (query, leaf graph) pairs of a descent, and Ullmann on
+the chemical tree produces — `RefineBipartite` on the (query, leaf
+graph) pairs of a descent, and Ullmann on
 (query, candidate graph, Alg. 2 seeds) — the Eqn. (7)
 bound as a flow between label classes against Hopcroft-Karp on the
 expanded label-set lists, and the NBM scoring kernel (Alg. 1) against the
@@ -82,8 +82,6 @@ MIN_SPEEDUP, MIN_SPEEDUP_QUICK = KERNEL_ROW_FLOORS
 MIN_NBM_SPEEDUP = 1.5
 MIN_NBM_SPEEDUP_QUICK = 1.1
 REPEATS = 3
-#: the two kinds of target Alg. 3 runs Alg. 2 against, timed apart
-REFINE_KINDS = ("closure", "leaf graph")
 
 
 def _time(fn) -> float:
@@ -224,11 +222,11 @@ def test_full_query_speedup(chem_database, chem_tree, benchmark):
 def test_verification_kernels_microbench(chem_database, chem_tree, benchmark):
     """The verification path's two kernels on the pairs the chemical tree
     produces.  Refine: `RefineBipartite` from the level-0 seeds on every
-    (query, child closure) and (query, leaf graph) a descent refines, timed
-    and printed by kind, gated together.  Ullmann: the first
-    embedding of every (query, candidate) the descent hands to
-    verification, seeded with its Alg. 2 domains.  Identical domains and
-    identical embedding sequences first, then the speedup gate."""
+    (query, leaf graph) a descent refines — Alg. 3 runs Alg. 2 on graphs
+    only.  Ullmann: the first embedding of every (query, candidate) the
+    descent hands to verification, seeded with its Alg. 2 domains.
+    Identical domains and identical embedding sequences first, then the
+    speedup gate."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     level = 1
     queries = [
@@ -239,15 +237,10 @@ def test_verification_kernels_microbench(chem_database, chem_tree, benchmark):
     ]
     compiled = {id(q): compile_query(q, level) for q in queries}
 
-    # Every pair a descent refines, by kind of target: the child closures it
-    # tests and — five times as many, a sixth of the cost each — the leaf
-    # graphs that pass the histogram screen.
-    kind_of = {id(target_context(c)): ("closure", c)
-               for _, node in chem_tree.nodes()
-               if (c := node.closure) is not None}
-    kind_of.update((id(target_context(g)), ("leaf graph", g))
-                   for g in chem_database)
-    refine_pairs = {kind: [] for kind in REFINE_KINDS}
+    # Every pair a descent refines: the leaf graphs that pass the
+    # histogram screen (child nodes are expanded untested).
+    graph_of = {id(target_context(g)): g for g in chem_database}
+    refine_pairs = []
     tested = []  # (compiled query, target context) of every pseudo test
     with mock.patch.object(
             kernels, "pseudo_domain_masks",
@@ -256,24 +249,23 @@ def test_verification_kernels_microbench(chem_database, chem_tree, benchmark):
         for q in queries:
             subgraph_query(chem_tree, q, level=level, verify=False)
     for qc, tc in tested:
-        kind, target = kind_of[id(tc)]
+        target = graph_of[id(tc)]
         seeds = level0_domains(qc.query, target)
         if all(seeds):  # else Alg. 2 stops at the seeding: nothing to refine
-            refine_pairs[kind].append(
+            refine_pairs.append(
                 (qc.query, target, seeds, level0_domain_masks(qc, tc)))
 
-    def refine_reference(kind: str) -> list:
+    def refine_reference() -> list:
         return [refine_bipartite(q, t, [set(d) for d in seeds], level)
-                for q, t, seeds, _ in refine_pairs[kind]]
+                for q, t, seeds, _ in refine_pairs]
 
-    def refine_kernel(kind: str) -> list:
+    def refine_kernel() -> list:
         return [refine_bipartite_masks(compiled[id(q)], target_context(t),
                                        list(masks), level)
-                for q, t, _, masks in refine_pairs[kind]]
+                for q, t, _, masks in refine_pairs]
 
-    for kind in REFINE_KINDS:
-        assert [masks_to_domains(m) for m in refine_kernel(kind)] \
-            == refine_reference(kind)
+    assert [masks_to_domains(m) for m in refine_kernel()] \
+        == refine_reference()
 
     verify_pairs = []  # (query, candidate graph, Alg. 2 sets, masks)
     for q in queries:
@@ -288,27 +280,15 @@ def test_verification_kernels_microbench(chem_database, chem_tree, benchmark):
         assert list(enumerate_embeddings(q, g, masks, limit=3)) == expected
 
     with use_kernels(False):
-        t_refine_ref = {kind: _time(lambda: refine_reference(kind))
-                        for kind in REFINE_KINDS}
+        t_refine_ref = _time(refine_reference)
         t_ullmann_ref = _time(lambda: [find_embedding(q, g, seeds)
                                        for q, g, seeds, _ in verify_pairs])
-    t_refine = {kind: _time(lambda: refine_kernel(kind))
-                for kind in REFINE_KINDS}
+    t_refine = _time(refine_kernel)
     t_ullmann = _time(lambda: [find_embedding(q, g, masks)
                                for q, g, _, masks in verify_pairs])
-    by_kind = {kind: {"pairs": n,
-                      "reference_us": 1e6 * t_refine_ref[kind] / max(1, n),
-                      "kernel_us": 1e6 * t_refine[kind] / max(1, n)}
-               for kind in REFINE_KINDS
-               for n in [len(refine_pairs[kind])]}
-    for kind, row in by_kind.items():
-        print(f"refine, {kind}: {row['pairs']} tests, reference "
-              f"{row['reference_us']:.1f} us, kernel {row['kernel_us']:.1f} "
-              "us per test")
 
     rows = {
-        "refine": (sum(map(len, refine_pairs.values())),
-                   sum(t_refine_ref.values()), sum(t_refine.values())),
+        "refine": (len(refine_pairs), t_refine_ref, t_refine),
         "ullmann": (len(verify_pairs), t_ullmann_ref, t_ullmann),
     }
     assert list(rows) == VERIFY_ROWS
@@ -330,7 +310,6 @@ def test_verification_kernels_microbench(chem_database, chem_tree, benchmark):
         **{name: {"pairs": n, "reference_seconds": ref,
                   "kernel_seconds": new, "speedup": ref / new}
            for name, (n, ref, new) in rows.items()},
-        "refine_by_kind": by_kind,
     })
 
     floor = MIN_SPEEDUP_QUICK if conftest._QUICK else MIN_SPEEDUP

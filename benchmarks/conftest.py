@@ -280,8 +280,10 @@ def _require(condition, message: str) -> None:
         raise AssertionError(message)
 
 
-#: bench_kernels.py's verification-path figure: its rows, and the
-#: kernel-vs-reference speedup floor each must reach (full scale, --quick)
+#: bench_kernels.py's verification-path figure: its rows (refine on the
+#: (query, leaf graph) pairs a descent runs Alg. 2 on; Ullmann on its
+#: candidates), and the kernel-vs-reference speedup floor each must reach
+#: (full scale, --quick)
 VERIFY_FIGURE = "kernel_microbench_verify"
 VERIFY_ROWS = ["refine", "ullmann"]
 KERNEL_ROW_FLOORS = (2.0, 1.2)

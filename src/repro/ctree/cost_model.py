@@ -5,9 +5,10 @@ node as
 
     R(i) = x(i) + y(i) * R(i+1),   R(h) = 1                    (Eqn. 11)
 
-where ``x(i)`` children survive the histogram test (and are visited/tested
-by pseudo subgraph isomorphism) and ``y(i)`` survive the pseudo test (and
-are traced down).  Both are modeled as exponentially decaying with depth:
+where ``x(i)`` children survive the histogram test (and are visited: a
+node expanded, a graph tested by pseudo subgraph isomorphism) and ``y(i)``
+are traced down (every visited node, and the graphs passing the pseudo
+test).  Both are modeled as exponentially decaying with depth:
 
     x(i) = c1 * k * rho^-i,   y(i) = c2 * k * rho^-i           (Eqn. 13)
 

@@ -27,11 +27,12 @@ that ``repro metrics`` and ``GET /metrics`` report, under the metric names
 **γ accounting convention.**  The paper's access ratio is ``γ = R / |D|``
 where ``R`` counts the tree nodes and database graphs *visited and
 tested* during the search phase.  Throughout this library "visited and
-tested" means: the child survived the histogram screen and therefore had
-pseudo subgraph isomorphism evaluated against it — i.e. ``R`` is
-:attr:`QueryStats.pseudo_tests` (children merely histogram-screened are
-*not* counted, matching Section 6.3, where the cost model prices exactly
-the pseudo-iso evaluations).  For K-NN queries (Fig. 11a) the analogous
+tested" means: the child survived the histogram screen — a node then
+expanded, a graph then pseudo-iso tested — i.e. ``R`` is
+``Σ x_by_level``, the Sec. 6.3 model's ``Σ x(i)`` (children merely
+histogram-screened are *not* counted).  Alg. 3 runs pseudo subgraph
+isomorphism on graphs only, so :attr:`QueryStats.pseudo_tests` is the
+``x`` at the leaf depth, not ``R``.  For K-NN queries (Fig. 11a) the analogous
 ``R`` is ``nodes_expanded + graphs_scored``: every node popped and
 expanded from the priority queue plus every database graph whose
 similarity was actually computed.  Denominator guards are uniform: a
@@ -184,11 +185,11 @@ class QueryStats(_StatsRecord):
     _FIELDS = (
         "database_size",      # total database size |D|
         "histogram_tests",    # children tested against the query histogram
-        # children surviving the histogram test (= pseudo-iso tests run);
-        # the paper's R counts these "visited and tested" nodes and graphs
-        # — see the γ accounting convention in the module docstring
+        # graphs surviving the histogram test (= pseudo-iso tests run;
+        # child nodes are expanded untested) — see the γ accounting
+        # convention in the module docstring
         "pseudo_tests",
-        # children surviving the pseudo test (descended into, or candidates)
+        # children descended into, or graphs surviving the pseudo test
         "pseudo_survivors",
         "nodes_expanded",     # internal nodes whose children were scanned
         "candidates",
@@ -201,7 +202,7 @@ class QueryStats(_StatsRecord):
     _DERIVED = ("access_ratio", "accuracy", "total_seconds")
     _LEVELS = (
         "x_by_level",       # [i] = children surviving histogram at depth i
-        "y_by_level",       # [i] = children surviving pseudo at depth i
+        "y_by_level",       # [i] = children descended or candidates, depth i
         "nodes_by_level",   # [i] = expanded nodes (to average x, y per node)
         # [i] = children histogram-screened (the EXPLAIN denominator:
         # tested - x = pruned by the closure histogram)
@@ -226,11 +227,11 @@ class QueryStats(_StatsRecord):
 
     @property
     def access_ratio(self) -> float:
-        """γ = R / |D| with R = :attr:`pseudo_tests` (see the
+        """γ = R / |D| with R = Σ :attr:`x_by_level` (see the
         γ accounting convention in the module docstring)."""
         if self.database_size <= 0:
             return 0.0
-        return self.pseudo_tests / self.database_size
+        return sum(self.x_by_level) / self.database_size
 
     @property
     def accuracy(self) -> float:
@@ -258,15 +259,18 @@ class QueryStats(_StatsRecord):
 
         Each entry of ``levels`` reports, for one tree depth, how many
         nodes were expanded, how many children were screened
-        (``tested``), how many survived the closure-histogram test
+        (``tested``), how many survived the histogram test
         (``histogram_survivors``, the paper's ``x(i)``) and the
         pseudo-iso test (``pseudo_survivors``, ``y(i)``), and the two
-        pruning deltas.  Sums across levels equal the flat counters
-        (``histogram_tests``, ``pseudo_tests``, ``pseudo_survivors``)
+        pruning deltas.  Only graphs are pseudo-iso tested, so
+        ``pruned_by_pseudo_iso`` is 0 above the leaves and the leaf
+        level's ``x`` is ``pseudo_tests``.  Sums across levels equal
+        the flat counters (``histogram_tests``, ``pseudo_survivors``)
         by construction, so an EXPLAIN payload is always consistent
         with the ``ctree.query.*`` metrics.  Disk-backed stats add a
         ``page_io`` block.
         """
+        visited = sum(self.x_by_level)
         levels = [{
             "level": depth,
             "nodes": nodes,
@@ -284,11 +288,9 @@ class QueryStats(_StatsRecord):
             "levels": levels,
             "pruning": {
                 "histogram_tests": self.histogram_tests,
-                "pruned_by_closure": (self.histogram_tests
-                                      - self.pseudo_tests),
+                "pruned_by_closure": self.histogram_tests - visited,
                 "pseudo_iso_tests": self.pseudo_tests,
-                "pruned_by_pseudo_iso": (self.pseudo_tests
-                                         - self.pseudo_survivors),
+                "pruned_by_pseudo_iso": visited - self.pseudo_survivors,
                 "candidates": self.candidates,
             },
             "verification": {

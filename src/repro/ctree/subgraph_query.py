@@ -2,12 +2,15 @@
 
 Two phases:
 
-1. **Search** — traverse the tree; at each node, test every child first with
-   the cheap histogram dominance condition, then with pseudo subgraph
-   isomorphism at the configured level.  Children failing either test are
-   pruned (soundly: both are necessary conditions by Lemma 1).  A leaf's
-   graphs are histogram-tested on the summaries the leaf holds for them,
-   so a disk index reads only the graphs that pass.  Surviving database
+1. **Search** — traverse the tree, screening every child with the cheap
+   histogram dominance condition.  A child node that passes is expanded
+   at once: its closure is never pseudo-iso tested, because that test
+   (a necessary condition by Lemma 1, monotone up a lineage) can prune
+   only subtrees whose graphs would all fail it anyway, and it cost
+   more than it saved (docs/ALGORITHMS.md, Alg. 3).  A leaf's graphs
+   are histogram-tested on the summaries the leaf holds for them, so a
+   disk index reads only the graphs that pass, and then by pseudo
+   subgraph isomorphism at the configured level.  Surviving database
    graphs form the candidate set.
 2. **Verification** — run Ullmann's exact algorithm on each candidate,
    seeded with the pseudo-compatibility matrix computed during the search
@@ -28,7 +31,7 @@ from typing import Optional
 
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
-from repro.graphs.labelspace import target_context
+from repro.graphs.labelspace import label_context, target_context
 from repro.matching import kernels
 from repro.matching.kernels import QueryContext
 from repro.matching.pseudo_iso import (
@@ -122,49 +125,47 @@ def _visit(
     candidates: list,
     stats: QueryStats,
 ) -> None:
-    """Expand one node: screen every child (a graph under a leaf, a child
-    node's closure otherwise) by histogram then pseudo sub-isomorphism.
-    A graph is screened on the summary its leaf entry holds and loaded
-    only if it passes; a child node is loaded, then screened.
-    A surviving graph becomes a candidate, carrying the graph and its
-    pseudo-compatibility domains into verification; a surviving child
-    node, already loaded, is expanded at once — so only one root-to-leaf
-    path of loaded nodes is alive at a time, and candidates still come
-    out in left-to-right leaf order."""
+    """Expand one node: screen every child by histogram.  A child node
+    that passes is expanded at once — so only one root-to-leaf path of
+    loaded nodes is alive at a time, and candidates come out in
+    left-to-right leaf order.  A graph under a leaf is screened on the
+    summary its entry holds, loaded only if it passes, and then tested
+    by pseudo sub-isomorphism; a survivor becomes a candidate, carrying
+    the graph and its pseudo-compatibility domains into verification."""
     with trace.span("ctree.expand", depth=depth) as sp:
         stats.nodes_expanded += 1
         survivors_x = 0
         survivors_y = 0
-        leaf = node.is_leaf
         for ref in node.children:
             stats.histogram_tests += 1
-            if leaf:
+            if not node.is_leaf:
+                child = store.load_node(ref)
+                if (child.histogram.dominates(query_hist) if qc is None
+                        else kernels.histogram_dominates(
+                            label_context(child.closure), qc)):
+                    survivors_x += 1
+                    survivors_y += 1
+                    stats.pseudo_survivors += 1
+                    _visit(store, child, depth + 1, query, query_hist, qc,
+                           level, candidates, stats)
+                continue
+            if qc is not None:
                 # The histogram beside the pointer: a graph it rejects is
                 # never read.  (The set-based reference path reads first;
                 # it is the test oracle.)
-                if qc is not None and not kernels.histogram_dominates(
+                if not kernels.histogram_dominates(
                         store.graph_summary(ref), qc):
                     continue
                 target = store.load_graph(ref)
-            else:
-                child = store.load_node(ref)
-                target = child.closure
-            if qc is not None:
-                # Kernel path: compiled contexts + bitset kernels.  The
-                # target context is memoized on the graph/closure, so a
-                # store that keeps them live pays the encoding cost once.
-                tctx = target_context(target)
-                if not leaf and not kernels.histogram_dominates(tctx, qc):
-                    continue
                 survivors_x += 1
                 stats.pseudo_tests += 1
-                masks = kernels.pseudo_domain_masks(qc, tctx, level)
-                if not kernels.global_semi_perfect_masks(masks):
+                domains = kernels.pseudo_domain_masks(
+                    qc, target_context(target), level)
+                if not kernels.global_semi_perfect_masks(domains):
                     continue
             else:
-                # Reference (set-based) path.
-                hist = LabelHistogram.of(target) if leaf else child.histogram
-                if not hist.dominates(query_hist):
+                target = store.load_graph(ref)
+                if not LabelHistogram.of(target).dominates(query_hist):
                     continue
                 survivors_x += 1
                 stats.pseudo_tests += 1
@@ -173,12 +174,7 @@ def _visit(
                     continue
             survivors_y += 1
             stats.pseudo_survivors += 1
-            if not leaf:
-                _visit(store, child, depth + 1, query, query_hist, qc, level,
-                       candidates, stats)
-            else:
-                candidates.append((ref.graph_id, target,
-                                   masks if qc is not None else domains))
+            candidates.append((ref.graph_id, target, domains))
         stats.record_level(depth, survivors_x, survivors_y,
                            tested=len(node.children))
         sp.set(fanout=len(node.children), x=survivors_x, y=survivors_y)

@@ -7,20 +7,25 @@ These encode the paper's mathematical claims directly:
 - Eqn. (7) upper-bounds similarity under any mapping,
 - graph distance under the uniform measure behaves like a metric,
 - matching algorithms agree with reference implementations,
-- the C-tree keeps its invariants under arbitrary insert/delete sequences.
+- the C-tree keeps its invariants under arbitrary insert/delete sequences,
+- Alg. 3's candidates are exactly the graphs passing Alg. 2 (a closure
+  test could only prune subtrees whose graphs all fail it).
 """
 
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.closure import closure_under_mapping
+from repro.graphs.closure import WILDCARD, closure_under_mapping
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
 from repro.graphs.operations import random_connected_subgraph, vertex_permuted
+from repro.matching import kernels
 from repro.matching.bounds import distance_lower_bound, sim_upper_bound
 from repro.matching.nbm import nbm_mapping
 from repro.matching.pseudo_iso import pseudo_subgraph_isomorphic
@@ -200,3 +205,78 @@ class TestCTreeInvariants:
         answers, _ = subgraph_query(tree, query, level=rng.choice([0, 1, "max"]))
         expected = linear_scan_subgraph_query(dict(tree.graphs()), query)
         assert sorted(answers) == sorted(expected)
+
+
+class TestAlg3CandidatesAreAlg2Survivors:
+    """Lemma 1 makes every closure test necessary, and pseudo-containment
+    is monotone up a lineage: a graph passing Alg. 2 passes at every
+    ancestor closure.  So a descent that screens nodes by histogram only
+    yields, in leaf order, exactly the stored graphs that pass the
+    histogram screen and Alg. 2 — on either store, at every level."""
+
+    @staticmethod
+    def _graph(rng: random.Random, max_vertices: int) -> Graph:
+        n = rng.randint(1, max_vertices)
+        g = Graph([WILDCARD if rng.random() < 0.15 else rng.choice(LABELS)
+                   for _ in range(n)])
+        for v in range(1, n):
+            g.add_edge(rng.randrange(v), v, rng.choice([None, None, "x"]))
+        return g
+
+    @staticmethod
+    def _leaf_order(tree) -> list[tuple[int, Graph]]:
+        store = tree.store
+
+        def walk(ref):
+            node = store.load_node(ref)
+            for child in node.children:
+                if node.is_leaf:
+                    yield child.graph_id, store.load_graph(child)
+                else:
+                    yield from walk(child)
+
+        return list(walk(store.root)) if len(tree) else []
+
+    @given(st.integers(0, 2**16), st.integers(0, 24),
+           st.sampled_from([0, 1, "max"]), st.booleans(), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_candidates_equal_alg2_scan(self, seed, n_graphs, level,
+                                        on_disk, kernels_on):
+        from repro.ctree.diskindex import DiskCTree
+        from repro.ctree.subgraph_query import subgraph_query
+
+        rng = random.Random(seed)
+        tree = CTree(min_fanout=2, max_fanout=3)
+        db = [self._graph(rng, 7) for _ in range(n_graphs)]
+        for g in db:
+            tree.insert(g)
+        if db and rng.random() < 0.7:
+            source = rng.choice(db)
+            query = random_connected_subgraph(
+                source, rng.randint(1, min(4, source.num_vertices)), rng)
+            for v in range(query.num_vertices):
+                if rng.random() < 0.2:
+                    query.set_label(v, WILDCARD)
+        else:
+            query = self._graph(rng, 4)
+        with tempfile.TemporaryDirectory() as tmp:
+            index = DiskCTree.create(tree, Path(tmp) / "t.ctp",
+                                     page_size=512, wal=False) \
+                if on_disk else tree
+            try:
+                stored = self._leaf_order(index)
+                with kernels.use_kernels(False):
+                    query_hist = LabelHistogram.of(query)
+                    expected = [
+                        gid for gid, g in stored
+                        if LabelHistogram.of(g).dominates(query_hist)
+                        and pseudo_subgraph_isomorphic(query, g, level)]
+                with kernels.use_kernels(kernels_on):
+                    candidates, stats = subgraph_query(
+                        index, query, level=level, verify=False)
+            finally:
+                if on_disk:
+                    index.close()
+        assert candidates == expected
+        assert stats.candidates == len(expected)
+        assert sorted(gid for gid, _ in stored) == list(range(n_graphs))

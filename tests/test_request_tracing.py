@@ -263,6 +263,14 @@ class TestExplain:
             assert lv["histogram_survivors"] - lv["pruned_by_pseudo_iso"] \
                 == lv["pseudo_survivors"]
         assert levels[-1]["pseudo_survivors"] == pruning["candidates"]
+        # Only graphs are pseudo-iso tested: Σx = R, and x at the leaf
+        # depth is the pseudo_iso_tests total
+        assert levels[-1]["histogram_survivors"] \
+            == pruning["pseudo_iso_tests"]
+        assert all(lv["pruned_by_pseudo_iso"] == 0 for lv in levels[:-1])
+        assert sum(lv["histogram_survivors"] for lv in levels) \
+            == pruning["histogram_tests"] - pruning["pruned_by_closure"] \
+            == profile["access_ratio"] * profile["database_size"]
 
         # ...and to the ctree.* metrics delta the same query caused.
         delta = registry.diff(before)

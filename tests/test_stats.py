@@ -133,7 +133,9 @@ class TestQueryStats:
         assert stats.total_seconds == 0.0
 
     def test_access_ratio(self):
-        stats = QueryStats(database_size=100, pseudo_tests=25)
+        # R = Σx: nodes expanded plus graphs pseudo-iso tested
+        stats = QueryStats(database_size=100, pseudo_tests=20,
+                           x_by_level=[2, 3, 20])
         assert stats.access_ratio == 0.25
 
     def test_accuracy(self):
@@ -213,8 +215,9 @@ class TestQueryStats:
         assert stats.nodes_by_level == [0, 4]
 
     def test_access_ratio_nonpositive_database(self):
-        assert QueryStats(database_size=0, pseudo_tests=5).access_ratio == 0.0
-        stats = QueryStats(pseudo_tests=5)
+        assert QueryStats(database_size=0,
+                          x_by_level=[5]).access_ratio == 0.0
+        stats = QueryStats(x_by_level=[5])
         stats.database_size = -3
         assert stats.access_ratio == 0.0
 
@@ -238,10 +241,10 @@ class TestQueryStats:
         assert hist.count == 2 and hist.total == 10
 
     def test_to_dict_roundtrip_fields(self):
-        stats = QueryStats(database_size=10, pseudo_tests=4, candidates=2,
-                           answers=1)
+        stats = QueryStats(database_size=10, pseudo_tests=3, candidates=2,
+                           answers=1, x_by_level=[1, 3])
         d = stats.to_dict()
-        assert d["pseudo_tests"] == 4
+        assert d["pseudo_tests"] == 3
         assert d["access_ratio"] == pytest.approx(0.4)
         assert d["accuracy"] == pytest.approx(0.5)
 
@@ -277,7 +280,7 @@ class TestKnnStats:
 
 class TestDiskQueryStats:
     def test_inherits_query_stats(self):
-        stats = DiskQueryStats(database_size=10, pseudo_tests=5)
+        stats = DiskQueryStats(database_size=10, x_by_level=[1, 4])
         assert stats.access_ratio == 0.5
 
     def test_page_hit_ratio(self):

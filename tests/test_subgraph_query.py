@@ -91,9 +91,16 @@ class TestStats:
         tree, db = chem_tree_and_db
         q = generate_subgraph_queries(db, 5, 1, seed=6)[0]
         _, stats = subgraph_query(tree, q)
-        assert sum(stats.x_by_level) == stats.pseudo_tests
+        # R = Σx (γ's numerator); only graphs are pseudo-iso tested, so
+        # the leaf depth's x is pseudo_tests and nothing prunes above it
+        assert sum(stats.x_by_level) \
+            == stats.access_ratio * stats.database_size
+        assert stats.x_by_level[-1] == stats.pseudo_tests
+        assert stats.x_by_level[:-1] == stats.y_by_level[:-1]
+        assert stats.y_by_level[-1] == stats.candidates
         assert sum(stats.y_by_level) == stats.pseudo_survivors
         assert sum(stats.nodes_by_level) == stats.nodes_expanded
+        assert stats.nodes_by_level[1:] == stats.y_by_level[:-1]
 
     def test_verify_false_returns_candidates(self, chem_tree_and_db):
         tree, db = chem_tree_and_db
