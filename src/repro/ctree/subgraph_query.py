@@ -1,6 +1,7 @@
 """Subgraph query processing on a C-tree (Section 6.2, Algorithm 3).
 
-Two phases:
+Two phases, both on the bitset kernels of :mod:`repro.matching.kernels`
+against one compiled query context:
 
 1. **Search** — traverse the tree, screening every child with the cheap
    histogram dominance condition.  A child node that passes is expanded
@@ -13,7 +14,7 @@ Two phases:
    subgraph isomorphism at the configured level.  Surviving database
    graphs form the candidate set.
 2. **Verification** — run Ullmann's exact algorithm on each candidate,
-   seeded with the pseudo-compatibility matrix computed during the search
+   seeded with the pseudo-compatibility masks computed during the search
    (the acceleration noted in the paper).
 
 Returns the answer ids plus a :class:`~repro.ctree.stats.QueryStats` with
@@ -27,18 +28,12 @@ the Ullmann phase.
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 from repro.graphs.graph import Graph
-from repro.graphs.histogram import LabelHistogram
 from repro.graphs.labelspace import label_context, target_context
 from repro.matching import kernels
 from repro.matching.kernels import QueryContext
-from repro.matching.pseudo_iso import (
-    Level,
-    global_semi_perfect,
-    pseudo_compatibility_domains,
-)
+from repro.matching.pseudo_iso import Level
 from repro.matching.ullmann import subgraph_isomorphic
 from repro.obs import trace
 from repro.ctree.node import CTreeNode
@@ -63,19 +58,9 @@ def subgraph_query(
     unverified (useful for measuring filter power alone).
     """
     store = tree.store
-    # One immutable compiled context per query (kernel mode): label masks,
-    # neighbor tuples and the sparse histogram are reused across the whole
-    # descent instead of being rebuilt per child.  The set-based reference
-    # path screens on a ``LabelHistogram`` instead.
-    qc = query_hist = None
-    if kernels.kernels_enabled():
-        qc = kernels.compile_query(query, level)
-    else:
-        query_hist = LabelHistogram.of(query)
-
-    #: (graph id, graph, pseudo-compatibility domains — bit masks in
-    #: kernel mode, sets on the reference path)
-    candidates: list[tuple[int, Graph, list]] = []
+    qc = kernels.compile_query(query, level)
+    #: (graph id, graph, pseudo-compatibility domains as bit masks)
+    candidates: list[tuple[int, Graph, list[int]]] = []
     with trace.span(
         "ctree.subgraph_query",
         query_vertices=query.num_vertices,
@@ -85,8 +70,8 @@ def subgraph_query(
         with trace.span("ctree.search"):
             start = time.perf_counter()
             if len(tree):
-                _visit(store, store.load_node(store.root), 0, query,
-                       query_hist, qc, level, candidates, stats)
+                _visit(store, store.load_node(store.root), 0, qc,
+                       candidates, stats)
             stats.search_seconds = time.perf_counter() - start
         stats.candidates = len(candidates)
         root_span.set(candidates=stats.candidates)
@@ -99,13 +84,10 @@ def subgraph_query(
                 start = time.perf_counter()
                 for graph_id, graph, domains in candidates:
                     stats.isomorphism_tests += 1
-                    if qc is None:
-                        found = subgraph_isomorphic(query, graph, domains)
-                    else:  # the descent's masks seed Ullmann as they are
-                        found = next(kernels.embeddings_masks(
+                    # the descent's masks seed Ullmann as they are
+                    if next(kernels.embeddings_masks(
                             qc, target_context(graph), domains, 1),
-                            None) is not None
-                    if found:
+                            None) is not None:
                         answers.append(graph_id)
                 stats.verify_seconds = time.perf_counter() - start
             stats.answers = len(answers)
@@ -118,10 +100,7 @@ def _visit(
     store,
     node: CTreeNode,
     depth: int,
-    query: Graph,
-    query_hist: Optional[LabelHistogram],
-    qc: Optional[QueryContext],
-    level: Level,
+    qc: QueryContext,
     candidates: list,
     stats: QueryStats,
 ) -> None:
@@ -140,38 +119,24 @@ def _visit(
             stats.histogram_tests += 1
             if not node.is_leaf:
                 child = store.load_node(ref)
-                if (child.histogram.dominates(query_hist) if qc is None
-                        else kernels.histogram_dominates(
-                            label_context(child.closure), qc)):
+                if kernels.histogram_dominates(
+                        label_context(child.closure), qc):
                     survivors_x += 1
                     survivors_y += 1
                     stats.pseudo_survivors += 1
-                    _visit(store, child, depth + 1, query, query_hist, qc,
-                           level, candidates, stats)
+                    _visit(store, child, depth + 1, qc, candidates, stats)
                 continue
-            if qc is not None:
-                # The histogram beside the pointer: a graph it rejects is
-                # never read.  (The set-based reference path reads first;
-                # it is the test oracle.)
-                if not kernels.histogram_dominates(
-                        store.graph_summary(ref), qc):
-                    continue
-                target = store.load_graph(ref)
-                survivors_x += 1
-                stats.pseudo_tests += 1
-                domains = kernels.pseudo_domain_masks(
-                    qc, target_context(target), level)
-                if not kernels.global_semi_perfect_masks(domains):
-                    continue
-            else:
-                target = store.load_graph(ref)
-                if not LabelHistogram.of(target).dominates(query_hist):
-                    continue
-                survivors_x += 1
-                stats.pseudo_tests += 1
-                domains = pseudo_compatibility_domains(query, target, level)
-                if not global_semi_perfect(domains, target.num_vertices):
-                    continue
+            # The histogram beside the pointer: a graph it rejects is
+            # never read.
+            if not kernels.histogram_dominates(store.graph_summary(ref), qc):
+                continue
+            target = store.load_graph(ref)
+            survivors_x += 1
+            stats.pseudo_tests += 1
+            domains = kernels.pseudo_domain_masks(
+                qc, target_context(target), qc.level)
+            if not kernels.global_semi_perfect_masks(domains):
+                continue
             survivors_y += 1
             stats.pseudo_survivors += 1
             candidates.append((ref.graph_id, target, domains))

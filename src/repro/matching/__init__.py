@@ -15,13 +15,7 @@ from repro.matching.bounds import (
     norm,
     sim_upper_bound,
 )
-from repro.matching.kernels import (
-    QueryContext,
-    compile_query,
-    kernels_enabled,
-    set_kernels_enabled,
-    use_kernels,
-)
+from repro.matching.kernels import QueryContext, compile_query
 from repro.matching.edit_distance import (
     MAPPING_METHODS,
     closure_min_distance,
@@ -60,9 +54,6 @@ __all__ = [
     "SimilarityQueryContext",
     "bipartite_mapping",
     "compile_query",
-    "kernels_enabled",
-    "set_kernels_enabled",
-    "use_kernels",
     "bipartite_mapping_unweighted",
     "closure_min_distance",
     "distance_lower_bound",

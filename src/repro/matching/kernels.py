@@ -1,7 +1,7 @@
-"""Bitset matching kernels for the C-tree hot path.
+"""Bitset matching kernels: the one engine of the C-tree hot path.
 
-This module reimplements the inner loops of pseudo subgraph isomorphism
-(Alg. 2) and of its verifier (Ullmann) over int bitmasks, not Python sets:
+This module runs the inner loops of pseudo subgraph isomorphism (Alg. 2)
+and of its verifier (Ullmann) over int bitmasks, not Python sets:
 
 - a *domain* (the candidate targets of one query vertex) is a single int
   with bit ``v`` set for each compatible target vertex,
@@ -13,10 +13,11 @@ This module reimplements the inner loops of pseudo subgraph isomorphism
 - label compatibility is the two-word test of
   :func:`repro.graphs.labelspace.masks_match`.
 
-The set-based implementations in :mod:`repro.matching.pseudo_iso` and
-:mod:`repro.matching.ullmann` are kept as the differential-testing reference:
-every kernel here must produce **bit-identical** domains, verdicts and
-embeddings (``tests/test_kernels.py`` / ``test_ullmann.py`` fuzz that
+The set-based functions of :mod:`repro.matching.pseudo_iso` (around
+``reference_domains``) and :mod:`repro.matching.ullmann`
+(``reference_embeddings``) are plain references that no product code
+calls: every kernel here must produce **bit-identical** domains, verdicts
+and embeddings (``tests/test_kernels.py`` / ``test_ullmann.py`` fuzz that
 equivalence, including ε and wildcard labels and edge-labeled graphs).
 
 The kernels operate on compiled contexts: the target side of a pair is a
@@ -25,16 +26,10 @@ closure, so repeated node visits during a C-tree descent pay the encoding
 cost once), the query side a :class:`QueryContext` — the label masks,
 neighbor tuples and edge-mask rows only a query is asked for, plus its
 sparse histogram for the Alg. 3 dominance pre-filter.
-
-Kernels are always on in production; :func:`use_kernels` /
-:func:`set_kernels_enabled` switch to the set-based reference only so the
-differential tests and ``bench_kernels.py`` can assert identical candidate
-and answer sets.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence, Union
 
 from repro.exceptions import ConfigError
@@ -51,9 +46,6 @@ from repro.obs.metrics import global_registry
 __all__ = [
     "QueryContext",
     "compile_query",
-    "kernels_enabled",
-    "set_kernels_enabled",
-    "use_kernels",
     "resolve_level",
     "level0_domain_masks",
     "refine_bipartite_masks",
@@ -71,8 +63,8 @@ Level = Union[int, str]
 
 MAX_LEVEL = "max"
 
-#: shared hot-path counters (same registry names as the set-based path,
-#: so `repro metrics` reports are mode-independent)
+#: hot-path counters (the set-based references tick the same names, so a
+#: differential test can compare their work)
 _C_DOMAIN_CALLS = global_registry().counter("matching.pseudo_iso.domain_calls")
 _C_REFINE_ROUNDS = global_registry().counter(
     "matching.pseudo_iso.refine_rounds"
@@ -84,32 +76,6 @@ _C_REACH_PASSES = global_registry().counter(
     "matching.pseudo_iso.reach_passes")
 _C_ULLMANN_CALLS = global_registry().counter("matching.ullmann.calls")
 _C_ULLMANN_NODES = global_registry().counter("matching.ullmann.search_nodes")
-
-_USE_KERNELS = True
-
-
-def kernels_enabled() -> bool:
-    """Are the bitset kernels the active pseudo-iso / Ullmann engine?"""
-    return _USE_KERNELS
-
-
-def set_kernels_enabled(enabled: bool) -> bool:
-    """Toggle the kernels on/off; returns the previous setting."""
-    global _USE_KERNELS
-    previous = _USE_KERNELS
-    _USE_KERNELS = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_kernels(enabled: bool) -> Iterator[None]:
-    """Temporarily force the kernel (or reference) path — used by the
-    differential tests and the kernel microbenchmark."""
-    previous = set_kernels_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_kernels_enabled(previous)
 
 
 def resolve_level(level: Level, n1: int, n2: int) -> int:
@@ -384,7 +350,7 @@ def pseudo_domain_masks(
     level: Level,
 ) -> list[int]:
     """The level-``level`` pseudo-compatibility domains as bitmasks
-    (kernel equivalent of ``pseudo_compatibility_domains``)."""
+    (bit-identical to the set-based ``pseudo_iso.reference_domains``)."""
     _C_DOMAIN_CALLS.value += 1
     domains = level0_domain_masks(q, t)
     if not all(domains):
@@ -402,7 +368,7 @@ def embeddings_masks(
     limit: Optional[int] = None,
 ) -> Iterator[dict[int, int]]:
     """Ullmann's algorithm over bitmask domains: the embeddings of the
-    set-based ``ullmann.enumerate_embeddings`` in the same order.  The
+    set-based ``ullmann.reference_embeddings`` in the same order.  The
     refinement fixpoint is unique; ``select_next`` reads only which vertices
     are assigned and the refined domain sizes, so its order is fixed before
     the search; consistency with assigned neighbours is folded into the

@@ -21,18 +21,19 @@ uses ``B'[u',v'] = 1 iff B[u',v'] = 1``, which is what Theorem 1 states.
 ``RefineBipartite`` to convergence, which Theorem 2 bounds by ``n1 * n2``
 rounds.
 
-Two interchangeable engines compute the domains: the set-based functions
-in this module (the readable reference, and the differential-testing
-oracle) and the bitmask kernels of :mod:`repro.matching.kernels` (the
-default — same algorithm compiled onto int bitsets and cached per-graph
-contexts).  ``pseudo_compatibility_domains`` dispatches on
-:func:`~repro.matching.kernels.kernels_enabled`; both engines are
-guaranteed (and fuzz-tested) to produce identical domains.
+:func:`pseudo_compatibility_domains` and :func:`pseudo_subgraph_isomorphic`
+run the bitmask kernels of :mod:`repro.matching.kernels` (the algorithm
+compiled onto int bitsets and cached per-graph contexts).  The set-based
+functions here — :func:`level0_domains`, :func:`refine_bipartite`,
+:func:`reference_domains` and :func:`global_semi_perfect` — are the
+readable reference of the same algorithm.  No product code calls them;
+the differential tests and ``bench_kernels.py`` hold the kernels to them,
+domain for domain.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from repro.graphs.closure import GraphLike, labels_match
 from repro.graphs.labelspace import target_context
@@ -43,7 +44,7 @@ from repro.obs.metrics import global_registry
 
 Level = Union[int, str]
 
-#: hot-path counters, resolved once at import time (shared with kernels)
+#: the kernels' counters, ticked alike so a test can compare work
 _C_DOMAIN_CALLS = global_registry().counter("matching.pseudo_iso.domain_calls")
 _C_REFINE_ROUNDS = global_registry().counter(
     "matching.pseudo_iso.refine_rounds"
@@ -149,18 +150,18 @@ def pseudo_compatibility_domains(
 
     This is also a valid (conservative) seed for Ullmann's algorithm — the
     Section 6.2 acceleration.
-
-    Dispatches to the bitset kernels when they are enabled (the default);
-    the set-based code below is the reference path
-    (the test oracle: :func:`repro.matching.kernels.use_kernels`).
     """
-    if kernels.kernels_enabled():
-        return kernels.masks_to_domains(
-            kernels.pseudo_domain_masks(
-                kernels.compile_query(query, level), target_context(target),
-                level
-            )
-        )
+    return kernels.masks_to_domains(kernels.pseudo_domain_masks(
+        kernels.compile_query(query, level), target_context(target), level))
+
+
+def reference_domains(
+    query: GraphLike,
+    target: GraphLike,
+    level: Level,
+) -> list[set[int]]:
+    """The set-based reference of :func:`pseudo_compatibility_domains`:
+    level-0 seeding, then ``RefineBipartite`` unless a domain is empty."""
     _C_DOMAIN_CALLS.value += 1
     domains = level0_domains(query, target)
     if any(not d for d in domains):
@@ -172,7 +173,6 @@ def pseudo_subgraph_isomorphic(
     query: GraphLike,
     target: GraphLike,
     level: Level = 1,
-    domains: Optional[list[set[int]]] = None,
 ) -> bool:
     """Algorithm 2: is ``query`` level-``level`` pseudo sub-isomorphic to
     ``target``?
@@ -185,16 +185,13 @@ def pseudo_subgraph_isomorphic(
         return True
     if n1 > n2:
         return False
-    if domains is None:
-        domains = pseudo_compatibility_domains(query, target, level)
     # Global semi-perfect matching over the refined bipartite graph.
-    return global_semi_perfect(domains, n2)
+    return kernels.global_semi_perfect_masks(kernels.pseudo_domain_masks(
+        kernels.compile_query(query, level), target_context(target), level))
 
 
 def global_semi_perfect(domains: list[set[int]], n_target: int) -> bool:
-    """Semi-perfect matching test over precomputed domains (Definition 13;
-    also the helper for callers that keep the domains for Ullmann seeding)."""
-    if any(not d for d in domains):
-        return False
-    adjacency = [sorted(d) for d in domains]
-    return has_semi_perfect_matching(len(domains), n_target, adjacency)
+    """Definition 13's acceptance test over set domains: the reference of
+    ``kernels.global_semi_perfect_masks``."""
+    return has_semi_perfect_matching(
+        len(domains), n_target, [sorted(d) for d in domains])

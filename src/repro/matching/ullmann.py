@@ -16,12 +16,12 @@ passed in to skip the initial work — the acceleration noted in Section 6.2.
 Targets may be plain graphs or closures; label compatibility is set
 intersection via the shared ``label_set`` protocol.
 
-Two engines, as for pseudo subgraph isomorphism: the set-based code here
-(the reference and differential-testing oracle, ``use_kernels(False)``)
-and :func:`repro.matching.kernels.embeddings_masks` (the default: the same
-fixpoint and search over the bitsets and contexts Alg. 2 already built).
-:func:`enumerate_embeddings` dispatches on ``kernels_enabled()``; both
-yield the identical sequence of embeddings.
+The entry points run :func:`repro.matching.kernels.embeddings_masks`: the
+fixpoint and search over the bitsets and contexts Alg. 2 already built.
+The set-based code here — :func:`compatibility_domains`,
+:func:`refine_domains` and :func:`reference_embeddings` — is its readable
+reference, called by no product code; the differential tests hold the
+kernel to the identical sequence of embeddings.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.graphs.labelspace import target_context
 from repro.matching import kernels
 from repro.obs.metrics import global_registry
 
-#: verifier work, counted once per call (shared with the mask kernel)
+#: the kernel's counters, ticked alike so a test can compare work
 _C_CALLS = global_registry().counter("matching.ullmann.calls")
 _C_SEARCH_NODES = global_registry().counter("matching.ullmann.search_nodes")
 
@@ -114,17 +114,21 @@ def enumerate_embeddings(
     pseudo subgraph isomorphism), as sets of target vertices or as
     bitmasks; it is copied, then refined.
     """
-    as_masks = bool(domains) and isinstance(domains[0], int)
-    if kernels.kernels_enabled():
-        if domains is not None and not as_masks:
-            domains = kernels.domains_to_masks(domains)
-        yield from kernels.embeddings_masks(
-            kernels.compile_query(query), target_context(target), domains,
-            limit)
-        return
+    if domains and not isinstance(domains[0], int):
+        domains = kernels.domains_to_masks(domains)
+    return kernels.embeddings_masks(
+        kernels.compile_query(query), target_context(target), domains, limit)
+
+
+def reference_embeddings(
+    query: GraphLike,
+    target: GraphLike,
+    domains: Optional[list[set[int]]] = None,
+    limit: Optional[int] = None,
+) -> Iterator[dict[int, int]]:
+    """The set-based reference of :func:`enumerate_embeddings`: the same
+    embeddings in the same order, ``domains`` (if given) as sets."""
     _C_CALLS.value += 1
-    if as_masks:
-        domains = kernels.masks_to_domains(domains)
     n1 = query.num_vertices
     if n1 == 0:
         yield {}

@@ -7,9 +7,61 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from repro.ctree.subgraph_query import subgraph_query
 from repro.graphs.closure import closure_under_mapping
 from repro.graphs.graph import Graph
+from repro.graphs.histogram import LabelHistogram
 from repro.datasets.chemical import ChemicalConfig, generate_chemical_database
+from repro.matching.pseudo_iso import global_semi_perfect, reference_domains
+from repro.matching.ullmann import reference_embeddings
+
+#: The oracle axis of the differential cases, under the ids they had when
+#: they swept a process-wide kernel switch (kept stable): ``kernels``
+#: holds the product path to its own serial run or to the other store,
+#: ``reference`` to the set-based reference matchers (``reference_scan``).
+ORACLES = ["kernels", "reference"]
+
+
+def stored_graphs(index) -> list[tuple[int, Graph]]:
+    """An index's ``(graph id, graph)`` pairs as its store holds them, in
+    leaf order: the order a descent yields candidates and answers in."""
+    store = index.store
+
+    def walk(ref):
+        node = store.load_node(ref)
+        for child in node.children:
+            if node.is_leaf:
+                yield child.graph_id, store.load_graph(child)
+            else:
+                yield from walk(child)
+
+    return list(walk(store.root)) if len(index) else []
+
+
+def reference_scan(graphs, query: Graph, level=None) -> list[int]:
+    """The set-based reference matchers over ``graphs`` (``(id, graph)``
+    pairs, in order): the ids ``reference_embeddings`` embeds ``query``
+    in or, at a pseudo-iso ``level``, the ids passing the histogram screen
+    and Alg. 2 (``reference_domains`` + ``global_semi_perfect``) — a
+    descent's answers, or its unverified candidates."""
+    if level is None:
+        return [gid for gid, g in graphs
+                if next(reference_embeddings(query, g, limit=1), None)
+                is not None]
+    hist = LabelHistogram.of(query)
+    return [gid for gid, g in graphs
+            if LabelHistogram.of(g).dominates(hist)
+            and global_semi_perfect(reference_domains(query, g, level),
+                                    g.num_vertices)]
+
+
+def oracle_answers(oracle: str, index, query: Graph, level=1) -> list[int]:
+    """``subgraph_query(index, query, level)``'s answers, in traversal
+    order, as ``oracle`` gives them: the descent itself, or the reference
+    scan over the index's stored graphs in leaf order."""
+    if oracle == "kernels":
+        return subgraph_query(index, query, level=level)[0]
+    return reference_scan(stored_graphs(index), query)
 
 
 def triangle(labels=("A", "B", "C")) -> Graph:

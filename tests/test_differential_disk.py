@@ -1,8 +1,8 @@
 """Differential tests: the disk index must answer exactly like the
-in-memory C-tree, for seeded corpora, with the matching kernels both on
-and off (``kernels.use_kernels``) — and a handle that keeps decoded nodes
-resident exactly like one that has just been opened, whatever reads and
-write batches it has been through."""
+in-memory C-tree and like the reference matchers (the two ``ORACLES``),
+for seeded corpora — and a handle that keeps decoded nodes resident
+exactly like one that has just been opened, whatever reads and write
+batches it has been through."""
 
 import random
 
@@ -25,50 +25,45 @@ from repro.datasets.chemical import ChemicalConfig, generate_chemical_database
 from repro.datasets.queries import generate_subgraph_queries
 from repro.graphs.closure import GraphClosure
 from repro.graphs.graph import Graph
-from repro.matching import kernels
 from repro.obs.metrics import global_registry
 from repro.storage.faultfs import FaultInjector, FaultPlan, SimulatedCrash
+
+from conftest import ORACLES, oracle_answers, reference_scan, stored_graphs
 
 SEEDS = [11, 23, 47]
 _CONFIG = ChemicalConfig(mean_vertices=11, large_fraction=0.0)
 
 
-def _world(tmp_path, seed, kernels_on):
+def _world(tmp_path, seed):
     db = generate_chemical_database(24, seed=seed, config=_CONFIG)
     tree = bulk_load(db, min_fanout=3)
-    path = tmp_path / f"diff-{seed}-{int(kernels_on)}.ctp"
+    path = tmp_path / f"diff-{seed}.ctp"
     disk = DiskCTree.create(tree, path, page_size=512, cache_pages=16)
     return db, tree, disk
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("kernels_on", [True, False],
-                         ids=["kernels", "reference"])
+@pytest.mark.parametrize("oracle", ORACLES)
 class TestSubgraphDifferential:
-    def test_disk_equals_memory(self, tmp_path, seed, kernels_on):
-        with kernels.use_kernels(kernels_on):
-            db, tree, disk = _world(tmp_path, seed, kernels_on)
-            try:
-                queries = generate_subgraph_queries(db, 6, 5, seed=seed)
-                for q in queries:
-                    mem, _ = subgraph_query(tree, q)
-                    dsk, _ = disk.subgraph_query(q)
-                    assert sorted(dsk) == sorted(mem)
-            finally:
-                disk.close()
+    def test_disk_equals_memory(self, tmp_path, seed, oracle):
+        db, tree, disk = _world(tmp_path, seed)
+        try:
+            for q in generate_subgraph_queries(db, 6, 5, seed=seed):
+                dsk, _ = disk.subgraph_query(q)
+                assert sorted(dsk) == sorted(oracle_answers(oracle, tree, q))
+        finally:
+            disk.close()
 
-    def test_disk_equals_linear_scan(self, tmp_path, seed, kernels_on):
-        with kernels.use_kernels(kernels_on):
-            db, _, disk = _world(tmp_path, seed, kernels_on)
-            try:
-                q = generate_subgraph_queries(db, 7, 1, seed=seed + 1)[0]
-                expected = linear_scan_subgraph_query(
-                    {i: g for i, g in enumerate(db)}, q
-                )
-                answers, _ = disk.subgraph_query(q)
-                assert sorted(answers) == sorted(expected)
-            finally:
-                disk.close()
+    def test_disk_equals_linear_scan(self, tmp_path, seed, oracle):
+        db, _, disk = _world(tmp_path, seed)
+        try:
+            q = generate_subgraph_queries(db, 7, 1, seed=seed + 1)[0]
+            expected = linear_scan_subgraph_query(db, q) \
+                if oracle == "kernels" else reference_scan(enumerate(db), q)
+            answers, _ = disk.subgraph_query(q)
+            assert sorted(answers) == sorted(expected)
+        finally:
+            disk.close()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -79,7 +74,7 @@ class TestKnnDifferential:
         The scan runs on the graphs as the disk stores them, because the
         greedy NBM similarity is sensitive to adjacency order and a
         serialization roundtrip may legitimately perturb tie-scores."""
-        db, tree, disk = _world(tmp_path, seed, True)
+        db, tree, disk = _world(tmp_path, seed)
         try:
             stored = dict(disk.iter_graphs())
             for qid in (0, len(db) // 2):
@@ -93,32 +88,30 @@ class TestKnnDifferential:
 
 
 class TestAppendDifferential:
-    @pytest.mark.parametrize("kernels_on", [True, False],
-                             ids=["kernels", "reference"])
-    def test_append_equals_bulk_rebuild(self, tmp_path, kernels_on):
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_append_equals_bulk_rebuild(self, tmp_path, oracle):
         """create(A) + append(B) must answer exactly like an index bulk
         loaded over A+B in one go: same ids, same answers."""
         a = generate_chemical_database(14, seed=5, config=_CONFIG)
         b = generate_chemical_database(7, seed=6, config=_CONFIG)
-        with kernels.use_kernels(kernels_on):
-            path = tmp_path / f"appended-{int(kernels_on)}.ctp"
-            disk = DiskCTree.create(bulk_load(a, min_fanout=3), path,
-                                    page_size=512, cache_pages=16)
-            new_ids = disk.append(b)
-            assert new_ids == list(range(len(a), len(a) + len(b)))
+        disk = DiskCTree.create(bulk_load(a, min_fanout=3),
+                                tmp_path / "appended.ctp",
+                                page_size=512, cache_pages=16)
+        new_ids = disk.append(b)
+        assert new_ids == list(range(len(a), len(a) + len(b)))
 
-            oracle = bulk_load(a + b, min_fanout=3)
-            try:
-                for q in generate_subgraph_queries(a + b, 6, 4, seed=8):
-                    mem, _ = subgraph_query(oracle, q)
-                    dsk, _ = disk.subgraph_query(q)
-                    assert sorted(dsk) == sorted(mem)
-                stored = dict(disk.iter_graphs())
-                assert len(stored) == len(a) + len(b)
-                for gid, graph in enumerate(a + b):
-                    assert stored[gid] == graph
-            finally:
-                disk.close()
+        rebuilt = bulk_load(a + b, min_fanout=3)
+        try:
+            for q in generate_subgraph_queries(a + b, 6, 4, seed=8):
+                dsk, _ = disk.subgraph_query(q)
+                assert sorted(dsk) == \
+                    sorted(oracle_answers(oracle, rebuilt, q))
+            stored = dict(disk.iter_graphs())
+            assert len(stored) == len(a) + len(b)
+            for gid, graph in enumerate(a + b):
+                assert stored[gid] == graph
+        finally:
+            disk.close()
 
     def test_append_empty_batch_is_noop(self, tmp_path):
         a = generate_chemical_database(8, seed=5, config=_CONFIG)
@@ -148,49 +141,45 @@ class TestAppendDifferential:
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("kernels_on", [True, False],
-                         ids=["kernels", "reference"])
+@pytest.mark.parametrize("oracle", ORACLES)
 class TestChurnDifferential:
-    def test_churn_equals_memory_oracle(self, tmp_path, seed, kernels_on):
+    def test_churn_equals_memory_oracle(self, tmp_path, seed, oracle):
         """A mixed insert/delete churn on the disk index must answer
         exactly like a fresh in-memory C-tree built over whatever
-        graphs survived — with the matching kernels both on and off."""
-        with kernels.use_kernels(kernels_on):
-            base = generate_chemical_database(20, seed=seed, config=_CONFIG)
-            extra = generate_chemical_database(
-                12, seed=seed + 100, config=_CONFIG
-            )
-            path = tmp_path / f"churn-{seed}-{int(kernels_on)}.ctp"
-            disk = DiskCTree.create(
-                bulk_load(base, min_fanout=2, max_fanout=4), path,
-                page_size=512, cache_pages=16,
-            )
-            try:
-                survivors = dict(enumerate(base))
-                rng = random.Random(seed)
-                pending = list(extra)
-                for _ in range(4):
-                    victims = rng.sample(sorted(survivors), 4)
-                    disk.delete_many(victims, seed=seed)
-                    for gid in victims:
-                        del survivors[gid]
-                    batch, pending = pending[:3], pending[3:]
-                    for gid, graph in zip(disk.append(batch), batch):
-                        survivors[gid] = graph
+        graphs survived — or like the reference matchers over them."""
+        base = generate_chemical_database(20, seed=seed, config=_CONFIG)
+        extra = generate_chemical_database(
+            12, seed=seed + 100, config=_CONFIG
+        )
+        path = tmp_path / f"churn-{seed}.ctp"
+        disk = DiskCTree.create(
+            bulk_load(base, min_fanout=2, max_fanout=4), path,
+            page_size=512, cache_pages=16,
+        )
+        try:
+            survivors = dict(enumerate(base))
+            rng = random.Random(seed)
+            pending = list(extra)
+            for _ in range(4):
+                victims = rng.sample(sorted(survivors), 4)
+                disk.delete_many(victims, seed=seed)
+                for gid in victims:
+                    del survivors[gid]
+                batch, pending = pending[:3], pending[3:]
+                for gid, graph in zip(disk.append(batch), batch):
+                    survivors[gid] = graph
 
-                assert dict(disk.iter_graphs()) == survivors
+            assert dict(disk.iter_graphs()) == survivors
 
-                oracle = CTree(min_fanout=2, max_fanout=4)
-                for gid in sorted(survivors):
-                    oracle.insert(survivors[gid], graph_id=gid)
-                pool = list(survivors.values())
-                queries = generate_subgraph_queries(pool, 6, 5, seed=seed)
-                for q in queries:
-                    mem, _ = subgraph_query(oracle, q)
-                    dsk, _ = disk.subgraph_query(q)
-                    assert sorted(dsk) == sorted(mem)
-            finally:
-                disk.close()
+            fresh = CTree(min_fanout=2, max_fanout=4)
+            for gid in sorted(survivors):
+                fresh.insert(survivors[gid], graph_id=gid)
+            pool = list(survivors.values())
+            for q in generate_subgraph_queries(pool, 6, 5, seed=seed):
+                dsk, _ = disk.subgraph_query(q)
+                assert sorted(dsk) == sorted(oracle_answers(oracle, fresh, q))
+        finally:
+            disk.close()
         report = DiskCTree.fsck(path, deep=True)
         assert report.clean, report.errors
 
@@ -214,43 +203,45 @@ class TestOneTraversalTwoStores:
     Alg. 4 / range code, so on identical data every deterministic
     counter — not just the answer — must agree."""
 
-    @pytest.mark.parametrize("kernels_on", [True, False],
-                             ids=["kernels", "reference"])
-    def test_subgraph_counters_identical(self, tmp_path, seed, kernels_on):
-        with kernels.use_kernels(kernels_on):
-            db, tree, disk = _stored_world(tmp_path, seed)
-            with disk:
-                for level in (1, "max"):
-                    for q in generate_subgraph_queries(db, 6, 4, seed=seed):
-                        mem, mem_stats = subgraph_query(tree, q, level=level)
-                        dsk, dsk_stats = disk.subgraph_query(q, level=level)
-                        assert dsk == mem
-                        assert isinstance(dsk_stats, DiskQueryStats)
-                        assert not isinstance(mem_stats, DiskQueryStats)
-                        assert dsk_stats.page_hits + dsk_stats.page_misses
-                        mem_counters = mem_stats.deterministic_dict()
-                        dsk_counters = dsk_stats.deterministic_dict()
-                        assert dsk_counters == mem_counters
-                        # The module-level entry point IS the method.
-                        again, _ = subgraph_query(disk, q, level=level)
-                        assert again == dsk
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_subgraph_counters_identical(self, tmp_path, seed, oracle):
+        db, tree, disk = _stored_world(tmp_path, seed)
+        with disk:
+            for level in (1, "max"):
+                for q in generate_subgraph_queries(db, 6, 4, seed=seed):
+                    mem, mem_stats = subgraph_query(tree, q, level=level)
+                    dsk, dsk_stats = disk.subgraph_query(q, level=level)
+                    assert dsk == mem
+                    if oracle == "reference":
+                        assert dsk == reference_scan(stored_graphs(disk), q)
+                    assert isinstance(dsk_stats, DiskQueryStats)
+                    assert not isinstance(mem_stats, DiskQueryStats)
+                    assert dsk_stats.page_hits + dsk_stats.page_misses
+                    mem_counters = mem_stats.deterministic_dict()
+                    dsk_counters = dsk_stats.deterministic_dict()
+                    assert dsk_counters == mem_counters
+                    # The module-level entry point IS the method.
+                    again, _ = subgraph_query(disk, q, level=level)
+                    assert again == dsk
 
-    @pytest.mark.parametrize("kernels_on", [True, False],
-                             ids=["kernels", "reference"])
-    def test_knn_counters_identical(self, tmp_path, seed, kernels_on):
-        with kernels.use_kernels(kernels_on):
-            db, tree, disk = _stored_world(tmp_path, seed)
-            with disk:
-                for qid in (0, 7, len(db) - 1):
-                    for canonical in (False, True):
-                        mem, mem_stats = knn_query(tree, db[qid], 4,
-                                                   canonical=canonical)
-                        dsk, dsk_stats = disk.knn_query(
-                            db[qid], 4, canonical=canonical)
-                        assert dsk == mem
-                        assert isinstance(dsk_stats, DiskKnnStats)
-                        assert dsk_stats.deterministic_dict() \
-                            == mem_stats.deterministic_dict()
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_knn_counters_identical(self, tmp_path, seed, oracle):
+        db, tree, disk = _stored_world(tmp_path, seed)
+        with disk:
+            stored = dict(disk.iter_graphs())
+            for qid in (0, 7, len(db) - 1):
+                for canonical in (False, True):
+                    mem, mem_stats = knn_query(tree, db[qid], 4,
+                                               canonical=canonical)
+                    dsk, dsk_stats = disk.knn_query(
+                        db[qid], 4, canonical=canonical)
+                    assert dsk == mem
+                    if oracle == "reference" and canonical:
+                        # no descent: every stored graph scored
+                        assert dsk == linear_scan_knn(stored, db[qid], 4)
+                    assert isinstance(dsk_stats, DiskKnnStats)
+                    assert dsk_stats.deterministic_dict() \
+                        == mem_stats.deterministic_dict()
 
     def test_range_query_runs_on_disk(self, tmp_path, seed):
         """``range_query`` has no disk-specific code: handed a

@@ -6,9 +6,9 @@ answers bit-identical (a plain index) or their canonical form (a shard
 set), stats logically identical
 (:meth:`~repro.ctree.stats.QueryStats.deterministic_dict`), and global
 metrics totals equal once worker deltas are merged home.  These tests
-pin that contract over the frozen golden workload, with the bitset
-kernels both on and off, for every index kind the engine accepts
-(:class:`TestEngineContract`), on the fork pools and in-process.
+pin that contract over the frozen golden workload for every index kind
+the engine accepts (:class:`TestEngineContract`), on the fork pools and
+in-process, and hold the answers to both oracles of ``ORACLES``.
 """
 
 import asyncio
@@ -32,10 +32,11 @@ from repro.ctree.shards import ShardSet
 from repro.ctree.similarity_query import knn_query, range_query
 from repro.ctree.stats import PAGE_IO, KnnStats, QueryStats
 from repro.ctree.subgraph_query import subgraph_query
-from repro.matching import kernels
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.server import BackpressureError, BatchCoalescer
+
+from conftest import ORACLES, oracle_answers
 
 _DATA = Path(__file__).parent / "data"
 WORKER_COUNTS = (1, 2, 4)
@@ -72,21 +73,25 @@ def golden_disk_path(golden_tree, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def golden_answers(golden_tree, golden_queries):
+    """Per oracle, the golden queries' answers in traversal order."""
+    return {oracle: [oracle_answers(oracle, golden_tree, q)
+                     for q in golden_queries] for oracle in ORACLES}
+
+
 # ----------------------------------------------------------------------
 # Determinism: engine == serial loop at every worker count
 # ----------------------------------------------------------------------
 class TestDeterminism:
-    @pytest.mark.parametrize("kernels_on", [True, False],
-                             ids=["kernels", "reference"])
+    @pytest.mark.parametrize("oracle", ORACLES)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_memory_subgraph(self, golden_tree, golden_queries, workers,
-                             kernels_on):
-        with kernels.use_kernels(kernels_on):
-            serial = [subgraph_query(golden_tree, q)
-                      for q in golden_queries]
-            with QueryEngine(golden_tree, workers=workers) as engine:
-                batch = engine.query_many(golden_queries)
-        assert [a for a, _ in batch] == [a for a, _ in serial]
+                             oracle, golden_answers):
+        serial = [subgraph_query(golden_tree, q) for q in golden_queries]
+        with QueryEngine(golden_tree, workers=workers) as engine:
+            batch = engine.query_many(golden_queries)
+        assert [a for a, _ in batch] == golden_answers[oracle]
         assert ([s.deterministic_dict() for _, s in batch]
                 == [s.deterministic_dict() for _, s in serial])
 
@@ -157,8 +162,7 @@ def _summed(per_part_stats, database_size):
     return total.deterministic_dict()
 
 
-@pytest.mark.parametrize("kernels_on", [True, False],
-                         ids=["kernels", "reference"])
+@pytest.mark.parametrize("oracle", ORACLES)
 @pytest.mark.parametrize("mode", ["pool", "inline"])
 @pytest.mark.parametrize("kind", list(_KINDS))
 class TestEngineContract:
@@ -167,11 +171,12 @@ class TestEngineContract:
     K = 4
 
     @pytest.fixture
-    def case(self, kind, mode, kernels_on, golden_db, golden_tree,
-             golden_disk_path, tmp_path):
-        """``(make_engine, parts, sharded)``: an engine factory over the
-        index of this kind, the partitions' own handles for the serial
-        reference runs, and whether answers come in canonical form."""
+    def case(self, kind, mode, oracle, golden_answers, golden_db,
+             golden_tree, golden_disk_path, tmp_path):
+        """``(make_engine, parts, sharded, want)``: an engine factory over
+        the index of this kind, the partitions' own handles for the serial
+        runs, whether answers come in canonical form, and the golden
+        queries' answer sets by this case's oracle."""
         backend, shards = _KINDS[kind]
         if mode == "pool" and \
                 "fork" not in multiprocessing.get_all_start_methods():
@@ -195,15 +200,15 @@ class TestEngineContract:
                 engine._fork_ok = False
             return engine
 
-        with kernels.use_kernels(kernels_on):
-            yield make_engine, parts, bool(shards)
+        yield make_engine, parts, bool(shards), \
+            [sorted(answers) for answers in golden_answers[oracle]]
         for part in parts:
             if isinstance(part, DiskCTree):
                 part.close()
 
     def test_answers_stats_and_registry_totals(self, case, golden_tree,
                                                golden_queries):
-        make_engine, parts, sharded = case
+        make_engine, parts, sharded, want = case
         registry = global_registry()
         before = registry.snapshot()
         serial_sub = [[subgraph_query(p, q) for p in parts]
@@ -219,16 +224,15 @@ class TestEngineContract:
             knn = engine.knn_many(golden_queries, self.K)
 
         if sharded:
-            # Canonical forms of the single tree's answers.
-            want_sub = [sorted(subgraph_query(golden_tree, q)[0])
-                        for q in golden_queries]
+            # Canonical forms of the single tree's neighbours.
             want_knn = [knn_query(golden_tree, q, self.K, canonical=True)[0]
                         for q in golden_queries]
         else:
             # Bit-identical to the serial loop, traversal order included.
-            want_sub = [per_part[0][0] for per_part in serial_sub]
+            assert [a for a, _ in sub] == \
+                [per_part[0][0] for per_part in serial_sub]
             want_knn = [per_part[0][0] for per_part in serial_knn]
-        assert [a for a, _ in sub] == want_sub
+        assert [sorted(a) for a, _ in sub] == want
         assert [r for r, _ in knn] == want_knn
 
         size = len(golden_tree)
@@ -246,7 +250,7 @@ class TestEngineContract:
         """An unknown method is refused on every path — also where no
         graph would be scored; a known one counts one mapping call per
         graph scored, wherever the task ran."""
-        make_engine, parts, sharded = case
+        make_engine, parts, sharded, _ = case
         registry = global_registry()
         with make_engine(cache_size=0) as engine:
             with pytest.raises(ConfigError, match="bogus"):
@@ -269,7 +273,7 @@ class TestEngineContract:
                             mapping_method="bogus")
 
     def test_dedup_and_cache_accounting(self, case, mode, golden_queries):
-        make_engine, parts, _ = case
+        make_engine, _, _, want = case
         q0, q1 = golden_queries[:2]
         engine = make_engine()
         try:
@@ -280,6 +284,8 @@ class TestEngineContract:
             pooled = mode == "pool"
             assert report.parallel == pooled
             assert report.workers == (engine.workers if pooled else 1)
+            assert [sorted(a) for a, _ in first] == \
+                [want[0], want[0], want[1], want[0]]
             assert first[0][0] == first[1][0] == first[3][0]
             assert engine.cache_entries == 2
         finally:
@@ -301,11 +307,12 @@ class TestEngineContract:
             [first[0][0], first[2][0], first[0][0]]
 
     def test_one_span_tree(self, case, mode, golden_queries):
-        make_engine, parts, sharded = case
+        make_engine, parts, sharded, want = case
         queries = golden_queries[:3]
         sink = trace.ListSink()
         with make_engine() as engine, trace.tracing(sink):
-            engine.query_many(queries)
+            traced = engine.query_many(queries)
+        assert [sorted(a) for a, _ in traced] == want[:3]
         records = sink.records
         batches = [r for r in records if r["name"] == "engine.batch"]
         tasks = [r for r in records if r["name"] == "engine.task"]

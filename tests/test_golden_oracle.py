@@ -32,12 +32,14 @@ from pathlib import Path
 import pytest
 
 from repro.graphs.graph import Graph
+from repro.graphs.histogram import LabelHistogram
 from repro.graphs.io import load_graph_database
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DiskCTree
 from repro.ctree.similarity_query import knn_query
 from repro.ctree.subgraph_query import subgraph_query
-from repro.matching import kernels
+
+from conftest import ORACLES, oracle_answers, stored_graphs
 
 _DATA = Path(__file__).parent / "data"
 
@@ -64,15 +66,13 @@ def golden_disk(golden_tree, tmp_path_factory):
 
 
 class TestGoldenSubgraph:
-    @pytest.mark.parametrize("kernels_on", [True, False],
-                             ids=["kernels", "reference"])
-    def test_memory_answers_frozen(self, golden, golden_tree, kernels_on):
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_memory_answers_frozen(self, golden, golden_tree, oracle):
         _, expected = golden
-        with kernels.use_kernels(kernels_on):
-            for case in expected["subgraph"]:
-                query = Graph.from_dict(case["query"])
-                answers, _ = subgraph_query(golden_tree, query)
-                assert sorted(answers) == case["answers"]
+        for case in expected["subgraph"]:
+            answers = oracle_answers(oracle, golden_tree,
+                                     Graph.from_dict(case["query"]))
+            assert sorted(answers) == case["answers"]
 
     def test_disk_answers_frozen(self, golden, golden_disk):
         _, expected = golden
@@ -102,39 +102,41 @@ class TestGoldenWork:
     def pinned(self):
         return json.loads((_DATA / "golden_stats.json").read_text())
 
-    @pytest.mark.parametrize("kernels_on", [True, False],
-                             ids=["kernels", "reference"])
+    @pytest.mark.parametrize("oracle", ORACLES)
     def test_subgraph_reads_only_histogram_survivors(
-            self, golden, golden_tree, golden_disk, pinned, kernels_on,
+            self, golden, golden_tree, golden_disk, pinned, oracle,
             monkeypatch):
         """Per query: stats equal the pinned ones and the in-memory
         tree's, every leaf entry is histogram-screened, and the graph
-        records decoded are exactly the leaf-level histogram survivors
-        (the set-based reference path loads before it tests)."""
+        records decoded are exactly the leaf-level histogram survivors:
+        as many as the stats count or, by the ``reference`` oracle, the
+        stored graphs whose ``LabelHistogram`` dominates the query's."""
         _, expected = golden
         disk, _ = golden_disk
+        stored = stored_graphs(golden_tree)
         loads = []
         load_graph = disk.store.load_graph
         monkeypatch.setattr(
             disk.store, "load_graph",
             lambda entry: loads.append(entry.graph_id) or load_graph(entry))
         skipped = 0
-        with kernels.use_kernels(kernels_on):
-            for case, frozen in zip(expected["subgraph"],
-                                    pinned["subgraph"]):
-                query = Graph.from_dict(case["query"])
-                del loads[:]
-                _, stats = disk.subgraph_query(query)
-                _, mem_stats = subgraph_query(golden_tree, query)
-                assert stats.deterministic_dict() == frozen
-                assert mem_stats.deterministic_dict() == frozen
-                assert stats.histogram_tests == sum(stats.tested_by_level)
-                screened = stats.tested_by_level[disk.height]
-                survivors = stats.x_by_level[disk.height] if kernels_on \
-                    else screened
-                assert len(loads) == len(set(loads)) == survivors
-                skipped += screened - survivors
-        assert skipped > 0 or not kernels_on, "the screen rejected nothing"
+        for case, frozen in zip(expected["subgraph"], pinned["subgraph"]):
+            query = Graph.from_dict(case["query"])
+            del loads[:]
+            _, stats = disk.subgraph_query(query)
+            _, mem_stats = subgraph_query(golden_tree, query)
+            assert stats.deterministic_dict() == frozen
+            assert mem_stats.deterministic_dict() == frozen
+            assert stats.histogram_tests == sum(stats.tested_by_level)
+            screened = stats.tested_by_level[disk.height]
+            survivors = stats.x_by_level[disk.height]
+            assert len(loads) == len(set(loads)) == survivors
+            if oracle == "reference":
+                hist = LabelHistogram.of(query)
+                assert loads == [gid for gid, g in stored
+                                 if LabelHistogram.of(g).dominates(hist)]
+            skipped += screened - survivors
+        assert skipped > 0, "the screen rejected nothing"
 
     def test_knn_stats_frozen(
             self, golden, golden_tree, golden_disk, pinned, monkeypatch):

@@ -1,13 +1,13 @@
 """Differential tests: bitset kernels vs the set-based reference.
 
 The kernels of :mod:`repro.matching.kernels` must be **bit-identical** to
-the set-based pseudo-isomorphism code they replace — same level-0 domains,
-same refined domains (including the early-exit point), same semi-perfect
+the set-based pseudo-isomorphism reference — same level-0 domains, same
+refined domains (including the early-exit point), same semi-perfect
 verdicts, same histogram-dominance answers, and therefore the same
 candidate sets and answers out of every index query.  These tests fuzz that
 equivalence over random graphs and closures (with ε, wildcards, and edge
-labels) and pin the end-to-end paths (in-memory tree, disk tree) with the
-kernels toggled on and off.
+labels), calling the references directly, and pin the end-to-end paths
+(in-memory tree, disk tree) against a reference scan.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import drawn_closure
+from conftest import drawn_closure, reference_scan, stored_graphs
 
 from repro.exceptions import ConfigError
 from repro.graphs.closure import EPSILON, WILDCARD, closure_under_mapping
@@ -43,7 +43,6 @@ from repro.matching.kernels import (
     pseudo_domain_masks,
     resolve_level,
     semi_perfect_masks,
-    use_kernels,
 )
 from repro.matching.measures import edge_label_sets, vertex_label_sets
 from repro.obs.metrics import global_registry
@@ -52,6 +51,7 @@ from repro.matching.pseudo_iso import (
     level0_domains,
     pseudo_compatibility_domains,
     pseudo_subgraph_isomorphic,
+    reference_domains,
     refine_bipartite,
 )
 
@@ -93,11 +93,6 @@ def random_graph_like(rng: random.Random, max_vertices: int = 8):
     return closure_under_mapping(g1, g2, pairs)
 
 
-def reference_domains(query, target, level):
-    with use_kernels(False):
-        return pseudo_compatibility_domains(query, target, level)
-
-
 class TestKernelEquivalence:
     """Seeded differential fuzz over all kernel layers."""
 
@@ -116,15 +111,12 @@ class TestKernelEquivalence:
             ref = reference_domains(query, target, level)
             masks = pseudo_domain_masks(qc, tc, level)
             assert masks_to_domains(masks) == ref, (seed, trial, level)
+            assert pseudo_compatibility_domains(query, target, level) == ref
 
             ref_verdict = global_semi_perfect(ref, target.num_vertices)
             assert global_semi_perfect_masks(masks) == ref_verdict
-            with use_kernels(True):
-                assert pseudo_subgraph_isomorphic(
-                    query, target, level) == ref_verdict
-            with use_kernels(False):
-                assert pseudo_subgraph_isomorphic(
-                    query, target, level) == ref_verdict
+            assert pseudo_subgraph_isomorphic(
+                query, target, level) == ref_verdict
 
     @pytest.mark.parametrize("seed", range(4))
     def test_closure_vs_closure(self, seed):
@@ -302,8 +294,7 @@ class TestKernelProperties:
         ref = level0_domains(query, target)
         if any(not d for d in ref):
             return  # reference never refines an already-failed seeding
-        with use_kernels(False):
-            ref = refine_bipartite(query, target, ref, "max")
+        ref = refine_bipartite(query, target, ref, "max")
         qc = compile_query(query)
         masks = kernels.refine_bipartite_masks(
             qc, target_context(target),
@@ -542,18 +533,10 @@ class TestRoundTrips:
         with pytest.raises(ConfigError):
             resolve_level("huge", 3, 4)
 
-    def test_toggle(self):
-        assert kernels.kernels_enabled()
-        with use_kernels(False):
-            assert not kernels.kernels_enabled()
-            with use_kernels(True):
-                assert kernels.kernels_enabled()
-            assert not kernels.kernels_enabled()
-        assert kernels.kernels_enabled()
-
 
 class TestEndToEnd:
-    """Kernels on vs off: identical index behavior, not just verdicts."""
+    """The index against the reference matchers' scan over its stored
+    graphs: identical answers and candidates, in leaf order."""
 
     @pytest.fixture(scope="class")
     def tree_and_db(self, request):
@@ -578,27 +561,22 @@ class TestEndToEnd:
         from repro.ctree.subgraph_query import subgraph_query
 
         tree, db = tree_and_db
+        stored = stored_graphs(tree)
         for level in (1, "max"):
             for query in self._queries(db):
-                with use_kernels(True):
-                    ans_k, st_k = subgraph_query(tree, query, level=level)
-                with use_kernels(False):
-                    ans_r, st_r = subgraph_query(tree, query, level=level)
-                assert ans_k == ans_r
-                # Every counter, per-level series included: both branches
-                # of _visit screen nodes by histogram alone
-                assert st_k.deterministic_dict() == st_r.deterministic_dict()
+                answers, stats = subgraph_query(tree, query, level=level)
+                assert answers == reference_scan(stored, query)
+                assert stats.candidates == \
+                    len(reference_scan(stored, query, level))
 
     def test_unverified_candidates_identical(self, tree_and_db):
         from repro.ctree.subgraph_query import subgraph_query
 
         tree, db = tree_and_db
+        stored = stored_graphs(tree)
         for query in self._queries(db):
-            with use_kernels(True):
-                cand_k, _ = subgraph_query(tree, query, verify=False)
-            with use_kernels(False):
-                cand_r, _ = subgraph_query(tree, query, verify=False)
-            assert cand_k == cand_r
+            candidates, _ = subgraph_query(tree, query, verify=False)
+            assert candidates == reference_scan(stored, query, 1)
 
     def test_disk_query_identical(self, tree_and_db, tmp_path):
         from repro.ctree.diskindex import DiskCTree
@@ -606,14 +584,12 @@ class TestEndToEnd:
         tree, db = tree_and_db
         path = tmp_path / "kernels.ctp"
         with DiskCTree.create(tree, path, cache_pages=32) as disk:
+            stored = stored_graphs(disk)
             for query in self._queries(db)[:3]:
-                with use_kernels(True):
-                    ans_k, st_k = disk.subgraph_query(query)
-                with use_kernels(False):
-                    ans_r, st_r = disk.subgraph_query(query)
-                assert ans_k == ans_r
-                assert st_k.candidates == st_r.candidates
-                assert st_k.pseudo_survivors == st_r.pseudo_survivors
+                answers, stats = disk.subgraph_query(query)
+                assert answers == reference_scan(stored, query)
+                assert stats.candidates == \
+                    len(reference_scan(stored, query, 1))
 
     def test_knn_identical_with_and_without_context(self, tree_and_db):
         # K-NN does not use the bitset kernels, but its bound path moved to

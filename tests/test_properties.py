@@ -25,13 +25,14 @@ from repro.graphs.closure import WILDCARD, closure_under_mapping
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
 from repro.graphs.operations import random_connected_subgraph, vertex_permuted
-from repro.matching import kernels
 from repro.matching.bounds import distance_lower_bound, sim_upper_bound
 from repro.matching.nbm import nbm_mapping
 from repro.matching.pseudo_iso import pseudo_subgraph_isomorphic
 from repro.matching.state_search import optimal_distance
 from repro.matching.ullmann import subgraph_isomorphic
 from repro.ctree.tree import CTree
+
+from conftest import reference_scan, stored_graphs
 
 LABELS = ["A", "B", "C"]
 
@@ -212,7 +213,8 @@ class TestAlg3CandidatesAreAlg2Survivors:
     is monotone up a lineage: a graph passing Alg. 2 passes at every
     ancestor closure.  So a descent that screens nodes by histogram only
     yields, in leaf order, exactly the stored graphs that pass the
-    histogram screen and Alg. 2 — on either store, at every level."""
+    histogram screen and Alg. 2 — on either store, at every level.  The
+    scan runs the set-based references (``reference_scan``)."""
 
     @staticmethod
     def _graph(rng: random.Random, max_vertices: int) -> Graph:
@@ -223,25 +225,11 @@ class TestAlg3CandidatesAreAlg2Survivors:
             g.add_edge(rng.randrange(v), v, rng.choice([None, None, "x"]))
         return g
 
-    @staticmethod
-    def _leaf_order(tree) -> list[tuple[int, Graph]]:
-        store = tree.store
-
-        def walk(ref):
-            node = store.load_node(ref)
-            for child in node.children:
-                if node.is_leaf:
-                    yield child.graph_id, store.load_graph(child)
-                else:
-                    yield from walk(child)
-
-        return list(walk(store.root)) if len(tree) else []
-
     @given(st.integers(0, 2**16), st.integers(0, 24),
-           st.sampled_from([0, 1, "max"]), st.booleans(), st.booleans())
+           st.sampled_from([0, 1, "max"]), st.booleans())
     @settings(max_examples=25, deadline=None)
     def test_candidates_equal_alg2_scan(self, seed, n_graphs, level,
-                                        on_disk, kernels_on):
+                                        on_disk):
         from repro.ctree.diskindex import DiskCTree
         from repro.ctree.subgraph_query import subgraph_query
 
@@ -264,16 +252,10 @@ class TestAlg3CandidatesAreAlg2Survivors:
                                      page_size=512, wal=False) \
                 if on_disk else tree
             try:
-                stored = self._leaf_order(index)
-                with kernels.use_kernels(False):
-                    query_hist = LabelHistogram.of(query)
-                    expected = [
-                        gid for gid, g in stored
-                        if LabelHistogram.of(g).dominates(query_hist)
-                        and pseudo_subgraph_isomorphic(query, g, level)]
-                with kernels.use_kernels(kernels_on):
-                    candidates, stats = subgraph_query(
-                        index, query, level=level, verify=False)
+                stored = stored_graphs(index)
+                expected = reference_scan(stored, query, level)
+                candidates, stats = subgraph_query(
+                    index, query, level=level, verify=False)
             finally:
                 if on_disk:
                     index.close()

@@ -3,7 +3,7 @@
 The contract under test is the one ``docs/SERVING.md`` documents:
 
 - answers over HTTP are **bit-identical** to a serial in-process loop
-  over the golden oracle — kernels on and off, memory and disk indexes;
+  and to the reference matchers' scan, memory and disk indexes;
 - requests that queue behind a running engine batch coalesce into the
   next one; a cached answer returns before admission and waits for none;
 - a client over its in-flight cap gets ``429`` (and nothing queues);
@@ -30,9 +30,9 @@ from repro.ctree.similarity_query import knn_query
 from repro.ctree.subgraph_query import subgraph_query
 from repro.graphs.graph import Graph
 from repro.graphs.io import load_graph_database
-from repro.matching import kernels
 from repro.server import QueryServer, ServerConfig
 
+from conftest import ORACLES, oracle_answers
 from test_prometheus import parse_prometheus
 
 _DATA = Path(__file__).parent / "data"
@@ -91,24 +91,22 @@ def server(golden_tree):
 # Golden-oracle round trips
 # ----------------------------------------------------------------------
 class TestGoldenRoundTrip:
-    @pytest.mark.parametrize("kernels_on", [True, False],
-                             ids=["kernels", "reference"])
+    @pytest.mark.parametrize("oracle", ORACLES)
     def test_memory_bit_identical_to_serial(self, golden, golden_tree,
-                                            kernels_on):
+                                            oracle):
         _, expected = golden
-        with kernels.use_kernels(kernels_on):
-            srv = QueryServer(golden_tree, ServerConfig(port=0))
-            with srv.run_in_thread() as handle:
-                for case in expected["subgraph"]:
-                    query = Graph.from_dict(case["query"])
-                    serial, _ = subgraph_query(golden_tree, query)
-                    status, payload = _post_json(
-                        handle.port, "/query", {"query": case["query"]}
-                    )
-                    assert status == 200
-                    assert payload["answers"] == serial
-                    assert sorted(payload["answers"]) == case["answers"]
-                    assert payload["stats"]["answers"] == len(serial)
+        srv = QueryServer(golden_tree, ServerConfig(port=0))
+        with srv.run_in_thread() as handle:
+            for case in expected["subgraph"]:
+                want = oracle_answers(oracle, golden_tree,
+                                      Graph.from_dict(case["query"]))
+                status, payload = _post_json(
+                    handle.port, "/query", {"query": case["query"]}
+                )
+                assert status == 200
+                assert payload["answers"] == want
+                assert sorted(payload["answers"]) == case["answers"]
+                assert payload["stats"]["answers"] == len(want)
 
     def test_disk_bit_identical_to_serial(self, golden, golden_tree,
                                           tmp_path):

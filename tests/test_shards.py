@@ -2,9 +2,9 @@
 
 The contract: a :class:`~repro.ctree.parallel.QueryEngine` over any
 :class:`~repro.ctree.shards.ShardSet` answers **bit-identically** to
-the single-tree reference at every shard count S, both backends, with
-the bitset kernels on and off — subgraph answers equal
-``sorted()`` of the serial loop (and the frozen golden oracle), K-NN
+the single-tree reference at every shard count S, both backends —
+subgraph answers equal ``sorted()`` of the serial loop or of the
+reference matchers' scan (and the frozen golden oracle), K-NN
 equals the canonical single-tree ``knn_query(..., canonical=True)``.
 Also covered here: the placement function's partition invariants, the
 manifest round-trip, ``fsck_shards``, and the tree-level canonical /
@@ -31,8 +31,8 @@ from repro.ctree.shards import (
     place_graphs,
 )
 from repro.ctree.similarity_query import knn_query
-from repro.ctree.subgraph_query import subgraph_query
-from repro.matching import kernels
+
+from conftest import ORACLES, oracle_answers
 
 _DATA = Path(__file__).parent / "data"
 SHARD_COUNTS = (1, 2, 4)
@@ -184,30 +184,21 @@ class TestShardDirectory:
 # ----------------------------------------------------------------------
 # Engine determinism: the tentpole gate
 # ----------------------------------------------------------------------
-def _serial_reference(golden, golden_queries, golden_tree):
-    """Single-tree serial answers in canonical form."""
-    subgraph = [sorted(subgraph_query(golden_tree, q)[0])
-                for q in golden_queries]
-    knn = [knn_query(golden_tree, q, 4, canonical=True)[0]
-           for q in golden_queries]
-    return subgraph, knn
-
-
 class TestShardedEngineDeterminism:
-    @pytest.mark.parametrize("kernels_on", [True, False],
-                             ids=["kernels", "reference"])
+    @pytest.mark.parametrize("oracle", ORACLES)
     @pytest.mark.parametrize("shards", SHARD_COUNTS, ids=SHARD_IDS)
     def test_memory_identical_to_serial(self, golden, golden_queries,
-                                        golden_tree, shards, kernels_on):
+                                        golden_tree, shards, oracle):
         db, expected = golden
-        with kernels.use_kernels(kernels_on):
-            ref_subgraph, ref_knn = _serial_reference(
-                golden, golden_queries, golden_tree
-            )
-            sset = ShardSet.build_memory(db, shards, min_fanout=3)
-            with QueryEngine(sset) as engine:
-                sub_results = engine.query_many(golden_queries)
-                knn_results = engine.knn_many(golden_queries, 4)
+        # Single-tree answers in canonical form.
+        ref_subgraph = [sorted(oracle_answers(oracle, golden_tree, q))
+                        for q in golden_queries]
+        ref_knn = [knn_query(golden_tree, q, 4, canonical=True)[0]
+                   for q in golden_queries]
+        sset = ShardSet.build_memory(db, shards, min_fanout=3)
+        with QueryEngine(sset) as engine:
+            sub_results = engine.query_many(golden_queries)
+            knn_results = engine.knn_many(golden_queries, 4)
         assert [a for a, _ in sub_results] == ref_subgraph
         assert [r for r, _ in knn_results] == ref_knn
         # The frozen golden oracle pins the answer *sets* end to end.

@@ -128,21 +128,52 @@ class TestStats:
 
 
 class TestQuerySideIsBuiltWhereItIsRead:
-    def test_label_histogram_only_on_the_reference_path(self, chem_tree_and_db):
+    def test_no_label_histogram_is_built(self, chem_tree_and_db):
+        # the screen reads the compiled query context, never a histogram
         from unittest import mock
 
         from repro.graphs.histogram import LabelHistogram
-        from repro.matching.kernels import use_kernels
 
         tree, db = chem_tree_and_db
         q = generate_subgraph_queries(db, 6, 1, seed=9)[0]
         with mock.patch.object(LabelHistogram, "of",
                                wraps=LabelHistogram.of) as of:
-            answers, _ = subgraph_query(tree, q)
+            assert subgraph_query(tree, q)[0]
             assert of.call_count == 0
-            with use_kernels(False):
-                assert subgraph_query(tree, q)[0] == answers
-            assert of.call_args_list[0] == mock.call(q)
+
+
+class TestProductPathsReachNoReference:
+    def test_queries_and_checks_run_with_the_references_disabled(
+            self, chem_tree_and_db, tmp_path, monkeypatch):
+        """Every set-based reference raises; queries on both stores at
+        levels 1 and max, the deep soundness walk, fsck and the linear
+        scan still succeed — one matching engine serves them all."""
+        from repro.ctree.diskindex import DiskCTree
+        from repro.matching import bipartite, pseudo_iso, ullmann
+
+        def reference(*args, **kwargs):
+            raise AssertionError("a product path reached a reference")
+
+        for module, name in (
+                (bipartite, "has_semi_perfect_matching"),
+                (pseudo_iso, "has_semi_perfect_matching"),
+                (pseudo_iso, "level0_domains"),
+                (pseudo_iso, "refine_bipartite"),
+                (ullmann, "compatibility_domains"),
+                (ullmann, "refine_domains")):
+            monkeypatch.setattr(module, name, reference)
+        tree, db = chem_tree_and_db
+        queries = generate_subgraph_queries(db, 6, 3, seed=10)
+        path = tmp_path / "t.ctp"
+        with DiskCTree.create(tree, path) as disk:
+            for index in (tree, disk):
+                for level in (1, "max"):
+                    for q in queries:
+                        answers, _ = subgraph_query(index, q, level=level)
+                        assert sorted(answers) == \
+                            linear_scan_subgraph_query(db, q)
+                index.validate(deep=True)
+        assert DiskCTree.fsck(path, deep=True).clean
 
 
 class TestLinearScan:

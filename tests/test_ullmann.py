@@ -1,7 +1,8 @@
 """Unit tests for Ullmann subgraph isomorphism, cross-validated against
-networkx monomorphism (on the default, mask-kernel engine) and — the two
-engines against each other — embedding for embedding."""
+networkx monomorphism (on the mask kernel, the one engine) and against
+the set-based reference, embedding for embedding."""
 
+import copy
 import random
 from unittest import mock
 
@@ -16,13 +17,14 @@ from repro.graphs.interop import to_networkx
 from repro.graphs.operations import random_connected_subgraph, vertex_permuted
 from repro.obs.metrics import global_registry
 from repro.matching import kernels
-from repro.matching.kernels import domains_to_masks, use_kernels
-from repro.matching.pseudo_iso import pseudo_compatibility_domains
+from repro.matching.kernels import domains_to_masks
+from repro.matching.pseudo_iso import reference_domains
 from repro.matching.ullmann import (
     compatibility_domains,
     enumerate_embeddings,
     find_embedding,
     graph_isomorphic,
+    reference_embeddings,
     refine_domains,
     subgraph_isomorphic,
 )
@@ -139,7 +141,6 @@ class TestAgainstNetworkx:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_pairs(self, seed):
         # networkx is the independent oracle of the engine that serves.
-        assert kernels.kernels_enabled()
         rng = random.Random(seed)
         q = random_labeled_graph(rng, rng.randrange(2, 6), num_labels=2)
         t = random_labeled_graph(rng, rng.randrange(2, 9), num_labels=2)
@@ -206,12 +207,14 @@ def graph_likes(draw, max_vertices):
     return drawn_closure(draw, g1, draw(graphs(max_vertices)))
 
 
-def run_engine(kernel, query, target, domains, limit):
+#: the kernel behind the entry points, and its set-based reference
+ENGINES = (enumerate_embeddings, reference_embeddings)
+
+
+def run_engine(engine, query, target, domains, limit):
     """``(embeddings with their key order, calls, search nodes)``."""
     before = [c.value for c in _COUNTERS]
-    with use_kernels(kernel):
-        found = [list(e.items())
-                 for e in enumerate_embeddings(query, target, domains, limit)]
+    found = [list(e.items()) for e in engine(query, target, domains, limit)]
     return [found] + [c.value - b for c, b in zip(_COUNTERS, before)]
 
 
@@ -224,30 +227,28 @@ class TestMaskKernelAgainstReference:
                                                    limit, seeds):
         domains = None
         if seeds != "absent":
-            with use_kernels(False):
-                domains = pseudo_compatibility_domains(query, target, 1)
-            if seeds == "masks":
-                domains = domains_to_masks(domains)
-        want = run_engine(False, query, target, domains, limit)
-        got = run_engine(True, query, target, domains, limit)
+            domains = reference_domains(query, target, 1)
+        want = run_engine(reference_embeddings, query, target, domains,
+                          limit)
+        if seeds == "masks":
+            domains = domains_to_masks(domains)
+        got = run_engine(enumerate_embeddings, query, target, domains, limit)
         assert got == want
         assert want[1] == 1  # one call each, however far the search went
         if limit is not None:
             assert len(want[0]) <= limit
-        with use_kernels(True):
-            verdict = subgraph_isomorphic(query, target, domains)
-            first = find_embedding(query, target, domains)
-        assert verdict == bool(want[0])
-        assert first == (dict(want[0][0]) if want[0] else None)
+        assert subgraph_isomorphic(query, target, domains) == bool(want[0])
+        assert find_embedding(query, target, domains) == \
+            (dict(want[0][0]) if want[0] else None)
 
     def test_seeds_are_not_consumed(self):
         q, t = path_graph(["A", "B"]), triangle()
-        for kernel in (True, False):
-            for seeds in ([{0, 1, 2}, {0, 1, 2}], [0b111, 0b111]):
-                kept = list(seeds)
-                with use_kernels(kernel):
-                    assert subgraph_isomorphic(q, t, seeds)
-                assert seeds == kept
+        for engine, seeds in ((enumerate_embeddings, [{0, 1, 2}, {0, 1}]),
+                              (enumerate_embeddings, [0b111, 0b011]),
+                              (reference_embeddings, [{0, 1, 2}, {0, 1}])):
+            kept = copy.deepcopy(seeds)
+            assert next(engine(q, t, seeds), None) is not None
+            assert seeds == kept
 
     def test_edge_cases_on_both_engines(self):
         lonely = Graph(["A", "A", "B"], [(0, 1)])  # an isolated query vertex
@@ -259,26 +260,23 @@ class TestMaskKernelAgainstReference:
             (Graph(["Z"]), triangle(), []),               # an empty domain
         ]
         for query, target, expected in cases:
-            for kernel in (True, False):
-                found = run_engine(kernel, query, target, None, None)[0]
+            for engine in ENGINES:
+                found = run_engine(engine, query, target, None, None)[0]
                 assert sorted(sorted(e) for e in found) == expected
 
     def test_search_nodes_count_assignments(self):
         # A-A-A in a triangle of A's: 1 root + 3 + 3*2 + 3*2*1 assignments.
         g = Graph(["A", "A", "A"], [(0, 1), (1, 2), (0, 2)])
-        for kernel in (True, False):
-            found, calls, nodes = run_engine(kernel, g, g, None, None)
+        for engine in ENGINES:
+            found, calls, nodes = run_engine(engine, g, g, None, None)
             assert (len(found), calls, nodes) == (6, 1, 16)
             # ... and an abandoned generator still reports what it searched
             before = _COUNTERS[1].value
-            with use_kernels(kernel):
-                assert find_embedding(g, g) is not None
+            assert next(engine(g, g)) is not None
             assert _COUNTERS[1].value - before == 4
 
     def test_default_engine_is_the_mask_kernel(self):
         with mock.patch.object(kernels, "embeddings_masks",
                                return_value=iter([{0: 7}])) as kernel:
             assert find_embedding(Graph(["A"]), triangle()) == {0: 7}
-            with use_kernels(False):
-                assert find_embedding(Graph(["A"]), triangle()) == {0: 0}
         assert kernel.call_count == 1
