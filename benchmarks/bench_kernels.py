@@ -31,6 +31,9 @@ from conftest import (
     BOUNDS_ROWS,
     CHEM_SWEEP,
     KERNEL_ROW_FLOORS,
+    RECORD_FIGURE,
+    RECORD_FLOOR,
+    RECORD_ROWS,
     RESULTS_DIR,
     VERIFY_FIGURE,
     VERIFY_ROWS,
@@ -70,6 +73,12 @@ from repro.matching.ullmann import (
     reference_embeddings,
 )
 from repro.ctree.similarity_query import knn_query
+from repro.ctree.store import (
+    decode_graph,
+    decode_graph_context,
+    dump_record,
+    encode_graph,
+)
 from repro.ctree.subgraph_query import subgraph_query
 from repro.datasets.queries import (
     generate_subgraph_queries,
@@ -271,6 +280,51 @@ def test_verification_kernels_microbench(chem_database, chem_tree, benchmark):
         assert n > 0 and ref / new >= floor, (
             f"{name} kernel speedup {ref / new:.2f}x over {n} pairs below "
             f"the {floor}x floor")
+
+
+def test_record_context_microbench(chem_database, benchmark):
+    """What a disk subgraph query pays per leaf graph that passes the
+    histogram screen: its JSON-parsed record compiled straight into the
+    Alg. 2 target context, against decoding the ``Graph`` and compiling
+    that.  Equal contexts on every record first, then the speedup gate."""
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    records = [json.loads(dump_record(encode_graph(g)))
+               for g in chem_database]
+
+    def reference() -> list:
+        return [target_context(decode_graph(r)) for r in records]
+
+    def compiled() -> list:
+        return [decode_graph_context(r) for r in records]
+
+    fields = ("n", "degrees", "vmasks", "edge_rows", "edge_masks", "vhist",
+              "ehist", "vbits", "ebits")
+    for ours, theirs in zip(compiled(), reference()):
+        for field in fields:
+            assert getattr(ours, field) == getattr(theirs, field), field
+        assert dict(ours.vertex_groups) == dict(theirs.vertex_groups)
+        assert dict(ours.edge_counts) == dict(theirs.edge_counts)
+
+    n, ref, new = len(records), _time(reference), _time(compiled)
+    record_figure(
+        RECORD_FIGURE,
+        "Kernel microbench: a graph record to its Alg. 2 target context, "
+        "decode_graph + target_context vs decode_graph_context (chemical; "
+        "us per graph)",
+        "row",
+        RECORD_ROWS,
+        {"reference": [1e6 * ref / n], "kernel": [1e6 * new / n],
+         "speedup": [ref / new]},
+        float_format="{:.2f}",
+    )
+    _write_microbench({
+        "quick": conftest._QUICK,
+        "record_context": {"graphs": n, "reference_seconds": ref,
+                           "kernel_seconds": new, "speedup": ref / new},
+    })
+    assert n > 0 and ref / new >= RECORD_FLOOR, (
+        f"record compiler: {ref / new:.2f}x over {n} graphs below the "
+        f"{RECORD_FLOOR}x floor")
 
 
 def test_bounds_microbench(chem_database, chem_tree, benchmark):

@@ -292,12 +292,17 @@ KERNEL_ROW_FLOORS = (2.0, 1.2)
 BOUNDS_FIGURE = "kernel_microbench_bounds"
 BOUNDS_ROWS = ["closures", "summaries"]
 BOUNDS_FLOOR = 2.0
+#: ... and its record-compiler figure: ``decode_graph_context`` against
+#: ``target_context(decode_graph(record))``, one floor at either scale
+RECORD_FIGURE = "kernel_microbench_record"
+RECORD_ROWS = ["record_context"]
+RECORD_FLOOR = 1.2
 
 
 def validate_figures_payload(payload: dict) -> str:
     """Gate BENCH_ctree.json: every figure carries aligned series, and
-    where bench_kernels.py ran, its refine / Ullmann and its Eqn. (7)
-    rows are there and at their speedup floors."""
+    where bench_kernels.py ran, its refine / Ullmann, its Eqn. (7) and
+    its record-compiler rows are there and at their speedup floors."""
     figures = payload["figures"]
     _require(bool(figures), "no figures recorded")
     for name, fig in figures.items():
@@ -310,7 +315,8 @@ def validate_figures_payload(payload: dict) -> str:
         for name, rows, floor in (
                 (VERIFY_FIGURE, VERIFY_ROWS,
                  KERNEL_ROW_FLOORS[bool(payload["quick"])]),
-                (BOUNDS_FIGURE, BOUNDS_ROWS, BOUNDS_FLOOR)):
+                (BOUNDS_FIGURE, BOUNDS_ROWS, BOUNDS_FLOOR),
+                (RECORD_FIGURE, RECORD_ROWS, RECORD_FLOOR)):
             _require(name in figures, f"{name} missing")
             _require(figures[name]["x"] == rows,
                      f"{name}: rows {figures[name]['x']}, expected {rows}")

@@ -14,16 +14,20 @@ traversal serve both representations:
   :class:`~repro.storage.recordstore.RecordStore`; it keeps the root,
   height and leaf count of the index metadata current.  This module owns
   the record format (one JSON record per node, one per graph) and its
-  only codec: ``encode_*`` / ``decode_*`` below.
+  only codec: ``encode_*`` / ``decode_*`` below.  A subgraph query reads
+  a graph record through :func:`decode_graph_context`, which compiles it
+  into the Alg. 2 target context without building the graph.
 
 A node reference is opaque to the shared code.  A leaf's ``children`` are
 *entries* exposing ``graph_id``; :meth:`graph_summary` gives the label
 histogram Alg. 3 screens an entry with — held by the entry itself on
-disk, so a rejected graph is never read — and :meth:`load_graph` turns an
-entry into its graph.  :meth:`metered` is the single hook through which a
-query learns its page I/O: it hands the query its stats record, and the
-paged store fills in the record's ``page_hits`` / ``page_misses`` and
-``node_hits`` / ``node_loads``.
+disk, so a rejected graph is never read — :meth:`load_context` turns an
+entry into the compiled context Alg. 3 tests and verifies it on, and
+:meth:`load_graph` into its graph (what K-NN and range queries score).
+:meth:`metered` is the single hook through which a query learns its page
+I/O: it hands the query its stats record, and the paged store fills in
+the record's ``page_hits`` / ``page_misses`` and ``node_hits`` /
+``node_loads``.
 
 A paged store keeps the nodes it decoded **resident** (at most as many
 as its buffer pool has frames, leaves evicted first), so a handle that
@@ -56,9 +60,12 @@ from repro.graphs.closure import (
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
 from repro.graphs.labelspace import (
+    WILDCARD_BIT,
     LabelSummary,
+    TargetContext,
     global_labelspace,
     label_context,
+    target_context,
 )
 from repro.ctree.node import CTreeNode, LeafEntry
 from repro.ctree.stats import (
@@ -102,6 +109,10 @@ class MemoryNodeStore:
     def load_graph(self, entry: LeafEntry) -> Graph:
         """The graph a leaf entry holds."""
         return entry.graph
+
+    def load_context(self, entry: LeafEntry) -> TargetContext:
+        """The Alg. 2 target context of the entry's graph, memoised on it."""
+        return target_context(entry.graph)
 
     def alloc_node(self, node: CTreeNode) -> CTreeNode:
         """A new node is its own reference."""
@@ -266,6 +277,55 @@ def decode_graph(record: dict) -> Graph:
     return _decode(record, Graph, _GRAPH_LABELS, False, record.get("name"))
 
 
+def decode_graph_context(record: dict) -> TargetContext:
+    """What ``target_context(decode_graph(record))`` gives the Alg. 2
+    kernels, compiled straight from the record: one pass over the edge
+    triples and one over ``v``, each label table translated once, no
+    graph built.  A record :func:`decode_graph` rejects is rejected with
+    the same exception class, the checks run in the same order."""
+    space = global_labelspace()
+    vlut = dict(enumerate(space.vertex_bit(_GRAPH_LABELS.get(x, x))
+                          for x in record["vl"]))
+    elabels = [_GRAPH_LABELS.get(x, x) for x in record["el"]]
+    elut = dict(enumerate(map(space.edge_bit, elabels)))
+    codes, edges = record["v"], record["e"]
+    if len(edges) % 3:
+        raise GraphError("edge array is not (u, v, label) triples")
+    n = len(codes)
+    nbrs = [0] * n  # every neighbour, whatever the label
+    edge_rows: dict[int, list[int]] = {}
+    it = iter(edges)
+    for u, v, code in zip(it, it, it):
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) out of range")
+        if u == v:
+            raise GraphError(f"self-loop on vertex {u} not supported")
+        bv = 1 << v
+        if nbrs[u] & bv:
+            raise GraphError(f"duplicate edge ({u}, {v})")
+        em = elut[code]
+        bu = 1 << u
+        nbrs[u] |= bv
+        nbrs[v] |= bu
+        rows = edge_rows.get(em)
+        if rows is None:
+            rows = edge_rows[em] = [0] * n
+        rows[u] |= bv
+        rows[v] |= bu
+    vmasks = [vlut[code] for code in codes]
+    vgroups: dict[int, int] = {}
+    for v, m in enumerate(vmasks):
+        vgroups[m] = vgroups.get(m, 0) | 1 << v
+    # an edge sets two bits of its mask's rows
+    ecounts = tuple((em, sum(map(int.bit_count, rows)) // 2)
+                    for em, rows in edge_rows.items())
+    ctx = TargetContext(n, [m.bit_count() for m in nbrs], vmasks,
+                        tuple(vgroups.items()), ecounts,
+                        dict(zip(elabels, elut.values())), WILDCARD_BIT)
+    ctx.edge_rows = edge_rows
+    return ctx
+
+
 def decode_closure(record: dict) -> GraphClosure:
     """The closure of a record."""
     return _decode(record, GraphClosure, _CLOSURE_LABELS, True)
@@ -425,6 +485,11 @@ class PagedNodeStore:
     def load_graph(self, entry: StoredEntry) -> Graph:
         """Decode the graph record a leaf entry points at."""
         return decode_graph(self.load_record(entry.record))
+
+    def load_context(self, entry: StoredEntry) -> TargetContext:
+        """Compile the graph record a leaf entry points at straight into
+        its Alg. 2 target context; no graph is built."""
+        return decode_graph_context(self.load_record(entry.record))
 
     def _count_leaf(self, node: CTreeNode, delta: int) -> None:
         if node.is_leaf:

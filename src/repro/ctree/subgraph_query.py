@@ -10,9 +10,10 @@ against one compiled query context:
    only subtrees whose graphs would all fail it anyway, and it cost
    more than it saved (docs/ALGORITHMS.md, Alg. 3).  A leaf's graphs
    are histogram-tested on the summaries the leaf holds for them, so a
-   disk index reads only the graphs that pass, and then by pseudo
-   subgraph isomorphism at the configured level.  Surviving database
-   graphs form the candidate set.
+   disk index reads only the graphs that pass — and reads each as its
+   compiled target context (``store.load_context``), never as a graph —
+   and then by pseudo subgraph isomorphism at the configured level.
+   Surviving database graphs form the candidate set.
 2. **Verification** — run Ullmann's exact algorithm on each candidate,
    seeded with the pseudo-compatibility masks computed during the search
    (the acceleration noted in the paper).
@@ -30,7 +31,7 @@ from __future__ import annotations
 import time
 
 from repro.graphs.graph import Graph
-from repro.graphs.labelspace import label_context, target_context
+from repro.graphs.labelspace import TargetContext, label_context
 from repro.matching import kernels
 from repro.matching.kernels import QueryContext
 from repro.matching.pseudo_iso import Level
@@ -59,8 +60,8 @@ def subgraph_query(
     """
     store = tree.store
     qc = kernels.compile_query(query, level)
-    #: (graph id, graph, pseudo-compatibility domains as bit masks)
-    candidates: list[tuple[int, Graph, list[int]]] = []
+    #: (graph id, target context, pseudo-compatibility domains as masks)
+    candidates: list[tuple[int, TargetContext, list[int]]] = []
     with trace.span(
         "ctree.subgraph_query",
         query_vertices=query.num_vertices,
@@ -82,11 +83,10 @@ def subgraph_query(
             answers = []
             with trace.span("ctree.verify", candidates=len(candidates)):
                 start = time.perf_counter()
-                for graph_id, graph, domains in candidates:
+                for graph_id, target, domains in candidates:
                     stats.isomorphism_tests += 1
                     # the descent's masks seed Ullmann as they are
-                    if next(kernels.embeddings_masks(
-                            qc, target_context(graph), domains, 1),
+                    if next(kernels.embeddings_masks(qc, target, domains, 1),
                             None) is not None:
                         answers.append(graph_id)
                 stats.verify_seconds = time.perf_counter() - start
@@ -108,9 +108,10 @@ def _visit(
     that passes is expanded at once — so only one root-to-leaf path of
     loaded nodes is alive at a time, and candidates come out in
     left-to-right leaf order.  A graph under a leaf is screened on the
-    summary its entry holds, loaded only if it passes, and then tested
-    by pseudo sub-isomorphism; a survivor becomes a candidate, carrying
-    the graph and its pseudo-compatibility domains into verification."""
+    summary its entry holds, loaded as its target context only if it
+    passes, and then tested by pseudo sub-isomorphism; a survivor becomes
+    a candidate, carrying that context and its pseudo-compatibility
+    domains into verification."""
     with trace.span("ctree.expand", depth=depth) as sp:
         stats.nodes_expanded += 1
         survivors_x = 0
@@ -130,11 +131,10 @@ def _visit(
             # never read.
             if not kernels.histogram_dominates(store.graph_summary(ref), qc):
                 continue
-            target = store.load_graph(ref)
+            target = store.load_context(ref)
             survivors_x += 1
             stats.pseudo_tests += 1
-            domains = kernels.pseudo_domain_masks(
-                qc, target_context(target), qc.level)
+            domains = kernels.pseudo_domain_masks(qc, target, qc.level)
             if not kernels.global_semi_perfect_masks(domains):
                 continue
             survivors_y += 1

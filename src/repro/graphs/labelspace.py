@@ -12,14 +12,14 @@ module compiles both away:
 - :class:`TargetContext` is the compiled, immutable view of one
   :class:`~repro.graphs.graph.Graph` or
   :class:`~repro.graphs.closure.GraphClosure` as the *target* of a match:
-  vertices and per-vertex neighbors grouped by label mask, degrees, and
-  (its :class:`LabelSummary` base) a sparse label histogram.  It is built
-  once per object by :func:`target_context` and memoized on the graph
-  itself (slot ``_kernel_ctx``), invalidated whenever the graph mutates.
-  Alg. 2's per-vertex edge groups and Alg. 1's neighbour-label profiles
-  are two halves filled in on first use (:func:`nbm_context`).  The query
-  side of a match is compiled per query by
-  :func:`repro.matching.kernels.compile_query`.
+  vertices grouped by label mask, neighbours by edge label mask, degrees,
+  and (its :class:`LabelSummary` base) a sparse label histogram.  It is
+  built once per object by :func:`target_context` and memoized on the
+  graph itself (slot ``_kernel_ctx``), invalidated whenever the graph
+  mutates.  Alg. 2's neighbour rows per edge label and Alg. 1's
+  neighbour-label profiles are two halves filled in on first use
+  (:func:`nbm_context`).  The query side of a match is compiled per query
+  by :func:`repro.matching.kernels.compile_query`.
 
 Bit layout: bit 0 is reserved for the query wildcard and bit 1 for the
 dummy label ε, so the wildcard test is a constant-mask AND.  Interning is
@@ -230,7 +230,7 @@ class TargetContext(LabelSummary):
     convention and shared freely.
     """
 
-    __slots__ = ("n", "degrees", "edge_groups", "vertex_groups", "edge_counts",
+    __slots__ = ("n", "degrees", "edge_rows", "vertex_groups", "edge_counts",
                  "edge_masks", "vmasks", "profiles", "vkeys", "nbr_rows",
                  "_at_least")
 
@@ -259,9 +259,9 @@ class TargetContext(LabelSummary):
         self.edge_counts = edge_counts
         #: edge label (a closure's: label set), as adjacency holds it -> mask
         self.edge_masks = edge_masks
-        #: Alg. 2's half, built by :func:`target_context` — per vertex:
-        #: (edge label mask, bitset of neighbors over it) pairs
-        self.edge_groups: list[tuple[tuple[int, int], ...]] | None = None
+        #: Alg. 2's half, built by :func:`target_context` — per edge label
+        #: mask, per vertex the bitset of its neighbours over that label
+        self.edge_rows: dict[int, list[int]] | None = None
         #: Alg. 1's half (:func:`nbm_context`): a neighbour-label profile each
         self.profiles: list[int] | None = None
         #: ... and, of a graph only, each vertex's ``LabelSpace.vertex_key``
@@ -366,17 +366,17 @@ def label_context(g: GraphLike) -> TargetContext:
 
 def target_context(g: GraphLike) -> TargetContext:
     """:func:`label_context` with what the Alg. 2 kernels read of a
-    target filled in: per vertex its neighbours grouped by edge mask."""
+    target filled in: per edge mask, each vertex's neighbours over it."""
     ctx = label_context(g)
-    if ctx.edge_groups is None:
-        emasks, edge_groups = ctx.edge_masks, []
-        for v in range(ctx.n):
-            groups: dict[int, int] = {}
-            for w, label in g.adjacency(v).items():
-                em = emasks[label]
-                groups[em] = groups.get(em, 0) | (1 << w)
-            edge_groups.append(tuple(groups.items()))
-        ctx.edge_groups = edge_groups
+    if ctx.edge_rows is None:
+        emasks, n, edge_rows = ctx.edge_masks, ctx.n, {}
+        for u, v, label in g.edges():
+            rows = edge_rows.get(emasks[label])
+            if rows is None:
+                rows = edge_rows[emasks[label]] = [0] * n
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        ctx.edge_rows = edge_rows  # published complete
     return ctx
 
 

@@ -23,13 +23,16 @@ equivalence, including ε and wildcard labels and edge-labeled graphs).
 The kernels operate on compiled contexts: the target side of a pair is a
 :class:`~repro.graphs.labelspace.TargetContext` (memoized per graph or
 closure, so repeated node visits during a C-tree descent pay the encoding
-cost once), the query side a :class:`QueryContext` — the label masks,
-neighbor tuples and edge-mask rows only a query is asked for, plus its
-sparse histogram for the Alg. 3 dominance pre-filter.
+cost once; a disk leaf graph's is compiled straight from its record by
+``repro.ctree.store.decode_graph_context``), the query side a
+:class:`QueryContext` — the label masks, neighbor tuples and edge-mask
+rows only a query is asked for, plus its sparse histogram for the Alg. 3
+dominance pre-filter.
 """
 
 from __future__ import annotations
 
+from operator import or_
 from typing import Iterator, Optional, Sequence, Union
 
 from repro.exceptions import ConfigError
@@ -189,10 +192,12 @@ def neighbor_rows(q: "QueryContext", t: TargetContext) -> list[list[tuple]]:
     support and consistency tests all read ``rows`` against a domain.  Rows
     are memoised on the target under ``key``, the query edge mask cut to the
     bits that can matter there — as many entries as the target has edge
-    labels, not the query."""
-    memo = t.nbr_rows
+    labels, not the query.  A key compatible with one target edge mask
+    gets that mask's ``edge_rows`` list itself; only a wildcard or a label
+    set ORs several."""
+    memo, edge_rows = t.nbr_rows, t.edge_rows
     live = WILDCARD_BIT
-    for em, _ in t.edge_counts:
+    for em in edge_rows:
         live |= em
     out = []
     for erow in q.edge_masks:
@@ -201,11 +206,11 @@ def neighbor_rows(q: "QueryContext", t: TargetContext) -> list[list[tuple]]:
             qe &= live
             rows = memo.get(qe)
             if rows is None:
-                rows = [0] * t.n
-                for v, groups in enumerate(t.edge_groups):
-                    for em, members in groups:
-                        if (qe & em) | ((qe | em) & WILDCARD_BIT):
-                            rows[v] |= members
+                hits = [r for em, r in edge_rows.items()
+                        if (qe & em) | ((qe | em) & WILDCARD_BIT)]
+                rows = hits[0] if hits else [0] * t.n
+                for hit in hits[1:]:  # a new list: edge_rows stay intact
+                    rows = list(map(or_, rows, hit))
                 memo[qe] = rows  # published complete: readers never wait
             pairs.append((u2, qe, rows))
         out.append(pairs)

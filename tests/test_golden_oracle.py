@@ -36,7 +36,9 @@ from repro.graphs.histogram import LabelHistogram
 from repro.graphs.io import load_graph_database
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DiskCTree
+from repro.ctree import store as store_module
 from repro.ctree.similarity_query import knn_query
+from repro.ctree.store import decode_graph
 from repro.ctree.subgraph_query import subgraph_query
 
 from conftest import ORACLES, oracle_answers, stored_graphs
@@ -108,17 +110,21 @@ class TestGoldenWork:
             monkeypatch):
         """Per query: stats equal the pinned ones and the in-memory
         tree's, every leaf entry is histogram-screened, and the graph
-        records decoded are exactly the leaf-level histogram survivors:
+        records compiled are exactly the leaf-level histogram survivors:
         as many as the stats count or, by the ``reference`` oracle, the
-        stored graphs whose ``LabelHistogram`` dominates the query's."""
+        stored graphs whose ``LabelHistogram`` dominates the query's.
+        Each is read as its target context; no ``Graph`` is decoded."""
         _, expected = golden
         disk, _ = golden_disk
         stored = stored_graphs(golden_tree)
-        loads = []
-        load_graph = disk.store.load_graph
+        loads, decoded = [], []
+        load_context = disk.store.load_context
         monkeypatch.setattr(
-            disk.store, "load_graph",
-            lambda entry: loads.append(entry.graph_id) or load_graph(entry))
+            disk.store, "load_context",
+            lambda entry: loads.append(entry.graph_id) or load_context(entry))
+        monkeypatch.setattr(
+            store_module, "decode_graph",
+            lambda record: decoded.append(record) or decode_graph(record))
         skipped = 0
         for case, frozen in zip(expected["subgraph"], pinned["subgraph"]):
             query = Graph.from_dict(case["query"])
@@ -131,6 +137,7 @@ class TestGoldenWork:
             screened = stats.tested_by_level[disk.height]
             survivors = stats.x_by_level[disk.height]
             assert len(loads) == len(set(loads)) == survivors
+            assert decoded == []
             if oracle == "reference":
                 hist = LabelHistogram.of(query)
                 assert loads == [gid for gid, g in stored

@@ -21,10 +21,20 @@ from hypothesis import strategies as st
 from conftest import drawn_closure, reference_scan, stored_graphs
 
 from repro.exceptions import ConfigError
-from repro.graphs.closure import EPSILON, WILDCARD, closure_under_mapping
+from repro.graphs.closure import (
+    EPSILON,
+    WILDCARD,
+    GraphClosure,
+    closure_under_mapping,
+    labels_match,
+)
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
-from repro.graphs.labelspace import LabelSummary, target_context
+from repro.graphs.labelspace import (
+    LabelSummary,
+    global_labelspace,
+    target_context,
+)
 from repro.matching import kernels
 from repro.matching.bipartite import has_semi_perfect_matching
 from repro.matching.bounds import (
@@ -268,13 +278,13 @@ class TestSemiPerfectMasks:
 
 
 @st.composite
-def labeled_graphs(draw, max_vertices=6):
+def labeled_graphs(draw, max_vertices=6, edge_labels=ELABELS):
     n = draw(st.integers(1, max_vertices))
     g = Graph([draw(st.sampled_from(VLABELS)) for _ in range(n)])
     for u in range(n):
         for v in range(u + 1, n):
             if draw(st.booleans()):
-                g.add_edge(u, v, draw(st.sampled_from(ELABELS)))
+                g.add_edge(u, v, draw(st.sampled_from(edge_labels)))
     return g
 
 
@@ -517,6 +527,60 @@ class TestRefineKernel:
         assert got_rounds == ref_rounds == 1
         # vertices after the emptied one were never visited
         assert ref[degree + 2] == level0_domains(query, target)[degree + 2]
+
+
+class TestNeighborRows:
+    """``neighbor_rows`` reads the target's ``edge_rows``: a query edge
+    compatible with one target edge mask gets that mask's list itself,
+    and the rows always equal the ones read off the target's adjacency."""
+
+    @staticmethod
+    def _rows(query, target):
+        """The target's context and the rows of the query's edge (0, 1)."""
+        tc = target_context(target)
+        (_, _, rows), = [p for p in kernels.neighbor_rows(
+            compile_query(query), tc)[0] if p[0] == 1]
+        return tc, rows
+
+    @staticmethod
+    def _edge(label) -> Graph:
+        return Graph(["B", "A"], [(0, 1, label)])
+
+    def test_one_compatible_mask_is_shared(self):
+        target = Graph(["A", "B", "C"], [(0, 1, "x"), (1, 2, "y")])
+        tc, rows = self._rows(self._edge("x"), target)
+        assert rows is tc.edge_rows[global_labelspace().edge_bit("x")]
+        assert rows == [0b010, 0b001, 0]
+
+    def test_wildcard_edge_ors_every_mask(self):
+        target = Graph(["A", "B", "C"], [(0, 1, "x"), (1, 2, "y")])
+        tc, rows = self._rows(self._edge(WILDCARD), target)
+        assert len(tc.edge_rows) == 2
+        assert all(rows is not r for r in tc.edge_rows.values())
+        assert rows == [0b010, 0b101, 0b010]
+
+    def test_closure_label_set_ors_its_masks(self):
+        target = GraphClosure([{"A"}, {"B"}, {"C"}, {"A"}])
+        target.add_edge(0, 1, {"x"})
+        target.add_edge(1, 2, {"x", "y"})
+        target.add_edge(2, 3, {"y"})
+        tc, rows = self._rows(self._edge("x"), target)
+        assert len(tc.edge_rows) == 3
+        assert all(rows is not r for r in tc.edge_rows.values())
+        assert rows == [0b0010, 0b0101, 0b0010, 0]
+
+    @given(labeled_graphs(edge_labels=ELABELS + [WILDCARD]), dense_targets())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_adjacency_rows(self, query, target):
+        tc = target_context(target)
+        nrows = kernels.neighbor_rows(compile_query(query), tc)
+        for u, pairs in enumerate(nrows):
+            for u2, _, rows in pairs:
+                want = query.edge_label_set(u, u2)
+                assert rows == [
+                    sum(1 << w for w, label in target.adjacency(v).items()
+                        if labels_match(want, target.edge_label_set(v, w)))
+                    for v in target.vertices()]
 
 
 class TestRoundTrips:

@@ -204,7 +204,8 @@ class TestContextContents:
             assert neighbors[v] == tuple(g.neighbors(v))
             assert ctx.degrees[v] == len(neighbors[v])
             members = 0
-            for mask, group in ctx.edge_groups[v]:
+            for mask, rows in ctx.edge_rows.items():
+                group = rows[v]
                 assert members & group == 0  # disjoint
                 members |= group
                 for w in g.neighbors(v):

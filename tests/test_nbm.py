@@ -344,9 +344,9 @@ class TestKernelMemo:
         g, h = triangle(), path_graph("ABCA")
         nbm_score(g, h)
         ctx = label_context(g)
-        assert ctx.profiles is not None and ctx.edge_groups is None
-        assert target_context(g) is ctx and ctx.edge_groups is not None
-        assert label_context(h).edge_groups is None
+        assert ctx.profiles is not None and ctx.edge_rows is None
+        assert target_context(g) is ctx and ctx.edge_rows is not None
+        assert label_context(h).edge_rows is None
 
     def test_memo_is_small(self, chem_db_small):
         """Three lists of shared ints per graph: what the kernel adds to

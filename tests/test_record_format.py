@@ -10,16 +10,19 @@ record is *reported* by ``fsck``, never crashed on.
 """
 
 import json
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DiskCTree
 from repro.ctree.store import (
+    BAD_RECORD,
     decode_closure,
     decode_graph,
+    decode_graph_context,
     dump_record,
     encode_closure,
     encode_graph,
@@ -31,12 +34,17 @@ from repro.exceptions import PersistenceError
 from repro.graphs.closure import EPSILON, WILDCARD, GraphClosure
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
+from repro.graphs.io import load_graph_database
 from repro.graphs.labelspace import target_context
 
 _VERTEX_LABELS = ["C", "N", "O", 1, 2, WILDCARD]
 _EDGE_LABELS = [None, None, "x", 1, 2, WILDCARD]
-_CONTEXT_FIELDS = ("n", "degrees", "edge_groups", "vertex_groups", "vhist",
+_CONTEXT_FIELDS = ("n", "degrees", "edge_rows", "vertex_groups", "vhist",
                    "ehist", "vbits", "ebits")
+#: what :func:`decode_graph_context` must agree on slot for slot; its
+#: ``vertex_groups`` and ``edge_counts`` are compared as dicts
+_RECORD_CONTEXT_FIELDS = ("n", "degrees", "vmasks", "edge_rows", "edge_masks",
+                          "vhist", "ehist", "vbits", "ebits")
 
 
 def _through_json(record: dict) -> dict:
@@ -122,6 +130,84 @@ class TestCodecRoundTrip:
         counts.update(
             {(1, label): n for label, n in zip(ehist[::2], ehist[1::2])})
         assert counts == dict(LabelHistogram.of(g)._counts)
+
+
+# ----------------------------------------------------------------------
+# The record compiler: a graph record straight to its target context
+# ----------------------------------------------------------------------
+def _assert_record_context(record: dict) -> None:
+    """``decode_graph_context`` holds what ``target_context`` compiles
+    from the decoded graph, and nothing of Alg. 1's half."""
+    ours, theirs = decode_graph_context(record), target_context(
+        decode_graph(record))
+    for field in _RECORD_CONTEXT_FIELDS:
+        assert getattr(ours, field) == getattr(theirs, field), field
+    assert dict(ours.vertex_groups) == dict(theirs.vertex_groups)
+    assert dict(ours.edge_counts) == dict(theirs.edge_counts)
+    assert ours.profiles is None and ours.nbr_rows == {}
+
+
+def _path_record() -> dict:
+    g = Graph(["C", "N", "O", WILDCARD])
+    g.add_edge(0, 1, "x")
+    g.add_edge(1, 2)
+    g.add_edge(2, 3, 1)
+    return _through_json(encode_graph(g))
+
+
+def _set(key: str, index: int, value_of):
+    def change(record: dict) -> None:
+        record[key][index] = value_of(record)
+    return change
+
+
+#: one malformed graph record each: the change applied to a valid one
+_MALFORMED = {
+    "odd triples": lambda r: r["e"].append(0),
+    "endpoint out of range": _set("e", 0, lambda r: len(r["v"])),
+    "negative endpoint": _set("e", 1, lambda r: -1),
+    "self-loop": _set("e", 1, lambda r: r["e"][0]),
+    "duplicate edge": lambda r: r["e"].extend([r["e"][1], r["e"][0], 0]),
+    "vertex code outside table": _set("v", 0, lambda r: len(r["vl"])),
+    "negative vertex code": _set("v", 0, lambda r: -1),
+    "edge code outside table": _set("e", 2, lambda r: len(r["el"])),
+    "unhashable label": _set("vl", 0, lambda r: ["C"]),
+    "no edge array": lambda r: r.pop("e"),
+    "edge array not a list": lambda r: r.update(e=3),
+}
+
+
+class TestRecordContext:
+    @given(graphs())
+    @example(Graph([]))
+    @example(Graph(["C", WILDCARD, "N"]))
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_graphs(self, g):
+        _assert_record_context(_through_json(encode_graph(g)))
+
+    def test_every_golden_record(self, tmp_path):
+        db = load_graph_database(
+            Path(__file__).parent / "data" / "golden_chem.jsonl")
+        path = tmp_path / "golden.ctp"
+        DiskCTree.create(bulk_load(db, min_fanout=3), path,
+                         page_size=512).close()
+        with DiskCTree.open(path) as disk:
+            entries = [e for _, node in disk.nodes() if node.is_leaf
+                       for e in node.children]
+            assert sorted(e.graph_id for e in entries) == list(range(len(db)))
+            for entry in entries:
+                _assert_record_context(disk.store.load_record(entry.record))
+
+    @pytest.mark.parametrize("case", _MALFORMED)
+    def test_malformed_record_raises_alike(self, case):
+        raised = []
+        for decode in (decode_graph, decode_graph_context):
+            record = _path_record()
+            _MALFORMED[case](record)
+            with pytest.raises(BAD_RECORD) as info:
+                decode(record)
+            raised.append((info.type, str(info.value)))
+        assert raised[0] == raised[1]
 
 
 # ----------------------------------------------------------------------
