@@ -5,7 +5,7 @@ Reproduces the paper's synthetic-dataset setup (Kuramochi-Karypis
 parameters S=100, I=10, T=50, L=10, scaled down), runs subgraph queries,
 fits the Section 6.3 cost model to the observed traversal statistics, and
 shows the estimated vs actual access ratio — Fig. 9(b) in miniature.
-Finally persists the index and reloads it.
+Finally persists the index as a disk page file and reopens it.
 
 Run with:  python examples/synthetic_workload.py
 """
@@ -13,8 +13,8 @@ Run with:  python examples/synthetic_workload.py
 import tempfile
 from pathlib import Path
 
-from repro import bulk_load, load_tree, save_tree, subgraph_query
-from repro.ctree import QueryStats, fit_from_stats, mean_fanout
+from repro import bulk_load, subgraph_query
+from repro.ctree import DiskCTree, QueryStats, fit_from_stats, mean_fanout
 from repro.datasets import (
     SyntheticConfig,
     generate_subgraph_queries,
@@ -60,12 +60,13 @@ print("\naccess ratio falls with query size (bigger motifs prune harder),"
 # Persistence round trip.
 # ----------------------------------------------------------------------
 with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "synthetic.ctree.json"
-    written = save_tree(tree, path)
-    reloaded = load_tree(path)
-    print(f"\npersisted index: {written} bytes; reloaded |D|={len(reloaded)}")
-    q = generate_subgraph_queries(graphs, 8, 1, seed=99)[0]
-    a1, _ = subgraph_query(tree, q)
-    a2, _ = subgraph_query(reloaded, q)
+    path = Path(tmp) / "synthetic.ctp"
+    DiskCTree.create(tree, path).close()
+    with DiskCTree.open(path) as reloaded:
+        print(f"\npersisted index: {path.stat().st_size} bytes; "
+              f"reloaded |D|={len(reloaded)}")
+        q = generate_subgraph_queries(graphs, 8, 1, seed=99)[0]
+        a1, _ = subgraph_query(tree, q)
+        a2, _ = subgraph_query(reloaded, q)
     assert sorted(a1) == sorted(a2)
     print("reloaded index answers the same queries. done.")

@@ -31,7 +31,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: layer, the batched engine, the Prometheus exporter — plus the
 #: durable-storage/insert surface (PR 8): page file, WAL, buffer pool,
 #: record store, the disk index, the node stores under the one C-tree,
-#: and the insert/split policies.
+#: the insert/split policies, the saved-index kinds, and the size
+#: accounting the benchmarks read.
 DEFAULT_PATHS = (
     "src/repro/server",
     "src/repro/ctree/parallel.py",
@@ -43,6 +44,7 @@ DEFAULT_PATHS = (
     "src/repro/ctree/shards.py",
     "src/repro/ctree/shardcache.py",
     "src/repro/ctree/saved.py",
+    "src/repro/ctree/persistence.py",
 )
 
 

@@ -47,9 +47,7 @@ from repro.ctree import (
     bulk_load,
     index_size_bytes,
     knn_query,
-    load_tree,
     range_query,
-    save_tree,
     subgraph_query,
 )
 from repro.graphgrep import GraphGrepIndex
@@ -86,11 +84,9 @@ __all__ = [
     "graph_similarity",
     "index_size_bytes",
     "knn_query",
-    "load_tree",
     "nbm_mapping",
     "pseudo_subgraph_isomorphic",
     "range_query",
-    "save_tree",
     "sim_upper_bound",
     "subgraph_distance",
     "subgraph_isomorphic",

@@ -3,8 +3,8 @@
 Gives the library's main workflows a shell-level surface:
 
 - ``generate`` — write a chemical-like or synthetic graph database (JSONL);
-- ``build``    — build a C-tree over a database and save it (JSON snapshot
-  or a page-file disk index);
+- ``build``    — build a C-tree over a database and save it as a
+  ``.ctp`` page-file disk index;
 - ``query``    — run a subgraph query (or a JSONL batch of them, with
   ``--batch``/``--workers``) against a saved index; a shard directory
   as the index answers from its S partitions, one process each;
@@ -30,17 +30,17 @@ Gives the library's main workflows a shell-level surface:
 - ``metrics``  — run a subgraph query and show the metrics-registry
   delta it caused (sorted table, or JSON with ``--json``).
 
-Every command that reads an index takes it as ``-t`` — a ``*.json``
-snapshot, a ``*.ctp`` disk index or a shard directory — and opens it
-through :func:`repro.ctree.saved.open_index`; which kind it is matters
-only to the commands that write (``append`` / ``delete`` / ``compact``
-need a ``.ctp``) and to ``range`` (a single tree).  Flags several
-commands share are declared once, as argparse parent parsers, in
+Every command that reads an index takes it as ``-t`` — a ``*.ctp``
+disk index or a shard directory — and opens it through
+:func:`repro.ctree.saved.open_index`; which kind it is matters only to
+the commands that write (``append`` / ``delete`` / ``compact`` need a
+``.ctp``) and to ``range`` (a single tree).  Flags several commands
+share are declared once, as argparse parent parsers, in
 :func:`build_parser`.
 
 Graphs on the command line are JSON, either inline or ``@file``:
 
-    python -m repro query -t tree.json -q '{"labels": ["C", "O"], "edges": [[0, 1]]}'
+    python -m repro query -t tree.ctp -q '{"labels": ["C", "O"], "edges": [[0, 1]]}'
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.exceptions import IndexError_, ReproError
+from repro.exceptions import ConfigError, IndexError_, ReproError
 from repro.graphs.graph import Graph
 from repro.graphs.io import load_graph_database, save_graph_database
 from repro.graphs.labelspace import global_labelspace
@@ -66,7 +66,7 @@ from repro.ctree.diskindex import (
     DiskCTree,
 )
 from repro.ctree.parallel import DEFAULT_CACHE_SIZE, QueryEngine
-from repro.ctree.persistence import index_size_bytes, save_tree
+from repro.ctree.persistence import index_size_bytes
 from repro.ctree.saved import fsck_index, index_kind, open_index
 from repro.ctree.shards import ShardSet
 from repro.ctree.similarity_query import range_query
@@ -224,6 +224,9 @@ def cmd_compact(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    if not args.output.endswith(".ctp"):
+        raise ConfigError(f"{args.output}: build writes a *.ctp disk index "
+                          f"(a shard directory: repro shard --create)")
     graphs = load_graph_database(args.input)
     start = time.perf_counter()
     tree = bulk_load(
@@ -233,19 +236,14 @@ def cmd_build(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     build_seconds = time.perf_counter() - start
-    if args.output.endswith(".ctp"):
-        DiskCTree.create(
-            tree, args.output, page_size=args.page_size,
-            cache_pages=args.cache_pages,
-        ).close()
-        kind = "disk index"
-    else:
-        save_tree(tree, args.output)
-        kind = "JSON snapshot"
+    DiskCTree.create(
+        tree, args.output, page_size=args.page_size,
+        cache_pages=args.cache_pages,
+    ).close()
     print(
         f"built C-tree over {len(tree)} graphs in {build_seconds:.2f}s "
         f"(height={tree.height()}, nodes={tree.node_count()}, "
-        f"{index_size_bytes(tree)} bytes) -> {kind} {args.output}"
+        f"{index_size_bytes(tree)} bytes) -> disk index {args.output}"
     )
     return 0
 
@@ -619,8 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "resident (default %(default)s)")
     index = _flags(cache)
     index.add_argument("-t", "--tree", "--index", dest="tree", required=True,
-                       help="the saved index: *.json snapshot, *.ctp disk "
-                            "index, or shard directory")
+                       help="the saved index: *.ctp disk index or shard "
+                            "directory")
     query_opts = _flags()
     query_opts.add_argument("--level", type=_parse_level, default=1,
                             help="pseudo-iso level (int or 'max')")
@@ -668,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="build a C-tree index")
     p.add_argument("-i", "--input", required=True, help="JSONL database")
     p.add_argument("-o", "--output", required=True,
-                   help="*.json snapshot or *.ctp disk index")
+                   help="*.ctp disk index to write")
 
     p = command(
         "append", cmd_append, index, seed,
@@ -731,8 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # Optional here, unlike everywhere else: -i works without an index.
     p.add_argument("-t", "--tree",
-                   help="the saved index: *.json snapshot, *.ctp disk "
-                        "index, or shard directory")
+                   help="the saved index: *.ctp disk index or shard "
+                        "directory")
     p.add_argument("-q", "--query",
                    help="query graph as JSON, or @file.json")
     p.add_argument("-i", "--input",
@@ -818,8 +816,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("info", cmd_info, help="statistics of a database or index")
     p.add_argument("-i", "--input", required=True,
-                   help="*.jsonl database, or a saved index (*.json "
-                        "snapshot, *.ctp index, shard directory)")
+                   help="*.jsonl database, or a saved index (*.ctp "
+                        "index, shard directory)")
 
     command("recover", cmd_recover, check,
             help="replay a crashed disk index's WAL and validate the result")

@@ -18,13 +18,7 @@ from repro.ctree.diskindex import (
 )
 from repro.ctree.node import CTreeNode, LeafEntry
 from repro.ctree.parallel import BatchReport, QueryEngine
-from repro.ctree.persistence import (
-    index_size_bytes,
-    load_tree,
-    save_tree,
-    tree_from_dict,
-    tree_to_dict,
-)
+from repro.ctree.persistence import index_size_bytes, tree_to_dict
 from repro.ctree.saved import fsck_index, index_kind, open_index
 from repro.ctree.similarity_query import (
     closure_distance_lower_bound,
@@ -64,13 +58,10 @@ __all__ = [
     "knn_query",
     "linear_scan_knn",
     "linear_scan_subgraph_query",
-    "load_tree",
     "mean_fanout",
     "open_index",
     "per_level_averages",
     "range_query",
-    "save_tree",
     "subgraph_query",
-    "tree_from_dict",
     "tree_to_dict",
 ]

@@ -38,7 +38,7 @@ Usage::
         print(stats.page_misses, stats.page_hits)
 
     with DiskCTree.open("index.ctp") as disk:   # later, cold
-        disk.append(more_graphs)
+        disk.extend(more_graphs)
 """
 
 from __future__ import annotations
@@ -394,11 +394,6 @@ class DiskCTree(CTreeCore):
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def append(self, graphs: Iterable[Graph], seed: int = 0) -> list[int]:
-        """Add graphs one logical batch at a time (alias of
-        :meth:`extend`, kept for the historical API)."""
-        return self.extend(graphs, seed=seed)
-
     def extend(self, graphs: Iterable[Graph], seed: int = 0) -> list[int]:
         """Add a batch of graphs incrementally under **one** group
         commit; returns their new graph ids.

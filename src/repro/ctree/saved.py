@@ -1,22 +1,24 @@
 """Saved indexes: which kinds exist, and the one way to open or check one.
 
-An index on disk is one of three kinds, told apart by its path alone:
+An index on disk is one of two kinds, told apart by its path alone:
 
 - ``"sharded"`` — a directory (``manifest.json`` plus per-shard ``.ctp``
   files, written by ``repro shard --create``); opens as a
   :class:`~repro.ctree.shards.ShardSet`;
 - ``"disk"`` — a ``*.ctp`` page file; opens as a
-  :class:`~repro.ctree.diskindex.DiskCTree`;
-- ``"memory"`` — anything else, read as a JSON snapshot; opens as a
-  :class:`~repro.ctree.tree.CTree`.
+  :class:`~repro.ctree.diskindex.DiskCTree`.
+
+Any other path is a :class:`~repro.exceptions.ConfigError`.  An
+in-memory :class:`~repro.ctree.tree.CTree` has no file form of its own:
+``DiskCTree.create`` writes one as a page file.
 
 :func:`open_index` is the only place that decision is made; the CLI and
 the HTTP server take what it returns and never ask which class it is.
 Every kind answers the same small surface instead: ``kind`` (the name
 above), ``describe()`` (JSON-friendly dict), ``summary()`` (one
 line), ``info()`` (the ``repro info`` text), ``health()`` (the
-``/healthz`` probe: ``(healthy, detail)``) and ``close()``; and all
-three go to :class:`~repro.ctree.parallel.QueryEngine` for queries.
+``/healthz`` probe: ``(healthy, detail)``) and ``close()``; and both
+go to :class:`~repro.ctree.parallel.QueryEngine` for queries.
 """
 
 from __future__ import annotations
@@ -25,24 +27,26 @@ import os
 from typing import Union
 
 from repro.ctree.diskindex import DEFAULT_CACHE_PAGES, DiskCTree, FsckReport
-from repro.ctree.persistence import load_tree
 from repro.ctree.shards import ShardSet, ShardSetReport, fsck_shards
-from repro.ctree.tree import CTree
+from repro.exceptions import ConfigError
 from repro.storage.pagefile import PathLike
 
 __all__ = ["SavedIndex", "fsck_index", "index_kind", "open_index"]
 
-#: Anything :func:`open_index` returns (and the server can serve).
-SavedIndex = Union[CTree, DiskCTree, ShardSet]
+#: Anything :func:`open_index` returns.
+SavedIndex = Union[DiskCTree, ShardSet]
 
 
 def index_kind(path: PathLike) -> str:
     """The kind of saved index ``path`` names (see the module docstring);
-    nothing is opened."""
+    nothing is opened.  Any other path is a ``ConfigError``."""
     path = os.fspath(path)
     if os.path.isdir(path):
         return ShardSet.kind
-    return DiskCTree.kind if path.endswith(".ctp") else CTree.kind
+    if path.endswith(".ctp"):
+        return DiskCTree.kind
+    raise ConfigError(f"{path}: not a saved index; expected a *.ctp disk "
+                      f"index or a shard directory")
 
 
 def open_index(path: PathLike, cache_pages: int = DEFAULT_CACHE_PAGES,
@@ -54,15 +58,12 @@ def open_index(path: PathLike, cache_pages: int = DEFAULT_CACHE_PAGES,
     set of decoded nodes.  ``read_only`` opens a page file the way a
     server must (:meth:`DiskCTree.open_read_only
     <repro.ctree.diskindex.DiskCTree.open_read_only>`: no WAL handle,
-    no silent crash recovery); the other kinds are never written
-    through their handle.  A directory without a manifest is a
+    no silent crash recovery); a shard directory is never written
+    through its handle.  A directory without a manifest is a
     :class:`~repro.exceptions.ConfigError`, not an ``IsADirectoryError``.
     """
-    kind = index_kind(path)
-    if kind == ShardSet.kind:
+    if index_kind(path) == ShardSet.kind:
         return ShardSet.open(path)
-    if kind == CTree.kind:
-        return load_tree(path)
     if read_only:
         return DiskCTree.open_read_only(path, cache_pages)
     return DiskCTree.open(path, cache_pages=cache_pages)
@@ -75,6 +76,6 @@ def fsck_index(path: PathLike,
     directory, :meth:`DiskCTree.fsck
     <repro.ctree.diskindex.DiskCTree.fsck>` for a file.  Both reports
     have ``clean`` and ``lines()``."""
-    if index_kind(path) == ShardSet.kind:
+    if os.path.isdir(path):
         return fsck_shards(path, deep=deep)
     return DiskCTree.fsck(path, deep=deep)

@@ -153,7 +153,7 @@ class ShardSet:
         ``placement`` is not a setting: benchmarks/spine/layers.py
         passes ``"hash"``, the name round-robin placement had while
         there was a second one, and nothing else is accepted.  Goes when
-        the spine next changes (ROADMAP item 6).
+        the spine next changes (ROADMAP item 1(c)).
         """
         if placement != "hash":
             raise ConfigError(
@@ -496,7 +496,7 @@ def merge_knn(per_shard: list[list[tuple[int, float]]],
 def __getattr__(name: str):
     # ``ShardedEngine = QueryEngine``: the name benchmarks/spine/layers.py
     # imports, resolved on access because the engine module imports this
-    # one.  Goes when the spine next changes (ROADMAP item 6).
+    # one.  Goes when the spine next changes (ROADMAP item 1(c)).
     if name == "ShardedEngine":
         from repro.ctree.parallel import QueryEngine
 

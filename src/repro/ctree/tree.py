@@ -608,9 +608,10 @@ class CTree(CTreeCore):
         return self.root.count_nodes()
 
     # ------------------------------------------------------------------
-    # The surface every saved-index kind shares (repro.ctree.saved)
+    # The surface every servable index shares (repro.server.ServableIndex)
     # ------------------------------------------------------------------
-    #: what :func:`~repro.ctree.saved.index_kind` calls a JSON snapshot
+    #: the server's name for a tree in this process; it has no saved
+    #: form of its own (:mod:`repro.ctree.saved`)
     kind = "memory"
 
     def describe(self) -> dict:
@@ -620,15 +621,6 @@ class CTree(CTreeCore):
     def summary(self) -> str:
         """One line for the serve banner and ``/healthz``."""
         return f"memory index, |D|={len(self)}"
-
-    def info(self) -> str:
-        """What ``repro info`` prints for a JSON snapshot."""
-        from repro.ctree.persistence import index_size_bytes
-
-        return (f"C-tree snapshot: {self!r}\n"
-                f"index size: {index_size_bytes(self)} bytes "
-                f"({index_size_bytes(self, include_graphs=False)} "
-                f"without graphs)")
 
     def health(self) -> tuple[bool, dict]:
         """The ``/healthz`` probe: a non-empty tree's root has children

@@ -2,8 +2,8 @@
 
 The on-disk database format is JSON Lines: one graph per line, in the format
 produced by :meth:`repro.graphs.graph.Graph.to_dict`.  The format is
-deliberately boring — the index structures have their own persistence in
-:mod:`repro.ctree.persistence`.
+deliberately boring — a C-tree index is saved as a page file of its own
+(:mod:`repro.ctree.saved`).
 """
 
 from __future__ import annotations

@@ -57,13 +57,12 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass
-from typing import IO, ClassVar, Optional
+from typing import IO, ClassVar, Optional, Union
 
-from repro.ctree.diskindex import DEFAULT_CACHE_PAGES
+from repro.ctree.diskindex import DEFAULT_CACHE_PAGES, DiskCTree
 from repro.ctree.parallel import DEFAULT_CACHE_SIZE, QueryEngine
-# Anything the server can put behind a socket: a single tree (memory or
-# disk) or a sharded partition of one database.
-from repro.ctree.saved import SavedIndex as ServableIndex
+from repro.ctree.shards import ShardSet
+from repro.ctree.tree import CTree
 from repro.exceptions import GraphError, ReproError
 from repro.graphs.graph import Graph
 from repro.obs import trace
@@ -83,6 +82,10 @@ from repro.server.protocol import (
 
 __all__ = ["QueryServer", "ServableIndex", "ServerConfig", "ServerThread",
            "SlowQueryLog", "new_request_id", "sanitize_request_id"]
+
+#: Anything the server can put behind a socket: a single tree (in this
+#: process or on disk) or a sharded partition of one database.
+ServableIndex = Union[CTree, DiskCTree, ShardSet]
 
 #: Valid K-NN mapping methods (mirrors the CLI's choices).
 _MAPPING_METHODS = ("nbm", "bipartite", "bipartite_unweighted")
@@ -131,7 +134,7 @@ class ServerConfig:
     #: Buffer-pool pages (and resident decoded nodes) per disk handle.
     cache_pages: int = DEFAULT_CACHE_PAGES
     #: Not a setting: the true wait of an admission timer that is gone.
-    #: Goes with benchmarks/spine/workloads.py's read (ROADMAP item 6).
+    #: Goes with benchmarks/spine/workloads.py's read (ROADMAP item 1(c)).
     batch_window: ClassVar[float] = 0.0
     #: Hard cap on queries coalesced into one engine batch.
     max_batch: int = 64

@@ -83,11 +83,6 @@ class WALRecord:
     payload: bytes
     offset: int
 
-    @property
-    def kind_name(self) -> str:
-        """Symbolic name of the record kind, for diagnostics."""
-        return _KIND_NAMES.get(self.kind, f"kind{self.kind}")
-
 
 def _record_crc(kind: int, lsn: int, page_id: int, payload: bytes) -> int:
     head = struct.pack("<BQQI", kind, lsn, page_id, len(payload))

@@ -9,21 +9,20 @@ import pytest
 from repro.cli import main
 from repro.graphs.io import load_graph_database
 
+_DATA = Path(__file__).parent / "data"
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """A generated database and both index formats, via the CLI itself."""
+    """A generated database and its disk index, via the CLI itself."""
     root = tmp_path_factory.mktemp("cli")
     db = root / "db.jsonl"
-    tree = root / "tree.json"
     disk = root / "tree.ctp"
     assert main(["generate", "chemical", "-n", "25", "-o", str(db),
                  "--seed", "3"]) == 0
-    assert main(["build", "-i", str(db), "-o", str(tree),
-                 "--min-fanout", "3"]) == 0
     assert main(["build", "-i", str(db), "-o", str(disk),
                  "--min-fanout", "3"]) == 0
-    return root, db, tree, disk
+    return root, db, disk
 
 
 class TestGenerate:
@@ -51,26 +50,21 @@ class TestGenerate:
 
 class TestBuildAndInfo:
     def test_build_reports(self, workspace, capsys):
-        root, db, _, _ = workspace
-        out = root / "rebuild.json"
+        root, db, _ = workspace
+        out = root / "rebuild.ctp"
         assert main(["build", "-i", str(db), "-o", str(out),
                      "--min-fanout", "3"]) == 0
         assert "built C-tree over 25 graphs" in capsys.readouterr().out
 
     def test_info_database(self, workspace, capsys):
-        _, db, _, _ = workspace
+        _, db, _ = workspace
         assert main(["info", "-i", str(db)]) == 0
         out = capsys.readouterr().out
         assert "25 graphs" in out
         assert "distinct vertex labels" in out
 
-    def test_info_snapshot(self, workspace, capsys):
-        _, _, tree, _ = workspace
-        assert main(["info", "-i", str(tree)]) == 0
-        assert "C-tree snapshot" in capsys.readouterr().out
-
     def test_info_disk_index(self, workspace, capsys):
-        _, _, _, disk = workspace
+        _, _, disk = workspace
         assert main(["info", "-i", str(disk)]) == 0
         assert "disk C-tree index" in capsys.readouterr().out
 
@@ -79,89 +73,75 @@ class TestBuildAndInfo:
         assert "error" in capsys.readouterr().err
 
 
+class TestSnapshotIsNotASavedIndex:
+    """A ``*.json`` tree snapshot is no longer a saved form: each command
+    refuses it with one line naming the two forms that are (``open_index``
+    itself: ``test_persistence.py::TestErrors``)."""
+
+    QUERY = json.dumps({"labels": ["C", "C"], "edges": [[0, 1]]})
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "-i", str(_DATA / "golden_chem.jsonl"), "-o"],
+        ["query", "-q", QUERY, "-t"],
+        ["info", "-i"],
+    ], ids=["build", "query", "info"])
+    def test_cli(self, argv, tmp_path, capsys):
+        snapshot = tmp_path / "x.json"
+        if argv[0] != "build":
+            snapshot.write_text("{}")
+        assert main([*argv, str(snapshot)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert ".ctp" in captured.err and "shard directory" in captured.err
+        assert argv[0] != "build" or not snapshot.exists()
+
+
 class TestQuery:
     QUERY = json.dumps({"labels": ["C", "C"], "edges": [[0, 1]]})
 
-    def test_query_snapshot(self, workspace, capsys):
-        _, _, tree, _ = workspace
-        assert main(["query", "-t", str(tree), "-q", self.QUERY]) == 0
+    def test_query_disk(self, workspace, capsys):
+        _, _, disk = workspace
+        assert main(["query", "-t", str(disk), "-q", self.QUERY,
+                     "--level", "max"]) == 0
         out = capsys.readouterr().out
         assert "answers:" in out
         assert "|CS|=" in out
 
-    def test_query_disk(self, workspace, capsys):
-        _, _, _, disk = workspace
-        assert main(["query", "-t", str(disk), "-q", self.QUERY,
-                     "--level", "max"]) == 0
-        assert "answers:" in capsys.readouterr().out
-
-    def test_query_snapshot_and_disk_agree(self, workspace, capsys):
-        _, _, tree, disk = workspace
-        main(["query", "-t", str(tree), "-q", self.QUERY])
-        out1 = capsys.readouterr().out.splitlines()[0]
-        main(["query", "-t", str(disk), "-q", self.QUERY])
-        out2 = capsys.readouterr().out.splitlines()[0]
-        assert out1 == out2
-
     def test_query_from_file(self, workspace, tmp_path, capsys):
-        _, _, tree, _ = workspace
+        _, _, disk = workspace
         qfile = tmp_path / "q.json"
         qfile.write_text(self.QUERY)
-        assert main(["query", "-t", str(tree), "-q", f"@{qfile}"]) == 0
+        assert main(["query", "-t", str(disk), "-q", f"@{qfile}"]) == 0
         assert "answers:" in capsys.readouterr().out
 
     def test_no_verify(self, workspace, capsys):
-        _, _, tree, _ = workspace
-        assert main(["query", "-t", str(tree), "-q", self.QUERY,
+        _, _, disk = workspace
+        assert main(["query", "-t", str(disk), "-q", self.QUERY,
                      "--no-verify"]) == 0
         assert "candidates:" in capsys.readouterr().out
 
     def test_malformed_query(self, workspace):
-        _, _, tree, _ = workspace
+        _, _, disk = workspace
         with pytest.raises(SystemExit):
-            main(["query", "-t", str(tree), "-q", "{broken"])
+            main(["query", "-t", str(disk), "-q", "{broken"])
 
 
 class TestSimilarityCommands:
     QUERY = json.dumps({"labels": ["C", "O"], "edges": [[0, 1]]})
 
     def test_knn(self, workspace, capsys):
-        _, _, tree, _ = workspace
-        assert main(["knn", "-t", str(tree), "-q", self.QUERY, "-k", "3"]) == 0
+        _, _, disk = workspace
+        assert main(["knn", "-t", str(disk), "-q", self.QUERY, "-k", "3"]) == 0
         out = capsys.readouterr().out
         assert out.count("sim=") == 3
         assert "accessed" in out
 
-    def test_knn_on_disk_index(self, workspace, capsys):
-        _, _, tree, disk = workspace
-        main(["knn", "-t", str(tree), "-q", self.QUERY, "-k", "3"])
-        snapshot_out = capsys.readouterr().out
-        assert main(["knn", "-t", str(disk), "-q", self.QUERY, "-k", "3"]) == 0
-        disk_out = capsys.readouterr().out
-        assert disk_out.count("sim=") == 3
-        # Same top similarities from both index formats.
-        sims = lambda text: [line.split("sim=")[1] for line in
-                             text.splitlines() if "sim=" in line]
-        assert sims(disk_out) == sims(snapshot_out)
-
     def test_range(self, workspace, capsys):
-        _, _, tree, _ = workspace
-        assert main(["range", "-t", str(tree), "-q", self.QUERY,
-                     "-r", "100"]) == 0
-        assert "within distance" in capsys.readouterr().out
-
-    def test_range_on_disk_index(self, workspace, capsys):
-        """``repro range`` opens its index like ``repro knn`` does: a
-        ``.ctp`` disk index reports the snapshot's graphs."""
-        _, _, tree, disk = workspace
-        main(["range", "-t", str(tree), "-q", self.QUERY, "-r", "100"])
-        snapshot_out = capsys.readouterr().out
+        _, _, disk = workspace
         assert main(["range", "-t", str(disk), "-q", self.QUERY,
                      "-r", "100"]) == 0
-        disk_out = capsys.readouterr().out
-        ids = lambda text: sorted(line.split()[0] for line in
-                                  text.splitlines() if line.startswith("#"))
-        assert ids(disk_out) == ids(snapshot_out) != []
+        assert "within distance" in capsys.readouterr().out
 
     def test_append_has_no_rebuild_mode(self, workspace):
         with pytest.raises(SystemExit):
@@ -210,12 +190,12 @@ class TestDeleteCompactCommands:
         assert main(["fsck", "-i", str(mutable_index), "--deep"]) == 0
         assert "clean" in capsys.readouterr().out
 
-    def test_compact_snapshot_rejected(self, workspace):
-        _, _, tree, _ = workspace
-        with pytest.raises(SystemExit):
-            main(["compact", "-t", str(tree)])
-        with pytest.raises(SystemExit):
-            main(["delete", "-t", str(tree), "--ids", "1"])
+    def test_compact_snapshot_rejected(self, tmp_path, capsys):
+        snapshot = tmp_path / "tree.json"
+        snapshot.write_text("{}")
+        assert main(["compact", "-t", str(snapshot)]) == 1
+        assert main(["delete", "-t", str(snapshot), "--ids", "1"]) == 1
+        assert capsys.readouterr().err.count("not a saved index") == 2
 
 
 class TestRecoverFsckCommands:
@@ -247,32 +227,32 @@ class TestRecoverFsckCommands:
         import shutil
         shutil.copy(path, probe)
         d = DiskCTree.open(probe, cache_pages=6, opener=counter.opener)
-        d.append(extra)
+        d.extend(extra)
         d.close()
         crash_at = max(2, counter.ops // 2)
 
         injector = FaultInjector(FaultPlan(crash_at_op=crash_at, seed=1))
         d = DiskCTree.open(path, cache_pages=6, opener=injector.opener)
         try:
-            d.append(extra)
+            d.extend(extra)
             d.close()
         except SimulatedCrash:
             pass
         return path
 
     def test_fsck_clean_index(self, workspace, capsys):
-        _, _, _, disk = workspace
+        _, _, disk = workspace
         assert main(["fsck", "-i", str(disk)]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_fsck_deep_clean_index(self, workspace, capsys):
-        _, _, _, disk = workspace
+        _, _, disk = workspace
         assert main(["fsck", "-i", str(disk), "--deep"]) == 0
         out = capsys.readouterr().out
         assert "clean" in out and "deep closure checks on" in out
 
     def test_recover_clean_index_is_noop(self, workspace, capsys):
-        _, _, _, disk = workspace
+        _, _, disk = workspace
         assert main(["recover", "-i", str(disk)]) == 0
         assert "clean" in capsys.readouterr().out
 
@@ -307,7 +287,7 @@ class TestObservabilityCommands:
     def test_trace_disk_query_writes_jsonl(self, workspace, tmp_path, capsys):
         from repro.obs import trace
 
-        _, _, _, disk = workspace
+        _, _, disk = workspace
         out = tmp_path / "trace.jsonl"
         assert main(["trace", "-t", str(disk), "-q", self.QUERY,
                      "-o", str(out)]) == 0
@@ -326,7 +306,7 @@ class TestObservabilityCommands:
     ):
         from repro.obs import trace
 
-        _, _, _, disk = workspace
+        _, _, disk = workspace
         out = tmp_path / "trace.jsonl"
         assert main(["trace", "-t", str(disk), "-q", self.QUERY,
                      "-o", str(out), "--summary"]) == 0
@@ -341,9 +321,9 @@ class TestObservabilityCommands:
         assert totals["ctree.search"] == pytest.approx(search_s, abs=5e-4)
 
     def test_trace_summarize_existing_file(self, workspace, tmp_path, capsys):
-        _, _, tree, _ = workspace
+        _, _, disk = workspace
         out = tmp_path / "t.jsonl"
-        main(["trace", "-t", str(tree), "-q", self.QUERY, "-o", str(out)])
+        main(["trace", "-t", str(disk), "-q", self.QUERY, "-o", str(out)])
         capsys.readouterr()
         assert main(["trace", "-i", str(out)]) == 0
         assert "spans by phase" in capsys.readouterr().out
@@ -353,8 +333,8 @@ class TestObservabilityCommands:
             main(["trace"])
 
     def test_metrics_delta_json(self, workspace, capsys):
-        _, _, tree, _ = workspace
-        assert main(["metrics", "-t", str(tree), "-q", self.QUERY,
+        _, _, disk = workspace
+        assert main(["metrics", "-t", str(disk), "-q", self.QUERY,
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ctree.query.count"]["value"] == 1
@@ -367,7 +347,7 @@ class TestObservabilityCommands:
                 "labelspace.vertex_keys"} <= set(payload)
 
     def test_metrics_to_file(self, workspace, tmp_path, capsys):
-        _, _, _, disk = workspace
+        _, _, disk = workspace
         out = tmp_path / "metrics.json"
         assert main(["metrics", "-t", str(disk), "-q", self.QUERY,
                      "-o", str(out)]) == 0
@@ -376,10 +356,10 @@ class TestObservabilityCommands:
         assert "pagefile.reads" in payload
 
     def test_metrics_cumulative(self, workspace, capsys):
-        _, _, tree, _ = workspace
-        main(["metrics", "-t", str(tree), "-q", self.QUERY])
+        _, _, disk = workspace
+        main(["metrics", "-t", str(disk), "-q", self.QUERY])
         capsys.readouterr()
-        assert main(["metrics", "-t", str(tree), "-q", self.QUERY,
+        assert main(["metrics", "-t", str(disk), "-q", self.QUERY,
                      "--cumulative", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         # cumulative counts cover both runs (and any earlier in-process ones)
@@ -389,8 +369,6 @@ class TestObservabilityCommands:
 # ----------------------------------------------------------------------
 # One way in: every index kind behind -t, shared flags declared once
 # ----------------------------------------------------------------------
-_DATA = Path(__file__).parent / "data"
-
 
 def _first_line(capsys) -> str:
     return capsys.readouterr().out.splitlines()[0]
@@ -448,17 +426,13 @@ class TestShardedCli:
                          if "sim=" in line])
         assert sims[0] == sims[1] and len(sims[0]) == 4
 
-    def test_knn_prints_the_same_names(self, golden, tmp_path, capsys):
-        """A shard directory knows its graphs' names like the other two
-        kinds of saved index do."""
+    def test_knn_prints_the_same_names(self, golden, capsys):
+        """A shard directory knows its graphs' names like a ``.ctp``
+        index does."""
         single, shards, _, cases = golden
-        snapshot = tmp_path / "single.json"
-        assert main(["build", "-i", str(_DATA / "golden_chem.jsonl"),
-                     "-o", str(snapshot), "--min-fanout", "3"]) == 0
-        capsys.readouterr()
         query = json.dumps(cases[0]["query"])
         named = []
-        for index in (snapshot, single, shards):
+        for index in (single, shards):
             assert main(["knn", "-t", str(index), "-q", query,
                          "-k", "24"]) == 0
             named.append(sorted(
@@ -466,7 +440,7 @@ class TestShardedCli:
                 capsys.readouterr().out.splitlines() if "sim=" in line))
         # All 24 graphs: tie order differs by kind, the (id, name) pairs
         # cannot.
-        assert named[0] == named[1] == named[2]
+        assert named[0] == named[1]
         assert named[0][0] == "#0 compound-0" and len(named[0]) == 24
 
     def test_explain_info_fsck(self, golden, capsys):
@@ -554,7 +528,7 @@ class TestNamesLoadOnlyAnswers:
     def test_knn_and_range(self, workspace, graph_loads, capsys):
         from repro.ctree import DiskCTree, knn_query, range_query
 
-        _, db, _, disk = workspace
+        _, db, disk = workspace
         graphs = load_graph_database(db)
         probe = json.dumps(graphs[0].to_dict())
         with DiskCTree.open(disk) as index:

@@ -58,7 +58,7 @@ def _build(path, opener=None, upto=5):
     if upto >= 2:
         disk.extend(_EXTRA[:5])
     if upto >= 3:
-        disk.append([_EXTRA[5]])
+        disk.extend([_EXTRA[5]])
     if upto >= 4:
         disk.delete_many(_VICTIMS, auto_compact=False)
     if upto >= 5:

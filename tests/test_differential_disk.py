@@ -97,7 +97,7 @@ class TestAppendDifferential:
         disk = DiskCTree.create(bulk_load(a, min_fanout=3),
                                 tmp_path / "appended.ctp",
                                 page_size=512, cache_pages=16)
-        new_ids = disk.append(b)
+        new_ids = disk.extend(b)
         assert new_ids == list(range(len(a), len(a) + len(b)))
 
         rebuilt = bulk_load(a + b, min_fanout=3)
@@ -117,7 +117,7 @@ class TestAppendDifferential:
         a = generate_chemical_database(8, seed=5, config=_CONFIG)
         path = tmp_path / "noop.ctp"
         with DiskCTree.create(bulk_load(a, min_fanout=3), path) as disk:
-            assert disk.append([]) == []
+            assert disk.extend([]) == []
             assert disk.generation == 1
 
     def test_append_reuses_freed_pages(self, tmp_path):
@@ -130,7 +130,7 @@ class TestAppendDifferential:
                                 page_size=512, cache_pages=16)
         try:
             pages_before = disk.pool.pagefile.page_count
-            disk.append(b)
+            disk.extend(b)
             pages_after = disk.pool.pagefile.page_count
             # Strictly less than storing a full second copy side by side.
             assert pages_after < 2 * pages_before
@@ -166,7 +166,7 @@ class TestChurnDifferential:
                 for gid in victims:
                     del survivors[gid]
                 batch, pending = pending[:3], pending[3:]
-                for gid, graph in zip(disk.append(batch), batch):
+                for gid, graph in zip(disk.extend(batch), batch):
                     survivors[gid] = graph
 
             assert dict(disk.iter_graphs()) == survivors

@@ -742,7 +742,7 @@ class TestExtendIncremental:
 
             commits = self._counter("ctree.disk.group_commits")
             for g in golden_db[9:12]:
-                disk.append([g])
+                disk.extend([g])
             assert self._counter("ctree.disk.group_commits") - commits == 3
             assert len(disk) == 12
             stored = dict(disk.iter_graphs())

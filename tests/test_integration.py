@@ -14,11 +14,10 @@ from repro import (
     generate_chemical_database,
     generate_subgraph_queries,
     knn_query,
-    load_tree,
     range_query,
-    save_tree,
     subgraph_query,
 )
+from repro.ctree.diskindex import DiskCTree
 from repro.ctree.subgraph_query import linear_scan_subgraph_query
 from repro.datasets import SyntheticConfig, generate_synthetic_database
 from repro.datasets.chemical import ChemicalConfig
@@ -82,12 +81,12 @@ class TestDynamicWorkflow:
     def test_persist_reload_requery(self, world, tmp_path):
         db, tree, _ = world
         q = generate_subgraph_queries(db, 8, 1, seed=2)[0]
-        save_tree(tree, tmp_path / "t.json")
-        reloaded = load_tree(tmp_path / "t.json")
-        a1, _ = subgraph_query(tree, q)
-        a2, _ = subgraph_query(reloaded, q)
-        assert sorted(a1) == sorted(a2)
-        res1, _ = knn_query(reloaded, db[0], 3)
+        DiskCTree.create(tree, tmp_path / "t.ctp").close()
+        with DiskCTree.open(tmp_path / "t.ctp") as reloaded:
+            a1, _ = subgraph_query(tree, q)
+            a2, _ = subgraph_query(reloaded, q)
+            assert sorted(a1) == sorted(a2)
+            res1, _ = knn_query(reloaded, db[0], 3)
         assert len(res1) == 3
 
 

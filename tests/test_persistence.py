@@ -1,23 +1,24 @@
-"""Unit tests for C-tree persistence."""
+"""C-tree persistence: the one saved form (a ``.ctp`` page file) round
+trips, and the size accounting of Fig. 6(a) stays pinned."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.exceptions import PersistenceError
+from repro.exceptions import ConfigError
 from repro.ctree.bulkload import bulk_load
-from repro.ctree.persistence import (
-    index_size_bytes,
-    load_tree,
-    save_tree,
-    tree_from_dict,
-    tree_to_dict,
-)
-from repro.ctree.subgraph_query import linear_scan_subgraph_query, subgraph_query
+from repro.ctree.diskindex import DiskCTree
+from repro.ctree.persistence import index_size_bytes, tree_to_dict
+from repro.ctree.saved import open_index
+from repro.ctree.subgraph_query import subgraph_query
 from repro.ctree.tree import CTree
 from repro.datasets.queries import generate_subgraph_queries
+from repro.graphs.io import load_graph_database
 
 from conftest import random_labeled_graph, triangle
+
+_DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -29,64 +30,62 @@ def loaded_tree(tmp_path_factory):
     return bulk_load(graphs, min_fanout=2, max_fanout=4), graphs
 
 
+def _reopened(tree, path) -> DiskCTree:
+    DiskCTree.create(tree, path).close()
+    return DiskCTree.open(path)
+
+
 class TestRoundtrip:
     def test_dict_roundtrip_preserves_structure(self, loaded_tree):
+        """The document ``index_size_bytes`` measures holds every graph
+        and every node, and survives JSON unchanged."""
         tree, _ = loaded_tree
-        restored = tree_from_dict(tree_to_dict(tree))
-        assert len(restored) == len(tree)
-        assert restored.height() == tree.height()
-        assert restored.node_count() == tree.node_count()
-        assert restored.root.closure == tree.root.closure
-        restored.validate()
+        data = tree_to_dict(tree)
+        assert json.loads(json.dumps(data)) == data
+        assert len(data["graphs"]) == len(tree)
+
+        def count(node):
+            return 1 + sum(count(c) for c in node.get("children", []))
+
+        assert count(data["root"]) == tree.node_count()
 
     def test_file_roundtrip_preserves_answers(self, loaded_tree, tmp_path):
         tree, graphs = loaded_tree
-        path = tmp_path / "tree.json"
-        written = save_tree(tree, path)
-        assert written == path.stat().st_size
-        restored = load_tree(path)
-        queries = generate_subgraph_queries(graphs, 3, 3, seed=1)
-        for q in queries:
-            original, _ = subgraph_query(tree, q)
-            roundtripped, _ = subgraph_query(restored, q)
-            assert sorted(original) == sorted(roundtripped)
+        with _reopened(tree, tmp_path / "tree.ctp") as restored:
+            assert len(restored) == len(tree)
+            assert restored.height == tree.height()
+            restored.validate()
+            for q in generate_subgraph_queries(graphs, 3, 3, seed=1):
+                original, _ = subgraph_query(tree, q)
+                roundtripped, _ = subgraph_query(restored, q)
+                assert sorted(original) == sorted(roundtripped)
 
-    def test_config_preserved(self, loaded_tree):
+    def test_config_preserved(self, loaded_tree, tmp_path):
         tree, _ = loaded_tree
-        restored = tree_from_dict(tree_to_dict(tree))
-        assert restored.min_fanout == tree.min_fanout
-        assert restored.max_fanout == tree.max_fanout
-        assert restored.mapping_method == tree.mapping_method
+        with _reopened(tree, tmp_path / "tree.ctp") as restored:
+            assert restored.config() == tree.config()
 
     def test_empty_tree(self, tmp_path):
-        tree = CTree(min_fanout=2)
-        path = tmp_path / "empty.json"
-        save_tree(tree, path)
-        restored = load_tree(path)
-        assert len(restored) == 0
+        with _reopened(CTree(min_fanout=2), tmp_path / "empty.ctp") as restored:
+            assert len(restored) == 0
 
-    def test_mutable_after_load(self, loaded_tree):
+    def test_mutable_after_load(self, loaded_tree, tmp_path):
         tree, _ = loaded_tree
-        restored = tree_from_dict(tree_to_dict(tree))
-        new_id = restored.insert(triangle())
-        assert new_id == len(tree)
-        restored.validate()
+        with _reopened(tree, tmp_path / "tree.ctp") as restored:
+            assert restored.extend([triangle()]) == [len(tree)]
+            restored.validate()
 
 
 class TestErrors:
     def test_bad_json_file(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{nope")
-        with pytest.raises(PersistenceError):
-            load_tree(path)
-
-    def test_wrong_format_version(self):
-        with pytest.raises(PersistenceError):
-            tree_from_dict({"format": 999})
-
-    def test_missing_fields(self):
-        with pytest.raises(PersistenceError):
-            tree_from_dict({"format": 1})
+        """A JSON tree snapshot is not a saved index: the error names
+        the two forms that are."""
+        path = tmp_path / "tree.json"
+        path.write_text("{}")
+        with pytest.raises(ConfigError, match=r"\*\.ctp .* shard directory") \
+                as exc:
+            open_index(path)
+        assert "\n" not in str(exc.value)
 
 
 class TestSizeAccounting:
@@ -108,8 +107,16 @@ class TestSizeAccounting:
         )
         assert index_size_bytes(big) > index_size_bytes(small)
 
-    def test_serialized_is_valid_json(self, loaded_tree, tmp_path):
+    def test_serialized_is_valid_json(self, loaded_tree):
         tree, _ = loaded_tree
-        path = tmp_path / "t.json"
-        save_tree(tree, path)
-        json.loads(path.read_text())
+        text = json.dumps(tree_to_dict(tree), separators=(",", ":"))
+        assert json.loads(text)["format"] == 1
+        assert len(text.encode("utf-8")) == index_size_bytes(tree)
+
+    def test_golden_tree_size_pinned(self):
+        """Fig. 6(a)'s quantity on the golden tree, to the byte: the
+        benchmarks' ``index_bytes_per_graph`` for an in-memory tree."""
+        tree = bulk_load(load_graph_database(_DATA / "golden_chem.jsonl"),
+                         min_fanout=3)
+        assert index_size_bytes(tree) == 16119
+        assert index_size_bytes(tree, include_graphs=False) == 12014
