@@ -20,7 +20,7 @@ still hold there, but magnitudes are not meaningful.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -81,103 +81,6 @@ KNN = KnnExperimentConfig(
 )
 
 
-@dataclass(frozen=True)
-class ServerBenchConfig:
-    """Workload of the HTTP serving benchmark (bench_server.py)."""
-
-    database_size: int = 150
-    unique_queries: int = 20
-    requests: int = 150
-    query_size: int = 8
-    min_fanout: int = 10
-    clients: int = 8
-    max_batch: int = 64
-    cache_size: int = 256
-    seed: int = 7
-
-
-#: HTTP serving workload (bench_server.py -> BENCH_server.json).
-SERVER = ServerBenchConfig()
-SERVER_BENCH_JSON = REPO_ROOT / "BENCH_server.json"
-SERVER_BENCH_SCHEMA = "server-bench-v1"
-
-
-@dataclass(frozen=True)
-class ChurnBenchConfig:
-    """Workload of the insert/delete churn benchmark (bench_churn.py).
-
-    One disk index holds a steady ``|D| = database_size`` while
-    ``rounds`` rounds each delete ``churn_batch`` graphs and append
-    ``churn_batch`` fresh ones, every batch under one group commit.
-    The gates require the churned index to answer queries within
-    ``max_query_ratio`` of a fresh bulk load over the same surviving
-    set (min-of-``query_repeats`` sweeps damps timing noise; the
-    ``--quick`` floor is relaxed because smoke-scale timings are
-    noise-dominated), and require a forced degradation phase to show
-    the occupancy trigger (tightened to ``degrade_min_occupancy``)
-    firing an *automatic* compaction that restores occupancy.
-    """
-
-    database_size: int = 400
-    rounds: int = 6
-    churn_batch: int = 40
-    queries: int = 6
-    query_repeats: int = 3
-    min_fanout: int = 4
-    page_size: int = 2048
-    cache_pages: int = 256
-    #: the degradation phase raises the handle's occupancy trigger to
-    #: this value so hollowed leaves (floor ~ m/M) look degraded
-    degrade_min_occupancy: float = 0.65
-    max_query_ratio: float = 1.2
-    max_query_ratio_quick: float = 3.0
-    seed: int = 7
-
-
-#: Insert/delete churn workload (bench_churn.py -> BENCH_churn.json).
-CHURN = ChurnBenchConfig()
-CHURN_BENCH_JSON = REPO_ROOT / "BENCH_churn.json"
-CHURN_BENCH_SCHEMA = "churn-bench-v1"
-
-
-@dataclass(frozen=True)
-class ShardsBenchConfig:
-    """Workload of the sharded scatter-gather benchmark (bench_shards.py).
-
-    The full-scale run partitions ``database_size`` = 10,000 graphs —
-    the paper's |D| — which pure Python only affords with *small*
-    molecules (``mean_vertices`` ~ 6 instead of the dataset's 25; the
-    figure-reproduction benchmarks keep the paper's graph sizes at a
-    smaller |D| instead).  Placement quality, candidate balance and
-    merge correctness depend on the partition, not the vertex count,
-    so the gates are meaningful at this shape.  ``--quick`` shrinks
-    |D| to CI smoke scale; the identity gate is scale-free, while the
-    balance gate relaxes to ``max_skew_quick`` (tens of candidates per
-    shard are noise-dominated).
-    """
-
-    database_size: int = 10_000
-    subgraph_queries: int = 12
-    knn_queries: int = 4
-    query_size: int = 5
-    knn_k: int = 5
-    #: shard counts swept by the bit-identity gate
-    shard_counts: tuple[int, ...] = (1, 2, 4)
-    #: shard count the balance gate is read at
-    balance_shards: int = 4
-    min_fanout: int = 10
-    mean_vertices: float = 6.0
-    #: balance gate: max per-shard candidate work / (total / S)
-    max_skew: float = 1.5
-    max_skew_quick: float = 2.5
-    seed: int = 7
-
-
-#: Sharded scatter-gather workload (bench_shards.py -> BENCH_shards.json).
-SHARDS = ShardsBenchConfig()
-SHARDS_BENCH_JSON = REPO_ROOT / "BENCH_shards.json"
-SHARDS_BENCH_SCHEMA = "shards-bench-v3"
-
 _QUICK = False
 #: figure name -> JSON-able series dict, flushed to BENCH_ctree.json
 _FIGURES: dict[str, dict] = {}
@@ -194,7 +97,6 @@ def pytest_addoption(parser):
 
 def pytest_configure(config):
     global _QUICK, CHEM_SWEEP, SYNTH_SWEEP, INDEX_SIZE, MAPPING_QUALITY, KNN
-    global SERVER, CHURN, SHARDS
     if not config.getoption("--quick", default=False):
         return
     _QUICK = True
@@ -214,16 +116,6 @@ def pytest_configure(config):
         MAPPING_QUALITY, group_size=10, database_size=60
     )
     KNN = replace(KNN, database_size=60, ks=(1, 2, 5, 10), queries=3)
-    SERVER = replace(
-        SERVER, database_size=60, unique_queries=6, requests=30,
-        clients=4,
-    )
-    CHURN = replace(
-        CHURN, database_size=60, rounds=3, churn_batch=10, queries=3,
-    )
-    SHARDS = replace(
-        SHARDS, database_size=200, subgraph_queries=6, knn_queries=2,
-    )
 
 
 def record_table(name: str, text: str, data: dict | None = None) -> None:
@@ -326,81 +218,11 @@ def validate_figures_payload(payload: dict) -> str:
     return f"BENCH_ctree.json OK: {sorted(figures)}"
 
 
-def validate_server_payload(payload: dict) -> str:
-    """Gate BENCH_server.json: identical answers, every request either
-    admitted or answered from the cache before admission, batching under
-    backlog (measured with the cache off), tracing overhead under its
-    cap."""
-    _require(payload["gate"]["identical_answers"] is True,
-             "HTTP answers diverged from the serial loop")
-    _require(payload["gate"]["coalesced"] is True, "no coalescing")
-    coalescing = payload["coalescing"]
-    _require(coalescing["admitted"] + coalescing["bypassed"]
-             == coalescing["requests"],
-             "admitted + bypassed != requests")
-    backlog = payload["backlog"]
-    _require(backlog["admitted"] == backlog["requests"],
-             "cache-off run did not admit every request")
-    _require(backlog["batches"] < backlog["requests"],
-             "batches not fewer than requests")
-    overhead = payload["tracing_overhead"]
-    _require(payload["gate"]["tracing_overhead_under_cap"] is True,
-             "tracing overhead gate not set")
-    _require(overhead["fraction_of_latency"] < overhead["cap"],
-             "tracing overhead above cap")
-    return (f"BENCH_server.json OK: {coalescing['requests']} requests, "
-            f"{coalescing['bypassed']} answered before admission, "
-            f"{coalescing['admitted']} in {coalescing['batches']} batches; "
-            f"cache off: {backlog['batches']} batches "
-            f"(mean size {backlog['mean_batch_size']:.1f}), "
-            f"disabled tracing at "
-            f"{overhead['fraction_of_latency']:.4%} of mean latency")
-
-
-def validate_churn_payload(payload: dict) -> str:
-    """Gate BENCH_churn.json: compaction fired and restored occupancy,
-    final fsck clean."""
-    _require(bool(payload["rounds_detail"]), "no churn rounds recorded")
-    gate = payload["gate"]
-    _require(gate["deletes"] > 0 and gate["group_commits"] > 0,
-             "no deletes or no group commits recorded")
-    _require(gate["compactions"] >= 1, "no compaction fired")
-    _require(gate["fsck_clean"] is True, "final fsck not clean")
-    compaction = payload["compaction"]
-    _require(compaction["restored_occupancy"] >
-             compaction["degraded_occupancy"],
-             "compaction failed to restore occupancy")
-    return (f"BENCH_churn.json OK: {len(payload['rounds_detail'])} "
-            f"rounds, {gate['deletes']} deletes, "
-            f"query ratio {gate['query_ratio']:.2f}, occupancy "
-            f"{compaction['degraded_occupancy']:.2f} -> "
-            f"{compaction['restored_occupancy']:.2f}")
-
-
-def validate_shards_payload(payload: dict) -> str:
-    """Gate BENCH_shards.json: bit-identical answers at every shard
-    count and balanced per-shard candidate work."""
-    _require(bool(payload["runs"]), "no sharded runs recorded")
-    _require(all(run["identical"] for run in payload["runs"]),
-             "sharded answers diverged from the single-tree serial loop")
-    gate = payload["gate"]
-    _require(gate["identical_all"] is True, "identical_all gate not set")
-    _require(gate["balance_skew"] <= gate["max_skew"],
-             f"per-shard candidate work skew "
-             f"{gate['balance_skew']:.3f}x exceeds {gate['max_skew']}x")
-    return (f"BENCH_shards.json OK: S={[r['shards'] for r in payload['runs']]} "
-            f"identical, work skew {gate['balance_skew']:.3f}x "
-            f"(cap {gate['max_skew']}x)")
-
-
 #: BENCH file name -> (expected schema, gate validator).  One table
 #: drives both local full-scale validation and CI's bench-smoke step —
 #: the single source of truth for what each telemetry file must prove.
 BENCH_VALIDATORS = {
     BENCH_JSON.name: (BENCH_SCHEMA, validate_figures_payload),
-    SERVER_BENCH_JSON.name: (SERVER_BENCH_SCHEMA, validate_server_payload),
-    CHURN_BENCH_JSON.name: (CHURN_BENCH_SCHEMA, validate_churn_payload),
-    SHARDS_BENCH_JSON.name: (SHARDS_BENCH_SCHEMA, validate_shards_payload),
 }
 
 

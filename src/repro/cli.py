@@ -59,12 +59,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.io import load_graph_database, save_graph_database
 from repro.graphs.labelspace import global_labelspace
 from repro.ctree.bulkload import bulk_load
-from repro.ctree.diskindex import (
-    DEFAULT_CACHE_PAGES,
-    DEFAULT_HEIGHT_SLACK,
-    DEFAULT_MIN_OCCUPANCY,
-    DiskCTree,
-)
+from repro.ctree.diskindex import DEFAULT_CACHE_PAGES, DiskCTree
 from repro.ctree.parallel import DEFAULT_CACHE_SIZE, QueryEngine
 from repro.ctree.persistence import index_size_bytes
 from repro.ctree.saved import fsck_index, index_kind, open_index
@@ -206,12 +201,7 @@ def cmd_compact(args: argparse.Namespace) -> int:
     occupancy/height triggers are healthy; ``--force`` overrides)."""
     with _opened_for_write(args) as disk:
         start = time.perf_counter()
-        reason = disk.compact(
-            seed=args.seed,
-            force=args.force,
-            min_occupancy=args.min_occupancy,
-            height_slack=args.height_slack,
-        )
+        reason = disk.compact(seed=args.seed, force=args.force)
         seconds = time.perf_counter() - start
         if reason is None:
             print("no compaction needed "
@@ -694,12 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--force", action="store_true",
                    help="repack even if no degradation trigger fires")
-    p.add_argument("--min-occupancy", type=float, default=None,
-                   help="occupancy trigger threshold (default "
-                        f"{DEFAULT_MIN_OCCUPANCY})")
-    p.add_argument("--height-slack", type=int, default=None,
-                   help="height trigger tolerance above the bulk-load "
-                        f"height (default {DEFAULT_HEIGHT_SLACK})")
 
     p = command("query", cmd_query, index, query_opts,
                 help="subgraph query against a saved index")

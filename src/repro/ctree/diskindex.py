@@ -28,7 +28,8 @@ rest of the tree, and a whole batch is **group-committed** — one WAL
 flush and one fsync close it, so write cost stays flat as the database
 grows.  A tree that churn has hollowed out is repacked by
 :meth:`compact`, which fires automatically when leaf occupancy or height
-degrades past the configured thresholds (``ctree.disk.compactions``).
+degrades past the fixed thresholds ``DEFAULT_MIN_OCCUPANCY`` /
+``DEFAULT_HEIGHT_SLACK`` (``ctree.disk.compactions``).
 
 Usage::
 
@@ -167,12 +168,9 @@ class DiskRecovery:
 
     @property
     def ok(self) -> bool:
-        """Whether recovery landed on a valid committed state."""
-        if not self.storage.initialized:
-            # No committed index ever existed; there is nothing to
-            # validate, and nothing was lost.
-            return True
-        return self.fsck is None or self.fsck.clean
+        """Whether recovery landed on a valid committed state (trivially
+        so when no committed index ever existed: nothing was lost)."""
+        return not self.storage.initialized or self.fsck.clean
 
     def summary(self) -> str:
         """Storage replay summary plus the fsck one-liner."""
@@ -246,11 +244,6 @@ class DiskCTree(CTreeCore):
         super().__init__(PagedNodeStore(records, meta), **meta["config"])
         self._path = path
         self._closed = False
-        #: Compaction-trigger knobs (see :meth:`compaction_needed`),
-        #: per handle so a long-lived writer can tune how eagerly
-        #: ``auto_compact`` repacks its churn.
-        self.min_occupancy = DEFAULT_MIN_OCCUPANCY
-        self.height_slack = DEFAULT_HEIGHT_SLACK
 
     # ------------------------------------------------------------------
     # Construction / opening
@@ -432,14 +425,6 @@ class DiskCTree(CTreeCore):
             self._commit("extend", generation, len(new_graphs))
         return list(range(first_new, first_new + len(new_graphs)))
 
-    def delete(self, graph_id: int, seed: int = 0,
-               auto_compact: bool = True) -> Graph:
-        """Remove one graph by id; returns it (single-graph form of
-        :meth:`delete_many`, sharing its group commit and compaction
-        behavior)."""
-        return self.delete_many([graph_id], seed=seed,
-                                auto_compact=auto_compact)[0]
-
     def delete_many(self, graph_ids: Iterable[int], seed: int = 0,
                     auto_compact: bool = True) -> list[Graph]:
         """Remove a batch of graphs incrementally under **one** group
@@ -462,8 +447,8 @@ class DiskCTree(CTreeCore):
         ``ctree.disk.group_commits``.
 
         With ``auto_compact=True`` (default) the commit is followed by
-        :meth:`compact`, which repacks the tree **only** when the
-        configured occupancy/height thresholds have degraded (its own
+        :meth:`compact`, which repacks the tree **only** when
+        :meth:`compaction_needed` finds occupancy or height degraded (its own
         commit, ``ctree.disk.compactions``); ``auto_compact=False``
         leaves even a hollowed-out tree in place.
 
@@ -517,52 +502,36 @@ class DiskCTree(CTreeCore):
         """The height a fresh, fully packed bulk load of ``count``
         graphs could reach (every level at ``max_fanout``) — the
         baseline the height-degradation trigger compares against, with
-        ``height_slack`` levels of tolerance on top."""
+        ``DEFAULT_HEIGHT_SLACK`` levels of tolerance on top."""
         height = 0
         while count > self.max_fanout:
             count = -(-count // self.max_fanout)
             height += 1
         return height
 
-    def compaction_needed(
-        self,
-        min_occupancy: Optional[float] = None,
-        height_slack: Optional[int] = None,
-    ) -> Optional[str]:
+    def compaction_needed(self) -> Optional[str]:
         """Why the tree should be repacked, or None if it is healthy.
 
         Two degradation signals, both read from the metadata counters:
-        leaf occupancy below ``min_occupancy``, or a height more than
-        ``height_slack`` levels above what a fully packed bulk load of
-        the same graph count would build.  The thresholds default to
-        this handle's :attr:`min_occupancy` / :attr:`height_slack`
-        knobs (module defaults ``DEFAULT_MIN_OCCUPANCY`` /
-        ``DEFAULT_HEIGHT_SLACK``).
+        leaf occupancy below ``DEFAULT_MIN_OCCUPANCY``, or a height more
+        than ``DEFAULT_HEIGHT_SLACK`` levels above what a fully packed
+        bulk load of the same graph count would build.
         """
         self._check_open()
         if len(self) == 0:
             return None
-        if min_occupancy is None:
-            min_occupancy = self.min_occupancy
-        if height_slack is None:
-            height_slack = self.height_slack
-        if self._meta["leaf_count"] > 1 and self.occupancy < min_occupancy:
+        if (self._meta["leaf_count"] > 1
+                and self.occupancy < DEFAULT_MIN_OCCUPANCY):
             return (f"occupancy {self.occupancy:.2f} below "
-                    f"{min_occupancy:.2f}")
+                    f"{DEFAULT_MIN_OCCUPANCY:.2f}")
         target = self._bulk_load_height(len(self))
         height = self.height
-        if height > target + height_slack:
+        if height > target + DEFAULT_HEIGHT_SLACK:
             return (f"height {height} above bulk-load height {target} "
-                    f"+ slack {height_slack}")
+                    f"+ slack {DEFAULT_HEIGHT_SLACK}")
         return None
 
-    def compact(
-        self,
-        seed: int = 0,
-        force: bool = False,
-        min_occupancy: Optional[float] = None,
-        height_slack: Optional[int] = None,
-    ) -> Optional[str]:
+    def compact(self, seed: int = 0, force: bool = False) -> Optional[str]:
         """Repack a degraded tree by re-bulk-loading the live graphs
         (ids and the id watermark preserved) under one commit; returns
         the trigger reason, or None when no compaction was needed.
@@ -578,8 +547,7 @@ class DiskCTree(CTreeCore):
         self._check_open()
         if len(self) == 0:
             return None
-        reason = self.compaction_needed(min_occupancy, height_slack) \
-            if not force else "forced"
+        reason = "forced" if force else self.compaction_needed()
         if reason is None:
             return None
         with trace.span("ctree.disk.compact", reason=reason,
@@ -729,7 +697,7 @@ class DiskCTree(CTreeCore):
     # Recovery / integrity checking
     # ------------------------------------------------------------------
     @classmethod
-    def recover(cls, path: PathLike, opener=None, validate: bool = True,
+    def recover(cls, path: PathLike, opener=None,
                 deep: bool = False) -> DiskRecovery:
         """Bring a crashed index back to its last committed state and
         verify it.
@@ -752,7 +720,7 @@ class DiskCTree(CTreeCore):
         """
         storage = storage_recover(path, opener=opener)
         report = None
-        if validate and storage.initialized:
+        if storage.initialized:
             report = cls.fsck(path, deep=deep, opener=opener)
             reg = global_registry()
             reg.counter("recovery.index_validations").value += 1
@@ -760,7 +728,7 @@ class DiskCTree(CTreeCore):
 
     @classmethod
     def fsck(cls, path: PathLike, deep: bool = False,
-             cache_pages: int = 256, opener=None) -> FsckReport:
+             opener=None) -> FsckReport:
         """Integrity-check a disk index without modifying it.
 
         The tree is checked by the walk :meth:`validate` runs
@@ -801,7 +769,7 @@ class DiskCTree(CTreeCore):
         pagefile.defer_header = True
         try:
             cls._fsck_body(
-                RecordStore(BufferPool(pagefile, capacity=cache_pages)),
+                RecordStore(BufferPool(pagefile, capacity=256)),
                 report, deep)
         finally:
             pagefile.close()

@@ -591,8 +591,8 @@ class QueryEngine:
             prefix = f"shard.s{s}"
             registry.counter(f"{prefix}.tasks").inc()
             registry.counter(f"{prefix}.busy_seconds").inc(task_busy)
-            # "Candidate work": what the balance gate measures — graphs
-            # this shard actually scored (K-NN) or verified (subgraph).
+            # "Candidate work": graphs this shard actually scored (K-NN)
+            # or verified (subgraph) — how evenly placement split the load.
             registry.counter(f"{prefix}.candidate_work").inc(
                 stats.graphs_scored if kind == _KIND_KNN
                 else stats.candidates

@@ -20,7 +20,6 @@ from repro.experiments.subgraph_experiments import (
     QuerySweepResult,
     run_index_size_experiment,
     run_query_sweep,
-    skewed_query_log,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "run_mapping_quality",
     "run_query_sweep",
     "scaled_synthetic_config",
-    "skewed_query_log",
 ]

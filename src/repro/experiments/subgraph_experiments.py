@@ -179,15 +179,3 @@ def run_query_sweep(
         result.graphgrep_search_seconds.append(gg_search / n)
         result.graphgrep_verify_seconds.append(gg_verify / n)
     return result
-
-
-def skewed_query_log(
-    unique: list[Graph], batch_size: int, seed: int
-) -> list[Graph]:
-    """A query-log-like batch: ``unique`` queries repeated with Zipf-ish
-    weights (rank r drawn proportionally to 1/(r+1)), deterministically."""
-    import random
-
-    rng = random.Random(seed)
-    weights = [1.0 / (rank + 1) for rank in range(len(unique))]
-    return rng.choices(unique, weights=weights, k=batch_size)

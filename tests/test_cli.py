@@ -605,8 +605,12 @@ class TestParser:
         ["knn", "-t", "x.ctp", "-q", "{}", "-k", "0"],
         ["knn", "-t", "x.ctp", "-q", "{}", "-k", "-1"],
         ["explain", "-t", "x.ctp", "-q", "{}", "--knn", "-k", "0"],
+        # The compaction thresholds are module constants, not flags.
+        ["compact", "-t", "x.ctp", "--min-occupancy", "0.5"],
+        ["compact", "-t", "x.ctp", "--height-slack", "2"],
     ], ids=["bench", "query", "serve", "shard", "query-shards",
-            "serve-shards", "knn-k0", "knn-k-1", "explain-k0"])
+            "serve-shards", "knn-k0", "knn-k-1", "explain-k0",
+            "compact-min-occupancy", "compact-height-slack"])
     def test_deleted_surface_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ctree.bulkload import bulk_load
+from repro.ctree import diskindex
 from repro.ctree.diskindex import DiskCTree
 from repro.datasets.chemical import ChemicalConfig, generate_chemical_database
 from repro.exceptions import IndexError_
@@ -140,7 +141,7 @@ class TestDeleteEdgeCases:
             disk, oracle = _make_index(path)
             with disk:
                 victim = oracle[3]
-                removed = disk.delete(3)
+                (removed,) = disk.delete_many([3])
                 assert removed.to_dict() == victim.to_dict()
                 answers, _ = disk.subgraph_query(victim)
                 assert 3 not in answers
@@ -183,7 +184,7 @@ class TestDeleteEdgeCases:
                 # fsck after every step would mask nothing because each
                 # delete commits.
                 for gid in sorted(oracle):
-                    disk.delete(gid, auto_compact=False)
+                    disk.delete_many([gid], auto_compact=False)
                     report = DiskCTree.fsck(path, deep=False)
                     assert report.clean, report.errors
                     for _, node in disk.nodes():
@@ -197,7 +198,7 @@ class TestDeleteEdgeCases:
             with disk:
                 generation = disk.generation
                 with pytest.raises(IndexError_):
-                    disk.delete(99)
+                    disk.delete_many([99])
                 with pytest.raises(IndexError_):
                     disk.delete_many([0, 99])
                 with pytest.raises(IndexError_):
@@ -278,8 +279,8 @@ class TestCompaction:
             report = DiskCTree.fsck(path, deep=True)
             assert report.clean, report.errors
 
-    def test_occupancy_trigger_fires_and_restores(self):
-        """Hollow the tree out below a tuned occupancy threshold; the
+    def test_occupancy_trigger_fires_and_restores(self, monkeypatch):
+        """Hollow the tree out below a raised occupancy threshold; the
         delete's auto-compact must notice and restore occupancy."""
         registry = global_registry()
         compactions = registry.counter("ctree.disk.compactions")
@@ -290,30 +291,32 @@ class TestCompaction:
                                   cache_pages=32) as disk:
                 # Degrade without repacking, measure, then let one more
                 # delete's automatic check catch it.
-                disk.min_occupancy = 0.99  # any churn looks degraded
+                # any churn looks degraded
+                monkeypatch.setattr(diskindex, "DEFAULT_MIN_OCCUPANCY", 0.99)
                 before = compactions.value
                 disk.delete_many(list(range(0, 30, 2)),
                                  auto_compact=False)
                 degraded = disk.occupancy
                 assert disk.compaction_needed() is not None
-                disk.delete(1)  # auto_compact=True is the default
+                disk.delete_many([1])  # auto_compact=True is the default
                 assert compactions.value == before + 1
                 assert disk.occupancy >= degraded
             report = DiskCTree.fsck(path, deep=True)
             assert report.clean, report.errors
 
-    def test_height_trigger(self):
+    def test_height_trigger(self, monkeypatch):
         """The height signal compares against the packed bulk-load
         height: a fresh tree stays quiet, and tightening the slack to
         an impossible value trips it."""
+        monkeypatch.setattr(diskindex, "DEFAULT_MIN_OCCUPANCY", 0.0)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "height.ctp"
             disk, _ = _make_index(path, count=8)
             with disk:
-                quiet = disk.compaction_needed(min_occupancy=0.0)
-                assert quiet is None
-                reason = disk.compaction_needed(
-                    min_occupancy=0.0, height_slack=-disk.height - 1)
+                assert disk.compaction_needed() is None
+                monkeypatch.setattr(diskindex, "DEFAULT_HEIGHT_SLACK",
+                                    -disk.height - 1)
+                reason = disk.compaction_needed()
                 assert reason is not None and "height" in reason
 
 
