@@ -40,7 +40,7 @@ from conftest import (
     record_figure,
 )
 
-from repro.graphs.labelspace import label_context, target_context
+from repro.graphs.labelspace import label_context, nbm_context, target_context
 from repro.matching import edit_distance, kernels
 from repro.matching.bounds import (
     SimilarityQueryContext,
@@ -76,6 +76,7 @@ from repro.ctree.similarity_query import knn_query
 from repro.ctree.store import (
     decode_graph,
     decode_graph_context,
+    decode_nbm_context,
     dump_record,
     encode_graph,
 )
@@ -282,49 +283,73 @@ def test_verification_kernels_microbench(chem_database, chem_tree, benchmark):
             f"the {floor}x floor")
 
 
+#: per record-compiler row: the compile of a decoded graph it replaces,
+#: the compiler, the slots they must agree on, and those compared as
+#: dicts (beside them, Alg. 1's ``adj`` dict by dict in key order)
+_RECORD_COMPILERS = {
+    "record_context": (target_context, decode_graph_context,
+                       ("n", "degrees", "vmasks", "edge_rows", "edge_masks",
+                        "vhist", "ehist", "vbits", "ebits"),
+                       ("vertex_groups", "edge_counts")),
+    "nbm_context": (nbm_context, decode_nbm_context,
+                    ("n", "vmasks", "vkeys", "profiles", "edge_masks"),
+                    ("edge_counts",)),
+}
+
+
 def test_record_context_microbench(chem_database, benchmark):
-    """What a disk subgraph query pays per leaf graph that passes the
-    histogram screen: its JSON-parsed record compiled straight into the
-    Alg. 2 target context, against decoding the ``Graph`` and compiling
-    that.  Equal contexts on every record first, then the speedup gate."""
+    """What a disk query pays per graph record it reads: the JSON-parsed
+    record compiled straight into the context its algorithm reads —
+    Alg. 2's for a leaf graph a subgraph query's histogram screen passes,
+    Alg. 1's for a graph a K-NN or range query scores — against decoding
+    the ``Graph`` and compiling that.  Per row, equal contexts on every
+    record first (adjacency dicts in key order), then the speedup gate."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     records = [json.loads(dump_record(encode_graph(g)))
                for g in chem_database]
+    rows = {}
+    for name in RECORD_ROWS:
+        compile_graph, compile_record, fields, pairs = \
+            _RECORD_COMPILERS[name]
 
-    def reference() -> list:
-        return [target_context(decode_graph(r)) for r in records]
+        def reference() -> list:
+            return [compile_graph(decode_graph(r)) for r in records]
 
-    def compiled() -> list:
-        return [decode_graph_context(r) for r in records]
+        def compiled() -> list:
+            return [compile_record(r) for r in records]
 
-    fields = ("n", "degrees", "vmasks", "edge_rows", "edge_masks", "vhist",
-              "ehist", "vbits", "ebits")
-    for ours, theirs in zip(compiled(), reference()):
-        for field in fields:
-            assert getattr(ours, field) == getattr(theirs, field), field
-        assert dict(ours.vertex_groups) == dict(theirs.vertex_groups)
-        assert dict(ours.edge_counts) == dict(theirs.edge_counts)
+        for ours, theirs in zip(compiled(), reference()):
+            for field in fields:
+                assert getattr(ours, field) == getattr(theirs, field), field
+            for field in pairs:
+                assert dict(getattr(ours, field)) == \
+                    dict(getattr(theirs, field)), field
+            assert [list(a.items()) for a in ours.adj or ()] == \
+                [list(a.items()) for a in theirs.adj or ()]
+        rows[name] = (len(records), _time(reference), _time(compiled))
 
-    n, ref, new = len(records), _time(reference), _time(compiled)
     record_figure(
         RECORD_FIGURE,
-        "Kernel microbench: a graph record to its Alg. 2 target context, "
-        "decode_graph + target_context vs decode_graph_context (chemical; "
-        "us per graph)",
+        "Kernel microbench: a graph record to the context its query reads, "
+        "decode_graph + target_context / nbm_context vs "
+        "decode_graph_context / decode_nbm_context (chemical; us per graph)",
         "row",
         RECORD_ROWS,
-        {"reference": [1e6 * ref / n], "kernel": [1e6 * new / n],
-         "speedup": [ref / new]},
+        {"reference": [1e6 * ref / n for n, ref, _ in rows.values()],
+         "kernel": [1e6 * new / n for n, _, new in rows.values()],
+         "speedup": [ref / new for _, ref, new in rows.values()]},
         float_format="{:.2f}",
     )
     _write_microbench({
         "quick": conftest._QUICK,
-        "record_context": {"graphs": n, "reference_seconds": ref,
-                           "kernel_seconds": new, "speedup": ref / new},
+        **{name: {"graphs": n, "reference_seconds": ref,
+                  "kernel_seconds": new, "speedup": ref / new}
+           for name, (n, ref, new) in rows.items()},
     })
-    assert n > 0 and ref / new >= RECORD_FLOOR, (
-        f"record compiler: {ref / new:.2f}x over {n} graphs below the "
-        f"{RECORD_FLOOR}x floor")
+    for name, (n, ref, new) in rows.items():
+        assert n > 0 and ref / new >= RECORD_FLOOR, (
+            f"{name} compiler: {ref / new:.2f}x over {n} graphs below the "
+            f"{RECORD_FLOOR}x floor")
 
 
 def test_bounds_microbench(chem_database, chem_tree, benchmark):

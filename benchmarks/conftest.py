@@ -185,9 +185,10 @@ BOUNDS_FIGURE = "kernel_microbench_bounds"
 BOUNDS_ROWS = ["closures", "summaries"]
 BOUNDS_FLOOR = 2.0
 #: ... and its record-compiler figure: ``decode_graph_context`` against
-#: ``target_context(decode_graph(record))``, one floor at either scale
+#: ``target_context(decode_graph(record))``, ``decode_nbm_context``
+#: against ``nbm_context(decode_graph(record))``, one floor at either scale
 RECORD_FIGURE = "kernel_microbench_record"
-RECORD_ROWS = ["record_context"]
+RECORD_ROWS = ["record_context", "nbm_context"]
 RECORD_FLOOR = 1.2
 
 

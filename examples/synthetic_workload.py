@@ -14,12 +14,13 @@ import tempfile
 from pathlib import Path
 
 from repro import bulk_load, subgraph_query
-from repro.ctree import DiskCTree, QueryStats, fit_from_stats, mean_fanout
+from repro.ctree import DiskCTree, QueryStats
 from repro.datasets import (
     SyntheticConfig,
     generate_subgraph_queries,
     generate_synthetic_database,
 )
+from repro.experiments import fit_from_stats, mean_fanout
 
 config = SyntheticConfig(
     num_graphs=100,       # paper: 10,000

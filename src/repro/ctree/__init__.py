@@ -1,14 +1,6 @@
 """Closure-tree: the paper's core contribution."""
 
 from repro.ctree.bulkload import bulk_load
-from repro.ctree.cost_model import (
-    CostModel,
-    direct_estimate_r0,
-    fit_cost_model,
-    fit_from_stats,
-    mean_fanout,
-    per_level_averages,
-)
 from repro.ctree.diskindex import (
     DiskCTree,
     DiskKnnStats,
@@ -37,7 +29,6 @@ __all__ = [
     "BatchReport",
     "CTree",
     "CTreeNode",
-    "CostModel",
     "DiskCTree",
     "DiskKnnStats",
     "DiskQueryStats",
@@ -49,18 +40,13 @@ __all__ = [
     "QueryStats",
     "bulk_load",
     "closure_distance_lower_bound",
-    "direct_estimate_r0",
-    "fit_cost_model",
-    "fit_from_stats",
     "fsck_index",
     "index_kind",
     "index_size_bytes",
     "knn_query",
     "linear_scan_knn",
     "linear_scan_subgraph_query",
-    "mean_fanout",
     "open_index",
-    "per_level_averages",
     "range_query",
     "subgraph_query",
     "tree_to_dict",

@@ -93,7 +93,8 @@ def _knn_search(
     # scored yet) or _GRAPH_EXACT (key = heuristic similarity).  Deferring
     # the load and the expensive exact similarity until a graph's *bound*
     # reaches the top of the queue is the optimal multi-step scheme of
-    # [24] the paper builds on.
+    # [24] the paper builds on.  ``scorer.load`` reads the entry as what
+    # its method scores: under NBM its Alg. 1 context, no graph.
     _NODE, _GRAPH_BOUND, _GRAPH_EXACT = 0, 1, 2
     heap: list[tuple[float, int, int, object]] = []
     heapq.heappush(heap, (float("-inf"), next(counter), _NODE,
@@ -133,7 +134,7 @@ def _knn_search(
             graph_id = payload.graph_id  # type: ignore[attr-defined]
             stats.graphs_scored += 1
             with trace.span("ctree.knn.score", graph_id=graph_id):
-                sim = scorer.similarity(store.load_graph(payload))
+                sim = scorer.similarity(scorer.load(store, payload))
             note_similarity(sim)
             if sim >= lower_bound:
                 heapq.heappush(
@@ -208,7 +209,7 @@ def range_query(
                         stats.pruned_by_bound += 1
                         continue
                     stats.graphs_scored += 1
-                    dist = scorer.distance(store.load_graph(ref))
+                    dist = scorer.distance(scorer.load(store, ref))
                     if dist <= radius:
                         results.append((ref.graph_id, dist))
                         stats.results += 1

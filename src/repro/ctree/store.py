@@ -14,16 +14,20 @@ traversal serve both representations:
   :class:`~repro.storage.recordstore.RecordStore`; it keeps the root,
   height and leaf count of the index metadata current.  This module owns
   the record format (one JSON record per node, one per graph) and its
-  only codec: ``encode_*`` / ``decode_*`` below.  A subgraph query reads
-  a graph record through :func:`decode_graph_context`, which compiles it
-  into the Alg. 2 target context without building the graph.
+  only codec: ``encode_*`` / ``decode_*`` below.  A query reads a graph
+  record without building the graph: a subgraph query through
+  :func:`decode_graph_context`, which compiles it into the Alg. 2 target
+  context, a K-NN or range query through :func:`decode_nbm_context`, into
+  the Alg. 1 one.
 
 A node reference is opaque to the shared code.  A leaf's ``children`` are
 *entries* exposing ``graph_id``; :meth:`graph_summary` gives the label
 histogram Alg. 3 screens an entry with — held by the entry itself on
 disk, so a rejected graph is never read — :meth:`load_context` turns an
-entry into the compiled context Alg. 3 tests and verifies it on, and
-:meth:`load_graph` into its graph (what K-NN and range queries score).
+entry into the compiled context Alg. 3 tests and verifies it on,
+:meth:`load_nbm_context` into the one NBM scores it on (what K-NN and
+range queries score), and :meth:`load_graph` into its graph (what the
+other mapping methods score, and what maintenance and printing read).
 :meth:`metered` is the single hook through which a query learns its page
 I/O: it hands the query its stats record, and the paged store fills in
 the record's ``page_hits`` / ``page_misses`` and ``node_hits`` /
@@ -65,6 +69,7 @@ from repro.graphs.labelspace import (
     TargetContext,
     global_labelspace,
     label_context,
+    nbm_context,
     target_context,
 )
 from repro.ctree.node import CTreeNode, LeafEntry
@@ -113,6 +118,10 @@ class MemoryNodeStore:
     def load_context(self, entry: LeafEntry) -> TargetContext:
         """The Alg. 2 target context of the entry's graph, memoised on it."""
         return target_context(entry.graph)
+
+    def load_nbm_context(self, entry: LeafEntry) -> TargetContext:
+        """The Alg. 1 context of the entry's graph, memoised on it."""
+        return nbm_context(entry.graph)
 
     def alloc_node(self, node: CTreeNode) -> CTreeNode:
         """A new node is its own reference."""
@@ -246,12 +255,12 @@ def _lookup(table: list, marks: dict,
     return lut
 
 
-def _decode(record: dict, cls, marks: dict, sets: bool, *state):
-    """One pass over a graph or closure record to the object, with
-    ``add_edge``'s range / self-loop / duplicate checks."""
+def _adjacency(record: dict, elut: dict) -> list[dict]:
+    """A record's adjacency — per vertex a ``{neighbour: edge label}``
+    dict in stored edge order, labels from ``elut`` — in one pass over the
+    edge triples, with ``add_edge``'s range / self-loop / duplicate
+    checks."""
     codes, edges = record["v"], record["e"]
-    vlut = _lookup(record["vl"], marks, set(codes) if sets else None)
-    elut = _lookup(record["el"], marks, set(edges[2::3]) if sets else None)
     if len(edges) % 3:
         raise GraphError("edge array is not (u, v, label) triples")
     n = len(codes)
@@ -266,6 +275,15 @@ def _decode(record: dict, cls, marks: dict, sets: bool, *state):
         if v in row:
             raise GraphError(f"duplicate edge ({u}, {v})")
         row[v] = adj[v][u] = elut[code]
+    return adj
+
+
+def _decode(record: dict, cls, marks: dict, sets: bool, *state):
+    """A graph or closure record to the object (:func:`_adjacency`)."""
+    codes, edges = record["v"], record["e"]
+    vlut = _lookup(record["vl"], marks, set(codes) if sets else None)
+    elut = _lookup(record["el"], marks, set(edges[2::3]) if sets else None)
+    adj = _adjacency(record, elut)
     obj = cls.__new__(cls)
     obj.__setstate__(([vlut[code] for code in codes], adj, len(edges) // 3,
                       *state))
@@ -324,6 +342,36 @@ def decode_graph_context(record: dict) -> TargetContext:
                         dict(zip(elabels, elut.values())), WILDCARD_BIT)
     ctx.edge_rows = edge_rows
     return ctx
+
+
+def decode_nbm_context(record: dict) -> TargetContext:
+    """What Alg. 1 reads of ``nbm_context(decode_graph(record))``,
+    compiled straight from the record: :func:`_adjacency` builds each
+    vertex's adjacency dict as :func:`decode_graph` does — in stored order,
+    so NBM breaks its ties, and scores, as on that graph — and
+    ``LabelSpace.graph_keys`` interns its vertex keys from it, as
+    :func:`nbm_context` does a graph's.  No graph is built, nor the label
+    half or Alg. 2's (``TargetContext.nbm_only``).  A record
+    :func:`decode_graph` rejects is rejected with the same exception
+    class, the checks run in the same order."""
+    space = global_labelspace()
+    vids = dict(enumerate(space.vertex_id(_GRAPH_LABELS.get(x, x))
+                          for x in record["vl"]))
+    elabels = [_GRAPH_LABELS.get(x, x) for x in record["el"]]
+    elut = dict(enumerate(elabels))
+    adj = _adjacency(record, elut)
+    ids = [vids[code] for code in record["v"]]
+    vkeys, keys = space.graph_keys(ids, adj), space.vertex_keys
+    emasks = dict(zip(elabels, map(space.edge_bit, elabels)))
+    ecodes, ecounts = record["e"][2::3], {}
+    for code, label in elut.items():
+        count = ecodes.count(code)
+        if count:
+            em = emasks[label]
+            ecounts[em] = ecounts.get(em, 0) + count
+    return TargetContext.nbm_only(
+        [1 << i for i in ids], tuple(ecounts.items()), emasks, adj, vkeys,
+        [keys[k][1] for k in vkeys])
 
 
 def decode_closure(record: dict) -> GraphClosure:
@@ -490,6 +538,11 @@ class PagedNodeStore:
         """Compile the graph record a leaf entry points at straight into
         its Alg. 2 target context; no graph is built."""
         return decode_graph_context(self.load_record(entry.record))
+
+    def load_nbm_context(self, entry: StoredEntry) -> TargetContext:
+        """Compile the graph record a leaf entry points at straight into
+        its Alg. 1 context; no graph is built."""
+        return decode_nbm_context(self.load_record(entry.record))
 
     def _count_leaf(self, node: CTreeNode, delta: int) -> None:
         if node.is_leaf:

@@ -7,6 +7,14 @@ from repro.experiments.config import (
     SubgraphExperimentConfig,
     scaled_synthetic_config,
 )
+from repro.experiments.cost_model import (
+    CostModel,
+    direct_estimate_r0,
+    fit_cost_model,
+    fit_from_stats,
+    mean_fanout,
+    per_level_averages,
+)
 from repro.experiments.reporting import format_bytes, format_series_table, ratio
 from repro.experiments.similarity_experiments import (
     KnnSweepResult,
@@ -23,6 +31,7 @@ from repro.experiments.subgraph_experiments import (
 )
 
 __all__ = [
+    "CostModel",
     "DATASETS",
     "IndexSizeExperimentConfig",
     "IndexSizeResult",
@@ -32,8 +41,13 @@ __all__ = [
     "MappingQualityResult",
     "QuerySweepResult",
     "SubgraphExperimentConfig",
+    "direct_estimate_r0",
+    "fit_cost_model",
+    "fit_from_stats",
     "format_bytes",
     "format_series_table",
+    "mean_fanout",
+    "per_level_averages",
     "ratio",
     "run_index_size_experiment",
     "run_knn_sweep",

@@ -14,7 +14,6 @@ from typing import Callable
 
 from repro.graphs.graph import Graph
 from repro.ctree.bulkload import bulk_load
-from repro.ctree.cost_model import fit_from_stats, mean_fanout
 from repro.ctree.persistence import index_size_bytes
 from repro.ctree.stats import QueryStats
 from repro.ctree.subgraph_query import subgraph_query
@@ -27,6 +26,7 @@ from repro.experiments.config import (
     SubgraphExperimentConfig,
     scaled_synthetic_config,
 )
+from repro.experiments.cost_model import fit_from_stats, mean_fanout
 
 DatasetBuilder = Callable[[int, int], list[Graph]]
 

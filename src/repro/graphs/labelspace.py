@@ -17,9 +17,11 @@ module compiles both away:
   built once per object by :func:`target_context` and memoized on the
   graph itself (slot ``_kernel_ctx``), invalidated whenever the graph
   mutates.  Alg. 2's neighbour rows per edge label and Alg. 1's
-  neighbour-label profiles are two halves filled in on first use
-  (:func:`nbm_context`).  The query side of a match is compiled per query
-  by :func:`repro.matching.kernels.compile_query`.
+  neighbour-label profiles and adjacency are two halves filled in on
+  first use (:func:`nbm_context`); a disk graph record compiles straight
+  into either (``repro.ctree.store.decode_graph_context`` /
+  ``decode_nbm_context``).  The query side of a match is compiled per
+  query by :func:`repro.matching.kernels.compile_query`.
 
 Bit layout: bit 0 is reserved for the query wildcard and bit 1 for the
 dummy label ε, so the wildcard test is a constant-mask AND.  Interning is
@@ -154,6 +156,14 @@ class LabelSpace:
                 (key[0], self._profiles.setdefault(p, p), len(key) - 1))
         return k
 
+    def graph_keys(self, ids: list[int], adj: list[dict]) -> list[int]:
+        """:meth:`vertex_key` of every vertex of a database graph, from its
+        vertex label ids and its adjacency (one ``{neighbour: ...}`` per
+        vertex) — a ``Graph``'s or, on disk, its record's."""
+        vertex_key, label_id = self.vertex_key, ids.__getitem__
+        return [vertex_key((1 << i, *sorted(map(label_id, row))))
+                for i, row in zip(ids, adj)]
+
     # ------------------------------------------------------------------
     @property
     def num_vertex_labels(self) -> int:
@@ -225,14 +235,15 @@ class TargetContext(LabelSummary):
     """The compiled bitset view of one graph or closure *as a target*:
     what the matching kernels read from the target side of a (query,
     target) pair (the query side is a
-    :class:`~repro.matching.kernels.QueryContext`).  Nothing here aliases
-    the source graph's mutable structures; instances are immutable by
-    convention and shared freely.
+    :class:`~repro.matching.kernels.QueryContext`).  Only ``adj`` aliases
+    the source graph's structures: its adjacency dicts, by reference, read
+    and never written; a mutation of the source drops the whole context.
+    Instances are immutable by convention and shared freely.
     """
 
     __slots__ = ("n", "degrees", "edge_rows", "vertex_groups", "edge_counts",
-                 "edge_masks", "vmasks", "profiles", "vkeys", "nbr_rows",
-                 "_at_least")
+                 "edge_masks", "vmasks", "profiles", "vkeys", "adj",
+                 "nbr_rows", "_at_least")
 
     def __init__(
         self,
@@ -266,10 +277,28 @@ class TargetContext(LabelSummary):
         self.profiles: list[int] | None = None
         #: ... and, of a graph only, each vertex's ``LabelSpace.vertex_key``
         self.vkeys: list[int] | None = None
+        #: ... and per vertex its ``{neighbour: edge label}`` dict in the
+        #: source's adjacency order (the order Alg. 1 breaks ties in)
+        self.adj: list[dict] | None = None
         #: ``kernels.neighbor_rows`` memo: query edge mask -> row per vertex
         self.nbr_rows: dict[int, list[int]] = {}
         #: :meth:`at_least` memo: degree -> bitset of vertices at least that
         self._at_least: dict[int, int] = {}
+
+    @classmethod
+    def nbm_only(cls, vmasks: list[int], edge_counts: tuple, edge_masks: dict,
+                 adj: list[dict], vkeys: list[int],
+                 profiles: list[int]) -> "TargetContext":
+        """A graph's context holding what Alg. 1 reads and nothing else —
+        what ``repro.ctree.store.decode_nbm_context`` compiles a scored
+        disk record into, used once and dropped.  The label half
+        (histograms, vertex groups, degrees) and Alg. 2's are not built,
+        so reading them raises ``AttributeError``."""
+        ctx = cls.__new__(cls)
+        ctx.n, ctx.vmasks, ctx.edge_counts = len(vmasks), vmasks, edge_counts
+        ctx.edge_masks, ctx.adj = edge_masks, adj
+        ctx.vkeys, ctx.profiles = vkeys, profiles
+        return ctx
 
     def at_least(self, d: int) -> int:
         """Bitset of the vertices with at least ``d`` neighbours (memoised)."""
@@ -380,26 +409,31 @@ def target_context(g: GraphLike) -> TargetContext:
     return ctx
 
 
-def nbm_context(g: GraphLike) -> TargetContext:
+def nbm_context(g: GraphLike | TargetContext) -> TargetContext:
     """:func:`label_context` with what only Alg. 1 reads filled in: per
     vertex the profile of its neighbours' labels (a closure neighbour
-    counts once toward each label of its set).  A graph's vertices are
-    interned whole — key ids in ``vkeys``, profiles shared through them;
-    a closure's hardly recur and are not."""
+    counts once toward each label of its set) and the source's own list
+    of adjacency dicts, by reference.  A graph's vertices are interned whole
+    — key ids in ``vkeys``, profiles shared through them; a closure's
+    hardly recur and are not.  A context compiled already (a disk
+    record's, ``repro.ctree.store.decode_nbm_context``) is returned as
+    it is."""
+    if isinstance(g, TargetContext):
+        return g
     ctx = label_context(g)
     if ctx.profiles is None:
         space, vmasks = _GLOBAL_SPACE, ctx.vmasks
+        # The source's own list of adjacency dicts: no copy (a mutation
+        # drops the context with it, like ``_kernel_ctx``).
+        adj = ctx.adj = g._adj
         if isinstance(g, Graph):
-            ids = [m.bit_length() - 1 for m in vmasks]
-            vertex_key, keys = space.vertex_key, space.vertex_keys
-            ctx.vkeys = [
-                vertex_key((m, *sorted([ids[w] for w in g.adjacency(v)])))
-                for v, m in enumerate(vmasks)]
+            keys = space.vertex_keys
+            ctx.vkeys = space.graph_keys(
+                [m.bit_length() - 1 for m in vmasks], adj)
             ctx.profiles = [keys[k][1] for k in ctx.vkeys]
         else:
             ids = {m: mask_ids(m) for m, _ in ctx.vertex_groups}
             ctx.profiles = [
-                space.profile(
-                    [i for w in g.adjacency(v) for i in ids[vmasks[w]]])
-                for v in range(ctx.n)]
+                space.profile([i for w in a for i in ids[vmasks[w]]])
+                for a in adj]
     return ctx

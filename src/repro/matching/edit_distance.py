@@ -15,6 +15,7 @@ from typing import Callable
 
 from repro.exceptions import ConfigError
 from repro.graphs.closure import GraphLike
+from repro.graphs.labelspace import TargetContext
 from repro.graphs.mapping import GraphMapping
 from repro.matching.bipartite_mapping import (
     bipartite_mapping,
@@ -58,8 +59,8 @@ class MappingScorer:
     method: what :func:`graph_similarity` / :func:`graph_distance` compute,
     with the method resolved (an unknown one is a ``ConfigError`` here,
     before anything is scored) and, for plain NBM, the first graph's side
-    of Alg. 1 compiled once.  Every graph scored counts as one mapping
-    call."""
+    of Alg. 1 compiled once.  :meth:`load` decides what a traversal loads
+    a leaf entry as.  Every graph scored counts as one mapping call."""
 
     __slots__ = ("g1", "_mapper", "_kwargs", "_nbm", "_calls")
 
@@ -76,19 +77,27 @@ class MappingScorer:
         for counter in self._calls:
             counter.value += 1
 
+    def load(self, store, entry) -> GraphLike | TargetContext:
+        """What a node store's leaf ``entry`` is scored as: the context
+        compiled NBM reads (a disk record builds no graph), the graph for
+        every other method."""
+        if self._nbm is not None:
+            return store.load_nbm_context(entry)
+        return store.load_graph(entry)
+
     def mapping(self, g2: GraphLike) -> GraphMapping:
         self._count()
         if self._nbm is not None:
             return self._nbm.mapping(g2)
         return self._mapper(self.g1, g2, **self._kwargs)
 
-    def similarity(self, g2: GraphLike) -> float:
+    def similarity(self, g2: GraphLike | TargetContext) -> float:
         if self._nbm is None:
             return self.mapping(g2).similarity()
         self._count()
         return self._nbm.similarity(g2)
 
-    def distance(self, g2: GraphLike) -> float:
+    def distance(self, g2: GraphLike | TargetContext) -> float:
         if self._nbm is None:
             return self.mapping(g2).edit_cost()
         self._count()

@@ -12,9 +12,13 @@ analyzed in the paper.
 
 Under the paper's uniform measures (every caller in the library) the
 algorithm runs as a compiled kernel, :class:`NbmScorer`, over the contexts
-memoized on graphs and closures (:func:`~repro.graphs.labelspace.nbm_context`):
-a traversal that scores one query against many graphs builds one scorer,
-:func:`nbm_mapping` / :func:`nbm_match` / :func:`nbm_score` use one once.
+memoized on graphs and closures (:func:`~repro.graphs.labelspace.nbm_context`)
+and reads both sides through them alone — labels, profiles, edge masks and
+adjacency — so a disk K-NN or range query scores a graph record compiled
+straight into its context (``repro.ctree.store.decode_nbm_context``) and
+builds no graph.  A traversal that scores one query against many graphs
+builds one scorer, :func:`nbm_mapping` / :func:`nbm_match` /
+:func:`nbm_score` use one once.
 The generic loop, :func:`nbm_mapping_reference`, serves custom measures and
 is the oracle the kernel must equal bit for bit (``tests/test_nbm.py``).
 """
@@ -29,6 +33,7 @@ from typing import Callable
 from repro.graphs.closure import GraphLike
 from repro.graphs.labelspace import (
     EPSILON_BIT,
+    TargetContext,
     global_labelspace,
     nbm_context,
 )
@@ -130,8 +135,11 @@ class NbmScorer:
     keys ``(mask, profile, degree)``, and the weights of those against
     every interned vertex key a database graph has brought so far — a
     pure memo, so any number of targets in any order score as one would.
-    The tiebreak counter is drawn exactly where the reference draws it,
-    so both pop the same sequence of heap entries.
+    A target is a graph, a closure or its compiled context; only
+    :meth:`mapping` needs it as a graph.  The tiebreak counter is drawn
+    exactly where the reference draws it, and pushes follow each
+    context's ``adj`` order — the source's adjacency order — so both pop
+    the same sequence of heap entries.
     """
 
     __slots__ = ("query", "_scale", "_ctx", "_row_of", "_columns", "_elements")
@@ -158,9 +166,8 @@ class NbmScorer:
             self._elements = None
         return c1
 
-    def match(self, target: GraphLike) -> dict[int, int]:
+    def match(self, target: GraphLike | TargetContext) -> dict[int, int]:
         """The pairs Alg. 1 matches, ``u -> v``."""
-        g1 = self.query
         c1, c2 = self._compiled(), nbm_context(target)
         n1, n2 = c1.n, c2.n
         if n1 == 0 or n2 == 0:
@@ -186,7 +193,7 @@ class NbmScorer:
         heap = [(-bests[r], u, u, firsts[r]) for u, r in enumerate(row_of)]
         heapq.heapify(heap)
         counter = itertools.count(n1)
-        adj1, adj2 = g1.adjacency, target.adjacency
+        adj1, adj2 = c1.adj, c2.adj
         emask1, emask2 = c1.edge_masks, c2.edge_masks
         push, pop = heapq.heappush, heapq.heappop
 
@@ -214,9 +221,9 @@ class NbmScorer:
                 row[v] = -1.0  # below every weight: out of all later re-keys
 
             # Boost unmatched neighbor pairs (the "neighbor bias").
-            targets = [(v2, emask2[label]) for v2, label in adj2(v).items()
+            targets = [(v2, emask2[label]) for v2, label in adj2[v].items()
                        if not matched2[v2]]
-            for u2, label in adj1(u).items():
+            for u2, label in adj1[u].items():
                 if matched1[u2]:
                     continue
                 e1 = emask1[label]
@@ -233,11 +240,13 @@ class NbmScorer:
         return result
 
     def mapping(self, target: GraphLike) -> GraphMapping:
-        """``nbm_mapping(query, target)``."""
+        """``nbm_mapping(query, target)``: the one reader that needs the
+        target as a graph, not as its context."""
         return GraphMapping.from_partial(self.query, target,
                                          self.match(target))
 
-    def _images(self, target: GraphLike) -> tuple[list[int], list[int]]:
+    def _images(self, target: GraphLike | TargetContext
+                ) -> tuple[list[int], list[int]]:
         """``(masks, images)``: the label mask of every vertex, then every
         edge, of the query, and beside each the mask of the element of
         ``target`` the match maps it onto (0: onto a dummy)."""
@@ -246,29 +255,29 @@ class NbmScorer:
         if self._elements is None:
             emask1 = c1.edge_masks
             edges = [(a, b, emask1[label])
-                     for a in range(c1.n)
-                     for b, label in self.query.adjacency(a).items() if a < b]
+                     for a, row in enumerate(c1.adj)
+                     for b, label in row.items() if a < b]
             self._elements = (c1.vmasks + [e for _, _, e in edges], edges)
         masks, edges = self._elements
         get, vmasks2 = match.get, c2.vmasks
         images = [0 if v is None else vmasks2[v]
                   for v in map(get, range(c1.n))]
-        adj2, emask2 = target.adjacency, c2.edge_masks
+        adj2, emask2 = c2.adj, c2.edge_masks
         for a, b, _ in edges:
             va, vb = get(a), get(b)
             if va is None or vb is None:
                 images.append(0)
             else:
-                image = adj2(va)
+                image = adj2[va]
                 images.append(emask2[image[vb]] if vb in image else 0)
         return masks, images
 
-    def similarity(self, target: GraphLike) -> float:
+    def similarity(self, target: GraphLike | TargetContext) -> float:
         """Similarity of ``nbm_mapping(query, target)`` (Def. 6): the
         elements mapped onto one whose labels they share."""
         return float(sum(map(bool, map(and_, *self._images(target)))))
 
-    def score(self, target: GraphLike) -> tuple[float, float]:
+    def score(self, target: GraphLike | TargetContext) -> tuple[float, float]:
         """``(similarity, edit cost)`` of ``nbm_mapping(query, target)``.
         A dummy is the label set {ε}, so an unmatched element is free
         exactly when its mask has the ε bit."""

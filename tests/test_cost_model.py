@@ -5,14 +5,14 @@ import math
 import pytest
 
 from repro.exceptions import ConfigError
-from repro.ctree.cost_model import (
+from repro.ctree.stats import QueryStats
+from repro.experiments.cost_model import (
     CostModel,
     direct_estimate_r0,
     fit_cost_model,
     fit_from_stats,
     per_level_averages,
 )
-from repro.ctree.stats import QueryStats
 
 
 class TestCostModelEvaluation:

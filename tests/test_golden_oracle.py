@@ -37,7 +37,7 @@ from repro.graphs.io import load_graph_database
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DiskCTree
 from repro.ctree import store as store_module
-from repro.ctree.similarity_query import knn_query
+from repro.ctree.similarity_query import knn_query, range_query
 from repro.ctree.store import decode_graph
 from repro.ctree.subgraph_query import subgraph_query
 
@@ -96,6 +96,39 @@ class TestGoldenKnn:
             assert [s for _, s in results] == pytest.approx(
                 [s for _, s in frozen])
 
+    def test_disk_scores_build_no_graph(
+            self, golden, golden_tree, golden_disk, monkeypatch):
+        """With ``decode_graph`` refusing every record, disk K-NN and
+        range queries under NBM still return the in-memory tree's answers
+        and stats: a scored record is compiled into its Alg. 1 context,
+        never decoded into a ``Graph``.  Under another mapping method the
+        same queries still load graphs."""
+        class Decoded(Exception):
+            pass
+
+        def refuse(record):
+            raise Decoded
+
+        db, expected = golden
+        disk, _ = golden_disk
+        monkeypatch.setattr(store_module, "decode_graph", refuse)
+        in_range = 0
+        for case in expected["knn"]:
+            query, k = db[case["query_id"]], case["k"]
+            for run in (lambda index, **kw: knn_query(index, query, k, **kw),
+                        lambda index, **kw: range_query(index, query, 6.0,
+                                                        **kw)):
+                answers, stats = run(disk)
+                mem_answers, mem_stats = run(golden_tree)
+                assert answers == mem_answers
+                assert stats.deterministic_dict() == \
+                    mem_stats.deterministic_dict()
+                assert stats.graphs_scored > 0
+                with pytest.raises(Decoded):
+                    run(disk, mapping_method="bipartite")
+            in_range += len(answers)  # the range query's, run last
+        assert in_range > 0, "no range query found a graph"
+
 
 class TestGoldenWork:
     """Counts, not times: what each golden query tests, reads and finds."""
@@ -148,16 +181,17 @@ class TestGoldenWork:
     def test_knn_stats_frozen(
             self, golden, golden_tree, golden_disk, pinned, monkeypatch):
         """Per K-NN case: stats equal the pinned ones and the in-memory
-        tree's, and a graph record is decoded exactly when Alg. 4 scores
+        tree's, and a graph record is compiled exactly when Alg. 4 scores
         it — its Eqn. (7) bound, read off the leaf entry, reached the top
         of the heap above the threshold — never to compute that bound."""
         db, expected = golden
         disk, _ = golden_disk
         loads = []
-        load_graph = disk.store.load_graph
+        load_nbm_context = disk.store.load_nbm_context
         monkeypatch.setattr(
-            disk.store, "load_graph",
-            lambda entry: loads.append(entry.graph_id) or load_graph(entry))
+            disk.store, "load_nbm_context",
+            lambda entry: loads.append(entry.graph_id)
+            or load_nbm_context(entry))
         unread = 0
         for case, frozen in zip(expected["knn"], pinned["knn"]):
             query = db[case["query_id"]]

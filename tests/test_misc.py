@@ -18,8 +18,8 @@ from repro.matching.measures import (
 )
 from repro.matching.nbm import nbm_mapping
 from repro.ctree.bulkload import bulk_load
-from repro.ctree.cost_model import mean_fanout
 from repro.ctree.tree import CTree
+from repro.experiments.cost_model import mean_fanout
 
 from conftest import path_graph, random_labeled_graph, triangle
 

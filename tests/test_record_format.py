@@ -23,6 +23,7 @@ from repro.ctree.store import (
     decode_closure,
     decode_graph,
     decode_graph_context,
+    decode_nbm_context,
     dump_record,
     encode_closure,
     encode_graph,
@@ -35,7 +36,11 @@ from repro.graphs.closure import EPSILON, WILDCARD, GraphClosure
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
 from repro.graphs.io import load_graph_database
-from repro.graphs.labelspace import target_context
+from repro.graphs.labelspace import (
+    nbm_context,
+    reset_labelspace,
+    target_context,
+)
 
 _VERTEX_LABELS = ["C", "N", "O", 1, 2, WILDCARD]
 _EDGE_LABELS = [None, None, "x", 1, 2, WILDCARD]
@@ -186,28 +191,90 @@ class TestRecordContext:
         _assert_record_context(_through_json(encode_graph(g)))
 
     def test_every_golden_record(self, tmp_path):
-        db = load_graph_database(
-            Path(__file__).parent / "data" / "golden_chem.jsonl")
-        path = tmp_path / "golden.ctp"
-        DiskCTree.create(bulk_load(db, min_fanout=3), path,
-                         page_size=512).close()
-        with DiskCTree.open(path) as disk:
-            entries = [e for _, node in disk.nodes() if node.is_leaf
-                       for e in node.children]
-            assert sorted(e.graph_id for e in entries) == list(range(len(db)))
-            for entry in entries:
-                _assert_record_context(disk.store.load_record(entry.record))
+        for record in _golden_records(tmp_path):
+            _assert_record_context(record)
 
     @pytest.mark.parametrize("case", _MALFORMED)
     def test_malformed_record_raises_alike(self, case):
-        raised = []
-        for decode in (decode_graph, decode_graph_context):
-            record = _path_record()
-            _MALFORMED[case](record)
-            with pytest.raises(BAD_RECORD) as info:
-                decode(record)
-            raised.append((info.type, str(info.value)))
-        assert raised[0] == raised[1]
+        _assert_raise_alike(case, decode_graph_context)
+
+
+def _assert_raise_alike(case: str, compiler) -> None:
+    """``compiler`` rejects the malformed record as ``decode_graph``
+    does: same exception class, same message."""
+    raised = []
+    for decode in (decode_graph, compiler):
+        record = _path_record()
+        _MALFORMED[case](record)
+        with pytest.raises(BAD_RECORD) as info:
+            decode(record)
+        raised.append((info.type, str(info.value)))
+    assert raised[0] == raised[1]
+
+
+def _golden_records(tmp_path) -> list:
+    """Every graph record of the golden index, as its page file holds it."""
+    db = load_graph_database(
+        Path(__file__).parent / "data" / "golden_chem.jsonl")
+    path = tmp_path / "golden.ctp"
+    DiskCTree.create(bulk_load(db, min_fanout=3), path, page_size=512).close()
+    with DiskCTree.open(path) as disk:
+        entries = [e for _, node in disk.nodes() if node.is_leaf
+                   for e in node.children]
+        assert sorted(e.graph_id for e in entries) == list(range(len(db)))
+        return [disk.store.load_record(e.record) for e in entries]
+
+
+#: what :func:`decode_nbm_context` must agree on slot for slot — all that
+#: Alg. 1 reads; its ``edge_counts`` are compared as a dict, its ``adj``
+#: dict by dict in key order (Alg. 1 breaks ties in that order)
+_RECORD_NBM_FIELDS = ("n", "vmasks", "vkeys", "profiles", "edge_masks")
+
+
+def _assert_record_nbm_context(record: dict) -> None:
+    """``decode_nbm_context`` holds what Alg. 1 reads of the context
+    ``nbm_context`` compiles from the decoded graph, and nothing else."""
+    ours, theirs = decode_nbm_context(record), nbm_context(
+        decode_graph(record))
+    for field in _RECORD_NBM_FIELDS:
+        assert getattr(ours, field) == getattr(theirs, field), field
+    assert dict(ours.edge_counts) == dict(theirs.edge_counts)
+    assert [list(a.items()) for a in ours.adj] == \
+        [list(a.items()) for a in theirs.adj]
+    for field in ("degrees", "vertex_groups", "vhist", "edge_rows"):
+        assert not hasattr(ours, field), field
+
+
+class TestRecordNbmContext:
+    @given(graphs())
+    @example(Graph([]))
+    @example(Graph(["C", WILDCARD, "N"]))
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_graphs(self, g):
+        _assert_record_nbm_context(_through_json(encode_graph(g)))
+
+    def test_every_golden_record(self, tmp_path):
+        for record in _golden_records(tmp_path):
+            _assert_record_nbm_context(record)
+
+    @pytest.mark.parametrize("case", _MALFORMED)
+    def test_malformed_record_raises_alike(self, case):
+        _assert_raise_alike(case, decode_nbm_context)
+
+    def test_vertex_keys_follow_a_labelspace_reset(self):
+        """After ``reset_labelspace()`` a re-compile interns its keys in
+        the new space (where a stale id would name another key), not the
+        ids the old space handed out."""
+        records = [_through_json(encode_graph(g))
+                   for g in generate_chemical_database(20, seed=5)]
+        for record in records:
+            _assert_record_nbm_context(record)
+        space = reset_labelspace()
+        space.vertex_key((space.vertex_bit("unseen"),))  # key ids shift by 1
+        for record in reversed(records):
+            _assert_record_nbm_context(record)
+            ctx = decode_nbm_context(record)
+            assert [space.vertex_keys[k][0] for k in ctx.vkeys] == ctx.vmasks
 
 
 # ----------------------------------------------------------------------

@@ -169,10 +169,11 @@ class TestRange:
                                  cache_pages=16) if on_disk else tree
         store = index.store
         loads = []
-        load_graph = store.load_graph
+        load_graph, load_nbm_context = store.load_graph, store.load_nbm_context
         monkeypatch.setattr(
-            store, "load_graph",
-            lambda entry: loads.append(entry.graph_id) or load_graph(entry))
+            store, "load_nbm_context",
+            lambda entry: loads.append(entry.graph_id)
+            or load_nbm_context(entry))
         skipped = 0
         try:
             for query, radius in [(db[4], 8.0), (db[11], 5.0), (db[30], 12.0)]:
