@@ -562,6 +562,7 @@ class DiskCTree(CTreeCore):
             generation = self.generation + 1
             for record_id in self._collect_record_ids():
                 self.store.records.delete(record_id)
+            self.store.forget()
             meta, meta_record = self._write_tree(
                 self.store.records, tree, generation,
                 next_id=self._meta["next_id"])

@@ -34,10 +34,10 @@ the record's ``page_hits`` / ``page_misses`` and ``node_hits`` /
 ``node_loads``.
 
 A paged store keeps the nodes it decoded **resident** (at most as many
-as its buffer pool has frames, leaves evicted first), so a handle that
-only reads decodes each node once, not once per query; a write batch
-(:meth:`PagedNodeStore.writing`) works on private copies and leaves the
-set empty.
+as its buffer pool has frames, leaves evicted first), so a handle
+decodes each node once, not once per query; a write batch
+(:meth:`PagedNodeStore.writing`) works on them and evicts only the nodes
+it rewrites or frees, so what is decoded again is what changed.
 
 **Record format 3** (layout and rationale: ``docs/DURABILITY.md``).  A
 graph is ``{"vl": [labels], "v": [index into vl], "el": [labels], "e": [u,
@@ -424,9 +424,11 @@ class PagedNodeStore:
     many nodes as the buffer pool has frames (``cache_pages``); a leaf is
     evicted before any internal node, least recently used first, so a
     descent wider than the cap cycles through the leaf slots and still
-    finds the root and the levels under it.  Resident nodes are read-only
-    snapshots: whoever calls :meth:`alloc_node` / :meth:`write_node` /
-    :meth:`free_node` does so inside :meth:`writing`.
+    finds the root and the levels under it.  A resident node is what its
+    record holds, but for the node a writer is changing: whoever calls
+    :meth:`alloc_node` / :meth:`write_node` / :meth:`free_node` does so
+    inside :meth:`writing`, and rewriting or freeing a record evicts its
+    node.
     """
 
     #: how a check finding names a node: by its record
@@ -438,7 +440,6 @@ class PagedNodeStore:
         #: record id -> resident node, oldest first: (internal, leaves)
         self._resident: tuple[OrderedDict, OrderedDict] = (
             OrderedDict(), OrderedDict())
-        self._writing = False
         #: :meth:`load_node` calls answered from the resident set / by
         #: decoding a record, over the handle's life (the registry's
         #: ``ctree.disk.node_*`` add up every handle of the process)
@@ -471,7 +472,7 @@ class PagedNodeStore:
     def load_node(self, ref: int) -> CTreeNode:
         """The node of record ``ref``: the resident one while it is held,
         otherwise decoded now (its closure stays in record form until
-        first use) and, outside a write batch, kept."""
+        first use) and kept."""
         for held in self._resident:
             node = held.get(ref)
             if node is not None:
@@ -483,28 +484,38 @@ class PagedNodeStore:
         node = decode_node(self.load_record(ref))
         self.node_loads += 1
         self._c_node_loads.value += 1
-        if not self._writing:
-            inner, leaves = self._resident
-            (leaves if node.is_leaf else inner)[ref] = node
-            if len(inner) + len(leaves) > self.records.pool.capacity:
-                (leaves or inner).popitem(last=False)
-            self._g_resident.set(len(inner) + len(leaves))
+        inner, leaves = self._resident
+        (leaves if node.is_leaf else inner)[ref] = node
+        if len(inner) + len(leaves) > self.records.pool.capacity:
+            (leaves or inner).popitem(last=False)
+        self._g_resident.set(len(inner) + len(leaves))
         return node
 
-    @contextmanager
-    def writing(self) -> Iterator[None]:
-        """A write batch: inside it every :meth:`load_node` is a private
-        copy the writer may change and rewrite, and none is kept — so
-        neither a commit nor an exception part-way through leaves a
-        resident node the records no longer back."""
+    def _evict(self, ref: int) -> None:
+        for held in self._resident:
+            if held.pop(ref, None) is not None:
+                self._g_resident.set(sum(map(len, self._resident)))
+
+    def forget(self) -> None:
+        """Drop every resident node — after a compaction, which rewrites
+        every record, or a write batch that died part-way."""
         for held in self._resident:
             held.clear()
         self._g_resident.set(0)
-        self._writing = True
+
+    @contextmanager
+    def writing(self) -> Iterator[None]:
+        """A write batch.  The writer changes a node only to rewrite or
+        free it, and :meth:`write_node` / :meth:`free_node` evict it, so
+        the next :meth:`load_node` decodes the new record: the nodes the
+        batch leaves alone stay resident, and it and the reads after it
+        decode a node only once per change.  A batch that dies part-way
+        may have changed a node it never wrote: it empties the set."""
         try:
             yield
-        finally:
-            self._writing = False
+        except BaseException:
+            self.forget()
+            raise
 
     def graph_summary(self, entry: StoredEntry) -> LabelSummary:
         """The entry's stored histograms in the process label space —
@@ -555,10 +566,12 @@ class PagedNodeStore:
 
     def write_node(self, ref: int, node: CTreeNode) -> None:
         """Rewrite a node record in place (its id is stable)."""
+        self._evict(ref)
         self.records.update(ref, dump_record(encode_node(node)))
 
     def free_node(self, ref: int, node: CTreeNode) -> None:
         """Return a node record's pages to the free list."""
+        self._evict(ref)
         self.records.delete(ref)
         self._count_leaf(node, -1)
 

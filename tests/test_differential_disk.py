@@ -338,27 +338,44 @@ def _fingerprint(disk, queries, probes):
     return [(answers, stats.deterministic_dict()) for answers, stats in runs]
 
 
+def _records(disk):
+    """The metadata of ``disk`` and every node and graph record its tree
+    reaches, by record id."""
+    records = {}
+    for ref, node in disk.nodes():
+        records[ref] = disk.store.load_record(ref)
+        if node.is_leaf:
+            for entry in node.children:
+                records[entry.record] = disk.store.load_record(entry.record)
+    return dict(disk._meta), records
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 class TestWritersLeaveNoStaleNode:
-    """Resident nodes are read-only snapshots of committed records: no
-    write batch — committed, or dead part-way — may leave one behind."""
+    """Resident nodes hold what their records hold: no write batch —
+    committed, or dead part-way — may leave a stale one behind, and a
+    writer steered by them writes what a cold one writes."""
 
     def test_interleaving_on_one_handle_reads_like_a_fresh_one(
             self, tmp_path, seed):
         """A seeded interleaving of reads (which fill the resident set)
         and write batches on ONE handle; after every step it answers,
-        counter for counter, like a handle just opened on the file."""
+        counter for counter, like a handle just opened on the file, and
+        after every batch the records equal those of a copy of the index
+        on which each batch ran on a handle opened for it."""
         rng = random.Random(seed)
         base = generate_chemical_database(24, seed=seed, config=_CONFIG)
         pending = generate_chemical_database(60, seed=seed + 100,
                                              config=_CONFIG)
         queries = generate_subgraph_queries(base, 6, 4, seed=seed)
         probes = base[:2]
-        path = tmp_path / "one-handle.ctp"
+        path, cold = tmp_path / "one-handle.ctp", tmp_path / "cold.ctp"
+        tree = bulk_load(base, min_fanout=2, max_fanout=4)
+        DiskCTree.create(tree, cold, page_size=512, cache_pages=16).close()
         live = list(range(len(base)))
         done = set()
-        with DiskCTree.create(bulk_load(base, min_fanout=2, max_fanout=4),
-                              path, page_size=512, cache_pages=16) as disk:
+        with DiskCTree.create(tree, path, page_size=512,
+                              cache_pages=16) as disk:
             for _ in range(30):
                 step = rng.choice(
                     ("subgraph", "knn", "extend", "delete", "compact"))
@@ -366,21 +383,68 @@ class TestWritersLeaveNoStaleNode:
                     disk.subgraph_query(rng.choice(queries))
                 elif step == "knn":
                     disk.knn_query(rng.choice(base), 3)
-                elif step == "extend":
-                    batch = [pending.pop() for _ in range(rng.randint(1, 4))]
-                    live += disk.extend(batch, seed=seed)
-                elif step == "delete":
-                    victims = rng.sample(live, rng.randint(1, 4))
-                    disk.delete_many(victims, seed=seed)
-                    live = [gid for gid in live if gid not in victims]
                 else:
-                    disk.compact(seed=seed, force=True)
+                    if step == "extend":
+                        batch = [pending.pop()
+                                 for _ in range(rng.randint(1, 4))]
+                        write = lambda index: index.extend(batch, seed=seed)
+                        live += write(disk)
+                    elif step == "delete":
+                        victims = rng.sample(live, rng.randint(1, 4))
+                        write = lambda index: index.delete_many(victims,
+                                                                seed=seed)
+                        write(disk)
+                        live = [gid for gid in live if gid not in victims]
+                    else:
+                        write = lambda index: index.compact(seed=seed,
+                                                            force=True)
+                        write(disk)
+                    with DiskCTree.open(cold, cache_pages=16) as writer:
+                        write(writer)
+                        assert _records(disk) == _records(writer), step
                 done.add(step)
                 with DiskCTree.open_read_only(path, cache_pages=16) as fresh:
                     assert sorted(fresh.graph_ids()) == sorted(live)
                     assert _fingerprint(disk, queries, probes) \
                         == _fingerprint(fresh, queries, probes), step
         assert len(done) == 5
+
+    def test_batch_decodes_only_the_nodes_it_changed(self, tmp_path, seed,
+                                                     monkeypatch):
+        """A write batch keeps the resident nodes it leaves alone: on a
+        handle holding every node, an insert batch and a delete batch,
+        each followed by a walk, decode at most one node record per
+        record they write, allocate or free, and the walk hands back, for
+        every node they did not touch, the object the walk before kept."""
+        base = generate_chemical_database(24, seed=seed, config=_CONFIG)
+        extra = generate_chemical_database(3, seed=seed + 100,
+                                           config=_CONFIG)
+        with DiskCTree.create(bulk_load(base, min_fanout=2, max_fanout=4),
+                              tmp_path / "kept.ctp", page_size=512,
+                              cache_pages=64) as disk:
+            store, changed = disk.store, []
+
+            def spy(method):
+                def call(*args):
+                    ref = method(*args)
+                    changed.append(args[0] if ref is None else ref)
+                    return ref
+                return call
+
+            for name in ("alloc_node", "write_node", "free_node"):
+                monkeypatch.setattr(store, name, spy(getattr(store, name)))
+            for write in (lambda: disk.extend(extra, seed=seed),
+                          lambda: disk.delete_many([0, 7, 13], seed=seed,
+                                                   auto_compact=False)):
+                before = dict(disk.nodes())
+                loads = store.node_loads
+                del changed[:]
+                write()
+                after = dict(disk.nodes())
+                assert store.node_loads - loads <= len(changed)
+                kept = [ref for ref in after if ref not in changed]
+                assert kept and all(after[ref] is before[ref]
+                                    for ref in kept)
 
     def test_batch_dying_part_way_leaves_no_node_behind(self, tmp_path,
                                                         seed):
