@@ -463,8 +463,11 @@ def test_nbm_kernel_microbench(chem_database, chem_tree, benchmark):
     def run() -> list:
         return [knn_query(chem_tree, q, k) for q in probes]
 
-    # The seam every traversal scores through.
-    with mock.patch.object(edit_distance, "NbmScorer", _ReferenceScorer):
+    # The seam every traversal scores through; the reference loop reads
+    # label sets, so it scores graphs, not compiled contexts.
+    with mock.patch.object(edit_distance, "NbmScorer", _ReferenceScorer), \
+            mock.patch.object(edit_distance.MappingScorer, "load",
+                              lambda _, store, entry: store.load_graph(entry)):
         t_knn_ref = _time(run)
         expected = run()
     t_knn_kernel = _time(run)

@@ -110,7 +110,8 @@ class GraphClosure:
     ``frozenset`` labels.
     """
 
-    __slots__ = ("_vlabels", "_adj", "_num_edges", "_kernel_ctx")
+    __slots__ = ("_vlabels", "_adj", "_num_edges", "_kernel_ctx",
+                 "_log_volume", "_source")
 
     def __init__(self, vertex_label_sets: Sequence[Iterable] = ()) -> None:
         self._vlabels: list[frozenset] = [frozenset(s) for s in vertex_label_sets]
@@ -119,18 +120,45 @@ class GraphClosure:
                 raise GraphError("vertex label sets must be non-empty")
         self._adj: list[dict[int, frozenset]] = [{} for _ in self._vlabels]
         self._num_edges = 0
+        self._reset()
+
+    def _reset(self) -> None:
+        """Drop what is memoised on the closure (every mutator does)."""
         #: memoized (labelspace, TargetContext) — see repro.graphs.labelspace
         self._kernel_ctx = None
+        #: memoized :meth:`log_volume`
+        self._log_volume = None
+        #: of a singleton closure, its graph's ``(labelspace, vertex keys,
+        #: profiles)`` at :meth:`from_graph`
+        self._source = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
     def from_graph(cls, graph: Graph) -> "GraphClosure":
-        """The singleton closure of one graph (every label set has size 1)."""
-        c = cls([graph.label_set(v) for v in graph.vertices()])
-        for u, v, label in graph.edges():
-            c.add_edge(u, v, frozenset((label,)))
+        """The singleton closure of one graph (every label set has size 1).
+
+        Each vertex lists its neighbours in ``graph.edges()`` order, as
+        ``add_edge`` over those edges would.  The closure keeps its
+        graph's interned vertex keys and profiles as they are now
+        (``labelspace.graph_nbm_keys``): until the closure changes, Alg. 1
+        reads those instead of counting the closure's, and a later change
+        to the graph does not reach them."""
+        # labelspace imports this module
+        from repro.graphs.labelspace import graph_nbm_keys
+
+        c = cls.__new__(cls)
+        c._vlabels = [frozenset((label,)) for label in graph._labels]
+        adj: list[dict[int, frozenset]] = [{} for _ in c._vlabels]
+        for u, row in enumerate(graph._adj):
+            for v, label in row.items():
+                if u < v:
+                    adj[u][v] = adj[v][u] = frozenset((label,))
+        c._adj = adj
+        c._num_edges = graph.num_edges
+        c._reset()
+        c._source = graph_nbm_keys(graph)
         return c
 
     def add_vertex(self, label_set: Iterable) -> int:
@@ -139,7 +167,7 @@ class GraphClosure:
             raise GraphError("vertex label sets must be non-empty")
         self._vlabels.append(s)
         self._adj.append({})
-        self._kernel_ctx = None
+        self._reset()
         return len(self._vlabels) - 1
 
     def add_edge(self, u: int, v: int, label_set: Iterable) -> None:
@@ -155,7 +183,7 @@ class GraphClosure:
         self._adj[u][v] = s
         self._adj[v][u] = s
         self._num_edges += 1
-        self._kernel_ctx = None
+        self._reset()
 
     # ------------------------------------------------------------------
     # Shared Graph protocol
@@ -227,12 +255,19 @@ class GraphClosure:
         The raw volume (product of label-set sizes) overflows for any
         realistic closure, so the library works with its logarithm, which is
         order-isomorphic and is all the insertion policies need.
+        Memoised until the closure changes.
         """
-        total = 0.0
-        for s in self._vlabels:
-            total += math.log(len(s))
-        for _, _, s in self.edges():
-            total += math.log(len(s))
+        total = self._log_volume
+        if total is None:
+            log = math.log
+            total = 0.0
+            for s in self._vlabels:
+                total += log(len(s))
+            for u, row in enumerate(self._adj):
+                for v, s in row.items():
+                    if u < v:
+                        total += log(len(s))
+            self._log_volume = total
         return total
 
     # ------------------------------------------------------------------
@@ -255,7 +290,8 @@ class GraphClosure:
         c._vlabels = list(self._vlabels)
         c._adj = [dict(nbrs) for nbrs in self._adj]
         c._num_edges = self._num_edges
-        c._kernel_ctx = None
+        c._reset()
+        c._log_volume, c._source = self._log_volume, self._source
         return c
 
     # ------------------------------------------------------------------
@@ -266,7 +302,7 @@ class GraphClosure:
 
     def __setstate__(self, state) -> None:
         self._vlabels, self._adj, self._num_edges = state
-        self._kernel_ctx = None
+        self._reset()
 
     # ------------------------------------------------------------------
     # Serialization
@@ -320,71 +356,72 @@ def closure_under_mapping(
     g1: GraphLike,
     g2: GraphLike,
     mapping: Sequence[tuple[Optional[int], Optional[int]]],
+    validated: bool = False,
 ) -> GraphClosure:
     """The closure of ``g1`` and ``g2`` under a mapping (Definition 8).
 
     ``mapping`` is a sequence of pairs ``(u, v)`` where ``u`` is a vertex of
     ``g1`` or ``None`` (dummy) and ``v`` is a vertex of ``g2`` or ``None``.
     Every vertex of both graphs must appear exactly once, and no pair may be
-    dummy on both sides (Definition 2).
+    dummy on both sides (Definition 2); ``validated=True`` skips that
+    check for a mapping known to pass it (a ``GraphMapping``'s).
 
     Matched vertices/edges union their label sets; unmatched ones union with
-    :data:`EPSILON`.
+    :data:`EPSILON`.  Vertex ``i`` of the result is the closure of pair
+    ``i``; its edges are ``g1``'s in ``edges()`` order, then the ``g2``
+    edges no ``g1`` edge maps onto, in theirs.
     """
     c1 = as_closure(g1)
     c2 = as_closure(g2)
-    _validate_mapping(c1, c2, mapping)
+    if not validated:
+        _validate_mapping(c1, c2, mapping)
 
     eps = frozenset((EPSILON,))
-    result = GraphClosure.__new__(GraphClosure)
-    result._vlabels = []
-    result._adj = []
-    result._num_edges = 0
-    result._kernel_ctx = None
-
-    # Vertex closures, one per mapping pair; remember each pair's new id.
-    pair_id: list[int] = []
-    for u, v in mapping:
+    sets1, sets2 = c1._vlabels, c2._vlabels
+    # Each side's vertex -> its pair's id; a g1 vertex -> its g2 image.
+    ids1, ids2 = [0] * len(sets1), [0] * len(sets2)
+    image: list[Optional[int]] = [None] * len(sets1)
+    vlabels: list[frozenset] = []
+    for i, (u, v) in enumerate(mapping):
         if u is None:
-            label = c2.label_set(v) | eps
+            vlabels.append(sets2[v] | eps)
+            ids2[v] = i
         elif v is None:
-            label = c1.label_set(u) | eps
+            vlabels.append(sets1[u] | eps)
+            ids1[u] = i
         else:
-            label = c1.label_set(u) | c2.label_set(v)
-        result._vlabels.append(label)
-        result._adj.append({})
-        pair_id.append(len(result._vlabels) - 1)
+            vlabels.append(sets1[u] | sets2[v])
+            ids1[u] = ids2[v] = i
+            image[u] = v
 
-    # Edge closures: for every pair of mapping pairs, union corresponding
-    # edges from each side.  Iterate each side's edge list once instead of
-    # all O(n^2) pairs.
-    id_of_u = {u: pair_id[i] for i, (u, _) in enumerate(mapping) if u is not None}
-    id_of_v = {v: pair_id[i] for i, (_, v) in enumerate(mapping) if v is not None}
+    adj: list[dict[int, frozenset]] = [{} for _ in vlabels]
+    adj2, no_row = c2._adj, {}
+    num_edges = 0
+    for a, row in enumerate(c1._adj):
+        x, va = ids1[a], image[a]
+        rx, image_row = adj[x], no_row if va is None else adj2[va]
+        for b, s1 in row.items():
+            if a < b:
+                y = ids1[b]
+                s2 = image_row.get(image[b])
+                rx[y] = adj[y][x] = s1 | (eps if s2 is None else s2)
+                num_edges += 1
+    for a, row in enumerate(adj2):
+        x = ids2[a]
+        rx = adj[x]
+        for b, s2 in row.items():
+            if a < b:
+                y = ids2[b]
+                if y not in rx:
+                    rx[y] = adj[y][x] = s2 | eps
+                    num_edges += 1
 
-    edge_sets: dict[tuple[int, int], list] = {}
-    for a, b, s in c1.edges():
-        key = _ordered(id_of_u[a], id_of_u[b])
-        edge_sets[key] = [s, None]
-    for a, b, s in c2.edges():
-        key = _ordered(id_of_v[a], id_of_v[b])
-        if key in edge_sets:
-            edge_sets[key][1] = s
-        else:
-            edge_sets[key] = [None, s]
-
-    for (x, y), (s1, s2) in edge_sets.items():
-        if s1 is None:
-            label = s2 | eps
-        elif s2 is None:
-            label = s1 | eps
-        else:
-            label = s1 | s2
-        result.add_edge(x, y, label)
+    result = GraphClosure.__new__(GraphClosure)
+    result._vlabels = vlabels
+    result._adj = adj
+    result._num_edges = num_edges
+    result._reset()
     return result
-
-
-def _ordered(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
 
 
 def _validate_mapping(

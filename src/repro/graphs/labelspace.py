@@ -36,6 +36,10 @@ encoding must preserve that semantics exactly.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
+from functools import reduce
+from operator import or_
 from typing import Hashable, Iterable
 
 from repro.graphs.closure import EPSILON, WILDCARD, GraphClosure, GraphLike
@@ -54,6 +58,7 @@ __all__ = [
     "label_context",
     "target_context",
     "nbm_context",
+    "graph_nbm_keys",
 ]
 
 #: Bitmask of the reserved wildcard label (always id 0).
@@ -84,14 +89,14 @@ class LabelSpace:
     ``(mask, profile, degree)`` key, as a small int (:meth:`vertex_key`).
     """
 
-    __slots__ = ("_vertex_ids", "_edge_ids", "_profiles", "_occurrence_bits",
+    __slots__ = ("_vertex_ids", "_edge_ids", "_profiles", "_runs",
                  "_vertex_key_ids", "vertex_keys")
 
     def __init__(self) -> None:
         self._vertex_ids: dict = {WILDCARD: 0, EPSILON: 1}
         self._edge_ids: dict = {WILDCARD: 0, EPSILON: 1}
         self._profiles: dict[int, int] = {}
-        self._occurrence_bits: dict[tuple[int, int], int] = {}
+        self._runs = _Runs()
         self._vertex_key_ids: dict[tuple[int, ...], int] = {}
         #: vertex key id -> ``(label mask, profile, degree)``
         self.vertex_keys: list[tuple[int, int, int]] = []
@@ -133,14 +138,10 @@ class LabelSpace:
 
     def profile(self, label_ids: Iterable[int]) -> int:
         """The unary-coded mask of a multiset of vertex label ids (given
-        with repetition)."""
-        bits = self._occurrence_bits
-        seen: dict[int, int] = {}
-        mask = 0
-        for i in label_ids:
-            nth = seen[i] = seen.get(i, 0) + 1
-            mask |= 1 << bits.setdefault((i, nth), len(bits))
-        return mask
+        with repetition, in any order): the ids are counted, and each
+        ``(id, count)`` run is one memoised mask."""
+        return reduce(or_, map(self._runs.__getitem__,
+                               Counter(label_ids).items()), 0)
 
     def vertex_key(self, key: tuple[int, ...]) -> int:
         """The id of a database-graph vertex as Alg. 1 sees it, ``key`` its
@@ -191,6 +192,28 @@ class LabelSpace:
     def __repr__(self) -> str:
         return (f"<LabelSpace |V-labels|={len(self._vertex_ids)} "
                 f"|E-labels|={len(self._edge_ids)}>")
+
+
+class _Runs(dict):
+    """``(label id, count) -> mask`` of the bits of that label's first
+    ``count`` occurrences, filled per miss; each (id, k-th occurrence)
+    owns one bit, numbered in order of first use."""
+
+    __slots__ = ("_bits",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: (label id, k) -> bit position
+        self._bits: dict[tuple[int, int], int] = {}
+
+    def __missing__(self, run: tuple[int, int]) -> int:
+        i, count = run
+        bits = self._bits
+        mask = 0
+        for k in range(1, count + 1):
+            mask |= 1 << bits.setdefault((i, k), len(bits))
+        self[run] = mask
+        return mask
 
 
 _GLOBAL_SPACE = LabelSpace()
@@ -414,10 +437,12 @@ def nbm_context(g: GraphLike | TargetContext) -> TargetContext:
     vertex the profile of its neighbours' labels (a closure neighbour
     counts once toward each label of its set) and the source's own list
     of adjacency dicts, by reference.  A graph's vertices are interned whole
-    — key ids in ``vkeys``, profiles shared through them; a closure's
-    hardly recur and are not.  A context compiled already (a disk
-    record's, ``repro.ctree.store.decode_nbm_context``) is returned as
-    it is."""
+    — key ids in ``vkeys``, profiles shared through them; so are an
+    unchanged singleton closure's, taken from its graph
+    (``GraphClosure.from_graph``).  Another closure's hardly recur and
+    are not: each profile is counted (:meth:`LabelSpace.profile`).  A
+    context compiled already (a disk record's,
+    ``repro.ctree.store.decode_nbm_context``) is returned as it is."""
     if isinstance(g, TargetContext):
         return g
     ctx = label_context(g)
@@ -427,13 +452,30 @@ def nbm_context(g: GraphLike | TargetContext) -> TargetContext:
         # drops the context with it, like ``_kernel_ctx``).
         adj = ctx.adj = g._adj
         if isinstance(g, Graph):
-            keys = space.vertex_keys
-            ctx.vkeys = space.graph_keys(
-                [m.bit_length() - 1 for m in vmasks], adj)
-            ctx.profiles = [keys[k][1] for k in ctx.vkeys]
+            _, ctx.vkeys, ctx.profiles = graph_nbm_keys(g)
+        elif g._source is not None and g._source[0] is space:
+            # An unchanged singleton closure has its graph's vertex keys
+            # and profiles; only the adjacency order may differ.
+            _, ctx.vkeys, ctx.profiles = g._source
         else:
             ids = {m: mask_ids(m) for m, _ in ctx.vertex_groups}
-            ctx.profiles = [
-                space.profile([i for w in a for i in ids[vmasks[w]]])
-                for a in adj]
+            vids = [ids[m] for m in vmasks]
+            profile, chain = space.profile, itertools.chain.from_iterable
+            ctx.profiles = [profile(chain(map(vids.__getitem__, a)))
+                            for a in adj]
     return ctx
+
+
+def graph_nbm_keys(g: Graph) -> tuple[LabelSpace, list[int], list[int]]:
+    """``(space, vkeys, profiles)``: the vertex keys and profiles
+    :func:`nbm_context` gives a graph, in the current space — read from
+    the graph's memoised context when it holds them, else interned
+    without building (or keeping) one."""
+    space = _GLOBAL_SPACE
+    cached = g._kernel_ctx
+    if cached is not None and cached[0] is space and \
+            cached[1].vkeys is not None:
+        return space, cached[1].vkeys, cached[1].profiles
+    keys = space.vertex_keys
+    vkeys = space.graph_keys(list(map(space.vertex_id, g._labels)), g._adj)
+    return space, vkeys, [keys[k][1] for k in vkeys]

@@ -188,7 +188,8 @@ class GraphMapping:
 
     def closure(self) -> GraphClosure:
         """The graph closure of the two graphs under this mapping (Def. 8)."""
-        return closure_under_mapping(self.g1, self.g2, self.pairs)
+        return closure_under_mapping(self.g1, self.g2, self.pairs,
+                                     validated=True)
 
     # ------------------------------------------------------------------
     def _edge_pairs(self) -> Iterable[tuple[frozenset, frozenset]]:

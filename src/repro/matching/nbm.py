@@ -196,6 +196,12 @@ class NbmScorer:
         adj1, adj2 = c1.adj, c2.adj
         emask1, emask2 = c1.edge_masks, c2.edge_masks
         push, pop = heapq.heappush, heapq.heappop
+        # The matched vs in match order; row u has struck out the first
+        # struck[u] of them.  Only a re-key reads a taken column (a boost
+        # skips matched vs), so a row is brought up to date just then.
+        taken: list[int] = []
+        struck = [0] * n1
+        full = min(n1, n2)
 
         result: dict[int, int] = {}
         while heap:
@@ -205,20 +211,24 @@ class NbmScorer:
             if matched2[v] or -neg_w < best_wt[u]:
                 # Stale entry: v was taken, or u's weight has been boosted
                 # since.  Re-key u on its best unmatched candidate (the
-                # first of equals); with g2 exhausted u stays unmatched, a
-                # dummy.
+                # first of equals).
                 row = weight[u]
+                for v2 in taken[struck[u]:]:
+                    row[v2] = -1.0  # below every weight: out of the re-key
+                struck[u] = len(taken)
                 best = max(row)
-                if best >= 0.0:
-                    best_wt[u] = best
-                    push(heap, (-best, next(counter), u, row.index(best)))
+                best_wt[u] = best
+                push(heap, (-best, next(counter), u, row.index(best)))
                 continue
 
             matched1[u] = True
             matched2[v] = True
             result[u] = v
-            for row in weight:
-                row[v] = -1.0  # below every weight: out of all later re-keys
+            if len(result) == full:
+                # One side is used up: every later pop is a no-op, and
+                # the unmatched vertices of the other pair with dummies.
+                return result
+            taken.append(v)
 
             # Boost unmatched neighbor pairs (the "neighbor bias").
             targets = [(v2, emask2[label]) for v2, label in adj2[v].items()

@@ -270,6 +270,13 @@ class TestGoldenWork:
 _PAGE_FILE_SHA256 = \
     "88069a351987697d2b501316341bf3dfd87ba86c07c7e06f690aa113ee688670"
 
+#: sha256 of that index after the deletes and extends of
+#: ``test_churned_page_file_bytes_pinned``.  Every Section 5 write path
+#: folds closures on the way (insert, split, shrink, underflow merge and
+#: redistribute), so a fold that moves one tie-break moves these bytes.
+_CHURNED_PAGE_FILE_SHA256 = \
+    "930b25195c4a01cb5bef72488e5b1557d4fed2addb226e8968249f6445f06ea8"
+
 _HASH_PAGE_FILE = """
 import hashlib, sys, tempfile
 from pathlib import Path
@@ -298,6 +305,33 @@ class TestGoldenIndexIntegrity:
             capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == _PAGE_FILE_SHA256
+
+    def test_churned_page_file_bytes_pinned(self, golden, tmp_path):
+        """Six rounds of deleting four graphs and extending four: the tree
+        stays valid after each, and the page file ends byte for byte as
+        pinned — closure folds are exact, not merely equivalent."""
+        from repro.obs.metrics import global_registry
+
+        db, _ = golden
+        registry = global_registry()
+        names = [f"ctree.disk.{name}" for name in (
+            "splits", "closure_shrinks", "underflow_merges",
+            "underflow_redistributes")]
+        before = {n: registry.counter(n).value for n in names}
+        path = tmp_path / "churn.ctp"
+        disk = DiskCTree.create(bulk_load(db, min_fanout=3), path,
+                                page_size=512)
+        live = list(range(len(db)))
+        for r in range(6):
+            victims = live[r::5][:4]
+            disk.delete_many(victims)
+            live = [g for g in live if g not in victims] + disk.extend(
+                [db[(5 * r + i) % len(db)] for i in range(4)])
+            assert disk.check() == []
+        disk.close()
+        assert all(registry.counter(n).value > before[n] for n in names)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            _CHURNED_PAGE_FILE_SHA256
 
     def test_fsck_clean(self, golden_disk):
         disk, path = golden_disk

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import pickle
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs.closure import (
     EPSILON,
@@ -92,6 +95,36 @@ class TestLabelSpace:
         space.publish(registry)
         assert registry.snapshot()["labelspace.vertex_keys"]["value"] == 3
         assert registry.snapshot()["labelspace.profiles"]["value"] == 2
+
+
+class TestProfiles:
+    """A profile is a multiset of label ids as a mask: the order the ids
+    come in is irrelevant, and two profiles overlap in popcount(AND) by
+    exactly their multisets' intersection."""
+
+    @given(st.lists(st.lists(st.integers(0, 6), max_size=12), min_size=2,
+                    max_size=6),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_order_free_and_overlap_is_multiset_intersection(self, bags, rnd):
+        space = LabelSpace()
+        profiles = [space.profile(bag) for bag in bags]
+        for bag, p in zip(bags, profiles):
+            shuffled = bag[:]
+            rnd.shuffle(shuffled)
+            assert space.profile(iter(shuffled)) == p
+            assert p.bit_count() == len(bag)
+        for a, p in zip(bags, profiles):
+            for b, q in zip(bags, profiles):
+                common = Counter(a) & Counter(b)
+                assert (p & q).bit_count() == sum(common.values())
+
+    def test_equal_multisets_equal_profiles_across_first_use_order(self):
+        space = LabelSpace()
+        p = space.profile([5, 5, 2])
+        assert space.profile([2, 5, 5]) == p
+        assert space.profile([2, 2]) & p == space.profile([2])
+        assert space.profile([]) == 0
 
 
 class TestMasksMatch:

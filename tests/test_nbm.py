@@ -14,6 +14,7 @@ from repro.graphs.closure import (
     EPSILON,
     WILDCARD,
     GraphClosure,
+    as_closure,
     closure_under_mapping,
 )
 from repro.graphs.graph import Graph
@@ -214,6 +215,29 @@ class TestKernelDifferential:
             for c2 in closures:
                 assert_kernel_equals_reference(c1, c2)
 
+    def test_unbalanced_tree_closures_and_chemical_graphs(self, chem_db_small):
+        """n1 >> n2 and n1 << n2: Alg. 1 returns once the smaller side is
+        used up and strikes taken columns out of a row only at its
+        re-key — bit-identical to the reference either way, on tree
+        closures and on those closures folded against a graph."""
+        from repro.ctree.bulkload import bulk_load
+
+        db = chem_db_small
+        tree = bulk_load(db[:40], min_fanout=3)
+        closures = [tree.root.closure]
+        closures += [c.closure for c in tree.root.children]
+        closures += [nbm_mapping(c, g).closure()
+                     for c, g in zip(closures, db[40:])]
+        small = [g.subgraph(range(k)) for k, g in zip((1, 2, 3, 4), db[44:])]
+        for c in closures:
+            scorer = NbmScorer(c)
+            for g in small:
+                assert c.num_vertices >= 4 * g.num_vertices
+                assert_kernel_equals_reference(c, g)
+                assert_kernel_equals_reference(g, c)
+                assert_scorer_equals_reference(scorer, g)
+                assert_scorer_equals_reference(NbmScorer(g), c)
+
     def test_custom_measures_take_the_reference_loop(self):
         g1, g2 = path_graph("ABC"), path_graph("ACB")
         jaccard = nbm_mapping(g1, g2, vertex_similarity=jaccard_set_similarity)
@@ -328,6 +352,36 @@ class TestKernelMemo:
         fresh = GraphClosure.from_dict(c.to_dict())
         assert nbm_match(c, g) == nbm_match(fresh, g)
         assert_kernel_equals_reference(c, g)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda g: g.add_vertex("B"),
+        lambda g: g.add_edge(0, 3, "x"),
+        lambda g: g.remove_edge(1, 2),
+        lambda g: g.set_label(2, "A"),
+    ], ids=["add_vertex", "add_edge", "remove_edge", "set_label"])
+    def test_singleton_closure_outlives_changes_to_its_graph(self, mutate):
+        """``as_closure(g)`` reads g's interned vertex keys as they were
+        when it was made: a later change to g moves neither side's match
+        of the closure (the closure still holds g's old labels)."""
+        g = Graph(["C", "C", "C", "B", "A"],
+                  [(0, 1), (1, 2), (2, 3), (3, 4)])
+        other = Graph(["B", "C", "C", "B"], [(1, 2), (1, 3), (2, 3)])
+        c, kept = as_closure(g), as_closure(g.copy())
+        mutate(g)
+        assert nbm_match(c, other) == nbm_match(kept, other)
+        assert nbm_match(other, c) == nbm_match(other, kept)
+        assert_kernel_equals_reference(c, other)
+        assert_kernel_equals_reference(other, c)
+
+    def test_singleton_closure_mutation_recounts(self):
+        g = Graph(["A", "B", "C", "A"], [(0, 1), (1, 2), (2, 3)])
+        other = Graph(["A", "A", "B", "C", "B"],
+                      [(0, 2), (2, 3), (3, 1), (1, 4)])
+        c = as_closure(g)
+        c.add_edge(0, 3, {"x"})
+        c.add_vertex({"B", "C"})
+        assert_kernel_equals_reference(c, other)
+        assert_kernel_equals_reference(other, c)
 
     def test_copy_and_pickle_start_clean(self):
         import pickle
