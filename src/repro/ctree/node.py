@@ -60,29 +60,6 @@ def fold_closure_set(
     return closure
 
 
-def same_encoding(a: Optional[GraphClosure], b: Optional[GraphClosure]) -> bool:
-    """Whether two closures serialize identically (same vertex label sets
-    and the same edges *in the same order*) — stricter than ``==``, which
-    ignores edge order.  Insert and delete rewrite a node exactly when
-    this says its closure changed."""
-    if a is None or b is None:
-        return a is b
-    return (
-        a.num_vertices == b.num_vertices
-        and all(a.label_set(v) == b.label_set(v) for v in a.vertices())
-        and list(a.edges()) == list(b.edges())
-    )
-
-
-def as_stored(closure: GraphClosure) -> GraphClosure:
-    """``closure`` as a record round trip yields it (each vertex's
-    neighbours re-ordered by the serialized edge list).  The heuristic
-    mappers break ties by neighbour order, so a summary that is folded
-    again within the operation that produced it is first brought to the
-    form any later operation will load."""
-    return GraphClosure.from_dict(closure.to_dict())
-
-
 @dataclass
 class LeafEntry:
     """A database graph stored at a leaf."""

@@ -184,8 +184,8 @@ BAD_RECORD = (GraphError, KeyError, IndexError, TypeError, ValueError)
 
 
 def encode_graph(graph: Graph) -> dict:
-    """``graph`` as a record; edges in ``edges()`` order, which fixes the
-    adjacency order every later decode rebuilds."""
+    """``graph`` as a record, edges in ``edges()`` order: the same graph
+    always encodes to the same bytes."""
     vtable: dict = {}
     etable: dict = {}
     codes = [vtable.setdefault(graph.label(v), len(vtable))
@@ -347,8 +347,7 @@ def decode_graph_context(record: dict) -> TargetContext:
 def decode_nbm_context(record: dict) -> TargetContext:
     """What Alg. 1 reads of ``nbm_context(decode_graph(record))``,
     compiled straight from the record: :func:`_adjacency` builds each
-    vertex's adjacency dict as :func:`decode_graph` does — in stored order,
-    so NBM breaks its ties, and scores, as on that graph — and
+    vertex's adjacency dict as :func:`decode_graph` does, and
     ``LabelSpace.graph_keys`` interns its vertex keys from it, as
     :func:`nbm_context` does a graph's.  No graph is built, nor the label
     half or Alg. 2's (``TargetContext.nbm_only``).  A record

@@ -35,10 +35,8 @@ from repro.obs.metrics import global_registry
 from repro.ctree.node import (
     CTreeNode,
     Mapper,
-    as_stored,
     fold_closure,
     fold_closure_set,
-    same_encoding,
 )
 from repro.ctree.policies import (
     choose_merge_sibling,
@@ -213,7 +211,7 @@ class CTreeCore:
             folded = folds[i]
             if folded is None:
                 folded = fold_closure(node.closure, graph, mapper)
-            if not same_encoding(folded, node.closure):
+            if folded != node.closure:
                 node.closure = folded
                 dirty[i] = True
 
@@ -265,8 +263,8 @@ class CTreeCore:
         halves and grow the tree by one level."""
         new_root = CTreeNode(False, [old_ref, sibling_ref])
         new_root.closure = fold_closure(
-            as_stored(old_root.closure),
-            self.store.load_node(sibling_ref).closure, self.mapper)
+            old_root.closure, self.store.load_node(sibling_ref).closure,
+            self.mapper)
         self.store.set_root(self.store.alloc_node(new_root), height)
 
     # ------------------------------------------------------------------
@@ -340,7 +338,7 @@ class CTreeCore:
                 refolded = fold_closure_set(
                     self._member_closures(node.is_leaf, entries),
                     self.mapper)
-                if not same_encoding(refolded, node.closure):
+                if refolded != node.closure:
                     node.closure = refolded
                     self._counter("closure_shrinks").value += 1
                     dirty = True
@@ -388,8 +386,8 @@ class CTreeCore:
         ref, node = path[i]
         siblings = [c for c in path[i - 1][1].children if c != ref]
         lazy = _LazyClosures(store, siblings)
-        choice, merged = choose_merge_sibling(
-            lazy, as_stored(node.closure), mapper, rng)
+        choice, merged = choose_merge_sibling(lazy, node.closure, mapper,
+                                              rng)
         sibling_ref, sibling = siblings[choice], lazy.node(choice)
         entries = sibling.children + node.children
         if len(entries) <= self.max_fanout:

@@ -300,8 +300,8 @@ class TargetContext(LabelSummary):
         self.profiles: list[int] | None = None
         #: ... and, of a graph only, each vertex's ``LabelSpace.vertex_key``
         self.vkeys: list[int] | None = None
-        #: ... and per vertex its ``{neighbour: edge label}`` dict in the
-        #: source's adjacency order (the order Alg. 1 breaks ties in)
+        #: ... and per vertex its ``{neighbour: edge label}`` dict, the
+        #: source's own (Alg. 1 reads no order from it)
         self.adj: list[dict] | None = None
         #: ``kernels.neighbor_rows`` memo: query edge mask -> row per vertex
         self.nbr_rows: dict[int, list[int]] = {}
@@ -455,7 +455,7 @@ def nbm_context(g: GraphLike | TargetContext) -> TargetContext:
             _, ctx.vkeys, ctx.profiles = graph_nbm_keys(g)
         elif g._source is not None and g._source[0] is space:
             # An unchanged singleton closure has its graph's vertex keys
-            # and profiles; only the adjacency order may differ.
+            # and profiles.
             _, ctx.vkeys, ctx.profiles = g._source
         else:
             ids = {m: mask_ids(m) for m, _ in ctx.vertex_groups}

@@ -58,7 +58,7 @@ class MappingScorer:
     """Similarity and distance from one graph to many under one mapping
     method: what :func:`graph_similarity` / :func:`graph_distance` compute,
     with the method resolved (an unknown one is a ``ConfigError`` here,
-    before anything is scored) and, for plain NBM, the first graph's side
+    before anything is scored) and, for NBM, the first graph's side
     of Alg. 1 compiled once.  :meth:`load` decides what a traversal loads
     a leaf entry as.  Every graph scored counts as one mapping call."""
 
@@ -69,8 +69,8 @@ class MappingScorer:
         self.g1 = g1
         self._mapper = _select(method)
         self._kwargs = kwargs
-        self._nbm = (NbmScorer(g1)
-                     if self._mapper is nbm_mapping and not kwargs else None)
+        self._nbm = (NbmScorer(g1, **kwargs)
+                     if self._mapper is nbm_mapping else None)
         self._calls = (_C_MAPPING_CALLS, _C_BY_METHOD[method])
 
     def _count(self) -> None:

@@ -10,6 +10,12 @@ estimates (Fig. 10).
 Complexity: O(n^2) initialization plus O(n · d^2 · log n) queue work, as
 analyzed in the paper.
 
+The paper fixes the loop by weights and neighbours alone; every tie is
+broken here on vertex ids — the heap pops the lowest ``(-weight, u, v)``
+and a vertex's best candidate is the lowest ``v`` among equal weights — so
+a pair's mapping is a function of the two labelled graphs, whatever order
+their edges were added or stored in.
+
 Under the paper's uniform measures (every caller in the library) the
 algorithm runs as a compiled kernel, :class:`NbmScorer`, over the contexts
 memoized on graphs and closures (:func:`~repro.graphs.labelspace.nbm_context`)
@@ -26,7 +32,6 @@ is the oracle the kernel must equal bit for bit (``tests/test_nbm.py``).
 from __future__ import annotations
 
 import heapq
-import itertools
 from operator import and_
 from typing import Callable
 
@@ -41,27 +46,16 @@ from repro.graphs.mapping import GraphMapping, uniform_set_similarity
 
 
 def nbm_mapping(
-    g1: GraphLike,
-    g2: GraphLike,
-    vertex_similarity: Callable = uniform_set_similarity,
-    edge_similarity: Callable = uniform_set_similarity,
-    neighbor_bonus: float = 1.0,
-    neighborhood_init: float = 0.5,
+    g1: GraphLike, g2: GraphLike, neighborhood_init: float = 0.5
 ) -> GraphMapping:
-    """Compute a graph mapping with Neighbor Biased Mapping (Alg. 1).
+    """Compute a graph mapping with Neighbor Biased Mapping (Alg. 1) under
+    the paper's uniform measures.
 
     Parameters
     ----------
     g1, g2:
         Graphs or closures.  Every vertex of ``g1`` is matched if ``g2`` has
         spare vertices (unmatched leftovers pair with dummies).
-    vertex_similarity, edge_similarity:
-        Label-set similarity measures; defaults are the paper's uniform
-        measure.
-    neighbor_bonus:
-        Weight added to a neighbor pair ``(u', v')`` for each matched pair
-        ``(u, v)`` adjacent to it, scaled by the similarity of the connecting
-        edges.
     neighborhood_init:
         Weight of the neighborhood term in the *initial* similarity matrix.
         The paper computes initial weights from "the similarity of their
@@ -75,12 +69,10 @@ def nbm_mapping(
     Returns
     -------
     A :class:`~repro.graphs.mapping.GraphMapping` covering both graphs.
+    Other measures and neighbour bonuses take
+    :func:`nbm_mapping_reference`.
     """
-    uniform = uniform_set_similarity
-    if vertex_similarity is edge_similarity is uniform and neighbor_bonus == 1.0:
-        return NbmScorer(g1, neighborhood_init).mapping(g2)
-    return nbm_mapping_reference(g1, g2, vertex_similarity, edge_similarity,
-                                 neighbor_bonus, neighborhood_init)
+    return NbmScorer(g1, neighborhood_init).mapping(g2)
 
 
 def nbm_match(
@@ -136,10 +128,9 @@ class NbmScorer:
     every interned vertex key a database graph has brought so far — a
     pure memo, so any number of targets in any order score as one would.
     A target is a graph, a closure or its compiled context; only
-    :meth:`mapping` needs it as a graph.  The tiebreak counter is drawn
-    exactly where the reference draws it, and pushes follow each
-    context's ``adj`` order — the source's adjacency order — so both pop
-    the same sequence of heap entries.
+    :meth:`mapping` needs it as a graph.  Ties are broken on vertex ids,
+    as in the reference, so both pop the same sequence of heap entries
+    whatever order either side's adjacency dicts are in.
     """
 
     __slots__ = ("query", "_scale", "_ctx", "_row_of", "_columns", "_elements")
@@ -188,11 +179,10 @@ class NbmScorer:
 
         matched1 = [False] * n1
         matched2 = [False] * n2
-        # Min-heap over (-weight, tiebreak, u, v): the tiebreak makes entries
-        # totally ordered, so pop order does not depend on heap layout.
-        heap = [(-bests[r], u, u, firsts[r]) for u, r in enumerate(row_of)]
+        # Min-heap over (-weight, u, v): the ids break every tie, so pop
+        # order depends on neither heap layout nor push order.
+        heap = [(-bests[r], u, firsts[r]) for u, r in enumerate(row_of)]
         heapq.heapify(heap)
-        counter = itertools.count(n1)
         adj1, adj2 = c1.adj, c2.adj
         emask1, emask2 = c1.edge_masks, c2.edge_masks
         push, pop = heapq.heappush, heapq.heappop
@@ -205,20 +195,20 @@ class NbmScorer:
 
         result: dict[int, int] = {}
         while heap:
-            neg_w, _, u, v = pop(heap)
+            neg_w, u, v = pop(heap)
             if matched1[u]:
                 continue
             if matched2[v] or -neg_w < best_wt[u]:
                 # Stale entry: v was taken, or u's weight has been boosted
                 # since.  Re-key u on its best unmatched candidate (the
-                # first of equals).
+                # lowest id of equals).
                 row = weight[u]
                 for v2 in taken[struck[u]:]:
                     row[v2] = -1.0  # below every weight: out of the re-key
                 struck[u] = len(taken)
                 best = max(row)
                 best_wt[u] = best
-                push(heap, (-best, next(counter), u, row.index(best)))
+                push(heap, (-best, u, row.index(best)))
                 continue
 
             matched1[u] = True
@@ -242,11 +232,11 @@ class NbmScorer:
                 for v2, e2 in targets:
                     if e1 & e2:
                         w = row[v2] = row[v2] + 1.0
-                        if w > best:
+                        if w > best or w == best and v2 < mate:
                             mate, best = v2, w
                 if mate >= 0:
                     best_wt[u2] = best
-                    push(heap, (-best, next(counter), u2, mate))
+                    push(heap, (-best, u2, mate))
         return result
 
     def mapping(self, target: GraphLike) -> GraphMapping:
@@ -313,7 +303,12 @@ def nbm_mapping_reference(
     neighbor_bonus: float = 1.0, neighborhood_init: float = 0.5,
 ) -> GraphMapping:
     """:func:`nbm_mapping` over label sets and arbitrary measures: the
-    path of custom measures, and the oracle the kernel is tested against."""
+    path of custom measures, and the oracle the kernel is tested against.
+
+    ``vertex_similarity`` and ``edge_similarity`` are label-set measures;
+    ``neighbor_bonus`` is the weight added to a neighbor pair ``(u', v')``
+    for each matched pair ``(u, v)`` adjacent to it, scaled by the
+    similarity of the connecting edges."""
     n1, n2 = g1.num_vertices, g2.num_vertices
     if n1 == 0 or n2 == 0:
         return GraphMapping.from_partial(g1, g2, {})
@@ -331,10 +326,9 @@ def nbm_mapping_reference(
     mate: list[int] = [0] * n1   # current best candidate in g2 for each u
     best_wt: list[float] = [0.0] * n1
 
-    # Min-heap over (-weight, tiebreak, u, v); the tiebreak keeps heap
-    # comparisons away from graph objects and makes results deterministic.
-    counter = itertools.count()
-    heap: list[tuple[float, int, int, int]] = []
+    # Min-heap over (-weight, u, v): the ids break every tie, so the result
+    # depends on neither push order nor adjacency order.
+    heap: list[tuple[float, int, int]] = []
 
     def best_unmatched_candidate(u: int) -> int:
         """The unmatched v maximizing W[u][v]; -1 if none remain."""
@@ -349,11 +343,11 @@ def nbm_mapping_reference(
         v = best_unmatched_candidate(u)
         mate[u] = v
         best_wt[u] = weight[u][v]
-        heapq.heappush(heap, (-best_wt[u], next(counter), u, v))
+        heapq.heappush(heap, (-best_wt[u], u, v))
 
     result: dict[int, int] = {}
     while heap:
-        neg_w, _, u, v = heapq.heappop(heap)
+        neg_w, u, v = heapq.heappop(heap)
         if matched1[u]:
             continue
         if matched2[v] or -neg_w < best_wt[u]:
@@ -363,7 +357,7 @@ def nbm_mapping_reference(
                 continue  # g2 exhausted; u stays unmatched (dummy)
             mate[u] = v
             best_wt[u] = weight[u][v]
-            heapq.heappush(heap, (-best_wt[u], next(counter), u, v))
+            heapq.heappush(heap, (-best_wt[u], u, v))
             continue
 
         matched1[u] = True
@@ -385,12 +379,15 @@ def nbm_mapping_reference(
                 if bonus <= 0.0:
                     continue
                 row[v2] += bonus
-                if row[v2] > best_wt[u2]:
+                w = row[v2]
+                # The lowest id among equally boosted candidates.
+                if w > best_wt[u2] or (improved and w == best_wt[u2]
+                                       and v2 < mate[u2]):
                     mate[u2] = v2
-                    best_wt[u2] = row[v2]
+                    best_wt[u2] = w
                     improved = True
             if improved:
-                heapq.heappush(heap, (-best_wt[u2], next(counter), u2, mate[u2]))
+                heapq.heappush(heap, (-best_wt[u2], u2, mate[u2]))
 
     return GraphMapping.from_partial(g1, g2, result)
 

@@ -23,8 +23,8 @@ ORACLES = ["kernels", "reference"]
 
 
 def stored_graphs(index) -> list[tuple[int, Graph]]:
-    """An index's ``(graph id, graph)`` pairs as its store holds them, in
-    leaf order: the order a descent yields candidates and answers in."""
+    """An index's ``(graph id, graph)`` pairs in leaf order: the order a
+    descent yields candidates and answers in."""
     store = index.store
 
     def walk(ref):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ctree.node import same_encoding
 from repro.exceptions import GraphError, MappingError
 from repro.graphs.closure import (
     EPSILON,
@@ -279,7 +278,7 @@ class TestDirectFill:
     def test_from_graph_equals_add_edge_reference(self, g):
         c = GraphClosure.from_graph(g)
         ref = reference_singleton(g)
-        assert same_encoding(c, ref)
+        assert c == ref
         assert layout(c) == layout(ref)
 
     @given(graph_like_pairs())
@@ -289,7 +288,7 @@ class TestDirectFill:
         ref = reference_closure(g1, g2, pairs)
         for got in (closure_under_mapping(g1, g2, pairs),
                     GraphMapping(g1, g2, pairs).closure()):
-            assert same_encoding(got, ref)
+            assert got == ref
             assert layout(got) == layout(ref)
             assert got.to_dict() == ref.to_dict()
 

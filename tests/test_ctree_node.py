@@ -3,12 +3,7 @@
 from repro.graphs.closure import GraphClosure
 from repro.graphs.histogram import LabelHistogram
 from repro.matching.nbm import nbm_mapping
-from repro.ctree.node import (
-    CTreeNode,
-    LeafEntry,
-    as_stored,
-    same_encoding,
-)
+from repro.ctree.node import CTreeNode, LeafEntry
 
 from conftest import path_graph, triangle
 
@@ -65,8 +60,7 @@ class TestNodeStructure:
         node.closure = other
         assert node.stored_closure() is None
         assert node.histogram == LabelHistogram.of(other)
-        assert same_encoding(node.closure, as_stored(other))
-        assert not same_encoding(node.closure, None)
+        assert node.closure is other
 
     def test_iter_leaf_entries(self):
         leaf1 = CTreeNode(is_leaf=True)

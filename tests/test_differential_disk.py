@@ -24,7 +24,6 @@ from repro.ctree.tree import CTree
 from repro.datasets.chemical import ChemicalConfig, generate_chemical_database
 from repro.datasets.queries import generate_subgraph_queries
 from repro.graphs.closure import GraphClosure
-from repro.graphs.graph import Graph
 from repro.obs.metrics import global_registry
 from repro.storage.faultfs import FaultInjector, FaultPlan, SimulatedCrash
 
@@ -35,7 +34,10 @@ _CONFIG = ChemicalConfig(mean_vertices=11, large_fraction=0.0)
 
 
 def _world(tmp_path, seed):
-    db = generate_chemical_database(24, seed=seed, config=_CONFIG)
+    """A bulk-loaded tree and the disk index written from it: the two
+    stores hold value-identical nodes, so the one traversal must do
+    identical work over either."""
+    db = generate_chemical_database(30, seed=seed, config=_CONFIG)
     tree = bulk_load(db, min_fanout=3)
     path = tmp_path / f"diff-{seed}.ctp"
     disk = DiskCTree.create(tree, path, page_size=512, cache_pages=16)
@@ -70,19 +72,16 @@ class TestSubgraphDifferential:
 class TestKnnDifferential:
     def test_similarities_match_linear_scan(self, tmp_path, seed):
         """The index's pruning must not lose neighbors: similarities must
-        equal a brute-force scan over the same (disk-resident) graphs.
-        The scan runs on the graphs as the disk stores them, because the
-        greedy NBM similarity is sensitive to adjacency order and a
-        serialization roundtrip may legitimately perturb tie-scores."""
+        equal a brute-force scan over the database the index was built
+        from."""
         db, tree, disk = _world(tmp_path, seed)
         try:
-            stored = dict(disk.iter_graphs())
             for qid in (0, len(db) // 2):
                 dsk, _ = disk.knn_query(db[qid], 4)
-                ref = linear_scan_knn(stored, db[qid], 4)
+                ref = linear_scan_knn(dict(enumerate(db)), db[qid], 4)
                 dsk_sims = sorted((s for _, s in dsk), reverse=True)
                 ref_sims = sorted((s for _, s in ref), reverse=True)
-                assert dsk_sims == pytest.approx(ref_sims)
+                assert dsk_sims == ref_sims
         finally:
             disk.close()
 
@@ -184,19 +183,6 @@ class TestChurnDifferential:
         assert report.clean, report.errors
 
 
-def _stored_world(tmp_path, seed):
-    """A bulk-loaded tree over graphs in *stored form* (one JSON round
-    trip, which is what a page file hands back) and the disk index
-    written from it: the two stores then hold value-identical nodes, so
-    the one traversal must do identical work over either."""
-    db = [Graph.from_dict(g.to_dict()) for g in
-          generate_chemical_database(30, seed=seed, config=_CONFIG)]
-    tree = bulk_load(db, min_fanout=3)
-    disk = DiskCTree.create(tree, tmp_path / f"stored-{seed}.ctp",
-                            page_size=512, cache_pages=16)
-    return db, tree, disk
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 class TestOneTraversalTwoStores:
     """Pins the unification: memory and disk run the *same* Alg. 3 /
@@ -205,7 +191,7 @@ class TestOneTraversalTwoStores:
 
     @pytest.mark.parametrize("oracle", ORACLES)
     def test_subgraph_counters_identical(self, tmp_path, seed, oracle):
-        db, tree, disk = _stored_world(tmp_path, seed)
+        db, tree, disk = _world(tmp_path, seed)
         with disk:
             for level in (1, "max"):
                 for q in generate_subgraph_queries(db, 6, 4, seed=seed):
@@ -226,9 +212,8 @@ class TestOneTraversalTwoStores:
 
     @pytest.mark.parametrize("oracle", ORACLES)
     def test_knn_counters_identical(self, tmp_path, seed, oracle):
-        db, tree, disk = _stored_world(tmp_path, seed)
+        db, tree, disk = _world(tmp_path, seed)
         with disk:
-            stored = dict(disk.iter_graphs())
             for qid in (0, 7, len(db) - 1):
                 for canonical in (False, True):
                     mem, mem_stats = knn_query(tree, db[qid], 4,
@@ -237,8 +222,9 @@ class TestOneTraversalTwoStores:
                         db[qid], 4, canonical=canonical)
                     assert dsk == mem
                     if oracle == "reference" and canonical:
-                        # no descent: every stored graph scored
-                        assert dsk == linear_scan_knn(stored, db[qid], 4)
+                        # no descent: every database graph scored
+                        assert dsk == linear_scan_knn(dict(enumerate(db)),
+                                                      db[qid], 4)
                     assert isinstance(dsk_stats, DiskKnnStats)
                     assert dsk_stats.deterministic_dict() \
                         == mem_stats.deterministic_dict()
@@ -247,7 +233,7 @@ class TestOneTraversalTwoStores:
         """``range_query`` has no disk-specific code: handed a
         ``DiskCTree`` it returns the memory tree's answers, distances
         and counters, plus the page I/O it caused."""
-        db, tree, disk = _stored_world(tmp_path, seed)
+        db, tree, disk = _world(tmp_path, seed)
         with disk:
             for qid, radius in ((1, 2.0), (5, 6.0), (9, 0.0)):
                 mem, mem_stats = range_query(tree, db[qid], radius)
@@ -263,13 +249,9 @@ class TestOneTraversalTwoStores:
         """One Section 5 implementation: the same deletes and inserts
         leave the in-memory tree and the disk index valid (every node
         within [m, M], every graph inside each ancestor closure), over
-        the same ids, answering alike.  (Shapes may differ: a record
-        round trip re-orders closure adjacency, which the greedy
-        mapper's tie-breaks can see.)"""
-        db, tree, disk = _stored_world(tmp_path, seed)
-        extra = [Graph.from_dict(g.to_dict()) for g in
-                 generate_chemical_database(8, seed=seed + 1,
-                                            config=_CONFIG)]
+        the same ids, answering alike."""
+        db, tree, disk = _world(tmp_path, seed)
+        extra = generate_chemical_database(8, seed=seed + 1, config=_CONFIG)
         with disk:
             victims = random.Random(seed).sample(range(len(db)), 14)
             disk.delete_many(victims, auto_compact=False)
@@ -290,11 +272,9 @@ class TestOneTraversalTwoStores:
         on disk is the one ``fsck`` runs, so the three report the same
         findings — none on the trees the maintenance above leaves, and
         the same ones once one leaf closure is broken in both stores."""
-        db, tree, disk = _stored_world(tmp_path, seed)
+        db, tree, disk = _world(tmp_path, seed)
         path = disk.path
-        extra = [Graph.from_dict(g.to_dict()) for g in
-                 generate_chemical_database(8, seed=seed + 1,
-                                            config=_CONFIG)]
+        extra = generate_chemical_database(8, seed=seed + 1, config=_CONFIG)
         victims = random.Random(seed).sample(range(len(db)), 14)
         with disk:
             disk.delete_many(victims, auto_compact=False)
@@ -307,7 +287,7 @@ class TestOneTraversalTwoStores:
         assert DiskCTree.fsck(path, deep=True).errors == []
 
         (tmp_path / "broken").mkdir()
-        db, tree, disk = _stored_world(tmp_path / "broken", seed)
+        db, tree, disk = _world(tmp_path / "broken", seed)
         path = disk.path
         point = GraphClosure([{"C"}])
 
@@ -328,6 +308,45 @@ class TestOneTraversalTwoStores:
         in_memory = tree.check(1)
         assert in_memory and all(e.startswith("graph ") for e in in_memory)
         assert in_memory == on_disk == DiskCTree.fsck(path, deep=True).errors
+
+
+def _shape(index):
+    """Every node in depth-first child order: its depth, leaf flag, child
+    count, its closure's vertex label multiset and, of a leaf, its graph
+    ids."""
+    store, out = index.store, []
+
+    def walk(ref, depth):
+        node = store.load_node(ref)
+        labels = sorted(sorted(map(repr, node.closure.label_set(v)))
+                        for v in node.closure.vertices())
+        out.append((depth, node.is_leaf, len(node.children), labels,
+                    [e.graph_id for e in node.children]
+                    if node.is_leaf else None))
+        if not node.is_leaf:
+            for child in node.children:
+                walk(child, depth + 1)
+
+    walk(store.root, 0)
+    return out
+
+
+@pytest.mark.parametrize("seed", [11, 23, 47, 101])
+def test_memory_and_disk_inserts_grow_one_shape(tmp_path, seed):
+    """Section 5's insert over either store, from one seed, builds the
+    same tree node for node: Alg. 1 reads no adjacency order, so a
+    closure folded in memory and one read back from a record choose and
+    split alike."""
+    db = generate_chemical_database(40, seed=seed, config=_CONFIG)
+    tree = CTree(min_fanout=2, max_fanout=4, seed=seed)
+    for g in db:
+        tree.insert(g)
+    empty = CTree(min_fanout=2, max_fanout=4, seed=seed)
+    with DiskCTree.create(empty, tmp_path / "grown.ctp", page_size=512,
+                          cache_pages=16) as disk:
+        assert disk.extend(db, seed=seed) == list(range(len(db)))
+        assert disk.height == tree.height() >= 2
+        assert _shape(disk) == _shape(tree)
 
 
 def _fingerprint(disk, queries, probes):

@@ -20,7 +20,11 @@ from repro.graphs.closure import (
 from repro.graphs.graph import Graph
 from repro.graphs.operations import vertex_permuted
 from repro.matching.bounds import sim_upper_bound
-from repro.matching.edit_distance import graph_distance, graph_similarity
+from repro.matching.edit_distance import (
+    MAPPING_METHODS,
+    graph_distance,
+    graph_similarity,
+)
 from repro.matching.measures import jaccard_set_similarity
 from repro.matching.nbm import (
     NbmScorer,
@@ -134,16 +138,16 @@ ELABELS = [None, "x", 1, 2]
 
 
 @st.composite
-def graphs(draw, max_vertices=7):
+def graphs(draw, max_vertices=7, vlabels=VLABELS, elabels=ELABELS):
     """Graphs over the full label surface: wildcard vertices, ``None`` /
     string / integer edge labels, isolated vertices, the empty graph."""
     n = draw(st.integers(0, max_vertices))
-    g = Graph([draw(st.sampled_from(VLABELS)) for _ in range(n)])
+    g = Graph([draw(st.sampled_from(vlabels)) for _ in range(n)])
     density = draw(st.sampled_from([0.0, 0.3, 0.7]))
     for u in range(n):
         for v in range(u + 1, n):
             if draw(st.floats(0, 1)) < density:
-                g.add_edge(u, v, draw(st.sampled_from(ELABELS)))
+                g.add_edge(u, v, draw(st.sampled_from(elabels)))
     return g
 
 
@@ -163,6 +167,9 @@ def closures(draw, max_vertices=6):
 
 
 graph_likes = st.one_of(graphs(), closures())
+#: one vertex and one edge label: every weight ties until the structure
+#: breaks it
+carbon_graphs = graphs(vlabels=["C"], elabels=[None])
 
 
 def assert_kernel_equals_reference(g1, g2, init=0.5):
@@ -174,10 +181,11 @@ def assert_kernel_equals_reference(g1, g2, init=0.5):
     assert got.edit_cost() == ref.edit_cost()
     assert got.subgraph_cost() == ref.subgraph_cost()
     assert got.closure().to_dict() == ref.closure().to_dict()
+    assert graph_similarity(g1, g2, neighborhood_init=init) \
+        == ref.similarity()
+    assert graph_distance(g1, g2, neighborhood_init=init) == ref.edit_cost()
     if init == 0.5:
         assert nbm_score(g1, g2) == (ref.similarity(), ref.edit_cost())
-        assert graph_similarity(g1, g2) == ref.similarity()
-        assert graph_distance(g1, g2) == ref.edit_cost()
 
 
 class TestKernelDifferential:
@@ -239,13 +247,82 @@ class TestKernelDifferential:
                 assert_scorer_equals_reference(NbmScorer(g), c)
 
     def test_custom_measures_take_the_reference_loop(self):
+        """``nbm_mapping`` is the uniform kernel only; other measures and
+        bonuses are the reference's."""
         g1, g2 = path_graph("ABC"), path_graph("ACB")
-        jaccard = nbm_mapping(g1, g2, vertex_similarity=jaccard_set_similarity)
-        assert jaccard.pairs == nbm_mapping_reference(
-            g1, g2, vertex_similarity=jaccard_set_similarity).pairs
-        biased = nbm_mapping(g1, g2, neighbor_bonus=3.0)
-        assert biased.pairs == nbm_mapping_reference(
-            g1, g2, neighbor_bonus=3.0).pairs
+        jaccard = nbm_mapping_reference(
+            g1, g2, vertex_similarity=jaccard_set_similarity)
+        biased = nbm_mapping_reference(g1, g2, neighbor_bonus=3.0)
+        for mapping in (jaccard, biased):
+            assert mapping.matched_pairs() == {0: 0, 1: 2, 2: 1}
+        with pytest.raises(TypeError):
+            nbm_mapping(g1, g2, neighbor_bonus=3.0)
+
+
+def rebuilt(g, rnd):
+    """``g`` with its edges added in a shuffled order, each with its
+    endpoints in a random order: the same labelled graph (or closure)
+    under another adjacency order."""
+    edges = list(g.edges())
+    rnd.shuffle(edges)
+    if isinstance(g, GraphClosure):
+        h = GraphClosure(g.label_set(v) for v in g.vertices())
+    else:
+        h = Graph([g.label(v) for v in g.vertices()])
+    for u, v, label in edges:
+        h.add_edge(*((v, u) if rnd.random() < 0.5 else (u, v)), label)
+    return h
+
+
+class TestAdjacencyOrder:
+    """Alg. 1 breaks its ties on vertex ids, so a pair's mapping is a
+    function of the two labelled graphs alone: the order their edges were
+    added in — the form a graph has in memory, on disk or after a copy —
+    changes nothing."""
+
+    @given(st.one_of(graph_likes, carbon_graphs),
+           st.one_of(graph_likes, carbon_graphs),
+           st.sampled_from(["first", "second", "both"]),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_nbm_ignores_edge_order(self, g1, g2, side, rnd):
+        h1 = rebuilt(g1, rnd) if side != "second" else g1
+        h2 = rebuilt(g2, rnd) if side != "first" else g2
+        assert h1 == g1 and h2 == g2
+        scorer, shuffled = NbmScorer(g1), NbmScorer(h1)
+        assert shuffled.match(h2) == scorer.match(g2)
+        assert shuffled.score(h2) == scorer.score(g2)
+        assert (nbm_mapping_reference(h1, h2).pairs
+                == nbm_mapping_reference(g1, g2).pairs)
+
+    @pytest.mark.parametrize("method", sorted(MAPPING_METHODS))
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_mapping_method_ignores_edge_order(self, method, data):
+        # Exhaustive state search needs small graphs: |V| <= 6.
+        small = method == "state"
+        size = 6 if small else 7
+        likes = st.one_of(graphs(size), closures(3 if small else 6),
+                          graphs(size, ["C"], [None]))
+        g1, g2 = data.draw(likes), data.draw(likes)
+        rnd = data.draw(st.randoms(use_true_random=False))
+        mapper = MAPPING_METHODS[method]
+        assert (mapper(rebuilt(g1, rnd), rebuilt(g2, rnd)).pairs
+                == mapper(g1, g2).pairs)
+
+    def test_chemical_graphs_and_tree_closures(self, chem_db_small, rng):
+        from repro.ctree.bulkload import bulk_load
+
+        db = chem_db_small[:40]
+        tree = bulk_load(db, min_fanout=3)
+        closures = [tree.root.closure] + [c.closure for c in tree.root.children]
+        for c in closures:
+            scorer, shuffled = NbmScorer(c), NbmScorer(rebuilt(c, rng))
+            for g in db:
+                h = rebuilt(g, rng)
+                assert shuffled.match(h) == scorer.match(g)
+                assert NbmScorer(h).score(c) == NbmScorer(g).score(
+                    rebuilt(c, rng))
 
 
 def assert_scorer_equals_reference(scorer, target):

@@ -118,5 +118,5 @@ class TestSizeAccounting:
         benchmarks' ``index_bytes_per_graph`` for an in-memory tree."""
         tree = bulk_load(load_graph_database(_DATA / "golden_chem.jsonl"),
                          min_fanout=3)
-        assert index_size_bytes(tree) == 16119
-        assert index_size_bytes(tree, include_graphs=False) == 12014
+        assert index_size_bytes(tree) == 16030
+        assert index_size_bytes(tree, include_graphs=False) == 11925

@@ -3,9 +3,9 @@
 
 A record decodes in one pass over its edge array, without going through
 ``from_dict`` — so three things must hold exactly: the decoded object is
-what ``from_dict(to_dict(x))`` gives, including adjacency order, which
-every heuristic mapper's tie-breaks see; the kernels compile it to the
-same target context; and a record that parses as JSON but is not a valid
+what ``from_dict(to_dict(x))`` gives, down to its adjacency order (so a
+decode is deterministic, though no mapper reads that order); the
+kernels compile it to the same target context; and a record that parses as JSON but is not a valid
 record is *reported* by ``fsck``, never crashed on.
 """
 
@@ -227,7 +227,7 @@ def _golden_records(tmp_path) -> list:
 
 #: what :func:`decode_nbm_context` must agree on slot for slot — all that
 #: Alg. 1 reads; its ``edge_counts`` are compared as a dict, its ``adj``
-#: dict by dict in key order (Alg. 1 breaks ties in that order)
+#: dict by dict, key order included (a decode is deterministic)
 _RECORD_NBM_FIELDS = ("n", "vmasks", "vkeys", "profiles", "edge_masks")
 
 
