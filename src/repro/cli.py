@@ -32,9 +32,11 @@ Gives the library's main workflows a shell-level surface:
 
 Every command that reads an index takes it as ``-t`` — a ``*.ctp``
 disk index or a shard directory — and opens it through
-:func:`repro.ctree.saved.open_index`; which kind it is matters only to
-the commands that write (``append`` / ``delete`` / ``compact`` need a
-``.ctp``) and to ``range`` (a single tree).  Flags several commands
+:func:`repro.ctree.saved.open_index`, read-only unless the command
+writes (a crashed index is refused; ``repro recover`` first); which
+kind it is matters only to the commands that write (``append`` /
+``delete`` / ``compact`` need a ``.ctp``) and to ``range`` (a single
+tree).  Flags several commands
 share are declared once, as argparse parent parsers, in
 :func:`build_parser`.
 
@@ -96,11 +98,11 @@ def _load_query_graph(spec: str) -> Graph:
         raise SystemExit(f"error: malformed query graph: {exc}")
 
 
-def _opened(args, read_only: bool = False):
-    """The saved index ``-t`` names, whatever its kind, open for one
-    command (closed after)."""
-    return closing(open_index(args.tree, args.cache_pages,
-                              read_only=read_only))
+def _opened(args):
+    """The saved index ``-t`` names, whatever its kind, open read-only
+    for one command (closed after).  A crashed index is refused, not
+    recovered: that is ``repro recover``'s job."""
+    return closing(open_index(args.tree, args.cache_pages, read_only=True))
 
 
 @contextmanager
@@ -109,7 +111,7 @@ def _opened_for_write(args):
     ``delete`` / ``compact`` can change."""
     if index_kind(args.tree) != "disk":
         raise SystemExit(f"error: {args.command} requires a .ctp disk index")
-    with _opened(args) as disk:
+    with closing(open_index(args.tree, args.cache_pages)) as disk:
         yield disk
 
 
@@ -495,8 +497,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: HTTP serving layer over a saved index."""
     from repro.server import QueryServer
 
-    # The server never writes, hence read_only.
-    with _opened(args, read_only=True) as index:
+    with _opened(args) as index:
         QueryServer(index, _server_config(args)).serve_forever()
     return 0
 
@@ -504,7 +505,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_info(args: argparse.Namespace) -> int:
     path = args.input
     if not path.endswith(".jsonl"):
-        with closing(open_index(path)) as index:
+        with closing(open_index(path, read_only=True)) as index:
             print(index.info())
         return 0
     graphs = load_graph_database(path)

@@ -341,9 +341,13 @@ class DiskCTree(CTreeCore):
         every engine worker hold.  No WAL handle is attached, and a
         crashed index is refused rather than silently recovered at serve
         time: recovery is an explicit operator action (``repro
-        recover``)."""
-        return cls.open(path, cache_pages=cache_pages, wal=False,
+        recover``).  Closing the handle never writes the header: a
+        writer may have committed a newer one since this handle read
+        it."""
+        tree = cls.open(path, cache_pages=cache_pages, wal=False,
                         auto_recover=False)
+        tree.pool.pagefile.defer_header = True
+        return tree
 
     @staticmethod
     def _write_tree(records: RecordStore, tree: CTree, generation: int,

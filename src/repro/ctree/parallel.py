@@ -11,16 +11,19 @@ runs every batch through one pipeline:
 
 1. **deduplicate** — structurally identical queries in one batch
    execute once and fan out to every position;
-2. **probe the LRU answer cache**, keyed by :meth:`Graph.signature()
-   <repro.graphs.graph.Graph.signature>` with buckets verified by exact
-   structural equality (an incomplete-invariant collision can never
-   return a wrong answer);
+2. **probe the LRU answer cache**, keyed by the query graph itself
+   (hashed by :meth:`Graph.signature()
+   <repro.graphs.graph.Graph.signature>`, compared by exact structural
+   equality, so an incomplete-invariant collision can never return a
+   wrong answer);
 3. **dispatch** every (task, partition) pair to that partition's
    long-lived fork pool.  An in-memory tree is inherited copy-on-write
    — memoized :class:`~repro.graphs.labelspace.TargetContext` caches
-   included, so workers start warm; a page file is reopened per worker
-   as an independent read-only handle (``wal=False`` — workers never
-   write);
+   included, so workers start warm; a page file is opened per worker
+   as an independent read-only handle
+   (:meth:`DiskCTree.open_read_only
+   <repro.ctree.diskindex.DiskCTree.open_read_only>` — workers never
+   write, not even the header on close);
 4. **merge** each task's per-partition answers, **cache** the result,
    and fold the workers' registry deltas and span records home
    (:meth:`~repro.obs.metrics.MetricsRegistry.merge`,
@@ -51,13 +54,11 @@ shard with ``knn_query(..., canonical=True)`` and merged under
 database at every S and under any schedule
 (:func:`~repro.ctree.shards.merge_knn` carries the argument).
 
-**Read-only contract.**  Workers fork (or reopen) the index as it
+**Read-only contract.**  Workers fork (or open) the index as it
 exists at pool creation.  Call :meth:`QueryEngine.refresh` after a
-mutation: it drops the answer cache and bumps an *index epoch* that
-rides on every task.  Disk workers — over one page file or one per
-shard — lazily swap their read-only handle the first time they see a
-task from a newer epoch (no respawn); in-memory partitions are shared
-by fork-time copy-on-write, so their pools are respawned.
+mutation: it drops the answer cache and respawns any live pools, so
+their workers re-inherit the trees or reopen the page files as they
+now are — the same for memory and disk.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ from repro.obs import trace
 from repro.obs.metrics import global_registry
 from repro.ctree.diskindex import DEFAULT_CACHE_PAGES, DiskCTree
 from repro.ctree.shardcache import LRUAnswerCache
-from repro.ctree.shardcache import structure_key as _structure_key
 from repro.ctree.shards import ShardSet, merge_knn, merge_subgraph
 from repro.ctree.similarity_query import knn_query
 from repro.ctree.stats import KnnStats, QueryStats
@@ -94,62 +94,31 @@ DEFAULT_CACHE_SIZE = 256
 _KIND_SUBGRAPH = "subgraph"
 _KIND_KNN = "knn"
 
-#: worker-process globals: the partition handle queries run against,
-#: its shard id (None over a plain index), the index epoch the handle
-#: reflects, and how to reopen it (disk only)
+#: worker-process globals: the partition handle queries run against and
+#: its shard id (None over a plain index)
 _WORKER_INDEX: Optional[Index] = None
 _WORKER_SHARD: Optional[int] = None
-_WORKER_EPOCH: int = 0
-_WORKER_DISK_PATH = None
-_WORKER_CACHE_PAGES: int = DEFAULT_CACHE_PAGES
 
 
 def _worker_init(shard: Optional[int], tree: Optional[CTree], disk_path,
-                 cache_pages: int, epoch: int) -> None:
+                 cache_pages: int) -> None:
     """Pool initializer: adopt the fork-inherited in-memory tree, or open
     an independent read-only handle on the partition's page file."""
-    global _WORKER_INDEX, _WORKER_SHARD, _WORKER_EPOCH, \
-        _WORKER_DISK_PATH, _WORKER_CACHE_PAGES
+    global _WORKER_INDEX, _WORKER_SHARD
     # An inherited tracing sink would interleave span writes from every
     # worker into the parent's file; workers instead capture spans into
     # a scratch tracer per traced task and ship them home (_worker_run).
     trace.disable()
     _WORKER_SHARD = shard
-    _WORKER_EPOCH = epoch
-    _WORKER_DISK_PATH = disk_path
-    _WORKER_CACHE_PAGES = cache_pages
-    _WORKER_INDEX = tree if disk_path is None else _worker_open()
-
-
-def _worker_open() -> DiskCTree:
-    return DiskCTree.open_read_only(_WORKER_DISK_PATH, _WORKER_CACHE_PAGES)
-
-
-def _worker_sync_epoch(epoch: int) -> None:
-    """Swap this worker's read-only disk handle when the parent has
-    committed a newer index generation (task epoch ahead of ours).
-
-    The stale handle is closed with header writes suppressed — a
-    read-only worker must never clobber the writer's live header — and
-    the page file is reopened cold at the same path.  In-memory
-    partitions have no path to reopen; they are refreshed by pool
-    respawn instead.
-    """
-    global _WORKER_INDEX, _WORKER_EPOCH
-    if epoch == _WORKER_EPOCH or _WORKER_DISK_PATH is None:
-        return
-    _WORKER_INDEX.pool.pagefile.defer_header = True
-    _WORKER_INDEX.close()
-    _WORKER_INDEX = _worker_open()
-    _WORKER_EPOCH = epoch
-    global_registry().counter("engine.worker_reopens").inc()
+    _WORKER_INDEX = (tree if disk_path is None
+                     else DiskCTree.open_read_only(disk_path, cache_pages))
 
 
 def _execute(index: Index, shard: Optional[int], task):
     """Run one task against one partition — the exact code path the
     serial API uses, so results are bit-identical by construction.
     Returns ``(answers, stats, busy_seconds)``."""
-    task_id, kind, query, params, _ctx, _epoch = task
+    task_id, kind, query, params, _ctx = task
     attrs = {} if shard is None else {"shard": shard}
     start = time.perf_counter()
     with trace.span("engine.task", task_id=task_id, kind=kind,
@@ -179,11 +148,9 @@ def _worker_run(task):
     via :func:`~repro.obs.trace.fold_worker_records` — exactly how
     worker metrics ride home as registry deltas.
     """
-    *_, ctx, epoch = task
+    ctx = task[-1]
     registry = global_registry()
     before = registry.snapshot()
-    # After the snapshot, so a handle swap's counter rides the delta.
-    _worker_sync_epoch(epoch)
     with trace.capture() if ctx is not None else nullcontext([]) as spans:
         result = _execute(_WORKER_INDEX, _WORKER_SHARD, task)
     # Workers set no gauge: their fork-time copies must not overwrite
@@ -266,8 +233,8 @@ class QueryEngine:
     first parallel batch, or eagerly via :meth:`start`) and reused by
     every subsequent batch, so steady-state serving pays no fork or
     copy-on-write cost per batch.  The HTTP serving layer
-    (:mod:`repro.server`) calls :meth:`start` before accepting traffic
-    and :meth:`refresh` after an index mutation.
+    (:mod:`repro.server`) calls :meth:`start` before accepting traffic;
+    a process that mutates the index calls :meth:`refresh` after.
 
     Examples
     --------
@@ -322,9 +289,6 @@ class QueryEngine:
         # The pool-shape rule, stated once.
         self._pool_procs = max(1, int(workers)) if len(self._parts) == 1 else 1
         self._pools: Optional[list] = None
-        #: bumped by refresh(); rides on every task so pre-forked disk
-        #: workers know when to swap their read-only handle
-        self._epoch = 0
         self.last_batch: Optional[BatchReport] = None
         self._fork_ok = (
             "fork" in multiprocessing.get_all_start_methods()
@@ -401,15 +365,12 @@ class QueryEngine:
         nothing, the batch that executes it will.  Unlike the batch
         calls, safe from a second thread: the HTTP server probes on its
         event loop while batches run on the engine thread."""
-        with self._cache_lock:
-            cached = self._cache.get(kind, (*params, *self._cache_tag), query)
-        if cached is None:
-            return None
-        registry = global_registry()
-        registry.counter("engine.queries").inc()
-        registry.counter("engine.cache_hits").inc()
-        answers, stats = cached
-        return list(answers), stats.copy()
+        cached = self._cached(kind, (*params, *self._cache_tag), query)
+        if cached is not None:
+            registry = global_registry()
+            registry.counter("engine.queries").inc()
+            registry.counter("engine.cache_hits").inc()
+        return cached
 
     def start(self) -> "QueryEngine":
         """Eagerly spawn the long-lived worker pools; returns ``self``.
@@ -435,21 +396,15 @@ class QueryEngine:
         """Drop the answer cache and expose the mutated index to the
         workers — call after every index mutation.
 
-        Over **page files** the long-lived pools are kept: the engine
-        bumps its index epoch, and each worker swaps its read-only
-        handle the first time a task from the new epoch reaches it
-        (``engine.worker_reopens`` counts the swaps).  An incremental
-        append therefore becomes visible to pre-forked workers without
-        a pool restart.  **In-memory** partitions are shared by
-        fork-time copy-on-write, so their pools are respawned
-        immediately (the new workers re-inherit the trees as they now
-        exist) and the next query never pays the fork.
+        Closes the in-process handles the engine opened (they reopen on
+        demand) and respawns any live pools immediately, so the next
+        query never pays the fork: the new workers re-inherit the
+        in-memory trees, or reopen the page files, as they now are.
         """
         with self._cache_lock:
             self._cache.clear()
-        self._epoch += 1
         self._close_local()
-        if self._pools is not None and not self._disk:
+        if self._pools is not None:
             self._close_pools()
             self._ensure_pools()
 
@@ -478,24 +433,21 @@ class QueryEngine:
         results: list = [None] * n
         hits = 0
         cache_params = (*params, *self._cache_tag)
-        # Deduplicated execution plan: exact structural key -> (query,
-        # positions).  Insertion order fixes the dispatch order, so the
-        # plan is deterministic for a given batch at every worker count.
-        pending: "OrderedDict[tuple, tuple]" = OrderedDict()
+        # Deduplicated execution plan: query (keyed as the cache keys
+        # it) -> (query, positions).  Insertion order fixes the dispatch
+        # order, so the plan is deterministic for a given batch at every
+        # worker count.
+        pending: "OrderedDict" = OrderedDict()
         with trace.span("engine.batch", kind=kind, queries=n,
                         workers=self.workers) as sp:
             for pos, query in enumerate(queries):
-                with self._cache_lock:
-                    cached = self._cache.get(kind, cache_params, query)
+                cached = self._cached(kind, cache_params, query)
                 if cached is not None:
-                    answers, stats = cached
-                    results[pos] = (list(answers), stats.copy())
+                    results[pos] = cached
                     hits += 1
                     continue
-                if self._cache.enabled:
-                    key = (query.signature(), _structure_key(query))
-                else:
-                    key = pos  # dedup off: one task per position
+                # Dedup off: one task per position.
+                key = query if self._cache.enabled else pos
                 if key in pending:
                     pending[key][1].append(pos)
                 else:
@@ -505,7 +457,7 @@ class QueryEngine:
             # re-parent here, keeping one coherent tree per request.
             ctx = trace.export_context()
             tasks = [
-                (task_id, kind, query, params, ctx, self._epoch)
+                (task_id, kind, query, params, ctx)
                 for task_id, (query, _) in enumerate(pending.values())
             ]
             # One task on one partition is not worth a pool round trip;
@@ -539,6 +491,17 @@ class QueryEngine:
             sp.set(dispatched=report.dispatched, cache_hits=hits,
                    wall_seconds=wall)
         return results
+
+    def _cached(self, kind, cache_params, query):
+        """Fresh copies of the cached ``(answers, stats)`` for one
+        query, or ``None`` — the one cache read of :meth:`probe` and
+        :meth:`_run_batch`."""
+        with self._cache_lock:
+            cached = self._cache.get(kind, cache_params, query)
+        if cached is None:
+            return None
+        answers, stats = cached
+        return list(answers), stats.copy()
 
     def _run_inline(self, tasks):
         """Serial in-process execution (one process, no fork, or a
@@ -616,8 +579,7 @@ class QueryEngine:
             self._pools = [
                 ctx.Pool(processes=self._pool_procs,
                          initializer=_worker_init,
-                         initargs=(shard, tree, path, self._cache_pages,
-                                   self._epoch))
+                         initargs=(shard, tree, path, self._cache_pages))
                 for shard, tree, path in self._parts
             ]
         return self._pools
@@ -639,7 +601,7 @@ class QueryEngine:
 
     @property
     def cache_entries(self) -> int:
-        """Answers currently held by the answer cache (across buckets)."""
+        """Answers currently held by the answer cache."""
         return self._cache.entries
 
     # ------------------------------------------------------------------

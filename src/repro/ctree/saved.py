@@ -55,11 +55,11 @@ def open_index(path: PathLike, cache_pages: int = DEFAULT_CACHE_PAGES,
     the result when done.
 
     ``cache_pages`` sizes a disk handle's buffer pool and its resident
-    set of decoded nodes.  ``read_only`` opens a page file the way a
-    server must (:meth:`DiskCTree.open_read_only
+    set of decoded nodes.  ``read_only`` opens a page file the way every
+    command that only reads does (:meth:`DiskCTree.open_read_only
     <repro.ctree.diskindex.DiskCTree.open_read_only>`: no WAL handle,
-    no silent crash recovery); a shard directory is never written
-    through its handle.  A directory without a manifest is a
+    no silent crash recovery, no header write on close); a shard
+    directory is never written through its handle.  A directory without a manifest is a
     :class:`~repro.exceptions.ConfigError`, not an ``IsADirectoryError``.
     """
     if index_kind(path) == ShardSet.kind:

@@ -322,9 +322,10 @@ class Graph:
 
         Two isomorphic graphs always have equal signatures; unequal
         signatures prove non-isomorphism.  Used for fast dataset dedup
-        and as the query-cache key of the batched query engine.  The
-        tuple is memoized on the instance (mutators invalidate it), so
-        repeated lookups cost one attribute read.
+        and as the graph's hash, so a query graph is its own key in the
+        batched query engine's answer cache.  The tuple is memoized on
+        the instance (mutators invalidate it), so repeated lookups cost
+        one attribute read.
         """
         if self._signature is not None:
             return self._signature
@@ -346,9 +347,11 @@ class Graph:
             return NotImplemented
         return self.structure_equal(other)
 
-    def __hash__(self) -> int:  # structural; graphs are conceptually immutable once built
-        return hash((tuple(map(repr, self._labels)),
-                     tuple(sorted((u, v, repr(label)) for u, v, label in self.edges()))))
+    def __hash__(self) -> int:
+        # Equal graphs have equal signatures; isomorphic renumberings
+        # collide and ``__eq__`` tells them apart.  Do not mutate a
+        # graph while it is a dict key.
+        return hash(self.signature())
 
     def __repr__(self) -> str:
         name = f" {self.name!r}" if self.name else ""

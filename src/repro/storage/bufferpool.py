@@ -17,9 +17,6 @@ Two write-back modes:
   A crash anywhere leaves a state :func:`repro.storage.wal.recover` can
   restore exactly.
 
-Pages can be pinned (:meth:`pin`/:meth:`unpin`); pinned pages are never
-evicted, and the pool will grow past ``capacity`` rather than drop one.
-
 Counters live in two places: per-pool plain attributes (``hits``,
 ``misses``, ``evictions``, ``writebacks`` — resettable via
 :meth:`BufferPool.reset_stats`) and mirrored ``bufferpool.*`` counters in
@@ -53,8 +50,7 @@ class BufferPool:
     pagefile:
         The backing store.
     capacity:
-        Maximum number of cached pages (>= 1); pinned pages may push the
-        pool past it.
+        Maximum number of cached pages (>= 1).
     registry:
         Metrics registry the pool's counters report into (default: the
         process-wide registry).
@@ -77,7 +73,6 @@ class BufferPool:
         self.capacity = capacity
         #: page_id -> (data, dirty); ordered oldest-first
         self._pages: OrderedDict[int, tuple[bytes, bool]] = OrderedDict()
-        self._pins: dict[int, int] = {}
         self._wal = wal
         #: page_id -> (lsn, wal offset) of the latest spilled image since
         #: the last checkpoint (logged mode only)
@@ -96,8 +91,6 @@ class BufferPool:
         self._c_wal_spills = self.registry.counter("bufferpool.wal_spills")
         self._c_wal_reads = self.registry.counter("bufferpool.wal_reads")
         self._c_checkpoints = self.registry.counter("bufferpool.checkpoints")
-        self._c_pin_overflow = self.registry.counter(
-            "bufferpool.pin_overflows")
 
     # ------------------------------------------------------------------
     @property
@@ -150,42 +143,6 @@ class BufferPool:
         self._shrink()
 
     # ------------------------------------------------------------------
-    # Pinning
-    # ------------------------------------------------------------------
-    def pin(self, page_id: int) -> bytes:
-        """Read a page and protect it from eviction until :meth:`unpin`.
-
-        The pin is registered before the read so that even under full
-        eviction pressure the page cannot be dropped between entering
-        the cache and being pinned (pinned pages are always resident).
-        """
-        self._pins[page_id] = self._pins.get(page_id, 0) + 1
-        try:
-            return self.get(page_id)
-        except BaseException:
-            count = self._pins[page_id]
-            if count == 1:
-                del self._pins[page_id]
-            else:
-                self._pins[page_id] = count - 1
-            raise
-
-    def unpin(self, page_id: int) -> None:
-        """Release one pin; the frame becomes evictable at zero."""
-        count = self._pins.get(page_id, 0)
-        if count <= 0:
-            raise PersistenceError(f"page {page_id} is not pinned")
-        if count == 1:
-            del self._pins[page_id]
-            self._shrink()
-        else:
-            self._pins[page_id] = count - 1
-
-    def pin_count(self, page_id: int) -> int:
-        """How many times the page is currently pinned."""
-        return self._pins.get(page_id, 0)
-
-    # ------------------------------------------------------------------
     # Allocation / free through the pool
     # ------------------------------------------------------------------
     def allocate(self) -> int:
@@ -203,8 +160,6 @@ class BufferPool:
 
     def free(self, page_id: int) -> None:
         """Drop a page from cache and return it to the file's free list."""
-        if self._pins.get(page_id):
-            raise PersistenceError(f"cannot free pinned page {page_id}")
         if self._wal is None:
             self._pages.pop(page_id, None)
             self._file.free(page_id)
@@ -223,16 +178,7 @@ class BufferPool:
 
     def _shrink(self) -> None:
         while len(self._pages) > self.capacity:
-            victim_id = next(
-                (pid for pid in self._pages if not self._pins.get(pid)),
-                None,
-            )
-            if victim_id is None:
-                # Everything is pinned: grow past capacity rather than
-                # evict a page someone holds a reference into.
-                self._c_pin_overflow.value += 1
-                return
-            data, dirty = self._pages.pop(victim_id)
+            victim_id, (data, dirty) = self._pages.popitem(last=False)
             self.evictions += 1
             self._c_evictions.value += 1
             if not dirty:

@@ -261,13 +261,17 @@ class TestRecoverFsckCommands:
         # A crashed index refuses fsck until recovered.
         assert main(["fsck", "-i", str(path)]) == 1
         assert "error" in capsys.readouterr().out
+        # So does a command that only reads: it opens read-only and
+        # leaves recovery to the operator.
+        query = json.dumps({"labels": ["C", "C"], "edges": [[0, 1]]})
+        assert main(["query", "-t", str(path), "-q", query]) == 1
+        assert "repro recover" in capsys.readouterr().err
         # Recovery replays (or discards) the WAL and validates the tree.
         assert main(["recover", "-i", str(path), "--deep"]) == 0
         capsys.readouterr()
         # After recovery the index checks out clean and is queryable.
         assert main(["fsck", "-i", str(path), "--deep"]) == 0
         assert "clean" in capsys.readouterr().out
-        query = json.dumps({"labels": ["C", "C"], "edges": [[0, 1]]})
         assert main(["query", "-t", str(path), "-q", query]) == 0
 
     def test_recover_missing_file(self, tmp_path, capsys):

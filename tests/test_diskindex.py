@@ -1,5 +1,7 @@
 """Tests for the disk-backed C-tree."""
 
+import hashlib
+
 import pytest
 
 from repro.exceptions import PersistenceError
@@ -50,6 +52,27 @@ class TestCreateOpen:
         PageFile.create(path, page_size=256).close()
         with pytest.raises(PersistenceError):
             DiskCTree.open(path)
+
+    def test_read_only_close_keeps_a_later_commit(self, tmp_path):
+        """A reader opened before a writer's commit must not write its
+        stale header back on close: the file stays byte-identical and
+        fsck-clean."""
+        db = generate_chemical_database(
+            60, seed=78,
+            config=ChemicalConfig(mean_vertices=12, large_fraction=0.0))
+        path = tmp_path / "shared.ctp"
+        DiskCTree.create(bulk_load(db[:40], min_fanout=3), path,
+                         page_size=512).close()
+        reader = DiskCTree.open_read_only(path)
+        with DiskCTree.open(path) as writer:
+            writer.extend(db[40:])
+        committed = hashlib.sha256(path.read_bytes()).hexdigest()
+        reader.close()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == committed
+        report = DiskCTree.fsck(path)
+        assert report.clean, report.errors
+        with DiskCTree.open_read_only(path) as fresh:
+            assert len(fresh) == len(db)
 
     def test_closed_index_rejects_queries(self, world, tmp_path):
         db, tree, _, _ = world

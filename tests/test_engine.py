@@ -811,8 +811,8 @@ class TestExtendIncremental:
 class TestDiskRefresh:
     def test_refresh_keeps_pool_and_sees_appends(self, golden_db,
                                                  golden_queries, tmp_path):
-        """After an incremental append + refresh, pre-forked workers
-        answer against the new generation without a pool respawn."""
+        """After an incremental append + refresh, the respawned workers
+        answer against the new generation."""
         tree = bulk_load(golden_db[:8], min_fanout=3)
         path = tmp_path / "live.ctp"
         extra = golden_db[8:]
@@ -826,7 +826,7 @@ class TestDiskRefresh:
                 pool = engine._pools
                 disk.extend(extra)
                 engine.refresh()
-                assert engine._pools is pool, "disk refresh must not respawn"
+                assert engine._pools is not pool, "refresh must respawn"
                 batch = engine.query_many(golden_queries + extra)
                 with DiskCTree.open(path, wal=False,
                                     auto_recover=False) as fresh:
@@ -839,8 +839,8 @@ class TestDiskRefresh:
     def test_refresh_sees_deletes_and_compaction(self, golden_db,
                                                  golden_queries, tmp_path):
         """After incremental deletes (and the compaction they may
-        trigger) + refresh, pre-forked workers answer against the
-        surviving set — deleted ids gone, no pool respawn."""
+        trigger) + refresh, the respawned workers answer against the
+        surviving set — deleted ids gone."""
         tree = bulk_load(golden_db, min_fanout=3)
         path = tmp_path / "shrink.ctp"
         victims = [0, 2, 4]
@@ -855,7 +855,7 @@ class TestDiskRefresh:
                 disk.delete_many(victims)
                 disk.compact(force=True)
                 engine.refresh()
-                assert engine._pools is pool, "disk refresh must not respawn"
+                assert engine._pools is not pool, "refresh must respawn"
                 batch = engine.query_many(golden_queries)
                 with DiskCTree.open(path, wal=False,
                                     auto_recover=False) as fresh:

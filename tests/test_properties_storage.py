@@ -62,7 +62,7 @@ class TestRecordStoreProperties:
 
 _POOL_OPS = st.lists(
     st.tuples(
-        st.integers(0, 5),          # op selector
+        st.integers(0, 3),          # op selector
         st.integers(0, 1_000_000),  # page chooser
         st.binary(max_size=100),    # payload
     ),
@@ -72,7 +72,7 @@ _POOL_OPS = st.lists(
 
 def _run_pool_model(ops, capacity, use_wal):
     """Drive a BufferPool with an arbitrary op sequence against a plain
-    dict model, checking the eviction/pin invariants throughout and the
+    dict model, checking the eviction invariant throughout and the
     durable contents at the end."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.ctp"
@@ -82,16 +82,6 @@ def _run_pool_model(ops, capacity, use_wal):
             if use_wal else None
         pool = BufferPool(pf, capacity=capacity, wal=wal)
         model: dict[int, bytes] = {}
-        pinned: list[int] = []
-
-        def check_invariants():
-            # The pool only exceeds capacity when pins force it to.
-            cached = set(pool._pages)
-            unpinned = [p for p in cached if not pool._pins.get(p)]
-            assert len(cached) <= capacity or not unpinned
-            # Pinned pages are always resident.
-            for pid in pool._pins:
-                assert pid in cached
 
         for op, chooser, payload in ops:
             pids = sorted(model)
@@ -108,25 +98,10 @@ def _run_pool_model(ops, capacity, use_wal):
                 pid = pids[chooser % len(pids)]
                 pool.put(pid, payload)
                 model[pid] = payload
-            elif op == 3:  # pin
-                pid = pids[chooser % len(pids)]
-                pool.pin(pid)
-                pinned.append(pid)
-            elif op == 4:  # unpin
-                if pinned:
-                    pid = pinned.pop(chooser % len(pinned))
-                    pool.unpin(pid)
-            elif op == 5:  # flush / checkpoint
+            elif op == 3:  # flush / checkpoint
                 pool.flush()
-            check_invariants()
+            assert len(pool._pages) <= capacity
 
-        # Pinned reads never miss.
-        for pid in set(pinned):
-            misses0 = pool.misses
-            pool.get(pid)
-            assert pool.misses == misses0
-        for pid in pinned:
-            pool.unpin(pid)
         pool.close()
 
         # Everything survives a cold reopen.

@@ -6,7 +6,7 @@ query — same signature or not — must be a miss.
 """
 
 from repro.graphs.graph import Graph
-from repro.ctree.shardcache import LRUAnswerCache, structure_key
+from repro.ctree.shardcache import LRUAnswerCache
 from repro.ctree.stats import QueryStats
 
 
@@ -83,8 +83,30 @@ class TestLRUAnswerCache:
         got, _ = cache.get("subgraph", (1, True), _graph(1))
         assert got == [1, 2]
 
+    def test_isomorphic_renumbering_misses(self):
+        # Same labels and edges under another vertex numbering: equal
+        # signatures, so the two collide, but not structure_equal.
+        cache = LRUAnswerCache(capacity=4)
+        query = Graph(["C", "O", "N"], [(0, 1), (1, 2)])
+        renumbered = Graph(["N", "O", "C"], [(0, 1), (1, 2)])
+        assert query.signature() == renumbered.signature()
+        assert not query.structure_equal(renumbered)
+        cache.put("subgraph", (1, True), query, [1], _stats())
+        assert cache.get("subgraph", (1, True), renumbered) is None
+        assert cache.get("subgraph", (1, True), query) is not None
 
-def test_structure_key_matches_structure_equal():
-    g1 = _graph(1)
-    assert structure_key(g1) == structure_key(g1.copy())
-    assert structure_key(g1) != structure_key(_graph(2))
+    def test_edge_order_and_copy_hit(self):
+        cache = LRUAnswerCache(capacity=4)
+        query = Graph(["C", "C", "O", "N"], [(0, 1), (1, 2), (2, 3)])
+        cache.put("subgraph", (1, True), query, [1], _stats())
+        rebuilt = Graph(["C", "C", "O", "N"], [(2, 3), (0, 1), (2, 1)])
+        assert cache.get("subgraph", (1, True), rebuilt) is not None
+        assert cache.get("subgraph", (1, True), query.copy()) is not None
+
+    def test_put_of_a_cached_query_replaces_its_entry(self):
+        cache = LRUAnswerCache(capacity=4)
+        cache.put("subgraph", (1, True), _graph(1), [1], _stats())
+        cache.put("subgraph", (1, True), _graph(1).copy(), [2], _stats())
+        assert cache.entries == 1
+        answers, _ = cache.get("subgraph", (1, True), _graph(1))
+        assert answers == [2]

@@ -231,60 +231,6 @@ class TestBufferPool:
             == before + 1
 
 
-class TestPinning:
-    def test_pinned_page_survives_eviction_pressure(self, pagefile):
-        pool = BufferPool(pagefile, capacity=2)
-        target = pool.allocate()
-        pool.put(target, b"keep me")
-        pool.pin(target)
-        for _ in range(6):
-            pid = pool.allocate()
-            pool.put(pid, b"filler")
-        misses0 = pool.misses
-        assert pool.get(target).startswith(b"keep me")
-        assert pool.misses == misses0  # never left the cache
-        pool.unpin(target)
-
-    def test_pool_grows_past_capacity_when_all_pinned(self, pagefile):
-        pool = BufferPool(pagefile, capacity=2)
-        pids = [pool.allocate() for _ in range(4)]
-        for pid in pids:
-            pool.put(pid, b"p")
-            pool.pin(pid)
-        # All four stay resident even though capacity is 2.
-        misses0 = pool.misses
-        for pid in pids:
-            pool.get(pid)
-        assert pool.misses == misses0
-        for pid in pids:
-            pool.unpin(pid)
-
-    def test_pin_counts_nest(self, pagefile):
-        pool = BufferPool(pagefile, capacity=2)
-        pid = pool.allocate()
-        pool.pin(pid)
-        pool.pin(pid)
-        assert pool.pin_count(pid) == 2
-        pool.unpin(pid)
-        assert pool.pin_count(pid) == 1
-        pool.unpin(pid)
-        assert pool.pin_count(pid) == 0
-
-    def test_unpin_unpinned_rejected(self, pagefile):
-        pool = BufferPool(pagefile, capacity=2)
-        pid = pool.allocate()
-        with pytest.raises(PersistenceError):
-            pool.unpin(pid)
-
-    def test_free_pinned_page_rejected(self, pagefile):
-        pool = BufferPool(pagefile, capacity=2)
-        pid = pool.allocate()
-        pool.pin(pid)
-        with pytest.raises(PersistenceError):
-            pool.free(pid)
-        pool.unpin(pid)
-
-
 class TestWALModePool:
     @pytest.fixture
     def logged(self, tmp_path):
