@@ -35,8 +35,13 @@ runs every batch through one pipeline:
 each (S queries' worth of descent, pseudo-iso filtering and similarity
 scoring run with no shared state).  :attr:`QueryEngine.workers` is the
 resulting process count.  A batch that deduplicates to one task on one
-partition — and every batch when ``fork`` is unavailable — runs
-in-process; answers are identical either way.
+partition runs in-process, with one exception: a lone K-NN task on one
+tree with W > 1 processes is **split**.  The engine thread scores share
+0 of the tree while the pool scores shares 1…W−1
+(:func:`~repro.ctree.similarity_query.tree_share`), then Alg. 4 runs
+once in-process over the merged similarities and Eqn. (7) bounds.  Every
+batch runs in-process when ``fork`` is unavailable; answers are
+identical either way.
 
 **Determinism.**  What varies is read off the input, never set by the
 caller.  A *plain index* returns answers bit-identical to the serial
@@ -45,7 +50,12 @@ historical K-NN tie order) at every worker count, in input order, with
 logically identical per-query stats
 (:meth:`QueryStats.deterministic_dict
 <repro.ctree.stats.QueryStats.deterministic_dict>`); only wall-clock
-timings and page-I/O temperatures vary with the schedule.  A *shard
+timings and page-I/O temperatures vary with the schedule.  A split K-NN
+task is no exception: Alg. 4's control flow reads only bounds and
+similarities, and an NBM similarity is a function of the two labelled
+graphs, so the replay over the shares' memos is the serial run,
+counter for counter (a graph no share scored is scored by the replay,
+``engine.knn_replay_misses``).  A *shard
 set* (any S, including 1) translates local ids to global ones and
 returns the canonical forms: subgraph answers **sorted by global graph
 id** (``sorted()`` of the single-tree answer), and K-NN evaluated per
@@ -73,12 +83,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from repro.graphs.graph import Graph
+from repro.matching.edit_distance import MappingScorer
 from repro.obs import trace
 from repro.obs.metrics import global_registry
 from repro.ctree.diskindex import DEFAULT_CACHE_PAGES, DiskCTree
 from repro.ctree.shardcache import LRUAnswerCache
 from repro.ctree.shards import ShardSet, merge_knn, merge_subgraph
-from repro.ctree.similarity_query import knn_query
+from repro.ctree.similarity_query import knn_query, knn_share, tree_share
 from repro.ctree.stats import KnnStats, QueryStats
 from repro.ctree.subgraph_query import subgraph_query
 from repro.ctree.tree import CTree
@@ -93,6 +104,9 @@ DEFAULT_CACHE_SIZE = 256
 
 _KIND_SUBGRAPH = "subgraph"
 _KIND_KNN = "knn"
+#: one tree share of a K-NN task split across the pool (params: k,
+#: mapping method, share, shares)
+_KIND_KNN_SHARE = "knn_share"
 
 #: worker-process globals: the partition handle queries run against and
 #: its shard id (None over a plain index)
@@ -114,25 +128,33 @@ def _worker_init(shard: Optional[int], tree: Optional[CTree], disk_path,
                      else DiskCTree.open_read_only(disk_path, cache_pages))
 
 
-def _execute(index: Index, shard: Optional[int], task):
+def _execute(index: Index, shard: Optional[int], task, memo=(None, None)):
     """Run one task against one partition — the exact code path the
     serial API uses, so results are bit-identical by construction.
-    Returns ``(answers, stats, busy_seconds)``."""
+    Returns ``(answers, stats, busy_seconds)``; a share of a split K-NN
+    task returns its ``(sims, bounds)`` memos as the answers and no
+    stats, and ``memo`` is the pair a K-NN replay reads."""
     task_id, kind, query, params, _ctx = task
     attrs = {} if shard is None else {"shard": shard}
+    if kind == _KIND_KNN_SHARE:
+        attrs["share"] = params[2]
     start = time.perf_counter()
     with trace.span("engine.task", task_id=task_id, kind=kind,
                     pid=os.getpid(), **attrs):
+        stats = None
         if kind == _KIND_SUBGRAPH:
             level, verify = params
             answers, stats = subgraph_query(index, query, level=level,
                                             verify=verify)
-        else:
+        elif kind == _KIND_KNN:
             k, mapping_method = params
             # A shard's top-k must be canonical for merge_knn to be exact.
             answers, stats = knn_query(index, query, k,
                                        mapping_method=mapping_method,
-                                       canonical=shard is not None)
+                                       canonical=shard is not None,
+                                       sims=memo[0], bounds=memo[1])
+        else:
+            answers = knn_share(index, query, *params)
     return answers, stats, time.perf_counter() - start
 
 
@@ -217,8 +239,10 @@ class QueryEngine:
         canonical forms of the module docstring.
     workers:
         Processes in the pool of a single-partition index; ``1``
-        executes in-process.  Unused over S > 1 shards, which get one
-        process each — :attr:`workers` reports the real count.
+        executes in-process.  A batch of one K-NN query uses all of
+        them, the engine thread included (the split of the module
+        docstring).  Unused over S > 1 shards, which get one process
+        each — :attr:`workers` reports the real count.
     cache_size:
         Maximum number of cached answers (LRU).  ``0`` disables both the
         answer cache and batch deduplication — every query executes.
@@ -460,12 +484,16 @@ class QueryEngine:
                 (task_id, kind, query, params, ctx)
                 for task_id, (query, _) in enumerate(pending.values())
             ]
-            # One task on one partition is not worth a pool round trip;
-            # an all-hits batch forks nothing.
+            # One task on one partition is not worth a pool round trip,
+            # unless it is a K-NN task the pool can split; an all-hits
+            # batch forks nothing.
             parallel = (self.workers > 1
                         and len(tasks) * len(self._parts) > 1)
             if parallel:
                 executed = self._run_pools(tasks, registry)
+            elif self._splits(kind, tasks, params):
+                parallel = True
+                executed = self._run_split(tasks[0], registry)
             else:
                 executed = self._run_inline(tasks)
 
@@ -543,6 +571,54 @@ class QueryEngine:
         finally:
             depth.set(0)
         return executed
+
+    def _splits(self, kind, tasks, params) -> bool:
+        """Whether the batch is one K-NN task on one plain tree that
+        :meth:`_run_split` spreads over the pool: ``k > 0`` and a tree
+        level at least twice as wide as the pool."""
+        return (self.workers > 1 and kind == _KIND_KNN and len(tasks) == 1
+                and self._shardset is None and params[0] > 0
+                and tree_share(self._index.store, 0, self._pool_procs)
+                is not None)
+
+    def _run_split(self, task, registry):
+        """One K-NN task over the whole pool: shares 1..W-1 of the tree
+        are scored in the pool while this thread scores share 0, then
+        Alg. 4 runs once in-process over the merged similarities and
+        bounds — the serial answer and stats, counter for counter.
+        Returns the task's result in :meth:`_run_inline`'s shape."""
+        task_id, _, query, (k, mapping_method), ctx = task
+        # Refuses an unknown method before anything is scored.
+        MappingScorer(query, mapping_method)
+        shares = self._pool_procs
+        share_tasks = [(task_id, _KIND_KNN_SHARE, query,
+                        (k, mapping_method, share, shares), ctx)
+                       for share in range(shares)]
+        # The pool's task-handler thread needs the GIL to send the
+        # shares; wait until it has, or share 0 would hold the GIL for a
+        # switch interval (5 ms) before any worker starts.
+        sent = threading.Event()
+
+        def dispatch():
+            yield from share_tasks[1:]
+            sent.set()
+
+        pending = self._ensure_pools()[0].imap(_worker_run, dispatch())
+        sent.wait()
+        index = self._local[0]
+        (sims, bounds), _, busy = _execute(index, None, share_tasks[0])
+        for part, _, task_busy, delta, spans in pending:
+            registry.merge(delta)
+            trace.fold_worker_records(spans, ctx)
+            sims.update(part[0])
+            bounds.update(part[1])
+            busy += task_busy
+        pairs = len(sims)
+        answers, stats, replay_busy = _execute(index, None, task,
+                                               (sims, bounds))
+        registry.counter("engine.knn_split_pairs").inc(pairs)
+        registry.counter("engine.knn_replay_misses").inc(len(sims) - pairs)
+        return [[(answers, stats, busy + replay_busy)]]
 
     def _merge(self, kind, params, per_part, registry):
         """One task's answer: the lone partition's result as is, or the

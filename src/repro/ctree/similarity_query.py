@@ -21,6 +21,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from typing import Optional
+
 from repro.graphs.closure import GraphClosure
 from repro.graphs.graph import Graph
 from repro.matching.bounds import SimilarityQueryContext
@@ -37,6 +39,8 @@ def knn_query(
     k: int,
     mapping_method: str = "nbm",
     canonical: bool = False,
+    sims: Optional[dict[int, float]] = None,
+    bounds: Optional[dict[tuple, float]] = None,
 ) -> tuple[list[tuple[int, float]], KnnStats]:
     """The K nearest (most similar) graphs to ``query`` (Algorithm 4).
 
@@ -52,6 +56,15 @@ def knn_query(
     result is a deterministic function of the database alone — the
     contract :mod:`repro.ctree.shards` needs to merge per-shard top-k
     lists.  The default preserves the historical (golden-pinned) order.
+
+    ``sims`` memoises similarities by graph id, and ``bounds`` the Eqn.
+    (7) bounds of nodes and leaf entries by their path of child
+    positions from the root: a hit skips the load and the computation,
+    a miss computes the value and stores it.  Alg. 4 reads only bounds
+    and similarities, so the answer and every counter are the same
+    whatever the memos hold — the batch engine replays the query over
+    what its :func:`knn_share` runs computed
+    (:mod:`repro.ctree.parallel`).
     """
     with trace.span("ctree.knn_query", k=k, database_size=len(tree),
                     mapping=mapping_method) as root_span, \
@@ -63,7 +76,8 @@ def knn_query(
         scorer = MappingScorer(query, mapping_method)
         if k > 0 and len(tree):
             results = _knn_search(tree.store, scorer, k, stats,
-                                  canonical=canonical)
+                                  canonical=canonical, sims=sims,
+                                  bounds=bounds)
             stats.seconds = time.perf_counter() - start
         root_span.set(results=len(results))
     stats.publish()
@@ -76,21 +90,30 @@ def _knn_search(
     k: int,
     stats: KnnStats,
     canonical: bool = False,
+    sims: Optional[dict[int, float]] = None,
+    bounds: Optional[dict[tuple, float]] = None,
+    skips: frozenset = frozenset(),
 ) -> list[tuple[int, float]]:
     """The incremental-ranking heap loop of Algorithm 4.
 
     See :func:`knn_query` for the ``canonical`` (tie-stable total order)
-    extension; it defaults to the paper-faithful behavior.
+    extension and the ``sims`` / ``bounds`` memos, and
+    :func:`tree_share` for ``skips``; the defaults are the
+    paper-faithful behavior.
     """
+    if sims is None:
+        sims = {}
+    if bounds is None:
+        bounds = {}
     counter = itertools.count()
     # The query's side of every Eqn. (7) bound along the traversal,
     # extracted once like ``scorer``'s side of every pair it scores.
     sqc = SimilarityQueryContext(scorer.g1)
     # Max-heap via negated keys.  Entries: (-key, tiebreak, kind, payload)
     # with kind one of _NODE (key = closure similarity bound, payload = the
-    # loaded node), _GRAPH_BOUND (key = Eqn. 7 bound read off the leaf
-    # entry's label summary, payload = the entry: neither loaded nor
-    # scored yet) or _GRAPH_EXACT (key = heuristic similarity).  Deferring
+    # loaded node and its path), _GRAPH_BOUND (key = Eqn. 7 bound read off
+    # the leaf entry's label summary, payload = the entry: neither loaded
+    # nor scored yet) or _GRAPH_EXACT (key = heuristic similarity).  Deferring
     # the load and the expensive exact similarity until a graph's *bound*
     # reaches the top of the queue is the optimal multi-step scheme of
     # [24] the paper builds on.  ``scorer.load`` reads the entry as what
@@ -98,7 +121,7 @@ def _knn_search(
     _NODE, _GRAPH_BOUND, _GRAPH_EXACT = 0, 1, 2
     heap: list[tuple[float, int, int, object]] = []
     heapq.heappush(heap, (float("-inf"), next(counter), _NODE,
-                          store.load_node(store.root)))
+                          (store.load_node(store.root), ())))
 
     # Min-heap of the current k best exact similarities (top = lower bound).
     best_k: list[float] = []
@@ -133,8 +156,11 @@ def _knn_search(
         elif kind == _GRAPH_BOUND:
             graph_id = payload.graph_id  # type: ignore[attr-defined]
             stats.graphs_scored += 1
-            with trace.span("ctree.knn.score", graph_id=graph_id):
-                sim = scorer.similarity(scorer.load(store, payload))
+            sim = sims.get(graph_id)
+            if sim is None:
+                with trace.span("ctree.knn.score", graph_id=graph_id):
+                    sim = scorer.similarity(scorer.load(store, payload))
+                sims[graph_id] = sim
             note_similarity(sim)
             if sim >= lower_bound:
                 heapq.heappush(
@@ -143,20 +169,27 @@ def _knn_search(
             else:
                 stats.pruned_by_bound += 1
         else:
-            node = payload
+            node, path = payload
             assert isinstance(node, CTreeNode)
             stats.nodes_expanded += 1
             with trace.span("ctree.knn.expand") as sp:
-                for ref in node.children:
+                for i, ref in enumerate(node.children):
+                    key = path + (i,)
+                    if key in skips:
+                        continue
                     stats.children_scored += 1
+                    child_bound = bounds.get(key)
                     if node.is_leaf:
-                        child_bound = sqc.sim_upper_bound(
-                            store.graph_summary(ref))
+                        if child_bound is None:
+                            child_bound = bounds[key] = sqc.sim_upper_bound(
+                                store.graph_summary(ref))
                         item = (_GRAPH_BOUND, ref)
                     else:
                         child = store.load_node(ref)
-                        child_bound = sqc.sim_upper_bound(child.closure)
-                        item = (_NODE, child)
+                        if child_bound is None:
+                            child_bound = bounds[key] = sqc.sim_upper_bound(
+                                child.closure)
+                        item = (_NODE, (child, key))
                     if child_bound < lower_bound:
                         stats.pruned_by_bound += 1
                         continue
@@ -172,6 +205,59 @@ def _knn_search(
         del results[k:]
         stats.results = len(results)
     return results
+
+
+def tree_share(store, share: int, shares: int) -> Optional[frozenset]:
+    """Share ``share`` of ``shares`` disjoint shares of a tree, as the
+    paths (child positions from the root) of the subtrees it skips — or
+    ``None`` when no level of the tree is wide enough.
+
+    At the first level with at least ``2 * shares`` children, child ``i``
+    in level order belongs to share ``i % shares``.  A share walks the
+    levels above that one whole and skips the other shares' subtrees.
+    Level order is a function of the tree, so every process that holds
+    the same tree computes the same shares.
+    """
+    level = [((), store.load_node(store.root))]
+    while True:
+        paths = [path + (i,) for path, node in level
+                 for i in range(len(node.children))]
+        if len(paths) >= 2 * shares:
+            return frozenset(path for i, path in enumerate(paths)
+                             if i % shares != share)
+        if level[0][1].is_leaf:
+            return None
+        level = [(path + (i,), store.load_node(ref)) for path, node in level
+                 for i, ref in enumerate(node.children)]
+
+
+def knn_share(
+    tree: CTreeCore,
+    query: Graph,
+    k: int,
+    mapping_method: str,
+    share: int,
+    shares: int,
+) -> tuple[dict[int, float], dict[tuple, float]]:
+    """Score one :func:`tree_share` of a K-NN query: canonical Alg. 4
+    (boundary ties drained) confined to the share's subtrees.  Returns
+    the ``sims`` and ``bounds`` memos of :func:`knn_query` it filled —
+    every graph it scored, every bound it computed — and publishes no
+    ``ctree.knn.*`` stats: the replay over the merged memos does.
+
+    A share's kth-best is never above the whole query's, so the shares
+    together score every graph the serial run scores (given that a
+    closure's bound dominates its members'); a graph they missed is
+    simply scored by the replay.
+    """
+    sims: dict[int, float] = {}
+    bounds: dict[tuple, float] = {}
+    if k > 0 and len(tree):
+        skips = tree_share(tree.store, share, shares) or frozenset()
+        _knn_search(tree.store, MappingScorer(query, mapping_method), k,
+                    KnnStats(), canonical=True, sims=sims, bounds=bounds,
+                    skips=skips)
+    return sims, bounds
 
 
 def range_query(

@@ -6,13 +6,16 @@ and committed benchmark output (``benchmarks/results/fig7a_candidates.txt``).
 Each citation is resolved here: a test file against ``tests/`` (or the
 directory the citation names), a test id against that file's AST —
 module-level names, then names in a class body or its in-module bases —
-and a results path, wildcards included, against the files.  A rename
-that leaves a doc behind fails this test.
+and a results path, wildcards included, against the files.  A spine
+metric cited as ``<workload>.<metric>`` (``served_disk_zipf.knn_p50_ms``)
+is resolved against ``BENCHMARK.json``'s workloads and end-to-end
+metric names.  A rename that leaves a doc behind fails this test.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import re
 from functools import lru_cache
 from pathlib import Path
@@ -23,6 +26,12 @@ _DOCS = [_REPO / "README.md", _REPO / "DESIGN.md", _REPO / "EXPERIMENTS.md",
 
 _TEST_ID = re.compile(r"((?:[\w.-]+/)*)(test_\w+\.py)((?:::\w+)*)")
 _RESULTS = re.compile(r"(?<![\w/])(?:benchmarks/)?results/[\w.*-]*[\w*]")
+#: every ``word.word`` pair, overlapping ones included
+_DOTTED = re.compile(r"\b(?=(\w+)\.(\w+)\b)")
+
+_SPEC = json.loads((_REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+_WORKLOADS = {workload["name"] for workload in _SPEC["workloads"]}
+_END_TO_END = {metric["name"] for metric in _SPEC["end_to_end"]}
 
 
 @lru_cache(maxsize=None)
@@ -96,6 +105,25 @@ def stale_citations(text: str) -> tuple[int, list[str]]:
     return count, problems
 
 
+def stale_metric_citations(text: str) -> tuple[int, list[str]]:
+    """``(citations, problems)`` for one document's spine metrics: a
+    dotted pair whose first half is a workload or whose second half is
+    an end-to-end metric must be both."""
+    problems = []
+    count = 0
+    for match in _DOTTED.finditer(text):
+        workload, metric = match.groups()
+        if workload not in _WORKLOADS and metric not in _END_TO_END:
+            continue
+        count += 1
+        if workload not in _WORKLOADS:
+            problems.append(f"{workload}.{metric}: no workload {workload}")
+        elif metric not in _END_TO_END:
+            problems.append(f"{workload}.{metric}: no end-to-end metric "
+                            f"{metric}")
+    return count, problems
+
+
 def test_every_cited_test_and_result_exists():
     total = 0
     problems = []
@@ -125,3 +153,29 @@ def test_planted_bad_citations_are_reported():
     ]
     assert "TestNoSuchClass" in problems[0]
     assert "test_no_such_case" in problems[1]
+
+
+def test_every_cited_spine_metric_exists():
+    total = 0
+    problems = []
+    for doc in _DOCS:
+        count, found = stale_metric_citations(doc.read_text(encoding="utf-8"))
+        total += count
+        problems += [f"{doc.name}: {p}" for p in found]
+    assert not problems, "\n".join(problems)
+    assert total >= 16, total
+
+
+def test_planted_bad_metric_names_are_reported():
+    text = (
+        "`served_disk_zipf.knn_p50_ms` fell; `served_disk_zipf.knn_p99_ms`"
+        " and `disk_cold_unique.subgraph_p50ms` are not metrics, "
+        "`mem_uniqe.setup_s` is no workload, and `storage.pool_hit_ratio`"
+        " or `test_engine.py` are not spine citations."
+    )
+    count, problems = stale_metric_citations(text)
+    assert count == 4
+    assert [p.split(":")[0] for p in problems] == [
+        "served_disk_zipf.knn_p99_ms", "disk_cold_unique.subgraph_p50ms",
+        "mem_uniqe.setup_s",
+    ]

@@ -29,9 +29,10 @@ from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DiskCTree
 from repro.ctree.parallel import QueryEngine
 from repro.ctree.shards import ShardSet
-from repro.ctree.similarity_query import knn_query, range_query
+from repro.ctree.similarity_query import knn_query, knn_share, range_query
 from repro.ctree.stats import PAGE_IO, KnnStats, QueryStats
 from repro.ctree.subgraph_query import subgraph_query
+from repro.ctree.tree import CTree
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.server import BackpressureError, BatchCoalescer
@@ -355,6 +356,145 @@ def test_workers_is_the_real_process_count(golden_db, golden_tree):
     no_fork = QueryEngine(golden_tree, workers=4)
     no_fork._fork_ok = False
     assert no_fork.workers == 1
+
+
+# ----------------------------------------------------------------------
+# A lone K-NN task split over the pool: shares scored in parallel, one
+# Alg. 4 replay over their similarities and bounds
+# ----------------------------------------------------------------------
+#: the K-NN registry counters that depend on query logic alone
+_KNN_EXACT = tuple(f"ctree.knn.{name}" for name in (
+    "count", "nodes_expanded", "children_scored", "graphs_scored",
+    "pruned_by_bound", "results"))
+
+
+def _counter(delta: dict, name: str):
+    return delta.get(name, {}).get("value", 0)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method on this platform")
+class TestSplitKnn:
+    """One K-NN query on one tree runs on every process of the pool and
+    still returns the serial answer, tie order included, with the serial
+    stats and ``ctree.knn.*`` registry deltas."""
+
+    @pytest.fixture(params=["memory", "disk"])
+    def index(self, request, golden_tree, golden_disk_path):
+        if request.param == "memory":
+            yield golden_tree
+        else:
+            with DiskCTree.open(golden_disk_path, cache_pages=32) as disk:
+                yield disk
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_every_golden_graph_alone_equals_serial(self, index, workers,
+                                                    golden_db):
+        registry = global_registry()
+        with QueryEngine(index, workers=workers, cache_size=0) as engine:
+            for k in (1, 3, 5, 10):
+                for query in golden_db:
+                    before = registry.snapshot()
+                    want, want_stats = knn_query(index, query, k)
+                    serial = registry.diff(before)
+                    before = registry.snapshot()
+                    (got, stats), = engine.knn_many([query], k)
+                    delta = registry.diff(before)
+                    assert engine.last_batch.parallel
+                    assert engine.last_batch.workers == workers
+                    assert got == want
+                    assert stats.deterministic_dict() == \
+                        want_stats.deterministic_dict()
+                    for name in _KNN_EXACT:
+                        assert _counter(delta, name) == \
+                            _counter(serial, name), name
+                    assert _counter(delta, "engine.knn_replay_misses") == 0
+                    assert _counter(delta, "engine.knn_split_pairs") >= \
+                        stats.graphs_scored
+
+    def test_bipartite_mapping(self, index, golden_db):
+        with QueryEngine(index, workers=2, cache_size=0) as engine:
+            for query in golden_db[:6]:
+                want, want_stats = knn_query(index, query, 3,
+                                             mapping_method="bipartite")
+                (got, stats), = engine.knn_many([query], 3,
+                                                mapping_method="bipartite")
+                assert engine.last_batch.parallel
+                assert got == want
+                assert stats.deterministic_dict() == \
+                    want_stats.deterministic_dict()
+
+    def test_unknown_method_refused_before_anything_is_scored(
+            self, index, golden_db):
+        registry = global_registry()
+        with QueryEngine(index, workers=2, cache_size=0) as engine:
+            before = registry.snapshot()
+            with pytest.raises(ConfigError, match="bogus"):
+                engine.knn_many(golden_db[:1], 3, mapping_method="bogus")
+            delta = registry.diff(before)
+        assert _counter(delta, "matching.mapping.calls") == 0
+        assert _counter(delta, "engine.knn_split_pairs") == 0
+
+    def test_replay_from_partial_memos(self, index, golden_db):
+        """A replay computes what its memos lack: one share's memos
+        alone still give the serial answer and stats."""
+        for query in golden_db[::5]:
+            want, want_stats = knn_query(index, query, 5)
+            sims, bounds = knn_share(index, query, 5, "nbm", 0, 2)
+            for memo in ({"sims": dict(sims)}, {"bounds": dict(bounds)},
+                         {"sims": dict(sims), "bounds": dict(bounds)}):
+                got, stats = knn_query(index, query, 5, **memo)
+                assert got == want
+                assert stats.deterministic_dict() == \
+                    want_stats.deterministic_dict()
+            # the last replay scored and bounded what the share had not
+            assert len(memo["sims"]) > len(sims)
+            assert len(memo["bounds"]) > len(bounds)
+
+    def test_shares_partition_the_tree(self, index, golden_db):
+        """Every graph the serial run scores is scored by exactly one
+        share."""
+        for shares in (2, 3):
+            maps = [knn_share(index, golden_db[0], 24, "nbm", s, shares)[0]
+                    for s in range(shares)]
+            ids = [gid for sims in maps for gid in sims]
+            assert sorted(ids) == sorted(set(ids))
+            assert set(ids) == set(range(len(golden_db)))
+
+    def test_stays_inline(self, golden_tree, golden_db):
+        """An empty index, ``k = 0``, one worker, and a tree with no
+        level twice as wide as the pool run today's in-process path."""
+        query = golden_db[0]
+        cases = [(CTree(min_fanout=2), 2, 3), (golden_tree, 2, 0),
+                 (golden_tree, 1, 3), (golden_tree, 64, 3)]
+        for index, workers, k in cases:
+            with QueryEngine(index, workers=workers, cache_size=0) as engine:
+                (got, stats), = engine.knn_many([query], k)
+                assert not engine.last_batch.parallel
+                assert engine._pools is None
+            want, want_stats = knn_query(index, query, k)
+            assert got == want
+            assert stats.deterministic_dict() == \
+                want_stats.deterministic_dict()
+
+    def test_span_tree(self, index, golden_db):
+        """Two shares on two processes, then the replay, all under the
+        batch span."""
+        sink = trace.ListSink()
+        with QueryEngine(index, workers=2, cache_size=0) as engine, \
+                trace.tracing(sink):
+            engine.knn_many(golden_db[:1], 5)
+        records = sink.records
+        batch, = [r for r in records if r["name"] == "engine.batch"]
+        tasks = [r for r in records if r["name"] == "engine.task"]
+        shares = [t for t in tasks if t["attrs"]["kind"] == "knn_share"]
+        replay, = [t for t in tasks if t["attrs"]["kind"] == "knn"]
+        assert sorted(t["attrs"]["share"] for t in shares) == [0, 1]
+        assert len({t["attrs"]["pid"] for t in shares}) == 2
+        for task in tasks:
+            assert task["parent_id"] == batch["span_id"]
+        root, = [r for r in records if r["name"] == "ctree.knn_query"]
+        assert root["parent_id"] == replay["span_id"]
 
 
 # ----------------------------------------------------------------------

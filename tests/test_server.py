@@ -179,6 +179,27 @@ class TestGoldenRoundTrip:
                 assert payload["answers"] == serial
 
 
+    def test_workers_knn_bit_identical_to_serial(self, golden, golden_tree):
+        """With W > 1 workers a lone ``/knn`` is split across the pool;
+        the golden K-NN cases still come back as the serial loop's
+        answers, tie order and stats included."""
+        db, expected = golden
+        srv = QueryServer(golden_tree, ServerConfig(port=0, workers=2))
+        if not srv.engine._fork_ok:
+            pytest.skip("fork start method unavailable")
+        with srv.run_in_thread() as handle:
+            for case in expected["knn"]:
+                query = db[case["query_id"]]
+                serial, stats = knn_query(golden_tree, query, case["k"])
+                status, payload = _post_json(
+                    handle.port, "/knn",
+                    {"query": query.to_dict(), "k": case["k"]})
+                assert status == 200
+                assert srv.engine.last_batch.parallel
+                assert [tuple(r) for r in payload["results"]] == serial
+                want = stats.deterministic_dict()
+                assert {key: payload["stats"][key] for key in want} == want
+
     def test_shard_set_served_by_the_same_engine(self, golden, golden_tree):
         """One process per shard whatever ``workers`` says — and the
         server says so — with answers in canonical (sorted) form."""
