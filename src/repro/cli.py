@@ -762,12 +762,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "shards — one process per shard)")
     p.add_argument("--cache-size", type=int,
                    help="LRU answer-cache capacity (0 disables)")
-    p.add_argument("--max-batch", type=int,
-                   help="max queries coalesced per engine batch")
     p.add_argument("--client-cap", type=int,
                    help="per-client in-flight cap before 429")
-    p.add_argument("--stream-threshold", type=int,
-                   help="answer count that forces NDJSON streaming")
     p.add_argument("--healthz-ttl", type=float,
                    help="seconds a /healthz probe result is cached")
     p.add_argument("--slow-query-log", dest="slow_query_path",
@@ -775,8 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "to this NDJSON file")
     p.add_argument("--slow-query-seconds", type=float,
                    help="latency threshold for the slow-query log, seconds")
-    p.add_argument("--slow-query-rate", type=float,
-                   help="fraction of slow queries logged, 0..1")
 
     p = command(
         "shard", cmd_shard, build_opts,

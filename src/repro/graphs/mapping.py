@@ -19,7 +19,7 @@ yields:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.exceptions import MappingError
 from repro.graphs.closure import (
@@ -30,8 +30,6 @@ from repro.graphs.closure import (
 )
 
 DUMMY_SET = frozenset((EPSILON,))
-
-SetMeasure = Callable[[frozenset, frozenset], float]
 
 
 def uniform_set_distance(s1: frozenset, s2: frozenset) -> float:
@@ -126,11 +124,7 @@ class GraphMapping:
     # ------------------------------------------------------------------
     # Costs under this mapping
     # ------------------------------------------------------------------
-    def edit_cost(
-        self,
-        vertex_distance: SetMeasure = uniform_set_distance,
-        edge_distance: SetMeasure = uniform_set_distance,
-    ) -> float:
+    def edit_cost(self) -> float:
         """Edit distance under this mapping (Definition 3).
 
         With closures as operands this is the minimum distance of
@@ -140,32 +134,25 @@ class GraphMapping:
         for u, v in self.pairs:
             s1 = self.g1.label_set(u) if u is not None else DUMMY_SET
             s2 = self.g2.label_set(v) if v is not None else DUMMY_SET
-            cost += vertex_distance(s1, s2)
+            cost += uniform_set_distance(s1, s2)
         for s1, s2 in self._edge_pairs():
-            cost += edge_distance(s1, s2)
+            cost += uniform_set_distance(s1, s2)
         return cost
 
-    def similarity(
-        self,
-        vertex_similarity: SetMeasure = uniform_set_similarity,
-        edge_similarity: SetMeasure = uniform_set_similarity,
-    ) -> float:
+    def similarity(self) -> float:
         """Similarity under this mapping (Definition 6)."""
         total = 0.0
         for u, v in self.pairs:
             if u is None or v is None:
-                continue  # dummy pairings contribute 0 under any sim measure
-            total += vertex_similarity(self.g1.label_set(u), self.g2.label_set(v))
+                continue  # dummy pairings contribute 0
+            total += uniform_set_similarity(self.g1.label_set(u),
+                                            self.g2.label_set(v))
         for s1, s2 in self._edge_pairs():
             if s1 is not DUMMY_SET and s2 is not DUMMY_SET:
-                total += edge_similarity(s1, s2)
+                total += uniform_set_similarity(s1, s2)
         return total
 
-    def subgraph_cost(
-        self,
-        vertex_distance: SetMeasure = uniform_set_distance,
-        edge_distance: SetMeasure = uniform_set_distance,
-    ) -> float:
+    def subgraph_cost(self) -> float:
         """Subgraph distance under this mapping (Eqn. 4).
 
         Counts only the first graph's real vertices and edges — extra
@@ -176,14 +163,14 @@ class GraphMapping:
             if u is None:
                 continue
             s2 = self.g2.label_set(v) if v is not None else DUMMY_SET
-            cost += vertex_distance(self.g1.label_set(u), s2)
+            cost += uniform_set_distance(self.g1.label_set(u), s2)
         for (a, b, s1) in _edge_iter(self.g1):
             va, vb = self._forward[a], self._forward[b]
             if va is not None and vb is not None and self.g2.has_edge(va, vb):
                 s2 = self.g2.edge_label_set(va, vb)
             else:
                 s2 = DUMMY_SET
-            cost += edge_distance(s1, s2)
+            cost += uniform_set_distance(s1, s2)
         return cost
 
     def closure(self) -> GraphClosure:

@@ -26,7 +26,6 @@ from repro.matching.edit_distance import (
 )
 from repro.matching.hungarian import (
     max_weight_assignment,
-    max_weight_matching_value,
     min_cost_assignment,
 )
 from repro.matching.nbm import nbm_mapping
@@ -67,7 +66,6 @@ __all__ = [
     "hopcroft_karp",
     "matching_size",
     "max_weight_assignment",
-    "max_weight_matching_value",
     "min_cost_assignment",
     "nbm_mapping",
     "norm",

@@ -16,8 +16,6 @@ weakness Fig. 10 demonstrates.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.graphs.closure import GraphLike
 from repro.graphs.mapping import GraphMapping, uniform_set_similarity
 from repro.matching.bipartite import hopcroft_karp
@@ -40,8 +38,6 @@ def bipartite_mapping_unweighted(g1: GraphLike, g2: GraphLike) -> GraphMapping:
 def bipartite_mapping(
     g1: GraphLike,
     g2: GraphLike,
-    vertex_similarity: Callable = uniform_set_similarity,
-    edge_similarity: Callable = uniform_set_similarity,
     propagation_rounds: int = 3,
     damping: float = 0.5,
     tolerance: float = 1e-6,
@@ -64,7 +60,8 @@ def bipartite_mapping(
 
     sets1 = [g1.label_set(u) for u in range(n1)]
     sets2 = [g2.label_set(v) for v in range(n2)]
-    base = [[vertex_similarity(s1, s2) for s2 in sets2] for s1 in sets1]
+    base = [[uniform_set_similarity(s1, s2) for s2 in sets2]
+            for s1 in sets1]
     weight = [row[:] for row in base]
 
     neighbors1 = [list(g1.neighbors(u)) for u in range(n1)]
@@ -76,8 +73,7 @@ def bipartite_mapping(
         for u in range(n1):
             for v in range(n2):
                 support = _neighbor_support(
-                    g1, g2, u, v, neighbors1[u], neighbors2[v],
-                    weight, edge_similarity,
+                    g1, g2, u, v, neighbors1[u], neighbors2[v], weight,
                 )
                 denominator = max(len(neighbors1[u]), len(neighbors2[v]), 1)
                 value = base[u][v] + damping * support / denominator
@@ -99,7 +95,6 @@ def _neighbor_support(
     nbrs1: list[int],
     nbrs2: list[int],
     weight: list[list[float]],
-    edge_similarity: Callable,
 ) -> float:
     """Greedy one-to-one pairing of N(u) with N(v) by current weight,
     each pair gated by the similarity of the connecting edges."""
@@ -110,7 +105,7 @@ def _neighbor_support(
         e1 = g1.edge_label_set(u, u2)
         row = weight[u2]
         for v2 in nbrs2:
-            sim_e = edge_similarity(e1, g2.edge_label_set(v, v2))
+            sim_e = uniform_set_similarity(e1, g2.edge_label_set(v, v2))
             if sim_e <= 0.0:
                 continue
             score = row[v2] * sim_e

@@ -9,26 +9,20 @@ achievable similarity.  The bound is used
   upper-bounds the similarity of the query to *any* graph below a node, and
 - as the normalizer of the mapping-quality experiment (Fig. 10).
 
-With the uniform 0/1 measure the set similarities reduce to
+Under the paper's uniform 0/1 measure the set similarities are
 maximum-cardinality matchings, computed here without building an explicit
 matching: intersect label histograms (plain labels), or push a maximum
-flow between the classes of equal label sets.  Arbitrary measures fall
-back to the Hungarian algorithm.
+flow between the classes of equal label sets.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from repro.graphs.closure import GraphLike
 from repro.graphs.labelspace import WILDCARD_BIT, LabelSummary, label_context
 from repro.matching.bipartite import hopcroft_karp
-from repro.matching.hungarian import max_weight_matching_value
-from repro.matching.measures import (
-    edge_label_sets,
-    uniform_set_similarity,
-    vertex_label_sets,
-)
+from repro.matching.measures import uniform_set_similarity
 
 
 def set_similarity_upper_bound(
@@ -52,33 +46,9 @@ def set_similarity_upper_bound(
     return float(len(hopcroft_karp(len(sets1), len(sets2), adjacency)))
 
 
-def sim_upper_bound(
-    g1: GraphLike,
-    g2: GraphLike,
-    vertex_similarity: Optional[Callable] = None,
-    edge_similarity: Optional[Callable] = None,
-) -> float:
-    """Eqn. (7): ``Sim(V1,V2) + Sim(E1,E2)``.
-
-    Default (``None``) measures use the uniform 0/1 fast paths; custom
-    measures use maximum-weight matching via the Hungarian algorithm.
-    """
-    if vertex_similarity is None and edge_similarity is None:
-        return SimilarityQueryContext(g1).sim_upper_bound(g2)
-    return (_set_part(vertex_label_sets(g1), vertex_label_sets(g2),
-                      vertex_similarity)
-            + _set_part(edge_label_sets(g1), edge_label_sets(g2),
-                        edge_similarity))
-
-
-def _set_part(sets1: Sequence[frozenset], sets2: Sequence[frozenset],
-              similarity: Optional[Callable]) -> float:
-    if similarity is None:
-        return set_similarity_upper_bound(sets1, sets2)
-    if not sets1 or not sets2:
-        return 0.0
-    weights = [[similarity(s1, s2) for s2 in sets2] for s1 in sets1]
-    return max_weight_matching_value(weights)
+def sim_upper_bound(g1: GraphLike, g2: GraphLike) -> float:
+    """Eqn. (7): ``Sim(V1,V2) + Sim(E1,E2)``."""
+    return SimilarityQueryContext(g1).sim_upper_bound(g2)
 
 
 def _mask_counts(g: GraphLike) -> tuple[Sequence, Sequence]:
@@ -214,7 +184,7 @@ class SimilarityQueryContext:
         return _matching_value(self._v, v), _matching_value(self._e, e)
 
     def sim_upper_bound(self, target) -> float:
-        """Eqn. (7) against ``target`` (uniform measures)."""
+        """Eqn. (7) against ``target``."""
         v, e = self._matched(target)
         return float(v + e)
 

@@ -1,7 +1,6 @@
 """Hungarian algorithm (Kuhn-Munkres) for weighted bipartite matching [17, 18].
 
-Used by the weighted bipartite mapping method (Section 4.2) and by the
-Eqn. (7) similarity upper bound when label-set similarities are not 0/1.
+Used by the weighted bipartite mapping method (Section 4.2).
 
 The implementation is the O(n^2 * m) shortest-augmenting-path formulation
 with dual potentials, supporting rectangular matrices.  With non-negative
@@ -101,8 +100,3 @@ def max_weight_assignment(
     assignment = {i: j for j, i in assignment_t.items()}
     total = sum(weights[i][j] for i, j in assignment.items())
     return (assignment, total)
-
-
-def max_weight_matching_value(weights: Sequence[Sequence[float]]) -> float:
-    """Just the value of the maximum-weight matching."""
-    return max_weight_assignment(weights)[1]

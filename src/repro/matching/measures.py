@@ -22,22 +22,9 @@ __all__ = [
     "DUMMY_SET",
     "uniform_set_distance",
     "uniform_set_similarity",
-    "jaccard_set_similarity",
     "vertex_label_sets",
     "edge_label_sets",
-    "vertex_weight_matrix",
 ]
-
-
-def jaccard_set_similarity(s1: frozenset, s2: frozenset) -> float:
-    """|s1 ∩ s2| / |s1 ∪ s2| — a finer-grained similarity for closures.
-
-    Optional alternative to the uniform measure; rewards tighter closures.
-    """
-    union = len(s1 | s2)
-    if union == 0:
-        return 0.0
-    return len(s1 & s2) / union
 
 
 def vertex_label_sets(g: GraphLike) -> list[frozenset]:
@@ -53,15 +40,3 @@ def edge_label_sets(g: GraphLike) -> list[frozenset]:
         return [frozenset((label,)) for _, _, label in g.edges()]
     raise TypeError(f"cannot extract edges of {type(g).__name__}")
 
-
-def vertex_weight_matrix(
-    g1: GraphLike,
-    g2: GraphLike,
-    similarity=uniform_set_similarity,
-) -> list[list[float]]:
-    """|V1| x |V2| matrix of pairwise vertex similarities."""
-    sets2 = vertex_label_sets(g2)
-    return [
-        [similarity(s1, s2) for s2 in sets2]
-        for s1 in vertex_label_sets(g1)
-    ]

@@ -16,8 +16,8 @@ and a vertex's best candidate is the lowest ``v`` among equal weights — so
 a pair's mapping is a function of the two labelled graphs, whatever order
 their edges were added or stored in.
 
-Under the paper's uniform measures (every caller in the library) the
-algorithm runs as a compiled kernel, :class:`NbmScorer`, over the contexts
+Under the paper's uniform measures, the only ones, the algorithm runs
+as a compiled kernel, :class:`NbmScorer`, over the contexts
 memoized on graphs and closures (:func:`~repro.graphs.labelspace.nbm_context`)
 and reads both sides through them alone — labels, profiles, edge masks and
 adjacency — so a disk K-NN or range query scores a graph record compiled
@@ -25,15 +25,15 @@ straight into its context (``repro.ctree.store.decode_nbm_context``) and
 builds no graph.  A traversal that scores one query against many graphs
 builds one scorer, :func:`nbm_mapping` / :func:`nbm_match` /
 :func:`nbm_score` use one once.
-The generic loop, :func:`nbm_mapping_reference`, serves custom measures and
-is the oracle the kernel must equal bit for bit (``tests/test_nbm.py``).
+The generic loop over label sets, :func:`nbm_mapping_reference`, serves
+other neighbour bonuses and is the oracle the kernel must equal bit for
+bit (``tests/test_nbm.py``).
 """
 
 from __future__ import annotations
 
 import heapq
 from operator import and_
-from typing import Callable
 
 from repro.graphs.closure import GraphLike
 from repro.graphs.labelspace import (
@@ -69,8 +69,7 @@ def nbm_mapping(
     Returns
     -------
     A :class:`~repro.graphs.mapping.GraphMapping` covering both graphs.
-    Other measures and neighbour bonuses take
-    :func:`nbm_mapping_reference`.
+    Other neighbour bonuses take :func:`nbm_mapping_reference`.
     """
     return NbmScorer(g1, neighborhood_init).mapping(g2)
 
@@ -298,14 +297,11 @@ class NbmScorer:
 
 def nbm_mapping_reference(
     g1: GraphLike, g2: GraphLike,
-    vertex_similarity: Callable = uniform_set_similarity,
-    edge_similarity: Callable = uniform_set_similarity,
     neighbor_bonus: float = 1.0, neighborhood_init: float = 0.5,
 ) -> GraphMapping:
-    """:func:`nbm_mapping` over label sets and arbitrary measures: the
-    path of custom measures, and the oracle the kernel is tested against.
+    """:func:`nbm_mapping` over label sets: the path of other neighbour
+    bonuses, and the oracle the kernel is tested against.
 
-    ``vertex_similarity`` and ``edge_similarity`` are label-set measures;
     ``neighbor_bonus`` is the weight added to a neighbor pair ``(u', v')``
     for each matched pair ``(u, v)`` adjacent to it, scaled by the
     similarity of the connecting edges."""
@@ -317,7 +313,8 @@ def nbm_mapping_reference(
     sets2 = [g2.label_set(v) for v in range(n2)]
 
     # Weight matrix W[u][v]; mutated as matches accumulate.
-    weight = [[vertex_similarity(s1, s2) for s2 in sets2] for s1 in sets1]
+    weight = [[uniform_set_similarity(s1, s2) for s2 in sets2]
+              for s1 in sets1]
     if neighborhood_init > 0.0:
         _add_neighborhood_weights(g1, g2, weight, neighborhood_init)
 
@@ -374,7 +371,7 @@ def nbm_mapping_reference(
             for v2 in g2.neighbors(v):
                 if matched2[v2]:
                     continue
-                bonus = neighbor_bonus * edge_similarity(
+                bonus = neighbor_bonus * uniform_set_similarity(
                     e1, g2.edge_label_set(v, v2))
                 if bonus <= 0.0:
                     continue

@@ -11,7 +11,7 @@ truth for testing the heuristic mappers, and as the ``state`` method of
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.exceptions import ConfigError
 from repro.graphs.closure import GraphLike
@@ -24,8 +24,6 @@ DEFAULT_SIZE_LIMIT = 12
 def state_search_mapping(
     g1: GraphLike,
     g2: GraphLike,
-    vertex_similarity: Callable = uniform_set_similarity,
-    edge_similarity: Callable = uniform_set_similarity,
     size_limit: int = DEFAULT_SIZE_LIMIT,
 ) -> GraphMapping:
     """The similarity-optimal mapping between two small graphs.
@@ -44,7 +42,7 @@ def state_search_mapping(
 
     sets1 = [g1.label_set(u) for u in range(n1)]
     sets2 = [g2.label_set(v) for v in range(n2)]
-    vsim = [[vertex_similarity(s1, s2) for s2 in sets2] for s1 in sets1]
+    vsim = [[uniform_set_similarity(s1, s2) for s2 in sets2] for s1 in sets1]
 
     # Order g1 vertices by decreasing degree: high-degree vertices constrain
     # the most edges, which tightens bounds early.
@@ -57,7 +55,7 @@ def state_search_mapping(
     # endpoint is assigned, so charging edges to their later endpoint makes
     # the suffix sum an upper bound on all future gains.
     max_vsim = [max(row) if row else 0.0 for row in vsim]
-    max_esim = _max_edge_similarity(g1, g2, edge_similarity)
+    max_esim = _max_edge_similarity(g1, g2)
     edges_ending_here = [0] * n1
     for u in range(n1):
         edges_ending_here[position[u]] = sum(
@@ -81,7 +79,7 @@ def state_search_mapping(
         for u2 in g1.neighbors(u):
             v2 = assignment.get(u2)
             if v2 is not None and g2.has_edge(v, v2):
-                gain += edge_similarity(
+                gain += uniform_set_similarity(
                     g1.edge_label_set(u, u2), g2.edge_label_set(v, v2)
                 )
         return gain
@@ -115,17 +113,12 @@ def state_search_mapping(
     return GraphMapping.from_partial(g1, g2, best_assignment)
 
 
-def _max_edge_similarity(g1: GraphLike, g2: GraphLike, edge_similarity) -> float:
-    """The largest achievable edge-pair similarity (used in the bound)."""
-    sets1 = {s for _, _, s in _edge_iter(g1)}
+def _max_edge_similarity(g1: GraphLike, g2: GraphLike) -> float:
+    """The largest achievable edge-pair similarity (used in the bound):
+    1.0 if some pair of edge label sets intersects, else 0.0."""
     sets2 = {s for _, _, s in _edge_iter(g2)}
-    best = 0.0
-    for s1 in sets1:
-        for s2 in sets2:
-            value = edge_similarity(s1, s2)
-            if value > best:
-                best = value
-    return best
+    return 1.0 if any(s1 & s2 for _, _, s1 in _edge_iter(g1)
+                      for s2 in sets2) else 0.0
 
 
 def _edge_iter(g: GraphLike):

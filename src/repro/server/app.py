@@ -8,9 +8,8 @@
   :class:`~repro.server.coalescer.BatchCoalescer`: a cached answer
   returns at once, and concurrent misses share deduplicated, parallel
   engine batches;
-- large answer sets stream back as chunked NDJSON
-  (``"stream": true`` or automatically past
-  ``ServerConfig.stream_threshold``);
+- an answer is one JSON body, or chunked NDJSON when the request
+  says ``"stream": true``;
 - ``GET /metrics`` exports the process-wide
   :class:`~repro.obs.metrics.MetricsRegistry` in Prometheus text
   format; ``GET /healthz`` reports the index's own ``health()`` probe
@@ -136,24 +135,16 @@ class ServerConfig:
     #: Not a setting: the true wait of an admission timer that is gone.
     #: Goes with benchmarks/spine/workloads.py's read (ROADMAP item 1(c)).
     batch_window: ClassVar[float] = 0.0
-    #: Hard cap on queries coalesced into one engine batch.
-    max_batch: int = 64
     #: Per-client in-flight request cap before 429.
     client_cap: int = 8
     #: Request-body byte cap before 413.
     max_body_bytes: int = 8 * 1024 * 1024
-    #: Answer-set size at which non-streaming requests switch to
-    #: chunked NDJSON anyway.
-    stream_threshold: int = 1000
     #: Seconds a /healthz probe result stays cached (0 = probe every
     #: request).
     healthz_ttl: float = 5.0
     #: Seconds a request may take before it counts as slow (the
     #: ``server.slow_queries`` counter and the slow-query log).
     slow_query_seconds: float = 1.0
-    #: Fraction of slow requests written to the log (deterministic
-    #: pacing: 1.0 logs every slow request, 0.5 every other, 0 none).
-    slow_query_rate: float = 1.0
     #: NDJSON slow-query log path; ``None`` counts slow requests in
     #: metrics but writes nothing.
     slow_query_path: Optional[str] = None
@@ -268,42 +259,28 @@ def _parse_mapping(payload: dict) -> str:
 # Slow-query logging
 # ----------------------------------------------------------------------
 class SlowQueryLog:
-    """A sampling slow-query log: NDJSON records keyed by request id.
+    """A slow-query log: NDJSON records keyed by request id.
 
     Every request at or over ``threshold`` seconds bumps the
-    ``server.slow_queries`` counter; a deterministically paced ``rate``
-    fraction of those (1.0 = all, 0.5 = every other, 0 = none) is
-    appended to ``path`` as one JSON line —
-    ``{"request_id", "method", "path", "seconds", "threshold"}`` — and
-    counted by ``server.slow_queries_logged``.  With ``path=None`` only
-    the counters move.  Pacing is counter-based rather than random so
-    test runs and replayed workloads log identically.
+    ``server.slow_queries`` counter and is appended to ``path`` as one
+    JSON line — ``{"request_id", "method", "path", "seconds",
+    "threshold"}``.  With ``path=None`` only the counter moves.
     """
 
     def __init__(self, path: Optional[str], threshold: float,
-                 rate: float = 1.0,
                  registry: Optional[MetricsRegistry] = None) -> None:
         self.path = path
         self.threshold = max(0.0, float(threshold))
-        self.rate = min(1.0, max(0.0, float(rate)))
         self._registry = registry if registry is not None \
             else global_registry()
-        self._slow = 0
-        self._logged = 0
         self._fh: Optional[IO[str]] = None
 
     def record(self, request_id: str, method: str, path: str,
                seconds: float) -> bool:
-        """Account one finished request; returns True if it was logged."""
+        """Account one finished request; returns True if it was slow."""
         if seconds < self.threshold:
             return False
-        self._slow += 1
         self._registry.counter("server.slow_queries").inc()
-        # Log iff it keeps the logged/slow ratio at (or under) `rate`.
-        if self._slow * self.rate < self._logged + 1:
-            return False
-        self._logged += 1
-        self._registry.counter("server.slow_queries_logged").inc()
         if self.path is not None:
             if self._fh is None:
                 self._fh = open(self.path, "a", encoding="utf-8")
@@ -335,9 +312,10 @@ class HealthProbe:
     non-deep :meth:`DiskCTree.fsck
     <repro.ctree.diskindex.DiskCTree.fsck>` of the page file, the full
     :func:`~repro.ctree.shards.fsck_shards` sweep of a shard directory,
-    the shape invariants of an in-memory tree.  The probe runs on its
-    own executor thread, so a slow one never blocks query serving, and
-    its result is cached for ``ttl`` seconds.
+    the shape invariants of an in-memory tree.  The probe runs on the
+    event loop's default executor, not the engine's thread, so a slow
+    one never blocks query serving, and its result is cached for ``ttl``
+    seconds.
     """
 
     def __init__(self, index: ServableIndex, ttl: float = 5.0,
@@ -354,14 +332,14 @@ class HealthProbe:
         self._registry.counter("server.healthz.probes").inc()
         return self.index.health()
 
-    async def check(self, executor) -> tuple[bool, dict]:
+    async def check(self) -> tuple[bool, dict]:
         """The (possibly cached) health verdict and its detail payload."""
         now = time.monotonic()
         if (self._cached is not None
                 and now - self._cached_at < self.ttl):
             return self._cached
         loop = asyncio.get_running_loop()
-        healthy, payload = await loop.run_in_executor(executor, self._probe)
+        healthy, payload = await loop.run_in_executor(None, self._probe)
         if not healthy:
             self._registry.counter("server.healthz.failures").inc()
         self._registry.gauge("server.healthy").set(1 if healthy else 0)
@@ -444,7 +422,6 @@ class QueryServer:
         self._registry = global_registry()
         self.coalescer = BatchCoalescer(
             self.engine,
-            max_batch=self.config.max_batch,
             client_cap=self.config.client_cap,
             registry=self._registry,
         )
@@ -453,7 +430,6 @@ class QueryServer:
         self.slow_log = SlowQueryLog(
             self.config.slow_query_path,
             threshold=self.config.slow_query_seconds,
-            rate=self.config.slow_query_rate,
             registry=self._registry,
         )
         self.port: int = self.config.port
@@ -692,7 +668,7 @@ class QueryServer:
         }, keep_alive=request.keep_alive, request_id=request.request_id)
 
     async def _handle_healthz(self, request, writer, peer_id) -> None:
-        healthy, detail = await self.health.check(None)
+        healthy, detail = await self.health.check()
         payload = {
             "status": "ok" if healthy else "unhealthy",
             "index": self.index.summary(),
@@ -732,7 +708,7 @@ class QueryServer:
         self._registry.counter("server.queries.subgraph").inc()
         stats_dict = stats.to_dict()
         profile = stats.explain() if explain else None
-        if stream or len(answers) >= self.config.stream_threshold:
+        if stream:
             await self._stream(
                 writer, request, "subgraph", len(answers),
                 ({"graph_id": gid} for gid in answers), stats_dict,
@@ -760,7 +736,7 @@ class QueryServer:
         self._registry.counter("server.queries.knn").inc()
         stats_dict = stats.to_dict()
         profile = stats.explain() if explain else None
-        if stream or len(results) >= self.config.stream_threshold:
+        if stream:
             await self._stream(
                 writer, request, "knn", len(results),
                 ({"graph_id": gid, "similarity": sim}

@@ -28,7 +28,7 @@ Examples
 --------
 Inside the asyncio app::
 
-    coalescer = BatchCoalescer(engine, max_batch=64)
+    coalescer = BatchCoalescer(engine)
     await coalescer.start()
     answers, stats = await coalescer.submit(
         "subgraph", (1, True), query, client="10.0.0.7")

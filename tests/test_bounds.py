@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -155,14 +154,6 @@ class TestSimUpperBound:
         q = path_graph(["A", "B"])
         assert sim_upper_bound(q, c) >= sim_upper_bound(q, g1) - 1e-9
         assert sim_upper_bound(q, c) >= sim_upper_bound(q, g2) - 1e-9
-
-    def test_custom_measure_uses_hungarian(self):
-        def half(s1, s2):
-            return 0.5 if s1 & s2 else 0.0
-
-        g = triangle()
-        assert sim_upper_bound(g, g, vertex_similarity=half,
-                               edge_similarity=half) == pytest.approx(3.0)
 
 
 class TestNorm:

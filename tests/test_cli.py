@@ -586,15 +586,13 @@ class TestParser:
         given = _server_config(serve.parse_args([
             "-t", "x.ctp", "--host", "0.0.0.0", "--port", "0",
             "--workers", "2", "--cache-size", "3", "--cache-pages", "4",
-            "--max-batch", "5", "--client-cap", "6",
-            "--stream-threshold", "7", "--healthz-ttl", "8",
+            "--client-cap", "6", "--healthz-ttl", "8",
             "--slow-query-log", "slow.ndjson",
-            "--slow-query-seconds", "9", "--slow-query-rate", "0.5"]))
+            "--slow-query-seconds", "9"]))
         assert given == ServerConfig(
             host="0.0.0.0", port=0, workers=2, cache_size=3, cache_pages=4,
-            max_batch=5, client_cap=6, stream_threshold=7, healthz_ttl=8.0,
-            slow_query_path="slow.ndjson", slow_query_seconds=9.0,
-            slow_query_rate=0.5)
+            client_cap=6, healthz_ttl=8.0,
+            slow_query_path="slow.ndjson", slow_query_seconds=9.0)
 
     @pytest.mark.parametrize("argv", [
         ["bench", "-t", "x.ctp", "-i", "q.jsonl"],

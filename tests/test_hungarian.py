@@ -8,7 +8,6 @@ from scipy.optimize import linear_sum_assignment
 
 from repro.matching.hungarian import (
     max_weight_assignment,
-    max_weight_matching_value,
     min_cost_assignment,
 )
 
@@ -70,6 +69,3 @@ class TestMaxWeightAssignment:
         rows, cols = linear_sum_assignment(np.array(weights), maximize=True)
         scipy_total = sum(weights[i][j] for i, j in zip(rows, cols))
         assert our_total == pytest.approx(scipy_total)
-
-    def test_value_helper(self):
-        assert max_weight_matching_value([[2.5]]) == 2.5

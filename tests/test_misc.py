@@ -1,5 +1,5 @@
-"""Coverage for smaller API surfaces: measures, reporting helpers,
-exceptions, NBM options, mean fanout."""
+"""Coverage for smaller API surfaces: reporting helpers, exceptions,
+NBM options, mean fanout."""
 
 import pytest
 
@@ -11,17 +11,12 @@ from repro.exceptions import (
     PersistenceError,
     ReproError,
 )
-from repro.graphs.graph import Graph
-from repro.matching.measures import (
-    jaccard_set_similarity,
-    vertex_weight_matrix,
-)
 from repro.matching.nbm import nbm_mapping, nbm_mapping_reference
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.tree import CTree
 from repro.experiments.cost_model import mean_fanout
 
-from conftest import path_graph, random_labeled_graph, triangle
+from conftest import path_graph, random_labeled_graph
 
 
 class TestExceptionHierarchy:
@@ -36,39 +31,6 @@ class TestExceptionHierarchy:
     def test_index_error_does_not_shadow_builtin(self):
         assert IndexError_ is not IndexError
         assert not issubclass(IndexError_, IndexError)
-
-
-class TestJaccard:
-    def test_identical_sets(self):
-        s = frozenset(["A", "B"])
-        assert jaccard_set_similarity(s, s) == 1.0
-
-    def test_disjoint_sets(self):
-        assert jaccard_set_similarity(frozenset("A"), frozenset("B")) == 0.0
-
-    def test_partial_overlap(self):
-        s1 = frozenset(["A", "B"])
-        s2 = frozenset(["B", "C", "D"])
-        assert jaccard_set_similarity(s1, s2) == pytest.approx(0.25)
-
-    def test_empty_sets(self):
-        assert jaccard_set_similarity(frozenset(), frozenset()) == 0.0
-
-
-class TestVertexWeightMatrix:
-    def test_shape_and_values(self):
-        g1 = Graph(["A", "B"])
-        g2 = Graph(["B", "A", "A"])
-        matrix = vertex_weight_matrix(g1, g2)
-        assert len(matrix) == 2
-        assert len(matrix[0]) == 3
-        assert matrix[0] == [0.0, 1.0, 1.0]
-        assert matrix[1] == [1.0, 0.0, 0.0]
-
-    def test_custom_measure(self):
-        g = triangle()
-        matrix = vertex_weight_matrix(g, g, similarity=jaccard_set_similarity)
-        assert matrix[0][0] == 1.0
 
 
 class TestNbmOptions:

@@ -194,7 +194,6 @@ class TestHelp:
 
     def test_slow_query_counters_have_help(self):
         assert "slow-query" in help_text("server.slow_queries")
-        assert "slow-query" in help_text("server.slow_queries_logged")
 
     def test_help_output_stays_parseable(self):
         """The test-suite parser (reused by test_server for the live

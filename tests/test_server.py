@@ -276,7 +276,7 @@ class TestCoalescing:
         exactly one second batch."""
         _, expected = golden
         cases = expected["subgraph"]
-        srv = QueryServer(golden_tree, ServerConfig(port=0, max_batch=64))
+        srv = QueryServer(golden_tree, ServerConfig(port=0))
         names = ("server.coalesce.batches", "server.coalesce.queries",
                  "server.coalesce.coalesced")
         with srv.run_in_thread() as handle, \
@@ -337,7 +337,8 @@ class TestCoalescing:
     def test_max_batch_caps_the_backlog(self, golden, golden_tree):
         _, expected = golden
         cases = expected["subgraph"][:6]
-        srv = QueryServer(golden_tree, ServerConfig(port=0, max_batch=2))
+        srv = QueryServer(golden_tree, ServerConfig(port=0))
+        srv.coalescer.max_batch = 2
         with srv.run_in_thread() as handle, \
                 concurrent.futures.ThreadPoolExecutor(len(cases)) as pool:
             gate = GatedEngine(srv)
@@ -588,22 +589,6 @@ class TestStreaming:
         assert [r["graph_id"] for r in records] == serial
         assert trailer["stats"]["answers"] == len(serial)
 
-    def test_stream_threshold_forces_streaming(self, golden, golden_tree):
-        _, expected = golden
-        srv = QueryServer(golden_tree,
-                          ServerConfig(port=0, stream_threshold=1))
-        with srv.run_in_thread() as handle:
-            case = expected["subgraph"][0]
-            status, headers, data = _request(
-                handle.port, "POST", "/query",
-                body={"query": case["query"]})
-            assert status == 200
-            assert headers["Content-Type"].startswith(
-                "application/x-ndjson")
-            lines = [json.loads(line) for line in
-                     data.decode().strip().splitlines()]
-            assert sorted(r["graph_id"] for r in lines[1:-1]) \
-                == case["answers"]
 
     def test_knn_streaming_records(self, golden, golden_tree, server):
         db, _ = golden
@@ -619,6 +604,55 @@ class TestStreaming:
         assert lines[0]["count"] == len(serial)
         assert [(r["graph_id"], r["similarity"]) for r in lines[1:-1]] \
             == [(gid, pytest.approx(sim)) for gid, sim in serial]
+
+
+class TestLargeAnswers:
+    """Only ``"stream": true`` streams: an answer of any size is
+    otherwise one ``application/json`` body."""
+
+    N = 1000
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        db = [Graph(["C", "O"], [(0, 1)]) for _ in range(self.N)]
+        tree = bulk_load(db, min_fanout=10)
+        srv = QueryServer(tree, ServerConfig(port=0))
+        with srv.run_in_thread() as handle:
+            yield tree, db[0], handle.port
+
+    @pytest.mark.parametrize("extra", [{}, {"stream": False}])
+    def test_query_answers_in_one_body(self, large, extra):
+        tree, query, port = large
+        serial, _ = subgraph_query(tree, query)
+        assert len(serial) == self.N
+        status, headers, data = _request(
+            port, "POST", "/query",
+            body={"query": query.to_dict(), **extra})
+        assert status == 200
+        assert headers["Content-Type"].startswith("application/json")
+        assert json.loads(data)["answers"] == serial
+
+    def test_knn_answers_in_one_body(self, large):
+        tree, query, port = large
+        serial, _ = knn_query(tree, query, self.N)
+        status, headers, data = _request(
+            port, "POST", "/knn",
+            body={"query": query.to_dict(), "k": self.N, "stream": False})
+        assert status == 200
+        assert headers["Content-Type"].startswith("application/json")
+        assert json.loads(data)["results"] == [list(r) for r in serial]
+
+    def test_stream_true_still_streams(self, large):
+        tree, query, port = large
+        serial, _ = subgraph_query(tree, query)
+        status, headers, data = _request(
+            port, "POST", "/query",
+            body={"query": query.to_dict(), "stream": True})
+        assert status == 200
+        assert headers["Content-Type"].startswith("application/x-ndjson")
+        lines = [json.loads(line) for line in
+                 data.decode().strip().splitlines()]
+        assert [r["graph_id"] for r in lines[1:-1]] == serial
 
 
 # ----------------------------------------------------------------------
