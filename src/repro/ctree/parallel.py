@@ -35,11 +35,13 @@ runs every batch through one pipeline:
 each (S queries' worth of descent, pseudo-iso filtering and similarity
 scoring run with no shared state).  :attr:`QueryEngine.workers` is the
 resulting process count.  A batch that deduplicates to one task on one
-partition runs in-process, with one exception: a lone K-NN task on one
-tree with W > 1 processes is **split**.  The engine thread scores share
-0 of the tree while the pool scores shares 1…W−1
-(:func:`~repro.ctree.similarity_query.tree_share`), then Alg. 4 runs
-once in-process over the merged similarities and Eqn. (7) bounds.  Every
+partition runs in-process, with one exception: a lone task of either
+kind on one tree with W > 1 processes is **split**.  The engine thread
+runs share 0 of the tree while the pool runs shares 1…W−1
+(:func:`~repro.ctree.tree.tree_share`).  A subgraph task's shares run
+Alg. 3 whole — search and verification — and their answers concatenate
+in path order; a K-NN task's shares score, then Alg. 4 runs once
+in-process over the merged similarities and Eqn. (7) bounds.  Every
 batch runs in-process when ``fork`` is unavailable; answers are
 identical either way.
 
@@ -50,10 +52,12 @@ historical K-NN tie order) at every worker count, in input order, with
 logically identical per-query stats
 (:meth:`QueryStats.deterministic_dict
 <repro.ctree.stats.QueryStats.deterministic_dict>`); only wall-clock
-timings and page-I/O temperatures vary with the schedule.  A split K-NN
-task is no exception: Alg. 4's control flow reads only bounds and
+timings and page-I/O temperatures vary with the schedule.  A split task
+is no exception.  A subgraph share counts only what it owns, so the
+shares' answers sorted by path and their stats summed, published once,
+are the serial run's.  Alg. 4's control flow reads only bounds and
 similarities, and an NBM similarity is a function of the two labelled
-graphs, so the replay over the shares' memos is the serial run,
+graphs, so the K-NN replay over the shares' memos is the serial run,
 counter for counter (a graph no share scored is scored by the replay,
 ``engine.knn_replay_misses``).  A *shard
 set* (any S, including 1) translates local ids to global ones and
@@ -89,10 +93,10 @@ from repro.obs.metrics import global_registry
 from repro.ctree.diskindex import DEFAULT_CACHE_PAGES, DiskCTree
 from repro.ctree.shardcache import LRUAnswerCache
 from repro.ctree.shards import ShardSet, merge_knn, merge_subgraph
-from repro.ctree.similarity_query import knn_query, knn_share, tree_share
+from repro.ctree.similarity_query import knn_query, knn_share
 from repro.ctree.stats import KnnStats, QueryStats
-from repro.ctree.subgraph_query import subgraph_query
-from repro.ctree.tree import CTree
+from repro.ctree.subgraph_query import subgraph_query, subgraph_share
+from repro.ctree.tree import CTree, tree_share
 
 __all__ = ["BatchReport", "DEFAULT_CACHE_SIZE", "QueryEngine"]
 
@@ -104,9 +108,9 @@ DEFAULT_CACHE_SIZE = 256
 
 _KIND_SUBGRAPH = "subgraph"
 _KIND_KNN = "knn"
-#: one tree share of a K-NN task split across the pool (params: k,
-#: mapping method, share, shares)
-_KIND_KNN_SHARE = "knn_share"
+#: task kind -> the kind of one tree share of it split across the pool
+#: (params: the task's, then share, shares)
+_SHARE_KINDS = {_KIND_SUBGRAPH: "subgraph_share", _KIND_KNN: "knn_share"}
 
 #: worker-process globals: the partition handle queries run against and
 #: its shard id (None over a plain index)
@@ -131,13 +135,14 @@ def _worker_init(shard: Optional[int], tree: Optional[CTree], disk_path,
 def _execute(index: Index, shard: Optional[int], task, memo=(None, None)):
     """Run one task against one partition — the exact code path the
     serial API uses, so results are bit-identical by construction.
-    Returns ``(answers, stats, busy_seconds)``; a share of a split K-NN
-    task returns its ``(sims, bounds)`` memos as the answers and no
-    stats, and ``memo`` is the pair a K-NN replay reads."""
+    Returns ``(answers, stats, busy_seconds)``; a share of a split task
+    returns what its ``*_share`` function does (for K-NN, the ``(sims,
+    bounds)`` memos and no stats), and ``memo`` is the pair a K-NN
+    replay reads."""
     task_id, kind, query, params, _ctx = task
     attrs = {} if shard is None else {"shard": shard}
-    if kind == _KIND_KNN_SHARE:
-        attrs["share"] = params[2]
+    if kind in _SHARE_KINDS.values():
+        attrs["share"] = params[-2]
     start = time.perf_counter()
     with trace.span("engine.task", task_id=task_id, kind=kind,
                     pid=os.getpid(), **attrs):
@@ -153,6 +158,8 @@ def _execute(index: Index, shard: Optional[int], task, memo=(None, None)):
                                        mapping_method=mapping_method,
                                        canonical=shard is not None,
                                        sims=memo[0], bounds=memo[1])
+        elif kind == _SHARE_KINDS[_KIND_SUBGRAPH]:
+            answers, stats = subgraph_share(index, query, *params)
         else:
             answers = knn_share(index, query, *params)
     return answers, stats, time.perf_counter() - start
@@ -239,10 +246,10 @@ class QueryEngine:
         canonical forms of the module docstring.
     workers:
         Processes in the pool of a single-partition index; ``1``
-        executes in-process.  A batch of one K-NN query uses all of
-        them, the engine thread included (the split of the module
-        docstring).  Unused over S > 1 shards, which get one process
-        each — :attr:`workers` reports the real count.
+        executes in-process.  A batch of one query, subgraph or K-NN,
+        uses all of them, the engine thread included (the split of the
+        module docstring).  Unused over S > 1 shards, which get one
+        process each — :attr:`workers` reports the real count.
     cache_size:
         Maximum number of cached answers (LRU).  ``0`` disables both the
         answer cache and batch deduplication — every query executes.
@@ -573,26 +580,31 @@ class QueryEngine:
         return executed
 
     def _splits(self, kind, tasks, params) -> bool:
-        """Whether the batch is one K-NN task on one plain tree that
-        :meth:`_run_split` spreads over the pool: ``k > 0`` and a tree
-        level at least twice as wide as the pool."""
-        return (self.workers > 1 and kind == _KIND_KNN and len(tasks) == 1
-                and self._shardset is None and params[0] > 0
+        """Whether the batch is one task on one plain tree that
+        :meth:`_run_split` spreads over the pool: a tree level at least
+        twice as wide as the pool, and ``k > 0`` for a K-NN task."""
+        return (self.workers > 1 and len(tasks) == 1
+                and self._shardset is None
+                and (kind == _KIND_SUBGRAPH or params[0] > 0)
                 and tree_share(self._index.store, 0, self._pool_procs)
                 is not None)
 
     def _run_split(self, task, registry):
-        """One K-NN task over the whole pool: shares 1..W-1 of the tree
-        are scored in the pool while this thread scores share 0, then
-        Alg. 4 runs once in-process over the merged similarities and
-        bounds — the serial answer and stats, counter for counter.
-        Returns the task's result in :meth:`_run_inline`'s shape."""
-        task_id, _, query, (k, mapping_method), ctx = task
-        # Refuses an unknown method before anything is scored.
-        MappingScorer(query, mapping_method)
+        """One task over the whole pool: the pool runs shares 1..W-1 of
+        the tree while this thread runs share 0.  Alg. 3 couples no
+        subtrees, so the subgraph shares' answers concatenate in path
+        order and their stats sum, published once; Alg. 4 couples them
+        through the kth-best, so it runs once more in-process over the
+        K-NN shares' merged similarities and bounds.  Either way the
+        serial answer and stats, counter for counter.  Returns the
+        task's result in :meth:`_run_inline`'s shape."""
+        task_id, kind, query, params, ctx = task
+        if kind == _KIND_KNN:
+            # Refuses an unknown method before anything is scored.
+            MappingScorer(query, params[1])
         shares = self._pool_procs
-        share_tasks = [(task_id, _KIND_KNN_SHARE, query,
-                        (k, mapping_method, share, shares), ctx)
+        share_tasks = [(task_id, _SHARE_KINDS[kind], query,
+                        (*params, share, shares), ctx)
                        for share in range(shares)]
         # The pool's task-handler thread needs the GIL to send the
         # shares; wait until it has, or share 0 would hold the GIL for a
@@ -606,13 +618,24 @@ class QueryEngine:
         pending = self._ensure_pools()[0].imap(_worker_run, dispatch())
         sent.wait()
         index = self._local[0]
-        (sims, bounds), _, busy = _execute(index, None, share_tasks[0])
-        for part, _, task_busy, delta, spans in pending:
+        parts = [_execute(index, None, share_tasks[0])]
+        for *part, delta, spans in pending:
             registry.merge(delta)
             trace.fold_worker_records(spans, ctx)
-            sims.update(part[0])
-            bounds.update(part[1])
-            busy += task_busy
+            parts.append(part)
+        busy = sum(task_busy for _, _, task_busy in parts)
+        if kind == _KIND_SUBGRAPH:
+            answers = [graph_id for _, graph_id in
+                       sorted(pair for tagged, _, _ in parts
+                              for pair in tagged)]
+            stats = _merge_stats([stats for _, stats, _ in parts],
+                                 len(index))
+            stats.publish()
+            return [[(answers, stats, busy)]]
+        sims, bounds = {}, {}
+        for (part_sims, part_bounds), _, _ in parts:
+            sims.update(part_sims)
+            bounds.update(part_bounds)
         pairs = len(sims)
         answers, stats, replay_busy = _execute(index, None, task,
                                                (sims, bounds))

@@ -30,7 +30,7 @@ from repro.matching.edit_distance import MappingScorer
 from repro.obs import trace
 from repro.ctree.node import CTreeNode
 from repro.ctree.stats import KnnStats
-from repro.ctree.tree import CTreeCore
+from repro.ctree.tree import CTreeCore, tree_share
 
 
 def knn_query(
@@ -98,8 +98,8 @@ def _knn_search(
 
     See :func:`knn_query` for the ``canonical`` (tie-stable total order)
     extension and the ``sims`` / ``bounds`` memos, and
-    :func:`tree_share` for ``skips``; the defaults are the
-    paper-faithful behavior.
+    :func:`~repro.ctree.tree.tree_share` for ``skips``; the defaults are
+    the paper-faithful behavior.
     """
     if sims is None:
         sims = {}
@@ -207,30 +207,6 @@ def _knn_search(
     return results
 
 
-def tree_share(store, share: int, shares: int) -> Optional[frozenset]:
-    """Share ``share`` of ``shares`` disjoint shares of a tree, as the
-    paths (child positions from the root) of the subtrees it skips — or
-    ``None`` when no level of the tree is wide enough.
-
-    At the first level with at least ``2 * shares`` children, child ``i``
-    in level order belongs to share ``i % shares``.  A share walks the
-    levels above that one whole and skips the other shares' subtrees.
-    Level order is a function of the tree, so every process that holds
-    the same tree computes the same shares.
-    """
-    level = [((), store.load_node(store.root))]
-    while True:
-        paths = [path + (i,) for path, node in level
-                 for i in range(len(node.children))]
-        if len(paths) >= 2 * shares:
-            return frozenset(path for i, path in enumerate(paths)
-                             if i % shares != share)
-        if level[0][1].is_leaf:
-            return None
-        level = [(path + (i,), store.load_node(ref)) for path, node in level
-                 for i, ref in enumerate(node.children)]
-
-
 def knn_share(
     tree: CTreeCore,
     query: Graph,
@@ -239,11 +215,12 @@ def knn_share(
     share: int,
     shares: int,
 ) -> tuple[dict[int, float], dict[tuple, float]]:
-    """Score one :func:`tree_share` of a K-NN query: canonical Alg. 4
-    (boundary ties drained) confined to the share's subtrees.  Returns
-    the ``sims`` and ``bounds`` memos of :func:`knn_query` it filled —
-    every graph it scored, every bound it computed — and publishes no
-    ``ctree.knn.*`` stats: the replay over the merged memos does.
+    """Score one :func:`~repro.ctree.tree.tree_share` of a K-NN query:
+    canonical Alg. 4 (boundary ties drained) confined to the share's
+    subtrees.  Returns the ``sims`` and ``bounds`` memos of
+    :func:`knn_query` it filled — every graph it scored, every bound it
+    computed — and publishes no ``ctree.knn.*`` stats: the replay over
+    the merged memos does.
 
     A share's kth-best is never above the whole query's, so the shares
     together score every graph the serial run scores (given that a

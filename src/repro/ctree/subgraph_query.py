@@ -19,7 +19,12 @@ against one compiled query context:
    (the acceleration noted in the paper).
 
 Returns the answer ids plus a :class:`~repro.ctree.stats.QueryStats` with
-the counters the evaluation section reports.  With tracing enabled
+the counters the evaluation section reports.  Alg. 3 searches and
+verifies each subtree on its own, so :func:`subgraph_share` runs it on
+one of W disjoint tree shares and the batch engine
+(:mod:`repro.ctree.parallel`) concatenates the shares' answers in path
+order; :func:`subgraph_query` is the one-share case of the same
+descent.  With tracing enabled
 (:mod:`repro.obs.trace`) a query emits a span tree: ``ctree.subgraph_query``
 → ``ctree.search`` → one ``ctree.expand`` span per node expansion (with
 histogram/pseudo survivor counts attached) and ``ctree.verify`` wrapping
@@ -27,8 +32,6 @@ the Ullmann phase.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.graphs.graph import Graph
 from repro.graphs.labelspace import TargetContext, label_context
@@ -39,7 +42,7 @@ from repro.matching.ullmann import subgraph_isomorphic
 from repro.obs import trace
 from repro.ctree.node import CTreeNode
 from repro.ctree.stats import QueryStats
-from repro.ctree.tree import CTreeCore
+from repro.ctree.tree import CTreeCore, tree_share
 
 
 def subgraph_query(
@@ -58,74 +61,106 @@ def subgraph_query(
     experiments).  With ``verify=False`` the candidate set is returned
     unverified (useful for measuring filter power alone).
     """
+    answers, stats = subgraph_share(tree, query, level, verify)
+    stats.publish()
+    return [graph_id for _, graph_id in answers], stats
+
+
+def subgraph_share(
+    tree: CTreeCore,
+    query: Graph,
+    level: Level = 1,
+    verify: bool = True,
+    share: int = 0,
+    shares: int = 1,
+) -> tuple[list[tuple[tuple, int]], QueryStats]:
+    """Alg. 3 on share ``share`` of ``shares``
+    (:func:`~repro.ctree.tree.tree_share`, which must find a level at
+    least ``2 * shares`` wide); :func:`subgraph_query` is the one-share
+    case.  Returns the answers as ``(path, graph id)`` pairs, ``path``
+    being the graph's child positions from the root, so the shares'
+    answers sorted are the query's in serial order.  The stats count
+    only what the share owns — its subtrees and, for share 0, the nodes
+    above the split level — so the shares' records summed are the
+    serial one.  Nothing is published: the caller publishes once.
+    """
     store = tree.store
+    skips = tree_share(store, share, shares) if shares > 1 else frozenset()
+    #: the split level: shares other than 0 count nothing above it
+    top = len(next(iter(skips))) if share else 0
     qc = kernels.compile_query(query, level)
-    #: (graph id, target context, pseudo-compatibility domains as masks)
-    candidates: list[tuple[int, TargetContext, list[int]]] = []
+    #: (path, graph id, target context, pseudo-compatibility masks)
+    candidates: list[tuple[tuple, int, TargetContext, list[int]]] = []
     with trace.span(
         "ctree.subgraph_query",
         query_vertices=query.num_vertices,
         level=str(level),
         database_size=len(tree),
     ) as root_span, store.metered(QueryStats, len(tree), root_span) as stats:
-        with trace.span("ctree.search"):
-            start = time.perf_counter()
+        with trace.timed("ctree.search") as search:
             if len(tree):
-                _visit(store, store.load_node(store.root), 0, qc,
-                       candidates, stats)
-            stats.search_seconds = time.perf_counter() - start
+                _visit(store, store.load_node(store.root), (), qc,
+                       candidates, stats, skips, top)
+        stats.search_seconds = search.duration
         stats.candidates = len(candidates)
         root_span.set(candidates=stats.candidates)
 
         if not verify:
-            answers = [graph_id for graph_id, _, _ in candidates]
+            answers = [(path, graph_id) for path, graph_id, _, _ in candidates]
         else:
             answers = []
-            with trace.span("ctree.verify", candidates=len(candidates)):
-                start = time.perf_counter()
-                for graph_id, target, domains in candidates:
+            with trace.timed("ctree.verify",
+                             candidates=len(candidates)) as verification:
+                for path, graph_id, target, domains in candidates:
                     stats.isomorphism_tests += 1
                     # the descent's masks seed Ullmann as they are
                     if next(kernels.embeddings_masks(qc, target, domains, 1),
                             None) is not None:
-                        answers.append(graph_id)
-                stats.verify_seconds = time.perf_counter() - start
+                        answers.append((path, graph_id))
+            stats.verify_seconds = verification.duration
             stats.answers = len(answers)
             root_span.set(answers=stats.answers)
-    stats.publish()
     return (answers, stats)
 
 
 def _visit(
     store,
     node: CTreeNode,
-    depth: int,
+    path: tuple,
     qc: QueryContext,
     candidates: list,
     stats: QueryStats,
+    skips: frozenset,
+    top: int,
 ) -> None:
-    """Expand one node: screen every child by histogram.  A child node
-    that passes is expanded at once — so only one root-to-leaf path of
-    loaded nodes is alive at a time, and candidates come out in
-    left-to-right leaf order.  A graph under a leaf is screened on the
-    summary its entry holds, loaded as its target context only if it
-    passes, and then tested by pseudo sub-isomorphism; a survivor becomes
-    a candidate, carrying that context and its pseudo-compatibility
-    domains into verification."""
+    """Expand the node at ``path``: screen every child by histogram.  A
+    child node that passes is expanded at once — so only one
+    root-to-leaf path of loaded nodes is alive at a time, and candidates
+    come out in left-to-right leaf order.  A graph under a leaf is
+    screened on the summary its entry holds, loaded as its target
+    context only if it passes, and then tested by pseudo
+    sub-isomorphism; a survivor becomes a candidate, carrying its path,
+    that context and its pseudo-compatibility domains into
+    verification.  Children whose path is in ``skips`` are another
+    share's; the stats count a node's expansion, and a child's
+    screening, only at depth ``top`` or below."""
+    depth = len(path)
     with trace.span("ctree.expand", depth=depth) as sp:
-        stats.nodes_expanded += 1
+        tested = 0
         survivors_x = 0
         survivors_y = 0
-        for ref in node.children:
-            stats.histogram_tests += 1
+        for i, ref in enumerate(node.children):
+            if skips and path + (i,) in skips:
+                continue
+            tested += 1
             if not node.is_leaf:
                 child = store.load_node(ref)
                 if kernels.histogram_dominates(
                         label_context(child.closure), qc):
                     survivors_x += 1
                     survivors_y += 1
-                    stats.pseudo_survivors += 1
-                    _visit(store, child, depth + 1, qc, candidates, stats)
+                    _visit(store, child, path + (i,), qc, candidates, stats,
+                           skips, top)
                 continue
             # The histogram beside the pointer: a graph it rejects is
             # never read.
@@ -138,10 +173,14 @@ def _visit(
             if not kernels.global_semi_perfect_masks(domains):
                 continue
             survivors_y += 1
-            stats.pseudo_survivors += 1
-            candidates.append((ref.graph_id, target, domains))
-        stats.record_level(depth, survivors_x, survivors_y,
-                           tested=len(node.children))
+            candidates.append((path + (i,), ref.graph_id, target, domains))
+        if depth + 1 >= top:
+            nodes = int(depth >= top)
+            stats.nodes_expanded += nodes
+            stats.histogram_tests += tested
+            stats.pseudo_survivors += survivors_y
+            stats.record_level(depth, survivors_x, survivors_y, nodes=nodes,
+                               tested=len(node.children) * nodes)
         sp.set(fanout=len(node.children), x=survivors_x, y=survivors_y)
 
 

@@ -657,3 +657,29 @@ class CTree(CTreeCore):
             f"<CTree |D|={len(self)} height={self.height()} "
             f"nodes={self.node_count()} m={self.min_fanout} M={self.max_fanout}>"
         )
+
+
+def tree_share(store, share: int, shares: int) -> Optional[frozenset]:
+    """Share ``share`` of ``shares`` disjoint shares of a tree, as the
+    paths (child positions from the root) of the subtrees it skips — or
+    ``None`` when no level of the tree is wide enough.
+
+    At the first level with at least ``2 * shares`` children, child ``i``
+    in level order belongs to share ``i % shares``.  A share walks the
+    levels above that one whole and skips the other shares' subtrees.
+    Level order is a function of the tree, so every process that holds
+    the same tree computes the same shares.  Both query kinds split by
+    it: Alg. 3 (:func:`~repro.ctree.subgraph_query.subgraph_share`) and
+    Alg. 4 (:func:`~repro.ctree.similarity_query.knn_share`).
+    """
+    level = [((), store.load_node(store.root))]
+    while True:
+        paths = [path + (i,) for path, node in level
+                 for i in range(len(node.children))]
+        if len(paths) >= 2 * shares:
+            return frozenset(path for i, path in enumerate(paths)
+                             if i % shares != share)
+        if level[0][1].is_leaf:
+            return None
+        level = [(path + (i,), store.load_node(ref)) for path, node in level
+                 for i, ref in enumerate(node.children)]

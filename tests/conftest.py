@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.ctree.subgraph_query import subgraph_query
@@ -14,6 +15,14 @@ from repro.graphs.histogram import LabelHistogram
 from repro.datasets.chemical import ChemicalConfig, generate_chemical_database
 from repro.matching.pseudo_iso import global_semi_perfect, reference_domains
 from repro.matching.ullmann import reference_embeddings
+
+# Tier-1 draws the same examples on every run, at each test's own
+# ``max_examples``, and keeps no example database between runs, so its
+# verdict is a function of the code.  The scheduled CI job explores with
+# ``--hypothesis-profile=nightly``: fresh random examples every night.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("nightly", derandomize=False)
+settings.load_profile("tier1")
 
 #: The oracle axis of the differential cases, under the ids they had when
 #: they swept a process-wide kernel switch (kept stable): ``kernels``

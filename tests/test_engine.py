@@ -31,7 +31,7 @@ from repro.ctree.parallel import QueryEngine
 from repro.ctree.shards import ShardSet
 from repro.ctree.similarity_query import knn_query, knn_share, range_query
 from repro.ctree.stats import PAGE_IO, KnnStats, QueryStats
-from repro.ctree.subgraph_query import subgraph_query
+from repro.ctree.subgraph_query import subgraph_query, subgraph_share
 from repro.ctree.tree import CTree
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry, global_registry
@@ -495,6 +495,135 @@ class TestSplitKnn:
             assert task["parent_id"] == batch["span_id"]
         root, = [r for r in records if r["name"] == "ctree.knn_query"]
         assert root["parent_id"] == replay["span_id"]
+
+
+# ----------------------------------------------------------------------
+# A lone subgraph task split over the pool: Alg. 3 on disjoint tree
+# shares, answers concatenated in path order, stats summed
+# ----------------------------------------------------------------------
+def _query_delta(delta: dict) -> dict:
+    """The ``ctree.query.*`` part of a registry delta that depends on
+    query logic alone (no timings, no page I/O)."""
+    return {name: snap for name, snap in delta.items()
+            if name.startswith("ctree.query.") and "seconds" not in name
+            and name.rsplit(".", 1)[1] not in PAGE_IO}
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method on this platform")
+class TestSplitSubgraph:
+    """One subgraph query on one tree runs on every process of the pool
+    and still returns the serial answer in serial order, with the serial
+    stats and ``ctree.query.*`` registry deltas."""
+
+    @pytest.fixture(params=["memory", "disk"])
+    def index(self, request, golden_tree, golden_disk_path):
+        if request.param == "memory":
+            yield golden_tree
+        else:
+            with DiskCTree.open(golden_disk_path, cache_pages=32) as disk:
+                yield disk
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_every_golden_query_alone_equals_serial(self, index, workers,
+                                                    golden_queries):
+        registry = global_registry()
+        with QueryEngine(index, workers=workers, cache_size=0) as engine:
+            for level in (1, "max"):
+                for verify in (True, False):
+                    for query in golden_queries:
+                        before = registry.snapshot()
+                        want, want_stats = subgraph_query(
+                            index, query, level=level, verify=verify)
+                        serial = _query_delta(registry.diff(before))
+                        before = registry.snapshot()
+                        (got, stats), = engine.query_many([query], level,
+                                                          verify)
+                        delta = _query_delta(registry.diff(before))
+                        assert engine.last_batch.parallel
+                        assert engine.last_batch.workers == workers
+                        assert got == want
+                        assert stats.deterministic_dict() == \
+                            want_stats.deterministic_dict()
+                        assert delta == serial
+                        assert delta["ctree.query.count"]["value"] == 1
+                        assert delta["ctree.query.per_query.candidates"][
+                            "count"] == 1
+
+    def test_shares_partition_the_work(self, index, golden_queries,
+                                       monkeypatch):
+        """Every graph the serial run pseudo-tests is tested by exactly
+        one share, and the shares' records sum to the serial one."""
+        store = index.store
+        loaded = []
+        load_context = store.load_context
+
+        def recording(ref):
+            loaded.append(ref.graph_id)
+            return load_context(ref)
+
+        monkeypatch.setattr(store, "load_context", recording)
+        for query in golden_queries:
+            _, want = subgraph_share(index, query)
+            serial = sorted(loaded)
+            for shares in (2, 3):
+                loaded.clear()
+                parts = [subgraph_share(index, query, 1, True, s, shares)[1]
+                         for s in range(shares)]
+                assert sorted(loaded) == serial
+                merged = parts[0].copy()
+                for part in parts[1:]:
+                    merged.merge(part)
+                assert merged.deterministic_dict() == \
+                    want.deterministic_dict()
+            loaded.clear()
+
+    def test_stays_inline(self, golden_tree, golden_queries):
+        """An empty index, one worker, and a tree with no level twice as
+        wide as the pool run the in-process path and fork nothing."""
+        query = golden_queries[0]
+        cases = [(CTree(min_fanout=2), 2), (golden_tree, 1),
+                 (golden_tree, 64)]
+        for index, workers in cases:
+            with QueryEngine(index, workers=workers, cache_size=0) as engine:
+                (got, stats), = engine.query_many([query])
+                assert not engine.last_batch.parallel
+                assert engine._pools is None
+            want, want_stats = subgraph_query(index, query)
+            assert got == want
+            assert stats.deterministic_dict() == \
+                want_stats.deterministic_dict()
+
+    def test_span_tree(self, index, golden_queries):
+        """One ``engine.task`` per share, on two processes, under the
+        batch span; each holds its share's Alg. 3 root span."""
+        sink = trace.ListSink()
+        with QueryEngine(index, workers=2, cache_size=0) as engine, \
+                trace.tracing(sink):
+            engine.query_many(golden_queries[:1])
+        records = sink.records
+        batch, = [r for r in records if r["name"] == "engine.batch"]
+        tasks = [r for r in records if r["name"] == "engine.task"]
+        assert [t["attrs"]["kind"] for t in tasks] == ["subgraph_share"] * 2
+        assert sorted(t["attrs"]["share"] for t in tasks) == [0, 1]
+        assert len({t["attrs"]["pid"] for t in tasks}) == 2
+        for task in tasks:
+            assert task["parent_id"] == batch["span_id"]
+        roots = [r for r in records if r["name"] == "ctree.subgraph_query"]
+        assert sorted(r["parent_id"] for r in roots) == \
+            sorted(t["span_id"] for t in tasks)
+
+    def test_cache_hit_returns_the_split_answer(self, index, golden_queries):
+        with QueryEngine(index, workers=2) as engine:
+            for query in golden_queries:
+                (split, split_stats), = engine.query_many([query])
+                assert engine.last_batch.parallel
+                (hit, hit_stats), = engine.query_many([query])
+                assert engine.last_batch.cache_hits == 1
+                assert not engine.last_batch.parallel
+                assert hit == split == subgraph_query(index, query)[0]
+                assert hit_stats.deterministic_dict() == \
+                    split_stats.deterministic_dict()
 
 
 # ----------------------------------------------------------------------

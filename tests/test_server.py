@@ -200,6 +200,27 @@ class TestGoldenRoundTrip:
                 want = stats.deterministic_dict()
                 assert {key: payload["stats"][key] for key in want} == want
 
+    def test_workers_subgraph_bit_identical_to_serial(self, golden,
+                                                      golden_tree):
+        """With W > 1 workers a lone ``/query`` miss is split across the
+        pool; the golden subgraph cases still come back as the serial
+        loop's answers, traversal order and stats included."""
+        _, expected = golden
+        srv = QueryServer(golden_tree, ServerConfig(port=0, workers=2))
+        if not srv.engine._fork_ok:
+            pytest.skip("fork start method unavailable")
+        with srv.run_in_thread() as handle:
+            for case in expected["subgraph"]:
+                query = Graph.from_dict(case["query"])
+                serial, stats = subgraph_query(golden_tree, query)
+                status, payload = _post_json(handle.port, "/query",
+                                             {"query": case["query"]})
+                assert status == 200
+                assert srv.engine.last_batch.parallel
+                assert payload["answers"] == serial
+                want = stats.deterministic_dict()
+                assert {key: payload["stats"][key] for key in want} == want
+
     def test_shard_set_served_by_the_same_engine(self, golden, golden_tree):
         """One process per shard whatever ``workers`` says — and the
         server says so — with answers in canonical (sorted) form."""
