@@ -63,7 +63,6 @@ from repro.graphs.labelspace import global_labelspace
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DEFAULT_CACHE_PAGES, DiskCTree
 from repro.ctree.parallel import DEFAULT_CACHE_SIZE, QueryEngine
-from repro.ctree.persistence import index_size_bytes
 from repro.ctree.saved import fsck_index, index_kind, open_index
 from repro.ctree.shards import ShardSet
 from repro.ctree.similarity_query import range_query
@@ -228,14 +227,14 @@ def cmd_build(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     build_seconds = time.perf_counter() - start
-    DiskCTree.create(
-        tree, args.output, page_size=args.page_size,
-        cache_pages=args.cache_pages,
-    ).close()
+    with DiskCTree.create(tree, args.output, page_size=args.page_size,
+                          cache_pages=args.cache_pages) as disk:
+        size = disk.file_bytes
     print(
         f"built C-tree over {len(tree)} graphs in {build_seconds:.2f}s "
-        f"(height={tree.height()}, nodes={tree.node_count()}, "
-        f"{index_size_bytes(tree)} bytes) -> disk index {args.output}"
+        f"(height={tree.height()}, nodes={tree.node_count()}) -> disk "
+        f"index {args.output}: {size} bytes, "
+        f"{size / max(len(tree), 1):.0f} bytes per graph"
     )
     return 0
 

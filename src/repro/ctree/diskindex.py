@@ -76,7 +76,7 @@ from repro.ctree.subgraph_query import subgraph_query
 from repro.ctree.tree import CTree, CTreeCore
 from repro.storage.bufferpool import BufferPool
 from repro.storage.pagefile import NO_PAGE, PageFile, PathLike
-from repro.storage.recordstore import RecordStore
+from repro.storage.recordstore import RecordStore, record_page
 from repro.storage.wal import (
     RecoveryReport,
     WriteAheadLog,
@@ -85,8 +85,9 @@ from repro.storage.wal import (
     wal_path,
 )
 
-#: Record format version (see :mod:`repro.ctree.store`).
-_FORMAT = 3
+#: Record format version (see :mod:`repro.ctree.store` and
+#: :mod:`repro.storage.recordstore`).
+_FORMAT = 4
 
 #: The metadata keys every create and compaction writes (fsck checks).
 _META_KEYS = ("root", "graph_count", "next_id", "height", "leaf_count",
@@ -107,6 +108,13 @@ DEFAULT_MIN_OCCUPANCY = 0.4
 #: ... or when the tree stands more than this many levels above the
 #: height a fresh bulk load of the same graph count would reach.
 DEFAULT_HEIGHT_SLACK = 1
+
+
+def _refusal(fmt) -> str:
+    """Why an index of another record format is not opened, and the way
+    out."""
+    return (f"index format {fmt}, this version reads format {_FORMAT} "
+            f"only; re-create the index from its graphs (`repro build`)")
 
 
 @dataclass
@@ -182,24 +190,39 @@ class DiskRecovery:
 
 class _CheckedStore(PagedNodeStore):
     """What :meth:`DiskCTree.fsck` walks the tree through: nothing kept
-    resident, each record's chain resolved (its pages counted reachable)
-    before the read, and a record that cannot be read back raised as a
-    ``PersistenceError`` naming it; node records, leaves and ids counted."""
+    resident, each record resolved (its page and overflow pages counted
+    reachable, its slot claimed once) before the read, and a record that
+    cannot be read back raised as a ``PersistenceError`` naming it; node
+    records, leaves and ids counted."""
 
     def __init__(self, records: RecordStore) -> None:
         super().__init__(records, {})
-        self.reachable: set[int] = set()
+        #: record id -> what claimed it; page id -> the record it holds
+        #: (record pages map to None: many records share one)
+        self.claims: dict[int, str] = {}
+        self.pages: dict[int, Optional[int]] = {}
+        self.findings: list[str] = []
         self.nodes_read = self.leaves = 0
         self.graph_ids: set[int] = set()
 
     def read(self, record_id: int, what: str) -> dict:
         """Record ``record_id`` (``what`` names it in a finding), parsed."""
+        if record_id in self.claims:
+            raise PersistenceError(
+                f"{what} record {record_id}: slot already claimed by "
+                f"{self.claims[record_id]}")
+        self.claims[record_id] = f"{what} record {record_id}"
         try:
-            chain = self.records.chain_pages(record_id)
+            home, *chain = self.records.chain_pages(record_id)
         except (PersistenceError, struct.error) as exc:
             raise PersistenceError(
-                f"{what} record {record_id}: broken chain: {exc}") from exc
-        self.reachable.update(chain)
+                f"{what} record {record_id}: {exc}") from exc
+        for page, owner in ((home, None),
+                            *((page, record_id) for page in chain)):
+            if self.pages.setdefault(page, owner) != owner:
+                self.findings.append(
+                    f"page {page} is claimed twice (again by {what} "
+                    f"record {record_id})")
         try:
             return self.load_record(record_id)
         except (PersistenceError, ValueError) as exc:
@@ -272,7 +295,7 @@ class DiskCTree(CTreeCore):
                                WriteAheadLog.create if wal else None)
         meta, meta_record = cls._write_tree(records, tree, generation=1)
         pagefile.user_root = meta_record
-        records.pool.flush()
+        records.flush()
         return cls(records, meta, path=path)
 
     @staticmethod
@@ -319,6 +342,9 @@ class DiskCTree(CTreeCore):
         if meta_record == 0:
             pool.close()
             raise PersistenceError(f"{path}: no index metadata")
+        if record_page(meta_record) == NO_PAGE:
+            pool.close()   # a bare page id: record format 3 or older
+            raise PersistenceError(f"{path}: {_refusal('3 or older')}")
         try:
             meta = json.loads(records.load(meta_record))
         except (json.JSONDecodeError, UnicodeDecodeError,
@@ -328,10 +354,7 @@ class DiskCTree(CTreeCore):
         if meta.get("format") != _FORMAT:
             pool.close()
             raise PersistenceError(
-                f"{path}: index format {meta.get('format')!r}, this "
-                f"version reads format {_FORMAT} only; re-create the "
-                f"index from its graphs (`repro build`)"
-            )
+                f"{path}: {_refusal(repr(meta.get('format')))}")
         return cls(records, meta, path=path)
 
     @classmethod
@@ -588,7 +611,7 @@ class DiskCTree(CTreeCore):
         diagnostic tag carried on the WAL COMMIT record — a group
         commit stamps its whole batch with one note."""
         self._check_open()
-        self.pool.flush(note)
+        self.store.records.flush(note)
 
     def _collect_record_ids(self) -> list[int]:
         """Every live record id: the metadata record plus all node and
@@ -633,6 +656,13 @@ class DiskCTree(CTreeCore):
         """The index's buffer pool (for I/O stats and flushing)."""
         return self.store.records.pool
 
+    @property
+    def file_bytes(self) -> int:
+        """Bytes the page file spans: every page with its trailer, the
+        header page included."""
+        pagefile = self.pool.pagefile
+        return pagefile.page_count * pagefile.slot_size
+
     def describe(self) -> dict:
         """A JSON-friendly summary (the server's ``GET /`` index block)."""
         return {"graphs": len(self), "generation": self.generation,
@@ -647,7 +677,7 @@ class DiskCTree(CTreeCore):
         pagefile = self.pool.pagefile
         return (f"disk C-tree index: |D|={len(self)} height={self.height} "
                 f"pages={pagefile.page_count} "
-                f"page_size={pagefile.page_size}")
+                f"page_size={pagefile.page_size} bytes={self.file_bytes}")
 
     def health(self) -> tuple[bool, dict]:
         """The ``/healthz`` probe: a non-deep :meth:`fsck` of the page
@@ -708,7 +738,7 @@ class DiskCTree(CTreeCore):
         verify it.
 
         Replays the sidecar WAL (:func:`repro.storage.wal.recover`),
-        then runs :meth:`fsck` over the result: record chains must
+        then runs :meth:`fsck` over the result: record ids must
         resolve, every page must be reachable or free, and every
         ancestor closure must contain the graphs below it.
         ``deep=True`` further checks each graph pseudo-isomorphic into
@@ -741,7 +771,9 @@ class DiskCTree(CTreeCore):
         containment along every lineage, leaf-entry histograms), with
         ``deep=True`` adding its pseudo-isomorphism test at level 1.
         Around it, what a page file adds: page checksums, a free list in
-        range and acyclic, record chains that resolve, every format-3
+        range and acyclic, record ids that name live slots and overflow
+        chains that resolve, each slot claimed once, no two records'
+        bytes overlapping and no live slot left unreached, every format-4
         metadata key and counter, and live and free pages tiling the file
         exactly (so a split's free-list pages are reachable or free
         exactly once).
@@ -811,11 +843,14 @@ class DiskCTree(CTreeCore):
             (head,) = _U64.unpack_from(pool.get(head), 0)
         report.free_pages = len(free)
         # 3. The metadata, then the tree — every record read resolves its
-        # chain and counts its pages reachable.
+        # slot and overflow chain and counts their pages reachable.
         store = _CheckedStore(records)
         meta = None
         if pagefile.user_root == NO_PAGE:
             report.notes.append("empty page file: no index metadata")
+        elif record_page(pagefile.user_root) == NO_PAGE:
+            report.issue(f"unsupported index format 3 or older (user root "
+                         f"{pagefile.user_root} is a bare page id)")
         else:
             try:
                 meta = store.read(pagefile.user_root, "meta")
@@ -823,9 +858,16 @@ class DiskCTree(CTreeCore):
                 report.issue(str(exc))
         if meta is not None:
             cls._fsck_walk(store, meta, report, deep)
-        report.reachable_pages = len(store.reachable)
-        # 4. Page accounting: live and free pages must tile the file.
-        overlap = store.reachable & free
+        report.errors += store.findings
+        reachable = set(store.pages)
+        report.reachable_pages = len(reachable)
+        # 4. Slots: the bytes of live records overlap nowhere, and every
+        # live slot on a reached record page is a record the walk reached.
+        for page_id in sorted(page for page, owner in store.pages.items()
+                              if owner is None and page not in bad):
+            report.errors += records.page_findings(page_id, store.claims)
+        # 5. Page accounting: live and free pages must tile the file.
+        overlap = reachable & free
         if overlap:
             report.issue(
                 f"{len(overlap)} page(s) both reachable and free "
@@ -833,7 +875,7 @@ class DiskCTree(CTreeCore):
             )
         if meta is not None:
             leaked = (set(range(1, pagefile.page_count))
-                      - store.reachable - free - bad)
+                      - reachable - free - bad)
             if leaked:
                 report.issue(
                     f"{len(leaked)} page(s) leaked "
@@ -884,7 +926,7 @@ class DiskCTree(CTreeCore):
     # ------------------------------------------------------------------
     def flush(self) -> None:
         """Checkpoint all dirty state to disk (one WAL commit)."""
-        self.pool.flush()
+        self.store.records.flush()
 
     def close(self) -> None:
         """Flush and release the underlying storage stack."""

@@ -39,7 +39,8 @@ decodes each node once, not once per query; a write batch
 (:meth:`PagedNodeStore.writing`) works on them and evicts only the nodes
 it rewrites or frees, so what is decoded again is what changed.
 
-**Record format 3** (layout and rationale: ``docs/DURABILITY.md``).  A
+**Record format 4** (layout and rationale: ``docs/DURABILITY.md``; the
+slotted pages that hold the records: :mod:`repro.storage.recordstore`).  A
 graph is ``{"vl": [labels], "v": [index into vl], "el": [labels], "e": [u,
 v, index into el, ...], "name"?}``; a closure the same with bitmasks over
 the record's own tables as codes; a node ``{"leaf", "closure"?, "graphs":
@@ -569,7 +570,7 @@ class PagedNodeStore:
         self.records.update(ref, dump_record(encode_node(node)))
 
     def free_node(self, ref: int, node: CTreeNode) -> None:
-        """Return a node record's pages to the free list."""
+        """Free a node record's slot (and any page it leaves empty)."""
         self._evict(ref)
         self.records.delete(ref)
         self._count_leaf(node, -1)
@@ -582,7 +583,7 @@ class PagedNodeStore:
                            *record_histograms(record))
 
     def free_graph(self, entry: StoredEntry) -> None:
-        """Return a graph record's pages to the free list."""
+        """Free a graph record's slot (and any page it leaves empty)."""
         self.records.delete(entry.record)
 
     @contextmanager

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,20 @@ class TestBuildAndInfo:
         assert main(["build", "-i", str(db), "-o", str(out),
                      "--min-fanout", "3"]) == 0
         assert "built C-tree over 25 graphs" in capsys.readouterr().out
+
+    def test_build_and_info_report_the_bytes_on_disk(self, workspace,
+                                                     capsys):
+        """The size ``build`` and ``info`` print is the page file's."""
+        root, db, _ = workspace
+        out = root / "sized.ctp"
+        assert main(["build", "-i", str(db), "-o", str(out),
+                     "--min-fanout", "3"]) == 0
+        size = os.path.getsize(out)
+        assert capsys.readouterr().out.rstrip().endswith(
+            f"-> disk index {out}: {size} bytes, {size / 25:.0f} bytes "
+            f"per graph")
+        assert main(["info", "-i", str(out)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(f" bytes={size}")
 
     def test_info_database(self, workspace, capsys):
         _, db, _ = workspace

@@ -266,10 +266,10 @@ class TestGoldenWork:
 
 
 #: sha256 of ``DiskCTree.create(golden tree, page_size=512)`` — record
-#: format 3.  Re-pin only with a format change or a change to what a
+#: format 4.  Re-pin only with a format change or a change to what a
 #: closure fold returns, and say so in the commit.
 _PAGE_FILE_SHA256 = \
-    "c702359f6c2405b6f3516f7ac28411258845a0d5efdf0f33572be5a006458ff9"
+    "cce7118f77711bcf5fc2139f1d3de6fd95078be2d6e12135882a0bfc460efc5d"
 
 #: sha256 of that index after the deletes and extends of
 #: ``test_churned_page_file_bytes_pinned``.  Every Section 5 write path
@@ -277,7 +277,7 @@ _PAGE_FILE_SHA256 = \
 #: redistribute), so a fold that maps one vertex elsewhere moves these
 #: bytes.
 _CHURNED_PAGE_FILE_SHA256 = \
-    "4d12a200e774df7cf8b6a1b81b5fdc57e935b9abf13c7ffa6969dc70bd2f770f"
+    "da7c5628ca984cd47e16be307c9f9fec8c347be9a1bf8023e936701a24760555"
 
 _HASH_PAGE_FILE = """
 import hashlib, sys, tempfile

@@ -7,12 +7,15 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ctree.bulkload import bulk_load
+from repro.ctree.diskindex import DiskCTree
+from repro.datasets.chemical import generate_chemical_database
 from repro.graphs.closure import WILDCARD
 from repro.graphs.graph import Graph
 from repro.matching.pseudo_iso import pseudo_subgraph_isomorphic
 from repro.matching.ullmann import subgraph_isomorphic
 from repro.storage.bufferpool import BufferPool
-from repro.storage.pagefile import PageFile
+from repro.storage.pagefile import NO_PAGE, PageFile
 from repro.storage.recordstore import RecordStore
 from repro.storage.wal import WriteAheadLog, recover, wal_path
 
@@ -194,6 +197,84 @@ class TestRecordStoreWALModel:
             for rid, payload in zip(rids2, payloads):
                 assert store.load(rid) == payload
             pool.close()
+
+
+_BYTES = bytes(range(256))
+
+
+def _payload(step: int, size: int) -> bytes:
+    """``size`` bytes that differ from step to step and within a record."""
+    start = step % 256
+    return (_BYTES * (size // 256 + 2))[start:start + size]
+
+
+def _assert_tiled(store: RecordStore, live: dict[int, bytes]) -> None:
+    """Every live record reads back, and the pages live records occupy
+    plus the free list's pages are every data page, each once."""
+    reachable: set[int] = set()
+    for record_id, data in live.items():
+        assert store.load(record_id) == data
+        reachable.update(store.chain_pages(record_id))
+    free: list[int] = []
+    head = store.pool.pagefile.free_head
+    while head != NO_PAGE:
+        free.append(head)
+        head = int.from_bytes(store.pool.get(head)[:8], "little")
+    assert len(free) == len(set(free))
+    assert reachable.isdisjoint(free)
+    assert reachable | set(free) == \
+        set(range(1, store.pool.pagefile.page_count))
+
+
+class TestSlottedRecordModel:
+    """Record format 4 against a dict: records of 0 bytes to three pages,
+    packed into slotted pages with overflow chains."""
+
+    @given(st.sampled_from((144, 512, 4096)), st.booleans(),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1 << 20),
+                              st.floats(0, 3)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_store_update_delete_against_a_dict(self, page_size, use_wal,
+                                                ops):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "slots.ctp"
+            pf = PageFile.create(path, page_size=page_size)
+            wal = WriteAheadLog.create(wal_path(path), page_size,
+                                       start_lsn=pf.last_lsn + 1) \
+                if use_wal else None
+            store = RecordStore(BufferPool(pf, capacity=3, wal=wal))
+            live: dict[int, bytes] = {}
+            for step, (op, chooser, pages) in enumerate(ops):
+                data = _payload(step, int(pages * page_size))
+                ids = sorted(live)
+                if op == 0 or not ids:
+                    record_id = store.store(data)
+                    assert record_id not in live
+                    live[record_id] = data
+                elif op == 1:
+                    record_id = ids[chooser % len(ids)]
+                    assert store.update(record_id, data) == record_id
+                    live[record_id] = data
+                elif op == 2:
+                    record_id = ids[chooser % len(ids)]
+                    store.delete(record_id)
+                    del live[record_id]
+                else:
+                    store.flush()
+                _assert_tiled(store, live)
+            store.pool.close()
+            cold = RecordStore(BufferPool(PageFile.open(path), capacity=3))
+            _assert_tiled(cold, live)
+            cold.pool.close()
+
+    def test_spine_index_packs_its_graphs(self, tmp_path):
+        """The spine benchmark's index (300 graphs, 4,096-byte pages):
+        330 pages at one record per page, ≈ 50 slotted."""
+        tree = bulk_load(generate_chemical_database(300, seed=7),
+                         min_fanout=10, seed=7)
+        with DiskCTree.create(tree, tmp_path / "spine.ctp") as disk:
+            assert disk.pool.pagefile.page_count <= 100
 
 
 class TestWildcardSoundness:

@@ -1,4 +1,4 @@
-"""The disk record format (format 3) and its one codec in
+"""The disk record format (format 4) and its one codec in
 ``repro.ctree.store``.
 
 A record decodes in one pass over its edge array, without going through
@@ -10,6 +10,7 @@ record is *reported* by ``fsck``, never crashed on.
 """
 
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,7 @@ from repro.graphs.labelspace import (
     reset_labelspace,
     target_context,
 )
+from repro.storage.pagefile import NO_PAGE, PageFile
 
 _VERTEX_LABELS = ["C", "N", "O", 1, 2, WILDCARD]
 _EDGE_LABELS = [None, None, "x", 1, 2, WILDCARD]
@@ -330,6 +332,26 @@ class TestFormatVersion:
         with pytest.raises(PersistenceError, match="repro build"):
             DiskCTree.open(index)
         assert any("format" in e for e in _errors(index))
+
+    def test_format_3_page_layout_is_refused_with_the_way_out(
+            self, tmp_path):
+        """Format 3 kept one record per page chain, its id the head page
+        id: ``<next page: u64><length: u16><bytes>``.  Such a file is
+        refused at open, before any slot is read."""
+        path = tmp_path / "format3.ctp"
+        meta = json.dumps({"format": 3, "root": 2}).encode()
+        pagefile = PageFile.create(path, page_size=512)
+        page = pagefile.allocate()
+        pagefile.write_page(page, struct.pack("<QH", NO_PAGE, len(meta))
+                            + meta)
+        pagefile.user_root = page
+        pagefile.close()
+        with pytest.raises(PersistenceError,
+                           match=r"format 3 or older.*\(`repro build`\)"):
+            DiskCTree.open(path)
+        assert _errors(path) == [
+            f"unsupported index format 3 or older (user root {page} is a "
+            f"bare page id)"]
 
 
 class TestFsckOnMalformedRecords:

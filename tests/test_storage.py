@@ -1,6 +1,8 @@
 """Unit tests for the disk storage substrate (page file, buffer pool,
 record store)."""
 
+import struct
+
 import pytest
 
 from repro.exceptions import PersistenceError
@@ -372,8 +374,114 @@ class TestRecordStore:
         assert store2.load(pf2.user_root) == b"durable" * 50
         store2.pool.close()
 
+    def test_records_share_a_page_and_an_overflow_keeps_its_slot(
+            self, store):
+        small = store.store_many([b"a" * 20, b"b" * 20])
+        assert [rid >> 16 for rid in small] == [small[0] >> 16] * 2
+        assert small[1] == small[0] + 1
+        big = store.store(b"c" * 300)   # 128-byte pages: an overflow chain
+        assert big >> 16 == small[0] >> 16
+        assert len(store.chain_pages(big)) == 1 + 3
+        assert store.update(big, b"d" * 10) == big
+        assert store.chain_pages(big) == [big >> 16]
+        assert store.delete(small[0]) == 0   # the page keeps live slots
+        assert store.delete(small[1]) == 0
+        assert store.delete(big) == 1        # its last slot: page freed
+
     def test_huge_page_size_rejected(self, tmp_path):
         pf = PageFile.create(tmp_path / "big.ctp", page_size=1 << 17)
         with pytest.raises(PersistenceError):
             RecordStore(BufferPool(pf, capacity=2))
         pf.close()
+
+
+#: a record page's header ``<link: u64><count: u16><unused: u16><tag>``
+#: and its slot i, ``<offset: u16><length: u16>`` at 16 + 4 i
+_COUNT_AT, _SLOT_AT = 8, 16
+
+
+class TestRecordPageDamage:
+    """Damage planted in a record page is a ``PersistenceError`` that
+    names the page and slot, or a :meth:`RecordStore.page_findings`
+    line — never a wrong record."""
+
+    @pytest.fixture
+    def store(self, pagefile):
+        return RecordStore(BufferPool(pagefile, capacity=8))
+
+    @staticmethod
+    def _patch(store, page, at, fmt, *values):
+        data = bytearray(store.pool.get(page).ljust(128, b"\0"))
+        struct.pack_into(fmt, data, at, *values)
+        store.pool.put(page, bytes(data))
+
+    def test_free_and_missing_slots(self, store):
+        first, second = store.store_many([b"a" * 10, b"b" * 10])
+        page = first >> 16
+        store.delete(first)
+        for call in (store.load, store.chain_pages, store.delete,
+                     lambda rid: store.update(rid, b"x")):
+            with pytest.raises(PersistenceError,
+                               match=f"slot 0 of page {page} is free"):
+                call(first)
+        with pytest.raises(PersistenceError,
+                           match=f"page {page} has no slot 7"):
+            store.load(second + 6)
+
+    def test_not_a_record_page(self, store):
+        overflow = store.chain_pages(store.store(b"o" * 300))[1]
+        with pytest.raises(PersistenceError,
+                           match=f"page {overflow} is not a record page"):
+            store.load(overflow << 16)
+        assert store.page_findings(overflow, set()) == [
+            f"page {overflow} is not a record page"]
+
+    def test_slot_past_the_page_and_bad_stub(self, store):
+        record = store.store(b"a" * 10)
+        page = record >> 16
+        self._patch(store, page, _SLOT_AT, "<HH", 120, 10)
+        with pytest.raises(PersistenceError,
+                           match=f"slot 0 runs past the end of page {page}"):
+            store.load(record)
+        self._patch(store, page, _SLOT_AT, "<HH", 20, 0x8000 | 5)
+        with pytest.raises(PersistenceError,
+                           match=f"overflow slot 0 of page {page} holds 5"):
+            store.load(record)
+
+    def test_directory_overrunning_the_page(self, store):
+        record = store.store(b"a" * 10)
+        page = record >> 16
+        self._patch(store, page, _COUNT_AT, "<H", 40)
+        assert store.page_findings(page, {record}) == [
+            f"page {page}: 40 slots overrun the page"]
+        with pytest.raises(PersistenceError, match="overrun"):
+            store.update(record, b"b")
+
+    def test_broken_overflow_chains(self, store):
+        record = store.store(b"c" * 300)
+        home, head, tail = store.chain_pages(record)[:3]
+        self._patch(store, head, 0, "<Q", head)
+        with pytest.raises(PersistenceError,
+                           match=f"overflow chain: page {head} repeats"):
+            store.load(record)
+        self._patch(store, head, 0, "<Q", home)
+        with pytest.raises(PersistenceError,
+                           match=f"page {home} is not an overflow page"):
+            store.load(record)
+        self._patch(store, head, 0, "<QH", tail, 1000)
+        with pytest.raises(PersistenceError, match="exceeds capacity"):
+            store.load(record)
+
+    def test_page_findings(self, store):
+        records = store.store_many([b"a" * 10, b"b" * 10, b"c" * 10])
+        page = records[0] >> 16
+        assert store.page_findings(page, set(records)) == []
+        assert store.page_findings(page, set(records[1:])) == [
+            f"page {page}: slot 0 holds a record no index entry reaches "
+            f"(leaked)"]
+        offset, _ = struct.unpack_from("<HH", store.pool.get(page), _SLOT_AT)
+        self._patch(store, page, _SLOT_AT + 4, "<H", offset + 1)
+        self._patch(store, page, _SLOT_AT + 8, "<H", _SLOT_AT)
+        assert store.page_findings(page, set(records)) == [
+            f"page {page}: the bytes of slot 2 overlap the slot directory",
+            f"page {page}: the bytes of slot 1 overlap those of slot 0"]

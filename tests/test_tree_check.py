@@ -8,7 +8,7 @@ dominance; pseudo-containment when deep) and the leaf-entry summary.
 Every one of those checks is made to fire here on a deliberately broken
 tree — on a page file through ``fsck``, on a live tree through
 ``validate`` — and so is everything only a page file adds: the free
-list, record chains, page tiling and the metadata.
+list, record slots and overflow chains, page tiling and the metadata.
 """
 
 import os
@@ -192,10 +192,10 @@ class TestFsckFindings:
         with DiskCTree.open(index) as disk:
             ref = next(ref for ref in _leaf_refs(disk)
                        if len(disk.store.records.chain_pages(ref)) > 1)
-            second = disk.store.records.chain_pages(ref)[1]
-        self._link(index, second, ref)
-        assert (f"node record {ref}: broken chain: corrupt record chain: "
-                f"page {ref} repeats") in _errors(index)
+            overflow = disk.store.records.chain_pages(ref)[1]
+        self._link(index, overflow, overflow)
+        assert (f"node record {ref}: corrupt overflow chain: "
+                f"page {overflow} repeats") in _errors(index)
 
     def test_leaked_page(self, index):
         pagefile = PageFile.open(index)
@@ -206,13 +206,13 @@ class TestFsckFindings:
     def test_page_both_reachable_and_free(self, index):
         with DiskCTree.open(index) as disk:
             page = next(
-                entry.record for ref in _leaf_refs(disk)
+                pages[0] for ref in _leaf_refs(disk)
                 for entry in disk.store.load_node(ref).children
-                if disk.store.records.chain_pages(entry.record)
-                == [entry.record])
+                if len(pages := disk.store.records.chain_pages(
+                    entry.record)) == 1)
         pagefile = PageFile.open(index)
         assert pagefile.free_head == NO_PAGE
-        pagefile.mark_freed(page)   # its own chain link ends the list
+        pagefile.mark_freed(page)   # a record page's link ends the list
         pagefile.close()
         assert _errors(index) == [
             f"1 page(s) both reachable and free (e.g. page {page})"]
@@ -237,10 +237,99 @@ class TestFsckFindings:
 
     @pytest.mark.parametrize("key", ["leaf_count", "next_id", "config"])
     def test_missing_metadata_key_is_an_error(self, index, key):
-        """Every create and compaction writes each format-3 key, so a
+        """Every create and compaction writes each format-4 key, so a
         missing one is corruption — reported, not a skipped check."""
         _rewrite(index, _meta_ref, lambda r: r.pop(key))
         assert f"metadata has no {key!r}" in _errors(index)
+
+
+# ----------------------------------------------------------------------
+# fsck on damaged record pages (layout: docs/DURABILITY.md, format 4)
+# ----------------------------------------------------------------------
+#: a record page's slot i: ``<offset: u16><length: u16>`` at 16 + 4 i
+_SLOT = struct.Struct("<HH")
+
+
+@pytest.fixture
+def packed(tmp_path):
+    """The index of ``_DB`` on 512-byte pages, where one record page
+    holds several graph records."""
+    path = tmp_path / "packed.ctp"
+    DiskCTree.create(bulk_load(_DB, min_fanout=2, max_fanout=4), path,
+                     page_size=512, cache_pages=16).close()
+    return path
+
+
+def _graph_entries(path) -> list:
+    """``(graph id, record id)`` of every leaf entry, in walk order."""
+    with DiskCTree.open(path) as disk:
+        return [(entry.graph_id, entry.record) for ref in _leaf_refs(disk)
+                for entry in disk.store.load_node(ref).children]
+
+
+def _edit_slot(path, page: int, slot: int, change) -> None:
+    """Rewrite slot ``slot`` of record page ``page`` as ``change(offset,
+    length)`` returns it, checksum and all."""
+    pagefile = PageFile.open(path)
+    data = bytearray(pagefile.read_page(page))
+    at = 16 + _SLOT.size * slot
+    _SLOT.pack_into(data, at, *change(*_SLOT.unpack_from(data, at)))
+    pagefile.write_page(page, bytes(data))
+    pagefile.close()
+
+
+class TestFsckSlotDamage:
+    """Each fault is an fsck error naming the record or page — never an
+    exception."""
+
+    def test_clean(self, packed):
+        assert _errors(packed, deep=True) == []
+        pages = [record >> 16 for _, record in _graph_entries(packed)]
+        assert len(set(pages)) * 3 <= len(pages)   # graphs share pages
+
+    def test_record_naming_a_free_slot(self, packed):
+        gid, record = _graph_entries(packed)[0]
+        page, slot = record >> 16, record & 0xFFFF
+        _edit_slot(packed, page, slot, lambda offset, length: (0, 0))
+        assert f"graph {gid} record {record}: slot {slot} of page {page} " \
+            f"is free" in _errors(packed)
+
+    def test_slot_running_past_the_page(self, packed):
+        gid, record = _graph_entries(packed)[0]
+        page, slot = record >> 16, record & 0xFFFF
+        _edit_slot(packed, page, slot,
+                   lambda offset, length: (offset, 512 - offset + 1))
+        assert f"graph {gid} record {record}: slot {slot} runs past the " \
+            f"end of page {page}" in _errors(packed)
+
+    def test_overlapping_records(self, packed):
+        page = _graph_entries(packed)[0][1] >> 16
+        pagefile = PageFile.open(packed)
+        first, _ = _SLOT.unpack_from(pagefile.read_page(page), 16)
+        pagefile.close()
+        _edit_slot(packed, page, 1, lambda offset, length: (first + 1, length))
+        assert f"page {page}: the bytes of slot 1 overlap those of slot 0" \
+            in _errors(packed)
+
+    def test_two_records_claiming_one_slot(self, packed):
+        (g0, r0), (g1, r1) = _graph_entries(packed)[:2]
+
+        def share(record):
+            record["graphs"][1][1] = record["graphs"][0][1]
+        _rewrite(packed, lambda d: _leaf_refs(d)[0], share)
+        errors = _errors(packed)
+        assert f"graph {g1} record {r0}: slot already claimed by graph " \
+            f"{g0} record {r0}" in errors
+        assert f"page {r1 >> 16}: slot {r1 & 0xFFFF} holds a record no " \
+            f"index entry reaches (leaked)" in errors
+
+    def test_record_page_without_a_live_slot_leaks(self, packed):
+        pagefile = PageFile.open(packed)
+        page = pagefile.extend()
+        pagefile.write_page(page, _U64.pack(NO_PAGE) + struct.pack(
+            "<H2x4s", 0, b"CTR4"))
+        pagefile.close()
+        assert _errors(packed) == [f"1 page(s) leaked (e.g. page {page})"]
 
 
 # ----------------------------------------------------------------------
