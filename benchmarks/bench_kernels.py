@@ -41,7 +41,7 @@ from conftest import (
 )
 
 from repro.graphs.labelspace import label_context, nbm_context, target_context
-from repro.matching import edit_distance, kernels
+from repro.matching import kernels
 from repro.matching.bounds import (
     SimilarityQueryContext,
     set_similarity_upper_bound,
@@ -72,8 +72,10 @@ from repro.matching.ullmann import (
     find_embedding,
     reference_embeddings,
 )
+from repro.ctree import similarity_query
 from repro.ctree.similarity_query import knn_query
 from repro.ctree.store import (
+    MemoryNodeStore,
     decode_graph,
     decode_graph_context,
     decode_nbm_context,
@@ -465,9 +467,9 @@ def test_nbm_kernel_microbench(chem_database, chem_tree, benchmark):
 
     # The seam every traversal scores through; the reference loop reads
     # label sets, so it scores graphs, not compiled contexts.
-    with mock.patch.object(edit_distance, "NbmScorer", _ReferenceScorer), \
-            mock.patch.object(edit_distance.MappingScorer, "load",
-                              lambda _, store, entry: store.load_graph(entry)):
+    with mock.patch.object(similarity_query, "NbmScorer", _ReferenceScorer), \
+            mock.patch.object(MemoryNodeStore, "load_nbm_context",
+                              MemoryNodeStore.load_graph):
         t_knn_ref = _time(run)
         expected = run()
     t_knn_kernel = _time(run)

@@ -11,7 +11,8 @@ Gives the library's main workflows a shell-level surface:
 - ``shard``    — partition a database round-robin into a directory of
   per-shard ``.ctp`` indexes plus a placement manifest (``--create``),
   or summarize one (``--stats``);
-- ``knn`` / ``range`` — similarity queries against a saved index;
+- ``knn`` / ``range`` — similarity queries against a saved index,
+  scored under NBM (Alg. 1), the one mapping a query uses;
 - ``serve``    — HTTP server over a saved index: batched ``/query`` and
   ``/knn`` endpoints with request coalescing, Prometheus ``/metrics``,
   and an fsck-backed ``/healthz`` (full reference in docs/SERVING.md);
@@ -223,7 +224,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     tree = bulk_load(
         graphs,
         min_fanout=args.min_fanout,
-        mapping_method=args.mapping,
         seed=args.seed,
     )
     build_seconds = time.perf_counter() - start
@@ -552,7 +552,6 @@ def cmd_shard(args: argparse.Namespace) -> int:
             graphs, args.directory,
             shards=args.shards,
             min_fanout=args.min_fanout,
-            mapping_method=args.mapping,
             page_size=args.page_size,
         )
         seconds = time.perf_counter() - start
@@ -619,9 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="RNG seed (default 0)")
     build_opts = _flags()
     build_opts.add_argument("--min-fanout", type=int, default=10)
-    build_opts.add_argument("--mapping", default="nbm",
-                            choices=["nbm", "bipartite",
-                                     "bipartite_unweighted"])
     build_opts.add_argument("--page-size", type=int, default=4096)
     one_query = _flags()
     one_query.add_argument("-q", "--query", required=True,

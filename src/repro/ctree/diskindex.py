@@ -719,14 +719,11 @@ class DiskCTree(CTreeCore):
         self,
         query: Graph,
         k: int,
-        mapping_method: str = "nbm",
-        canonical: bool = False,
     ) -> tuple[list[tuple[int, float]], DiskKnnStats]:
         """:func:`~repro.ctree.similarity_query.knn_query` on this index
         (Alg. 4, reading records on demand)."""
         self._check_open()
-        return knn_query(self, query, k, mapping_method=mapping_method,
-                         canonical=canonical)
+        return knn_query(self, query, k)
 
     # ------------------------------------------------------------------
     # Recovery / integrity checking

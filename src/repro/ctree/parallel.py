@@ -87,7 +87,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from repro.graphs.graph import Graph
-from repro.matching.edit_distance import MappingScorer
 from repro.obs import trace
 from repro.obs.metrics import global_registry
 from repro.ctree.diskindex import DEFAULT_CACHE_PAGES, DiskCTree
@@ -152,10 +151,9 @@ def _execute(index: Index, shard: Optional[int], task, memo=(None, None)):
             answers, stats = subgraph_query(index, query, level=level,
                                             verify=verify)
         elif kind == _KIND_KNN:
-            k, mapping_method = params
+            k, = params
             # A shard's top-k must be canonical for merge_knn to be exact.
             answers, stats = knn_query(index, query, k,
-                                       mapping_method=mapping_method,
                                        canonical=shard is not None,
                                        sims=memo[0], bounds=memo[1])
         elif kind == _SHARE_KINDS[_KIND_SUBGRAPH]:
@@ -366,7 +364,6 @@ class QueryEngine:
         self,
         queries: Sequence[Graph],
         k: int,
-        mapping_method: str = "nbm",
     ) -> list[tuple[list[tuple[int, float]], KnnStats]]:
         """Answer a batch of K-NN queries (same guarantees as
         :meth:`query_many`).
@@ -386,12 +383,12 @@ class QueryEngine:
                 (neighbors, stats), = engine.knn_many([probe], k=5)
                 best_id, best_sim = neighbors[0]
         """
-        return self._run_batch(_KIND_KNN, queries, (k, mapping_method))
+        return self._run_batch(_KIND_KNN, queries, (k,))
 
     def probe(self, kind: str, params: tuple, query: Graph):
         """The cached ``(answers, stats)`` a batch would return for one
-        query — ``("subgraph", (level, verify))`` or ``("knn", (k,
-        mapping_method))`` — or ``None``.  A hit counts in
+        query — ``("subgraph", (level, verify))`` or ``("knn", (k,))`` —
+        or ``None``.  A hit counts in
         ``engine.queries`` / ``engine.cache_hits``; a miss counts
         nothing, the batch that executes it will.  Unlike the batch
         calls, safe from a second thread: the HTTP server probes on its
@@ -599,9 +596,6 @@ class QueryEngine:
         serial answer and stats, counter for counter.  Returns the
         task's result in :meth:`_run_inline`'s shape."""
         task_id, kind, query, params, ctx = task
-        if kind == _KIND_KNN:
-            # Refuses an unknown method before anything is scored.
-            MappingScorer(query, params[1])
         shares = self._pool_procs
         share_tasks = [(task_id, _SHARE_KINDS[kind], query,
                         (*params, share, shares), ctx)

@@ -77,13 +77,11 @@ def place_graphs(graphs: Sequence[Graph], shards: int) -> list[list[int]]:
     return [list(range(s, n, shards)) for s in range(shards)]
 
 
-def _bulk_load_parts(graphs: Sequence[Graph], shards: int, min_fanout: int,
-                     mapping_method: str):
+def _bulk_load_parts(graphs: Sequence[Graph], shards: int, min_fanout: int):
     """``(global ids, bulk-loaded tree)`` per shard, one at a time."""
     for gids in place_graphs(graphs, shards):
         yield gids, bulk_load([graphs[g] for g in gids],
-                              min_fanout=min_fanout,
-                              mapping_method=mapping_method)
+                              min_fanout=min_fanout)
 
 
 # ----------------------------------------------------------------------
@@ -121,12 +119,11 @@ class ShardSet:
     #: what :func:`~repro.ctree.saved.index_kind` calls a shard directory
     kind = "sharded"
 
-    def __init__(self, shards: list[Shard], mapping_method: str = "nbm",
+    def __init__(self, shards: list[Shard],
                  directory: Optional[str] = None) -> None:
         if not shards:
             raise ConfigError("a ShardSet needs at least one shard")
         self.shards = shards
-        self.mapping_method = mapping_method
         self.directory = directory
         seen: set[int] = set()
         for shard in shards:
@@ -145,7 +142,6 @@ class ShardSet:
         shards: int,
         placement: str = "hash",
         min_fanout: int = 20,
-        mapping_method: str = "nbm",
     ) -> "ShardSet":
         """Partition ``graphs`` and bulk-load one in-memory C-tree per
         shard.
@@ -161,8 +157,7 @@ class ShardSet:
                 f"round-robin by id ('hash')"
             )
         return cls([Shard(gids=gids, tree=tree) for gids, tree in
-                    _bulk_load_parts(graphs, shards, min_fanout,
-                                     mapping_method)], mapping_method)
+                    _bulk_load_parts(graphs, shards, min_fanout)])
 
     @classmethod
     def create(
@@ -171,7 +166,6 @@ class ShardSet:
         directory: Union[str, os.PathLike],
         shards: int,
         min_fanout: int = 20,
-        mapping_method: str = "nbm",
         page_size: int = 4096,
     ) -> "ShardSet":
         """Partition ``graphs`` into a shard directory: one ``.ctp``
@@ -188,7 +182,7 @@ class ShardSet:
         entries = []
         built: list[Shard] = []
         for s, (gids, tree) in enumerate(_bulk_load_parts(
-                graphs, shards, min_fanout, mapping_method)):
+                graphs, shards, min_fanout)):
             filename = f"shard-{s:03d}.ctp"
             path = os.path.join(directory, filename)
             DiskCTree.create(tree, path, page_size=page_size).close()
@@ -196,7 +190,6 @@ class ShardSet:
             built.append(Shard(gids=gids, path=path))
         manifest = {
             "schema": _MANIFEST_SCHEMA,
-            "mapping_method": mapping_method,
             "min_fanout": min_fanout,
             "total_graphs": len(graphs),
             "shards": entries,
@@ -204,7 +197,7 @@ class ShardSet:
         with open(os.path.join(directory, MANIFEST_NAME), "w",
                   encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=1)
-        return cls(built, mapping_method, directory=directory)
+        return cls(built, directory=directory)
 
     @classmethod
     def open(cls, directory: Union[str, os.PathLike]) -> "ShardSet":
@@ -212,7 +205,9 @@ class ShardSet:
 
         Only the per-shard id lists are read, so a manifest from before
         round-robin became the one placement (it carries a
-        ``"placement"`` key, possibly ``"closure"``) opens unchanged.
+        ``"placement"`` key, possibly ``"closure"``) or from before NBM
+        became the one mapping (it names its build mapper) opens
+        unchanged.
         """
         directory = os.fspath(directory)
         manifest = cls._read_manifest(directory)
@@ -221,8 +216,7 @@ class ShardSet:
                   path=os.path.join(directory, entry["file"]))
             for entry in manifest["shards"]
         ]
-        return cls(built, manifest.get("mapping_method", "nbm"),
-                   directory=directory)
+        return cls(built, directory=directory)
 
     # -- introspection -------------------------------------------------
     @staticmethod
@@ -271,7 +265,6 @@ class ShardSet:
         payload and the server's ``GET /`` index block)."""
         return {
             "shards": self.shard_count,
-            "mapping_method": self.mapping_method,
             "backend": self.backend,
             "directory": self.directory,
             "total_graphs": len(self),

@@ -26,7 +26,8 @@ from typing import Optional
 from repro.graphs.closure import GraphClosure
 from repro.graphs.graph import Graph
 from repro.matching.bounds import SimilarityQueryContext
-from repro.matching.edit_distance import MappingScorer
+from repro.matching.edit_distance import count_mapping
+from repro.matching.nbm import NbmScorer
 from repro.obs import trace
 from repro.ctree.node import CTreeNode
 from repro.ctree.stats import KnnStats
@@ -37,7 +38,6 @@ def knn_query(
     tree: CTreeCore,
     query: Graph,
     k: int,
-    mapping_method: str = "nbm",
     canonical: bool = False,
     sims: Optional[dict[int, float]] = None,
     bounds: Optional[dict[tuple, float]] = None,
@@ -46,7 +46,7 @@ def knn_query(
 
     Returns ``([(graph_id, similarity)...], stats)`` in decreasing
     similarity order (length ``min(k, |D|)``).  Similarities are computed
-    with the configured heuristic mapping, exactly as in the paper.
+    under the NBM mapping (Alg. 1), exactly as in the paper.
     ``tree`` is any C-tree over a node store; on a disk index the stats
     additionally carry the page I/O the query caused.
 
@@ -66,16 +66,13 @@ def knn_query(
     what its :func:`knn_share` runs computed
     (:mod:`repro.ctree.parallel`).
     """
-    with trace.span("ctree.knn_query", k=k, database_size=len(tree),
-                    mapping=mapping_method) as root_span, \
+    with trace.span("ctree.knn_query", k=k,
+                    database_size=len(tree)) as root_span, \
             tree.store.metered(KnnStats, len(tree), root_span) as stats:
         results: list[tuple[int, float]] = []
         start = time.perf_counter()
-        # Built before the traversal: an unknown method is refused on an
-        # empty index too.
-        scorer = MappingScorer(query, mapping_method)
         if k > 0 and len(tree):
-            results = _knn_search(tree.store, scorer, k, stats,
+            results = _knn_search(tree.store, query, k, stats,
                                   canonical=canonical, sims=sims,
                                   bounds=bounds)
             stats.seconds = time.perf_counter() - start
@@ -86,7 +83,7 @@ def knn_query(
 
 def _knn_search(
     store,
-    scorer: MappingScorer,
+    query: Graph,
     k: int,
     stats: KnnStats,
     canonical: bool = False,
@@ -106,9 +103,10 @@ def _knn_search(
     if bounds is None:
         bounds = {}
     counter = itertools.count()
-    # The query's side of every Eqn. (7) bound along the traversal,
-    # extracted once like ``scorer``'s side of every pair it scores.
-    sqc = SimilarityQueryContext(scorer.g1)
+    # The query's side of every Eqn. (7) bound along the traversal, and
+    # of every Alg. 1 pair it scores, extracted once.
+    sqc = SimilarityQueryContext(query)
+    scorer = NbmScorer(query)
     # Max-heap via negated keys.  Entries: (-key, tiebreak, kind, payload)
     # with kind one of _NODE (key = closure similarity bound, payload = the
     # loaded node and its path), _GRAPH_BOUND (key = Eqn. 7 bound read off
@@ -116,8 +114,8 @@ def _knn_search(
     # nor scored yet) or _GRAPH_EXACT (key = heuristic similarity).  Deferring
     # the load and the expensive exact similarity until a graph's *bound*
     # reaches the top of the queue is the optimal multi-step scheme of
-    # [24] the paper builds on.  ``scorer.load`` reads the entry as what
-    # its method scores: under NBM its Alg. 1 context, no graph.
+    # [24] the paper builds on.  An entry is scored as its Alg. 1
+    # context: a disk record builds no graph.
     _NODE, _GRAPH_BOUND, _GRAPH_EXACT = 0, 1, 2
     heap: list[tuple[float, int, int, object]] = []
     heapq.heappush(heap, (float("-inf"), next(counter), _NODE,
@@ -159,7 +157,9 @@ def _knn_search(
             sim = sims.get(graph_id)
             if sim is None:
                 with trace.span("ctree.knn.score", graph_id=graph_id):
-                    sim = scorer.similarity(scorer.load(store, payload))
+                    sim = scorer.similarity(
+                        store.load_nbm_context(payload))
+                    count_mapping()
                 sims[graph_id] = sim
             note_similarity(sim)
             if sim >= lower_bound:
@@ -211,7 +211,6 @@ def knn_share(
     tree: CTreeCore,
     query: Graph,
     k: int,
-    mapping_method: str,
     share: int,
     shares: int,
 ) -> tuple[dict[int, float], dict[tuple, float]]:
@@ -231,9 +230,8 @@ def knn_share(
     bounds: dict[tuple, float] = {}
     if k > 0 and len(tree):
         skips = tree_share(tree.store, share, shares) or frozenset()
-        _knn_search(tree.store, MappingScorer(query, mapping_method), k,
-                    KnnStats(), canonical=True, sims=sims, bounds=bounds,
-                    skips=skips)
+        _knn_search(tree.store, query, k, KnnStats(), canonical=True,
+                    sims=sims, bounds=bounds, skips=skips)
     return sims, bounds
 
 
@@ -241,7 +239,6 @@ def range_query(
     tree: CTreeCore,
     query: Graph,
     radius: float,
-    mapping_method: str = "nbm",
 ) -> tuple[list[tuple[int, float]], KnnStats]:
     """All graphs within (approximate) edit distance ``radius`` of ``query``.
 
@@ -259,7 +256,7 @@ def range_query(
                     database_size=len(tree)) as root_span, \
             store.metered(KnnStats, len(tree), root_span) as stats:
         sqc = SimilarityQueryContext(query)
-        scorer = MappingScorer(query, mapping_method)
+        scorer = NbmScorer(query)
         stack = [store.load_node(store.root)] if len(tree) else []
         while stack:
             node = stack.pop()
@@ -272,7 +269,8 @@ def range_query(
                         stats.pruned_by_bound += 1
                         continue
                     stats.graphs_scored += 1
-                    dist = scorer.distance(scorer.load(store, ref))
+                    dist = scorer.score(store.load_nbm_context(ref))[1]
+                    count_mapping()
                     if dist <= radius:
                         results.append((ref.graph_id, dist))
                         stats.results += 1
@@ -311,11 +309,13 @@ def linear_scan_knn(
     graphs: dict[int, Graph],
     query: Graph,
     k: int,
-    mapping_method: str = "nbm",
 ) -> list[tuple[int, float]]:
     """Reference K-NN: score every database graph.  Ground truth for the
     index (up to ties and heuristic-mapping noise)."""
-    scorer = MappingScorer(query, mapping_method)
-    scored = [(gid, scorer.similarity(g)) for gid, g in graphs.items()]
+    scorer = NbmScorer(query)
+    scored = []
+    for gid, g in graphs.items():
+        scored.append((gid, scorer.similarity(g)))
+        count_mapping()
     scored.sort(key=lambda t: (-t[1], t[0]))
     return scored[:k]

@@ -26,8 +26,8 @@ histogram Alg. 3 screens an entry with — held by the entry itself on
 disk, so a rejected graph is never read — :meth:`load_context` turns an
 entry into the compiled context Alg. 3 tests and verifies it on,
 :meth:`load_nbm_context` into the one NBM scores it on (what K-NN and
-range queries score), and :meth:`load_graph` into its graph (what the
-other mapping methods score, and what maintenance and printing read).
+range queries score), and :meth:`load_graph` into its graph (what
+maintenance and printing read).
 :meth:`metered` is the single hook through which a query learns its page
 I/O: it hands the query its stats record, and the paged store fills in
 the record's ``page_hits`` / ``page_misses`` and ``node_hits`` /

@@ -15,7 +15,6 @@ from typing import Callable
 
 from repro.exceptions import ConfigError
 from repro.graphs.closure import GraphLike
-from repro.graphs.labelspace import TargetContext
 from repro.graphs.mapping import GraphMapping
 from repro.matching.bipartite_mapping import (
     bipartite_mapping,
@@ -54,54 +53,12 @@ def _select(method: str) -> Callable[..., GraphMapping]:
         ) from None
 
 
-class MappingScorer:
-    """Similarity and distance from one graph to many under one mapping
-    method: what :func:`graph_similarity` / :func:`graph_distance` compute,
-    with the method resolved (an unknown one is a ``ConfigError`` here,
-    before anything is scored) and, for NBM, the first graph's side
-    of Alg. 1 compiled once.  :meth:`load` decides what a traversal loads
-    a leaf entry as.  Every graph scored counts as one mapping call."""
-
-    __slots__ = ("g1", "_mapper", "_kwargs", "_nbm", "_calls")
-
-    def __init__(self, g1: GraphLike, method: str = DEFAULT_METHOD,
-                 **kwargs) -> None:
-        self.g1 = g1
-        self._mapper = _select(method)
-        self._kwargs = kwargs
-        self._nbm = (NbmScorer(g1, **kwargs)
-                     if self._mapper is nbm_mapping else None)
-        self._calls = (_C_MAPPING_CALLS, _C_BY_METHOD[method])
-
-    def _count(self) -> None:
-        for counter in self._calls:
-            counter.value += 1
-
-    def load(self, store, entry) -> GraphLike | TargetContext:
-        """What a node store's leaf ``entry`` is scored as: the context
-        compiled NBM reads (a disk record builds no graph), the graph for
-        every other method."""
-        if self._nbm is not None:
-            return store.load_nbm_context(entry)
-        return store.load_graph(entry)
-
-    def mapping(self, g2: GraphLike) -> GraphMapping:
-        self._count()
-        if self._nbm is not None:
-            return self._nbm.mapping(g2)
-        return self._mapper(self.g1, g2, **self._kwargs)
-
-    def similarity(self, g2: GraphLike | TargetContext) -> float:
-        if self._nbm is None:
-            return self.mapping(g2).similarity()
-        self._count()
-        return self._nbm.similarity(g2)
-
-    def distance(self, g2: GraphLike | TargetContext) -> float:
-        if self._nbm is None:
-            return self.mapping(g2).edit_cost()
-        self._count()
-        return self._nbm.score(g2)[1]
+def count_mapping(method: str = DEFAULT_METHOD) -> None:
+    """Count one mapping computed under ``method``: every graph a
+    similarity or distance is read for, here or in a K-NN or range
+    traversal, is one call."""
+    _C_MAPPING_CALLS.value += 1
+    _C_BY_METHOD[method].value += 1
 
 
 def graph_mapping(
@@ -113,7 +70,9 @@ def graph_mapping(
     (weighted, Sec. 4.2), ``"bipartite_unweighted"``, or ``"state"``
     (exact branch-and-bound, small graphs only).
     """
-    return MappingScorer(g1, method, **kwargs).mapping(g2)
+    mapper = _select(method)
+    count_mapping(method)
+    return mapper(g1, g2, **kwargs)
 
 
 def graph_distance(
@@ -128,7 +87,10 @@ def graph_distance(
     :func:`repro.matching.state_search.optimal_distance` for the exact
     value on tiny graphs).
     """
-    return MappingScorer(g1, method, **kwargs).distance(g2)
+    if method == "nbm":
+        count_mapping(method)
+        return NbmScorer(g1, **kwargs).score(g2)[1]
+    return graph_mapping(g1, g2, method, **kwargs).edit_cost()
 
 
 def graph_similarity(
@@ -136,7 +98,10 @@ def graph_similarity(
 ) -> float:
     """Approximate similarity (Def. 6): similarity under a heuristic
     mapping.  Always a lower bound on the true similarity."""
-    return MappingScorer(g1, method, **kwargs).similarity(g2)
+    if method == "nbm":
+        count_mapping(method)
+        return NbmScorer(g1, **kwargs).similarity(g2)
+    return graph_mapping(g1, g2, method, **kwargs).similarity()
 
 
 def subgraph_distance(

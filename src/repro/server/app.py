@@ -86,8 +86,10 @@ __all__ = ["QueryServer", "ServableIndex", "ServerConfig", "ServerThread",
 #: process or on disk) or a sharded partition of one database.
 ServableIndex = Union[CTree, DiskCTree, ShardSet]
 
-#: Valid K-NN mapping methods (mirrors the CLI's choices).
-_MAPPING_METHODS = ("nbm", "bipartite", "bipartite_unweighted")
+#: The keys a ``POST /query`` and a ``POST /knn`` body may carry (the
+#: field tables of docs/SERVING.md).
+_QUERY_KEYS = frozenset({"query", "level", "verify", "stream"})
+_KNN_KEYS = frozenset({"query", "k", "stream"})
 
 #: Request-latency histogram buckets (seconds).
 _LATENCY_BOUNDS = tuple(4.0 ** e for e in range(-8, 5))
@@ -209,7 +211,7 @@ def parse_graph_field(payload: dict, field: str = "query") -> Graph:
         ) from exc
 
 
-def _check_keys(payload, allowed: set[str]) -> None:
+def _check_keys(payload, allowed: frozenset[str]) -> None:
     if not isinstance(payload, dict):
         raise _bad_param("request body must be a JSON object")
     unknown = set(payload) - allowed
@@ -243,16 +245,6 @@ def _parse_k(payload: dict) -> int:
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise _bad_param(f"'k' must be a positive integer, got {k!r}")
     return k
-
-
-def _parse_mapping(payload: dict) -> str:
-    method = payload.get("mapping_method", "nbm")
-    if method not in _MAPPING_METHODS:
-        raise _bad_param(
-            f"'mapping_method' must be one of {list(_MAPPING_METHODS)}, "
-            f"got {method!r}"
-        )
-    return method
 
 
 # ----------------------------------------------------------------------
@@ -696,7 +688,7 @@ class QueryServer:
 
     async def _handle_query(self, request, writer, peer_id) -> None:
         payload = request.json()
-        _check_keys(payload, {"query", "level", "verify", "stream"})
+        _check_keys(payload, _QUERY_KEYS)
         query = parse_graph_field(payload, "query")
         level = _parse_level(payload)
         verify = _parse_bool(payload, "verify", True)
@@ -724,14 +716,13 @@ class QueryServer:
 
     async def _handle_knn(self, request, writer, peer_id) -> None:
         payload = request.json()
-        _check_keys(payload, {"query", "k", "mapping_method", "stream"})
+        _check_keys(payload, _KNN_KEYS)
         query = parse_graph_field(payload, "query")
         k = _parse_k(payload)
-        mapping_method = _parse_mapping(payload)
         stream = _parse_bool(payload, "stream", False)
         explain = self._wants_explain(request)
         results, stats = await self._submit(
-            "knn", (k, mapping_method), query, request, peer_id
+            "knn", (k,), query, request, peer_id
         )
         self._registry.counter("server.queries.knn").inc()
         stats_dict = stats.to_dict()

@@ -257,9 +257,8 @@ class BatchCoalescer:
                     level, verify = params
                     return self.engine.query_many(queries, level=level,
                                                   verify=verify)
-                k, mapping_method = params
-                return self.engine.knn_many(queries, k,
-                                            mapping_method=mapping_method)
+                k, = params
+                return self.engine.knn_many(queries, k)
 
         loop = asyncio.get_running_loop()
         try:

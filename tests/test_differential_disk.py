@@ -218,8 +218,8 @@ class TestOneTraversalTwoStores:
                 for canonical in (False, True):
                     mem, mem_stats = knn_query(tree, db[qid], 4,
                                                canonical=canonical)
-                    dsk, dsk_stats = disk.knn_query(
-                        db[qid], 4, canonical=canonical)
+                    dsk, dsk_stats = knn_query(disk, db[qid], 4,
+                                               canonical=canonical)
                     assert dsk == mem
                     if oracle == "reference" and canonical:
                         # no descent: every database graph scored

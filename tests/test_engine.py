@@ -22,14 +22,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.exceptions import ConfigError
 from repro.graphs.graph import Graph
 from repro.graphs.io import load_graph_database
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DiskCTree
 from repro.ctree.parallel import QueryEngine
 from repro.ctree.shards import ShardSet
-from repro.ctree.similarity_query import knn_query, knn_share, range_query
+from repro.ctree.similarity_query import knn_query, knn_share
 from repro.ctree.stats import PAGE_IO, KnnStats, QueryStats
 from repro.ctree.subgraph_query import subgraph_query, subgraph_share
 from repro.ctree.tree import CTree
@@ -246,17 +245,12 @@ class TestEngineContract:
         for name in _EXACT_COUNTERS:
             assert engine_delta.get(name) == serial_delta.get(name), name
 
-    def test_mapping_method_checked_before_anything_is_scored(
-            self, case, golden_queries):
-        """An unknown method is refused on every path — also where no
-        graph would be scored; a known one counts one mapping call per
-        graph scored, wherever the task ran."""
-        make_engine, parts, sharded, _ = case
+    def test_one_mapping_call_per_graph_scored(self, case, golden_queries):
+        """Every graph a K-NN task scores counts one NBM mapping call,
+        wherever the task ran."""
+        make_engine, _, _, _ = case
         registry = global_registry()
         with make_engine(cache_size=0) as engine:
-            with pytest.raises(ConfigError, match="bogus"):
-                engine.knn_many(golden_queries[:2], self.K,
-                                mapping_method="bogus")
             before = registry.snapshot()
             knn = engine.knn_many(golden_queries[:3], self.K)
             delta = registry.diff(before)
@@ -264,14 +258,6 @@ class TestEngineContract:
         assert scored > 0
         assert delta["matching.mapping.calls"]["value"] == scored
         assert delta["matching.mapping.calls.nbm"]["value"] == scored
-        for part in parts:
-            with pytest.raises(ConfigError, match="bogus"):
-                knn_query(part, golden_queries[0], self.K,
-                          mapping_method="bogus", canonical=sharded)
-            with pytest.raises(ConfigError, match="bogus"):
-                # radius -1: nothing is in range, nothing is scored
-                range_query(part, golden_queries[0], -1.0,
-                            mapping_method="bogus")
 
     def test_dedup_and_cache_accounting(self, case, mode, golden_queries):
         make_engine, _, _, want = case
@@ -412,35 +398,28 @@ class TestSplitKnn:
                     assert _counter(delta, "engine.knn_split_pairs") >= \
                         stats.graphs_scored
 
-    def test_bipartite_mapping(self, index, golden_db):
-        with QueryEngine(index, workers=2, cache_size=0) as engine:
-            for query in golden_db[:6]:
-                want, want_stats = knn_query(index, query, 3,
-                                             mapping_method="bipartite")
-                (got, stats), = engine.knn_many([query], 3,
-                                                mapping_method="bipartite")
-                assert engine.last_batch.parallel
-                assert got == want
-                assert stats.deterministic_dict() == \
-                    want_stats.deterministic_dict()
-
-    def test_unknown_method_refused_before_anything_is_scored(
-            self, index, golden_db):
+    def test_one_mapping_call_per_graph_scored(self, index, golden_db):
+        """Every graph a share or the replay scores counts one NBM
+        mapping call: the shares' pairs plus the replay's misses."""
         registry = global_registry()
         with QueryEngine(index, workers=2, cache_size=0) as engine:
-            before = registry.snapshot()
-            with pytest.raises(ConfigError, match="bogus"):
-                engine.knn_many(golden_db[:1], 3, mapping_method="bogus")
-            delta = registry.diff(before)
-        assert _counter(delta, "matching.mapping.calls") == 0
-        assert _counter(delta, "engine.knn_split_pairs") == 0
+            for query in golden_db[:6]:
+                before = registry.snapshot()
+                (_, stats), = engine.knn_many([query], 3)
+                delta = registry.diff(before)
+                assert engine.last_batch.parallel
+                calls = _counter(delta, "matching.mapping.calls")
+                assert calls == _counter(delta, "engine.knn_split_pairs") \
+                    + _counter(delta, "engine.knn_replay_misses")
+                assert calls == _counter(delta, "matching.mapping.calls.nbm")
+                assert calls >= stats.graphs_scored > 0
 
     def test_replay_from_partial_memos(self, index, golden_db):
         """A replay computes what its memos lack: one share's memos
         alone still give the serial answer and stats."""
         for query in golden_db[::5]:
             want, want_stats = knn_query(index, query, 5)
-            sims, bounds = knn_share(index, query, 5, "nbm", 0, 2)
+            sims, bounds = knn_share(index, query, 5, 0, 2)
             for memo in ({"sims": dict(sims)}, {"bounds": dict(bounds)},
                          {"sims": dict(sims), "bounds": dict(bounds)}):
                 got, stats = knn_query(index, query, 5, **memo)
@@ -455,7 +434,7 @@ class TestSplitKnn:
         """Every graph the serial run scores is scored by exactly one
         share."""
         for shares in (2, 3):
-            maps = [knn_share(index, golden_db[0], 24, "nbm", s, shares)[0]
+            maps = [knn_share(index, golden_db[0], 24, s, shares)[0]
                     for s in range(shares)]
             ids = [gid for sims in maps for gid in sims]
             assert sorted(ids) == sorted(set(ids))
@@ -835,10 +814,10 @@ class TestProbe:
                 (neighbors, knn_stats), = engine.knn_many([q], 3)
                 before = registry.snapshot()
                 got = engine.probe("subgraph", (1, True), q.copy())
-                got_knn = engine.probe("knn", (3, "nbm"), q)
+                got_knn = engine.probe("knn", (3,), q)
                 delta = registry.diff(before)
                 assert engine.probe("subgraph", ("max", True), q) is None
-                assert engine.probe("knn", (4, "nbm"), q) is None
+                assert engine.probe("knn", (4,), q) is None
                 if label == "disk":
                     engine._index.close()
             assert got[0] == answers, label

@@ -559,10 +559,13 @@ class TestErrorPaths:
         status, code = self._error(port, "/knn",
                                    {"query": graph, "k": 0})
         assert (status, code) == (400, "bad_param")
-        status, code = self._error(
+        # NBM is the one mapping: naming another is an unknown key.
+        status, payload = _post_json(
             port, "/knn",
             {"query": graph, "k": 1, "mapping_method": "psychic"})
-        assert (status, code) == (400, "bad_param")
+        assert (status, payload["error"]["code"]) == (400, "bad_param")
+        assert "unknown request keys ['mapping_method']" in \
+            payload["error"]["message"]
 
     def test_unknown_path_is_404(self, server):
         _, port = server

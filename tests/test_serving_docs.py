@@ -8,6 +8,8 @@
   job runs against a ``repro serve`` process.
 - The ``repro serve`` flag table must list exactly the parser's options,
   each with the default the server really uses.
+- The ``POST /query`` and ``POST /knn`` field tables must list exactly
+  the request keys each handler accepts.
 
 If the documentation and the server disagree, this fails.
 """
@@ -29,6 +31,7 @@ from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DEFAULT_CACHE_PAGES, DiskCTree
 from repro.graphs.io import load_graph_database
 from repro.server import QueryServer, ServerConfig
+from repro.server.app import _KNN_KEYS, _QUERY_KEYS
 
 _REPO = Path(__file__).parent.parent
 _DATA = Path(__file__).parent / "data"
@@ -147,3 +150,53 @@ def test_serve_flag_table_check_fails_on_a_planted_row():
         row, "| `--max-batch` | `64` | a removed flag |\n" + row, 1)
     assert _table_problems(planted) == [
         "--max-batch: not a `repro serve` option"]
+
+
+# ----------------------------------------------------------------------
+# The request field tables
+# ----------------------------------------------------------------------
+_ACCEPTED_KEYS = {"/query": _QUERY_KEYS, "/knn": _KNN_KEYS}
+
+
+def _field_rows(text: str, path: str) -> list[str]:
+    """The field named by each row of the ``| field | type | default |
+    meaning |`` table under the "### `POST <path>`" heading."""
+    section = text.split(f"### `POST {path}`", 1)[1].split("\n#", 1)[0]
+    lines = section.split("| field | type | default | meaning |",
+                          1)[1].splitlines()
+    rows = []
+    for line in lines[2:]:  # past the header's own line end and `|---|`
+        if not line.startswith("|"):
+            break
+        rows.append(line.split("|")[1].strip().strip("`"))
+    return rows
+
+
+def _field_problems(text: str) -> list[str]:
+    """How the field tables in ``text`` differ from the handlers."""
+    problems = []
+    for path, keys in _ACCEPTED_KEYS.items():
+        rows = _field_rows(text, path)
+        for key in sorted(set(rows) - keys):
+            problems.append(f"POST {path}: {key} is not an accepted key")
+        for key in sorted(keys - set(rows)):
+            problems.append(f"POST {path}: {key} is not documented")
+        for key in sorted({row for row in rows if rows.count(row) > 1}):
+            problems.append(f"POST {path}: {key} listed "
+                            f"{rows.count(key)} times")
+    return problems
+
+
+def test_request_field_tables_match_handlers():
+    assert _field_problems(_DOC.read_text(encoding="utf-8")) == []
+
+
+def test_request_field_table_check_fails_on_a_planted_row():
+    text = _DOC.read_text(encoding="utf-8")
+    row = "| `k` | int ≥ 1 | required | neighbors to return |"
+    assert row in text
+    planted = text.replace(
+        row, row + "\n| `mapping_method` | string | `\"nbm\"` | a removed "
+        "key |", 1)
+    assert _field_problems(planted) == [
+        "POST /knn: mapping_method is not an accepted key"]

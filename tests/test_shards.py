@@ -220,7 +220,7 @@ class TestShardedEngineDeterminism:
         with DiskCTree.open(single_path, cache_pages=32) as disk:
             ref_subgraph = [sorted(disk.subgraph_query(q)[0])
                             for q in golden_queries]
-            ref_knn = [disk.knn_query(q, 4, canonical=True)[0]
+            ref_knn = [knn_query(disk, q, 4, canonical=True)[0]
                        for q in golden_queries]
         with QueryEngine(ShardSet.open(directory)) as engine:
             sub_results = engine.query_many(golden_queries)

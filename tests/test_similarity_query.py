@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.exceptions import ConfigError
 from repro.graphs.graph import Graph
 from repro.matching.edit_distance import graph_distance, graph_similarity
 from repro.matching.nbm import nbm_mapping_reference
@@ -35,26 +34,16 @@ class TestKnn:
         assert results == []
         assert stats.results == 0
 
-    def test_unknown_mapping_method_refused_on_an_empty_tree(self):
-        with pytest.raises(ConfigError, match="bogus"):
-            knn_query(CTree(min_fanout=2), triangle(), 3,
-                      mapping_method="bogus")
-        with pytest.raises(ConfigError, match="bogus"):
-            range_query(CTree(min_fanout=2), triangle(), 5.0,
-                        mapping_method="bogus")
-
     def test_one_mapping_call_per_graph_scored(self, chem_tree_and_db):
         tree, db = chem_tree_and_db
         registry = global_registry()
-        for method in ("nbm", "bipartite"):
-            before = registry.snapshot()
-            _, knn_stats = knn_query(tree, db[7], 4, mapping_method=method)
-            _, range_stats = range_query(tree, db[7], 9.0,
-                                         mapping_method=method)
-            delta = registry.diff(before)
-            scored = knn_stats.graphs_scored + range_stats.graphs_scored
-            assert delta["matching.mapping.calls"]["value"] == scored > 0
-            assert delta[f"matching.mapping.calls.{method}"]["value"] == scored
+        before = registry.snapshot()
+        _, knn_stats = knn_query(tree, db[7], 4)
+        _, range_stats = range_query(tree, db[7], 9.0)
+        delta = registry.diff(before)
+        scored = knn_stats.graphs_scored + range_stats.graphs_scored
+        assert delta["matching.mapping.calls"]["value"] == scored > 0
+        assert delta["matching.mapping.calls.nbm"]["value"] == scored
 
     def test_k_zero(self, chem_tree_and_db):
         tree, db = chem_tree_and_db
