@@ -248,7 +248,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             return _run_query_batch(args, index)
         answers, stats = _answer(args, index)
     label = "candidates" if args.no_verify else "answers"
-    print(f"{label}: {sorted(answers)}")
+    print(f"{label}: {answers}")
     print(
         f"|CS|={stats.candidates} |Ans|={stats.answers} "
         f"accuracy={stats.accuracy:.0%} gamma={stats.access_ratio:.2f} "
@@ -273,7 +273,7 @@ def _run_query_batch(args: argparse.Namespace, index) -> int:
         report = engine.last_batch
     label = "candidates" if args.no_verify else "answers"
     for pos, (answers, _) in enumerate(results):
-        print(f"[{pos}] {label}: {sorted(answers)}")
+        print(f"[{pos}] {label}: {answers}")
     print(
         f"{report.queries} queries in {report.wall_seconds:.3f}s "
         f"({report.throughput:.1f} q/s) workers={report.workers} "
@@ -694,8 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(0 disables caching and deduplication)")
 
     command("knn", cmd_knn, index, one_query, neighbors,
-            help="K nearest neighbors of a query graph (shards answer "
-                 "in canonical (-similarity, id) tie order)")
+            help="K nearest neighbors of a query graph")
 
     p = command("range", cmd_range, index, one_query,
                 help="graphs within an edit-distance radius "

@@ -39,34 +39,31 @@ partition runs in-process, with one exception: a lone task of either
 kind on one tree with W > 1 processes is **split**.  The engine thread
 runs share 0 of the tree while the pool runs shares 1…W−1
 (:func:`~repro.ctree.tree.tree_share`).  A subgraph task's shares run
-Alg. 3 whole — search and verification — and their answers concatenate
-in path order; a K-NN task's shares score, then Alg. 4 runs once
+Alg. 3 whole — search and verification — and their answers merge
+sorted by id; a K-NN task's shares score, then Alg. 4 runs once
 in-process over the merged similarities and Eqn. (7) bounds.  Every
 batch runs in-process when ``fork`` is unavailable; answers are
 identical either way.
 
-**Determinism.**  What varies is read off the input, never set by the
-caller.  A *plain index* returns answers bit-identical to the serial
-loop ``[subgraph_query(tree, q) for q in queries]`` (traversal order,
-historical K-NN tie order) at every worker count, in input order, with
-logically identical per-query stats
-(:meth:`QueryStats.deterministic_dict
+**Determinism.**  One contract on every path: subgraph answers are
+**sorted by graph id** and K-NN answers are in ``(-similarity,
+graph_id)`` order — a function of the database and the query alone,
+equal to the serial :func:`~repro.ctree.subgraph_query.subgraph_query` /
+:func:`~repro.ctree.similarity_query.knn_query` over the whole
+database, in input order, at every worker count, over a plain index or
+a shard set of any S (a shard set translates local ids to global ones;
+:func:`~repro.ctree.shards.merge_knn` carries the K-NN argument).  Over
+a plain index the per-query stats are logically identical to the
+serial run's too (:meth:`QueryStats.deterministic_dict
 <repro.ctree.stats.QueryStats.deterministic_dict>`); only wall-clock
 timings and page-I/O temperatures vary with the schedule.  A split task
 is no exception.  A subgraph share counts only what it owns, so the
-shares' answers sorted by path and their stats summed, published once,
-are the serial run's.  Alg. 4's control flow reads only bounds and
+shares' answers sorted and their stats summed, published once, are the
+serial run's.  Alg. 4's control flow reads only bounds and
 similarities, and an NBM similarity is a function of the two labelled
 graphs, so the K-NN replay over the shares' memos is the serial run,
 counter for counter (a graph no share scored is scored by the replay,
-``engine.knn_replay_misses``).  A *shard
-set* (any S, including 1) translates local ids to global ones and
-returns the canonical forms: subgraph answers **sorted by global graph
-id** (``sorted()`` of the single-tree answer), and K-NN evaluated per
-shard with ``knn_query(..., canonical=True)`` and merged under
-``(-similarity, graph_id)`` — the canonical top-k of the whole
-database at every S and under any schedule
-(:func:`~repro.ctree.shards.merge_knn` carries the argument).
+``engine.knn_replay_misses``).
 
 **Read-only contract.**  Workers fork (or open) the index as it
 exists at pool creation.  Call :meth:`QueryEngine.refresh` after a
@@ -152,10 +149,8 @@ def _execute(index: Index, shard: Optional[int], task, memo=(None, None)):
                                             verify=verify)
         elif kind == _KIND_KNN:
             k, = params
-            # A shard's top-k must be canonical for merge_knn to be exact.
-            answers, stats = knn_query(index, query, k,
-                                       canonical=shard is not None,
-                                       sims=memo[0], bounds=memo[1])
+            answers, stats = knn_query(index, query, k, sims=memo[0],
+                                       bounds=memo[1])
         elif kind == _SHARE_KINDS[_KIND_SUBGRAPH]:
             answers, stats = subgraph_share(index, query, *params)
         else:
@@ -240,8 +235,8 @@ class QueryEngine:
     index:
         A built :class:`~repro.ctree.tree.CTree`, an open
         :class:`~repro.ctree.diskindex.DiskCTree`, or a
-        :class:`~repro.ctree.shards.ShardSet`, which answers in the
-        canonical forms of the module docstring.
+        :class:`~repro.ctree.shards.ShardSet`; all answer in the one
+        form of the module docstring.
     workers:
         Processes in the pool of a single-partition index; ``1``
         executes in-process.  A batch of one query, subgraph or K-NN,
@@ -282,7 +277,7 @@ class QueryEngine:
 
         ShardSet.create(graphs, "idx.shards", shards=4)
         with QueryEngine(ShardSet.open("idx.shards")) as engine:
-            results = engine.query_many(queries)   # answers sorted by id
+            results = engine.query_many(queries)   # as one tree would
     """
 
     def __init__(
@@ -312,9 +307,6 @@ class QueryEngine:
             self._parts = [(None, None, index.path) if self._disk
                            else (None, index, None)]
             self._local = [index]
-        #: keeps canonical-order sharded answers apart in the cache from
-        #: a plain index's traversal-order answers for the same query
-        self._cache_tag = () if self._shardset is None else ("sharded",)
         # The pool-shape rule, stated once.
         self._pool_procs = max(1, int(workers)) if len(self._parts) == 1 else 1
         self._pools: Optional[list] = None
@@ -342,11 +334,10 @@ class QueryEngine:
     ) -> list[tuple[list[int], QueryStats]]:
         """Answer a batch of subgraph queries.
 
-        Returns ``[(answers, stats), ...]`` in input order.  Over a
-        plain index each entry is bit-identical to the serial per-query
-        loop at every worker count; over a shard set each ``answers``
-        is ``sorted()`` of that, in global ids, at every shard count.
-        ``level`` and ``verify`` mean exactly what they mean on
+        Returns ``[(answers, stats), ...]`` in input order, each
+        ``answers`` the serial per-query loop's sorted ids, at every
+        worker count and every shard count (in global ids over a shard
+        set).  ``level`` and ``verify`` mean exactly what they mean on
         :func:`~repro.ctree.subgraph_query.subgraph_query`.
 
         Examples
@@ -355,7 +346,7 @@ class QueryEngine:
 
             with QueryEngine(tree, workers=4) as engine:
                 for answers, stats in engine.query_many(queries):
-                    print(sorted(answers), stats.candidates)
+                    print(answers, stats.candidates)
             # identical to: [subgraph_query(tree, q) for q in queries]
         """
         return self._run_batch(_KIND_SUBGRAPH, queries, (level, verify))
@@ -370,10 +361,9 @@ class QueryEngine:
 
         Returns ``[(results, stats), ...]`` in input order, where each
         ``results`` is the ``[(graph_id, similarity), ...]`` list that
-        :func:`~repro.ctree.similarity_query.knn_query` returns — over
-        a shard set, the canonical global top-k, identical to a
-        single-tree ``knn_query(..., canonical=True)`` over the whole
-        database.
+        :func:`~repro.ctree.similarity_query.knn_query` over the whole
+        database returns, in ``(-similarity, graph_id)`` order — over a
+        shard set too, in global ids.
 
         Examples
         --------
@@ -393,7 +383,7 @@ class QueryEngine:
         nothing, the batch that executes it will.  Unlike the batch
         calls, safe from a second thread: the HTTP server probes on its
         event loop while batches run on the engine thread."""
-        cached = self._cached(kind, (*params, *self._cache_tag), query)
+        cached = self._cached(kind, params, query)
         if cached is not None:
             registry = global_registry()
             registry.counter("engine.queries").inc()
@@ -460,7 +450,6 @@ class QueryEngine:
         start = time.perf_counter()
         results: list = [None] * n
         hits = 0
-        cache_params = (*params, *self._cache_tag)
         # Deduplicated execution plan: query (keyed as the cache keys
         # it) -> (query, positions).  Insertion order fixes the dispatch
         # order, so the plan is deterministic for a given batch at every
@@ -469,7 +458,7 @@ class QueryEngine:
         with trace.span("engine.batch", kind=kind, queries=n,
                         workers=self.workers) as sp:
             for pos, query in enumerate(queries):
-                cached = self._cached(kind, cache_params, query)
+                cached = self._cached(kind, params, query)
                 if cached is not None:
                     results[pos] = cached
                     hits += 1
@@ -508,7 +497,7 @@ class QueryEngine:
                 answers, stats = self._merge(kind, params, per_part,
                                              registry)
                 with self._cache_lock:
-                    self._cache.put(kind, cache_params, query, answers, stats)
+                    self._cache.put(kind, params, query, answers, stats)
                 for pos in positions:
                     results[pos] = (list(answers), stats.copy())
 
@@ -524,12 +513,12 @@ class QueryEngine:
                    wall_seconds=wall)
         return results
 
-    def _cached(self, kind, cache_params, query):
+    def _cached(self, kind, params, query):
         """Fresh copies of the cached ``(answers, stats)`` for one
         query, or ``None`` — the one cache read of :meth:`probe` and
         :meth:`_run_batch`."""
         with self._cache_lock:
-            cached = self._cache.get(kind, cache_params, query)
+            cached = self._cache.get(kind, params, query)
         if cached is None:
             return None
         answers, stats = cached
@@ -589,8 +578,8 @@ class QueryEngine:
     def _run_split(self, task, registry):
         """One task over the whole pool: the pool runs shares 1..W-1 of
         the tree while this thread runs share 0.  Alg. 3 couples no
-        subtrees, so the subgraph shares' answers concatenate in path
-        order and their stats sum, published once; Alg. 4 couples them
+        subtrees, so the subgraph shares' answers merge sorted and their
+        stats sum, published once; Alg. 4 couples them
         through the kth-best, so it runs once more in-process over the
         K-NN shares' merged similarities and bounds.  Either way the
         serial answer and stats, counter for counter.  Returns the
@@ -619,9 +608,8 @@ class QueryEngine:
             parts.append(part)
         busy = sum(task_busy for _, _, task_busy in parts)
         if kind == _KIND_SUBGRAPH:
-            answers = [graph_id for _, graph_id in
-                       sorted(pair for tagged, _, _ in parts
-                              for pair in tagged)]
+            answers = sorted(graph_id for ids, _, _ in parts
+                             for graph_id in ids)
             stats = _merge_stats([stats for _, stats, _ in parts],
                                  len(index))
             stats.publish()
@@ -639,7 +627,7 @@ class QueryEngine:
 
     def _merge(self, kind, params, per_part, registry):
         """One task's answer: the lone partition's result as is, or the
-        shards' results in global ids and canonical order."""
+        shards' results merged in global ids."""
         if self._shardset is None:
             answers, stats, _ = per_part[0]
             return answers, stats

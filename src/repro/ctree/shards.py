@@ -15,13 +15,13 @@ recursive-query literature, applied to the paper's index):
   **placement manifest** mapping every global graph id to exactly one
   shard (:func:`fsck_shards` verifies this);
 - :func:`merge_subgraph` and :func:`merge_knn` turn per-shard answers
-  in local ids into the canonical global answer.
+  in local ids into the global answer.
 
 A ``ShardSet`` is queried by handing it to the one batch engine,
 :class:`~repro.ctree.parallel.QueryEngine`, which gives each shard its
-own worker process and applies the two merge functions per query; the
-determinism contract (answers sorted by global id, canonical K-NN at
-every S) is stated in that module's docstring.
+own worker process and applies the two merge functions per query, so
+a shard set answers exactly as one tree over the whole database does
+(the determinism contract of that module's docstring).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def place_graphs(graphs: Sequence[Graph], shards: int) -> list[list[int]]:
     list; lists are ascending, which makes each shard's local ids
     (assigned 0..m-1 in input order by
     :func:`~repro.ctree.bulkload.bulk_load`) order-isomorphic to its
-    global ids — the property the canonical K-NN merge relies on.
+    global ids — the property the K-NN merge relies on.
     """
     if shards < 1:
         raise ConfigError(f"need >= 1 shard, got {shards}")
@@ -455,7 +455,7 @@ def fsck_shards(directory: Union[str, os.PathLike],
 def merge_subgraph(per_shard: list[list[int]],
                    shardset: ShardSet) -> list[int]:
     """Translate per-shard local answer ids to global ids and return
-    the union sorted ascending (the canonical answer-set form)."""
+    the union sorted ascending."""
     merged = [
         shardset.shards[s].gids[local]
         for s, answers in enumerate(per_shard)
@@ -467,15 +467,15 @@ def merge_subgraph(per_shard: list[list[int]],
 
 def merge_knn(per_shard: list[list[tuple[int, float]]],
               shardset: ShardSet, k: int) -> list[tuple[int, float]]:
-    """Merge per-shard canonical K-NN lists into the global canonical
-    top-k under ``(-similarity, global_id)``.
+    """Merge per-shard K-NN lists into the global top-k under
+    ``(-similarity, global_id)``.
 
     Correct because each shard list is its shard's exact top-k under
     that total order and local ids translate monotonically to global
-    ids (ascending manifest lists): if x is in the global canonical
-    top-k, fewer than k graphs precede it globally, hence fewer than k
-    in its own shard, so x is in its shard's top-k — the union of the
-    per-shard lists contains the global top-k.
+    ids (ascending manifest lists): if x is in the global top-k, fewer
+    than k graphs precede it globally, hence fewer than k in its own
+    shard, so x is in its shard's top-k — the union of the per-shard
+    lists contains the global top-k.
     """
     merged = [
         (shardset.shards[s].gids[local], sim)

@@ -38,24 +38,22 @@ def knn_query(
     tree: CTreeCore,
     query: Graph,
     k: int,
-    canonical: bool = False,
     sims: Optional[dict[int, float]] = None,
     bounds: Optional[dict[tuple, float]] = None,
 ) -> tuple[list[tuple[int, float]], KnnStats]:
     """The K nearest (most similar) graphs to ``query`` (Algorithm 4).
 
-    Returns ``([(graph_id, similarity)...], stats)`` in decreasing
-    similarity order (length ``min(k, |D|)``).  Similarities are computed
-    under the NBM mapping (Alg. 1), exactly as in the paper.
+    Returns ``([(graph_id, similarity)...], stats)`` in the total order
+    ``(-similarity, graph_id)`` (length ``min(k, |D|)``).  Similarities
+    are computed under the NBM mapping (Alg. 1), exactly as in the paper.
     ``tree`` is any C-tree over a node store; on a disk index the stats
     additionally carry the page I/O the query caused.
 
-    ``canonical=True`` switches boundary ties from traversal order to the
-    total order ``(-similarity, graph_id)``: the heap loop keeps running
-    through graphs tied with the kth-best before cutting to ``k``, so the
-    result is a deterministic function of the database alone — the
-    contract :mod:`repro.ctree.shards` needs to merge per-shard top-k
-    lists.  The default preserves the historical (golden-pinned) order.
+    The heap loop keeps running through graphs tied with the kth-best
+    before cutting to ``k``, so the answer is a function of the database
+    alone, ties included: it *is* :func:`linear_scan_knn`'s list — the
+    order :func:`~repro.ctree.shards.merge_knn` needs to merge per-shard
+    top-k lists into the whole database's.
 
     ``sims`` memoises similarities by graph id, and ``bounds`` the Eqn.
     (7) bounds of nodes and leaf entries by their path of child
@@ -73,8 +71,7 @@ def knn_query(
         start = time.perf_counter()
         if k > 0 and len(tree):
             results = _knn_search(tree.store, query, k, stats,
-                                  canonical=canonical, sims=sims,
-                                  bounds=bounds)
+                                  sims=sims, bounds=bounds)
             stats.seconds = time.perf_counter() - start
         root_span.set(results=len(results))
     stats.publish()
@@ -86,17 +83,15 @@ def _knn_search(
     query: Graph,
     k: int,
     stats: KnnStats,
-    canonical: bool = False,
     sims: Optional[dict[int, float]] = None,
     bounds: Optional[dict[tuple, float]] = None,
     skips: frozenset = frozenset(),
 ) -> list[tuple[int, float]]:
     """The incremental-ranking heap loop of Algorithm 4.
 
-    See :func:`knn_query` for the ``canonical`` (tie-stable total order)
-    extension and the ``sims`` / ``bounds`` memos, and
-    :func:`~repro.ctree.tree.tree_share` for ``skips``; the defaults are
-    the paper-faithful behavior.
+    See :func:`knn_query` for the tie order and the ``sims`` / ``bounds``
+    memos, and :func:`~repro.ctree.tree.tree_share` for ``skips``; the
+    defaults are the paper-faithful behavior.
     """
     if sims is None:
         sims = {}
@@ -136,14 +131,11 @@ def _knn_search(
 
     results: list[tuple[int, float]] = []
     while heap:
-        if len(results) >= k:
-            if not canonical:
-                break
-            # Canonical mode keeps draining boundary ties: the heap pops
-            # in decreasing key order, so the first key strictly below
-            # the kth-best similarity ends the query.
-            if -heap[0][0] < results[k - 1][1]:
-                break
+        # Boundary ties are drained: the heap pops in decreasing key
+        # order, so the first key strictly below the kth-best similarity
+        # ends the query.
+        if len(results) >= k and -heap[0][0] < results[k - 1][1]:
+            break
         neg_key, _, kind, payload = heapq.heappop(heap)
         if -neg_key < lower_bound:
             stats.pruned_by_bound += 1
@@ -197,13 +189,12 @@ def _knn_search(
                         heap, (-child_bound, next(counter), *item))
                 sp.set(fanout=len(node.children))
 
-    if canonical:
-        # Total order: similarity desc, graph id asc — independent of
-        # traversal order, so every shard (and the serial reference)
-        # resolves boundary ties identically.
-        results.sort(key=lambda t: (-t[1], t[0]))
-        del results[k:]
-        stats.results = len(results)
+    # Total order: similarity desc, graph id asc — independent of
+    # traversal order, so every shard (and the linear scan) resolves
+    # boundary ties identically.
+    results.sort(key=lambda t: (-t[1], t[0]))
+    del results[k:]
+    stats.results = len(results)
     return results
 
 
@@ -215,7 +206,7 @@ def knn_share(
     shares: int,
 ) -> tuple[dict[int, float], dict[tuple, float]]:
     """Score one :func:`~repro.ctree.tree.tree_share` of a K-NN query:
-    canonical Alg. 4 (boundary ties drained) confined to the share's
+    Alg. 4 (boundary ties drained) confined to the share's
     subtrees.  Returns the ``sims`` and ``bounds`` memos of
     :func:`knn_query` it filled — every graph it scored, every bound it
     computed — and publishes no ``ctree.knn.*`` stats: the replay over
@@ -230,8 +221,8 @@ def knn_share(
     bounds: dict[tuple, float] = {}
     if k > 0 and len(tree):
         skips = tree_share(tree.store, share, shares) or frozenset()
-        _knn_search(tree.store, query, k, KnnStats(), canonical=True,
-                    sims=sims, bounds=bounds, skips=skips)
+        _knn_search(tree.store, query, k, KnnStats(), sims=sims,
+                    bounds=bounds, skips=skips)
     return sims, bounds
 
 
@@ -310,8 +301,9 @@ def linear_scan_knn(
     query: Graph,
     k: int,
 ) -> list[tuple[int, float]]:
-    """Reference K-NN: score every database graph.  Ground truth for the
-    index (up to ties and heuristic-mapping noise)."""
+    """Reference K-NN: score every database graph, in the order
+    ``(-similarity, graph_id)``.  Ground truth for the index:
+    :func:`knn_query` returns this list exactly, ties included."""
     scorer = NbmScorer(query)
     scored = []
     for gid, g in graphs.items():

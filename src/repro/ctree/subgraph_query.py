@@ -22,9 +22,9 @@ Returns the answer ids plus a :class:`~repro.ctree.stats.QueryStats` with
 the counters the evaluation section reports.  Alg. 3 searches and
 verifies each subtree on its own, so :func:`subgraph_share` runs it on
 one of W disjoint tree shares and the batch engine
-(:mod:`repro.ctree.parallel`) concatenates the shares' answers in path
-order; :func:`subgraph_query` is the one-share case of the same
-descent.  With tracing enabled
+(:mod:`repro.ctree.parallel`) merges the shares' answers sorted by id;
+:func:`subgraph_query` is the one-share case of the same descent, its
+answers sorted.  With tracing enabled
 (:mod:`repro.obs.trace`) a query emits a span tree: ``ctree.subgraph_query``
 → ``ctree.search`` → one ``ctree.expand`` span per node expansion (with
 histogram/pseudo survivor counts attached) and ``ctree.verify`` wrapping
@@ -51,7 +51,7 @@ def subgraph_query(
     level: Level = 1,
     verify: bool = True,
 ) -> tuple[list[int], QueryStats]:
-    """Find the ids of all database graphs containing ``query``.
+    """Find the ids of all database graphs containing ``query``, sorted.
 
     ``tree`` is any C-tree over a node store — an in-memory
     :class:`~repro.ctree.tree.CTree` or a
@@ -63,7 +63,7 @@ def subgraph_query(
     """
     answers, stats = subgraph_share(tree, query, level, verify)
     stats.publish()
-    return [graph_id for _, graph_id in answers], stats
+    return sorted(answers), stats
 
 
 def subgraph_share(
@@ -73,13 +73,11 @@ def subgraph_share(
     verify: bool = True,
     share: int = 0,
     shares: int = 1,
-) -> tuple[list[tuple[tuple, int]], QueryStats]:
+) -> tuple[list[int], QueryStats]:
     """Alg. 3 on share ``share`` of ``shares``
     (:func:`~repro.ctree.tree.tree_share`, which must find a level at
     least ``2 * shares`` wide); :func:`subgraph_query` is the one-share
-    case.  Returns the answers as ``(path, graph id)`` pairs, ``path``
-    being the graph's child positions from the root, so the shares'
-    answers sorted are the query's in serial order.  The stats count
+    case.  Returns the answer ids, unsorted.  The stats count
     only what the share owns — its subtrees and, for share 0, the nodes
     above the split level — so the shares' records summed are the
     serial one.  Nothing is published: the caller publishes once.
@@ -89,8 +87,8 @@ def subgraph_share(
     #: the split level: shares other than 0 count nothing above it
     top = len(next(iter(skips))) if share else 0
     qc = kernels.compile_query(query, level)
-    #: (path, graph id, target context, pseudo-compatibility masks)
-    candidates: list[tuple[tuple, int, TargetContext, list[int]]] = []
+    #: (graph id, target context, pseudo-compatibility masks)
+    candidates: list[tuple[int, TargetContext, list[int]]] = []
     with trace.span(
         "ctree.subgraph_query",
         query_vertices=query.num_vertices,
@@ -106,17 +104,17 @@ def subgraph_share(
         root_span.set(candidates=stats.candidates)
 
         if not verify:
-            answers = [(path, graph_id) for path, graph_id, _, _ in candidates]
+            answers = [graph_id for graph_id, _, _ in candidates]
         else:
             answers = []
             with trace.timed("ctree.verify",
                              candidates=len(candidates)) as verification:
-                for path, graph_id, target, domains in candidates:
+                for graph_id, target, domains in candidates:
                     stats.isomorphism_tests += 1
                     # the descent's masks seed Ullmann as they are
                     if next(kernels.embeddings_masks(qc, target, domains, 1),
                             None) is not None:
-                        answers.append((path, graph_id))
+                        answers.append(graph_id)
             stats.verify_seconds = verification.duration
             stats.answers = len(answers)
             root_span.set(answers=stats.answers)
@@ -139,8 +137,8 @@ def _visit(
     come out in left-to-right leaf order.  A graph under a leaf is
     screened on the summary its entry holds, loaded as its target
     context only if it passes, and then tested by pseudo
-    sub-isomorphism; a survivor becomes a candidate, carrying its path,
-    that context and its pseudo-compatibility domains into
+    sub-isomorphism; a survivor becomes a candidate, carrying that
+    context and its pseudo-compatibility domains into
     verification.  Children whose path is in ``skips`` are another
     share's; the stats count a node's expansion, and a child's
     screening, only at depth ``top`` or below."""
@@ -173,7 +171,7 @@ def _visit(
             if not kernels.global_semi_perfect_masks(domains):
                 continue
             survivors_y += 1
-            candidates.append((path + (i,), ref.graph_id, target, domains))
+            candidates.append((ref.graph_id, target, domains))
         if depth + 1 >= top:
             nodes = int(depth >= top)
             stats.nodes_expanded += nodes

@@ -32,8 +32,8 @@ ORACLES = ["kernels", "reference"]
 
 
 def stored_graphs(index) -> list[tuple[int, Graph]]:
-    """An index's ``(graph id, graph)`` pairs in leaf order: the order a
-    descent yields candidates and answers in."""
+    """An index's ``(graph id, graph)`` pairs, sorted by id: the order a
+    query returns answers in."""
     store = index.store
 
     def walk(ref):
@@ -44,7 +44,8 @@ def stored_graphs(index) -> list[tuple[int, Graph]]:
             else:
                 yield from walk(child)
 
-    return list(walk(store.root)) if len(index) else []
+    return sorted(walk(store.root), key=lambda pair: pair[0]) \
+        if len(index) else []
 
 
 def reference_scan(graphs, query: Graph, level=None) -> list[int]:
@@ -65,9 +66,9 @@ def reference_scan(graphs, query: Graph, level=None) -> list[int]:
 
 
 def oracle_answers(oracle: str, index, query: Graph, level=1) -> list[int]:
-    """``subgraph_query(index, query, level)``'s answers, in traversal
-    order, as ``oracle`` gives them: the descent itself, or the reference
-    scan over the index's stored graphs in leaf order."""
+    """``subgraph_query(index, query, level)``'s answers, sorted, as
+    ``oracle`` gives them: the descent itself, or the reference scan over
+    the index's stored graphs."""
     if oracle == "kernels":
         return subgraph_query(index, query, level=level)[0]
     return reference_scan(stored_graphs(index), query)

@@ -2,8 +2,9 @@
 
 The engine's contract is that ``QueryEngine(index, workers=W)`` is
 observably identical to the serial per-query loop for every ``W`` —
-answers bit-identical (a plain index) or their canonical form (a shard
-set), stats logically identical
+answers equal to the serial query's over the whole database (subgraph
+ids sorted, K-NN in ``(-similarity, id)`` order) whatever the index
+kind, stats logically identical
 (:meth:`~repro.ctree.stats.QueryStats.deterministic_dict`), and global
 metrics totals equal once worker deltas are merged home.  These tests
 pin that contract over the frozen golden workload for every index kind
@@ -75,7 +76,7 @@ def golden_disk_path(golden_tree, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def golden_answers(golden_tree, golden_queries):
-    """Per oracle, the golden queries' answers in traversal order."""
+    """Per oracle, the golden queries' answers, sorted."""
     return {oracle: [oracle_answers(oracle, golden_tree, q)
                      for q in golden_queries] for oracle in ORACLES}
 
@@ -175,8 +176,8 @@ class TestEngineContract:
              golden_tree, golden_disk_path, tmp_path):
         """``(make_engine, parts, sharded, want)``: an engine factory over
         the index of this kind, the partitions' own handles for the serial
-        runs, whether answers come in canonical form, and the golden
-        queries' answer sets by this case's oracle."""
+        runs, whether it is a shard set, and the golden queries' answers
+        by this case's oracle."""
         backend, shards = _KINDS[kind]
         if mode == "pool" and \
                 "fork" not in multiprocessing.get_all_start_methods():
@@ -200,40 +201,39 @@ class TestEngineContract:
                 engine._fork_ok = False
             return engine
 
-        yield make_engine, parts, bool(shards), \
-            [sorted(answers) for answers in golden_answers[oracle]]
+        yield make_engine, parts, bool(shards), golden_answers[oracle]
         for part in parts:
             if isinstance(part, DiskCTree):
                 part.close()
 
     def test_answers_stats_and_registry_totals(self, case, golden_tree,
                                                golden_queries):
-        make_engine, parts, sharded, want = case
+        make_engine, parts, _, want = case
         registry = global_registry()
         before = registry.snapshot()
         serial_sub = [[subgraph_query(p, q) for p in parts]
                       for q in golden_queries]
         serial_delta = registry.diff(before)
-        serial_knn = [[knn_query(p, q, self.K, canonical=sharded)
-                       for p in parts] for q in golden_queries]
+        serial_knn = [[knn_query(p, q, self.K) for p in parts]
+                      for q in golden_queries]
 
         with make_engine(cache_size=0) as engine:
             before = registry.snapshot()
             sub = engine.query_many(golden_queries)
             engine_delta = registry.diff(before)
             knn = engine.knn_many(golden_queries, self.K)
+            # Batches of one: split over the pool on a plain index.
+            alone = [(engine.query_many([q])[0][0],
+                      engine.knn_many([q], self.K)[0][0])
+                     for q in golden_queries]
 
-        if sharded:
-            # Canonical forms of the single tree's neighbours.
-            want_knn = [knn_query(golden_tree, q, self.K, canonical=True)[0]
-                        for q in golden_queries]
-        else:
-            # Bit-identical to the serial loop, traversal order included.
-            assert [a for a, _ in sub] == \
-                [per_part[0][0] for per_part in serial_sub]
-            want_knn = [per_part[0][0] for per_part in serial_knn]
-        assert [sorted(a) for a, _ in sub] == want
+        # One form whatever the index and the path: the whole database's
+        # serial answers.
+        want_knn = [knn_query(golden_tree, q, self.K)[0]
+                    for q in golden_queries]
+        assert [a for a, _ in sub] == want
         assert [r for r, _ in knn] == want_knn
+        assert alone == list(zip(want, want_knn))
 
         size = len(golden_tree)
         assert [s.deterministic_dict() for _, s in sub] == \
@@ -271,7 +271,7 @@ class TestEngineContract:
             pooled = mode == "pool"
             assert report.parallel == pooled
             assert report.workers == (engine.workers if pooled else 1)
-            assert [sorted(a) for a, _ in first] == \
+            assert [a for a, _ in first] == \
                 [want[0], want[0], want[1], want[0]]
             assert first[0][0] == first[1][0] == first[3][0]
             assert engine.cache_entries == 2
@@ -299,7 +299,7 @@ class TestEngineContract:
         sink = trace.ListSink()
         with make_engine() as engine, trace.tracing(sink):
             traced = engine.query_many(queries)
-        assert [sorted(a) for a, _ in traced] == want[:3]
+        assert [a for a, _ in traced] == want[:3]
         records = sink.records
         batches = [r for r in records if r["name"] == "engine.batch"]
         tasks = [r for r in records if r["name"] == "engine.task"]
@@ -478,7 +478,7 @@ class TestSplitKnn:
 
 # ----------------------------------------------------------------------
 # A lone subgraph task split over the pool: Alg. 3 on disjoint tree
-# shares, answers concatenated in path order, stats summed
+# shares, answers merged sorted, stats summed
 # ----------------------------------------------------------------------
 def _query_delta(delta: dict) -> dict:
     """The ``ctree.query.*`` part of a registry delta that depends on

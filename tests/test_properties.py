@@ -9,7 +9,8 @@ These encode the paper's mathematical claims directly:
 - matching algorithms agree with reference implementations,
 - the C-tree keeps its invariants under arbitrary insert/delete sequences,
 - Alg. 3's candidates are exactly the graphs passing Alg. 2 (a closure
-  test could only prune subtrees whose graphs all fail it).
+  test could only prune subtrees whose graphs all fail it),
+- an index answers with the linear scan's list, K-NN ties included.
 """
 
 from __future__ import annotations
@@ -205,16 +206,16 @@ class TestCTreeInvariants:
         query = random_connected_subgraph(source, size, rng)
         answers, _ = subgraph_query(tree, query, level=rng.choice([0, 1, "max"]))
         expected = linear_scan_subgraph_query(dict(tree.graphs()), query)
-        assert sorted(answers) == sorted(expected)
+        assert answers == sorted(expected)
 
 
 class TestAlg3CandidatesAreAlg2Survivors:
     """Lemma 1 makes every closure test necessary, and pseudo-containment
     is monotone up a lineage: a graph passing Alg. 2 passes at every
     ancestor closure.  So a descent that screens nodes by histogram only
-    yields, in leaf order, exactly the stored graphs that pass the
-    histogram screen and Alg. 2 — on either store, at every level.  The
-    scan runs the set-based references (``reference_scan``)."""
+    yields exactly the stored graphs that pass the histogram screen and
+    Alg. 2, sorted by id — on either store, at every level.  The scan
+    runs the set-based references (``reference_scan``)."""
 
     @staticmethod
     def _graph(rng: random.Random, max_vertices: int) -> Graph:
@@ -262,3 +263,49 @@ class TestAlg3CandidatesAreAlg2Survivors:
         assert candidates == expected
         assert stats.candidates == len(expected)
         assert sorted(gid for gid, _ in stored) == list(range(n_graphs))
+
+
+class TestOneAnswerForm:
+    """An index returns exactly the linear scan's list, on either store:
+    K-NN answers in ``(-similarity, id)`` order, boundary ties included,
+    and subgraph answers sorted by id.  Corpora over two or three labels
+    make tied similarities common."""
+
+    @given(st.integers(0, 2**16), st.integers(1, 16), st.integers(2, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_answers_equal_linear_scan(self, seed, n_graphs, n_labels):
+        from repro.ctree.diskindex import DiskCTree
+        from repro.ctree.similarity_query import knn_query, linear_scan_knn
+        from repro.ctree.subgraph_query import (
+            linear_scan_subgraph_query,
+            subgraph_query,
+        )
+
+        rng = random.Random(seed)
+        labels = LABELS[:n_labels]
+
+        def graph(max_vertices):
+            n = rng.randint(1, max_vertices)
+            g = Graph([rng.choice(labels) for _ in range(n)])
+            for v in range(1, n):
+                g.add_edge(rng.randrange(v), v)
+            return g
+
+        db = [graph(6) for _ in range(n_graphs)]
+        tree = CTree(min_fanout=2, max_fanout=3)
+        for g in db:
+            tree.insert(g)
+        k = rng.randint(1, n_graphs + 1)
+        probe = graph(5)
+        source = rng.choice(db)
+        query = random_connected_subgraph(
+            source, rng.randint(1, min(3, source.num_vertices)), rng)
+        by_id = dict(enumerate(db))
+        want_knn = linear_scan_knn(by_id, probe, k)
+        want_sub = sorted(linear_scan_subgraph_query(by_id, query))
+        with tempfile.TemporaryDirectory() as tmp:
+            with DiskCTree.create(tree, Path(tmp) / "t.ctp", page_size=512,
+                                  wal=False) as disk:
+                for index in (tree, disk):
+                    assert knn_query(index, probe, k)[0] == want_knn
+                    assert subgraph_query(index, query)[0] == want_sub

@@ -104,8 +104,7 @@ class TestGoldenRoundTrip:
                     handle.port, "/query", {"query": case["query"]}
                 )
                 assert status == 200
-                assert payload["answers"] == want
-                assert sorted(payload["answers"]) == case["answers"]
+                assert payload["answers"] == want == case["answers"]
                 assert payload["stats"]["answers"] == len(want)
 
     def test_disk_bit_identical_to_serial(self, golden, golden_tree,
@@ -139,6 +138,34 @@ class TestGoldenRoundTrip:
                             [sim for _, sim in case["results"]])
         finally:
             disk.close()
+
+    def test_disk_and_shard_directory_answer_alike(self, golden, golden_tree,
+                                                   tmp_path):
+        """``/query`` and ``/knn`` over a disk index and over a 2-shard
+        directory of the same corpus return identical lists, K-NN ties
+        included."""
+        db, expected = golden
+        disk = DiskCTree.create(golden_tree, tmp_path / "golden.ctp")
+        ShardSet.create(db, tmp_path / "golden.shards", shards=2,
+                        min_fanout=3)
+        requests = [("/query", {"query": case["query"]})
+                    for case in expected["subgraph"]]
+        requests += [("/knn", {"query": g.to_dict(), "k": k})
+                     for g in db[::3] for k in (1, 4, 7)]
+        served = []
+        try:
+            for index in (disk, ShardSet.open(tmp_path / "golden.shards")):
+                with QueryServer(index, ServerConfig(port=0)) \
+                        .run_in_thread() as handle:
+                    served.append([
+                        _post_json(handle.port, path, body)[1]
+                        for path, body in requests])
+        finally:
+            disk.close()
+        on_disk, on_shards = served
+        for path_body, one, other in zip(requests, on_disk, on_shards):
+            key = "answers" if path_body[0] == "/query" else "results"
+            assert one[key] == other[key], path_body
 
     def test_knn_matches_serial_memory(self, golden, golden_tree, server):
         db, _ = golden
@@ -204,7 +231,7 @@ class TestGoldenRoundTrip:
                                                       golden_tree):
         """With W > 1 workers a lone ``/query`` miss is split across the
         pool; the golden subgraph cases still come back as the serial
-        loop's answers, traversal order and stats included."""
+        loop's answers and stats."""
         _, expected = golden
         srv = QueryServer(golden_tree, ServerConfig(port=0, workers=2))
         if not srv.engine._fork_ok:
@@ -223,7 +250,7 @@ class TestGoldenRoundTrip:
 
     def test_shard_set_served_by_the_same_engine(self, golden, golden_tree):
         """One process per shard whatever ``workers`` says — and the
-        server says so — with answers in canonical (sorted) form."""
+        server says so — with the single tree's answers."""
         db, expected = golden
         sset = ShardSet.build_memory(db, 2, "hash", min_fanout=3)
         srv = QueryServer(sset, ServerConfig(port=0, workers=4))
@@ -240,7 +267,7 @@ class TestGoldenRoundTrip:
                 serial, _ = subgraph_query(golden_tree, query)
                 _, payload = _post_json(handle.port, "/query",
                                         {"query": case["query"]})
-                assert payload["answers"] == sorted(serial)
+                assert payload["answers"] == serial
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,12 @@
 The contract: a :class:`~repro.ctree.parallel.QueryEngine` over any
 :class:`~repro.ctree.shards.ShardSet` answers **bit-identically** to
 the single-tree reference at every shard count S, both backends —
-subgraph answers equal ``sorted()`` of the serial loop or of the
-reference matchers' scan (and the frozen golden oracle), K-NN
-equals the canonical single-tree ``knn_query(..., canonical=True)``.
-Also covered here: the placement function's partition invariants, the
-manifest round-trip, ``fsck_shards``, and the tree-level canonical /
-``bound=`` K-NN modes.  The engine contract common to every index kind
-is in ``tests/test_engine.py``.
+subgraph answers equal the serial loop's or the reference matchers'
+scan (and the frozen golden oracle), K-NN equals the single-tree
+``knn_query``, ties included.  Also covered here: the placement
+function's partition invariants, the manifest round-trip,
+``fsck_shards``, and the tree-level K-NN tie order.  The engine
+contract common to every index kind is in ``tests/test_engine.py``.
 """
 
 import json
@@ -190,11 +189,10 @@ class TestShardedEngineDeterminism:
     def test_memory_identical_to_serial(self, golden, golden_queries,
                                         golden_tree, shards, oracle):
         db, expected = golden
-        # Single-tree answers in canonical form.
-        ref_subgraph = [sorted(oracle_answers(oracle, golden_tree, q))
+        # The single tree's answers.
+        ref_subgraph = [oracle_answers(oracle, golden_tree, q)
                         for q in golden_queries]
-        ref_knn = [knn_query(golden_tree, q, 4, canonical=True)[0]
-                   for q in golden_queries]
+        ref_knn = [knn_query(golden_tree, q, 4)[0] for q in golden_queries]
         sset = ShardSet.build_memory(db, shards, min_fanout=3)
         with QueryEngine(sset) as engine:
             sub_results = engine.query_many(golden_queries)
@@ -203,7 +201,7 @@ class TestShardedEngineDeterminism:
         assert [r for r, _ in knn_results] == ref_knn
         # The frozen golden oracle pins the answer *sets* end to end.
         assert [a for a, _ in sub_results] == \
-            [sorted(case["answers"]) for case in expected["subgraph"]]
+            [case["answers"] for case in expected["subgraph"]]
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_disk_identical_to_single_disk_tree(self, golden,
@@ -218,10 +216,9 @@ class TestShardedEngineDeterminism:
         ShardSet.create(db, directory, shards=shards, min_fanout=3,
                         page_size=512)
         with DiskCTree.open(single_path, cache_pages=32) as disk:
-            ref_subgraph = [sorted(disk.subgraph_query(q)[0])
+            ref_subgraph = [disk.subgraph_query(q)[0]
                             for q in golden_queries]
-            ref_knn = [knn_query(disk, q, 4, canonical=True)[0]
-                       for q in golden_queries]
+            ref_knn = [disk.knn_query(q, 4)[0] for q in golden_queries]
         with QueryEngine(ShardSet.open(directory)) as engine:
             sub_results = engine.query_many(golden_queries)
             knn_results = engine.knn_many(golden_queries, 4)
@@ -284,21 +281,11 @@ class TestQueryEngineSatellites:
 
 
 # ----------------------------------------------------------------------
-# Canonical K-NN mode of the serial query paths
+# K-NN tie order of the serial query path
 # ----------------------------------------------------------------------
 class TestCanonicalKnn:
     def test_canonical_is_tie_sorted(self, golden_tree, golden_queries):
         for q in golden_queries:
-            results, _ = knn_query(golden_tree, q, 4, canonical=True)
+            results, _ = knn_query(golden_tree, q, 4)
             assert results == sorted(results,
                                      key=lambda t: (-t[1], t[0]))
-
-    def test_default_mode_unchanged_set(self, golden_tree,
-                                        golden_queries):
-        """Canonical mode may reorder ties but must return a top-k
-        with the same similarity multiset as the default mode."""
-        for q in golden_queries:
-            default, _ = knn_query(golden_tree, q, 4)
-            canonical, _ = knn_query(golden_tree, q, 4, canonical=True)
-            assert sorted(s for _, s in default) == \
-                sorted(s for _, s in canonical)
