@@ -24,9 +24,8 @@ QUERY_SIZE = 10
 
 def _build_and_measure(graphs, queries, **tree_kwargs):
     start = time.perf_counter()
-    tree = CTree(min_fanout=4, seed=1, **tree_kwargs)
-    for g in graphs:
-        tree.insert(g)
+    tree = CTree(min_fanout=4, **tree_kwargs)
+    tree.extend(graphs, seed=1)
     build_seconds = time.perf_counter() - start
     tree.validate()
     merged = QueryStats()

@@ -26,8 +26,8 @@ phenol = Graph(
 )
 
 tree = CTree(min_fanout=2)  # tiny fanout for a tiny database
-for molecule in (ethanol, acetic_acid, glycine, benzene, phenol):
-    gid = tree.insert(molecule)
+molecules = [ethanol, acetic_acid, glycine, benzene, phenol]
+for gid, molecule in zip(tree.extend(molecules), molecules):
     print(f"inserted #{gid}: {molecule.name}")
 
 print(f"\nindex: {tree}")
@@ -64,7 +64,7 @@ for gid, distance in in_range:
 # ----------------------------------------------------------------------
 # 4. Dynamic updates.
 # ----------------------------------------------------------------------
-removed = tree.delete(0)
+(removed,) = tree.delete_many([0])
 print(f"\ndeleted {removed.name}; |D| is now {len(tree)}")
 answers, _ = subgraph_query(tree, c_o_bond)
 print(f"C-O bond answers after deletion: "

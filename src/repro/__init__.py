@@ -9,7 +9,8 @@ Quickstart
 ----------
 >>> from repro import CTree, Graph, subgraph_query
 >>> tree = CTree(min_fanout=2)
->>> gid = tree.insert(Graph(["C", "O"], [(0, 1)]))
+>>> tree.extend([Graph(["C", "O"], [(0, 1)])])
+[0]
 >>> answers, stats = subgraph_query(tree, Graph(["C"]))
 >>> answers
 [0]

@@ -50,34 +50,29 @@ def bulk_load(
         mapping_method=mapping_method,
         insert_policy=insert_policy,
         split_policy=split_policy,
-        seed=seed,
     )
-    rng = random.Random(seed)
-    entries: list[Child] = []
-    for i, graph in enumerate(graphs):
-        tree._graphs[i] = graph
-        tree._next_id = i + 1
-        entries.append(LeafEntry(i, graph))
-
+    store = tree.store
+    entries: list[Child] = [store.alloc_graph(i, graph)
+                            for i, graph in enumerate(graphs)]
     if not entries:
         return tree
 
+    rng = random.Random(seed)
     level: list[Child] = entries
     is_leaf = True
-    while True:
-        if len(level) == 1 and not is_leaf:
-            only = level[0]
-            assert isinstance(only, CTreeNode)
-            tree.root = only
-            break
+    height = 0  # inner levels built so far
+    while is_leaf or len(level) > 1:
         if len(level) <= tree.max_fanout:
-            tree.root = _make_node(tree, level, is_leaf)
-            break
-        order = _similarity_order(level, tree, rng)
-        chunks = _chunk(order, tree.min_fanout, tree.max_fanout)
-        level = [_make_node(tree, chunk, is_leaf) for chunk in chunks]
+            level = [_make_node(tree, level, is_leaf)]
+        else:
+            order = _similarity_order(level, tree, rng)
+            chunks = _chunk(order, tree.min_fanout, tree.max_fanout)
+            level = [_make_node(tree, chunk, is_leaf) for chunk in chunks]
+        height += not is_leaf
         is_leaf = False
-
+    store.free_node(store.root, store.root)  # the empty leaf it replaces
+    store.set_root(level[0], height)
+    store.meta.update(graph_count=len(entries), next_id=len(entries))
     return tree
 
 
@@ -86,7 +81,7 @@ def _make_node(tree: CTree, children: Sequence[Child], is_leaf: bool) -> CTreeNo
     for child in children:
         node.add_child(child)
     node.rebuild_summary(tree.mapper)
-    return node
+    return tree.store.alloc_node(node)
 
 
 def _similarity_order(

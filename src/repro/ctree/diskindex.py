@@ -9,27 +9,30 @@ page I/O per query as a function of cache capacity, which
 
 :class:`DiskCTree` is the one C-tree (:class:`~repro.ctree.tree.CTreeCore`)
 over a :class:`~repro.ctree.store.PagedNodeStore`: Section 5 insertion,
-splitting and deletion and the Alg. 3 / Alg. 4 traversals are the very
+splitting and deletion, the ``extend`` / ``delete_many`` / ``compact``
+batches that run them, and the Alg. 3 / Alg. 4 traversals are the very
 code the in-memory tree runs.  What lives here is what only a page file
-needs: the index metadata and its generations, group commit,
-compaction, and recovery / ``fsck``.
+needs: the index metadata and its generations, the group commit that
+closes a batch, the record rewrite that installs a compacted tree, and
+recovery / ``fsck``.
 
 The index is crash-safe by default: a sidecar write-ahead log
-(``index.ctp.wal``) makes :meth:`DiskCTree.create`, :meth:`extend` and
-:meth:`delete_many` atomic — after a crash, :meth:`DiskCTree.recover`
-(or opening with ``auto_recover=True``) replays the log to the last
-committed generation and :meth:`DiskCTree.fsck` validates the result
-(checksums, page accounting, closure containment).  See
-``docs/DURABILITY.md``.
+(``index.ctp.wal``) makes :meth:`DiskCTree.create`, ``extend``,
+``delete_many`` and ``compact`` atomic — after a crash,
+:meth:`DiskCTree.recover` (or opening with ``auto_recover=True``)
+replays the log to the last committed generation and
+:meth:`DiskCTree.fsck` validates the result (checksums, page accounting,
+closure containment).  See ``docs/DURABILITY.md``.
 
 Appends and deletes are **incremental**: each graph dirties only its
 root-to-leaf path plus any split siblings or merge partners, never the
 rest of the tree, and a whole batch is **group-committed** — one WAL
 flush and one fsync close it, so write cost stays flat as the database
 grows.  A tree that churn has hollowed out is repacked by
-:meth:`compact`, which fires automatically when leaf occupancy or height
+``compact``, which fires automatically when leaf occupancy or height
 degrades past the fixed thresholds ``DEFAULT_MIN_OCCUPANCY`` /
-``DEFAULT_HEIGHT_SLACK`` (``ctree.disk.compactions``).
+``DEFAULT_HEIGHT_SLACK`` of :mod:`repro.ctree.tree`
+(``ctree.disk.compactions``).
 
 Usage::
 
@@ -45,15 +48,14 @@ Usage::
 from __future__ import annotations
 
 import json
-import random
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 from repro.exceptions import (
     ChecksumError,
     ConfigError,
-    IndexError_,
     PersistenceError,
     ReproError,
 )
@@ -73,7 +75,7 @@ from repro.ctree.store import (
     dump_record,
 )
 from repro.ctree.subgraph_query import subgraph_query
-from repro.ctree.tree import CTree, CTreeCore
+from repro.ctree.tree import DEFAULT_MIN_OCCUPANCY, CTree, CTreeCore
 from repro.storage.bufferpool import BufferPool
 from repro.storage.pagefile import NO_PAGE, PageFile, PathLike
 from repro.storage.recordstore import RecordStore, record_page
@@ -100,14 +102,6 @@ _META_KEYS = ("root", "graph_count", "next_id", "height", "leaf_count",
 DEFAULT_CACHE_PAGES = 128
 
 _U64 = struct.Struct("<Q")
-
-#: Compaction fires when live entries fill less than this fraction of
-#: the leaf level's capacity (``graph_count / (leaf_count * max_fanout)``).
-DEFAULT_MIN_OCCUPANCY = 0.4
-
-#: ... or when the tree stands more than this many levels above the
-#: height a fresh bulk load of the same graph count would reach.
-DEFAULT_HEIGHT_SLACK = 1
 
 
 def _refusal(fmt) -> str:
@@ -285,9 +279,10 @@ class DiskCTree(CTreeCore):
 
         With ``wal=True`` (default) a sidecar write-ahead log makes the
         index crash-safe: the create itself and every later
-        :meth:`append` become durable atomically at their closing
-        checkpoint, and :meth:`recover` restores the last committed
-        state after a crash.  ``wal=False`` keeps the seed's direct
+        :meth:`extend`, :meth:`delete_many` and :meth:`compact` become
+        durable atomically at their closing checkpoint, and
+        :meth:`recover` restores the last committed state after a
+        crash.  ``wal=False`` keeps the seed's direct
         write-back (faster, throwaway indexes only).
         """
         pagefile = PageFile.create(path, page_size=page_size, opener=opener)
@@ -373,13 +368,12 @@ class DiskCTree(CTreeCore):
         return tree
 
     @staticmethod
-    def _write_tree(records: RecordStore, tree: CTree, generation: int,
-                    next_id: Optional[int] = None) -> tuple[dict, int]:
+    def _write_tree(records: RecordStore, tree: CTree,
+                    generation: int) -> tuple[dict, int]:
         """Write every node and graph of ``tree`` as records; returns
         ``(meta, meta_record_id)``.  Nothing is durable until the
-        enclosing checkpoint.  ``next_id`` overrides the id watermark
-        recorded in the metadata (a compaction preserves the old
-        watermark so freed ids are never reissued)."""
+        enclosing checkpoint.  The id watermark is the tree's own, so an
+        id it issued and freed is never issued again."""
         shape = {"leaf_count": 0}  # the store counts leaves as it allocates
         store = PagedNodeStore(records, shape)
 
@@ -394,16 +388,11 @@ class DiskCTree(CTreeCore):
             return store.alloc_node(stored)
 
         root_record = write_node(tree.root)
-        if next_id is None:
-            next_id = 1 + max(
-                (e.graph_id for e in tree.root.iter_leaf_entries()),
-                default=-1,
-            )
         meta = {
             "format": _FORMAT,
             "root": root_record,
             "graph_count": len(tree),
-            "next_id": next_id,
+            "next_id": tree.store.meta["next_id"],
             "height": tree.height(),
             "leaf_count": shape["leaf_count"],
             "generation": generation,
@@ -412,192 +401,40 @@ class DiskCTree(CTreeCore):
         return meta, records.store(dump_record(meta))
 
     # ------------------------------------------------------------------
-    # Mutation
+    # Mutation: the core's extend / delete_many / compact, closed here
     # ------------------------------------------------------------------
-    def extend(self, graphs: Iterable[Graph], seed: int = 0) -> list[int]:
-        """Add a batch of graphs incrementally under **one** group
-        commit; returns their new graph ids.
-
-        Each graph is one Section 5.2/5.3 insert
-        (:meth:`~repro.ctree.tree.CTreeCore._insert_one`) — it dirties
-        only its root-to-leaf path and any split siblings, and split
-        pages come from the free list before the file grows.  The whole
-        batch then becomes durable at a single closing checkpoint (one
-        WAL commit + one fsync — the *group commit*): a crash at any
-        earlier point recovers to the previous generation intact.
-
-        Counters: each graph bumps ``ctree.disk.incremental_inserts``,
-        each node split ``ctree.disk.splits``, each committed batch
-        ``ctree.disk.group_commits``.  (Re-packing a degraded tree is
-        :meth:`compact`'s job, not an append mode.)
-        """
-        self._check_open()
-        new_graphs = list(graphs)
-        if not new_graphs:
-            return []
-        rng = random.Random(seed)
-        # New ids come from the monotone watermark, not the live count:
-        # after deletes the live ids are sparse and the count would
-        # collide with a surviving graph.
-        first_new = self._meta["next_id"]
-        inserts = self._counter("incremental_inserts")
+    @contextmanager
+    def _batch(self, kind: str, graphs: int) -> Iterator[None]:
+        """Close one ``extend`` / ``delete`` batch as a **group commit**:
+        stamp the next generation, rewrite the metadata record and
+        checkpoint under one ``<kind> gen=N graphs=M`` WAL note (one WAL
+        commit + one fsync), bumping ``ctree.disk.group_commits``.  A
+        crash at any earlier point recovers the previous generation
+        intact."""
         generation = self.generation + 1
-        with trace.span("ctree.disk.extend", graphs=len(new_graphs),
+        with trace.span(f"ctree.disk.{kind}", graphs=graphs,
                         generation=generation), self.store.writing():
-            for offset, graph in enumerate(new_graphs):
-                self._insert_one(first_new + offset, graph, rng)
-                inserts.value += 1
-            self._meta["graph_count"] = len(self) + len(new_graphs)
-            self._meta["next_id"] = first_new + len(new_graphs)
-            self._commit("extend", generation, len(new_graphs))
-        return list(range(first_new, first_new + len(new_graphs)))
+            yield
+            self._meta["generation"] = generation
+            self._write_meta()
+            self.checkpoint(note=f"{kind} gen={generation} "
+                            f"graphs={graphs}".encode("ascii"))
+            self._counter("group_commits").inc()
 
-    def delete_many(self, graph_ids: Iterable[int], seed: int = 0,
-                    auto_compact: bool = True) -> list[Graph]:
-        """Remove a batch of graphs incrementally under **one** group
-        commit; returns them in request order.
-
-        Each id is one Section 5.4 delete
-        (:meth:`~repro.ctree.tree.CTreeCore._delete_one`): the leaf entry
-        is removed and its graph record's pages freed, ancestor closures
-        shrink only where the removed graph was load-bearing (a loose
-        closure stays sound), and underflow merges into or redistributes
-        with a sibling; a root left with one child collapses.  The batch
-        then commits at a single closing checkpoint carrying a ``delete
-        gen=N graphs=M`` note — a crash at any earlier point recovers
-        the previous generation intact.
-
-        Counters: each graph bumps ``ctree.disk.deletes``, each
-        underflow merge ``ctree.disk.underflow_merges``, each
-        redistribution ``ctree.disk.underflow_redistributes``, each
-        recomputed closure ``ctree.disk.closure_shrinks``, each batch
-        ``ctree.disk.group_commits``.
-
-        With ``auto_compact=True`` (default) the commit is followed by
-        :meth:`compact`, which repacks the tree **only** when
-        :meth:`compaction_needed` finds occupancy or height degraded (its own
-        commit, ``ctree.disk.compactions``); ``auto_compact=False``
-        leaves even a hollowed-out tree in place.
-
-        Raises :class:`~repro.exceptions.IndexError_` — before any
-        mutation — if an id is absent or requested twice.
-        """
-        self._check_open()
-        ids = list(graph_ids)
-        if not ids:
-            return []
-        if len(set(ids)) != len(ids):
-            raise IndexError_("duplicate graph ids in delete batch")
-        live = set(self.graph_ids())
-        missing = [gid for gid in ids if gid not in live]
-        if missing:
-            raise IndexError_(f"no graph with id {missing[0]}")
-        rng = random.Random(seed)
-        deletes = self._counter("deletes")
+    def _install(self, tree: CTree) -> None:
+        """Make a re-bulk-loaded tree this index: free every record,
+        write ``tree``'s as the next generation and checkpoint under a
+        ``compact gen=N`` note."""
         generation = self.generation + 1
-        removed: list[Graph] = []
-        with trace.span("ctree.disk.delete", graphs=len(ids),
-                        generation=generation), self.store.writing():
-            for gid in ids:
-                removed.append(self._delete_one(gid, rng))
-                deletes.value += 1
-            self._meta["graph_count"] = len(self) - len(ids)
-            self._commit("delete", generation, len(ids))
-        if auto_compact:
-            self.compact(seed=seed)
-        return removed
-
-    def _commit(self, kind: str, generation: int, graphs: int) -> None:
-        """Close one write batch: stamp the new generation, rewrite the
-        metadata record and checkpoint — the group commit."""
-        self._meta["generation"] = generation
-        self._write_meta()
-        self.checkpoint(
-            note=f"{kind} gen={generation} graphs={graphs}".encode("ascii"))
-        self._counter("group_commits").inc()
-
-    # -- compaction ----------------------------------------------------
-    @property
-    def occupancy(self) -> float:
-        """Live entries as a fraction of the leaf level's capacity
-        (``graph_count / (leaf_count * max_fanout)``) — the quantity the
-        automatic compaction trigger watches."""
-        leaves = max(self._meta["leaf_count"], 1)
-        return len(self) / (leaves * self.max_fanout)
-
-    def _bulk_load_height(self, count: int) -> int:
-        """The height a fresh, fully packed bulk load of ``count``
-        graphs could reach (every level at ``max_fanout``) — the
-        baseline the height-degradation trigger compares against, with
-        ``DEFAULT_HEIGHT_SLACK`` levels of tolerance on top."""
-        height = 0
-        while count > self.max_fanout:
-            count = -(-count // self.max_fanout)
-            height += 1
-        return height
-
-    def compaction_needed(self) -> Optional[str]:
-        """Why the tree should be repacked, or None if it is healthy.
-
-        Two degradation signals, both read from the metadata counters:
-        leaf occupancy below ``DEFAULT_MIN_OCCUPANCY``, or a height more
-        than ``DEFAULT_HEIGHT_SLACK`` levels above what a fully packed
-        bulk load of the same graph count would build.
-        """
-        self._check_open()
-        if len(self) == 0:
-            return None
-        if (self._meta["leaf_count"] > 1
-                and self.occupancy < DEFAULT_MIN_OCCUPANCY):
-            return (f"occupancy {self.occupancy:.2f} below "
-                    f"{DEFAULT_MIN_OCCUPANCY:.2f}")
-        target = self._bulk_load_height(len(self))
-        height = self.height
-        if height > target + DEFAULT_HEIGHT_SLACK:
-            return (f"height {height} above bulk-load height {target} "
-                    f"+ slack {DEFAULT_HEIGHT_SLACK}")
-        return None
-
-    def compact(self, seed: int = 0, force: bool = False) -> Optional[str]:
-        """Repack a degraded tree by re-bulk-loading the live graphs
-        (ids and the id watermark preserved) under one commit; returns
-        the trigger reason, or None when no compaction was needed.
-
-        Runs only when :meth:`compaction_needed` reports a reason
-        (``force=True`` overrides), so calling it after every delete
-        batch — which ``auto_compact=True`` does — is cheap.  Each run
-        bumps ``ctree.disk.compactions`` and commits with a ``compact
-        gen=N`` note.
-        """
-        from repro.ctree.bulkload import bulk_load
-
-        self._check_open()
-        if len(self) == 0:
-            return None
-        reason = "forced" if force else self.compaction_needed()
-        if reason is None:
-            return None
-        with trace.span("ctree.disk.compact", reason=reason,
-                        graphs=len(self)), self.store.writing():
-            items = sorted(self.iter_graphs(), key=lambda item: item[0])
-            tree = bulk_load([graph for _, graph in items], seed=seed,
-                             **self.config())
-            # bulk_load numbers graphs by input position; remap each leaf
-            # entry back to the id the graph already holds on disk.
-            for entry in tree.root.iter_leaf_entries():
-                entry.graph_id = items[entry.graph_id][0]
-            generation = self.generation + 1
+        with self.store.writing():
             for record_id in self._collect_record_ids():
                 self.store.records.delete(record_id)
             self.store.forget()
             meta, meta_record = self._write_tree(
-                self.store.records, tree, generation,
-                next_id=self._meta["next_id"])
+                self.store.records, tree, generation)
             self.pool.pagefile.user_root = meta_record
             self.store.meta = meta
             self.checkpoint(note=f"compact gen={generation}".encode("ascii"))
-        self._counter("compactions").inc()
-        return reason
 
     def _write_meta(self) -> None:
         """Rewrite the metadata record in place (its id — the page
@@ -631,9 +468,6 @@ class DiskCTree(CTreeCore):
         """The index metadata (shared with the node store, which keeps
         its root / height / leaf count current)."""
         return self.store.meta
-
-    def __len__(self) -> int:
-        return self._meta["graph_count"]
 
     @property
     def height(self) -> int:
@@ -904,11 +738,6 @@ class DiskCTree(CTreeCore):
         report.errors += tree.check(1 if deep else None)
         report.nodes = store.nodes_read
         report.graphs = len(store.graph_ids)
-        if meta["leaf_count"] != store.leaves:
-            report.issue(
-                f"metadata says {meta['leaf_count']} leaves, tree holds "
-                f"{store.leaves}"
-            )
         if store.graph_ids and max(store.graph_ids) >= meta["next_id"]:
             report.issue(
                 f"graph id {max(store.graph_ids)} at or above the metadata "

@@ -4,15 +4,16 @@ The tree (:mod:`repro.ctree.tree`) and the query processors never touch
 nodes directly; they go through a *node store* — load a node, load a
 graph, allocate / write / free a node or a graph, get / set the root —
 so one Section 5 insert / split / delete and one Alg. 3 / Alg. 4
-traversal serve both representations:
+traversal serve both representations.  Both keep the tree's shape in one
+``meta`` dict — root, height, leaf and graph counts, id watermark:
 
 - :class:`MemoryNodeStore` — references *are* the live
   :class:`~repro.ctree.node.CTreeNode` / :class:`~repro.ctree.node.LeafEntry`
   objects, loads return them unchanged and writes are no-ops, so kernel
   contexts memoized on closures and graphs survive across queries;
 - :class:`PagedNodeStore` — references are record ids in a
-  :class:`~repro.storage.recordstore.RecordStore`; it keeps the root,
-  height and leaf count of the index metadata current.  This module owns
+  :class:`~repro.storage.recordstore.RecordStore`, and its shape
+  metadata is the index metadata.  This module owns
   the record format (one JSON record per node, one per graph) and its
   only codec: ``encode_*`` / ``decode_*`` below.  A query reads a graph
   record without building the graph: a subgraph query through
@@ -84,20 +85,45 @@ from repro.obs.metrics import global_registry
 from repro.storage.recordstore import RecordStore
 
 
-class MemoryNodeStore:
+class _ShapedStore:
+    """What both stores keep of the tree's shape, in one ``meta`` dict:
+    the ``root`` reference, the ``height`` and ``leaf_count`` the store
+    keeps current as nodes are allocated and freed, and the
+    ``graph_count`` / ``next_id`` a write batch
+    (:meth:`~repro.ctree.tree.CTreeCore.extend`) keeps."""
+
+    def __init__(self, meta: dict) -> None:
+        self.meta = meta
+
+    @property
+    def root(self):
+        """The root node's reference."""
+        return self.meta["root"]
+
+    def set_root(self, ref, height: int) -> None:
+        """Install a new root standing ``height`` levels above the leaves."""
+        self.meta["root"] = ref
+        self.meta["height"] = height
+
+    @property
+    def height(self) -> int:
+        """Levels above the leaves."""
+        return self.meta["height"]
+
+    def _count_leaf(self, node: CTreeNode, delta: int) -> None:
+        if node.is_leaf:
+            self.meta["leaf_count"] += delta
+
+
+class MemoryNodeStore(_ShapedStore):
     """Nodes and graphs as live objects."""
 
     #: how a check finding names a node (a live one has no address)
     NODE_NAME = "node {!r}"
 
     def __init__(self) -> None:
-        self.root = CTreeNode(is_leaf=True)
-        self.height = 0
-
-    def set_root(self, ref: CTreeNode, height: int) -> None:
-        """Install a new root standing ``height`` levels above the leaves."""
-        self.root = ref
-        self.height = height
+        super().__init__({"root": CTreeNode(is_leaf=True), "height": 0,
+                          "leaf_count": 1, "graph_count": 0, "next_id": 0})
 
     def load_node(self, ref: CTreeNode) -> CTreeNode:
         """A reference is the node."""
@@ -126,6 +152,7 @@ class MemoryNodeStore:
 
     def alloc_node(self, node: CTreeNode) -> CTreeNode:
         """A new node is its own reference."""
+        self._count_leaf(node, +1)
         return node
 
     def write_node(self, ref: CTreeNode, node: CTreeNode) -> None:
@@ -133,6 +160,7 @@ class MemoryNodeStore:
 
     def free_node(self, ref: CTreeNode, node: CTreeNode) -> None:
         """Unlinked nodes are garbage-collected."""
+        self._count_leaf(node, -1)
 
     def alloc_graph(self, graph_id: int, graph: Graph) -> LeafEntry:
         """A leaf entry holding ``graph`` under ``graph_id``."""
@@ -407,7 +435,7 @@ def decode_node(record: dict) -> CTreeNode:
                      decode_closure)
 
 
-class PagedNodeStore:
+class PagedNodeStore(_ShapedStore):
     """Nodes and graphs as records (see the module docstring) behind a
     buffer pool.
 
@@ -435,8 +463,8 @@ class PagedNodeStore:
     NODE_NAME = "node record {}"
 
     def __init__(self, records: RecordStore, meta: dict) -> None:
+        super().__init__(meta)
         self.records = records
-        self.meta = meta
         #: record id -> resident node, oldest first: (internal, leaves)
         self._resident: tuple[OrderedDict, OrderedDict] = (
             OrderedDict(), OrderedDict())
@@ -449,21 +477,6 @@ class PagedNodeStore:
         self._c_node_hits = registry.counter("ctree.disk.node_hits")
         self._c_node_loads = registry.counter("ctree.disk.node_loads")
         self._g_resident = registry.gauge("ctree.disk.nodes_resident")
-
-    @property
-    def root(self) -> int:
-        """Record id of the root node."""
-        return self.meta["root"]
-
-    def set_root(self, ref: int, height: int) -> None:
-        """Install a new root standing ``height`` levels above the leaves."""
-        self.meta["root"] = ref
-        self.meta["height"] = height
-
-    @property
-    def height(self) -> int:
-        """Levels above the leaves, as the metadata records them."""
-        return self.meta["height"]
 
     def load_record(self, record_id: int) -> dict:
         """One record, JSON-parsed (node, graph or metadata)."""
@@ -554,10 +567,6 @@ class PagedNodeStore:
         """Compile the graph record a leaf entry points at straight into
         its Alg. 1 context; no graph is built."""
         return decode_nbm_context(self.load_record(entry.record))
-
-    def _count_leaf(self, node: CTreeNode, delta: int) -> None:
-        if node.is_leaf:
-            self.meta["leaf_count"] += delta
 
     def alloc_node(self, node: CTreeNode) -> int:
         """Store a new node record; returns its id."""

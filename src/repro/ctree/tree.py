@@ -8,11 +8,14 @@ along the path; overflowing nodes split by a partitioning policy; deletion
 shrinks (or soundly keeps) closures and resolves underflow by merging into
 or redistributing with a sibling.
 
-:class:`CTreeCore` is the one implementation of that maintenance logic.
-It runs over a *node store* (:mod:`repro.ctree.store`) and never asks
-which: :class:`CTree` is the core over live objects,
-:class:`~repro.ctree.diskindex.DiskCTree` the core over a page file plus
-commit / compaction / recovery.
+:class:`CTreeCore` is the one implementation of that maintenance logic
+and of the one write surface over it — :meth:`~CTreeCore.extend`,
+:meth:`~CTreeCore.delete_many` and :meth:`~CTreeCore.compact`, batches of
+graphs drawing on one ``Random(seed)`` each.  It runs over a *node store*
+(:mod:`repro.ctree.store`) and never asks which: :class:`CTree` is the
+core over live objects, :class:`~repro.ctree.diskindex.DiskCTree` the
+core over a page file plus group commit and recovery.  From one seed,
+the same batches grow the same tree on either store.
 
 All operations take polynomial time — the expensive primitive is the
 heuristic graph mapping (NBM by default) used to union closures and to
@@ -22,7 +25,9 @@ measure closure distance during splits.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Optional
+from contextlib import contextmanager
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional
 
 from repro.exceptions import ConfigError, IndexError_, PersistenceError
 from repro.graphs.closure import GraphClosure, as_closure
@@ -47,6 +52,14 @@ from repro.ctree.store import BAD_RECORD, MemoryNodeStore
 
 #: Paper default: m = 20, M = 2m - 1.
 DEFAULT_MIN_FANOUT = 20
+
+#: Compaction fires when live entries fill less than this fraction of
+#: the leaf level's capacity (``graph_count / (leaf_count * max_fanout)``).
+DEFAULT_MIN_OCCUPANCY = 0.4
+
+#: ... or when the tree stands more than this many levels above the
+#: height a fresh bulk load of the same graph count would reach.
+DEFAULT_HEIGHT_SLACK = 1
 
 
 class _LazyClosures:
@@ -79,13 +92,17 @@ class _LazyClosures:
 
 class CTreeCore:
     """Section 5 over a node store: configuration, the insert / split /
-    delete-with-underflow algorithms, and store-agnostic walks.
+    delete-with-underflow algorithms, the write batches that run them,
+    and store-agnostic walks.
 
-    Subclasses own graph ids and batching: they call :meth:`_insert_one`
-    / :meth:`_delete_one` and define ``__len__``.  ``_METRICS`` prefixes
-    the maintenance counters (``<prefix>.splits``, ``.closure_shrinks``,
+    Graph ids come from the store's ``next_id`` watermark and the live
+    count is its ``graph_count``.  A subclass varies two things only: how
+    a batch closes (:meth:`_batch`) and how a re-bulk-loaded tree takes
+    this one's place (:meth:`_install`).  ``_METRICS`` prefixes the
+    maintenance counters (``<prefix>.incremental_inserts``, ``.deletes``,
+    ``.compactions``, ``.splits``, ``.closure_shrinks``,
     ``.underflow_merges``, ``.underflow_redistributes``) and the
-    ``<prefix>.split`` span.
+    ``<prefix>.extend`` / ``.delete`` / ``.compact`` / ``.split`` spans.
     """
 
     _METRICS = "ctree"
@@ -177,6 +194,178 @@ class CTreeCore:
 
     def _counter(self, name: str):
         return global_registry().counter(f"{self._METRICS}.{name}")
+
+    def __len__(self) -> int:
+        return self.store.meta["graph_count"]
+
+    # ------------------------------------------------------------------
+    # Write batches
+    # ------------------------------------------------------------------
+    def _check_open(self) -> None:
+        """Raise if the index can no longer be written (a memory tree
+        always can)."""
+
+    @contextmanager
+    def _batch(self, kind: str, graphs: int) -> Iterator[None]:
+        """One ``extend`` / ``delete`` batch of ``graphs`` graphs, as a
+        span; a memory tree has nothing to close it with."""
+        with trace.span(f"{self._METRICS}.{kind}", graphs=graphs):
+            yield
+
+    def _install(self, tree: "CTree") -> None:
+        """Make a re-bulk-loaded tree this one: in memory, take its
+        store (root, shape and watermark)."""
+        self.store = tree.store
+
+    def extend(self, graphs: Iterable[Graph], seed: int = 0) -> list[int]:
+        """Add a batch of graphs incrementally; returns their new ids.
+
+        Each graph is one Section 5.2/5.3 insert (:meth:`_insert_one`):
+        it dirties only its root-to-leaf path and any split siblings.
+        The batch draws on one ``Random(seed)`` and closes as one
+        :meth:`_batch` (on disk: one group commit).  Ids come from the
+        monotone ``next_id`` watermark, never from the live count: after
+        deletes the live ids are sparse, and an id once issued is never
+        issued again.
+
+        Counters: each graph bumps ``<prefix>.incremental_inserts``, each
+        node split ``<prefix>.splits``.
+        """
+        self._check_open()
+        new_graphs = list(graphs)
+        if not new_graphs:
+            return []
+        rng = random.Random(seed)
+        meta = self.store.meta
+        first_new = meta["next_id"]
+        inserts = self._counter("incremental_inserts")
+        with self._batch("extend", len(new_graphs)):
+            for offset, graph in enumerate(new_graphs):
+                self._insert_one(first_new + offset, graph, rng)
+                inserts.value += 1
+            meta["graph_count"] += len(new_graphs)
+            meta["next_id"] = first_new + len(new_graphs)
+        return list(range(first_new, first_new + len(new_graphs)))
+
+    def delete_many(self, graph_ids: Iterable[int], seed: int = 0,
+                    auto_compact: bool = True) -> list[Graph]:
+        """Remove a batch of graphs incrementally; returns them in request
+        order.
+
+        Each id is one Section 5.4 delete (:meth:`_delete_one`): the leaf
+        entry is removed and its graph freed, ancestor closures shrink
+        only where the removed graph was load-bearing (a loose closure
+        stays sound), and underflow merges into or redistributes with a
+        sibling; a root left with one child collapses.  The batch draws
+        on one ``Random(seed)`` and closes as one :meth:`_batch`.
+
+        Counters: each graph bumps ``<prefix>.deletes``, each underflow
+        merge ``<prefix>.underflow_merges``, each redistribution
+        ``<prefix>.underflow_redistributes``, each recomputed closure
+        ``<prefix>.closure_shrinks``.
+
+        With ``auto_compact=True`` (default) the batch is followed by
+        :meth:`compact`, which repacks the tree **only** when
+        :meth:`compaction_needed` finds occupancy or height degraded;
+        ``auto_compact=False`` leaves even a hollowed-out tree in place.
+
+        Raises :class:`~repro.exceptions.IndexError_` — before any
+        mutation — if an id is absent or requested twice.
+        """
+        self._check_open()
+        ids = list(graph_ids)
+        if not ids:
+            return []
+        if len(set(ids)) != len(ids):
+            raise IndexError_("duplicate graph ids in delete batch")
+        live = set(self.graph_ids())
+        missing = [gid for gid in ids if gid not in live]
+        if missing:
+            raise IndexError_(f"no graph with id {missing[0]}")
+        rng = random.Random(seed)
+        deletes = self._counter("deletes")
+        removed: list[Graph] = []
+        with self._batch("delete", len(ids)):
+            for gid in ids:
+                removed.append(self._delete_one(gid, rng))
+                deletes.value += 1
+            self.store.meta["graph_count"] -= len(ids)
+        if auto_compact:
+            self.compact(seed=seed)
+        return removed
+
+    @property
+    def occupancy(self) -> float:
+        """Live entries as a fraction of the leaf level's capacity
+        (``graph_count / (leaf_count * max_fanout)``) — the quantity the
+        automatic compaction trigger watches."""
+        leaves = max(self.store.meta["leaf_count"], 1)
+        return len(self) / (leaves * self.max_fanout)
+
+    def _bulk_load_height(self, count: int) -> int:
+        """The height a fresh, fully packed bulk load of ``count``
+        graphs could reach (every level at ``max_fanout``) — the
+        baseline the height-degradation trigger compares against, with
+        ``DEFAULT_HEIGHT_SLACK`` levels of tolerance on top."""
+        height = 0
+        while count > self.max_fanout:
+            count = -(-count // self.max_fanout)
+            height += 1
+        return height
+
+    def compaction_needed(self) -> Optional[str]:
+        """Why the tree should be repacked, or None if it is healthy.
+
+        Two degradation signals, both read from the store's shape
+        metadata: leaf occupancy below ``DEFAULT_MIN_OCCUPANCY``, or a
+        height more than ``DEFAULT_HEIGHT_SLACK`` levels above what a
+        fully packed bulk load of the same graph count would build.
+        """
+        self._check_open()
+        if len(self) == 0:
+            return None
+        if (self.store.meta["leaf_count"] > 1
+                and self.occupancy < DEFAULT_MIN_OCCUPANCY):
+            return (f"occupancy {self.occupancy:.2f} below "
+                    f"{DEFAULT_MIN_OCCUPANCY:.2f}")
+        target = self._bulk_load_height(len(self))
+        height = self.store.height
+        if height > target + DEFAULT_HEIGHT_SLACK:
+            return (f"height {height} above bulk-load height {target} "
+                    f"+ slack {DEFAULT_HEIGHT_SLACK}")
+        return None
+
+    def compact(self, seed: int = 0, force: bool = False) -> Optional[str]:
+        """Repack a degraded tree by re-bulk-loading the live graphs
+        (ids and the id watermark preserved); returns the trigger
+        reason, or None when no compaction was needed.
+
+        Runs only when :meth:`compaction_needed` reports a reason
+        (``force=True`` overrides), so calling it after every delete
+        batch — which ``auto_compact=True`` does — is cheap.  Each run
+        bumps ``<prefix>.compactions``.
+        """
+        from repro.ctree.bulkload import bulk_load
+
+        self._check_open()
+        if len(self) == 0:
+            return None
+        reason = "forced" if force else self.compaction_needed()
+        if reason is None:
+            return None
+        with trace.span(f"{self._METRICS}.compact", reason=reason,
+                        graphs=len(self)):
+            items = sorted(self.iter_graphs(), key=itemgetter(0))
+            tree = bulk_load([graph for _, graph in items], seed=seed,
+                             **self.config())
+            # bulk_load numbers graphs by input position; remap each leaf
+            # entry back to the id the graph already holds.
+            for entry in tree.root.iter_leaf_entries():
+                entry.graph_id = items[entry.graph_id][0]
+            tree.store.meta["next_id"] = self.store.meta["next_id"]
+            self._install(tree)
+        self._counter("compactions").inc()
+        return reason
 
     # ------------------------------------------------------------------
     # Insertion (Section 5.2) and splitting (Section 5.3)
@@ -445,7 +634,8 @@ class CTreeCore:
         Shape: at most ``max_fanout`` children per node, at least
         ``min_fanout`` below the root, two under an internal root, a
         closure on every non-empty node, every leaf at the recorded
-        height, each graph id once and ``len(self)`` of them.  Lemma 1:
+        height, as many leaves as recorded, each graph id once and
+        ``len(self)`` of them.  Lemma 1:
         each closure on a graph's root-to-leaf path dominates its label
         histogram (closures need not dominate each other, nor be tight)
         and, with ``level`` set, admits it pseudo sub-isomorphically at
@@ -458,6 +648,7 @@ class CTreeCore:
         errors: list[str] = []
         issue = errors.append
         ids: set[int] = set()
+        leaves = 0
         stack: list = [(store.root, 0, [])]
         while stack:
             ref, depth, lineage = stack.pop()
@@ -466,6 +657,7 @@ class CTreeCore:
             except PersistenceError as exc:
                 issue(str(exc))
                 continue
+            leaves += node.is_leaf
             name = store.NODE_NAME.format(ref)
             fanout = len(node.children)
             try:
@@ -517,6 +709,9 @@ class CTreeCore:
         if len(ids) != len(self):
             issue(f"{self._META} says {len(self)} graphs, tree holds "
                   f"{len(ids)}")
+        if store.meta["leaf_count"] != leaves:
+            issue(f"{self._META} says {store.meta['leaf_count']} leaves, "
+                  f"tree holds {leaves}")
         return errors
 
     def validate(self, deep: bool = False) -> None:
@@ -529,13 +724,12 @@ class CTreeCore:
             raise AssertionError("\n".join(errors))
 
 
-#: maintenance counters, resolved once at import time
-_C_INSERTS = global_registry().counter("ctree.inserts")
-_C_DELETES = global_registry().counter("ctree.deletes")
-
-
 class CTree(CTreeCore):
     """A Closure-tree over a dynamic set of labeled graphs, in memory.
+
+    Graphs enter by :func:`~repro.ctree.bulkload.bulk_load` or
+    :meth:`extend`, leave by :meth:`delete_many`, and are repacked by
+    :meth:`compact` — the write surface a disk index has.
 
     Parameters
     ----------
@@ -550,8 +744,6 @@ class CTree(CTreeCore):
         ``"min_volume"`` (default), ``"min_overlap"``, or ``"random"``.
     split_policy:
         ``"linear"`` (default), ``"optimal"``, or ``"random"``.
-    seed:
-        Seed for the policies' internal randomness (pivot choice etc.).
     """
 
     def __init__(
@@ -561,43 +753,30 @@ class CTree(CTreeCore):
         mapping_method: str = "nbm",
         insert_policy: str = "min_volume",
         split_policy: str = "linear",
-        seed: int = 0,
     ) -> None:
         super().__init__(MemoryNodeStore(), min_fanout, max_fanout,
                          mapping_method, insert_policy, split_policy)
-        self._rng = random.Random(seed)
-        self._graphs: dict[int, Graph] = {}
-        self._next_id = 0
 
     @property
     def root(self) -> CTreeNode:
         """The live root node."""
         return self.store.root
 
-    @root.setter
-    def root(self, node: CTreeNode) -> None:
-        self.store.set_root(node, node.height())
-
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._graphs)
-
     def __contains__(self, graph_id: int) -> bool:
-        return graph_id in self._graphs
+        return any(gid == graph_id for gid in self.graph_ids())
 
     def get(self, graph_id: int) -> Graph:
         try:
-            return self._graphs[graph_id]
+            return self.find_graphs([graph_id])[graph_id]
         except KeyError:
             raise IndexError_(f"no graph with id {graph_id}") from None
 
-    def graph_ids(self) -> Iterator[int]:
-        return iter(self._graphs)
-
     def graphs(self) -> Iterator[tuple[int, Graph]]:
-        return iter(self._graphs.items())
+        """Every ``(graph_id, graph)``, in id order."""
+        return iter(sorted(self.iter_graphs(), key=itemgetter(0)))
 
     def height(self) -> int:
         return self.store.height
@@ -628,29 +807,6 @@ class CTree(CTreeCore):
 
     def close(self) -> None:
         """Nothing to release: the tree lives in this process."""
-
-    # ------------------------------------------------------------------
-    def insert(self, graph: Graph, graph_id: Optional[int] = None) -> int:
-        """Insert a graph (Section 5.2); returns its database id."""
-        if graph_id is None:
-            graph_id = self._next_id
-        if graph_id in self._graphs:
-            raise IndexError_(f"graph id {graph_id} already present")
-        self._next_id = max(self._next_id, graph_id + 1)
-        self._graphs[graph_id] = graph
-        with trace.span("ctree.insert", graph_id=graph_id):
-            self._insert_one(graph_id, graph, self._rng)
-        _C_INSERTS.value += 1
-        return graph_id
-
-    def delete(self, graph_id: int) -> Graph:
-        """Remove a graph by id (Section 5.4); returns it."""
-        if graph_id not in self._graphs:
-            raise IndexError_(f"no graph with id {graph_id}")
-        with trace.span("ctree.delete", graph_id=graph_id):
-            self._delete_one(graph_id, self._rng)
-        _C_DELETES.value += 1
-        return self._graphs.pop(graph_id)
 
     def __repr__(self) -> str:
         return (

@@ -77,8 +77,7 @@ class TestBulkLoad:
     def test_insert_after_bulk_load(self, rng):
         graphs = [random_labeled_graph(rng, 4) for _ in range(10)]
         tree = bulk_load(graphs, min_fanout=2, max_fanout=4)
-        new_id = tree.insert(triangle())
-        assert new_id == 10
+        assert tree.extend([triangle()]) == [10]
         tree.validate()
 
     def test_deterministic(self, rng):

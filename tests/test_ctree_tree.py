@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.exceptions import ConfigError, IndexError_
-from repro.graphs.graph import Graph
 from repro.obs.metrics import global_registry
 from repro.ctree.tree import CTree
 
@@ -50,23 +49,10 @@ class TestInsert:
 
     def test_single_insert(self):
         tree = make_tree()
-        gid = tree.insert(triangle())
-        assert gid == 0
+        assert tree.extend([triangle()]) == [0]
         assert len(tree) == 1
         assert tree.get(0) == triangle()
         tree.validate(deep=True)
-
-    def test_explicit_graph_id(self):
-        tree = make_tree()
-        assert tree.insert(triangle(), graph_id=42) == 42
-        assert 42 in tree
-        assert tree.insert(Graph(["A"])) == 43
-
-    def test_duplicate_id_rejected(self):
-        tree = make_tree()
-        tree.insert(triangle(), graph_id=1)
-        with pytest.raises(IndexError_):
-            tree.insert(triangle(), graph_id=1)
 
     def test_get_missing_raises(self):
         with pytest.raises(IndexError_):
@@ -74,51 +60,48 @@ class TestInsert:
 
     def test_splits_keep_invariants(self, rng):
         tree = make_tree(min_fanout=2, max_fanout=3)
-        for i in range(25):
-            tree.insert(random_labeled_graph(rng, rng.randrange(3, 8)))
+        tree.extend(random_labeled_graph(rng, rng.randrange(3, 8))
+                    for _ in range(25))
         assert tree.height() >= 2
         tree.validate(deep=True)
 
     @pytest.mark.parametrize("insert_policy", ["random", "min_volume", "min_overlap"])
     def test_all_insert_policies_build_valid_trees(self, insert_policy, rng):
         tree = make_tree(min_fanout=2, max_fanout=3, insert_policy=insert_policy)
-        for _ in range(15):
-            tree.insert(random_labeled_graph(rng, rng.randrange(2, 6)))
+        tree.extend(random_labeled_graph(rng, rng.randrange(2, 6))
+                    for _ in range(15))
         tree.validate()
 
     @pytest.mark.parametrize("split_policy", ["random", "linear"])
     def test_all_split_policies_build_valid_trees(self, split_policy, rng):
         tree = make_tree(min_fanout=2, max_fanout=3, split_policy=split_policy)
-        for _ in range(15):
-            tree.insert(random_labeled_graph(rng, rng.randrange(2, 6)))
+        tree.extend(random_labeled_graph(rng, rng.randrange(2, 6))
+                    for _ in range(15))
         tree.validate()
 
 
 class TestDelete:
     def test_delete_returns_graph(self):
         tree = make_tree()
-        tree.insert(triangle())
-        g = tree.delete(0)
-        assert g == triangle()
+        tree.extend([triangle()])
+        assert tree.delete_many([0]) == [triangle()]
         assert len(tree) == 0
         tree.validate()
 
     def test_delete_missing_raises(self):
         with pytest.raises(IndexError_):
-            make_tree().delete(9)
+            make_tree().delete_many([9])
 
     def test_delete_shrinks_closures(self):
         tree = make_tree()
-        tree.insert(path_graph(["A", "B"]))
-        tree.insert(path_graph(["X", "Y"]))
-        tree.delete(1)
+        tree.extend([path_graph(["A", "B"]), path_graph(["X", "Y"])])
+        tree.delete_many([1])
         assert tree.root.histogram[(0, "X")] == 0
 
     def test_delete_with_underflow_merges(self, rng):
         tree = make_tree(min_fanout=2, max_fanout=3)
-        graphs = [random_labeled_graph(rng, rng.randrange(3, 7)) for _ in range(20)]
-        for g in graphs:
-            tree.insert(g)
+        tree.extend(random_labeled_graph(rng, rng.randrange(3, 7))
+                    for _ in range(20))
         ids = list(tree.graph_ids())
         rng.shuffle(ids)
         merges = global_registry().counter("ctree.underflow_merges")
@@ -126,7 +109,7 @@ class TestDelete:
             "ctree.underflow_redistributes")
         before = merges.value + redistributes.value
         for gid in ids[:12]:
-            tree.delete(gid)
+            tree.delete_many([gid], auto_compact=False)
             tree.validate(deep=True)
         assert len(tree) == 8
         # Underflow was resolved against a sibling, not by reinsertion.
@@ -134,10 +117,9 @@ class TestDelete:
 
     def test_delete_everything(self, rng):
         tree = make_tree(min_fanout=2, max_fanout=3)
-        for _ in range(12):
-            tree.insert(random_labeled_graph(rng, 4))
+        tree.extend(random_labeled_graph(rng, 4) for _ in range(12))
         for gid in list(tree.graph_ids()):
-            tree.delete(gid)
+            tree.delete_many([gid], auto_compact=False)
             tree.validate(deep=True)
         assert len(tree) == 0
         assert tree.root.is_leaf and tree.root.closure is None
@@ -145,16 +127,14 @@ class TestDelete:
     def test_interleaved_insert_delete(self, rng):
         tree = make_tree(min_fanout=2, max_fanout=3)
         alive = []
-        next_id = 0
         for step in range(60):
             if alive and rng.random() < 0.4:
                 victim = alive.pop(rng.randrange(len(alive)))
-                tree.delete(victim)
+                tree.delete_many([victim], seed=step)
             else:
-                tree.insert(random_labeled_graph(rng, rng.randrange(2, 6)),
-                            graph_id=next_id)
-                alive.append(next_id)
-                next_id += 1
+                alive += tree.extend(
+                    [random_labeled_graph(rng, rng.randrange(2, 6))],
+                    seed=step)
             tree.validate(deep=True)
             assert sorted(tree.graph_ids()) == sorted(alive)
             assert sorted(gid for gid, _ in tree.iter_graphs()) \
@@ -164,8 +144,7 @@ class TestDelete:
 class TestStructureAccessors:
     def test_len_contains_iter(self, rng):
         tree = make_tree()
-        for i in range(5):
-            tree.insert(random_labeled_graph(rng, 4))
+        tree.extend(random_labeled_graph(rng, 4) for _ in range(5))
         assert len(tree) == 5
         assert 3 in tree
         assert 9 not in tree
@@ -177,6 +156,5 @@ class TestStructureAccessors:
 
     def test_node_count_grows(self, rng):
         tree = make_tree(min_fanout=2, max_fanout=3)
-        for _ in range(20):
-            tree.insert(random_labeled_graph(rng, 4))
+        tree.extend(random_labeled_graph(rng, 4) for _ in range(20))
         assert tree.node_count() > 1

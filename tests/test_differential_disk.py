@@ -5,8 +5,12 @@ exactly like one that has just been opened, whatever reads and write
 batches it has been through."""
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DiskCTree, DiskKnnStats, DiskQueryStats
@@ -166,13 +170,15 @@ class TestChurnDifferential:
 
             assert dict(disk.iter_graphs()) == survivors
 
+            # The fresh tree numbers the survivors 0.. in id order.
+            ids = sorted(survivors)
             fresh = CTree(min_fanout=2, max_fanout=4)
-            for gid in sorted(survivors):
-                fresh.insert(survivors[gid], graph_id=gid)
+            fresh.extend(survivors[gid] for gid in ids)
             pool = list(survivors.values())
             for q in generate_subgraph_queries(pool, 6, 5, seed=seed):
                 dsk, _ = disk.subgraph_query(q)
-                assert dsk == oracle_answers(oracle, fresh, q)
+                assert dsk == [ids[i] for i in oracle_answers(oracle,
+                                                              fresh, q)]
         finally:
             disk.close()
         report = DiskCTree.fsck(path, deep=True)
@@ -249,9 +255,8 @@ class TestOneTraversalTwoStores:
             victims = random.Random(seed).sample(range(len(db)), 14)
             disk.delete_many(victims, auto_compact=False)
             new_ids = disk.extend(extra)
-            for gid in victims:
-                tree.delete(gid)
-            assert [tree.insert(g) for g in extra] == new_ids
+            tree.delete_many(victims, auto_compact=False)
+            assert tree.extend(extra) == new_ids
             tree.validate(deep=True)
             disk.validate(deep=True)
             assert sorted(tree.graph_ids()) == sorted(disk.graph_ids())
@@ -272,10 +277,8 @@ class TestOneTraversalTwoStores:
         with disk:
             disk.delete_many(victims, auto_compact=False)
             disk.extend(extra)
-            for gid in victims:
-                tree.delete(gid)
-            for g in extra:
-                tree.insert(g)
+            tree.delete_many(victims, auto_compact=False)
+            tree.extend(extra)
             assert tree.check(1) == disk.check(1) == []
         assert DiskCTree.fsck(path, deep=True).errors == []
 
@@ -305,14 +308,15 @@ class TestOneTraversalTwoStores:
 
 def _shape(index):
     """Every node in depth-first child order: its depth, leaf flag, child
-    count, its closure's vertex label multiset and, of a leaf, its graph
-    ids."""
+    count, its closure's vertex label multiset (None for the empty
+    root) and, of a leaf, its graph ids."""
     store, out = index.store, []
 
     def walk(ref, depth):
         node = store.load_node(ref)
-        labels = sorted(sorted(map(repr, node.closure.label_set(v)))
-                        for v in node.closure.vertices())
+        labels = None if node.closure is None else sorted(
+            sorted(map(repr, node.closure.label_set(v)))
+            for v in node.closure.vertices())
         out.append((depth, node.is_leaf, len(node.children), labels,
                     [e.graph_id for e in node.children]
                     if node.is_leaf else None))
@@ -324,22 +328,73 @@ def _shape(index):
     return out
 
 
+def _same_tree(memory, disk) -> None:
+    """``memory`` and ``disk`` hold one tree: one shape, the same
+    recorded shape and watermark, and no finding on either."""
+    keys = ("graph_count", "next_id", "height", "leaf_count")
+    assert [memory.store.meta[k] for k in keys] \
+        == [disk.store.meta[k] for k in keys]
+    assert _shape(memory) == _shape(disk)
+    assert memory.check() == [] and disk.check() == []
+
+
 @pytest.mark.parametrize("seed", [11, 23, 47, 101])
 def test_memory_and_disk_inserts_grow_one_shape(tmp_path, seed):
     """Section 5's insert over either store, from one seed, builds the
     same tree node for node: Alg. 1 reads no adjacency order, so a
     closure folded in memory and one read back from a record choose and
-    split alike."""
+    split alike.  (One batch; the property below runs many.)"""
     db = generate_chemical_database(40, seed=seed, config=_CONFIG)
-    tree = CTree(min_fanout=2, max_fanout=4, seed=seed)
-    for g in db:
-        tree.insert(g)
-    empty = CTree(min_fanout=2, max_fanout=4, seed=seed)
+    tree = CTree(min_fanout=2, max_fanout=4)
+    assert tree.extend(db, seed=seed) == list(range(len(db)))
+    empty = CTree(min_fanout=2, max_fanout=4)
     with DiskCTree.create(empty, tmp_path / "grown.ctp", page_size=512,
                           cache_pages=16) as disk:
         assert disk.extend(db, seed=seed) == list(range(len(db)))
         assert disk.height == tree.height() >= 2
-        assert _shape(disk) == _shape(tree)
+        _same_tree(tree, disk)
+
+
+#: graphs the write-surface property draws its extend batches from
+_GROWTH = generate_chemical_database(24, seed=5, config=_CONFIG)
+_EXTEND = st.tuples(st.just("extend"), st.integers(1, 9),
+                    st.integers(0, 2 ** 16))
+_WRITE = st.one_of(_EXTEND,
+                   st.tuples(st.just("delete"), st.integers(1, 6),
+                             st.integers(0, 2 ** 16)),
+                   st.tuples(st.just("compact"), st.just(0),
+                             st.integers(0, 2 ** 16)))
+
+
+@given(_EXTEND, _EXTEND, st.lists(_WRITE, max_size=5))
+@settings(max_examples=12, deadline=None)
+def test_memory_and_disk_grow_one_tree(first, second, more):
+    """One write surface: any sequence of ``extend`` batches,
+    ``delete_many`` batches (automatic compaction on) and forced
+    ``compact`` runs, one seed per batch, grows one tree on a memory
+    tree and on a disk index — compared after every step."""
+    memory = CTree(min_fanout=2, max_fanout=4)
+    drawn = 0
+    with tempfile.TemporaryDirectory() as tmp, DiskCTree.create(
+            CTree(min_fanout=2, max_fanout=4), Path(tmp) / "one.ctp",
+            page_size=512, cache_pages=16, wal=False) as disk:
+        for kind, size, seed in [first, second, *more]:
+            if kind == "extend":
+                batch = [_GROWTH[(drawn + i) % len(_GROWTH)]
+                         for i in range(size)]
+                drawn += size
+                assert memory.extend(batch, seed=seed) \
+                    == disk.extend(batch, seed=seed)
+            elif kind == "delete":
+                live = sorted(memory.graph_ids())
+                victims = random.Random(seed).sample(live,
+                                                     min(size, len(live)))
+                memory.delete_many(victims, seed=seed)
+                disk.delete_many(victims, seed=seed)
+            else:
+                assert memory.compact(seed=seed, force=True) \
+                    == disk.compact(seed=seed, force=True)
+            _same_tree(memory, disk)
 
 
 def _fingerprint(disk, queries, probes):

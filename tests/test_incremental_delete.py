@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ctree.bulkload import bulk_load
-from repro.ctree import diskindex
+from repro.ctree import tree as tree_module
 from repro.ctree.diskindex import DiskCTree
 from repro.datasets.chemical import ChemicalConfig, generate_chemical_database
 from repro.exceptions import IndexError_
@@ -149,6 +149,22 @@ class TestDeleteEdgeCases:
                 assert new_id == len(oracle)  # watermark, not a reuse
                 answers, _ = disk.subgraph_query(victim)
                 assert new_id in answers and 3 not in answers
+            report = DiskCTree.fsck(path, deep=True)
+            assert report.clean, report.errors
+
+    def test_create_keeps_the_memory_trees_watermark(self):
+        """An id a memory tree issued and freed is not issued again by
+        the disk index written from it: ``create`` carries the tree's
+        own watermark, not 1 + its highest live id."""
+        tree = bulk_load(_POOL[:10], min_fanout=2, max_fanout=4)
+        tree.delete_many([9])
+        assert tree.extend([_POOL[10]]) == [10]
+        tree.delete_many([10])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "watermark.ctp"
+            with DiskCTree.create(tree, path, page_size=256,
+                                  cache_pages=8) as disk:
+                assert disk.extend([_POOL[11]]) == [11]
             report = DiskCTree.fsck(path, deep=True)
             assert report.clean, report.errors
 
@@ -292,7 +308,7 @@ class TestCompaction:
                 # Degrade without repacking, measure, then let one more
                 # delete's automatic check catch it.
                 # any churn looks degraded
-                monkeypatch.setattr(diskindex, "DEFAULT_MIN_OCCUPANCY", 0.99)
+                monkeypatch.setattr(tree_module, "DEFAULT_MIN_OCCUPANCY", 0.99)
                 before = compactions.value
                 disk.delete_many(list(range(0, 30, 2)),
                                  auto_compact=False)
@@ -308,13 +324,13 @@ class TestCompaction:
         """The height signal compares against the packed bulk-load
         height: a fresh tree stays quiet, and tightening the slack to
         an impossible value trips it."""
-        monkeypatch.setattr(diskindex, "DEFAULT_MIN_OCCUPANCY", 0.0)
+        monkeypatch.setattr(tree_module, "DEFAULT_MIN_OCCUPANCY", 0.0)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "height.ctp"
             disk, _ = _make_index(path, count=8)
             with disk:
                 assert disk.compaction_needed() is None
-                monkeypatch.setattr(diskindex, "DEFAULT_HEIGHT_SLACK",
+                monkeypatch.setattr(tree_module, "DEFAULT_HEIGHT_SLACK",
                                     -disk.height - 1)
                 reason = disk.compaction_needed()
                 assert reason is not None and "height" in reason

@@ -63,15 +63,13 @@ class TestDynamicWorkflow:
     def test_insert_query_delete_query(self, world):
         db, _, _ = world
         tree = CTree(min_fanout=2, max_fanout=3)
-        for g in db[:30]:
-            tree.insert(g)
+        tree.extend(db[:30])
         q = generate_subgraph_queries(db[:30], 6, 1, seed=1)[0]
         before, _ = subgraph_query(tree, q)
         assert sorted(before) == sorted(
             linear_scan_subgraph_query(dict(tree.graphs()), q)
         )
-        for gid in list(tree.graph_ids())[:15]:
-            tree.delete(gid)
+        tree.delete_many(list(tree.graph_ids())[:15])
         after, _ = subgraph_query(tree, q)
         assert sorted(after) == sorted(
             linear_scan_subgraph_query(dict(tree.graphs()), q)

@@ -160,23 +160,19 @@ class TestCTreeInvariants:
            st.integers(0, 2**16))
     @settings(max_examples=15, deadline=None)
     def test_random_insert_delete_sequences(self, operations, seed):
-        rng = random.Random(seed)
         tree = CTree(min_fanout=2, max_fanout=3)
         alive: list[int] = []
-        next_id = 0
         for is_delete, op_seed in operations:
             op_rng = random.Random(op_seed)
             if is_delete and alive:
                 victim = alive.pop(op_rng.randrange(len(alive)))
-                tree.delete(victim)
+                tree.delete_many([victim], seed=seed, auto_compact=False)
             else:
                 n = op_rng.randint(1, 6)
                 g = Graph([op_rng.choice(LABELS) for _ in range(n)])
                 for v in range(1, n):
                     g.add_edge(op_rng.randrange(v), v)
-                tree.insert(g, graph_id=next_id)
-                alive.append(next_id)
-                next_id += 1
+                alive += tree.extend([g], seed=seed)
             # Merge-or-redistribute keeps every node within [m, M] and
             # shrink-or-keep may leave closures loose but never unsound:
             # both hold after *every* step, not just at the end.
@@ -200,7 +196,7 @@ class TestCTreeInvariants:
             for v in range(1, n):
                 g.add_edge(rng.randrange(v), v)
             graphs_list.append(g)
-            tree.insert(g)
+        tree.extend(graphs_list)
         source = graphs_list[rng.randrange(len(graphs_list))]
         size = rng.randint(1, min(4, source.num_vertices))
         query = random_connected_subgraph(source, size, rng)
@@ -237,8 +233,7 @@ class TestAlg3CandidatesAreAlg2Survivors:
         rng = random.Random(seed)
         tree = CTree(min_fanout=2, max_fanout=3)
         db = [self._graph(rng, 7) for _ in range(n_graphs)]
-        for g in db:
-            tree.insert(g)
+        tree.extend(db)
         if db and rng.random() < 0.7:
             source = rng.choice(db)
             query = random_connected_subgraph(
@@ -293,8 +288,7 @@ class TestOneAnswerForm:
 
         db = [graph(6) for _ in range(n_graphs)]
         tree = CTree(min_fanout=2, max_fanout=3)
-        for g in db:
-            tree.insert(g)
+        tree.extend(db)
         k = rng.randint(1, n_graphs + 1)
         probe = graph(5)
         source = rng.choice(db)

@@ -763,7 +763,7 @@ class TestIntrospection:
                 assert status == 200, data
                 assert json.loads(data)["status"] == "ok"
         empty = bulk_load(db[:1], min_fanout=3)
-        empty.delete(0)
+        empty.delete_many([0])
         assert empty.health()[0]  # empty is still healthy
 
     def test_healthz_disk_fsck_and_corruption_flip(self, golden_tree,

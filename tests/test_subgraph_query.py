@@ -33,8 +33,7 @@ class TestCorrectness:
 
     def test_single_vertex_query(self):
         tree = CTree(min_fanout=2)
-        tree.insert(triangle())
-        tree.insert(path_graph(["X", "Y"]))
+        tree.extend([triangle(), path_graph(["X", "Y"])])
         answers, _ = subgraph_query(tree, Graph(["A"]))
         assert answers == [0]
 

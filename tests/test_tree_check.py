@@ -405,7 +405,7 @@ class TestValidateFindings:
             tree.validate()
 
     def test_graph_count(self, tree):
-        tree._graphs[len(_DB)] = _DB[0]
+        tree.store.meta["graph_count"] += 1
         with pytest.raises(AssertionError,
                            match="catalog says 13 graphs, tree holds 12"):
             tree.validate()
