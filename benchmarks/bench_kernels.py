@@ -1,6 +1,7 @@
 """Kernel microbenchmark: compiled matching kernels vs their references.
 
-Each kernel is timed against its set-based reference, called directly:
+Each kernel is timed against its set-based reference, called directly
+from the test oracles (``tests/oracles/``):
 the pseudo-isomorphism hot path (`pseudo_compatibility_domains` against
 `reference_domains` over the chemical workload), the two halves of the
 verification path on the pairs the chemical tree produces —
@@ -21,7 +22,9 @@ artifact by the bench-smoke job) in addition to the usual
 from __future__ import annotations
 
 import json
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import conftest
@@ -55,23 +58,9 @@ from repro.matching.kernels import (
     refine_bipartite_masks,
 )
 from repro.matching.measures import edge_label_sets, vertex_label_sets
-from repro.matching.nbm import (
-    NbmScorer,
-    nbm_mapping,
-    nbm_mapping_reference,
-    nbm_score,
-)
-from repro.matching.pseudo_iso import (
-    level0_domains,
-    pseudo_compatibility_domains,
-    reference_domains,
-    refine_bipartite,
-)
-from repro.matching.ullmann import (
-    enumerate_embeddings,
-    find_embedding,
-    reference_embeddings,
-)
+from repro.matching.nbm import NbmScorer, nbm_mapping, nbm_score
+from repro.matching.pseudo_iso import pseudo_compatibility_domains
+from repro.matching.ullmann import enumerate_embeddings, find_embedding
 from repro.ctree import similarity_query
 from repro.ctree.similarity_query import knn_query
 from repro.ctree.store import (
@@ -87,6 +76,16 @@ from repro.datasets.queries import (
     generate_subgraph_queries,
     select_similarity_queries,
 )
+
+# The references are the tests' oracles; they live beside the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.nbm import nbm_mapping_reference  # noqa: E402
+from oracles.pseudo_iso import (  # noqa: E402
+    level0_domains,
+    reference_domains,
+    refine_bipartite,
+)
+from oracles.ullmann import reference_embeddings  # noqa: E402
 
 #: Required kernel-vs-reference speedup on the domain microbenchmark at
 #: full scale.  ``--quick`` shrinks the workload until constant overheads

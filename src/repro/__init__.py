@@ -40,7 +40,6 @@ from repro.matching import (
     nbm_mapping,
     pseudo_subgraph_isomorphic,
     sim_upper_bound,
-    subgraph_distance,
     subgraph_isomorphic,
 )
 from repro.ctree import (
@@ -89,7 +88,6 @@ __all__ = [
     "pseudo_subgraph_isomorphic",
     "range_query",
     "sim_upper_bound",
-    "subgraph_distance",
     "subgraph_isomorphic",
     "subgraph_query",
 ]

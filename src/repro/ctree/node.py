@@ -33,8 +33,8 @@ def fold_closure(
 
     Returns a *new* closure covering both ``base`` and ``addition``
     (``base is None`` starts a fresh closure).  This is the single
-    summary-maintenance primitive behind bulk loading
-    (:meth:`CTreeNode.extend_summary`) and the Section 5 insert path.
+    summary-maintenance primitive behind bulk loading and the Section 5
+    insert path.
     """
     added = as_closure(addition)
     if base is None:
@@ -152,15 +152,7 @@ class CTreeNode:
     def add_child(self, child: Child) -> None:
         self.children.append(child)
 
-    def remove_child(self, child: Child) -> None:
-        self.children.remove(child)
-
     # ------------------------------------------------------------------
-    def extend_summary(self, addition: GraphLike, mapper: Mapper) -> None:
-        """Enlarge this node's closure to cover ``addition`` (incremental
-        closure, Section 3)."""
-        self.closure = fold_closure(self.closure, addition, mapper)
-
     def rebuild_summary(self, mapper: Mapper) -> None:
         """Recompute the closure from scratch over all (live) children."""
         self.closure = fold_closure_set(

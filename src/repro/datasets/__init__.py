@@ -3,7 +3,6 @@ graphs, and query workloads."""
 
 from repro.datasets.chemical import (
     ChemicalConfig,
-    element_alphabet,
     generate_chemical_database,
     generate_compound,
 )
@@ -22,7 +21,6 @@ from repro.datasets.synthetic import (
 __all__ = [
     "ChemicalConfig",
     "SyntheticConfig",
-    "element_alphabet",
     "generate_chemical_database",
     "generate_compound",
     "generate_seeds",

@@ -53,11 +53,6 @@ _RARE_ELEMENTS: list[str] = [
 _RARE_MASS = 1.0 - sum(w for _, w in _COMMON_ELEMENTS)
 
 
-def element_alphabet() -> list[str]:
-    """All 62 vertex labels the generator can emit."""
-    return [e for e, _ in _COMMON_ELEMENTS] + _RARE_ELEMENTS
-
-
 @dataclass(frozen=True)
 class ChemicalConfig:
     """Knobs for the compound generator, defaulting to the paper's stats."""

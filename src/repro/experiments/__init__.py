@@ -9,13 +9,12 @@ from repro.experiments.config import (
 )
 from repro.experiments.cost_model import (
     CostModel,
-    direct_estimate_r0,
     fit_cost_model,
     fit_from_stats,
     mean_fanout,
     per_level_averages,
 )
-from repro.experiments.reporting import format_bytes, format_series_table, ratio
+from repro.experiments.reporting import format_series_table
 from repro.experiments.similarity_experiments import (
     KnnSweepResult,
     MappingQualityResult,
@@ -41,14 +40,11 @@ __all__ = [
     "MappingQualityResult",
     "QuerySweepResult",
     "SubgraphExperimentConfig",
-    "direct_estimate_r0",
     "fit_cost_model",
     "fit_from_stats",
-    "format_bytes",
     "format_series_table",
     "mean_fanout",
     "per_level_averages",
-    "ratio",
     "run_index_size_experiment",
     "run_knn_sweep",
     "run_mapping_quality",

@@ -64,24 +64,6 @@ class CostModel:
             return 0.0
         return (1.0 + self.estimated_r0()) / self.database_size
 
-    def estimated_query_seconds(
-        self,
-        visit_seconds: float,
-        isomorphism_seconds: float,
-        candidate_count: float,
-    ) -> float:
-        """Eqn. (10): ``T_query = |D| * gamma * T_visit + |CS| * T_isom``.
-
-        ``visit_seconds`` is the average cost of testing one node/graph
-        during the search phase and ``isomorphism_seconds`` the average
-        exact-verification cost; both are measured empirically by the
-        caller (e.g. from :class:`~repro.ctree.stats.QueryStats` timings).
-        """
-        search = self.database_size * self.estimated_access_ratio() * visit_seconds
-        verify = candidate_count * isomorphism_seconds
-        return search + verify
-
-
 def per_level_averages(stats: QueryStats) -> tuple[list[float], list[float]]:
     """Average x(i) and y(i) per expanded node at each depth, from merged
     query statistics."""
@@ -176,10 +158,3 @@ def mean_fanout(tree) -> float:
     return sum(counts) / len(counts) if counts else 0.0
 
 
-def direct_estimate_r0(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Plug measured per-level averages straight into Eqn. (11) without
-    fitting the exponential form — a sanity check on the model."""
-    r = 1.0
-    for i in range(min(len(xs), len(ys)) - 1, -1, -1):
-        r = xs[i] + ys[i] * r
-    return r

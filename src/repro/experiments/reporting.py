@@ -59,17 +59,3 @@ def series_to_dict(
     }
 
 
-def format_bytes(n: float) -> str:
-    """Human-readable byte count."""
-    for unit in ("B", "KB", "MB", "GB"):
-        if abs(n) < 1024 or unit == "GB":
-            return f"{n:.1f}{unit}" if unit != "B" else f"{int(n)}B"
-        n /= 1024
-    return f"{n:.1f}GB"
-
-
-def ratio(a: float, b: float) -> float:
-    """a / b, 0-safe."""
-    if b == 0:
-        return float("inf") if a > 0 else 1.0
-    return a / b

@@ -7,7 +7,6 @@ from repro.graphs.closure import (
     as_closure,
     closure_under_mapping,
     contains_wildcard,
-    labels_match,
 )
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
@@ -24,7 +23,6 @@ from repro.graphs.labelspace import (
 from repro.graphs.mapping import (
     DUMMY_SET,
     GraphMapping,
-    identity_mapping,
     uniform_set_distance,
     uniform_set_similarity,
 )
@@ -45,9 +43,7 @@ __all__ = [
     "closure_under_mapping",
     "contains_wildcard",
     "global_labelspace",
-    "labels_match",
     "masks_match",
-    "identity_mapping",
     "reset_labelspace",
     "target_context",
     "uniform_set_distance",

@@ -71,19 +71,6 @@ class _Wildcard:
 WILDCARD = _Wildcard()
 
 
-def labels_match(s1: frozenset, s2: frozenset) -> bool:
-    """Can two label sets agree on a value, honoring wildcards?
-
-    True when the sets intersect, or when either side contains
-    :data:`WILDCARD` (which matches any real label).  This is the
-    compatibility test used by subgraph-isomorphism machinery
-    (level-0 pseudo compatibility, Ullmann domains, edge checks).
-    """
-    if s1 & s2:
-        return True
-    return WILDCARD in s1 or WILDCARD in s2
-
-
 def contains_wildcard(g: "GraphLike") -> bool:
     """True if any vertex or edge of ``g`` carries the wildcard label."""
     for v in g.vertices():
@@ -208,11 +195,6 @@ class GraphClosure:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def max_degree(self) -> int:
-        if not self._adj:
-            return 0
-        return max(len(nbrs) for nbrs in self._adj)
-
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < len(self._adj) and v in self._adj[u]
 
@@ -234,13 +216,6 @@ class GraphClosure:
     # ------------------------------------------------------------------
     # Closure-specific queries
     # ------------------------------------------------------------------
-    def vertex_is_optional(self, v: int) -> bool:
-        """True if the vertex may be absent in a member graph (ε in set)."""
-        return EPSILON in self._vlabels[v]
-
-    def edge_is_optional(self, u: int, v: int) -> bool:
-        return EPSILON in self.edge_label_set(u, v)
-
     def min_num_vertices(self) -> int:
         """Lower bound on the vertex count of any member graph."""
         return sum(1 for s in self._vlabels if EPSILON not in s)

@@ -14,7 +14,6 @@ subgraph isomorphism as cheap as pure Python allows.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from repro.exceptions import GraphError
@@ -95,18 +94,6 @@ class Graph:
         self._kernel_ctx = None
         self._signature = None
 
-    def remove_edge(self, u: int, v: int) -> None:
-        """Remove the edge between ``u`` and ``v`` (must exist)."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if v not in self._adj[u]:
-            raise GraphError(f"no edge ({u}, {v}) to remove")
-        del self._adj[u][v]
-        del self._adj[v][u]
-        self._num_edges -= 1
-        self._kernel_ctx = None
-        self._signature = None
-
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < len(self._labels):
             raise GraphError(f"vertex {v} out of range [0, {len(self._labels)})")
@@ -130,12 +117,6 @@ class Graph:
         """The label of vertex ``v``."""
         return self._labels[v]
 
-    def set_label(self, v: int, label: Label) -> None:
-        self._check_vertex(v)
-        self._labels[v] = label
-        self._kernel_ctx = None
-        self._signature = None
-
     def label_set(self, v: int) -> frozenset:
         """The label of ``v`` viewed as a singleton set.
 
@@ -151,12 +132,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
-
-    def max_degree(self) -> int:
-        """The maximum vertex degree (0 for an empty graph)."""
-        if not self._adj:
-            return 0
-        return max(len(nbrs) for nbrs in self._adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < len(self._adj) and v in self._adj[u]
@@ -182,17 +157,6 @@ class Graph:
     def adjacency(self, v: int) -> dict[int, Label]:
         """The (read-only by convention) adjacency dict of ``v``."""
         return self._adj[v]
-
-    # ------------------------------------------------------------------
-    # Label statistics
-    # ------------------------------------------------------------------
-    def vertex_label_counts(self) -> Counter:
-        """Multiset of vertex labels."""
-        return Counter(self._labels)
-
-    def edge_label_counts(self) -> Counter:
-        """Multiset of edge labels."""
-        return Counter(label for _, _, label in self.edges())
 
     # ------------------------------------------------------------------
     # Derived graphs
@@ -224,65 +188,9 @@ class Graph:
                     sub.add_edge(index[v], index[w], label)
         return sub
 
-    def relabeled(self, permutation: Sequence[int]) -> "Graph":
-        """A copy with vertex ``i`` renamed to ``permutation[i]``.
-
-        ``permutation`` must be a permutation of ``0..n-1``.  Useful for
-        isomorphism tests.
-        """
-        n = self.num_vertices
-        if sorted(permutation) != list(range(n)):
-            raise GraphError("relabeled() requires a permutation of all vertices")
-        g = Graph([None] * n)
-        for v in self.vertices():
-            g._labels[permutation[v]] = self._labels[v]
-        for u, v, label in self.edges():
-            g.add_edge(permutation[u], permutation[v], label)
-        g.name = self.name
-        return g
-
     # ------------------------------------------------------------------
     # Structure queries
     # ------------------------------------------------------------------
-    def is_connected(self) -> bool:
-        """True iff the graph is connected (the empty graph is connected)."""
-        n = self.num_vertices
-        if n <= 1:
-            return True
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            v = stack.pop()
-            for w in self._adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == n
-
-    def connected_components(self) -> list[list[int]]:
-        """Vertex id lists of the connected components."""
-        n = self.num_vertices
-        seen = [False] * n
-        components = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            component = [start]
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in self._adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        component.append(w)
-                        stack.append(w)
-            components.append(component)
-        return components
-
     def bfs_levels(self, start: int, max_level: Optional[int] = None) -> dict[int, int]:
         """BFS distance of every vertex reachable from ``start``.
 

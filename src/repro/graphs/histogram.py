@@ -120,14 +120,6 @@ class LabelHistogram:
     def __repr__(self) -> str:
         return f"<LabelHistogram {len(self._counts)} distinct labels>"
 
-    def total_vertices(self) -> int:
-        """Sum of all vertex-label counts."""
-        return sum(c for (kind, _), c in self._counts.items() if kind == _VERTEX)
-
-    def total_edges(self) -> int:
-        """Sum of all edge-label counts."""
-        return sum(c for (kind, _), c in self._counts.items() if kind == _EDGE)
-
     def to_dict(self) -> dict:
         return {
             "vertex": {repr(label): c for (kind, label), c in self._counts.items()

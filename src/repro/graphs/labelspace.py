@@ -7,8 +7,8 @@ module compiles both away:
 
 - :class:`LabelSpace` interns every distinct vertex/edge label to a small
   integer, so a label *set* becomes one Python int bitmask and the paper's
-  label-compatibility test (:func:`~repro.graphs.closure.labels_match`)
-  becomes two machine-word operations (:func:`masks_match`).
+  label-compatibility test (label sets intersect, or either holds the
+  wildcard) becomes two machine-word operations (:func:`masks_match`).
 - :class:`TargetContext` is the compiled, immutable view of one
   :class:`~repro.graphs.graph.Graph` or
   :class:`~repro.graphs.closure.GraphClosure` as the *target* of a match:
@@ -29,8 +29,8 @@ append-only — ids are never reassigned — which keeps cached masks valid as
 new labels appear; a context is only stale if the *global space object*
 itself was replaced (tests use :func:`reset_labelspace`).
 
-ε is deliberately interned as an ordinary label bit: ``labels_match``
-treats the dummy as a value two closures can agree on, and the bitmask
+ε is deliberately interned as an ordinary label bit: the set semantics
+treat the dummy as a value two closures can agree on, and the bitmask
 encoding must preserve that semantics exactly.
 """
 
@@ -68,7 +68,7 @@ EPSILON_BIT = 2
 
 
 def masks_match(m1: int, m2: int) -> bool:
-    """Bitmask equivalent of :func:`~repro.graphs.closure.labels_match`.
+    """Label-set compatibility on bitmasks.
 
     True when the masks share a bit, or when either contains the wildcard
     bit (a wildcard matches any real label — and two wildcards share bit 0
@@ -166,14 +166,6 @@ class LabelSpace:
                 for i, row in zip(ids, adj)]
 
     # ------------------------------------------------------------------
-    @property
-    def num_vertex_labels(self) -> int:
-        return len(self._vertex_ids)
-
-    @property
-    def num_edge_labels(self) -> int:
-        return len(self._edge_ids)
-
     def snapshot(self) -> dict:
         """JSON-able summary: the size of each append-only table."""
         return {

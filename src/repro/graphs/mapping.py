@@ -117,10 +117,6 @@ class GraphMapping:
         """The image of first-graph vertex ``u`` (None if paired to dummy)."""
         return self._forward[u]
 
-    def matched_pairs(self) -> dict[int, int]:
-        """The non-dummy part of the mapping as a dict ``u -> v``."""
-        return {u: v for u, v in self.pairs if u is not None and v is not None}
-
     # ------------------------------------------------------------------
     # Costs under this mapping
     # ------------------------------------------------------------------
@@ -151,27 +147,6 @@ class GraphMapping:
             if s1 is not DUMMY_SET and s2 is not DUMMY_SET:
                 total += uniform_set_similarity(s1, s2)
         return total
-
-    def subgraph_cost(self) -> float:
-        """Subgraph distance under this mapping (Eqn. 4).
-
-        Counts only the first graph's real vertices and edges — extra
-        structure in ``g2`` is free, matching Definition 5.
-        """
-        cost = 0.0
-        for u, v in self.pairs:
-            if u is None:
-                continue
-            s2 = self.g2.label_set(v) if v is not None else DUMMY_SET
-            cost += uniform_set_distance(self.g1.label_set(u), s2)
-        for (a, b, s1) in _edge_iter(self.g1):
-            va, vb = self._forward[a], self._forward[b]
-            if va is not None and vb is not None and self.g2.has_edge(va, vb):
-                s2 = self.g2.edge_label_set(va, vb)
-            else:
-                s2 = DUMMY_SET
-            cost += uniform_set_distance(s1, s2)
-        return cost
 
     def closure(self) -> GraphClosure:
         """The graph closure of the two graphs under this mapping (Def. 8)."""
@@ -217,9 +192,3 @@ def _edge_iter(g: GraphLike) -> Iterable[tuple[int, int, frozenset]]:
             yield (u, v, frozenset((label,)))
 
 
-def identity_mapping(g1: GraphLike, g2: GraphLike) -> GraphMapping:
-    """Map vertex ``i`` of ``g1`` to vertex ``i`` of ``g2`` (by id), padding
-    the larger graph with dummies.  Useful as a baseline in tests."""
-    n1, n2 = _nv(g1), _nv(g2)
-    partial = {i: i for i in range(min(n1, n2))}
-    return GraphMapping.from_partial(g1, g2, partial)

@@ -62,32 +62,3 @@ def _grow_from(
     return chosen
 
 
-def level_n_adjacent_subgraph(graph: Graph, vertex: int, n: int) -> Graph:
-    """The level-n adjacent subgraph of ``vertex`` (Section 6.1).
-
-    The vertex-induced subgraph on all vertices within BFS distance ``n`` of
-    ``vertex``; vertex 0 of the result corresponds to ``vertex``.
-    """
-    levels = graph.bfs_levels(vertex, max_level=n)
-    ordered = sorted(levels, key=lambda v: (levels[v], v))
-    # ``vertex`` has level 0 and the smallest key among level-0 vertices,
-    # so it is first.
-    return graph.subgraph(ordered)
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """The disjoint union of two graphs (g2's ids shifted by |V(g1)|)."""
-    g = g1.copy()
-    offset = g1.num_vertices
-    for v in g2.vertices():
-        g.add_vertex(g2.label(v))
-    for u, v, label in g2.edges():
-        g.add_edge(u + offset, v + offset, label)
-    return g
-
-
-def vertex_permuted(graph: Graph, rng: random.Random) -> Graph:
-    """A random isomorphic copy of ``graph`` (vertex ids shuffled)."""
-    perm = list(graph.vertices())
-    rng.shuffle(perm)
-    return graph.relabeled(perm)

@@ -1,10 +1,6 @@
 """Graph matching substrate: matchings, mappings, distances, isomorphism."""
 
-from repro.matching.bipartite import (
-    has_semi_perfect_matching,
-    hopcroft_karp,
-    matching_size,
-)
+from repro.matching.bipartite import hopcroft_karp
 from repro.matching.bipartite_mapping import (
     bipartite_mapping,
     bipartite_mapping_unweighted,
@@ -18,11 +14,9 @@ from repro.matching.bounds import (
 from repro.matching.kernels import QueryContext, compile_query
 from repro.matching.edit_distance import (
     MAPPING_METHODS,
-    closure_min_distance,
     graph_distance,
     graph_mapping,
     graph_similarity,
-    subgraph_distance,
 )
 from repro.matching.hungarian import (
     max_weight_assignment,
@@ -34,15 +28,10 @@ from repro.matching.pseudo_iso import (
     pseudo_compatibility_domains,
     pseudo_subgraph_isomorphic,
 )
-from repro.matching.state_search import (
-    optimal_distance,
-    optimal_similarity,
-    state_search_mapping,
-)
+from repro.matching.state_search import state_search_mapping
 from repro.matching.ullmann import (
     enumerate_embeddings,
     find_embedding,
-    graph_isomorphic,
     subgraph_isomorphic,
 )
 
@@ -54,27 +43,20 @@ __all__ = [
     "bipartite_mapping",
     "compile_query",
     "bipartite_mapping_unweighted",
-    "closure_min_distance",
     "distance_lower_bound",
     "enumerate_embeddings",
     "find_embedding",
     "graph_distance",
-    "graph_isomorphic",
     "graph_mapping",
     "graph_similarity",
-    "has_semi_perfect_matching",
     "hopcroft_karp",
-    "matching_size",
     "max_weight_assignment",
     "min_cost_assignment",
     "nbm_mapping",
     "norm",
-    "optimal_distance",
-    "optimal_similarity",
     "pseudo_compatibility_domains",
     "pseudo_subgraph_isomorphic",
     "sim_upper_bound",
     "state_search_mapping",
-    "subgraph_distance",
     "subgraph_isomorphic",
 ]

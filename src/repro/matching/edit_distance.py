@@ -83,9 +83,7 @@ def graph_distance(
     Always an upper bound on the true distance; equals it when
     ``method="state"`` finds the optimum (note: the state search optimizes
     similarity, which coincides with minimal distance under the uniform
-    measure only when matched pairs are label-compatible — use
-    :func:`repro.matching.state_search.optimal_distance` for the exact
-    value on tiny graphs).
+    measure only when matched pairs are label-compatible).
     """
     if method == "nbm":
         count_mapping(method)
@@ -102,21 +100,3 @@ def graph_similarity(
         count_mapping(method)
         return NbmScorer(g1, **kwargs).similarity(g2)
     return graph_mapping(g1, g2, method, **kwargs).similarity()
-
-
-def subgraph_distance(
-    g1: GraphLike, g2: GraphLike, method: str = DEFAULT_METHOD, **kwargs
-) -> float:
-    """Approximate subgraph distance (Def. 5 / Eqn. 4): how far ``g1`` is
-    from being a subgraph of ``g2``.  Zero when the mapping embeds ``g1``
-    exactly."""
-    return graph_mapping(g1, g2, method, **kwargs).subgraph_cost()
-
-
-def closure_min_distance(
-    c1: GraphLike, c2: GraphLike, method: str = DEFAULT_METHOD, **kwargs
-) -> float:
-    """Heuristic minimum distance between closures (Def. 9), used by the
-    linear split policy.  The uniform set measures already implement
-    ``d_min`` elementwise, so this is just the edit cost under a mapping."""
-    return graph_mapping(c1, c2, method, **kwargs).edit_cost()

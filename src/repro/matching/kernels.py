@@ -13,11 +13,11 @@ and of its verifier (Ullmann) over int bitmasks, not Python sets:
 - label compatibility is the two-word test of
   :func:`repro.graphs.labelspace.masks_match`.
 
-The set-based functions of :mod:`repro.matching.pseudo_iso` (around
-``reference_domains``) and :mod:`repro.matching.ullmann`
-(``reference_embeddings``) are plain references that no product code
-calls: every kernel here must produce **bit-identical** domains, verdicts
-and embeddings (``tests/test_kernels.py`` / ``test_ullmann.py`` fuzz that
+The set-based references of Alg. 2 and of Ullmann's algorithm live with
+the tests (``tests/oracles/pseudo_iso.py`` around ``reference_domains``,
+``tests/oracles/ullmann.py`` around ``reference_embeddings``): every
+kernel here must produce **bit-identical** domains, verdicts and
+embeddings (``tests/test_kernels.py`` / ``test_ullmann.py`` fuzz that
 equivalence, including ε and wildcard labels and edge-labeled graphs).
 
 The kernels operate on compiled contexts: the target side of a pair is a
@@ -355,7 +355,7 @@ def pseudo_domain_masks(
     level: Level,
 ) -> list[int]:
     """The level-``level`` pseudo-compatibility domains as bitmasks
-    (bit-identical to the set-based ``pseudo_iso.reference_domains``)."""
+    (bit-identical to the set-based ``reference_domains`` oracle)."""
     _C_DOMAIN_CALLS.value += 1
     domains = level0_domain_masks(q, t)
     if not all(domains):
@@ -373,7 +373,7 @@ def embeddings_masks(
     limit: Optional[int] = None,
 ) -> Iterator[dict[int, int]]:
     """Ullmann's algorithm over bitmask domains: the embeddings of the
-    set-based ``ullmann.reference_embeddings`` in the same order.  The
+    set-based ``reference_embeddings`` oracle in the same order.  The
     refinement fixpoint is unique; ``select_next`` reads only which vertices
     are assigned and the refined domain sizes, so its order is fixed before
     the search; consistency with assigned neighbours is folded into the

@@ -23,11 +23,9 @@ and reads both sides through them alone — labels, profiles, edge masks and
 adjacency — so a disk K-NN or range query scores a graph record compiled
 straight into its context (``repro.ctree.store.decode_nbm_context``) and
 builds no graph.  A traversal that scores one query against many graphs
-builds one scorer, :func:`nbm_mapping` / :func:`nbm_match` /
-:func:`nbm_score` use one once.
-The generic loop over label sets, :func:`nbm_mapping_reference`, serves
-other neighbour bonuses and is the oracle the kernel must equal bit for
-bit (``tests/test_nbm.py``).
+builds one scorer, :func:`nbm_mapping` / :func:`nbm_score` use one once.
+The generic loop over label sets, the oracle the kernel must equal bit
+for bit, lives with the tests (``tests/oracles/nbm.py``).
 """
 
 from __future__ import annotations
@@ -42,12 +40,19 @@ from repro.graphs.labelspace import (
     global_labelspace,
     nbm_context,
 )
-from repro.graphs.mapping import GraphMapping, uniform_set_similarity
+from repro.graphs.mapping import GraphMapping
+
+#: Weight of the neighbourhood term in the *initial* similarity matrix.
+#: The paper computes initial weights from "the similarity of their
+#: attributes as well as their neighbors"; on label-sparse graphs (e.g.
+#: all-carbon molecules) the attribute term alone cannot distinguish
+#: vertices and the first greedy anchor lands arbitrarily, so the initial
+#: weight adds this times the fractional agreement of the two vertices'
+#: neighbour-label multisets.
+NEIGHBORHOOD_INIT = 0.5
 
 
-def nbm_mapping(
-    g1: GraphLike, g2: GraphLike, neighborhood_init: float = 0.5
-) -> GraphMapping:
+def nbm_mapping(g1: GraphLike, g2: GraphLike) -> GraphMapping:
     """Compute a graph mapping with Neighbor Biased Mapping (Alg. 1) under
     the paper's uniform measures.
 
@@ -56,29 +61,12 @@ def nbm_mapping(
     g1, g2:
         Graphs or closures.  Every vertex of ``g1`` is matched if ``g2`` has
         spare vertices (unmatched leftovers pair with dummies).
-    neighborhood_init:
-        Weight of the neighborhood term in the *initial* similarity matrix.
-        The paper computes initial weights from "the similarity of their
-        attributes as well as their neighbors"; on label-sparse graphs
-        (e.g. all-carbon molecules) the attribute term alone cannot
-        distinguish vertices and the first greedy anchor lands arbitrarily,
-        so the initial weight adds ``neighborhood_init`` times the
-        fractional agreement of the two vertices' neighbor-label multisets.
-        Set to 0 for the plain attribute-only initialization.
 
     Returns
     -------
     A :class:`~repro.graphs.mapping.GraphMapping` covering both graphs.
-    Other neighbour bonuses take :func:`nbm_mapping_reference`.
     """
-    return NbmScorer(g1, neighborhood_init).mapping(g2)
-
-
-def nbm_match(
-    g1: GraphLike, g2: GraphLike, neighborhood_init: float = 0.5
-) -> dict[int, int]:
-    """The pairs Alg. 1 matches under the uniform measures, ``u -> v``."""
-    return NbmScorer(g1, neighborhood_init).match(g2)
+    return NbmScorer(g1).mapping(g2)
 
 
 def nbm_score(g1: GraphLike, g2: GraphLike) -> tuple[float, float]:
@@ -94,18 +82,17 @@ class _Columns(dict):
     ``LabelSpace.vertex_key`` k, filled per miss — a query meets a few
     hundred distinct keys over a traversal."""
 
-    __slots__ = ("keys", "scale", "targets")
+    __slots__ = ("keys", "targets")
 
-    def __init__(self, keys: list[tuple[int, int, int]], scale: float,
+    def __init__(self, keys: list[tuple[int, int, int]],
                  targets: list[tuple[int, int, int]]) -> None:
         self.keys = keys
-        self.scale = scale
         self.targets = targets
 
     def column(self, key: tuple[int, int, int]) -> list[float]:
         """0 unless the labels are compatible."""
         m2, p2, d2 = key
-        scale = self.scale
+        scale = NEIGHBORHOOD_INIT
         return [1.0 + scale * (p1 & p2).bit_count() / (
                     d1 if d1 > d2 else d2 or 1) if m1 & m2 else 0.0
                 for m1, p1, d1 in self.keys]
@@ -132,11 +119,10 @@ class NbmScorer:
     whatever order either side's adjacency dicts are in.
     """
 
-    __slots__ = ("query", "_scale", "_ctx", "_row_of", "_columns", "_elements")
+    __slots__ = ("query", "_ctx", "_row_of", "_columns", "_elements")
 
-    def __init__(self, query: GraphLike, neighborhood_init: float = 0.5) -> None:
+    def __init__(self, query: GraphLike) -> None:
         self.query = query
-        self._scale = max(neighborhood_init, 0.0)
         self._ctx = None
         self._compiled()
 
@@ -151,7 +137,7 @@ class NbmScorer:
             self._row_of = [
                 index.setdefault(key, len(index))
                 for key in zip(c1.vmasks, c1.profiles, c1.degrees)]
-            self._columns = _Columns(list(index), self._scale,
+            self._columns = _Columns(list(index),
                                      global_labelspace().vertex_keys)
             self._elements = None
         return c1
@@ -295,132 +281,3 @@ class NbmScorer:
         return float(similarity), float(cost)
 
 
-def nbm_mapping_reference(
-    g1: GraphLike, g2: GraphLike,
-    neighbor_bonus: float = 1.0, neighborhood_init: float = 0.5,
-) -> GraphMapping:
-    """:func:`nbm_mapping` over label sets: the path of other neighbour
-    bonuses, and the oracle the kernel is tested against.
-
-    ``neighbor_bonus`` is the weight added to a neighbor pair ``(u', v')``
-    for each matched pair ``(u, v)`` adjacent to it, scaled by the
-    similarity of the connecting edges."""
-    n1, n2 = g1.num_vertices, g2.num_vertices
-    if n1 == 0 or n2 == 0:
-        return GraphMapping.from_partial(g1, g2, {})
-
-    sets1 = [g1.label_set(u) for u in range(n1)]
-    sets2 = [g2.label_set(v) for v in range(n2)]
-
-    # Weight matrix W[u][v]; mutated as matches accumulate.
-    weight = [[uniform_set_similarity(s1, s2) for s2 in sets2]
-              for s1 in sets1]
-    if neighborhood_init > 0.0:
-        _add_neighborhood_weights(g1, g2, weight, neighborhood_init)
-
-    matched1: list[bool] = [False] * n1
-    matched2: list[bool] = [False] * n2
-    mate: list[int] = [0] * n1   # current best candidate in g2 for each u
-    best_wt: list[float] = [0.0] * n1
-
-    # Min-heap over (-weight, u, v): the ids break every tie, so the result
-    # depends on neither push order nor adjacency order.
-    heap: list[tuple[float, int, int]] = []
-
-    def best_unmatched_candidate(u: int) -> int:
-        """The unmatched v maximizing W[u][v]; -1 if none remain."""
-        row = weight[u]
-        best_v, best = -1, -1.0
-        for v in range(n2):
-            if not matched2[v] and row[v] > best:
-                best_v, best = v, row[v]
-        return best_v
-
-    for u in range(n1):
-        v = best_unmatched_candidate(u)
-        mate[u] = v
-        best_wt[u] = weight[u][v]
-        heapq.heappush(heap, (-best_wt[u], u, v))
-
-    result: dict[int, int] = {}
-    while heap:
-        neg_w, u, v = heapq.heappop(heap)
-        if matched1[u]:
-            continue
-        if matched2[v] or -neg_w < best_wt[u]:
-            # Stale entry: v was taken, or u's weight has been boosted since.
-            v = best_unmatched_candidate(u)
-            if v < 0:
-                continue  # g2 exhausted; u stays unmatched (dummy)
-            mate[u] = v
-            best_wt[u] = weight[u][v]
-            heapq.heappush(heap, (-best_wt[u], u, v))
-            continue
-
-        matched1[u] = True
-        matched2[v] = True
-        result[u] = v
-
-        # Boost unmatched neighbor pairs (the "neighbor bias").
-        for u2 in g1.neighbors(u):
-            if matched1[u2]:
-                continue
-            e1 = g1.edge_label_set(u, u2)
-            row = weight[u2]
-            improved = False
-            for v2 in g2.neighbors(v):
-                if matched2[v2]:
-                    continue
-                bonus = neighbor_bonus * uniform_set_similarity(
-                    e1, g2.edge_label_set(v, v2))
-                if bonus <= 0.0:
-                    continue
-                row[v2] += bonus
-                w = row[v2]
-                # The lowest id among equally boosted candidates.
-                if w > best_wt[u2] or (improved and w == best_wt[u2]
-                                       and v2 < mate[u2]):
-                    mate[u2] = v2
-                    best_wt[u2] = w
-                    improved = True
-            if improved:
-                heapq.heappush(heap, (-best_wt[u2], u2, mate[u2]))
-
-    return GraphMapping.from_partial(g1, g2, result)
-
-
-def _add_neighborhood_weights(
-    g1: GraphLike, g2: GraphLike, weight: list[list[float]], scale: float
-) -> None:
-    """Add ``scale * |N_labels(u) ∩ N_labels(v)| / max(deg)`` to each pair
-    with positive attribute similarity.
-
-    Neighbor labels are counted as multisets (for closures, a neighbor
-    counts toward each label in its set), so the term is 1.0 exactly when
-    the two neighborhoods can agree label-for-label — a cheap O(d) proxy
-    for structural agreement that breaks ties among same-label vertices.
-    """
-    profiles1 = [_neighbor_label_counts(g1, u) for u in range(g1.num_vertices)]
-    profiles2 = [_neighbor_label_counts(g2, v) for v in range(g2.num_vertices)]
-    for u, row in enumerate(weight):
-        p1 = profiles1[u]
-        d1 = g1.degree(u)
-        for v in range(len(row)):
-            if row[v] <= 0.0:
-                continue
-            d = max(d1, g2.degree(v), 1)
-            p2 = profiles2[v]
-            common = 0
-            for label, count in p1.items():
-                other = p2.get(label)
-                if other:
-                    common += count if count < other else other
-            row[v] += scale * common / d
-
-
-def _neighbor_label_counts(g: GraphLike, u: int) -> dict:
-    counts: dict = {}
-    for w in g.neighbors(u):
-        for label in g.label_set(w):
-            counts[label] = counts.get(label, 0) + 1
-    return counts

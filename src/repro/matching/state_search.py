@@ -4,14 +4,13 @@ At each search state one free vertex of ``g1`` is mapped onto a free vertex
 of ``g2`` (or a dummy); an upper bound on the similarity achievable by the
 remaining free vertices (a relaxation of Eqn. 7) prunes hopeless states.
 Exact but exponential — the paper recommends it only for graphs of fewer
-than ~10 vertices, and that is exactly how this module is used: as ground
-truth for testing the heuristic mappers, and as the ``state`` method of
-:func:`repro.matching.edit_distance.graph_mapping` for tiny inputs.
+than ~10 vertices, and that is how this module is used: as the ``state``
+method of :func:`repro.matching.edit_distance.graph_mapping` for tiny
+inputs.  The exact similarity and distance the tests hold the heuristic
+mappers to are in ``tests/oracles/state_search.py``.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.exceptions import ConfigError
 from repro.graphs.closure import GraphLike
@@ -131,65 +130,3 @@ def _edge_iter(g: GraphLike):
             yield (u, v, frozenset((label,)))
 
 
-def optimal_similarity(
-    g1: GraphLike,
-    g2: GraphLike,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
-) -> float:
-    """Exact ``Sim(G1, G2)`` (Definition 6) for small graphs."""
-    mapping = state_search_mapping(g1, g2, size_limit=size_limit)
-    return mapping.similarity()
-
-
-def optimal_distance(
-    g1: GraphLike,
-    g2: GraphLike,
-    size_limit: int = 8,
-) -> float:
-    """Exact graph edit distance (Definition 4) for *tiny* graphs.
-
-    Enumerates all extended bijections with branch-and-bound on the vertex
-    cost.  Exponential; intended for cross-validation in tests.
-    """
-    n1, n2 = g1.num_vertices, g2.num_vertices
-    if max(n1, n2) > size_limit:
-        raise ConfigError(
-            f"optimal_distance limited to {size_limit} vertices "
-            f"(got {n1} and {n2})"
-        )
-
-    best: float = float(
-        GraphMapping.from_partial(g1, g2, {}).edit_cost()
-    )  # all-dummy mapping is always feasible
-    assignment: dict[int, int] = {}
-    used2 = [False] * n2
-
-    def search(u: int) -> None:
-        nonlocal best
-        if u == n1:
-            cost = GraphMapping.from_partial(g1, g2, assignment).edit_cost()
-            if cost < best:
-                best = cost
-            return
-        for v in range(n2):
-            if not used2[v]:
-                assignment[u] = v
-                used2[v] = True
-                search(u + 1)
-                used2[v] = False
-                del assignment[u]
-        search(u + 1)  # dummy
-
-    search(0)
-    return best
-
-
-def optimal_mapping_or_none(
-    g1: GraphLike, g2: GraphLike, size_limit: int = DEFAULT_SIZE_LIMIT
-) -> Optional[GraphMapping]:
-    """:func:`state_search_mapping`, or ``None`` if the graphs are too big
-    instead of raising."""
-    try:
-        return state_search_mapping(g1, g2, size_limit=size_limit)
-    except ConfigError:
-        return None

@@ -21,7 +21,6 @@ one task counted).
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Iterator, Optional, Sequence, Union
 
@@ -311,9 +310,6 @@ class MetricsRegistry:
     def reset(self) -> None:
         for metric in self._metrics.values():
             metric.reset()
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def __repr__(self) -> str:
         return f"<MetricsRegistry {len(self._metrics)} metrics>"

@@ -62,7 +62,6 @@ _HELP_PREFIXES: tuple[tuple[str, str], ...] = (
     ("server.coalesce.", "Batch coalescing of concurrent requests into "
                          "engine batches."),
     ("server.backpressure.", "Per-client admission control (HTTP 429)."),
-    ("server.stream.", "Chunked NDJSON streaming responses."),
     ("server.healthz.", "Health probes run by GET /healthz."),
     ("server.slow_queries", "Requests exceeding the slow-query "
                             "threshold (see ServerConfig)."),

@@ -4,8 +4,8 @@
 :class:`~repro.ctree.parallel.QueryEngine` behind a stdlib-only asyncio
 HTTP/1.1 server:
 
-- :mod:`repro.server.protocol` — request/response framing, typed
-  protocol errors, chunked NDJSON streaming;
+- :mod:`repro.server.protocol` — request/response framing and typed
+  protocol errors;
 - :mod:`repro.server.coalescer` — cache hits answered before admission,
   the backlog behind a running engine call coalesced into the next
   ``query_many``/``knn_many`` batch, per-client backpressure (HTTP 429);
@@ -16,7 +16,7 @@ A :class:`~repro.ctree.shards.ShardSet` is accepted wherever a tree
 is: the engine then runs one worker process per shard and
 ``/healthz`` probes every shard plus the placement manifest.
 
-The API reference, streaming format, error codes and the ops runbook
+The API reference, error codes and the ops runbook
 live in ``docs/SERVING.md``.
 
 Examples
@@ -36,7 +36,6 @@ from repro.server.app import (
 )
 from repro.server.coalescer import BackpressureError, BatchCoalescer
 from repro.server.protocol import (
-    ChunkedNdjsonWriter,
     HTTPRequest,
     ProtocolError,
 )
@@ -44,7 +43,6 @@ from repro.server.protocol import (
 __all__ = [
     "BackpressureError",
     "BatchCoalescer",
-    "ChunkedNdjsonWriter",
     "HTTPRequest",
     "ProtocolError",
     "QueryServer",

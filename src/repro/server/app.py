@@ -1,4 +1,4 @@
-"""The HTTP query server: routing, validation, streaming, health.
+"""The HTTP query server: routing, validation, health.
 
 :class:`QueryServer` puts the batched
 :class:`~repro.ctree.parallel.QueryEngine` behind a network socket:
@@ -8,8 +8,7 @@
   :class:`~repro.server.coalescer.BatchCoalescer`: a cached answer
   returns at once, and concurrent misses share deduplicated, parallel
   engine batches;
-- an answer is one JSON body, or chunked NDJSON when the request
-  says ``"stream": true``;
+- an answer is one JSON body;
 - ``GET /metrics`` exports the process-wide
   :class:`~repro.obs.metrics.MetricsRegistry` in Prometheus text
   format; ``GET /healthz`` reports the index's own ``health()`` probe
@@ -29,7 +28,7 @@
   profile (:meth:`QueryStats.explain
   <repro.ctree.stats.QueryStats.explain>`) in the response.
 
-The full endpoint reference, streaming format, error-code table and ops
+The full endpoint reference, error-code table and ops
 runbook live in ``docs/SERVING.md``.
 
 Examples
@@ -70,7 +69,6 @@ from repro.obs.prometheus import CONTENT_TYPE as PROM_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus
 from repro.server.coalescer import BackpressureError, BatchCoalescer
 from repro.server.protocol import (
-    ChunkedNdjsonWriter,
     HTTPRequest,
     MAX_HEADER_BYTES,
     ProtocolError,
@@ -88,8 +86,8 @@ ServableIndex = Union[CTree, DiskCTree, ShardSet]
 
 #: The keys a ``POST /query`` and a ``POST /knn`` body may carry (the
 #: field tables of docs/SERVING.md).
-_QUERY_KEYS = frozenset({"query", "level", "verify", "stream"})
-_KNN_KEYS = frozenset({"query", "k", "stream"})
+_QUERY_KEYS = frozenset({"query", "level", "verify"})
+_KNN_KEYS = frozenset({"query", "k"})
 
 #: Request-latency histogram buckets (seconds).
 _LATENCY_BOUNDS = tuple(4.0 ** e for e in range(-8, 5))
@@ -692,7 +690,6 @@ class QueryServer:
         query = parse_graph_field(payload, "query")
         level = _parse_level(payload)
         verify = _parse_bool(payload, "verify", True)
-        stream = _parse_bool(payload, "stream", False)
         explain = self._wants_explain(request)
         answers, stats = await self._submit(
             "subgraph", (level, verify), query, request, peer_id
@@ -700,13 +697,6 @@ class QueryServer:
         self._registry.counter("server.queries.subgraph").inc()
         stats_dict = stats.to_dict()
         profile = stats.explain() if explain else None
-        if stream:
-            await self._stream(
-                writer, request, "subgraph", len(answers),
-                ({"graph_id": gid} for gid in answers), stats_dict,
-                explain=profile,
-            )
-            return
         body = {"answers": answers, "stats": stats_dict}
         if profile is not None:
             body["explain"] = profile
@@ -719,7 +709,6 @@ class QueryServer:
         _check_keys(payload, _KNN_KEYS)
         query = parse_graph_field(payload, "query")
         k = _parse_k(payload)
-        stream = _parse_bool(payload, "stream", False)
         explain = self._wants_explain(request)
         results, stats = await self._submit(
             "knn", (k,), query, request, peer_id
@@ -727,15 +716,6 @@ class QueryServer:
         self._registry.counter("server.queries.knn").inc()
         stats_dict = stats.to_dict()
         profile = stats.explain() if explain else None
-        if stream:
-            await self._stream(
-                writer, request, "knn", len(results),
-                ({"graph_id": gid, "similarity": sim}
-                 for gid, sim in results),
-                stats_dict,
-                explain=profile,
-            )
-            return
         body = {"results": [[gid, sim] for gid, sim in results],
                 "stats": stats_dict}
         if profile is not None:
@@ -753,26 +733,3 @@ class QueryServer:
             )
         except BackpressureError as exc:
             raise ProtocolError(429, "backpressure", str(exc)) from exc
-
-    async def _stream(self, writer, request, kind: str, count: int,
-                      records, stats_dict: dict,
-                      explain: Optional[dict] = None) -> None:
-        """Chunked NDJSON: a head line, one line per answer, a stats
-        trailer (the format ``docs/SERVING.md`` documents).  With
-        ``?explain=1`` the trailer also carries the EXPLAIN profile."""
-        self._registry.counter("server.stream.responses").inc()
-        self._count_status(200)
-        stream = ChunkedNdjsonWriter(
-            writer, keep_alive=request.keep_alive,
-            extra_headers={"X-Request-Id": request.request_id},
-        )
-        await stream.start()
-        await stream.write({"kind": kind, "count": count,
-                            "request_id": request.request_id})
-        for record in records:
-            await stream.write(record)
-        trailer = {"stats": stats_dict}
-        if explain is not None:
-            trailer["explain"] = explain
-        await stream.write(trailer)
-        await stream.finish()

@@ -157,10 +157,6 @@ class BatchCoalescer:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def inflight(self, client: str) -> int:
-        """Requests currently admitted for ``client``."""
-        return self._inflight.get(client, 0)
-
     async def submit(self, kind: str, params: tuple, query: Graph,
                      client: str = "", request_id: str = "") -> tuple:
         """Answer one query: from the cache if it is there, else admit

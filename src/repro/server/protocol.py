@@ -11,11 +11,7 @@ it speaks instead:
   status and machine-readable error code the app layer should answer
   with;
 - :func:`send_json` / :func:`send_response` write fixed-length
-  responses;
-- :class:`ChunkedNdjsonWriter` streams newline-delimited JSON
-  (``application/x-ndjson``) using chunked transfer encoding, so answer
-  sets larger than memory-comfortable response bodies can be consumed
-  incrementally by the client.
+  responses.
 
 Connections are keep-alive by default (HTTP/1.1 semantics); a client
 ``Connection: close`` header or a protocol error closes after the
@@ -44,17 +40,12 @@ import asyncio
 from repro.exceptions import ReproError
 
 __all__ = [
-    "ChunkedNdjsonWriter",
     "HTTPRequest",
-    "NDJSON_CONTENT_TYPE",
     "ProtocolError",
     "read_request",
     "send_json",
     "send_response",
 ]
-
-#: Content type of streamed newline-delimited JSON responses.
-NDJSON_CONTENT_TYPE = "application/x-ndjson"
 
 #: Reason phrases for the statuses this server emits.
 REASONS = {
@@ -248,19 +239,15 @@ async def read_request(
     )
 
 
-def _head(status: int, content_type: str, length: Optional[int],
-          keep_alive: bool, chunked: bool = False,
+def _head(status: int, content_type: str, length: int, keep_alive: bool,
           extra_headers: Optional[dict[str, str]] = None) -> bytes:
     reason = REASONS.get(status, "Unknown")
     lines = [
         f"HTTP/1.1 {status} {reason}",
         f"Content-Type: {content_type}",
         f"Connection: {'keep-alive' if keep_alive else 'close'}",
+        f"Content-Length: {length}",
     ]
-    if chunked:
-        lines.append("Transfer-Encoding: chunked")
-    else:
-        lines.append(f"Content-Length: {length or 0}")
     if status == 429:
         lines.append("Retry-After: 1")
     for name, value in (extra_headers or {}).items():
@@ -296,53 +283,3 @@ async def send_json(
     body = json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
     await send_response(writer, status, body, keep_alive=keep_alive,
                         extra_headers=extra_headers)
-
-
-class ChunkedNdjsonWriter:
-    """Stream a response as chunked newline-delimited JSON.
-
-    One :meth:`write` call emits one NDJSON line as one HTTP chunk;
-    :meth:`finish` writes the terminating zero chunk.  The stream
-    framing itself is documented (and consumed by ``curl``) in
-    ``docs/SERVING.md``.
-
-    Examples
-    --------
-    ::
-
-        stream = ChunkedNdjsonWriter(writer, keep_alive=True)
-        await stream.start()
-        for graph_id in answers:
-            await stream.write({"graph_id": graph_id})
-        await stream.finish()
-    """
-
-    def __init__(self, writer: asyncio.StreamWriter,
-                 keep_alive: bool = True, status: int = 200,
-                 extra_headers: Optional[dict[str, str]] = None) -> None:
-        self._writer = writer
-        self._keep_alive = keep_alive
-        self._status = status
-        self._extra_headers = extra_headers
-
-    async def start(self) -> None:
-        """Send the response head announcing chunked NDJSON."""
-        self._writer.write(
-            _head(self._status, NDJSON_CONTENT_TYPE, None,
-                  self._keep_alive, chunked=True,
-                  extra_headers=self._extra_headers)
-        )
-        await self._writer.drain()
-
-    async def write(self, record) -> None:
-        """Send one JSON-able record as an NDJSON line in its own chunk."""
-        line = json.dumps(record, separators=(",", ":")).encode("utf-8")
-        line += b"\n"
-        self._writer.write(f"{len(line):x}\r\n".encode("latin-1")
-                           + line + b"\r\n")
-        await self._writer.drain()
-
-    async def finish(self) -> None:
-        """Terminate the chunked stream."""
-        self._writer.write(b"0\r\n\r\n")
-        await self._writer.drain()

@@ -18,10 +18,10 @@ Two write-back modes:
   restore exactly.
 
 Counters live in two places: per-pool plain attributes (``hits``,
-``misses``, ``evictions``, ``writebacks`` — resettable via
-:meth:`BufferPool.reset_stats`) and mirrored ``bufferpool.*`` counters in
-a :class:`~repro.obs.metrics.MetricsRegistry` (the process-wide one by
-default) which accumulate across pools for ``repro metrics``.  With
+``misses``, ``evictions``, ``writebacks``) and mirrored ``bufferpool.*``
+counters in a :class:`~repro.obs.metrics.MetricsRegistry` (the
+process-wide one by default) which accumulate across pools for
+``repro metrics``.  With
 tracing enabled, each cache miss emits a ``bufferpool.read_through``
 span containing the underlying ``pagefile.read`` span.
 """
@@ -259,14 +259,6 @@ class BufferPool:
         if self._wal is not None:
             self._wal.close()
         self._file.close()
-
-    def reset_stats(self) -> None:
-        """Zero the per-pool counters (the shared registry's cumulative
-        ``bufferpool.*`` counters are left untouched)."""
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.writebacks = 0
 
     @property
     def hit_ratio(self) -> float:

@@ -160,10 +160,6 @@ class FaultyFile:
         self._injector._check_alive()
         return self._fh.seek(offset, whence)
 
-    def tell(self) -> int:
-        """Pass-through tell."""
-        return self._fh.tell()
-
     def flush(self) -> None:
         """No-op: the underlying file is unbuffered."""
         # Unbuffered underlying file: flush is a no-op, and must not be an
@@ -179,11 +175,6 @@ class FaultyFile:
         # Closing never flushes anything extra (unbuffered), so a dead
         # process's abandoned handles can be collected safely.
         self._fh.close()
-
-    @property
-    def closed(self) -> bool:
-        """Whether the underlying handle is closed."""
-        return self._fh.closed
 
     def __repr__(self) -> str:
         return f"<FaultyFile {self.path} ops={self._injector.ops}>"

@@ -352,11 +352,6 @@ class PageFile:
             self._fh.close()
             self._closed = True
 
-    @property
-    def closed(self) -> bool:
-        """Whether the file has been closed."""
-        return self._closed
-
     def __enter__(self) -> "PageFile":
         return self
 

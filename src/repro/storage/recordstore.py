@@ -34,7 +34,7 @@ record out of the page through the LRU pool without parsing the rest.
 from __future__ import annotations
 
 import struct
-from typing import Container, Iterable, Optional
+from typing import Container, Optional
 
 from repro.exceptions import PersistenceError
 from repro.storage.bufferpool import BufferPool
@@ -183,10 +183,6 @@ class RecordStore:
         checkpoint carrying ``note``)."""
         self._fill = NO_PAGE
         self._pool.flush(note)
-
-    def store_many(self, records: Iterable[bytes]) -> list[int]:
-        """Store several records; returns their ids in order."""
-        return [self.store(r) for r in records]
 
     def page_findings(self, page_id: int,
                       reached: Container[int]) -> list[str]:

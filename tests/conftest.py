@@ -13,8 +13,8 @@ from repro.graphs.closure import closure_under_mapping
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
 from repro.datasets.chemical import ChemicalConfig, generate_chemical_database
-from repro.matching.pseudo_iso import global_semi_perfect, reference_domains
-from repro.matching.ullmann import reference_embeddings
+from oracles.pseudo_iso import global_semi_perfect, reference_domains
+from oracles.ullmann import reference_embeddings
 
 # Tier-1 draws the same examples on every run, at each test's own
 # ``max_examples``, and keeps no example database between runs, so its

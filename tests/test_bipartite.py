@@ -6,11 +6,8 @@ import random
 import networkx as nx
 import pytest
 
-from repro.matching.bipartite import (
-    has_semi_perfect_matching,
-    hopcroft_karp,
-    matching_size,
-)
+from repro.matching.bipartite import hopcroft_karp
+from oracles.bipartite import has_semi_perfect_matching, matching_size
 
 
 def _random_bipartite(rng, n_left, n_right, p):

@@ -18,7 +18,7 @@ from repro.matching.bounds import (
     sim_upper_bound,
 )
 from repro.matching.nbm import nbm_mapping
-from repro.matching.state_search import optimal_distance, optimal_similarity
+from oracles.state_search import optimal_distance, optimal_similarity
 
 from conftest import path_graph, random_labeled_graph, triangle
 

@@ -73,7 +73,7 @@ class TestClosureUnderMapping:
         assert c.num_vertices == 3
         assert c.num_edges == 3
         # No dummies anywhere: perfect overlap.
-        assert all(not c.vertex_is_optional(v) for v in c.vertices())
+        assert all(EPSILON not in c.label_set(v) for v in c.vertices())
         assert c.min_num_vertices() == 3
         assert c.min_num_edges() == 3
 
@@ -88,7 +88,6 @@ class TestClosureUnderMapping:
         g2 = Graph(["A"])
         c = closure_under_mapping(g1, g2, [(0, 0), (1, None)])
         assert c.label_set(1) == frozenset(["B", EPSILON])
-        assert c.vertex_is_optional(1)
         assert c.min_num_vertices() == 1
 
     def test_edge_present_on_one_side_gets_epsilon(self):
@@ -96,7 +95,6 @@ class TestClosureUnderMapping:
         g2 = Graph(["A", "B"])
         c = closure_under_mapping(g1, g2, [(0, 0), (1, 1)])
         assert c.edge_label_set(0, 1) == frozenset([None, EPSILON])
-        assert c.edge_is_optional(0, 1)
         assert c.min_num_edges() == 0
 
     def test_paper_figure2_c1(self):
@@ -175,7 +173,7 @@ class TestCopyEqualitySerialization:
         c = closure_under_mapping(g1, g2, [(0, 0), (1, None)])
         d = GraphClosure.from_dict(c.to_dict())
         assert d == c
-        assert d.vertex_is_optional(1)
+        assert EPSILON in d.label_set(1)
 
     def test_roundtrip_plain(self):
         c = GraphClosure.from_graph(triangle())

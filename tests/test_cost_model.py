@@ -8,7 +8,6 @@ from repro.exceptions import ConfigError
 from repro.ctree.stats import QueryStats
 from repro.experiments.cost_model import (
     CostModel,
-    direct_estimate_r0,
     fit_cost_model,
     fit_from_stats,
     per_level_averages,
@@ -39,14 +38,6 @@ class TestCostModelEvaluation:
     def test_access_ratio_empty_database(self):
         model = CostModel(1, 1, 1, 1, 1, 0)
         assert model.estimated_access_ratio() == 0.0
-
-    def test_query_time_eqn10(self):
-        model = CostModel(c1=1.0, c2=0.5, rho=1.0, fanout=2.0,
-                          height=2.0, database_size=12)
-        # gamma = 0.5 (see above); T = 12 * 0.5 * 0.01 + 3 * 0.1 = 0.36.
-        assert model.estimated_query_seconds(
-            visit_seconds=0.01, isomorphism_seconds=0.1, candidate_count=3
-        ) == pytest.approx(0.36)
 
 
 class TestFitting:
@@ -94,9 +85,3 @@ class TestStatsPlumbing:
         assert model.database_size == 50
         assert model.height == 2.0
         assert model.rho > 1.0  # counts decay with depth
-
-    def test_direct_estimate(self):
-        # R = x0 + y0 * (x1 + y1 * 1)
-        assert direct_estimate_r0([6.0, 3.0], [3.0, 2.0]) == pytest.approx(
-            6.0 + 3.0 * (3.0 + 2.0)
-        )

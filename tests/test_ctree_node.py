@@ -3,7 +3,7 @@
 from repro.graphs.closure import GraphClosure
 from repro.graphs.histogram import LabelHistogram
 from repro.matching.nbm import nbm_mapping
-from repro.ctree.node import CTreeNode, LeafEntry
+from repro.ctree.node import CTreeNode, LeafEntry, fold_closure
 
 from conftest import path_graph, triangle
 
@@ -23,7 +23,7 @@ class TestNodeStructure:
         parent.add_child(child)
         assert parent.children == [child]
         assert parent.fanout == 1
-        parent.remove_child(child)
+        parent.children.remove(child)
         assert parent.fanout == 0
 
     def test_height(self):
@@ -79,7 +79,7 @@ class TestNodeStructure:
 class TestSummaries:
     def test_extend_summary_first_graph(self):
         node = CTreeNode(is_leaf=True)
-        node.extend_summary(triangle(), nbm_mapping)
+        node.closure = fold_closure(node.closure, triangle(), nbm_mapping)
         assert node.closure is not None
         assert node.closure.num_vertices == 3
         assert node.histogram.dominates(LabelHistogram.of(triangle()))
@@ -88,8 +88,8 @@ class TestSummaries:
         node = CTreeNode(is_leaf=True)
         g1 = path_graph(["A", "B"])
         g2 = path_graph(["A", "C"])
-        node.extend_summary(g1, nbm_mapping)
-        node.extend_summary(g2, nbm_mapping)
+        node.closure = fold_closure(node.closure, g1, nbm_mapping)
+        node.closure = fold_closure(node.closure, g2, nbm_mapping)
         assert node.histogram.dominates(LabelHistogram.of(g1))
         assert node.histogram.dominates(LabelHistogram.of(g2))
 
@@ -101,7 +101,7 @@ class TestSummaries:
         node.add_child(LeafEntry(1, g2))
         node.rebuild_summary(nbm_mapping)
         with_both = node.histogram
-        node.remove_child(node.children[1])
+        del node.children[1]
         node.rebuild_summary(nbm_mapping)
         # After rebuilding without g2, X must no longer be counted.
         assert with_both[(0, "X")] == 1

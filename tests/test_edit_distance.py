@@ -7,13 +7,12 @@ from repro.graphs.closure import GraphClosure
 from repro.graphs.graph import Graph
 from repro.matching.edit_distance import (
     MAPPING_METHODS,
-    closure_min_distance,
     graph_distance,
     graph_mapping,
     graph_similarity,
-    subgraph_distance,
 )
-from repro.matching.state_search import optimal_distance
+from oracles.graphs import subgraph_cost
+from oracles.state_search import optimal_distance
 
 from conftest import path_graph, random_labeled_graph, triangle
 
@@ -53,12 +52,18 @@ class TestSimilarity:
         assert graph_similarity(triangle(), triangle()) == 6.0
 
     def test_heuristic_lower_bounds_optimal(self, rng):
-        from repro.matching.state_search import optimal_similarity
+        from oracles.state_search import optimal_similarity
 
         for _ in range(10):
             g1 = random_labeled_graph(rng, rng.randrange(1, 6))
             g2 = random_labeled_graph(rng, rng.randrange(1, 6))
             assert graph_similarity(g1, g2) <= optimal_similarity(g1, g2) + 1e-9
+
+
+def subgraph_distance(g1, g2, method="nbm"):
+    """Def. 5 under a heuristic mapping: how far ``g1`` is from being a
+    subgraph of ``g2``."""
+    return subgraph_cost(graph_mapping(g1, g2, method))
 
 
 class TestSubgraphDistance:
@@ -83,18 +88,21 @@ class TestSubgraphDistance:
 
 
 class TestClosureMinDistance:
+    """Def. 9: the uniform set measures make ``graph_distance`` the
+    minimum distance between closures."""
+
     def test_overlapping_closures_zero(self):
         c1 = GraphClosure([{"A", "B"}])
         c2 = GraphClosure([{"B", "C"}])
-        assert closure_min_distance(c1, c2) == 0.0
+        assert graph_distance(c1, c2) == 0.0
 
     def test_disjoint_closures_positive(self):
         c1 = GraphClosure([{"A"}])
         c2 = GraphClosure([{"Z"}])
-        assert closure_min_distance(c1, c2) > 0.0
+        assert graph_distance(c1, c2) > 0.0
 
     def test_graph_closure_mixed_operands(self):
         c = GraphClosure([{"A", "X"}, {"B"}])
         c.add_edge(0, 1, {None})
         g = path_graph(["A", "B"])
-        assert closure_min_distance(g, c) == 0.0
+        assert graph_distance(g, c) == 0.0

@@ -1139,16 +1139,6 @@ class TestSignatureCache:
         assert g.signature() != sig
         assert g.signature() == self._fresh_signature(g)
 
-        sig = g.signature()
-        g.remove_edge(1, 2)
-        assert g.signature() != sig
-        assert g.signature() == self._fresh_signature(g)
-
-        sig = g.signature()
-        g.set_label(0, "S")
-        assert g.signature() != sig
-        assert g.signature() == self._fresh_signature(g)
-
     def test_copy_carries_cached_signature(self, golden_db):
         g = golden_db[1].copy()
         sig = g.signature()

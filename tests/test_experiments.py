@@ -9,7 +9,7 @@ from repro.experiments.config import (
     SubgraphExperimentConfig,
     scaled_synthetic_config,
 )
-from repro.experiments.reporting import format_bytes, format_series_table, ratio
+from repro.experiments.reporting import format_series_table
 from repro.experiments.similarity_experiments import (
     run_knn_sweep,
     run_mapping_quality,
@@ -31,16 +31,6 @@ class TestReporting:
         assert "size" in lines[2]
         assert "1.000" in table
         assert "-" in lines[-1]
-
-    def test_format_bytes(self):
-        assert format_bytes(512) == "512B"
-        assert format_bytes(2048) == "2.0KB"
-        assert format_bytes(3 * 1024 * 1024) == "3.0MB"
-
-    def test_ratio(self):
-        assert ratio(4, 2) == 2.0
-        assert ratio(0, 0) == 1.0
-        assert ratio(1, 0) == float("inf")
 
 
 class TestConfigs:

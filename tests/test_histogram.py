@@ -23,8 +23,9 @@ class TestOfGraph:
 
     def test_totals(self):
         h = LabelHistogram.of(triangle())
-        assert h.total_vertices() == 3
-        assert h.total_edges() == 3
+        totals = h.to_dict()
+        assert sum(totals["vertex"].values()) == 3
+        assert sum(totals["edge"].values()) == 3
 
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
@@ -46,7 +47,7 @@ class TestOfClosure:
         c = closure_under_mapping(g1, g2, [(0, 0), (1, None)])
         h = LabelHistogram.of(c)
         # Vertex 1 = {B, ε}: only B counts.
-        assert h.total_vertices() == 2
+        assert sum(h.to_dict()["vertex"].values()) == 2
 
     def test_closure_histogram_dominates_members(self):
         g1 = path_graph(["A", "B", "C"])

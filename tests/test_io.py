@@ -1,33 +1,38 @@
-"""Unit tests for repro.graphs.io and repro.graphs.interop."""
+"""Unit tests for repro.graphs.io and the networkx conversion the tests
+cross-validate through (``oracles.interop``)."""
+
+import json
 
 import pytest
 
 from repro.exceptions import GraphError, PersistenceError
 from repro.graphs.graph import Graph
-from repro.graphs.interop import from_networkx, to_networkx
-from repro.graphs.io import (
-    database_size_bytes,
-    graph_from_json,
-    graph_to_json,
-    load_graph_database,
-    save_graph_database,
-)
+from repro.graphs.io import load_graph_database, save_graph_database
+from oracles.interop import from_networkx, to_networkx
 
 from conftest import triangle
+
+
+def _line(graph: Graph) -> str:
+    return json.dumps(graph.to_dict())
 
 
 class TestJsonRoundtrip:
     def test_single_graph(self):
         g = Graph(["A", "B"], [(0, 1, "x")], name="g")
-        assert graph_from_json(graph_to_json(g)) == g
+        assert Graph.from_dict(json.loads(_line(g))) == g
 
-    def test_malformed_json_raises(self):
+    def test_malformed_json_raises(self, tmp_path):
+        path = tmp_path / "db.jsonl"
+        path.write_text("{not json\n")
         with pytest.raises(PersistenceError):
-            graph_from_json("{not json")
+            load_graph_database(path)
 
-    def test_wrong_shape_raises(self):
+    def test_wrong_shape_raises(self, tmp_path):
+        path = tmp_path / "db.jsonl"
+        path.write_text('{"foo": 1}\n')
         with pytest.raises(PersistenceError):
-            graph_from_json('{"foo": 1}')
+            load_graph_database(path)
 
 
 class TestDatabaseFiles:
@@ -41,40 +46,14 @@ class TestDatabaseFiles:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "db.jsonl"
-        path.write_text(graph_to_json(triangle()) + "\n\n")
+        path.write_text(_line(triangle()) + "\n\n")
         assert len(load_graph_database(path)) == 1
 
     def test_corrupt_line_reports_location(self, tmp_path):
         path = tmp_path / "db.jsonl"
-        path.write_text(graph_to_json(triangle()) + "\nnot json\n")
+        path.write_text(_line(triangle()) + "\nnot json\n")
         with pytest.raises(PersistenceError, match=":2"):
             load_graph_database(path)
-
-    def test_database_size_bytes_positive(self):
-        assert database_size_bytes([triangle()]) > 10
-
-
-class TestFormatGraph:
-    def test_renders_all_parts(self):
-        from repro.graphs.io import format_graph
-
-        g = Graph(["C", "O"], [(0, 1, "double")], name="co")
-        text = format_graph(g)
-        assert 'graph "co" |V|=2 |E|=1' in text
-        assert "v0: 'C'" in text
-        assert "0-1('double')" in text
-
-    def test_unnamed_unlabeled(self):
-        from repro.graphs.io import format_graph
-
-        text = format_graph(triangle())
-        assert text.startswith("graph |V|=3")
-        assert "e: " in text
-
-    def test_empty_graph(self):
-        from repro.graphs.io import format_graph
-
-        assert format_graph(Graph()) == "graph |V|=0 |E|=0"
 
 
 class TestNetworkxInterop:

@@ -26,7 +26,6 @@ from repro.graphs.closure import (
     WILDCARD,
     GraphClosure,
     closure_under_mapping,
-    labels_match,
 )
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
@@ -36,7 +35,6 @@ from repro.graphs.labelspace import (
     target_context,
 )
 from repro.matching import kernels
-from repro.matching.bipartite import has_semi_perfect_matching
 from repro.matching.bounds import (
     SimilarityQueryContext,
     distance_lower_bound,
@@ -57,10 +55,14 @@ from repro.matching.kernels import (
 from repro.matching.measures import edge_label_sets, vertex_label_sets
 from repro.obs.metrics import global_registry
 from repro.matching.pseudo_iso import (
-    global_semi_perfect,
-    level0_domains,
     pseudo_compatibility_domains,
     pseudo_subgraph_isomorphic,
+)
+from oracles.bipartite import has_semi_perfect_matching
+from oracles.graphs import labels_match
+from oracles.pseudo_iso import (
+    global_semi_perfect,
+    level0_domains,
     reference_domains,
     refine_bipartite,
 )

@@ -20,7 +20,6 @@ from repro.graphs.closure import (
     EPSILON,
     WILDCARD,
     GraphClosure,
-    labels_match,
 )
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
@@ -33,6 +32,7 @@ from repro.graphs.labelspace import (
     target_context,
 )
 from repro.matching.kernels import compile_query
+from oracles.graphs import labels_match
 
 from conftest import random_labeled_graph, triangle
 
@@ -53,17 +53,17 @@ class TestLabelSpace:
         b = space.vertex_id("B")
         assert a != b
         assert space.vertex_id("A") == a  # stable on re-intern
-        before = space.num_vertex_labels
+        before = space.snapshot()["vertex_labels"]
         space.vertex_id("A")
-        assert space.num_vertex_labels == before  # no growth on hits
+        assert space.snapshot()["vertex_labels"] == before  # no growth on hits
 
     def test_vertex_and_edge_namespaces_are_independent(self):
         space = LabelSpace()
         assert space.vertex_id("x") == space.edge_id("x")  # both next free id
         space.vertex_id("y")
         # Interning on the vertex side did not advance the edge side.
-        assert space.num_vertex_labels == 4
-        assert space.num_edge_labels == 3
+        assert space.snapshot()["vertex_labels"] == 4
+        assert space.snapshot()["edge_labels"] == 3
 
     def test_mask_of_label_set(self):
         space = LabelSpace()
@@ -173,17 +173,6 @@ class TestContextCaching:
         ctx3 = target_context(g)
         assert ctx3 is not ctx2
         assert ctx3.degrees[0] == 3
-
-        g.set_label(3, "E")
-        ctx4 = target_context(g)
-        assert ctx4 is not ctx3
-        assert (global_labelspace().vertex_bit("E"), 1 << 3) \
-            in ctx4.vertex_groups
-
-        g.remove_edge(0, 3)
-        ctx5 = target_context(g)
-        assert ctx5 is not ctx4
-        assert ctx5.degrees[0] == 2
 
     def test_closure_mutators_invalidate(self):
         c = GraphClosure([{"A"}, {"B"}])

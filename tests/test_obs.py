@@ -101,9 +101,10 @@ class TestRegistry:
         assert reg.histogram("h").count == 0
 
     def test_to_json_is_valid_json(self):
+        """The snapshot ``repro metrics --cumulative --json`` prints."""
         reg = MetricsRegistry()
         reg.counter("c").inc()
-        payload = json.loads(reg.to_json())
+        payload = json.loads(json.dumps(reg.snapshot(), sort_keys=True))
         assert payload["c"] == {"type": "counter", "value": 1}
 
     def test_global_registry_is_shared(self):

@@ -25,11 +25,12 @@ from hypothesis import strategies as st
 from repro.graphs.closure import WILDCARD, closure_under_mapping
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
-from repro.graphs.operations import random_connected_subgraph, vertex_permuted
+from repro.graphs.operations import random_connected_subgraph
 from repro.matching.bounds import distance_lower_bound, sim_upper_bound
 from repro.matching.nbm import nbm_mapping
 from repro.matching.pseudo_iso import pseudo_subgraph_isomorphic
-from repro.matching.state_search import optimal_distance
+from oracles.graphs import vertex_permuted
+from oracles.state_search import optimal_distance
 from repro.matching.ullmann import subgraph_isomorphic
 from repro.ctree.tree import CTree
 
@@ -238,9 +239,9 @@ class TestAlg3CandidatesAreAlg2Survivors:
             source = rng.choice(db)
             query = random_connected_subgraph(
                 source, rng.randint(1, min(4, source.num_vertices)), rng)
-            for v in range(query.num_vertices):
-                if rng.random() < 0.2:
-                    query.set_label(v, WILDCARD)
+            labels = [WILDCARD if rng.random() < 0.2 else query.label(v)
+                      for v in range(query.num_vertices)]
+            query = Graph(labels, list(query.edges()))
         else:
             query = self._graph(rng, 4)
         with tempfile.TemporaryDirectory() as tmp:

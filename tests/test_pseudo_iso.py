@@ -9,11 +9,11 @@ from repro.graphs.closure import closure_under_mapping
 from repro.graphs.graph import Graph
 from repro.graphs.operations import random_connected_subgraph
 from repro.matching.pseudo_iso import (
-    level0_domains,
     pseudo_compatibility_domains,
     pseudo_subgraph_isomorphic,
 )
 from repro.matching.ullmann import subgraph_isomorphic
+from oracles.pseudo_iso import level0_domains
 
 from conftest import path_graph, random_labeled_graph, star, triangle
 

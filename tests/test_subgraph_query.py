@@ -148,7 +148,7 @@ class TestProductPathsReachNoReference:
         levels 1 and max, the deep soundness walk, fsck and the linear
         scan still succeed — one matching engine serves them all."""
         from repro.ctree.diskindex import DiskCTree
-        from repro.matching import bipartite, pseudo_iso, ullmann
+        from oracles import bipartite, pseudo_iso, ullmann
 
         def reference(*args, **kwargs):
             raise AssertionError("a product path reached a reference")

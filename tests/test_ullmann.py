@@ -13,20 +13,23 @@ from hypothesis import strategies as st
 
 from repro.graphs.closure import WILDCARD, GraphClosure, closure_under_mapping
 from repro.graphs.graph import Graph
-from repro.graphs.interop import to_networkx
-from repro.graphs.operations import random_connected_subgraph, vertex_permuted
+from repro.graphs.operations import random_connected_subgraph
 from repro.obs.metrics import global_registry
 from repro.matching import kernels
 from repro.matching.kernels import domains_to_masks
-from repro.matching.pseudo_iso import reference_domains
 from repro.matching.ullmann import (
-    compatibility_domains,
     enumerate_embeddings,
     find_embedding,
+    subgraph_isomorphic,
+)
+from oracles.graphs import vertex_permuted
+from oracles.interop import to_networkx
+from oracles.pseudo_iso import reference_domains
+from oracles.ullmann import (
+    compatibility_domains,
     graph_isomorphic,
     reference_embeddings,
     refine_domains,
-    subgraph_isomorphic,
 )
 
 from conftest import (
