@@ -12,7 +12,7 @@ closures "for free", while every M-tree bound costs a full distance
 computation against the routing object.
 """
 
-from conftest import KNN, record_table
+from conftest import record_table
 
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.similarity_query import knn_query

@@ -8,7 +8,7 @@ power, plus the NBM-vs-bipartite choice for closure construction.
 
 import time
 
-from conftest import CHEM_SWEEP, record_table
+from conftest import record_table
 
 from repro.ctree.stats import QueryStats
 from repro.ctree.subgraph_query import subgraph_query

@@ -5,7 +5,7 @@ are up to two orders of magnitude below GraphGrep's; at level=MAX the
 accuracy |Ans|/|CS| is near 100%.
 """
 
-from conftest import CHEM_SWEEP, record_figure
+from conftest import record_figure
 
 from repro.ctree.subgraph_query import subgraph_query
 from repro.datasets.queries import generate_subgraph_queries

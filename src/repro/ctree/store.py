@@ -36,9 +36,12 @@ the record's ``page_hits`` / ``page_misses`` and ``node_hits`` /
 
 A paged store keeps the nodes it decoded **resident** (at most as many
 as its buffer pool has frames, leaves evicted first), so a handle
-decodes each node once, not once per query; a write batch
-(:meth:`PagedNodeStore.writing`) works on them and evicts only the nodes
-it rewrites or frees, so what is decoded again is what changed.
+decodes each node once, not once per query, and a resident leaf's
+entries keep the Alg. 2 contexts compiled from their graph records, so
+a graph record a subgraph query tested is not read again while its leaf
+is held; a write batch (:meth:`PagedNodeStore.writing`) works on them
+and evicts only the nodes it rewrites or frees, so what is decoded again
+is what changed.
 
 **Record format 4** (layout and rationale: ``docs/DURABILITY.md``; the
 slotted pages that hold the records: :mod:`repro.storage.recordstore`).  A
@@ -180,8 +183,13 @@ class StoredEntry:
     the graph's label histograms as flat ``[label, count, ...]`` lists
     (a graph never changes, so they are written once, at
     :meth:`PagedNodeStore.alloc_graph`; ``fsck`` checks them).
-    ``summary`` is :meth:`PagedNodeStore.graph_summary`'s memo and lives
-    as long as the node holding the entry does."""
+    ``summary`` is the entry's one memo, ``(label space, summary)``: the
+    :class:`LabelSummary` :meth:`PagedNodeStore.graph_summary` builds
+    from the histograms, until :meth:`PagedNodeStore.load_context`
+    replaces it with the graph's :class:`TargetContext` (a
+    ``LabelSummary`` too).  It lives as long as the node holding the
+    entry does: a rewritten or freed node is evicted, and a graph that
+    takes a freed record slot comes back in a new entry."""
 
     __slots__ = ("graph_id", "record", "vhist", "ehist", "summary")
 
@@ -447,12 +455,12 @@ class PagedNodeStore(_ShapedStore):
     **Resident nodes.**  :meth:`load_node` keeps the node it decoded,
     keyed by record id, and returns that same node while it is held: its
     closure is decoded once, and the kernel contexts memoised on the
-    closure and the label summaries memoised on its leaf entries are
-    built once per handle, not once per query.  The set holds at most as
-    many nodes as the buffer pool has frames (``cache_pages``); a leaf is
-    evicted before any internal node, least recently used first, so a
-    descent wider than the cap cycles through the leaf slots and still
-    finds the root and the levels under it.  A resident node is what its
+    closure and the label summaries and graph contexts memoised on its
+    leaf entries are built once per handle, not once per query.  The set
+    holds at most as many nodes as the buffer pool has frames
+    (``cache_pages``); a leaf is evicted before any internal node, least
+    recently used first, so a descent wider than the cap cycles through
+    the leaf slots and still finds the root and the levels under it.  A resident node is what its
     record holds, but for the node a writer is changing: whoever calls
     :meth:`alloc_node` / :meth:`write_node` / :meth:`free_node` does so
     inside :meth:`writing`, and rewriting or freeing a record evicts its
@@ -476,6 +484,8 @@ class PagedNodeStore(_ShapedStore):
         registry = global_registry()
         self._c_node_hits = registry.counter("ctree.disk.node_hits")
         self._c_node_loads = registry.counter("ctree.disk.node_loads")
+        self._c_context_hits = registry.counter("ctree.disk.context_hits")
+        self._c_context_loads = registry.counter("ctree.disk.context_loads")
         self._g_resident = registry.gauge("ctree.disk.nodes_resident")
 
     def load_record(self, record_id: int) -> dict:
@@ -532,7 +542,8 @@ class PagedNodeStore(_ShapedStore):
 
     def graph_summary(self, entry: StoredEntry) -> LabelSummary:
         """The entry's stored histograms in the process label space —
-        no page is read; built once per entry and label space."""
+        no page is read; built once per entry and label space, unless
+        :meth:`load_context` has compiled the graph's context."""
         space = global_labelspace()
         memo = entry.summary
         if memo is None or memo[0] is not space:
@@ -559,9 +570,20 @@ class PagedNodeStore(_ShapedStore):
         return decode_graph(self.load_record(entry.record))
 
     def load_context(self, entry: StoredEntry) -> TargetContext:
-        """Compile the graph record a leaf entry points at straight into
-        its Alg. 2 target context; no graph is built."""
-        return decode_graph_context(self.load_record(entry.record))
+        """The Alg. 2 target context of the graph record a leaf entry
+        points at, compiled straight from the record (no graph is built)
+        once per entry and label space: it takes the entry's ``summary``
+        slot, whose :class:`LabelSummary` it is."""
+        space = global_labelspace()
+        memo = entry.summary
+        if memo is not None and memo[0] is space and \
+                isinstance(memo[1], TargetContext):
+            self._c_context_hits.value += 1
+            return memo[1]
+        ctx = decode_graph_context(self.load_record(entry.record))
+        self._c_context_loads.value += 1
+        entry.summary = (space, ctx)
+        return ctx
 
     def load_nbm_context(self, entry: StoredEntry) -> TargetContext:
         """Compile the graph record a leaf entry points at straight into

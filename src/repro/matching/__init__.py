@@ -11,7 +11,7 @@ from repro.matching.bounds import (
     norm,
     sim_upper_bound,
 )
-from repro.matching.kernels import QueryContext, compile_query
+from repro.matching.kernels import MAX_LEVEL, QueryContext, compile_query
 from repro.matching.edit_distance import (
     MAPPING_METHODS,
     graph_distance,
@@ -24,7 +24,6 @@ from repro.matching.hungarian import (
 )
 from repro.matching.nbm import nbm_mapping
 from repro.matching.pseudo_iso import (
-    MAX_LEVEL,
     pseudo_compatibility_domains,
     pseudo_subgraph_isomorphic,
 )

@@ -35,7 +35,6 @@ from typing import Union
 from repro.graphs.closure import GraphLike
 from repro.graphs.labelspace import target_context
 from repro.matching import kernels
-from repro.matching.kernels import MAX_LEVEL
 
 Level = Union[int, str]
 

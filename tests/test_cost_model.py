@@ -1,7 +1,5 @@
 """Unit tests for the Section 6.3 cost model."""
 
-import math
-
 import pytest
 
 from repro.exceptions import ConfigError

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.graphs.graph import Graph
 from repro.ctree.bulkload import _chunk, bulk_load
 from repro.ctree.node import LeafEntry
 from repro.ctree.subgraph_query import linear_scan_subgraph_query, subgraph_query

@@ -1,7 +1,5 @@
 """Unit tests for the C-tree structure (Section 5)."""
 
-import random
-
 import pytest
 
 from repro.exceptions import ConfigError, IndexError_

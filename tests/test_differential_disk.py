@@ -4,14 +4,18 @@ for seeded corpora — and a handle that keeps decoded nodes resident
 exactly like one that has just been opened, whatever reads and write
 batches it has been through."""
 
+import gc
+import json
 import random
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ctree import store as store_module
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DiskCTree, DiskKnnStats, DiskQueryStats
 from repro.ctree.similarity_query import (
@@ -28,12 +32,16 @@ from repro.ctree.tree import CTree
 from repro.datasets.chemical import ChemicalConfig, generate_chemical_database
 from repro.datasets.queries import generate_subgraph_queries
 from repro.graphs.closure import GraphClosure
+from repro.graphs.graph import Graph
+from repro.graphs.io import load_graph_database
+from repro.graphs.labelspace import TargetContext, reset_labelspace
 from repro.obs.metrics import global_registry
 from repro.storage.faultfs import FaultInjector, FaultPlan, SimulatedCrash
 
 from conftest import ORACLES, oracle_answers, reference_scan, stored_graphs
 
 SEEDS = [11, 23, 47]
+_DATA = Path(__file__).parent / "data"
 _CONFIG = ChemicalConfig(mean_vertices=11, large_fraction=0.0)
 
 
@@ -194,6 +202,7 @@ class TestOneTraversalTwoStores:
     @pytest.mark.parametrize("oracle", ORACLES)
     def test_subgraph_counters_identical(self, tmp_path, seed, oracle):
         db, tree, disk = _world(tmp_path, seed)
+        page_io = []
         with disk:
             for level in (1, "max"):
                 for q in generate_subgraph_queries(db, 6, 4, seed=seed):
@@ -204,13 +213,17 @@ class TestOneTraversalTwoStores:
                         assert dsk == reference_scan(stored_graphs(disk), q)
                     assert isinstance(dsk_stats, DiskQueryStats)
                     assert not isinstance(mem_stats, DiskQueryStats)
-                    assert dsk_stats.page_hits + dsk_stats.page_misses
+                    page_io.append(dsk_stats.page_hits
+                                   + dsk_stats.page_misses)
                     mem_counters = mem_stats.deterministic_dict()
                     dsk_counters = dsk_stats.deterministic_dict()
                     assert dsk_counters == mem_counters
                     # The module-level entry point IS the method.
                     again, _ = subgraph_query(disk, q, level=level)
                     assert again == dsk
+        # The handle's first query reads pages; a later one may find
+        # every node and graph context it needs resident and read none.
+        assert page_io[0] > 0
 
     @pytest.mark.parametrize("oracle", ORACLES)
     def test_knn_counters_identical(self, tmp_path, seed, oracle):
@@ -542,3 +555,125 @@ class TestWritersLeaveNoStaleNode:
         with DiskCTree.open(path, cache_pages=4) as recovered:
             assert recovered.generation == 1
             assert _fingerprint(recovered, queries, base[:2]) == committed
+
+
+def _rewired(graph: Graph) -> Graph:
+    """``graph`` with its first edge moved to a vertex pair it does not
+    join: the same label histograms, so the histogram screen passes it
+    wherever it passes ``graph``."""
+    (u, v, label), *edges = graph.edges()
+    w = next(x for x in graph.vertices()
+             if x != u and not graph.has_edge(u, x))
+    out = Graph([graph.label(x) for x in graph.vertices()])
+    for a, b, edge_label in [(u, w, label), *edges]:
+        out.add_edge(a, b, edge_label)
+    return out
+
+
+def _graph_records(disk) -> dict[int, int]:
+    """Graph id -> the record id its leaf entry points at."""
+    return {entry.graph_id: entry.record for _, node in disk.nodes()
+            if node.is_leaf for entry in node.children}
+
+
+class TestContextMemoLifetime:
+    """A disk leaf entry memoises the Alg. 2 context a subgraph query
+    compiles from its graph record, for as long as the entry's node stays
+    resident: the memo answers a warm query, and never outlives the
+    graph, the label space or the leaf it was compiled for."""
+
+    @staticmethod
+    def _counters():
+        registry = global_registry()
+        return (registry.counter("ctree.disk.context_hits").value,
+                registry.counter("ctree.disk.context_loads").value)
+
+    def test_a_reused_record_slot_compiles_its_new_graph(self, tmp_path):
+        """A verified graph is deleted and a different one with its
+        label histograms takes its record slot: the query after tests the
+        new graph, like a fresh handle and the reference matchers."""
+        _, _, disk = _world(tmp_path, 11)
+        extra = generate_chemical_database(1, seed=111, config=_CONFIG)
+        query, other = extra[0], _rewired(extra[0])
+        assert reference_scan([(0, other)], query) == []
+        with disk:
+            [victim] = disk.extend(extra, seed=11)
+            record = _graph_records(disk)[victim]
+            answers, _ = disk.subgraph_query(query)
+            assert victim in answers
+            hits, loads = self._counters()
+            assert disk.subgraph_query(query)[0] == answers
+            assert self._counters()[0] > hits
+            assert self._counters()[1] == loads     # the memo answered
+            disk.delete_many([victim], seed=11, auto_compact=False)
+            [new] = disk.extend([other], seed=11)
+            assert _graph_records(disk)[new] == record
+            after, _ = disk.subgraph_query(query)
+            assert new not in after
+            assert after == reference_scan(stored_graphs(disk), query)
+            disk.checkpoint()
+            with DiskCTree.open_read_only(disk.path) as fresh:
+                assert fresh.subgraph_query(query)[0] == after
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_new_label_space_recompiles(self, tmp_path, seed):
+        """Contexts compiled against a replaced label space are stale:
+        every graph a warm query tests is compiled again, and the
+        answers do not change."""
+        db, _, disk = _world(tmp_path, seed)
+        queries = generate_subgraph_queries(db, 6, 4, seed=seed)
+        with disk:
+            _, loads = self._counters()
+            answers = [disk.subgraph_query(q)[0] for q in queries]
+            cold = self._counters()[1] - loads
+            assert cold > 0
+            assert [disk.subgraph_query(q)[0] for q in queries] == answers
+            assert self._counters()[1] - loads == cold
+            reset_labelspace()
+            assert [disk.subgraph_query(q)[0] for q in queries] == answers
+            assert self._counters()[1] - loads == 2 * cold
+
+    def test_no_context_outlives_its_leaf(self, tmp_path, monkeypatch):
+        """The golden index through five node slots: its six leaves take
+        turns in the two the internal nodes leave.  After every query the
+        record-compiled contexts still alive are exactly those memoised
+        on the entries of a resident leaf."""
+        db = load_graph_database(_DATA / "golden_chem.jsonl")
+        expected = json.loads((_DATA / "golden_answers.json").read_text())
+        path = tmp_path / "golden.ctp"
+        DiskCTree.create(bulk_load(db, min_fanout=3), path,
+                         page_size=512).close()
+        compiled = []   # (context id, weak reference that dies with it)
+        decode = store_module.decode_graph_context
+
+        class Memo(dict):
+            """A context's ``_at_least`` memo that takes weak references
+            (a ``TargetContext`` takes none): it dies with the context."""
+
+        def spy(record):
+            ctx = decode(record)
+            ctx._at_least = Memo(ctx._at_least)
+            compiled.append((id(ctx), weakref.ref(ctx._at_least)))
+            return ctx
+
+        monkeypatch.setattr(store_module, "decode_graph_context", spy)
+        most = 0
+        with DiskCTree.open_read_only(path, cache_pages=5) as handle:
+            leaves = handle.store._resident[1]
+            for _ in range(2):
+                for case in expected["subgraph"]:
+                    answers, _ = handle.subgraph_query(
+                        Graph.from_dict(case["query"]))
+                    assert answers == case["answers"]
+                    gc.collect()
+                    held = {id(entry.summary[1])
+                            for leaf in leaves.values()
+                            for entry in leaf.children
+                            if entry.summary is not None and
+                            isinstance(entry.summary[1], TargetContext)}
+                    alive = {ctx for ctx, ref in compiled
+                             if ref() is not None}
+                    assert alive == held
+                    most = max(most, len(held))
+        assert most > 0, "no leaf kept a context"
+        assert len(compiled) > most, "no leaf was evicted"

@@ -102,9 +102,12 @@ class TestQueries:
         assert sorted(answers) == sorted(expected)
 
     def test_stats_track_io(self, world):
-        db, _, disk, _ = world
+        """On a handle's first query; the shared handle is warm, and a
+        warm query may find all it reads resident."""
+        db, _, _, path = world
         q = generate_subgraph_queries(db, 5, 1, seed=10)[0]
-        _, stats = disk.subgraph_query(q)
+        with DiskCTree.open_read_only(path) as fresh:
+            _, stats = fresh.subgraph_query(q)
         assert stats.page_hits + stats.page_misses > 0
         assert 0.0 <= stats.page_hit_ratio <= 1.0
         assert stats.candidates >= stats.answers

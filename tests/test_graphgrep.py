@@ -11,7 +11,7 @@ from repro.graphgrep.paths import iter_label_paths, label_path_counts
 from repro.ctree.subgraph_query import linear_scan_subgraph_query
 from repro.datasets.queries import generate_subgraph_queries
 
-from conftest import path_graph, random_labeled_graph, triangle
+from conftest import path_graph, triangle
 
 
 class TestPathEnumeration:

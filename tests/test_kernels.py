@@ -22,7 +22,6 @@ from conftest import drawn_closure, reference_scan, stored_graphs
 
 from repro.exceptions import ConfigError
 from repro.graphs.closure import (
-    EPSILON,
     WILDCARD,
     GraphClosure,
     closure_under_mapping,

@@ -21,7 +21,6 @@ from repro.graphs.closure import (
     WILDCARD,
     GraphClosure,
 )
-from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
 from repro.graphs.labelspace import (
     EPSILON_BIT,

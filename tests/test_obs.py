@@ -13,7 +13,6 @@ import pytest
 
 from repro.obs import trace
 from repro.obs.metrics import (
-    Counter,
     Histogram,
     MetricsRegistry,
     diff_snapshots,

@@ -1,7 +1,5 @@
 """Tests pinned to worked examples and claims from the paper text."""
 
-import pytest
-
 from repro.graphs.closure import EPSILON, closure_under_mapping
 from repro.graphs.graph import Graph
 from repro.graphs.mapping import GraphMapping

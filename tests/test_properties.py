@@ -22,7 +22,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.closure import WILDCARD, closure_under_mapping
+from repro.graphs.closure import WILDCARD
 from repro.graphs.graph import Graph
 from repro.graphs.histogram import LabelHistogram
 from repro.graphs.operations import random_connected_subgraph

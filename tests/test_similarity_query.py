@@ -15,7 +15,7 @@ from repro.ctree.similarity_query import (
 )
 from repro.ctree.tree import CTree
 
-from conftest import path_graph, triangle
+from conftest import triangle
 
 
 @pytest.fixture(scope="module")

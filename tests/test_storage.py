@@ -7,7 +7,7 @@ import pytest
 
 from repro.exceptions import PersistenceError
 from repro.storage.bufferpool import BufferPool
-from repro.storage.pagefile import NO_PAGE, PageFile
+from repro.storage.pagefile import PageFile
 from repro.storage.recordstore import RecordStore
 from repro.storage.wal import WriteAheadLog, wal_path
 

@@ -11,7 +11,7 @@ from repro.ctree.subgraph_query import (
 from repro.ctree.tree import CTree
 from repro.datasets.queries import generate_subgraph_queries
 
-from conftest import path_graph, random_labeled_graph, triangle
+from conftest import path_graph, triangle
 
 
 @pytest.fixture(scope="module")

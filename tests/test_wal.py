@@ -1,7 +1,5 @@
 """Unit tests for the write-ahead log and storage-level recovery."""
 
-import struct
-
 import pytest
 
 from repro.exceptions import ChecksumError, PersistenceError, WALError
@@ -10,7 +8,6 @@ from repro.storage.pagefile import PageFile
 from repro.storage.recordstore import RecordStore
 from repro.storage.wal import (
     REC_COMMIT,
-    REC_HEADER,
     REC_PAGE,
     WriteAheadLog,
     needs_recovery,
