@@ -42,7 +42,8 @@ def test_ablation_disk_io(benchmark, chem_tree, chem_database, tmp_path):
                 cold.append(cold_misses / QUERIES)
                 warm.append(warm_misses / QUERIES)
                 total = hits + misses
-                hit_ratio.append(hits / total if total else 0.0)
+                # a warm pass that read no page has no hit ratio ("-")
+                hit_ratio.append(hits / total if total else None)
         return cold, warm, hit_ratio
 
     cold, warm, hit_ratio = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -17,9 +17,10 @@ traversal serve both representations.  Both keep the tree's shape in one
   the record format (one JSON record per node, one per graph) and its
   only codec: ``encode_*`` / ``decode_*`` below.  A query reads a graph
   record without building the graph: a subgraph query through
-  :func:`decode_graph_context`, which compiles it into the Alg. 2 target
-  context, a K-NN or range query through :func:`decode_nbm_context`, into
-  the Alg. 1 one.
+  :func:`decode_graph_context`, which compiles it into the label half
+  and the Alg. 2 half of a :class:`RecordContext`, a K-NN or range query
+  through :func:`decode_nbm_context`, into the label half and the Alg. 1
+  one.
 
 A node reference is opaque to the shared code.  A leaf's ``children`` are
 *entries* exposing ``graph_id``; :meth:`graph_summary` gives the label
@@ -37,11 +38,13 @@ the record's ``page_hits`` / ``page_misses`` and ``node_hits`` /
 A paged store keeps the nodes it decoded **resident** (at most as many
 as its buffer pool has frames, leaves evicted first), so a handle
 decodes each node once, not once per query, and a resident leaf's
-entries keep the Alg. 2 contexts compiled from their graph records, so
-a graph record a subgraph query tested is not read again while its leaf
-is held; a write batch (:meth:`PagedNodeStore.writing`) works on them
-and evicts only the nodes it rewrites or frees, so what is decoded again
-is what changed.
+entries keep the contexts compiled from their graph records — one per
+entry, with the half of each algorithm that has read it, Alg. 1's
+without its per-vertex adjacency dicts — so a graph record a subgraph
+query tested or a K-NN or range query scored is not read again while
+its leaf is held; a write batch (:meth:`PagedNodeStore.writing`) works
+on them and evicts only the nodes it rewrites or frees, so what is
+decoded again is what changed.
 
 **Record format 4** (layout and rationale: ``docs/DURABILITY.md``; the
 slotted pages that hold the records: :mod:`repro.storage.recordstore`).  A
@@ -185,9 +188,10 @@ class StoredEntry:
     :meth:`PagedNodeStore.alloc_graph`; ``fsck`` checks them).
     ``summary`` is the entry's one memo, ``(label space, summary)``: the
     :class:`LabelSummary` :meth:`PagedNodeStore.graph_summary` builds
-    from the histograms, until :meth:`PagedNodeStore.load_context`
-    replaces it with the graph's :class:`TargetContext` (a
-    ``LabelSummary`` too).  It lives as long as the node holding the
+    from the histograms, until :meth:`PagedNodeStore.load_context` or
+    :meth:`PagedNodeStore.load_nbm_context` replaces it with the graph's
+    :class:`RecordContext` (a ``LabelSummary`` too), which the other
+    then completes.  It lives as long as the node holding the
     entry does: a rewritten or freed node is evicted, and a graph that
     takes a freed record slot comes back in a new entry."""
 
@@ -292,15 +296,13 @@ def _lookup(table: list, marks: dict,
     return lut
 
 
-def _adjacency(record: dict, elut: dict) -> list[dict]:
-    """A record's adjacency — per vertex a ``{neighbour: edge label}``
-    dict in stored edge order, labels from ``elut`` — in one pass over the
-    edge triples, with ``add_edge``'s range / self-loop / duplicate
-    checks."""
-    codes, edges = record["v"], record["e"]
+def _adjacency(n: int, edges: list, elut) -> list[dict]:
+    """The adjacency of ``n`` vertices joined by a record's flat edge
+    array — per vertex a ``{neighbour: edge label}`` dict in stored edge
+    order, labels from ``elut`` (code -> label) — in one pass over the
+    triples, with ``add_edge``'s range / self-loop / duplicate checks."""
     if len(edges) % 3:
         raise GraphError("edge array is not (u, v, label) triples")
-    n = len(codes)
     adj: list[dict] = [{} for _ in range(n)]
     it = iter(edges)
     for u, v, code in zip(it, it, it):
@@ -315,12 +317,47 @@ def _adjacency(record: dict, elut: dict) -> list[dict]:
     return adj
 
 
+class RecordContext(TargetContext):
+    """The :class:`TargetContext` of a disk graph record, as a resident
+    leaf entry memoises it (:meth:`PagedNodeStore.load_context` /
+    :meth:`PagedNodeStore.load_nbm_context`): the label half, and the
+    half of each algorithm that has read the entry.  Alg. 1's keeps the
+    vertex keys and profiles, and in place of the per-vertex adjacency
+    dicts (three quarters of its bytes) the record's edge array and
+    edge-label table, which :meth:`scoring` rebuilds them from."""
+
+    __slots__ = ("edges", "elabels")
+
+    def scoring(self) -> TargetContext:
+        """What one Alg. 1 score reads of the graph, dropped with it: a
+        view sharing this context's Alg. 1 half, with the adjacency the
+        compile built (first score) or one rebuilt from the record's
+        edges (every later one)."""
+        adj, self.adj = self.adj, None
+        if adj is None:
+            adj = _adjacency(self.n, self.edges, self.elabels)
+        return TargetContext.nbm_only(self.vmasks, self.edge_counts,
+                                      self.edge_masks, adj, self.vkeys,
+                                      self.profiles)
+
+    def adopt(self, other: "RecordContext") -> "RecordContext":
+        """Take over the algorithm's half that ``other``, compiled from
+        the same record, holds and this context lacks; returns it."""
+        if self.edge_rows is None:
+            self.edge_rows = other.edge_rows
+        if self.vkeys is None:
+            self.vkeys, self.profiles = other.vkeys, other.profiles
+            self.adj, self.edges, self.elabels = \
+                other.adj, other.edges, other.elabels
+        return self
+
+
 def _decode(record: dict, cls, marks: dict, sets: bool, *state):
     """A graph or closure record to the object (:func:`_adjacency`)."""
     codes, edges = record["v"], record["e"]
     vlut = _lookup(record["vl"], marks, set(codes) if sets else None)
     elut = _lookup(record["el"], marks, set(edges[2::3]) if sets else None)
-    adj = _adjacency(record, elut)
+    adj = _adjacency(len(codes), edges, elut)
     obj = cls.__new__(cls)
     obj.__setstate__(([vlut[code] for code in codes], adj, len(edges) // 3,
                       *state))
@@ -332,7 +369,18 @@ def decode_graph(record: dict) -> Graph:
     return _decode(record, Graph, _GRAPH_LABELS, False, record.get("name"))
 
 
-def decode_graph_context(record: dict) -> TargetContext:
+def _label_half(degrees: list[int], vmasks: list[int], edge_counts: tuple,
+                edge_masks: dict) -> RecordContext:
+    """A graph record's context holding the label half alone, from its
+    degrees and label masks per vertex and its edge label masks."""
+    vgroups: dict[int, int] = {}
+    for v, m in enumerate(vmasks):
+        vgroups[m] = vgroups.get(m, 0) | 1 << v
+    return RecordContext(len(vmasks), degrees, vmasks, tuple(vgroups.items()),
+                         edge_counts, edge_masks, WILDCARD_BIT)
+
+
+def decode_graph_context(record: dict) -> RecordContext:
     """What ``target_context(decode_graph(record))`` gives the Alg. 2
     kernels, compiled straight from the record: one pass over the edge
     triples and one over ``v``, each label table translated once, no
@@ -367,47 +415,46 @@ def decode_graph_context(record: dict) -> TargetContext:
             rows = edge_rows[em] = [0] * n
         rows[u] |= bv
         rows[v] |= bu
-    vmasks = [vlut[code] for code in codes]
-    vgroups: dict[int, int] = {}
-    for v, m in enumerate(vmasks):
-        vgroups[m] = vgroups.get(m, 0) | 1 << v
     # an edge sets two bits of its mask's rows
     ecounts = tuple((em, sum(map(int.bit_count, rows)) // 2)
                     for em, rows in edge_rows.items())
-    ctx = TargetContext(n, [m.bit_count() for m in nbrs], vmasks,
-                        tuple(vgroups.items()), ecounts,
-                        dict(zip(elabels, elut.values())), WILDCARD_BIT)
+    ctx = _label_half([m.bit_count() for m in nbrs],
+                      [vlut[code] for code in codes], ecounts,
+                      dict(zip(elabels, elut.values())))
     ctx.edge_rows = edge_rows
     return ctx
 
 
-def decode_nbm_context(record: dict) -> TargetContext:
-    """What Alg. 1 reads of ``nbm_context(decode_graph(record))``,
-    compiled straight from the record: :func:`_adjacency` builds each
-    vertex's adjacency dict as :func:`decode_graph` does, and
-    ``LabelSpace.graph_keys`` interns its vertex keys from it, as
-    :func:`nbm_context` does a graph's.  No graph is built, nor the label
-    half or Alg. 2's (``TargetContext.nbm_only``).  A record
-    :func:`decode_graph` rejects is rejected with the same exception
-    class, the checks run in the same order."""
+def decode_nbm_context(record: dict) -> RecordContext:
+    """What ``nbm_context(decode_graph(record))`` holds, compiled straight
+    from the record: :func:`_adjacency` builds each vertex's adjacency
+    dict as :func:`decode_graph` does, ``LabelSpace.graph_keys`` interns
+    the vertex keys from it, as :func:`nbm_context` does a graph's, and
+    the label half is read off the same adjacency.  No graph is built,
+    nor Alg. 2's half.  The adjacency is handed to the first score only
+    (:meth:`RecordContext.scoring`).  A record :func:`decode_graph`
+    rejects is rejected with the same exception class, the checks run in
+    the same order."""
     space = global_labelspace()
     vids = dict(enumerate(space.vertex_id(_GRAPH_LABELS.get(x, x))
                           for x in record["vl"]))
     elabels = [_GRAPH_LABELS.get(x, x) for x in record["el"]]
-    elut = dict(enumerate(elabels))
-    adj = _adjacency(record, elut)
-    ids = [vids[code] for code in record["v"]]
+    codes, edges = record["v"], record["e"]
+    adj = _adjacency(len(codes), edges, dict(enumerate(elabels)))
+    ids = [vids[code] for code in codes]
     vkeys, keys = space.graph_keys(ids, adj), space.vertex_keys
     emasks = dict(zip(elabels, map(space.edge_bit, elabels)))
-    ecodes, ecounts = record["e"][2::3], {}
-    for code, label in elut.items():
+    ecodes, ecounts = edges[2::3], {}
+    for code, label in enumerate(elabels):
         count = ecodes.count(code)
         if count:
             em = emasks[label]
             ecounts[em] = ecounts.get(em, 0) + count
-    return TargetContext.nbm_only(
-        [1 << i for i in ids], tuple(ecounts.items()), emasks, adj, vkeys,
-        [keys[k][1] for k in vkeys])
+    ctx = _label_half(list(map(len, adj)), [1 << i for i in ids],
+                      tuple(ecounts.items()), emasks)
+    ctx.vkeys, ctx.profiles = vkeys, [keys[k][1] for k in vkeys]
+    ctx.adj, ctx.edges, ctx.elabels = adj, edges, elabels
+    return ctx
 
 
 def decode_closure(record: dict) -> GraphClosure:
@@ -484,8 +531,12 @@ class PagedNodeStore(_ShapedStore):
         registry = global_registry()
         self._c_node_hits = registry.counter("ctree.disk.node_hits")
         self._c_node_loads = registry.counter("ctree.disk.node_loads")
-        self._c_context_hits = registry.counter("ctree.disk.context_hits")
-        self._c_context_loads = registry.counter("ctree.disk.context_loads")
+        #: (hits, loads) of the Alg. 2 and the Alg. 1 memo
+        self._c_context = (registry.counter("ctree.disk.context_hits"),
+                           registry.counter("ctree.disk.context_loads"))
+        self._c_nbm_context = (
+            registry.counter("ctree.disk.nbm_context_hits"),
+            registry.counter("ctree.disk.nbm_context_loads"))
         self._g_resident = registry.gauge("ctree.disk.nodes_resident")
 
     def load_record(self, record_id: int) -> dict:
@@ -543,7 +594,8 @@ class PagedNodeStore(_ShapedStore):
     def graph_summary(self, entry: StoredEntry) -> LabelSummary:
         """The entry's stored histograms in the process label space —
         no page is read; built once per entry and label space, unless
-        :meth:`load_context` has compiled the graph's context."""
+        :meth:`load_context` or :meth:`load_nbm_context` has compiled the
+        graph's context."""
         space = global_labelspace()
         memo = entry.summary
         if memo is None or memo[0] is not space:
@@ -569,26 +621,43 @@ class PagedNodeStore(_ShapedStore):
         """Decode the graph record a leaf entry points at."""
         return decode_graph(self.load_record(entry.record))
 
+    def _memoised(self, entry: StoredEntry, half: str, decode,
+                  counters: tuple) -> RecordContext:
+        """The entry's context with ``half`` (``edge_rows``: Alg. 2's,
+        ``vkeys``: Alg. 1's) compiled, once per entry and label space.
+        It takes the entry's ``summary`` slot, whose
+        :class:`LabelSummary` it is: the first half compiled comes with
+        the label half, the other is compiled from one more record read
+        and adopted (:meth:`RecordContext.adopt`)."""
+        space, memo = global_labelspace(), entry.summary
+        ctx = memo[1] if memo is not None and memo[0] is space and \
+            isinstance(memo[1], RecordContext) else None
+        hits, loads = counters
+        if ctx is not None and getattr(ctx, half) is not None:
+            hits.value += 1
+            return ctx
+        loads.value += 1
+        compiled = decode(self.load_record(entry.record))
+        if ctx is None:
+            entry.summary = (space, compiled)
+            return compiled
+        return ctx.adopt(compiled)
+
     def load_context(self, entry: StoredEntry) -> TargetContext:
         """The Alg. 2 target context of the graph record a leaf entry
         points at, compiled straight from the record (no graph is built)
-        once per entry and label space: it takes the entry's ``summary``
-        slot, whose :class:`LabelSummary` it is."""
-        space = global_labelspace()
-        memo = entry.summary
-        if memo is not None and memo[0] is space and \
-                isinstance(memo[1], TargetContext):
-            self._c_context_hits.value += 1
-            return memo[1]
-        ctx = decode_graph_context(self.load_record(entry.record))
-        self._c_context_loads.value += 1
-        entry.summary = (space, ctx)
-        return ctx
+        and memoised on the entry (:meth:`_memoised`)."""
+        return self._memoised(entry, "edge_rows", decode_graph_context,
+                              self._c_context)
 
     def load_nbm_context(self, entry: StoredEntry) -> TargetContext:
-        """Compile the graph record a leaf entry points at straight into
-        its Alg. 1 context; no graph is built."""
-        return decode_nbm_context(self.load_record(entry.record))
+        """The Alg. 1 context of the graph record a leaf entry points at,
+        compiled straight from the record (no graph is built) and
+        memoised on the entry (:meth:`_memoised`) without its adjacency
+        dicts: each call gets a view with them rebuilt
+        (:meth:`RecordContext.scoring`)."""
+        return self._memoised(entry, "vkeys", decode_nbm_context,
+                              self._c_nbm_context).scoring()
 
     def alloc_node(self, node: CTreeNode) -> int:
         """Store a new node record; returns its id."""

@@ -305,10 +305,12 @@ class TargetContext(LabelSummary):
                  adj: list[dict], vkeys: list[int],
                  profiles: list[int]) -> "TargetContext":
         """A graph's context holding what Alg. 1 reads and nothing else —
-        what ``repro.ctree.store.decode_nbm_context`` compiles a scored
-        disk record into, used once and dropped.  The label half
-        (histograms, vertex groups, degrees) and Alg. 2's are not built,
-        so reading them raises ``AttributeError``."""
+        the view one score reads of a disk record's memoised context
+        (``repro.ctree.store.RecordContext.scoring``), sharing its lists
+        and holding the adjacency dicts built for that score; it is
+        dropped with the score.  The label half (histograms, vertex
+        groups, degrees) and Alg. 2's are not set, so reading them
+        raises ``AttributeError``."""
         ctx = cls.__new__(cls)
         ctx.n, ctx.vmasks, ctx.edge_counts = len(vmasks), vmasks, edge_counts
         ctx.edge_masks, ctx.adj = edge_masks, adj
@@ -433,8 +435,9 @@ def nbm_context(g: GraphLike | TargetContext) -> TargetContext:
     unchanged singleton closure's, taken from its graph
     (``GraphClosure.from_graph``).  Another closure's hardly recur and
     are not: each profile is counted (:meth:`LabelSpace.profile`).  A
-    context compiled already (a disk record's,
-    ``repro.ctree.store.decode_nbm_context``) is returned as it is."""
+    context compiled already (a disk record's, or the view one score
+    reads of it, ``repro.ctree.store.RecordContext.scoring``) is
+    returned as it is."""
     if isinstance(g, TargetContext):
         return g
     ctx = label_context(g)

@@ -8,6 +8,7 @@ import gc
 import json
 import random
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -23,7 +24,11 @@ from repro.ctree.similarity_query import (
     linear_scan_knn,
     range_query,
 )
-from repro.ctree.store import dump_record, encode_closure
+from repro.ctree.store import (
+    decode_nbm_context,
+    dump_record,
+    encode_closure,
+)
 from repro.ctree.subgraph_query import (
     linear_scan_subgraph_query,
     subgraph_query,
@@ -570,6 +575,33 @@ def _rewired(graph: Graph) -> Graph:
     return out
 
 
+#: what Alg. 1's half of a resident leaf entry's memo may add to the
+#: Alg. 2 half, per spine-sized molecule (tracemalloc): vertex keys and
+#: profiles, the record's edge array and edge-label table.  Measured at
+#: 1,380-1,397 B on Python 3.11; the pin leaves 29 % for other
+#: interpreters.  The per-vertex adjacency dicts alone are ≈ 6 KB.
+_ALG1_HALF_BYTES = 1800
+
+
+def _dict_rows(obj) -> list:
+    """The lists and tuples reachable from ``obj`` through lists, tuples
+    and dicts that hold a dict: a per-vertex adjacency is one."""
+    seen, stack, found = set(), [obj], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        for ref in gc.get_referents(obj):
+            if isinstance(ref, (list, tuple)):
+                if any(isinstance(x, dict) for x in ref):
+                    found.append(ref)
+                stack.append(ref)
+            elif isinstance(ref, dict):
+                stack.append(ref)
+    return found
+
+
 def _graph_records(disk) -> dict[int, int]:
     """Graph id -> the record id its leaf entry points at."""
     return {entry.graph_id: entry.record for _, node in disk.nodes()
@@ -577,16 +609,18 @@ def _graph_records(disk) -> dict[int, int]:
 
 
 class TestContextMemoLifetime:
-    """A disk leaf entry memoises the Alg. 2 context a subgraph query
-    compiles from its graph record, for as long as the entry's node stays
-    resident: the memo answers a warm query, and never outlives the
-    graph, the label space or the leaf it was compiled for."""
+    """A disk leaf entry memoises the context a subgraph query (Alg. 2's
+    half) or an NBM-scored K-NN or range query (Alg. 1's) compiles from
+    its graph record, both halves on one object, for as long as the
+    entry's node stays resident: the memo answers a warm query, and
+    never outlives the graph, the label space or the leaf it was
+    compiled for."""
 
     @staticmethod
-    def _counters():
+    def _counters(prefix="context"):
         registry = global_registry()
-        return (registry.counter("ctree.disk.context_hits").value,
-                registry.counter("ctree.disk.context_loads").value)
+        return (registry.counter(f"ctree.disk.{prefix}_hits").value,
+                registry.counter(f"ctree.disk.{prefix}_loads").value)
 
     def test_a_reused_record_slot_compiles_its_new_graph(self, tmp_path):
         """A verified graph is deleted and a different one with its
@@ -632,6 +666,144 @@ class TestContextMemoLifetime:
             reset_labelspace()
             assert [disk.subgraph_query(q)[0] for q in queries] == answers
             assert self._counters()[1] - loads == 2 * cold
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_reused_record_slot_scores_its_new_graph(self, tmp_path,
+                                                       seed):
+        """A scored graph is deleted and a different one with its label
+        histograms takes its record slot: the K-NN after scores the new
+        graph as itself, like a fresh handle and the linear scan.  The
+        record store puts a graph on its last page, not in the first
+        free slot, so the first of a few candidate graphs whose rewiring
+        lands in the slot its original freed is the one used."""
+        for candidate in range(seed + 100, seed + 108):
+            (tmp_path / str(candidate)).mkdir()
+            _, _, disk = _world(tmp_path / str(candidate), seed)
+            extra = generate_chemical_database(1, seed=candidate,
+                                               config=_CONFIG)
+            query, other = extra[0], _rewired(extra[0])
+            [victim] = disk.extend(extra, seed=seed)
+            record = _graph_records(disk)[victim]
+            answers, _ = disk.knn_query(query, 3)
+            assert answers[0][0] == victim
+            hits, loads = self._counters("nbm_context")
+            assert disk.knn_query(query, 3)[0] == answers
+            assert self._counters("nbm_context")[0] > hits
+            assert self._counters("nbm_context")[1] == loads   # memo hit
+            disk.delete_many([victim], seed=seed, auto_compact=False)
+            [new] = disk.extend([other], seed=seed)
+            if _graph_records(disk)[new] == record:
+                break
+            disk.close()
+        else:
+            pytest.fail("no candidate graph took its original's slot")
+        with disk:
+            after, _ = disk.knn_query(query, 3)
+            assert after == linear_scan_knn(dict(stored_graphs(disk)),
+                                            query, 3)
+            assert (new, answers[0][1]) not in after  # not the victim's
+            disk.checkpoint()
+            with DiskCTree.open_read_only(disk.path) as fresh:
+                assert fresh.knn_query(query, 3)[0] == after
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_new_label_space_rescores(self, tmp_path, seed):
+        """Alg. 1 halves compiled against a replaced label space are
+        stale: every graph a warm K-NN or range query scores is compiled
+        again, and the answers do not change."""
+        db, _, disk = _world(tmp_path, seed)
+        probes = [db[0], db[len(db) // 2]]
+
+        def answers():
+            return ([disk.knn_query(q, 4)[0] for q in probes]
+                    + [range_query(disk, q, 10.0)[0] for q in probes])
+
+        with disk:
+            _, loads = self._counters("nbm_context")
+            cold = answers()
+            compiled = self._counters("nbm_context")[1] - loads
+            assert compiled > 0
+            assert cold[:2] == [linear_scan_knn(dict(enumerate(db)), q, 4)
+                                for q in probes]
+            assert answers() == cold
+            assert self._counters("nbm_context")[1] - loads == compiled
+            reset_labelspace()
+            assert answers() == cold
+            assert self._counters("nbm_context")[1] - loads == 2 * compiled
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_both_halves_share_one_context(self, tmp_path, seed):
+        """One handle runs subgraph queries then K-NN, another K-NN then
+        subgraph: each answers, with the same stats, as a fresh handle
+        per query, and the entries both kinds read hold one context with
+        both halves and no adjacency dict."""
+        db, _, disk = _world(tmp_path, seed)
+        disk.close()
+        queries = generate_subgraph_queries(db, 6, 4, seed=seed)
+        runs = ([("subgraph", q) for q in queries]
+                + [("knn", q) for q in db[:3]])
+
+        def run(handle, kind, q):
+            answers, stats = handle.subgraph_query(q) if kind == "subgraph" \
+                else handle.knn_query(q, 4)
+            return answers, stats.deterministic_dict()
+
+        expected = []
+        for kind, q in runs:
+            with DiskCTree.open_read_only(disk.path, cache_pages=16) as h:
+                expected.append(run(h, kind, q))
+        for order in (runs, runs[::-1]):
+            with DiskCTree.open_read_only(disk.path, cache_pages=16) as h:
+                got = [run(h, kind, q) for kind, q in order]
+                assert got == [expected[runs.index(r)] for r in order]
+                both = [entry.summary[1]
+                        for leaf in h.store._resident[1].values()
+                        for entry in leaf.children
+                        if entry.summary is not None
+                        and getattr(entry.summary[1], "vkeys", None)
+                        and entry.summary[1].edge_rows is not None]
+                assert both, "no entry was read by both kinds"
+                assert all(ctx.adj is None for ctx in both)
+
+    def test_alg1_half_is_compact(self, tmp_path):
+        """Memory guard, in bytes, not seconds: on every entry of a
+        handle holding the whole index, Alg. 1's half compiled after
+        Alg. 2's adds at most ``_ALG1_HALF_BYTES`` per graph, and the
+        context holding both halves keeps no per-vertex dict, in either
+        order the halves came in."""
+        db = generate_chemical_database(60, seed=7)
+        path = tmp_path / "compact.ctp"
+        DiskCTree.create(bulk_load(db, min_fanout=5), path,
+                         cache_pages=64).close()
+        with DiskCTree.open_read_only(path, cache_pages=64) as handle:
+            store = handle.store
+            entries = [entry for _, node in handle.nodes() if node.is_leaf
+                       for entry in node.children]
+            assert len(entries) == len(db)
+            for entry in entries:   # the Alg. 2 half; interning warmed
+                store.load_context(entry)
+                decode_nbm_context(store.load_record(entry.record)).scoring()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for entry in entries:
+                    store.load_nbm_context(entry)
+                gc.collect()
+                added = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert 0 < added / len(entries) <= _ALG1_HALF_BYTES
+            contexts = [entry.summary[1] for entry in entries]
+        with DiskCTree.open_read_only(path, cache_pages=64) as handle:
+            for _, node in handle.nodes():
+                for entry in node.children if node.is_leaf else ():
+                    handle.store.load_nbm_context(entry)
+                    handle.store.load_context(entry)
+                    contexts.append(entry.summary[1])
+        for ctx in contexts:
+            assert ctx.vkeys is not None and ctx.edge_rows is not None
+            assert ctx.adj is None and _dict_rows(ctx) == []
 
     def test_no_context_outlives_its_leaf(self, tmp_path, monkeypatch):
         """The golden index through five node slots: its six leaves take

@@ -227,24 +227,36 @@ def _golden_records(tmp_path) -> list:
         return [disk.store.load_record(e.record) for e in entries]
 
 
-#: what :func:`decode_nbm_context` must agree on slot for slot — all that
-#: Alg. 1 reads; its ``edge_counts`` are compared as a dict, its ``adj``
-#: dict by dict, key order included (a decode is deterministic)
-_RECORD_NBM_FIELDS = ("n", "vmasks", "vkeys", "profiles", "edge_masks")
+#: what :func:`decode_nbm_context` must agree on slot for slot — the
+#: label half (what a leaf entry's memo is screened with) and all that
+#: Alg. 1 reads; its ``edge_counts`` and ``vertex_groups`` are compared
+#: as dicts, its ``adj`` dict by dict, key order included (a decode is
+#: deterministic)
+_RECORD_NBM_FIELDS = ("n", "degrees", "vmasks", "vhist", "ehist", "vbits",
+                      "ebits", "vkeys", "profiles", "edge_masks")
 
 
 def _assert_record_nbm_context(record: dict) -> None:
-    """``decode_nbm_context`` holds what Alg. 1 reads of the context
-    ``nbm_context`` compiles from the decoded graph, and nothing else."""
+    """``decode_nbm_context`` holds the label half and what Alg. 1 reads
+    of the context ``nbm_context`` compiles from the decoded graph, and
+    not Alg. 2's half.  Every score reads that adjacency: the first the
+    one the compile built, each later one rebuilt from the kept edges,
+    and the context keeps none of them."""
     ours, theirs = decode_nbm_context(record), nbm_context(
         decode_graph(record))
     for field in _RECORD_NBM_FIELDS:
         assert getattr(ours, field) == getattr(theirs, field), field
-    assert dict(ours.edge_counts) == dict(theirs.edge_counts)
-    assert [list(a.items()) for a in ours.adj] == \
-        [list(a.items()) for a in theirs.adj]
-    for field in ("degrees", "vertex_groups", "vhist", "edge_rows"):
-        assert not hasattr(ours, field), field
+    for field in ("edge_counts", "vertex_groups"):
+        assert dict(getattr(ours, field)) == dict(getattr(theirs, field))
+    assert ours.edge_rows is None
+    adjacency = [list(a.items()) for a in theirs.adj]
+    for _ in range(2):
+        view = ours.scoring()
+        assert ours.adj is None
+        for field in ("n", "vmasks", "vkeys", "profiles", "edge_masks",
+                      "edge_counts"):
+            assert getattr(view, field) is getattr(ours, field), field
+        assert [list(a.items()) for a in view.adj] == adjacency
 
 
 class TestRecordNbmContext:
