@@ -45,10 +45,7 @@ from conftest import (
 
 from repro.graphs.labelspace import label_context, nbm_context, target_context
 from repro.matching import kernels
-from repro.matching.bounds import (
-    SimilarityQueryContext,
-    set_similarity_upper_bound,
-)
+from repro.matching.bounds import SimilarityQueryContext
 from repro.matching.kernels import (
     compile_query,
     domains_to_masks,
@@ -57,7 +54,6 @@ from repro.matching.kernels import (
     pseudo_domain_masks,
     refine_bipartite_masks,
 )
-from repro.matching.measures import edge_label_sets, vertex_label_sets
 from repro.matching.nbm import NbmScorer, nbm_mapping, nbm_score
 from repro.matching.pseudo_iso import pseudo_compatibility_domains
 from repro.matching.ullmann import enumerate_embeddings, find_embedding
@@ -79,6 +75,11 @@ from repro.datasets.queries import (
 
 # The references are the tests' oracles; they live beside the tests.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.bounds import (  # noqa: E402
+    edge_label_sets,
+    set_similarity_upper_bound,
+    vertex_label_sets,
+)
 from oracles.nbm import nbm_mapping_reference  # noqa: E402
 from oracles.pseudo_iso import (  # noqa: E402
     level0_domains,

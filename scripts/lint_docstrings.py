@@ -31,8 +31,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: layer, the batched engine, the Prometheus exporter — plus the
 #: durable-storage/insert surface (PR 8): page file, WAL, buffer pool,
 #: record store, the disk index, the node stores under the one C-tree,
-#: the insert/split policies, the saved-index kinds, and the size
-#: accounting the benchmarks read.
+#: the insert/split policies, the saved-index kinds, the size
+#: accounting the benchmarks read, and the label space whose
+#: ``LabelSummary`` the screens, the bounds and ``fsck`` read.
 DEFAULT_PATHS = (
     "src/repro/server",
     "src/repro/ctree/parallel.py",
@@ -45,6 +46,7 @@ DEFAULT_PATHS = (
     "src/repro/ctree/shardcache.py",
     "src/repro/ctree/saved.py",
     "src/repro/ctree/persistence.py",
+    "src/repro/graphs/labelspace.py",
 )
 
 

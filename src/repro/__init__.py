@@ -30,7 +30,6 @@ from repro.graphs import (
     Graph,
     GraphClosure,
     GraphMapping,
-    LabelHistogram,
     closure_under_mapping,
 )
 from repro.matching import (
@@ -70,7 +69,6 @@ __all__ = [
     "GraphMapping",
     "GraphError",
     "IndexError_",
-    "LabelHistogram",
     "MappingError",
     "PersistenceError",
     "ReproError",

@@ -2,8 +2,9 @@
 
 A node is a graph closure of its children.  Leaf nodes hold database graphs
 (wrapped in :class:`LeafEntry` so each carries its database id); internal
-nodes hold child nodes.  Every node caches its closure and the closure's
-label histogram — the two summaries the query processors prune with.
+nodes hold child nodes.  Every node holds its closure — the summary the
+query processors prune with (its label histogram is the closure's
+``label_context``, memoised on the closure).
 
 The same node class serves both node stores (:mod:`repro.ctree.store`):
 in memory ``children`` are the live child objects; a node loaded from a
@@ -19,7 +20,6 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from repro.graphs.closure import GraphClosure, GraphLike, as_closure
 from repro.graphs.graph import Graph
-from repro.graphs.histogram import LabelHistogram
 
 #: A mapper takes two graph-like objects and returns a GraphMapping.
 Mapper = Callable[[GraphLike, GraphLike], "object"]
@@ -77,8 +77,7 @@ Child = Union["CTreeNode", LeafEntry]
 class CTreeNode:
     """One node of a C-tree."""
 
-    __slots__ = ("is_leaf", "children", "_closure", "_stored", "_decode",
-                 "_histogram")
+    __slots__ = ("is_leaf", "children", "_closure", "_stored", "_decode")
 
     def __init__(self, is_leaf: bool, children: Optional[list] = None,
                  stored_closure: Optional[dict] = None,
@@ -90,7 +89,6 @@ class CTreeNode:
         #: form), until it is replaced
         self._stored = stored_closure
         self._decode = decode
-        self._histogram: Optional[LabelHistogram] = None
 
     # ------------------------------------------------------------------
     @property
@@ -105,7 +103,6 @@ class CTreeNode:
     def closure(self, value: Optional[GraphClosure]) -> None:
         self._closure = value
         self._stored = None
-        self._histogram = None
 
     def stored_closure(self) -> Optional[dict]:
         """The closure in the record form it was loaded in, while it is
@@ -119,13 +116,6 @@ class CTreeNode:
         use for both."""
         if self._closure is not None:
             self._stored = None
-
-    @property
-    def histogram(self) -> Optional[LabelHistogram]:
-        """Label histogram of :attr:`closure`, computed once per closure."""
-        if self._histogram is None and self.closure is not None:
-            self._histogram = LabelHistogram.of(self.closure)
-        return self._histogram
 
     @property
     def fanout(self) -> int:

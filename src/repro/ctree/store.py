@@ -70,9 +70,9 @@ from repro.graphs.closure import (
     GraphClosure,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.histogram import LabelHistogram
 from repro.graphs.labelspace import (
     WILDCARD_BIT,
+    LabelSpace,
     LabelSummary,
     TargetContext,
     global_labelspace,
@@ -140,7 +140,7 @@ class MemoryNodeStore(_ShapedStore):
         return label_context(entry.graph)
 
     @staticmethod
-    def entry_matches(entry: LeafEntry, histogram: LabelHistogram) -> bool:
+    def entry_matches(entry: LeafEntry, summary: LabelSummary) -> bool:
         """Always: a live entry's summary is built from its graph."""
         return True
 
@@ -204,6 +204,14 @@ class StoredEntry:
         self.vhist = vhist
         self.ehist = ehist
         self.summary: Optional[tuple] = None
+
+
+def _stored_summary(entry: StoredEntry, space: LabelSpace) -> LabelSummary:
+    """The flat histograms a leaf entry carries, in ``space``."""
+    vhist, ehist = entry.vhist, entry.ehist
+    return LabelSummary(
+        dict(zip(map(space.vertex_id, vhist[::2]), vhist[1::2])),
+        dict(zip(map(space.edge_id, ehist[::2]), ehist[1::2])))
 
 
 def dump_record(record: dict) -> bytes:
@@ -599,23 +607,20 @@ class PagedNodeStore(_ShapedStore):
         space = global_labelspace()
         memo = entry.summary
         if memo is None or memo[0] is not space:
-            vhist, ehist = entry.vhist, entry.ehist
-            memo = entry.summary = (space, LabelSummary(
-                dict(zip(map(space.vertex_id, vhist[::2]), vhist[1::2])),
-                dict(zip(map(space.edge_id, ehist[::2]), ehist[1::2]))))
+            memo = entry.summary = (space, _stored_summary(entry, space))
         return memo[1]
 
     @staticmethod
-    def entry_matches(entry: StoredEntry, histogram: LabelHistogram) -> bool:
+    def entry_matches(entry: StoredEntry, summary: LabelSummary) -> bool:
         """Whether the histograms beside the entry's pointer — what
-        :meth:`graph_summary` screens with — are ``histogram``."""
-        try:  # a plain dict: Counter equality is a Python-level loop
-            stored = {(kind, label): count
-                      for kind, flat in enumerate((entry.vhist, entry.ehist))
-                      for label, count in zip(flat[::2], flat[1::2])}
+        :meth:`graph_summary` screens with — count what ``summary`` does.
+        They are read afresh, never from the entry's memo: a compiled
+        context there came from the graph record itself."""
+        try:
+            stored = _stored_summary(entry, global_labelspace())
         except TypeError:  # not two flat [label, count, ...] lists
             return False
-        return histogram == LabelHistogram(stored)
+        return stored.vhist == summary.vhist and stored.ehist == summary.ehist
 
     def load_graph(self, entry: StoredEntry) -> Graph:
         """Decode the graph record a leaf entry points at."""

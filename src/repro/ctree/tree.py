@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Optional
 from repro.exceptions import ConfigError, IndexError_, PersistenceError
 from repro.graphs.closure import GraphClosure, as_closure
 from repro.graphs.graph import Graph
-from repro.graphs.histogram import LabelHistogram
+from repro.graphs.labelspace import LabelSummary, label_context
 from repro.matching.edit_distance import MAPPING_METHODS
 from repro.matching.pseudo_iso import Level, pseudo_subgraph_isomorphic
 from repro.obs import trace
@@ -487,12 +487,13 @@ class CTreeCore:
         index = next(i for i, e in enumerate(entries)
                      if e.graph_id == graph_id)
         graph = self.store.load_graph(entries[index])
+        summary = self.store.graph_summary(entries[index])
         self.store.free_graph(entries.pop(index))
-        self._shrink_path(path, graph, rng)
+        self._shrink_path(path, graph, summary, rng)
         self._collapse_root(len(path) - 1)
         return graph
 
-    def _shrink_path(self, path: list, graph: Graph,
+    def _shrink_path(self, path: list, graph: Graph, summary: LabelSummary,
                      rng: random.Random) -> None:
         """Walk the delete path bottom-up: remove dead children, handle
         underflow via merge-or-redistribute, and shrink each closure the
@@ -501,7 +502,6 @@ class CTreeCore:
         child closures back from the store), mirroring the insert path.
         """
         store = self.store
-        graph_hist = LabelHistogram.of(graph)
         drop = None  # freed child to unlink at this level
         for i in range(len(path) - 1, -1, -1):
             ref, node = path[i]
@@ -523,7 +523,7 @@ class CTreeCore:
                     node.closure = None
                     dirty = True
             elif node.closure is not None and self._may_shrink(
-                    graph, graph_hist, node):
+                    graph, summary, node):
                 refolded = fold_closure_set(
                     self._member_closures(node.is_leaf, entries),
                     self.mapper)
@@ -544,7 +544,7 @@ class CTreeCore:
                 store.write_node(ref, node)
 
     @staticmethod
-    def _may_shrink(graph: Graph, graph_hist: LabelHistogram,
+    def _may_shrink(graph: Graph, summary: LabelSummary,
                     node: CTreeNode) -> bool:
         """Whether the removed graph could have been load-bearing for
         this node's closure: it reached the closure's vertex or edge
@@ -558,7 +558,7 @@ class CTreeCore:
             return True
         if graph.num_edges >= closure.num_edges:
             return True
-        return graph_hist.attains(node.histogram)
+        return summary.attains(label_context(closure))
 
     def _merge_or_redistribute(self, path: list, i: int,
                                rng: random.Random) -> bool:
@@ -635,9 +635,10 @@ class CTreeCore:
         ``min_fanout`` below the root, two under an internal root, a
         closure on every non-empty node, every leaf at the recorded
         height, as many leaves as recorded, each graph id once and
-        ``len(self)`` of them.  Lemma 1:
-        each closure on a graph's root-to-leaf path dominates its label
-        histogram (closures need not dominate each other, nor be tight)
+        ``len(self)`` of them.  Lemma 1, on the :class:`LabelSummary`
+        Alg. 3 screens with: each closure on a graph's root-to-leaf path
+        dominates its label histogram (closures need not dominate each
+        other, nor be tight)
         and, with ``level`` set, admits it pseudo sub-isomorphically at
         that level — a polynomial test any real embedding passes, where
         Ullmann could blow up on ε-rich closures.  The histogram a leaf
@@ -694,12 +695,13 @@ class CTreeCore:
                 except PersistenceError as exc:
                     issue(str(exc))
                     continue
-                histogram = LabelHistogram.of(graph)
-                if not store.entry_matches(entry, histogram):
+                summary = label_context(graph)
+                if not store.entry_matches(entry, summary):
                     issue(f"graph {gid}: leaf entry histogram differs from "
                           f"its graph record's")
                 for ancestor, where in zip(lineage, wheres):
-                    if not ancestor.histogram.dominates(histogram):
+                    if not label_context(ancestor.closure).dominates(
+                            summary):
                         issue(f"graph {gid}: {where} closure does not "
                               f"dominate its label histogram")
                     elif level is not None and not pseudo_subgraph_isomorphic(

@@ -1,4 +1,4 @@
-"""Graph substrate: labeled graphs, closures, histograms, mappings, I/O."""
+"""Graph substrate: labeled graphs, closures, label spaces, mappings, I/O."""
 
 from repro.graphs.closure import (
     EPSILON,
@@ -9,7 +9,6 @@ from repro.graphs.closure import (
     contains_wildcard,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.histogram import LabelHistogram
 from repro.graphs.labelspace import (
     EPSILON_BIT,
     WILDCARD_BIT,
@@ -36,7 +35,6 @@ __all__ = [
     "Graph",
     "GraphClosure",
     "GraphMapping",
-    "LabelHistogram",
     "LabelSpace",
     "TargetContext",
     "as_closure",

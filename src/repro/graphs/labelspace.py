@@ -103,6 +103,7 @@ class LabelSpace:
 
     # ------------------------------------------------------------------
     def vertex_id(self, label: Hashable) -> int:
+        """The id of a vertex label, interned on first sight."""
         ids = self._vertex_ids
         i = ids.get(label)
         if i is None:
@@ -111,6 +112,7 @@ class LabelSpace:
         return i
 
     def edge_id(self, label: Hashable) -> int:
+        """The id of an edge label, interned on first sight."""
         ids = self._edge_ids
         i = ids.get(label)
         if i is None:
@@ -119,18 +121,22 @@ class LabelSpace:
         return i
 
     def vertex_bit(self, label: Hashable) -> int:
+        """The one-bit mask of a vertex label."""
         return 1 << self.vertex_id(label)
 
     def edge_bit(self, label: Hashable) -> int:
+        """The one-bit mask of an edge label."""
         return 1 << self.edge_id(label)
 
     def vertex_mask(self, labels: Iterable) -> int:
+        """The mask of a vertex label set: one bit per label."""
         m = 0
         for label in labels:
             m |= 1 << self.vertex_id(label)
         return m
 
     def edge_mask(self, labels: Iterable) -> int:
+        """The mask of an edge label set: one bit per label."""
         m = 0
         for label in labels:
             m |= 1 << self.edge_id(label)
@@ -229,8 +235,11 @@ def reset_labelspace() -> LabelSpace:
 
 class LabelSummary:
     """The label histogram of one graph or closure in the process label
-    space — all that Alg. 3's histogram screen reads from a target (a
-    disk leaf entry carries exactly this beside its graph pointer).
+    space (Sec. 6.2) — all that Alg. 3's histogram screen reads from a
+    target (a disk leaf entry carries exactly this beside its graph
+    pointer), what Eqn. (7) bounds a leaf entry with, and what the
+    soundness walk and the delete path hold closures against.  A
+    closure's dominates each member graph's (Lemma 1).
 
     ``vhist`` / ``ehist`` map an interned label id to its count (the
     wildcard, and in a closure ε, never count); ``vbits`` / ``ebits``
@@ -244,6 +253,32 @@ class LabelSummary:
         self.ehist = ehist
         self.vbits = sum(1 << i for i in vhist)
         self.ebits = sum(1 << i for i in ehist)
+
+    def dominates(self, other: "LabelSummary") -> bool:
+        """Whether every count of ``other`` is at most this one's, vertex
+        labels against vertex labels and edge labels against edge labels.
+        A ``False`` proves no graph this summarizes contains ``other``'s
+        (the bitset form against a compiled query:
+        ``repro.matching.kernels.histogram_dominates``)."""
+        for mine, theirs in ((self.vhist, other.vhist),
+                             (self.ehist, other.ehist)):
+            for i, count in theirs.items():
+                if mine.get(i, 0) < count:
+                    return False
+        return True
+
+    def attains(self, outer: "LabelSummary") -> bool:
+        """Whether some count of this summary reaches ``outer``'s for the
+        same label.  When ``outer`` dominates this one (a closure over a
+        member graph) that says whether the member is load-bearing for a
+        label bound: removing a graph that attains none cannot lower any
+        count of a recomputed closure, so the delete path keeps it."""
+        for mine, theirs in ((self.vhist, outer.vhist),
+                             (self.ehist, outer.ehist)):
+            for i, count in mine.items():
+                if count >= theirs.get(i, 0):
+                    return True
+        return False
 
 
 class TargetContext(LabelSummary):
@@ -342,8 +377,8 @@ def mask_ids(m: int) -> list[int]:
 def mask_histogram(counts: Iterable[tuple[int, int]], skip: int) -> dict[int, int]:
     """``(label mask, occurrences)`` pairs to an id → count histogram:
     every member of a mask counts once per occurrence, members in
-    ``skip`` (wildcard, and ε for closures) never — the
-    ``LabelHistogram.of`` convention."""
+    ``skip`` (wildcard, and ε for closures) never — a
+    :class:`LabelSummary`'s counts."""
     hist: dict[int, int] = {}
     for m, c in counts:
         for i in mask_ids(m & ~skip):

@@ -21,29 +21,6 @@ from typing import Sequence
 
 from repro.graphs.closure import GraphLike
 from repro.graphs.labelspace import WILDCARD_BIT, LabelSummary, label_context
-from repro.matching.bipartite import hopcroft_karp
-from repro.matching.measures import uniform_set_similarity
-
-
-def set_similarity_upper_bound(
-    sets1: Sequence[frozenset],
-    sets2: Sequence[frozenset],
-) -> float:
-    """Maximum-cardinality matching value between two lists of label sets,
-    where elements may be paired iff their sets intersect."""
-    if not sets1 or not sets2:
-        return 0.0
-    label_to_right: dict = {}
-    for j, s in enumerate(sets2):
-        for label in s:
-            label_to_right.setdefault(label, []).append(j)
-    adjacency: list[list[int]] = []
-    for s in sets1:
-        nbrs: set[int] = set()
-        for label in s:
-            nbrs.update(label_to_right.get(label, ()))
-        adjacency.append(sorted(nbrs))
-    return float(len(hopcroft_karp(len(sets1), len(sets2), adjacency)))
 
 
 def sim_upper_bound(g1: GraphLike, g2: GraphLike) -> float:
@@ -61,7 +38,7 @@ def _mask_counts(g: GraphLike) -> tuple[Sequence, Sequence]:
 
 def _matching_value(counts1: Sequence[tuple[int, int]],
                     counts2: Sequence[tuple[int, int]]) -> int:
-    """:func:`set_similarity_upper_bound` on compiled sides: the maximum
+    """``Sim(V1, V2)`` (or ``Sim(E1, E2)``) on compiled sides: the maximum
     matching between two multisets of (distinct) label masks, elements
     pairable iff their masks share a bit."""
     if all(m & (m - 1) == 0 for m, _ in (*counts1, *counts2)):
@@ -159,8 +136,9 @@ class SimilarityQueryContext:
     label masks as two multisets — never changes, so it is extracted
     once here.  A *target* is a graph, a closure, or the ``LabelSummary``
     of a plain graph: a leaf entry, bounded before its graph is loaded.
-    Every value is the one :func:`set_similarity_upper_bound` gives on the
-    label-set lists (between plain graphs, the histogram intersection).
+    Every value is the maximum matching between the two label-set lists
+    (between plain graphs, the histogram intersection); the set form the
+    tests hold it to is ``tests/oracles/bounds.py``.
     """
 
     __slots__ = ("query", "num_vertices", "num_edges", "_v", "_e", "_sides")
@@ -228,10 +206,8 @@ def distance_lower_bound(g1: GraphLike, g2: GraphLike) -> float:
 
 
 __all__ = [
-    "set_similarity_upper_bound",
     "sim_upper_bound",
     "SimilarityQueryContext",
     "norm",
     "distance_lower_bound",
-    "uniform_set_similarity",
 ]

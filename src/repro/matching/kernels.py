@@ -516,9 +516,9 @@ def compile_query(query: GraphLike, level: Level = 1) -> QueryContext:
 def histogram_dominates(t: LabelSummary, q: QueryContext) -> bool:
     """Does the target's label histogram dominate the query's?
 
-    Bit-identical to ``LabelHistogram.dominates`` on histograms of the same
-    objects: a one-word presence-mask reject first, then per-label count
-    comparisons over the query's sparse entries.  (The presence check also
+    ``LabelSummary.dominates`` against a compiled query: a one-word
+    presence-mask reject first, then per-label count comparisons over the
+    query's sparse entries.  (The presence check also
     guarantees every query label id is a key of the target's maps.)
     """
     if (q.vbits & ~t.vbits) or (q.ebits & ~t.ebits):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from repro.ctree.subgraph_query import subgraph_query
 from repro.graphs.closure import closure_under_mapping
 from repro.graphs.graph import Graph
-from repro.graphs.histogram import LabelHistogram
 from repro.datasets.chemical import ChemicalConfig, generate_chemical_database
+from oracles.histogram import LabelHistogram
 from oracles.pseudo_iso import global_semi_perfect, reference_domains
 from oracles.ullmann import reference_embeddings
 

@@ -14,10 +14,10 @@ from repro.matching.bounds import (
     _QuerySide,
     distance_lower_bound,
     norm,
-    set_similarity_upper_bound,
     sim_upper_bound,
 )
 from repro.matching.nbm import nbm_mapping
+from oracles.bounds import set_similarity_upper_bound
 from oracles.state_search import optimal_distance, optimal_similarity
 
 from conftest import path_graph, random_labeled_graph, triangle

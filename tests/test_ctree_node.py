@@ -1,11 +1,18 @@
 """Unit tests for repro.ctree.node."""
 
 from repro.graphs.closure import GraphClosure
-from repro.graphs.histogram import LabelHistogram
+from repro.graphs.labelspace import global_labelspace, label_context
 from repro.matching.nbm import nbm_mapping
 from repro.ctree.node import CTreeNode, LeafEntry, fold_closure
+from oracles.histogram import LabelHistogram
 
 from conftest import path_graph, triangle
+
+
+def counts(g):
+    """The label counts of ``g``'s summary, vertex and edge."""
+    summary = label_context(g)
+    return summary.vhist, summary.ehist
 
 
 class TestLeafEntry:
@@ -48,18 +55,18 @@ class TestNodeStructure:
     def test_stored_closure_decodes_lazily_and_rewrites_verbatim(self):
         """A node loaded from a record keeps its closure serialized until
         first use, hands the same dict back while unchanged, and drops it
-        (and the cached histogram) once the closure is replaced."""
+        (its histogram with it) once the closure is replaced."""
         stored = GraphClosure.from_graph(triangle()).to_dict()
         node = CTreeNode(True, [], stored_closure=stored,
                          decode=GraphClosure.from_dict)
         assert node.stored_closure() is stored
         assert node.closure == GraphClosure.from_graph(triangle())
-        assert node.histogram == LabelHistogram.of(triangle())
+        assert counts(node.closure) == counts(triangle())
         assert node.stored_closure() is stored
         other = GraphClosure.from_graph(path_graph(["A", "B"]))
         node.closure = other
         assert node.stored_closure() is None
-        assert node.histogram == LabelHistogram.of(other)
+        assert counts(node.closure) == counts(other)
         assert node.closure is other
 
     def test_iter_leaf_entries(self):
@@ -82,7 +89,8 @@ class TestSummaries:
         node.closure = fold_closure(node.closure, triangle(), nbm_mapping)
         assert node.closure is not None
         assert node.closure.num_vertices == 3
-        assert node.histogram.dominates(LabelHistogram.of(triangle()))
+        assert label_context(node.closure).dominates(
+            label_context(triangle()))
 
     def test_extend_summary_accumulates(self):
         node = CTreeNode(is_leaf=True)
@@ -90,8 +98,8 @@ class TestSummaries:
         g2 = path_graph(["A", "C"])
         node.closure = fold_closure(node.closure, g1, nbm_mapping)
         node.closure = fold_closure(node.closure, g2, nbm_mapping)
-        assert node.histogram.dominates(LabelHistogram.of(g1))
-        assert node.histogram.dominates(LabelHistogram.of(g2))
+        assert label_context(node.closure).dominates(label_context(g1))
+        assert label_context(node.closure).dominates(label_context(g2))
 
     def test_rebuild_summary_shrinks(self):
         node = CTreeNode(is_leaf=True)
@@ -100,9 +108,10 @@ class TestSummaries:
         node.add_child(LeafEntry(0, g1))
         node.add_child(LeafEntry(1, g2))
         node.rebuild_summary(nbm_mapping)
-        with_both = node.histogram
+        with_both = label_context(node.closure)
         del node.children[1]
         node.rebuild_summary(nbm_mapping)
         # After rebuilding without g2, X must no longer be counted.
-        assert with_both[(0, "X")] == 1
-        assert node.histogram[(0, "X")] == 0
+        x = global_labelspace().vertex_id("X")
+        assert with_both.vhist.get(x, 0) == 1
+        assert label_context(node.closure).vhist.get(x, 0) == 0

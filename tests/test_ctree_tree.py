@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import ConfigError, IndexError_
+from repro.graphs.labelspace import global_labelspace, label_context
 from repro.obs.metrics import global_registry
 from repro.ctree.tree import CTree
 
@@ -94,7 +95,8 @@ class TestDelete:
         tree = make_tree()
         tree.extend([path_graph(["A", "B"]), path_graph(["X", "Y"])])
         tree.delete_many([1])
-        assert tree.root.histogram[(0, "X")] == 0
+        x = global_labelspace().vertex_id("X")
+        assert label_context(tree.root.closure).vhist.get(x, 0) == 0
 
     def test_delete_with_underflow_merges(self, rng):
         tree = make_tree(min_fanout=2, max_fanout=3)

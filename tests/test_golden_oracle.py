@@ -32,7 +32,6 @@ from pathlib import Path
 import pytest
 
 from repro.graphs.graph import Graph
-from repro.graphs.histogram import LabelHistogram
 from repro.graphs.io import load_graph_database
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DiskCTree
@@ -40,6 +39,7 @@ from repro.ctree import store as store_module
 from repro.ctree.similarity_query import knn_query, range_query
 from repro.ctree.store import decode_graph
 from repro.ctree.subgraph_query import subgraph_query
+from oracles.histogram import LabelHistogram
 
 from conftest import ORACLES, oracle_answers, stored_graphs
 

@@ -27,7 +27,6 @@ from repro.graphs.closure import (
     closure_under_mapping,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.histogram import LabelHistogram
 from repro.graphs.labelspace import (
     LabelSummary,
     global_labelspace,
@@ -37,7 +36,6 @@ from repro.matching import kernels
 from repro.matching.bounds import (
     SimilarityQueryContext,
     distance_lower_bound,
-    set_similarity_upper_bound,
     sim_upper_bound,
 )
 from repro.matching.kernels import (
@@ -51,13 +49,18 @@ from repro.matching.kernels import (
     resolve_level,
     semi_perfect_masks,
 )
-from repro.matching.measures import edge_label_sets, vertex_label_sets
 from repro.obs.metrics import global_registry
 from repro.matching.pseudo_iso import (
     pseudo_compatibility_domains,
     pseudo_subgraph_isomorphic,
 )
 from oracles.bipartite import has_semi_perfect_matching
+from oracles.bounds import (
+    edge_label_sets,
+    set_similarity_upper_bound,
+    vertex_label_sets,
+)
+from oracles.histogram import LabelHistogram
 from oracles.graphs import labels_match
 from oracles.pseudo_iso import (
     global_semi_perfect,

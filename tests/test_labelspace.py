@@ -21,17 +21,19 @@ from repro.graphs.closure import (
     WILDCARD,
     GraphClosure,
 )
-from repro.graphs.histogram import LabelHistogram
 from repro.graphs.labelspace import (
     EPSILON_BIT,
     WILDCARD_BIT,
     LabelSpace,
     global_labelspace,
+    label_context,
     masks_match,
     target_context,
 )
 from repro.matching.kernels import compile_query
+from repro.matching.nbm import nbm_mapping
 from oracles.graphs import labels_match
+from oracles.histogram import LabelHistogram
 
 from conftest import random_labeled_graph, triangle
 
@@ -271,10 +273,13 @@ class TestContextContents:
         return counts
 
     def test_histograms_equal_label_histogram(self):
+        """The summary counts what the set-form histogram counts, and its
+        ``dominates`` / ``attains`` agree with the oracle's on every pair
+        of graphs, subgraphs and closures."""
         rng = random.Random(5)
         space = global_labelspace()
-        for _ in range(10):
-            g = random_labeled_graph(rng, 7)
+        graphs = [random_labeled_graph(rng, 7) for _ in range(10)]
+        for g in graphs:
             assert (self._hist_as_counts(target_context(g), space)
                     == dict(LabelHistogram.of(g)._counts))
         c = GraphClosure([{"A", "B"}, {"B", EPSILON}, {WILDCARD}])
@@ -282,3 +287,14 @@ class TestContextContents:
         c.add_edge(1, 2, {"y"})
         assert (self._hist_as_counts(target_context(c), space)
                 == dict(LabelHistogram.of(c)._counts))
+        targets = graphs + [g.subgraph(range(3)) for g in graphs] + [c] + [
+            nbm_mapping(g1, g2).closure() for g1, g2 in zip(graphs, graphs[1:])]
+        seen = set()
+        for a in targets:
+            for b in targets:
+                want = (LabelHistogram.of(a).dominates(LabelHistogram.of(b)),
+                        LabelHistogram.of(b).attains(LabelHistogram.of(a)))
+                assert (label_context(a).dominates(label_context(b)),
+                        label_context(b).attains(label_context(a))) == want
+                seen.update(enumerate(want))
+        assert len(seen) == 4  # each predicate both ways

@@ -11,8 +11,8 @@ import pytest
 
 from repro.exceptions import ConfigError
 from repro.graphs.graph import Graph
-from repro.graphs.histogram import LabelHistogram
 from repro.mtree.tree import MTree, build_mtree
+from oracles.histogram import LabelHistogram
 
 from conftest import random_labeled_graph
 

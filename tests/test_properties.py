@@ -24,12 +24,12 @@ from hypothesis import strategies as st
 
 from repro.graphs.closure import WILDCARD
 from repro.graphs.graph import Graph
-from repro.graphs.histogram import LabelHistogram
 from repro.graphs.operations import random_connected_subgraph
 from repro.matching.bounds import distance_lower_bound, sim_upper_bound
 from repro.matching.nbm import nbm_mapping
 from repro.matching.pseudo_iso import pseudo_subgraph_isomorphic
 from oracles.graphs import vertex_permuted
+from oracles.histogram import LabelHistogram
 from oracles.state_search import optimal_distance
 from repro.matching.ullmann import subgraph_isomorphic
 from repro.ctree.tree import CTree

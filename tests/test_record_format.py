@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.diskindex import DiskCTree
+from repro.ctree.similarity_query import knn_query
 from repro.ctree.store import (
     BAD_RECORD,
+    RecordContext,
     decode_closure,
     decode_graph,
     decode_graph_context,
@@ -31,11 +33,11 @@ from repro.ctree.store import (
     encode_node,
     record_histograms,
 )
+from repro.ctree.subgraph_query import subgraph_query
 from repro.datasets.chemical import ChemicalConfig, generate_chemical_database
 from repro.exceptions import PersistenceError
 from repro.graphs.closure import EPSILON, WILDCARD, GraphClosure
 from repro.graphs.graph import Graph
-from repro.graphs.histogram import LabelHistogram
 from repro.graphs.io import load_graph_database
 from repro.graphs.labelspace import (
     nbm_context,
@@ -43,6 +45,7 @@ from repro.graphs.labelspace import (
     target_context,
 )
 from repro.storage.pagefile import NO_PAGE, PageFile
+from oracles.histogram import LabelHistogram
 
 _VERTEX_LABELS = ["C", "N", "O", 1, 2, WILDCARD]
 _EDGE_LABELS = [None, None, "x", 1, 2, WILDCARD]
@@ -403,6 +406,26 @@ class TestFsckOnMalformedRecords:
             entry[2] = [entry[2][0], entry[2][1] + 1] + entry[2][2:]
         _rewrite(index, _leaf_record, change)
         assert any("histogram differs" in e for e in _errors(index))
+
+    def test_stale_entry_histogram_on_a_warm_handle(self, index):
+        """On a handle whose resident leaves hold contexts compiled from
+        the graph records, the check still reads the histograms beside
+        each pointer: one entry's, corrupted in memory, is the one
+        finding."""
+        with DiskCTree.open(index) as disk:
+            for g in _POOL[:6]:
+                assert subgraph_query(disk, g)[0]
+            assert knn_query(disk, _POOL[0], 4)[0]
+            compiled = [entry for _, node in disk.nodes() if node.is_leaf
+                        for entry in node.children
+                        if isinstance(entry.summary[1], RecordContext)]
+            assert len(compiled) > 1
+            entry = compiled[-1]
+            entry.vhist = [entry.vhist[0], entry.vhist[1] + 1] + \
+                entry.vhist[2:]
+            assert disk.check() == [
+                f"graph {entry.graph_id}: leaf entry histogram differs "
+                f"from its graph record's"]
 
     def test_entry_of_wrong_shape(self, index):
         def change(record):

@@ -126,29 +126,18 @@ class TestStats:
         assert sum(merged.nodes_by_level) == merged.nodes_expanded
 
 
-class TestQuerySideIsBuiltWhereItIsRead:
-    def test_no_label_histogram_is_built(self, chem_tree_and_db):
-        # the screen reads the compiled query context, never a histogram
-        from unittest import mock
-
-        from repro.graphs.histogram import LabelHistogram
-
-        tree, db = chem_tree_and_db
-        q = generate_subgraph_queries(db, 6, 1, seed=9)[0]
-        with mock.patch.object(LabelHistogram, "of",
-                               wraps=LabelHistogram.of) as of:
-            assert subgraph_query(tree, q)[0]
-            assert of.call_count == 0
-
-
 class TestProductPathsReachNoReference:
     def test_queries_and_checks_run_with_the_references_disabled(
             self, chem_tree_and_db, tmp_path, monkeypatch):
-        """Every set-based reference raises; queries on both stores at
-        levels 1 and max, the deep soundness walk, fsck and the linear
-        scan still succeed — one matching engine serves them all."""
+        """Every set-based reference raises; subgraph queries on both
+        stores at levels 1 and max, a K-NN query, a delete batch (its
+        closure-shrink test), the deep soundness walk, fsck and the
+        linear scan still succeed — one matching engine and one label
+        histogram serve them all."""
         from repro.ctree.diskindex import DiskCTree
-        from oracles import bipartite, pseudo_iso, ullmann
+        from repro.ctree.similarity_query import knn_query
+        from oracles import bipartite, bounds, nbm, pseudo_iso, ullmann
+        from oracles.histogram import LabelHistogram
 
         def reference(*args, **kwargs):
             raise AssertionError("a product path reached a reference")
@@ -159,19 +148,29 @@ class TestProductPathsReachNoReference:
                 (pseudo_iso, "level0_domains"),
                 (pseudo_iso, "refine_bipartite"),
                 (ullmann, "compatibility_domains"),
-                (ullmann, "refine_domains")):
+                (ullmann, "refine_domains"),
+                (nbm, "nbm_mapping_reference"),
+                (bounds, "set_similarity_upper_bound"),
+                (LabelHistogram, "of"),
+                (LabelHistogram, "dominates")):
             monkeypatch.setattr(module, name, reference)
-        tree, db = chem_tree_and_db
+        _, db = chem_tree_and_db
+        tree = bulk_load(db, min_fanout=3)  # the batch below writes
         queries = generate_subgraph_queries(db, 6, 3, seed=10)
         path = tmp_path / "t.ctp"
         with DiskCTree.create(tree, path) as disk:
+            knn = []
             for index in (tree, disk):
                 for level in (1, "max"):
                     for q in queries:
                         answers, _ = subgraph_query(index, q, level=level)
                         assert sorted(answers) == \
                             linear_scan_subgraph_query(db, q)
+                knn.append(knn_query(index, queries[0], 5)[0])
+                index.delete_many(range(0, 60, 7), seed=3)
                 index.validate(deep=True)
+            assert knn[0] == knn[1]
+            assert len(disk) == len(tree) == 51
         assert DiskCTree.fsck(path, deep=True).clean
 
 

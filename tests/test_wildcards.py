@@ -13,13 +13,14 @@ import pytest
 from repro.exceptions import ConfigError
 from repro.graphs.closure import WILDCARD, contains_wildcard
 from repro.graphs.graph import Graph
-from repro.graphs.histogram import LabelHistogram
+from repro.graphs.labelspace import label_context
 from repro.matching.pseudo_iso import pseudo_subgraph_isomorphic
 from repro.matching.ullmann import enumerate_embeddings, subgraph_isomorphic
 from repro.ctree.bulkload import bulk_load
 from repro.ctree.subgraph_query import subgraph_query
 from repro.graphgrep.index import GraphGrepIndex
 from oracles.graphs import labels_match
+from oracles.histogram import LabelHistogram
 
 from conftest import path_graph, triangle
 
@@ -57,10 +58,12 @@ class TestWildcardBasics:
 
     def test_histogram_skips_wildcards(self):
         g = Graph(["A", WILDCARD], [(0, 1)])
-        hist = LabelHistogram.of(g)
-        assert sum(hist.to_dict()["vertex"].values()) == 1
+        assert LabelHistogram.of(g) == LabelHistogram({(0, "A"): 1,
+                                                       (1, None): 1})
+        summary = label_context(g)
+        assert sum(summary.vhist.values()) == 1
         # A graph without the wildcard's "label" still dominates the query.
-        assert LabelHistogram.of(path_graph(["A", "Z"])).dominates(hist)
+        assert label_context(path_graph(["A", "Z"])).dominates(summary)
 
 
 class TestWildcardMatching:
